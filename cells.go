@@ -25,11 +25,18 @@ package spice
 //
 // Reductions (the paper's Section 4 / internal/reduction) ride the same
 // store: a Loop declares reduction cells with their kinds, the body
-// updates them only through CellView.Reduce, each chunk privatizes the
-// accumulator starting from the kind's identity, and the scheduler
-// folds the private accumulators into the store cell in sequential
-// chunk order at commit. Reduction cells are exempt from conflict
-// tracking — that exemption is the entire point of recognizing them.
+// updates them only through CellView.Reduce, and every view — the
+// sequential path's direct view included — privatizes the accumulator
+// starting from the kind's identity. The scheduler folds a chunk's
+// private accumulators into the store cells in sequential chunk order
+// at commit; runSequential folds the direct view's when it exits, on
+// every exit path. Reduce is therefore one operation in both modes,
+// small enough to inline into the body (TestCellAccessorsInline holds
+// it there). Every supported kind is associative and commutative on
+// int64 under wraparound, so folding identity-seeded partial results
+// in chunk order equals folding every update in iteration order.
+// Reduction cells are exempt from conflict tracking — that exemption
+// is the entire point of recognizing them.
 
 // ReductionKind enumerates the reduction operators supported on cells.
 // The constants and their identities mirror internal/reduction.Kind
@@ -187,8 +194,8 @@ type CellView struct {
 
 	// direct marks the sequential execution mode (Runner.runSequential
 	// and width-1 fallbacks): loads and stores pass straight through to
-	// the store and Reduce folds immediately — the reference semantics
-	// the speculative mode must reproduce exactly.
+	// the store — the reference semantics the speculative mode must
+	// reproduce exactly. Reductions are privatized in this mode too.
 	direct bool
 	// record marks speculative chunks whose fall-through reads need
 	// read-set tracking. Chunk 0 of a round buffers (its writes must
@@ -211,9 +218,12 @@ type CellView struct {
 	// conflicted() flags only union writes stamped at or after it.
 	startTick uint32
 
-	// racc holds the chunk's private reduction accumulators, one per
-	// declared Reduction, starting at the kind's identity.
+	// racc holds the view's private reduction accumulators, one per
+	// declared Reduction, starting at the kind's identity. sums aliases
+	// racc when every declared reduction is ReduceSum and is nil
+	// otherwise: Reduce's inline fast path, chosen once per arm.
 	racc []int64
+	sums []int64
 }
 
 // begin arms the view for one chunk execution. record selects read-set
@@ -237,18 +247,37 @@ func (v *CellView) begin(c *Cells, red []Reduction, record bool) {
 	}
 	v.worder = v.worder[:0]
 	v.rorder = v.rorder[:0]
-	v.racc = v.racc[:0]
-	for _, rd := range red {
-		v.racc = append(v.racc, rd.Kind.Identity())
-	}
+	v.armReductions()
 }
 
 // beginDirect arms the view for sequential (non-speculative) execution:
-// every access goes straight to the store.
+// loads and stores go straight to the store; reductions accumulate
+// privately until the caller's drain.
 func (v *CellView) beginDirect(c *Cells, red []Reduction) {
 	v.c = c
 	v.red = red
 	v.direct = true
+	v.worder = v.worder[:0]
+	v.rorder = v.rorder[:0]
+	v.armReductions()
+}
+
+// armReductions seeds the private accumulators with their identities
+// and selects Reduce's path for this arm.
+func (v *CellView) armReductions() {
+	if cap(v.racc) < len(v.red) {
+		v.racc = make([]int64, 0, len(v.red))
+	}
+	v.racc = v.racc[:0]
+	allSum := true
+	for _, rd := range v.red {
+		v.racc = append(v.racc, rd.Kind.Identity())
+		allSum = allSum && rd.Kind == ReduceSum
+	}
+	v.sums = nil
+	if allSum {
+		v.sums = v.racc
+	}
 }
 
 // release drops the store reference so a parked runner does not pin a
@@ -258,6 +287,7 @@ func (v *CellView) release() {
 	v.c = nil
 	v.red = nil
 	v.racc = v.racc[:0]
+	v.sums = nil
 	v.worder = v.worder[:0]
 	v.rorder = v.rorder[:0]
 }
@@ -294,15 +324,26 @@ func (v *CellView) Store(i int, x int64) {
 }
 
 // Reduce folds x into declared reduction r (an index into
-// Loop.Reductions). The fold lands in the chunk's private accumulator
+// Loop.Reductions). The fold lands in the view's private accumulator
 // and reaches the store cell only at commit, in sequential chunk order.
+// An all-ReduceSum declaration adds in line; the range check doubles as
+// the mode check (sums is empty otherwise), so any other declaration —
+// and an out-of-range r, which panics there — takes one call.
 func (v *CellView) Reduce(r int, x int64) {
-	rd := v.red[r]
-	if v.direct {
-		v.c.words[rd.Cell] = rd.Kind.fold(v.c.words[rd.Cell], x)
+	if uint(r) < uint(len(v.sums)) {
+		v.sums[r] += x
 		return
 	}
-	v.racc[r] = rd.Kind.fold(v.racc[r], x)
+	v.reduceKind(r, x)
+}
+
+// reduceKind is Reduce for declarations that mix kinds. Kept out of
+// line: inlined into Reduce it would push Reduce itself over the
+// compiler's inlining budget.
+//
+//go:noinline
+func (v *CellView) reduceKind(r int, x int64) {
+	v.racc[r] = v.red[r].Kind.fold(v.racc[r], x)
 }
 
 // conflicted reports whether any of the chunk's fall-through reads hit
@@ -323,11 +364,12 @@ func (v *CellView) conflicted() bool {
 	return false
 }
 
-// drain commits the chunk: buffered writes land in the store in
+// drain commits the view: buffered writes land in the store in
 // first-write order and join the union write-set at the current round's
 // tick, then the private reduction accumulators fold into their cells —
 // the sequential-chunk-order merge, because the scheduler drains chunks
-// in exactly that order.
+// in exactly that order. A direct view has no buffered writes; its
+// drain is the reduction fold alone.
 func (v *CellView) drain() {
 	c := v.c
 	for _, i := range v.worder {

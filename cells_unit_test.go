@@ -5,14 +5,38 @@ package spice
 // view epoch) that steady-state runs never reach, and the binding
 // guards on Runner and Session. The end-to-end DOACROSS semantics live
 // in doacross_test.go; these tests pin the branches that only fire
-// after ~4 billion rounds or on misuse.
+// after ~4 billion rounds or on misuse. TestCellAccessorsInline holds
+// the three per-access methods inside the compiler's inlining budget.
 
 import (
 	"errors"
 	"math/rand"
+	"os/exec"
 	"strings"
 	"testing"
 )
+
+// TestCellAccessorsInline is the inlining gate: Load, Store and Reduce
+// run two to eight times per iteration of a DOACROSS body, and each is
+// written to fit the compiler's inlining budget with little to spare
+// (Reduce sits within a few nodes of it). An edit that pushes one over
+// turns every access into a call without failing any other test, so
+// this one asks the compiler.
+func TestCellAccessorsInline(t *testing.T) {
+	goTool, err := exec.LookPath("go")
+	if err != nil {
+		t.Skip("no go tool on PATH")
+	}
+	out, err := exec.Command(goTool, "build", "-gcflags=-m", ".").CombinedOutput()
+	if err != nil {
+		t.Fatalf("go build -gcflags=-m: %v\n%s", err, out)
+	}
+	for _, m := range []string{"Load", "Store", "Reduce"} {
+		if want := "can inline (*CellView)." + m + "\n"; !strings.Contains(string(out), want) {
+			t.Errorf("the compiler no longer inlines (*CellView).%s", m)
+		}
+	}
+}
 
 // TestReductionKindFold exercises every fold operator in both orders
 // plus the identity law (folding the identity on the left must return

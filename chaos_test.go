@@ -149,6 +149,16 @@ func TestChaosKernelsSeeded(t *testing.T) {
 				plane.Release()
 				lockstep("post-disarm", true)
 
+				// Counter conservation holds across contained faults,
+				// stalled workers and quarantine churn alike.
+				st := chaotic.Stats()
+				if st.ConflictIters > st.SquashedIters {
+					t.Errorf("ConflictIters %d > SquashedIters %d", st.ConflictIters, st.SquashedIters)
+				}
+				if st.Reclaimed > st.Hits+st.Misses {
+					t.Errorf("Reclaimed %d > Hits %d + Misses %d", st.Reclaimed, st.Hits, st.Misses)
+				}
+
 				if t.Failed() {
 					t.Logf("schedule: %s (fired %d)", plane, plane.Fired())
 				}

@@ -82,13 +82,22 @@ func buildDoacross(rng *rand.Rand, size int, regime string) (*dcnode, []*dcnode,
 // dcReference executes dcLoop's semantics sequentially against the
 // shadow array — the independent model every parallel run must match.
 func dcReference(head *dcnode, cells []int64) int64 {
+	return dcReferenceSums(head, cells, false)
+}
+
+// dcReferenceSums is dcReference for a dcLoop whose second reduction
+// was redeclared as a Sum when allSum is set (the all-ReduceSum
+// declaration takes Reduce's inline path).
+func dcReferenceSums(head *dcnode, cells []int64, allSum bool) int64 {
 	var acc int64
 	for n := head; n != nil; n = n.next {
 		x := cells[n.src] + n.w
 		cells[n.dst] = x
 		acc += x
 		cells[0] += n.w
-		if n.w > cells[1] {
+		if allSum {
+			cells[1] += n.w
+		} else if n.w > cells[1] {
 			cells[1] = n.w
 		}
 	}
@@ -147,9 +156,7 @@ func TestDoacrossOracle(t *testing.T) {
 					if st.TotalIters != iters {
 						t.Fatalf("TotalIters = %d, want %d", st.TotalIters, iters)
 					}
-					if st.ConflictIters > st.SquashedIters {
-						t.Fatalf("ConflictIters %d > SquashedIters %d", st.ConflictIters, st.SquashedIters)
-					}
+					checkConservation(t, st)
 					if st.Conflicts == 0 && st.ConflictIters != 0 {
 						t.Fatalf("ConflictIters %d with zero Conflicts", st.ConflictIters)
 					}
@@ -194,9 +201,10 @@ func TestDoacrossDenseConflictsObserved(t *testing.T) {
 	if st.Conflicts == 0 {
 		t.Fatal("dense regime at width 8 observed no conflicts; the conflict path was never exercised")
 	}
-	if st.ConflictIters == 0 || st.ConflictIters > st.SquashedIters {
+	if st.ConflictIters == 0 {
 		t.Fatalf("ConflictIters = %d (SquashedIters %d)", st.ConflictIters, st.SquashedIters)
 	}
+	checkConservation(t, st)
 }
 
 // TestDoacrossErrorPartialExecution: a surfaced body error must leave
@@ -256,6 +264,234 @@ func TestDoacrossErrorPartialExecution(t *testing.T) {
 			}
 			assertCellsEqual(t, "after error", cells, shadow)
 		})
+	}
+}
+
+// redKinds is every reduction kind, in declaration order.
+var redKinds = []ReductionKind{ReduceSum, ReduceProduct, ReduceAnd, ReduceOr, ReduceXor, ReduceMin, ReduceMax}
+
+// redModel is the hand-folded reference of the reduction oracle: one
+// plain int64 per kind, updated the way a sequential program would.
+type redModel [7]int64
+
+// redSeed gives every accumulator a pre-existing value that is not its
+// identity, so a fold that overwrote instead of combining would show.
+var redSeed = redModel{1000, 3, -1 &^ 0xf0, 0x0f, 0x5555, 1 << 40, -(1 << 40)}
+
+// redArg is the value iteration i folds into kind k.
+func redArg(k int, w int64) int64 {
+	h := int64(oracleHash(w))
+	switch redKinds[k] {
+	case ReduceProduct:
+		return h | 1 // odd: the running product never collapses to zero
+	case ReduceAnd:
+		return h | 0x0f0f0f0f0f0f0f0f
+	case ReduceOr:
+		return h & 0x00ff00ff
+	default:
+		return h
+	}
+}
+
+// apply folds reductions [from, to) of one iteration with weight w.
+func (m *redModel) apply(w int64, from, to int) {
+	for k := from; k < to; k++ {
+		x := redArg(k, w)
+		switch redKinds[k] {
+		case ReduceSum:
+			m[k] += x
+		case ReduceProduct:
+			m[k] *= x
+		case ReduceAnd:
+			m[k] &= x
+		case ReduceOr:
+			m[k] |= x
+		case ReduceXor:
+			m[k] ^= x
+		case ReduceMin:
+			if x < m[k] {
+				m[k] = x
+			}
+		case ReduceMax:
+			if x > m[k] {
+				m[k] = x
+			}
+		}
+	}
+}
+
+// TestReductionOracleEveryExit is the reduction half of the exactness
+// contract on every way an invocation can end. Reductions are
+// privatized in the sequential path too, so the store must receive the
+// fold on each exit — a normal return, a body error at iteration k, a
+// body panic at k, and a cancellation raised in k — and hold exactly
+// the updates sequential execution would have applied: every iteration
+// before k, the failing one up to its failure point, nothing after
+// (for a cancellation: exactly a prefix of the iteration order, ending
+// at the poll point that observed it). Checked for all seven kinds at once (a mixed declaration: the
+// out-of-line Reduce), for an all-Sum declaration (the inline one), at
+// width 1 (the direct view) and at widths 2 and 4, both with chunks
+// that run to their match and with a cap small enough that the failing
+// iteration is reached through squash and recovery rounds.
+func TestReductionOracleEveryExit(t *testing.T) {
+	const size, failAt, split = 4096, 2500, 3
+	errBoom := errors.New("boom")
+	for _, decl := range []string{"mixed", "sums"} {
+		nred := len(redKinds)
+		if decl == "sums" {
+			nred = 3
+		}
+		for _, threads := range []int{1, 2, 4} {
+			for _, maxSpec := range []int64{0, 300} {
+				for _, exit := range []string{"normal", "error", "panic", "cancel"} {
+					name := fmt.Sprintf("%s/t%d/cap%d/%s", decl, threads, maxSpec, exit)
+					t.Run(name, func(t *testing.T) {
+						rng := rand.New(rand.NewSource(77))
+						_, nodes, _, _ := buildDoacross(rng, size, "none")
+						head := nodes[0]
+						cells := NewCells(nred)
+						var model redModel
+						reseed := func() {
+							model = redSeed
+							for k := 0; k < nred; k++ {
+								cells.Set(k, redSeed[k])
+							}
+						}
+						// The sums declaration folds the three arguments of
+						// kinds 0..2 into three Sum cells.
+						fold := func(m *redModel, w int64, from, to int) {
+							if decl == "mixed" {
+								m.apply(w, from, to)
+								return
+							}
+							for k := from; k < to; k++ {
+								m[k] += redArg(k, w)
+							}
+						}
+						var armed bool
+						var cancel context.CancelFunc
+						loop := Loop[*dcnode, int64]{
+							Done: func(n *dcnode) bool { return n == nil },
+							Next: func(n *dcnode) *dcnode { return n.next },
+							SpecBodyErr: func(n *dcnode, a int64, v *CellView) (int64, error) {
+								for k := 0; k < split; k++ {
+									v.Reduce(k, redArg(k, n.w))
+								}
+								if armed && n == nodes[failAt] {
+									switch exit {
+									case "error":
+										return a, errBoom
+									case "panic":
+										panic("reduction oracle")
+									case "cancel":
+										cancel()
+									}
+								}
+								for k := split; k < nred; k++ {
+									v.Reduce(k, redArg(k, n.w))
+								}
+								return a + 1, nil
+							},
+							Init:  func() int64 { return 0 },
+							Merge: func(a, b int64) int64 { return a + b },
+							Cells: cells,
+						}
+						for k := 0; k < nred; k++ {
+							kind := ReduceSum
+							if decl == "mixed" {
+								kind = redKinds[k]
+							}
+							loop.Reductions = append(loop.Reductions, Reduction{Cell: k, Kind: kind})
+						}
+						r, err := NewRunner(loop, Config{Threads: threads, MaxSpecIters: maxSpec})
+						if err != nil {
+							t.Fatal(err)
+						}
+						defer r.Close()
+						clean := func(tag string) {
+							reseed()
+							for _, n := range nodes {
+								fold(&model, n.w, 0, nred)
+							}
+							got, rerr := r.Run(context.Background(), head)
+							if rerr != nil || got != size {
+								t.Fatalf("%s: acc %d err %v", tag, got, rerr)
+							}
+							assertCellsEqual(t, tag, cells, model[:nred])
+						}
+						// Two clean invocations memoize predictions so the
+						// armed one dispatches speculative chunks at width > 1.
+						clean("warm-up 0")
+						clean("warm-up 1")
+						if threads == 1 && (r.dview.sums != nil) != (decl == "sums") {
+							t.Fatalf("direct view took the wrong Reduce path for the %s declaration", decl)
+						}
+						if exit == "normal" {
+							return
+						}
+
+						reseed()
+						ctx, cancelFn := context.WithCancel(context.Background())
+						cancel = cancelFn
+						defer cancelFn()
+						armed = true
+						_, rerr := r.Run(ctx, head)
+						armed = false
+						var pe *PanicError
+						switch exit {
+						case "error":
+							if !errors.Is(rerr, errBoom) {
+								t.Fatalf("err = %v, want %v", rerr, errBoom)
+							}
+						case "panic":
+							if !errors.As(rerr, &pe) {
+								t.Fatalf("err = %v, want *PanicError", rerr)
+							}
+						case "cancel":
+							if !errors.Is(rerr, context.Canceled) {
+								t.Fatalf("err = %v, want context.Canceled", rerr)
+							}
+						}
+						if exit != "cancel" {
+							// Every iteration before k, and the failing one up
+							// to its failure point.
+							for i := 0; i < failAt; i++ {
+								fold(&model, nodes[i].w, 0, nred)
+							}
+							fold(&model, nodes[failAt].w, 0, split)
+							assertCellsEqual(t, "after "+exit, cells, model[:nred])
+						} else {
+							// Cancellation is observed at a poll point, by
+							// whichever chunk polls first — at width 1 after
+							// iteration k, at wider widths possibly by a chunk
+							// logically before the speculative one that
+							// cancelled. Either way the store must hold exactly
+							// a prefix of the iteration order.
+							holds := func() bool {
+								for k := 0; k < nred; k++ {
+									if cells.At(k) != model[k] {
+										return false
+									}
+								}
+								return true
+							}
+							prefix := -1
+							for i := 0; i <= size && prefix < 0; i++ {
+								if holds() {
+									prefix = i
+								} else if i < size {
+									fold(&model, nodes[i].w, 0, nred)
+								}
+							}
+							if prefix < 0 || threads == 1 && prefix <= failAt {
+								t.Fatalf("after cancel: store holds prefix %d (-1: none) of the iteration order, cancelled in iteration %d", prefix, failAt)
+							}
+						}
+						clean("after " + exit)
+					})
+				}
+			}
+		}
 	}
 }
 

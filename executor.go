@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"spice/internal/faults"
 )
@@ -45,13 +46,67 @@ import (
 //     shard affinity). Handles are striped at creation with a stride
 //     of the runner's round width, so concurrent runners' stripes are
 //     disjoint modulo the shard count;
-//   - workers spin briefly (own-queue + steal rescans) before parking.
-//     On a balanced plan the next round's chunks arrive within
-//     microseconds of the previous round's completion; the spin saves
-//     a futex-style park/wake round trip per worker per round. The
-//     spin budget is fixed at construction from the effective
-//     GOMAXPROCS: on a single-proc host spinning can only delay the
-//     submitter the worker is waiting on, so workers park immediately.
+//   - the lease deadline (warmUntil) owns a cache line too: one
+//     invoker store per round, read by workers only while they rescan.
+//
+// Round handoff: claim, join, lease. A dispatch round hands chunks to
+// workers and takes their completion back; with chunks of tens of
+// microseconds a futex park/wake on either side of that handoff costs
+// as much as the chunk. Three steps keep both sides off the futex
+// without either side spinning blind:
+//
+//   - Claim. Every dispatched chunkJob carries a claim word, armed just
+//     before submit. run() starts with a compare-and-swap on it, and
+//     whoever wins — the worker that popped the queue entry or the
+//     invoker — executes the chunk and signals the latch; the loser
+//     returns without touching anything. After chunk 0 the invoker
+//     walks its round's slots in chain order and runs every chunk still
+//     unclaimed, so a round never waits on a worker that is parked,
+//     stalled or busy with another runner's chunk. The queue entry of a
+//     reclaimed chunk stays behind; popped later it is a failed
+//     compare-and-swap, or — if the slot has been re-armed since — a
+//     legitimate claim of the new round's chunk. While it stays behind
+//     the slot is armed without a second entry (chunkJob.queued), so
+//     queue depth and the load gauge stay at one entry per slot however
+//     long a worker is away.
+//   - Join (latch.go). Once every chunk is claimed, whatever is still
+//     outstanding is running on another processor. The invoker spins on
+//     the latch for as long as its own share of the round just took
+//     (capped at joinSpinCap) and only then parks.
+//   - Lease. A worker that finds no work rescans (own queue, steal,
+//     Gosched) workerSpinRounds times and then parks — unless a lease
+//     is running. The invoker measures the gap between one round's
+//     latch release and the next round's dispatch, and at the end of a
+//     round that had speculative chunks publishes warmUntil = release +
+//     2 × the largest recent gap, at most leaseCap; workers keep
+//     rescanning while the clock is short of it. A reclaimed chunk
+//     publishes the same lease past its own expected end, or the late
+//     worker it was reclaimed from would arrive mid-round, find nothing,
+//     park, and be late for every round after.
+//
+// Invariants, each from a measured failure:
+//
+//  1. The gap estimate lives with the invoker (leaseClock). A worker's
+//     own measurement includes its wake latency, never drops under the
+//     cap, and so never engages.
+//  2. The estimate is the maximum of the last few gaps. A loop that
+//     alternates short and long gaps (a Newton iteration, then a
+//     timestep boundary) otherwise parks once per long gap.
+//  3. A gap over the cap is not recorded and withholds the lease for
+//     that round only; scheduler.purge clears the history. A recycled
+//     runner or a new job re-engages within two rounds, and an idle
+//     tenant's workers park as they always did.
+//  4. Every spin ends at a deadline, never after an iteration count.
+//     Gosched puts the spinner on the global run queue and the Go
+//     scheduler hands it straight back before it reaches the network
+//     poller, so an open-ended spin delays a daemon's new requests
+//     until sysmon polls (measured: serve_mixed 0.66 → 0.43 with spin
+//     budgets raised until nothing parked).
+//
+// On a single-proc host (effective GOMAXPROCS 1 at construction) no
+// side spins: a worker that finds nothing parks at once, which hands
+// the processor to the submitter it is waiting on, and the invoker's
+// reclaim walk simply runs the whole chain.
 
 // task is one unit of work. Jobs are preallocated structs (see
 // chunkJob), so submitting them allocates nothing. Tasks must be
@@ -121,9 +176,10 @@ func (s *shard) pop() task {
 type Executor struct {
 	shards  []shard
 	workers int
-	// spin is the workers' bounded pre-park rescan budget, fixed at
-	// construction from the effective GOMAXPROCS (0 on single-proc
-	// hosts — parking immediately hands the processor to submitters).
+	// spin is the workers' pre-park rescan budget outside a lease,
+	// fixed at construction from the effective GOMAXPROCS (0 on
+	// single-proc hosts — parking immediately hands the processor to
+	// submitters, and leases are ignored).
 	spin int
 	// faults is the chaos-testing injection plane, fixed at construction
 	// (workers read it without synchronization, so it must never change
@@ -156,6 +212,11 @@ type Executor struct {
 	// scan when someone is actually asleep.
 	idle atomic.Int64
 	_    [56]byte
+	// warmUntil is the lease deadline on the nanos clock: workers that
+	// find no work keep rescanning while the clock is short of it (see
+	// the handoff notes in the file header).
+	warmUntil atomic.Int64
+	_         [56]byte
 
 	cursor atomic.Uint32 // striping cursor for submitter homes and handle-less submits
 	closed atomic.Bool
@@ -163,17 +224,77 @@ type Executor struct {
 	once   sync.Once
 }
 
-// workerSpinRounds bounds a worker's pre-park rescan loop: each round
-// is one own-queue check plus one steal scan, with a Gosched between
-// rounds so an oversubscribed host donates the timeslice instead of
-// burning it. The budget is a few microseconds — cheaper than the
-// park/wake round trip it saves when rounds arrive back to back.
+// workerSpinRounds is a worker's pre-park rescan budget outside a
+// lease: each round is one own-queue check plus one steal scan, with a
+// Gosched between rounds so an oversubscribed host donates the
+// timeslice instead of burning it. It covers the skew between a
+// worker's last chunk exit and the invoker publishing the round's
+// lease; everything longer is the lease's business.
 const workerSpinRounds = 32
+
+// leaseCap bounds a lease, and with it the longest gap worth spinning
+// across: past it a park/wake round trip is cheaper than the processor
+// time the spin would take from everything else on the host.
+const leaseCap = 50 * time.Microsecond
+
+// leaseGaps is how many recent inter-round gaps the estimate spans.
+const leaseGaps = 4
+
+// leaseClock is the invoker's half of the lease: the gap estimator of
+// one runner, touched only by the invoking goroutine. A gap runs from
+// one round's latch release to the next round's dispatch — the time a
+// worker would have to stay awake to catch the next round without a
+// wake.
+type leaseClock struct {
+	released int64            // latch release of the previous round (0: none to measure from)
+	gaps     [leaseGaps]int64 // the most recent gaps within leaseCap, as a ring
+	next     int              // ring cursor
+	withheld bool             // the gap before this round was over the cap
+}
+
+// dispatched records the gap that ends with a round's dispatch at now.
+func (c *leaseClock) dispatched(now int64) {
+	c.withheld = false
+	if c.released == 0 {
+		return
+	}
+	gap := now - c.released
+	if gap > int64(leaseCap) {
+		c.withheld = true
+		return
+	}
+	c.gaps[c.next] = gap
+	c.next = (c.next + 1) % leaseGaps
+}
+
+// grant is the lease the history supports, in nanoseconds past the
+// moment the workers go idle: twice the largest recent gap, at most
+// leaseCap, and nothing while withheld or before any gap is measured.
+func (c *leaseClock) grant() int64 {
+	if c.withheld {
+		return 0
+	}
+	var widest int64
+	for _, g := range c.gaps {
+		widest = max(widest, g)
+	}
+	return min(2*widest, int64(leaseCap))
+}
+
+// extendLease publishes a lease deadline. Runners sharing the executor
+// each publish their own; a later deadline is never cut short by an
+// earlier one (a lost race between two publishers costs one of them at
+// most one park).
+func (e *Executor) extendLease(until int64) {
+	if e.warmUntil.Load() < until {
+		e.warmUntil.Store(until)
+	}
+}
 
 // NewExecutor starts an executor with the given number of workers
 // (minimum 1), each owning one run-queue shard. Workers live until
-// Close. The workers' pre-park spin budget is sized from the effective
-// GOMAXPROCS at construction (zero on single-proc hosts).
+// Close. Whether idle workers spin at all is decided from the effective
+// GOMAXPROCS at construction (never on single-proc hosts).
 func NewExecutor(workers int) *Executor {
 	return newExecutor(workers, nil)
 }
@@ -295,6 +416,11 @@ func (s *submitter) submit(t task) {
 	s.next++
 }
 
+// skip passes over the handle's next shard without enqueuing, for a
+// chunk whose entry is already queued, so the chunks after it keep
+// their home shards.
+func (s *submitter) skip() { s.next++ }
+
 // submit is the handle-less form, striping across shards through the
 // executor-wide cursor. Runners use their own submitter; this path
 // serves standalone executor users.
@@ -400,12 +526,12 @@ func (e *Executor) worker(i int) {
 
 // dequeue returns worker i's next task: its own shard's head, else a
 // steal-half from another shard (randomized victim order), else — on
-// multi-proc hosts — a bounded spin of rescans, and only then parking
-// until a submitter signals. Back-to-back dispatch rounds land their
-// chunks within the spin window, so the steady state pays no
-// park/wake round trip per worker per round. A nil return means the
-// executor is closed and neither the own shard nor any victim has
-// work left.
+// multi-proc hosts — rescans for workerSpinRounds and then for as long
+// as a lease runs, and only then parking until a submitter signals.
+// Back-to-back dispatch rounds land their chunks inside the lease, so
+// the steady state pays no park/wake round trip per worker per round.
+// A nil return means the executor is closed and neither the own shard
+// nor any victim has work left.
 func (e *Executor) dequeue(i int, batch *[]task) task {
 	own := &e.shards[i]
 	// Cheap per-worker xorshift for victim order; no shared state, no
@@ -428,10 +554,11 @@ func (e *Executor) dequeue(i int, batch *[]task) task {
 			if t := e.steal(i, &rnd, batch); t != nil {
 				return t
 			}
-			// Spin-before-park: rescan up to e.spin times unless the
-			// executor is shutting down (then fall through to the
-			// close-aware park path, which drains and exits).
-			if s >= e.spin || e.closed.Load() {
+			// Spin-before-park: rescan e.spin times and then while a
+			// lease runs, unless the executor is shutting down (then
+			// fall through to the close-aware park path, which drains
+			// and exits).
+			if e.closed.Load() || s >= e.spin && (e.spin == 0 || nanos() >= e.warmUntil.Load()) {
 				break
 			}
 			runtime.Gosched()

@@ -50,9 +50,11 @@ func FuzzRunnerOracle(f *testing.F) {
 				iters += want.count
 				w.mutate()
 			}
-			if st := r.Stats(); st.TotalIters != iters {
+			st := r.Stats()
+			if st.TotalIters != iters {
 				t.Fatalf("adaptive=%v: TotalIters = %d, want %d", adaptive, st.TotalIters, iters)
 			}
+			checkConservation(t, st)
 			r.Close()
 		}
 	})
@@ -63,12 +65,22 @@ func FuzzRunnerOracle(f *testing.F) {
 // them which flow dependences get split), and the conflict regime,
 // asserting every invocation's accumulator AND the full cell store
 // equal the sequential reference model, with adaptive mode both on and
-// off, plus conflict-counter conservation.
+// off, plus counter conservation. Odd seeds redeclare the Max reduction
+// as a second Sum, so both of Reduce's paths (inline for an all-Sum
+// declaration, out of line for a mixed one) are fuzzed; threads%8 == 7
+// is the direct view of the sequential path.
 func FuzzDoacrossOracle(f *testing.F) {
 	f.Add(int64(1), uint16(200), uint8(4), uint8(0), uint16(0))
 	f.Add(int64(2), uint16(500), uint8(8), uint8(1), uint16(64))
 	f.Add(int64(3), uint16(900), uint8(2), uint8(2), uint16(17))
 	f.Add(int64(-5), uint16(1), uint8(1), uint8(2), uint16(1))
+	// Width 1 (the direct view), mixed and all-Sum declarations, every
+	// regime; then both declarations under a cap that forces recovery.
+	f.Add(int64(4), uint16(700), uint8(7), uint8(0), uint16(0))
+	f.Add(int64(5), uint16(700), uint8(7), uint8(1), uint16(0))
+	f.Add(int64(6), uint16(300), uint8(15), uint8(2), uint16(9))
+	f.Add(int64(7), uint16(1000), uint8(3), uint8(1), uint16(40))
+	f.Add(int64(8), uint16(1000), uint8(1), uint8(2), uint16(40))
 	f.Fuzz(func(t *testing.T, seed int64, size uint16, threads, regime uint8, maxSpec uint16) {
 		tc := int(threads%8) + 1
 		n := int(size%1024) + 1
@@ -79,6 +91,10 @@ func FuzzDoacrossOracle(f *testing.F) {
 			head, nodes, cells, shadow := buildDoacross(rng, n, reg)
 			loop := dcLoop()
 			loop.Cells = cells
+			allSum := seed&1 == 1
+			if allSum {
+				loop.Reductions = []Reduction{{Cell: 0, Kind: ReduceSum}, {Cell: 1, Kind: ReduceSum}}
+			}
 			r, err := NewRunner(loop, Config{
 				Threads:      tc,
 				MaxSpecIters: int64(maxSpec),
@@ -89,7 +105,7 @@ func FuzzDoacrossOracle(f *testing.F) {
 			}
 			var iters int64
 			for inv := 0; inv < 5; inv++ {
-				want := dcReference(head, shadow)
+				want := dcReferenceSums(head, shadow, allSum)
 				got, rerr := r.Run(context.Background(), head)
 				if rerr != nil {
 					t.Fatalf("adaptive=%v inv=%d: %v", adaptive, inv, rerr)
@@ -112,10 +128,7 @@ func FuzzDoacrossOracle(f *testing.F) {
 			if st.TotalIters != iters {
 				t.Fatalf("adaptive=%v: TotalIters = %d, want %d", adaptive, st.TotalIters, iters)
 			}
-			if st.ConflictIters > st.SquashedIters {
-				t.Fatalf("adaptive=%v: ConflictIters %d > SquashedIters %d",
-					adaptive, st.ConflictIters, st.SquashedIters)
-			}
+			checkConservation(t, st)
 			r.Close()
 		}
 	})

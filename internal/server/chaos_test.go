@@ -191,6 +191,10 @@ func TestChaosServingSeeded(t *testing.T) {
 				if admitted+rej != int64(offered) {
 					t.Fatalf("conservation: admitted %d + rejected %d != offered %d", admitted, rej, offered)
 				}
+				if ps := s.pool.Stats(); ps.ConflictIters > ps.SquashedIters || ps.Reclaimed > ps.Hits+ps.Misses {
+					t.Fatalf("conservation: conflict iters %d / squashed %d, reclaimed %d / hits %d + misses %d",
+						ps.ConflictIters, ps.SquashedIters, ps.Reclaimed, ps.Hits, ps.Misses)
+				}
 
 				// Self-healing: disarm, unblock stalls, and the same server
 				// must serve a clean job exactly and report healthy.

@@ -180,6 +180,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	counter("spiced_pool_iters_total", "loop iterations committed", ps.TotalIters)
 	counter("spiced_pool_spec_hits_total", "speculative chunks committed", ps.Hits)
 	counter("spiced_pool_spec_misses_total", "speculative chunks squashed", ps.Misses)
+	counter("spiced_pool_reclaimed_chunks_total", "speculative chunks the invoking goroutine ran itself because no worker had started them", ps.Reclaimed)
 	counter("spiced_pool_squashed_iters_total", "speculative iterations discarded", ps.SquashedIters)
 	counter("spiced_pool_conflicts_total", "DOACROSS read/write-set conflict events", ps.Conflicts)
 	counter("spiced_pool_conflict_iters_total", "speculative iterations squashed by DOACROSS conflicts", ps.ConflictIters)

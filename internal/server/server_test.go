@@ -493,7 +493,8 @@ func TestMetricsParseable(t *testing.T) {
 	}
 	for _, want := range []string{
 		"spiced_queue_depth", "spiced_jobs_admitted_total", "spiced_jobs_rejected_total",
-		"spiced_pool_invocations_total", "spiced_tenant_budget", "spiced_tenant_score",
+		"spiced_pool_invocations_total", "spiced_pool_reclaimed_chunks_total",
+		"spiced_tenant_budget", "spiced_tenant_score",
 		"spiced_tenant_spec_hits_total", "spiced_tenant_spec_misses_total",
 		"spiced_job_duration_seconds_bucket", "spiced_job_duration_seconds_count",
 	} {

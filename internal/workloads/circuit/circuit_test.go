@@ -134,46 +134,85 @@ func TestParallelCancellation(t *testing.T) {
 // BenchmarkCircuitSweep measures the steady-state device-evaluation
 // sweep (the per-Newton-iteration hot path) through the runtime at
 // fixed voltages, and gates it at 0 allocs/op like every other
-// steady-state bench.
+// steady-state bench. The tN variants run sweeps back to back; the
+// gap/tN variants do the transient's scalar work between sweeps (stamp
+// read-back, the dense solve, device state updates), which is the
+// cadence the runtime's worker lease exists for — back-to-back sweeps
+// never leave the workers a gap to fall asleep in.
 func BenchmarkCircuitSweep(b *testing.B) {
-	for _, threads := range []int{1, 2, 4} {
-		b.Run(benchLabel(threads), func(b *testing.B) {
-			c := RCLadder(8, 64)
-			pool, err := spice.NewPool(c.loop(), spice.PoolConfig{
-				Config: spice.Config{Threads: threads},
-			})
-			if err != nil {
-				b.Fatal(err)
+	for _, gap := range []bool{false, true} {
+		for _, threads := range []int{1, 2, 4} {
+			name := benchLabel(threads)
+			if gap {
+				name = "gap/" + name
 			}
-			defer pool.Close()
-			sess, err := pool.SessionWidth(threads)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer sess.Close()
-			sess.BindCells(c.cells)
-			for i := 1; i <= c.N; i++ {
-				c.cells.Set(i, int64(math.Float64bits(0.5*float64(i))))
-			}
-			base := 1 + c.N
-			nred := c.N*c.N + c.N
-			ctx := context.Background()
-			for i := 0; i < 2; i++ { // warm the views and queues
-				if _, err := sess.Run(ctx, c.head); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for r := 0; r < nred; r++ {
-					c.cells.Set(base+r, 0)
-				}
-				if _, err := sess.Run(ctx, c.head); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+			b.Run(name, func(b *testing.B) { benchSweep(b, threads, gap) })
+		}
+	}
+}
+
+func benchSweep(b *testing.B, threads int, gap bool) {
+	c := RCLadder(8, 64)
+	pool, err := spice.NewPool(c.loop(), spice.PoolConfig{
+		Config: spice.Config{Threads: threads},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer pool.Close()
+	sess, err := pool.SessionWidth(threads)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer sess.Close()
+	sess.BindCells(c.cells)
+	n := c.N
+	volts := make([]float64, n+1)
+	for i := 1; i <= n; i++ {
+		volts[i] = 0.5 * float64(i)
+		c.cells.Set(i, int64(math.Float64bits(volts[i])))
+	}
+	c.updateSources(c.Step)
+	base := 1 + n
+	nred := n*n + n
+	jac := make([]float64, n*n)
+	rhs := make([]float64, n)
+	piv := make([]int, n)
+	ctx := context.Background()
+	for i := 0; i < 2; i++ { // warm the views and queues
+		if _, err := sess.Run(ctx, c.head); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for r := 0; r < nred; r++ {
+			c.cells.Set(base+r, 0)
+		}
+		if _, err := sess.Run(ctx, c.head); err != nil {
+			b.Fatal(err)
+		}
+		if !gap {
+			continue
+		}
+		// One Newton iteration's worth of transient() between sweeps,
+		// with every second one closing a timestep. The voltages stay
+		// fixed, so every sweep stamps the same system.
+		for k := 0; k < n*n; k++ {
+			jac[k] = float64(c.cells.At(base+k)) * fromFix
+		}
+		for k := 0; k < n; k++ {
+			rhs[k] = -float64(c.cells.At(base+n*n+k)) * fromFix
+		}
+		if err := solveDense(n, jac, rhs, piv); err != nil {
+			b.Fatal(err)
+		}
+		c.updateDiodeStates(volts)
+		if i%2 == 1 {
+			c.updateCapStates(volts)
+			c.updateSources(c.Step)
+		}
 	}
 }
 

@@ -72,9 +72,7 @@ func (c *Circuit) transient(steps int, sweep sweepFn) (*Waveform, error) {
 		c.updateSources(float64(s+1) * c.Step)
 		converged := false
 		for it := 0; it < maxNewton; it++ {
-			for k := range acc {
-				acc[k] = 0
-			}
+			clear(acc)
 			if err := sweep(volts, acc); err != nil {
 				return nil, err
 			}

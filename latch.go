@@ -3,6 +3,7 @@ package spice
 import (
 	"runtime"
 	"sync/atomic"
+	"time"
 )
 
 // This file is the invocation completion latch: the join point between
@@ -17,28 +18,50 @@ import (
 // within microseconds of chunk 0. The latch exploits all three:
 //
 //   - add/done are single atomic adds on one dedicated cache line;
-//   - the waiter spins briefly before parking, so a round whose last
-//     chunk completes while the invoker drains chunk 0's bookkeeping
+//   - the waiter spins until a deadline before parking, so a round
+//     whose last chunk completes shortly after the invoker's own share
 //     costs no park/wake round trip at all;
 //   - parking is a single channel receive of one token, sent by
 //     whichever done() both reached zero and observed a parked waiter —
 //     at most one token per round, consumed by the round that sent it.
 //
-// The spin budget is topology-aware: on a single-proc host (effective
+// The latch is the join step of the round handoff protocol described
+// in the executor.go header (claim, join, lease). Its part of the
+// contract: the scheduler calls wait only once every chunk of the round
+// has been claimed, so whatever is still outstanding is running on
+// another processor and spinning for it is waiting on work in progress,
+// never on work nobody has started; and the spin is bounded in time —
+// by the caller's deadline (what its own share of the round just took)
+// and by the latch's own cap — never by an iteration count, because a
+// spinning goroutine that yields is handed straight back by the Go
+// scheduler without a network poll in between, and an open-ended spin
+// was measured to delay a daemon's incoming requests until sysmon
+// polled for them.
+//
+// The cap is topology-aware: on a single-proc host (effective
 // GOMAXPROCS 1 at construction) spinning can only delay the workers the
 // waiter is waiting for, so the latch parks immediately, which hands
 // the processor to them — exactly the WaitGroup behaviour.
 
-// latchSpinIters bounds the waiter's pre-park spin. Each iteration is
-// one atomic load; the whole budget is a few microseconds — less than a
-// park/wake round trip through the runtime semaphore, and far less than
-// one chunk of useful work.
-const latchSpinIters = 4096
+// joinSpinCap bounds the waiter's pre-park spin however long its own
+// share of the round took: a chunk still running on another processor
+// after that long is no longer "about to finish", and a park/wake round
+// trip (tens of microseconds) is then noise against the wait itself.
+const joinSpinCap = 100 * time.Microsecond
 
-// latchSpinYield is the spin stride between runtime.Gosched calls, so a
-// waiter sharing its processor with a runnable worker (oversubscribed
-// host) donates timeslices instead of burning its whole budget.
-const latchSpinYield = 256
+// joinSpinStride is the number of latch loads between deadline checks.
+// Each check reads the clock and yields, so a waiter sharing its
+// processor with a runnable goroutine (oversubscribed host) donates
+// the timeslice instead of burning its whole budget.
+const joinSpinStride = 256
+
+// clockBase anchors nanos: differences of monotonic readings are all
+// the handoff protocol needs, and time.Since on a monotonic base is a
+// single clock read.
+var clockBase = time.Now()
+
+// nanos is the handoff protocol's monotonic clock, in nanoseconds.
+func nanos() int64 { return int64(time.Since(clockBase)) }
 
 // latch is a single-waiter completion barrier. state packs the
 // outstanding-chunk count in the high 63 bits and a "waiter parked" bit
@@ -59,18 +82,18 @@ type latch struct {
 	// park carries the single wake token of a parked round. Buffered so
 	// the final done() never blocks inside a chunk's deferred epilogue.
 	park chan struct{}
-	// spin is the pre-park spin budget, fixed at construction from the
-	// effective GOMAXPROCS (0 on single-proc hosts: parking immediately
-	// hands the processor to the workers being waited on).
-	spin int
+	// spin caps the pre-park spin in nanoseconds, fixed at construction
+	// from the effective GOMAXPROCS (0 on single-proc hosts: parking
+	// immediately hands the processor to the workers being waited on).
+	// Tests zero it to force the park path.
+	spin int64
 }
 
-// newLatch initializes l in place with a topology-appropriate spin
-// budget.
+// init initializes l in place with a topology-appropriate spin cap.
 func (l *latch) init() {
 	l.park = make(chan struct{}, 1)
 	if runtime.GOMAXPROCS(0) > 1 {
-		l.spin = latchSpinIters
+		l.spin = int64(joinSpinCap)
 	}
 }
 
@@ -89,13 +112,24 @@ func (l *latch) done() {
 }
 
 // wait blocks the (single) waiter until every armed completion has
-// signalled: a bounded spin first, then one park on the token channel.
-func (l *latch) wait() {
-	for i := 0; i < l.spin; i++ {
-		if l.state.Load() == 0 {
-			return
-		}
-		if i%latchSpinYield == latchSpinYield-1 {
+// signalled. now is the caller's latest clock reading and budget how
+// long past it spinning is worth (nanoseconds; capped by l.spin): the
+// waiter spins until then, and parks on the token channel after.
+func (l *latch) wait(now, budget int64) {
+	if l.state.Load() == 0 {
+		return
+	}
+	if budget = min(budget, l.spin); budget > 0 {
+		deadline := now + budget
+		for {
+			for i := 0; i < joinSpinStride; i++ {
+				if l.state.Load() == 0 {
+					return
+				}
+			}
+			if nanos() >= deadline {
+				break
+			}
 			runtime.Gosched()
 		}
 	}

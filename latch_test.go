@@ -11,8 +11,8 @@ import (
 // These tests cover the completion latch (latch.go) in isolation: the
 // exactly-once wake-token protocol under concurrent decrements, the
 // spin fast path (no token ever minted), the forced park/wake path,
-// and the withdraw race where the final done() completes before the
-// waiter registers as parked. The invariant checked after every round
+// the withdraw race where the final done() completes before the
+// waiter registers as parked, and the deadline that ends the spin. The invariant checked after every round
 // is the one the scheduler relies on for reuse: state == 0 and an
 // empty token channel between rounds.
 
@@ -40,7 +40,7 @@ func TestLatchExactlyOnceRelease(t *testing.T) {
 		if rng.Intn(2) == 0 {
 			l.spin = 0
 		} else {
-			l.spin = latchSpinIters
+			l.spin = int64(joinSpinCap)
 		}
 		n := rng.Intn(8) + 1
 		l.add(n)
@@ -53,7 +53,7 @@ func TestLatchExactlyOnceRelease(t *testing.T) {
 			}()
 		}
 		gate.Done() // release all decrements at once
-		l.wait()
+		l.wait(nanos(), int64(joinSpinCap))
 		checkIdle(t, &l, round)
 	}
 }
@@ -61,7 +61,7 @@ func TestLatchExactlyOnceRelease(t *testing.T) {
 func TestLatchSpinFastPathMintsNoToken(t *testing.T) {
 	var l latch
 	l.init()
-	l.spin = latchSpinIters
+	l.spin = int64(joinSpinCap)
 	for round := 0; round < 100; round++ {
 		l.add(1)
 		// The completion lands strictly before wait: the count reaches
@@ -71,7 +71,7 @@ func TestLatchSpinFastPathMintsNoToken(t *testing.T) {
 		if n := len(l.park); n != 0 {
 			t.Fatalf("round %d: done() minted a token with no parked waiter", round)
 		}
-		l.wait()
+		l.wait(nanos(), int64(joinSpinCap))
 		checkIdle(t, &l, round)
 	}
 }
@@ -86,7 +86,7 @@ func TestLatchParkAndWake(t *testing.T) {
 			time.Sleep(50 * time.Microsecond)
 			l.done()
 		}()
-		l.wait()
+		l.wait(nanos(), int64(joinSpinCap))
 		checkIdle(t, &l, round)
 	}
 }
@@ -103,13 +103,48 @@ func TestLatchWithdrawRace(t *testing.T) {
 	for round := 0; round < 2000; round++ {
 		l.add(1)
 		go l.done()
-		l.wait()
+		l.wait(nanos(), int64(joinSpinCap))
 		checkIdle(t, &l, round)
 	}
 }
 
+func TestLatchSpinEndsAtDeadline(t *testing.T) {
+	// The spin is bounded by time, never by iterations: with the
+	// completion withheld the waiter must register as parked, and not
+	// before its budget has run out.
+	var l latch
+	l.init()
+	l.spin = int64(joinSpinCap)
+	const budget = int64(joinSpinCap / 4)
+	for _, tc := range []struct {
+		name       string
+		budget, lo int64
+	}{
+		{"caller budget", budget, budget},
+		{"latch cap", 1 << 40, int64(joinSpinCap)},
+		{"no budget", 0, 0},
+	} {
+		l.add(1)
+		start := nanos()
+		released := make(chan struct{})
+		go func() {
+			l.wait(start, tc.budget)
+			close(released)
+		}()
+		for l.state.Load()&1 == 0 {
+			runtime.Gosched()
+		}
+		if spun := nanos() - start; spun < tc.lo {
+			t.Errorf("%s: parked after %dns, before the %dns deadline", tc.name, spun, tc.lo)
+		}
+		l.done()
+		<-released
+		checkIdle(t, &l, 0)
+	}
+}
+
 func TestLatchTopologySpinBudget(t *testing.T) {
-	// The budget is fixed at init from the effective GOMAXPROCS: on a
+	// The cap is fixed at init from the effective GOMAXPROCS: on a
 	// single-proc setting spinning can only delay the workers being
 	// waited for, so it must be zero.
 	prev := runtime.GOMAXPROCS(1)
@@ -122,7 +157,7 @@ func TestLatchTopologySpinBudget(t *testing.T) {
 	runtime.GOMAXPROCS(2)
 	var multi latch
 	multi.init()
-	if multi.spin != latchSpinIters {
-		t.Errorf("GOMAXPROCS=2: spin budget = %d, want %d", multi.spin, latchSpinIters)
+	if multi.spin != int64(joinSpinCap) {
+		t.Errorf("GOMAXPROCS=2: spin budget = %d, want %d", multi.spin, joinSpinCap)
 	}
 }

@@ -8,32 +8,241 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"spice/internal/faults"
 )
 
-// These tests cover the scheduler's multicore joins end to end: a
+// These tests cover the scheduler's multicore round handoff end to end:
+// the claim protocol (invoker and worker racing for a slot, a worker
+// held away from its queue, a queue entry that outlives its round), a
 // cancellation arriving while the invoker is parked on the completion
 // latch, a speculative chunk panicking while the invoker is parked,
 // and the contention bound for two runners sharing one executor. The
-// park path is forced deterministically by zeroing the latch's spin
-// budget — on a fast machine the spin fast path would otherwise absorb
-// most rounds and leave the park/wake protocol untested.
+// park path is forced deterministically: the latch's spin cap is
+// zeroed, and chunk 0 is held until a worker owns the speculative
+// chunk, so the invoker can neither spin the wait away nor reclaim the
+// chunk it is supposed to park on.
 
-// blockingListRunner builds a Threads-2 runner over an n-node list
-// whose node at index blockAt spins (cooperatively) once armed, until
-// release is stored. The two warm-up invocations run before arming, so
-// bootstrap and steady-state memoization see a plain list.
-func blockingListRunner(t *testing.T, n, blockAt int, armed, release *atomic.Bool,
-	reached chan<- struct{}) (*Runner[*node, sumAcc], *testList) {
-	t.Helper()
-	l := newTestList(n, 23)
-	blocker := l.nodes()[blockAt]
+// countingLoop is xorLoop with every body execution counted.
+func countingLoop(execs *atomic.Int64) Loop[*node, sumAcc] {
 	loop := xorLoop()
 	inner := loop.Body
 	loop.Body = func(nd *node, a sumAcc) sumAcc {
-		if nd == blocker && armed.Load() {
-			reached <- struct{}{}
-			for !release.Load() {
+		execs.Add(1)
+		return inner(nd, a)
+	}
+	return loop
+}
+
+// checkRoundIdle asserts what every finished round must leave behind:
+// an idle latch (each launched chunk signalled exactly once) and every
+// claim word consumed.
+func checkRoundIdle(t *testing.T, r *Runner[*node, sumAcc], round int) {
+	t.Helper()
+	checkIdle(t, &r.sched.lat, round)
+	for i := range r.sched.jobs {
+		if r.sched.jobs[i].claim.Load() != 0 {
+			t.Fatalf("round %d: slot %d still armed after the round", round, i)
+		}
+	}
+}
+
+// claimRace runs rounds of a two-chunk invocation over a list short
+// enough that the invoker finishes chunk 0 while the worker is still
+// picking chunk 1 up, so both sides contend for the same claim word.
+func claimRace(t *testing.T, rounds int) Stats {
+	t.Helper()
+	const size = 96
+	var execs atomic.Int64
+	l := newTestList(size, 31)
+	r, err := NewRunner(countingLoop(&execs), Config{Threads: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	want := sequential(xorLoop(), l.head)
+	for round := 0; round < rounds; round++ {
+		execs.Store(0)
+		if got := r.MustRun(l.head); got != want {
+			t.Fatalf("round %d: got %+v want %+v", round, got, want)
+		}
+		// A stable list never squashes: exactly-once chunk execution is
+		// exactly-once body execution.
+		if n := execs.Load(); n != size {
+			t.Fatalf("round %d: %d body executions over %d nodes", round, n, size)
+		}
+		checkRoundIdle(t, r, round)
+	}
+	st := r.Stats()
+	if st.Hits != int64(rounds-1) || st.Misses != 0 {
+		t.Fatalf("hits %d misses %d over %d rounds, want every round after the bootstrap to hit", st.Hits, st.Misses, rounds)
+	}
+	if st.Reclaimed > st.Hits+st.Misses {
+		t.Fatalf("Reclaimed %d > Hits %d + Misses %d", st.Reclaimed, st.Hits, st.Misses)
+	}
+	return st
+}
+
+func TestClaimRaceExactlyOnce(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	st := claimRace(t, 2500)
+	t.Logf("invoker won %d of %d claims", st.Reclaimed, st.Hits)
+}
+
+func TestClaimSingleProc(t *testing.T) {
+	// One processor: nobody spins, and the invoker — which does not
+	// yield between submit and the reclaim walk — runs the chain itself.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	st := claimRace(t, 300)
+	if st.Reclaimed == 0 {
+		t.Fatal("no chunk reclaimed on a single processor")
+	}
+}
+
+// stalledWorkerRunner builds a Threads-2 runner whose only worker
+// stalls, before running it, on the second task it dequeues — the
+// speculative chunk of the invocation after the two warm-ups — until
+// the returned plane is released.
+func stalledWorkerRunner(t *testing.T, loop Loop[*node, sumAcc], l *testList) (*Runner[*node, sumAcc], *faults.Plane) {
+	t.Helper()
+	plane := faults.New(faults.Point{Site: faults.ExecWorker, Match: 2, Kind: faults.KindStall, Dur: time.Minute})
+	r, err := NewRunner(loop, Config{Threads: 2, Faults: plane})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.MustRun(l.head) // bootstrap memoization; nothing dispatched
+	r.MustRun(l.head) // first parallel round: the worker's first task
+	return r, plane
+}
+
+func TestStalledWorkerRoundsRunAtInvokerSpeed(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	const size, rounds = 4096, 200
+	l := newTestList(size, 37)
+	r, plane := stalledWorkerRunner(t, xorLoop(), l)
+	defer r.Close()
+	defer plane.Release()
+	want := sequential(xorLoop(), l.head)
+	before := r.Stats()
+
+	// The worker pops the next round's chunk and stalls holding the
+	// entry. Every round from here on must finish without it — far
+	// more of them than a shard has slots, so a second entry per round
+	// would block the invoker in submit.
+	start := time.Now()
+	for round := 0; round < rounds; round++ {
+		if got := r.MustRun(l.head); got != want {
+			t.Fatalf("stalled round %d: got %+v want %+v", round, got, want)
+		}
+		checkRoundIdle(t, r, round)
+	}
+	if d := time.Since(start); d > 20*time.Second {
+		t.Fatalf("%d rounds took %v with the worker stalled", rounds, d)
+	}
+	st := r.Stats().Delta(before)
+	// All but the first few: the stall begins on the worker's second
+	// dequeue, which a reclaimed warm-up round can delay by a round.
+	if st.Reclaimed < rounds-4 {
+		t.Fatalf("Reclaimed = %d over %d stalled rounds", st.Reclaimed, rounds)
+	}
+	if load := r.exec.load.Load(); load > 1 {
+		t.Fatalf("executor load %d: reclaimed rounds left more than one entry behind", load)
+	}
+
+	// Released between rounds, the worker runs the entry it held: a
+	// failed claim that must touch nothing. Later rounds submit again.
+	plane.Release()
+	for r.exec.load.Load() != 0 {
+		runtime.Gosched()
+	}
+	checkRoundIdle(t, r, rounds)
+	for round := 0; round < 50; round++ {
+		if got := r.MustRun(l.head); got != want {
+			t.Fatalf("post-release round %d: got %+v want %+v", round, got, want)
+		}
+		checkRoundIdle(t, r, round)
+	}
+}
+
+func TestStaleEntryClaimsRearmedSlot(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	const size = 4096
+	l := newTestList(size, 41)
+	var execs atomic.Int64
+	var armed atomic.Bool
+	var r *Runner[*node, sumAcc]
+	var plane *faults.Plane
+	loop := countingLoop(&execs)
+	inner := loop.Body
+	first := l.head
+	loop.Body = func(nd *node, a sumAcc) sumAcc {
+		if nd == first && armed.Load() {
+			// Chunk 0 of a round whose slot 1 is armed while the worker
+			// still holds slot 1's entry from an earlier round. Let the
+			// worker go and wait until that stale entry has claimed this
+			// round's chunk — only the worker can: the invoker is here.
+			plane.Release()
+			for r.sched.jobs[1].claim.Load() != 0 {
 				runtime.Gosched()
+			}
+		}
+		return inner(nd, a)
+	}
+	r, plane = stalledWorkerRunner(t, loop, l)
+	defer r.Close()
+	defer plane.Release()
+	want := sequential(xorLoop(), l.head)
+
+	r.MustRun(l.head) // the worker pops slot 1's entry and stalls; reclaimed
+	before := r.Stats()
+	execs.Store(0)
+	armed.Store(true)
+	got := r.MustRun(l.head)
+	armed.Store(false)
+	if got != want {
+		t.Fatalf("got %+v want %+v", got, want)
+	}
+	if n := execs.Load(); n != size {
+		t.Fatalf("%d body executions over %d nodes", n, size)
+	}
+	if st := r.Stats().Delta(before); st.Hits != 1 || st.Reclaimed != 0 {
+		t.Fatalf("hits %d reclaimed %d, want the worker's stale entry to have run the chunk", st.Hits, st.Reclaimed)
+	}
+	checkRoundIdle(t, r, 0)
+	if got := r.MustRun(l.head); got != want {
+		t.Fatalf("next round: got %+v want %+v", got, want)
+	}
+}
+
+// parkedListRunner builds a Threads-2 runner over an n-node list for
+// the parked-invoker tests. Once armed, the last node of chunk 0 holds
+// the invoker until a worker has started the speculative chunk (so the
+// invoker cannot reclaim it), and the node at index trapAt — inside the
+// speculative chunk — holds the worker until the invoker has registered
+// as parked on the latch, then calls trap. The two warm-up invocations
+// run before arming, so bootstrap and steady-state memoization see a
+// plain list; the latch's spin cap is zeroed so the join parks at once.
+func parkedListRunner(t *testing.T, l *testList, trapAt int, armed *atomic.Bool, trap func()) *Runner[*node, sumAcc] {
+	t.Helper()
+	ns := l.nodes()
+	var r *Runner[*node, sumAcc]
+	var started atomic.Bool
+	loop := xorLoop()
+	inner := loop.Body
+	loop.Body = func(nd *node, a sumAcc) sumAcc {
+		if armed.Load() {
+			switch nd {
+			case ns[len(ns)/2+1]:
+				started.Store(true)
+			case ns[len(ns)/2-8]:
+				for !started.Load() {
+					runtime.Gosched()
+				}
+			case ns[trapAt]:
+				for r.sched.lat.state.Load()&1 == 0 {
+					runtime.Gosched()
+				}
+				trap()
 			}
 		}
 		return inner(nd, a)
@@ -44,7 +253,11 @@ func blockingListRunner(t *testing.T, n, blockAt int, armed, release *atomic.Boo
 	}
 	r.MustRun(l.head) // bootstrap memoization
 	r.MustRun(l.head) // settle into the parallel steady state
-	return r, l
+	if w := r.Stats().LastWorks; len(w) < 2 || w[0] <= int64(len(ns)/2-8) || w[0] > int64(len(ns)/2+1) {
+		t.Fatalf("chunk boundary moved: works %v", w)
+	}
+	r.sched.lat.spin = 0 // the join must park, not spin
+	return r
 }
 
 func TestCancellationWhileInvokerParked(t *testing.T) {
@@ -52,11 +265,16 @@ func TestCancellationWhileInvokerParked(t *testing.T) {
 	var armed, release atomic.Bool
 	reached := make(chan struct{})
 	// Block inside the speculative chunk (the second half of the list):
-	// chunk 0 finishes its half quickly and the invoker parks on the
-	// latch with the speculative chunk still pinned at the blocker.
-	r, l := blockingListRunner(t, size, 3*size/4, &armed, &release, reached)
+	// chunk 0 finishes its half and the invoker parks on the latch with
+	// the speculative chunk still pinned at the trap.
+	l := newTestList(size, 23)
+	r := parkedListRunner(t, l, 3*size/4, &armed, func() {
+		reached <- struct{}{}
+		for !release.Load() {
+			runtime.Gosched()
+		}
+	})
 	defer r.Close()
-	r.sched.lat.spin = 0 // force the invoker onto the park path
 
 	armed.Store(true)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -66,7 +284,7 @@ func TestCancellationWhileInvokerParked(t *testing.T) {
 		_, err := r.Run(ctx, l.head)
 		done <- err
 	}()
-	<-reached // the speculative chunk is pinned; the invoker is parking
+	<-reached // the speculative chunk is pinned and the invoker is parked
 	cancel()
 	armed.Store(false)
 	release.Store(true) // let the chunk reach its next ctx poll boundary
@@ -88,24 +306,11 @@ func TestCancellationWhileInvokerParked(t *testing.T) {
 func TestSpeculativeChunkPanicWhileInvokerParked(t *testing.T) {
 	const size = 4096
 	l := newTestList(size, 29)
-	bomb := l.nodes()[3*size/4]
 	var armed atomic.Bool
-	loop := xorLoop()
-	inner := loop.Body
-	loop.Body = func(nd *node, a sumAcc) sumAcc {
-		if nd == bomb && armed.Load() {
-			panic("speculative chunk detonated")
-		}
-		return inner(nd, a)
-	}
-	r, err := NewRunner(loop, Config{Threads: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := parkedListRunner(t, l, 3*size/4, &armed, func() {
+		panic("speculative chunk detonated")
+	})
 	defer r.Close()
-	r.MustRun(l.head)
-	r.MustRun(l.head)
-	r.sched.lat.spin = 0 // the invoker must actually park this round
 
 	// The panicking chunk's deferred epilogue records the *PanicError
 	// first and signals the latch last (defer LIFO), so the parked

@@ -330,6 +330,7 @@ func TestDifferentialOracle(t *testing.T) {
 								t.Fatalf("verdict ledger overflows dispatch capacity: hits=%d misses=%d inv=%d rec=%d",
 									st.Hits, st.Misses, st.Invocations, st.Recoveries)
 							}
+							checkConservation(t, st)
 							if works := st.LastWorks; len(works) != threads {
 								t.Fatalf("LastWorks width = %d, want %d", len(works), threads)
 							}

@@ -87,22 +87,15 @@ func (r *Runner[S, A]) recoverParallel(ctx context.Context, start S, globalPos i
 
 		// Dispatch: chunk 0 from the live state (no cap — its start is
 		// architecturally correct), chunk i>0 speculatively from
-		// candidate row i-1, each hunting the next candidate. A recovery
+		// candidate row i-1, each hunting the next candidate; launched
+		// and joined exactly like the primary round (the resume chunk
+		// inline on the invoking goroutine — a round with no speculative
+		// candidates left never touches the executor at all). A recovery
 		// round can fan wider than the primary dispatch did; record the
 		// width so the next round's slot reset covers it.
 		if n > s.used {
 			s.used = n
 		}
-		s.armAbort()
-		// DOACROSS: this round's chunks start with every earlier commit
-		// already in the store, so they validate only against writes
-		// committed from this round's tick onward.
-		if s.cells != nil {
-			s.cells.beginRound()
-		}
-		// Same warm-queue affinity as the primary round: chunk i of every
-		// recovery round lands on the runner's home shard stripe.
-		r.sub.rewind()
 		for i := 0; i < n; i++ {
 			st := cur
 			posBase := globalPos
@@ -117,23 +110,8 @@ func (r *Runner[S, A]) recoverParallel(ctx context.Context, start S, globalPos i
 				ownRow = cands[i]
 			}
 			s.jobs[i].reset(r, ctx, st, snap, ownRow, i > 0, s.recPlans[i], posBase, cap64)
-			if s.cells != nil {
-				// Same view discipline as primary dispatch: the resume
-				// chunk starts from architecturally correct state with
-				// every earlier commit already drained, so it buffers but
-				// records no read-set; speculative round chunks record.
-				s.views[i].begin(s.cells, s.reds, i > 0)
-			}
-			s.lat.add(1)
-			if i > 0 {
-				r.sub.submit(&s.jobs[i])
-			}
 		}
-		// The resume chunk runs inline on the invoking goroutine, like
-		// the primary round's chunk 0 — a round with no speculative
-		// candidates left never touches the executor at all.
-		s.jobs[0].run()
-		s.lat.wait()
+		dispatchErr := s.dispatchRound(r, ctx, n)
 
 		// Resolve the round's chain: commit the valid prefix at exact
 		// global positions, squash the rest. A failed chunk in the valid
@@ -149,6 +127,13 @@ func (r *Runner[S, A]) recoverParallel(ctx context.Context, start S, globalPos i
 		var runErr error
 		for i := 0; i < n; i++ {
 			res := &s.results[i]
+			if !res.active {
+				// Dispatch was cut short by cancellation and the chain
+				// matched its way to a chunk that never started.
+				broke = i
+				runErr = dispatchErr
+				break
+			}
 			if s.cells != nil && i > 0 && s.views[i].conflicted() {
 				conflictAt = i
 				broke = i - 1
@@ -211,9 +196,9 @@ func (r *Runner[S, A]) recoverParallel(ctx context.Context, start S, globalPos i
 		capArtifact := conflictAt >= 0 || s.results[broke].capped
 		for i := 1; i < n; i++ {
 			if i <= broke {
-				r.noteHit(cands[i-1])
+				r.noteHit(cands[i-1], s.jobs[i].reclaimed)
 			} else if !capArtifact {
-				r.noteMiss(cands[i-1])
+				r.noteMiss(cands[i-1], s.jobs[i].reclaimed)
 				verdictMiss = true
 			}
 		}

@@ -66,7 +66,7 @@ type Runner[S comparable, A any] struct {
 	// cells is the DOACROSS cell store invocations run against:
 	// Loop.Cells unless overridden by BindCells (a Pool binds per
 	// session — one store serves one structure). dview is the sequential
-	// path's direct (unbuffered) view onto it.
+	// path's direct view onto it (unbuffered loads and stores).
 	cells *Cells
 	dview CellView
 }
@@ -323,16 +323,25 @@ func (r *Runner[S, A]) admitRow(k int, probe bool) bool {
 	return r.pred.conf.Admit(k, r.minConf)
 }
 
-// noteHit records a committed speculative chunk for row k.
-func (r *Runner[S, A]) noteHit(k int) {
+// noteHit records a committed speculative chunk for row k; reclaimed
+// says the invoker ran it itself. Reclaimed is counted here and in
+// noteMiss, with the verdict, so Reclaimed ≤ Hits + Misses holds by
+// construction.
+func (r *Runner[S, A]) noteHit(k int, reclaimed bool) {
 	r.pend.Hits++
 	r.pred.conf.Hit(k)
+	if reclaimed {
+		r.pend.Reclaimed++
+	}
 }
 
 // noteMiss records a squashed speculative chunk for row k.
-func (r *Runner[S, A]) noteMiss(k int) {
+func (r *Runner[S, A]) noteMiss(k int, reclaimed bool) {
 	r.pend.Misses++
 	r.pred.conf.Miss(k)
+	if reclaimed {
+		r.pend.Reclaimed++
+	}
 }
 
 // reset clears all cross-invocation adaptation: memoized predictions,
@@ -443,12 +452,16 @@ func (r *Runner[S, A]) runSequential(ctx context.Context, start S) (out A, err e
 	body, bodyErr := r.loop.Body, r.loop.BodyErr
 	specBody, specBodyErr := r.loop.SpecBody, r.loop.SpecBodyErr
 	// Sequential DOACROSS execution is the reference semantics: every
-	// Load/Store goes straight through to the store and Reduce folds
-	// immediately — no buffering, no validation.
+	// Load/Store goes straight through to the store — no buffering, no
+	// validation. Reductions accumulate in the view and fold into the
+	// store on every exit (normal, body error, cancellation, contained
+	// panic): a failing sequential run applies its updates up to the
+	// failure point, exactly as a failing chunk's drain does.
 	var view *CellView
 	if specBody != nil || specBodyErr != nil {
 		view = &r.dview
 		view.beginDirect(r.cells, r.loop.Reductions)
+		defer view.drain()
 	}
 	acc := r.loop.Init()
 	cands := r.seqCands[:0]
@@ -509,13 +522,7 @@ func (r *Runner[S, A]) runSequential(ctx context.Context, start S) (out A, err e
 	}
 	r.pend.TotalIters += work
 	works := r.sched.works
-	clear := r.sched.used
-	if clear < 1 {
-		clear = 1
-	}
-	for i := 0; i < clear; i++ {
-		works[i] = 0
-	}
+	clear(works[:max(r.sched.used, 1)])
 	works[0] = work
 	r.sched.used = 1
 	r.pendWorks = true

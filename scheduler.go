@@ -46,7 +46,17 @@ import (
 // on the completion latch. This removes a submit/park/wake handoff per
 // invocation and leaves every executor worker for speculative chunks;
 // abort-barrier, ctx-poll and panic-containment semantics are
-// unchanged because chunk 0 runs the same chunkJob.run.
+// unchanged because chunk 0 runs the same chunkJob.exec.
+//
+// Primary and recovery rounds share one launch-and-join,
+// dispatchRound, which is the invoker's side of the handoff protocol
+// in the executor.go header: arm each slot's claim word and submit it,
+// run chunk 0, reclaim (run every chunk no worker has claimed yet),
+// join (spin on the latch for as long as the invoker's own share just
+// took, then park), and publish the workers' lease from the measured
+// gap between rounds. The clock is read three times per round that has
+// speculative chunks — at dispatch, after the invoker's own share, at
+// the latch release — and never on the sequential path.
 //
 // Cache-line layout invariants (the multicore contract of this file):
 //
@@ -62,9 +72,10 @@ import (
 //     padded apart (chunkResult's trailing pad): two workers' exit
 //     stores never contend for a line.
 //   - chunkJob slots are written only during dispatch (before any
-//     submit) and read-only while the round runs; read-sharing is
-//     free, so jobs carry no padding.
-//   - works/memos/dispRows/admitBuf/used are touched only by the
+//     submit) and read-only while the round runs, apart from one
+//     compare-and-swap on the claim word per contender; read-sharing
+//     is free, so jobs carry no padding.
+//   - works/memos/dispRows/admitBuf/used/lease are touched only by the
 //     invoking goroutine, strictly outside the window in which workers
 //     run (dispatch before, chain resolution after the latch wait) —
 //     never concurrently with chunk execution.
@@ -107,6 +118,24 @@ type chunkJob[S comparable, A any] struct {
 	plan    []planEntry
 	posBase int64 // predicted global start position (positional validation)
 	cap     int64 // speculative iteration cap
+
+	// claim is the slot's per-dispatch claim word: dispatchRound stores
+	// claimArmed after every other field of the round is in place and
+	// before submit; whoever swaps it back — the worker holding a queue
+	// entry or the reclaiming invoker — runs the chunk. The arming store
+	// and the winning swap order the round's writes before the chunk's
+	// reads.
+	claim atomic.Uint32
+	// queued is set while an executor queue holds an entry for this
+	// slot. The entry of a reclaimed chunk outlives its round; while it
+	// does, later rounds arm the slot without submitting again — the
+	// old entry serves whichever round is current when it is popped —
+	// so a slot never has two entries queued, and a worker that stays
+	// away for many rounds cannot fill its shard with dead entries and
+	// block the invoker in submit.
+	queued atomic.Bool
+	// reclaimed records that the invoker won the claim (invoker-only).
+	reclaimed bool
 }
 
 // reset arms the job and its result buffer for one dispatch.
@@ -132,7 +161,23 @@ func (j *chunkJob[S, A]) reset(r *Runner[S, A], ctx context.Context, start S, sn
 	res.err = nil
 }
 
-// run executes one chunk: the paper's per-thread loop with work
+const claimArmed = 1
+
+// run is the executor's entry: execute the chunk if this queue entry
+// still owns it. A failed claim is the entry of a chunk the invoker
+// reclaimed (see the handoff notes in the executor.go header) and must
+// touch nothing — the slot may already belong to a later round.
+func (j *chunkJob[S, A]) run() {
+	// Cleared before the claim: a dispatcher that still sees the flag
+	// set (and so does not submit) armed the slot before this store, so
+	// the swap below sees its round.
+	j.queued.Store(false)
+	if j.claim.CompareAndSwap(claimArmed, 0) {
+		j.exec()
+	}
+}
+
+// exec executes one chunk: the paper's per-thread loop with work
 // counting, threshold-driven memoization, and mis-speculation detection
 // against the successor's predicted start — restructured into bounded
 // blocks handed to the monomorphic scan variants of blockloop.go. The
@@ -140,15 +185,18 @@ func (j *chunkJob[S, A]) reset(r *Runner[S, A], ctx context.Context, start S, sn
 // per-iteration body carries no mode branches; every ctxPollEvery
 // iterations a block boundary polls the invocation context and the
 // scheduler's abort barrier, keeping slow-path overhead amortized.
+// The caller holds the slot's claim (or runs chunk 0, which is never
+// submitted), so exec runs exactly once per armed slot per round and
+// signals the latch exactly once.
 //
-// run is the panic-containment boundary of the executor layer: a body
+// exec is the panic-containment boundary of the executor layer: a body
 // panicking on a worker goroutine (e.g. a corrupted prediction
 // dereferencing freed state) is recovered — inside the scan variants
 // for loop callbacks, by the backstop defer here for Init and boundary
 // Done calls — and recorded as a *PanicError, so the process survives
 // and the chain resolution decides whether the failure is
 // architectural (surfaces from Run) or speculative (squashed).
-func (j *chunkJob[S, A]) run() {
+func (j *chunkJob[S, A]) exec() {
 	defer j.lat.done()
 	r := j.r
 	sched := r.sched
@@ -385,6 +433,9 @@ type scheduler[S comparable, A any] struct {
 	// full-threads sweep per invocation — and stale slots still cannot
 	// leak into squash accounting or LastWorks.
 	used int
+	// lease is the runner's inter-round gap history behind the workers'
+	// lease (executor.go).
+	lease leaseClock
 
 	// The two fields below are the round's only cross-core shared-write
 	// state (see the header's layout invariants); the leading pad keeps
@@ -506,6 +557,115 @@ func (s *scheduler[S, A]) purge() {
 		s.results[j].work = 0
 	}
 	s.used = 0
+	// Gaps measured on the previous owner's cadence grant the next one
+	// nothing.
+	s.lease = leaseClock{}
+}
+
+// dispatchRound launches and joins one round over slots 0..n-1, whose
+// jobs the caller has reset: chunk i>0 goes to the executor, chunk 0
+// runs here, and the round is complete — every launched chunk executed
+// exactly once, its result slot written — when it returns. This is the
+// invoker's side of the claim/join/lease protocol (executor.go header).
+// Cancellation is honored at dispatch: once ctx is done no further
+// chunk starts, the slots left unlaunched are marked inactive, and the
+// ctx error is returned for the chain resolution to surface; chunks
+// already running stop at their next poll.
+func (s *scheduler[S, A]) dispatchRound(r *Runner[S, A], ctx context.Context, n int) error {
+	s.armAbort()
+	// DOACROSS: open this round's union write-set generation. Chunks
+	// validate only against writes committed from this tick onward —
+	// whatever earlier rounds drained was in the store before they
+	// started.
+	if s.cells != nil {
+		s.cells.beginRound()
+	}
+	// Rewind the submitter to the runner's home shard so chunk i lands
+	// on the same executor queue every round (warm-queue affinity).
+	r.sub.rewind()
+	var t0 int64
+	if n > 1 {
+		t0 = nanos()
+		s.lease.dispatched(t0)
+	} else {
+		// Nothing speculative: no handoff to time, and the next round
+		// has no release to measure its gap from.
+		s.lease.released = 0
+	}
+	var dispatchErr error
+	armed := 0
+	for i := 0; i < n; i++ {
+		if dispatchErr = ctx.Err(); dispatchErr != nil {
+			for k := i; k < n; k++ {
+				s.results[k].active = false
+			}
+			break
+		}
+		if s.cells != nil {
+			// Every chunk buffers (its writes must stay invisible to the
+			// concurrently running chunks), but chunk 0 starts from
+			// architecturally correct state with every earlier commit
+			// already drained, so it records no read-set.
+			s.views[i].begin(s.cells, s.reds, i > 0)
+		}
+		s.lat.add(1)
+		if i > 0 {
+			j := &s.jobs[i]
+			j.reclaimed = false
+			j.claim.Store(claimArmed)
+			if j.queued.Swap(true) {
+				r.sub.skip() // an earlier round's entry is still queued
+			} else {
+				r.sub.submit(j)
+			}
+		}
+		armed = i + 1
+	}
+	if armed == 0 {
+		return dispatchErr
+	}
+	// Inline chunk 0: the non-speculative chunk runs on the invoking
+	// goroutine after the speculative chunks are submitted. Same exec,
+	// so ctx polling, the abort barrier and panic containment are
+	// identical. A round with nothing speculative never touches the
+	// executor, and its latch is released by the time exec returns.
+	s.jobs[0].exec()
+	if armed == 1 {
+		return dispatchErr
+	}
+	// Reclaim, in chain order: a chunk no worker has started yet starts
+	// now, here. Its worker is late, not gone — it was woken at submit
+	// and will find the entry already claimed — so each reclaimed chunk
+	// extends the lease over its own expected duration (chunk 0's, just
+	// measured): the late worker is then still rescanning when the next
+	// round dispatches, instead of parking again and being late again.
+	t1 := nanos()
+	own := t1 - t0
+	lease := s.lease.grant()
+	warm, reclaimed := t1, false
+	for i := 1; i < armed; i++ {
+		j := &s.jobs[i]
+		if !j.claim.CompareAndSwap(claimArmed, 0) {
+			continue
+		}
+		if lease > 0 {
+			warm += min(own, int64(joinSpinCap))
+			r.exec.extendLease(warm + lease)
+		}
+		j.reclaimed, reclaimed = true, true
+		j.exec()
+	}
+	if reclaimed {
+		t1 = nanos()
+	}
+	// Join: every chunk is claimed, so the rest are running elsewhere
+	// and worth spinning for about as long as chunk 0 took.
+	s.lat.wait(t1, own)
+	s.lease.released = nanos()
+	if lease > 0 {
+		r.exec.extendLease(s.lease.released + lease)
+	}
+	return dispatchErr
 }
 
 // planDispatch selects the invocation's speculative dispatch chain:
@@ -568,34 +728,13 @@ func (s *scheduler[S, A]) run(r *Runner[S, A], ctx context.Context, start S, row
 	// previous round dirtied (s.used): at narrow adaptive width the
 	// full-threads sweep is skipped, and stale wider-round slots still
 	// cannot leak into squash accounting or LastWorks.
-	clear := n
-	if s.used > clear {
-		clear = s.used
-	}
-	for j := 0; j < clear; j++ {
-		s.works[j] = 0
+	dirty := max(n, s.used)
+	clear(s.works[:dirty])
+	for j := 0; j < dirty; j++ {
 		s.results[j].active = false
 	}
 	s.used = n
-	s.armAbort()
-	// DOACROSS: open the primary round's union write-set generation
-	// (each recovery round opens its own, so re-dispatched chunks do not
-	// re-conflict with writes already committed before they started).
-	if s.cells != nil {
-		s.cells.beginRound()
-	}
-	// Rewind the submitter to the runner's home shard so chunk i lands
-	// on the same executor queue every round (warm-queue affinity).
-	r.sub.rewind()
-	var dispatchErr error
-	armed := 0
 	for i := 0; i < n; i++ {
-		// Honor cancellation at dispatch: once ctx is done, no further
-		// chunk starts. Already-running chunks stop at their next poll;
-		// the chain resolution below surfaces the error.
-		if dispatchErr = ctx.Err(); dispatchErr != nil {
-			break
-		}
 		startState := start
 		var posBase int64
 		planIdx := 0
@@ -612,27 +751,8 @@ func (s *scheduler[S, A]) run(r *Runner[S, A], ctx context.Context, start S, row
 			snap = &rows[ownRow]
 		}
 		s.jobs[i].reset(r, ctx, startState, snap, ownRow, i > 0, r.pred.planFor(planIdx), posBase, cap64)
-		if s.cells != nil {
-			// Chunk 0 buffers (its writes must stay invisible to the
-			// concurrently running chunks) but starts from architecturally
-			// correct state, so it records no read-set.
-			s.views[i].begin(s.cells, s.reds, i > 0)
-		}
-		s.lat.add(1)
-		if i > 0 {
-			r.sub.submit(&s.jobs[i])
-		}
-		armed = i + 1
 	}
-	// Inline chunk 0: the non-speculative chunk runs on the invoking
-	// goroutine after the speculative chunks are submitted — no
-	// submit/park/wake round-trip, and every executor worker stays
-	// available for speculative chunks. Same chunkJob.run, so ctx
-	// polling, the abort barrier and panic containment are identical.
-	if armed > 0 {
-		s.jobs[0].run()
-	}
-	s.lat.wait()
+	dispatchErr := s.dispatchRound(r, ctx, n)
 	defer s.release()
 
 	// --- Validation chain --------------------------------------------
@@ -767,9 +887,9 @@ func (s *scheduler[S, A]) run(r *Runner[S, A], ctx context.Context, start S, row
 			break
 		}
 		if i < ncommit {
-			r.noteHit(disp[i-1])
+			r.noteHit(disp[i-1], s.jobs[i].reclaimed)
 		} else if !needRecovery {
-			r.noteMiss(disp[i-1])
+			r.noteMiss(disp[i-1], s.jobs[i].reclaimed)
 			verdictMiss = true
 		}
 	}

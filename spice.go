@@ -292,6 +292,12 @@ type Stats struct {
 	// Misses counts speculative chunks that were dispatched and then
 	// squashed (their prediction did not materialize).
 	Misses int64
+	// Reclaimed counts the hits and misses whose chunk the invoking
+	// goroutine executed itself, after its own chunk 0, because no
+	// worker had started it by then (parked, stalled, or busy with
+	// another runner's chunk). Always a subset of the verdicts
+	// (conservation: Reclaimed ≤ Hits + Misses).
+	Reclaimed int64
 	// Conflicts counts commit-time read/write-set conflicts: a
 	// speculative chunk whose fall-through read-set intersected a
 	// logically-earlier chunk's committed write-set (DOACROSS loops
@@ -349,6 +355,7 @@ func (s *Stats) addCounters(d Stats) {
 	s.RecoveryChunks += d.RecoveryChunks
 	s.Hits += d.Hits
 	s.Misses += d.Misses
+	s.Reclaimed += d.Reclaimed
 	s.Conflicts += d.Conflicts
 	s.ConflictIters += d.ConflictIters
 	s.SequentialFallbacks += d.SequentialFallbacks
@@ -368,6 +375,7 @@ func (s *Stats) subCounters(d Stats) {
 	s.RecoveryChunks -= d.RecoveryChunks
 	s.Hits -= d.Hits
 	s.Misses -= d.Misses
+	s.Reclaimed -= d.Reclaimed
 	s.Conflicts -= d.Conflicts
 	s.ConflictIters -= d.ConflictIters
 	s.SequentialFallbacks -= d.SequentialFallbacks

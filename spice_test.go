@@ -108,6 +108,19 @@ func xorLoop() Loop[*node, sumAcc] {
 	}
 }
 
+// checkConservation asserts the accounting identities every Stats
+// snapshot satisfies, whatever the speculation, conflict or fault
+// regime that produced it.
+func checkConservation(t *testing.T, st Stats) {
+	t.Helper()
+	if st.ConflictIters > st.SquashedIters {
+		t.Fatalf("ConflictIters %d > SquashedIters %d", st.ConflictIters, st.SquashedIters)
+	}
+	if st.Reclaimed > st.Hits+st.Misses {
+		t.Fatalf("Reclaimed %d > Hits %d + Misses %d", st.Reclaimed, st.Hits, st.Misses)
+	}
+}
+
 func sequential(l Loop[*node, sumAcc], head *node) sumAcc {
 	acc := l.Init()
 	for s := head; !l.Done(s); s = l.Next(s) {
