@@ -165,8 +165,8 @@ func (c *Cells) At(i int) int64 { return c.words[i] }
 // Set writes cell i non-speculatively (between invocations).
 func (c *Cells) Set(i int, v int64) { c.words[i] = v }
 
-// beginRound opens a new dispatch-round generation, called before the
-// primary round and before each recovery round. Chunks armed after the
+// beginRound opens a new dispatch-round generation, called before every
+// round of an invocation (dispatchRound). Chunks armed after the
 // bump validate only against writes this or a later round commits.
 func (c *Cells) beginRound() {
 	c.tick++

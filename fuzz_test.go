@@ -138,18 +138,21 @@ func FuzzDoacrossOracle(f *testing.F) {
 // streams (rows, positions) against arbitrary totals must never panic,
 // must round-trip through snapshot, and must always yield structurally
 // sane plans (targets in range, thresholds positive and non-decreasing
-// per chunk — the order the memoization cursor consumes them in).
+// per chunk — the order the memoization cursor consumes them in). A
+// memoizeOnce predictor that has locked its rows in plans nothing and
+// keeps them.
 func FuzzPredictorApply(f *testing.F) {
-	f.Add(uint8(4), int64(100), []byte{0, 10, 1, 50, 2, 90})
-	f.Add(uint8(2), int64(0), []byte{})
-	f.Add(uint8(8), int64(1), []byte{200, 255, 0, 0, 3, 3})
-	f.Fuzz(func(t *testing.T, threads uint8, total int64, data []byte) {
+	f.Add(uint8(4), int64(100), []byte{0, 10, 1, 50, 2, 90}, false)
+	f.Add(uint8(2), int64(0), []byte{}, false)
+	f.Add(uint8(8), int64(1), []byte{200, 255, 0, 0, 3, 3}, false)
+	f.Add(uint8(4), int64(100), []byte{2, 10, 3, 50, 4, 90}, true)
+	f.Fuzz(func(t *testing.T, threads uint8, total int64, data []byte, memoizeOnce bool) {
 		tc := int(threads%8) + 2
 		if total < 0 {
 			total = -total
 		}
 		total %= 1 << 40
-		p := newPredictor[int64](tc, false, false)
+		p := newPredictor[int64](tc, false, memoizeOnce)
 		// Decode (row, pos) pairs from the fuzz bytes; values land both
 		// in and out of range on purpose.
 		var memos []memo[int64]
@@ -186,20 +189,32 @@ func FuzzPredictorApply(f *testing.F) {
 				t.Fatalf("row %d = %+v, want state=%d pos=%d", k, r, m.state, m.pos)
 			}
 		}
-		// Plans: every chunk's entries must target real rows with
-		// positive, non-decreasing thresholds, and the spec cap must
-		// stay positive.
-		for j := 0; j < tc; j++ {
+		// Plans, from position 0 and from every valid row's position (the
+		// bases the scheduler seeds chunks at): entries must target real
+		// rows with positive, non-decreasing thresholds — the order the
+		// memoization cursor consumes them in — and there is nothing to
+		// plan from without a trip count.
+		bases := []int64{0}
+		for _, r := range snap {
+			if r.valid {
+				bases = append(bases, r.pos)
+			}
+		}
+		for _, base := range bases {
+			plan := p.planFromPosition(base, nil)
+			if (total == 0 || p.frozen) && len(plan) != 0 {
+				t.Fatalf("base %d: %d plan entries (total %d, frozen %v)", base, len(plan), total, p.frozen)
+			}
 			last := int64(0)
-			for _, e := range p.planFor(j) {
+			for _, e := range plan {
 				if e.row < 0 || e.row >= tc-1 {
-					t.Fatalf("chunk %d plan targets row %d (rows=%d)", j, e.row, tc-1)
+					t.Fatalf("base %d: plan targets row %d (rows=%d)", base, e.row, tc-1)
 				}
 				if e.local <= 0 {
-					t.Fatalf("chunk %d plan threshold %d not positive", j, e.local)
+					t.Fatalf("base %d: plan threshold %d not positive", base, e.local)
 				}
 				if e.local < last {
-					t.Fatalf("chunk %d plan thresholds decrease: %d after %d", j, e.local, last)
+					t.Fatalf("base %d: plan thresholds decrease: %d after %d", base, e.local, last)
 				}
 				last = e.local
 			}
@@ -208,10 +223,14 @@ func FuzzPredictorApply(f *testing.F) {
 			t.Fatalf("specCap = %d", p.specCap(0))
 		}
 		// A second apply with no memos must clear all rows (no stale
-		// predictions survive a generation swap).
+		// predictions survive a generation swap) — unless the rows are
+		// locked in, which is exactly when there were any.
+		if p.frozen != (memoizeOnce && len(want) > 0) {
+			t.Fatalf("frozen = %v with memoizeOnce %v and %d valid rows", p.frozen, memoizeOnce, len(want))
+		}
 		p.apply(total/2, nil)
-		if p.havePredictions() {
-			t.Fatal("empty apply left predictions valid")
+		if p.havePredictions() != p.frozen {
+			t.Fatalf("after an empty apply: predictions valid = %v, frozen = %v", p.havePredictions(), p.frozen)
 		}
 	})
 }

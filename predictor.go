@@ -10,14 +10,14 @@ import "spice/internal/rt"
 //
 // Planning follows the BalancedChunks scheme (see
 // internal/rt/balancer.go for the simulator counterpart): boundaries are
-// computed in global work coordinates and every running chunk receives a
-// plan entry for every boundary beyond its own start. In the common case
-// a chunk stops at its successor's predicted start right after firing
-// its first entry; the remaining entries fire only when the chunk
-// overruns because a later chunk mis-speculated — re-memoizing the
-// squashed rows at their correct positions (self-healing). The same
-// scheme, anchored at an exact global position, replans the remainder
-// during parallel squash recovery (recovery.go).
+// computed in global work coordinates from the last invocation's trip
+// count, and every chunk the scheduler seeds — round 0's and any later
+// round's alike — asks planFromPosition for an entry for every boundary
+// beyond its own (predicted) start. In the common case a chunk stops at
+// its successor's predicted start right after firing its first entry;
+// the remaining entries fire only when the chunk overruns because a
+// later chunk mis-speculated — re-memoizing the squashed rows at their
+// correct positions (self-healing).
 //
 // All per-invocation state lives in reusable buffers: the steady-state
 // snapshot/apply cycle performs no allocations.
@@ -49,8 +49,7 @@ type proposal[S comparable] struct {
 
 // memo is a resolved proposal in global work coordinates — the form the
 // predictor consumes. The scheduler converts committed chunks' proposals
-// using measured prefix sums; recovery chunks emit memos from exactly
-// known positions.
+// at the exact global position the validation chain has reached.
 type memo[S comparable] struct {
 	row   int
 	state S
@@ -58,10 +57,10 @@ type memo[S comparable] struct {
 }
 
 // predictor holds the SVA rows and the planning state for one runner.
-// It is confined to the runner's invocation cycle: snapshot/planFor are
-// read during a Run, apply mutates between Runs. A Pool gives every
-// in-flight invocation its own runner (and therefore predictor), so no
-// internal locking is needed.
+// It is confined to the runner's invocation cycle: snapshot and
+// planFromPosition are read during a Run, apply mutates between Runs. A
+// Pool gives every in-flight invocation its own runner (and therefore
+// predictor), so no internal locking is needed.
 type predictor[S comparable] struct {
 	threads     int
 	positional  bool
@@ -73,18 +72,14 @@ type predictor[S comparable] struct {
 	// maintained — it feeds Stats.Hits/Misses — but only gates
 	// dispatch when the runner's adaptive controller is on.
 	conf *rt.RowConfidence
-	// plans[j] holds chunk j's memoization entries for the upcoming
-	// invocation, ascending by local threshold.
-	plans [][]planEntry
 	// prevTotal is the last invocation's total committed trip count —
 	// the planning total for the current invocation's boundaries.
 	prevTotal int64
 	frozen    bool // memoizeOnce: rows are locked in
 
 	// Reusable buffers (no steady-state allocation).
-	rowsBuf  []row[S] // snapshot handed to the scheduler
-	scratch  []row[S] // next-generation rows built during apply
-	startsBf []int64  // per-chunk predicted starts during replanning
+	rowsBuf []row[S] // snapshot handed to the scheduler
+	scratch []row[S] // next-generation rows built during apply
 }
 
 func newPredictor[S comparable](threads int, positional, memoizeOnce bool) *predictor[S] {
@@ -95,12 +90,10 @@ func newPredictor[S comparable](threads int, positional, memoizeOnce bool) *pred
 		rows:        make([]row[S], threads-1),
 		conf:        rt.NewRowConfidence(threads - 1),
 		scratch:     make([]row[S], threads-1),
-		plans:       make([][]planEntry, threads),
-		startsBf:    make([]int64, threads),
 	}
 }
 
-// reset drops all memoized state: rows, plans, and the planning total.
+// reset drops all memoized state: rows and the planning total.
 // Pools reset a runner's predictor when it moves between sessions, so
 // predictions never dangle into another session's data structure. The
 // reusable generation buffers are scrubbed too: scratch holds the
@@ -121,9 +114,6 @@ func (p *predictor[S]) reset() {
 		rowsBuf[i] = row[S]{}
 	}
 	p.rowsBuf = p.rowsBuf[:0]
-	for j := range p.plans {
-		p.plans[j] = p.plans[j][:0]
-	}
 	p.conf.Reset()
 	p.prevTotal = 0
 	p.frozen = false
@@ -147,19 +137,11 @@ func (p *predictor[S]) snapshot() []row[S] {
 	return p.rowsBuf
 }
 
-// planFor returns chunk j's memoization entries.
-func (p *predictor[S]) planFor(j int) []planEntry {
-	if p.frozen {
-		return nil
-	}
-	return p.plans[j]
-}
-
-// planFromPosition appends BalancedChunks plan entries for a recovery
-// chunk whose global start position is (predicted to be) pos: one entry
-// per remaining boundary of the current plan, at a threshold relative to
-// pos. The recovery chunks thereby re-memoize squashed rows while
-// finishing the remainder, keeping the next invocation's split balanced.
+// planFromPosition appends the memoization plan of a chunk whose global
+// start position is (predicted to be) pos: one entry per boundary of the
+// current plan beyond pos, at a threshold relative to pos, ascending.
+// Empty while there is no trip count to plan from, and once a
+// memoizeOnce predictor has locked its rows in.
 func (p *predictor[S]) planFromPosition(pos int64, buf []planEntry) []planEntry {
 	if p.frozen || p.prevTotal <= 0 {
 		return buf
@@ -185,10 +167,10 @@ func (p *predictor[S]) specCap(override int64) int64 {
 	return 1 << 20
 }
 
-// apply installs the surviving memoizations and plans the next
-// invocation. total is the invocation's committed trip count; memos are
-// ordered by commit position, so later (more-rebalanced, e.g. recovery)
-// writes win.
+// apply installs the surviving memoizations and the trip count the next
+// invocation's boundaries are planned from. total is the invocation's
+// committed trip count; memos are ordered by commit position, so later
+// (more-rebalanced, e.g. a later round's) writes win.
 func (p *predictor[S]) apply(total int64, memos []memo[S]) {
 	if p.memoizeOnce && p.frozen {
 		return
@@ -207,39 +189,5 @@ func (p *predictor[S]) apply(total int64, memos []memo[S]) {
 	p.prevTotal = total
 	if p.memoizeOnce && p.havePredictions() {
 		p.frozen = true
-	}
-	p.replan(total)
-}
-
-// replan installs the next invocation's memoization plan (BalancedChunks
-// over the freshly installed rows): every chunk receives an entry for
-// every boundary beyond its predicted start.
-func (p *predictor[S]) replan(total int64) {
-	for j := range p.plans {
-		p.plans[j] = p.plans[j][:0]
-	}
-	if total == 0 {
-		return
-	}
-	starts := p.startsBf
-	starts[0] = 0
-	for k := 1; k < p.threads; k++ {
-		if p.rows[k-1].valid {
-			starts[k] = p.rows[k-1].pos
-		} else {
-			starts[k] = -1
-		}
-	}
-	for k := 1; k < p.threads; k++ {
-		boundary := total * int64(k) / int64(p.threads)
-		if boundary <= 0 {
-			continue
-		}
-		for j := 0; j < p.threads; j++ {
-			if starts[j] < 0 || starts[j] >= boundary {
-				continue
-			}
-			p.plans[j] = append(p.plans[j], planEntry{local: boundary - starts[j], row: k - 1})
-		}
 	}
 }

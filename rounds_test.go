@@ -1,0 +1,370 @@
+package spice
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"hash/fnv"
+	"math/rand"
+	"strings"
+	"testing"
+)
+
+// statsLine formats every Stats field that repeats exactly from run to
+// run — all of them except Reclaimed, which counts chunks the invoker
+// won from a late worker and so depends on the Go scheduler.
+func statsLine(st Stats) string {
+	return fmt.Sprintf("inv=%d mis=%d sq=%d tail=%d tot=%d rec=%d rch=%d hit=%d miss=%d "+
+		"conf=%d ci=%d sf=%d shed=%d ret=%d eff=%d works=%v",
+		st.Invocations, st.MisspecInvocations, st.SquashedIters, st.TailIters, st.TotalIters,
+		st.Recoveries, st.RecoveryChunks, st.Hits, st.Misses,
+		st.Conflicts, st.ConflictIters, st.SequentialFallbacks, st.BatchSheds, st.RunnersRetired,
+		st.EffectiveThreads, st.LastWorks)
+}
+
+// roundKinds records which triggers of a second round a scenario saw.
+type roundKinds struct{ capRound, capAgain, conflictRound bool }
+
+func (k *roundKinds) note(before, after Stats) {
+	rounds := after.Recoveries - before.Recoveries
+	switch {
+	case rounds > 0 && after.Conflicts > before.Conflicts:
+		k.conflictRound = true
+	case rounds > 1:
+		k.capRound, k.capAgain = true, true
+	case rounds > 0:
+		k.capRound = true
+	}
+}
+
+// pinnedList runs the list kernel for 14 invocations with churn, a
+// mid-list growth past the derived cap, a drop of a third and a shuffle
+// between them, and returns the Stats snapshot after every invocation.
+func pinnedList(t *testing.T, kinds *roundKinds, threads int, maxSpec int64, adaptive, positional bool) []string {
+	l := newTestList(300, 31)
+	r, err := NewRunner(xorLoop(), Config{
+		Threads: threads, MaxSpecIters: maxSpec, Positional: positional,
+		Options: Options{Adaptive: adaptive, ProbeInterval: 2},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	var lines []string
+	var prev Stats
+	for inv := 0; inv < 14; inv++ {
+		want := sequential(xorLoop(), l.head)
+		if got := r.MustRun(l.head); got != want {
+			t.Fatalf("inv %d: got %+v want %+v", inv, got, want)
+		}
+		st := r.Stats()
+		checkConservation(t, st)
+		kinds.note(prev, st)
+		prev = st
+		lines = append(lines, statsLine(st))
+		ns := l.nodes()
+		switch inv {
+		case 4: // grow 2500 in the middle: ~9x, past the 4x+1024 derived cap
+			mid := len(ns) / 2
+			grown := append([]*node{}, ns[:mid]...)
+			for i := 0; i < 2500; i++ {
+				grown = append(grown, &node{weight: int64(i) * 40503})
+			}
+			l.relink(append(grown, ns[mid:]...))
+		case 8: // drop every third node
+			kept := ns[:0]
+			for i, nd := range ns {
+				if i%3 != 2 {
+					kept = append(kept, nd)
+				}
+			}
+			l.relink(kept)
+		case 11:
+			l.rng.Shuffle(len(ns), func(i, j int) { ns[i], ns[j] = ns[j], ns[i] })
+			l.relink(ns)
+		default:
+			if inv%2 == 1 {
+				l.churn()
+			}
+		}
+	}
+	return lines
+}
+
+// pinnedDoacross runs the DOACROSS kernel for 10 invocations with value
+// churn between them.
+func pinnedDoacross(t *testing.T, kinds *roundKinds, regime string, threads int, maxSpec int64, adaptive bool) []string {
+	rng := rand.New(rand.NewSource(42))
+	head, nodes, cells, shadow := buildDoacross(rng, 600, regime)
+	loop := dcLoop()
+	loop.Cells = cells
+	r, err := NewRunner(loop, Config{
+		Threads: threads, MaxSpecIters: maxSpec,
+		Options: Options{Adaptive: adaptive, ProbeInterval: 2},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	var lines []string
+	var prev Stats
+	for inv := 0; inv < 10; inv++ {
+		want := dcReference(head, shadow)
+		got, rerr := r.Run(context.Background(), head)
+		if rerr != nil || got != want {
+			t.Fatalf("inv %d: acc = %d, %v; want %d", inv, got, rerr, want)
+		}
+		assertCellsEqual(t, fmt.Sprintf("inv %d", inv), cells, shadow)
+		st := r.Stats()
+		checkConservation(t, st)
+		kinds.note(prev, st)
+		prev = st
+		lines = append(lines, statsLine(st))
+		for k := 0; k < 30; k++ {
+			nodes[rng.Intn(len(nodes))].w = rng.Int63n(1 << 20)
+		}
+	}
+	return lines
+}
+
+// TestRoundCountersPinned pins what no benchmark workload reaches (none
+// of them runs a second round): every counter of every invocation of a
+// scenario matrix over width × MaxSpecIters × adaptive × positional ×
+// structural change, and DOACROSS regime × width × cap × adaptive, as
+// one FNV-1a hash per scenario of its formatted snapshots. The table
+// was captured at the commit before scheduler.run became one loop over
+// rounds (when recovery rounds were a separate function), so it is the
+// evidence that rounds after the first behave exactly as recovery did.
+// A change that means to move a counter re-captures the table from the
+// failure output and says which counters moved and why.
+func TestRoundCountersPinned(t *testing.T) {
+	var kinds roundKinds
+	ran := map[string]string{} // scenario -> its snapshots, one a line
+	for _, threads := range []int{2, 3, 4, 8} {
+		for _, maxSpec := range []int64{0, 50, 600} {
+			for _, adaptive := range []bool{false, true} {
+				for _, positional := range []bool{false, true} {
+					name := fmt.Sprintf("list/t%d/cap%d/adaptive=%v/positional=%v", threads, maxSpec, adaptive, positional)
+					ran[name] = strings.Join(pinnedList(t, &kinds, threads, maxSpec, adaptive, positional), "\n")
+				}
+			}
+		}
+	}
+	for _, regime := range []string{"none", "rare", "dense"} {
+		for _, threads := range []int{2, 4, 8} {
+			for _, maxSpec := range []int64{0, 300} {
+				for _, adaptive := range []bool{false, true} {
+					name := fmt.Sprintf("doacross/%s/t%d/cap%d/adaptive=%v", regime, threads, maxSpec, adaptive)
+					ran[name] = strings.Join(pinnedDoacross(t, &kinds, regime, threads, maxSpec, adaptive), "\n")
+				}
+			}
+		}
+	}
+	if !kinds.capRound || !kinds.capAgain || !kinds.conflictRound {
+		t.Errorf("matrix lost a trigger of later rounds: %+v", kinds)
+	}
+	if len(ran) != len(pinnedRounds) {
+		t.Errorf("%d scenarios ran, %d are pinned", len(ran), len(pinnedRounds))
+	}
+	for name, snapshots := range ran {
+		h := fnv.New64a()
+		h.Write([]byte(snapshots))
+		if got, want := h.Sum64(), pinnedRounds[name]; got != want {
+			t.Errorf("%q: %#016x, // pinned %#016x\n%s", name, got, want, snapshots)
+		}
+	}
+}
+
+// scriptedCtx is a context whose Err turns context.Canceled, for good,
+// on its cancelAt-th call: a cancellation that lands at one exact check
+// of the invoking goroutine. Only that goroutine calls Err in the test
+// below — every chunk there is shorter than a poll interval.
+type scriptedCtx struct {
+	context.Context
+	calls, cancelAt int
+}
+
+func (c *scriptedCtx) Err() error {
+	c.calls++
+	if c.calls >= c.cancelAt {
+		return context.Canceled
+	}
+	return nil
+}
+
+// blockTask occupies an executor worker until released.
+type blockTask struct{ started, release chan struct{} }
+
+func (b *blockTask) run() {
+	close(b.started)
+	<-b.release
+}
+
+// TestUndispatchedSlotsGetNoVerdict: when cancellation lands inside a
+// later round's dispatch loop, the slots left unlaunched resolved
+// nothing — their rows must get no hit or miss, no confidence change
+// and no Reclaimed, whether the round's resume chunk then finishes the
+// traversal (the invocation succeeds) or matches its way to an
+// unlaunched slot (it fails with the ctx error). Recovery rounds used
+// to judge every slot of the chain, dispatched or not. (A cancel one
+// check earlier, at the top of the round, starts no round at all.)
+func TestUndispatchedSlotsGetNoVerdict(t *testing.T) {
+	// Round 0: slot 0 matches row 0 after 300 iterations, slot 1 commits
+	// capped at 100 hunting row 1, slots 2 and 3 are squashed behind it.
+	// Round 1 resumes at 400 over rows 1 and 2. Err is called once on
+	// entry, once per slot of round 0 (4), once at the top of round 1
+	// (call 6), then once per slot of round 1: call 8 is slot 1's check,
+	// after slot 0 of round 1 passed.
+	for _, tc := range []struct {
+		name       string
+		unlink     bool // drop row 1's node, so the resume chunk runs to the end
+		cancelAt   int
+		wantErr    error
+		wantRounds int64
+	}{
+		{"resume chunk finishes", true, 8, nil, 1},
+		{"resume chunk matches an unlaunched slot", false, 8, context.Canceled, 1},
+		{"round never starts", false, 6, context.Canceled, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// The one worker is held, so the invoker runs (reclaims) every
+			// speculative chunk itself and leaves each slot's reclaimed
+			// flag set for the next round to find.
+			e := NewExecutor(1)
+			defer e.Close()
+			hold := &blockTask{started: make(chan struct{}), release: make(chan struct{})}
+			e.submit(hold)
+			<-hold.started
+			defer close(hold.release)
+
+			l := newTestList(1200, 5)
+			ns := l.nodes()
+			r, err := NewRunner(xorLoop(), Config{Threads: 4, MaxSpecIters: 100, Executor: e})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Close()
+			r.pred.apply(1200, []memo[*node]{
+				{row: 0, state: ns[300], pos: 300},
+				{row: 1, state: ns[600], pos: 600},
+				{row: 2, state: ns[900], pos: 900},
+			})
+			if tc.unlink {
+				ns[599].next = ns[601]
+			}
+			want := sequential(xorLoop(), l.head)
+			conf := [3]float64{r.pred.conf.Score(0), r.pred.conf.Score(1), r.pred.conf.Score(2)}
+
+			ctx := &scriptedCtx{Context: context.Background(), cancelAt: tc.cancelAt}
+			got, rerr := r.Run(ctx, l.head)
+			if !errors.Is(rerr, tc.wantErr) || (rerr == nil && got != want) {
+				t.Fatalf("Run = %+v, %v; want %+v, %v", got, rerr, want, tc.wantErr)
+			}
+			st := r.Stats()
+			if st.Recoveries != tc.wantRounds || st.SquashedIters != 200 {
+				t.Fatalf("the cancel did not land where scripted: %+v", st)
+			}
+			if st.Hits != 1 || st.Misses != 0 || st.Reclaimed != 1 {
+				t.Errorf("Hits %d Misses %d Reclaimed %d; want 1 0 1 (slot 1 of round 0 only)",
+					st.Hits, st.Misses, st.Reclaimed)
+			}
+			if s0 := r.pred.conf.Score(0); s0 <= conf[0] {
+				t.Errorf("row 0 confidence %v -> %v; its chunk committed", conf[0], s0)
+			}
+			for k := 1; k < 3; k++ {
+				if sk := r.pred.conf.Score(k); sk != conf[k] {
+					t.Errorf("row %d confidence %v -> %v; its chunk was never dispatched in round 1 and only a cap artifact in round 0",
+						k, conf[k], sk)
+				}
+			}
+			checkConservation(t, st)
+		})
+	}
+}
+
+var pinnedRounds = map[string]uint64{
+	"doacross/dense/t2/cap0/adaptive=false":          0x7524ce717d896b46,
+	"doacross/dense/t2/cap0/adaptive=true":           0xd04d2a4eb4e27756,
+	"doacross/dense/t2/cap300/adaptive=false":        0x5ea54b3842200ffe,
+	"doacross/dense/t2/cap300/adaptive=true":         0x387665ebf544bbc2,
+	"doacross/dense/t4/cap0/adaptive=false":          0x03963b18ee390eb6,
+	"doacross/dense/t4/cap0/adaptive=true":           0xe76b305ebe0a8213,
+	"doacross/dense/t4/cap300/adaptive=false":        0x03963b18ee390eb6,
+	"doacross/dense/t4/cap300/adaptive=true":         0x3ea560812b15690b,
+	"doacross/dense/t8/cap0/adaptive=false":          0xf0fa3bc5582aa508,
+	"doacross/dense/t8/cap0/adaptive=true":           0x594a3c5da80780d5,
+	"doacross/dense/t8/cap300/adaptive=false":        0xf0fa3bc5582aa508,
+	"doacross/dense/t8/cap300/adaptive=true":         0x594a3c5da80780d5,
+	"doacross/none/t2/cap0/adaptive=false":           0xfbcc8429b10f8631,
+	"doacross/none/t2/cap0/adaptive=true":            0xfbcc8429b10f8631,
+	"doacross/none/t2/cap300/adaptive=false":         0xabb0a69f3b32f8e9,
+	"doacross/none/t2/cap300/adaptive=true":          0xabb0a69f3b32f8e9,
+	"doacross/none/t4/cap0/adaptive=false":           0x0bc7b21e5c35639b,
+	"doacross/none/t4/cap0/adaptive=true":            0x0bc7b21e5c35639b,
+	"doacross/none/t4/cap300/adaptive=false":         0x0bc7b21e5c35639b,
+	"doacross/none/t4/cap300/adaptive=true":          0x0bc7b21e5c35639b,
+	"doacross/none/t8/cap0/adaptive=false":           0x57b75f05ad9a0ca5,
+	"doacross/none/t8/cap0/adaptive=true":            0x57b75f05ad9a0ca5,
+	"doacross/none/t8/cap300/adaptive=false":         0x57b75f05ad9a0ca5,
+	"doacross/none/t8/cap300/adaptive=true":          0x57b75f05ad9a0ca5,
+	"doacross/rare/t2/cap0/adaptive=false":           0x1f414002f4b13ba7,
+	"doacross/rare/t2/cap0/adaptive=true":            0x1f414002f4b13ba7,
+	"doacross/rare/t2/cap300/adaptive=false":         0x41c85472c900e247,
+	"doacross/rare/t2/cap300/adaptive=true":          0x41c85472c900e247,
+	"doacross/rare/t4/cap0/adaptive=false":           0xffcc05d3fcc71fa6,
+	"doacross/rare/t4/cap0/adaptive=true":            0xffcc05d3fcc71fa6,
+	"doacross/rare/t4/cap300/adaptive=false":         0xffcc05d3fcc71fa6,
+	"doacross/rare/t4/cap300/adaptive=true":          0xffcc05d3fcc71fa6,
+	"doacross/rare/t8/cap0/adaptive=false":           0x99c2b28ea57b19b2,
+	"doacross/rare/t8/cap0/adaptive=true":            0x99c2b28ea57b19b2,
+	"doacross/rare/t8/cap300/adaptive=false":         0x99c2b28ea57b19b2,
+	"doacross/rare/t8/cap300/adaptive=true":          0x99c2b28ea57b19b2,
+	"list/t2/cap0/adaptive=false/positional=false":   0x0c21638a4ec2e5fc,
+	"list/t2/cap0/adaptive=false/positional=true":    0x4ad51a4bdbca098f,
+	"list/t2/cap0/adaptive=true/positional=false":    0x0c21638a4ec2e5fc,
+	"list/t2/cap0/adaptive=true/positional=true":     0xac69c74d5eca421a,
+	"list/t2/cap50/adaptive=false/positional=false":  0x842543760519882d,
+	"list/t2/cap50/adaptive=false/positional=true":   0x8bc8a8d466976942,
+	"list/t2/cap50/adaptive=true/positional=false":   0x842543760519882d,
+	"list/t2/cap50/adaptive=true/positional=true":    0xb56d0e82d4f30239,
+	"list/t2/cap600/adaptive=false/positional=false": 0x5879ce67adbe4008,
+	"list/t2/cap600/adaptive=false/positional=true":  0x2c857f9488bf3870,
+	"list/t2/cap600/adaptive=true/positional=false":  0x5879ce67adbe4008,
+	"list/t2/cap600/adaptive=true/positional=true":   0x068cc9c2f014998e,
+	"list/t3/cap0/adaptive=false/positional=false":   0x06d9098d1ce7fd29,
+	"list/t3/cap0/adaptive=false/positional=true":    0x1ced1b1e6a4084c0,
+	"list/t3/cap0/adaptive=true/positional=false":    0x06d9098d1ce7fd29,
+	"list/t3/cap0/adaptive=true/positional=true":     0x1992226301a3324d,
+	"list/t3/cap50/adaptive=false/positional=false":  0x327b85be58e04d08,
+	"list/t3/cap50/adaptive=false/positional=true":   0x65dca331fae18226,
+	"list/t3/cap50/adaptive=true/positional=false":   0x327b85be58e04d08,
+	"list/t3/cap50/adaptive=true/positional=true":    0xb8c4cc93039e5a4b,
+	"list/t3/cap600/adaptive=false/positional=false": 0x23bbf5d267e905e1,
+	"list/t3/cap600/adaptive=false/positional=true":  0xb51944845f5f1153,
+	"list/t3/cap600/adaptive=true/positional=false":  0x23bbf5d267e905e1,
+	"list/t3/cap600/adaptive=true/positional=true":   0x9fa26ab234ecd543,
+	"list/t4/cap0/adaptive=false/positional=false":   0x3e4b8cfcd2bc9cc2,
+	"list/t4/cap0/adaptive=false/positional=true":    0x449c37b195988127,
+	"list/t4/cap0/adaptive=true/positional=false":    0x3e4b8cfcd2bc9cc2,
+	"list/t4/cap0/adaptive=true/positional=true":     0xea2349e851d7eb7c,
+	"list/t4/cap50/adaptive=false/positional=false":  0xf40281ed5870cdb6,
+	"list/t4/cap50/adaptive=false/positional=true":   0xa6256978b43cc03d,
+	"list/t4/cap50/adaptive=true/positional=false":   0xf40281ed5870cdb6,
+	"list/t4/cap50/adaptive=true/positional=true":    0xdd8c9fb7974ff608,
+	"list/t4/cap600/adaptive=false/positional=false": 0xf2857e1916bbfabd,
+	"list/t4/cap600/adaptive=false/positional=true":  0xcb0766a0b3dae9b4,
+	"list/t4/cap600/adaptive=true/positional=false":  0xf2857e1916bbfabd,
+	"list/t4/cap600/adaptive=true/positional=true":   0xfcae4ec6c9c80adf,
+	"list/t8/cap0/adaptive=false/positional=false":   0x71ac6deff81b1154,
+	"list/t8/cap0/adaptive=false/positional=true":    0xa80f39b4b50ea991,
+	"list/t8/cap0/adaptive=true/positional=false":    0x71ac6deff81b1154,
+	"list/t8/cap0/adaptive=true/positional=true":     0x8a5b17143d79998d,
+	"list/t8/cap50/adaptive=false/positional=false":  0xba81ba704760f1e2,
+	"list/t8/cap50/adaptive=false/positional=true":   0xf620eb676ab07bb6,
+	"list/t8/cap50/adaptive=true/positional=false":   0x48156c01ee9cfb87,
+	"list/t8/cap50/adaptive=true/positional=true":    0x75978df1ffc48ffc,
+	"list/t8/cap600/adaptive=false/positional=false": 0xae766426327f4fbc,
+	"list/t8/cap600/adaptive=false/positional=true":  0x6968256e10dc94a7,
+	"list/t8/cap600/adaptive=true/positional=false":  0xa7c670cc37091388,
+	"list/t8/cap600/adaptive=true/positional=true":   0x7af3cc6afa106e1d,
+}

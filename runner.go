@@ -43,7 +43,7 @@ type Runner[S comparable, A any] struct {
 
 	// pend accumulates the in-flight invocation's counter deltas. All
 	// counter updates happen on the invoking goroutine (the scheduler
-	// resolves chains and recovery rounds there), so pend needs no
+	// resolves every round's chain there), so pend needs no
 	// synchronization; Run publishes it into stats in one step on every
 	// exit path, making each invocation atomic to snapshot readers (see
 	// runnerStats).
@@ -170,8 +170,8 @@ func (r *Runner[S, A]) run(ctx context.Context, start S, loadAware bool) (A, err
 }
 
 // runInvocation executes one invocation. The invocation's counter
-// deltas (accumulated in r.pend by the scheduler and recovery layers)
-// are published in one step on every exit path.
+// deltas (accumulated in r.pend by the scheduler) are published in one
+// step on every exit path.
 func (r *Runner[S, A]) runInvocation(ctx context.Context, start S, loadAware bool) (A, error) {
 	if !r.running.CompareAndSwap(false, true) {
 		panic("spice: concurrent Run on a single Runner (wrap the loop in a Pool)")
@@ -366,8 +366,8 @@ func (r *Runner[S, A]) reset() {
 	r.seqCands = cands[:0]
 	// And the scheduler's full slot set: the per-invocation release
 	// covers only the last round's width, while a session handoff must
-	// scrub memo buffers and any wider slots a recovery round dirtied
-	// long ago.
+	// scrub memo buffers and any wider slots a later round dirtied long
+	// ago.
 	r.sched.purge()
 	// Restore the construction-time cell binding and drop the direct
 	// view's store reference: a session-scoped BindCells must not leak

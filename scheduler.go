@@ -9,13 +9,17 @@ import (
 	"spice/internal/rt"
 )
 
-// This file is the scheduler layer: chunk planning, the validation
-// chain, and commit/squash bookkeeping, extracted from the former
-// monolithic Runner.Run. The scheduler owns every per-invocation buffer
-// (chunk results, jobs, works, memos) and reuses them across
-// invocations, so the steady-state parallel path allocates nothing —
-// including the v2 failure plumbing: ctx polling, the abort barrier and
-// per-chunk error slots all live in preallocated state.
+// This file is the scheduler layer. An invocation is one loop over
+// rounds (scheduler.run): seed slot 0 at the live position and one
+// speculative slot per row of the round's chain, launch and join them
+// (dispatchRound), walk the validation chain once — commit the prefix,
+// squash the rest — and, if the walk stopped on a capped chunk or a
+// read/write-set conflict, go round again from that position. The
+// scheduler owns every per-invocation buffer (chunk results, jobs,
+// plans, works, memos) and reuses them across rounds and invocations,
+// so the steady-state parallel path allocates nothing — including the
+// failure plumbing: ctx polling, the abort barrier and per-chunk error
+// slots all live in preallocated state.
 //
 // Block-structure invariants (chunkJob.run and blockloop.go): a chunk
 // executes in bounded blocks whose length is the distance to the
@@ -48,9 +52,8 @@ import (
 // abort-barrier, ctx-poll and panic-containment semantics are
 // unchanged because chunk 0 runs the same chunkJob.exec.
 //
-// Primary and recovery rounds share one launch-and-join,
-// dispatchRound, which is the invoker's side of the handoff protocol
-// in the executor.go header: arm each slot's claim word and submit it,
+// dispatchRound is the invoker's side of the handoff protocol in the
+// executor.go header: arm each slot's claim word and submit it,
 // run chunk 0, reclaim (run every chunk no worker has claimed yet),
 // join (spin on the latch for as long as the invoker's own share just
 // took, then park), and publish the workers' lease from the measured
@@ -75,8 +78,8 @@ import (
 //     submit) and read-only while the round runs, apart from one
 //     compare-and-swap on the claim word per contender; read-sharing
 //     is free, so jobs carry no padding.
-//   - works/memos/dispRows/admitBuf/used/lease are touched only by the
-//     invoking goroutine, strictly outside the window in which workers
+//   - works/memos/plans/dispRows/admitBuf/used/lease are touched only by
+//     the invoking goroutine, strictly outside the window in which workers
 //     run (dispatch before, chain resolution after the latch wait) —
 //     never concurrently with chunk execution.
 //   - Per-runner stats (runner.pend) accumulate on the invoking
@@ -412,10 +415,9 @@ type scheduler[S comparable, A any] struct {
 	jobs     []chunkJob[S, A]
 	works    []int64
 	memos    []memo[S]
-	candBuf  []int         // recovery candidate row indices
-	recPlans [][]planEntry // recovery per-chunk plan buffers
-	dispRows []int         // dispatch chain: SVA row behind each speculative slot
-	admitBuf []int         // valid+admitted rows scratch for planDispatch
+	plans    [][]planEntry // per-slot memoization plans of the current round
+	dispRows []int         // round 0's chain: SVA row behind each speculative slot
+	admitBuf []int         // admitted rows: planDispatch's input, a later round's chain
 	// DOACROSS state, armed per invocation by armCells: the bound cell
 	// store, the loop's reduction declarations, and one CellView per
 	// dispatch slot (allocated on first speculative invocation; DOALL
@@ -427,11 +429,11 @@ type scheduler[S comparable, A any] struct {
 	reds  []Reduction
 	views []CellView
 	// used is the number of job/result/works slots the most recent
-	// round dirtied (including recovery rounds, which can fan wider
-	// than the primary dispatch). The next round resets only these
-	// slots plus its own, so a narrow adaptive width does not pay a
-	// full-threads sweep per invocation — and stale slots still cannot
-	// leak into squash accounting or LastWorks.
+	// invocation dirtied (its widest round: later rounds can fan wider
+	// than round 0). The next invocation resets only these slots plus
+	// its own, so a narrow adaptive width does not pay a full-threads
+	// sweep per invocation — and stale slots still cannot leak into
+	// squash accounting or LastWorks.
 	used int
 	// lease is the runner's inter-round gap history behind the workers'
 	// lease (executor.go).
@@ -462,11 +464,15 @@ func newScheduler[S comparable, A any](threads int) *scheduler[S, A] {
 		results:  make([]chunkResult[S, A], threads),
 		jobs:     make([]chunkJob[S, A], threads),
 		works:    make([]int64, threads),
+		plans:    make([][]planEntry, threads),
 		dispRows: make([]int, 0, threads),
 		admitBuf: make([]int, 0, threads),
 	}
 	s.lat.init()
 	for j := range s.jobs {
+		// Presized (a plan has at most threads-1 entries), so a round of
+		// any width plans without allocating from the first invocation on.
+		s.plans[j] = make([]planEntry, 0, threads)
 		s.jobs[j].res = &s.results[j]
 		s.jobs[j].lat = &s.lat
 		s.jobs[j].idx = j
@@ -668,10 +674,23 @@ func (s *scheduler[S, A]) dispatchRound(r *Runner[S, A], ctx context.Context, n 
 	return dispatchErr
 }
 
-// planDispatch selects the invocation's speculative dispatch chain:
-// the SVA rows that are valid, clear the adaptive confidence gate (all
-// valid rows when the gate is off or the invocation is a probe), and
-// fit the effective width. When more rows qualify than eff-1 slots, the
+// admitted collects, in row order, the rows from index from on that are
+// valid and clear the adaptive confidence gate (every valid row when the
+// gate is off or the invocation is a probe) — the rows a round may
+// speculate on. The result lives in s.admitBuf until the next call.
+func (s *scheduler[S, A]) admitted(r *Runner[S, A], rows []row[S], from int, probe bool) []int {
+	adm := s.admitBuf[:0]
+	for k := from; k < len(rows); k++ {
+		if rows[k].valid && r.admitRow(k, probe) {
+			adm = append(adm, k)
+		}
+	}
+	s.admitBuf = adm
+	return adm
+}
+
+// planDispatch selects round 0's chain: the admitted rows, thinned to
+// the effective width. When more rows qualify than eff-1 slots, the
 // picks are spread evenly across the qualifying rows so the chunks stay
 // roughly balanced at reduced width. The chain is stored in s.dispRows
 // (slot i>0 starts from rows[s.dispRows[i-1]] and hunts
@@ -679,13 +698,7 @@ func (s *scheduler[S, A]) dispatchRound(r *Runner[S, A], ctx context.Context, n 
 // A return of 1 means nothing is worth speculating on — the caller runs
 // sequentially instead of burning workers on doomed chunks.
 func (s *scheduler[S, A]) planDispatch(r *Runner[S, A], rows []row[S], eff int, probe bool) int {
-	adm := s.admitBuf[:0]
-	for k := range rows {
-		if rows[k].valid && r.admitRow(k, probe) {
-			adm = append(adm, k)
-		}
-	}
-	s.admitBuf = adm
+	adm := s.admitted(r, rows, 0, probe)
 	keep := s.dispRows[:0]
 	if len(adm) <= eff-1 {
 		keep = append(keep, adm...)
@@ -704,251 +717,269 @@ func (s *scheduler[S, A]) planDispatch(r *Runner[S, A], rows []row[S], eff int, 
 	return len(keep) + 1
 }
 
-// run executes one parallel invocation: dispatch one chunk per chained
-// prediction (the dispatch plan built by planDispatch) onto the
-// executor, resolve the validation chain, commit the valid prefix,
-// squash the rest, and recover any capped remainder in parallel. A
-// failed invocation (body error, contained panic, or ctx cancellation)
-// returns the zero accumulator and the failure of the earliest chunk in
-// iteration order; the predictor keeps its previous memoizations so the
-// next invocation still speculates. The middle return is the adaptive
-// controller's feedback signal: whether any squashed chunk was judged a
-// genuine misprediction (cap-artifact squashes are excluded — see the
-// confidence-verdict section).
+// run executes one parallel invocation as a loop over rounds. A round
+// seeds slot 0 at the live (state, global position) — architecturally
+// correct, never capped — and one speculative slot per row of its
+// chain, each hunting the next row's predicted start; launches and
+// joins them; then walks the chain once: the prefix up to the first
+// chunk that did not stop on its successor's start commits at exact
+// global positions, everything after it is squashed. If the walk
+// stopped on a capped chunk or on a read/write-set conflict, the next
+// round resumes from that chunk's stop state (the conflicting chunk's
+// validated start) over the admitted rows not yet passed; otherwise the
+// invocation is done. Round 0 is the same code from (start, 0) over the
+// n-slot chain planDispatch left in s.dispRows. The squashed workers
+// are thereby re-seeded rather than the remainder serialized, and every
+// chunk carries plan entries anchored at its global position, so the
+// predictor re-memoizes along the way and the next invocation's split
+// stays balanced.
+//
+// A failed invocation (body error, contained panic, or ctx
+// cancellation) returns the zero accumulator and the failure of the
+// earliest chunk in iteration order; the predictor keeps its previous
+// memoizations so the next invocation still speculates. The middle
+// return is the adaptive controller's feedback signal: whether any
+// squashed chunk was judged a genuine misprediction.
 func (s *scheduler[S, A]) run(r *Runner[S, A], ctx context.Context, start S, rows []row[S], n int, probe bool) (A, bool, error) {
-	cap64 := r.pred.specCap(r.cfg.MaxSpecIters)
+	specCap := r.pred.specCap(r.cfg.MaxSpecIters)
+	cap64 := specCap
 	if probe {
 		cap64 = rt.ProbeSpecCap(cap64, r.pred.prevTotal, n)
 	}
-	disp := s.dispRows
 	var zero A
 
-	// --- Dispatch ----------------------------------------------------
-	// Reset only the slots this round touches plus whatever the
-	// previous round dirtied (s.used): at narrow adaptive width the
-	// full-threads sweep is skipped, and stale wider-round slots still
-	// cannot leak into squash accounting or LastWorks.
+	// Reset only the slots this invocation's first round touches plus
+	// whatever the previous invocation dirtied (s.used): at narrow
+	// adaptive width the full-threads sweep is skipped, and stale wider
+	// slots still cannot leak into squash accounting or LastWorks.
 	dirty := max(n, s.used)
 	clear(s.works[:dirty])
 	for j := 0; j < dirty; j++ {
 		s.results[j].active = false
 	}
 	s.used = n
-	for i := 0; i < n; i++ {
-		startState := start
-		var posBase int64
-		planIdx := 0
-		if i > 0 {
-			k := disp[i-1]
-			startState = rows[k].start
-			posBase = rows[k].pos
-			planIdx = k + 1
-		}
-		ownRow := -1
-		var snap *row[S]
-		if i < n-1 {
-			ownRow = disp[i]
-			snap = &rows[ownRow]
-		}
-		s.jobs[i].reset(r, ctx, startState, snap, ownRow, i > 0, r.pred.planFor(planIdx), posBase, cap64)
-	}
-	dispatchErr := s.dispatchRound(r, ctx, n)
+	s.memos = s.memos[:0]
 	defer s.release()
 
-	// --- Validation chain --------------------------------------------
-	// Chunk i+1 is validated by chunk i stopping on a match. The prefix
-	// up to the first non-matching chunk commits; everything after is
-	// squashed. DOACROSS adds a second validation layered before the
-	// membership one can surface anything about chunk i: its read-set is
-	// checked against the writes of every logically-earlier committed
-	// chunk (drained incrementally as the walk commits them, so the
-	// union is exact at each step). The conflict check is ordered before
-	// even the chunk's own error — a conflicted chunk consumed stale
-	// values, so its error (like its accumulator) is invalid and must be
-	// discarded with it, not surfaced.
-	acc := r.loop.Init()
+	chain := s.dispRows // row behind each speculative slot of this round
+	next := 0           // first row a later round may speculate on
+	cur, pos := start, int64(0)
+	var acc A
 	committed := false
-	ncommit := 0
-	f := 0
-	needRecovery := false
-	conflictAt := -1
-	var runErr error
-	var tailEnd S
-	for i := 0; i < n; i++ {
-		res := &s.results[i]
-		if !res.active {
-			f = i
-			// Undispatched: dispatch was cut short by cancellation after
-			// the predecessor matched into a region that never ran — the
-			// invocation fails with the dispatch-time ctx error. (The
-			// dispatch plan has no gaps, so unlike a cancelled dispatch
-			// an exhausted chain always stops the walk on a non-matching
-			// chunk before reaching an inactive slot.)
-			runErr = dispatchErr
-			break
+	misspec, verdictMiss := false, false
+	last, round0 := 0, int64(0) // last slot round 0 committed; iterations it committed
+	for round := 0; ; round++ {
+		if round > 0 {
+			// A deadline cannot be ignored by later rounds: each re-checks
+			// ctx before dispatching and its chunks poll while running.
+			if err := ctx.Err(); err != nil {
+				return zero, false, err
+			}
+			// Fault-injection site: an injected Err/Cancel between rounds
+			// aborts the invocation in the exact window where partial
+			// commits and re-planned chunks coexist.
+			if err := r.cfg.Faults.Check(faults.RecoveryRound); err != nil {
+				return zero, false, err
+			}
+			r.pend.Recoveries++
+			// Later rounds speculate on every admitted row still ahead —
+			// possibly wider than round 0, which was thinned to the
+			// effective width — under the full cap (only round 0 of a
+			// probe runs under the reduced one).
+			chain = s.admitted(r, rows, next, probe)
+			n = 1 + len(chain)
+			s.used = max(s.used, n)
+			cap64 = specCap
 		}
-		if s.cells != nil && i > 0 && s.views[i].conflicted() {
-			// Flow-dependence violation: chunk i read a cell an earlier
-			// chunk wrote. Its start was validated (chunk i-1 matched it),
-			// so the region re-executes from that exact state through
-			// recovery; the chunk and everything after it are squashed.
-			conflictAt = i
-			f = i - 1
-			needRecovery = true
-			tailEnd = s.jobs[i].start
-			break
+
+		// --- Seed ----------------------------------------------------
+		// Each chunk plans from its (predicted) global position — slot
+		// 0's is exact. Only balance depends on the prediction;
+		// correctness comes from the validation chain.
+		for i := 0; i < n; i++ {
+			st, posBase := cur, pos
+			if i > 0 {
+				st, posBase = rows[chain[i-1]].start, rows[chain[i-1]].pos
+			}
+			ownRow := -1
+			var snap *row[S]
+			if i < n-1 {
+				ownRow = chain[i]
+				snap = &rows[ownRow]
+			}
+			s.plans[i] = r.pred.planFromPosition(max(pos, posBase), s.plans[i][:0])
+			s.jobs[i].reset(r, ctx, st, snap, ownRow, i > 0, s.plans[i], posBase, cap64)
 		}
-		if res.err != nil {
-			// Chunks 0..i-1 all matched, so chunk i's iterations are
-			// exactly the sequential continuation and its failure is the
-			// first in iteration order. (errChunkAborted cannot reach
-			// here: an aborted chunk always sits behind the failed chunk
-			// that lowered the barrier, and the walk stops there first.)
-			f = i
-			runErr = res.err
+		dispatchErr := s.dispatchRound(r, ctx, n)
+
+		// --- Validation chain ----------------------------------------
+		// Chunk i+1 is validated by chunk i stopping on a match. DOACROSS
+		// layers a second validation before the membership one can
+		// surface anything about chunk i: its read-set is checked against
+		// the writes of every logically-earlier committed chunk of the
+		// invocation (drained incrementally as the walk commits them, so
+		// the union is exact at each step). The conflict check is ordered
+		// before even the chunk's own error — a conflicted chunk consumed
+		// stale values, so its error (like its accumulator) is invalid
+		// and must be discarded with it, not surfaced.
+		f := 0 // slot the walk stopped on: the last committed, or the failed one
+		conflictAt := -1
+		var runErr error
+		for i := 0; i < n; i++ {
+			res := &s.results[i]
+			if !res.active {
+				// Undispatched: dispatch was cut short by cancellation and
+				// the chain matched its way to a chunk that never started —
+				// the invocation fails with the dispatch-time ctx error.
+				// (A chain has no gaps, so an exhausted one always stops
+				// the walk on a non-matching chunk before an inactive slot.)
+				f, runErr = i, dispatchErr
+				break
+			}
+			if s.cells != nil && i > 0 && s.views[i].conflicted() {
+				// Flow-dependence violation: chunk i read a cell an earlier
+				// chunk wrote. Its start was validated (chunk i-1 matched
+				// it), so the region re-executes from that exact state next
+				// round; the chunk and everything after it are squashed.
+				conflictAt = i
+				break
+			}
+			if res.err != nil {
+				// Chunks 0..i-1 all matched, so chunk i's iterations are
+				// exactly the sequential continuation and its failure is the
+				// first in iteration order. (errChunkAborted cannot reach
+				// here: an aborted chunk always sits behind the failed chunk
+				// that lowered the barrier, and the walk stops there first.)
+				f, runErr = i, res.err
+				if s.cells != nil {
+					// Sequential execution would have applied the failing
+					// run's cell writes up to the failure point; drain the
+					// partial buffer so the store matches it exactly.
+					s.views[i].drain()
+				}
+				break
+			}
+			if committed {
+				acc = r.loop.Merge(acc, res.acc)
+			} else {
+				acc, committed = res.acc, true
+			}
 			if s.cells != nil {
-				// Sequential execution would have applied the failing
-				// run's cell writes up to the failure point; drain the
-				// partial buffer so the store matches it exactly.
 				s.views[i].drain()
 			}
-			break
+			for _, pr := range res.props {
+				s.memos = append(s.memos, memo[S]{row: pr.row, state: pr.state, pos: pos + pr.local})
+			}
+			pos += res.work
+			if round == 0 {
+				s.works[i] = res.work
+			} else {
+				r.pend.RecoveryChunks++
+			}
+			f = i
+			if !res.matched {
+				break
+			}
 		}
-		if committed {
-			acc = r.loop.Merge(acc, res.acc)
-		} else {
-			acc = res.acc
-			committed = true
-		}
-		if s.cells != nil {
-			s.views[i].drain()
-		}
-		s.works[i] = res.work
-		ncommit = i + 1
-		f = i
-		if !res.matched {
-			// A capped valid chunk stopped early: its region remains.
-			needRecovery = res.capped
-			tailEnd = res.endState
-			break
-		}
-	}
 
-	// --- Squash ------------------------------------------------------
-	var squashed int64
-	misspec := false
-	for i := f + 1; i < n; i++ {
-		if s.results[i].active {
-			squashed += s.results[i].work
-			misspec = true
+		// --- Squash --------------------------------------------------
+		// Squash and conflict counters stay even if the invocation fails
+		// later: the work was done and discarded either way.
+		var squashed int64
+		for i := f + 1; i < n; i++ {
+			if s.results[i].active {
+				squashed += s.results[i].work
+				misspec = true
+			}
 		}
-	}
-	if conflictAt >= 0 {
-		// One conflict event; every iteration it squashed (the
-		// conflicting chunk and everything after it) is both a squashed
-		// and a conflict-discarded iteration, so ConflictIters stays a
-		// subset of SquashedIters by construction.
-		r.pend.Conflicts++
-		r.pend.ConflictIters += squashed
-	}
-	if runErr != nil {
-		// The invocation failed: the failing chunk's partial work is
-		// discarded with everything after it. Memoizations are not
-		// applied — the predictor keeps its last good rows — and no
-		// hit/miss verdicts are recorded: an aborted chunk's squash says
-		// nothing about its prediction.
-		if s.results[f].active {
-			squashed += s.results[f].work
-		}
-		if squashed > 0 {
-			r.pend.SquashedIters += squashed
-		}
-		return zero, false, runErr
-	}
-
-	// --- Confidence verdicts -----------------------------------------
-	// Committed speculative chunks resolve their row's prediction as a
-	// hit. Squashed chunks are misses only when the chain broke on a
-	// chunk that ran out of traversal — the successor's start genuinely
-	// never appeared. Behind a *capped* chunk the squash is a capacity
-	// artifact (the breaking chunk simply was not allowed to walk far
-	// enough to validate), so those rows' verdicts are deferred to the
-	// recovery rounds, which retry them from an architecturally correct
-	// position. Without this distinction a tight MaxSpecIters would
-	// read as sustained misprediction and demote a perfectly
-	// predictable workload. A conflict squash is likewise no miss: the
-	// prediction was right (the chunk's start was validated) — the data
-	// raced, which the controller hears separately via the Conflicts
-	// counter (needRecovery is always set on conflict, so the branch
-	// below already withholds the miss).
-	verdictMiss := false
-	for i := 1; i < n; i++ {
-		if !s.results[i].active {
-			break
-		}
-		if i < ncommit {
-			r.noteHit(disp[i-1], s.jobs[i].reclaimed)
-		} else if !needRecovery {
-			r.noteMiss(disp[i-1], s.jobs[i].reclaimed)
-			verdictMiss = true
-		}
-	}
-
-	// --- Commit memoizations (global coordinates) --------------------
-	s.memos = s.memos[:0]
-	var prefix int64
-	for i := 0; i < ncommit; i++ {
-		for _, pr := range s.results[i].props {
-			s.memos = append(s.memos, memo[S]{row: pr.row, state: pr.state, pos: prefix + pr.local})
-		}
-		prefix += s.works[i]
-	}
-	totalWork := prefix
-
-	// --- Parallel squash recovery ------------------------------------
-	if needRecovery {
-		// The broken chunk was hunting a row recovery should retry: on a
-		// cap break that is chunk f hunting disp[f]; on a conflict it is
-		// the conflicting chunk hunting disp[conflictAt] (re-execution
-		// resumes from its validated start state). Nothing is hunted when
-		// the broken chunk was the snap-less last chunk of the chain.
-		brokenRow := len(rows)
 		if conflictAt >= 0 {
-			if conflictAt < n-1 {
-				brokenRow = disp[conflictAt]
-			}
-		} else if f < n-1 {
-			brokenRow = disp[f]
+			// One conflict event; every iteration it squashed (the
+			// conflicting chunk and everything after it) is both a squashed
+			// and a conflict-discarded iteration, so ConflictIters stays a
+			// subset of SquashedIters by construction.
+			r.pend.Conflicts++
+			r.pend.ConflictIters += squashed
 		}
-		recAcc, recWork, recSquash, recMiss, recErr := r.recoverParallel(ctx, tailEnd, totalWork, brokenRow, rows, probe)
-		if recErr != nil {
-			// Same accounting as a primary-round failure: the primary
-			// round's squashes are real even though the invocation dies.
-			if squashed > 0 {
-				r.pend.SquashedIters += squashed
-			}
-			return zero, verdictMiss, recErr
+		if runErr != nil && s.results[f].active {
+			squashed += s.results[f].work // the failing chunk's partial work
 		}
-		acc = r.loop.Merge(acc, recAcc)
-		s.works[f] += recWork
-		totalWork += recWork
-		misspec = misspec || recSquash
-		verdictMiss = verdictMiss || recMiss
-		r.pend.TailIters += recWork
+		r.pend.SquashedIters += squashed
+		if runErr != nil {
+			// Memoizations are not applied — the predictor keeps its last
+			// good rows — and the round records no hit/miss verdicts: an
+			// aborted chunk's squash says nothing about its prediction.
+			return zero, false, runErr
+		}
+		if round == 0 {
+			last, round0 = f, pos
+		}
+
+		// --- Confidence verdicts -------------------------------------
+		// Committed speculative chunks resolve their row's prediction as
+		// a hit. Squashed chunks are misses only when the chain broke on
+		// a chunk that ran out of traversal — the successor's start
+		// genuinely never appeared. Behind a *capped* chunk the squash is
+		// a capacity artifact (the breaking chunk simply was not allowed
+		// to walk far enough to validate), so those rows' verdicts are
+		// deferred to the next round, which retries them from an
+		// architecturally correct position. Without this distinction a
+		// tight MaxSpecIters would read as sustained misprediction and
+		// demote a perfectly predictable workload. A conflict squash is
+		// likewise no miss: the prediction was right (the chunk's start
+		// was validated) — the data raced, which the controller hears
+		// separately via the Conflicts counter. Slots cancellation left
+		// undispatched resolved nothing and get no verdict.
+		again := conflictAt >= 0 || s.results[f].capped
+		for i := 1; i < n && s.results[i].active; i++ {
+			if i <= f {
+				r.noteHit(chain[i-1], s.jobs[i].reclaimed)
+			} else if !again {
+				r.noteMiss(chain[i-1], s.jobs[i].reclaimed)
+				verdictMiss = true
+			}
+		}
+		if !again {
+			break // the last committed chunk reached the end of the traversal
+		}
+
+		// --- Next round's position and first row ---------------------
+		// The hunter is the chunk the walk broke on: the capped chunk
+		// (resume from its stop state) or the conflicting chunk (resume
+		// from its validated start). The row it was hunting heads the next
+		// chain — the chunk may simply have capped before reaching it —
+		// but gets that retry once: a later round that caps short of it
+		// again drops it. After a conflict it is always retried. A
+		// snap-less last chunk hunted nothing. Every continuing round
+		// commits at least cap iterations or moves past a row, so the
+		// loop terminates on any finite traversal.
+		hunter := f
+		cur = s.results[f].endState
+		if conflictAt >= 0 {
+			hunter = conflictAt
+			cur = s.jobs[hunter].start
+		}
+		next = len(rows)
+		if hunter < n-1 {
+			next = chain[hunter]
+			if round > 0 && conflictAt < 0 {
+				next++
+			}
+		}
 	}
 
 	// --- Bookkeeping -------------------------------------------------
-	// MisspecInvocations keeps its historical any-squash semantics; the
-	// returned flag is the controller's refined signal (verdict-based
-	// misses only).
-	r.pend.TotalIters += totalWork
-	if squashed > 0 {
-		r.pend.SquashedIters += squashed
-	}
+	// Later rounds' iterations are charged to the last slot round 0
+	// committed. MisspecInvocations keeps its historical any-squash
+	// semantics; the returned flag is the controller's refined signal
+	// (verdict-based misses only).
+	tail := pos - round0
+	s.works[last] += tail
+	r.pend.TailIters += tail
+	r.pend.TotalIters += pos
 	if misspec {
 		r.pend.MisspecInvocations++
 	}
-	r.pred.apply(totalWork, s.memos)
+	r.pred.apply(pos, s.memos)
 	r.pendWorks = true
 	return acc, verdictMiss, nil
 }

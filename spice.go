@@ -20,8 +20,10 @@
 //   - predictor: the memoized chunk-start states (SVA) and the
 //     BalancedChunks planner deciding where the next invocation
 //     memoizes.
-//   - scheduler: per-invocation chunk dispatch, the validation chain,
-//     commit/squash bookkeeping, and parallel squash recovery.
+//   - scheduler: an invocation as a loop over rounds — chunk dispatch,
+//     the validation chain, commit/squash bookkeeping, and another
+//     round from the live position when a chunk capped or conflicted
+//     (parallel squash recovery).
 //   - executor: a fixed pool of persistent worker goroutines, one
 //     bounded run queue per worker with steal-half work stealing
 //     between them; no goroutine is spawned per invocation.
@@ -263,9 +265,10 @@ func (c Config) validate() error {
 	return nil
 }
 
-// Stats reports accumulated Runner (or aggregated Pool) behaviour. All
-// counters are updated atomically; snapshots are safe to take while
-// invocations run.
+// Stats reports accumulated Runner (or aggregated Pool) behaviour. An
+// invocation's counters are published together, once, when it finishes;
+// snapshots are safe to take while invocations run and see every
+// invocation either entirely or not at all.
 type Stats struct {
 	// Invocations counts Run calls.
 	Invocations int64
@@ -274,17 +277,19 @@ type Stats struct {
 	MisspecInvocations int64
 	// SquashedIters counts discarded speculative iterations.
 	SquashedIters int64
-	// TailIters counts iterations committed outside the primary parallel
-	// chunks, i.e. by recovery after a capped valid chunk.
+	// TailIters counts iterations committed by rounds after an
+	// invocation's first, i.e. by recovery after a capped valid chunk or
+	// a read/write-set conflict.
 	TailIters int64
 	// TotalIters counts committed iterations.
 	TotalIters int64
-	// Recoveries counts parallel squash-recovery rounds: after a
-	// validation-chain break on a capped chunk, the remainder is
+	// Recoveries counts parallel squash-recovery rounds — every round of
+	// an invocation after its first: when the validation chain breaks on
+	// a capped chunk or on a read/write-set conflict, the remainder is
 	// re-planned onto fresh parallel chunks instead of running on one
 	// goroutine.
 	Recoveries int64
-	// RecoveryChunks counts chunks committed by recovery rounds.
+	// RecoveryChunks counts chunks committed by those rounds.
 	RecoveryChunks int64
 	// Hits counts speculative chunks whose predicted start was
 	// validated and whose work committed.
