@@ -865,3 +865,51 @@ func BenchmarkDoacross(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkCellViewCommit measures the one commit routine on its own,
+// per written cell: the serial work the invoker does for every chunk it
+// retires. dense is doacross_cells' shape (a contiguous run, every
+// block full: the whole-block copy), scatter spreads the same number of
+// writes over a 1M-cell store (a few bits per block, and the pass over
+// the per-block flags shows), hot8 is the circuit sweep's (eight cells
+// of an 81-cell store). One later view with reads in other cells is
+// probed each time. Committing does not disarm a view, so the loop
+// re-commits the same armed one; 0 allocs/op is gated in CI.
+func BenchmarkCellViewCommit(b *testing.B) {
+	const writes = 50_000
+	perm := rand.New(rand.NewSource(5)).Perm(1 << 20)
+	run := make([]int, 2*writes)
+	for i := range run {
+		run[i] = i
+	}
+	for _, tc := range []struct {
+		name          string
+		size          int
+		stores, loads []int // disjoint: the later view never conflicts
+	}{
+		{"dense", 2 * writes, run[:writes], run[writes:]},
+		{"scatter", 1 << 20, perm[:writes], perm[writes : 2*writes]},
+		{"hot8", 81, []int{3, 9, 17, 33, 40, 64, 71, 80}, []int{4, 10, 18, 34, 41, 65, 72, 79}},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			c := NewCells(tc.size)
+			views := make([]CellView, 2)
+			views[0].begin(c, nil)
+			views[1].begin(c, nil)
+			for _, i := range tc.stores {
+				views[0].Store(i, int64(i))
+			}
+			for _, i := range tc.loads {
+				views[1].Load(i)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if views[0].commit(views[1:]) != 1 {
+					b.Fatal("conflict where no read meets a write")
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(tc.stores)), "ns_cell")
+		})
+	}
+}

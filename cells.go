@@ -1,5 +1,7 @@
 package spice
 
+import "math/bits"
+
 // This file is the native runtime's speculative memory: the DOACROSS
 // counterpart of the simulator's internal/specmem. A Loop whose body
 // reads and writes loop-carried state declares a Cells store; each
@@ -7,21 +9,28 @@ package spice
 // forwards the chunk's own stores to its own loads (store-to-load
 // forwarding), records every fall-through read in a read-set, and
 // holds every store in a write buffer until the scheduler commits the
-// chunk. At commit time the scheduler validates each speculative
-// chunk's read-set against the union of all logically-earlier chunks'
-// committed writes (Section 3's conflict detection): a chunk that read
-// a cell an earlier chunk wrote consumed a stale value, so it is
-// squashed together with everything after it and the region re-executes
-// through the ordinary recovery rounds. Only flow dependences conflict;
-// anti- and output dependences are satisfied for free by the in-order
-// drain of buffered writes.
+// chunk. Validation runs from the writer's side (Section 3's conflict
+// detection, turned around): as the scheduler commits a chunk it checks
+// that chunk's write-set against the read-set of every logically-later
+// chunk of the same round. A chunk that read a cell an earlier chunk
+// of its round wrote consumed a stale value, so it is squashed together
+// with everything after it and the region re-executes in the next
+// round. What earlier rounds committed was in the store before the
+// chunk started and cannot conflict, which is why only the round's own
+// views are ever compared. Only flow dependences conflict; anti- and
+// output dependences are satisfied for free by the in-order commit of
+// buffered writes.
 //
 // Unlike specmem.Buffer (maps, per-run allocation), a CellView is
-// allocation-free in steady state: the read/write sets are
-// epoch-stamped direct-mapped arrays sized to the store, reset by a
-// single epoch bump per chunk, with side index lists making conflict
-// checks and commit drains proportional to the chunk's actual access
-// footprint, not the store size.
+// allocation-free in steady state. The store is cut into blocks of 64
+// cells; a view keeps one read-set word and one write-set word per
+// block (a bit per cell), one byte per block that says the block was
+// touched at all, and the buffered values. Load and Store are a bit
+// test and, the first time a cell is touched, a bit set. Arm and commit
+// cost one pass over the per-block bytes plus work per touched block: a
+// fully written block is committed by one 64-cell copy, and any block
+// is validated by one AND per later chunk. Neither walks a list of
+// cells or the store. A view costs 8 bytes and 2 bits per cell.
 //
 // Reductions (the paper's Section 4 / internal/reduction) ride the same
 // store: a Loop declares reduction cells with their kinds, the body
@@ -129,23 +138,14 @@ type Reduction struct {
 // the loop-carried state that survives across invocations: between
 // invocations the caller reads and writes it freely with At/Set; during
 // an invocation the runtime owns it (chunks buffer their writes and the
-// scheduler drains committed chunks in order), so the caller must not
-// touch it and at most one invocation may run against a store at a
-// time. A Pool caller binds a store per session (Session.BindCells) —
-// sessions already serialize invocations per structure, which is
-// exactly the discipline Cells needs.
+// scheduler commits them in chunk order), so the caller must not touch
+// it and at most one invocation may run against a store at a time. A
+// Pool caller binds a store per session (Session.BindCells) — sessions
+// already serialize invocations per structure, which is exactly the
+// discipline Cells needs. The store carries no speculation state of its
+// own: read- and write-sets live in the views.
 type Cells struct {
 	words []int64
-	// wunion stamps each cell with the tick of the dispatch round whose
-	// commit last wrote it. A chunk's fall-through read conflicts only
-	// with writes committed at or after the round the chunk ran in
-	// (wunion[i] >= view.startTick): writes drained by *earlier* rounds
-	// were in the store before the chunk started, so the chunk read the
-	// committed value and is correct. The monotone tick makes previous
-	// invocations' stamps vanish by comparison alone (cleared only on
-	// uint32 wrap).
-	wunion []uint32
-	tick   uint32
 }
 
 // NewCells creates a store of n zeroed cells.
@@ -153,7 +153,7 @@ func NewCells(n int) *Cells {
 	if n < 0 {
 		n = 0
 	}
-	return &Cells{words: make([]int64, n), wunion: make([]uint32, n)}
+	return &Cells{words: make([]int64, n)}
 }
 
 // Size returns the number of cells.
@@ -165,100 +165,107 @@ func (c *Cells) At(i int) int64 { return c.words[i] }
 // Set writes cell i non-speculatively (between invocations).
 func (c *Cells) Set(i int, v int64) { c.words[i] = v }
 
-// beginRound opens a new dispatch-round generation, called before every
-// round of an invocation (dispatchRound). Chunks armed after the
-// bump validate only against writes this or a later round commits.
-func (c *Cells) beginRound() {
-	c.tick++
-	if c.tick == 0 {
-		clear(c.wunion)
-		c.tick = 1
-	}
-}
-
 // CellView is one chunk's window onto a Cells store. The runtime hands
 // a view to every SpecBody/SpecBodyErr call; the body uses Load, Store
 // and Reduce and never sees buffering, validation or squash — a
 // squashed chunk's buffered writes simply never reach the store.
 //
 // A view is confined to its chunk's goroutine during execution and to
-// the invoking goroutine during validation/commit; it needs (and has)
-// no internal locking. Out-of-range cell indices panic, which the
-// runtime contains like any body panic: in a committed-prefix chunk it
-// surfaces as *PanicError exactly as sequential execution would, and in
-// a squashed chunk it is discarded — the deferred-fault semantics of a
-// TLS memory system.
+// the invoking goroutine during arm and commit; it needs (and has) no
+// internal locking. Out-of-range cell indices panic in the body, before
+// the view records anything about them, and the runtime contains that
+// like any body panic: in a committed-prefix chunk it surfaces as
+// *PanicError exactly as sequential execution would, and in a squashed
+// chunk it is discarded — the deferred-fault semantics of a TLS memory
+// system.
 type CellView struct {
-	c   *Cells
-	red []Reduction
-
+	// The field order is measured, not incidental. The direct mode reads
+	// c, direct and the reduction fields on every access and never the
+	// buffers, and which of them sit before the buffers and which behind
+	// moved both direct-view readings of the benchmark, repeatably: with
+	// racc behind the buffers the dense-conflict histogram (a mixed-kind
+	// Reduce per node, mostly on the direct view) ran 13.4 ns/iter
+	// against 12.3 before the bitmaps and 11.4 in this order; with sums
+	// in front of them w1_overhead on circuit_transient (an all-Sum
+	// Reduce, 2–6 per device) read 1.50 against 1.48 before and 1.44 in
+	// this order (CHANGES.md, PR 14).
+	c *Cells
 	// direct marks the sequential execution mode (Runner.runSequential
 	// and width-1 fallbacks): loads and stores pass straight through to
 	// the store — the reference semantics the speculative mode must
 	// reproduce exactly. Reductions are privatized in this mode too.
 	direct bool
-	// record marks speculative chunks whose fall-through reads need
-	// read-set tracking. Chunk 0 of a round buffers (its writes must
-	// stay invisible to concurrently running chunks) but never
-	// conflicts — no logically-earlier chunk exists — so it skips the
-	// tracking.
-	record bool
-
-	// Epoch-stamped direct-mapped write buffer and read-set: mark[i] ==
-	// epoch means cell i is in this chunk's set. One epoch bump resets
-	// both sets in O(1); worder/rorder list the members so commit and
-	// conflict checks walk only the chunk's footprint.
-	epoch  uint32
-	wmark  []uint32
-	wval   []int64
-	rmark  []uint32
-	worder []int
-	rorder []int
-	// startTick is the store's round tick when this chunk was armed:
-	// conflicted() flags only union writes stamped at or after it.
-	startTick uint32
-
+	red    []Reduction
 	// racc holds the view's private reduction accumulators, one per
-	// declared Reduction, starting at the kind's identity. sums aliases
-	// racc when every declared reduction is ReduceSum and is nil
-	// otherwise: Reduce's inline fast path, chosen once per arm.
+	// declared Reduction, starting at the kind's identity.
 	racc []int64
+
+	// The buffered mode's read- and write-set, one bit per cell in one
+	// word per 64-cell block: bit i&63 of rbits[i>>6] says the chunk read
+	// cell i by fall-through, the same bit of wbits that it stored to it,
+	// with the latest stored value in wval[i]. touched[b] is set with the
+	// first bit of block b, so arm and commit find the chunk's blocks in
+	// one pass over size/64 bytes and never walk cells or the store. All
+	// four are sliced to the bound store at every arm (cellBlocks(size)
+	// words and bytes, size values) and keep their capacity across arms;
+	// each lives on cache lines of its own (paddedSlice) because
+	// neighbouring views are written by different cores.
+	rbits   []uint64
+	wbits   []uint64
+	touched []uint8
+	wval    []int64
+
+	// sums aliases racc when every declared reduction is ReduceSum and is
+	// nil otherwise: Reduce's inline fast path, chosen once per arm.
 	sums []int64
 }
 
-// begin arms the view for one chunk execution. record selects read-set
-// tracking (speculative chunks only; see the field docs).
-func (v *CellView) begin(c *Cells, red []Reduction, record bool) {
+// cellBlocks is the number of 64-cell blocks covering n cells.
+func cellBlocks(n int) int { return (n + 63) >> 6 }
+
+// paddedSlice allocates n zeroed elements with 64 unused ones — a cache
+// line at least — on either side, so no line the slice occupies holds
+// anything another core writes, whatever alignment the allocator
+// picked. The capacity stops at n.
+func paddedSlice[T any](n int) []T {
+	const pad = 64
+	return make([]T, n+2*pad)[pad : pad+n : pad+n]
+}
+
+// begin arms the view for one buffered chunk execution against c: empty
+// read- and write-set, buffers sliced to c's size. Whatever the previous
+// arm left behind — a squashed chunk's sets, or a committed one's — is
+// cleared block by block over that arm's extent, which may be larger
+// than this one's when the runner was re-bound to a smaller store.
+func (v *CellView) begin(c *Cells, red []Reduction) {
 	v.c = c
 	v.red = red
 	v.direct = false
-	v.record = record
-	v.startTick = c.tick
-	if len(v.wmark) < len(c.words) {
-		v.wmark = make([]uint32, len(c.words))
-		v.wval = make([]int64, len(c.words))
-		v.rmark = make([]uint32, len(c.words))
+	n := len(c.words)
+	nb := cellBlocks(n)
+	if cap(v.wval) < n {
+		v.rbits = paddedSlice[uint64](nb)
+		v.wbits = paddedSlice[uint64](nb)
+		v.touched = paddedSlice[uint8](nb)
+		v.wval = paddedSlice[int64](n)
+	} else {
+		for b, t := range v.touched {
+			if t != 0 {
+				v.rbits[b], v.wbits[b], v.touched[b] = 0, 0, 0
+			}
+		}
+		v.rbits, v.wbits, v.touched, v.wval = v.rbits[:nb], v.wbits[:nb], v.touched[:nb], v.wval[:n]
 	}
-	v.epoch++
-	if v.epoch == 0 {
-		clear(v.wmark)
-		clear(v.rmark)
-		v.epoch = 1
-	}
-	v.worder = v.worder[:0]
-	v.rorder = v.rorder[:0]
 	v.armReductions()
 }
 
 // beginDirect arms the view for sequential (non-speculative) execution:
 // loads and stores go straight to the store; reductions accumulate
-// privately until the caller's drain.
+// privately until the caller's commit.
 func (v *CellView) beginDirect(c *Cells, red []Reduction) {
 	v.c = c
 	v.red = red
 	v.direct = true
-	v.worder = v.worder[:0]
-	v.rorder = v.rorder[:0]
 	v.armReductions()
 }
 
@@ -280,47 +287,54 @@ func (v *CellView) armReductions() {
 	}
 }
 
-// release drops the store reference so a parked runner does not pin a
-// finished caller's cell store. The mark arrays are kept: they hold no
-// pointers and are the steady state's allocation-free working set.
+// release drops the store and reduction references so a parked runner
+// does not pin a finished caller's cell store. The buffers stay as they
+// are — they hold no pointers, they are the steady state's
+// allocation-free working set, and the next begin clears what is set in
+// them.
 func (v *CellView) release() {
 	v.c = nil
 	v.red = nil
 	v.racc = v.racc[:0]
 	v.sums = nil
-	v.worder = v.worder[:0]
-	v.rorder = v.rorder[:0]
 }
 
 // Load reads cell i: the chunk's own buffered store if it has one
-// (store-to-load forwarding), else the pre-invocation store value, with
-// the fall-through read recorded for commit-time conflict validation.
+// (store-to-load forwarding), else the store's value, with the
+// fall-through read entered in the read-set for the earlier chunks'
+// commits to probe. Bits are written only when clear, so a cell every
+// chunk keeps loading dirties its bitmap line once, not per access.
 func (v *CellView) Load(i int) int64 {
 	if v.direct {
 		return v.c.words[i]
 	}
-	if v.wmark[i] == v.epoch {
+	b, m := i>>6, uint64(1)<<(i&63)
+	if v.wbits[b]&m != 0 {
 		return v.wval[i]
 	}
-	if v.record && v.rmark[i] != v.epoch {
-		v.rmark[i] = v.epoch
-		v.rorder = append(v.rorder, i)
+	x := v.c.words[i]
+	if r := v.rbits[b]; r&m == 0 {
+		v.rbits[b] = r | m
+		v.touched[b] = 1
 	}
-	return v.c.words[i]
+	return x
 }
 
 // Store writes cell i into the chunk's buffer; the store becomes
-// visible to later chunks only if this chunk commits.
+// visible to later chunks only if this chunk commits. The value goes
+// first: its bounds check (the buffers are exactly the store's size)
+// rejects an out-of-range i before the write-set can name it.
 func (v *CellView) Store(i int, x int64) {
 	if v.direct {
 		v.c.words[i] = x
 		return
 	}
-	if v.wmark[i] != v.epoch {
-		v.wmark[i] = v.epoch
-		v.worder = append(v.worder, i)
-	}
 	v.wval[i] = x
+	b, m := i>>6, uint64(1)<<(i&63)
+	if w := v.wbits[b]; w&m == 0 {
+		v.wbits[b] = w | m
+		v.touched[b] = 1
+	}
 }
 
 // Reduce folds x into declared reduction r (an index into
@@ -346,40 +360,54 @@ func (v *CellView) reduceKind(r int, x int64) {
 	v.racc[r] = v.red[r].Kind.fold(v.racc[r], x)
 }
 
-// conflicted reports whether any of the chunk's fall-through reads hit
-// a cell written by a logically-earlier chunk the chunk could not have
-// seen — one whose write committed in the chunk's own round (or later):
-// a violated flow dependence. Writes committed by earlier rounds were
-// already in the store when this chunk started, so reading them is
-// correct, not a conflict. Called by the scheduler on the invoking
-// goroutine, after all earlier chunks drained, before this chunk may
-// commit.
-func (v *CellView) conflicted() bool {
-	c := v.c
-	for _, i := range v.rorder {
-		if c.wunion[i] >= v.startTick {
-			return true
+// commit lands the view in the store and validates the chunks behind
+// it, in one pass over the blocks the chunk touched: each block's
+// written cells are copied into the store, and its write word is ANDed
+// against the same block's read word in later — the views of the
+// round's logically-later chunks, in chain order. A later chunk that
+// read, by fall-through, a cell this one wrote consumed a stale value:
+// a violated flow dependence. commit returns the index in later of the
+// first such chunk, len(later) if there is none; everything behind a
+// conflicting chunk is squashed with it, so probing narrows to the
+// chunks before it as soon as one is found. Then the private reduction
+// accumulators fold into their cells — the sequential-chunk-order
+// merge, because the scheduler commits chunks in exactly that order.
+//
+// Called on the invoking goroutine after the round has joined. Only
+// views armed in the same round are passed, which is all the scoping
+// conflicts need: what an earlier round committed was in the store
+// before these chunks started. A direct view has no buffered writes;
+// its commit is the reduction fold alone.
+func (v *CellView) commit(later []CellView) int {
+	words := v.c.words
+	if !v.direct {
+		for b, t := range v.touched {
+			if t == 0 {
+				continue
+			}
+			w := v.wbits[b]
+			if w == 0 {
+				continue // a block the chunk only read
+			}
+			base := b << 6
+			if w == ^uint64(0) {
+				copy(words[base:base+64], v.wval[base:base+64])
+			} else {
+				for x := w; x != 0; x &= x - 1 {
+					i := base + bits.TrailingZeros64(x)
+					words[i] = v.wval[i]
+				}
+			}
+			for k := range later {
+				if later[k].rbits[b]&w != 0 {
+					later = later[:k]
+					break
+				}
+			}
 		}
 	}
-	return false
-}
-
-// drain commits the view: buffered writes land in the store in
-// first-write order and join the union write-set at the current round's
-// tick, then the private reduction accumulators fold into their cells —
-// the sequential-chunk-order merge, because the scheduler drains chunks
-// in exactly that order. A direct view has no buffered writes; its
-// drain is the reduction fold alone.
-func (v *CellView) drain() {
-	c := v.c
-	for _, i := range v.worder {
-		c.words[i] = v.wval[i]
-		c.wunion[i] = c.tick
-	}
 	for j, rd := range v.red {
-		c.words[rd.Cell] = rd.Kind.fold(c.words[rd.Cell], v.racc[j])
+		words[rd.Cell] = rd.Kind.fold(words[rd.Cell], v.racc[j])
 	}
+	return len(later)
 }
-
-// reads returns the number of recorded fall-through reads (tests).
-func (v *CellView) reads() int { return len(v.rorder) }

@@ -1,12 +1,11 @@
 package spice
 
 // White-box unit coverage for the cell store's edge paths: reduction
-// operator algebra, the uint32 generation wraparounds (round tick and
-// view epoch) that steady-state runs never reach, and the binding
-// guards on Runner and Session. The end-to-end DOACROSS semantics live
-// in doacross_test.go; these tests pin the branches that only fire
-// after ~4 billion rounds or on misuse. TestCellAccessorsInline holds
-// the three per-access methods inside the compiler's inlining budget.
+// operator algebra, re-arm hygiene of a view, and the binding guards on
+// Runner and Session. The end-to-end DOACROSS semantics live in
+// doacross_test.go and the view's model test in cellmodel_test.go.
+// TestCellAccessorsInline holds the three per-access methods inside the
+// compiler's inlining budget.
 
 import (
 	"errors"
@@ -77,52 +76,74 @@ func TestReductionKindFold(t *testing.T) {
 	}
 }
 
-// TestCellsGenerationWrap drives both uint32 generation counters over
-// their wraparound: the store's round tick (stale write stamps must be
-// cleared, not reinterpreted as future-round writes) and the view's
-// epoch (stale mark entries must not forward values or report reads
-// from a previous incarnation).
+// TestCellsGenerationWrap keeps its name from the representation it
+// used to test: the store's uint32 round tick and the view's uint32
+// epoch, whose wraparounds it drove by hand. Both counters are gone —
+// read- and write-sets are per-view bitmaps cleared at every arm, and
+// conflicts are scoped to a round by probing only that round's views —
+// so there is nothing left to wrap. What remains of "generations" is
+// what those cases guarded: however many times a view is re-armed,
+// nothing of an earlier arm may forward a value, report a read or
+// reach the store.
 func TestCellsGenerationWrap(t *testing.T) {
-	c := NewCells(4)
+	c := NewCells(130)
 	c.Set(2, 9)
-	c.tick = ^uint32(0)
-	c.wunion[1] = 7 // stale stamp from the pre-wrap generation
-	c.beginRound()
-	if c.tick != 1 {
-		t.Fatalf("tick after wrap = %d, want 1", c.tick)
+	views := make([]CellView, 2)
+	w, r := &views[0], &views[1]
+	for gen := 0; gen < 1000; gen++ {
+		w.begin(c, nil)
+		r.begin(c, nil)
+		if got := cellSet(r.rbits); len(got) != 0 {
+			t.Fatalf("arm %d: read-set carried over: %v", gen, got)
+		}
+		if got := r.Load(129); got != 0 {
+			t.Fatalf("arm %d: stale buffered write forwarded: %d", gen, got)
+		}
+		if got := r.Load(2); got != 9 {
+			t.Fatalf("arm %d: Load(2) = %d, want 9", gen, got)
+		}
+		r.Store(129, 5) // squashed every time: never committed
+		w.Store(64, int64(gen))
+		if got := w.commit(views[1:]); got != 1 {
+			t.Fatalf("arm %d: ghost conflict from an earlier arm", gen)
+		}
+		w.Store(2, 1) // after its commit: must die with the arm
 	}
-	if c.wunion[1] != 0 {
-		t.Fatalf("wunion not cleared on wrap: %d", c.wunion[1])
+	if c.At(129) != 0 || c.At(2) != 9 || c.At(64) != 999 {
+		t.Fatalf("store after 1000 arms: cells 129, 2, 64 = %d, %d, %d, want 0, 9, 999", c.At(129), c.At(2), c.At(64))
 	}
-	var v CellView
-	v.begin(c, nil, true)
-	if got := v.Load(1); got != 0 {
-		t.Fatalf("Load(1) after wrap = %d, want 0", got)
-	}
-	if v.conflicted() {
-		t.Fatal("ghost conflict from a cleared generation")
-	}
-	v.release()
+	w.release()
+	r.release()
+}
 
-	// Epoch wrap: a buffered write and a read-set entry from the
-	// wrapped-around epoch must not alias into the fresh one.
-	var w CellView
-	w.begin(c, nil, true)
-	w.Store(3, 5)
-	_ = w.Load(0)
-	w.release()
-	w.epoch = ^uint32(0)
-	w.begin(c, nil, true)
-	if w.epoch != 1 {
-		t.Fatalf("epoch after wrap = %d, want 1", w.epoch)
+// TestCellViewOutOfRange: an index outside the bound store panics in
+// Load and in Store and leaves no trace in the view — below zero, just
+// past the end inside the partial last block, and past the end but
+// inside buffers a larger store once sized.
+func TestCellViewOutOfRange(t *testing.T) {
+	var v CellView
+	v.begin(NewCells(1024), nil)
+	v.begin(NewCells(130), nil)
+	for _, i := range []int{-1, 130, 191, 192, 500, 1 << 20} {
+		for _, op := range []func(){func() { v.Load(i) }, func() { v.Store(i, 1) }} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Fatalf("access to cell %d of a 130-cell store did not panic", i)
+					}
+				}()
+				op()
+			}()
+		}
 	}
-	if got := w.Load(3); got != c.At(3) {
-		t.Fatalf("stale buffered write forwarded across epoch wrap: %d", got)
+	if r, w := cellSet(v.rbits), cellSet(v.wbits); len(r)+len(w) != 0 {
+		t.Fatalf("out-of-range accesses entered the sets: reads %v, writes %v", r, w)
 	}
-	if got := w.reads(); got != 1 {
-		t.Fatalf("read-set after wrap = %d entries, want 1", got)
+	for b, x := range v.touched {
+		if x != 0 {
+			t.Fatalf("out-of-range access marked block %d touched", b)
+		}
 	}
-	w.release()
 }
 
 // TestBindCellsGuards covers the binding guard rails: Runner.BindCells

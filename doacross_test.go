@@ -13,6 +13,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"testing"
 
@@ -535,6 +536,69 @@ func TestDoacrossBindCells(t *testing.T) {
 	}
 }
 
+// TestStoreOutOfRangeContained: a view's buffers only grow, so a runner
+// that once served a 1024-cell store still has room for cell 100 when
+// it is re-bound to a 16-cell one. The store to cell 100 must panic in
+// the body — where the chunk's containment turns it into *PanicError,
+// at every width and whether the chunk is chunk 0 or a speculative one
+// — and not later, at commit, on the invoking goroutine where nothing
+// recovers it.
+func TestStoreOutOfRangeContained(t *testing.T) {
+	const size = 1200
+	nodes := make([]*dcnode, size)
+	var head *dcnode
+	for i := size - 1; i >= 0; i-- {
+		head = &dcnode{w: int64(i), dst: -1, next: head}
+		nodes[i] = head
+	}
+	loop := dcLoop()
+	loop.Reductions = nil
+	loop.SpecBody = func(n *dcnode, a int64, v *CellView) int64 {
+		if n.dst >= 0 {
+			v.Store(n.dst, 1)
+		}
+		return a + n.w
+	}
+	const want = size * (size - 1) / 2
+	for _, threads := range []int{1, 2, 4} {
+		for _, at := range []int{0, size - 3} { // chunk 0, then the last (speculative) chunk
+			t.Run(fmt.Sprintf("t%d/node%d", threads, at), func(t *testing.T) {
+				r, err := NewRunner(loop, Config{Threads: threads})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer r.Close()
+				r.BindCells(NewCells(1024))
+				for inv := 0; inv < 4; inv++ { // trains the predictor and grows every view
+					if got := r.MustRun(head); got != want {
+						t.Fatalf("training run = %d, want %d", got, want)
+					}
+				}
+				if threads > 1 && r.Stats().Hits == 0 {
+					t.Fatal("training runs committed no speculative chunk: the test would not reach a buffered view")
+				}
+				small := NewCells(16)
+				r.BindCells(small)
+				nodes[at].dst = 100
+				_, rerr := r.Run(context.Background(), head)
+				nodes[at].dst = -1
+				var pe *PanicError
+				if !errors.As(rerr, &pe) {
+					t.Fatalf("store to cell 100 of a 16-cell store returned %v, want *PanicError", rerr)
+				}
+				for i := 0; i < small.Size(); i++ {
+					if small.At(i) != 0 {
+						t.Fatalf("cell %d = %d after the contained panic, want 0", i, small.At(i))
+					}
+				}
+				if got := r.MustRun(head); got != want {
+					t.Fatalf("run after the contained panic = %d, want %d", got, want)
+				}
+			})
+		}
+	}
+}
+
 // TestDoacrossLoopValidation: a loop must declare exactly one body
 // form, and cell/reduction declarations require a speculative body.
 func TestDoacrossLoopValidation(t *testing.T) {
@@ -564,85 +628,113 @@ func TestDoacrossLoopValidation(t *testing.T) {
 	}
 }
 
-// TestCellViewSemantics unit-tests the speculative memory itself:
-// store-to-load forwarding, buffered invisibility, read-set recording,
-// tick-scoped conflict detection and ordered drains.
-func TestCellViewSemantics(t *testing.T) {
-	c := NewCells(8)
-	c.Set(3, 30)
-	c.beginRound()
+// cellSet lists the cells named by a view's read- or write-set words.
+func cellSet(words []uint64) []int {
+	var cells []int
+	for b, w := range words {
+		for ; w != 0; w &= w - 1 {
+			cells = append(cells, b<<6+bits.TrailingZeros64(w))
+		}
+	}
+	return cells
+}
 
-	var w, r CellView
-	w.begin(c, nil, false) // chunk 0: buffers, no read tracking
-	r.begin(c, nil, true)  // a later chunk: buffers and records reads
+// TestCellViewSemantics unit-tests the speculative memory itself:
+// store-to-load forwarding, buffered invisibility, the per-cell
+// read-set, conflict probing at commit (first conflicting chunk, same
+// round only) and ordered commits.
+func TestCellViewSemantics(t *testing.T) {
+	c := NewCells(200)
+	c.Set(3, 30)
+	views := make([]CellView, 4) // one round: chunk 0 and three speculative chunks
+	for i := range views {
+		views[i].begin(c, nil)
+	}
+	w, r, far := &views[0], &views[2], &views[3]
 
 	// Forwarding: the reader's own store satisfies its later load without
-	// recording a fall-through read or touching the store.
+	// entering the read-set or touching the store.
 	r.Store(5, 55)
 	if got := r.Load(5); got != 55 {
 		t.Fatalf("forwarded load = %d, want 55", got)
 	}
 	if c.At(5) != 0 {
-		t.Fatal("buffered store reached the store before drain")
+		t.Fatal("buffered store reached the store before commit")
 	}
-	if r.reads() != 0 {
-		t.Fatalf("forwarded load recorded %d reads", r.reads())
+	if got := cellSet(r.rbits); len(got) != 0 {
+		t.Fatalf("forwarded load entered the read-set: %v", got)
 	}
 
 	// Fall-through read: recorded once, sees the pre-round value even
-	// though chunk 0 has a buffered write to the same cell.
+	// though chunk 0 has a buffered write to the same cell — and stays a
+	// read when the chunk later overwrites the cell itself.
 	w.Store(3, 99)
 	if got := r.Load(3); got != 30 {
 		t.Fatalf("fall-through load = %d, want 30", got)
 	}
 	r.Load(3)
-	if r.reads() != 1 {
-		t.Fatalf("reads = %d, want 1 (deduplicated)", r.reads())
+	r.Store(3, 31)
+	if got := cellSet(r.rbits); len(got) != 1 || got[0] != 3 {
+		t.Fatalf("read-set = %v, want [3]", got)
+	}
+	// The last chunk reads the same cell and one chunk 0 never writes; the
+	// chunk in between reads a neighbour in the same block.
+	far.Load(3)
+	far.Load(130)
+	views[1].Load(4)
+	w.Store(131, 7)
+
+	// Chunk 0 commits: cell 3 lands, the first chunk that read it is the
+	// conflict (index 1 of the probed views) and the one behind it, though
+	// it read the cell too, is not reported ahead of it.
+	if got := w.commit(views[1:]); got != 1 {
+		t.Fatalf("commit flagged later[%d], want later[1]", got)
+	}
+	if c.At(3) != 99 || c.At(131) != 7 {
+		t.Fatalf("commit left cells 3, 131 = %d, %d, want 99, 7", c.At(3), c.At(131))
+	}
+	// The walk narrows probing to the chunks before the conflict; the one
+	// left read only a neighbouring cell, and commits cleanly itself.
+	if got := views[1].commit(views[2:2]); got != 0 {
+		t.Fatalf("probing no views returned %d", got)
 	}
 
-	// No conflict until the earlier chunk drains; conflict after.
-	if r.conflicted() {
-		t.Fatal("conflict before any earlier drain")
+	// A chunk armed in the NEXT round reads the committed value, and no
+	// commit of this round writes it — the previous round's commit is not
+	// a conflict because its view is not among the probed ones.
+	for i := range views {
+		views[i].begin(c, nil)
 	}
-	w.drain()
-	if c.At(3) != 99 {
-		t.Fatalf("drain left cell 3 = %d, want 99", c.At(3))
-	}
-	if !r.conflicted() {
-		t.Fatal("stale read not flagged after earlier chunk drained")
-	}
-
-	// A chunk armed in the NEXT round reads the committed value — that
-	// must not conflict with the previous round's drain.
-	c.beginRound()
-	var n CellView
-	n.begin(c, nil, true)
-	if got := n.Load(3); got != 99 {
+	if got := views[1].Load(3); got != 99 {
 		t.Fatalf("next-round load = %d, want 99", got)
 	}
-	if n.conflicted() {
-		t.Fatal("next-round read of a committed cell flagged as conflict")
+	views[0].Store(4, 1)
+	if got := views[0].commit(views[1:]); got != 3 {
+		t.Fatalf("next-round read of a committed cell flagged as conflict (later[%d])", got)
+	}
+	// The squashed chunks of the first round left nothing behind.
+	if c.At(5) != 0 || c.At(3) != 99 {
+		t.Fatalf("a squashed chunk's writes reached the store: cells 5, 3 = %d, %d", c.At(5), c.At(3))
 	}
 }
 
 // TestCellViewReductionMerge: private accumulators start at the kind's
-// identity and fold into their cells in drain order.
+// identity and fold into their cells in commit order.
 func TestCellViewReductionMerge(t *testing.T) {
 	c := NewCells(4)
 	c.Set(0, 100) // pre-existing Sum accumulator value
 	c.Set(1, 7)   // pre-existing Max
 	red := []Reduction{{Cell: 0, Kind: ReduceSum}, {Cell: 1, Kind: ReduceMax}}
-	c.beginRound()
 
 	var a, b CellView
-	a.begin(c, red, false)
-	b.begin(c, red, true)
+	a.begin(c, red)
+	b.begin(c, red)
 	a.Reduce(0, 5)
 	a.Reduce(1, 3)
 	b.Reduce(0, 10)
 	b.Reduce(1, 42)
-	a.drain()
-	b.drain()
+	a.commit(nil)
+	b.commit(nil)
 	if got := c.At(0); got != 115 {
 		t.Fatalf("Sum cell = %d, want 115", got)
 	}
@@ -651,10 +743,9 @@ func TestCellViewReductionMerge(t *testing.T) {
 	}
 
 	// A chunk that never calls Reduce folds the identity — a no-op.
-	c.beginRound()
 	var idle CellView
-	idle.begin(c, red, true)
-	idle.drain()
+	idle.begin(c, red)
+	idle.commit(nil)
 	if c.At(0) != 115 || c.At(1) != 42 {
 		t.Fatalf("identity fold changed cells: %d, %d", c.At(0), c.At(1))
 	}

@@ -456,12 +456,12 @@ func (r *Runner[S, A]) runSequential(ctx context.Context, start S) (out A, err e
 	// validation. Reductions accumulate in the view and fold into the
 	// store on every exit (normal, body error, cancellation, contained
 	// panic): a failing sequential run applies its updates up to the
-	// failure point, exactly as a failing chunk's drain does.
+	// failure point, exactly as a failing chunk's commit does.
 	var view *CellView
 	if specBody != nil || specBodyErr != nil {
 		view = &r.dview
 		view.beginDirect(r.cells, r.loop.Reductions)
-		defer view.drain()
+		defer view.commit(nil)
 	}
 	acc := r.loop.Init()
 	cands := r.seqCands[:0]

@@ -422,7 +422,7 @@ type scheduler[S comparable, A any] struct {
 	// store, the loop's reduction declarations, and one CellView per
 	// dispatch slot (allocated on first speculative invocation; DOALL
 	// loops never pay for them). Views are written by the invoker during
-	// dispatch (begin) and chain resolution (conflicted/drain), and by
+	// dispatch (begin) and chain resolution (commit), and by
 	// exactly one worker while its chunk runs — the same ownership
 	// discipline as the chunkJob slots.
 	cells *Cells
@@ -540,7 +540,7 @@ func (s *scheduler[S, A]) release() {
 	}
 	s.memos = s.memos[:0]
 	// Drop the cell-store binding too: a parked runner must not pin a
-	// finished caller's Cells (the views' mark arrays are pointer-free
+	// finished caller's Cells (the views' buffers are pointer-free
 	// working state and are kept).
 	if s.views != nil {
 		for j := range s.views {
@@ -579,13 +579,6 @@ func (s *scheduler[S, A]) purge() {
 // already running stop at their next poll.
 func (s *scheduler[S, A]) dispatchRound(r *Runner[S, A], ctx context.Context, n int) error {
 	s.armAbort()
-	// DOACROSS: open this round's union write-set generation. Chunks
-	// validate only against writes committed from this tick onward —
-	// whatever earlier rounds drained was in the store before they
-	// started.
-	if s.cells != nil {
-		s.cells.beginRound()
-	}
 	// Rewind the submitter to the runner's home shard so chunk i lands
 	// on the same executor queue every round (warm-queue affinity).
 	r.sub.rewind()
@@ -608,11 +601,9 @@ func (s *scheduler[S, A]) dispatchRound(r *Runner[S, A], ctx context.Context, n 
 			break
 		}
 		if s.cells != nil {
-			// Every chunk buffers (its writes must stay invisible to the
-			// concurrently running chunks), but chunk 0 starts from
-			// architecturally correct state with every earlier commit
-			// already drained, so it records no read-set.
-			s.views[i].begin(s.cells, s.reds, i > 0)
+			// Every chunk buffers, chunk 0 included: its writes must stay
+			// invisible to the concurrently running chunks.
+			s.views[i].begin(s.cells, s.reds)
 		}
 		s.lat.add(1)
 		if i > 0 {
@@ -815,15 +806,23 @@ func (s *scheduler[S, A]) run(r *Runner[S, A], ctx context.Context, start S, row
 		// --- Validation chain ----------------------------------------
 		// Chunk i+1 is validated by chunk i stopping on a match. DOACROSS
 		// layers a second validation before the membership one can
-		// surface anything about chunk i: its read-set is checked against
-		// the writes of every logically-earlier committed chunk of the
-		// invocation (drained incrementally as the walk commits them, so
-		// the union is exact at each step). The conflict check is ordered
-		// before even the chunk's own error — a conflicted chunk consumed
-		// stale values, so its error (like its accumulator) is invalid
-		// and must be discarded with it, not surfaced.
+		// surface anything about chunk i: each chunk the walk commits
+		// probes its writes against the read-sets of the round's armed
+		// chunks behind it, up to the first one already found in conflict
+		// (probeEnd), so by the time the walk reaches chunk i every
+		// logically-earlier committed chunk of the round has been checked
+		// against it. The conflict check is ordered before even the
+		// chunk's own error — a conflicted chunk consumed stale values, so
+		// its error (like its accumulator) is invalid and must be
+		// discarded with it, not surfaced.
 		f := 0 // slot the walk stopped on: the last committed, or the failed one
 		conflictAt := -1
+		probeEnd := n // DOACROSS: the first conflicting chunk, or the end of the armed slots
+		if s.cells != nil {
+			for probeEnd > 0 && !s.results[probeEnd-1].active {
+				probeEnd--
+			}
+		}
 		var runErr error
 		for i := 0; i < n; i++ {
 			res := &s.results[i]
@@ -836,7 +835,7 @@ func (s *scheduler[S, A]) run(r *Runner[S, A], ctx context.Context, start S, row
 				f, runErr = i, dispatchErr
 				break
 			}
-			if s.cells != nil && i > 0 && s.views[i].conflicted() {
+			if s.cells != nil && i == probeEnd {
 				// Flow-dependence violation: chunk i read a cell an earlier
 				// chunk wrote. Its start was validated (chunk i-1 matched
 				// it), so the region re-executes from that exact state next
@@ -853,9 +852,9 @@ func (s *scheduler[S, A]) run(r *Runner[S, A], ctx context.Context, start S, row
 				f, runErr = i, res.err
 				if s.cells != nil {
 					// Sequential execution would have applied the failing
-					// run's cell writes up to the failure point; drain the
+					// run's cell writes up to the failure point; commit the
 					// partial buffer so the store matches it exactly.
-					s.views[i].drain()
+					s.views[i].commit(nil)
 				}
 				break
 			}
@@ -865,7 +864,7 @@ func (s *scheduler[S, A]) run(r *Runner[S, A], ctx context.Context, start S, row
 				acc, committed = res.acc, true
 			}
 			if s.cells != nil {
-				s.views[i].drain()
+				probeEnd = i + 1 + s.views[i].commit(s.views[i+1:probeEnd])
 			}
 			for _, pr := range res.props {
 				s.memos = append(s.memos, memo[S]{row: pr.row, state: pr.state, pos: pos + pr.local})
