@@ -418,6 +418,10 @@ func BenchmarkNativeRunner(b *testing.B) {
 // single-CPU host the delta between rows is pure bookkeeping: chunk
 // dispatch, the per-iteration successor-detection compare, and
 // commit/validation — the overhead budget this benchmark gates.
+//
+// The seq/t2/t4 rows run the closure triple (three indirect calls per
+// iteration); the scan_ rows run the same loop with its block form set
+// (Loop.Scan), where a chunk's inner loop is the caller's compiled code.
 func BenchmarkIterationOverhead(b *testing.B) {
 	const listLen = 100_000
 	rng := rand.New(rand.NewSource(5))
@@ -436,12 +440,25 @@ func BenchmarkIterationOverhead(b *testing.B) {
 		Init:  func() int64 { return 0 },
 		Merge: func(a, c int64) int64 { return a + c },
 	}
+	block := loop
+	block.Scan = func(n *nd, a int64, _ *CellView, stop *nd, max int64) (*nd, int64, int64) {
+		var k int64
+		for ; k < max && n != nil && n != stop; k++ {
+			a += n.w
+			n = n.next
+		}
+		return n, a, k
+	}
 	for _, mode := range []struct {
 		name    string
+		loop    Loop[*nd, int64]
 		threads int
-	}{{"seq", 1}, {"t2", 2}, {"t4", 4}} {
+	}{
+		{"seq", loop, 1}, {"t2", loop, 2}, {"t4", loop, 4},
+		{"scan_seq", block, 1}, {"scan_t2", block, 2}, {"scan_t4", block, 4},
+	} {
 		b.Run(mode.name, func(b *testing.B) {
-			r, err := NewRunner(loop, Config{Threads: mode.threads})
+			r, err := NewRunner(mode.loop, Config{Threads: mode.threads})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -2,9 +2,10 @@ package spice
 
 // Tests for the block-structured hot loop and the inline chunk-0 path:
 // panic containment on the invoking goroutine, mid-chunk-0
-// cancellation, state-pinning regression guards for parked runners
-// (weak-pointer probes plus explicit zero checks), and the
-// narrow-width slot-reset leak guard.
+// cancellation, the same two on the block form of the loop (Loop.Scan),
+// state-pinning regression guards for parked runners (weak-pointer
+// probes plus explicit zero checks), and the narrow-width slot-reset
+// leak guard.
 
 import (
 	"context"
@@ -189,6 +190,162 @@ func TestFallibleBodyPanicContained(t *testing.T) {
 	armed.Store(false)
 	if got, rerr := par.Run(context.Background(), head); rerr != nil || got != want {
 		t.Fatalf("after panic: got %d want %d err %v", got, want, rerr)
+	}
+}
+
+// scanBoom is the user frame a contained Scan panic must show.
+func scanBoom() { panic("scan boom") }
+
+// TestScanPanicContained covers blockLoopScan's recovery: a Scan that
+// panics mid-block surfaces as *PanicError — user frame in the stack —
+// from the sequential path and from a committed chunk, and is discarded
+// with a squashed chunk. Scan reports its count only by returning, so
+// the panicked chunk is charged the iterations of the blocks that
+// completed before the one that panicked: exact to the block boundary,
+// where the closure path is exact to the iteration.
+func TestScanPanicContained(t *testing.T) {
+	var armed atomic.Bool
+	var at atomic.Int64
+	loop := blockListScanLoop(func(n *bnode, a, k, max int64) (*bnode, int64, int64, bool) {
+		if armed.Load() && n.idx == at.Load() {
+			scanBoom()
+		}
+		return nil, 0, 0, false
+	})
+	closures := blockListLoop()
+	closures.Body = func(n *bnode, a int64) int64 {
+		if armed.Load() && n.idx == at.Load() {
+			scanBoom()
+		}
+		return a + n.w
+	}
+	// Node 39 000 is 6 232 iterations into the chain's last chunk at width
+	// 4 (it starts at 32 768, where the bootstrap memoized): nothing runs
+	// behind it, so the failed invocation's SquashedIters is that chunk's
+	// charge alone.
+	const node, chunkStart = 39_000, 32_768
+	run := func(t *testing.T, l Loop[*bnode, int64], threads int) (Stats, *PanicError) {
+		t.Helper()
+		head := buildBlockList(40_000)
+		want := sumBlockList(head)
+		r, err := NewRunner(l, Config{Threads: threads})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Close()
+		if got, err := r.Run(context.Background(), head); err != nil || got != want {
+			t.Fatalf("bootstrap: got %d want %d err %v", got, want, err)
+		}
+		before := r.Stats()
+		at.Store(node)
+		armed.Store(true)
+		_, rerr := r.Run(context.Background(), head)
+		armed.Store(false)
+		var pe *PanicError
+		if !errors.As(rerr, &pe) || pe.Value != "scan boom" {
+			t.Fatalf("err = %v, want *PanicError(scan boom)", rerr)
+		}
+		if !strings.Contains(string(pe.Stack), "scanBoom") {
+			t.Errorf("the user frame is not in the captured stack:\n%s", pe.Stack)
+		}
+		st := r.Stats().Delta(before)
+		if got, err := r.Run(context.Background(), head); err != nil || got != want {
+			t.Fatalf("after the panic: got %d want %d err %v", got, want, err)
+		}
+		return st, pe
+	}
+	t.Run("sequential", func(t *testing.T) { run(t, loop, 1) })
+	t.Run("committed chunk", func(t *testing.T) {
+		st, _ := run(t, loop, 4)
+		ref, _ := run(t, closures, 4)
+		// The closure path charges the started iterations, the failing
+		// one included; the block form stops at the last poll boundary
+		// before it (polls fall every ctxPollEvery iterations from
+		// ctxPollEvery-1 on, and this chunk has no other block boundary).
+		const started = node - chunkStart + 1
+		if ref.SquashedIters != started {
+			t.Fatalf("closure path charged %d iterations, want %d", ref.SquashedIters, started)
+		}
+		want := int64((started-ctxPollEvery)/ctxPollEvery*ctxPollEvery + ctxPollEvery - 1)
+		if st.SquashedIters != want || started-want >= ctxPollEvery {
+			t.Fatalf("block form charged %d iterations, want %d (the last block boundary before iteration %d)",
+				st.SquashedIters, want, started)
+		}
+	})
+	t.Run("squashed chunk", func(t *testing.T) {
+		head := buildBlockList(40_000)
+		r, err := NewRunner(loop, Config{Threads: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Close()
+		r.MustRun(head)
+		want, orphan := orphanSecondChunk(head)
+		at.Store(orphan)
+		armed.Store(true)
+		got, rerr := r.Run(context.Background(), head)
+		armed.Store(false)
+		if rerr != nil || got != want {
+			t.Fatalf("Run = %d, %v; want %d: a panic in a squashed chunk must be discarded", got, rerr, want)
+		}
+		if st := r.Stats(); st.Misses == 0 {
+			t.Fatalf("no chunk was squashed: %+v", st)
+		}
+	})
+}
+
+// TestScanBlocksBounded: the block form is handed at most ctxPollEvery
+// iterations at a time, which is what keeps cancellation and the abort
+// barrier within one block of a chunk that runs through Scan — checked
+// here with a cancel issued from inside chunk 0, as
+// TestInlineChunk0MidChunkCancel does for the closure path.
+func TestScanBlocksBounded(t *testing.T) {
+	head := buildBlockList(60_000)
+	want := sumBlockList(head)
+	var widest atomic.Int64
+	var cancelFn atomic.Value // context.CancelFunc, armed per attempt
+	var sinceCancel atomic.Int64
+	loop := blockListScanLoop(func(n *bnode, a, k, max int64) (*bnode, int64, int64, bool) {
+		if k == 0 && max > widest.Load() {
+			widest.Store(max) // racy max is fine: any block over the bound fails the test
+		}
+		if c, ok := cancelFn.Load().(context.CancelFunc); ok && c != nil {
+			if n.idx == 100 {
+				c()
+			}
+			if n.idx >= 100 && n.idx < 15_000 { // chunk 0's region
+				sinceCancel.Add(1)
+			}
+		}
+		return nil, 0, 0, false
+	})
+	for _, threads := range []int{1, 4} {
+		r, err := NewRunner(loop, Config{Threads: threads})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := r.Run(context.Background(), head); err != nil || got != want {
+			t.Fatalf("t%d bootstrap: got %d want %d err %v", threads, got, want, err)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		sinceCancel.Store(0)
+		cancelFn.Store(cancel)
+		_, rerr := r.Run(ctx, head)
+		cancelFn.Store(context.CancelFunc(nil))
+		cancel()
+		if !errors.Is(rerr, context.Canceled) {
+			t.Fatalf("t%d: err = %v, want context.Canceled", threads, rerr)
+		}
+		if ran := sinceCancel.Load(); ran > ctxPollEvery {
+			t.Fatalf("t%d: the cancelled chunk ran %d more iterations, want at most one block (%d)", threads, ran, ctxPollEvery)
+		}
+		if got, err := r.Run(context.Background(), head); err != nil || got != want {
+			t.Fatalf("t%d after cancel: got %d want %d err %v", threads, got, want, err)
+		}
+		r.Close()
+	}
+	if w := widest.Load(); w < 1 || w > ctxPollEvery {
+		t.Fatalf("widest block handed to Scan: %d iterations, want 1..%d", w, ctxPollEvery)
 	}
 }
 

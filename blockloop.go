@@ -1,5 +1,7 @@
 package spice
 
+import "fmt"
+
 // This file is the block-structured iteration hot path shared by every
 // execution mode of the native runtime: parallel chunks (chunkJob.run),
 // the sequential fallback (Runner.runSequential), and parallel squash
@@ -25,6 +27,10 @@ package spice
 //     of per iteration).
 //   - blockScanMatchErr /
 //     blockScanToEndErr:  the fallible (Loop.BodyErr) counterparts.
+//
+// A loop that sets Loop.Scan replaces all of them with blockLoopScan
+// (at the end of this file): the block goes to the caller's own compiled
+// loop, and the driver's block structure around it is unchanged.
 //
 // Panic containment and squash accounting: each variant recovers a
 // panicking callback itself and reports it as a *PanicError return. The
@@ -255,4 +261,57 @@ func blockSpecScanToEndErr[S comparable, A any](
 		s = next(s)
 	}
 	return s, acc, k, blockFilled, nil
+}
+
+// blockLoopScan is the block of a loop that sets Loop.Scan: the caller's
+// compiled loop runs the iterations, this wrapper contains it (recover →
+// *PanicError, contract checks → ErrBadScan) and classifies its stop the
+// way the closure variants above do, so the drivers treat both alike. A
+// hunting block passes the successor's predicted start as stop; every
+// other block passes the zero S, and if Scan then stops on a live state
+// that happens to equal it, that one iteration runs here through
+// Body/Next and the block goes on.
+//
+// Scan reports its count only by returning, so a panic inside it loses
+// the block's iterations: k covers the calls that returned, and squash
+// accounting for a panicked Scan chunk is exact to the block boundary
+// (the closure variants are exact to the iteration).
+func blockLoopScan[S comparable, A any](
+	l *Loop[S, A], view *CellView,
+	s S, acc A, stop S, hunt bool, n int64,
+) (outS S, outAcc A, k int64, why blockStop, err error) {
+	outS, outAcc = s, acc
+	defer func() {
+		if v := recover(); v != nil {
+			why, err = blockFailed, newPanicError(v)
+		}
+	}()
+	for k < n {
+		left := n - k
+		ns, nacc, c := l.Scan(outS, outAcc, view, stop, left)
+		if c < 0 || c > left {
+			return outS, outAcc, k, blockFailed, fmt.Errorf("%w: ran %d iterations of a %d-iteration block", ErrBadScan, c, left)
+		}
+		outS, outAcc, k = ns, nacc, k+c
+		if k == n {
+			break
+		}
+		if l.Done(outS) {
+			return outS, outAcc, k, blockDone, nil
+		}
+		if outS != stop {
+			return outS, outAcc, k, blockFailed, fmt.Errorf("%w: stopped after %d of %d iterations on a state that is neither Done nor stop", ErrBadScan, c, left)
+		}
+		if hunt {
+			return outS, outAcc, k, blockMatched, nil
+		}
+		k++
+		if l.Body != nil {
+			outAcc = l.Body(outS, outAcc)
+		} else {
+			outAcc = l.SpecBody(outS, outAcc, view)
+		}
+		outS = l.Next(outS)
+	}
+	return outS, outAcc, k, blockFilled, nil
 }

@@ -34,22 +34,38 @@ type dcnode struct {
 // through the cell store plus both reductions over the node weight.
 func dcLoop() Loop[*dcnode, int64] {
 	return Loop[*dcnode, int64]{
-		Done: func(n *dcnode) bool { return n == nil },
-		Next: func(n *dcnode) *dcnode { return n.next },
-		SpecBody: func(n *dcnode, a int64, v *CellView) int64 {
-			x := v.Load(n.src) + n.w
-			v.Store(n.dst, x)
-			v.Reduce(0, n.w)
-			v.Reduce(1, n.w)
-			return a + x
-		},
-		Init:  func() int64 { return 0 },
-		Merge: func(a, b int64) int64 { return a + b },
+		Done:     func(n *dcnode) bool { return n == nil },
+		Next:     func(n *dcnode) *dcnode { return n.next },
+		SpecBody: dcStep,
+		Init:     func() int64 { return 0 },
+		Merge:    func(a, b int64) int64 { return a + b },
 		Reductions: []Reduction{
 			{Cell: 0, Kind: ReduceSum},
 			{Cell: 1, Kind: ReduceMax},
 		},
 	}
+}
+
+func dcStep(n *dcnode, a int64, v *CellView) int64 {
+	x := v.Load(n.src) + n.w
+	v.Store(n.dst, x)
+	v.Reduce(0, n.w)
+	v.Reduce(1, n.w)
+	return a + x
+}
+
+// dcScanLoop is dcLoop with the block form set (Loop.Scan).
+func dcScanLoop() Loop[*dcnode, int64] {
+	l := dcLoop()
+	l.Scan = func(n *dcnode, a int64, v *CellView, stop *dcnode, max int64) (*dcnode, int64, int64) {
+		var k int64
+		for ; k < max && n != nil && n != stop; k++ {
+			a = dcStep(n, a, v)
+			n = n.next
+		}
+		return n, a, k
+	}
+	return l
 }
 
 // buildDoacross builds a size-node list wired for the conflict regime,

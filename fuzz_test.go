@@ -15,7 +15,9 @@ import (
 // their evolution), chunk boundaries (thread count and the speculative
 // iteration cap, which moves where chunks break), and the mutation
 // regime, asserting every invocation equals the sequential oracle with
-// adaptive mode both on and off.
+// adaptive mode both on and off — and, each of those, with the loop's
+// block form (Loop.Scan) set and stripped, which must leave every
+// counter where it was.
 func FuzzRunnerOracle(f *testing.F) {
 	f.Add(int64(1), uint16(100), uint8(4), uint8(0), uint16(0))
 	f.Add(int64(2), uint16(300), uint8(2), uint8(1), uint16(64))
@@ -27,35 +29,42 @@ func FuzzRunnerOracle(f *testing.F) {
 		patterns := []string{"predictable", "drifting", "adversarial"}
 		pat := patterns[int(pattern)%len(patterns)]
 		for _, adaptive := range []bool{false, true} {
-			rng := rand.New(rand.NewSource(seed))
-			w := newOracleList(rng, pat, n)
-			r, err := NewRunner(w.loop(), Config{
-				Threads:      tc,
-				MaxSpecIters: int64(maxSpec),
-				Options:      Options{Adaptive: adaptive, ProbeInterval: 2},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			var iters int64
-			for inv := 0; inv < 6; inv++ {
-				want := seqOracle(w.loop(), w.head())
-				got, rerr := r.Run(context.Background(), w.head())
-				if rerr != nil {
-					t.Fatalf("adaptive=%v inv=%d: %v", adaptive, inv, rerr)
+			var counters [2]string
+			for i, scan := range []bool{false, true} {
+				rng := rand.New(rand.NewSource(seed))
+				w := newOracleList(rng, pat, n)
+				r, err := NewRunner(oracleLoop(w, scan), Config{
+					Threads:      tc,
+					MaxSpecIters: int64(maxSpec),
+					Options:      Options{Adaptive: adaptive, ProbeInterval: 2},
+				})
+				if err != nil {
+					t.Fatal(err)
 				}
-				if got != want {
-					t.Fatalf("adaptive=%v inv=%d: got %+v want %+v", adaptive, inv, got, want)
+				var iters int64
+				for inv := 0; inv < 6; inv++ {
+					want := seqOracle(w.loop(), w.head())
+					got, rerr := r.Run(context.Background(), w.head())
+					if rerr != nil {
+						t.Fatalf("adaptive=%v scan=%v inv=%d: %v", adaptive, scan, inv, rerr)
+					}
+					if got != want {
+						t.Fatalf("adaptive=%v scan=%v inv=%d: got %+v want %+v", adaptive, scan, inv, got, want)
+					}
+					iters += want.count
+					w.mutate()
 				}
-				iters += want.count
-				w.mutate()
+				st := r.Stats()
+				if st.TotalIters != iters {
+					t.Fatalf("adaptive=%v scan=%v: TotalIters = %d, want %d", adaptive, scan, st.TotalIters, iters)
+				}
+				checkConservation(t, st)
+				counters[i] = statsLine(st)
+				r.Close()
 			}
-			st := r.Stats()
-			if st.TotalIters != iters {
-				t.Fatalf("adaptive=%v: TotalIters = %d, want %d", adaptive, st.TotalIters, iters)
+			if counters[0] != counters[1] {
+				t.Fatalf("adaptive=%v: counters differ\nclosures: %s\nScan:     %s", adaptive, counters[0], counters[1])
 			}
-			checkConservation(t, st)
-			r.Close()
 		}
 	})
 }
@@ -68,7 +77,9 @@ func FuzzRunnerOracle(f *testing.F) {
 // off, plus counter conservation. Odd seeds redeclare the Max reduction
 // as a second Sum, so both of Reduce's paths (inline for an all-Sum
 // declaration, out of line for a mixed one) are fuzzed; threads%8 == 7
-// is the direct view of the sequential path.
+// is the direct view of the sequential path. Every case runs on the
+// closure triple and on the block form (dcScanLoop), and the two must
+// agree counter for counter.
 func FuzzDoacrossOracle(f *testing.F) {
 	f.Add(int64(1), uint16(200), uint8(4), uint8(0), uint16(0))
 	f.Add(int64(2), uint16(500), uint8(8), uint8(1), uint16(64))
@@ -87,49 +98,55 @@ func FuzzDoacrossOracle(f *testing.F) {
 		regimes := []string{"none", "rare", "dense"}
 		reg := regimes[int(regime)%len(regimes)]
 		for _, adaptive := range []bool{false, true} {
-			rng := rand.New(rand.NewSource(seed))
-			head, nodes, cells, shadow := buildDoacross(rng, n, reg)
-			loop := dcLoop()
-			loop.Cells = cells
-			allSum := seed&1 == 1
-			if allSum {
-				loop.Reductions = []Reduction{{Cell: 0, Kind: ReduceSum}, {Cell: 1, Kind: ReduceSum}}
-			}
-			r, err := NewRunner(loop, Config{
-				Threads:      tc,
-				MaxSpecIters: int64(maxSpec),
-				Options:      Options{Adaptive: adaptive, ProbeInterval: 2},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			var iters int64
-			for inv := 0; inv < 5; inv++ {
-				want := dcReferenceSums(head, shadow, allSum)
-				got, rerr := r.Run(context.Background(), head)
-				if rerr != nil {
-					t.Fatalf("adaptive=%v inv=%d: %v", adaptive, inv, rerr)
+			var counters [2]string
+			for i, loop := range []Loop[*dcnode, int64]{dcLoop(), dcScanLoop()} {
+				rng := rand.New(rand.NewSource(seed))
+				head, nodes, cells, shadow := buildDoacross(rng, n, reg)
+				loop.Cells = cells
+				allSum := seed&1 == 1
+				if allSum {
+					loop.Reductions = []Reduction{{Cell: 0, Kind: ReduceSum}, {Cell: 1, Kind: ReduceSum}}
 				}
-				if got != want {
-					t.Fatalf("adaptive=%v inv=%d: acc %d, want %d", adaptive, inv, got, want)
+				r, err := NewRunner(loop, Config{
+					Threads:      tc,
+					MaxSpecIters: int64(maxSpec),
+					Options:      Options{Adaptive: adaptive, ProbeInterval: 2},
+				})
+				if err != nil {
+					t.Fatal(err)
 				}
-				for i := range shadow {
-					if cells.At(i) != shadow[i] {
-						t.Fatalf("adaptive=%v inv=%d: cell %d = %d, want %d",
-							adaptive, inv, i, cells.At(i), shadow[i])
+				var iters int64
+				for inv := 0; inv < 5; inv++ {
+					want := dcReferenceSums(head, shadow, allSum)
+					got, rerr := r.Run(context.Background(), head)
+					if rerr != nil {
+						t.Fatalf("adaptive=%v loop=%d inv=%d: %v", adaptive, i, inv, rerr)
+					}
+					if got != want {
+						t.Fatalf("adaptive=%v loop=%d inv=%d: acc %d, want %d", adaptive, i, inv, got, want)
+					}
+					for c := range shadow {
+						if cells.At(c) != shadow[c] {
+							t.Fatalf("adaptive=%v loop=%d inv=%d: cell %d = %d, want %d",
+								adaptive, i, inv, c, cells.At(c), shadow[c])
+						}
+					}
+					iters += int64(len(nodes))
+					for k := 0; k < 10; k++ {
+						nodes[rng.Intn(len(nodes))].w = rng.Int63n(1 << 20)
 					}
 				}
-				iters += int64(len(nodes))
-				for k := 0; k < 10; k++ {
-					nodes[rng.Intn(len(nodes))].w = rng.Int63n(1 << 20)
+				st := r.Stats()
+				if st.TotalIters != iters {
+					t.Fatalf("adaptive=%v loop=%d: TotalIters = %d, want %d", adaptive, i, st.TotalIters, iters)
 				}
+				checkConservation(t, st)
+				counters[i] = statsLine(st)
+				r.Close()
 			}
-			st := r.Stats()
-			if st.TotalIters != iters {
-				t.Fatalf("adaptive=%v: TotalIters = %d, want %d", adaptive, st.TotalIters, iters)
+			if counters[0] != counters[1] {
+				t.Fatalf("adaptive=%v: counters differ\nclosures: %s\nScan:     %s", adaptive, counters[0], counters[1])
 			}
-			checkConservation(t, st)
-			r.Close()
 		}
 	})
 }

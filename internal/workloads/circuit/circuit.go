@@ -220,33 +220,50 @@ func (c *Circuit) loop() spice.Loop[*Device, int64] {
 		Done: func(d *Device) bool { return d == nil },
 		Next: func(d *Device) *Device { return d.next },
 		SpecBody: func(d *Device, acc int64, v *spice.CellView) int64 {
-			va := math.Float64frombits(uint64(v.Load(d.A)))
-			vb := math.Float64frombits(uint64(v.Load(d.B)))
-			g, i := d.eval(va, vb)
-			if d.rAA >= 0 {
-				v.Reduce(int(d.rAA), g)
-			}
-			if d.rBB >= 0 {
-				v.Reduce(int(d.rBB), g)
-			}
-			if d.rAB >= 0 {
-				v.Reduce(int(d.rAB), -g)
-			}
-			if d.rBA >= 0 {
-				v.Reduce(int(d.rBA), -g)
-			}
-			if d.rA >= 0 {
-				v.Reduce(int(d.rA), i)
-			}
-			if d.rB >= 0 {
-				v.Reduce(int(d.rB), -i)
-			}
+			d.stamp(v)
 			return acc + 1
 		},
+		Scan:       sweepScan,
 		Init:       func() int64 { return 0 },
 		Merge:      func(a, b int64) int64 { return a + b },
 		Reductions: c.reds,
 	}
+}
+
+// stamp is one device of the speculative sweep, shared by the loop's
+// SpecBody and its block form.
+func (d *Device) stamp(v *spice.CellView) {
+	va := math.Float64frombits(uint64(v.Load(d.A)))
+	vb := math.Float64frombits(uint64(v.Load(d.B)))
+	g, i := d.eval(va, vb)
+	if d.rAA >= 0 {
+		v.Reduce(int(d.rAA), g)
+	}
+	if d.rBB >= 0 {
+		v.Reduce(int(d.rBB), g)
+	}
+	if d.rAB >= 0 {
+		v.Reduce(int(d.rAB), -g)
+	}
+	if d.rBA >= 0 {
+		v.Reduce(int(d.rBA), -g)
+	}
+	if d.rA >= 0 {
+		v.Reduce(int(d.rA), i)
+	}
+	if d.rB >= 0 {
+		v.Reduce(int(d.rB), -i)
+	}
+}
+
+// sweepScan is the sweep's block form (spice.Loop.Scan).
+func sweepScan(d *Device, acc int64, v *spice.CellView, stop *Device, max int64) (*Device, int64, int64) {
+	var k int64
+	for ; k < max && d != nil && d != stop; k++ {
+		d.stamp(v)
+		d = d.next
+	}
+	return d, acc + k, k
 }
 
 // sweepSeq is the pure-sequential reference sweep: same traversal,

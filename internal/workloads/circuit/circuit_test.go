@@ -58,6 +58,60 @@ func TestTransientOracle(t *testing.T) {
 	}
 }
 
+// TestSweepScanDifferential runs both netlists with the sweep loop's
+// block form (Loop.Scan) set and stripped: the waveforms must equal the
+// sequential reference bit for bit and each other's counters exactly —
+// the block form changes how a chunk's inner loop is compiled and
+// nothing a caller can observe.
+func TestSweepScanDifferential(t *testing.T) {
+	counters := func(st spice.Stats) [6]int64 {
+		return [6]int64{st.TotalIters, st.Hits, st.Misses, st.SquashedIters, st.Conflicts, st.Recoveries}
+	}
+	for _, tc := range []struct {
+		name  string
+		c     *Circuit
+		steps int
+	}{
+		{"rcladder", RCLadder(6, 24), 40},
+		{"rectifier", Rectifier(48), 60},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ref, err := tc.c.RunSequential(tc.steps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			block, closures := tc.c.loop(), tc.c.loop()
+			if block.Scan == nil {
+				t.Fatal("the sweep loop has no Scan")
+			}
+			closures.Scan = nil
+			for _, width := range []int{1, 2, 3, 4} {
+				for _, adaptive := range []bool{false, true} {
+					wfB, stB, err := tc.c.runParallel(context.Background(), block, width, adaptive, tc.steps)
+					if err != nil {
+						t.Fatalf("width=%d adaptive=%v Scan: %v", width, adaptive, err)
+					}
+					wfC, stC, err := tc.c.runParallel(context.Background(), closures, width, adaptive, tc.steps)
+					if err != nil {
+						t.Fatalf("width=%d adaptive=%v closures: %v", width, adaptive, err)
+					}
+					if !ref.Equal(wfB) || !ref.Equal(wfC) {
+						t.Fatalf("width=%d adaptive=%v: waveform diverged from the sequential reference (Scan equal: %v, closures equal: %v)",
+							width, adaptive, ref.Equal(wfB), ref.Equal(wfC))
+					}
+					if counters(stB) != counters(stC) {
+						t.Fatalf("width=%d adaptive=%v: counters differ\nScan:     %v\nclosures: %v",
+							width, adaptive, counters(stB), counters(stC))
+					}
+					if width > 1 && stB.Hits == 0 {
+						t.Fatalf("width=%d adaptive=%v: no speculative chunk committed", width, adaptive)
+					}
+				}
+			}
+		})
+	}
+}
+
 // TestRCLadderPhysics sanity-checks the solver against circuit theory:
 // a 1 A step into a resistively loaded ladder must charge monotonically
 // toward the DC solution V(1) = sections·1 Ω (all capacitors open).

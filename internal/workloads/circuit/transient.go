@@ -171,7 +171,13 @@ func (c *Circuit) RunSequential(steps int) (*Waveform, error) {
 // read back for the shared solve. Returns the waveform and the
 // runtime's cumulative speculation stats for the whole run.
 func (c *Circuit) RunParallel(ctx context.Context, width int, adaptive bool, steps int) (*Waveform, spice.Stats, error) {
-	pool, err := spice.NewPool(c.loop(), spice.PoolConfig{
+	return c.runParallel(ctx, c.loop(), width, adaptive, steps)
+}
+
+// runParallel is RunParallel over the given form of the sweep loop (the
+// tests also run it with the block form stripped).
+func (c *Circuit) runParallel(ctx context.Context, loop spice.Loop[*Device, int64], width int, adaptive bool, steps int) (*Waveform, spice.Stats, error) {
+	pool, err := spice.NewPool(loop, spice.PoolConfig{
 		Config: spice.Config{
 			Threads: width,
 			Options: spice.Options{Adaptive: adaptive},

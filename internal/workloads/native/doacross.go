@@ -56,42 +56,57 @@ const (
 // concurrently-running instances.
 func SpecLoop() spice.Loop[*Node, int64] {
 	return spice.Loop[*Node, int64]{
-		Done: func(n *Node) bool { return n == nil },
-		Next: func(n *Node) *Node { return n.Next },
-		SpecBody: func(n *Node, a int64, v *spice.CellView) int64 {
-			switch n.Kind {
-			case opAccum:
-				x := v.Load(int(n.Src)) + n.W
-				v.Store(int(n.Dst), x)
-				return a + x
-			case opHisto:
-				x := v.Load(int(n.Dst)) + n.W
-				v.Store(int(n.Dst), x)
-				v.Reduce(0, n.W)
-				v.Reduce(1, n.W)
-				return a + x
-			case opStamp:
-				// Circuit-sweep projection (circuit.go): a device on
-				// the branch Src→Dst loads both node-voltage cells and
-				// folds its linearized branch term into the universal
-				// reductions — conflict-free stamping, read-set on the
-				// voltages only. The full MNA loop with per-circuit
-				// stamp reductions lives in internal/workloads/circuit.
-				x := v.Load(int(n.Src)) - v.Load(int(n.Dst)) + n.W
-				v.Reduce(0, x)
-				v.Reduce(1, x)
-				return a + x
-			default:
-				return a + n.W
-			}
-		},
-		Init:  func() int64 { return 0 },
-		Merge: func(a, b int64) int64 { return a + b },
+		Done:     func(n *Node) bool { return n == nil },
+		Next:     func(n *Node) *Node { return n.Next },
+		SpecBody: specStep,
+		Scan:     specScan,
+		Init:     func() int64 { return 0 },
+		Merge:    func(a, b int64) int64 { return a + b },
 		Reductions: []spice.Reduction{
 			{Cell: cellRedSum, Kind: spice.ReduceSum},
 			{Cell: cellRedMax, Kind: spice.ReduceMax},
 		},
 	}
+}
+
+// specStep is one node of SpecLoop: the per-kind operation, written
+// once and shared by the loop's SpecBody and its block form.
+func specStep(n *Node, a int64, v *spice.CellView) int64 {
+	switch n.Kind {
+	case opAccum:
+		x := v.Load(int(n.Src)) + n.W
+		v.Store(int(n.Dst), x)
+		return a + x
+	case opHisto:
+		x := v.Load(int(n.Dst)) + n.W
+		v.Store(int(n.Dst), x)
+		v.Reduce(0, n.W)
+		v.Reduce(1, n.W)
+		return a + x
+	case opStamp:
+		// Circuit-sweep projection (circuit.go): a device on
+		// the branch Src→Dst loads both node-voltage cells and
+		// folds its linearized branch term into the universal
+		// reductions — conflict-free stamping, read-set on the
+		// voltages only. The full MNA loop with per-circuit
+		// stamp reductions lives in internal/workloads/circuit.
+		x := v.Load(int(n.Src)) - v.Load(int(n.Dst)) + n.W
+		v.Reduce(0, x)
+		v.Reduce(1, x)
+		return a + x
+	default:
+		return a + n.W
+	}
+}
+
+// specScan is SpecLoop's block form (spice.Loop.Scan).
+func specScan(n *Node, a int64, v *spice.CellView, stop *Node, max int64) (*Node, int64, int64) {
+	var k int64
+	for ; k < max && n != nil && n != stop; k++ {
+		a = specStep(n, a, v)
+		n = n.Next
+	}
+	return n, a, k
 }
 
 // accumDepStride spaces the cross-node flow dependences in the accum

@@ -43,15 +43,28 @@ type Node struct {
 }
 
 // Loop returns the weight-summation loop shared by all native
-// kernels: Done on nil, Next through the link, Body accumulating W.
+// kernels: Done on nil, Next through the link, Body accumulating W, and
+// the same loop in block form (Scan), which is what a chunk executes.
 func Loop() spice.Loop[*Node, int64] {
 	return spice.Loop[*Node, int64]{
 		Done:  func(n *Node) bool { return n == nil },
 		Next:  func(n *Node) *Node { return n.Next },
 		Body:  func(n *Node, a int64) int64 { return a + n.W },
+		Scan:  sumScan,
 		Init:  func() int64 { return 0 },
 		Merge: func(a, b int64) int64 { return a + b },
 	}
+}
+
+// sumScan is Loop's block form (spice.Loop.Scan): up to max nodes from
+// n, stopping at the end of the list or on stop.
+func sumScan(n *Node, a int64, _ *spice.CellView, stop *Node, max int64) (*Node, int64, int64) {
+	var k int64
+	for ; k < max && n != nil && n != stop; k++ {
+		a += n.W
+		n = n.Next
+	}
+	return n, a, k
 }
 
 // BuildList returns the head of an n-element list with rng-drawn

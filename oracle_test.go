@@ -28,6 +28,19 @@ type oracleAcc struct {
 	fp    uint64
 }
 
+// visit is one element's work, shared by every oracle loop's Body and
+// its block form.
+func (a oracleAcc) visit(v int64) oracleAcc {
+	a.count++
+	a.sum += v
+	a.fp ^= oracleHash(v)
+	return a
+}
+
+func oracleMerge(a, b oracleAcc) oracleAcc {
+	return oracleAcc{a.count + b.count, a.sum + b.sum, a.fp ^ b.fp}
+}
+
 func oracleHash(v int64) uint64 {
 	x := uint64(v) * 0x9e3779b97f4a7c15
 	x ^= x >> 29
@@ -92,17 +105,21 @@ func (l *oracleList) loop() Loop[any, oracleAcc] {
 	return Loop[any, oracleAcc]{
 		Done: func(s any) bool { return s.(*onode) == nil },
 		Next: func(s any) any { return s.(*onode).next },
-		Body: func(s any, a oracleAcc) oracleAcc {
+		Body: func(s any, a oracleAcc) oracleAcc { return a.visit(s.(*onode).v) },
+		// The block form. A block that hunts nothing passes the nil
+		// interface as stop, which no state equals — the traversal's last
+		// state is a typed nil pointer.
+		Scan: func(s any, a oracleAcc, _ *CellView, stop any, max int64) (any, oracleAcc, int64) {
 			n := s.(*onode)
-			a.count++
-			a.sum += n.v
-			a.fp ^= oracleHash(n.v)
-			return a
+			var k int64
+			for ; k < max && n != nil && any(n) != stop; k++ {
+				a = a.visit(n.v)
+				n = n.next
+			}
+			return n, a, k
 		},
-		Init: func() oracleAcc { return oracleAcc{} },
-		Merge: func(a, b oracleAcc) oracleAcc {
-			return oracleAcc{a.count + b.count, a.sum + b.sum, a.fp ^ b.fp}
-		},
+		Init:  func() oracleAcc { return oracleAcc{} },
+		Merge: oracleMerge,
 	}
 }
 
@@ -203,17 +220,18 @@ func (t *oracleTree) loop() Loop[any, oracleAcc] {
 	return Loop[any, oracleAcc]{
 		Done: func(s any) bool { return s.(*tnode) == nil },
 		Next: func(s any) any { return s.(*tnode).thread },
-		Body: func(s any, a oracleAcc) oracleAcc {
+		Body: func(s any, a oracleAcc) oracleAcc { return a.visit(s.(*tnode).v) },
+		Scan: func(s any, a oracleAcc, _ *CellView, stop any, max int64) (any, oracleAcc, int64) {
 			n := s.(*tnode)
-			a.count++
-			a.sum += n.v
-			a.fp ^= oracleHash(n.v)
-			return a
+			var k int64
+			for ; k < max && n != nil && any(n) != stop; k++ {
+				a = a.visit(n.v)
+				n = n.thread
+			}
+			return n, a, k
 		},
-		Init: func() oracleAcc { return oracleAcc{} },
-		Merge: func(a, b oracleAcc) oracleAcc {
-			return oracleAcc{a.count + b.count, a.sum + b.sum, a.fp ^ b.fp}
-		},
+		Init:  func() oracleAcc { return oracleAcc{} },
+		Merge: oracleMerge,
 	}
 }
 
@@ -260,6 +278,24 @@ func seqOracle(l Loop[any, oracleAcc], head any) oracleAcc {
 	return acc
 }
 
+// newOracleWorkload builds the kind's generated structure.
+func newOracleWorkload(rng *rand.Rand, kind, pattern string, size int) oracleWorkload {
+	if kind == "list" {
+		return newOracleList(rng, pattern, size)
+	}
+	return newOracleTree(rng, pattern, size)
+}
+
+// oracleLoop is the workload's loop with its block form (Loop.Scan) set
+// or stripped.
+func oracleLoop(w oracleWorkload, scan bool) Loop[any, oracleAcc] {
+	l := w.loop()
+	if !scan {
+		l.Scan = nil
+	}
+	return l
+}
+
 // TestDifferentialOracle is the randomized suite: for every workload
 // kind × mutation pattern × adaptive mode × thread count × seed, a
 // mutation script runs interleaved with invocations, and every
@@ -272,8 +308,11 @@ func seqOracle(l Loop[any, oracleAcc], head any) oracleAcc {
 // would break the equality), every invocation is counted, and the
 // hit/hit+miss ledgers stay consistent with the number of invocations
 // that ran.
+//
+// Every case runs twice, with the loop's block form (Loop.Scan) set and
+// with it stripped, and the two runs' counters must agree after every
+// invocation.
 func TestDifferentialOracle(t *testing.T) {
-	const invocations = 12
 	for _, kind := range []string{"list", "tree"} {
 		for _, pattern := range []string{"predictable", "drifting", "adversarial"} {
 			for _, adaptive := range []bool{false, true} {
@@ -284,63 +323,74 @@ func TestDifferentialOracle(t *testing.T) {
 				t.Run(name, func(t *testing.T) {
 					for _, threads := range []int{2, 4} {
 						for seed := int64(1); seed <= 3; seed++ {
-							rng := rand.New(rand.NewSource(seed*1000 + int64(threads)))
-							size := rng.Intn(700) + 50
-							var w oracleWorkload
-							if kind == "list" {
-								w = newOracleList(rng, pattern, size)
-							} else {
-								w = newOracleTree(rng, pattern, size)
-							}
-							r, err := NewRunner(w.loop(), Config{
-								Threads: threads,
-								Options: Options{Adaptive: adaptive, ProbeInterval: 3},
-							})
-							if err != nil {
-								t.Fatal(err)
-							}
-							var finalGot, finalWant oracleAcc
-							var wantTotal int64
-							for inv := 0; inv < invocations; inv++ {
-								want := seqOracle(w.loop(), w.head())
-								got, rerr := r.Run(context.Background(), w.head())
-								if rerr != nil {
-									t.Fatalf("threads=%d seed=%d inv=%d: %v", threads, seed, inv, rerr)
+							closure := differentialCase(t, kind, pattern, adaptive, threads, seed, false)
+							block := differentialCase(t, kind, pattern, adaptive, threads, seed, true)
+							for inv := range closure {
+								if closure[inv] != block[inv] {
+									t.Fatalf("threads=%d seed=%d inv=%d: counters differ\nclosures: %s\nScan:     %s",
+										threads, seed, inv, closure[inv], block[inv])
 								}
-								if got != want {
-									t.Fatalf("threads=%d seed=%d inv=%d: got %+v want %+v",
-										threads, seed, inv, got, want)
-								}
-								finalGot, finalWant = got, want
-								wantTotal += want.count
-								w.mutate()
 							}
-							if finalGot != finalWant || finalGot.count == 0 {
-								t.Fatalf("final accumulator: got %+v want %+v", finalGot, finalWant)
-							}
-							st := r.Stats()
-							if st.Invocations != invocations {
-								t.Fatalf("invocations = %d", st.Invocations)
-							}
-							if st.TotalIters != wantTotal {
-								t.Fatalf("threads=%d seed=%d: TotalIters = %d, oracle trips sum to %d",
-									threads, seed, st.TotalIters, wantTotal)
-							}
-							if st.Hits+st.Misses > st.Invocations*int64(threads-1)+st.Recoveries*int64(threads-1) {
-								t.Fatalf("verdict ledger overflows dispatch capacity: hits=%d misses=%d inv=%d rec=%d",
-									st.Hits, st.Misses, st.Invocations, st.Recoveries)
-							}
-							checkConservation(t, st)
-							if works := st.LastWorks; len(works) != threads {
-								t.Fatalf("LastWorks width = %d, want %d", len(works), threads)
-							}
-							r.Close()
 						}
 					}
 				})
 			}
 		}
 	}
+}
+
+// differentialCase runs one generated case and returns the counters
+// after every invocation.
+func differentialCase(t *testing.T, kind, pattern string, adaptive bool, threads int, seed int64, scan bool) []string {
+	const invocations = 12
+	rng := rand.New(rand.NewSource(seed*1000 + int64(threads)))
+	w := newOracleWorkload(rng, kind, pattern, rng.Intn(700)+50)
+	r, err := NewRunner(oracleLoop(w, scan), Config{
+		Threads: threads,
+		Options: Options{Adaptive: adaptive, ProbeInterval: 3},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	var finalGot, finalWant oracleAcc
+	var wantTotal int64
+	var lines []string
+	for inv := 0; inv < invocations; inv++ {
+		want := seqOracle(w.loop(), w.head())
+		got, rerr := r.Run(context.Background(), w.head())
+		if rerr != nil {
+			t.Fatalf("threads=%d seed=%d scan=%v inv=%d: %v", threads, seed, scan, inv, rerr)
+		}
+		if got != want {
+			t.Fatalf("threads=%d seed=%d scan=%v inv=%d: got %+v want %+v",
+				threads, seed, scan, inv, got, want)
+		}
+		finalGot, finalWant = got, want
+		wantTotal += want.count
+		lines = append(lines, statsLine(r.Stats()))
+		w.mutate()
+	}
+	if finalGot != finalWant || finalGot.count == 0 {
+		t.Fatalf("final accumulator: got %+v want %+v", finalGot, finalWant)
+	}
+	st := r.Stats()
+	if st.Invocations != invocations {
+		t.Fatalf("invocations = %d", st.Invocations)
+	}
+	if st.TotalIters != wantTotal {
+		t.Fatalf("threads=%d seed=%d scan=%v: TotalIters = %d, oracle trips sum to %d",
+			threads, seed, scan, st.TotalIters, wantTotal)
+	}
+	if st.Hits+st.Misses > st.Invocations*int64(threads-1)+st.Recoveries*int64(threads-1) {
+		t.Fatalf("verdict ledger overflows dispatch capacity: hits=%d misses=%d inv=%d rec=%d",
+			st.Hits, st.Misses, st.Invocations, st.Recoveries)
+	}
+	checkConservation(t, st)
+	if works := st.LastWorks; len(works) != threads {
+		t.Fatalf("LastWorks width = %d, want %d", len(works), threads)
+	}
+	return lines
 }
 
 // TestAdaptiveFallsBackOnAdversarial asserts the controller's

@@ -40,9 +40,9 @@ func (k *roundKinds) note(before, after Stats) {
 // pinnedList runs the list kernel for 14 invocations with churn, a
 // mid-list growth past the derived cap, a drop of a third and a shuffle
 // between them, and returns the Stats snapshot after every invocation.
-func pinnedList(t *testing.T, kinds *roundKinds, threads int, maxSpec int64, adaptive, positional bool) []string {
+func pinnedList(t *testing.T, kinds *roundKinds, loop Loop[*node, sumAcc], threads int, maxSpec int64, adaptive, positional bool) []string {
 	l := newTestList(300, 31)
-	r, err := NewRunner(xorLoop(), Config{
+	r, err := NewRunner(loop, Config{
 		Threads: threads, MaxSpecIters: maxSpec, Positional: positional,
 		Options: Options{Adaptive: adaptive, ProbeInterval: 2},
 	})
@@ -93,10 +93,9 @@ func pinnedList(t *testing.T, kinds *roundKinds, threads int, maxSpec int64, ada
 
 // pinnedDoacross runs the DOACROSS kernel for 10 invocations with value
 // churn between them.
-func pinnedDoacross(t *testing.T, kinds *roundKinds, regime string, threads int, maxSpec int64, adaptive bool) []string {
+func pinnedDoacross(t *testing.T, kinds *roundKinds, loop Loop[*dcnode, int64], regime string, threads int, maxSpec int64, adaptive bool) []string {
 	rng := rand.New(rand.NewSource(42))
 	head, nodes, cells, shadow := buildDoacross(rng, 600, regime)
-	loop := dcLoop()
 	loop.Cells = cells
 	r, err := NewRunner(loop, Config{
 		Threads: threads, MaxSpecIters: maxSpec,
@@ -135,8 +134,11 @@ func pinnedDoacross(t *testing.T, kinds *roundKinds, regime string, threads int,
 // was captured at the commit before scheduler.run became one loop over
 // rounds (when recovery rounds were a separate function), so it is the
 // evidence that rounds after the first behave exactly as recovery did.
-// A change that means to move a counter re-captures the table from the
-// failure output and says which counters moved and why.
+// Every scenario runs twice, on the closure triple and with the loop's
+// block form set (Loop.Scan), against the same pinned value: the block
+// form moves no counter of any invocation. A change that means to move
+// a counter re-captures the table from the failure output and says
+// which counters moved and why.
 func TestRoundCountersPinned(t *testing.T) {
 	var kinds roundKinds
 	ran := map[string]string{} // scenario -> its snapshots, one a line
@@ -145,7 +147,8 @@ func TestRoundCountersPinned(t *testing.T) {
 			for _, adaptive := range []bool{false, true} {
 				for _, positional := range []bool{false, true} {
 					name := fmt.Sprintf("list/t%d/cap%d/adaptive=%v/positional=%v", threads, maxSpec, adaptive, positional)
-					ran[name] = strings.Join(pinnedList(t, &kinds, threads, maxSpec, adaptive, positional), "\n")
+					ran[name] = strings.Join(pinnedList(t, &kinds, xorLoop(), threads, maxSpec, adaptive, positional), "\n")
+					ran[name+scanSuffix] = strings.Join(pinnedList(t, &kinds, xorScanLoop(), threads, maxSpec, adaptive, positional), "\n")
 				}
 			}
 		}
@@ -155,7 +158,8 @@ func TestRoundCountersPinned(t *testing.T) {
 			for _, maxSpec := range []int64{0, 300} {
 				for _, adaptive := range []bool{false, true} {
 					name := fmt.Sprintf("doacross/%s/t%d/cap%d/adaptive=%v", regime, threads, maxSpec, adaptive)
-					ran[name] = strings.Join(pinnedDoacross(t, &kinds, regime, threads, maxSpec, adaptive), "\n")
+					ran[name] = strings.Join(pinnedDoacross(t, &kinds, dcLoop(), regime, threads, maxSpec, adaptive), "\n")
+					ran[name+scanSuffix] = strings.Join(pinnedDoacross(t, &kinds, dcScanLoop(), regime, threads, maxSpec, adaptive), "\n")
 				}
 			}
 		}
@@ -163,17 +167,22 @@ func TestRoundCountersPinned(t *testing.T) {
 	if !kinds.capRound || !kinds.capAgain || !kinds.conflictRound {
 		t.Errorf("matrix lost a trigger of later rounds: %+v", kinds)
 	}
-	if len(ran) != len(pinnedRounds) {
-		t.Errorf("%d scenarios ran, %d are pinned", len(ran), len(pinnedRounds))
+	if len(ran) != 2*len(pinnedRounds) {
+		t.Errorf("%d scenarios ran, %d are pinned (each with and without Loop.Scan)", len(ran), len(pinnedRounds))
 	}
 	for name, snapshots := range ran {
 		h := fnv.New64a()
 		h.Write([]byte(snapshots))
-		if got, want := h.Sum64(), pinnedRounds[name]; got != want {
+		if got, want := h.Sum64(), pinnedRounds[strings.TrimSuffix(name, scanSuffix)]; got != want {
 			t.Errorf("%q: %#016x, // pinned %#016x\n%s", name, got, want, snapshots)
 		}
 	}
 }
+
+// scanSuffix marks the run of a pinned scenario with the loop's block
+// form set (Loop.Scan): it must hash to the value pinned for the
+// closure path, counter for counter.
+const scanSuffix = "/scan"
 
 // scriptedCtx is a context whose Err turns context.Canceled, for good,
 // on its cancelAt-th call: a cancellation that lands at one exact check

@@ -436,8 +436,9 @@ func (r *Runner[S, A]) String() string {
 // the same contract as the parallel ones.
 //
 // The traversal runs through the same block-structured scan variants as
-// the parallel chunks (blockloop.go): blocks bound at the next poll
-// point or bootstrap-sample index, with the per-iteration body just
+// the parallel chunks (blockloop.go; the loop's own block form when it
+// sets Loop.Scan): blocks bound at the next poll point or
+// bootstrap-sample index, with the per-iteration body just
 // Done/Body/Next on register-resident state — the sequential fallback
 // (the adaptive controller's steady state on hostile workloads) pays
 // the same near-zero per-iteration overhead as the parallel path.
@@ -485,6 +486,9 @@ func (r *Runner[S, A]) runSequential(ctx context.Context, start S) (out A, err e
 		var stop blockStop
 		var verr error
 		switch {
+		case r.loop.Scan != nil:
+			var noStop S
+			s, acc, k, stop, verr = blockLoopScan(&r.loop, view, s, acc, noStop, false, bound-work)
 		case specBody != nil:
 			s, acc, k, stop, verr = blockSpecScanToEnd(done, next, specBody, view, s, acc, bound-work)
 		case specBodyErr != nil:

@@ -41,7 +41,9 @@ import (
 //     that panics mid-block still reports an exact count and squash
 //     accounting stays exact (the outer driver defer then spills that
 //     count, making panicked-chunk SquashedIters identical to the
-//     pre-block path).
+//     pre-block path). A loop's own block form (Loop.Scan) reports its
+//     count only by returning, so there the count is exact to the block
+//     boundary.
 //
 // Chunk 0 — the non-speculative chunk whose start is architecturally
 // correct — runs inline on the invoking goroutine instead of round-
@@ -183,7 +185,8 @@ func (j *chunkJob[S, A]) run() {
 // exec executes one chunk: the paper's per-thread loop with work
 // counting, threshold-driven memoization, and mis-speculation detection
 // against the successor's predicted start — restructured into bounded
-// blocks handed to the monomorphic scan variants of blockloop.go. The
+// blocks handed to the monomorphic scan variants of blockloop.go (or,
+// for a loop that sets Loop.Scan, to the caller's own block loop). The
 // variant is selected once per chunk (hunt/no-hunt × fallible), so the
 // per-iteration body carries no mode branches; every ctxPollEvery
 // iterations a block boundary polls the invocation context and the
@@ -260,6 +263,13 @@ func (j *chunkJob[S, A]) exec() {
 			matchAt = j.snap.pos - j.posBase // negative: can never match
 		}
 	}
+	// A loop with the block form (Loop.Scan) hands every block to it; a
+	// block that hunts nothing passes the zero S as its stop state.
+	scan := r.loop.Scan
+	var scanStop S
+	if hunt {
+		scanStop = snapStart
+	}
 	capAt := int64(1) << 62
 	if j.spec {
 		capAt = j.cap
@@ -302,6 +312,8 @@ loop:
 		var stop blockStop
 		var err error
 		switch {
+		case scan != nil:
+			s, acc, k, stop, err = blockLoopScan(&r.loop, view, s, acc, scanStop, hunt, bound-work)
 		case specBody != nil:
 			if hunt {
 				s, acc, k, stop, err = blockSpecScanMatch(done, next, specBody, view, s, acc, snapStart, bound-work)

@@ -101,6 +101,36 @@ type Loop[S comparable, A any] struct {
 	// SpecBodyErr is the fallible form of SpecBody. Exactly one of Body,
 	// BodyErr, SpecBody and SpecBodyErr must be set.
 	SpecBodyErr func(S, A, *CellView) (A, error)
+	// Scan is the optional block form of the loop: the same iterations
+	// as Done/Body/Next (or Done/SpecBody/Next), written as one compiled
+	// loop, so that a chunk's inner loop makes no indirect call per
+	// iteration. The runtime hands it one block at a time:
+	//
+	//	Scan(s, acc, v, stop, n): run from s while fewer than n
+	//	iterations have run, s is not Done and s != stop; return the
+	//	state reached, the accumulator and the number of iterations run.
+	//
+	// v is the chunk's CellView (nil for a loop with Body). stop is the
+	// successor chunk's predicted start, or the zero S when the block
+	// hunts nothing; a Scan that stops on a live state equal to a zero
+	// stop is resumed by the runtime, which runs that one iteration
+	// through Body/Next. Scan requires Body or SpecBody — they stay the
+	// reference semantics and the path Scan must agree with — and has no
+	// error channel, so it is rejected beside BodyErr/SpecBodyErr. A
+	// returned count below 0 or above n, or an early stop on a state
+	// that is neither Done nor stop, fails the invocation with
+	// ErrBadScan. A panicking Scan is contained like a panicking Body
+	// (*PanicError, discarded with a squashed chunk), with one
+	// difference: the runtime cannot see how far the block got, so the
+	// iterations a panicked chunk is charged (Stats.SquashedIters) are
+	// exact to the boundary of the block that panicked — at most
+	// ctxPollEvery iterations short — and not to the iteration.
+	//
+	// Write the per-element work once, as a named function that both
+	// Body and Scan call (see README "Block form"). Worth setting when
+	// the body is a few nanoseconds and the structure is cache-resident;
+	// a body ≫ 10 ns or a memory-bound traversal hides the three calls.
+	Scan func(s S, acc A, v *CellView, stop S, n int64) (S, A, int64)
 	// Init returns the identity accumulator a fresh chunk starts from.
 	Init func() A
 	// Merge combines two partial accumulators; a is the accumulator for
@@ -146,6 +176,9 @@ func (l *Loop[S, A]) validate() error {
 	}
 	if !l.speculative() && (l.Cells != nil || len(l.Reductions) > 0) {
 		return errors.New("spice: Loop.Cells/Reductions require SpecBody or SpecBodyErr")
+	}
+	if l.Scan != nil && l.Body == nil && l.SpecBody == nil {
+		return errors.New("spice: Loop.Scan requires Body or SpecBody (it has no error channel)")
 	}
 	return nil
 }
@@ -457,6 +490,11 @@ var ErrNoCells = errors.New("spice: speculative loop has no Cells bound (set Loo
 // ErrBadReduction is returned by Run when a declared Reduction names a
 // cell outside the bound store. Test with errors.Is.
 var ErrBadReduction = errors.New("spice: Reduction.Cell outside the bound Cells store")
+
+// ErrBadScan is returned by Run when Loop.Scan broke its contract: a
+// count outside [0, n], or an early stop on a state that is neither Done
+// nor the stop state it was given. Test with errors.Is.
+var ErrBadScan = errors.New("spice: Loop.Scan broke its contract")
 
 // NewRunner builds a Runner for the loop. Unless cfg.Executor is set,
 // the runner starts a private executor of min(Threads-1, GOMAXPROCS-1)

@@ -96,16 +96,32 @@ type sumAcc struct {
 // merge; use xor in Body too.
 func xorLoop() Loop[*node, sumAcc] {
 	return Loop[*node, sumAcc]{
-		Done: func(n *node) bool { return n == nil },
-		Next: func(n *node) *node { return n.next },
-		Body: func(n *node, a sumAcc) sumAcc {
-			a.sum += n.weight
-			a.fp ^= n.weight * 2654435761
-			return a
-		},
+		Done:  func(n *node) bool { return n == nil },
+		Next:  func(n *node) *node { return n.next },
+		Body:  xorStep,
 		Init:  func() sumAcc { return sumAcc{} },
 		Merge: func(a, b sumAcc) sumAcc { return sumAcc{a.sum + b.sum, a.fp ^ b.fp} },
 	}
+}
+
+func xorStep(n *node, a sumAcc) sumAcc {
+	a.sum += n.weight
+	a.fp ^= n.weight * 2654435761
+	return a
+}
+
+// xorScanLoop is xorLoop with the block form set (Loop.Scan).
+func xorScanLoop() Loop[*node, sumAcc] {
+	l := xorLoop()
+	l.Scan = func(n *node, a sumAcc, _ *CellView, stop *node, max int64) (*node, sumAcc, int64) {
+		var k int64
+		for ; k < max && n != nil && n != stop; k++ {
+			a = xorStep(n, a)
+			n = n.next
+		}
+		return n, a, k
+	}
+	return l
 }
 
 // checkConservation asserts the accounting identities every Stats
