@@ -3,12 +3,13 @@
 //
 // The MNA simulator in internal/workloads/circuit walks its netlist as
 // a pointer-linked device list. Every Newton iteration's device sweep
-// runs through spice.Pool: node voltages are read via CellView.Load,
-// and each device folds its Jacobian/residual stamps into ReduceSum
-// reduction cells — conflict-free by construction, so speculation pays
-// purely on prediction hits over the topology-stable chain. Stamps are
-// fixed-point int64, so the parallel waveform is bit-identical to the
-// sequential reference at any width.
+// runs through spice.Pool: each device reads its two node voltages and
+// its state from plain memory (the driver writes them only between
+// sweeps) and folds its Jacobian/residual stamps into ReduceSum
+// reduction cells — the only cells there are, conflict-free by
+// construction, so speculation pays purely on prediction hits over the
+// topology-stable chain. Stamps are fixed-point int64, so the parallel
+// waveform is bit-identical to the sequential reference at any width.
 //
 // Run: go run ./examples/circuit
 package main

@@ -2,11 +2,32 @@
 // analysis) transient simulator whose per-Newton-iteration device
 // sweep runs through spice.Pool. It is the runtime's first *real*
 // program: the netlist is a pointer-linked device list walked in
-// order, node voltages are read through CellView.Load, and every
-// matrix/RHS stamp is accumulated into a ReduceSum reduction cell —
-// conflict-free by construction — while device-internal state
-// (capacitor charge, diode linearization point) rides in the loop
-// state and churns between timesteps with the topology held stable.
+// order, and every matrix/RHS stamp is accumulated into a ReduceSum
+// reduction cell — conflict-free by construction — while node voltages
+// and device-internal state (capacitor charge, diode linearization
+// point) churn between sweeps with the topology held stable.
+//
+// The memory is laid out by one rule: a cell is for state a chunk
+// writes; what is constant for the invocation is read where it lies,
+// and what the driver rewrites between invocations lives off the lines
+// chunks read in bulk. So the cell store holds the N²+N stamp
+// reductions and nothing else; the node voltages are the driver's own
+// []float64 iterate, read by each device through two pointers into it;
+// and the device state is one dense []float64 beside the netlist
+// (Circuit.states, slot i for device i), not a field of the Device
+// structs a chunk streams through — the driver's update pass between
+// sweeps then dirties a few contiguous lines instead of invalidating
+// every stateful device's line in the cache of the worker that just
+// read it.
+//
+// Reading outside the view is race-free because an invocation is
+// ordered on both sides: dispatch (the executor queue, or program order
+// for the chunks the invoker runs itself) puts the driver's writes
+// before every chunk's reads, and the round's latch join — which waits
+// for every launched chunk, squashed or not — puts every chunk's reads
+// before the driver's next writes. The sweep itself writes nothing but
+// its view, so a squashed chunk leaves no trace and re-executes from
+// the same inputs.
 //
 // The simulator works in Newton residual form. Each device reports
 // its linearized branch conductance g and branch current i at the
@@ -80,9 +101,11 @@ func toFix(x float64) int64 {
 const fromFix = 1.0 / float64(fixScale)
 
 // Device is one netlist element on the branch a→b (node 0 is ground).
-// state is the device-internal value carried across sweeps: capacitor
-// branch voltage at the previous timestep, diode linearization point,
-// source current for the current timestep. The r* fields are the
+// A sweep only reads a Device and what it points to. *state is the
+// device-internal value carried across sweeps: capacitor branch voltage
+// at the previous timestep, diode linearization point, source current
+// for the current timestep; it lives in Circuit.states, off the struct,
+// because the driver rewrites it between sweeps. The r* fields are the
 // device's precomputed reduction indices (−1 = ground row/column,
 // never stamped).
 type Device struct {
@@ -91,9 +114,10 @@ type Device struct {
 	Val  float64 // R in ohms, C in farads, diode Is scale, source amps
 	Freq float64 // sources only: sine frequency in Hz; 0 = DC
 
-	next  *Device
-	state float64
-	geq   float64 // resistor 1/R, capacitor C/h; fixed per circuit
+	next   *Device
+	va, vb *float64 // the two node voltages, in Circuit.volts
+	state  *float64 // this device's slot of Circuit.states
+	geq    float64  // resistor 1/R, capacitor C/h; fixed per circuit
 
 	rAA, rAB, rBA, rBB int32
 	rA, rB             int32
@@ -110,15 +134,15 @@ func (d *Device) eval(va, vb float64) (g, i int64) {
 		return toFix(d.geq), toFix(d.geq * v)
 	case KindCapacitor:
 		// Backward-Euler companion: i = C/h · (v − v_prev).
-		return toFix(d.geq), toFix(d.geq * (v - d.state))
+		return toFix(d.geq), toFix(d.geq * (v - *d.state))
 	case KindDiode:
-		vl := pnjlim(v, d.state)
+		vl := pnjlim(v, *d.state)
 		e := math.Exp(vl / thermalVt)
 		gd := diodeIs/thermalVt*e + gmin
 		id := diodeIs*(e-1) + gd*(v-vl) + gmin*vl
 		return toFix(gd), toFix(id)
 	default: // KindSource: fixed current this timestep, no conductance.
-		return 0, toFix(d.state)
+		return 0, toFix(*d.state)
 	}
 }
 
@@ -140,10 +164,8 @@ func pnjlim(vnew, vold float64) float64 {
 	return thermalVt * math.Log(vnew/thermalVt)
 }
 
-// Circuit is a built netlist plus its speculation plumbing. Cell
-// layout: cells[0..N] hold node voltages as math.Float64bits (cell 0
-// is ground and stays zero), followed by N² Jacobian stamp cells and
-// N residual stamp cells, every one a ReduceSum reduction.
+// Circuit is a built netlist, the driver's state and the speculation
+// plumbing, laid out by who writes what (see the package comment).
 type Circuit struct {
 	Name string
 	N    int     // unknown (non-ground) node count
@@ -151,8 +173,26 @@ type Circuit struct {
 
 	head    *Device
 	devices []*Device
-	cells   *spice.Cells
-	reds    []spice.Reduction
+	// The devices the driver updates between sweeps, by kind, each in
+	// netlist order (resistors carry no state).
+	sources, diodes, caps []*Device
+
+	// Written by the driver between sweeps, only read by a sweep: the
+	// Newton iterate (volts[0] is ground and stays zero) and one state
+	// slot per device, slot i being netlist device i's.
+	volts  []float64
+	states []float64
+
+	// Written by the chunks: N² Jacobian stamp cells followed by N
+	// residual stamp cells, every one a ReduceSum reduction.
+	cells *spice.Cells
+	reds  []spice.Reduction
+
+	// The driver's scratch, reused by every run: the stamp totals read
+	// back from a sweep, and the dense system they scale into.
+	acc      []int64
+	jac, rhs []float64
+	piv      []int
 }
 
 // Devices returns the netlist in traversal order (for projections and
@@ -164,11 +204,15 @@ func (c *Circuit) DeviceCount() int { return len(c.devices) }
 
 func (c *Circuit) add(d *Device) { c.devices = append(c.devices, d) }
 
-// finish links the device chain, assigns each device its stamp
-// reduction indices, and sizes the cell store.
+// finish links the device chain, points each device at its two node
+// voltages and its state slot, files it under its kind, assigns its
+// stamp reduction indices, and sizes the cell store and the scratch.
 func (c *Circuit) finish() *Circuit {
 	n := c.N
+	c.volts = make([]float64, n+1)
+	c.states = make([]float64, len(c.devices))
 	for i, d := range c.devices {
+		d.state = &c.states[i]
 		if i+1 < len(c.devices) {
 			d.next = c.devices[i+1]
 		}
@@ -177,7 +221,13 @@ func (c *Circuit) finish() *Circuit {
 			d.geq = 1 / d.Val
 		case KindCapacitor:
 			d.geq = d.Val / c.Step
+			c.caps = append(c.caps, d)
+		case KindDiode:
+			c.diodes = append(c.diodes, d)
+		case KindSource:
+			c.sources = append(c.sources, d)
 		}
+		d.va, d.vb = &c.volts[d.A], &c.volts[d.B]
 		d.rAA = c.matIdx(d.A, d.A)
 		d.rAB = c.matIdx(d.A, d.B)
 		d.rBA = c.matIdx(d.B, d.A)
@@ -187,11 +237,15 @@ func (c *Circuit) finish() *Circuit {
 	}
 	c.head = c.devices[0]
 	nred := n*n + n
-	c.cells = spice.NewCells(1 + n + nred)
+	c.cells = spice.NewCells(nred)
 	c.reds = make([]spice.Reduction, nred)
 	for r := range c.reds {
-		c.reds[r] = spice.Reduction{Cell: 1 + n + r, Kind: spice.ReduceSum}
+		c.reds[r] = spice.Reduction{Cell: r, Kind: spice.ReduceSum}
 	}
+	c.acc = make([]int64, nred)
+	c.jac = make([]float64, n*n)
+	c.rhs = make([]float64, n)
+	c.piv = make([]int, n)
 	return c
 }
 
@@ -212,7 +266,7 @@ func (c *Circuit) rhsIdx(i int) int32 {
 }
 
 // loop is the speculative device sweep: chase the netlist pointer
-// chain, Load the two node voltages, evaluate the device, and fold
+// chain, read the two node voltages, evaluate the device, and fold
 // its Jacobian/residual stamps into the ReduceSum cells. The loop
 // accumulator counts evaluated devices (a cheap liveness check).
 func (c *Circuit) loop() spice.Loop[*Device, int64] {
@@ -233,9 +287,7 @@ func (c *Circuit) loop() spice.Loop[*Device, int64] {
 // stamp is one device of the speculative sweep, shared by the loop's
 // SpecBody and its block form.
 func (d *Device) stamp(v *spice.CellView) {
-	va := math.Float64frombits(uint64(v.Load(d.A)))
-	vb := math.Float64frombits(uint64(v.Load(d.B)))
-	g, i := d.eval(va, vb)
+	g, i := d.eval(*d.va, *d.vb)
 	if d.rAA >= 0 {
 		v.Reduce(int(d.rAA), g)
 	}
@@ -293,24 +345,21 @@ func (c *Circuit) sweepSeq(volts []float64, acc []int64) {
 	}
 }
 
-// resetState rewinds all device-internal state so a circuit can be
-// re-run from t=0; construction leaves everything zeroed already.
+// resetState rewinds the voltage iterate and all device-internal state
+// so a circuit can be re-run from t=0; construction leaves everything
+// zeroed already.
 func (c *Circuit) resetState() {
-	for _, d := range c.devices {
-		d.state = 0
-	}
+	clear(c.volts)
+	clear(c.states)
 }
 
 // updateSources sets each source's drive current for timestep time t.
 func (c *Circuit) updateSources(t float64) {
-	for _, d := range c.devices {
-		if d.Kind != KindSource {
-			continue
-		}
+	for _, d := range c.sources {
 		if d.Freq > 0 {
-			d.state = d.Val * math.Sin(2*math.Pi*d.Freq*t)
+			*d.state = d.Val * math.Sin(2*math.Pi*d.Freq*t)
 		} else {
-			d.state = d.Val
+			*d.state = d.Val
 		}
 	}
 }
@@ -318,21 +367,20 @@ func (c *Circuit) updateSources(t float64) {
 // updateDiodeStates advances every diode's linearization point to the
 // pnjlim-limited voltage at the new iterate (once per Newton
 // iteration, between sweeps — the runtime's legal mutation window).
-func (c *Circuit) updateDiodeStates(volts []float64) {
-	for _, d := range c.devices {
-		if d.Kind == KindDiode {
-			d.state = pnjlim(volts[d.A]-volts[d.B], d.state)
-		}
+// It cannot move into the sweep: state = pnjlim(v, state) is not
+// idempotent, so a squashed chunk that had run it would hand its
+// re-execution an already-advanced state.
+func (c *Circuit) updateDiodeStates() {
+	for _, d := range c.diodes {
+		*d.state = pnjlim(*d.va-*d.vb, *d.state)
 	}
 }
 
 // updateCapStates latches every capacitor's branch voltage at the end
 // of an accepted timestep (the backward-Euler companion history).
-func (c *Circuit) updateCapStates(volts []float64) {
-	for _, d := range c.devices {
-		if d.Kind == KindCapacitor {
-			d.state = volts[d.A] - volts[d.B]
-		}
+func (c *Circuit) updateCapStates() {
+	for _, d := range c.caps {
+		*d.state = *d.va - *d.vb
 	}
 }
 

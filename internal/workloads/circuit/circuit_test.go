@@ -3,6 +3,7 @@ package circuit
 import (
 	"context"
 	"math"
+	"slices"
 	"testing"
 
 	"spice"
@@ -107,6 +108,168 @@ func TestSweepScanDifferential(t *testing.T) {
 						t.Fatalf("width=%d adaptive=%v: no speculative chunk committed", width, adaptive)
 					}
 				}
+			}
+		})
+	}
+}
+
+// floatBits snapshots a slice the way the oracle compares waveforms.
+func floatBits(xs []float64) []uint64 {
+	out := make([]uint64, len(xs))
+	for i, x := range xs {
+		out[i] = math.Float64bits(x)
+	}
+	return out
+}
+
+// relink replaces every device behind the head with a copy, so that no
+// device pointer the predictor memoized is on the chain any more: every
+// speculative chunk of the next sweep starts from an orphan and is
+// squashed. The copies share their originals' voltage and state slots.
+func relink(c *Circuit) {
+	for i := 1; i < len(c.devices); i++ {
+		d := *c.devices[i]
+		c.devices[i] = &d
+		c.devices[i-1].next = &d
+	}
+}
+
+// TestSweepLeavesDriverStateAlone is the soundness check for reading
+// outside the view: a sweep reads the node voltages and the device
+// states in place, so whatever it does — commit, hit a tight
+// MaxSpecIters cap, get squashed on a poisoned prediction and re-execute
+// — both arrays must come back bit for bit as the driver left them, and
+// the folded stamps must equal the reference sweep's at those values.
+func TestSweepLeavesDriverStateAlone(t *testing.T) {
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name  string
+		build func() *Circuit
+	}{
+		{"rcladder", func() *Circuit { return RCLadder(4, 8) }},
+		{"rectifier", func() *Circuit { return Rectifier(12) }},
+	} {
+		for _, scan := range []bool{true, false} {
+			for _, maxSpec := range []int64{0, 8} {
+				for width := 1; width <= 4; width++ {
+					name := tc.name + "/" + benchLabel(width)
+					if !scan {
+						name += "/closures"
+					}
+					if maxSpec > 0 {
+						name += "/capped"
+					}
+					t.Run(name, func(t *testing.T) {
+						c := tc.build()
+						// A few timesteps in, so voltages and states are
+						// not the all-zero start, with the next step's
+						// source drive applied.
+						if _, err := c.RunSequential(5); err != nil {
+							t.Fatal(err)
+						}
+						c.updateSources(6 * c.Step)
+						loop := c.loop()
+						if !scan {
+							loop.Scan = nil
+						}
+						pool, err := spice.NewPool(loop, spice.PoolConfig{
+							Config: spice.Config{Threads: width, MaxSpecIters: maxSpec},
+						})
+						if err != nil {
+							t.Fatal(err)
+						}
+						defer pool.Close()
+						sess, err := pool.SessionWidth(width)
+						if err != nil {
+							t.Fatal(err)
+						}
+						defer sess.Close()
+						sess.BindCells(c.cells)
+
+						volts, states := floatBits(c.volts), floatBits(c.states)
+						want, got := make([]int64, len(c.acc)), make([]int64, len(c.acc))
+						c.sweepSeq(c.volts, want)
+						sweep := func(what string) spice.Stats {
+							before := sess.Stats()
+							if err := c.sweepSpec(ctx, sess, got); err != nil {
+								t.Fatalf("%s: %v", what, err)
+							}
+							if got := floatBits(c.volts); !slices.Equal(got, volts) {
+								t.Fatalf("%s: the sweep changed the node voltages", what)
+							}
+							if got := floatBits(c.states); !slices.Equal(got, states) {
+								t.Fatalf("%s: the sweep changed the device states", what)
+							}
+							if !slices.Equal(got, want) {
+								t.Fatalf("%s: stamps differ from the reference sweep's\ngot  %v\nwant %v", what, got, want)
+							}
+							return sess.Stats().Delta(before)
+						}
+						for i := 0; i < 3; i++ { // memoize, then speculate
+							sweep("clean sweep")
+						}
+						relink(c)
+						st := sweep("poisoned sweep")
+						if width > 1 && st.SquashedIters == 0 {
+							t.Fatalf("the poisoned sweep squashed nothing: %+v", st)
+						}
+						sweep("sweep after the squash")
+					})
+				}
+			}
+		}
+	}
+}
+
+// TestDeviceStateLayout pins the driver-side layout: state slot i is
+// netlist device i's, every device reads its two voltages out of the
+// circuit's one iterate, the three kind lists partition the stateful
+// devices by Kind in netlist order, and resetState rewinds every slot
+// (a re-run is bit-identical).
+func TestDeviceStateLayout(t *testing.T) {
+	for _, c := range []*Circuit{RCLadder(3, 5), Rectifier(7)} {
+		t.Run(c.Name, func(t *testing.T) {
+			if len(c.states) != len(c.devices) || len(c.volts) != c.N+1 {
+				t.Fatalf("%d state slots for %d devices, %d voltages for %d nodes",
+					len(c.states), len(c.devices), len(c.volts), c.N)
+			}
+			byKind := map[uint8][]*Device{}
+			for i, d := range c.devices {
+				if d.state != &c.states[i] {
+					t.Fatalf("device %d does not own state slot %d", i, i)
+				}
+				if d.va != &c.volts[d.A] || d.vb != &c.volts[d.B] {
+					t.Fatalf("device %d (%d→%d) reads the wrong voltages", i, d.A, d.B)
+				}
+				byKind[d.Kind] = append(byKind[d.Kind], d)
+			}
+			for _, l := range []struct {
+				kind uint8
+				list []*Device
+			}{{KindSource, c.sources}, {KindDiode, c.diodes}, {KindCapacitor, c.caps}} {
+				if !slices.Equal(l.list, byKind[l.kind]) {
+					t.Fatalf("kind %d: the list is not the netlist's devices of that kind, in order", l.kind)
+				}
+			}
+
+			ref, err := c.RunSequential(20)
+			if err != nil {
+				t.Fatal(err)
+			}
+			nonzero := func(u uint64) bool { return u != 0 }
+			if !slices.ContainsFunc(floatBits(c.states), nonzero) {
+				t.Fatal("a transient left every state slot zero")
+			}
+			c.resetState()
+			if slices.ContainsFunc(floatBits(c.states), nonzero) || slices.ContainsFunc(floatBits(c.volts), nonzero) {
+				t.Fatalf("resetState left states %v, voltages %v", c.states, c.volts)
+			}
+			again, err := c.RunSequential(20)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ref.Equal(again) {
+				t.Fatal("the re-run diverged")
 			}
 		})
 	}
@@ -220,18 +383,15 @@ func benchSweep(b *testing.B, threads int, gap bool) {
 	}
 	defer sess.Close()
 	sess.BindCells(c.cells)
+	// The sweep reads the voltages where the driver keeps them: fix an
+	// operating point in the circuit's own iterate.
 	n := c.N
-	volts := make([]float64, n+1)
 	for i := 1; i <= n; i++ {
-		volts[i] = 0.5 * float64(i)
-		c.cells.Set(i, int64(math.Float64bits(volts[i])))
+		c.volts[i] = 0.5 * float64(i)
 	}
 	c.updateSources(c.Step)
-	base := 1 + n
 	nred := n*n + n
-	jac := make([]float64, n*n)
-	rhs := make([]float64, n)
-	piv := make([]int, n)
+	jac, rhs, piv := c.jac, c.rhs, c.piv
 	ctx := context.Background()
 	for i := 0; i < 2; i++ { // warm the views and queues
 		if _, err := sess.Run(ctx, c.head); err != nil {
@@ -242,7 +402,7 @@ func benchSweep(b *testing.B, threads int, gap bool) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for r := 0; r < nred; r++ {
-			c.cells.Set(base+r, 0)
+			c.cells.Set(r, 0)
 		}
 		if _, err := sess.Run(ctx, c.head); err != nil {
 			b.Fatal(err)
@@ -254,19 +414,63 @@ func benchSweep(b *testing.B, threads int, gap bool) {
 		// with every second one closing a timestep. The voltages stay
 		// fixed, so every sweep stamps the same system.
 		for k := 0; k < n*n; k++ {
-			jac[k] = float64(c.cells.At(base+k)) * fromFix
+			jac[k] = float64(c.cells.At(k)) * fromFix
 		}
 		for k := 0; k < n; k++ {
-			rhs[k] = -float64(c.cells.At(base+n*n+k)) * fromFix
+			rhs[k] = -float64(c.cells.At(n*n+k)) * fromFix
 		}
 		if err := solveDense(n, jac, rhs, piv); err != nil {
 			b.Fatal(err)
 		}
-		c.updateDiodeStates(volts)
+		c.updateDiodeStates()
 		if i%2 == 1 {
-			c.updateCapStates(volts)
+			c.updateCapStates()
 			c.updateSources(c.Step)
 		}
+	}
+}
+
+// BenchmarkCircuitTransient is one whole transient per op — the
+// benchmark of record's circuit_transient netlist and step count — on
+// the plain reference sweep (seq) and through the runtime at width 1
+// and 2, so `t2 < seq` is the end-to-end claim in `go test -bench`
+// form. Each row's waveform is checked once against the reference.
+func BenchmarkCircuitTransient(b *testing.B) {
+	const steps = 50
+	ref, err := RCLadder(8, 256).RunSequential(steps)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, threads := range []int{0, 1, 2} {
+		name := "seq"
+		if threads > 0 {
+			name = benchLabel(threads)
+		}
+		b.Run(name, func(b *testing.B) {
+			c := RCLadder(8, 256)
+			run := func() (*Waveform, error) {
+				if threads == 0 {
+					return c.RunSequential(steps)
+				}
+				wf, _, err := c.RunParallel(ctx, threads, true, steps)
+				return wf, err
+			}
+			wf, err := run()
+			if err != nil {
+				b.Fatal(err)
+			}
+			if !ref.Equal(wf) {
+				b.Fatal("waveform diverged from the sequential reference")
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := run(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -48,10 +48,10 @@ func (w *Waveform) Equal(o *Waveform) bool {
 	return true
 }
 
-// sweepFn runs one device-evaluation sweep at the given node voltages
-// (volts[0] is ground) and leaves the fixed-point Jacobian/residual
+// sweepFn runs one device-evaluation sweep at the circuit's current
+// node voltages (c.volts) and leaves the fixed-point Jacobian/residual
 // stamps in acc (length N²+N, pre-zeroed by the caller).
-type sweepFn func(volts []float64, acc []int64) error
+type sweepFn func(acc []int64) error
 
 // transient is the shared Newton/backward-Euler driver. Everything
 // here is plain scalar float code operating on the int64 stamp totals
@@ -61,11 +61,10 @@ type sweepFn func(volts []float64, acc []int64) error
 func (c *Circuit) transient(steps int, sweep sweepFn) (*Waveform, error) {
 	n := c.N
 	c.resetState()
-	volts := make([]float64, n+1)
-	acc := make([]int64, n*n+n)
-	jac := make([]float64, n*n)
-	rhs := make([]float64, n)
-	piv := make([]int, n)
+	volts, acc, jac, rhs, piv := c.volts, c.acc, c.jac, c.rhs, c.piv
+	// The waveform is the one thing a run hands out, so the one thing it
+	// allocates: every row is carved out of a single backing array.
+	rows := make([]float64, steps*n)
 	wf := &Waveform{Step: c.Step, V: make([][]float64, 0, steps)}
 
 	for s := 0; s < steps; s++ {
@@ -73,7 +72,7 @@ func (c *Circuit) transient(steps int, sweep sweepFn) (*Waveform, error) {
 		converged := false
 		for it := 0; it < maxNewton; it++ {
 			clear(acc)
-			if err := sweep(volts, acc); err != nil {
+			if err := sweep(acc); err != nil {
 				return nil, err
 			}
 			for k := 0; k < n*n; k++ {
@@ -93,7 +92,7 @@ func (c *Circuit) transient(steps int, sweep sweepFn) (*Waveform, error) {
 					done = false
 				}
 			}
-			c.updateDiodeStates(volts)
+			c.updateDiodeStates()
 			if done {
 				converged = true
 				break
@@ -102,8 +101,8 @@ func (c *Circuit) transient(steps int, sweep sweepFn) (*Waveform, error) {
 		if !converged {
 			return nil, fmt.Errorf("circuit %s: newton failed to converge at step %d (t=%g)", c.Name, s, float64(s+1)*c.Step)
 		}
-		c.updateCapStates(volts)
-		row := make([]float64, n)
+		c.updateCapStates()
+		row := rows[s*n : (s+1)*n : (s+1)*n]
 		copy(row, volts[1:])
 		wf.V = append(wf.V, row)
 	}
@@ -157,19 +156,19 @@ func solveDense(n int, a []float64, b []float64, piv []int) error {
 // sweep — no runtime, no speculation. This is the oracle side of the
 // differential test.
 func (c *Circuit) RunSequential(steps int) (*Waveform, error) {
-	return c.transient(steps, func(volts []float64, acc []int64) error {
-		c.sweepSeq(volts, acc)
+	return c.transient(steps, func(acc []int64) error {
+		c.sweepSeq(c.volts, acc)
 		return nil
 	})
 }
 
 // RunParallel runs the same transient with every device-evaluation
-// sweep dispatched through spice.Pool at the given width: node
-// voltages are published into the cell store before each sweep
-// (float bits in cells 0..N), the stamp reduction cells are zeroed,
-// the netlist chunk-executes speculatively, and the folded totals are
-// read back for the shared solve. Returns the waveform and the
-// runtime's cumulative speculation stats for the whole run.
+// sweep dispatched through spice.Pool at the given width: the stamp
+// reduction cells are zeroed, the netlist chunk-executes speculatively
+// (reading the node voltages where the driver keeps them), and the
+// folded totals are read back for the shared solve. Returns the
+// waveform and the runtime's cumulative speculation stats for the
+// whole run.
 func (c *Circuit) RunParallel(ctx context.Context, width int, adaptive bool, steps int) (*Waveform, spice.Stats, error) {
 	return c.runParallel(ctx, c.loop(), width, adaptive, steps)
 }
@@ -194,25 +193,27 @@ func (c *Circuit) runParallel(ctx context.Context, loop spice.Loop[*Device, int6
 	defer sess.Close()
 	sess.BindCells(c.cells)
 
-	base := 1 + c.N
-	nred := c.N*c.N + c.N
-	wf, err := c.transient(steps, func(volts []float64, acc []int64) error {
-		for i := 0; i <= c.N; i++ {
-			c.cells.Set(i, int64(math.Float64bits(volts[i])))
-		}
-		for r := 0; r < nred; r++ {
-			c.cells.Set(base+r, 0)
-		}
-		if _, err := sess.Run(ctx, c.head); err != nil {
-			return err
-		}
-		for r := 0; r < nred; r++ {
-			acc[r] = c.cells.At(base + r)
-		}
-		return nil
+	wf, err := c.transient(steps, func(acc []int64) error {
+		return c.sweepSpec(ctx, sess, acc)
 	})
 	if err != nil {
 		return nil, spice.Stats{}, err
 	}
 	return wf, sess.Stats(), nil
+}
+
+// sweepSpec is one sweep through the runtime, on a session the circuit's
+// cell store is bound to: zero the stamp cells, run the netlist, read
+// the folded totals back into acc.
+func (c *Circuit) sweepSpec(ctx context.Context, sess *spice.Session[*Device, int64], acc []int64) error {
+	for r := range acc {
+		c.cells.Set(r, 0)
+	}
+	if _, err := sess.Run(ctx, c.head); err != nil {
+		return err
+	}
+	for r := range acc {
+		acc[r] = c.cells.At(r)
+	}
+	return nil
 }

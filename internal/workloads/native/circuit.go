@@ -11,6 +11,15 @@ package native
 // the pool's two universal reduction cells instead of a per-circuit
 // N²+N stamp bank (a shared serving pool has a fixed reduction
 // layout; the full matrix build runs in the circuit package itself).
+//
+// The projection deliberately keeps its two voltage Loads per device,
+// which the circuit package's own sweep dropped (it reads its
+// voltages from plain memory, because there only the driver writes
+// them, between sweeps). Here the voltages are the tenant's data in
+// the instance's store: Mutate moves them through Cells.Set, the
+// universal SpecLoop can reach an instance's values only by cell
+// index, and a load-heavy, store-free tenant is what this kernel adds
+// to the serving mix.
 
 import (
 	"math/rand"
