@@ -883,15 +883,91 @@ func BenchmarkDoacross(b *testing.B) {
 	}
 }
 
-// BenchmarkCellViewCommit measures the one commit routine on its own,
-// per written cell: the serial work the invoker does for every chunk it
-// retires. dense is doacross_cells' shape (a contiguous run, every
+// BenchmarkDoacrossStream is the benchmark of record's doacross_cells
+// in one process: the closure accumulate loop (one Load and one Store a
+// node, no reductions, no compute between them), 100k cells, a flow
+// dependence every 64 nodes, invocations back to back. ref is the plain
+// loop on a plain array, t1 and t2 a Runner of that width. Beside time
+// it reports parks/op — how often an executor worker went to sleep per
+// invocation. A stream of rounds a few microseconds apart should park
+// nobody: about one park an op is the lease not covering the round
+// (executor.go, invariant 5), and every park is a wake the next round's
+// speculative chunk starts behind. 0 allocs/op is gated in CI.
+func BenchmarkDoacrossStream(b *testing.B) {
+	const listLen = 100_000
+	build := func() (*dcnode, *Cells, []int64) {
+		head, _, cells, shadow := buildDoacross(rand.New(rand.NewSource(17)), listLen, "rare")
+		return head, cells, shadow
+	}
+	b.Run("ref", func(b *testing.B) {
+		head, _, plain := build()
+		var sink int64
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			var a int64
+			for n := head; n != nil; n = n.next {
+				x := plain[n.src] + n.w
+				plain[n.dst] = x
+				a += x
+			}
+			sink += a
+		}
+		b.StopTimer()
+		if sink == 0 {
+			b.Fatal("empty accumulator")
+		}
+		b.ReportMetric(0, "parks/op")
+	})
+	for _, threads := range []int{1, 2} {
+		b.Run(fmt.Sprintf("t%d", threads), func(b *testing.B) {
+			head, cells, _ := build()
+			loop := dcLoop()
+			loop.Reductions = nil
+			loop.Cells = cells
+			loop.SpecBody = func(n *dcnode, a int64, v *CellView) int64 {
+				x := v.Load(n.src) + n.w
+				v.Store(n.dst, x)
+				return a + x
+			}
+			r, err := NewRunner(loop, Config{Threads: threads})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer r.Close()
+			ctx := context.Background()
+			for i := 0; i < 8; i++ {
+				r.MustRun(head) // memoize, size the views, let the lease history fill
+			}
+			parked := func() int64 {
+				if r.exec == nil {
+					return 0 // width 1 has no workers
+				}
+				return r.exec.parks.Load()
+			}
+			parks := parked()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := r.Run(ctx, head); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(parked()-parks)/float64(b.N), "parks/op")
+		})
+	}
+}
+
+// BenchmarkCellViewCommit measures what retiring one chunk costs the
+// walk, per written cell: validate (the bitmap ANDs against one later
+// view with reads in other cells) and copyOut (the buffered values into
+// the store). dense is doacross_cells' shape (a contiguous run, every
 // block full: the whole-block copy), scatter spreads the same number of
 // writes over a 1M-cell store (a few bits per block, and the pass over
-// the per-block flags shows), hot8 is the circuit sweep's (eight cells
-// of an 81-cell store). One later view with reads in other cells is
-// probed each time. Committing does not disarm a view, so the loop
-// re-commits the same armed one; 0 allocs/op is gated in CI.
+// the bitmap shows), hot8 is the circuit sweep's (eight cells of an
+// 81-cell store). Neither step disarms a view, so the loop retires the
+// same armed one again; 0 allocs/op is gated in CI.
 func BenchmarkCellViewCommit(b *testing.B) {
 	const writes = 50_000
 	perm := rand.New(rand.NewSource(5)).Perm(1 << 20)
@@ -922,9 +998,10 @@ func BenchmarkCellViewCommit(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if views[0].commit(views[1:]) != 1 {
+				if end, _, shared := views[0].validate(views[1:]); end != 1 || shared {
 					b.Fatal("conflict where no read meets a write")
 				}
+				views[0].copyOut()
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(tc.stores)), "ns_cell")
 		})

@@ -100,13 +100,12 @@ func runViewScript(t *testing.T, data []byte) {
 			v.begin(st.cells, st.reds)
 			// Over the whole capacity: what a smaller store hides now, a
 			// larger one shows again.
-			rbits, wbits, touched := v.rbits[:cap(v.rbits)], v.wbits[:cap(v.wbits)], v.touched[:cap(v.touched)]
-			for b := range touched {
-				if rbits[b]|wbits[b] != 0 || touched[b] != 0 {
+			for b, blk := range v.bits[:cap(v.bits)] {
+				if blk != (cellBits{}) {
 					t.Fatalf("round %d: view %d armed with block %d still set", round, i, b)
 				}
 			}
-			if len(v.wval) != size || len(v.rbits) != cellBlocks(size) || len(v.wbits) != len(v.rbits) || len(v.touched) != len(v.rbits) {
+			if len(v.wval) != size || len(v.bits) != cellBlocks(size) {
 				t.Fatalf("round %d: view %d buffers not sliced to the %d-cell store", round, i, size)
 			}
 			model[i] = modelView{writes: map[int]int64{}, reads: map[int]bool{}}
@@ -163,7 +162,7 @@ func runViewScript(t *testing.T, data []byte) {
 
 		for i := 0; i < nv; i++ {
 			v, m := &views[i], &model[i]
-			reads, writes := cellSet(v.rbits), cellSet(v.wbits)
+			reads, writes := readSet(v), writeSet(v)
 			if len(reads) != len(m.reads) || len(writes) != len(m.writes) {
 				t.Fatalf("round %d: view %d has %d reads and %d writes, model %d and %d", round, i, len(reads), len(writes), len(m.reads), len(m.writes))
 			}
@@ -177,11 +176,10 @@ func runViewScript(t *testing.T, data []byte) {
 					t.Fatalf("round %d: view %d write-set cell %d = %d, model %d (present=%v)", round, i, c, v.wval[c], x, ok)
 				}
 			}
-			for b := range v.touched {
-				if (v.touched[b] != 0) != (v.rbits[b]|v.wbits[b] != 0) {
-					t.Fatalf("round %d: view %d block %d touched=%d with words %x/%x", round, i, b, v.touched[b], v.rbits[b], v.wbits[b])
-				}
-			}
+			// A block with no bit set is never copied, nor a cell without
+			// its write bit: poisoned, either would reach the store and
+			// diverge from the model below.
+			poisonUnwritten(v)
 		}
 
 		// The scheduler's walk: commit the prefix in order, each commit
@@ -203,7 +201,7 @@ func runViewScript(t *testing.T, data []byte) {
 			for j, rd := range st.reds {
 				st.model[rd.Cell] = rd.Kind.fold(st.model[rd.Cell], model[i].racc[j])
 			}
-			probeEnd = i + 1 + views[i].commit(views[i+1:probeEnd])
+			probeEnd = i + 1 + retire(&views[i], views[i+1:probeEnd])
 			if probeEnd != wantEnd {
 				t.Fatalf("round %d: commit of view %d found view %d in conflict first, model %d (of %d)", round, i, probeEnd, wantEnd, nv)
 			}

@@ -17,20 +17,30 @@ import "math/bits"
 // with everything after it and the region re-executes in the next
 // round. What earlier rounds committed was in the store before the
 // chunk started and cannot conflict, which is why only the round's own
-// views are ever compared. Only flow dependences conflict; anti- and
-// output dependences are satisfied for free by the in-order commit of
-// buffered writes.
+// views are ever compared. Only flow dependences conflict. Anti-
+// dependences are satisfied by buffering alone, and output dependences
+// by the order in which the buffers land: the copies of two chunks
+// that stored to the same cell land in chain order, so the logically
+// last writer's value stays.
 //
 // Unlike specmem.Buffer (maps, per-run allocation), a CellView is
 // allocation-free in steady state. The store is cut into blocks of 64
-// cells; a view keeps one read-set word and one write-set word per
-// block (a bit per cell), one byte per block that says the block was
-// touched at all, and the buffered values. Load and Store are a bit
-// test and, the first time a cell is touched, a bit set. Arm and commit
-// cost one pass over the per-block bytes plus work per touched block: a
-// fully written block is committed by one 64-cell copy, and any block
-// is validated by one AND per later chunk. Neither walks a list of
-// cells or the store. A view costs 8 bytes and 2 bits per cell.
+// cells; a view keeps one bitmap — per block a read-set word and a
+// write-set word side by side (a bit per cell, 16 bytes per block, one
+// slice header) — and the buffered values. Load and Store are a bit
+// test and, the first time a cell is touched, a bit set. Arming is one
+// clear over the bitmap; there is no per-block "touched" flag to keep,
+// a block nothing named has two zero words. Retiring a chunk is three
+// steps the scheduler orders (scheduler.run and landCells): validate
+// ANDs each written block against the same block of every later chunk
+// and never touches a value; copyOut moves the written cells into the
+// store, a fully written block by one 64-cell copy, and skips every
+// block whose write word is zero; fold merges the reduction
+// accumulators. None of them walks a list of cells or the store. The
+// walk validates the whole chain first, so by the time values move it
+// knows which views commit and whether any two of them stored to one
+// cell: when none did, each view's copy runs on the core that filled
+// its buffer. A view costs 8 bytes and 2 bits per cell.
 //
 // Reductions (the paper's Section 4 / internal/reduction) ride the same
 // store: a Loop declares reduction cells with their kinds, the body
@@ -38,12 +48,13 @@ import "math/bits"
 // sequential path's direct view included — privatizes the accumulator
 // starting from the kind's identity. The scheduler folds a chunk's
 // private accumulators into the store cells in sequential chunk order
-// at commit; runSequential folds the direct view's when it exits, on
-// every exit path. Reduce is therefore one operation in both modes,
-// small enough to inline into the body (TestCellAccessorsInline holds
-// it there). Every supported kind is associative and commutative on
-// int64 under wraparound, so folding identity-seeded partial results
-// in chunk order equals folding every update in iteration order.
+// once the round's copies have landed; runSequential folds the direct
+// view's when it exits, on every exit path. Reduce is therefore one
+// operation in both modes, small enough to inline into the body
+// (TestCellAccessorsInline holds it there). Every supported kind is
+// associative and commutative on int64 under wraparound, so folding
+// identity-seeded partial results in chunk order equals folding every
+// update in iteration order.
 // Reduction cells are exempt from conflict tracking — that exemption
 // is the entire point of recognizing them.
 
@@ -170,17 +181,19 @@ func (c *Cells) Set(i int, v int64) { c.words[i] = v }
 // and Reduce and never sees buffering, validation or squash — a
 // squashed chunk's buffered writes simply never reach the store.
 //
-// A view is confined to its chunk's goroutine during execution and to
-// the invoking goroutine during arm and commit; it needs (and has) no
-// internal locking. Out-of-range cell indices panic in the body, before
-// the view records anything about them, and the runtime contains that
-// like any body panic: in a committed-prefix chunk it surfaces as
-// *PanicError exactly as sequential execution would, and in a squashed
-// chunk it is discarded — the deferred-fault semantics of a TLS memory
-// system.
+// A view is confined to its chunk's goroutine during execution, to the
+// invoking goroutine while it is armed, validated and folded, and to
+// whoever claimed its copy-out (scheduler.landCells) while that runs;
+// the round's latch and claim words order the three, so it needs (and
+// has) no internal locking. Out-of-range cell indices panic in the
+// body, before the view records anything about them, and the runtime
+// contains that like any body panic: in a committed-prefix chunk it
+// surfaces as *PanicError exactly as sequential execution would, and in
+// a squashed chunk it is discarded — the deferred-fault semantics of a
+// TLS memory system.
 type CellView struct {
 	// The field order is measured, not incidental. The direct mode reads
-	// c, direct and the reduction fields on every access and never the
+	// words, direct and the reduction fields on every access and never the
 	// buffers, and which of them sit before the buffers and which behind
 	// moved both direct-view readings of the benchmark, repeatably: with
 	// racc behind the buffers the dense-conflict histogram (a mixed-kind
@@ -189,7 +202,10 @@ type CellView struct {
 	// in front of them w1_overhead on circuit_transient (an all-Sum
 	// Reduce, 2–6 per device) read 1.50 against 1.48 before and 1.44 in
 	// this order (CHANGES.md, PR 14).
-	c *Cells
+	//
+	// words is the bound store's cells, cached at every arm: an access
+	// reads the slice header here instead of chasing the store pointer.
+	words []int64
 	// direct marks the sequential execution mode (Runner.runSequential
 	// and width-1 fallbacks): loads and stores pass straight through to
 	// the store — the reference semantics the speculative mode must
@@ -200,25 +216,30 @@ type CellView struct {
 	// declared Reduction, starting at the kind's identity.
 	racc []int64
 
-	// The buffered mode's read- and write-set, one bit per cell in one
-	// word per 64-cell block: bit i&63 of rbits[i>>6] says the chunk read
-	// cell i by fall-through, the same bit of wbits that it stored to it,
-	// with the latest stored value in wval[i]. touched[b] is set with the
-	// first bit of block b, so arm and commit find the chunk's blocks in
-	// one pass over size/64 bytes and never walk cells or the store. All
-	// four are sliced to the bound store at every arm (cellBlocks(size)
-	// words and bytes, size values) and keep their capacity across arms;
-	// each lives on cache lines of its own (paddedSlice) because
-	// neighbouring views are written by different cores.
-	rbits   []uint64
-	wbits   []uint64
-	touched []uint8
-	wval    []int64
+	// The buffered mode's read- and write-set, one bit per cell, the two
+	// words of a 64-cell block side by side: bit i&63 of bits[i>>6].r
+	// says the chunk read cell i by fall-through, the same bit of .w that
+	// it stored to it, with the latest stored value in wval[i]. One slice
+	// header serves both sets, and that is most of what an access costs:
+	// after every store the compiler must assume the header was aliased
+	// and reload it, so with three bitmaps a Load+Store pair issued about
+	// 21 loads before it touched a cell and issues about 14 with one. A
+	// block no access named has both words zero and is skipped by
+	// validation and copy-out on its write word alone. Both slices are
+	// cut to the bound store at every arm (cellBlocks(size) blocks, size
+	// values) and keep their capacity across arms; each lives on cache
+	// lines of its own (paddedSlice) because neighbouring views are
+	// written by different cores.
+	bits []cellBits
+	wval []int64
 
 	// sums aliases racc when every declared reduction is ReduceSum and is
 	// nil otherwise: Reduce's inline fast path, chosen once per arm.
 	sums []int64
 }
+
+// cellBits is one 64-cell block of a view's read- and write-set.
+type cellBits struct{ r, w uint64 }
 
 // cellBlocks is the number of 64-cell blocks covering n cells.
 func cellBlocks(n int) int { return (n + 63) >> 6 }
@@ -234,27 +255,22 @@ func paddedSlice[T any](n int) []T {
 
 // begin arms the view for one buffered chunk execution against c: empty
 // read- and write-set, buffers sliced to c's size. Whatever the previous
-// arm left behind — a squashed chunk's sets, or a committed one's — is
-// cleared block by block over that arm's extent, which may be larger
-// than this one's when the runner was re-bound to a smaller store.
+// arm left behind — a squashed chunk's sets, or a committed one's — goes
+// in one clear over that arm's extent (25 KB for 100 000 cells, 32 bytes
+// for the circuit's 72), which may be larger than this one's when the
+// runner was re-bound to a smaller store.
 func (v *CellView) begin(c *Cells, red []Reduction) {
-	v.c = c
+	v.words = c.words
 	v.red = red
 	v.direct = false
 	n := len(c.words)
 	nb := cellBlocks(n)
 	if cap(v.wval) < n {
-		v.rbits = paddedSlice[uint64](nb)
-		v.wbits = paddedSlice[uint64](nb)
-		v.touched = paddedSlice[uint8](nb)
+		v.bits = paddedSlice[cellBits](nb)
 		v.wval = paddedSlice[int64](n)
 	} else {
-		for b, t := range v.touched {
-			if t != 0 {
-				v.rbits[b], v.wbits[b], v.touched[b] = 0, 0, 0
-			}
-		}
-		v.rbits, v.wbits, v.touched, v.wval = v.rbits[:nb], v.wbits[:nb], v.touched[:nb], v.wval[:n]
+		clear(v.bits)
+		v.bits, v.wval = v.bits[:nb], v.wval[:n]
 	}
 	v.armReductions()
 }
@@ -263,7 +279,7 @@ func (v *CellView) begin(c *Cells, red []Reduction) {
 // loads and stores go straight to the store; reductions accumulate
 // privately until the caller's commit.
 func (v *CellView) beginDirect(c *Cells, red []Reduction) {
-	v.c = c
+	v.words = c.words
 	v.red = red
 	v.direct = true
 	v.armReductions()
@@ -293,7 +309,7 @@ func (v *CellView) armReductions() {
 // allocation-free working set, and the next begin clears what is set in
 // them.
 func (v *CellView) release() {
-	v.c = nil
+	v.words = nil
 	v.red = nil
 	v.racc = v.racc[:0]
 	v.sums = nil
@@ -306,16 +322,15 @@ func (v *CellView) release() {
 // chunk keeps loading dirties its bitmap line once, not per access.
 func (v *CellView) Load(i int) int64 {
 	if v.direct {
-		return v.c.words[i]
+		return v.words[i]
 	}
-	b, m := i>>6, uint64(1)<<(i&63)
-	if v.wbits[b]&m != 0 {
+	b, m := &v.bits[i>>6], uint64(1)<<(i&63)
+	if b.w&m != 0 {
 		return v.wval[i]
 	}
-	x := v.c.words[i]
-	if r := v.rbits[b]; r&m == 0 {
-		v.rbits[b] = r | m
-		v.touched[b] = 1
+	x := v.words[i]
+	if b.r&m == 0 {
+		b.r |= m
 	}
 	return x
 }
@@ -326,14 +341,13 @@ func (v *CellView) Load(i int) int64 {
 // rejects an out-of-range i before the write-set can name it.
 func (v *CellView) Store(i int, x int64) {
 	if v.direct {
-		v.c.words[i] = x
+		v.words[i] = x
 		return
 	}
 	v.wval[i] = x
-	b, m := i>>6, uint64(1)<<(i&63)
-	if w := v.wbits[b]; w&m == 0 {
-		v.wbits[b] = w | m
-		v.touched[b] = 1
+	b, m := &v.bits[i>>6], uint64(1)<<(i&63)
+	if b.w&m == 0 {
+		b.w |= m
 	}
 }
 
@@ -360,54 +374,80 @@ func (v *CellView) reduceKind(r int, x int64) {
 	v.racc[r] = v.red[r].Kind.fold(v.racc[r], x)
 }
 
-// commit lands the view in the store and validates the chunks behind
-// it, in one pass over the blocks the chunk touched: each block's
-// written cells are copied into the store, and its write word is ANDed
-// against the same block's read word in later — the views of the
-// round's logically-later chunks, in chain order. A later chunk that
-// read, by fall-through, a cell this one wrote consumed a stale value:
-// a violated flow dependence. commit returns the index in later of the
-// first such chunk, len(later) if there is none; everything behind a
-// conflicting chunk is squashed with it, so probing narrows to the
-// chunks before it as soon as one is found. Then the private reduction
-// accumulators fold into their cells — the sequential-chunk-order
-// merge, because the scheduler commits chunks in exactly that order.
+// A buffered chunk retires in three steps, which the scheduler orders
+// (scheduler.run validates during the chain walk; landCells copies out
+// and folds once the walk knows the committed prefix). All three run
+// after the round has joined. A direct view has no buffer: only fold
+// applies to it.
+
+// validate checks the chunks behind this one: the write word of every
+// block the chunk wrote is ANDed against the same block's read word in
+// later — the views of the round's logically-later chunks, in chain
+// order. A later chunk that read, by fall-through, a cell this one
+// wrote consumed a stale value: a violated flow dependence. validate
+// returns the index in later of the first such chunk, len(later) if
+// there is none; everything behind a conflicting chunk is squashed with
+// it, so probing narrows to the chunks before it as soon as one is
+// found. It reads bitmaps only — no value, no store cell — so the walk
+// can validate the whole chain before anything is copied.
 //
-// Called on the invoking goroutine after the round has joined. Only
-// views armed in the same round are passed, which is all the scoping
-// conflicts need: what an earlier round committed was in the store
-// before these chunks started. A direct view has no buffered writes;
-// its commit is the reduction fold alone.
-func (v *CellView) commit(later []CellView) int {
-	words := v.c.words
-	if !v.direct {
-		for b, t := range v.touched {
-			if t == 0 {
-				continue
+// wrote reports whether the chunk stored to any cell, and shared
+// reports an output dependence: a later view (one not yet ruled out when its
+// block was probed) stored to a cell this one stored to. Copies of
+// views that share no written cell land in disjoint cells and may run
+// in any order, on any core; shared ones must land in chain order.
+//
+// Only views armed in the same round are passed, which is all the
+// scoping conflicts need: what an earlier round committed was in the
+// store before these chunks started.
+func (v *CellView) validate(later []CellView) (end int, wrote, shared bool) {
+	for b := range v.bits {
+		w := v.bits[b].w
+		if w == 0 {
+			continue // a block the chunk only read, or never named
+		}
+		wrote = true
+		for k := range later {
+			l := later[k].bits[b]
+			if l.r&w != 0 {
+				later = later[:k]
+				break
 			}
-			w := v.wbits[b]
-			if w == 0 {
-				continue // a block the chunk only read
-			}
-			base := b << 6
-			if w == ^uint64(0) {
-				copy(words[base:base+64], v.wval[base:base+64])
-			} else {
-				for x := w; x != 0; x &= x - 1 {
-					i := base + bits.TrailingZeros64(x)
-					words[i] = v.wval[i]
-				}
-			}
-			for k := range later {
-				if later[k].rbits[b]&w != 0 {
-					later = later[:k]
-					break
-				}
-			}
+			shared = shared || l.w&w != 0
 		}
 	}
-	for j, rd := range v.red {
-		words[rd.Cell] = rd.Kind.fold(words[rd.Cell], v.racc[j])
+	return len(later), wrote, shared
+}
+
+// copyOut lands the chunk's buffered stores in the store: each written
+// block's cells, a fully written block by one 64-cell copy. It touches
+// no cell the chunk did not store to, which is what lets the copies of
+// views that share no written cell run side by side.
+func (v *CellView) copyOut() {
+	words := v.words
+	for b := range v.bits {
+		w := v.bits[b].w
+		if w == 0 {
+			continue
+		}
+		base := b << 6
+		if w == ^uint64(0) {
+			copy(words[base:base+64], v.wval[base:base+64])
+			continue
+		}
+		for ; w != 0; w &= w - 1 {
+			i := base + bits.TrailingZeros64(w)
+			words[i] = v.wval[i]
+		}
 	}
-	return len(later)
+}
+
+// fold merges the private reduction accumulators into their cells. The
+// scheduler folds the committed views in chain order — the
+// sequential-chunk-order merge — and runSequential folds the direct
+// view on every exit.
+func (v *CellView) fold() {
+	for j, rd := range v.red {
+		v.words[rd.Cell] = rd.Kind.fold(v.words[rd.Cell], v.racc[j])
+	}
 }

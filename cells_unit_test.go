@@ -93,7 +93,7 @@ func TestCellsGenerationWrap(t *testing.T) {
 	for gen := 0; gen < 1000; gen++ {
 		w.begin(c, nil)
 		r.begin(c, nil)
-		if got := cellSet(r.rbits); len(got) != 0 {
+		if got := readSet(r); len(got) != 0 {
 			t.Fatalf("arm %d: read-set carried over: %v", gen, got)
 		}
 		if got := r.Load(129); got != 0 {
@@ -104,7 +104,7 @@ func TestCellsGenerationWrap(t *testing.T) {
 		}
 		r.Store(129, 5) // squashed every time: never committed
 		w.Store(64, int64(gen))
-		if got := w.commit(views[1:]); got != 1 {
+		if got := retire(w, views[1:]); got != 1 {
 			t.Fatalf("arm %d: ghost conflict from an earlier arm", gen)
 		}
 		w.Store(2, 1) // after its commit: must die with the arm
@@ -136,12 +136,16 @@ func TestCellViewOutOfRange(t *testing.T) {
 			}()
 		}
 	}
-	if r, w := cellSet(v.rbits), cellSet(v.wbits); len(r)+len(w) != 0 {
+	if r, w := readSet(&v), writeSet(&v); len(r)+len(w) != 0 {
 		t.Fatalf("out-of-range accesses entered the sets: reads %v, writes %v", r, w)
 	}
-	for b, x := range v.touched {
-		if x != 0 {
-			t.Fatalf("out-of-range access marked block %d touched", b)
+	// A block with no bit set is never copied: with every buffered value
+	// poisoned, landing the view leaves the store as it was.
+	poisonUnwritten(&v)
+	retire(&v, nil)
+	for i := 0; i < 130; i++ {
+		if got := v.words[i]; got != 0 {
+			t.Fatalf("out-of-range accesses made the copy-out move cell %d = %d", i, got)
 		}
 	}
 }

@@ -1,0 +1,366 @@
+package spice
+
+// Tests of the split commit (scheduler.landCells): the chain walk
+// validates, and the buffered values land afterwards — side by side on
+// the cores that filled them when no two committed views stored to one
+// cell, in chain order on the invoker otherwise. What must hold either
+// way is the sequential result: where chunks of one round store to the
+// same cell the logically last writer's value stays, and a failing
+// chunk leaves the store as the sequential run would at that iteration.
+// CI runs this file under -race at GOMAXPROCS 2 and 8.
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"runtime"
+	"testing"
+	"time"
+
+	"spice/internal/faults"
+)
+
+// odNodes is the list length of every test here: at width 4 a chunk's
+// disjoint share spans 64 whole blocks, and the store ends in a partial
+// block.
+const odNodes = 4*64*64 + 40
+
+// odPatterns are the store patterns, as the cell node i writes and the
+// store's size. blocks: every chunk rewrites every cell of a small
+// store — whole-block copies over one another, and a partial last
+// block. single: private cells, written as whole blocks, except that
+// every 97th node writes cell 5 — one shared cell among disjoint
+// blocks. disjoint: private cells only, the shape whose copies spread.
+var odPatterns = []struct {
+	name   string
+	size   int
+	dst    func(i int) int
+	shared bool
+}{
+	{"blocks", 200, func(i int) int { return i % 200 }, true},
+	{"single", odNodes, func(i int) int {
+		if i%97 == 0 {
+			return 5
+		}
+		return i
+	}, true},
+	{"disjoint", odNodes, func(i int) int { return i }, false},
+}
+
+// odStep stores the node's stamp: no cell is loaded, so no chunk ever
+// conflicts and a round commits every chunk it dispatched.
+func odStep(n *dcnode, a int64, v *CellView) int64 {
+	v.Store(n.dst, n.w)
+	return a + n.w
+}
+
+// odLoop is the output-dependence loop, with its block form when scan
+// is set.
+func odLoop(scan bool) Loop[*dcnode, int64] {
+	l := Loop[*dcnode, int64]{
+		Done:     func(n *dcnode) bool { return n == nil },
+		Next:     func(n *dcnode) *dcnode { return n.next },
+		SpecBody: odStep,
+		Init:     func() int64 { return 0 },
+		Merge:    func(a, b int64) int64 { return a + b },
+	}
+	if scan {
+		l.Scan = func(n *dcnode, a int64, v *CellView, stop *dcnode, max int64) (*dcnode, int64, int64) {
+			var k int64
+			for ; k < max && n != nil && n != stop; k++ {
+				a = odStep(n, a, v)
+				n = n.next
+			}
+			return n, a, k
+		}
+	}
+	return l
+}
+
+// odList builds the list for a pattern, the store and its shadow.
+func odList(dst func(int) int, size int) ([]*dcnode, *Cells, []int64) {
+	nodes := make([]*dcnode, odNodes)
+	var head *dcnode
+	for i := odNodes - 1; i >= 0; i-- {
+		head = &dcnode{dst: dst(i), next: head}
+		nodes[i] = head
+	}
+	return nodes, NewCells(size), make([]int64, size)
+}
+
+// odStamp gives every node a weight no other node or op has, and
+// applies the first upTo nodes to the shadow the way the plain loop
+// would; it returns their sum.
+func odStamp(nodes []*dcnode, op, upTo int, shadow []int64) int64 {
+	var acc int64
+	for i, n := range nodes {
+		n.w = int64(op*len(nodes) + i + 1)
+		if i < upTo {
+			shadow[n.dst] = n.w
+			acc += n.w
+		}
+	}
+	return acc
+}
+
+// odRun runs op against the runner and checks accumulator and store.
+func odRun(t *testing.T, r *Runner[*dcnode, int64], nodes []*dcnode, cells *Cells, shadow []int64, op int) {
+	t.Helper()
+	want := odStamp(nodes, op, len(nodes), shadow)
+	got, err := r.Run(context.Background(), nodes[0])
+	if err != nil {
+		t.Fatalf("op %d: %v", op, err)
+	}
+	if got != want {
+		t.Fatalf("op %d: acc = %d, want %d", op, got, want)
+	}
+	assertCellsEqual(t, fmt.Sprintf("op %d", op), cells, shadow)
+}
+
+func TestCopyOutOutputDependence(t *testing.T) {
+	for _, p := range odPatterns {
+		for _, scan := range []bool{false, true} {
+			for threads := 2; threads <= 4; threads++ {
+				t.Run(fmt.Sprintf("%s/scan=%v/t%d", p.name, scan, threads), func(t *testing.T) {
+					nodes, cells, shadow := odList(p.dst, p.size)
+					loop := odLoop(scan)
+					loop.Cells = cells
+					r, err := NewRunner(loop, Config{Threads: threads})
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer r.Close()
+					for op := 0; op < 8; op++ {
+						odRun(t, r, nodes, cells, shadow, op)
+					}
+					// No cell is loaded, so nothing conflicts: the chunks of a
+					// round commit together and their copies meet in landCells.
+					if st := r.Stats(); st.Hits < 7 || st.Conflicts != 0 {
+						t.Fatalf("hits %d conflicts %d over 7 parallel ops", st.Hits, st.Conflicts)
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestValidateReportsSharedWrites pins the patterns above to what their
+// names say, on views armed by hand: validate reports an output
+// dependence exactly where two chunks store to one cell (whole blocks,
+// or a single cell among disjoint blocks), none for disjoint shares,
+// and wrote for every view that stored — but not for one that did not.
+func TestValidateReportsSharedWrites(t *testing.T) {
+	const threads = 4
+	for _, p := range odPatterns {
+		nodes, cells, _ := odList(p.dst, p.size)
+		views := make([]CellView, threads)
+		for i := range views {
+			views[i].begin(cells, nil)
+		}
+		for i, n := range nodes {
+			odStep(n, 0, &views[i*threads/len(nodes)])
+		}
+		shared := false
+		for i := range views {
+			end, wrote, out := views[i].validate(views[i+1:])
+			if end != threads-1-i {
+				t.Fatalf("%s: view %d found a flow conflict in a loop that loads nothing", p.name, i)
+			}
+			if !wrote {
+				t.Fatalf("%s: view %d stored to its share and validate reported wrote=false", p.name, i)
+			}
+			shared = shared || out
+		}
+		if shared != p.shared {
+			t.Fatalf("%s: validate reported shared=%v", p.name, shared)
+		}
+		// A view that only loaded has nothing to copy, and so nothing to offer.
+		var idle CellView
+		idle.begin(cells, nil)
+		idle.Load(3)
+		if _, wrote, out := idle.validate(views); wrote || out {
+			t.Fatalf("%s: a view that stored nothing reported wrote=%v shared=%v", p.name, wrote, out)
+		}
+	}
+}
+
+// TestCopyOutReclaimedChunk holds the only worker away (an ExecWorker
+// stall on its second or third task: the copy entry of the first
+// parallel round, or the chunk entry of the second) while rounds go on:
+// the invoker reclaims the chunks and lands every copy itself, and when
+// the worker comes back the entry it held is a failed claim.
+func TestCopyOutReclaimedChunk(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	for _, p := range odPatterns {
+		for _, match := range []int64{2, 3} {
+			t.Run(fmt.Sprintf("%s/task%d", p.name, match), func(t *testing.T) {
+				nodes, cells, shadow := odList(p.dst, p.size)
+				loop := odLoop(false)
+				loop.Cells = cells
+				plane := faults.New(faults.Point{Site: faults.ExecWorker, Match: match, Kind: faults.KindStall, Dur: time.Minute})
+				r, err := NewRunner(loop, Config{Threads: 2, Faults: plane})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer r.Close()
+				defer plane.Release()
+				op := 0
+				for ; op < 12; op++ {
+					odRun(t, r, nodes, cells, shadow, op)
+					checkIdle(t, &r.sched.lat, op)
+				}
+				if st := r.Stats(); st.Reclaimed < 6 {
+					t.Fatalf("Reclaimed = %d over 12 ops with the worker stalled", st.Reclaimed)
+				}
+				plane.Release()
+				for r.exec.load.Load() != 0 {
+					runtime.Gosched() // the worker runs the entry it held
+				}
+				assertCellsEqual(t, "after the held entry ran", cells, shadow)
+				for ; op < 20; op++ {
+					odRun(t, r, nodes, cells, shadow, op)
+					checkIdle(t, &r.sched.lat, op)
+				}
+			})
+		}
+	}
+}
+
+// TestCopyOutStaleEntry plays a worker that pops slot 1's copy entry a
+// round late. The slot is marked queued, as it is while a worker holds
+// its entry, so rounds arm the copy without submitting; a goroutine
+// then does what that worker does when it gets to the entry — claim and
+// copy — while the invoker is held (scheduler.copyGate) between arming
+// the copy and its own claim. The late entry therefore wins every copy:
+// it lands exactly once, it is the current round's, and the invoker's
+// own claim is the failed one. An entry run while nothing is armed
+// touches nothing. Chunk 0 waits at its first node until the worker owns
+// chunk 1: a reclaimed chunk's copy is never offered, and this test is
+// about offered ones.
+func TestCopyOutStaleEntry(t *testing.T) {
+	// A processor each for the invoker, the worker and the late entry.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(3))
+	p := odPatterns[2] // disjoint: the copy is offered
+	nodes, cells, shadow := odList(p.dst, p.size)
+	var r *Runner[*dcnode, int64]
+	loop := odLoop(false)
+	loop.Cells = cells
+	loop.SpecBody = func(n *dcnode, a int64, v *CellView) int64 {
+		if n == nodes[0] && !v.direct {
+			for r.sched.jobs[1].claim.Load() != 0 {
+				runtime.Gosched()
+			}
+		}
+		return odStep(n, a, v)
+	}
+	r, err := NewRunner(loop, Config{Threads: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	op := 0
+	for ; op < 3; op++ {
+		odRun(t, r, nodes, cells, shadow, op)
+	}
+	for r.exec.load.Load() != 0 {
+		runtime.Gosched() // no real entry of slot 1 is left in the queue
+	}
+	c := &r.sched.copies[1]
+	c.queued.Store(true)
+
+	armed, claimed := make(chan struct{}), make(chan bool)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for range armed {
+			// copyJob.run's claim, with the outcome kept. The copy itself
+			// runs beside the invoker's copy of view 0.
+			won := c.claim.CompareAndSwap(claimArmed, 0)
+			claimed <- won
+			if won {
+				c.copy()
+			}
+		}
+	}()
+	wins, held := 0, 0
+	r.sched.copyGate = func() {
+		held++
+		armed <- struct{}{}
+		if <-claimed {
+			wins++
+		}
+	}
+	const rounds = 100
+	for ; op < 3+rounds; op++ {
+		odRun(t, r, nodes, cells, shadow, op)
+		checkIdle(t, &r.sched.lat, op)
+		if c.claim.Load() != 0 {
+			t.Fatalf("op %d: copy slot still armed after the round", op)
+		}
+	}
+	r.sched.copyGate = nil
+	close(armed)
+	<-done
+	if held != rounds || wins != rounds {
+		t.Fatalf("%d rounds: %d offered a copy, the late entry won %d", rounds, held, wins)
+	}
+	c.run() // the held entry, between rounds: a failed claim that only frees the slot
+	if c.queued.Load() || c.claim.Load() != 0 {
+		t.Fatal("a stale entry run between rounds left the slot queued or armed")
+	}
+	assertCellsEqual(t, "after a stale entry between rounds", cells, shadow)
+	checkIdle(t, &r.sched.lat, op)
+	// The slot is free again: the next rounds submit a real entry.
+	for ; op < 3+rounds+5; op++ {
+		odRun(t, r, nodes, cells, shadow, op)
+		checkIdle(t, &r.sched.lat, op)
+	}
+}
+
+// TestCopyOutPartialOnError: a SpecBodyErr failure in chunk k leaves the
+// store exactly as the sequential run does — every store up to and
+// including the failing iteration's, in order over whatever the earlier
+// chunks wrote to the same cells, and nothing behind it.
+func TestCopyOutPartialOnError(t *testing.T) {
+	errBoom := errors.New("boom")
+	for _, p := range odPatterns {
+		for threads := 1; threads <= 4; threads++ {
+			for k := 0; k < threads; k++ {
+				t.Run(fmt.Sprintf("%s/t%d/chunk%d", p.name, threads, k), func(t *testing.T) {
+					nodes, cells, shadow := odList(p.dst, p.size)
+					failAt := k*len(nodes)/threads + len(nodes)/(2*threads) // mid-chunk k
+					var arm bool
+					loop := odLoop(false)
+					loop.Cells = cells
+					loop.SpecBody = nil
+					loop.SpecBodyErr = func(n *dcnode, a int64, v *CellView) (int64, error) {
+						a = odStep(n, a, v)
+						if arm && n == nodes[failAt] {
+							return a, errBoom
+						}
+						return a, nil
+					}
+					r, err := NewRunner(loop, Config{Threads: threads})
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer r.Close()
+					op := 0
+					for ; op < 3; op++ {
+						odRun(t, r, nodes, cells, shadow, op)
+					}
+					arm = true
+					odStamp(nodes, op, failAt+1, shadow)
+					if _, rerr := r.Run(context.Background(), nodes[0]); !errors.Is(rerr, errBoom) {
+						t.Fatalf("failing op returned %v, want %v", rerr, errBoom)
+					}
+					assertCellsEqual(t, "after the failing op", cells, shadow)
+					arm = false
+					for op++; op < 6; op++ {
+						odRun(t, r, nodes, cells, shadow, op)
+					}
+				})
+			}
+		}
+	}
+}

@@ -644,15 +644,41 @@ func TestDoacrossLoopValidation(t *testing.T) {
 	}
 }
 
-// cellSet lists the cells named by a view's read- or write-set words.
-func cellSet(words []uint64) []int {
+// cellSet lists the cells named by a view's read-set (word picks .r) or
+// write-set (.w).
+func cellSet(v *CellView, word func(cellBits) uint64) []int {
 	var cells []int
-	for b, w := range words {
-		for ; w != 0; w &= w - 1 {
+	for b, blk := range v.bits {
+		for w := word(blk); w != 0; w &= w - 1 {
 			cells = append(cells, b<<6+bits.TrailingZeros64(w))
 		}
 	}
 	return cells
+}
+
+func readSet(v *CellView) []int  { return cellSet(v, func(b cellBits) uint64 { return b.r }) }
+func writeSet(v *CellView) []int { return cellSet(v, func(b cellBits) uint64 { return b.w }) }
+
+// retire is the scheduler's treatment of one committed view in
+// miniature — validate against the views behind it, land the buffer,
+// fold the reductions — for tests that drive views by hand. It returns
+// validate's verdict: the index in later of the first conflicting view.
+func retire(v *CellView, later []CellView) int {
+	end, _, _ := v.validate(later)
+	v.copyOut()
+	v.fold()
+	return end
+}
+
+// poisonUnwritten overwrites the buffered value of every cell the view
+// has no write bit for, so a copy-out that moved a cell — or a whole
+// block — the chunk never stored to shows in the store.
+func poisonUnwritten(v *CellView) {
+	for i := range v.wval {
+		if v.bits[i>>6].w&(1<<(i&63)) == 0 {
+			v.wval[i] = -0x5ca1ab1e
+		}
+	}
 }
 
 // TestCellViewSemantics unit-tests the speculative memory itself:
@@ -677,7 +703,7 @@ func TestCellViewSemantics(t *testing.T) {
 	if c.At(5) != 0 {
 		t.Fatal("buffered store reached the store before commit")
 	}
-	if got := cellSet(r.rbits); len(got) != 0 {
+	if got := readSet(r); len(got) != 0 {
 		t.Fatalf("forwarded load entered the read-set: %v", got)
 	}
 
@@ -690,7 +716,7 @@ func TestCellViewSemantics(t *testing.T) {
 	}
 	r.Load(3)
 	r.Store(3, 31)
-	if got := cellSet(r.rbits); len(got) != 1 || got[0] != 3 {
+	if got := readSet(r); len(got) != 1 || got[0] != 3 {
 		t.Fatalf("read-set = %v, want [3]", got)
 	}
 	// The last chunk reads the same cell and one chunk 0 never writes; the
@@ -703,7 +729,7 @@ func TestCellViewSemantics(t *testing.T) {
 	// Chunk 0 commits: cell 3 lands, the first chunk that read it is the
 	// conflict (index 1 of the probed views) and the one behind it, though
 	// it read the cell too, is not reported ahead of it.
-	if got := w.commit(views[1:]); got != 1 {
+	if got := retire(w, views[1:]); got != 1 {
 		t.Fatalf("commit flagged later[%d], want later[1]", got)
 	}
 	if c.At(3) != 99 || c.At(131) != 7 {
@@ -711,7 +737,7 @@ func TestCellViewSemantics(t *testing.T) {
 	}
 	// The walk narrows probing to the chunks before the conflict; the one
 	// left read only a neighbouring cell, and commits cleanly itself.
-	if got := views[1].commit(views[2:2]); got != 0 {
+	if got := retire(&views[1], views[2:2]); got != 0 {
 		t.Fatalf("probing no views returned %d", got)
 	}
 
@@ -725,7 +751,7 @@ func TestCellViewSemantics(t *testing.T) {
 		t.Fatalf("next-round load = %d, want 99", got)
 	}
 	views[0].Store(4, 1)
-	if got := views[0].commit(views[1:]); got != 3 {
+	if got := retire(&views[0], views[1:]); got != 3 {
 		t.Fatalf("next-round read of a committed cell flagged as conflict (later[%d])", got)
 	}
 	// The squashed chunks of the first round left nothing behind.
@@ -749,8 +775,8 @@ func TestCellViewReductionMerge(t *testing.T) {
 	a.Reduce(1, 3)
 	b.Reduce(0, 10)
 	b.Reduce(1, 42)
-	a.commit(nil)
-	b.commit(nil)
+	retire(&a, nil)
+	retire(&b, nil)
 	if got := c.At(0); got != 115 {
 		t.Fatalf("Sum cell = %d, want 115", got)
 	}
@@ -761,7 +787,7 @@ func TestCellViewReductionMerge(t *testing.T) {
 	// A chunk that never calls Reduce folds the identity — a no-op.
 	var idle CellView
 	idle.begin(c, red)
-	idle.commit(nil)
+	retire(&idle, nil)
 	if c.At(0) != 115 || c.At(1) != 42 {
 		t.Fatalf("identity fold changed cells: %d, %d", c.At(0), c.At(1))
 	}

@@ -13,11 +13,12 @@ import (
 // goroutines. Runners submit chunk jobs here instead of spawning
 // goroutines per invocation; a Pool shares one Executor across every
 // runner it manages, so concurrent invocations multiplex onto the same
-// workers. Only *speculative* chunks flow through the executor: each
-// invocation's chunk 0 runs inline on the invoking goroutine
-// (scheduler.go), so a runner-private executor is sized Threads-1 and
-// the load/demand gauges below see exactly the work that actually
-// competes for workers.
+// workers. Only *speculative* chunks flow through the executor — and,
+// behind a DOACROSS round, the copy-out of the cell buffer such a chunk
+// filled: each invocation's chunk 0 runs inline on the invoking
+// goroutine (scheduler.go), so a runner-private executor is sized
+// Threads-1 and the load/demand gauges below see exactly the work that
+// actually competes for workers.
 //
 // The executor is *sharded*: every worker owns a bounded run queue, and
 // submitters spread their jobs round-robin across the shards instead of
@@ -68,21 +69,28 @@ import (
 //     legitimate claim of the new round's chunk. While it stays behind
 //     the slot is armed without a second entry (chunkJob.queued), so
 //     queue depth and the load gauge stay at one entry per slot however
-//     long a worker is away.
+//     long a worker is away. The copy-out tasks of a DOACROSS round
+//     (copyJob, scheduler.landCells) follow the same protocol on a
+//     claim word of their own: one more entry per slot at most.
 //   - Join (latch.go). Once every chunk is claimed, whatever is still
 //     outstanding is running on another processor. The invoker spins on
 //     the latch for as long as its own share of the round just took
 //     (capped at joinSpinCap) and only then parks.
-//   - Lease. A worker that finds no work rescans (own queue, steal,
-//     Gosched) workerSpinRounds times and then parks — unless a lease
-//     is running. The invoker measures the gap between one round's
-//     latch release and the next round's dispatch, and at the end of a
-//     round that had speculative chunks publishes warmUntil = release +
-//     2 × the largest recent gap, at most leaseCap; workers keep
-//     rescanning while the clock is short of it. A reclaimed chunk
-//     publishes the same lease past its own expected end, or the late
-//     worker it was reclaimed from would arrive mid-round, find nothing,
-//     park, and be late for every round after.
+//   - Lease. A worker that finds no work keeps rescanning (own queue,
+//     steal, Gosched) for as long as the task it just finished took, at
+//     most joinSpinCap — the rule the invoker's join follows — and
+//     beyond that only while a lease is running. A round is dispatch,
+//     join and commit: the invoker measures the gap from the moment one
+//     round's results are in the store to the next round's dispatch,
+//     and publishes warmUntil twice per round that had speculative
+//     chunks. At the join it bridges its own chain walk: join + min(how
+//     long the previous walk took, what chunk 0 just took) + the lease,
+//     where the lease is 2 × the largest recent gap, at most leaseCap.
+//     When the walk has landed it publishes end + lease. Workers keep
+//     rescanning while the clock is short of warmUntil. A reclaimed
+//     chunk publishes the same lease past its own expected end, or the
+//     late worker it was reclaimed from would arrive mid-round, find
+//     nothing, park, and be late for every round after.
 //
 // Invariants, each from a measured failure:
 //
@@ -101,7 +109,18 @@ import (
 //     scheduler hands it straight back before it reaches the network
 //     poller, so an open-ended spin delays a daemon's new requests
 //     until sysmon polls (measured: serve_mixed 0.66 → 0.43 with spin
-//     budgets raised until nothing parked).
+//     budgets raised until nothing parked). The worker's rescan after a
+//     task is bounded by that task's own duration, so spinning never
+//     exceeds the work just done.
+//  5. A round ends when its results are in the store. A lease that
+//     stops at the join counts the invoker's own commit as "gap": on a
+//     DOACROSS loop whose commit exceeds leaseCap that withholds every
+//     lease, and the worker sleeps through every commit (measured on
+//     doacross_cells: 5 981 parks in 6 030 ops, the worker entering its
+//     chunk 122 µs after dispatch). The bridge is bounded by the
+//     round's own measurements, not by a constant: capped at
+//     joinSpinCap it parked again in 2 200 of 4 500 rounds as soon as a
+//     slow host stretched the walk to 117–128 µs.
 //
 // On a single-proc host (effective GOMAXPROCS 1 at construction) no
 // side spins: a worker that finds nothing parks at once, which hands
@@ -176,11 +195,11 @@ func (s *shard) pop() task {
 type Executor struct {
 	shards  []shard
 	workers int
-	// spin is the workers' pre-park rescan budget outside a lease,
-	// fixed at construction from the effective GOMAXPROCS (0 on
-	// single-proc hosts — parking immediately hands the processor to
-	// submitters, and leases are ignored).
-	spin int
+	// spin says whether an idle worker rescans before it parks, fixed at
+	// construction from the effective GOMAXPROCS (false on single-proc
+	// hosts — parking immediately hands the processor to submitters, and
+	// leases are ignored).
+	spin bool
 	// faults is the chaos-testing injection plane, fixed at construction
 	// (workers read it without synchronization, so it must never change
 	// while they run). Nil in production: NewExecutor always builds a
@@ -209,9 +228,12 @@ type Executor struct {
 	demand atomic.Int64
 	_      [56]byte
 	// idle counts parked workers, so the submit path only pays a wakeup
-	// scan when someone is actually asleep.
-	idle atomic.Int64
-	_    [56]byte
+	// scan when someone is actually asleep. parks counts every time a
+	// worker went to sleep; it shares the line because it is written
+	// only where idle just was.
+	idle  atomic.Int64
+	parks atomic.Int64
+	_     [48]byte
 	// warmUntil is the lease deadline on the nanos clock: workers that
 	// find no work keep rescanning while the clock is short of it (see
 	// the handoff notes in the file header).
@@ -224,29 +246,28 @@ type Executor struct {
 	once   sync.Once
 }
 
-// workerSpinRounds is a worker's pre-park rescan budget outside a
-// lease: each round is one own-queue check plus one steal scan, with a
-// Gosched between rounds so an oversubscribed host donates the
-// timeslice instead of burning it. It covers the skew between a
-// worker's last chunk exit and the invoker publishing the round's
-// lease; everything longer is the lease's business.
-const workerSpinRounds = 32
-
-// leaseCap bounds a lease, and with it the longest gap worth spinning
-// across: past it a park/wake round trip is cheaper than the processor
-// time the spin would take from everything else on the host.
+// leaseCap bounds a lease, and with it the longest gap between rounds a
+// worker spins across. It is a budget of processor time taken from
+// everything else on the host, not the break-even against a wake: a
+// bare sync.Cond wake on the 2-vCPU guest the records were taken on
+// measures p50 72 µs and p90 75–83 µs, so a park is the more expensive
+// side well past the cap.
 const leaseCap = 50 * time.Microsecond
 
 // leaseGaps is how many recent inter-round gaps the estimate spans.
 const leaseGaps = 4
 
 // leaseClock is the invoker's half of the lease: the gap estimator of
-// one runner, touched only by the invoking goroutine. A gap runs from
-// one round's latch release to the next round's dispatch — the time a
-// worker would have to stay awake to catch the next round without a
-// wake.
+// one runner, touched only by the invoking goroutine. A round ends when
+// its chain walk has landed its results, so a gap runs from there to
+// the next round's dispatch — the caller's time between invocations,
+// which a worker has to stay awake across to catch the next round
+// without a wake. The walk itself (join to landed) is the invoker's
+// work, not the caller's: it is measured apart and bridged.
 type leaseClock struct {
-	released int64            // latch release of the previous round (0: none to measure from)
+	released int64            // end of the previous round's walk (0: none to measure from)
+	joined   int64            // this round's join (0: it has not joined, or has landed)
+	walk     int64            // what the previous round's walk took, join to landed
 	gaps     [leaseGaps]int64 // the most recent gaps within leaseCap, as a ring
 	next     int              // ring cursor
 	withheld bool             // the gap before this round was over the cap
@@ -281,6 +302,32 @@ func (c *leaseClock) grant() int64 {
 	return min(2*widest, int64(leaseCap))
 }
 
+// join records a round's join at now, own after the invoker began its
+// share of the round, and returns the deadline that keeps the workers
+// rescanning through the walk that follows: the walk is expected to
+// take what the previous one took, and never credited with more than
+// the round's own chunk 0 — a bound that scales with the round instead
+// of a constant a slow host outgrows. 0 when there is no lease to add.
+func (c *leaseClock) join(now, own int64) int64 {
+	c.joined = now
+	if g := c.grant(); g > 0 {
+		return now + min(c.walk, own) + g
+	}
+	return 0
+}
+
+// landed ends the round at now — its results are in the store — and
+// returns the lease deadline counted from there (0: no lease).
+func (c *leaseClock) landed(now int64) int64 {
+	c.walk = now - c.joined
+	c.joined = 0
+	c.released = now
+	if g := c.grant(); g > 0 {
+		return now + g
+	}
+	return 0
+}
+
 // extendLease publishes a lease deadline. Runners sharing the executor
 // each publish their own; a later deadline is never cut short by an
 // earlier one (a lost race between two publishers costs one of them at
@@ -311,9 +358,7 @@ func newExecutor(workers int, plane *faults.Plane) *Executor {
 		workers: workers,
 		faults:  plane,
 	}
-	if runtime.GOMAXPROCS(0) > 1 {
-		e.spin = workerSpinRounds
-	}
+	e.spin = runtime.GOMAXPROCS(0) > 1
 	for i := range e.shards {
 		sh := &e.shards[i]
 		sh.ready.L = &sh.mu
@@ -503,10 +548,13 @@ func (e *Executor) wakeIdle(i int) {
 // then the own shard, then steal, then park. Stolen tasks are kept in a
 // private batch (they were already claimed under the victim's lock;
 // re-publishing them would just invite re-stealing churn) and drained
-// before the next dequeue, so a worker never exits holding work.
+// before the next dequeue, so a worker never exits holding work. Every
+// task is timed: what it took is what the worker may spend rescanning
+// for the next one (spinDeadline; a single-proc host never rescans).
 func (e *Executor) worker(i int) {
 	defer e.done.Done()
 	var batch []task // claimed by a steal, not yet run
+	var spinUntil int64
 	for {
 		var t task
 		if len(batch) > 0 {
@@ -514,31 +562,49 @@ func (e *Executor) worker(i int) {
 			batch[len(batch)-1] = nil
 			batch = batch[:len(batch)-1]
 		} else {
-			t = e.dequeue(i, &batch)
+			t = e.dequeue(i, &batch, spinUntil)
 			if t == nil {
 				return // closed and nothing left to run or steal
 			}
 		}
+		start := nanos()
 		e.runContained(t)
 		e.load.Add(-1)
+		// The later deadline stands: a stale entry popped behind a chunk
+		// is a failed claim of a few nanoseconds, and must not forfeit the
+		// rescan the chunk earned.
+		spinUntil = max(spinUntil, spinDeadline(start, nanos()))
 	}
+}
+
+// spinDeadline is how long a worker that ran a task from start to end
+// keeps rescanning for the next one before it considers parking: as
+// long again as the task took, at most joinSpinCap. It is the invoker's
+// join rule (latch.wait) on the worker's side. A chunk that finishes
+// ahead of the invoker's — the speculative chunks of a balanced round
+// do, they hunt nothing on their last stretch — is then still awake
+// when the round's lease is published, and a spin never exceeds the
+// work just done.
+func spinDeadline(start, end int64) int64 {
+	return end + min(end-start, int64(joinSpinCap))
 }
 
 // dequeue returns worker i's next task: its own shard's head, else a
 // steal-half from another shard (randomized victim order), else — on
-// multi-proc hosts — rescans for workerSpinRounds and then for as long
-// as a lease runs, and only then parking until a submitter signals.
-// Back-to-back dispatch rounds land their chunks inside the lease, so
-// the steady state pays no park/wake round trip per worker per round.
-// A nil return means the executor is closed and neither the own shard
-// nor any victim has work left.
-func (e *Executor) dequeue(i int, batch *[]task) task {
+// multi-proc hosts — rescans until spinUntil (what its last task
+// earned, see spinDeadline) and then for as long as a lease runs, and
+// only then parking until a submitter signals. Back-to-back dispatch
+// rounds land their chunks inside the lease, so the steady state pays
+// no park/wake round trip per worker per round. A nil return means the
+// executor is closed and neither the own shard nor any victim has work
+// left.
+func (e *Executor) dequeue(i int, batch *[]task, spinUntil int64) task {
 	own := &e.shards[i]
 	// Cheap per-worker xorshift for victim order; no shared state, no
 	// allocation.
 	rnd := uint64(i)*0x9e3779b97f4a7c15 + 0x2545f4914f6cdd1d
 	for {
-		for s := 0; ; s++ {
+		for {
 			own.mu.Lock()
 			if own.n > 0 {
 				t := own.pop()
@@ -554,11 +620,15 @@ func (e *Executor) dequeue(i int, batch *[]task) task {
 			if t := e.steal(i, &rnd, batch); t != nil {
 				return t
 			}
-			// Spin-before-park: rescan e.spin times and then while a
-			// lease runs, unless the executor is shutting down (then
-			// fall through to the close-aware park path, which drains
-			// and exits).
-			if e.closed.Load() || s >= e.spin && (e.spin == 0 || nanos() >= e.warmUntil.Load()) {
+			// Spin-before-park: rescan until the worker's own deadline and
+			// then while a lease runs, unless the executor is shutting down
+			// (then fall through to the close-aware park path, which drains
+			// and exits). A Gosched between scans, so an oversubscribed host
+			// donates the timeslice instead of burning it.
+			if e.closed.Load() || !e.spin {
+				break
+			}
+			if now := nanos(); now >= spinUntil && now >= e.warmUntil.Load() {
 				break
 			}
 			runtime.Gosched()
@@ -594,6 +664,9 @@ func (e *Executor) dequeue(i int, batch *[]task) task {
 		}
 
 		own.mu.Lock()
+		if !own.wake && own.n == 0 && !e.closed.Load() {
+			e.parks.Add(1)
+		}
 		for !own.wake && own.n == 0 && !e.closed.Load() {
 			own.ready.Wait()
 		}

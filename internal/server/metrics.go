@@ -176,6 +176,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	gauge("spiced_pool_workers", "shared executor workers", int64(s.pool.Workers()))
 	gauge("spiced_pool_runners", "runner states created (high-water concurrency)", int64(s.pool.Runners()))
 	gauge("spiced_pool_effective_threads", "widest adaptive effective width across the pool's runners", int64(ps.EffectiveThreads))
+	counter("spiced_executor_worker_parks_total", "times an executor worker went to sleep for want of work; each is a wake the next round's speculative chunk starts behind", s.pool.WorkerParks())
 	counter("spiced_pool_invocations_total", "loop invocations executed", ps.Invocations)
 	counter("spiced_pool_iters_total", "loop iterations committed", ps.TotalIters)
 	counter("spiced_pool_spec_hits_total", "speculative chunks committed", ps.Hits)

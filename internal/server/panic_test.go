@@ -164,6 +164,15 @@ func TestMetricsEffectiveThreadsWidestRunner(t *testing.T) {
 	if v, _ := strconv.Atoi(m[1]); v != 4 {
 		t.Fatalf("spiced_pool_effective_threads = %d, want 4 (widest runner)", v)
 	}
+	// The executor's park counter is exported beside it and is the pool's
+	// own reading (which can only have grown since the scrape).
+	m = regexp.MustCompile(`(?m)^spiced_executor_worker_parks_total (\d+)$`).FindStringSubmatch(w.Body.String())
+	if m == nil {
+		t.Fatal("spiced_executor_worker_parks_total missing from /metrics")
+	}
+	if v, _ := strconv.ParseInt(m[1], 10, 64); v > s.pool.WorkerParks() {
+		t.Fatalf("spiced_executor_worker_parks_total = %d, pool reads %d", v, s.pool.WorkerParks())
+	}
 }
 
 // TestScrapeEndpointsCounted: the scrape surface now goes through the

@@ -548,6 +548,14 @@ func (p *Pool[S, A]) Runners() int {
 // Workers returns the size of the shared executor.
 func (p *Pool[S, A]) Workers() int { return p.exec.Workers() }
 
+// WorkerParks returns how many times a worker of the shared executor
+// has gone to sleep for want of work since the pool was built. A steady
+// stream of invocations should add almost none: a count that grows with
+// the invocations is the workers' lease failing to cover the callers'
+// cadence, and every such park is a wake (tens of microseconds) the
+// next round pays before its speculative chunk starts.
+func (p *Pool[S, A]) WorkerParks() int64 { return p.exec.parks.Load() }
+
 // Close releases the pool's workers. It must not race with Run or
 // RunBatch, but accepted Submit invocations are drained first: Close
 // blocks until their Futures resolve, then stops the workers. Close is

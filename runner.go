@@ -462,7 +462,7 @@ func (r *Runner[S, A]) runSequential(ctx context.Context, start S) (out A, err e
 	if specBody != nil || specBodyErr != nil {
 		view = &r.dview
 		view.beginDirect(r.cells, r.loop.Reductions)
-		defer view.commit(nil)
+		defer view.fold()
 	}
 	acc := r.loop.Init()
 	cands := r.seqCands[:0]

@@ -59,9 +59,11 @@ import (
 // run chunk 0, reclaim (run every chunk no worker has claimed yet),
 // join (spin on the latch for as long as the invoker's own share just
 // took, then park), and publish the workers' lease from the measured
-// gap between rounds. The clock is read three times per round that has
-// speculative chunks — at dispatch, after the invoker's own share, at
-// the latch release — and never on the sequential path.
+// gap between rounds. The round ends in run, when the chain walk has
+// landed its results (endRound). The clock is read four times per round
+// that has speculative chunks — at dispatch, after the invoker's own
+// share, at the latch release, at the end of the walk — and never on
+// the sequential path.
 //
 // Cache-line layout invariants (the multicore contract of this file):
 //
@@ -84,6 +86,12 @@ import (
 //     the invoking goroutine, strictly outside the window in which workers
 //     run (dispatch before, chain resolution after the latch wait) —
 //     never concurrently with chunk execution.
+//   - A DOACROSS round opens a second, shorter window after its walk
+//     (landCells): a worker that claimed a slot's copy-out reads that
+//     slot's view and writes the store cells the view stored to —
+//     cells no other copy of the round writes, or the copies would not
+//     have been offered. The invoker meanwhile runs the copies nobody
+//     claimed; nothing else moves until the latch has joined them.
 //   - Per-runner stats (runner.pend) accumulate on the invoking
 //     goroutine and publish once per invocation under runnerStats.mu;
 //     workers never write them.
@@ -180,6 +188,38 @@ func (j *chunkJob[S, A]) run() {
 	if j.claim.CompareAndSwap(claimArmed, 0) {
 		j.exec()
 	}
+}
+
+// copyJob is a preallocated executor task beside a slot's chunkJob: the
+// copy-out of the slot's CellView into the store, offered to the shard
+// the chunk ran on (landCells). It follows the chunk's claim protocol
+// word for word — armed before submit, run by whoever wins the swap,
+// one queue entry per slot however long a worker stays away — so a
+// copy nobody picked up is the invoker's, and a stale entry popped in a
+// later round is a failed swap or a legitimate claim of that round's
+// copy.
+type copyJob struct {
+	view   *CellView
+	lat    *latch
+	claim  atomic.Uint32
+	queued atomic.Bool
+	// Invoker-only, set by the walk and by landCells: whether the view
+	// stored to any cell, and whether this round offered the copy.
+	wrote   bool
+	offered bool
+}
+
+func (j *copyJob) run() {
+	j.queued.Store(false) // before the claim, as in chunkJob.run
+	if j.claim.CompareAndSwap(claimArmed, 0) {
+		j.copy()
+	}
+}
+
+// copy is the claimed copy: the caller won the claim word.
+func (j *copyJob) copy() {
+	defer j.lat.done()
+	j.view.copyOut()
 }
 
 // exec executes one chunk: the paper's per-thread loop with work
@@ -434,12 +474,16 @@ type scheduler[S comparable, A any] struct {
 	// store, the loop's reduction declarations, and one CellView per
 	// dispatch slot (allocated on first speculative invocation; DOALL
 	// loops never pay for them). Views are written by the invoker during
-	// dispatch (begin) and chain resolution (commit), and by
+	// dispatch (begin) and chain resolution (validate, fold), and by
 	// exactly one worker while its chunk runs — the same ownership
-	// discipline as the chunkJob slots.
-	cells *Cells
-	reds  []Reduction
-	views []CellView
+	// discipline as the chunkJob slots. copies holds one copy-out task
+	// per slot, wired to its view once; whoever claims it (landCells)
+	// reads the view and writes only the store cells the view wrote.
+	cells    *Cells
+	reds     []Reduction
+	views    []CellView
+	copies   []copyJob
+	copyGate func() // test hook, nil outside tests (landCells)
 	// used is the number of job/result/works slots the most recent
 	// invocation dirtied (its widest round: later rounds can fan wider
 	// than round 0). The next invocation resets only these slots plus
@@ -504,6 +548,11 @@ func (s *scheduler[S, A]) armCells(c *Cells, reds []Reduction) {
 	s.reds = reds
 	if c != nil && s.views == nil {
 		s.views = make([]CellView, s.threads)
+		s.copies = make([]copyJob, s.threads)
+		for i := range s.copies {
+			s.copies[i].view = &s.views[i]
+			s.copies[i].lat = &s.lat
+		}
 	}
 }
 
@@ -668,13 +717,94 @@ func (s *scheduler[S, A]) dispatchRound(r *Runner[S, A], ctx context.Context, n 
 		t1 = nanos()
 	}
 	// Join: every chunk is claimed, so the rest are running elsewhere
-	// and worth spinning for about as long as chunk 0 took.
+	// and worth spinning for about as long as chunk 0 took. The round is
+	// not over — run walks the chain next and ends it (endRound) — so
+	// the lease published here bridges that walk.
 	s.lat.wait(t1, own)
-	s.lease.released = nanos()
-	if lease > 0 {
-		r.exec.extendLease(s.lease.released + lease)
+	if until := s.lease.join(nanos(), own); until > 0 {
+		r.exec.extendLease(until)
 	}
 	return dispatchErr
+}
+
+// endRound closes a round that joined: the chain walk has landed its
+// results, which is where the gap to the next dispatch starts and the
+// workers' lease runs from. A round that dispatched nothing speculative
+// never joined and has nothing to close.
+func (s *scheduler[S, A]) endRound(r *Runner[S, A]) {
+	if s.lease.joined == 0 {
+		return
+	}
+	if until := s.lease.landed(nanos()); until > 0 {
+		r.exec.extendLease(until)
+	}
+}
+
+// landCells lands the round's committed views — slots 0..n-1, already
+// validated by the walk — in the store: every view's buffered stores,
+// then every view's reduction fold in chain order. It is the one
+// copy-out path; how many cores take part is decided per slot.
+//
+// When spread is set (no two of the views share a written cell, so
+// their copies land in disjoint cells and need no order) the copy of
+// every slot whose chunk ran on a worker and stored to any cell is
+// offered to that worker's shard through the chunk's own claim
+// protocol: the buffer is in the cache of the core that filled
+// it, the store lines it lands on are the ones that core's chunk reads
+// next invocation, and the worker has work during what was its nap.
+// The invoker copies view 0, then in chain order every view nobody has
+// claimed, and joins. With nothing offered — output dependences, a
+// reclaimed chunk, a failing chunk's partial buffer, a single-proc
+// host — that walk is every copy in chain order on the invoker, which
+// is what output dependences need.
+func (s *scheduler[S, A]) landCells(r *Runner[S, A], n int, spread bool) {
+	offered := false
+	if spread && r.exec.spin {
+		r.sub.rewind() // copy i goes where chunk i went
+		for i := 1; i < n; i++ {
+			c := &s.copies[i]
+			if s.jobs[i].reclaimed || !c.wrote {
+				r.sub.skip()
+				continue
+			}
+			s.lat.add(1)
+			c.offered, offered = true, true
+			c.claim.Store(claimArmed)
+			if c.queued.Swap(true) {
+				r.sub.skip() // an earlier round's entry is still queued
+			} else {
+				r.sub.submit(c)
+			}
+		}
+	}
+	var t0 int64
+	if offered {
+		if s.copyGate != nil {
+			s.copyGate() // test hook: hold the invoker between arming the copies and its own claims
+		}
+		t0 = nanos()
+	}
+	s.views[0].copyOut()
+	for i := 1; i < n; i++ {
+		c := &s.copies[i]
+		if !c.offered {
+			c.view.copyOut()
+			continue
+		}
+		c.offered = false
+		if c.claim.CompareAndSwap(claimArmed, 0) {
+			c.copy()
+		}
+	}
+	if offered {
+		// Whatever is outstanding is being copied on another processor:
+		// worth spinning for about as long as the invoker's own copies took.
+		t1 := nanos()
+		s.lat.wait(t1, t1-t0)
+	}
+	for i := 0; i < n; i++ {
+		s.views[i].fold()
+	}
 }
 
 // admitted collects, in row order, the rows from index from on that are
@@ -826,10 +956,13 @@ func (s *scheduler[S, A]) run(r *Runner[S, A], ctx context.Context, start S, row
 		// against it. The conflict check is ordered before even the
 		// chunk's own error — a conflicted chunk consumed stale values, so
 		// its error (like its accumulator) is invalid and must be
-		// discarded with it, not surfaced.
+		// discarded with it, not surfaced. Validation reads bitmaps only;
+		// the buffered values land after the walk (landCells), once it is
+		// known which views commit and whether their copies need an order.
 		f := 0 // slot the walk stopped on: the last committed, or the failed one
 		conflictAt := -1
-		probeEnd := n // DOACROSS: the first conflicting chunk, or the end of the armed slots
+		probeEnd := n            // DOACROSS: the first conflicting chunk, or the end of the armed slots
+		land, shared := 0, false // DOACROSS: views to land, and whether two of them stored to one cell
 		if s.cells != nil {
 			for probeEnd > 0 && !s.results[probeEnd-1].active {
 				probeEnd--
@@ -864,9 +997,11 @@ func (s *scheduler[S, A]) run(r *Runner[S, A], ctx context.Context, start S, row
 				f, runErr = i, res.err
 				if s.cells != nil {
 					// Sequential execution would have applied the failing
-					// run's cell writes up to the failure point; commit the
-					// partial buffer so the store matches it exactly.
-					s.views[i].commit(nil)
+					// run's cell writes up to the failure point; land the
+					// partial buffer behind the prefix so the store matches
+					// it exactly. It was validated against nothing, so its
+					// copy keeps its place in the chain order.
+					land, shared = i+1, true
 				}
 				break
 			}
@@ -876,7 +1011,10 @@ func (s *scheduler[S, A]) run(r *Runner[S, A], ctx context.Context, start S, row
 				acc, committed = res.acc, true
 			}
 			if s.cells != nil {
-				probeEnd = i + 1 + s.views[i].commit(s.views[i+1:probeEnd])
+				end, wrote, out := s.views[i].validate(s.views[i+1 : probeEnd])
+				probeEnd = i + 1 + end
+				s.copies[i].wrote = wrote
+				land, shared = i+1, shared || out
 			}
 			for _, pr := range res.props {
 				s.memos = append(s.memos, memo[S]{row: pr.row, state: pr.state, pos: pos + pr.local})
@@ -892,6 +1030,11 @@ func (s *scheduler[S, A]) run(r *Runner[S, A], ctx context.Context, start S, row
 				break
 			}
 		}
+
+		if land > 0 {
+			s.landCells(r, land, !shared)
+		}
+		s.endRound(r)
 
 		// --- Squash --------------------------------------------------
 		// Squash and conflict counters stay even if the invocation fails
