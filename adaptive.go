@@ -1,17 +1,13 @@
-package rt
+package spice
 
-// This file is the shared adaptive speculation policy: the native
-// library (package spice) and the simulator balancer both drive the
-// same SpecController and RowConfidence types, so the two runtimes
-// throttle speculation identically by construction.
+// This file is the adaptive speculation policy (Options.Adaptive). It
+// has two cooperating parts:
 //
-// The policy has two cooperating parts:
-//
-//   - RowConfidence scores each SVA row's recent prediction record (an
+//   - rowConfidence scores each SVA row's recent prediction record (an
 //     EWMA of commit/squash outcomes). Rows below a confidence floor
 //     are not speculated on: their chunk is folded into the
 //     predecessor's instead of being dispatched and squashed.
-//   - SpecController tracks a rolling mis-speculation rate across
+//   - specController tracks a rolling mis-speculation rate across
 //     invocations and throttles the effective thread count: repeated
 //     losing invocations halve the parallel width, degrading smoothly
 //     down to pure sequential execution. Every ProbeInterval
@@ -41,29 +37,29 @@ const (
 	// themselves.
 	specConfInit = 0.5
 
-	// DefaultMinConfidence is the confidence floor applied when the
+	// defaultMinConfidence is the confidence floor applied when the
 	// caller enables adaptive mode without choosing one.
-	DefaultMinConfidence = 0.25
-	// DefaultProbeInterval is the number of observed invocations
+	defaultMinConfidence = 0.25
+	// defaultProbeInterval is the number of observed invocations
 	// between upward probes when the caller does not choose one.
-	DefaultProbeInterval = 8
+	defaultProbeInterval = 8
 )
 
-// RowConfidence tracks one confidence score per SVA row. A row's score
+// rowConfidence tracks one confidence score per SVA row. A row's score
 // is an EWMA over the outcomes of the speculative chunks dispatched
 // from its prediction: commit (hit) pulls toward 1, squash (miss)
 // toward 0. Not safe for concurrent use; confine to the owner's
 // invocation cycle.
-type RowConfidence struct {
+type rowConfidence struct {
 	score []float64
 }
 
-// NewRowConfidence creates scores for rows SVA rows, all neutral.
-func NewRowConfidence(rows int) *RowConfidence {
+// newRowConfidence creates scores for rows SVA rows, all neutral.
+func newRowConfidence(rows int) *rowConfidence {
 	if rows < 0 {
 		rows = 0
 	}
-	rc := &RowConfidence{score: make([]float64, rows)}
+	rc := &rowConfidence{score: make([]float64, rows)}
 	rc.Reset()
 	return rc
 }
@@ -71,14 +67,14 @@ func NewRowConfidence(rows int) *RowConfidence {
 // Reset returns every row to the neutral starting score. Pools reset
 // confidence when a runner moves between sessions, so one caller's
 // hostile structure cannot poison another's speculation.
-func (rc *RowConfidence) Reset() {
+func (rc *rowConfidence) Reset() {
 	for i := range rc.score {
 		rc.score[i] = specConfInit
 	}
 }
 
 // Hit records a committed speculative chunk for row.
-func (rc *RowConfidence) Hit(row int) {
+func (rc *rowConfidence) Hit(row int) {
 	if row < 0 || row >= len(rc.score) {
 		return
 	}
@@ -86,7 +82,7 @@ func (rc *RowConfidence) Hit(row int) {
 }
 
 // Miss records a squashed speculative chunk for row.
-func (rc *RowConfidence) Miss(row int) {
+func (rc *rowConfidence) Miss(row int) {
 	if row < 0 || row >= len(rc.score) {
 		return
 	}
@@ -94,7 +90,7 @@ func (rc *RowConfidence) Miss(row int) {
 }
 
 // Score returns row's current confidence in [0, 1].
-func (rc *RowConfidence) Score(row int) float64 {
+func (rc *rowConfidence) Score(row int) float64 {
 	if row < 0 || row >= len(rc.score) {
 		return 0
 	}
@@ -102,17 +98,17 @@ func (rc *RowConfidence) Score(row int) float64 {
 }
 
 // Admit reports whether row clears the confidence floor.
-func (rc *RowConfidence) Admit(row int, minConfidence float64) bool {
+func (rc *rowConfidence) Admit(row int, minConfidence float64) bool {
 	return rc.Score(row) >= minConfidence
 }
 
-// SpecController is the invocation-level throttle: it converts a
+// specController is the invocation-level throttle: it converts a
 // rolling mis-speculation rate into an effective thread count and
 // schedules the upward probes that re-expand parallelism once the loop
 // re-stabilizes. Drive it with Begin before each invocation and
 // Observe after each successful one (failed invocations carry no
 // prediction verdict and are skipped). Not safe for concurrent use.
-type SpecController struct {
+type specController struct {
 	threads       int
 	probeInterval int64
 
@@ -123,22 +119,22 @@ type SpecController struct {
 	probeEff int
 }
 
-// NewSpecController builds a controller for the configured thread
-// count. probeInterval <= 0 selects DefaultProbeInterval.
-func NewSpecController(threads int, probeInterval int64) *SpecController {
+// newSpecController builds a controller for the configured thread
+// count. probeInterval <= 0 selects defaultProbeInterval.
+func newSpecController(threads int, probeInterval int64) *specController {
 	if threads < 1 {
 		threads = 1
 	}
 	if probeInterval <= 0 {
-		probeInterval = DefaultProbeInterval
+		probeInterval = defaultProbeInterval
 	}
-	return &SpecController{threads: threads, probeInterval: probeInterval, eff: threads}
+	return &specController{threads: threads, probeInterval: probeInterval, eff: threads}
 }
 
 // Reset restores the unthrottled initial state (full width, clean
 // history). Pools reset the controller when a runner moves between
 // sessions.
-func (c *SpecController) Reset() {
+func (c *specController) Reset() {
 	c.eff = c.threads
 	c.rate = 0
 	c.observed = 0
@@ -150,7 +146,7 @@ func (c *SpecController) Reset() {
 // should bypass the confidence gate (so gated rows can revalidate) and
 // tighten the runaway-speculation cap (so a failed probe costs a
 // bounded amount of wasted work).
-func (c *SpecController) Begin() (eff int, probe bool) {
+func (c *specController) Begin() (eff int, probe bool) {
 	c.probing = false
 	if c.threads <= 1 {
 		return 1, false
@@ -170,33 +166,33 @@ func (c *SpecController) Begin() (eff int, probe bool) {
 	return c.eff, false
 }
 
-// SpecOutcome classifies one finished invocation for Observe.
-type SpecOutcome int
+// specOutcome classifies one finished invocation for Observe.
+type specOutcome int
 
 const (
-	// SpecClean: the invocation ran (parallel or throttled-sequential)
+	// specClean: the invocation ran (parallel or throttled-sequential)
 	// and squashed nothing.
-	SpecClean SpecOutcome = iota
-	// SpecMisspec: at least one speculative chunk was squashed.
-	SpecMisspec
-	// SpecGated: every predicted row was below the confidence floor,
+	specClean specOutcome = iota
+	// specMisspec: at least one speculative chunk was squashed.
+	specMisspec
+	// specGated: every predicted row was below the confidence floor,
 	// so the invocation fell back to sequential execution despite a
 	// wider allowed width. The controller treats this as an immediate
 	// demotion to width 1: the confidence gate has already judged
 	// speculation unprofitable, and dropping to 1 starts the probe
 	// clock that will later test re-expansion.
-	SpecGated
-	// SpecSkipped: the invocation ran sequentially because no
+	specGated
+	// specSkipped: the invocation ran sequentially because no
 	// predictions existed (bootstrap); it carries no speculation
-	// verdict. A probe resolved as SpecSkipped is abandoned without
+	// verdict. A probe resolved as specSkipped is abandoned without
 	// promoting.
-	SpecSkipped
-	// SpecConflict: a DOACROSS read/write-set conflict squashed at
+	specSkipped
+	// specConflict: a DOACROSS read/write-set conflict squashed at
 	// least one chunk. The predictions themselves were validated, but
 	// the invocation still paid squash-and-recover — and narrower width
 	// genuinely shrinks the cross-chunk conflict surface — so the
 	// controller treats it exactly like a misspeculation loss.
-	SpecConflict
+	specConflict
 )
 
 // Observe feeds back the outcome of the invocation started by the last
@@ -204,21 +200,21 @@ const (
 // outcome is abandoned and the probe clock restarts. Outside probes
 // the rolling rate demotes (halves the width) when it crosses the
 // high-water mark, and a gated fallback demotes straight to width 1.
-func (c *SpecController) Observe(outcome SpecOutcome) {
+func (c *specController) Observe(outcome specOutcome) {
 	if c.probing {
 		c.probing = false
 		c.observed = 0
-		if outcome == SpecClean {
+		if outcome == specClean {
 			c.eff = c.probeEff
 			c.rate = 0
 		}
 		return
 	}
 	switch outcome {
-	case SpecSkipped:
+	case specSkipped:
 		c.observed++
 		return
-	case SpecGated:
+	case specGated:
 		if c.eff > 1 {
 			c.eff = 1
 			c.rate = specDemoteAt / 2
@@ -231,7 +227,7 @@ func (c *SpecController) Observe(outcome SpecOutcome) {
 		return
 	}
 	x := 0.0
-	if outcome == SpecMisspec || outcome == SpecConflict {
+	if outcome == specMisspec || outcome == specConflict {
 		x = 1
 	}
 	c.rate = (1-specEWMAAlpha)*c.rate + specEWMAAlpha*x
@@ -249,17 +245,17 @@ func (c *SpecController) Observe(outcome SpecOutcome) {
 }
 
 // Effective returns the current effective thread count.
-func (c *SpecController) Effective() int { return c.eff }
+func (c *specController) Effective() int { return c.eff }
 
 // Rate returns the rolling mis-speculation rate estimate.
-func (c *SpecController) Rate() float64 { return c.rate }
+func (c *specController) Rate() float64 { return c.rate }
 
-// ProbeSpecCap tightens a speculative iteration cap for a probe
+// probeSpecCap tightens a speculative iteration cap for a probe
 // invocation: a probe chunk is expected to cover about total/chunks
 // iterations, so capping at twice that (plus slack for small loops)
 // bounds the work a failed probe can waste while never capping a
 // healthy probe chunk early.
-func ProbeSpecCap(cap64, total int64, chunks int) int64 {
+func probeSpecCap(cap64, total int64, chunks int) int64 {
 	if total <= 0 || chunks < 1 {
 		return cap64
 	}

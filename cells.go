@@ -42,7 +42,7 @@ import "math/bits"
 // cell: when none did, each view's copy runs on the core that filled
 // its buffer. A view costs 8 bytes and 2 bits per cell.
 //
-// Reductions (the paper's Section 4 / internal/reduction) ride the same
+// Reductions (the paper's Section 4) ride the same
 // store: a Loop declares reduction cells with their kinds, the body
 // updates them only through CellView.Reduce, and every view — the
 // sequential path's direct view included — privatizes the accumulator
@@ -59,13 +59,9 @@ import "math/bits"
 // is the entire point of recognizing them.
 
 // ReductionKind enumerates the reduction operators supported on cells.
-// The constants and their identities mirror internal/reduction.Kind
-// (the simulator-side recognizer), so a loop the compiler pipeline
-// classifies as, say, a Sum reduction maps 1:1 onto the native
-// runtime's declaration.
 type ReductionKind int
 
-// Reduction kinds, in internal/reduction.Kind order.
+// Reduction kinds.
 const (
 	ReduceSum ReductionKind = iota
 	ReduceProduct
@@ -88,7 +84,7 @@ func (k ReductionKind) String() string {
 
 // Identity returns the kind's identity element — the value a chunk's
 // private accumulator starts from, chosen so folding it into any cell
-// value is a no-op (matches internal/reduction.Kind.Identity).
+// value is a no-op.
 func (k ReductionKind) Identity() int64 {
 	switch k {
 	case ReduceSum, ReduceOr, ReduceXor:

@@ -16,8 +16,6 @@ import (
 	"math/bits"
 	"math/rand"
 	"testing"
-
-	"spice/internal/reduction"
 )
 
 // dcReserved mirrors the cell layout every test here uses: cells 0 and
@@ -790,35 +788,5 @@ func TestCellViewReductionMerge(t *testing.T) {
 	retire(&idle, nil)
 	if c.At(0) != 115 || c.At(1) != 42 {
 		t.Fatalf("identity fold changed cells: %d, %d", c.At(0), c.At(1))
-	}
-}
-
-// TestReductionKindParity pins the native ReductionKind constants to
-// the simulator-side internal/reduction.Kind: same order, same names,
-// same identities — so a compiler-pipeline classification maps 1:1
-// onto a native declaration.
-func TestReductionKindParity(t *testing.T) {
-	pairs := []struct {
-		native ReductionKind
-		sim    reduction.Kind
-	}{
-		{ReduceSum, reduction.Sum},
-		{ReduceProduct, reduction.Product},
-		{ReduceAnd, reduction.BitAnd},
-		{ReduceOr, reduction.BitOr},
-		{ReduceXor, reduction.BitXor},
-		{ReduceMin, reduction.Min},
-		{ReduceMax, reduction.Max},
-	}
-	for _, p := range pairs {
-		if int(p.native) != int(p.sim) {
-			t.Errorf("%v: native ordinal %d, simulator %d", p.native, int(p.native), int(p.sim))
-		}
-		if p.native.String() != p.sim.String() {
-			t.Errorf("name mismatch: native %q, simulator %q", p.native.String(), p.sim.String())
-		}
-		if p.native.Identity() != p.sim.Identity() {
-			t.Errorf("%v: native identity %d, simulator %d", p.native, p.native.Identity(), p.sim.Identity())
-		}
 	}
 }

@@ -147,29 +147,6 @@ func (m *Machine) Plan() (int, error) {
 	// A new invocation's conflict log starts empty.
 	clear(m.invocationWrites)
 
-	// Adaptive throttle (shared policy, see adaptive.go): feed the
-	// controller this invocation's outcome, then let it pick the width
-	// the next invocation is planned for. effT < NThreads shrinks the
-	// boundary set, so surplus threads find invalid rows and idle;
-	// effT == 1 plans no boundaries at all — pure sequential execution
-	// until a probe re-expands.
-	effT := m.NThreads
-	probe := false
-	if m.adaptive != nil {
-		outcome := SpecClean
-		switch {
-		case misspec:
-			outcome = SpecMisspec
-		case m.plannedGated:
-			outcome = SpecGated
-		case m.plannedEmpty:
-			outcome = SpecSkipped
-		}
-		m.adaptive.Observe(outcome)
-		effT, probe = m.adaptive.Begin()
-		m.Stats.EffectiveThreads = int64(effT)
-	}
-
 	rowW := m.rowWords()
 	nextBase := m.svaBase[1-m.svaGen]
 	posOff := int64(m.SVAWidth) + rowPosOff
@@ -183,13 +160,13 @@ func (m *Machine) Plan() (int, error) {
 	if b.bootstrapped {
 		usedCand := make(map[int]bool)
 		lastPos := int64(0)
-		for k := 1; k < effT; k++ {
+		for k := 1; k < m.NThreads; k++ {
 			row := int64(k - 1)
 			validAddr := nextBase + row*rowW + validOff
 			if mem.MustLoad(validAddr) != 0 {
 				continue
 			}
-			boundary := total * int64(k) / int64(effT)
+			boundary := total * int64(k) / int64(m.NThreads)
 			if boundary <= 0 {
 				continue
 			}
@@ -229,34 +206,6 @@ func (m *Machine) Plan() (int, error) {
 			mem.MustStore(validAddr, 1)
 			memOps++
 		}
-	}
-
-	// Adaptive gate: invalidate next-generation rows beyond the
-	// throttled width, and (outside probes) rows whose confidence has
-	// fallen below the floor. The corresponding threads see an invalid
-	// row next invocation and idle instead of speculating. Probes keep
-	// gated rows valid so a re-stabilized loop can earn confidence
-	// back.
-	if m.adaptive != nil {
-		valid, confCleared := 0, false
-		for k := 1; k < m.NThreads; k++ {
-			row := int64(k - 1)
-			validAddr := nextBase + row*rowW + validOff
-			if k >= effT || (!probe && !m.rowConf.Admit(k-1, m.minConf)) {
-				if k < effT && mem.MustLoad(validAddr) != 0 {
-					confCleared = true // a real prediction fell to the gate
-				}
-				mem.MustStore(validAddr, 0)
-				memOps++
-			} else if mem.MustLoad(validAddr) != 0 {
-				valid++
-			}
-		}
-		// SpecGated only when the confidence gate destroyed actual
-		// predictions; an empty generation (nothing memoized) is the
-		// native no-predictions path, observed as SpecSkipped.
-		m.plannedGated = effT > 1 && valid == 0 && confCleared
-		m.plannedEmpty = valid == 0 && !confCleared
 	}
 
 	// Reconstruct next-invocation chunk starts from the freshly
@@ -308,8 +257,8 @@ func (m *Machine) Plan() (int, error) {
 		case PaperIntervals:
 			prefix := int64(0)
 			i := 0
-			for k := 1; k < effT; k++ {
-				boundary := total * int64(k) / int64(effT)
+			for k := 1; k < m.NThreads; k++ {
+				boundary := total * int64(k) / int64(m.NThreads)
 				if boundary <= 0 {
 					continue
 				}
@@ -336,8 +285,8 @@ func (m *Machine) Plan() (int, error) {
 			// their correct positions (self-healing). Squashed threads'
 			// own writes are discarded with their buffers, so each row
 			// commits at most once per invocation.
-			for k := 1; k < effT; k++ {
-				boundary := planTotal * int64(k) / int64(effT)
+			for k := 1; k < m.NThreads; k++ {
+				boundary := planTotal * int64(k) / int64(m.NThreads)
 				if boundary <= 0 {
 					continue
 				}
@@ -353,17 +302,6 @@ func (m *Machine) Plan() (int, error) {
 					b.indices[j] = append(b.indices[j], int64(k-1))
 				}
 			}
-		}
-		// Throttled to sequential width: the boundary loops above
-		// installed nothing, so without this the single running thread
-		// would never memoize again and every probe would find zero
-		// valid rows — a one-way door. Re-arm bootstrap memoization
-		// instead (the simulator counterpart of the native
-		// runSequential's candidate sampling): the main thread samples
-		// power-of-two candidates, and the next probe's fill loop
-		// promotes them into rows.
-		if m.adaptive != nil && effT == 1 {
-			b.installBootstrap()
 		}
 	}
 	if m.PlanTrace != nil {

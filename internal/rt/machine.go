@@ -91,9 +91,6 @@ type Stats struct {
 	Sends, Recvs       int64
 	SpecEnters         int64
 	Faults             int64
-	SpecHits           int64 // speculative worker buffers committed (adaptive)
-	SpecMisses         int64 // active speculative worker buffers discarded (adaptive)
-	EffectiveThreads   int64 // width planned for the next invocation (adaptive; 0 = off)
 }
 
 // Machine is the shared runtime state for one simulation.
@@ -115,23 +112,6 @@ type Machine struct {
 	workBase int64
 
 	lb *balancer
-
-	// Adaptive speculation mirror (see adaptive.go): nil/zero when
-	// disabled. The controller and row confidence are the same types
-	// the native library drives, so both runtimes throttle alike.
-	adaptive *SpecController
-	rowConf  *RowConfidence
-	minConf  float64
-	// plannedGated records that the last plan confidence-gated at least
-	// one otherwise-valid row and left none, while a wider width was
-	// allowed — the invocation that just finished therefore ran
-	// sequentially and must be observed as SpecGated. plannedEmpty
-	// records that no valid rows existed at all (nothing memoized):
-	// that invocation carries no speculation verdict and is observed
-	// as SpecSkipped, exactly like the native runner's
-	// no-predictions path.
-	plannedGated bool
-	plannedEmpty bool
 
 	mail     map[mailKey][]message
 	recovery []string // per-thread recovery block name ("" = unset)
@@ -212,36 +192,6 @@ func New(cfg sim.Config, nThreads, svaWidth int) (*Machine, error) {
 // Core returns the core a thread runs on (threads are pinned 1:1 up to
 // the core count, then wrap).
 func (m *Machine) Core(tid int) int { return tid % m.Cfg.Cores }
-
-// EnableAdaptive activates the adaptive speculation controller for
-// this machine's planner: Plan gates low-confidence SVA rows, throttles
-// the planned width under sustained mis-speculation, and probes back
-// up every probeInterval invocations. minConfidence <= 0 selects
-// DefaultMinConfidence; probeInterval <= 0 selects
-// DefaultProbeInterval. The policy implementation is shared with the
-// native library (package spice), so the two runtimes agree.
-func (m *Machine) EnableAdaptive(minConfidence float64, probeInterval int64) {
-	if minConfidence <= 0 {
-		minConfidence = DefaultMinConfidence
-	}
-	m.minConf = minConfidence
-	m.rowConf = NewRowConfidence(m.svaRows)
-	m.adaptive = NewSpecController(m.NThreads, probeInterval)
-	m.Stats.EffectiveThreads = int64(m.NThreads)
-}
-
-// AdaptiveState exposes the controller view for tools and tests:
-// the current effective width and each row's confidence score.
-func (m *Machine) AdaptiveState() (eff int, scores []float64) {
-	if m.adaptive == nil {
-		return m.NThreads, nil
-	}
-	scores = make([]float64, m.svaRows)
-	for i := range scores {
-		scores[i] = m.rowConf.Score(i)
-	}
-	return m.adaptive.Effective(), scores
-}
 
 // --- Message queues -------------------------------------------------
 
@@ -442,19 +392,12 @@ func (m *Machine) CommitThread(tid int) (int, error) {
 	for _, a := range buf.WriteSet() {
 		m.invocationWrites[a] = true
 	}
-	wasActive := buf.Active()
 	n, err := buf.Commit()
 	if err != nil {
 		return 0, err
 	}
 	m.Stats.Commits++
 	m.Stats.CommittedWords += int64(n)
-	// A committed speculative buffer means the thread's predicted start
-	// (SVA row tid-1) materialized: a hit for the row's confidence.
-	if m.rowConf != nil && tid > 0 && wasActive {
-		m.rowConf.Hit(tid - 1)
-		m.Stats.SpecHits++
-	}
 	return n, nil
 }
 
@@ -465,11 +408,6 @@ func (m *Machine) CommitThread(tid int) (int, error) {
 func (m *Machine) DiscardThread(tid int) int {
 	if m.Bufs[tid].Active() {
 		m.resteeredThisInvo = true
-		// Speculative work thrown away: a miss for the predicting row.
-		if m.rowConf != nil && tid > 0 {
-			m.rowConf.Miss(tid - 1)
-			m.Stats.SpecMisses++
-		}
 	}
 	if m.Bufs[tid].Faulted() {
 		m.Stats.Faults++

@@ -4,8 +4,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-
-	"spice/internal/rt"
 )
 
 // --- Executor ---------------------------------------------------------
@@ -632,7 +630,7 @@ func TestSessionNoAdaptiveBleed(t *testing.T) {
 		if r1.pred.rows[k].valid {
 			t.Fatal("recycled runner kept another session's predictions")
 		}
-		if !r1.pred.conf.Admit(k, rt.DefaultMinConfidence) {
+		if !r1.pred.conf.Admit(k, defaultMinConfidence) {
 			t.Fatalf("recycled runner kept gated confidence for row %d", k)
 		}
 	}

@@ -1,19 +1,16 @@
 package spice
 
-import "spice/internal/rt"
-
 // This file is the predictor layer: the memoizing value-predictor state
 // of Section 4 (the SVA rows holding speculated chunk-start states) plus
 // the central planning component that decides, from each invocation's
 // measured chunk lengths, where the next invocation's memoizations
 // should happen.
 //
-// Planning follows the BalancedChunks scheme (see
-// internal/rt/balancer.go for the simulator counterpart): boundaries are
-// computed in global work coordinates from the last invocation's trip
-// count, and every chunk the scheduler seeds — round 0's and any later
-// round's alike — asks planFromPosition for an entry for every boundary
-// beyond its own (predicted) start. In the common case a chunk stops at
+// Planning follows the BalancedChunks scheme: boundaries are computed in
+// global work coordinates from the last invocation's trip count, and
+// every chunk the scheduler seeds — round 0's and any later round's
+// alike — asks planFromPosition for an entry for every boundary beyond
+// its own (predicted) start. In the common case a chunk stops at
 // its successor's predicted start right after firing its first entry;
 // the remaining entries fire only when the chunk overruns because a
 // later chunk mis-speculated — re-memoizing the squashed rows at their
@@ -67,11 +64,10 @@ type predictor[S comparable] struct {
 	memoizeOnce bool
 
 	rows []row[S]
-	// conf scores each row's recent prediction record (shared policy
-	// with the simulator, see internal/rt/adaptive.go). Always
-	// maintained — it feeds Stats.Hits/Misses — but only gates
+	// conf scores each row's recent prediction record (adaptive.go).
+	// Always maintained — it feeds Stats.Hits/Misses — but only gates
 	// dispatch when the runner's adaptive controller is on.
-	conf *rt.RowConfidence
+	conf *rowConfidence
 	// prevTotal is the last invocation's total committed trip count —
 	// the planning total for the current invocation's boundaries.
 	prevTotal int64
@@ -88,7 +84,7 @@ func newPredictor[S comparable](threads int, positional, memoizeOnce bool) *pred
 		positional:  positional,
 		memoizeOnce: memoizeOnce,
 		rows:        make([]row[S], threads-1),
-		conf:        rt.NewRowConfidence(threads - 1),
+		conf:        newRowConfidence(threads - 1),
 		scratch:     make([]row[S], threads-1),
 	}
 }

@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-
-	"spice/internal/rt"
 )
 
 // Runner executes invocations of a Spice-parallelized loop. It composes
@@ -51,11 +49,10 @@ type Runner[S comparable, A any] struct {
 	pendWorks bool // s.works holds a fresh LastWorks to publish
 
 	// Adaptive speculation controller (nil when Options.Adaptive is
-	// off): shared policy implementation with the simulator balancer
-	// (internal/rt/adaptive.go). Confined to the Run cycle like the
+	// off, see adaptive.go). Confined to the Run cycle like the
 	// predictor — a Pool hands each in-flight invocation its own
 	// runner.
-	ctrl    *rt.SpecController
+	ctrl    *specController
 	minConf float64
 
 	// seqCands is runSequential's reusable bootstrap-sample buffer, so
@@ -255,7 +252,7 @@ func (r *Runner[S, A]) runInvocation(ctx context.Context, start S, loadAware boo
 	if !r.pred.havePredictions() {
 		acc, err := r.runSequential(ctx, start)
 		if err == nil {
-			r.observe(rt.SpecSkipped)
+			r.observe(specSkipped)
 		}
 		return acc, err
 	}
@@ -274,9 +271,9 @@ func (r *Runner[S, A]) runInvocation(ctx context.Context, start S, loadAware boo
 				// The confidence gate dropped every row: an immediate
 				// demotion to sequential width, which also starts the
 				// probe clock.
-				r.observe(rt.SpecGated)
+				r.observe(specGated)
 			} else {
-				r.observe(rt.SpecClean)
+				r.observe(specClean)
 			}
 		}
 		return acc, err
@@ -294,11 +291,11 @@ func (r *Runner[S, A]) runInvocation(ctx context.Context, start S, loadAware boo
 			// narrower width genuinely reduces the cross-chunk conflict
 			// surface, so throttling is the right response even though
 			// the predictions themselves were validated.
-			r.observe(rt.SpecConflict)
+			r.observe(specConflict)
 		case misspec:
-			r.observe(rt.SpecMisspec)
+			r.observe(specMisspec)
 		default:
-			r.observe(rt.SpecClean)
+			r.observe(specClean)
 		}
 	}
 	return acc, err
@@ -306,7 +303,7 @@ func (r *Runner[S, A]) runInvocation(ctx context.Context, start S, loadAware boo
 
 // observe feeds one invocation outcome to the controller (the deferred
 // store in Run settles the EffectiveThreads gauge afterwards).
-func (r *Runner[S, A]) observe(outcome rt.SpecOutcome) {
+func (r *Runner[S, A]) observe(outcome specOutcome) {
 	if r.ctrl != nil {
 		r.ctrl.Observe(outcome)
 	}

@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 
 	"spice/internal/faults"
-	"spice/internal/rt"
 )
 
 // This file is the scheduler layer. An invocation is one loop over
@@ -877,7 +876,7 @@ func (s *scheduler[S, A]) run(r *Runner[S, A], ctx context.Context, start S, row
 	specCap := r.pred.specCap(r.cfg.MaxSpecIters)
 	cap64 := specCap
 	if probe {
-		cap64 = rt.ProbeSpecCap(cap64, r.pred.prevTotal, n)
+		cap64 = probeSpecCap(cap64, r.pred.prevTotal, n)
 	}
 	var zero A
 

@@ -63,7 +63,6 @@ import (
 	"runtime/debug"
 
 	"spice/internal/faults"
-	"spice/internal/rt"
 )
 
 // Loop describes the traversal to parallelize, generic over the live-in
@@ -237,12 +236,11 @@ type Options struct {
 	Adaptive bool
 	// MinConfidence is the per-row confidence floor in [0, 1): rows
 	// scoring below it are not speculated on (outside probes). Zero
-	// selects the default (rt.DefaultMinConfidence, 0.25). Ignored
-	// unless Adaptive is set.
+	// selects the default, 0.25. Ignored unless Adaptive is set.
 	MinConfidence float64
 	// ProbeInterval is the number of observed invocations between
-	// upward probes while throttled. Zero selects the default
-	// (rt.DefaultProbeInterval, 8). Ignored unless Adaptive is set.
+	// upward probes while throttled. Zero selects the default, 8.
+	// Ignored unless Adaptive is set.
 	ProbeInterval int
 }
 
@@ -520,10 +518,10 @@ func NewRunner[S comparable, A any](loop Loop[S, A], cfg Config) (*Runner[S, A],
 		cells: loop.Cells,
 	}
 	if cfg.Adaptive && cfg.Threads > 1 {
-		r.ctrl = rt.NewSpecController(cfg.Threads, int64(cfg.ProbeInterval))
+		r.ctrl = newSpecController(cfg.Threads, int64(cfg.ProbeInterval))
 		r.minConf = cfg.MinConfidence
 		if r.minConf == 0 {
-			r.minConf = rt.DefaultMinConfidence
+			r.minConf = defaultMinConfidence
 		}
 	}
 	r.stats.effectiveThreads.Store(int64(cfg.Threads))
