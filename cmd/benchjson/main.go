@@ -1,6 +1,6 @@
 // Benchjson converts `go test -bench -benchmem` output on stdin into a
 // JSON array of {name, ns_per_op, b_per_op, allocs_per_op, maxprocs,
-// cores} records (internal/benchfmt) — the format CI archives as
+// cores} records (record.go) — the format CI archives as
 // BENCH_pool.json so the perf trajectory of the native runtime
 // accumulates across commits. Records are normalized on write: a
 // benchmark reporting 0 allocs/op has its B/op forced to 0, since any
@@ -37,16 +37,6 @@
 // mis-provisioned single-core runner fails loudly instead of silently
 // skipping the one gate the job exists for.
 //
-// With -merge, benchjson merges several of its JSON files by benchmark
-// name (later files win) and writes the merged set to stdout. CI uses
-// this to fold the scaling-curve records emitted by spicebench
-// -scaling into the refreshed BENCH_pool.json.
-//
-// With -curve, benchjson renders the scaling-curve records of one file
-// (names of the form PREFIX/gP/tT, as written by spicebench -scaling)
-// as a human-readable GOMAXPROCS × threads table, for job logs and the
-// README table.
-//
 // Usage:
 //
 //	go test -run xxx -bench BenchmarkPool -benchmem -benchtime=100x . |
@@ -55,22 +45,18 @@
 //	go run ./cmd/benchjson -faster BENCH_pool.json \
 //	    'BenchmarkNativeRunner/t2<BenchmarkNativeRunner/t1'
 //	go run ./cmd/benchjson -faster -hard fresh.json 'A<B'
-//	go run ./cmd/benchjson -merge BENCH_pool.json curve.json > merged.json
-//	go run ./cmd/benchjson -curve curve.json ScalingCurve
 package main
 
 import (
 	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"regexp"
 	"runtime"
-	"sort"
 	"strconv"
 	"strings"
-
-	"spice/internal/benchfmt"
 )
 
 func main() {
@@ -84,42 +70,48 @@ func main() {
 			os.Exit(runCompare(os.Args[1+i+1:]))
 		case "-faster", "--faster":
 			os.Exit(runFaster(os.Args[1+i+1:]))
-		case "-merge", "--merge":
-			os.Exit(runMerge(os.Args[1+i+1:]))
-		case "-curve", "--curve":
-			os.Exit(runCurve(os.Args[1+i+1:]))
 		}
 	}
 
-	gate := flag.String("gate", "", "regexp of benchmark names whose allocs/op must not exceed -max-allocs")
-	maxAllocs := flag.Float64("max-allocs", 0, "allocation budget per op for gated benchmarks")
-	flag.Parse()
+	os.Exit(runConvert(os.Args[1:], os.Stdin, os.Stdout))
+}
+
+// runConvert is the default mode: bench lines on in, JSON records on
+// out, and the -gate allocation budget. The records are written before
+// the gate's verdict, so a failing run still leaves its numbers behind.
+func runConvert(args []string, in io.Reader, out io.Writer) int {
+	fs := flag.NewFlagSet("benchjson", flag.ContinueOnError)
+	gate := fs.String("gate", "", "regexp of benchmark names whose allocs/op must not exceed -max-allocs")
+	maxAllocs := fs.Float64("max-allocs", 0, "allocation budget per op for gated benchmarks")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	var gateRe *regexp.Regexp
 	if *gate != "" {
 		var err error
 		if gateRe, err = regexp.Compile(*gate); err != nil {
 			fmt.Fprintf(os.Stderr, "benchjson: bad -gate: %v\n", err)
-			os.Exit(2)
+			return 2
 		}
 	}
 
 	cores := runtime.NumCPU()
-	recs := []benchfmt.Record{} // non-nil: an empty run must emit [], not null
+	recs := []record{} // non-nil: an empty run must emit [], not null
 	var violations []string
-	sc := bufio.NewScanner(os.Stdin)
+	sc := bufio.NewScanner(in)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
 	for sc.Scan() {
 		line := sc.Text()
 		if !strings.HasPrefix(line, "Benchmark") {
 			continue
 		}
-		rec, ok := benchfmt.ParseLine(line)
+		rec, ok := parseLine(line)
 		if !ok {
 			continue
 		}
 		rec.Cores = cores
-		rec.Normalize()
+		rec.normalize()
 		recs = append(recs, rec)
 		if gateRe != nil && gateRe.MatchString(rec.Name) && rec.AllocsPerOp > *maxAllocs {
 			violations = append(violations,
@@ -128,23 +120,24 @@ func main() {
 	}
 	if err := sc.Err(); err != nil {
 		fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
-		os.Exit(2)
+		return 2
 	}
 
 	if len(recs) == 0 {
 		fmt.Fprintln(os.Stderr, "benchjson: no benchmark lines on stdin")
-		os.Exit(2)
+		return 2
 	}
-	if err := benchfmt.Write(os.Stdout, recs); err != nil {
+	if err := write(out, recs); err != nil {
 		fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
-		os.Exit(2)
+		return 2
 	}
 	for _, v := range violations {
 		fmt.Fprintf(os.Stderr, "benchjson: steady-state allocation regression: %s\n", v)
 	}
 	if len(violations) > 0 {
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }
 
 // runCompare implements `-compare old.json new.json [-tolerance PCT]`:
@@ -177,17 +170,17 @@ func runCompare(args []string) int {
 		fmt.Fprintln(os.Stderr, "benchjson: -compare needs exactly two files: old.json new.json")
 		return 2
 	}
-	old, err := benchfmt.Load(files[0])
+	old, err := load(files[0])
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
 		return 2
 	}
-	fresh, err := benchfmt.Load(files[1])
+	fresh, err := load(files[1])
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
 		return 2
 	}
-	newByName := make(map[string]benchfmt.Record, len(fresh))
+	newByName := make(map[string]record, len(fresh))
 	for _, r := range fresh {
 		newByName[r.Name] = r
 	}
@@ -263,12 +256,12 @@ func runFaster(args []string) int {
 		fmt.Fprintf(os.Stderr, "benchjson: bad -faster expression %q (want 'A<B')\n", expr)
 		return 2
 	}
-	recs, err := benchfmt.Load(file)
+	recs, err := load(file)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
 		return 2
 	}
-	byName := make(map[string]benchfmt.Record, len(recs))
+	byName := make(map[string]record, len(recs))
 	for _, r := range recs {
 		byName[r.Name] = r
 	}
@@ -303,106 +296,4 @@ func runFaster(args []string) int {
 	fmt.Fprintf(os.Stderr, "benchjson: ordering violated: %s %.0f ns/op !< %s %.0f ns/op (%+.1f%%) at GOMAXPROCS %d on %d cores\n",
 		a.Name, a.NsPerOp, b.Name, b.NsPerOp, delta, a.MaxProcs, a.Cores)
 	return 1
-}
-
-// runMerge implements `-merge a.json b.json [...]`: the union of the
-// files' records keyed by benchmark name, later files overriding
-// earlier ones, written to stdout in first-seen order (so the
-// committed baseline's ordering is stable under refresh).
-func runMerge(args []string) int {
-	if len(args) < 2 {
-		fmt.Fprintln(os.Stderr, "benchjson: -merge needs at least two files")
-		return 2
-	}
-	var order []string
-	byName := make(map[string]benchfmt.Record)
-	for _, path := range args {
-		recs, err := benchfmt.Load(path)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
-			return 2
-		}
-		for _, r := range recs {
-			if _, ok := byName[r.Name]; !ok {
-				order = append(order, r.Name)
-			}
-			byName[r.Name] = r
-		}
-	}
-	merged := make([]benchfmt.Record, 0, len(order))
-	for _, name := range order {
-		merged = append(merged, byName[name])
-	}
-	if err := benchfmt.Write(os.Stdout, merged); err != nil {
-		fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
-		return 2
-	}
-	return 0
-}
-
-// runCurve implements `-curve file.json [PREFIX]`: render the scaling
-// records named PREFIX/gP/tT (default prefix "ScalingCurve", the
-// spicebench -scaling naming) as one ns/op row per GOMAXPROCS value
-// with a column per thread count. Returns 1 if the file has no curve
-// records at all.
-func runCurve(args []string) int {
-	if len(args) < 1 || len(args) > 2 {
-		fmt.Fprintln(os.Stderr, "benchjson: -curve needs a file and an optional name prefix")
-		return 2
-	}
-	prefix := "ScalingCurve"
-	if len(args) == 2 {
-		prefix = args[1]
-	}
-	recs, err := benchfmt.Load(args[0])
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
-		return 2
-	}
-	re := regexp.MustCompile("^" + regexp.QuoteMeta(prefix) + `/g(\d+)/t(\d+)$`)
-	curve := make(map[int]map[int]float64) // gomaxprocs -> threads -> ns/op
-	threadSet := make(map[int]bool)
-	for _, r := range recs {
-		m := re.FindStringSubmatch(r.Name)
-		if m == nil {
-			continue
-		}
-		p, _ := strconv.Atoi(m[1])
-		t, _ := strconv.Atoi(m[2])
-		if curve[p] == nil {
-			curve[p] = make(map[int]float64)
-		}
-		curve[p][t] = r.NsPerOp
-		threadSet[t] = true
-	}
-	if len(curve) == 0 {
-		fmt.Fprintf(os.Stderr, "benchjson: -curve: no %s/gP/tT records in %s\n", prefix, args[0])
-		return 1
-	}
-	var procs, threads []int
-	for p := range curve {
-		procs = append(procs, p)
-	}
-	for t := range threadSet {
-		threads = append(threads, t)
-	}
-	sort.Ints(procs)
-	sort.Ints(threads)
-	fmt.Printf("%-14s", "ns/op")
-	for _, t := range threads {
-		fmt.Printf(" %12s", fmt.Sprintf("t%d", t))
-	}
-	fmt.Println()
-	for _, p := range procs {
-		fmt.Printf("%-14s", fmt.Sprintf("GOMAXPROCS=%d", p))
-		for _, t := range threads {
-			if v, ok := curve[p][t]; ok {
-				fmt.Printf(" %12.0f", v)
-			} else {
-				fmt.Printf(" %12s", "-")
-			}
-		}
-		fmt.Println()
-	}
-	return 0
 }

@@ -1,11 +1,4 @@
-// Package benchfmt is the one definition of the repo's benchmark
-// record format — the JSON schema committed as BENCH_pool.json and
-// exchanged between `go test -bench` output, cmd/benchjson (the CI
-// gates) and cmd/spicebench (the scaling-curve harness). Both commands
-// are package main and cannot import each other; this package keeps
-// their parsing, normalization and file I/O identical so a record
-// written by one is always readable and gateable by the other.
-package benchfmt
+package main
 
 import (
 	"encoding/json"
@@ -16,8 +9,9 @@ import (
 	"strings"
 )
 
-// Record is one benchmark measurement.
-type Record struct {
+// record is one benchmark measurement: the JSON schema committed as
+// BENCH_pool.json.
+type record struct {
 	Name        string  `json:"name"`
 	NsPerOp     float64 `json:"ns_per_op"`
 	BPerOp      float64 `json:"b_per_op"`
@@ -36,31 +30,31 @@ type Record struct {
 	Cores int `json:"cores,omitempty"`
 }
 
-// Normalize rounds away measurement noise that is not a real resource:
+// normalize rounds away measurement noise that is not a real resource:
 // when a benchmark performs zero allocations per op, any nonzero B/op
 // is go test's integer-averaged rounding residue of sub-alloc noise
 // (one stray warm-up allocation amortized over the op count), not a
 // steady-state byte cost — it is forced to 0 so committed baselines
 // don't encode phantom bytes (the stale `b_per_op: 1` of the old t4
 // record). Applied by every writer, so gates can rely on it.
-func (r *Record) Normalize() {
+func (r *record) normalize() {
 	if r.AllocsPerOp == 0 {
 		r.BPerOp = 0
 	}
 }
 
-// ParseLine parses one `go test -bench -benchmem` result line, e.g.
+// parseLine parses one `go test -bench -benchmem` result line, e.g.
 //
 //	BenchmarkPoolThroughput/submitters_4-8  100  668626 ns/op  69 B/op  0 allocs/op
 //
 // The trailing -N GOMAXPROCS suffix is stripped from the name and
 // recorded as MaxProcs (go test omits the suffix entirely at
 // GOMAXPROCS 1); custom ReportMetric columns are ignored. Cores is not
-// derivable from the line — callers stamp it (see Record.Cores).
-func ParseLine(line string) (Record, bool) {
+// derivable from the line — callers stamp it (see record.Cores).
+func parseLine(line string) (record, bool) {
 	f := strings.Fields(line)
 	if len(f) < 4 {
-		return Record{}, false
+		return record{}, false
 	}
 	name := f[0]
 	procs := 1
@@ -70,12 +64,12 @@ func ParseLine(line string) (Record, bool) {
 			procs = n
 		}
 	}
-	rec := Record{Name: name, MaxProcs: procs}
+	rec := record{Name: name, MaxProcs: procs}
 	seen := false
 	for i := 2; i+1 < len(f); i += 2 {
 		v, err := strconv.ParseFloat(f[i], 64)
 		if err != nil {
-			return Record{}, false
+			return record{}, false
 		}
 		switch f[i+1] {
 		case "ns/op":
@@ -90,15 +84,14 @@ func ParseLine(line string) (Record, bool) {
 	return rec, seen
 }
 
-// Load reads one benchjson/spicebench output file (a JSON array of
-// Records) and rejects empty files, which always indicate a harness
+// load reads one benchjson output file (a JSON array of records) and rejects empty files, which always indicate a harness
 // mistake rather than a benchmark with nothing to say.
-func Load(path string) ([]Record, error) {
+func load(path string) ([]record, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	var recs []Record
+	var recs []record
 	if err := json.Unmarshal(data, &recs); err != nil {
 		return nil, fmt.Errorf("%s: %v", path, err)
 	}
@@ -108,8 +101,8 @@ func Load(path string) ([]Record, error) {
 	return recs, nil
 }
 
-// Write emits recs as indented JSON, the committed-baseline format.
-func Write(w io.Writer, recs []Record) error {
+// write emits recs as indented JSON, the committed-baseline format.
+func write(w io.Writer, recs []record) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(recs)

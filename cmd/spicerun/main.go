@@ -6,83 +6,28 @@
 // Usage:
 //
 //	spicerun -bench otter -threads 4 [-stats] [-scheme paper]
-//
-// With -pool, spicerun instead drives the native runtime's concurrent
-// front door: -concurrent submitter goroutines each stream invocations
-// of a churning linked-list workload through one spice.Pool (persistent
-// shared workers), reporting aggregate throughput and runtime counters.
-// -kernel selects the workload from the shared native-kernel registry
-// (internal/workloads — the same names the spiced daemon serves), so a
-// churn profile measured here is exactly the one a serving tenant would
-// run:
-//
-//	spicerun -pool -kernel drift -concurrent 8 -threads 4 -size 100000 -invocations 200
-//
-// -timeout bounds the whole -pool drive with a context deadline; when it
-// fires, in-flight invocations are cut off and counted.
-//
-// -async switches the -pool drive to the asynchronous front door: each
-// submitter pipelines a window of Pool.Submit futures over one shared
-// list instead of blocking on a Session per invocation, and the report
-// adds the runtime's batch-shed count (async invocations executed
-// sequentially in place because speculation would not have paid):
-//
-//	spicerun -pool -async -concurrent 8 -threads 4 -size 2000 -invocations 400
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
-	"sync"
-	"sync/atomic"
-	"time"
 
-	"spice"
 	"spice/internal/harness"
 	"spice/internal/rt"
 	"spice/internal/stats"
 	"spice/internal/workloads"
-	"spice/internal/workloads/native"
 )
 
 func main() {
 	bench := flag.String("bench", "otter", "benchmark: ks, otter, 181.mcf, 458.sjeng")
-	kernel := flag.String("kernel", "sumlist", "native kernel for -pool (see internal/workloads: sumlist, drift, shuffle, hostile)")
-	churn := flag.Int("churn", 32, "per-invocation mutation count for the -pool kernel")
 	threads := flag.Int("threads", 4, "thread count for the Spice run")
 	showStats := flag.Bool("stats", false, "print runtime statistics and work history")
 	trace := flag.Bool("trace", false, "print planner decisions")
 	scheme := flag.String("scheme", "balanced", "plan scheme: balanced or paper")
 	size := flag.Int64("size", 0, "data structure size override")
 	invocations := flag.Int64("invocations", 0, "invocation count override")
-	pool := flag.Bool("pool", false, "drive the native runtime's concurrent Pool instead of the simulator")
-	concurrent := flag.Int("concurrent", 8, "submitter goroutines for -pool")
-	workers := flag.Int("workers", 0, "persistent workers for -pool (0 = default)")
-	timeout := flag.Duration("timeout", 0, "context deadline for the whole -pool drive (0 = none)")
-	async := flag.Bool("async", false, "drive -pool through Pool.Submit futures instead of Sessions")
 	flag.Parse()
-
-	if *pool {
-		k := native.ByName(*kernel)
-		if k == nil {
-			fmt.Fprintf(os.Stderr, "spicerun: unknown native kernel %q (have: %v)\n",
-				*kernel, native.Names())
-			os.Exit(2)
-		}
-		if *async {
-			runAsync(k, *concurrent, *threads, *workers, *size, *invocations, *timeout)
-		} else {
-			runPool(k, *churn, *concurrent, *threads, *workers, *size, *invocations, *timeout)
-		}
-		return
-	}
-	if *async {
-		fmt.Fprintln(os.Stderr, "spicerun: -async requires -pool")
-		os.Exit(2)
-	}
 
 	b := workloads.ByName(*bench)
 	if b == nil {
@@ -101,8 +46,14 @@ func main() {
 		p.Invocations = *invocations
 	}
 	opts := harness.DefaultOptions()
-	if *scheme == "paper" {
+	switch *scheme {
+	case "balanced":
+	case "paper":
 		opts.PlanScheme = rt.PaperIntervals
+	default:
+		fmt.Fprintf(os.Stderr, "spicerun: unknown plan scheme %q\n", *scheme)
+		flag.Usage()
+		os.Exit(2)
 	}
 	if *trace {
 		opts.PlanTrace = func(format string, args ...any) {
@@ -136,184 +87,5 @@ func main() {
 		for i, w := range m.WorkHistory {
 			fmt.Printf("  inv %3d: %v (imbalance %.2f)\n", i, w, stats.Imbalance(w))
 		}
-	}
-}
-
-// runPool drives `concurrent` submitter goroutines, each owning a
-// churning linked list and a Pool session, through one shared executor.
-// A non-zero timeout bounds the whole drive with a context deadline:
-// in-flight invocations are cut off at their next poll point and
-// reported, demonstrating the v2 cancellation plumbing under load.
-func runPool(k *native.Kernel, churn, concurrent, threads, workers int, size, invocations int64, timeout time.Duration) {
-	if concurrent < 1 {
-		concurrent = 1
-	}
-	if size <= 0 {
-		size = 100_000
-	}
-	if invocations <= 0 {
-		invocations = 200
-	}
-	p, err := spice.NewPool(native.Loop(), spice.PoolConfig{
-		Config:  spice.Config{Threads: threads},
-		Workers: workers,
-	})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "spicerun: %v\n", err)
-		os.Exit(1)
-	}
-	defer p.Close()
-
-	ctx := context.Background()
-	if timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
-	}
-
-	fmt.Printf("native pool: kernel %s, %d submitters x %d invocations, %d-element lists, "+
-		"%d chunks/invocation, %d shared workers\n",
-		k.Name, concurrent, invocations, size, threads, p.Workers())
-
-	var cutOff atomic.Int64
-	var wg sync.WaitGroup
-	start := time.Now()
-	for g := 0; g < concurrent; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			s, err := p.Session()
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "spicerun: %v\n", err)
-				return
-			}
-			defer s.Close()
-			inst := k.New(size, int64(g)+1, churn)
-			for inv := int64(0); inv < invocations; inv++ {
-				if _, err := s.Run(ctx, inst.Head); err != nil {
-					if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-						cutOff.Add(1)
-						return
-					}
-					fmt.Fprintf(os.Stderr, "spicerun: %v\n", err)
-					return
-				}
-				// The kernel's churn profile between invocations (the
-				// Spice scenario).
-				inst.Mutate()
-			}
-		}(g)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-
-	st := p.Stats()
-	total := float64(st.Invocations)
-	fmt.Printf("  wall time:        %v\n", elapsed.Round(time.Millisecond))
-	fmt.Printf("  throughput:       %.0f invocations/s (%.1fM iters/s)\n",
-		total/elapsed.Seconds(), float64(st.TotalIters)/elapsed.Seconds()/1e6)
-	fmt.Printf("  runner states:    %d (high-water concurrent submissions)\n", p.Runners())
-	fmt.Printf("  misspec:          %.1f%% of invocations\n",
-		100*float64(st.MisspecInvocations)/total)
-	fmt.Printf("  recovery rounds:  %d (%d parallel chunks)\n", st.Recoveries, st.RecoveryChunks)
-	fmt.Printf("  last works:       %v\n", st.LastWorks)
-	if timeout > 0 {
-		fmt.Printf("  deadline:         %v; %d submitters cut off mid-invocation\n",
-			timeout, cutOff.Load())
-	}
-}
-
-// runAsync drives the asynchronous front door: `concurrent` submitters
-// each pipeline a window of Pool.Submit futures over one shared list
-// (no churn: futures from several submitters are in flight at all
-// times, so there is no quiesced window to mutate in). A non-zero
-// timeout cuts in-flight invocations off exactly as in runPool, but
-// observed through resolved futures instead of blocking Run returns.
-func runAsync(k *native.Kernel, concurrent, threads, workers int, size, invocations int64, timeout time.Duration) {
-	const window = 4
-	if concurrent < 1 {
-		concurrent = 1
-	}
-	if size <= 0 {
-		size = 100_000
-	}
-	if invocations <= 0 {
-		invocations = 200
-	}
-	p, err := spice.NewPool(native.Loop(), spice.PoolConfig{
-		Config:  spice.Config{Threads: threads},
-		Workers: workers,
-	})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "spicerun: %v\n", err)
-		os.Exit(1)
-	}
-	defer p.Close()
-
-	ctx := context.Background()
-	if timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
-	}
-
-	// Async futures pipeline over one shared, unmutated list (no quiesced
-	// window exists to churn in), so only the kernel's builder is used.
-	inst := k.New(size, 1, 0)
-	head := inst.Head
-	fmt.Printf("native pool (async): kernel %s, %d submitters x %d invocations, %d-element shared list, "+
-		"%d chunks/invocation, %d shared workers, future window %d\n",
-		k.Name, concurrent, invocations, size, threads, p.Workers(), window)
-
-	var cutOff atomic.Int64
-	var wg sync.WaitGroup
-	start := time.Now()
-	for g := 0; g < concurrent; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			futs := make([]*spice.Future[int64], window)
-			settle := func(f *spice.Future[int64]) bool {
-				if f == nil {
-					return true
-				}
-				if _, err := f.Wait(); err != nil {
-					if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-						cutOff.Add(1)
-						return false
-					}
-					fmt.Fprintf(os.Stderr, "spicerun: %v\n", err)
-					return false
-				}
-				return true
-			}
-			for inv := int64(0); inv < invocations; inv++ {
-				if !settle(futs[inv%window]) {
-					return
-				}
-				futs[inv%window] = p.Submit(ctx, head)
-			}
-			for _, f := range futs {
-				if !settle(f) {
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-
-	st := p.Stats()
-	total := float64(st.Invocations)
-	fmt.Printf("  wall time:        %v\n", elapsed.Round(time.Millisecond))
-	fmt.Printf("  throughput:       %.0f invocations/s (%.1fM iters/s)\n",
-		total/elapsed.Seconds(), float64(st.TotalIters)/elapsed.Seconds()/1e6)
-	fmt.Printf("  runner states:    %d (high-water concurrent submissions)\n", p.Runners())
-	fmt.Printf("  batch sheds:      %d of %d invocations ran sequentially in place\n",
-		st.BatchSheds, st.Invocations)
-	fmt.Printf("  misspec:          %.1f%% of invocations\n",
-		100*float64(st.MisspecInvocations)/total)
-	if timeout > 0 {
-		fmt.Printf("  deadline:         %v; %d futures cut off\n", timeout, cutOff.Load())
 	}
 }

@@ -5,7 +5,7 @@
 // returns the latency of each memory access while tracking hit/miss and
 // coherence statistics.
 //
-// Fidelity note (see DESIGN.md): the paper simulated 6-issue Itanium 2
+// Fidelity note: the paper simulated 6-issue Itanium 2
 // cores in the Liberty simulation environment. This model executes one
 // operation at a time per core with fixed op latencies and a detailed
 // memory hierarchy. Both the single-threaded baseline and all Spice
@@ -46,7 +46,7 @@ type Config struct {
 	// one cycle as a group. Loads, stores, branches, multiplies and
 	// calls end a group. Dependencies within a group are ignored — an
 	// idealization applied identically to the sequential baseline and
-	// the Spice binaries (see DESIGN.md).
+	// the Spice binaries.
 	IssueWidth int
 
 	// Runtime operation costs.

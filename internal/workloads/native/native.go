@@ -2,11 +2,11 @@ package native
 
 // This file is the native-runtime counterpart of the simulator's Table 2
 // registry: named workload kernels that run on spice.Pool/Runner rather
-// than the simulated machine. Every binary that drives the native
-// runtime — cmd/spicerun -pool, cmd/spicebench's native tables, and the
-// spiced serving daemon's wire protocol — selects kernels from this one
-// registry instead of hand-rolling its own list, so a kernel name means
-// the same structure, traversal and churn profile everywhere.
+// than the simulated machine. Everything that drives the native runtime
+// by kernel name — the spiced serving daemon's wire protocol, the root
+// package's chaos and Scan oracles, bench/ — selects kernels from this
+// one registry instead of hand-rolling its own list, so a kernel name
+// means the same structure, traversal and churn profile everywhere.
 //
 // All kernels traverse the same element type (Node) through the same
 // summation loop (Loop); what distinguishes them is the structure

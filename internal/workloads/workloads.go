@@ -9,8 +9,7 @@
 // The original benchmark sources (SPEC, pointer-intensive suite, otter)
 // cannot be shipped; each kernel is a from-scratch model of the loop the
 // paper names, with a native mutator that reproduces the loop's
-// cross-invocation data-structure dynamics (see DESIGN.md for the
-// substitution argument).
+// cross-invocation data-structure dynamics.
 package workloads
 
 import (
