@@ -36,7 +36,7 @@ type record struct {
 // (one stray warm-up allocation amortized over the op count), not a
 // steady-state byte cost — it is forced to 0 so committed baselines
 // don't encode phantom bytes (the stale `b_per_op: 1` of the old t4
-// record). Applied by every writer, so gates can rely on it.
+// record). Applied before every write, so gates can rely on it.
 func (r *record) normalize() {
 	if r.AllocsPerOp == 0 {
 		r.BPerOp = 0
@@ -84,8 +84,9 @@ func parseLine(line string) (record, bool) {
 	return rec, seen
 }
 
-// load reads one benchjson output file (a JSON array of records) and rejects empty files, which always indicate a harness
-// mistake rather than a benchmark with nothing to say.
+// load reads one benchjson output file (a JSON array of records) and
+// rejects empty files, which always indicate a harness mistake rather
+// than a benchmark with nothing to say.
 func load(path string) ([]record, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
