@@ -33,12 +33,11 @@ const (
 	// squashes from full confidence.
 	specConfAlpha = 0.5
 	// specConfInit is the neutral confidence a fresh row starts from —
-	// above the default floor, so new predictions get to prove
-	// themselves.
+	// above the floor, so new predictions get to prove themselves.
 	specConfInit = 0.5
 
-	// defaultMinConfidence is the confidence floor applied when the
-	// caller enables adaptive mode without choosing one.
+	// defaultMinConfidence is the per-row confidence floor of adaptive
+	// mode: rows scoring below it are not speculated on (outside probes).
 	defaultMinConfidence = 0.25
 	// defaultProbeInterval is the number of observed invocations
 	// between upward probes when the caller does not choose one.

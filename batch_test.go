@@ -515,11 +515,7 @@ func TestExecutorNoLostOrDuplicatedTasks(t *testing.T) {
 					for i := 0; i < perSub; i++ {
 						ti := &tasks[g*perSub+i]
 						ti.wg = &wg
-						if i%2 == 0 {
-							sub.submit(ti)
-						} else {
-							e.submit(ti) // handle-less striped path
-						}
+						sub.submit(ti)
 					}
 				}(g)
 			}

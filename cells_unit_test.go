@@ -197,11 +197,6 @@ func TestConfigValidateOptions(t *testing.T) {
 	}); !errors.Is(err, ErrBadOptions) {
 		t.Fatalf("negative ProbeInterval: err = %v, want ErrBadOptions", err)
 	}
-	if _, err := NewRunner(dcLoop(), Config{
-		Threads: 1, Options: Options{MinConfidence: 1.5},
-	}); !errors.Is(err, ErrBadOptions) {
-		t.Fatalf("MinConfidence 1.5: err = %v, want ErrBadOptions", err)
-	}
 }
 
 // TestRunnerStringPositional covers the positional-validation label of

@@ -84,7 +84,9 @@ func main() {
 	if err != nil {
 		log.Fatalf("spiced: listen %s: %v", *listen, err)
 	}
-	srv := &http.Server{Handler: s.Handler()}
+	// A client that never finishes its headers must not hold a connection
+	// (and its goroutine) forever.
+	srv := &http.Server{Handler: s.Handler(), ReadHeaderTimeout: 10 * time.Second}
 	go func() {
 		if err := srv.Serve(ln); err != nil && err != http.ErrServerClosed {
 			log.Fatalf("spiced: serve: %v", err)

@@ -56,22 +56,20 @@ import (
 // as much as the chunk. Three steps keep both sides off the futex
 // without either side spinning blind:
 //
-//   - Claim. Every dispatched chunkJob carries a claim word, armed just
-//     before submit. run() starts with a compare-and-swap on it, and
-//     whoever wins — the worker that popped the queue entry or the
-//     invoker — executes the chunk and signals the latch; the loser
-//     returns without touching anything. After chunk 0 the invoker
-//     walks its round's slots in chain order and runs every chunk still
-//     unclaimed, so a round never waits on a worker that is parked,
-//     stalled or busy with another runner's chunk. The queue entry of a
-//     reclaimed chunk stays behind; popped later it is a failed
-//     compare-and-swap, or — if the slot has been re-armed since — a
-//     legitimate claim of the new round's chunk. While it stays behind
-//     the slot is armed without a second entry (chunkJob.queued), so
-//     queue depth and the load gauge stay at one entry per slot however
-//     long a worker is away. The copy-out tasks of a DOACROSS round
-//     (copyJob, scheduler.landCells) follow the same protocol on a
-//     claim word of their own: one more entry per slot at most.
+//   - Claim (claimWord in scheduler.go, where the protocol is stated
+//     once). Every dispatched chunkJob carries a claim word, armed just
+//     before submit, and whoever swaps it back — the worker that popped
+//     the queue entry or the invoker — executes the chunk and signals
+//     the latch; the loser returns without touching anything. After
+//     chunk 0 the invoker walks its round's slots in chain order and
+//     runs every chunk still unclaimed, so a round never waits on a
+//     worker that is parked, stalled or busy with another runner's
+//     chunk. The queue entry of a reclaimed chunk stays behind and the
+//     slot is armed without a second one while it does, so queue depth
+//     and the load gauge stay at one entry per slot however long a
+//     worker is away. The copy-out tasks of a DOACROSS round (copyJob,
+//     scheduler.landCells) embed a claim word of their own: one more
+//     entry per slot at most.
 //   - Join (latch.go). Once every chunk is claimed, whatever is still
 //     outstanding is running on another processor. The invoker spins on
 //     the latch for as long as its own share of the round just took
@@ -240,7 +238,7 @@ type Executor struct {
 	warmUntil atomic.Int64
 	_         [56]byte
 
-	cursor atomic.Uint32 // striping cursor for submitter homes and handle-less submits
+	cursor atomic.Uint32 // striping cursor for submitter homes
 	closed atomic.Bool
 	done   sync.WaitGroup
 	once   sync.Once
@@ -465,13 +463,6 @@ func (s *submitter) submit(t task) {
 // chunk whose entry is already queued, so the chunks after it keep
 // their home shards.
 func (s *submitter) skip() { s.next++ }
-
-// submit is the handle-less form, striping across shards through the
-// executor-wide cursor. Runners use their own submitter; this path
-// serves standalone executor users.
-func (e *Executor) submit(t task) {
-	e.enqueue(t, e.cursor.Add(1))
-}
 
 // enqueue places t on the first non-full shard at or after the hinted
 // one, wrapping around; when every shard is full it parks on the home

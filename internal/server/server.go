@@ -308,11 +308,30 @@ func (s *Server) newJob(req JobRequest, notify context.Context) (*job, *apiError
 	}, nil
 }
 
+// maxRequestBytes bounds a job request's body. A JobRequest is a dozen
+// scalar fields; anything near this size is not one.
+const maxRequestBytes = 64 << 10
+
+// decodeJob reads one JobRequest from the request body, refusing a body
+// over maxRequestBytes with 413 and anything else undecodable with 400.
+func decodeJob(w http.ResponseWriter, r *http.Request, req *JobRequest) *apiError {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes)).Decode(req)
+	var tooBig *http.MaxBytesError
+	switch {
+	case err == nil:
+		return nil
+	case errors.As(err, &tooBig):
+		return &apiError{code: http.StatusRequestEntityTooLarge, msg: fmt.Sprintf("request body over %d bytes", maxRequestBytes)}
+	default:
+		return badRequest("bad JSON: " + err.Error())
+	}
+}
+
 // handleRun is the synchronous door: admit, wait, answer.
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	var req JobRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		badRequest("bad JSON: " + err.Error()).write(w)
+	if aerr := decodeJob(w, r, &req); aerr != nil {
+		aerr.write(w)
 		return
 	}
 	j, aerr := s.newJob(req, r.Context())
@@ -336,8 +355,8 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 // handleSubmit is the asynchronous door: admit, remember, answer 202.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req JobRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		badRequest("bad JSON: " + err.Error()).write(w)
+	if aerr := decodeJob(w, r, &req); aerr != nil {
+		aerr.write(w)
 		return
 	}
 	j, aerr := s.newJob(req, nil) // async jobs outlive the submitting request
@@ -374,15 +393,23 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 // its table slot (at-most-once delivery of the result body).
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
+	// The state is read and a finished job's slot freed under one hold,
+	// so of any number of concurrent polls exactly one sees it done.
 	s.asyncMu.Lock()
 	j, ok := s.asyncJobs[id]
+	var state jobState
+	if ok {
+		if state = jobState(j.state.Load()); state == jobDone {
+			delete(s.asyncJobs, id)
+		}
+	}
 	s.asyncMu.Unlock()
 	if !ok {
 		(&apiError{code: http.StatusNotFound, msg: "unknown job id (finished results are delivered once)"}).write(w)
 		return
 	}
 	st := JobStatus{ID: id}
-	switch jobState(j.state.Load()) {
+	switch state {
 	case jobQueued:
 		st.State = "queued"
 	case jobRunning:
@@ -393,9 +420,6 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		if j.err != nil {
 			st.Error = j.err.msg
 		}
-		s.asyncMu.Lock()
-		delete(s.asyncJobs, id)
-		s.asyncMu.Unlock()
 	}
 	writeJSON(w, http.StatusOK, st)
 }

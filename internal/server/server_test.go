@@ -8,9 +8,11 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -557,6 +559,91 @@ func TestAsyncLifecycle(t *testing.T) {
 	}
 	if w := do(h, "GET", "/v1/jobs/nope", nil); w.Code != http.StatusNotFound {
 		t.Fatalf("unknown id: status %d, want 404", w.Code)
+	}
+}
+
+// TestOversizedBodyRefused: both doors bound the body they decode. A
+// request over maxRequestBytes is a 413 that moves the 4xx counter; one
+// just under it is decoded and judged on its content.
+func TestOversizedBodyRefused(t *testing.T) {
+	s := newTestServer(t, testConfig())
+	h := s.Handler()
+	body := func(n int) string {
+		const frame = `{"tenant":""}`
+		return `{"tenant":"` + strings.Repeat("a", n-len(frame)) + `"}`
+	}
+	for _, tc := range []struct {
+		name string
+		path string
+		size int
+		want int
+	}{
+		{"run over", "/v1/run", maxRequestBytes + 1, http.StatusRequestEntityTooLarge},
+		{"submit over", "/v1/submit", maxRequestBytes + 1, http.StatusRequestEntityTooLarge},
+		{"run far over", "/v1/run", 16 * maxRequestBytes, http.StatusRequestEntityTooLarge},
+		{"run at the bound", "/v1/run", maxRequestBytes, http.StatusBadRequest}, // decoded: a tenant name that long is refused
+		{"submit at the bound", "/v1/submit", maxRequestBytes, http.StatusBadRequest},
+	} {
+		before := s.met.http4xx.Load()
+		r := httptest.NewRequest("POST", tc.path, strings.NewReader(body(tc.size)))
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, r)
+		if w.Code != tc.want {
+			t.Errorf("%s: status %d, want %d (%.80s)", tc.name, w.Code, tc.want, w.Body.String())
+		}
+		if got := s.met.http4xx.Load() - before; got != 1 {
+			t.Errorf("%s: 4xx counter moved by %d, want 1", tc.name, got)
+		}
+	}
+}
+
+// TestFinishedJobDeliveredOnce: of any number of concurrent polls of one
+// finished job exactly one receives the result; the rest find the slot
+// already freed. The window a second poll needs is a few instructions
+// wide, so the wide row repeats: under -race (CI's test step) twenty
+// rounds of 64 polls delivered a result twice in every run before the
+// check and the delete shared one hold.
+func TestFinishedJobDeliveredOnce(t *testing.T) {
+	s := newTestServer(t, testConfig())
+	h := s.Handler()
+	for _, polls := range append([]int{2, 8}, slices.Repeat([]int{64}, 20)...) {
+		w := do(h, "POST", "/v1/submit", JobRequest{Tenant: "t", Kernel: "sumlist", Size: 2000, Seed: 9})
+		if w.Code != http.StatusAccepted {
+			t.Fatalf("submit: %d", w.Code)
+		}
+		id := decode[JobStatus](t, w).ID
+		// Wait on the table entry, not through the handler: a poll that
+		// saw the job done would consume it.
+		s.asyncMu.Lock()
+		j := s.asyncJobs[id]
+		s.asyncMu.Unlock()
+		<-j.done
+
+		var delivered, gone, other atomic.Int64
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		for i := 0; i < polls; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				w := do(h, "GET", "/v1/jobs/"+id, nil)
+				switch {
+				case w.Code == http.StatusNotFound:
+					gone.Add(1)
+				case w.Code == http.StatusOK && strings.Contains(w.Body.String(), `"state":"done"`):
+					delivered.Add(1)
+				default:
+					other.Add(1)
+				}
+			}()
+		}
+		close(start)
+		wg.Wait()
+		if delivered.Load() != 1 || gone.Load() != int64(polls-1) || other.Load() != 0 {
+			t.Fatalf("%d concurrent polls: %d results, %d 404s, %d other; want 1, %d, 0",
+				polls, delivered.Load(), gone.Load(), other.Load(), polls-1)
+		}
 	}
 }
 

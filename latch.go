@@ -7,15 +7,15 @@ import (
 )
 
 // This file is the invocation completion latch: the join point between
-// a dispatch round's chunks and the invoking goroutine. It replaces the
-// sync.WaitGroup the scheduler used through PR 5. A WaitGroup is
-// general — any number of waiters, Add/Wait races guarded by extra
-// state transitions — and its Wait parks on the runtime semaphore
-// immediately. A dispatch round needs none of that generality: exactly
-// one waiter (the invoker, which just ran chunk 0 inline), a count
-// armed strictly before any decrement can reach zero (jobs are
-// submitted after add), and chunks that — on a balanced plan — finish
-// within microseconds of chunk 0. The latch exploits all three:
+// a dispatch round's chunks and the invoking goroutine. A
+// sync.WaitGroup is general — any number of waiters, Add/Wait races
+// guarded by extra state transitions — and its Wait parks on the
+// runtime semaphore immediately. A dispatch round needs none of that
+// generality: exactly one waiter (the invoker, which just ran chunk 0
+// inline), a count armed strictly before any decrement can reach zero
+// (jobs are submitted after add), and chunks that — on a balanced plan
+// — finish within microseconds of chunk 0. The latch exploits all
+// three:
 //
 //   - add/done are single atomic adds on one dedicated cache line;
 //   - the waiter spins until a deadline before parking, so a round

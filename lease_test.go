@@ -182,11 +182,12 @@ func TestWorkerRescansForTaskDuration(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	e := NewExecutor(1)
 	defer e.Close()
+	sub := e.newSubmitter(1)
 	waitParked(t, e, 0, nil) // a fresh worker has earned nothing: it parks at once
 	for _, d := range []time.Duration{30 * time.Microsecond, 5 * time.Millisecond} {
 		task := &spinTask{d: int64(d)}
 		parks := e.parks.Load()
-		e.submit(task)
+		sub.submit(task)
 		parkedAt := waitParked(t, e, parks, task)
 		earned := min(int64(d), int64(joinSpinCap))
 		if idle := parkedAt - task.ended.Load(); idle < earned {
@@ -205,8 +206,8 @@ func TestWorkerRescansForTaskDuration(t *testing.T) {
 	// chunk earned: the later deadline stands.
 	long, stale := &spinTask{d: int64(5 * time.Millisecond)}, &spinTask{}
 	parks := e.parks.Load()
-	e.submit(long)
-	e.submit(stale) // queued behind long while it runs
+	sub.submit(long)
+	sub.submit(stale) // queued behind long while it runs
 	parkedAt := waitParked(t, e, parks, stale)
 	if idle := parkedAt - long.ended.Load(); idle < int64(joinSpinCap) {
 		t.Fatalf("a trivial task behind a 5 ms one: the worker parked %v past the long task's end, before the %v it had earned", time.Duration(idle), joinSpinCap)
@@ -218,10 +219,10 @@ func TestWorkerRescansForTaskDuration(t *testing.T) {
 	for attempt := 0; attempt < 200; attempt++ {
 		first, second := &spinTask{d: int64(time.Millisecond)}, &spinTask{}
 		parks := e.parks.Load()
-		e.submit(first)
+		sub.submit(first)
 		for first.ended.Load() == 0 {
 		}
-		e.submit(second)
+		sub.submit(second)
 		for second.ended.Load() == 0 {
 			runtime.Gosched()
 		}

@@ -148,7 +148,7 @@ func NewPool[S comparable, A any](loop Loop[S, A], cfg PoolConfig) (*Pool[S, A],
 // chunk read it from another submission). Callers that each own a
 // private, independently mutated structure should use Session instead.
 func (p *Pool[S, A]) Run(ctx context.Context, start S) (A, error) {
-	r, err := p.acquire()
+	r, err := p.acquireRunner(p.cfg.Threads, false)
 	if err != nil {
 		var zero A
 		return zero, err
@@ -190,11 +190,19 @@ func (p *Pool[S, A]) RunBatch(ctx context.Context, starts []S) ([]A, error) {
 	if len(starts) == 0 {
 		return nil, nil
 	}
-	r, err := p.acquire()
+	r, err := p.acquireRunner(p.cfg.Threads, false)
 	if err != nil {
 		return nil, err
 	}
 	defer p.release(r)
+	return r.runBatch(ctx, starts)
+}
+
+// runBatch is the item loop behind Pool.RunBatch and Session.RunBatch:
+// one shed-aware invocation per start, in order, stopping at the first
+// failure with the completed prefix and that item's error wrapped with
+// its index.
+func (r *Runner[S, A]) runBatch(ctx context.Context, starts []S) ([]A, error) {
 	out := make([]A, 0, len(starts))
 	for i, start := range starts {
 		acc, err := r.run(ctx, start, true)
@@ -261,7 +269,9 @@ func (f *Future[A]) resolve(acc A, err error, stats Stats) {
 // concurrent Run callers would; bound the window by waiting on Futures.
 func (p *Pool[S, A]) Submit(ctx context.Context, start S) *Future[A] {
 	f := &Future[A]{done: make(chan struct{})}
-	r, err := p.acquireInflight()
+	// Registered for Close's drain under the same mutex hold as the closed
+	// check, so the drain cannot miss a just-accepted submission.
+	r, err := p.acquireRunner(p.cfg.Threads, true)
 	if err != nil {
 		var zero A
 		f.resolve(zero, err, Stats{})
@@ -276,13 +286,6 @@ func (p *Pool[S, A]) Submit(ctx context.Context, start S) *Future[A] {
 		f.resolve(acc, err, after.Delta(before))
 	}()
 	return f
-}
-
-// acquireInflight is acquire plus inflight registration, atomic with
-// the closed check so Close's drain cannot miss a just-accepted
-// submission.
-func (p *Pool[S, A]) acquireInflight() (*Runner[S, A], error) {
-	return p.acquireRunner(p.cfg.Threads, true)
 }
 
 // isClosed reports whether Close has been called. Lock-free: it sits on
@@ -375,15 +378,7 @@ func (s *Session[S, A]) RunBatch(ctx context.Context, starts []S) ([]A, error) {
 	if s.r == nil || s.p.isClosed() {
 		return nil, ErrPoolClosed
 	}
-	out := make([]A, 0, len(starts))
-	for i, start := range starts {
-		acc, err := s.r.run(ctx, start, true)
-		if err != nil {
-			return out, fmt.Errorf("spice: batch item %d: %w", i, err)
-		}
-		out = append(out, acc)
-	}
-	return out, nil
+	return s.r.runBatch(ctx, starts)
 }
 
 // BindCells binds the DOACROSS cell store this session's invocations
@@ -421,12 +416,6 @@ func (s *Session[S, A]) Close() {
 	s.r.reset()
 	s.p.release(s.r)
 	s.r = nil
-}
-
-// acquire pops an idle default-width runner or creates one; it returns
-// ErrPoolClosed after Close.
-func (p *Pool[S, A]) acquire() (*Runner[S, A], error) {
-	return p.acquireRunner(p.cfg.Threads, false)
 }
 
 // acquireRunner pops an idle runner of the requested width or creates
@@ -513,12 +502,12 @@ func (p *Pool[S, A]) Stats() Stats {
 	defer p.mu.Unlock()
 	var s Stats
 	// EffectiveThreads: the widest live gauge across the pool's runners,
-	// defaulting to the configured width before any runner exists. Using
-	// the most recently *released* runner here was a bug: a width-1
-	// tenant session closing last made the whole pool scrape as
-	// sequential on /metrics even while full-width runners sat idle.
+	// defaulting to the configured width before any runner exists (the
+	// widest, not the most recently released: a width-1 tenant session
+	// closing last must not make the whole pool scrape as sequential on
+	// /metrics while full-width runners sit idle).
 	s.EffectiveThreads = int64(p.cfg.Threads)
-	s.addCounters(p.retired) // retired runners' history survives them
+	s.addCounters(p.retired, 1) // retired runners' history survives them
 	s.RunnersRetired = p.retiredCount
 	var maxEff int64
 	for _, r := range p.all {
@@ -561,7 +550,7 @@ func (p *Pool[S, A]) WorkerParks() int64 { return p.exec.parks.Load() }
 // blocks until their Futures resolve, then stops the workers. Close is
 // idempotent.
 func (p *Pool[S, A]) Close() {
-	p.mu.Lock() // pairs with acquireInflight: no Add can slip past the drain
+	p.mu.Lock() // pairs with Submit's acquireRunner: no Add can slip past the drain
 	p.closed.Store(true)
 	p.mu.Unlock()
 	p.inflight.Wait()

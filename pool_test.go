@@ -1,6 +1,7 @@
 package spice
 
 import (
+	"errors"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -26,10 +27,11 @@ func TestExecutorRunsTasks(t *testing.T) {
 	var n atomic.Int64
 	var wg sync.WaitGroup
 	tasks := make([]countTask, 100)
+	sub := e.newSubmitter(1)
 	for i := range tasks {
 		tasks[i] = countTask{n: &n, wg: &wg}
 		wg.Add(1)
-		e.submit(&tasks[i])
+		sub.submit(&tasks[i])
 	}
 	wg.Wait()
 	if n.Load() != 100 {
@@ -125,8 +127,8 @@ func TestPoolValidation(t *testing.T) {
 		t.Error("external executor accepted")
 	}
 	if _, err := NewPool(xorLoop(), PoolConfig{Config: Config{Threads: 2,
-		Options: Options{MinConfidence: 1.5}}}); err == nil {
-		t.Error("out-of-range MinConfidence accepted")
+		Options: Options{ProbeInterval: -1}}}); !errors.Is(err, ErrBadOptions) {
+		t.Errorf("negative ProbeInterval: err = %v, want ErrBadOptions", err)
 	}
 	// A fresh pool reports the configured width before any runner is
 	// released, not zero.

@@ -242,7 +242,8 @@ func TestUndispatchedSlotsGetNoVerdict(t *testing.T) {
 			e := NewExecutor(1)
 			defer e.Close()
 			hold := &blockTask{started: make(chan struct{}), release: make(chan struct{})}
-			e.submit(hold)
+			sub := e.newSubmitter(1)
+			sub.submit(hold)
 			<-hold.started
 			defer close(hold.release)
 

@@ -20,6 +20,7 @@ import (
 // while Run executes.
 type Runner[S comparable, A any] struct {
 	loop     Loop[S, A]
+	block    blockFn[S, A] // the loop's block routine (blockOf), behind every traversal
 	cfg      Config
 	pred     *predictor[S]
 	sched    *scheduler[S, A]
@@ -52,8 +53,7 @@ type Runner[S comparable, A any] struct {
 	// off, see adaptive.go). Confined to the Run cycle like the
 	// predictor — a Pool hands each in-flight invocation its own
 	// runner.
-	ctrl    *specController
-	minConf float64
+	ctrl *specController
 
 	// seqCands is runSequential's reusable bootstrap-sample buffer, so
 	// the sequential path (the adaptive fallback's steady state) is as
@@ -80,10 +80,7 @@ type seqCand[S comparable] struct {
 // no synchronization) and publishes them here in one mutex-guarded step
 // when it finishes — so any snapshot, however it interleaves with
 // concurrent invocations or with Pool release, sees every invocation
-// either entirely or not at all. Before this scheme the counters were
-// independent atomics updated piecemeal across an invocation, and a
-// Pool.Stats aggregation racing a release could observe, say, the
-// incremented invocation count without its committed iterations.
+// either entirely or not at all.
 type runnerStats struct {
 	mu    sync.Mutex
 	total Stats // LastWorks is a reused buffer, copied out on snapshot
@@ -99,7 +96,7 @@ type runnerStats struct {
 // clears the delta for the next invocation.
 func (st *runnerStats) publish(d *Stats, works []int64, worksDirty bool) {
 	st.mu.Lock()
-	st.total.addCounters(*d)
+	st.total.addCounters(*d, 1)
 	if worksDirty {
 		st.total.LastWorks = append(st.total.LastWorks[:0], works...)
 	}
@@ -112,7 +109,7 @@ func (st *runnerStats) publish(d *Stats, works []int64, worksDirty bool) {
 // from the relevant runner.
 func (st *runnerStats) addInto(s *Stats) {
 	st.mu.Lock()
-	s.addCounters(st.total)
+	s.addCounters(st.total, 1)
 	st.mu.Unlock()
 }
 
@@ -317,7 +314,7 @@ func (r *Runner[S, A]) admitRow(k int, probe bool) bool {
 	if r.ctrl == nil || probe {
 		return true
 	}
-	return r.pred.conf.Admit(k, r.minConf)
+	return r.pred.conf.Admit(k, defaultMinConfidence)
 }
 
 // noteHit records a committed speculative chunk for row k; reclaimed
@@ -432,13 +429,13 @@ func (r *Runner[S, A]) String() string {
 // contains body panics as *PanicError, so the bootstrap invocation obeys
 // the same contract as the parallel ones.
 //
-// The traversal runs through the same block-structured scan variants as
-// the parallel chunks (blockloop.go; the loop's own block form when it
-// sets Loop.Scan): blocks bound at the next poll point or
-// bootstrap-sample index, with the per-iteration body just
-// Done/Body/Next on register-resident state — the sequential fallback
-// (the adaptive controller's steady state on hostile workloads) pays
-// the same near-zero per-iteration overhead as the parallel path.
+// The traversal runs through the same block routine as the parallel
+// chunks (Runner.block, blockloop.go), hunting nothing: blocks bound at
+// the next poll point or bootstrap-sample index, with the per-iteration
+// body just Done/Body/Next on register-resident state — the sequential
+// fallback (the adaptive controller's steady state on hostile
+// workloads) pays the same near-zero per-iteration overhead as the
+// parallel path.
 func (r *Runner[S, A]) runSequential(ctx context.Context, start S) (out A, err error) {
 	defer func() {
 		if v := recover(); v != nil {
@@ -446,9 +443,7 @@ func (r *Runner[S, A]) runSequential(ctx context.Context, start S) (out A, err e
 			out, err = zero, newPanicError(v)
 		}
 	}()
-	done, next := r.loop.Done, r.loop.Next
-	body, bodyErr := r.loop.Body, r.loop.BodyErr
-	specBody, specBodyErr := r.loop.SpecBody, r.loop.SpecBodyErr
+	done := r.loop.Done
 	// Sequential DOACROSS execution is the reference semantics: every
 	// Load/Store goes straight through to the store — no buffering, no
 	// validation. Reductions accumulate in the view and fold into the
@@ -456,7 +451,7 @@ func (r *Runner[S, A]) runSequential(ctx context.Context, start S) (out A, err e
 	// panic): a failing sequential run applies its updates up to the
 	// failure point, exactly as a failing chunk's commit does.
 	var view *CellView
-	if specBody != nil || specBodyErr != nil {
+	if r.loop.speculative() {
 		view = &r.dview
 		view.beginDirect(r.cells, r.loop.Reductions)
 		defer view.fold()
@@ -474,6 +469,7 @@ func (r *Runner[S, A]) runSequential(ctx context.Context, start S) (out A, err e
 	nextPoll := int64(ctxPollEvery - 1)
 	var work int64
 	s := start
+	var noStop S // the sequential path hunts nothing
 	for {
 		bound := nextPoll
 		if nextSample < bound {
@@ -482,19 +478,7 @@ func (r *Runner[S, A]) runSequential(ctx context.Context, start S) (out A, err e
 		var k int64
 		var stop blockStop
 		var verr error
-		switch {
-		case r.loop.Scan != nil:
-			var noStop S
-			s, acc, k, stop, verr = blockLoopScan(&r.loop, view, s, acc, noStop, false, bound-work)
-		case specBody != nil:
-			s, acc, k, stop, verr = blockSpecScanToEnd(done, next, specBody, view, s, acc, bound-work)
-		case specBodyErr != nil:
-			s, acc, k, stop, verr = blockSpecScanToEndErr(done, next, specBodyErr, view, s, acc, bound-work)
-		case bodyErr != nil:
-			s, acc, k, stop, verr = blockScanToEndErr(done, next, bodyErr, s, acc, bound-work)
-		default:
-			s, acc, k, stop, verr = blockScanToEnd(done, next, body, s, acc, bound-work)
-		}
+		s, acc, k, stop, verr = r.block(view, s, acc, noStop, false, bound-work)
 		work += k
 		if stop == blockDone {
 			break

@@ -20,7 +20,7 @@ import (
 // failure plumbing: ctx polling, the abort barrier and per-chunk error
 // slots all live in preallocated state.
 //
-// Block-structure invariants (chunkJob.run and blockloop.go): a chunk
+// Block-structure invariants (chunkJob.exec and blockloop.go): a chunk
 // executes in bounded blocks whose length is the distance to the
 // nearest pending event — the next ctx/abort poll point, the next
 // memoization-plan threshold, the speculative iteration cap, or the
@@ -35,14 +35,13 @@ import (
 //   - chunk exit: work/acc/matched/capped/endState/err spill to the
 //     result struct in one shot, so concurrent workers never share
 //     result cache lines mid-traversal;
-//   - panic recovery: each scan variant keeps its started-iteration
+//   - panic recovery: each block routine keeps its started-iteration
 //     count in a named result its recovery defer can reach, so a chunk
 //     that panics mid-block still reports an exact count and squash
-//     accounting stays exact (the outer driver defer then spills that
-//     count, making panicked-chunk SquashedIters identical to the
-//     pre-block path). A loop's own block form (Loop.Scan) reports its
-//     count only by returning, so there the count is exact to the block
-//     boundary.
+//     accounting stays exact to the iteration (the outer driver defer
+//     then spills that count). A loop's own block form (Loop.Scan)
+//     reports its count only by returning, so there the count is exact
+//     to the block boundary.
 //
 // Chunk 0 — the non-speculative chunk whose start is architecturally
 // correct — runs inline on the invoking goroutine instead of round-
@@ -54,15 +53,15 @@ import (
 // unchanged because chunk 0 runs the same chunkJob.exec.
 //
 // dispatchRound is the invoker's side of the handoff protocol in the
-// executor.go header: arm each slot's claim word and submit it,
-// run chunk 0, reclaim (run every chunk no worker has claimed yet),
-// join (spin on the latch for as long as the invoker's own share just
-// took, then park), and publish the workers' lease from the measured
-// gap between rounds. The round ends in run, when the chain walk has
-// landed its results (endRound). The clock is read four times per round
-// that has speculative chunks — at dispatch, after the invoker's own
-// share, at the latch release, at the end of the walk — and never on
-// the sequential path.
+// executor.go header: offer each slot through its claim word (claimWord
+// below is the one statement of that step), run chunk 0, reclaim (run
+// every chunk no worker has claimed yet), join (spin on the latch for
+// as long as the invoker's own share just took, then park), and publish
+// the workers' lease from the measured gap between rounds. The round
+// ends in run, when the chain walk has landed its results (endRound).
+// The clock is read four times per round that has speculative chunks —
+// at dispatch, after the invoker's own share, at the latch release, at
+// the end of the walk — and never on the sequential path.
 //
 // Cache-line layout invariants (the multicore contract of this file):
 //
@@ -131,21 +130,7 @@ type chunkJob[S comparable, A any] struct {
 	posBase int64 // predicted global start position (positional validation)
 	cap     int64 // speculative iteration cap
 
-	// claim is the slot's per-dispatch claim word: dispatchRound stores
-	// claimArmed after every other field of the round is in place and
-	// before submit; whoever swaps it back — the worker holding a queue
-	// entry or the reclaiming invoker — runs the chunk. The arming store
-	// and the winning swap order the round's writes before the chunk's
-	// reads.
-	claim atomic.Uint32
-	// queued is set while an executor queue holds an entry for this
-	// slot. The entry of a reclaimed chunk outlives its round; while it
-	// does, later rounds arm the slot without submitting again — the
-	// old entry serves whichever round is current when it is popped —
-	// so a slot never has two entries queued, and a worker that stays
-	// away for many rounds cannot fill its shard with dead entries and
-	// block the invoker in submit.
-	queued atomic.Bool
+	claimWord // armed by dispatchRound after every other field of the round is in place
 	// reclaimed records that the invoker won the claim (invoker-only).
 	reclaimed bool
 }
@@ -175,33 +160,69 @@ func (j *chunkJob[S, A]) reset(r *Runner[S, A], ctx context.Context, start S, sn
 
 const claimArmed = 1
 
+// claimWord is the handoff protocol of one preallocated executor task —
+// a slot's chunkJob, or the copyJob beside it — stated once (the Claim
+// step of the round handoff in the executor.go header). The invoker
+// offers the task: it stores claimArmed after everything the task reads
+// is in place, and submits it. Whoever swaps the word back runs the
+// task: the worker that popped the queue entry (popped) or the invoker
+// walking its round's slots (take). The loser touches nothing — the slot
+// may already belong to a later round. The arming store and the winning
+// swap order the invoker's writes before the task's reads.
+//
+// queued is set while an executor queue holds an entry for the slot. The
+// entry of a task the invoker took outlives its round; while it does,
+// later rounds arm the slot without submitting again — the old entry
+// serves whichever round is current when it is popped, as a failed swap
+// or a legitimate claim of that round's task — so a slot never has two
+// entries queued, and a worker that stays away for many rounds cannot
+// fill its shard with dead entries and block the invoker in submit.
+type claimWord struct {
+	claim  atomic.Uint32
+	queued atomic.Bool
+}
+
+// offer arms the word and leaves exactly one queue entry for t behind
+// it, on sub's next shard (passed over when an earlier round's entry is
+// still queued, so the tasks after it keep their home shards).
+func (w *claimWord) offer(sub *submitter, t task) {
+	w.claim.Store(claimArmed)
+	if w.queued.Swap(true) {
+		sub.skip()
+	} else {
+		sub.submit(t)
+	}
+}
+
+// take claims the armed task for the caller; false means someone else
+// has it, or nothing is armed.
+func (w *claimWord) take() bool { return w.claim.CompareAndSwap(claimArmed, 0) }
+
+// popped is take for the holder of the slot's queue entry. The flag is
+// cleared before the claim: a dispatcher that still sees it set (and so
+// does not submit) armed the slot before this store, so the swap sees
+// its round.
+func (w *claimWord) popped() bool {
+	w.queued.Store(false)
+	return w.take()
+}
+
 // run is the executor's entry: execute the chunk if this queue entry
-// still owns it. A failed claim is the entry of a chunk the invoker
-// reclaimed (see the handoff notes in the executor.go header) and must
-// touch nothing — the slot may already belong to a later round.
+// still owns it.
 func (j *chunkJob[S, A]) run() {
-	// Cleared before the claim: a dispatcher that still sees the flag
-	// set (and so does not submit) armed the slot before this store, so
-	// the swap below sees its round.
-	j.queued.Store(false)
-	if j.claim.CompareAndSwap(claimArmed, 0) {
+	if j.popped() {
 		j.exec()
 	}
 }
 
 // copyJob is a preallocated executor task beside a slot's chunkJob: the
 // copy-out of the slot's CellView into the store, offered to the shard
-// the chunk ran on (landCells). It follows the chunk's claim protocol
-// word for word — armed before submit, run by whoever wins the swap,
-// one queue entry per slot however long a worker stays away — so a
-// copy nobody picked up is the invoker's, and a stale entry popped in a
-// later round is a failed swap or a legitimate claim of that round's
-// copy.
+// the chunk ran on (landCells) on a claim word of its own, so a copy
+// nobody picked up is the invoker's.
 type copyJob struct {
-	view   *CellView
-	lat    *latch
-	claim  atomic.Uint32
-	queued atomic.Bool
+	view *CellView
+	lat  *latch
+	claimWord
 	// Invoker-only, set by the walk and by landCells: whether the view
 	// stored to any cell, and whether this round offered the copy.
 	wrote   bool
@@ -209,8 +230,7 @@ type copyJob struct {
 }
 
 func (j *copyJob) run() {
-	j.queued.Store(false) // before the claim, as in chunkJob.run
-	if j.claim.CompareAndSwap(claimArmed, 0) {
+	if j.popped() {
 		j.copy()
 	}
 }
@@ -224,10 +244,9 @@ func (j *copyJob) copy() {
 // exec executes one chunk: the paper's per-thread loop with work
 // counting, threshold-driven memoization, and mis-speculation detection
 // against the successor's predicted start — restructured into bounded
-// blocks handed to the monomorphic scan variants of blockloop.go (or,
-// for a loop that sets Loop.Scan, to the caller's own block loop). The
-// variant is selected once per chunk (hunt/no-hunt × fallible), so the
-// per-iteration body carries no mode branches; every ctxPollEvery
+// blocks handed to the runner's block routine (Runner.block, picked
+// from the loop's body form when the runner was built: blockloop.go),
+// so the per-iteration body carries no mode branches; every ctxPollEvery
 // iterations a block boundary polls the invocation context and the
 // scheduler's abort barrier, keeping slow-path overhead amortized.
 // The caller holds the slot's claim (or runs chunk 0, which is never
@@ -236,7 +255,7 @@ func (j *copyJob) copy() {
 //
 // exec is the panic-containment boundary of the executor layer: a body
 // panicking on a worker goroutine (e.g. a corrupted prediction
-// dereferencing freed state) is recovered — inside the scan variants
+// dereferencing freed state) is recovered — inside the block routine
 // for loop callbacks, by the backstop defer here for Init and boundary
 // Done calls — and recorded as a *PanicError, so the process survives
 // and the chain resolution decides whether the failure is
@@ -247,8 +266,8 @@ func (j *chunkJob[S, A]) exec() {
 	sched := r.sched
 	res := j.res
 	// work counts completed iterations as of the last block boundary;
-	// the backstop defer below can reach it, and the scan variants keep
-	// their own intra-block count exact (see blockloop.go), so squash
+	// the backstop defer below can reach it, and the block routine keeps
+	// its own intra-block count exact (see blockloop.go), so squash
 	// accounting for panicked chunks is exact.
 	var work int64
 	defer func() {
@@ -270,14 +289,12 @@ func (j *chunkJob[S, A]) exec() {
 		sched.abortAfter(j.idx)
 		return
 	}
-	done, next := r.loop.Done, r.loop.Next
-	body, bodyErr := r.loop.Body, r.loop.BodyErr
-	specBody, specBodyErr := r.loop.SpecBody, r.loop.SpecBodyErr
+	done := r.loop.Done
 	// DOACROSS chunks execute against their dispatch slot's CellView,
 	// armed by the dispatcher before submit (the submit handoff orders
 	// the arm before this read).
 	var view *CellView
-	if specBody != nil || specBodyErr != nil {
+	if r.loop.speculative() {
 		view = &sched.views[j.idx]
 	}
 	acc := r.loop.Init()
@@ -288,10 +305,10 @@ func (j *chunkJob[S, A]) exec() {
 	minPlanAt := int64(0) // plan entries fire one iteration apart at minimum
 	ownDone := false
 
-	// Monomorphic selection: membership validation hunts the successor's
-	// start every iteration; positional validation (the ablation) can
-	// only match at one exact position, so its single peek becomes a
-	// block boundary and the inner loop needs no detection at all.
+	// Membership validation hunts the successor's start every iteration;
+	// positional validation (the ablation) can only match at one exact
+	// position, so its single peek becomes a block boundary and its
+	// blocks hunt nothing.
 	var snapStart S
 	hunt := j.snap != nil
 	matchAt := int64(-1) // positional: completed-count of the one peek
@@ -302,18 +319,11 @@ func (j *chunkJob[S, A]) exec() {
 			matchAt = j.snap.pos - j.posBase // negative: can never match
 		}
 	}
-	// A loop with the block form (Loop.Scan) hands every block to it; a
-	// block that hunts nothing passes the zero S as its stop state.
-	scan := r.loop.Scan
-	var scanStop S
-	if hunt {
-		scanStop = snapStart
-	}
 	capAt := int64(1) << 62
 	if j.spec {
 		capAt = j.cap
 		if capAt < 1 {
-			capAt = 1 // the pre-block loop always ran one iteration before capping
+			capAt = 1 // a chunk runs an iteration before it caps, so every round makes progress
 		}
 	}
 	nextPoll := int64(ctxPollEvery - 1)
@@ -323,8 +333,8 @@ func (j *chunkJob[S, A]) exec() {
 loop:
 	for {
 		// The cap is processed before a block starts, so a capped chunk
-		// stops without peeking at the next state (old semantics: the cap
-		// fired at iteration end, ahead of the next Done/match check).
+		// stops without peeking at the next state (the cap fires at
+		// iteration end, ahead of the next Done/match check).
 		if work >= capAt {
 			capped = true
 			break
@@ -350,34 +360,7 @@ loop:
 		var k int64
 		var stop blockStop
 		var err error
-		switch {
-		case scan != nil:
-			s, acc, k, stop, err = blockLoopScan(&r.loop, view, s, acc, scanStop, hunt, bound-work)
-		case specBody != nil:
-			if hunt {
-				s, acc, k, stop, err = blockSpecScanMatch(done, next, specBody, view, s, acc, snapStart, bound-work)
-			} else {
-				s, acc, k, stop, err = blockSpecScanToEnd(done, next, specBody, view, s, acc, bound-work)
-			}
-		case specBodyErr != nil:
-			if hunt {
-				s, acc, k, stop, err = blockSpecScanMatchErr(done, next, specBodyErr, view, s, acc, snapStart, bound-work)
-			} else {
-				s, acc, k, stop, err = blockSpecScanToEndErr(done, next, specBodyErr, view, s, acc, bound-work)
-			}
-		case bodyErr != nil:
-			if hunt {
-				s, acc, k, stop, err = blockScanMatchErr(done, next, bodyErr, s, acc, snapStart, bound-work)
-			} else {
-				s, acc, k, stop, err = blockScanToEndErr(done, next, bodyErr, s, acc, bound-work)
-			}
-		default:
-			if hunt {
-				s, acc, k, stop, err = blockScanMatch(done, next, body, s, acc, snapStart, bound-work)
-			} else {
-				s, acc, k, stop, err = blockScanToEnd(done, next, body, s, acc, bound-work)
-			}
-		}
+		s, acc, k, stop, err = r.block(view, s, acc, snapStart, hunt, bound-work)
 		work += k
 		switch stop {
 		case blockDone:
@@ -669,12 +652,7 @@ func (s *scheduler[S, A]) dispatchRound(r *Runner[S, A], ctx context.Context, n 
 		if i > 0 {
 			j := &s.jobs[i]
 			j.reclaimed = false
-			j.claim.Store(claimArmed)
-			if j.queued.Swap(true) {
-				r.sub.skip() // an earlier round's entry is still queued
-			} else {
-				r.sub.submit(j)
-			}
+			j.offer(&r.sub, j)
 		}
 		armed = i + 1
 	}
@@ -702,7 +680,7 @@ func (s *scheduler[S, A]) dispatchRound(r *Runner[S, A], ctx context.Context, n 
 	warm, reclaimed := t1, false
 	for i := 1; i < armed; i++ {
 		j := &s.jobs[i]
-		if !j.claim.CompareAndSwap(claimArmed, 0) {
+		if !j.take() {
 			continue
 		}
 		if lease > 0 {
@@ -768,12 +746,7 @@ func (s *scheduler[S, A]) landCells(r *Runner[S, A], n int, spread bool) {
 			}
 			s.lat.add(1)
 			c.offered, offered = true, true
-			c.claim.Store(claimArmed)
-			if c.queued.Swap(true) {
-				r.sub.skip() // an earlier round's entry is still queued
-			} else {
-				r.sub.submit(c)
-			}
+			c.offer(&r.sub, c)
 		}
 	}
 	var t0 int64
@@ -791,7 +764,7 @@ func (s *scheduler[S, A]) landCells(r *Runner[S, A], n int, spread bool) {
 			continue
 		}
 		c.offered = false
-		if c.claim.CompareAndSwap(claimArmed, 0) {
+		if c.take() {
 			c.copy()
 		}
 	}
@@ -1122,9 +1095,8 @@ func (s *scheduler[S, A]) run(r *Runner[S, A], ctx context.Context, start S, row
 
 	// --- Bookkeeping -------------------------------------------------
 	// Later rounds' iterations are charged to the last slot round 0
-	// committed. MisspecInvocations keeps its historical any-squash
-	// semantics; the returned flag is the controller's refined signal
-	// (verdict-based misses only).
+	// committed. MisspecInvocations counts any squash; the returned flag
+	// is the controller's refined signal (verdict-based misses only).
 	tail := pos - round0
 	s.works[last] += tail
 	r.pend.TailIters += tail

@@ -1,0 +1,90 @@
+#!/usr/bin/env bash
+# Alternated parent/change pairs of the benchmark of record, the loop
+# every performance claim in CHANGES.md rests on. Run it from the
+# repository root:
+#
+#   scripts/pairs.sh WORKLOAD [PAIRS=10] [BASE=HEAD~1]
+#
+# The change is the working tree; BASE is unpacked under .bench_build/
+# (git archive, so nothing is registered in .git). Pair i runs both sides
+# on seed 20+i, BASE first in odd pairs and the change first in even
+# ones, each for PAIRS_SECONDS seconds (default: run_seconds of
+# BENCHMARK.json). Every run's last JSON line is kept; the summary gives,
+# per end-to-end metric, each side's median and quartiles, the pairs the
+# change won, and a verdict against the metric's bound.
+set -euo pipefail
+
+workload=${1:?usage: scripts/pairs.sh WORKLOAD [PAIRS=10] [BASE=HEAD~1]}
+pairs=${2:-10}
+base=${3:-HEAD~1}
+
+root=$(git rev-parse --show-toplevel)
+cd "$root"
+seconds=${PAIRS_SECONDS:-$(python3 -c 'import json; print(json.load(open("BENCHMARK.json"))["run_seconds"])')}
+rev=$(git rev-parse --short "$base")
+basedir="$root/.bench_build/pairs_base"
+rm -rf "$basedir"
+mkdir -p "$basedir"
+git archive "$base" | tar -x -C "$basedir"
+runs="$root/.bench_build/pairs_${workload}.jsonl"
+: > "$runs"
+
+# one SIDE DIR SEED: a timed run of the workload in DIR, its last line kept.
+one() {
+	local line
+	line=$(cd "$2" && bash bench/run.sh --workload "$workload" --seconds "$seconds" --trace 0 --seed "$3" | tail -n 1)
+	printf '{"side":"%s","seed":%d,"run":%s}\n' "$1" "$3" "$line" >> "$runs"
+	echo "$1 seed=$3 $line"
+}
+
+echo "# $workload: $pairs pairs of ${seconds}s runs, base $rev against the working tree"
+for ((i = 1; i <= pairs; i++)); do
+	seed=$((20 + i))
+	if ((i % 2)); then
+		one base "$basedir" "$seed"
+		one change "$root" "$seed"
+	else
+		one change "$root" "$seed"
+		one base "$basedir" "$seed"
+	fi
+done
+
+python3 - "$runs" <<'PY'
+import json, sys
+
+def quartiles(xs):
+    xs = sorted(xs)
+    def at(q):
+        p = q * (len(xs) - 1)
+        lo = int(p)
+        hi = min(lo + 1, len(xs) - 1)
+        return xs[lo] + (xs[hi] - xs[lo]) * (p - lo)
+    return at(0.25), at(0.5), at(0.75)
+
+sides = {"base": [], "change": []}
+for line in open(sys.argv[1]):
+    rec = json.loads(line)
+    sides[rec["side"]].append(rec["run"])
+for side, rs in sides.items():
+    print(f"# {side}: attempted {sum(r['attempted'] for r in rs)}, failed {sum(r['failed'] for r in rs)},"
+          f" wrong output in {sum(not r['correct'] for r in rs)} runs")
+for m in json.load(open("BENCHMARK.json"))["end_to_end"]:
+    name, lower, bound = m["name"], m["better"] == "lower", m["bound"]
+    b = [r["metrics"][name]["value"] for r in sides["base"]]
+    c = [r["metrics"][name]["value"] for r in sides["change"]]
+    worse = (lambda x, y: x > y) if lower else (lambda x, y: x < y)
+    wins = sum(worse(x, y) for x, y in zip(b, c))
+    losses = sum(worse(y, x) for x, y in zip(b, c))
+    (b1, b2, b3), (c1, c2, c3) = quartiles(b), quartiles(c)
+    rel = (c2 - b2) / b2 if b2 else 0.0
+    regress = rel if lower else -rel
+    spread = max(b3 - b1, c3 - c1) / abs(b2) if b2 else 0.0
+    if regress > bound:
+        verdict = "WORSE beyond the bound"
+    elif spread > bound and not all(worse(x, y) for x in b for y in c):
+        verdict = "unresolved: spread over the bound"
+    else:
+        verdict = "within the bound"
+    print(f"{name:16s} base {b2:.4f} ({b1:.4f}-{b3:.4f})  change {c2:.4f} ({c1:.4f}-{c3:.4f})"
+          f"  change better in {wins}/{len(b)}, worse in {losses}  median {rel:+.1%} (bound {bound:.0%}): {verdict}")
+PY

@@ -75,6 +75,11 @@ import (
 //	}
 //
 // Exactly one of Body and BodyErr must be set.
+//
+// States are compared with == on every iteration at every width (a chunk
+// hunts its successor's predicted start), so S should be cheap to
+// compare, and an interface S holding an uncomparable value surfaces as
+// a *PanicError.
 type Loop[S comparable, A any] struct {
 	// Done reports whether the traversal has ended (e.g. s == nil).
 	Done func(S) bool
@@ -184,9 +189,9 @@ func (l *Loop[S, A]) validate() error {
 
 // ctxPollEvery is the amortization interval, in iterations, at which
 // chunk loops poll the invocation context and the abort barrier. Large
-// enough that the steady-state hot loop stays allocation-free and within
-// ~2% of the v1 cost; small enough that cancellation of a long traversal
-// is observed promptly.
+// enough that the poll is amortized out of the steady-state hot loop;
+// small enough that cancellation of a long traversal is observed
+// promptly.
 const ctxPollEvery = 1024
 
 // PanicError is returned from Run when a loop callback panicked. The
@@ -234,10 +239,6 @@ type Options struct {
 	// speculates at the configured width on every invocation that has
 	// predictions — the paper's behaviour.
 	Adaptive bool
-	// MinConfidence is the per-row confidence floor in [0, 1): rows
-	// scoring below it are not speculated on (outside probes). Zero
-	// selects the default, 0.25. Ignored unless Adaptive is set.
-	MinConfidence float64
 	// ProbeInterval is the number of observed invocations between
 	// upward probes while throttled. Zero selects the default, 8.
 	// Ignored unless Adaptive is set.
@@ -287,9 +288,6 @@ type Config struct {
 // validate checks the adaptive options (thread-count validation stays
 // in the constructors, which return the dedicated sentinel for it).
 func (c Config) validate() error {
-	if c.MinConfidence < 0 || c.MinConfidence >= 1 {
-		return fmt.Errorf("%w: MinConfidence %v outside [0, 1)", ErrBadOptions, c.MinConfidence)
-	}
 	if c.ProbeInterval < 0 {
 		return fmt.Errorf("%w: ProbeInterval %d negative", ErrBadOptions, c.ProbeInterval)
 	}
@@ -376,47 +374,27 @@ type Stats struct {
 	LastWorks []int64
 }
 
-// addCounters adds d's additive counters into s. The gauge-like fields
-// (EffectiveThreads, LastWorks) are left untouched — callers set them
-// from the relevant runner. This and subCounters are the only places
-// that enumerate the counter fields; every aggregation (runner publish,
-// pool aggregation, future deltas) routes through them.
-func (s *Stats) addCounters(d Stats) {
-	s.Invocations += d.Invocations
-	s.MisspecInvocations += d.MisspecInvocations
-	s.SquashedIters += d.SquashedIters
-	s.TailIters += d.TailIters
-	s.TotalIters += d.TotalIters
-	s.Recoveries += d.Recoveries
-	s.RecoveryChunks += d.RecoveryChunks
-	s.Hits += d.Hits
-	s.Misses += d.Misses
-	s.Reclaimed += d.Reclaimed
-	s.Conflicts += d.Conflicts
-	s.ConflictIters += d.ConflictIters
-	s.SequentialFallbacks += d.SequentialFallbacks
-	s.BatchSheds += d.BatchSheds
-	s.RunnersRetired += d.RunnersRetired
-}
-
-// subCounters subtracts d's additive counters from s (the inverse of
-// addCounters; gauge-like fields are again untouched).
-func (s *Stats) subCounters(d Stats) {
-	s.Invocations -= d.Invocations
-	s.MisspecInvocations -= d.MisspecInvocations
-	s.SquashedIters -= d.SquashedIters
-	s.TailIters -= d.TailIters
-	s.TotalIters -= d.TotalIters
-	s.Recoveries -= d.Recoveries
-	s.RecoveryChunks -= d.RecoveryChunks
-	s.Hits -= d.Hits
-	s.Misses -= d.Misses
-	s.Reclaimed -= d.Reclaimed
-	s.Conflicts -= d.Conflicts
-	s.ConflictIters -= d.ConflictIters
-	s.SequentialFallbacks -= d.SequentialFallbacks
-	s.BatchSheds -= d.BatchSheds
-	s.RunnersRetired -= d.RunnersRetired
+// addCounters adds sign (1 or -1) times d's additive counters into s.
+// The gauge-like fields (EffectiveThreads, LastWorks) are left untouched
+// — callers set them from the relevant runner. This is the only place
+// that enumerates the counter fields; every aggregation (runner publish,
+// pool aggregation, future deltas) routes through it.
+func (s *Stats) addCounters(d Stats, sign int64) {
+	s.Invocations += sign * d.Invocations
+	s.MisspecInvocations += sign * d.MisspecInvocations
+	s.SquashedIters += sign * d.SquashedIters
+	s.TailIters += sign * d.TailIters
+	s.TotalIters += sign * d.TotalIters
+	s.Recoveries += sign * d.Recoveries
+	s.RecoveryChunks += sign * d.RecoveryChunks
+	s.Hits += sign * d.Hits
+	s.Misses += sign * d.Misses
+	s.Reclaimed += sign * d.Reclaimed
+	s.Conflicts += sign * d.Conflicts
+	s.ConflictIters += sign * d.ConflictIters
+	s.SequentialFallbacks += sign * d.SequentialFallbacks
+	s.BatchSheds += sign * d.BatchSheds
+	s.RunnersRetired += sign * d.RunnersRetired
 }
 
 // Delta returns the counters s accumulated since prev was snapshotted:
@@ -431,7 +409,7 @@ func (s *Stats) subCounters(d Stats) {
 //	// ... invocations ...
 //	window := sess.Stats().Delta(before)
 func (s Stats) Delta(prev Stats) Stats {
-	s.subCounters(prev)
+	s.addCounters(prev, -1)
 	return s
 }
 
@@ -439,7 +417,7 @@ func (s Stats) Delta(prev Stats) Stats {
 // Delta; gauge-like fields again keep s's values). Aggregators use it to
 // fold per-window deltas into running totals.
 func (s Stats) Plus(d Stats) Stats {
-	s.addCounters(d)
+	s.addCounters(d, 1)
 	return s
 }
 
@@ -512,6 +490,7 @@ func NewRunner[S comparable, A any](loop Loop[S, A], cfg Config) (*Runner[S, A],
 	}
 	r := &Runner[S, A]{
 		loop:  loop,
+		block: blockOf(&loop),
 		cfg:   cfg,
 		pred:  newPredictor[S](cfg.Threads, cfg.Positional, cfg.MemoizeOnce),
 		sched: newScheduler[S, A](cfg.Threads),
@@ -519,10 +498,6 @@ func NewRunner[S comparable, A any](loop Loop[S, A], cfg Config) (*Runner[S, A],
 	}
 	if cfg.Adaptive && cfg.Threads > 1 {
 		r.ctrl = newSpecController(cfg.Threads, int64(cfg.ProbeInterval))
-		r.minConf = cfg.MinConfidence
-		if r.minConf == 0 {
-			r.minConf = defaultMinConfidence
-		}
 	}
 	r.stats.effectiveThreads.Store(int64(cfg.Threads))
 	if cfg.Threads > 1 {
