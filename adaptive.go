@@ -97,8 +97,8 @@ func (rc *rowConfidence) Score(row int) float64 {
 }
 
 // Admit reports whether row clears the confidence floor.
-func (rc *rowConfidence) Admit(row int, minConfidence float64) bool {
-	return rc.Score(row) >= minConfidence
+func (rc *rowConfidence) Admit(row int) bool {
+	return rc.Score(row) >= defaultMinConfidence
 }
 
 // specController is the invocation-level throttle: it converts a
@@ -245,9 +245,6 @@ func (c *specController) Observe(outcome specOutcome) {
 
 // Effective returns the current effective thread count.
 func (c *specController) Effective() int { return c.eff }
-
-// Rate returns the rolling mis-speculation rate estimate.
-func (c *specController) Rate() float64 { return c.rate }
 
 // probeSpecCap tightens a speculative iteration cap for a probe
 // invocation: a probe chunk is expected to cover about total/chunks

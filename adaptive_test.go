@@ -111,29 +111,29 @@ func TestSpecControllerResetRestoresFullWidth(t *testing.T) {
 		t.Fatal("losses did not throttle")
 	}
 	c.Reset()
-	if c.Effective() != 4 || c.Rate() != 0 {
-		t.Fatalf("Reset left eff=%d rate=%v", c.Effective(), c.Rate())
+	if c.Effective() != 4 || c.rate != 0 {
+		t.Fatalf("Reset left eff=%d rate=%v", c.Effective(), c.rate)
 	}
 }
 
 func TestRowConfidenceScoresAndGate(t *testing.T) {
 	rc := newRowConfidence(3)
-	if !rc.Admit(0, defaultMinConfidence) {
+	if !rc.Admit(0) {
 		t.Fatal("fresh row below the default floor")
 	}
 	rc.Miss(0)
 	rc.Miss(0)
-	if rc.Admit(0, defaultMinConfidence) {
+	if rc.Admit(0) {
 		t.Fatalf("two misses left score %v above the floor", rc.Score(0))
 	}
 	rc.Hit(0)
-	if !rc.Admit(0, defaultMinConfidence) {
+	if !rc.Admit(0) {
 		t.Fatalf("a hit did not restore admission (score %v)", rc.Score(0))
 	}
 	// Out-of-range rows are inert, never admitted.
 	rc.Hit(7)
 	rc.Miss(-1)
-	if rc.Admit(7, 0.1) {
+	if rc.Admit(7) {
 		t.Fatal("out-of-range row admitted")
 	}
 	rc.Reset()

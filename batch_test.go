@@ -511,11 +511,11 @@ func TestExecutorNoLostOrDuplicatedTasks(t *testing.T) {
 				subs.Add(1)
 				go func(g int) {
 					defer subs.Done()
-					sub := e.newSubmitter(1)
+					home := e.stripe(1)
 					for i := 0; i < perSub; i++ {
 						ti := &tasks[g*perSub+i]
 						ti.wg = &wg
-						sub.submit(ti)
+						submitTask(e, ti, home+uint32(i))
 					}
 				}(g)
 			}

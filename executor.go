@@ -20,35 +20,50 @@ import (
 // Threads-1 and the load/demand gauges below see exactly the work that
 // actually competes for workers.
 //
-// The executor is *sharded*: every worker owns a bounded run queue, and
-// submitters spread their jobs round-robin across the shards instead of
-// funnelling through one shared channel. Each runner submits through
-// its own striped handle (see submitter), so two concurrent Pool
-// sessions touch disjoint shards in the steady state and never contend
-// on a single lock. Imbalance — a worker stuck behind a long chunk
-// while its queue backs up — is repaired by work stealing: an idle
-// worker scans the other shards in randomized victim order and steals
-// half of the first non-empty victim's queue (steal-half amortizes the
-// steal cost over several tasks, the classic work-stealing tradeoff).
+// Sharding and stripes. Every worker owns a shard: one bounded channel
+// of tasks (PR 6 moved off one *shared* channel because every submitter
+// and every worker met on it; this is one per worker). A runner gets a
+// home shard when it is built (stripe), and slot i of every round it
+// dispatches, chunk and copy-out alike, goes to shard home+i-1: the
+// same shard — absent steals the same worker and the same warm cache —
+// every round. Homes advance by the runner's round width, so concurrent
+// runners' stripes are disjoint modulo the shard count.
 //
-// Multicore layout and topology invariants:
+// An entry is a hint. A queue entry is not the task: whoever swaps the
+// slot's claim word (claimWord in scheduler.go) runs the chunk, and the
+// invoker runs every chunk no worker took. So enqueue never waits: when
+// every shard is full the slot stays armed with no entry behind it and
+// the invoker's walk runs it. FIFO order, the bound, parking the owner
+// and waking it are the channel's.
 //
-//   - shards are padded to cache lines (each is hammered by its owner
-//     and, under steal pressure, one thief at a time);
-//   - the load/demand/idle gauges each own a cache line: load is
-//     touched on every submit and every task completion by every
-//     worker, and before the padding all three shared one line with
-//     the striping cursor, bouncing it across cores on exactly the
-//     paths the sharded queues exist to decontend;
-//   - a submitter handle is round-oriented: rewind() returns it to its
-//     home shard at the start of each dispatch round, so one runner's
-//     chunk i lands on the same shard — and therefore, absent steals,
-//     the same worker and the same warm cache — every round (runner →
-//     shard affinity). Handles are striped at creation with a stride
-//     of the runner's round width, so concurrent runners' stripes are
-//     disjoint modulo the shard count;
-//   - the lease deadline (warmUntil) owns a cache line too: one
-//     invoker store per round, read by workers only while they rescan.
+// The hand-off has five sites, and nothing else moves a task:
+//
+//   - send (enqueue): a non-blocking send to the hinted shard, then to
+//     each other shard once. A send to a parked owner wakes it.
+//   - nudge: when the owner is awake (it may be stuck behind a long
+//     chunk) and some worker is parked, one parked worker is sent a nil
+//     entry; a worker that receives nil goes round and steals.
+//   - receive (dequeue): a non-blocking receive from the own shard,
+//     which reads an empty channel without taking its lock.
+//   - steal: a non-blocking receive of the oldest entry of the first
+//     non-empty victim, in randomized order. One entry, not half the
+//     queue: what a thief holds privately is out of every other idle
+//     worker's reach for the length of its current chunk, and the tasks
+//     are chunks of tens of microseconds, not microtasks whose steal
+//     needs amortizing.
+//   - park: register as idle (parked, idle), scan the victims once
+//     more, block receiving from the own shard. A send to a busy owner's
+//     shard that read idle == 0 is ordered before the registration, so
+//     the rescan finds it; every later send sees someone to nudge.
+//
+// Layout: shards are padded to cache lines (parked is read by every
+// sender to the shard and written by its owner). The load, demand and
+// idle gauges each own one: load is touched on every submit and every
+// task completion by every worker, and before the padding all three
+// shared a line with the striping cursor, bouncing it across cores on
+// exactly the paths the sharding exists to decontend. The lease
+// deadline (warmUntil) owns one too: one invoker store per round, read
+// by workers only while they rescan.
 //
 // Round handoff: claim, join, lease. A dispatch round hands chunks to
 // workers and takes their completion back; with chunks of tens of
@@ -58,11 +73,11 @@ import (
 //
 //   - Claim (claimWord in scheduler.go, where the protocol is stated
 //     once). Every dispatched chunkJob carries a claim word, armed just
-//     before submit, and whoever swaps it back — the worker that popped
-//     the queue entry or the invoker — executes the chunk and signals
-//     the latch; the loser returns without touching anything. After
-//     chunk 0 the invoker walks its round's slots in chain order and
-//     runs every chunk still unclaimed, so a round never waits on a
+//     before submit, and whoever swaps it back — the worker that
+//     received the queue entry or the invoker — executes the chunk and
+//     signals the latch; the loser returns without touching anything.
+//     After chunk 0 the invoker walks its round's slots in chain order
+//     and runs every chunk still unclaimed, so a round never waits on a
 //     worker that is parked, stalled or busy with another runner's
 //     chunk. The queue entry of a reclaimed chunk stays behind and the
 //     slot is armed without a second one while it does, so queue depth
@@ -134,54 +149,22 @@ type task interface {
 }
 
 // shardCap bounds one worker's run queue. A full invocation dispatches
-// at most Threads chunks and blocks on their completion before its next
-// round, so queue depth is driven by the number of concurrent
-// invocations; 64 slots per shard absorbs heavy submitter fan-in while
-// keeping the backlog (and therefore worst-case chunk latency) bounded.
+// at most Threads chunks and joins them before its next round, so queue
+// depth is driven by the number of concurrent invocations; 64 slots per
+// shard absorbs heavy submitter fan-in while keeping the backlog (and
+// therefore worst-case chunk latency) bounded.
 const shardCap = 64
 
-// shard is one worker's bounded run queue: a mutex-guarded ring plus
-// the owner's parking slot. Submitters push to any shard; the owning
-// worker pops, and idle workers steal. The critical section is a few
-// loads and stores, so even a stolen-from shard is released in tens of
-// nanoseconds.
+// shard is one worker's bounded run queue. Submitters send to any
+// shard; the owning worker receives, and idle workers steal by
+// receiving from it too. A nil entry is a nudge (see the header).
 type shard struct {
-	mu     sync.Mutex
-	ready  sync.Cond // owner parks here when idle; signaled on push
-	space  sync.Cond // submitters park here when every shard is full
-	buf    [shardCap]task
-	head   int  // index of the oldest task
-	n      int  // occupied slots
-	parked bool // owner is parked (or about to park) on ready
-	// wake records a wakeup granted to a parked owner. The owner waits
-	// on the predicate "wake || own work || closed" rather than on the
-	// bare signal, so a Signal delivered in the window between the
-	// owner registering as parked and actually calling Wait is never
-	// lost.
-	wake bool
-	// waiting counts submitters blocked on space. Tracked so pop/steal
-	// only broadcast when someone is actually parked there (the common
-	// case is nobody).
-	waiting int
+	q chan task // cap shardCap
+	// parked is set while the owner is registered as idle: blocked
+	// receiving from q, or on its last scan before that.
+	parked atomic.Bool
 
 	_ [64]byte // pad to a cache line: shards are hammered independently
-}
-
-// push appends under mu. Callers must hold mu and have checked n < cap.
-func (s *shard) push(t task) {
-	s.buf[(s.head+s.n)%shardCap] = t
-	s.n++
-}
-
-// pop removes the oldest task under mu. Callers must hold mu and have
-// checked n > 0. FIFO order keeps chunk jobs of one invocation roughly
-// in dispatch order, which is what the validation chain profits from.
-func (s *shard) pop() task {
-	t := s.buf[s.head]
-	s.buf[s.head] = nil // do not pin finished jobs (and their contexts)
-	s.head = (s.head + 1) % shardCap
-	s.n--
-	return t
 }
 
 // Executor runs submitted tasks on a fixed set of persistent worker
@@ -191,8 +174,7 @@ func (s *shard) pop() task {
 // its last Run (Pool.Close sequences this, draining async submissions
 // first).
 type Executor struct {
-	shards  []shard
-	workers int
+	shards []shard
 	// spin says whether an idle worker rescans before it parks, fixed at
 	// construction from the effective GOMAXPROCS (false on single-proc
 	// hosts — parking immediately hands the processor to submitters, and
@@ -209,8 +191,8 @@ type Executor struct {
 	// state on the steady path; each owns a cache line (see the layout
 	// notes in the file header).
 	_ [64]byte
-	// load gauges queued plus running tasks — incremented at submit,
-	// decremented when a task finishes. The batched front door reads it
+	// load gauges queued plus running tasks — incremented when a task is
+	// queued, decremented when it finishes. The batched front door reads it
 	// to decide whether speculating would add parallelism or only
 	// queueing (see Runner.run's load-aware path).
 	load atomic.Int64
@@ -238,7 +220,7 @@ type Executor struct {
 	warmUntil atomic.Int64
 	_         [56]byte
 
-	cursor atomic.Uint32 // striping cursor for submitter homes
+	cursor atomic.Uint32 // striping cursor behind the runners' homes (stripe)
 	closed atomic.Bool
 	done   sync.WaitGroup
 	once   sync.Once
@@ -247,7 +229,7 @@ type Executor struct {
 // leaseCap bounds a lease, and with it the longest gap between rounds a
 // worker spins across. It is a budget of processor time taken from
 // everything else on the host, not the break-even against a wake: a
-// bare sync.Cond wake on the 2-vCPU guest the records were taken on
+// bare condition-variable wake on the 2-vCPU guest the records were taken on
 // measures p50 72 µs and p90 75–83 µs, so a park is the more expensive
 // side well past the cap.
 const leaseCap = 50 * time.Microsecond
@@ -352,15 +334,12 @@ func newExecutor(workers int, plane *faults.Plane) *Executor {
 		workers = 1
 	}
 	e := &Executor{
-		shards:  make([]shard, workers),
-		workers: workers,
-		faults:  plane,
+		shards: make([]shard, workers),
+		spin:   runtime.GOMAXPROCS(0) > 1,
+		faults: plane,
 	}
-	e.spin = runtime.GOMAXPROCS(0) > 1
 	for i := range e.shards {
-		sh := &e.shards[i]
-		sh.ready.L = &sh.mu
-		sh.space.L = &sh.mu
+		e.shards[i].q = make(chan task, shardCap)
 	}
 	e.done.Add(workers)
 	for i := 0; i < workers; i++ {
@@ -399,12 +378,12 @@ func (e *Executor) runContained(t task) {
 }
 
 // Workers returns the fixed worker count.
-func (e *Executor) Workers() int { return e.workers }
+func (e *Executor) Workers() int { return len(e.shards) }
 
 // saturated reports whether the executor already has at least one task
 // queued or running per worker — the point where dispatching additional
 // speculative chunks buys queueing delay, not parallelism.
-func (e *Executor) saturated() bool { return e.load.Load() >= int64(e.workers) }
+func (e *Executor) saturated() bool { return e.load.Load() >= int64(len(e.shards)) }
 
 // overloaded reports whether a threads-wide invocation dispatched now
 // would find no spare worker capacity: the run queues already hold a
@@ -416,152 +395,74 @@ func (e *Executor) saturated() bool { return e.load.Load() >= int64(e.workers) }
 // speculative chunks (chunk 0 runs inline on its own goroutine), so
 // that is the per-invocation demand counted here.
 func (e *Executor) overloaded(threads int) bool {
-	return e.saturated() || (e.demand.Load()-1)*int64(threads-1) >= int64(e.workers)
+	return e.saturated() || (e.demand.Load()-1)*int64(threads-1) >= int64(len(e.shards))
 }
 
-// submitter is a runner's striped handle into the sharded executor:
-// each handle owns a home shard and advances one shard per submission
-// within a dispatch round, so concurrent runners spread their chunk
-// jobs across disjoint shard stripes instead of contending on one
-// lock. rewind() returns the handle to its home at the start of every
-// round, giving the runner shard affinity: chunk i of every round
-// lands on the same shard — and, absent steals, the same worker with
-// the chunk's slot still warm in cache. A submitter is not safe for
-// concurrent use — exactly the runner's own serialization contract.
-type submitter struct {
-	e    *Executor
-	home uint32
-	next uint32
+// stripe assigns a runner its home shard and advances the cursor by
+// width, the runner's submissions per round (see the header).
+func (e *Executor) stripe(width int) uint32 {
+	return e.cursor.Add(uint32(width)) - uint32(width)
 }
 
-// newSubmitter assigns a fresh handle its home shard, advancing the
-// executor-wide cursor by width (the handle's expected submissions per
-// round) so concurrent handles occupy disjoint stripes modulo the
-// shard count.
-func (e *Executor) newSubmitter(width int) submitter {
-	if width < 1 {
-		width = 1
-	}
-	home := e.cursor.Add(uint32(width)) - uint32(width)
-	return submitter{e: e, home: home, next: home}
-}
-
-// rewind returns the handle to its home shard for a new dispatch round
-// (runner → shard affinity; see the type comment).
-func (s *submitter) rewind() { s.next = s.home }
-
-// submit enqueues a task on the handle's next shard; it blocks only
-// while every shard is full. Tasks never block on other tasks (chunk
-// jobs are independent), so a single worker already guarantees
-// progress and the wait is bounded.
-func (s *submitter) submit(t task) {
-	s.e.enqueue(t, s.next)
-	s.next++
-}
-
-// skip passes over the handle's next shard without enqueuing, for a
-// chunk whose entry is already queued, so the chunks after it keep
-// their home shards.
-func (s *submitter) skip() { s.next++ }
-
-// enqueue places t on the first non-full shard at or after the hinted
-// one, wrapping around; when every shard is full it parks on the home
-// shard until a worker frees a slot. After placing, it wakes the
-// shard's owner if parked — and otherwise, if any worker at all is
-// idle, wakes one so it can steal (the owner may be stuck behind a
-// long chunk). The wrapping cursor is reduced modulo the shard count
-// while still unsigned, so it stays a valid index even once the
-// cursor's int interpretation would go negative on 32-bit platforms.
-func (e *Executor) enqueue(t task, hintCursor uint32) {
+// enqueue offers t to the hinted shard and then to each other shard
+// once, and reports whether one had room; it never waits. The hint is
+// reduced modulo the shard count while still unsigned, so it stays a
+// valid index however far the cursor has wrapped.
+func (e *Executor) enqueue(t task, hint uint32) bool {
 	if e.closed.Load() {
 		panic("spice: submit on closed Executor")
 	}
+	// Counted ahead of the send: the worker that receives the entry may
+	// finish it, and count it off, before the send returns here.
 	e.load.Add(1)
-	n := len(e.shards)
-	hint := int(hintCursor % uint32(n))
-	for {
-		for k := 0; k < n; k++ {
-			i := (hint + k) % n
-			sh := &e.shards[i]
-			sh.mu.Lock()
-			if sh.n < shardCap {
-				sh.push(t)
-				parked := sh.parked
-				if parked {
-					sh.wake = true
-				}
-				sh.mu.Unlock()
-				if parked {
-					sh.ready.Signal()
-				} else if e.idle.Load() > 0 {
-					e.wakeIdle(i)
-				}
-				return
+	n := uint32(len(e.shards))
+	hint %= n
+	for k := uint32(0); k < n; k++ {
+		i := (hint + k) % n
+		sh := &e.shards[i]
+		select {
+		case sh.q <- t:
+			if !sh.parked.Load() && e.idle.Load() > 0 {
+				e.nudge(i)
 			}
-			sh.mu.Unlock()
+			return true
+		default:
 		}
-		// Every shard is full: wait for space on the home shard. pop and
-		// steal broadcast space when they free slots on a shard with
-		// waiters.
-		sh := &e.shards[hint]
-		sh.mu.Lock()
-		if sh.n >= shardCap {
-			sh.waiting++
-			sh.space.Wait()
-			sh.waiting--
-		}
-		sh.mu.Unlock()
 	}
+	e.load.Add(-1)
+	return false
 }
 
-// wakeIdle signals one parked worker other than the owner of shard i
-// (whose wakeup the caller already handled) so it can steal the job
-// just placed. The wake grant is recorded under the target's lock, so
-// a worker between registering as parked and calling Wait still
-// observes it.
-func (e *Executor) wakeIdle(i int) {
-	for k := 1; k < len(e.shards); k++ {
-		sh := &e.shards[(i+k)%len(e.shards)]
-		sh.mu.Lock()
-		parked := sh.parked
-		if parked {
-			sh.wake = true
-		}
-		sh.mu.Unlock()
-		if parked {
-			sh.ready.Signal()
+// nudge sends a nil entry to one parked worker other than the owner of
+// shard i. A worker whose queue is full needs no help waking.
+func (e *Executor) nudge(i uint32) {
+	n := uint32(len(e.shards))
+	for k := uint32(1); k < n; k++ {
+		if sh := &e.shards[(i+k)%n]; sh.parked.Load() {
+			select {
+			case sh.q <- nil:
+			default:
+			}
 			return
 		}
 	}
 }
 
-// worker is the run loop of worker i: drain the private stolen batch,
-// then the own shard, then steal, then park. Stolen tasks are kept in a
-// private batch (they were already claimed under the victim's lock;
-// re-publishing them would just invite re-stealing churn) and drained
-// before the next dequeue, so a worker never exits holding work. Every
-// task is timed: what it took is what the worker may spend rescanning
-// for the next one (spinDeadline; a single-proc host never rescans).
+// worker is the run loop of worker i. Every task is timed: what it took
+// is what the worker may spend rescanning for the next one
+// (spinDeadline; a single-proc host never rescans).
 func (e *Executor) worker(i int) {
 	defer e.done.Done()
-	var batch []task // claimed by a steal, not yet run
 	var spinUntil int64
 	for {
-		var t task
-		if len(batch) > 0 {
-			t = batch[len(batch)-1]
-			batch[len(batch)-1] = nil
-			batch = batch[:len(batch)-1]
-		} else {
-			t = e.dequeue(i, &batch, spinUntil)
-			if t == nil {
-				return // closed and nothing left to run or steal
-			}
+		t := e.dequeue(i, spinUntil)
+		if t == nil {
+			return // closed and nothing left to run or steal
 		}
 		start := nanos()
 		e.runContained(t)
 		e.load.Add(-1)
-		// The later deadline stands: a stale entry popped behind a chunk
+		// The later deadline stands: a stale entry received behind a chunk
 		// is a failed claim of a few nanoseconds, and must not forfeit the
 		// rescan the chunk earned.
 		spinUntil = max(spinUntil, spinDeadline(start, nanos()))
@@ -580,43 +481,39 @@ func spinDeadline(start, end int64) int64 {
 	return end + min(end-start, int64(joinSpinCap))
 }
 
-// dequeue returns worker i's next task: its own shard's head, else a
-// steal-half from another shard (randomized victim order), else — on
-// multi-proc hosts — rescans until spinUntil (what its last task
-// earned, see spinDeadline) and then for as long as a lease runs, and
-// only then parking until a submitter signals. Back-to-back dispatch
-// rounds land their chunks inside the lease, so the steady state pays
-// no park/wake round trip per worker per round. A nil return means the
-// executor is closed and neither the own shard nor any victim has work
-// left.
-func (e *Executor) dequeue(i int, batch *[]task, spinUntil int64) task {
+// dequeue returns worker i's next task: the head of its own shard, else
+// the head of another (steal), else — on multi-proc hosts — whatever a
+// rescan finds until spinUntil (what its last task earned, see
+// spinDeadline) and then for as long as a lease runs; only then does it
+// park. Back-to-back dispatch rounds land their chunks inside the lease,
+// so the steady state pays no park/wake round trip per worker per
+// round. A nil return means the executor is closed, the own shard is
+// drained and no victim has work left.
+func (e *Executor) dequeue(i int, spinUntil int64) task {
 	own := &e.shards[i]
 	// Cheap per-worker xorshift for victim order; no shared state, no
 	// allocation.
 	rnd := uint64(i)*0x9e3779b97f4a7c15 + 0x2545f4914f6cdd1d
 	for {
 		for {
-			own.mu.Lock()
-			if own.n > 0 {
-				t := own.pop()
-				waiting := own.waiting > 0
-				own.mu.Unlock()
-				if waiting {
-					own.space.Broadcast()
+			select {
+			case t, ok := <-own.q:
+				if !ok {
+					// Closed and drained: help the other owners drain theirs.
+					return e.steal(i, &rnd)
 				}
+				if t != nil {
+					return t
+				}
+			default:
+			}
+			if t := e.steal(i, &rnd); t != nil {
 				return t
 			}
-			own.mu.Unlock()
-
-			if t := e.steal(i, &rnd, batch); t != nil {
-				return t
-			}
-			// Spin-before-park: rescan until the worker's own deadline and
-			// then while a lease runs, unless the executor is shutting down
-			// (then fall through to the close-aware park path, which drains
-			// and exits). A Gosched between scans, so an oversubscribed host
+			// Rescan until the worker's own deadline and then while a lease
+			// runs, with a Gosched between scans so an oversubscribed host
 			// donates the timeslice instead of burning it.
-			if e.closed.Load() || !e.spin {
+			if !e.spin {
 				break
 			}
 			if now := nanos(); now >= spinUntil && now >= e.warmUntil.Load() {
@@ -625,66 +522,30 @@ func (e *Executor) dequeue(i int, batch *[]task, spinUntil int64) task {
 			runtime.Gosched()
 		}
 
-		// Nothing anywhere: park on the own shard unless the executor is
-		// closed — then remaining work, if any, lives in other workers'
-		// own shards and is drained by their owners.
-		own.mu.Lock()
-		if own.n > 0 {
-			own.mu.Unlock()
-			continue
-		}
-		if e.closed.Load() {
-			own.mu.Unlock()
-			return nil
-		}
-		own.parked = true
+		// Park (see the header for why the victims are scanned once more
+		// after registering). A nil from the blocking receive is a nudge or
+		// the close: either way the scan above decides.
+		own.parked.Store(true)
 		e.idle.Add(1)
-		own.mu.Unlock()
-
-		// Close the park/enqueue race before sleeping: a task enqueued
-		// onto a busy owner's shard between this worker's failed steal
-		// scan above and the idle registration saw no one to wake (its
-		// submitter read idle == 0). Any such push is strictly ordered
-		// before the registration, so one more steal scan — now visible
-		// as a wake target for everything later — is guaranteed to find
-		// it; everything enqueued after the registration wakes this
-		// worker through its wake grant.
-		if t := e.steal(i, &rnd, batch); t != nil {
-			e.unpark(own)
+		t := e.steal(i, &rnd)
+		if t == nil {
+			if len(own.q) == 0 && !e.closed.Load() {
+				e.parks.Add(1)
+			}
+			t = <-own.q
+		}
+		own.parked.Store(false)
+		e.idle.Add(-1)
+		if t != nil {
 			return t
 		}
-
-		own.mu.Lock()
-		if !own.wake && own.n == 0 && !e.closed.Load() {
-			e.parks.Add(1)
-		}
-		for !own.wake && own.n == 0 && !e.closed.Load() {
-			own.ready.Wait()
-		}
-		own.wake = false
-		own.parked = false
-		e.idle.Add(-1)
-		own.mu.Unlock()
 	}
 }
 
-// unpark withdraws a worker's idle registration after it found work on
-// its pre-sleep re-scan, consuming any wake grant handed to it in the
-// meantime (the grantor's task was either this one or is found by the
-// next scan).
-func (e *Executor) unpark(own *shard) {
-	own.mu.Lock()
-	own.wake = false
-	own.parked = false
-	e.idle.Add(-1)
-	own.mu.Unlock()
-}
-
-// steal scans the other shards in randomized victim order and claims
-// half of the first non-empty victim's queue (the oldest half, keeping
-// rough FIFO order). The first claimed task is returned to run
-// immediately; the rest land in the worker's private batch.
-func (e *Executor) steal(i int, rnd *uint64, batch *[]task) task {
+// steal scans the other shards in randomized victim order and takes the
+// oldest entry of the first non-empty one. A nudge met on the way is
+// consumed: the thief is already doing what it asked for.
+func (e *Executor) steal(i int, rnd *uint64) task {
 	n := len(e.shards)
 	if n == 1 {
 		return nil
@@ -701,28 +562,13 @@ func (e *Executor) steal(i int, rnd *uint64, batch *[]task) task {
 		if j == i {
 			continue
 		}
-		v := &e.shards[j]
-		v.mu.Lock()
-		if v.n == 0 {
-			v.mu.Unlock()
-			continue
-		}
-		take := v.n - v.n/2 // ceil(n/2): steal half, rounding toward the thief
-		var first task
-		for c := 0; c < take; c++ {
-			t := v.pop()
-			if c == 0 {
-				first = t
-			} else {
-				*batch = append(*batch, t)
+		select {
+		case t := <-e.shards[j].q:
+			if t != nil {
+				return t
 			}
+		default:
 		}
-		waiting := v.waiting > 0
-		v.mu.Unlock()
-		if waiting {
-			v.space.Broadcast()
-		}
-		return first
 	}
 	return nil
 }
@@ -736,11 +582,7 @@ func (e *Executor) Close() {
 	e.once.Do(func() {
 		e.closed.Store(true)
 		for i := range e.shards {
-			sh := &e.shards[i]
-			sh.mu.Lock()
-			sh.ready.Broadcast()
-			sh.space.Broadcast()
-			sh.mu.Unlock()
+			close(e.shards[i].q)
 		}
 	})
 	e.done.Wait()

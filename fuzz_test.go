@@ -169,7 +169,7 @@ func FuzzPredictorApply(f *testing.F) {
 			total = -total
 		}
 		total %= 1 << 40
-		p := newPredictor[int64](tc, false, memoizeOnce)
+		p := newPredictor[int64](tc, memoizeOnce)
 		// Decode (row, pos) pairs from the fuzz bytes; values land both
 		// in and out of range on purpose.
 		var memos []memo[int64]

@@ -14,7 +14,9 @@ import (
 	"spice/internal/workloads/native"
 )
 
-// JobRequest is the body of POST /v1/run and POST /v1/submit.
+// JobRequest is the body of POST /v1/run and POST /v1/submit: exactly
+// one JSON object with these fields. A field it does not have, or
+// anything after the object, is refused with 400.
 type JobRequest struct {
 	// Tenant names the submitting tenant; budgets, concurrency caps and
 	// metrics are tracked per tenant. Required; [A-Za-z0-9_.-], at most

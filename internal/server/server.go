@@ -12,6 +12,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"runtime"
 	"sync"
@@ -147,10 +148,8 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// initialScore is a new tenant's starting hit-rate estimate: optimistic
-// (well above any sensible StarveScore), so fresh tenants get width to
-// prove themselves and the first evidence windows do the sorting.
-func (c *Config) initialScore() float64 { return 0.9 }
+// initialScore is a new tenant's starting hit-rate estimate (tenantFor).
+const initialScore = 0.9
 
 // Server is the spiced daemon's engine, independent of any listener:
 // Handler() exposes it over HTTP, Drain() shuts it down gracefully.
@@ -312,14 +311,25 @@ func (s *Server) newJob(req JobRequest, notify context.Context) (*job, *apiError
 // scalar fields; anything near this size is not one.
 const maxRequestBytes = 64 << 10
 
-// decodeJob reads one JobRequest from the request body, refusing a body
-// over maxRequestBytes with 413 and anything else undecodable with 400.
+// decodeJob reads the one JobRequest that is the request body, refusing
+// a body over maxRequestBytes with 413 and anything else with 400: bad
+// JSON, a field JobRequest does not have (a misspelt "invocations" must
+// not run with the default), or anything after the first value.
 func decodeJob(w http.ResponseWriter, r *http.Request, req *JobRequest) *apiError {
-	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes)).Decode(req)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(req)
+	if err == nil {
+		// The body is one value: a second Decode has to find its end
+		// (io.EOF, which Decode returns bare).
+		if err = dec.Decode(&struct{}{}); err == io.EOF {
+			return nil
+		} else if err == nil {
+			err = errors.New("more than one value in the body")
+		}
+	}
 	var tooBig *http.MaxBytesError
 	switch {
-	case err == nil:
-		return nil
 	case errors.As(err, &tooBig):
 		return &apiError{code: http.StatusRequestEntityTooLarge, msg: fmt.Sprintf("request body over %d bytes", maxRequestBytes)}
 	default:

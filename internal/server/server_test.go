@@ -44,9 +44,13 @@ func newTestServer(t *testing.T, cfg Config) *Server {
 }
 
 // do runs one request through the server's handler.
+// do serves one request: body is sent as it is when it is a string, as
+// its JSON encoding otherwise, and not at all when nil.
 func do(h http.Handler, method, path string, body any) *httptest.ResponseRecorder {
 	var r *http.Request
-	if body != nil {
+	if raw, ok := body.(string); ok {
+		r = httptest.NewRequest(method, path, strings.NewReader(raw))
+	} else if body != nil {
 		b, _ := json.Marshal(body)
 		r = httptest.NewRequest(method, path, strings.NewReader(string(b)))
 	} else {
@@ -163,6 +167,20 @@ func TestValidationRejects(t *testing.T) {
 	}
 	if w := do(h, "POST", "/v1/run", nil); w.Code != http.StatusBadRequest {
 		t.Errorf("empty body: status %d, want 400", w.Code)
+	}
+	// Bodies no JobRequest marshals to: a misspelt field must not run
+	// with the default, and the body is one value, not the first of two.
+	for _, tc := range []struct{ name, body string }{
+		{"unknown field", `{"tenant":"t","kernel":"sumlist","size":100,"invocation":8}`},
+		{"trailing value", `{"tenant":"t","kernel":"sumlist","size":100} {"tenant":"u"}`},
+		{"trailing garbage", `{"tenant":"t","kernel":"sumlist","size":100} x`},
+	} {
+		if w := do(h, "POST", "/v1/run", tc.body); w.Code != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400 (%s)", tc.name, w.Code, w.Body.String())
+		}
+	}
+	if w := do(h, "POST", "/v1/run", `{"tenant":"t","kernel":"sumlist","size":100}`+"\n"); w.Code != http.StatusOK {
+		t.Errorf("a request followed by a newline: status %d, want 200 (%s)", w.Code, w.Body.String())
 	}
 }
 

@@ -16,6 +16,8 @@ package server
 
 import (
 	"net/http"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -122,17 +124,14 @@ func (s *Server) tenantFor(name string) (*tenant, *apiError) {
 	if len(s.tenants) >= s.cfg.MaxTenants {
 		return nil, &apiError{code: 429, msg: "tenant table full", retryAfter: 5}
 	}
-	t := &tenant{name: name, insts: make(map[string]*instance), score: s.cfg.initialScore()}
-	t.budget.Store(int64(s.initialBudget()))
+	// A fresh tenant starts optimistic on both counts — the configured
+	// ceiling for width, a hit-rate estimate well above any sensible
+	// StarveScore — so it gets width to prove itself, and the first
+	// windows of evidence demote the misspeculators.
+	t := &tenant{name: name, insts: make(map[string]*instance), score: initialScore}
+	t.budget.Store(int64(s.cfg.MaxWidth))
 	s.tenants[name] = t
 	return t, nil
-}
-
-// initialBudget is a fresh tenant's width before any evidence: the
-// configured ceiling, optimistically — misspeculators are demoted by
-// the first windows of evidence.
-func (s *Server) initialBudget() int {
-	return s.cfg.MaxWidth
 }
 
 // instanceFor returns (creating, with LRU eviction) the tenant's
@@ -387,14 +386,6 @@ func (s *Server) snapshotTenants() []tenantMetricsRow {
 		})
 		t.mu.Unlock()
 	}
-	sortTenantRows(rows)
+	slices.SortFunc(rows, func(a, b tenantMetricsRow) int { return strings.Compare(a.name, b.name) })
 	return rows
-}
-
-func sortTenantRows(rows []tenantMetricsRow) {
-	for i := 1; i < len(rows); i++ {
-		for j := i; j > 0 && rows[j-1].name > rows[j].name; j-- {
-			rows[j-1], rows[j] = rows[j], rows[j-1]
-		}
-	}
 }

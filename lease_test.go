@@ -182,12 +182,11 @@ func TestWorkerRescansForTaskDuration(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	e := NewExecutor(1)
 	defer e.Close()
-	sub := e.newSubmitter(1)
 	waitParked(t, e, 0, nil) // a fresh worker has earned nothing: it parks at once
 	for _, d := range []time.Duration{30 * time.Microsecond, 5 * time.Millisecond} {
 		task := &spinTask{d: int64(d)}
 		parks := e.parks.Load()
-		sub.submit(task)
+		submitTask(e, task, 0)
 		parkedAt := waitParked(t, e, parks, task)
 		earned := min(int64(d), int64(joinSpinCap))
 		if idle := parkedAt - task.ended.Load(); idle < earned {
@@ -206,8 +205,8 @@ func TestWorkerRescansForTaskDuration(t *testing.T) {
 	// chunk earned: the later deadline stands.
 	long, stale := &spinTask{d: int64(5 * time.Millisecond)}, &spinTask{}
 	parks := e.parks.Load()
-	sub.submit(long)
-	sub.submit(stale) // queued behind long while it runs
+	submitTask(e, long, 0)
+	submitTask(e, stale, 0) // queued behind long while it runs
 	parkedAt := waitParked(t, e, parks, stale)
 	if idle := parkedAt - long.ended.Load(); idle < int64(joinSpinCap) {
 		t.Fatalf("a trivial task behind a 5 ms one: the worker parked %v past the long task's end, before the %v it had earned", time.Duration(idle), joinSpinCap)
@@ -216,13 +215,21 @@ func TestWorkerRescansForTaskDuration(t *testing.T) {
 	// Inside the window: the second task is submitted the moment the
 	// first has ended. The submitter can be descheduled past the window
 	// on a busy host, so one clean handoff in the attempts is the claim.
+	// The first task runs 10 ms, not 1: in a process that started on one
+	// processor every thread has only ever run on one vCPU, each futex
+	// wake puts the worker's thread back beside its waker's, and the
+	// kernel moves one of two busy threads to the idle vCPU only at its
+	// balance tick. Behind a 1 ms task the submitter's thread was still
+	// waiting for the vCPU the worker was rescanning on, and saw the end
+	// 105-260 us late, when the worker parked (1-3 clean handoffs in 200
+	// attempts; 58-60 in 60 behind a 10 ms task).
 	for attempt := 0; attempt < 200; attempt++ {
-		first, second := &spinTask{d: int64(time.Millisecond)}, &spinTask{}
+		first, second := &spinTask{d: int64(10 * time.Millisecond)}, &spinTask{}
 		parks := e.parks.Load()
-		sub.submit(first)
+		submitTask(e, first, 0)
 		for first.ended.Load() == 0 {
 		}
-		sub.submit(second)
+		submitTask(e, second, 0)
 		for second.ended.Load() == 0 {
 			runtime.Gosched()
 		}
@@ -232,7 +239,7 @@ func TestWorkerRescansForTaskDuration(t *testing.T) {
 			return
 		}
 	}
-	t.Fatal("a task submitted right behind a 1 ms task was never picked up without a park")
+	t.Fatal("a task submitted right behind a 10 ms task was never picked up without a park")
 }
 
 // TestWorkerSpinTopology: an executor built on a single processor never
@@ -248,6 +255,7 @@ func TestWorkerSpinTopology(t *testing.T) {
 	if single.spin || !multi.spin {
 		t.Fatalf("spin = %v at GOMAXPROCS 1, %v at 2; want false, true", single.spin, multi.spin)
 	}
+	waitParked(t, single, 0, nil) // straight from its first empty scan
 	if got, want := spinDeadline(1000, 1400), int64(1800); got != want {
 		t.Fatalf("spinDeadline(1000, 1400) = %d, want %d", got, want)
 	}

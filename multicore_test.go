@@ -214,6 +214,104 @@ func TestStaleEntryClaimsRearmedSlot(t *testing.T) {
 	}
 }
 
+// TestFullExecutorLeavesChunksToInvoker: a queue entry is a hint, so a
+// full executor costs a round nothing. With the one worker held and its
+// shard full, no offer of a Threads-4 round finds room: every chunk is
+// the invoker's (enqueue used to wait for the worker here), the slots
+// are left armed-and-unqueued, and the load gauge counts only what was
+// queued. Once there is room the next round queues them again.
+func TestFullExecutorLeavesChunksToInvoker(t *testing.T) {
+	e := NewExecutor(1)
+	defer e.Close()
+	holdWorker := func() (release func()) {
+		hold := &blockTask{started: make(chan struct{}), release: make(chan struct{})}
+		submitTask(e, hold, 0)
+		<-hold.started
+		return sync.OnceFunc(func() { close(hold.release) })
+	}
+	release := holdWorker()
+	defer release()
+	var ran atomic.Int64
+	var wg sync.WaitGroup
+	fill := make([]countTask, shardCap)
+	for i := range fill {
+		fill[i] = countTask{n: &ran, wg: &wg}
+		wg.Add(1)
+		if !e.enqueue(&fill[i], 0) {
+			t.Fatalf("entry %d of %d found no room", i, shardCap)
+		}
+	}
+	if e.enqueue(&countTask{}, 0) {
+		t.Fatal("an entry past shardCap was queued")
+	}
+	full := e.load.Load()
+	if full != shardCap+1 {
+		t.Fatalf("load %d with the worker held and %d entries queued", full, shardCap)
+	}
+
+	l := newTestList(4096, 43)
+	r, err := NewRunner(xorLoop(), Config{Threads: 4, Executor: e})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	want := sequential(xorLoop(), l.head)
+	ns := l.nodes()
+	r.pred.apply(4096, []memo[*node]{
+		{row: 0, state: ns[1024], pos: 1024},
+		{row: 1, state: ns[2048], pos: 2048},
+		{row: 2, state: ns[3072], pos: 3072},
+	})
+	round := func(wantQueued bool, wantLoad int64) {
+		t.Helper()
+		before := r.Stats()
+		got := make(chan sumAcc, 1)
+		go func() { got <- r.MustRun(l.head) }()
+		select {
+		case acc := <-got:
+			if acc != want {
+				t.Fatalf("got %+v want %+v", acc, want)
+			}
+		case <-time.After(10 * time.Second):
+			release() // lets the stuck invocation finish
+			t.Fatal("the invoker waited on the held worker")
+		}
+		st := r.Stats().Delta(before)
+		if st.Hits != 3 || st.Misses != 0 || st.Reclaimed != st.Hits+st.Misses {
+			t.Fatalf("Hits %d Misses %d Reclaimed %d; want the invoker to have run all 3 speculative chunks", st.Hits, st.Misses, st.Reclaimed)
+		}
+		for i := 1; i < 4; i++ {
+			if q := r.sched.jobs[i].queued.Load(); q != wantQueued {
+				t.Fatalf("slot %d: queued = %v, want %v", i, q, wantQueued)
+			}
+		}
+		if load := e.load.Load(); load != wantLoad {
+			t.Fatalf("load %d after the round, want %d", load, wantLoad)
+		}
+		checkRoundIdle(t, r, 0)
+	}
+	round(false, full)
+
+	// Room again: drain the shard, hold the worker once more, and the
+	// same slots are queued by the next round (one entry each).
+	release()
+	wg.Wait()
+	for e.load.Load() != 0 {
+		runtime.Gosched()
+	}
+	if n := ran.Load(); n != shardCap {
+		t.Fatalf("%d of %d queued entries ran", n, shardCap)
+	}
+	release = holdWorker()
+	defer release()
+	round(true, 1+3)
+	release()
+	for e.load.Load() != 0 {
+		runtime.Gosched()
+	}
+	checkRoundIdle(t, r, 1)
+}
+
 // parkedListRunner builds a Threads-2 runner over an n-node list for
 // the parked-invoker tests. Once armed, the last node of chunk 0 holds
 // the invoker until a worker has started the speculative chunk (so the

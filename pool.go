@@ -67,7 +67,7 @@ type Pool[S comparable, A any] struct {
 	idle   map[int][]*Runner[S, A]
 	all    []*Runner[S, A]
 	last   *Runner[S, A] // most recently released runner (for LastWorks)
-	closed atomic.Bool   // atomic so Session.Run checks it without p.mu
+	closed atomic.Bool   // atomic so Session.Run, a per-invocation path, checks it without p.mu
 
 	// quarantine is the resolved consecutive-panic retirement threshold
 	// (0: disabled). retired accumulates the counters of retired runners
@@ -288,11 +288,6 @@ func (p *Pool[S, A]) Submit(ctx context.Context, start S) *Future[A] {
 	return f
 }
 
-// isClosed reports whether Close has been called. Lock-free: it sits on
-// Session.Run's per-invocation path, which must not contend on the
-// shared pool mutex.
-func (p *Pool[S, A]) isClosed() bool { return p.closed.Load() }
-
 // Session pins a runner to one caller and one data structure. The
 // runner's predictor is reset on the way in and on the way out, so a
 // session's speculative chunks only ever traverse the session's own
@@ -352,7 +347,7 @@ func (s *Session[S, A]) Width() int {
 // synchronization point: Close's contract still requires that no Run is
 // in flight when it is called.
 func (s *Session[S, A]) Run(ctx context.Context, start S) (A, error) {
-	if s.r == nil || s.p.isClosed() {
+	if s.r == nil || s.p.closed.Load() {
 		var zero A
 		return zero, ErrPoolClosed
 	}
@@ -375,7 +370,7 @@ func (s *Session[S, A]) MustRun(start S) A {
 // ever crossing tenants. The structure must not be mutated while the
 // batch is in flight.
 func (s *Session[S, A]) RunBatch(ctx context.Context, starts []S) ([]A, error) {
-	if s.r == nil || s.p.isClosed() {
+	if s.r == nil || s.p.closed.Load() {
 		return nil, ErrPoolClosed
 	}
 	return s.r.runBatch(ctx, starts)

@@ -2,6 +2,7 @@ package spice
 
 import (
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -19,6 +20,15 @@ func (t *countTask) run() {
 	t.wg.Done()
 }
 
+// submitTask queues t on a bare executor from the hinted shard on.
+// enqueue never waits, and here no invoker stands behind the entry to run
+// what was not queued, so a full executor is retried.
+func submitTask(e *Executor, t task, hint uint32) {
+	for !e.enqueue(t, hint) {
+		runtime.Gosched()
+	}
+}
+
 func TestExecutorRunsTasks(t *testing.T) {
 	e := NewExecutor(3)
 	if e.Workers() != 3 {
@@ -27,11 +37,10 @@ func TestExecutorRunsTasks(t *testing.T) {
 	var n atomic.Int64
 	var wg sync.WaitGroup
 	tasks := make([]countTask, 100)
-	sub := e.newSubmitter(1)
 	for i := range tasks {
 		tasks[i] = countTask{n: &n, wg: &wg}
 		wg.Add(1)
-		sub.submit(&tasks[i])
+		submitTask(e, &tasks[i], uint32(i))
 	}
 	wg.Wait()
 	if n.Load() != 100 {
@@ -39,6 +48,12 @@ func TestExecutorRunsTasks(t *testing.T) {
 	}
 	e.Close()
 	e.Close() // idempotent
+	defer func() {
+		if recover() == nil {
+			t.Fatal("submit on a closed executor did not panic")
+		}
+	}()
+	e.enqueue(&tasks[0], 0)
 }
 
 func TestExecutorMinimumOneWorker(t *testing.T) {
@@ -632,7 +647,7 @@ func TestSessionNoAdaptiveBleed(t *testing.T) {
 		if r1.pred.rows[k].valid {
 			t.Fatal("recycled runner kept another session's predictions")
 		}
-		if !r1.pred.conf.Admit(k, defaultMinConfidence) {
+		if !r1.pred.conf.Admit(k) {
 			t.Fatalf("recycled runner kept gated confidence for row %d", k)
 		}
 	}

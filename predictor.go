@@ -60,7 +60,6 @@ type memo[S comparable] struct {
 // predictor), so no internal locking is needed.
 type predictor[S comparable] struct {
 	threads     int
-	positional  bool
 	memoizeOnce bool
 
 	rows []row[S]
@@ -78,10 +77,9 @@ type predictor[S comparable] struct {
 	scratch []row[S] // next-generation rows built during apply
 }
 
-func newPredictor[S comparable](threads int, positional, memoizeOnce bool) *predictor[S] {
+func newPredictor[S comparable](threads int, memoizeOnce bool) *predictor[S] {
 	return &predictor[S]{
 		threads:     threads,
-		positional:  positional,
 		memoizeOnce: memoizeOnce,
 		rows:        make([]row[S], threads-1),
 		conf:        newRowConfidence(threads - 1),

@@ -242,8 +242,7 @@ func TestUndispatchedSlotsGetNoVerdict(t *testing.T) {
 			e := NewExecutor(1)
 			defer e.Close()
 			hold := &blockTask{started: make(chan struct{}), release: make(chan struct{})}
-			sub := e.newSubmitter(1)
-			sub.submit(hold)
+			submitTask(e, hold, 0)
 			<-hold.started
 			defer close(hold.release)
 

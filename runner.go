@@ -25,7 +25,7 @@ type Runner[S comparable, A any] struct {
 	pred     *predictor[S]
 	sched    *scheduler[S, A]
 	exec     *Executor
-	sub      submitter // striped handle into the sharded executor
+	home     uint32 // home shard (Executor.stripe): slot i of every round goes to home+i-1
 	ownsExec bool
 	running  atomic.Bool
 	stats    runnerStats
@@ -314,7 +314,7 @@ func (r *Runner[S, A]) admitRow(k int, probe bool) bool {
 	if r.ctrl == nil || probe {
 		return true
 	}
-	return r.pred.conf.Admit(k, defaultMinConfidence)
+	return r.pred.conf.Admit(k)
 }
 
 // noteHit records a committed speculative chunk for row k; reclaimed

@@ -114,18 +114,17 @@ type chunkResult[S comparable, A any] struct {
 }
 
 // chunkJob is a preallocated executor task: one chunk of one invocation.
-// res, lat and idx are wired once at scheduler construction; the
+// r, res, lat and idx are wired once at scheduler construction; the
 // remaining fields are reset per dispatch.
 type chunkJob[S comparable, A any] struct {
 	r       *Runner[S, A]
 	res     *chunkResult[S, A]
 	lat     *latch
-	idx     int // dispatch slot: position in the round's validation chain
+	idx     int // dispatch slot: position in the round's validation chain (> 0: the start is predicted)
 	ctx     context.Context
 	start   S
 	snap    *row[S] // successor's predicted start (nil: run to the end)
 	ownRow  int     // SVA row this chunk's own backstop targets (-1: none)
-	spec    bool    // start is predicted: iteration cap applies
 	plan    []planEntry
 	posBase int64 // predicted global start position (positional validation)
 	cap     int64 // speculative iteration cap
@@ -136,14 +135,12 @@ type chunkJob[S comparable, A any] struct {
 }
 
 // reset arms the job and its result buffer for one dispatch.
-func (j *chunkJob[S, A]) reset(r *Runner[S, A], ctx context.Context, start S, snap *row[S],
-	ownRow int, spec bool, plan []planEntry, posBase, cap64 int64) {
-	j.r = r
+func (j *chunkJob[S, A]) reset(ctx context.Context, start S, snap *row[S],
+	ownRow int, plan []planEntry, posBase, cap64 int64) {
 	j.ctx = ctx
 	j.start = start
 	j.snap = snap
 	j.ownRow = ownRow
-	j.spec = spec
 	j.plan = plan
 	j.posBase = posBase
 	j.cap = cap64
@@ -164,33 +161,34 @@ const claimArmed = 1
 // a slot's chunkJob, or the copyJob beside it — stated once (the Claim
 // step of the round handoff in the executor.go header). The invoker
 // offers the task: it stores claimArmed after everything the task reads
-// is in place, and submits it. Whoever swaps the word back runs the
-// task: the worker that popped the queue entry (popped) or the invoker
-// walking its round's slots (take). The loser touches nothing — the slot
-// may already belong to a later round. The arming store and the winning
-// swap order the invoker's writes before the task's reads.
+// is in place, and queues an entry for it. Whoever swaps the word back
+// runs the task: the worker that received the queue entry (popped) or
+// the invoker walking its round's slots (take). The loser touches
+// nothing — the slot may already belong to a later round. The arming
+// store and the winning swap order the invoker's writes before the
+// task's reads.
 //
 // queued is set while an executor queue holds an entry for the slot. The
 // entry of a task the invoker took outlives its round; while it does,
-// later rounds arm the slot without submitting again — the old entry
-// serves whichever round is current when it is popped, as a failed swap
-// or a legitimate claim of that round's task — so a slot never has two
-// entries queued, and a worker that stays away for many rounds cannot
-// fill its shard with dead entries and block the invoker in submit.
+// later rounds arm the slot without queueing again — the old entry
+// serves whichever round is current when it is received, as a failed
+// swap or a legitimate claim of that round's task — so a slot never has
+// two entries queued, and a worker that stays away for many rounds
+// cannot fill its shard with dead entries.
 type claimWord struct {
 	claim  atomic.Uint32
 	queued atomic.Bool
 }
 
-// offer arms the word and leaves exactly one queue entry for t behind
-// it, on sub's next shard (passed over when an earlier round's entry is
-// still queued, so the tasks after it keep their home shards).
-func (w *claimWord) offer(sub *submitter, t task) {
+// offer arms the word and leaves at most one queue entry for t behind
+// it, sent to shard unless an earlier round's entry is still queued.
+// When no shard has room nothing is queued and queued is cleared again,
+// so the next round tries afresh; the task is armed either way, and the
+// invoker's walk (dispatchRound's reclaim, landCells) runs it.
+func (w *claimWord) offer(e *Executor, shard uint32, t task) {
 	w.claim.Store(claimArmed)
-	if w.queued.Swap(true) {
-		sub.skip()
-	} else {
-		sub.submit(t)
+	if !w.queued.Swap(true) && !e.enqueue(t, shard) {
+		w.queued.Store(false)
 	}
 }
 
@@ -200,7 +198,7 @@ func (w *claimWord) take() bool { return w.claim.CompareAndSwap(claimArmed, 0) }
 
 // popped is take for the holder of the slot's queue entry. The flag is
 // cleared before the claim: a dispatcher that still sees it set (and so
-// does not submit) armed the slot before this store, so the swap sees
+// does not queue) armed the slot before this store, so the swap sees
 // its round.
 func (w *claimWord) popped() bool {
 	w.queued.Store(false)
@@ -320,7 +318,7 @@ func (j *chunkJob[S, A]) exec() {
 		}
 	}
 	capAt := int64(1) << 62
-	if j.spec {
+	if j.idx > 0 { // a predicted start: the iteration cap applies
 		capAt = j.cap
 		if capAt < 1 {
 			capAt = 1 // a chunk runs an iteration before it caps, so every round makes progress
@@ -444,7 +442,6 @@ loop:
 // at most one invocation at a time (the runner serializes; a Pool hands
 // each in-flight invocation its own runner).
 type scheduler[S comparable, A any] struct {
-	threads  int
 	results  []chunkResult[S, A]
 	jobs     []chunkJob[S, A]
 	works    []int64
@@ -496,9 +493,8 @@ type scheduler[S comparable, A any] struct {
 	lat latch
 }
 
-func newScheduler[S comparable, A any](threads int) *scheduler[S, A] {
+func newScheduler[S comparable, A any](r *Runner[S, A], threads int) *scheduler[S, A] {
 	s := &scheduler[S, A]{
-		threads:  threads,
 		results:  make([]chunkResult[S, A], threads),
 		jobs:     make([]chunkJob[S, A], threads),
 		works:    make([]int64, threads),
@@ -511,6 +507,7 @@ func newScheduler[S comparable, A any](threads int) *scheduler[S, A] {
 		// Presized (a plan has at most threads-1 entries), so a round of
 		// any width plans without allocating from the first invocation on.
 		s.plans[j] = make([]planEntry, 0, threads)
+		s.jobs[j].r = r
 		s.jobs[j].res = &s.results[j]
 		s.jobs[j].lat = &s.lat
 		s.jobs[j].idx = j
@@ -529,8 +526,8 @@ func (s *scheduler[S, A]) armCells(c *Cells, reds []Reduction) {
 	s.cells = c
 	s.reds = reds
 	if c != nil && s.views == nil {
-		s.views = make([]CellView, s.threads)
-		s.copies = make([]copyJob, s.threads)
+		s.views = make([]CellView, len(s.jobs))
+		s.copies = make([]copyJob, len(s.jobs))
 		for i := range s.copies {
 			s.copies[i].view = &s.views[i]
 			s.copies[i].lat = &s.lat
@@ -622,9 +619,6 @@ func (s *scheduler[S, A]) purge() {
 // already running stop at their next poll.
 func (s *scheduler[S, A]) dispatchRound(r *Runner[S, A], ctx context.Context, n int) error {
 	s.armAbort()
-	// Rewind the submitter to the runner's home shard so chunk i lands
-	// on the same executor queue every round (warm-queue affinity).
-	r.sub.rewind()
 	var t0 int64
 	if n > 1 {
 		t0 = nanos()
@@ -652,7 +646,8 @@ func (s *scheduler[S, A]) dispatchRound(r *Runner[S, A], ctx context.Context, n 
 		if i > 0 {
 			j := &s.jobs[i]
 			j.reclaimed = false
-			j.offer(&r.sub, j)
+			// Chunk i goes to the same shard every round (warm-queue affinity).
+			j.offer(r.exec, r.home+uint32(i-1), j)
 		}
 		armed = i + 1
 	}
@@ -737,16 +732,14 @@ func (s *scheduler[S, A]) endRound(r *Runner[S, A]) {
 func (s *scheduler[S, A]) landCells(r *Runner[S, A], n int, spread bool) {
 	offered := false
 	if spread && r.exec.spin {
-		r.sub.rewind() // copy i goes where chunk i went
 		for i := 1; i < n; i++ {
 			c := &s.copies[i]
 			if s.jobs[i].reclaimed || !c.wrote {
-				r.sub.skip()
 				continue
 			}
 			s.lat.add(1)
 			c.offered, offered = true, true
-			c.offer(&r.sub, c)
+			c.offer(r.exec, r.home+uint32(i-1), c) // copy i goes where chunk i went
 		}
 	}
 	var t0 int64
@@ -913,7 +906,7 @@ func (s *scheduler[S, A]) run(r *Runner[S, A], ctx context.Context, start S, row
 				snap = &rows[ownRow]
 			}
 			s.plans[i] = r.pred.planFromPosition(max(pos, posBase), s.plans[i][:0])
-			s.jobs[i].reset(r, ctx, st, snap, ownRow, i > 0, s.plans[i], posBase, cap64)
+			s.jobs[i].reset(ctx, st, snap, ownRow, s.plans[i], posBase, cap64)
 		}
 		dispatchErr := s.dispatchRound(r, ctx, n)
 

@@ -3,18 +3,20 @@
 # every performance claim in CHANGES.md rests on. Run it from the
 # repository root:
 #
-#   scripts/pairs.sh WORKLOAD [PAIRS=10] [BASE=HEAD~1]
+#   scripts/pairs.sh WORKLOAD[,WORKLOAD...] [PAIRS=10] [BASE=HEAD~1]
 #
-# The change is the working tree; BASE is unpacked under .bench_build/
-# (git archive, so nothing is registered in .git). Pair i runs both sides
-# on seed 20+i, BASE first in odd pairs and the change first in even
-# ones, each for PAIRS_SECONDS seconds (default: run_seconds of
-# BENCHMARK.json). Every run's last JSON line is kept; the summary gives,
-# per end-to-end metric, each side's median and quartiles, the pairs the
-# change won, and a verdict against the metric's bound.
+# The change is the working tree; BASE is unpacked once under
+# .bench_build/ (git archive, so nothing is registered in .git). The
+# workloads run one after another, each with its own summary. Pair i
+# runs both sides on seed 20+i, BASE first in odd pairs and the change
+# first in even ones, each for PAIRS_SECONDS seconds (default:
+# run_seconds of BENCHMARK.json). Every run's last JSON line is kept;
+# the summary gives, per end-to-end metric, each side's median and
+# quartiles, the pairs the change won, and a verdict against the
+# metric's bound.
 set -euo pipefail
 
-workload=${1:?usage: scripts/pairs.sh WORKLOAD [PAIRS=10] [BASE=HEAD~1]}
+workloads=${1:?usage: scripts/pairs.sh WORKLOAD[,WORKLOAD...] [PAIRS=10] [BASE=HEAD~1]}
 pairs=${2:-10}
 base=${3:-HEAD~1}
 
@@ -26,10 +28,8 @@ basedir="$root/.bench_build/pairs_base"
 rm -rf "$basedir"
 mkdir -p "$basedir"
 git archive "$base" | tar -x -C "$basedir"
-runs="$root/.bench_build/pairs_${workload}.jsonl"
-: > "$runs"
 
-# one SIDE DIR SEED: a timed run of the workload in DIR, its last line kept.
+# one SIDE DIR SEED: a timed run of $workload in DIR, its last line kept.
 one() {
 	local line
 	line=$(cd "$2" && bash bench/run.sh --workload "$workload" --seconds "$seconds" --trace 0 --seed "$3" | tail -n 1)
@@ -37,19 +37,9 @@ one() {
 	echo "$1 seed=$3 $line"
 }
 
-echo "# $workload: $pairs pairs of ${seconds}s runs, base $rev against the working tree"
-for ((i = 1; i <= pairs; i++)); do
-	seed=$((20 + i))
-	if ((i % 2)); then
-		one base "$basedir" "$seed"
-		one change "$root" "$seed"
-	else
-		one change "$root" "$seed"
-		one base "$basedir" "$seed"
-	fi
-done
-
-python3 - "$runs" <<'PY'
+# summarize RUNS: both sides' medians and quartiles per end-to-end metric.
+summarize() {
+	python3 - "$1" <<'PY'
 import json, sys
 
 def quartiles(xs):
@@ -88,3 +78,21 @@ for m in json.load(open("BENCHMARK.json"))["end_to_end"]:
     print(f"{name:16s} base {b2:.4f} ({b1:.4f}-{b3:.4f})  change {c2:.4f} ({c1:.4f}-{c3:.4f})"
           f"  change better in {wins}/{len(b)}, worse in {losses}  median {rel:+.1%} (bound {bound:.0%}): {verdict}")
 PY
+}
+
+for workload in ${workloads//,/ }; do
+	runs="$root/.bench_build/pairs_${workload}.jsonl"
+	: > "$runs"
+	echo "# $workload: $pairs pairs of ${seconds}s runs, base $rev against the working tree"
+	for ((i = 1; i <= pairs; i++)); do
+		seed=$((20 + i))
+		if ((i % 2)); then
+			one base "$basedir" "$seed"
+			one change "$root" "$seed"
+		else
+			one change "$root" "$seed"
+			one base "$basedir" "$seed"
+		fi
+	done
+	summarize "$runs"
+done

@@ -492,10 +492,10 @@ func NewRunner[S comparable, A any](loop Loop[S, A], cfg Config) (*Runner[S, A],
 		loop:  loop,
 		block: blockOf(&loop),
 		cfg:   cfg,
-		pred:  newPredictor[S](cfg.Threads, cfg.Positional, cfg.MemoizeOnce),
-		sched: newScheduler[S, A](cfg.Threads),
+		pred:  newPredictor[S](cfg.Threads, cfg.MemoizeOnce),
 		cells: loop.Cells,
 	}
+	r.sched = newScheduler(r, cfg.Threads)
 	if cfg.Adaptive && cfg.Threads > 1 {
 		r.ctrl = newSpecController(cfg.Threads, int64(cfg.ProbeInterval))
 	}
@@ -508,23 +508,14 @@ func NewRunner[S comparable, A any](loop Loop[S, A], cfg Config) (*Runner[S, A],
 			// scheduler.go), so a private executor only ever receives the
 			// Threads-1 speculative chunks — and workers beyond the
 			// effective GOMAXPROCS at construction cannot run in
-			// parallel anyway, so the size is clamped to the topology.
-			workers := cfg.Threads - 1
-			if p := runtime.GOMAXPROCS(0) - 1; p < workers {
-				workers = p
-			}
-			if workers < 1 {
-				workers = 1
-			}
-			r.exec = newExecutor(workers, cfg.Faults)
+			// parallel anyway, so the size is clamped to the topology
+			// (and by newExecutor to at least one).
+			r.exec = newExecutor(min(cfg.Threads-1, runtime.GOMAXPROCS(0)-1), cfg.Faults)
 			r.ownsExec = true
 		}
-		// Each runner submits through its own striped handle spanning
-		// the width of one dispatch round, so concurrent runners on one
-		// shared executor own disjoint shard stripes instead of
-		// contending on a single queue — and rewind() (scheduler.go)
-		// re-lands chunk i on the same warm shard every round.
-		r.sub = r.exec.newSubmitter(cfg.Threads - 1)
+		// A stripe as wide as one dispatch round, so concurrent runners
+		// on one shared executor queue on disjoint shards.
+		r.home = r.exec.stripe(cfg.Threads - 1)
 	}
 	return r, nil
 }
