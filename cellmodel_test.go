@@ -1,15 +1,16 @@
 package spice
 
-// Model-based test of CellView: byte scripts of Load/Store/Reduce over
-// the views of one dispatch round, replayed against a map-based model
-// of the same round — forwarding, read-set, write-set, which view each
-// commit finds in conflict first, and the store after committing a
-// prefix and squashing the rest. The store sizes put cells on both
-// sides of every block edge (a partial last block, whole blocks, the
-// whole-block copy of the commit), and the views are re-armed round
-// after round — after a commit, after a squash, and after re-binding to
-// a smaller and then a larger store — so anything an arm leaves behind
-// shows up as a divergence from the model.
+// Model-based test of CellView: byte scripts of Load/Store/Reduce (and
+// folds through the Accumulators slice) over the views of one dispatch
+// round, replayed against a map-based model of the same round —
+// forwarding, read-set, write-set, accumulators, which view each commit
+// finds in conflict first, and the store after committing a prefix and
+// squashing the rest. The store sizes put cells on both sides of every
+// block edge (a partial last block, whole blocks, the whole-block copy of
+// the commit), and the views are re-armed round after round — after a
+// commit, after a squash, and after re-binding to a smaller and then a
+// larger store — so anything an arm leaves behind shows up as a
+// divergence from the model.
 
 import (
 	"math/rand"
@@ -122,11 +123,22 @@ func runViewScript(t *testing.T, data []byte) {
 			stamp++
 			switch kind := op % 8; {
 			case kind == 6:
-				if len(st.reds) == 0 {
+				// A reduction update: through Reduce, or the way a block form
+				// makes it, folding into the Accumulators slice with the
+				// declared kind. The two mix freely on one view.
+				a := v.Accumulators()
+				if len(a) != len(st.reds) {
+					t.Fatalf("round %d: view %d hands out %d accumulators for %d reductions", round, vi, len(a), len(st.reds))
+				}
+				if len(a) == 0 {
 					continue
 				}
-				r := cell % len(st.reds)
-				v.Reduce(r, stamp)
+				r := cell % len(a)
+				if op&16 != 0 {
+					a[r] = st.reds[r].Kind.fold(a[r], stamp)
+				} else {
+					v.Reduce(r, stamp)
+				}
 				m.racc[r] = st.reds[r].Kind.fold(m.racc[r], stamp)
 				continue
 			case ndata <= 0:
@@ -174,6 +186,13 @@ func runViewScript(t *testing.T, data []byte) {
 			for _, c := range writes {
 				if x, ok := m.writes[c]; !ok || v.wval[c] != x {
 					t.Fatalf("round %d: view %d write-set cell %d = %d, model %d (present=%v)", round, i, c, v.wval[c], x, ok)
+				}
+			}
+			// Every view, the ones about to be squashed included: identity
+			// where nothing folded, whatever the previous arm left.
+			for r, x := range v.Accumulators() {
+				if x != m.racc[r] {
+					t.Fatalf("round %d: view %d accumulator %d = %d, model %d", round, i, r, x, m.racc[r])
 				}
 			}
 			// A block with no bit set is never copied, nor a cell without

@@ -42,15 +42,16 @@ import "math/bits"
 // cell: when none did, each view's copy runs on the core that filled
 // its buffer. A view costs 8 bytes and 2 bits per cell.
 //
-// Reductions (the paper's Section 4) ride the same
-// store: a Loop declares reduction cells with their kinds, the body
-// updates them only through CellView.Reduce, and every view — the
-// sequential path's direct view included — privatizes the accumulator
-// starting from the kind's identity. The scheduler folds a chunk's
-// private accumulators into the store cells in sequential chunk order
-// once the round's copies have landed; runSequential folds the direct
-// view's when it exits, on every exit path. Reduce is therefore one
-// operation in both modes, small enough to inline into the body
+// Reductions (the paper's Section 4) ride the same store: a Loop
+// declares reduction cells with their kinds, the body updates them only
+// through CellView.Reduce (or, in a block form, by folding into the
+// slice CellView.Accumulators hands it once per block), and every view —
+// the sequential path's direct view included — privatizes the
+// accumulator starting from the kind's identity. The scheduler folds a
+// chunk's private accumulators into the store cells in sequential chunk
+// order once the round's copies have landed; runSequential folds the
+// direct view's when it exits, on every exit path. Reduce is therefore
+// one operation in both modes, small enough to inline into the body
 // (TestCellAccessorsInline holds it there). Every supported kind is
 // associative and commutative on int64 under wraparound, so folding
 // identity-seeded partial results in chunk order equals folding every
@@ -130,9 +131,9 @@ func (k ReductionKind) fold(a, b int64) int64 {
 
 // Reduction declares one reduction accumulator living in a store cell.
 // During Run the body must touch the cell only through CellView.Reduce
-// (never Load/Store): reduction cells are privatized per chunk and
-// merged in sequential chunk order at commit, and are exempt from
-// conflict tracking.
+// or the slice of CellView.Accumulators (never Load/Store): reduction
+// cells are privatized per chunk and merged in sequential chunk order at
+// commit, and are exempt from conflict tracking.
 type Reduction struct {
 	// Cell is the store cell holding the running accumulator.
 	Cell int
@@ -175,7 +176,15 @@ func (c *Cells) Set(i int, v int64) { c.words[i] = v }
 // CellView is one chunk's window onto a Cells store. The runtime hands
 // a view to every SpecBody/SpecBodyErr call; the body uses Load, Store
 // and Reduce and never sees buffering, validation or squash — a
-// squashed chunk's buffered writes simply never reach the store.
+// squashed chunk's buffered writes simply never reach the store. A block
+// form (Loop.Scan) may ask the view once per block for what Reduce
+// reaches once per update: Accumulators is the private reduction
+// accumulators as a plain slice, one slot per declared Reduction, seeded
+// with the kind's identity at every arm; the block folds into slot r with
+// reduction r's declared operator, the slice is good for that Scan call,
+// and it is empty when the loop declares no reductions. Nothing else
+// about a reduction changes with it: the accumulators reach the store at
+// commit in chain order, or are discarded with a squashed chunk's view.
 //
 // A view is confined to its chunk's goroutine during execution, to the
 // invoking goroutine while it is armed, validated and folded, and to
@@ -360,6 +369,22 @@ func (v *CellView) Reduce(r int, x int64) {
 	}
 	v.reduceKind(r, x)
 }
+
+// Accumulators returns the view's private reduction accumulators, one
+// per declared Reduction in declaration order (empty when the loop
+// declares none): the slice Reduce folds into, handed out once so that a
+// block form (Loop.Scan) can keep it in a local across its loop instead
+// of reaching through the view at every update. The caller folds into
+// slot r with reduction r's declared operator, where it would have
+// called Reduce(r, x): a[r] += x for ReduceSum, if x > a[r] { a[r] = x }
+// for ReduceMax, and so on; the runtime cannot check the operator, and a
+// different one breaks the equality with sequential execution. Slot r
+// starts at the kind's identity, not at the cell's value, and reaches
+// the cell at commit like any Reduce. The slice is valid for the Scan
+// call that asked (the next arm re-seeds it, and a re-bound loop may
+// replace it); asking again, or mixing in Reduce, is fine. An index
+// outside it panics in the body and is contained like any body panic.
+func (v *CellView) Accumulators() []int64 { return v.racc }
 
 // reduceKind is Reduce for declarations that mix kinds. Kept out of
 // line: inlined into Reduce it would push Reduce itself over the

@@ -222,6 +222,121 @@ func TestDoacrossDenseConflictsObserved(t *testing.T) {
 	checkConservation(t, st)
 }
 
+// accLoop is the accessor's differential loop: dcLoop's Load/Store
+// recurrence with a Sum, a Max and a Min over the node weight (the Min in
+// the store's last cell), its SpecBody folding through Reduce and its
+// block form through the Accumulators slice, each slot with its declared
+// operator.
+func accLoop(cells *Cells) Loop[*dcnode, int64] {
+	l := dcLoop()
+	l.Cells = cells
+	l.Reductions = append(l.Reductions, Reduction{Cell: cells.Size() - 1, Kind: ReduceMin})
+	l.SpecBody = func(n *dcnode, a int64, v *CellView) int64 {
+		v.Reduce(2, n.w)
+		return dcStep(n, a, v)
+	}
+	l.Scan = func(n *dcnode, a int64, v *CellView, stop *dcnode, max int64) (*dcnode, int64, int64) {
+		r := v.Accumulators()
+		var k int64
+		for ; k < max && n != nil && n != stop; k++ {
+			x := v.Load(n.src) + n.w
+			v.Store(n.dst, x)
+			r[0] += n.w
+			if n.w > r[1] {
+				r[1] = n.w
+			}
+			if n.w < r[2] {
+				r[2] = n.w
+			}
+			a += x
+			n = n.next
+		}
+		return n, a, k
+	}
+	return l
+}
+
+// TestScanAccumulatorsDifferential holds a block form that folds into
+// CellView.Accumulators to the closure form that calls Reduce: twin
+// runners, one with Scan set and one with it stripped, beside the
+// sequential model, over both conflicting layouts (rare and dense, so
+// squashed and re-executed chunks discard and re-seed their slices),
+// widths 1 (the direct view), 2 and 4, adaptive off and on, under a cap
+// small enough to force later rounds. Every result and every cell must
+// equal the model's, and every repeatable counter the stripped twin's.
+func TestScanAccumulatorsDifferential(t *testing.T) {
+	const size = 600
+	var seen Stats
+	for _, regime := range []string{"rare", "dense"} {
+		for _, threads := range []int{1, 2, 4} {
+			for _, adaptive := range []bool{false, true} {
+				tag := fmt.Sprintf("%s/t%d/adaptive=%v", regime, threads, adaptive)
+				var sides [2]struct {
+					head  *dcnode
+					nodes []*dcnode
+					cells *Cells
+					r     *Runner[*dcnode, int64]
+				}
+				for i := range sides {
+					s := &sides[i]
+					// One more cell than buildDoacross lays out: the Min.
+					s.head, s.nodes, _, _ = buildDoacross(rand.New(rand.NewSource(11)), size, regime)
+					s.cells = NewCells(dcReserved + size + 1)
+					loop := accLoop(s.cells)
+					if i == 1 {
+						loop.Scan = nil
+					}
+					r, err := NewRunner(loop, Config{
+						Threads: threads, MaxSpecIters: 70,
+						Options: Options{Adaptive: adaptive, ProbeInterval: 2},
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer r.Close()
+					s.r = r
+				}
+				shadow := make([]int64, dcReserved+size+1)
+				minCell := len(shadow) - 1
+				rng := rand.New(rand.NewSource(12))
+				for inv := 0; inv < 6; inv++ {
+					want := dcReference(sides[0].head, shadow[:minCell])
+					for n := sides[0].head; n != nil; n = n.next {
+						shadow[minCell] = min(shadow[minCell], n.w)
+					}
+					for i, s := range sides {
+						got, err := s.r.Run(context.Background(), s.head)
+						if err != nil {
+							t.Fatalf("%s inv %d side %d: %v", tag, inv, i, err)
+						}
+						if got != want {
+							t.Fatalf("%s inv %d side %d: acc = %d, want %d", tag, inv, i, got, want)
+						}
+						assertCellsEqual(t, fmt.Sprintf("%s inv %d side %d", tag, inv, i), s.cells, shadow)
+					}
+					if a, b := statsLine(sides[0].r.Stats()), statsLine(sides[1].r.Stats()); a != b {
+						t.Fatalf("%s inv %d: counters differ\nScan:     %s\nclosures: %s", tag, inv, a, b)
+					}
+					// Signed weights, so the Min moves below the cell's zero
+					// and the Max does not always.
+					for k := 0; k < 30; k++ {
+						i, w := rng.Intn(size), rng.Int63n(1<<20)-(1<<19)
+						sides[0].nodes[i].w, sides[1].nodes[i].w = w, w
+					}
+				}
+				st := sides[0].r.Stats()
+				checkConservation(t, st)
+				seen = seen.Plus(st)
+			}
+		}
+	}
+	// The premise: chunks were squashed on conflicts and re-executed, the
+	// cap forced later rounds, and speculative chunks committed.
+	if seen.Conflicts == 0 || seen.Recoveries == 0 || seen.Hits == 0 || seen.SquashedIters == 0 {
+		t.Errorf("the matrix lost its premise: %+v", seen)
+	}
+}
+
 // TestDoacrossErrorPartialExecution: a surfaced body error must leave
 // the store exactly as sequential execution would — every iteration
 // before the erroring one applied (including reduction folds), nothing

@@ -42,6 +42,10 @@ type job struct {
 	t      *tenant
 	ctx    context.Context
 	cancel context.CancelFunc
+	// stopNotify deregisters cancel from the request's context (a sync
+	// job's extra cancellation source; nil for an async job). release
+	// calls it.
+	stopNotify func() bool
 	// deadline mirrors the context's JobTimeout expiry for the watchdog,
 	// which sweeps against it plus WatchdogGrace.
 	deadline time.Time
@@ -64,6 +68,19 @@ func (j *job) finish(res *JobResult, aerr *apiError) {
 	j.doneAt.Store(time.Now().UnixNano())
 	j.state.Store(int32(jobDone))
 	close(j.done)
+	j.release()
+}
+
+// release lets go of the job's contexts, at finish or when admission
+// refused it: cancel comes off the request's context, and the job's own
+// is cancelled. Cancelling the job's context does not do the first: left
+// registered, cancel is started on a goroutine of its own when net/http
+// cancels the request's context as the handler returns, once per
+// finished synchronous job, to cancel a context already cancelled here.
+func (j *job) release() {
+	if j.stopNotify != nil {
+		j.stopNotify()
+	}
 	j.cancel()
 }
 

@@ -82,10 +82,17 @@ func (r *JobRequest) normalize(cfg *Config) *apiError {
 	return nil
 }
 
-// instanceKey identifies the tenant-side structure instance the request
-// runs against.
-func (r *JobRequest) instanceKey() string {
-	return fmt.Sprintf("%s/%d/%d/%d", r.Kernel, r.Size, r.Seed, r.Churn)
+// instanceKey identifies the tenant-side structure instance a request
+// runs against: the arguments of the kernel's New. Comparable, so a
+// lookup formats and allocates nothing.
+type instanceKey struct {
+	kernel     string
+	size, seed int64
+	churn      int
+}
+
+func (r *JobRequest) instanceKey() instanceKey {
+	return instanceKey{r.Kernel, r.Size, r.Seed, r.Churn}
 }
 
 // JobResult is the success body of /v1/run and of a finished async job.

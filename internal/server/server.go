@@ -292,11 +292,7 @@ func (s *Server) newJob(req JobRequest, notify context.Context) (*job, *apiError
 		return nil, aerr
 	}
 	ctx, cancel := context.WithTimeout(s.baseCtx, s.cfg.JobTimeout)
-	if notify != nil {
-		stop := context.AfterFunc(notify, cancel)
-		_ = stop // the job's own cancel (via finish) releases the AfterFunc's work
-	}
-	return &job{
+	j := &job{
 		id:       s.newJobID(),
 		req:      req,
 		t:        t,
@@ -304,7 +300,12 @@ func (s *Server) newJob(req JobRequest, notify context.Context) (*job, *apiError
 		cancel:   cancel,
 		deadline: time.Now().Add(s.cfg.JobTimeout),
 		done:     make(chan struct{}),
-	}, nil
+	}
+	if notify != nil {
+		// Registered on notify until the job's release takes it off.
+		j.stopNotify = context.AfterFunc(notify, cancel)
+	}
+	return j, nil
 }
 
 // maxRequestBytes bounds a job request's body. A JobRequest is a dozen
@@ -350,7 +351,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if aerr := s.admit(j); aerr != nil {
-		j.cancel()
+		j.release()
 		aerr.write(w)
 		return
 	}
@@ -377,7 +378,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.asyncMu.Lock()
 	if len(s.asyncJobs) >= s.cfg.AsyncCap {
 		s.asyncMu.Unlock()
-		j.cancel()
+		j.release()
 		s.met.rejAsyncFull.Add(1)
 		(&apiError{
 			code:       http.StatusTooManyRequests,
@@ -392,7 +393,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		s.asyncMu.Lock()
 		delete(s.asyncJobs, j.id)
 		s.asyncMu.Unlock()
-		j.cancel()
+		j.release()
 		aerr.write(w)
 		return
 	}

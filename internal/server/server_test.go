@@ -327,6 +327,169 @@ func TestTenantCapConcurrent(t *testing.T) {
 	}
 }
 
+// notifyCtx stands in for a request's context and keeps its own
+// registrations: context.AfterFunc schedules through a context's
+// AfterFunc method when it has one, so a test can count what is still
+// registered and run it by hand.
+type notifyCtx struct {
+	context.Context
+	done  chan struct{}
+	mu    sync.Mutex
+	err   error
+	funcs map[int]func()
+	next  int
+}
+
+func newNotifyCtx() *notifyCtx {
+	return &notifyCtx{Context: context.Background(), done: make(chan struct{}), funcs: map[int]func(){}}
+}
+
+func (c *notifyCtx) Done() <-chan struct{} { return c.done }
+
+func (c *notifyCtx) Err() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.err
+}
+
+func (c *notifyCtx) AfterFunc(f func()) (stop func() bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	id := c.next
+	c.next++
+	c.funcs[id] = f
+	return func() bool {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		_, registered := c.funcs[id]
+		delete(c.funcs, id)
+		return registered
+	}
+}
+
+// cancel ends the context the way net/http ends a request's when its
+// handler returns, and reports how many registered functions that ran.
+func (c *notifyCtx) cancel() int {
+	c.mu.Lock()
+	c.err = context.Canceled
+	close(c.done)
+	funcs := c.funcs
+	c.funcs = nil
+	c.mu.Unlock()
+	for _, f := range funcs {
+		f()
+	}
+	return len(funcs)
+}
+
+// TestFinishedJobLeavesRequestContext: a synchronous job cancels with
+// its request while it is live, and takes that registration off the
+// request's context when it finishes (or is refused admission). Left
+// there, the end of every request would start a goroutine to cancel a
+// context finish had already cancelled.
+func TestFinishedJobLeavesRequestContext(t *testing.T) {
+	s := newTestServer(t, testConfig())
+	req := JobRequest{Tenant: "t", Kernel: "sumlist", Size: 100}
+
+	// The premise: a live job goes with its client.
+	notify := newNotifyCtx()
+	live, aerr := s.newJob(req, notify)
+	if aerr != nil {
+		t.Fatalf("newJob: %v", aerr.msg)
+	}
+	if ran := notify.cancel(); ran != 1 {
+		t.Fatalf("%d functions registered on the request's context of a live job, want 1", ran)
+	}
+	select {
+	case <-live.ctx.Done():
+	case <-time.After(5 * time.Second):
+		t.Fatal("the request's cancellation did not reach the live job")
+	}
+	live.release()
+
+	for name, settle := range map[string]func(*job){
+		"finished": func(j *job) { j.finish(nil, nil) },
+		"refused":  (*job).release,
+	} {
+		notify := newNotifyCtx()
+		j, aerr := s.newJob(req, notify)
+		if aerr != nil {
+			t.Fatalf("newJob: %v", aerr.msg)
+		}
+		settle(j)
+		if j.ctx.Err() == nil {
+			t.Fatalf("%s job: its context is still live", name)
+		}
+		if ran := notify.cancel(); ran != 0 {
+			t.Fatalf("%s job: the end of the request ran %d function(s) it had left registered", name, ran)
+		}
+	}
+}
+
+// TestQueuedSyncJobCancelledByClient: a client that goes away while its
+// synchronous job waits in the queue gets no run: the job settles 499
+// once a dispatcher reaches it, and the books balance.
+func TestQueuedSyncJobCancelledByClient(t *testing.T) {
+	cfg := testConfig()
+	cfg.Dispatchers = 1
+	cfg.testGate = make(chan struct{})
+	s := newTestServer(t, cfg)
+	openGate := sync.OnceFunc(func() { close(cfg.testGate) })
+	defer openGate() // also on a failed wait, so the server's Close can drain
+	h := s.Handler()
+
+	// An async job occupies the (gated) dispatcher, so the next one queues.
+	if w := do(h, "POST", "/v1/submit", JobRequest{Tenant: "t", Kernel: "sumlist", Size: 100}); w.Code != http.StatusAccepted {
+		t.Fatalf("submit: status %d", w.Code)
+	}
+	waitFor(t, "dispatcher pickup", func() bool { return len(s.queue) == 0 })
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	answered := make(chan *httptest.ResponseRecorder, 1)
+	go func() {
+		body, _ := json.Marshal(JobRequest{Tenant: "t", Kernel: "sumlist", Size: 100})
+		r := httptest.NewRequest("POST", "/v1/run", strings.NewReader(string(body))).WithContext(ctx)
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, r)
+		answered <- w
+	}()
+	waitFor(t, "the sync job to queue", func() bool { return len(s.queue) == 1 })
+
+	cancel()
+	waitFor(t, "the cancellation to reach the queued job", func() bool {
+		s.watchMu.Lock()
+		defer s.watchMu.Unlock()
+		for j := range s.inflightJobs {
+			if j.ctx.Err() != nil {
+				return true
+			}
+		}
+		return false
+	})
+	openGate()
+
+	w := <-answered
+	if w.Code != statusClientClosedRequest {
+		t.Fatalf("status %d, want %d (%s)", w.Code, statusClientClosedRequest, w.Body.String())
+	}
+	waitFor(t, "both jobs to settle", func() bool { return s.met.jobsOK.Load()+s.met.jobsFailed.Load() == 2 })
+	if adm, ok, failed := s.met.admitted.Load(), s.met.jobsOK.Load(), s.met.jobsFailed.Load(); adm != 2 || ok != 1 || failed != 1 {
+		t.Fatalf("admitted %d, ok %d, failed %d; want 2, 1, 1", adm, ok, failed)
+	}
+	tn, _ := s.tenantFor("t")
+	waitFor(t, "inflight to drop", func() bool {
+		tn.mu.Lock()
+		defer tn.mu.Unlock()
+		return tn.inflight == 0
+	})
+	waitFor(t, "the watchdog to forget both", func() bool {
+		s.watchMu.Lock()
+		defer s.watchMu.Unlock()
+		return len(s.inflightJobs) == 0
+	})
+}
+
 // TestDrain is the graceful-shutdown contract: draining finishes
 // admitted jobs, rejects new ones with 503, flips /healthz, and leaves
 // the async results fetchable.
@@ -722,6 +885,41 @@ func TestInstanceLRUEviction(t *testing.T) {
 	tn.mu.Unlock()
 	if n > 2 {
 		t.Fatalf("instance table %d entries, want <= MaxInstances 2", n)
+	}
+}
+
+// TestInstanceLookupHitInPlace: finding a present instance formats no
+// key and builds no slice (it runs once per job), and the hit still
+// moves to the back of the LRU, so the next eviction takes the instance
+// that has gone unused longest.
+func TestInstanceLookupHitInPlace(t *testing.T) {
+	cfg := testConfig()
+	cfg.MaxInstances = 3
+	s := newTestServer(t, cfg)
+	tn, _ := s.tenantFor("t")
+	req := func(seed int64) *JobRequest {
+		return &JobRequest{Tenant: "t", Kernel: "sumlist", Size: 50, Seed: seed}
+	}
+	for seed := int64(1); seed <= 3; seed++ {
+		if _, evicted := tn.lookupOrCreate(s, req(seed)); evicted != nil {
+			t.Fatalf("seed %d evicted %v below MaxInstances", seed, evicted.key)
+		}
+	}
+	hit := req(1)
+	if allocs := testing.AllocsPerRun(100, func() { tn.lookupOrCreate(s, hit) }); allocs != 0 {
+		t.Errorf("a lookup of a present instance allocates %v times, want 0", allocs)
+	}
+	tn.lookupOrCreate(s, req(2)) // oldest first: 3, 1, 2
+	_, evicted := tn.lookupOrCreate(s, req(4))
+	if evicted == nil || evicted.key != req(3).instanceKey() {
+		t.Fatalf("a fourth instance evicted %+v, want seed 3's", evicted)
+	}
+	var order []int64
+	for _, k := range tn.lru {
+		order = append(order, k.seed)
+	}
+	if !slices.Equal(order, []int64{1, 2, 4}) {
+		t.Fatalf("LRU order (oldest first) %v, want [1 2 4]", order)
 	}
 }
 

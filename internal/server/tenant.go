@@ -38,8 +38,8 @@ type tenant struct {
 	inflight int // admitted jobs not yet finished
 	// insts holds the tenant's structure instances keyed by
 	// (kernel,size,seed,churn), with LRU eviction at cfg.MaxInstances.
-	insts map[string]*instance
-	lru   []string // oldest first
+	insts map[instanceKey]*instance
+	lru   []instanceKey // oldest first
 
 	// agg accumulates the tenant's lifetime Stats counters (for
 	// /metrics); win accumulates the current allocator window's deltas.
@@ -65,7 +65,7 @@ type tenant struct {
 // take tenant.mu (record), never the reverse.
 type instance struct {
 	mu    sync.Mutex
-	key   string
+	key   instanceKey
 	inst  *native.Instance
 	sess  *spice.Session[*native.Node, int64]
 	width int
@@ -128,7 +128,7 @@ func (s *Server) tenantFor(name string) (*tenant, *apiError) {
 	// ceiling for width, a hit-rate estimate well above any sensible
 	// StarveScore — so it gets width to prove itself, and the first
 	// windows of evidence demote the misspeculators.
-	t := &tenant{name: name, insts: make(map[string]*instance), score: initialScore}
+	t := &tenant{name: name, insts: make(map[instanceKey]*instance), score: initialScore}
 	t.budget.Store(int64(s.cfg.MaxWidth))
 	s.tenants[name] = t
 	return t, nil
@@ -165,10 +165,11 @@ func (t *tenant) lookupOrCreate(s *Server, req *JobRequest) (inst, evicted *inst
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if inst, ok := t.insts[key]; ok {
-		// Refresh LRU position.
+		// Refresh LRU position: rotate the hit to the back, in place.
 		for i, k := range t.lru {
 			if k == key {
-				t.lru = append(append(t.lru[:i:i], t.lru[i+1:]...), key)
+				copy(t.lru[i:], t.lru[i+1:])
+				t.lru[len(t.lru)-1] = key
 				break
 			}
 		}

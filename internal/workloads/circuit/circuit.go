@@ -284,8 +284,10 @@ func (c *Circuit) loop() spice.Loop[*Device, int64] {
 	}
 }
 
-// stamp is one device of the speculative sweep, shared by the loop's
-// SpecBody and its block form.
+// stamp is one device of the speculative sweep in its closure form (the
+// loop's SpecBody): evaluate, then fold the six guarded stamps through
+// Reduce. It is the reference sweepScan is held to
+// (TestSweepScanDifferential).
 func (d *Device) stamp(v *spice.CellView) {
 	g, i := d.eval(*d.va, *d.vb)
 	if d.rAA >= 0 {
@@ -308,11 +310,36 @@ func (d *Device) stamp(v *spice.CellView) {
 	}
 }
 
-// sweepScan is the sweep's block form (spice.Loop.Scan).
+// sweepScan is the sweep's block form (spice.Loop.Scan): the devices of
+// stamp, stamped straight into the view's private accumulators, which it
+// asks for once per block. Every reduction of the sweep is a ReduceSum,
+// so each fold is an add, and with the slice in a local the compiler
+// keeps its header across the stores as it does sweepSeq's acc; through
+// Reduce it reloaded the header and repeated the range check after every
+// one.
 func sweepScan(d *Device, acc int64, v *spice.CellView, stop *Device, max int64) (*Device, int64, int64) {
+	a := v.Accumulators()
 	var k int64
 	for ; k < max && d != nil && d != stop; k++ {
-		d.stamp(v)
+		g, i := d.eval(*d.va, *d.vb)
+		if d.rAA >= 0 {
+			a[d.rAA] += g
+		}
+		if d.rBB >= 0 {
+			a[d.rBB] += g
+		}
+		if d.rAB >= 0 {
+			a[d.rAB] -= g
+		}
+		if d.rBA >= 0 {
+			a[d.rBA] -= g
+		}
+		if d.rA >= 0 {
+			a[d.rA] += i
+		}
+		if d.rB >= 0 {
+			a[d.rB] -= i
+		}
 		d = d.next
 	}
 	return d, acc + k, k

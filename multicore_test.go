@@ -433,21 +433,29 @@ func TestSpeculativeChunkPanicWhileInvokerParked(t *testing.T) {
 // each other beyond a bounded factor of their solo speed. The striped
 // submitter handles give each runner its own home shard, so contended
 // dispatch degrades by queue sharing and timeslicing — not by a
-// collapsed single queue. Wall-clock bound, so it skips under the race
-// detector and -short.
+// collapsed single queue. The bound is wall-clock, so it is asserted
+// only in a plain build: the race detector and -covermode=atomic (every
+// statement an atomic add; the coverage gate saw the bound fail one run
+// in five to ten) both put their own cost on every access, and the ratio
+// then measures the instrumentation. What holds in every mode is
+// asserted in every mode: each contended invocation returns the
+// sequential result, and the executor's load gauge is back at zero.
 func TestSharedExecutorContentionBounded(t *testing.T) {
-	if raceEnabled {
-		t.Skip("wall-clock bound is meaningless under race instrumentation")
-	}
 	if testing.Short() {
 		t.Skip("timing test")
 	}
+	timed := !raceEnabled && testing.CoverMode() == ""
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 
 	e := NewExecutor(2)
 	defer e.Close()
 	const size, invocations, reps = 20_000, 20, 3
-	mk := func(seed int64) (*Runner[*node, sumAcc], *testList) {
+	type side struct {
+		r    *Runner[*node, sumAcc]
+		head *node
+		want sumAcc
+	}
+	mk := func(seed int64) side {
 		l := newTestList(size, seed)
 		r, err := NewRunner(xorLoop(), Config{Threads: 2, Executor: e})
 		if err != nil {
@@ -456,47 +464,51 @@ func TestSharedExecutorContentionBounded(t *testing.T) {
 		for i := 0; i < 3; i++ {
 			r.MustRun(l.head) // warm memoization and runner state
 		}
-		return r, l
+		return side{r, l.head, sequential(xorLoop(), l.head)}
 	}
-	ra, la := mk(51)
-	defer ra.Close()
-	rb, lb := mk(52)
-	defer rb.Close()
+	a, b := mk(51), mk(52)
+	defer a.r.Close()
+	defer b.r.Close()
 
-	drive := func(r *Runner[*node, sumAcc], head *node) time.Duration {
+	drive := func(s side) time.Duration {
 		start := time.Now()
 		for i := 0; i < invocations; i++ {
-			r.MustRun(head)
+			if got := s.r.MustRun(s.head); got != s.want {
+				t.Errorf("invocation %d: got %+v, want %+v", i, got, s.want)
+			}
 		}
 		return time.Since(start)
 	}
 	minOf := func(f func() time.Duration) time.Duration {
 		best := f()
 		for i := 1; i < reps; i++ {
-			if d := f(); d < best {
-				best = d
-			}
+			best = min(best, f())
 		}
 		return best
 	}
 
-	soloA := minOf(func() time.Duration { return drive(ra, la.head) })
-	soloB := minOf(func() time.Duration { return drive(rb, lb.head) })
+	soloA := minOf(func() time.Duration { return drive(a) })
+	soloB := minOf(func() time.Duration { return drive(b) })
 
 	contA, contB := time.Duration(1<<62), time.Duration(1<<62)
 	for i := 0; i < reps; i++ {
-		var a, b time.Duration
+		var da, db time.Duration
 		var wg sync.WaitGroup
 		wg.Add(2)
-		go func() { defer wg.Done(); a = drive(ra, la.head) }()
-		go func() { defer wg.Done(); b = drive(rb, lb.head) }()
+		go func() { defer wg.Done(); da = drive(a) }()
+		go func() { defer wg.Done(); db = drive(b) }()
 		wg.Wait()
-		if a < contA {
-			contA = a
-		}
-		if b < contB {
-			contB = b
-		}
+		contA, contB = min(contA, da), min(contB, db)
+	}
+
+	// Every entry the runners queued was received and counted off (a
+	// worker counts it off after running it, which may trail the join).
+	for e.load.Load() != 0 {
+		runtime.Gosched()
+	}
+	if !timed {
+		t.Logf("instrumented build, bound not asserted: A %v solo, %v contended; B %v solo, %v contended", soloA, contA, soloB, contB)
+		return
 	}
 
 	// Two invokers timeshare the available processors, so a factor ~2

@@ -14,6 +14,21 @@
 # the summary gives, per end-to-end metric, each side's median and
 # quartiles, the pairs the change won, and a verdict against the
 # metric's bound.
+#
+# The bound is the rule for a metric nobody claimed. A claimed gain is
+# held to a stricter one, and CLAIM names the metric to hold to it:
+#
+#   CLAIM=w1_overhead scripts/pairs.sh circuit_transient 10
+#
+# adds one line per workload for that metric: the pairs the change won
+# (it needs nine tenths of all pairs run, ties counting for neither
+# side), both medians, the distance between the parent's quartiles, and
+# "claim met" only when it won that many and the medians differ, in the
+# better direction, by more than that distance.
+#
+# BASE=HEAD on a clean tree runs one tree under two labels: the A/A
+# floor, what each metric's spread and win count read under no change
+# on this host today.
 set -euo pipefail
 
 workloads=${1:?usage: scripts/pairs.sh WORKLOAD[,WORKLOAD...] [PAIRS=10] [BASE=HEAD~1]}
@@ -23,6 +38,11 @@ base=${3:-HEAD~1}
 root=$(git rev-parse --show-toplevel)
 cd "$root"
 seconds=${PAIRS_SECONDS:-$(python3 -c 'import json; print(json.load(open("BENCHMARK.json"))["run_seconds"])')}
+claim=${CLAIM:-}
+if [[ -n $claim ]] && ! python3 -c 'import json, sys; sys.exit(sys.argv[1] not in [m["name"] for m in json.load(open("BENCHMARK.json"))["end_to_end"]])' "$claim"; then
+	echo "CLAIM=$claim is not an end-to-end metric of BENCHMARK.json" >&2
+	exit 2
+fi
 rev=$(git rev-parse --short "$base")
 basedir="$root/.bench_build/pairs_base"
 rm -rf "$basedir"
@@ -39,7 +59,7 @@ one() {
 
 # summarize RUNS: both sides' medians and quartiles per end-to-end metric.
 summarize() {
-	python3 - "$1" <<'PY'
+	python3 - "$1" "$claim" <<'PY'
 import json, sys
 
 def quartiles(xs):
@@ -77,6 +97,14 @@ for m in json.load(open("BENCHMARK.json"))["end_to_end"]:
         verdict = "within the bound"
     print(f"{name:16s} base {b2:.4f} ({b1:.4f}-{b3:.4f})  change {c2:.4f} ({c1:.4f}-{c3:.4f})"
           f"  change better in {wins}/{len(b)}, worse in {losses}  median {rel:+.1%} (bound {bound:.0%}): {verdict}")
+    if name == sys.argv[2]:
+        need = -(-9 * len(b) // 10)
+        gain = b2 - c2 if lower else c2 - b2
+        met = wins >= need and gain > b3 - b1
+        print(f"claim {name}: change won {wins}/{len(b)} pairs (needs {need}; {len(b) - wins - losses} tied),"
+              f" medians {b2:.4f} -> {c2:.4f} ({'lower' if lower else 'higher'} is better),"
+              f" base interquartile distance {b3 - b1:.4f}, medians apart by {gain:+.4f} in the better direction:"
+              f" {'claim met' if met else 'claim NOT met'}")
 PY
 }
 

@@ -114,8 +114,11 @@ type Loop[S comparable, A any] struct {
 	//	iterations have run, s is not Done and s != stop; return the
 	//	state reached, the accumulator and the number of iterations run.
 	//
-	// v is the chunk's CellView (nil for a loop with Body). stop is the
-	// successor chunk's predicted start, or the zero S when the block
+	// v is the chunk's CellView (nil for a loop with Body); a block that
+	// updates reductions may hoist v.Accumulators() ahead of its loop and
+	// fold into the slice, with each reduction's declared operator, where
+	// SpecBody calls v.Reduce (the slice is good for this call). stop is
+	// the successor chunk's predicted start, or the zero S when the block
 	// hunts nothing; a Scan that stops on a live state equal to a zero
 	// stop is resumed by the runtime, which runs that one iteration
 	// through Body/Next. Scan requires Body or SpecBody — they stay the
@@ -131,9 +134,12 @@ type Loop[S comparable, A any] struct {
 	// ctxPollEvery iterations short — and not to the iteration.
 	//
 	// Write the per-element work once, as a named function that both
-	// Body and Scan call (see README "Block form"). Worth setting when
-	// the body is a few nanoseconds and the structure is cache-resident;
-	// a body ≫ 10 ns or a memory-bound traversal hides the three calls.
+	// Body and Scan call (see README "Block form"); a block that folds
+	// through Accumulators differs from its SpecBody in those folds, and
+	// a differential test of the two forms holds them together. Worth
+	// setting when the body is a few nanoseconds and the structure is
+	// cache-resident; a body ≫ 10 ns or a memory-bound traversal hides
+	// the three calls.
 	Scan func(s S, acc A, v *CellView, stop S, n int64) (S, A, int64)
 	// Init returns the identity accumulator a fresh chunk starts from.
 	Init func() A
@@ -147,8 +153,9 @@ type Loop[S comparable, A any] struct {
 	// spec-bodied Run without a bound store fails with ErrNoCells.
 	Cells *Cells
 	// Reductions declares the reduction accumulators (cells updated only
-	// through CellView.Reduce, privatized per chunk, merged in sequential
-	// chunk order at commit). Requires a spec body.
+	// through CellView.Reduce or, from Scan, CellView.Accumulators;
+	// privatized per chunk, merged in sequential chunk order at commit).
+	// Requires a spec body.
 	Reductions []Reduction
 }
 
