@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -495,4 +496,126 @@ func TestMustRunPanicsOnError(t *testing.T) {
 		}
 	}()
 	r.MustRun(l.head)
+}
+
+// TestFailingRoundOfOneIsExact: an invocation that runs on its caller
+// alone — a width-1 runner, or a batch item shed for being short — and
+// fails (a body error, a contained panic, a cancellation seen at the
+// first poll) leaves the cell store with exactly the updates up to the
+// failure, charges its partial work to SquashedIters as a failing chunk
+// 0 always did and nothing to TotalIters, and the next invocation on the
+// same runner is exact.
+func TestFailingRoundOfOneIsExact(t *testing.T) {
+	const size, failAt = 1500, 40 // under 2 × ctxPollEvery: every width-2 batch item sheds
+	errBoom := errors.New("boom")
+	for _, door := range []string{"width1", "shed"} {
+		for _, exit := range []string{"error", "panic", "cancel"} {
+			t.Run(door+"/"+exit, func(t *testing.T) {
+				_, nodes, cells, shadow := buildDoacross(rand.New(rand.NewSource(9)), size, "none")
+				var armed bool
+				var cancel context.CancelFunc
+				loop := Loop[*dcnode, int64]{
+					Done: func(n *dcnode) bool { return n == nil },
+					Next: func(n *dcnode) *dcnode { return n.next },
+					SpecBodyErr: func(n *dcnode, a int64, v *CellView) (int64, error) {
+						v.Reduce(0, n.w)
+						if armed && n == nodes[failAt] {
+							switch exit {
+							case "error":
+								return a, errBoom
+							case "panic":
+								panic("round of one")
+							case "cancel":
+								cancel()
+							}
+						}
+						v.Store(n.dst, v.Load(n.src)+n.w)
+						return a + n.w, nil
+					},
+					Init:       func() int64 { return 0 },
+					Merge:      func(a, b int64) int64 { return a + b },
+					Cells:      cells,
+					Reductions: []Reduction{{Cell: 0, Kind: ReduceSum}},
+				}
+				threads := map[string]int{"width1": 1, "shed": 2}[door]
+				r, err := NewRunner(loop, Config{Threads: threads})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer r.Close()
+				run := func(ctx context.Context) (int64, error) {
+					if door == "width1" {
+						return r.Run(ctx, nodes[0])
+					}
+					out, err := r.runBatch(ctx, []*dcnode{nodes[0]})
+					if err != nil {
+						return 0, err
+					}
+					return out[0], nil
+				}
+				// model applies iterations [0, upTo) whole, and the reduction
+				// of iteration upTo when the body failed inside it.
+				model := func(upTo int, partial bool) (acc int64) {
+					for _, n := range nodes[:upTo] {
+						shadow[0] += n.w
+						shadow[n.dst] = shadow[n.src] + n.w
+						acc += n.w
+					}
+					if partial {
+						shadow[0] += nodes[upTo].w
+					}
+					return acc
+				}
+				clean := func(tag string) {
+					t.Helper()
+					want := model(size, false)
+					if got, err := run(context.Background()); err != nil || got != want {
+						t.Fatalf("%s: acc %d err %v, want %d", tag, got, err, want)
+					}
+					assertCellsEqual(t, tag, cells, shadow)
+				}
+				clean("warm-up 0")
+				clean("warm-up 1")
+
+				before := r.Stats()
+				ctx, cancelFn := context.WithCancel(context.Background())
+				cancel = cancelFn
+				defer cancelFn()
+				armed = true
+				_, rerr := run(ctx)
+				armed = false
+				wantIters := int64(failAt + 1) // the failing iteration started
+				var pe *PanicError
+				switch exit {
+				case "error":
+					model(failAt, true)
+					if !errors.Is(rerr, errBoom) {
+						t.Fatalf("err = %v, want %v", rerr, errBoom)
+					}
+				case "panic":
+					model(failAt, true)
+					if !errors.As(rerr, &pe) {
+						t.Fatalf("err = %v, want *PanicError", rerr)
+					}
+				case "cancel":
+					// Seen at the poll ahead of iteration ctxPollEvery-1.
+					wantIters = ctxPollEvery - 1
+					model(ctxPollEvery-1, false)
+					if !errors.Is(rerr, context.Canceled) {
+						t.Fatalf("err = %v, want context.Canceled", rerr)
+					}
+				}
+				assertCellsEqual(t, "after the failing invocation", cells, shadow)
+				d := r.Stats().Delta(before)
+				if d.Invocations != 1 || d.SquashedIters != wantIters || d.TotalIters != 0 {
+					t.Fatalf("failing invocation: Invocations %d SquashedIters %d TotalIters %d; want 1, %d, 0",
+						d.Invocations, d.SquashedIters, d.TotalIters, wantIters)
+				}
+				clean("after " + exit)
+				if st := r.Stats(); door == "shed" && st.BatchSheds != st.Invocations {
+					t.Fatalf("%d of %d batch items shed; the test means all of them", st.BatchSheds, st.Invocations)
+				}
+			})
+		}
+	}
 }

@@ -157,6 +157,81 @@ func BenchmarkNativeRunner(b *testing.B) {
 	}
 }
 
+// BenchmarkInvocationFloor is what an invocation costs before its first
+// iteration: an 8-node list, so the op is the fixed path of
+// runInvocation and scheduler.run for a round of one (arming, one latch
+// add and done, the abort store, publish, release). t1 is Run on a
+// width-1 runner, gated at 0 allocs/op; t2_shed is a 64-start
+// Session.RunBatch on a width-2 pool, every item shed for being short
+// (ns/inv is the per-invocation figure; the op allocates its result
+// slice, so the row is not gated). The number to re-read whenever that
+// fixed path changes.
+func BenchmarkInvocationFloor(b *testing.B) {
+	type nd struct {
+		w    int64
+		next *nd
+	}
+	var head *nd
+	for i := 0; i < 8; i++ {
+		head = &nd{w: int64(i), next: head}
+	}
+	loop := Loop[*nd, int64]{
+		Done:  func(n *nd) bool { return n == nil },
+		Next:  func(n *nd) *nd { return n.next },
+		Body:  func(n *nd, a int64) int64 { return a + n.w },
+		Init:  func() int64 { return 0 },
+		Merge: func(a, c int64) int64 { return a + c },
+	}
+	ctx := context.Background()
+	b.Run("t1", func(b *testing.B) {
+		r, err := NewRunner(loop, Config{Threads: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer r.Close()
+		r.MustRun(head)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := r.Run(ctx, head); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("t2_shed", func(b *testing.B) {
+		const batchLen = 64
+		p, err := NewPool(loop, PoolConfig{Config: Config{Threads: 2}})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer p.Close()
+		sess, err := p.Session()
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer sess.Close()
+		starts := make([]*nd, batchLen)
+		for i := range starts {
+			starts[i] = head
+		}
+		if _, err := sess.RunBatch(ctx, starts); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := sess.RunBatch(ctx, starts); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batchLen), "ns/inv")
+		if st := sess.Stats(); st.BatchSheds != st.Invocations {
+			b.Fatalf("%d of %d invocations shed", st.BatchSheds, st.Invocations)
+		}
+	})
+}
+
 // BenchmarkIterationOverhead isolates the runtime's per-iteration
 // software overhead — the quantity the block-structured hot loop
 // exists to minimize. One stable 100k-node list, fully predictable, is

@@ -2,10 +2,10 @@ package spice
 
 import "fmt"
 
-// This file is the block-structured iteration hot path shared by every
-// execution mode of the native runtime: parallel chunks (chunkJob.exec),
-// the sequential fallback (Runner.runSequential), and parallel squash
-// recovery (which dispatches through chunkJob.exec). The drivers cut a
+// This file is the block-structured iteration hot path behind the one
+// chunk driver of the native runtime (chunkJob.exec): speculative
+// chunks, chunk 0, later rounds, and the round of one that is the
+// sequential path. The driver cuts a
 // traversal into bounded blocks — each block ends at the nearest pending
 // event: the next context-poll point, the next memoization-plan
 // threshold, the speculative iteration cap, or a positional-validation
@@ -23,7 +23,7 @@ import "fmt"
 // goes to the caller's own compiled loop, and the driver's block
 // structure around it is unchanged. Whether a block hunts its
 // successor's predicted start (membership validation — the common case)
-// or not (the chain's last chunk, the sequential path, and
+// or not (the chain's last chunk, a round of one, and
 // positional-validation chunks, whose single peek fires on a block
 // boundary) is an argument, not a second copy of the loop: the match
 // test is `s == stop && hunt`, so a hunting block pays the state compare
@@ -191,7 +191,7 @@ func blockSpecBodyErr[S comparable, A any](done func(S) bool, next func(S) S, bo
 // blockScan is the block routine of a loop that sets Loop.Scan: the
 // caller's compiled loop runs the iterations, this adapter contains it
 // (recover → *PanicError, contract checks → ErrBadScan) and classifies
-// its stop the way the closure loops above do, so the drivers treat both
+// its stop the way the closure loops above do, so the driver treats both
 // alike. A hunting block hands Scan the successor's predicted start;
 // every other block hands it the zero S whatever the driver passed, and
 // if Scan then stops on a live state that happens to equal it, that one

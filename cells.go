@@ -46,11 +46,11 @@ import "math/bits"
 // declares reduction cells with their kinds, the body updates them only
 // through CellView.Reduce (or, in a block form, by folding into the
 // slice CellView.Accumulators hands it once per block), and every view —
-// the sequential path's direct view included — privatizes the
+// the direct view of a round of one included — privatizes the
 // accumulator starting from the kind's identity. The scheduler folds a
 // chunk's private accumulators into the store cells in sequential chunk
-// order once the round's copies have landed; runSequential folds the
-// direct view's when it exits, on every exit path. Reduce is therefore
+// order once the round's copies have landed, a failing chunk's partial
+// ones behind the prefix. Reduce is therefore
 // one operation in both modes, small enough to inline into the body
 // (TestCellAccessorsInline holds it there). Every supported kind is
 // associative and commutative on int64 under wraparound, so folding
@@ -211,9 +211,9 @@ type CellView struct {
 	// words is the bound store's cells, cached at every arm: an access
 	// reads the slice header here instead of chasing the store pointer.
 	words []int64
-	// direct marks the sequential execution mode (Runner.runSequential
-	// and width-1 fallbacks): loads and stores pass straight through to
-	// the store — the reference semantics the speculative mode must
+	// direct marks the view of a round of one (scheduler.dispatchRound:
+	// the only chunk running): loads and stores pass straight through to
+	// the store — the reference semantics the buffered mode must
 	// reproduce exactly. Reductions are privatized in this mode too.
 	direct bool
 	red    []Reduction
@@ -280,9 +280,12 @@ func (v *CellView) begin(c *Cells, red []Reduction) {
 	v.armReductions()
 }
 
-// beginDirect arms the view for sequential (non-speculative) execution:
-// loads and stores go straight to the store; reductions accumulate
-// privately until the caller's commit.
+// beginDirect arms the view for a round of one: loads and stores go
+// straight to the store; reductions accumulate privately until the
+// scheduler's fold. The bitmap is left as the last buffered arm set it
+// (the next begin clears it), which is why validate and copyOut must
+// skip a direct view: read as this arm's write-set it would land that
+// arm's stale values over what the chunk just stored.
 func (v *CellView) beginDirect(c *Cells, red []Reduction) {
 	v.words = c.words
 	v.red = red
@@ -398,8 +401,9 @@ func (v *CellView) reduceKind(r int, x int64) {
 // A buffered chunk retires in three steps, which the scheduler orders
 // (scheduler.run validates during the chain walk; landCells copies out
 // and folds once the walk knows the committed prefix). All three run
-// after the round has joined. A direct view has no buffer: only fold
-// applies to it.
+// after the round has joined. A direct view has nothing buffered and
+// nobody to conflict with: validate and copyOut return at once (see
+// beginDirect), only fold applies to it.
 
 // validate checks the chunks behind this one: the write word of every
 // block the chunk wrote is ANDed against the same block's read word in
@@ -422,6 +426,9 @@ func (v *CellView) reduceKind(r int, x int64) {
 // scoping conflicts need: what an earlier round committed was in the
 // store before these chunks started.
 func (v *CellView) validate(later []CellView) (end int, wrote, shared bool) {
+	if v.direct {
+		return len(later), false, false
+	}
 	for b := range v.bits {
 		w := v.bits[b].w
 		if w == 0 {
@@ -445,6 +452,9 @@ func (v *CellView) validate(later []CellView) (end int, wrote, shared bool) {
 // no cell the chunk did not store to, which is what lets the copies of
 // views that share no written cell run side by side.
 func (v *CellView) copyOut() {
+	if v.direct {
+		return
+	}
 	words := v.words
 	for b := range v.bits {
 		w := v.bits[b].w
@@ -465,8 +475,7 @@ func (v *CellView) copyOut() {
 
 // fold merges the private reduction accumulators into their cells. The
 // scheduler folds the committed views in chain order — the
-// sequential-chunk-order merge — and runSequential folds the direct
-// view on every exit.
+// sequential-chunk-order merge — and a failing chunk's view behind them.
 func (v *CellView) fold() {
 	for j, rd := range v.red {
 		v.words[rd.Cell] = rd.Kind.fold(v.words[rd.Cell], v.racc[j])

@@ -28,6 +28,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"os"
@@ -169,6 +170,17 @@ func percentile(sorted []time.Duration, p float64) time.Duration {
 	return sorted[i]
 }
 
+// arrivalInterval is the open loop's tick for a rate in jobs/second. A
+// rate that is not a positive finite number is refused: dividing by it
+// gives no schedule (0 used to become a 1 µs ticker, ~99 000 arrivals/s).
+// A rate beyond the clock's resolution ticks every nanosecond.
+func arrivalInterval(rate float64) (time.Duration, error) {
+	if !(rate > 0) || math.IsInf(rate, 1) {
+		return 0, fmt.Errorf("-rate %v: want a positive, finite number of jobs/second", rate)
+	}
+	return max(time.Duration(float64(time.Second)/rate), 1), nil
+}
+
 func main() {
 	var (
 		url         = flag.String("url", "http://localhost:8080", "spiced base URL")
@@ -190,6 +202,11 @@ func main() {
 		fmt.Fprintf(os.Stderr, "spiceload: %v\n", err)
 		os.Exit(2)
 	}
+	interval, err := arrivalInterval(*rate)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "spiceload: %v\n", err)
+		os.Exit(2)
+	}
 	totalWeight := 0
 	for _, sp := range specs {
 		totalWeight += sp.weight
@@ -201,10 +218,6 @@ func main() {
 	slots := make(chan struct{}, *maxInflight)
 	var wg sync.WaitGroup
 
-	interval := time.Duration(float64(time.Second) / *rate)
-	if interval <= 0 {
-		interval = time.Microsecond
-	}
 	tick := time.NewTicker(interval)
 	defer tick.Stop()
 	deadline := time.After(*duration)

@@ -1,0 +1,29 @@
+package main
+
+import (
+	"math"
+	"testing"
+	"time"
+)
+
+func TestArrivalInterval(t *testing.T) {
+	for _, tc := range []struct {
+		rate float64
+		want time.Duration // 0: refused
+	}{
+		{20, 50 * time.Millisecond},
+		{0.5, 2 * time.Second},
+		{1e6, time.Microsecond},
+		{3e9, time.Nanosecond}, // under the clock's resolution: the finest tick
+		{0, 0},
+		{-5, 0},
+		{math.NaN(), 0},
+		{math.Inf(1), 0},
+		{math.Inf(-1), 0},
+	} {
+		got, err := arrivalInterval(tc.rate)
+		if (err != nil) != (tc.want == 0) || got != tc.want {
+			t.Errorf("arrivalInterval(%v) = %v, %v; want %v (0: an error)", tc.rate, got, err, tc.want)
+		}
+	}
+}

@@ -364,3 +364,56 @@ func TestCopyOutPartialOnError(t *testing.T) {
 		}
 	}
 }
+
+// TestTailRoundOfOneRunsDirect: behind a capped last chunk no row is
+// left ahead, so the invocation's last round is slot 0 alone, on a
+// direct view — the same view a buffered round armed a moment earlier,
+// its bitmap still naming every cell ("blocks": every chunk stores to
+// all 200) with that round's values beside it. validate and copyOut
+// must pass a direct view by: by hand first, then over whole
+// invocations, where after every op the accumulator and every cell
+// equal the plain loop's.
+func TestTailRoundOfOneRunsDirect(t *testing.T) {
+	c := NewCells(130)
+	var v, later CellView
+	v.begin(c, nil)
+	for i := 0; i < c.Size(); i++ {
+		v.Store(i, 7) // squashed: never copied out, but the bitmap is full
+	}
+	later.begin(c, nil)
+	later.Load(3)
+	v.beginDirect(c, nil)
+	v.Store(3, 9)
+	if end, wrote, shared := v.validate([]CellView{later}); end != 1 || wrote || shared {
+		t.Fatalf("a direct view validated the previous arm's write-set: end %d wrote %v shared %v", end, wrote, shared)
+	}
+	v.copyOut()
+	want := make([]int64, c.Size())
+	want[3] = 9
+	assertCellsEqual(t, "a direct view copied out the previous arm's buffer", c, want)
+
+	p := odPatterns[0] // blocks
+	for _, scan := range []bool{false, true} {
+		for threads := 2; threads <= 4; threads++ {
+			t.Run(fmt.Sprintf("scan=%v/t%d", scan, threads), func(t *testing.T) {
+				nodes, cells, shadow := odList(p.dst, p.size)
+				loop := odLoop(scan)
+				loop.Cells = cells
+				r, err := NewRunner(loop, Config{Threads: threads, MaxSpecIters: 1000})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer r.Close()
+				for op := 0; op < 8; op++ {
+					before := r.Stats().Recoveries
+					odRun(t, r, nodes, cells, shadow, op)
+					// Op 0 has nothing predicted and is a round of one outright.
+					if rounds := r.Stats().Recoveries - before; (op > 0 && rounds == 0) || !r.sched.views[0].direct {
+						t.Fatalf("op %d: %d later rounds, last view of slot 0 direct=%v; want a direct tail behind a capped chunk",
+							op, rounds, r.sched.views[0].direct)
+					}
+				}
+			})
+		}
+	}
+}

@@ -157,7 +157,9 @@ func FuzzDoacrossOracle(f *testing.F) {
 // sane plans (targets in range, thresholds positive and non-decreasing
 // per chunk — the order the memoization cursor consumes them in). A
 // memoizeOnce predictor that has locked its rows in plans nothing and
-// keeps them.
+// keeps them. And promote, over the candidates a bootstrap plan captures
+// in a traversal of the fuzzed length, chooses rows by checkPromote's
+// rules.
 func FuzzPredictorApply(f *testing.F) {
 	f.Add(uint8(4), int64(100), []byte{0, 10, 1, 50, 2, 90}, false)
 	f.Add(uint8(2), int64(0), []byte{}, false)
@@ -249,5 +251,8 @@ func FuzzPredictorApply(f *testing.F) {
 		if p.havePredictions() != p.frozen {
 			t.Fatalf("after an empty apply: predictions valid = %v, frozen = %v", p.havePredictions(), p.frozen)
 		}
+		// The other plan: what promote chooses from a bootstrap capture of
+		// this many iterations (predictor_test.go).
+		checkPromote(t, tc, total)
 	})
 }

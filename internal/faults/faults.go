@@ -38,9 +38,11 @@ const (
 	// the task body completes, exercising the worker's containment
 	// backstop without stranding the chunk completion latch.
 	ExecWorker Site = iota
-	// ChunkBody fires at the top of every chunk execution (primary and
-	// recovery chunks alike), inside the chunk's panic containment, so
-	// an injected panic surfaces as a *spice.PanicError.
+	// ChunkBody fires at the top of every chunk execution — chunk 0,
+	// speculative and later-round chunks, and the single chunk of an
+	// invocation that runs on its caller alone (width 1, shed, nothing
+	// predicted) — inside the chunk's panic containment, so an injected
+	// panic surfaces as a *spice.PanicError.
 	ChunkBody
 	// RecoveryRound fires at the top of each parallel squash-recovery
 	// round; Err/Cancel abort the invocation with that error.

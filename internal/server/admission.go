@@ -14,6 +14,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log"
 	"net/http"
 	"runtime/debug"
 	"strconv"
@@ -182,7 +183,10 @@ func (s *Server) execute(j *job) {
 
 // runJobGuarded runs runJob with panic containment: a panicking kernel
 // (New, Mutate, a future registry bug) must cost exactly its own job a
-// 500, never the dispatcher. An unrecovered panic here would kill the
+// 500, never the dispatcher. The client is told the panic value only: the
+// stack (goroutines, file paths, addresses of the daemon) goes to the
+// server's log under the job id, not into a response any caller that can
+// make a kernel panic would read. An unrecovered panic here would kill the
 // dispatcher goroutine — permanently shrinking the dispatcher pool —
 // and strand the job's jobWG and tenant.inflight references, wedging
 // Drain forever and hanging the sync handler on a job that can no
@@ -194,10 +198,11 @@ func (s *Server) runJobGuarded(j *job, started time.Time) (res *JobResult, aerr 
 	defer func() {
 		if r := recover(); r != nil {
 			s.met.jobsPanicked.Add(1)
+			log.Printf("spiced: job %s: panic executing job: %v\n%s", j.id, r, debug.Stack())
 			res = nil
 			aerr = &apiError{
 				code: http.StatusInternalServerError,
-				msg:  fmt.Sprintf("panic executing job: %v\n%s", r, debug.Stack()),
+				msg:  fmt.Sprintf("panic executing job: %v", r),
 			}
 		}
 	}()

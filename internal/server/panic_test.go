@@ -43,16 +43,18 @@ func init() {
 }
 
 // TestPanickingKernelContained proves the containment end to end: more
-// panicking jobs than dispatchers all answer 500 with the panic in the
-// body, the dispatcher pool still executes normal work afterwards, the
-// tenant's inflight accounting is settled, the panic counter moved,
-// and Drain returns instead of wedging on a leaked jobWG reference.
+// panicking jobs than dispatchers all answer 500 with the panic value —
+// and no goroutine stack of the daemon — in the body, on the sync door
+// and to whoever polls an async job; the dispatcher pool still executes
+// normal work afterwards, the tenant's inflight accounting is settled,
+// the panic counter moved, and Drain returns instead of wedging on a
+// leaked jobWG reference.
 func TestPanickingKernelContained(t *testing.T) {
 	s := newTestServer(t, testConfig()) // 2 dispatchers
 	h := s.Handler()
 
-	const panics = 3 // > Dispatchers: an uncontained panic could not survive this
-	for i := 0; i < panics; i++ {
+	const syncPanics = 3 // > Dispatchers: an uncontained panic could not survive this
+	for i := 0; i < syncPanics; i++ {
 		w := do(h, "POST", "/v1/run", JobRequest{
 			Tenant: "pt", Kernel: "panicker", Size: 200, Churn: 1, Invocations: 2,
 		})
@@ -62,7 +64,29 @@ func TestPanickingKernelContained(t *testing.T) {
 		if !strings.Contains(w.Body.String(), "panic") {
 			t.Fatalf("panicking job %d: body does not surface the panic: %s", i, w.Body.String())
 		}
+		if strings.Contains(w.Body.String(), "goroutine ") {
+			t.Fatalf("panicking job %d: body carries the daemon's stack: %s", i, w.Body.String())
+		}
 	}
+	// The async door hands the same message to whoever polls the job.
+	w := do(h, "POST", "/v1/submit", JobRequest{Tenant: "pt", Kernel: "panicker", Size: 200, Churn: 1, Invocations: 2})
+	if w.Code != http.StatusAccepted {
+		t.Fatalf("async panicking job: status %d, want 202: %s", w.Code, w.Body.String())
+	}
+	id := decode[JobStatus](t, w).ID
+	var polled JobStatus
+	waitFor(t, "async panicking job to finish", func() bool {
+		pw := do(h, "GET", "/v1/jobs/"+id, nil)
+		if pw.Code != http.StatusOK {
+			t.Fatalf("poll %s: status %d: %s", id, pw.Code, pw.Body.String())
+		}
+		polled = decode[JobStatus](t, pw)
+		return polled.State == "done"
+	})
+	if !strings.Contains(polled.Error, "panic") || strings.Contains(polled.Error, "goroutine ") {
+		t.Fatalf("async panicking job: error %q; want the panic value and no stack", polled.Error)
+	}
+	const panics = syncPanics + 1
 	if got := s.met.jobsPanicked.Load(); got != panics {
 		t.Fatalf("jobsPanicked = %d, want %d", got, panics)
 	}
@@ -72,7 +96,7 @@ func TestPanickingKernelContained(t *testing.T) {
 
 	// The dispatcher pool must be intact: a normal job still round-trips
 	// against the sequential oracle.
-	w := do(h, "POST", "/v1/run", JobRequest{Tenant: "pt", Kernel: "sumlist", Size: 3000, Seed: 5})
+	w = do(h, "POST", "/v1/run", JobRequest{Tenant: "pt", Kernel: "sumlist", Size: 3000, Seed: 5})
 	if w.Code != http.StatusOK {
 		t.Fatalf("post-panic job: status %d: %s", w.Code, w.Body.String())
 	}

@@ -205,7 +205,7 @@ func (p *Pool[S, A]) RunBatch(ctx context.Context, starts []S) ([]A, error) {
 func (r *Runner[S, A]) runBatch(ctx context.Context, starts []S) ([]A, error) {
 	out := make([]A, 0, len(starts))
 	for i, start := range starts {
-		acc, err := r.run(ctx, start, true)
+		acc, err := r.runInvocation(ctx, start, true)
 		if err != nil {
 			return out, fmt.Errorf("spice: batch item %d: %w", i, err)
 		}
@@ -280,7 +280,7 @@ func (p *Pool[S, A]) Submit(ctx context.Context, start S) *Future[A] {
 	go func() {
 		defer p.inflight.Done()
 		before := r.stats.snapshot()
-		acc, err := r.run(ctx, start, true)
+		acc, err := r.runInvocation(ctx, start, true)
 		after := r.stats.snapshot()
 		p.release(r)
 		f.resolve(acc, err, after.Delta(before))

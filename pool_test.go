@@ -691,3 +691,53 @@ func TestSteadyStateAllocations(t *testing.T) {
 		t.Errorf("steady-state Run allocates %.1f objects/op; hot path should reuse buffers", avg)
 	}
 }
+
+// TestRoundOfOneAllocations: an invocation that runs on its caller alone
+// goes through the same scheduler buffers and allocates nothing in
+// steady state — on a width-1 runner (no plan, no executor), and on an
+// adaptive runner the confidence gate leaves no row (the bootstrap plan,
+// its candidates, promote).
+func TestRoundOfOneAllocations(t *testing.T) {
+	l := newTestList(2000, 4)
+	want := sequential(xorLoop(), l.head)
+	t.Run("width1", func(t *testing.T) {
+		r, err := NewRunner(xorLoop(), Config{Threads: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Close()
+		r.MustRun(l.head)
+		if avg := testing.AllocsPerRun(20, func() { r.MustRun(l.head) }); avg != 0 {
+			t.Errorf("a width-1 Run allocates %.1f objects/op", avg)
+		}
+	})
+	t.Run("gated", func(t *testing.T) {
+		r, err := NewRunner(xorLoop(), Config{Threads: 4, Options: Options{Adaptive: true}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Close()
+		for inv := 0; inv < 4; inv++ {
+			r.MustRun(l.head) // warm predictor and buffers
+		}
+		for k := 0; k < 3; k++ {
+			for r.pred.conf.Admit(k) {
+				r.pred.conf.Miss(k)
+			}
+		}
+		before := r.Stats()
+		avg := testing.AllocsPerRun(20, func() {
+			r.ctrl.Reset() // full width again: the gate, not the throttle, leaves one slot
+			if got := r.MustRun(l.head); got != want {
+				t.Fatalf("gated Run = %+v, want %+v", got, want)
+			}
+		})
+		if avg != 0 {
+			t.Errorf("a gated Run allocates %.1f objects/op", avg)
+		}
+		if d := r.Stats().Delta(before); d.SequentialFallbacks != d.Invocations || d.Hits+d.Misses != 0 {
+			t.Fatalf("%d of %d invocations were gated (%d chunks speculated); the test means all of them",
+				d.SequentialFallbacks, d.Invocations, d.Hits+d.Misses)
+		}
+	})
+}

@@ -16,6 +16,15 @@ package spice
 // later chunk mis-speculated — re-memoizing the squashed rows at their
 // correct positions (self-healing).
 //
+// There are two plans and one capture mechanism. An invocation with a
+// chain to keep balanced plans from the last trip count, as above. One
+// that starts as a round of one on a runner that could speculate — the
+// first, and every fallback after it — carries bootPlan instead: a
+// candidate at every power of two, from which promote picks the rows
+// once the trip count is known. Either way the chunk driver fires the
+// entries (chunkJob.exec), the walk turns them into memos at global
+// positions, and apply installs them.
+//
 // All per-invocation state lives in reusable buffers: the steady-state
 // snapshot/apply cycle performs no allocations.
 
@@ -148,6 +157,50 @@ func (p *predictor[S]) planFromPosition(pos int64, buf []planEntry) []planEntry 
 		buf = append(buf, planEntry{local: boundary - pos, row: k - 1})
 	}
 	return buf
+}
+
+// candRow is the row of a bootstrap plan entry: no SVA row yet, a
+// candidate for promote to choose from (apply ignores it, like any row
+// out of range).
+const candRow = -2
+
+// bootPlan is the memoization plan of an invocation that runs as a round
+// of one on a runner that could speculate (the paper's first-invocation
+// memoization, and every fallback after it): there is no trip count it
+// could trust to put thresholds at, so it captures a candidate at every
+// power of two and promote picks among them once the trip count is known.
+// Read-only, shared by every runner.
+var bootPlan = func() []planEntry {
+	plan := make([]planEntry, 62)
+	for i := range plan {
+		plan[i] = planEntry{local: 1 << i, row: candRow}
+	}
+	return plan
+}()
+
+// promote turns the candidates a bootstrap plan captured (memos, in
+// capture order, so ascending by position) into row memoizations, in
+// place: for each boundary of an even split of total, the candidate
+// nearest to it among those behind the previous row's choice (the
+// earlier one on a tie). Chosen positions therefore increase by row — a
+// row at or behind its predecessor would start a chunk inside an earlier
+// chunk — and a boundary with no candidate left gets no row.
+func (p *predictor[S]) promote(total int64, memos []memo[S]) []memo[S] {
+	out, from := memos[:0], 0
+	for k := 1; k < p.threads && from < len(memos); k++ {
+		boundary := total * int64(k) / int64(p.threads)
+		dist := func(ci int) int64 { return max(memos[ci].pos-boundary, boundary-memos[ci].pos) }
+		best := from
+		for ci := from + 1; ci < len(memos); ci++ {
+			if dist(ci) < dist(best) {
+				best = ci
+			}
+		}
+		// len(out) <= from < best+1: the write lands behind the scan.
+		out = append(out, memo[S]{row: k - 1, state: memos[best].state, pos: memos[best].pos})
+		from = best + 1
+	}
+	return out
 }
 
 // specCap returns the runaway-traversal bound for speculative chunks.

@@ -13,10 +13,17 @@ import (
 // speculative slot per row of the round's chain, launch and join them
 // (dispatchRound), walk the validation chain once — commit the prefix,
 // squash the rest — and, if the walk stopped on a capped chunk or a
-// read/write-set conflict, go round again from that position. The
-// scheduler owns every per-invocation buffer (chunk results, jobs,
+// read/write-set conflict, go round again from that position. A round
+// of one (a width-1 runner, a shed batch item, no row predicted or
+// admitted, or the tail behind a capped last chunk) is slot 0 alone on
+// the invoking goroutine: that is the sequential path, through the same
+// chunkJob.exec, and there is no other. Nothing runs beside it, so it
+// touches no executor, reads no clock, and a DOACROSS loop's view is
+// direct (cells.go).
+//
+// The scheduler owns every per-invocation buffer (chunk results, jobs,
 // plans, works, memos) and reuses them across rounds and invocations,
-// so the steady-state parallel path allocates nothing — including the
+// so the steady state allocates nothing at any width — including the
 // failure plumbing: ctx polling, the abort barrier and per-chunk error
 // slots all live in preallocated state.
 //
@@ -61,7 +68,7 @@ import (
 // ends in run, when the chain walk has landed its results (endRound).
 // The clock is read four times per round that has speculative chunks —
 // at dispatch, after the invoker's own share, at the latch release, at
-// the end of the walk — and never on the sequential path.
+// the end of the walk — and never in a round of one.
 //
 // Cache-line layout invariants (the multicore contract of this file):
 //
@@ -518,10 +525,9 @@ func newScheduler[S comparable, A any](r *Runner[S, A], threads int) *scheduler[
 // armAbort clears the failure barrier for a new dispatch round.
 func (s *scheduler[S, A]) armAbort() { s.abort.Store(math.MaxInt64) }
 
-// armCells binds the invocation's cell store and reduction declarations
-// (nil for DOALL loops). Called by the runner before each parallel
-// invocation; release clears the binding with the rest of the
-// caller-scoped state.
+// armCells binds the invocation's cell store and reduction declarations.
+// Called by the runner before each invocation of a DOACROSS loop;
+// release clears the binding with the rest of the caller-scoped state.
 func (s *scheduler[S, A]) armCells(c *Cells, reds []Reduction) {
 	s.cells = c
 	s.reds = reds
@@ -581,7 +587,9 @@ func (s *scheduler[S, A]) release() {
 	s.memos = s.memos[:0]
 	// Drop the cell-store binding too: a parked runner must not pin a
 	// finished caller's Cells (the views' buffers are pointer-free
-	// working state and are kept).
+	// working state and are kept). That holds at width 1 as well: the
+	// direct view of a round of one is slot 0's, not a view of the
+	// runner's that outlives the invocation.
 	if s.views != nil {
 		for j := range s.views {
 			s.views[j].release()
@@ -637,7 +645,13 @@ func (s *scheduler[S, A]) dispatchRound(r *Runner[S, A], ctx context.Context, n 
 			}
 			break
 		}
-		if s.cells != nil {
+		switch {
+		case s.cells == nil:
+		case n == 1:
+			// A round of one: nothing runs beside the chunk, so its loads
+			// and stores need no buffer.
+			s.views[0].beginDirect(s.cells, s.reds)
+		default:
 			// Every chunk buffers, chunk 0 included: its writes must stay
 			// invisible to the concurrently running chunks.
 			s.views[i].begin(s.cells, s.reds)
@@ -731,7 +745,7 @@ func (s *scheduler[S, A]) endRound(r *Runner[S, A]) {
 // is what output dependences need.
 func (s *scheduler[S, A]) landCells(r *Runner[S, A], n int, spread bool) {
 	offered := false
-	if spread && r.exec.spin {
+	if spread && n > 1 && r.exec.spin { // a width-1 runner has no executor, and a round of one no copy
 		for i := 1; i < n; i++ {
 			c := &s.copies[i]
 			if s.jobs[i].reclaimed || !c.wrote {
@@ -793,8 +807,8 @@ func (s *scheduler[S, A]) admitted(r *Runner[S, A], rows []row[S], from int, pro
 // roughly balanced at reduced width. The chain is stored in s.dispRows
 // (slot i>0 starts from rows[s.dispRows[i-1]] and hunts
 // rows[s.dispRows[i]]); the returned chunk count is 1+len(s.dispRows).
-// A return of 1 means nothing is worth speculating on — the caller runs
-// sequentially instead of burning workers on doomed chunks.
+// A return of 1 means nothing is worth speculating on — the invocation
+// starts as a round of one instead of burning workers on doomed chunks.
 func (s *scheduler[S, A]) planDispatch(r *Runner[S, A], rows []row[S], eff int, probe bool) int {
 	adm := s.admitted(r, rows, 0, probe)
 	keep := s.dispRows[:0]
@@ -815,7 +829,7 @@ func (s *scheduler[S, A]) planDispatch(r *Runner[S, A], rows []row[S], eff int, 
 	return len(keep) + 1
 }
 
-// run executes one parallel invocation as a loop over rounds. A round
+// run executes one invocation as a loop over rounds. A round
 // seeds slot 0 at the live (state, global position) — architecturally
 // correct, never capped — and one speculative slot per row of its
 // chain, each hunting the next row's predicted start; launches and
@@ -826,7 +840,8 @@ func (s *scheduler[S, A]) planDispatch(r *Runner[S, A], rows []row[S], eff int, 
 // round resumes from that chunk's stop state (the conflicting chunk's
 // validated start) over the admitted rows not yet passed; otherwise the
 // invocation is done. Round 0 is the same code from (start, 0) over the
-// n-slot chain planDispatch left in s.dispRows. The squashed workers
+// n-slot chain planDispatch left in s.dispRows, or over nothing when n
+// is 1 (the caller's "sequential" invocation). The squashed workers
 // are thereby re-seeded rather than the remainder serialized, and every
 // chunk carries plan entries anchored at its global position, so the
 // predictor re-memoizes along the way and the next invocation's split
@@ -859,6 +874,12 @@ func (s *scheduler[S, A]) run(r *Runner[S, A], ctx context.Context, start S, row
 	s.memos = s.memos[:0]
 	defer s.release()
 
+	// An invocation that starts as a round of one on a runner that could
+	// speculate memoizes by the bootstrap plan: no row is predicted, or
+	// none was admitted, so there is no split to keep balanced, only rows
+	// to find for the next invocation. (Slot 0 neither caps nor conflicts:
+	// such a round is the whole invocation.)
+	boot := n == 1 && r.cfg.Threads > 1
 	chain := s.dispRows // row behind each speculative slot of this round
 	next := 0           // first row a later round may speculate on
 	cur, pos := start, int64(0)
@@ -905,8 +926,12 @@ func (s *scheduler[S, A]) run(r *Runner[S, A], ctx context.Context, start S, row
 				ownRow = chain[i]
 				snap = &rows[ownRow]
 			}
-			s.plans[i] = r.pred.planFromPosition(max(pos, posBase), s.plans[i][:0])
-			s.jobs[i].reset(ctx, st, snap, ownRow, s.plans[i], posBase, cap64)
+			plan := bootPlan
+			if !boot {
+				s.plans[i] = r.pred.planFromPosition(max(pos, posBase), s.plans[i][:0])
+				plan = s.plans[i]
+			}
+			s.jobs[i].reset(ctx, st, snap, ownRow, plan, posBase, cap64)
 		}
 		dispatchErr := s.dispatchRound(r, ctx, n)
 
@@ -1096,6 +1121,9 @@ func (s *scheduler[S, A]) run(r *Runner[S, A], ctx context.Context, start S, row
 	r.pend.TotalIters += pos
 	if misspec {
 		r.pend.MisspecInvocations++
+	}
+	if boot {
+		s.memos = r.pred.promote(pos, s.memos)
 	}
 	r.pred.apply(pos, s.memos)
 	r.pendWorks = true

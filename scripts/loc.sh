@@ -1,0 +1,23 @@
+#!/usr/bin/env bash
+# Size of the root package (the native runtime), the two figures ROADMAP
+# item 6 and every subtraction PR quote: for each non-test Go file of
+# the directory, `wc -l` and its code lines (not blank, not a comment
+# line), then the totals. Run it from anywhere in the repository:
+#
+#   scripts/loc.sh [DIR=repository root]
+set -euo pipefail
+
+cd "${1:-$(git -C "$(dirname "$0")" rev-parse --show-toplevel)}"
+ls *.go | grep -v '_test\.go$' | xargs awk '
+	FNR == 1 { files[++n] = FILENAME }
+	{ lines[FILENAME]++ }
+	!/^[ \t]*($|\/\/)/ { code[FILENAME]++ }
+	END {
+		printf "%-16s %6s %6s\n", "file", "lines", "code"
+		for (i = 1; i <= n; i++) {
+			f = files[i]
+			printf "%-16s %6d %6d\n", f, lines[f], code[f]
+			tl += lines[f]; tc += code[f]
+		}
+		printf "%-16s %6d %6d\n", "total", tl, tc
+	}'

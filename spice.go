@@ -311,7 +311,10 @@ type Stats struct {
 	// MisspecInvocations counts invocations in which at least one
 	// speculative chunk was discarded.
 	MisspecInvocations int64
-	// SquashedIters counts discarded speculative iterations.
+	// SquashedIters counts discarded iterations: those of squashed
+	// speculative chunks, and the partial work of the chunk a failing
+	// invocation failed in — at any width, so a body error at iteration
+	// 40 of a width-1 Run adds 40 here and nothing to TotalIters.
 	SquashedIters int64
 	// TailIters counts iterations committed by rounds after an
 	// invocation's first, i.e. by recovery after a capped valid chunk or
