@@ -201,8 +201,10 @@ func TestBatchFailureSemantics(t *testing.T) {
 			t.Fatal(err)
 		}
 		p.Close()
-		if _, rerr := p.RunBatch(context.Background(), []int64{0}); !errors.Is(rerr, ErrPoolClosed) {
-			t.Fatalf("batch on closed pool: %v", rerr)
+		for _, starts := range [][]int64{{0}, nil} {
+			if _, rerr := p.RunBatch(context.Background(), starts); !errors.Is(rerr, ErrPoolClosed) {
+				t.Fatalf("batch of %d on closed pool: %v", len(starts), rerr)
+			}
 		}
 		if _, rerr := p.Submit(context.Background(), 0).Wait(); !errors.Is(rerr, ErrPoolClosed) {
 			t.Fatalf("submit on closed pool: %v", rerr)

@@ -1,10 +1,11 @@
 package spice
 
-// The benchmarks in this file measure the native runtime: the two
-// native ablations (validation mode, re-memoization), per-invocation and
-// per-iteration overhead, pool and batch throughput, the adaptive
-// controller and the DOACROSS cell store. CI gates on their rows
-// (allocs/op and the -faster orderings, see .github/workflows/ci.yml).
+// The benchmarks in this file measure the native runtime: the paper's
+// two ablations (validation mode, re-memoization) as counterfactuals
+// over one runner, per-invocation and per-iteration overhead, pool and
+// batch throughput, the adaptive controller and the DOACROSS cell
+// store. CI gates on their rows (allocs/op and the -faster orderings,
+// see .github/workflows/ci.yml).
 // The paper's tables and figures are benchmarked beside the harness
 // that produces them (internal/harness/bench_test.go).
 //
@@ -19,11 +20,13 @@ import (
 	"testing"
 )
 
-// nativeChurnRun drives the native runtime over a churning list and
-// returns misspec count per 40 invocations. replaceFrac additionally
-// replaces that fraction of the membership each invocation (node
-// deletions, the failure mode re-memoization exists to absorb).
-func nativeChurnRun(b *testing.B, cfg Config, replaceFrac float64) int64 {
+// nativeChurnRun drives a width-4 runner over a churning list for 40
+// invocations and returns its ablations (spice_test.go) as percentages:
+// the invocations it squashed, and those positional validation and a
+// memoize-once predictor would have. replaceFrac additionally replaces
+// that fraction of the membership each invocation (node deletions, the
+// failure mode re-memoization exists to absorb).
+func nativeChurnRun(b *testing.B, replaceFrac float64) (member, positional, once float64) {
 	rng := rand.New(rand.NewSource(21))
 	type nd struct {
 		w    int64
@@ -42,13 +45,14 @@ func nativeChurnRun(b *testing.B, cfg Config, replaceFrac float64) int64 {
 		Init:  func() int64 { return 0 },
 		Merge: func(a, c int64) int64 { return a + c },
 	}
-	r, err := NewRunner(loop, cfg)
+	r, err := NewRunner(loop, Config{Threads: 4})
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer r.Close()
+	a := ablations[*nd, int64]{r: r}
 	for inv := 0; inv < 40; inv++ {
-		r.MustRun(head)
+		a.run(b, head)
 		// Value churn.
 		for k := 0; k < 200; k++ {
 			all[rng.Intn(len(all))].w = rng.Int63n(1 << 20)
@@ -78,42 +82,32 @@ func nativeChurnRun(b *testing.B, cfg Config, replaceFrac float64) int64 {
 		}
 		head = ns[0]
 	}
-	return r.Stats().MisspecInvocations
+	pct := func(n int64) float64 { return float64(n) / 40 * 100 }
+	return pct(a.member), pct(a.positional), pct(a.once)
 }
 
 // BenchmarkAblationValidationMode compares order-free membership
 // validation (the paper's second insight) against positional validation
-// under structural churn.
+// over the same rows under structural churn.
 func BenchmarkAblationValidationMode(b *testing.B) {
-	for _, mode := range []struct {
-		name       string
-		positional bool
-	}{{"membership", false}, {"positional", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			var misspec int64
-			for i := 0; i < b.N; i++ {
-				misspec = nativeChurnRun(b, Config{Threads: 4, Positional: mode.positional}, 0)
-			}
-			b.ReportMetric(float64(misspec)/40*100, "misspec_pct")
-		})
+	var member, positional float64
+	for i := 0; i < b.N; i++ {
+		member, positional, _ = nativeChurnRun(b, 0)
 	}
+	b.ReportMetric(member, "membership_misspec_pct")
+	b.ReportMetric(positional, "positional_misspec_pct")
 }
 
 // BenchmarkAblationMemoization compares per-invocation re-memoization
-// (Section 4) against the memoize-once strawman.
+// (Section 4) against the memoize-once strawman, which keeps the first
+// memoization's rows.
 func BenchmarkAblationMemoization(b *testing.B) {
-	for _, mode := range []struct {
-		name string
-		once bool
-	}{{"every_invocation", false}, {"memoize_once", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			var misspec int64
-			for i := 0; i < b.N; i++ {
-				misspec = nativeChurnRun(b, Config{Threads: 4, MemoizeOnce: mode.once}, 0.10)
-			}
-			b.ReportMetric(float64(misspec)/40*100, "misspec_pct")
-		})
+	var every, once float64
+	for i := 0; i < b.N; i++ {
+		every, _, once = nativeChurnRun(b, 0.10)
 	}
+	b.ReportMetric(every, "every_invocation_misspec_pct")
+	b.ReportMetric(once, "memoize_once_misspec_pct")
 }
 
 // BenchmarkNativeRunner measures the native runtime's per-invocation

@@ -395,9 +395,9 @@ func TestReleaseZeroesInvocationState(t *testing.T) {
 // TestResetRunnerPinsNothing is the weak-pointer half: a runner that
 // traversed a structure, then was reset (the Pool session-boundary
 // path), must not keep a single node of that structure alive — the
-// predictor's row generations (rows, scratch, rowsBuf), the
-// scheduler's job/result/memo buffers, and the sequential sample
-// buffer all hold node states at some point and must all let go.
+// predictor's two row generations (rows, scratch) and the scheduler's
+// job/result/memo buffers all hold node states at some point and must
+// all let go.
 func TestResetRunnerPinsNothing(t *testing.T) {
 	r, err := NewRunner(blockListLoop(), Config{Threads: 4})
 	if err != nil {

@@ -8,8 +8,8 @@ import "fmt"
 // sequential path. The driver cuts a
 // traversal into bounded blocks — each block ends at the nearest pending
 // event: the next context-poll point, the next memoization-plan
-// threshold, the speculative iteration cap, or a positional-validation
-// peek — and hand each block to the runner's one block routine
+// threshold, or the speculative iteration cap — and hands each block to
+// the runner's one block routine
 // (Runner.block, a blockFn). Inside a block the per-iteration body is
 // exactly Done/match/Body/Next on register-resident state: no
 // through-pointer stores into the shared result struct, no plan-cursor
@@ -22,12 +22,14 @@ import "fmt"
 // the adapter blockScan for a loop that sets Loop.Scan — the block then
 // goes to the caller's own compiled loop, and the driver's block
 // structure around it is unchanged. Whether a block hunts its
-// successor's predicted start (membership validation — the common case)
-// or not (the chain's last chunk, a round of one, and
-// positional-validation chunks, whose single peek fires on a block
-// boundary) is an argument, not a second copy of the loop: the match
-// test is `s == stop && hunt`, so a hunting block pays the state compare
-// it always paid and any other block one well-predicted compare more.
+// successor's predicted start (membership validation — every chunk with
+// a successor) or not (the chain's last chunk, a round of one) is an
+// argument, not a second copy of the loop. It has to be an argument:
+// a block that hunts nothing has no stop state to pass but the zero S,
+// and the zero S may be a live state of the traversal (an int index 0),
+// so the match test is `s == stop && hunt` — a hunting block pays the
+// state compare it always paid and any other block one well-predicted
+// compare more.
 //
 // Panic containment and squash accounting: each routine recovers a
 // panicking callback itself and reports it as a *PanicError return. The

@@ -200,17 +200,3 @@ func TestConfigValidateOptions(t *testing.T) {
 		t.Fatalf("negative ProbeInterval: err = %v, want ErrBadOptions", err)
 	}
 }
-
-// TestRunnerStringPositional covers the positional-validation label of
-// the debug formatter.
-func TestRunnerStringPositional(t *testing.T) {
-	l := dcLoop()
-	r, err := NewRunner(l, Config{Threads: 2, Positional: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	if s := r.String(); !strings.Contains(s, "positional") {
-		t.Fatalf("String() = %q, want positional mode", s)
-	}
-}

@@ -181,6 +181,16 @@ func arrivalInterval(rate float64) (time.Duration, error) {
 	return max(time.Duration(float64(time.Second)/rate), 1), nil
 }
 
+// checkMaxInflight refuses a client-side concurrency bound below 1: 0
+// made an unbuffered slot channel whose non-blocking send dropped every
+// arrival, and a negative one panicked in make.
+func checkMaxInflight(n int) error {
+	if n < 1 {
+		return fmt.Errorf("-max-inflight %d: want at least 1 concurrent request", n)
+	}
+	return nil
+}
+
 func main() {
 	var (
 		url         = flag.String("url", "http://localhost:8080", "spiced base URL")
@@ -204,6 +214,10 @@ func main() {
 	}
 	interval, err := arrivalInterval(*rate)
 	if err != nil {
+		fmt.Fprintf(os.Stderr, "spiceload: %v\n", err)
+		os.Exit(2)
+	}
+	if err := checkMaxInflight(*maxInflight); err != nil {
 		fmt.Fprintf(os.Stderr, "spiceload: %v\n", err)
 		os.Exit(2)
 	}

@@ -27,3 +27,20 @@ func TestArrivalInterval(t *testing.T) {
 		}
 	}
 }
+
+func TestCheckMaxInflight(t *testing.T) {
+	for _, tc := range []struct {
+		n  int
+		ok bool
+	}{
+		{256, true},
+		{1, true},
+		{0, false},  // every arrival dropped, no request sent
+		{-1, false}, // makechan: size out of range
+		{math.MinInt, false},
+	} {
+		if err := checkMaxInflight(tc.n); (err == nil) != tc.ok {
+			t.Errorf("checkMaxInflight(%d) = %v; want ok %v", tc.n, err, tc.ok)
+		}
+	}
+}

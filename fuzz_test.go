@@ -8,6 +8,7 @@ package spice
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -153,25 +154,38 @@ func FuzzDoacrossOracle(f *testing.F) {
 
 // FuzzPredictorApply fuzzes the predictor in isolation: arbitrary memo
 // streams (rows, positions) against arbitrary totals must never panic,
-// must round-trip through snapshot, and must always yield structurally
+// must install exactly the last in-range memo per row, must leave the
+// rows the scheduler read untouched (they become scratch: apply swaps
+// generations and copies nothing), and must always yield structurally
 // sane plans (targets in range, thresholds positive and non-decreasing
-// per chunk — the order the memoization cursor consumes them in). A
-// memoizeOnce predictor that has locked its rows in plans nothing and
-// keeps them. And promote, over the candidates a bootstrap plan captures
-// in a traversal of the fuzzed length, chooses rows by checkPromote's
-// rules.
+// per chunk — the order the memoization cursor consumes them in). And
+// promote, over the candidates a bootstrap plan captures in a traversal
+// of the fuzzed length, chooses rows by checkPromote's rules.
 func FuzzPredictorApply(f *testing.F) {
-	f.Add(uint8(4), int64(100), []byte{0, 10, 1, 50, 2, 90}, false)
-	f.Add(uint8(2), int64(0), []byte{}, false)
-	f.Add(uint8(8), int64(1), []byte{200, 255, 0, 0, 3, 3}, false)
-	f.Add(uint8(4), int64(100), []byte{2, 10, 3, 50, 4, 90}, true)
-	f.Fuzz(func(t *testing.T, threads uint8, total int64, data []byte, memoizeOnce bool) {
+	f.Add(uint8(4), int64(100), []byte{0, 10, 1, 50, 2, 90})
+	f.Add(uint8(2), int64(0), []byte{})
+	f.Add(uint8(8), int64(1), []byte{200, 255, 0, 0, 3, 3})
+	f.Add(uint8(4), int64(100), []byte{2, 10, 3, 50, 4, 90})
+	f.Fuzz(func(t *testing.T, threads uint8, total int64, data []byte) {
 		tc := int(threads%8) + 2
 		if total < 0 {
 			total = -total
 		}
 		total %= 1 << 40
-		p := newPredictor[int64](tc, memoizeOnce)
+		p := newPredictor[int64](tc)
+		// apply, checking that the generation the scheduler read (the
+		// current rows, held across the call) keeps its contents and is
+		// scratch afterwards, while the rows are the other array.
+		apply := func(trip int64, memos []memo[int64]) {
+			read, was := p.rows, slices.Clone(p.rows)
+			p.apply(trip, memos)
+			if !slices.Equal(read, was) {
+				t.Fatalf("apply wrote the rows the scheduler read: %+v, was %+v", read, was)
+			}
+			if &p.scratch[0] != &read[0] || &p.rows[0] == &read[0] {
+				t.Fatal("apply did not swap generations")
+			}
+		}
 		// Decode (row, pos) pairs from the fuzz bytes; values land both
 		// in and out of range on purpose.
 		var memos []memo[int64]
@@ -182,7 +196,7 @@ func FuzzPredictorApply(f *testing.F) {
 				pos:   (int64(data[i+1]) * total) / 256,
 			})
 		}
-		p.apply(total, memos)
+		apply(total, memos)
 
 		if p.prevTotal != total {
 			t.Fatalf("prevTotal = %d, want %d", p.prevTotal, total)
@@ -195,11 +209,10 @@ func FuzzPredictorApply(f *testing.F) {
 				want[m.row] = m
 			}
 		}
-		snap := p.snapshot()
-		if len(snap) != tc-1 {
-			t.Fatalf("snapshot rows = %d, want %d", len(snap), tc-1)
+		if len(p.rows) != tc-1 {
+			t.Fatalf("rows = %d, want %d", len(p.rows), tc-1)
 		}
-		for k, r := range snap {
+		for k, r := range p.rows {
 			m, ok := want[k]
 			if r.valid != ok {
 				t.Fatalf("row %d valid=%v, want %v", k, r.valid, ok)
@@ -214,15 +227,15 @@ func FuzzPredictorApply(f *testing.F) {
 		// memoization cursor consumes them in — and there is nothing to
 		// plan from without a trip count.
 		bases := []int64{0}
-		for _, r := range snap {
+		for _, r := range p.rows {
 			if r.valid {
 				bases = append(bases, r.pos)
 			}
 		}
 		for _, base := range bases {
 			plan := p.planFromPosition(base, nil)
-			if (total == 0 || p.frozen) && len(plan) != 0 {
-				t.Fatalf("base %d: %d plan entries (total %d, frozen %v)", base, len(plan), total, p.frozen)
+			if total == 0 && len(plan) != 0 {
+				t.Fatalf("base %d: %d plan entries without a trip count", base, len(plan))
 			}
 			last := int64(0)
 			for _, e := range plan {
@@ -241,15 +254,11 @@ func FuzzPredictorApply(f *testing.F) {
 		if p.specCap(0) <= 0 {
 			t.Fatalf("specCap = %d", p.specCap(0))
 		}
-		// A second apply with no memos must clear all rows (no stale
-		// predictions survive a generation swap) — unless the rows are
-		// locked in, which is exactly when there were any.
-		if p.frozen != (memoizeOnce && len(want) > 0) {
-			t.Fatalf("frozen = %v with memoizeOnce %v and %d valid rows", p.frozen, memoizeOnce, len(want))
-		}
-		p.apply(total/2, nil)
-		if p.havePredictions() != p.frozen {
-			t.Fatalf("after an empty apply: predictions valid = %v, frozen = %v", p.havePredictions(), p.frozen)
+		// A second apply with no memos must clear all rows: no stale
+		// prediction survives a generation swap.
+		apply(total/2, nil)
+		if p.havePredictions() {
+			t.Fatalf("after an empty apply: rows %+v", p.rows)
 		}
 		// The other plan: what promote chooses from a bootstrap capture of
 		// this many iterations (predictor_test.go).

@@ -232,7 +232,7 @@ func TestSpeculativeEquivalence(t *testing.T) {
 			m1.MustStore(a1+i, v)
 			m2.MustStore(a2+i, v)
 		}
-		before := snapshot(m1, a1, 32)
+		before := words(m1, a1, 32)
 
 		b := NewBuffer(m1)
 		_ = b.Enter()
@@ -256,17 +256,17 @@ func TestSpeculativeEquivalence(t *testing.T) {
 			if _, err := b.Commit(); err != nil {
 				return false
 			}
-			return snapshot(m1, a1, 32) == snapshot(m2, a2, 32)
+			return words(m1, a1, 32) == words(m2, a2, 32)
 		}
 		b.Discard()
-		return snapshot(m1, a1, 32) == before
+		return words(m1, a1, 32) == before
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
 	}
 }
 
-func snapshot(m *Memory, base, n int64) [32]int64 {
+func words(m *Memory, base, n int64) [32]int64 {
 	var s [32]int64
 	for i := int64(0); i < n && i < 32; i++ {
 		s[i] = m.MustLoad(base + i)

@@ -187,6 +187,9 @@ func (p *Pool[S, A]) MustRun(start S) A {
 // All starts must traverse structures that are not mutated while the
 // batch is in flight, exactly as with Run.
 func (p *Pool[S, A]) RunBatch(ctx context.Context, starts []S) ([]A, error) {
+	if p.closed.Load() {
+		return nil, ErrPoolClosed
+	}
 	if len(starts) == 0 {
 		return nil, nil
 	}
@@ -279,9 +282,9 @@ func (p *Pool[S, A]) Submit(ctx context.Context, start S) *Future[A] {
 	}
 	go func() {
 		defer p.inflight.Done()
-		before := r.stats.snapshot()
+		before := r.stats.read()
 		acc, err := r.runInvocation(ctx, start, true)
-		after := r.stats.snapshot()
+		after := r.stats.read()
 		p.release(r)
 		f.resolve(acc, err, after.Delta(before))
 	}()

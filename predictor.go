@@ -25,12 +25,14 @@ package spice
 // entries (chunkJob.exec), the walk turns them into memos at global
 // positions, and apply installs them.
 //
-// All per-invocation state lives in reusable buffers: the steady-state
-// snapshot/apply cycle performs no allocations.
+// The scheduler reads rows in place for the whole invocation; apply, at
+// its end, builds the next generation in scratch and swaps the two, so it
+// never writes the array the scheduler read, and the steady state
+// allocates and copies nothing.
 
 // row is one SVA entry: rows[k] predicts chunk k+1's start. pos is the
-// global completed-iteration position at capture time (used by
-// positional validation and for planning).
+// global completed-iteration position at capture time, for planning
+// only: validation is by membership, wherever the start appears.
 type row[S comparable] struct {
 	start S
 	pos   int64
@@ -63,13 +65,12 @@ type memo[S comparable] struct {
 }
 
 // predictor holds the SVA rows and the planning state for one runner.
-// It is confined to the runner's invocation cycle: snapshot and
-// planFromPosition are read during a Run, apply mutates between Runs. A
+// It is confined to the runner's invocation cycle: rows and
+// planFromPosition are read during a Run, apply mutates at its end. A
 // Pool gives every in-flight invocation its own runner (and therefore
 // predictor), so no internal locking is needed.
 type predictor[S comparable] struct {
-	threads     int
-	memoizeOnce bool
+	threads int
 
 	rows []row[S]
 	// conf scores each row's recent prediction record (adaptive.go).
@@ -79,47 +80,30 @@ type predictor[S comparable] struct {
 	// prevTotal is the last invocation's total committed trip count —
 	// the planning total for the current invocation's boundaries.
 	prevTotal int64
-	frozen    bool // memoizeOnce: rows are locked in
 
-	// Reusable buffers (no steady-state allocation).
-	rowsBuf []row[S] // snapshot handed to the scheduler
 	scratch []row[S] // next-generation rows built during apply
 }
 
-func newPredictor[S comparable](threads int, memoizeOnce bool) *predictor[S] {
+func newPredictor[S comparable](threads int) *predictor[S] {
 	return &predictor[S]{
-		threads:     threads,
-		memoizeOnce: memoizeOnce,
-		rows:        make([]row[S], threads-1),
-		conf:        newRowConfidence(threads - 1),
-		scratch:     make([]row[S], threads-1),
+		threads: threads,
+		rows:    make([]row[S], threads-1),
+		conf:    newRowConfidence(threads - 1),
+		scratch: make([]row[S], threads-1),
 	}
 }
 
 // reset drops all memoized state: rows and the planning total.
 // Pools reset a runner's predictor when it moves between sessions, so
-// predictions never dangle into another session's data structure. The
-// reusable generation buffers are scrubbed too: scratch holds the
-// previous invocation's rows after the apply swap and rowsBuf the last
-// snapshot handed to the scheduler — both retain node states of the
-// finished session and would otherwise pin its structure while the
-// runner sits parked in a Pool free list.
+// predictions never dangle into another session's data structure.
+// scratch is scrubbed too: after the apply swap it holds the previous
+// invocation's rows, whose node states would otherwise pin the finished
+// session's structure while the runner sits parked in a Pool free list.
 func (p *predictor[S]) reset() {
-	for i := range p.rows {
-		p.rows[i] = row[S]{}
-	}
-	scratch := p.scratch[:cap(p.scratch)]
-	for i := range scratch {
-		scratch[i] = row[S]{}
-	}
-	rowsBuf := p.rowsBuf[:cap(p.rowsBuf)]
-	for i := range rowsBuf {
-		rowsBuf[i] = row[S]{}
-	}
-	p.rowsBuf = p.rowsBuf[:0]
+	clear(p.rows)
+	clear(p.scratch)
 	p.conf.Reset()
 	p.prevTotal = 0
-	p.frozen = false
 }
 
 // havePredictions reports whether any chunk start is predicted.
@@ -132,21 +116,12 @@ func (p *predictor[S]) havePredictions() bool {
 	return false
 }
 
-// snapshot copies the current rows into the reusable per-invocation
-// view. The returned slice is owned by the predictor and stays stable
-// until the next snapshot call; updates go through apply.
-func (p *predictor[S]) snapshot() []row[S] {
-	p.rowsBuf = append(p.rowsBuf[:0], p.rows...)
-	return p.rowsBuf
-}
-
 // planFromPosition appends the memoization plan of a chunk whose global
 // start position is (predicted to be) pos: one entry per boundary of the
 // current plan beyond pos, at a threshold relative to pos, ascending.
-// Empty while there is no trip count to plan from, and once a
-// memoizeOnce predictor has locked its rows in.
+// Empty while there is no trip count to plan from.
 func (p *predictor[S]) planFromPosition(pos int64, buf []planEntry) []planEntry {
-	if p.frozen || p.prevTotal <= 0 {
+	if p.prevTotal <= 0 {
 		return buf
 	}
 	for k := 1; k < p.threads; k++ {
@@ -217,15 +192,11 @@ func (p *predictor[S]) specCap(override int64) int64 {
 // apply installs the surviving memoizations and the trip count the next
 // invocation's boundaries are planned from. total is the invocation's
 // committed trip count; memos are ordered by commit position, so later
-// (more-rebalanced, e.g. a later round's) writes win.
+// (more-rebalanced, e.g. a later round's) writes win. The rows the
+// invocation read are left as they were: they become scratch.
 func (p *predictor[S]) apply(total int64, memos []memo[S]) {
-	if p.memoizeOnce && p.frozen {
-		return
-	}
 	fresh := p.scratch
-	for i := range fresh {
-		fresh[i] = row[S]{}
-	}
+	clear(fresh)
 	for _, m := range memos {
 		if m.row < 0 || m.row >= len(fresh) {
 			continue
@@ -234,7 +205,4 @@ func (p *predictor[S]) apply(total int64, memos []memo[S]) {
 	}
 	p.rows, p.scratch = fresh, p.rows
 	p.prevTotal = total
-	if p.memoizeOnce && p.havePredictions() {
-		p.frozen = true
-	}
 }

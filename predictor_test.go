@@ -18,7 +18,7 @@ func checkPromote(t *testing.T, threads int, total int64) {
 			cands = append(cands, memo[int64]{row: e.row, state: -e.local, pos: e.local})
 		}
 	}
-	p := newPredictor[int64](threads, false)
+	p := newPredictor[int64](threads)
 	got := p.promote(total, append([]memo[int64](nil), cands...))
 
 	lastPos := int64(0)
@@ -52,7 +52,7 @@ func checkPromote(t *testing.T, threads int, total int64) {
 	}
 
 	p.apply(total, got)
-	rows := p.snapshot()
+	rows := p.rows
 	for _, m := range got {
 		if r := rows[m.row]; !r.valid || r.pos != m.pos || r.start != m.state {
 			t.Fatalf("threads %d total %d: row %d installed as %+v, chosen %+v", threads, total, m.row, r, m)
@@ -73,7 +73,7 @@ func TestPromote(t *testing.T) {
 		}
 	}
 	// Candidates are captured, never rows: unpromoted they install nothing.
-	p := newPredictor[int64](4, false)
+	p := newPredictor[int64](4)
 	p.apply(100, []memo[int64]{{row: candRow, state: 1, pos: 1}, {row: candRow, state: 2, pos: 2}})
 	if p.havePredictions() {
 		t.Fatal("apply installed an unpromoted candidate as a row")

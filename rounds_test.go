@@ -40,10 +40,10 @@ func (k *roundKinds) note(before, after Stats) {
 // pinnedList runs the list kernel for 14 invocations with churn, a
 // mid-list growth past the derived cap, a drop of a third and a shuffle
 // between them, and returns the Stats snapshot after every invocation.
-func pinnedList(t *testing.T, kinds *roundKinds, loop Loop[*node, sumAcc], threads int, maxSpec int64, adaptive, positional bool) []string {
+func pinnedList(t *testing.T, kinds *roundKinds, loop Loop[*node, sumAcc], threads int, maxSpec int64, adaptive bool) []string {
 	l := newTestList(300, 31)
 	r, err := NewRunner(loop, Config{
-		Threads: threads, MaxSpecIters: maxSpec, Positional: positional,
+		Threads: threads, MaxSpecIters: maxSpec,
 		Options: Options{Adaptive: adaptive, ProbeInterval: 2},
 	})
 	if err != nil {
@@ -128,8 +128,8 @@ func pinnedDoacross(t *testing.T, kinds *roundKinds, loop Loop[*dcnode, int64], 
 
 // TestRoundCountersPinned pins what no benchmark workload reaches (none
 // of them runs a second round): every counter of every invocation of a
-// scenario matrix over width × MaxSpecIters × adaptive × positional ×
-// structural change, and DOACROSS regime × width × cap × adaptive, as
+// scenario matrix over width × MaxSpecIters × adaptive × structural
+// change, and DOACROSS regime × width × cap × adaptive, as
 // one FNV-1a hash per scenario of its formatted snapshots. The table
 // was captured at the commit before scheduler.run became one loop over
 // rounds (when recovery rounds were a separate function), so it is the
@@ -145,11 +145,9 @@ func TestRoundCountersPinned(t *testing.T) {
 	for _, threads := range []int{2, 3, 4, 8} {
 		for _, maxSpec := range []int64{0, 50, 600} {
 			for _, adaptive := range []bool{false, true} {
-				for _, positional := range []bool{false, true} {
-					name := fmt.Sprintf("list/t%d/cap%d/adaptive=%v/positional=%v", threads, maxSpec, adaptive, positional)
-					ran[name] = strings.Join(pinnedList(t, &kinds, xorLoop(), threads, maxSpec, adaptive, positional), "\n")
-					ran[name+scanSuffix] = strings.Join(pinnedList(t, &kinds, xorScanLoop(), threads, maxSpec, adaptive, positional), "\n")
-				}
+				name := fmt.Sprintf("list/t%d/cap%d/adaptive=%v", threads, maxSpec, adaptive)
+				ran[name] = strings.Join(pinnedList(t, &kinds, xorLoop(), threads, maxSpec, adaptive), "\n")
+				ran[name+scanSuffix] = strings.Join(pinnedList(t, &kinds, xorScanLoop(), threads, maxSpec, adaptive), "\n")
 			}
 		}
 	}
@@ -292,88 +290,64 @@ func TestUndispatchedSlotsGetNoVerdict(t *testing.T) {
 }
 
 var pinnedRounds = map[string]uint64{
-	"doacross/dense/t2/cap0/adaptive=false":          0x7524ce717d896b46,
-	"doacross/dense/t2/cap0/adaptive=true":           0xd04d2a4eb4e27756,
-	"doacross/dense/t2/cap300/adaptive=false":        0x5ea54b3842200ffe,
-	"doacross/dense/t2/cap300/adaptive=true":         0x387665ebf544bbc2,
-	"doacross/dense/t4/cap0/adaptive=false":          0x03963b18ee390eb6,
-	"doacross/dense/t4/cap0/adaptive=true":           0xe76b305ebe0a8213,
-	"doacross/dense/t4/cap300/adaptive=false":        0x03963b18ee390eb6,
-	"doacross/dense/t4/cap300/adaptive=true":         0x3ea560812b15690b,
-	"doacross/dense/t8/cap0/adaptive=false":          0xf0fa3bc5582aa508,
-	"doacross/dense/t8/cap0/adaptive=true":           0x594a3c5da80780d5,
-	"doacross/dense/t8/cap300/adaptive=false":        0xf0fa3bc5582aa508,
-	"doacross/dense/t8/cap300/adaptive=true":         0x594a3c5da80780d5,
-	"doacross/none/t2/cap0/adaptive=false":           0xfbcc8429b10f8631,
-	"doacross/none/t2/cap0/adaptive=true":            0xfbcc8429b10f8631,
-	"doacross/none/t2/cap300/adaptive=false":         0xabb0a69f3b32f8e9,
-	"doacross/none/t2/cap300/adaptive=true":          0xabb0a69f3b32f8e9,
-	"doacross/none/t4/cap0/adaptive=false":           0x0bc7b21e5c35639b,
-	"doacross/none/t4/cap0/adaptive=true":            0x0bc7b21e5c35639b,
-	"doacross/none/t4/cap300/adaptive=false":         0x0bc7b21e5c35639b,
-	"doacross/none/t4/cap300/adaptive=true":          0x0bc7b21e5c35639b,
-	"doacross/none/t8/cap0/adaptive=false":           0x57b75f05ad9a0ca5,
-	"doacross/none/t8/cap0/adaptive=true":            0x57b75f05ad9a0ca5,
-	"doacross/none/t8/cap300/adaptive=false":         0x57b75f05ad9a0ca5,
-	"doacross/none/t8/cap300/adaptive=true":          0x57b75f05ad9a0ca5,
-	"doacross/rare/t2/cap0/adaptive=false":           0x1f414002f4b13ba7,
-	"doacross/rare/t2/cap0/adaptive=true":            0x1f414002f4b13ba7,
-	"doacross/rare/t2/cap300/adaptive=false":         0x41c85472c900e247,
-	"doacross/rare/t2/cap300/adaptive=true":          0x41c85472c900e247,
-	"doacross/rare/t4/cap0/adaptive=false":           0xffcc05d3fcc71fa6,
-	"doacross/rare/t4/cap0/adaptive=true":            0xffcc05d3fcc71fa6,
-	"doacross/rare/t4/cap300/adaptive=false":         0xffcc05d3fcc71fa6,
-	"doacross/rare/t4/cap300/adaptive=true":          0xffcc05d3fcc71fa6,
-	"doacross/rare/t8/cap0/adaptive=false":           0x99c2b28ea57b19b2,
-	"doacross/rare/t8/cap0/adaptive=true":            0x99c2b28ea57b19b2,
-	"doacross/rare/t8/cap300/adaptive=false":         0x99c2b28ea57b19b2,
-	"doacross/rare/t8/cap300/adaptive=true":          0x99c2b28ea57b19b2,
-	"list/t2/cap0/adaptive=false/positional=false":   0x0c21638a4ec2e5fc,
-	"list/t2/cap0/adaptive=false/positional=true":    0x4ad51a4bdbca098f,
-	"list/t2/cap0/adaptive=true/positional=false":    0x0c21638a4ec2e5fc,
-	"list/t2/cap0/adaptive=true/positional=true":     0xac69c74d5eca421a,
-	"list/t2/cap50/adaptive=false/positional=false":  0x842543760519882d,
-	"list/t2/cap50/adaptive=false/positional=true":   0x8bc8a8d466976942,
-	"list/t2/cap50/adaptive=true/positional=false":   0x842543760519882d,
-	"list/t2/cap50/adaptive=true/positional=true":    0xb56d0e82d4f30239,
-	"list/t2/cap600/adaptive=false/positional=false": 0x5879ce67adbe4008,
-	"list/t2/cap600/adaptive=false/positional=true":  0x2c857f9488bf3870,
-	"list/t2/cap600/adaptive=true/positional=false":  0x5879ce67adbe4008,
-	"list/t2/cap600/adaptive=true/positional=true":   0x068cc9c2f014998e,
-	"list/t3/cap0/adaptive=false/positional=false":   0x06d9098d1ce7fd29,
-	"list/t3/cap0/adaptive=false/positional=true":    0x1ced1b1e6a4084c0,
-	"list/t3/cap0/adaptive=true/positional=false":    0x06d9098d1ce7fd29,
-	"list/t3/cap0/adaptive=true/positional=true":     0x1992226301a3324d,
-	"list/t3/cap50/adaptive=false/positional=false":  0x327b85be58e04d08,
-	"list/t3/cap50/adaptive=false/positional=true":   0x65dca331fae18226,
-	"list/t3/cap50/adaptive=true/positional=false":   0x327b85be58e04d08,
-	"list/t3/cap50/adaptive=true/positional=true":    0xb8c4cc93039e5a4b,
-	"list/t3/cap600/adaptive=false/positional=false": 0x23bbf5d267e905e1,
-	"list/t3/cap600/adaptive=false/positional=true":  0xb51944845f5f1153,
-	"list/t3/cap600/adaptive=true/positional=false":  0x23bbf5d267e905e1,
-	"list/t3/cap600/adaptive=true/positional=true":   0x9fa26ab234ecd543,
-	"list/t4/cap0/adaptive=false/positional=false":   0x3e4b8cfcd2bc9cc2,
-	"list/t4/cap0/adaptive=false/positional=true":    0x449c37b195988127,
-	"list/t4/cap0/adaptive=true/positional=false":    0x3e4b8cfcd2bc9cc2,
-	"list/t4/cap0/adaptive=true/positional=true":     0xea2349e851d7eb7c,
-	"list/t4/cap50/adaptive=false/positional=false":  0xf40281ed5870cdb6,
-	"list/t4/cap50/adaptive=false/positional=true":   0xa6256978b43cc03d,
-	"list/t4/cap50/adaptive=true/positional=false":   0xf40281ed5870cdb6,
-	"list/t4/cap50/adaptive=true/positional=true":    0xdd8c9fb7974ff608,
-	"list/t4/cap600/adaptive=false/positional=false": 0xf2857e1916bbfabd,
-	"list/t4/cap600/adaptive=false/positional=true":  0xcb0766a0b3dae9b4,
-	"list/t4/cap600/adaptive=true/positional=false":  0xf2857e1916bbfabd,
-	"list/t4/cap600/adaptive=true/positional=true":   0xfcae4ec6c9c80adf,
-	"list/t8/cap0/adaptive=false/positional=false":   0x71ac6deff81b1154,
-	"list/t8/cap0/adaptive=false/positional=true":    0xa80f39b4b50ea991,
-	"list/t8/cap0/adaptive=true/positional=false":    0x71ac6deff81b1154,
-	"list/t8/cap0/adaptive=true/positional=true":     0x8a5b17143d79998d,
-	"list/t8/cap50/adaptive=false/positional=false":  0xba81ba704760f1e2,
-	"list/t8/cap50/adaptive=false/positional=true":   0xf620eb676ab07bb6,
-	"list/t8/cap50/adaptive=true/positional=false":   0x48156c01ee9cfb87,
-	"list/t8/cap50/adaptive=true/positional=true":    0x75978df1ffc48ffc,
-	"list/t8/cap600/adaptive=false/positional=false": 0xae766426327f4fbc,
-	"list/t8/cap600/adaptive=false/positional=true":  0x6968256e10dc94a7,
-	"list/t8/cap600/adaptive=true/positional=false":  0xa7c670cc37091388,
-	"list/t8/cap600/adaptive=true/positional=true":   0x7af3cc6afa106e1d,
+	"doacross/dense/t2/cap0/adaptive=false":   0x7524ce717d896b46,
+	"doacross/dense/t2/cap0/adaptive=true":    0xd04d2a4eb4e27756,
+	"doacross/dense/t2/cap300/adaptive=false": 0x5ea54b3842200ffe,
+	"doacross/dense/t2/cap300/adaptive=true":  0x387665ebf544bbc2,
+	"doacross/dense/t4/cap0/adaptive=false":   0x03963b18ee390eb6,
+	"doacross/dense/t4/cap0/adaptive=true":    0xe76b305ebe0a8213,
+	"doacross/dense/t4/cap300/adaptive=false": 0x03963b18ee390eb6,
+	"doacross/dense/t4/cap300/adaptive=true":  0x3ea560812b15690b,
+	"doacross/dense/t8/cap0/adaptive=false":   0xf0fa3bc5582aa508,
+	"doacross/dense/t8/cap0/adaptive=true":    0x594a3c5da80780d5,
+	"doacross/dense/t8/cap300/adaptive=false": 0xf0fa3bc5582aa508,
+	"doacross/dense/t8/cap300/adaptive=true":  0x594a3c5da80780d5,
+	"doacross/none/t2/cap0/adaptive=false":    0xfbcc8429b10f8631,
+	"doacross/none/t2/cap0/adaptive=true":     0xfbcc8429b10f8631,
+	"doacross/none/t2/cap300/adaptive=false":  0xabb0a69f3b32f8e9,
+	"doacross/none/t2/cap300/adaptive=true":   0xabb0a69f3b32f8e9,
+	"doacross/none/t4/cap0/adaptive=false":    0x0bc7b21e5c35639b,
+	"doacross/none/t4/cap0/adaptive=true":     0x0bc7b21e5c35639b,
+	"doacross/none/t4/cap300/adaptive=false":  0x0bc7b21e5c35639b,
+	"doacross/none/t4/cap300/adaptive=true":   0x0bc7b21e5c35639b,
+	"doacross/none/t8/cap0/adaptive=false":    0x57b75f05ad9a0ca5,
+	"doacross/none/t8/cap0/adaptive=true":     0x57b75f05ad9a0ca5,
+	"doacross/none/t8/cap300/adaptive=false":  0x57b75f05ad9a0ca5,
+	"doacross/none/t8/cap300/adaptive=true":   0x57b75f05ad9a0ca5,
+	"doacross/rare/t2/cap0/adaptive=false":    0x1f414002f4b13ba7,
+	"doacross/rare/t2/cap0/adaptive=true":     0x1f414002f4b13ba7,
+	"doacross/rare/t2/cap300/adaptive=false":  0x41c85472c900e247,
+	"doacross/rare/t2/cap300/adaptive=true":   0x41c85472c900e247,
+	"doacross/rare/t4/cap0/adaptive=false":    0xffcc05d3fcc71fa6,
+	"doacross/rare/t4/cap0/adaptive=true":     0xffcc05d3fcc71fa6,
+	"doacross/rare/t4/cap300/adaptive=false":  0xffcc05d3fcc71fa6,
+	"doacross/rare/t4/cap300/adaptive=true":   0xffcc05d3fcc71fa6,
+	"doacross/rare/t8/cap0/adaptive=false":    0x99c2b28ea57b19b2,
+	"doacross/rare/t8/cap0/adaptive=true":     0x99c2b28ea57b19b2,
+	"doacross/rare/t8/cap300/adaptive=false":  0x99c2b28ea57b19b2,
+	"doacross/rare/t8/cap300/adaptive=true":   0x99c2b28ea57b19b2,
+	"list/t2/cap0/adaptive=false":             0x0c21638a4ec2e5fc,
+	"list/t2/cap0/adaptive=true":              0x0c21638a4ec2e5fc,
+	"list/t2/cap50/adaptive=false":            0x842543760519882d,
+	"list/t2/cap50/adaptive=true":             0x842543760519882d,
+	"list/t2/cap600/adaptive=false":           0x5879ce67adbe4008,
+	"list/t2/cap600/adaptive=true":            0x5879ce67adbe4008,
+	"list/t3/cap0/adaptive=false":             0x06d9098d1ce7fd29,
+	"list/t3/cap0/adaptive=true":              0x06d9098d1ce7fd29,
+	"list/t3/cap50/adaptive=false":            0x327b85be58e04d08,
+	"list/t3/cap50/adaptive=true":             0x327b85be58e04d08,
+	"list/t3/cap600/adaptive=false":           0x23bbf5d267e905e1,
+	"list/t3/cap600/adaptive=true":            0x23bbf5d267e905e1,
+	"list/t4/cap0/adaptive=false":             0x3e4b8cfcd2bc9cc2,
+	"list/t4/cap0/adaptive=true":              0x3e4b8cfcd2bc9cc2,
+	"list/t4/cap50/adaptive=false":            0xf40281ed5870cdb6,
+	"list/t4/cap50/adaptive=true":             0xf40281ed5870cdb6,
+	"list/t4/cap600/adaptive=false":           0xf2857e1916bbfabd,
+	"list/t4/cap600/adaptive=true":            0xf2857e1916bbfabd,
+	"list/t8/cap0/adaptive=false":             0x71ac6deff81b1154,
+	"list/t8/cap0/adaptive=true":              0x71ac6deff81b1154,
+	"list/t8/cap50/adaptive=false":            0xba81ba704760f1e2,
+	"list/t8/cap50/adaptive=true":             0x48156c01ee9cfb87,
+	"list/t8/cap600/adaptive=false":           0xae766426327f4fbc,
+	"list/t8/cap600/adaptive=true":            0xa7c670cc37091388,
 }

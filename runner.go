@@ -93,7 +93,7 @@ func (st *runnerStats) publish(d *Stats, works []int64, worksDirty bool) {
 }
 
 // addInto accumulates the published counters into a Stats value. The
-// EffectiveThreads gauge is not summed — snapshot and Pool.Stats set it
+// EffectiveThreads gauge is not summed — read and Pool.Stats set it
 // from the relevant runner.
 func (st *runnerStats) addInto(s *Stats) {
 	st.mu.Lock()
@@ -101,8 +101,8 @@ func (st *runnerStats) addInto(s *Stats) {
 	st.mu.Unlock()
 }
 
-// snapshot returns a consistent copy of the published counters.
-func (st *runnerStats) snapshot() Stats {
+// read returns a consistent snapshot of the published counters.
+func (st *runnerStats) read() Stats {
 	var s Stats
 	st.mu.Lock()
 	s = st.total
@@ -168,8 +168,7 @@ func (r *Runner[S, A]) runInvocation(ctx context.Context, start S, loadAware boo
 	defer func() { r.stats.publish(&r.pend, r.sched.works, r.pendWorks); r.pendWorks = false }()
 	r.pend.Invocations++
 
-	n, eff, probe, shed := 1, r.cfg.Threads, false, false
-	var rows []row[S]
+	n, eff, probe, shed, predicted := 1, r.cfg.Threads, false, false, false
 	if r.cfg.Threads > 1 {
 		// Every parallel-capable invocation registers its demand on the
 		// shared executor for its whole duration, so the load-aware path
@@ -215,10 +214,9 @@ func (r *Runner[S, A]) runInvocation(ctx context.Context, start S, loadAware boo
 				}()
 			}
 			r.stats.effectiveThreads.Store(int64(eff))
-			if r.pred.havePredictions() {
-				rows = r.pred.snapshot()
+			if predicted = r.pred.havePredictions(); predicted {
 				if eff > 1 {
-					n = r.sched.planDispatch(r, rows, eff, probe)
+					n = r.sched.planDispatch(r, eff, probe)
 				}
 				if n == 1 && r.ctrl != nil {
 					r.pend.SequentialFallbacks++
@@ -228,7 +226,7 @@ func (r *Runner[S, A]) runInvocation(ctx context.Context, start S, loadAware boo
 	}
 
 	c0 := r.pend.Conflicts
-	acc, misspec, err := r.sched.run(r, ctx, start, rows, n, probe)
+	acc, misspec, err := r.sched.run(r, ctx, start, n, probe)
 
 	// Only contained panics (*PanicError, including wrapped batch-item
 	// forms) advance the streak behind Pool quarantine; a panic that
@@ -245,7 +243,7 @@ func (r *Runner[S, A]) runInvocation(ctx context.Context, start S, loadAware boo
 	r.consecPanics = 0
 	switch {
 	case r.ctrl == nil || shed:
-	case rows == nil:
+	case !predicted:
 		r.ctrl.Observe(specSkipped)
 	case n == 1 && eff > 1:
 		// The confidence gate dropped every row: an immediate demotion to
@@ -349,7 +347,7 @@ func mustRun[A any](acc A, err error) A {
 
 // Stats returns a snapshot of the runner's counters. Safe to call
 // concurrently with Run.
-func (r *Runner[S, A]) Stats() Stats { return r.stats.snapshot() }
+func (r *Runner[S, A]) Stats() Stats { return r.stats.read() }
 
 // Close releases the runner's executor workers when the runner owns
 // them (a runner built with Config.Executor leaves the shared executor
@@ -358,13 +356,4 @@ func (r *Runner[S, A]) Close() {
 	if r.ownsExec {
 		r.exec.Close()
 	}
-}
-
-// String describes the runner configuration.
-func (r *Runner[S, A]) String() string {
-	mode := "membership"
-	if r.cfg.Positional {
-		mode = "positional"
-	}
-	return fmt.Sprintf("spice.Runner{threads=%d, validation=%s}", r.cfg.Threads, mode)
 }

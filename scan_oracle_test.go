@@ -122,21 +122,18 @@ func runShippedCase(t *testing.T, c shippedCase, size, seed int64, cfg spice.Con
 
 // TestShippedLoopsScanDifferential is the matrix: every case across
 // widths 1–4, with and without a tight speculative cap (which forces
-// later rounds), membership and positional validation, adaptive on and
-// off.
+// later rounds), adaptive on and off.
 func TestShippedLoopsScanDifferential(t *testing.T) {
 	for _, c := range shippedCases() {
 		t.Run(c.String(), func(t *testing.T) {
 			var seen spice.Stats
 			for threads := 1; threads <= 4; threads++ {
 				for _, maxSpec := range []int64{0, 70} {
-					for _, positional := range []bool{false, true} {
-						for _, adaptive := range []bool{false, true} {
-							seen = seen.Plus(runShippedCase(t, c, 700, 9, spice.Config{
-								Threads: threads, MaxSpecIters: maxSpec, Positional: positional,
-								Options: spice.Options{Adaptive: adaptive, ProbeInterval: 2},
-							}))
-						}
+					for _, adaptive := range []bool{false, true} {
+						seen = seen.Plus(runShippedCase(t, c, 700, 9, spice.Config{
+							Threads: threads, MaxSpecIters: maxSpec,
+							Options: spice.Options{Adaptive: adaptive, ProbeInterval: 2},
+						}))
 					}
 				}
 			}
@@ -152,17 +149,17 @@ func TestShippedLoopsScanDifferential(t *testing.T) {
 }
 
 // FuzzShippedLoopsScan fuzzes the same comparison over kernel, size,
-// width, cap, validation mode and seed.
+// width, cap and seed.
 func FuzzShippedLoopsScan(f *testing.F) {
-	f.Add(int64(1), uint16(300), uint8(2), uint8(0), uint16(0), false)
-	f.Add(int64(2), uint16(900), uint8(4), uint8(5), uint16(40), true)
-	f.Add(int64(3), uint16(1), uint8(1), uint8(9), uint16(1), false)
-	f.Add(int64(4), uint16(2500), uint8(3), uint8(13), uint16(0), false)
+	f.Add(int64(1), uint16(300), uint8(2), uint8(0), uint16(0))
+	f.Add(int64(2), uint16(900), uint8(4), uint8(5), uint16(40))
+	f.Add(int64(3), uint16(1), uint8(1), uint8(9), uint16(1))
+	f.Add(int64(4), uint16(2500), uint8(3), uint8(13), uint16(0))
 	cases := shippedCases()
-	f.Fuzz(func(t *testing.T, seed int64, size uint16, threads, pick uint8, maxSpec uint16, positional bool) {
+	f.Fuzz(func(t *testing.T, seed int64, size uint16, threads, pick uint8, maxSpec uint16) {
 		for _, adaptive := range []bool{false, true} {
 			runShippedCase(t, cases[int(pick)%len(cases)], int64(size%4096)+1, seed, spice.Config{
-				Threads: int(threads%8) + 1, MaxSpecIters: int64(maxSpec), Positional: positional,
+				Threads: int(threads%8) + 1, MaxSpecIters: int64(maxSpec),
 				Options: spice.Options{Adaptive: adaptive, ProbeInterval: 2},
 			})
 		}

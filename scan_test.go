@@ -211,50 +211,48 @@ func zeroLiveLoop(n, zeroAfter int, bodyCalls *atomic.Int64) (Loop[int, int64], 
 }
 
 // TestScanZeroStateIsLive: blocks that hunt nothing (the sequential
-// path, the chain's last chunk, every chunk under positional validation)
-// pass the zero S as stop. When the zero state is a live state of the
-// traversal, Scan stops on it, the runtime runs that one iteration
-// through Body/Next, and the traversal goes on — at every width, under
-// both validation modes, whether state 0 is an ordinary state or a
-// chunk's predicted start (position 4096 of 8192 is where a width-2
-// bootstrap memoizes).
+// path, the chain's last chunk) pass the zero S as stop. When the zero
+// state is a live state of the traversal, Scan stops on it, the runtime
+// runs that one iteration through Body/Next, and the traversal goes on —
+// at every width, whether state 0 is an ordinary state or a chunk's
+// predicted start (position 4096 of 8192 is where a width-2 bootstrap
+// memoizes). The subtests keep the names they had beside positional
+// validation, which the runtime no longer has.
 func TestScanZeroStateIsLive(t *testing.T) {
 	const n = 8192
 	for _, zeroAfter := range []int{3000, 4096} {
 		for threads := 1; threads <= 4; threads++ {
-			for _, positional := range []bool{false, true} {
-				t.Run(fmt.Sprintf("zeroAfter%d/t%d/positional=%v", zeroAfter, threads, positional), func(t *testing.T) {
-					var bodyCalls atomic.Int64
-					loop, want := zeroLiveLoop(n, zeroAfter, &bodyCalls)
-					r, err := NewRunner(loop, Config{Threads: threads, Positional: positional})
-					if err != nil {
-						t.Fatal(err)
+			t.Run(fmt.Sprintf("zeroAfter%d/t%d/positional=false", zeroAfter, threads), func(t *testing.T) {
+				var bodyCalls atomic.Int64
+				loop, want := zeroLiveLoop(n, zeroAfter, &bodyCalls)
+				r, err := NewRunner(loop, Config{Threads: threads})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer r.Close()
+				const invocations = 5
+				for inv := 0; inv < invocations; inv++ {
+					if got, err := r.Run(context.Background(), 1); err != nil || got != want {
+						t.Fatalf("inv %d: got %d want %d err %v", inv, got, want, err)
 					}
-					defer r.Close()
-					const invocations = 5
-					for inv := 0; inv < invocations; inv++ {
-						if got, err := r.Run(context.Background(), 1); err != nil || got != want {
-							t.Fatalf("inv %d: got %d want %d err %v", inv, got, want, err)
-						}
-					}
-					st := r.Stats()
-					if st.TotalIters != invocations*n || st.SquashedIters != 0 {
-						t.Fatalf("TotalIters %d SquashedIters %d, want %d and 0", st.TotalIters, st.SquashedIters, invocations*n)
-					}
-					if threads > 1 && st.Hits == 0 {
-						t.Fatalf("no speculative chunk committed: %+v", st)
-					}
-					// Only state 0's iteration may run through Body, and it
-					// does whenever the block that reaches it hunts nothing.
-					calls := bodyCalls.Load()
-					if calls > invocations {
-						t.Fatalf("%d iterations ran through Body in %d invocations", calls, invocations)
-					}
-					if (threads == 1 || positional) && calls != invocations {
-						t.Fatalf("%d iterations ran through Body, want one per invocation", calls)
-					}
-				})
-			}
+				}
+				st := r.Stats()
+				if st.TotalIters != invocations*n || st.SquashedIters != 0 {
+					t.Fatalf("TotalIters %d SquashedIters %d, want %d and 0", st.TotalIters, st.SquashedIters, invocations*n)
+				}
+				if threads > 1 && st.Hits == 0 {
+					t.Fatalf("no speculative chunk committed: %+v", st)
+				}
+				// Only state 0's iteration may run through Body, and it
+				// does whenever the block that reaches it hunts nothing.
+				calls := bodyCalls.Load()
+				if calls > invocations {
+					t.Fatalf("%d iterations ran through Body in %d invocations", calls, invocations)
+				}
+				if threads == 1 && calls != invocations {
+					t.Fatalf("%d iterations ran through Body, want one per invocation", calls)
+				}
+			})
 		}
 	}
 }

@@ -30,15 +30,18 @@ import (
 // Block-structure invariants (chunkJob.exec and blockloop.go): a chunk
 // executes in bounded blocks whose length is the distance to the
 // nearest pending event — the next ctx/abort poll point, the next
-// memoization-plan threshold, the speculative iteration cap, or the
-// positional-validation peek. Inside a block the loop touches only
-// register-resident locals; the shared result struct is written
-// exactly once, when the chunk finishes (and, for the iteration count,
-// by the panic-recovery paths). Spills happen at three places only:
+// memoization-plan threshold, or the speculative iteration cap.
+// Validation is not an event: it is by membership (the paper's second
+// insight), so a chunk with a successor hunts its predicted start inside
+// every block, and only the chain's last chunk and a round of one hunt
+// nothing. Inside a block the loop touches only register-resident
+// locals; the shared result struct is written exactly once, when the
+// chunk finishes (and, for the iteration count, by the panic-recovery
+// paths). Spills happen at three places only:
 //
 //   - block boundaries: the driver's local `work` counter advances by
 //     the block's returned count and all slow-path bookkeeping (polls,
-//     plan captures, cap, positional peek) runs against it;
+//     plan captures, cap) runs against it;
 //   - chunk exit: work/acc/matched/capped/endState/err spill to the
 //     result struct in one shot, so concurrent workers never share
 //     result cache lines mid-traversal;
@@ -124,17 +127,16 @@ type chunkResult[S comparable, A any] struct {
 // r, res, lat and idx are wired once at scheduler construction; the
 // remaining fields are reset per dispatch.
 type chunkJob[S comparable, A any] struct {
-	r       *Runner[S, A]
-	res     *chunkResult[S, A]
-	lat     *latch
-	idx     int // dispatch slot: position in the round's validation chain (> 0: the start is predicted)
-	ctx     context.Context
-	start   S
-	snap    *row[S] // successor's predicted start (nil: run to the end)
-	ownRow  int     // SVA row this chunk's own backstop targets (-1: none)
-	plan    []planEntry
-	posBase int64 // predicted global start position (positional validation)
-	cap     int64 // speculative iteration cap
+	r      *Runner[S, A]
+	res    *chunkResult[S, A]
+	lat    *latch
+	idx    int // dispatch slot: position in the round's validation chain (> 0: the start is predicted)
+	ctx    context.Context
+	start  S
+	snap   *row[S] // successor's predicted start (nil: run to the end)
+	ownRow int     // SVA row this chunk's own backstop targets (-1: none)
+	plan   []planEntry
+	cap    int64 // speculative iteration cap
 
 	claimWord // armed by dispatchRound after every other field of the round is in place
 	// reclaimed records that the invoker won the claim (invoker-only).
@@ -143,13 +145,12 @@ type chunkJob[S comparable, A any] struct {
 
 // reset arms the job and its result buffer for one dispatch.
 func (j *chunkJob[S, A]) reset(ctx context.Context, start S, snap *row[S],
-	ownRow int, plan []planEntry, posBase, cap64 int64) {
+	ownRow int, plan []planEntry, cap64 int64) {
 	j.ctx = ctx
 	j.start = start
 	j.snap = snap
 	j.ownRow = ownRow
 	j.plan = plan
-	j.posBase = posBase
 	j.cap = cap64
 	res := j.res
 	var zero S
@@ -310,19 +311,12 @@ func (j *chunkJob[S, A]) exec() {
 	minPlanAt := int64(0) // plan entries fire one iteration apart at minimum
 	ownDone := false
 
-	// Membership validation hunts the successor's start every iteration;
-	// positional validation (the ablation) can only match at one exact
-	// position, so its single peek becomes a block boundary and its
-	// blocks hunt nothing.
+	// Membership validation: a chunk with a successor hunts its predicted
+	// start in every iteration, wherever it appears.
 	var snapStart S
 	hunt := j.snap != nil
-	matchAt := int64(-1) // positional: completed-count of the one peek
 	if hunt {
 		snapStart = j.snap.start
-		if r.cfg.Positional {
-			hunt = false
-			matchAt = j.snap.pos - j.posBase // negative: can never match
-		}
 	}
 	capAt := int64(1) << 62
 	if j.idx > 0 { // a predicted start: the iteration cap applies
@@ -357,9 +351,6 @@ loop:
 			if at < bound {
 				bound = at
 			}
-		}
-		if matchAt >= work && matchAt < bound {
-			bound = matchAt
 		}
 
 		var k int64
@@ -413,15 +404,6 @@ loop:
 			}
 			cursor++
 			minPlanAt = work + 1
-		}
-		// Positional validation: the one position where the successor's
-		// predicted start may match.
-		if matchAt == work {
-			if s == snapStart {
-				matched = true
-				break
-			}
-			matchAt = -1
 		}
 	}
 
@@ -809,8 +791,8 @@ func (s *scheduler[S, A]) admitted(r *Runner[S, A], rows []row[S], from int, pro
 // rows[s.dispRows[i]]); the returned chunk count is 1+len(s.dispRows).
 // A return of 1 means nothing is worth speculating on — the invocation
 // starts as a round of one instead of burning workers on doomed chunks.
-func (s *scheduler[S, A]) planDispatch(r *Runner[S, A], rows []row[S], eff int, probe bool) int {
-	adm := s.admitted(r, rows, 0, probe)
+func (s *scheduler[S, A]) planDispatch(r *Runner[S, A], eff int, probe bool) int {
+	adm := s.admitted(r, r.pred.rows, 0, probe)
 	keep := s.dispRows[:0]
 	if len(adm) <= eff-1 {
 		keep = append(keep, adm...)
@@ -853,7 +835,10 @@ func (s *scheduler[S, A]) planDispatch(r *Runner[S, A], rows []row[S], eff int, 
 // memoizations so the next invocation still speculates. The middle
 // return is the adaptive controller's feedback signal: whether any
 // squashed chunk was judged a genuine misprediction.
-func (s *scheduler[S, A]) run(r *Runner[S, A], ctx context.Context, start S, rows []row[S], n int, probe bool) (A, bool, error) {
+func (s *scheduler[S, A]) run(r *Runner[S, A], ctx context.Context, start S, n int, probe bool) (A, bool, error) {
+	// The predictor's rows, read in place: apply, at the end, swaps in the
+	// next generation without writing these.
+	rows := r.pred.rows
 	specCap := r.pred.specCap(r.cfg.MaxSpecIters)
 	cap64 := specCap
 	if probe {
@@ -916,9 +901,9 @@ func (s *scheduler[S, A]) run(r *Runner[S, A], ctx context.Context, start S, row
 		// 0's is exact. Only balance depends on the prediction;
 		// correctness comes from the validation chain.
 		for i := 0; i < n; i++ {
-			st, posBase := cur, pos
+			st, at := cur, pos
 			if i > 0 {
-				st, posBase = rows[chain[i-1]].start, rows[chain[i-1]].pos
+				st, at = rows[chain[i-1]].start, max(pos, rows[chain[i-1]].pos)
 			}
 			ownRow := -1
 			var snap *row[S]
@@ -928,10 +913,10 @@ func (s *scheduler[S, A]) run(r *Runner[S, A], ctx context.Context, start S, row
 			}
 			plan := bootPlan
 			if !boot {
-				s.plans[i] = r.pred.planFromPosition(max(pos, posBase), s.plans[i][:0])
+				s.plans[i] = r.pred.planFromPosition(at, s.plans[i][:0])
 				plan = s.plans[i]
 			}
-			s.jobs[i].reset(ctx, st, snap, ownRow, plan, posBase, cap64)
+			s.jobs[i].reset(ctx, st, snap, ownRow, plan, cap64)
 		}
 		dispatchErr := s.dispatchRound(r, ctx, n)
 

@@ -261,16 +261,6 @@ type Config struct {
 	// that was unlinked into a cycle). Zero derives a safe cap from the
 	// previous invocation's trip count.
 	MaxSpecIters int64
-	// Positional switches the predictor to positional validation (the
-	// ablation of the paper's second insight): a predicted start is
-	// only accepted when it appears at exactly the memoized iteration
-	// index. Order-free membership validation (the default) tolerates
-	// insertions and deletions; positional validation does not.
-	Positional bool
-	// MemoizeOnce disables per-invocation re-memoization (the paper's
-	// strawman: memoize live-ins once and reuse them forever). The
-	// predictor cannot adapt once a memoized node leaves the structure.
-	MemoizeOnce bool
 	// Faults, when non-nil, arms the deterministic fault-injection plane
 	// (internal/faults) on the runner's injection sites: chunk bodies,
 	// recovery rounds, and executor workers (a Pool adds runner
@@ -502,7 +492,7 @@ func NewRunner[S comparable, A any](loop Loop[S, A], cfg Config) (*Runner[S, A],
 		loop:  loop,
 		block: blockOf(&loop),
 		cfg:   cfg,
-		pred:  newPredictor[S](cfg.Threads, cfg.MemoizeOnce),
+		pred:  newPredictor[S](cfg.Threads),
 		cells: loop.Cells,
 	}
 	r.sched = newScheduler(r, cfg.Threads)

