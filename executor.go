@@ -380,22 +380,26 @@ func (e *Executor) runContained(t task) {
 // Workers returns the fixed worker count.
 func (e *Executor) Workers() int { return len(e.shards) }
 
-// saturated reports whether the executor already has at least one task
-// queued or running per worker — the point where dispatching additional
-// speculative chunks buys queueing delay, not parallelism.
-func (e *Executor) saturated() bool { return e.load.Load() >= int64(len(e.shards)) }
-
 // overloaded reports whether a threads-wide invocation dispatched now
-// would find no spare worker capacity: the run queues already hold a
-// task per worker, or the other in-flight invocations alone (the
-// caller's own registration is excluded) span at least one chunk per
-// worker. The latter is the allocation rule of task-level speculative
-// runtimes — grant speculation only the capacity that task-level
-// parallelism leaves idle. An invocation submits only its threads-1
-// speculative chunks (chunk 0 runs inline on its own goroutine), so
-// that is the per-invocation demand counted here.
-func (e *Executor) overloaded(threads int) bool {
-	return e.saturated() || (e.demand.Load()-1)*int64(threads-1) >= int64(len(e.shards))
+// would find no spare worker capacity: the executor already has a task
+// queued or running per worker, or the other in-flight invocations
+// alone (the caller's own registration is excluded) span at least one
+// chunk per worker. Either way more speculative chunks buy queueing
+// delay, not parallelism. The latter is the allocation rule of
+// task-level speculative runtimes — grant speculation only the capacity
+// that task-level parallelism leaves idle. An invocation submits only
+// its threads-1 speculative chunks (chunk 0 runs inline on its own
+// goroutine), so that is the per-invocation demand counted here.
+//
+// own is how many of the queued entries are the caller's: entries its
+// reclaimed slots left behind (claimWord.queued). Each serves the
+// caller's own next round and delays no one, so it is not load. Counted
+// as load, it would shed a lone runner's next item after every
+// reclaimed round, and the worker, given nothing, would park and be
+// late again.
+func (e *Executor) overloaded(threads int, own int64) bool {
+	return e.load.Load()-own >= int64(len(e.shards)) ||
+		(e.demand.Load()-1)*int64(threads-1) >= int64(len(e.shards))
 }
 
 // stripe assigns a runner its home shard and advances the cursor by

@@ -130,6 +130,7 @@ type tenantMetricsRow struct {
 	invocations     int64
 	iters           int64
 	hits, misses    int64
+	reclaimed       int64
 	conflicts       int64
 	misspecInv      int64
 	sheds, seqFalls int64
@@ -197,7 +198,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		for _, t := range rows {
 			fmt.Fprintf(&b, "spiced_tenant_budget{tenant=%q} %d\n", t.name, t.budget)
 		}
-		fmt.Fprintf(&b, "# HELP spiced_tenant_score smoothed speculative hit rate\n# TYPE spiced_tenant_score gauge\n")
+		fmt.Fprintf(&b, "# HELP spiced_tenant_score smoothed payoff of the tenant's speculation, per allocator window: hits/(hits+misses) x (1 - reclaimed/(hits+misses)) x iters/(iters+squashed iters); below the starve score the tenant runs at width 1\n# TYPE spiced_tenant_score gauge\n")
 		for _, t := range rows {
 			fmt.Fprintf(&b, "spiced_tenant_score{tenant=%q} %.4f\n", t.name, t.score)
 		}
@@ -227,6 +228,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			func(t tenantMetricsRow) int64 { return t.hits })
 		perTenantCounter("spiced_tenant_spec_misses_total", "speculative chunks squashed for the tenant",
 			func(t tenantMetricsRow) int64 { return t.misses })
+		perTenantCounter("spiced_tenant_reclaimed_chunks_total", "the tenant's speculative chunks the invoking goroutine ran itself because no worker had started them; they earn the tenant's score nothing",
+			func(t tenantMetricsRow) int64 { return t.reclaimed })
 		perTenantCounter("spiced_tenant_conflicts_total", "DOACROSS read/write-set conflict events for the tenant",
 			func(t tenantMetricsRow) int64 { return t.conflicts })
 		perTenantCounter("spiced_tenant_misspec_invocations_total", "tenant invocations with at least one squashed chunk",
@@ -259,7 +262,7 @@ func (s *Server) handleVars(w http.ResponseWriter, r *http.Request) {
 		tenants[t.name] = map[string]any{
 			"budget": t.budget, "score": t.score, "starved": t.starved,
 			"inflight": t.inflight, "invocations": t.invocations, "iters": t.iters,
-			"hits": t.hits, "misses": t.misses,
+			"hits": t.hits, "misses": t.misses, "reclaimed": t.reclaimed,
 		}
 	}
 	snap := map[string]any{

@@ -2,8 +2,8 @@
 // the spice runtime: a JSON wire protocol naming registered native
 // workload kernels, a bounded admission queue with per-tenant
 // concurrency caps, a per-tenant speculation-budget allocator that
-// re-divides the shared executor's capacity in proportion to each
-// tenant's recent speculative hit rate, and Prometheus-style /metrics —
+// re-divides the shared executor's capacity in proportion to what each
+// tenant's speculation recently paid, and Prometheus-style /metrics —
 // all on the standard library alone.
 package server
 
@@ -45,10 +45,14 @@ type Config struct {
 	// MinSample is the hit+miss evidence floor below which a window does
 	// not move a tenant's score.
 	MinSample int64
-	// StarveScore is the score (squash-weighted hit rate) below which a
-	// tenant is starved to sequential execution (budget 1). Well-behaved
-	// kernels score near 1 and adversarial ones near 0.4, so the default
-	// 0.5 sits in the gap.
+	// StarveScore is the score below which a tenant is starved to
+	// sequential execution (budget 1). The score is the smoothed payoff
+	// of the tenant's speculation: hit rate × the share of its
+	// speculative chunks a worker ran beside chunk 0 (not reclaimed by
+	// the invoker) × the committed share of its iterations. A tenant
+	// whose chunks commit and run in parallel scores near 1. Speculation
+	// that only misses, or only runs after the invoker's own share,
+	// scores near 0. The default is 0.5.
 	StarveScore float64
 	// ProbeWindows paces starved tenants' width-2 probes: one probe
 	// window every ProbeWindows active windows.
@@ -148,7 +152,7 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// initialScore is a new tenant's starting hit-rate estimate (tenantFor).
+// initialScore is a new tenant's starting payoff estimate (tenantFor).
 const initialScore = 0.9
 
 // Server is the spiced daemon's engine, independent of any listener:

@@ -540,6 +540,43 @@ func TestDrain(t *testing.T) {
 	}
 }
 
+// feed folds one allocator window of constructed evidence into the
+// named tenant through tenant.record and returns the tenant. The window
+// is the Stats delta of 20 invocations over a 4 000-node list at the
+// budget the allocator last granted: each invocation dispatches
+// budget-1 speculative chunks, a miss share of them squashed (a chunk's
+// worth of iterations each) and a reclaim share run by the invoker
+// after its own chunk. A width-1 window carries no speculative
+// evidence, as a starved tenant's sequential jobs carry none. The
+// allocator tests are built on these windows, not on real jobs: what a
+// real job reclaims depends on whether a worker wakes in time, which
+// the host's core count decides.
+func feed(t *testing.T, s *Server, name string, miss, reclaim float64) *tenant {
+	t.Helper()
+	tn, aerr := s.tenantFor(name)
+	if aerr != nil {
+		t.Fatalf("tenant %s: %s", name, aerr.msg)
+	}
+	const invocations, size = 20, 4000
+	d := spice.Stats{Invocations: invocations, TotalIters: invocations * size}
+	if w := tn.budget.Load(); w > 1 {
+		chunks := invocations * (w - 1)
+		d.Misses = int64(float64(chunks) * miss)
+		d.Hits = chunks - d.Misses
+		d.Reclaimed = int64(float64(chunks) * reclaim)
+		d.SquashedIters = d.Misses * size / w
+	}
+	tn.record(d)
+	return tn
+}
+
+// isStarved reads the allocator's starved mark under the tenant lock.
+func isStarved(tn *tenant) bool {
+	tn.mu.Lock()
+	defer tn.mu.Unlock()
+	return tn.starved
+}
+
 // TestBudgetAllocatorDifferential is the allocator's core promise: a
 // tenant whose loops predict well ends with at least the width of a
 // tenant that misspeculates chronically — and the misspeculator is
@@ -550,23 +587,12 @@ func TestBudgetAllocatorDifferential(t *testing.T) {
 	cfg.MinSample = 4
 	cfg.ProbeWindows = 10 // no full-width probe inside the test horizon
 	s := newTestServer(t, cfg)
-	h := s.Handler()
 
-	runJobs := func(tenant, kernel string, churn int) {
-		w := do(h, "POST", "/v1/run", JobRequest{
-			Tenant: tenant, Kernel: kernel, Size: 4000, Churn: churn, Invocations: 20,
-		})
-		if w.Code != http.StatusOK {
-			t.Fatalf("%s job: status %d (%s)", tenant, w.Code, w.Body.String())
-		}
-	}
-	// Several allocator windows of opposite evidence: "good" runs the
-	// high-predictability value-churn kernel, "bad" replaces its whole
-	// structure every invocation (churn = size), so its predictions never
-	// survive to dispatch.
+	// Several allocator windows of opposite evidence: "good" commits
+	// every chunk, "bad" squashes half of its chunks.
 	for window := 0; window < 5; window++ {
-		runJobs("good", "sumlist", 8)
-		runJobs("bad", "hostile", 4000)
+		feed(t, s, "good", 0, 0)
+		feed(t, s, "bad", 0.5, 0)
 		s.rebalance()
 	}
 
@@ -582,49 +608,101 @@ func TestBudgetAllocatorDifferential(t *testing.T) {
 	if bb > 2 {
 		t.Fatalf("misspeculating tenant budget %d, want starved to <= 2", bb)
 	}
-	bad.mu.Lock()
-	starved := bad.starved
-	bad.mu.Unlock()
-	if !starved {
+	if !isStarved(bad) {
 		t.Fatalf("misspeculating tenant not marked starved")
 	}
 }
 
 // TestStarvedTenantProbesBack verifies recovery: a starved tenant that
 // starts predicting well again earns its width back through the
-// periodic width-2 probes.
+// periodic full-width probes.
 func TestStarvedTenantProbesBack(t *testing.T) {
 	cfg := testConfig()
 	cfg.MaxWidth = 4
 	cfg.MinSample = 4
 	cfg.ProbeWindows = 2
 	s := newTestServer(t, cfg)
-	h := s.Handler()
 
-	run := func(kernel string, churn int) {
-		w := do(h, "POST", "/v1/run", JobRequest{
-			Tenant: "flip", Kernel: kernel, Size: 4000, Churn: churn, Invocations: 20,
-		})
-		if w.Code != http.StatusOK {
-			t.Fatalf("job: status %d (%s)", w.Code, w.Body.String())
-		}
-	}
-	for window := 0; window < 4; window++ {
-		run("hostile", 64)
+	tn := feed(t, s, "flip", 0.5, 0)
+	s.rebalance()
+	for window := 0; window < 4 && !isStarved(tn); window++ {
+		feed(t, s, "flip", 0.5, 0)
 		s.rebalance()
 	}
-	tn, _ := s.tenantFor("flip")
-	if b := tn.budget.Load(); b > 2 {
+	if b := tn.budget.Load(); b > 2 || !isStarved(tn) {
 		t.Fatalf("hostile phase budget %d, want starved", b)
 	}
-	// Reform: the same tenant now predicts well. Probe windows readmit
-	// its evidence, and the score EWMA climbs back over StarveScore.
-	for window := 0; window < 12 && tn.budget.Load() < 3; window++ {
-		run("sumlist", 0)
+	// Reform: the same tenant now predicts well. Its starved windows run
+	// sequentially and testify to nothing; a probe window readmits its
+	// evidence, and the score EWMA climbs back over StarveScore.
+	for window := 0; window < 12 && isStarved(tn); window++ {
+		feed(t, s, "flip", 0, 0)
 		s.rebalance()
 	}
-	if b := tn.budget.Load(); b < 3 {
+	if b := tn.budget.Load(); b < 3 || isStarved(tn) {
 		t.Fatalf("reformed tenant budget %d, want recovery above 2", b)
+	}
+}
+
+// TestReclaimedChunksEarnNothing is the payoff rule: two tenants with
+// the same hits, one whose every speculative chunk the invoker
+// reclaimed after its own share (no worker ran it beside chunk 0), the
+// other whose chunks a worker ran. The first is starved to width 1; the
+// second keeps MaxWidth. A probe window whose chunks are still
+// reclaimed leaves the first starved, and one whose chunks a worker ran
+// earns it its width back.
+func TestReclaimedChunksEarnNothing(t *testing.T) {
+	cfg := testConfig()
+	cfg.MaxWidth = 4
+	cfg.MinSample = 4
+	cfg.ProbeWindows = 2
+	s := newTestServer(t, cfg)
+
+	late := feed(t, s, "late", 0, 1)
+	ran := feed(t, s, "ran", 0, 0)
+	// probeWindow runs windows until the allocator has granted "late" a
+	// probe, then one window at the probe's width with the given reclaim
+	// share (a starved window runs at width 1 and carries no evidence, so
+	// the share moves nothing before). "ran" keeps MaxWidth meanwhile.
+	probeWindow := func(reclaim float64) {
+		t.Helper()
+		for window := 0; window <= 2*cfg.ProbeWindows; window++ {
+			probe := late.budget.Load() == int64(cfg.MaxWidth)
+			feed(t, s, "late", 0, reclaim)
+			feed(t, s, "ran", 0, 0)
+			s.rebalance()
+			if probe {
+				return
+			}
+			if b := ran.budget.Load(); b != int64(cfg.MaxWidth) {
+				t.Fatalf("window %d: the tenant whose chunks a worker ran has budget %d, want %d", window, b, cfg.MaxWidth)
+			}
+		}
+		t.Fatal("no probe granted")
+	}
+
+	// The test drives every window itself: nothing else touches them.
+	lw, rw := late.win, ran.win
+	if lw.Hits != rw.Hits || lw.Misses != 0 || lw.Reclaimed != lw.Hits || rw.Reclaimed != 0 {
+		t.Fatalf("windows: late %+v, ran %+v; want equal hits, all of late's reclaimed", lw, rw)
+	}
+	s.rebalance()
+	if b := late.budget.Load(); b != 1 || !isStarved(late) {
+		t.Fatalf("every hit reclaimed: budget %d starved %v, want 1 true", b, isStarved(late))
+	}
+	if b := ran.budget.Load(); b != int64(cfg.MaxWidth) || isStarved(ran) {
+		t.Fatalf("every hit run by a worker: budget %d starved %v, want %d false", b, isStarved(ran), cfg.MaxWidth)
+	}
+
+	// A probe whose chunks are still reclaimed testifies to the same.
+	probeWindow(1)
+	if b := late.budget.Load(); b != 1 || !isStarved(late) {
+		t.Fatalf("after a reclaimed probe: budget %d starved %v, want 1 true", b, isStarved(late))
+	}
+	// A probe whose chunks a worker ran earns the width back.
+	probeWindow(0)
+	if b := late.budget.Load(); b < 2 || isStarved(late) {
+		t.Fatalf("after a probe a worker ran: budget %d starved %v, want >= 2 false", b, isStarved(late))
 	}
 }
 
@@ -657,6 +735,7 @@ func TestMetricsParseable(t *testing.T) {
 		t.Fatalf("metrics content type %q", ct)
 	}
 	seen := make(map[string]bool)
+	sums := make(map[string]float64) // every series' values, added up per name
 	sc := bufio.NewScanner(strings.NewReader(w.Body.String()))
 	for sc.Scan() {
 		line := sc.Text()
@@ -670,15 +749,23 @@ func TestMetricsParseable(t *testing.T) {
 		seen[name] = true
 		// The value must parse as a float.
 		val := line[strings.LastIndexByte(line, ' ')+1:]
-		if _, err := strconv.ParseFloat(val, 64); err != nil {
+		v, err := strconv.ParseFloat(val, 64)
+		if err != nil {
 			t.Fatalf("metric line %q: bad value: %v", line, err)
 		}
+		sums[name] += v
+	}
+	// Every pool chunk ran for some tenant: the per-tenant reclaim
+	// counters the allocator's evidence comes from add up to the pool's.
+	if pool, tenants := sums["spiced_pool_reclaimed_chunks_total"], sums["spiced_tenant_reclaimed_chunks_total"]; pool != tenants {
+		t.Fatalf("tenants' reclaimed chunks sum to %v, the pool's to %v", tenants, pool)
 	}
 	for _, want := range []string{
 		"spiced_queue_depth", "spiced_jobs_admitted_total", "spiced_jobs_rejected_total",
 		"spiced_pool_invocations_total", "spiced_pool_reclaimed_chunks_total",
 		"spiced_tenant_budget", "spiced_tenant_score",
 		"spiced_tenant_spec_hits_total", "spiced_tenant_spec_misses_total",
+		"spiced_tenant_reclaimed_chunks_total",
 		"spiced_job_duration_seconds_bucket", "spiced_job_duration_seconds_count",
 	} {
 		if !seen[want] {

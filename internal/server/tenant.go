@@ -4,15 +4,16 @@ package server
 //
 // Garmon et al. (PAPERS.md) frame speculation as a resource-allocation
 // problem: when many clients share a speculative runtime, width should
-// flow to the tenants whose loops are predicting well. spiced makes
-// that concrete: every tenant's jobs run through width-budgeted pool
-// sessions (Pool.SessionWidth), the tenant's speculative hit/miss
-// deltas (Stats.Delta over its sessions) feed a smoothed score, and a
-// periodic rebalance re-divides the executor's speculative capacity
-// across the active tenants in proportion to their scores — starving
-// chronically misspeculating tenants down to width 1 (pure sequential
-// execution, zero speculative chunks), with periodic full-width probes
-// so a reformed tenant can earn its budget back.
+// flow to the tenants whose speculation pays — success probability
+// times what success buys. spiced makes that concrete: every tenant's
+// jobs run through width-budgeted pool sessions (Pool.SessionWidth),
+// the tenant's Stats deltas over its sessions feed a smoothed payoff
+// score (payoff below), and a periodic rebalance re-divides the
+// executor's speculative capacity across the active tenants in
+// proportion to their scores — starving tenants whose speculation does
+// not pay down to width 1 (pure sequential execution, zero speculative
+// chunks), with periodic full-width probes so a reformed tenant can
+// earn its budget back.
 
 import (
 	"net/http"
@@ -47,9 +48,9 @@ type tenant struct {
 	win     spice.Stats
 	winJobs int64
 
-	// score is the EWMA of the tenant's speculative hit rate, updated
-	// once per allocator window that carries enough evidence. New
-	// tenants start optimistic so they get width to prove themselves.
+	// score is the EWMA of the tenant's payoff, updated once per
+	// allocator window that carries enough evidence. New tenants start
+	// optimistic so they get width to prove themselves.
 	score float64
 	// starved marks tenants the allocator pinned to sequential
 	// execution; starvedWindows counts active windows since, pacing the
@@ -125,7 +126,7 @@ func (s *Server) tenantFor(name string) (*tenant, *apiError) {
 		return nil, &apiError{code: 429, msg: "tenant table full", retryAfter: 5}
 	}
 	// A fresh tenant starts optimistic on both counts — the configured
-	// ceiling for width, a hit-rate estimate well above any sensible
+	// ceiling for width, a payoff estimate well above any sensible
 	// StarveScore — so it gets width to prove itself, and the first
 	// windows of evidence demote the misspeculators.
 	t := &tenant{name: name, insts: make(map[instanceKey]*instance), score: initialScore}
@@ -209,7 +210,7 @@ func (t *tenant) record(d spice.Stats) {
 }
 
 // rebalance is one allocator window: harvest every tenant's windowed
-// hit/miss evidence, update scores, and re-divide the executor's
+// evidence, update scores by payoff, and re-divide the executor's
 // speculative capacity proportional to score.
 func (s *Server) rebalance() {
 	s.mu.Lock()
@@ -230,22 +231,8 @@ func (s *Server) rebalance() {
 		t.mu.Lock()
 		win, jobs, inflight := t.win, t.winJobs, t.inflight
 		t.win, t.winJobs = spice.Stats{}, 0
-		evidence := win.Hits + win.Misses
-		if evidence >= s.cfg.MinSample {
-			// Squash-weighted hit rate: the raw hit fraction scaled by the
-			// committed share of the window's work. Membership validation
-			// deliberately tolerates reordering, so even a hostile tenant
-			// commits over half its chunks — but every miss also squashes a
-			// chunk's worth of iterations, and the efficiency factor is what
-			// separates "predicts well" (≈1) from "burns the executor"
-			// (≈0.4) decisively.
-			hr := float64(win.Hits) / float64(evidence)
-			eff := 1.0
-			if done := win.TotalIters + win.SquashedIters; done > 0 {
-				eff = float64(win.TotalIters) / float64(done)
-			}
-			r := hr * eff
-			t.score = scoreAlpha*r + (1-scoreAlpha)*t.score
+		if win.Hits+win.Misses >= s.cfg.MinSample {
+			t.score = scoreAlpha*payoff(win) + (1-scoreAlpha)*t.score
 		} else if jobs > 0 && !t.starved {
 			// Active but evidence-free: the tenant's predictions never
 			// survived to dispatch (node-replacement churn kills membership
@@ -351,9 +338,39 @@ func (s *Server) rebalance() {
 	}
 }
 
-// scoreAlpha is the EWMA weight of one window's squash-weighted hit
-// rate; noEvidenceDecay shrinks the score of a tenant whose active
-// window produced no speculative evidence at all.
+// payoff is what one allocator window's speculation earned the tenant,
+// in [0, 1]: hit rate × parallel share × committed share, all read from
+// the window's Stats delta.
+//
+//   - Hit rate, Hits/(Hits+Misses): the chance a speculative chunk
+//     commits.
+//   - Parallel share, 1 − Reclaimed/(Hits+Misses): what a chunk buys
+//     when it commits. Spice pays only while a speculative chunk runs
+//     beside chunk 0. A chunk the invoker reclaimed ran after its own
+//     share: sequential execution that still paid for buffering,
+//     memoization and dispatch, so it earns nothing.
+//   - Committed share, TotalIters/(TotalIters+SquashedIters): every
+//     miss also squashes a chunk's worth of iterations. Membership
+//     validation tolerates reordering, so even a hostile tenant commits
+//     over half its chunks; this factor is what sinks it.
+//
+// A tenant whose chunks a worker runs and commits scores near 1. One
+// that misspeculates, or whose chunks the invoker keeps reclaiming
+// because no worker reaches them in time, sinks under StarveScore.
+func payoff(win spice.Stats) float64 {
+	verdicts := float64(win.Hits + win.Misses)
+	hit := float64(win.Hits) / verdicts
+	parallel := 1 - float64(win.Reclaimed)/verdicts
+	committed := 1.0
+	if done := win.TotalIters + win.SquashedIters; done > 0 {
+		committed = float64(win.TotalIters) / float64(done)
+	}
+	return hit * parallel * committed
+}
+
+// scoreAlpha is the EWMA weight of one window's payoff; noEvidenceDecay
+// shrinks the score of a tenant whose active window produced no
+// speculative evidence at all.
 const (
 	scoreAlpha      = 0.5
 	noEvidenceDecay = 0.7
@@ -379,6 +396,7 @@ func (s *Server) snapshotTenants() []tenantMetricsRow {
 			iters:       t.agg.TotalIters,
 			hits:        t.agg.Hits,
 			misses:      t.agg.Misses,
+			reclaimed:   t.agg.Reclaimed,
 			conflicts:   t.agg.Conflicts,
 			misspecInv:  t.agg.MisspecInvocations,
 			sheds:       t.agg.BatchSheds,

@@ -214,6 +214,63 @@ func TestStaleEntryClaimsRearmedSlot(t *testing.T) {
 	}
 }
 
+// TestOwnQueuedEntryIsNotLoad: the entry a reclaimed slot leaves queued
+// serves the same runner's next round (claimWord.queued), so the
+// batched front door does not count it as executor load. A lone width-2
+// session whose only worker stalls holding that entry dispatches every
+// batch item (the invoker reclaims each chunk) instead of shedding it.
+func TestOwnQueuedEntryIsNotLoad(t *testing.T) {
+	const size, items = 4096, 20
+	l := newTestList(size, 47)
+	plane := faults.New(faults.Point{Site: faults.ExecWorker, Match: 1, Kind: faults.KindStall, Dur: time.Minute})
+	p, err := NewPool(xorLoop(), PoolConfig{Config: Config{Threads: 2, Faults: plane}, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	defer plane.Release()
+	sess, err := p.Session()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	want := sequential(xorLoop(), l.head)
+
+	sess.MustRun(l.head) // bootstrap memoization; nothing dispatched
+	sess.MustRun(l.head) // slot 1's entry: the worker stalls on receiving it
+	r := sess.r
+	if !r.sched.jobs[1].queued.Load() || p.exec.load.Load() != 1 {
+		t.Fatalf("queued %v, load %d; want the round's one entry left queued",
+			r.sched.jobs[1].queued.Load(), p.exec.load.Load())
+	}
+	before := sess.Stats()
+	starts := make([]*node, items)
+	for i := range starts {
+		starts[i] = l.head
+	}
+	accs, err := sess.RunBatch(context.Background(), starts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, acc := range accs {
+		if acc != want {
+			t.Fatalf("item %d: got %+v want %+v", i, acc, want)
+		}
+	}
+	st := sess.Stats().Delta(before)
+	if st.BatchSheds != 0 || st.Hits != items || st.Reclaimed != items {
+		t.Fatalf("sheds %d hits %d reclaimed %d over %d items; want every item dispatched and reclaimed",
+			st.BatchSheds, st.Hits, st.Reclaimed, items)
+	}
+
+	// Released, the worker runs the entry: a failed claim.
+	plane.Release()
+	for p.exec.load.Load() != 0 {
+		runtime.Gosched()
+	}
+	checkRoundIdle(t, r, items)
+}
+
 // TestFullExecutorLeavesChunksToInvoker: a queue entry is a hint, so a
 // full executor costs a round nothing. With the one worker held and its
 // shard full, no offer of a Threads-4 round finds room: every chunk is

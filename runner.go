@@ -183,9 +183,10 @@ func (r *Runner[S, A]) runInvocation(ctx context.Context, start S, loadAware boo
 		// itself —
 		//
 		//   - the shared executor is overloaded: a task already queued or
-		//     running per worker, or enough concurrent invocations in flight
-		//     to cover every worker, so speculative chunks would only queue
-		//     behind other invocations' work; or
+		//     running per worker (the entries this runner's own reclaimed
+		//     slots left behind excluded), or enough concurrent invocations
+		//     in flight to cover every worker, so speculative chunks would
+		//     only queue behind other invocations' work; or
 		//   - the expected traversal is too small to amortize chunking: with
 		//     fewer than ctxPollEvery iterations per chunk, dispatch and
 		//     wakeup round-trips rival the chunk's own work, and a batch
@@ -194,7 +195,7 @@ func (r *Runner[S, A]) runInvocation(ctx context.Context, start S, loadAware boo
 		// Checked before the adaptive controller is consulted, so the shed
 		// neither feeds nor perturbs the throttle. Plain Run never sheds: a
 		// lone blocking caller asked for this invocation to be parallelized.
-		shed = loadAware && (r.exec.overloaded(r.cfg.Threads) ||
+		shed = loadAware && (r.exec.overloaded(r.cfg.Threads, r.sched.queuedEntries()) ||
 			r.pred.prevTotal < int64(r.cfg.Threads)*ctxPollEvery)
 		if shed {
 			r.pend.BatchSheds++

@@ -598,6 +598,27 @@ func (s *scheduler[S, A]) purge() {
 	s.lease = leaseClock{}
 }
 
+// queuedEntries counts the executor entries the runner's slots hold,
+// chunks and copy-outs alike (claimWord.queued): between invocations,
+// the entries of reclaimed slots that no worker has run yet. Each
+// is counted in the executor's load until a worker has run it, so this
+// never exceeds the runner's share of the load (Executor.overloaded).
+func (s *scheduler[S, A]) queuedEntries() int64 {
+	var n int64
+	jobs, copies := s.jobs, s.copies
+	for i := range jobs {
+		if jobs[i].queued.Load() {
+			n++
+		}
+	}
+	for i := range copies {
+		if copies[i].queued.Load() {
+			n++
+		}
+	}
+	return n
+}
+
 // dispatchRound launches and joins one round over slots 0..n-1, whose
 // jobs the caller has reset: chunk i>0 goes to the executor, chunk 0
 // runs here, and the round is complete — every launched chunk executed
