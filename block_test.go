@@ -354,7 +354,8 @@ func TestScanBlocksBounded(t *testing.T) {
 // the scheduler's release must have cleared every caller-derived value
 // from the preallocated jobs and results — contexts, start states,
 // successor-row pointers, proposal states, end states, accumulators —
-// and the memo buffer.
+// and the memo buffer — and the round, which holds the live state, the
+// accumulator and the failure, after a success and after a failure.
 func TestReleaseZeroesInvocationState(t *testing.T) {
 	head := buildBlockList(30_000)
 	r, err := NewRunner(blockListLoop(), Config{Threads: 4})
@@ -389,6 +390,18 @@ func TestReleaseZeroesInvocationState(t *testing.T) {
 		if memos[i].state != nil {
 			t.Fatalf("memo buffer retains node state at %d", i)
 		}
+	}
+	if s.rd != (round[*bnode, int64]{}) {
+		t.Fatalf("round retains invocation state after a success: %+v", s.rd)
+	}
+	// Cancelled at slot 1's check in round 0's dispatch: chunk 0 runs
+	// alone and the invocation fails with the ctx error.
+	ctx := &scriptedCtx{Context: context.Background(), cancelAt: 3}
+	if _, err := r.Run(ctx, head); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled Run: err %v, want %v", err, context.Canceled)
+	}
+	if s.rd != (round[*bnode, int64]{}) {
+		t.Fatalf("round retains invocation state after a failure: %+v", s.rd)
 	}
 }
 

@@ -211,7 +211,7 @@ type CellView struct {
 	// words is the bound store's cells, cached at every arm: an access
 	// reads the slice header here instead of chasing the store pointer.
 	words []int64
-	// direct marks the view of a round of one (scheduler.dispatchRound:
+	// direct marks the view of a round of one (scheduler.dispatch:
 	// the only chunk running): loads and stores pass straight through to
 	// the store — the reference semantics the buffered mode must
 	// reproduce exactly. Reductions are privatized in this mode too.

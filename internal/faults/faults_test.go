@@ -179,6 +179,33 @@ func TestParse(t *testing.T) {
 	}
 }
 
+// FuzzParse: a spec Parse accepts renders (String, less its "faults:"
+// prefix) to a spec that parses again, to the same rendering — so a
+// schedule logged from a chaos run can be replayed as written.
+func FuzzParse(f *testing.F) {
+	for _, seed := range []string{
+		"server-dispatch:3:stall:200ms, chunk-body:10:panic, pool-acquire:1:err",
+		"exec-worker:1:slow", "recovery-round:2:cancel:1h2m", "server-build:7:err:0s",
+		"chunk-body:1:panic,chunk-body:1:err", " ", "nope:1:err", "chunk-body:0:err",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		p, err := Parse(spec)
+		if err != nil || p == nil { // refused, or the empty spec
+			return
+		}
+		rendered := strings.TrimPrefix(p.String(), "faults:")
+		again, err := Parse(rendered)
+		if err != nil {
+			t.Fatalf("Parse(%q) accepted, its rendering %q refused: %v", spec, rendered, err)
+		}
+		if again.String() != p.String() {
+			t.Fatalf("Parse(%q) renders %q, its reparse %q", spec, p.String(), again.String())
+		}
+	})
+}
+
 func TestDefaultDurApplied(t *testing.T) {
 	p := New(Point{Site: ExecWorker, Match: 1, Kind: KindSlow})
 	if !strings.Contains(p.String(), DefaultDur.String()) {

@@ -207,6 +207,20 @@ func (b *blockTask) run() {
 	<-b.release
 }
 
+// heldExecutor is a one-worker executor whose worker is held until the
+// test ends, so the invoker runs (reclaims) every speculative chunk
+// itself and leaves each slot's reclaimed flag set for the next round to
+// find.
+func heldExecutor(t *testing.T) *Executor {
+	e := NewExecutor(1)
+	t.Cleanup(e.Close)
+	hold := &blockTask{started: make(chan struct{}), release: make(chan struct{})}
+	submitTask(e, hold, 0)
+	<-hold.started
+	t.Cleanup(func() { close(hold.release) })
+	return e
+}
+
 // TestUndispatchedSlotsGetNoVerdict: when cancellation lands inside a
 // later round's dispatch loop, the slots left unlaunched resolved
 // nothing — their rows must get no hit or miss, no confidence change
@@ -234,19 +248,9 @@ func TestUndispatchedSlotsGetNoVerdict(t *testing.T) {
 		{"round never starts", false, 6, context.Canceled, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			// The one worker is held, so the invoker runs (reclaims) every
-			// speculative chunk itself and leaves each slot's reclaimed
-			// flag set for the next round to find.
-			e := NewExecutor(1)
-			defer e.Close()
-			hold := &blockTask{started: make(chan struct{}), release: make(chan struct{})}
-			submitTask(e, hold, 0)
-			<-hold.started
-			defer close(hold.release)
-
 			l := newTestList(1200, 5)
 			ns := l.nodes()
-			r, err := NewRunner(xorLoop(), Config{Threads: 4, MaxSpecIters: 100, Executor: e})
+			r, err := NewRunner(xorLoop(), Config{Threads: 4, MaxSpecIters: 100, Executor: heldExecutor(t)})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -286,6 +290,92 @@ func TestUndispatchedSlotsGetNoVerdict(t *testing.T) {
 			}
 			checkConservation(t, st)
 		})
+	}
+
+	// The cell store: cancelled at slot 2's check in round 0's dispatch
+	// (call 4), the first invocation of a DOACROSS runner launches slots 0
+	// and 1 only, so the views of slots 2 and 3 were never begun. The walk
+	// probes the launched views alone; probing the others would read
+	// read-sets no chunk of this round filled (here, none at all).
+	t.Run("cell store, cancelled in round 0's dispatch", func(t *testing.T) {
+		head, ns, cells, shadow := buildDoacross(rand.New(rand.NewSource(9)), 1200, "none")
+		loop := dcLoop()
+		loop.Cells = cells
+		r, err := NewRunner(loop, Config{Threads: 4, Executor: heldExecutor(t)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Close()
+		r.pred.apply(1200, []memo[*dcnode]{
+			{row: 0, state: ns[300], pos: 300},
+			{row: 1, state: ns[600], pos: 600},
+			{row: 2, state: ns[900], pos: 900},
+		})
+		conf := [3]float64{r.pred.conf.Score(0), r.pred.conf.Score(1), r.pred.conf.Score(2)}
+
+		ctx := &scriptedCtx{Context: context.Background(), cancelAt: 4}
+		if _, rerr := r.Run(ctx, head); !errors.Is(rerr, context.Canceled) {
+			t.Fatalf("Run err = %v; want %v", rerr, context.Canceled)
+		}
+		// A failed invocation's round records no verdict, and slots 2 and
+		// 3 resolved nothing either way.
+		st := r.Stats()
+		if st.Conflicts != 0 || st.Hits != 0 || st.Misses != 0 || st.Reclaimed != 0 {
+			t.Errorf("Conflicts %d Hits %d Misses %d Reclaimed %d; want all 0",
+				st.Conflicts, st.Hits, st.Misses, st.Reclaimed)
+		}
+		for k := range conf {
+			if sk := r.pred.conf.Score(k); sk != conf[k] {
+				t.Errorf("row %d confidence %v -> %v; the invocation failed", k, conf[k], sk)
+			}
+		}
+		// Slots 0 and 1 committed and landed: the store holds the first
+		// 600 iterations, as a sequential run cancelled there would.
+		ns[599].next = nil
+		dcReference(head, shadow)
+		ns[599].next = ns[600]
+		assertCellsEqual(t, "after the cancel", cells, shadow)
+
+		want := dcReference(head, shadow)
+		if got, rerr := r.Run(context.Background(), head); rerr != nil || got != want {
+			t.Fatalf("next Run = %d, %v; want %d", got, rerr, want)
+		}
+		assertCellsEqual(t, "next Run", cells, shadow)
+		checkConservation(t, r.Stats())
+	})
+}
+
+// TestPlanDispatchSpreadsPicks pins round 0's chain: planDispatch keeps
+// min(admitted, eff-1) rows, and pick i is admitted row
+// max((i+1)·admitted/eff, previous pick + 1) — spread evenly across the
+// admitted rows and strictly increasing. The admitted rows are the last
+// na of nine, so a pick that returned an index instead of a row shows.
+func TestPlanDispatchSpreadsPicks(t *testing.T) {
+	r, err := NewRunner(xorLoop(), Config{Threads: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	rows := r.pred.rows
+	for na := 1; na <= len(rows); na++ {
+		for k := range rows {
+			rows[k].valid = k >= len(rows)-na
+		}
+		for eff := 2; eff <= 8; eff++ {
+			n := r.sched.planDispatch(r, eff, false)
+			chain := r.sched.chain
+			if len(chain) != min(na, eff-1) || n != len(chain)+1 {
+				t.Fatalf("admitted %d, eff %d: chain %v, n %d", na, eff, chain, n)
+			}
+			j := -1
+			for i, row := range chain {
+				j = max((i+1)*na/eff, j+1)
+				if row != len(rows)-na+j || i > 0 && row <= chain[i-1] {
+					t.Fatalf("admitted %d, eff %d: chain %v; pick %d is row %d, want admitted row %d (row %d)",
+						na, eff, chain, i, row, j, len(rows)-na+j)
+				}
+			}
+		}
 	}
 }
 

@@ -9,16 +9,26 @@ import (
 )
 
 // This file is the scheduler layer. An invocation is one loop over
-// rounds (scheduler.run): seed slot 0 at the live position and one
-// speculative slot per row of the round's chain, launch and join them
-// (dispatchRound), walk the validation chain once — commit the prefix,
-// squash the rest — and, if the walk stopped on a capped chunk or a
-// read/write-set conflict, go round again from that position. A round
-// of one (a width-1 runner, a shed batch item, no row predicted or
-// admitted, or the tail behind a capped last chunk) is slot 0 alone on
-// the invoking goroutine: that is the sequential path, through the same
-// chunkJob.exec, and there is no other. Nothing runs beside it, so it
-// touches no executor, reads no clock, and a DOACROSS loop's view is
+// rounds (scheduler.run), and a round is a value (round, s.rd) that
+// these steps, one method each, hand one another:
+//
+//   - begin: open the invocation at round 0, slot 0 at (start, 0);
+//   - seed: arm slot 0 at the live position and one speculative slot
+//     per row of the round's chain (s.chain);
+//   - dispatch: launch and join them;
+//   - walk: walk the validation chain once — commit the prefix;
+//   - land: land the committed DOACROSS views, close the round;
+//   - squash: count what the walk discarded;
+//   - verdicts: judge each launched row's prediction;
+//   - advance: if the walk stopped on a capped chunk or a read/write-set
+//     conflict, find the position and chain of the next round;
+//   - finish: charge the tail, install the memoizations.
+//
+// A round of one (a width-1 runner, a shed batch item, no row predicted
+// or admitted, or the tail behind a capped last chunk) is slot 0 alone
+// on the invoking goroutine: that is the sequential path, through the
+// same chunkJob.exec, and there is no other. Nothing runs beside it, so
+// it touches no executor, reads no clock, and a DOACROSS loop's view is
 // direct (cells.go).
 //
 // The scheduler owns every per-invocation buffer (chunk results, jobs,
@@ -62,13 +72,13 @@ import (
 // abort-barrier, ctx-poll and panic-containment semantics are
 // unchanged because chunk 0 runs the same chunkJob.exec.
 //
-// dispatchRound is the invoker's side of the handoff protocol in the
+// dispatch is the invoker's side of the handoff protocol in the
 // executor.go header: offer each slot through its claim word (claimWord
 // below is the one statement of that step), run chunk 0, reclaim (run
 // every chunk no worker has claimed yet), join (spin on the latch for
 // as long as the invoker's own share just took, then park), and publish
 // the workers' lease from the measured gap between rounds. The round
-// ends in run, when the chain walk has landed its results (endRound).
+// ends in land, when the chain walk has landed its results.
 // The clock is read four times per round that has speculative chunks —
 // at dispatch, after the invoker's own share, at the latch release, at
 // the end of the walk — and never in a round of one.
@@ -90,8 +100,8 @@ import (
 //     submit) and read-only while the round runs, apart from one
 //     compare-and-swap on the claim word per contender; read-sharing
 //     is free, so jobs carry no padding.
-//   - works/memos/plans/dispRows/admitBuf/used/lease are touched only by
-//     the invoking goroutine, strictly outside the window in which workers
+//   - works/memos/plans/chain/rd/used/lease are touched only by the
+//     invoking goroutine, strictly outside the window in which workers
 //     run (dispatch before, chain resolution after the latch wait) —
 //     never concurrently with chunk execution.
 //   - A DOACROSS round opens a second, shorter window after its walk
@@ -112,7 +122,6 @@ type chunkResult[S comparable, A any] struct {
 	capped   bool  // hit the speculative iteration cap
 	props    []proposal[S]
 	endState S     // state at stop (valid only when capped)
-	active   bool  // chunk was dispatched this round
 	err      error // body error, ctx error, *PanicError, or errChunkAborted
 
 	// Trailing pad, one full cache line: each slot is written by one
@@ -124,8 +133,8 @@ type chunkResult[S comparable, A any] struct {
 }
 
 // chunkJob is a preallocated executor task: one chunk of one invocation.
-// r, res, lat and idx are wired once at scheduler construction; the
-// remaining fields are reset per dispatch.
+// r, res, lat and idx are wired once at scheduler construction; seed
+// sets the remaining fields, and the result's, every round.
 type chunkJob[S comparable, A any] struct {
 	r      *Runner[S, A]
 	res    *chunkResult[S, A]
@@ -138,29 +147,9 @@ type chunkJob[S comparable, A any] struct {
 	plan   []planEntry
 	cap    int64 // speculative iteration cap
 
-	claimWord // armed by dispatchRound after every other field of the round is in place
+	claimWord // armed by dispatch after every other field of the round is in place
 	// reclaimed records that the invoker won the claim (invoker-only).
 	reclaimed bool
-}
-
-// reset arms the job and its result buffer for one dispatch.
-func (j *chunkJob[S, A]) reset(ctx context.Context, start S, snap *row[S],
-	ownRow int, plan []planEntry, cap64 int64) {
-	j.ctx = ctx
-	j.start = start
-	j.snap = snap
-	j.ownRow = ownRow
-	j.plan = plan
-	j.cap = cap64
-	res := j.res
-	var zero S
-	res.work = 0
-	res.matched = false
-	res.capped = false
-	res.props = res.props[:0]
-	res.endState = zero
-	res.active = true
-	res.err = nil
 }
 
 const claimArmed = 1
@@ -192,7 +181,7 @@ type claimWord struct {
 // it, sent to shard unless an earlier round's entry is still queued.
 // When no shard has room nothing is queued and queued is cleared again,
 // so the next round tries afresh; the task is armed either way, and the
-// invoker's walk (dispatchRound's reclaim, landCells) runs it.
+// invoker's walk (dispatch's reclaim, landCells) runs it.
 func (w *claimWord) offer(e *Executor, shard uint32, t task) {
 	w.claim.Store(claimArmed)
 	if !w.queued.Swap(true) && !e.enqueue(t, shard) {
@@ -431,13 +420,13 @@ loop:
 // at most one invocation at a time (the runner serializes; a Pool hands
 // each in-flight invocation its own runner).
 type scheduler[S comparable, A any] struct {
-	results  []chunkResult[S, A]
-	jobs     []chunkJob[S, A]
-	works    []int64
-	memos    []memo[S]
-	plans    [][]planEntry // per-slot memoization plans of the current round
-	dispRows []int         // round 0's chain: SVA row behind each speculative slot
-	admitBuf []int         // admitted rows: planDispatch's input, a later round's chain
+	results []chunkResult[S, A]
+	jobs    []chunkJob[S, A]
+	works   []int64
+	memos   []memo[S]
+	plans   [][]planEntry // per-slot memoization plans of the current round
+	chain   []int         // the round's chain: SVA row behind each speculative slot
+	rd      round[S, A]   // the invocation in progress (run)
 	// DOACROSS state, armed per invocation by armCells: the bound cell
 	// store, the loop's reduction declarations, and one CellView per
 	// dispatch slot (allocated on first speculative invocation; DOALL
@@ -454,10 +443,10 @@ type scheduler[S comparable, A any] struct {
 	copyGate func() // test hook, nil outside tests (landCells)
 	// used is the number of job/result/works slots the most recent
 	// invocation dirtied (its widest round: later rounds can fan wider
-	// than round 0). The next invocation resets only these slots plus
-	// its own, so a narrow adaptive width does not pay a full-threads
-	// sweep per invocation — and stale slots still cannot leak into
-	// squash accounting or LastWorks.
+	// than round 0). release scrubs only these slots, and the next
+	// invocation clears only their works plus its own, so a narrow
+	// adaptive width does not pay a full-threads sweep per invocation —
+	// and stale slots still cannot leak into LastWorks.
 	used int
 	// lease is the runner's inter-round gap history behind the workers'
 	// lease (executor.go).
@@ -484,12 +473,11 @@ type scheduler[S comparable, A any] struct {
 
 func newScheduler[S comparable, A any](r *Runner[S, A], threads int) *scheduler[S, A] {
 	s := &scheduler[S, A]{
-		results:  make([]chunkResult[S, A], threads),
-		jobs:     make([]chunkJob[S, A], threads),
-		works:    make([]int64, threads),
-		plans:    make([][]planEntry, threads),
-		dispRows: make([]int, 0, threads),
-		admitBuf: make([]int, 0, threads),
+		results: make([]chunkResult[S, A], threads),
+		jobs:    make([]chunkJob[S, A], threads),
+		works:   make([]int64, threads),
+		plans:   make([][]planEntry, threads),
+		chain:   make([]int, 0, threads),
 	}
 	s.lat.init()
 	for j := range s.jobs {
@@ -539,13 +527,15 @@ func (s *scheduler[S, A]) abortAfter(idx int) {
 // request-scoped context (and its value chain) plus every node state a
 // finished traversal left behind — job start states, successor-row
 // pointers, result end-states, accumulators, proposal buffers, error
-// values, and the committed memo buffer (the predictor has consumed it
-// by the time release runs). Without this an idle runner parked in a
+// values, the committed memo buffer (the predictor has consumed it by
+// the time release runs) and the round, which holds the live state, the
+// accumulator and the failure. Without this an idle runner parked in a
 // Pool free list pins the finished caller's data structure until the
 // next invocation happens to overwrite the same slots.
 func (s *scheduler[S, A]) release() {
 	var zeroS S
 	var zeroA A
+	s.rd = round[S, A]{}
 	for j := 0; j < s.used; j++ {
 		job := &s.jobs[j]
 		job.ctx = nil
@@ -582,16 +572,12 @@ func (s *scheduler[S, A]) release() {
 }
 
 // purge is release over every slot regardless of recent round width,
-// plus the works/active buffers, for session boundaries (Runner.reset):
-// a recycled runner must carry nothing from its previous owner.
+// plus the works buffer, for session boundaries (Runner.reset): a
+// recycled runner must carry nothing from its previous owner.
 func (s *scheduler[S, A]) purge() {
 	s.used = len(s.jobs)
 	s.release()
-	for j := range s.jobs {
-		s.works[j] = 0
-		s.results[j].active = false
-		s.results[j].work = 0
-	}
+	clear(s.works)
 	s.used = 0
 	// Gaps measured on the previous owner's cadence grant the next one
 	// nothing.
@@ -619,19 +605,153 @@ func (s *scheduler[S, A]) queuedEntries() int64 {
 	return n
 }
 
-// dispatchRound launches and joins one round over slots 0..n-1, whose
-// jobs the caller has reset: chunk i>0 goes to the executor, chunk 0
-// runs here, and the round is complete — every launched chunk executed
-// exactly once, its result slot written — when it returns. This is the
-// invoker's side of the claim/join/lease protocol (executor.go header).
-// Cancellation is honored at dispatch: once ctx is done no further
-// chunk starts, the slots left unlaunched are marked inactive, and the
-// ctx error is returned for the chain resolution to surface; chunks
-// already running stop at their next poll.
-func (s *scheduler[S, A]) dispatchRound(r *Runner[S, A], ctx context.Context, n int) error {
+// round is the invocation in progress: what run's steps hand one
+// another, one round after the next. It lives on the scheduler (s.rd),
+// so it costs no allocation; only the invoking goroutine touches it, and
+// release zeroes it with the rest of the caller's state.
+type round[S comparable, A any] struct {
+	index int   // the round's number within the invocation
+	n     int   // slots seeded: slot 0, then one per row of s.chain
+	armed int   // slots dispatch launched: always the prefix 0..armed-1
+	cur   S     // slot 0's start, the live state
+	pos   int64 // slot 0's global position: the iterations committed so far
+	cap   int64 // the speculative iteration cap of the round's chunks
+	probe bool  // an upward probe: the confidence gate is open
+	boot  bool  // memoize by the bootstrap plan (begin)
+
+	// The walk's outcome.
+	f           int   // slot the walk stopped on: the last committed, or the failed one
+	conflictAt  int   // DOACROSS: the slot found in conflict (-1: none)
+	land        int   // DOACROSS: views to land, slots 0..land-1
+	shared      bool  // DOACROSS: two of them stored to one cell
+	err         error // the invocation's failure, once one is found
+	dispatchErr error // the ctx error that cut dispatch short
+
+	// Totals across rounds.
+	acc         A
+	committed   bool  // acc holds a committed chunk's accumulator
+	misspec     bool  // a round squashed work
+	verdictMiss bool  // a squashed chunk was judged a misprediction
+	last        int   // last slot round 0 committed
+	round0      int64 // iterations round 0 committed
+}
+
+// run executes one invocation as a loop over rounds. A round seeds
+// slot 0 at the live (state, global position) — architecturally
+// correct, never capped — and one speculative slot per row of its
+// chain, each hunting the next row's predicted start; launches and
+// joins them; then walks the chain once: the prefix up to the first
+// chunk that did not stop on its successor's start commits at exact
+// global positions, everything after it is squashed. If the walk
+// stopped on a capped chunk or on a read/write-set conflict, the next
+// round resumes from that chunk's stop state (the conflicting chunk's
+// validated start) over the admitted rows not yet passed; otherwise the
+// invocation is done. Round 0 is the same code from (start, 0) over the
+// n-slot chain planDispatch left in s.chain, or over nothing when n is
+// 1 (the caller's "sequential" invocation). The squashed workers are
+// thereby re-seeded rather than the remainder serialized, and every
+// chunk carries plan entries anchored at its global position, so the
+// predictor re-memoizes along the way and the next invocation's split
+// stays balanced.
+//
+// A failed invocation (body error, contained panic, or ctx
+// cancellation) returns the zero accumulator and the failure of the
+// earliest chunk in iteration order. Its memoizations are not applied —
+// the predictor keeps its last good rows, so the next invocation still
+// speculates — and its last round records no hit/miss verdicts: an
+// aborted chunk's squash says nothing about its prediction. The middle
+// return is the adaptive controller's feedback signal: whether any
+// squashed chunk was judged a genuine misprediction.
+func (s *scheduler[S, A]) run(r *Runner[S, A], ctx context.Context, start S, n int, probe bool) (A, bool, error) {
+	s.begin(r, start, n, probe)
+	defer s.release()
+	rd := &s.rd
+	for {
+		s.seed(r, ctx)
+		s.dispatch(r, ctx)
+		s.walk(r)
+		s.land(r)
+		s.squash(r)
+		if rd.err != nil || !s.verdicts(r) {
+			break
+		}
+		if s.advance(r, ctx); rd.err != nil {
+			break
+		}
+	}
+	if rd.err != nil {
+		var zero A
+		return zero, false, rd.err
+	}
+	s.finish(r)
+	return rd.acc, rd.verdictMiss, nil
+}
+
+// begin opens the invocation as round 0: n slots over the chain
+// planDispatch left in s.chain, slot 0 at (start, 0), under the
+// predictor's cap (a probe's reduced one). It clears only the works of
+// the slots this round touches plus whatever the previous invocation
+// dirtied (s.used): at narrow adaptive width the full-threads sweep is
+// skipped, and stale wider slots still cannot leak into LastWorks.
+//
+// An invocation that starts as a round of one on a runner that could
+// speculate memoizes by the bootstrap plan: no row is predicted, or none
+// was admitted, so there is no split to keep balanced, only rows to find
+// for the next invocation. (Slot 0 neither caps nor conflicts: such a
+// round is the whole invocation.)
+func (s *scheduler[S, A]) begin(r *Runner[S, A], start S, n int, probe bool) {
+	cap64 := r.pred.specCap(r.cfg.MaxSpecIters)
+	if probe {
+		cap64 = probeSpecCap(cap64, r.pred.prevTotal, n)
+	}
+	rd := &s.rd // zero: release cleared it after the previous invocation
+	rd.n, rd.cur, rd.cap, rd.probe, rd.boot = n, start, cap64, probe, n == 1 && r.cfg.Threads > 1
+	clear(s.works[:max(n, s.used)])
+	s.used = n
+	s.memos = s.memos[:0]
+}
+
+// seed arms the round's jobs and clears their results. Each chunk plans
+// from its (predicted) global position — slot 0's is exact. Only
+// balance depends on the prediction; correctness comes from the
+// validation chain.
+func (s *scheduler[S, A]) seed(r *Runner[S, A], ctx context.Context) {
+	rd, rows := &s.rd, r.pred.rows
+	var zero S
+	for i := 0; i < rd.n; i++ {
+		j, at := &s.jobs[i], rd.pos
+		j.ctx, j.start, j.snap, j.ownRow, j.plan, j.cap = ctx, rd.cur, nil, -1, bootPlan, rd.cap
+		if i > 0 {
+			from := &rows[s.chain[i-1]]
+			j.start, at = from.start, max(rd.pos, from.pos)
+		}
+		if i < rd.n-1 {
+			j.ownRow = s.chain[i]
+			j.snap = &rows[j.ownRow]
+		}
+		if !rd.boot {
+			s.plans[i] = r.pred.planFromPosition(at, s.plans[i][:0])
+			j.plan = s.plans[i]
+		}
+		res := j.res
+		res.work, res.matched, res.capped, res.endState, res.err = 0, false, false, zero, nil
+		res.props = res.props[:0]
+	}
+}
+
+// dispatch launches and joins the round's slots: chunk i>0 goes to the
+// executor, chunk 0 runs here, and the round is joined — every launched
+// chunk executed exactly once, its result slot written — when it
+// returns. This is the invoker's side of the claim/join/lease protocol
+// (executor.go header). Cancellation is honored here: once ctx is done
+// no further chunk starts, armed stays short of n, and the ctx error
+// waits in dispatchErr for the walk to surface; chunks already running
+// stop at their next poll.
+func (s *scheduler[S, A]) dispatch(r *Runner[S, A], ctx context.Context) {
+	rd := &s.rd
 	s.armAbort()
 	var t0 int64
-	if n > 1 {
+	if rd.n > 1 {
 		t0 = nanos()
 		s.lease.dispatched(t0)
 	} else {
@@ -639,18 +759,14 @@ func (s *scheduler[S, A]) dispatchRound(r *Runner[S, A], ctx context.Context, n 
 		// has no release to measure its gap from.
 		s.lease.released = 0
 	}
-	var dispatchErr error
-	armed := 0
-	for i := 0; i < n; i++ {
-		if dispatchErr = ctx.Err(); dispatchErr != nil {
-			for k := i; k < n; k++ {
-				s.results[k].active = false
-			}
+	rd.armed, rd.dispatchErr = 0, nil
+	for i := 0; i < rd.n; i++ {
+		if rd.dispatchErr = ctx.Err(); rd.dispatchErr != nil {
 			break
 		}
 		switch {
 		case s.cells == nil:
-		case n == 1:
+		case rd.n == 1:
 			// A round of one: nothing runs beside the chunk, so its loads
 			// and stores need no buffer.
 			s.views[0].beginDirect(s.cells, s.reds)
@@ -666,66 +782,152 @@ func (s *scheduler[S, A]) dispatchRound(r *Runner[S, A], ctx context.Context, n 
 			// Chunk i goes to the same shard every round (warm-queue affinity).
 			j.offer(r.exec, r.home+uint32(i-1), j)
 		}
-		armed = i + 1
-	}
-	if armed == 0 {
-		return dispatchErr
+		rd.armed = i + 1
 	}
 	// Inline chunk 0: the non-speculative chunk runs on the invoking
 	// goroutine after the speculative chunks are submitted. Same exec,
 	// so ctx polling, the abort barrier and panic containment are
 	// identical. A round with nothing speculative never touches the
 	// executor, and its latch is released by the time exec returns.
-	s.jobs[0].exec()
-	if armed == 1 {
-		return dispatchErr
+	if rd.armed > 0 {
+		s.jobs[0].exec()
 	}
-	// Reclaim, in chain order: a chunk no worker has started yet starts
-	// now, here. Its worker is late, not gone — it was woken at submit
-	// and will find the entry already claimed — so each reclaimed chunk
-	// extends the lease over its own expected duration (chunk 0's, just
-	// measured): the late worker is then still rescanning when the next
-	// round dispatches, instead of parking again and being late again.
-	t1 := nanos()
-	own := t1 - t0
-	lease := s.lease.grant()
-	warm, reclaimed := t1, false
-	for i := 1; i < armed; i++ {
-		j := &s.jobs[i]
-		if !j.take() {
-			continue
+	if rd.armed > 1 {
+		// Reclaim, in chain order: a chunk no worker has started yet
+		// starts now, here. Its worker is late, not gone — it was woken at
+		// submit and will find the entry already claimed — so each
+		// reclaimed chunk extends the lease over its own expected duration
+		// (chunk 0's, just measured): the late worker is then still
+		// rescanning when the next round dispatches, instead of parking
+		// again and being late again.
+		t1 := nanos()
+		own := t1 - t0
+		lease := s.lease.grant()
+		warm, reclaimed := t1, false
+		for i := 1; i < rd.armed; i++ {
+			j := &s.jobs[i]
+			if !j.take() {
+				continue
+			}
+			if lease > 0 {
+				warm += min(own, int64(joinSpinCap))
+				r.exec.extendLease(warm + lease)
+			}
+			j.reclaimed, reclaimed = true, true
+			j.exec()
 		}
-		if lease > 0 {
-			warm += min(own, int64(joinSpinCap))
-			r.exec.extendLease(warm + lease)
+		if reclaimed {
+			t1 = nanos()
 		}
-		j.reclaimed, reclaimed = true, true
-		j.exec()
+		// Join: every chunk is claimed, so the rest are running elsewhere
+		// and worth spinning for about as long as chunk 0 took. The round
+		// is not over — the walk and land end it — so the lease published
+		// here bridges the walk.
+		s.lat.wait(t1, own)
+		if until := s.lease.join(nanos(), own); until > 0 {
+			r.exec.extendLease(until)
+		}
 	}
-	if reclaimed {
-		t1 = nanos()
-	}
-	// Join: every chunk is claimed, so the rest are running elsewhere
-	// and worth spinning for about as long as chunk 0 took. The round is
-	// not over — run walks the chain next and ends it (endRound) — so
-	// the lease published here bridges that walk.
-	s.lat.wait(t1, own)
-	if until := s.lease.join(nanos(), own); until > 0 {
-		r.exec.extendLease(until)
-	}
-	return dispatchErr
 }
 
-// endRound closes a round that joined: the chain walk has landed its
-// results, which is where the gap to the next dispatch starts and the
-// workers' lease runs from. A round that dispatched nothing speculative
-// never joined and has nothing to close.
-func (s *scheduler[S, A]) endRound(r *Runner[S, A]) {
-	if s.lease.joined == 0 {
-		return
+// walk resolves the round's validation chain once. Chunk i+1 is
+// validated by chunk i stopping on a match, so the prefix up to the
+// first chunk that did not commits — accumulators merged in chain order,
+// proposals turned into memos at exact global positions — and the walk
+// stops on that chunk (f), on a failed one, or on a conflicting one
+// (conflictAt).
+//
+// DOACROSS layers a second validation before the membership one can
+// surface anything about chunk i: each chunk the walk commits probes its
+// writes against the read-sets of the round's launched chunks behind
+// it, up to the first one already found in conflict (probeEnd), so by
+// the time the walk reaches chunk i every logically-earlier committed
+// chunk of the round has been checked against it. The conflict check is
+// ordered before even the chunk's own error — a conflicted chunk
+// consumed stale values, so its error (like its accumulator) is invalid
+// and must be discarded with it, not surfaced. Validation reads bitmaps
+// only; the buffered values land after the walk (land), once it is
+// known which views commit and whether their copies need an order.
+func (s *scheduler[S, A]) walk(r *Runner[S, A]) {
+	rd := &s.rd
+	rd.f, rd.conflictAt, rd.land, rd.shared = 0, -1, 0, false
+	probeEnd := rd.armed // DOACROSS: the first conflicting chunk, or the end of the launched slots
+	for i := 0; i < rd.n; i++ {
+		res := &s.results[i]
+		if i == rd.armed {
+			// Unlaunched: dispatch was cut short by cancellation and the
+			// chain matched its way to a chunk that never started — the
+			// invocation fails with the dispatch-time ctx error.
+			rd.f, rd.err = i, rd.dispatchErr
+			break
+		}
+		if s.cells != nil && i == probeEnd {
+			// Flow-dependence violation: chunk i read a cell an earlier
+			// chunk wrote. Its start was validated (chunk i-1 matched it),
+			// so the region re-executes from that exact state next round;
+			// the chunk and everything after it are squashed.
+			rd.conflictAt = i
+			break
+		}
+		if res.err != nil {
+			// Chunks 0..i-1 all matched, so chunk i's iterations are
+			// exactly the sequential continuation and its failure is the
+			// first in iteration order. (errChunkAborted cannot reach
+			// here: an aborted chunk always sits behind the failed chunk
+			// that lowered the barrier, and the walk stops there first.)
+			rd.f, rd.err = i, res.err
+			if s.cells != nil {
+				// Sequential execution would have applied the failing
+				// run's cell writes up to the failure point; land the
+				// partial buffer behind the prefix so the store matches
+				// it exactly. It was validated against nothing, so its
+				// copy keeps its place in the chain order.
+				rd.land, rd.shared = i+1, true
+			}
+			break
+		}
+		if rd.committed {
+			rd.acc = r.loop.Merge(rd.acc, res.acc)
+		} else {
+			rd.acc, rd.committed = res.acc, true
+		}
+		if s.cells != nil {
+			end, wrote, out := s.views[i].validate(s.views[i+1 : probeEnd])
+			probeEnd = i + 1 + end
+			s.copies[i].wrote = wrote
+			rd.land, rd.shared = i+1, rd.shared || out
+		}
+		for _, pr := range res.props {
+			s.memos = append(s.memos, memo[S]{row: pr.row, state: pr.state, pos: rd.pos + pr.local})
+		}
+		rd.pos += res.work
+		if rd.index == 0 {
+			s.works[i] = res.work
+		} else {
+			r.pend.RecoveryChunks++
+		}
+		rd.f = i
+		if !res.matched {
+			break
+		}
 	}
-	if until := s.lease.landed(nanos()); until > 0 {
-		r.exec.extendLease(until)
+	if rd.index == 0 {
+		rd.last, rd.round0 = rd.f, rd.pos
+	}
+}
+
+// land lands the round's DOACROSS views in the store (landCells) and
+// closes the round: its results are in, which is where the gap to the
+// next dispatch starts and the workers' lease runs from. A round that
+// dispatched nothing speculative never joined and has nothing to close.
+func (s *scheduler[S, A]) land(r *Runner[S, A]) {
+	if s.rd.land > 0 {
+		s.landCells(r, s.rd.land, !s.rd.shared)
+	}
+	if s.lease.joined != 0 {
+		if until := s.lease.landed(nanos()); until > 0 {
+			r.exec.extendLease(until)
+		}
 	}
 }
 
@@ -789,349 +991,162 @@ func (s *scheduler[S, A]) landCells(r *Runner[S, A], n int, spread bool) {
 	}
 }
 
-// admitted collects, in row order, the rows from index from on that are
-// valid and clear the adaptive confidence gate (every valid row when the
-// gate is off or the invocation is a probe) — the rows a round may
-// speculate on. The result lives in s.admitBuf until the next call.
-func (s *scheduler[S, A]) admitted(r *Runner[S, A], rows []row[S], from int, probe bool) []int {
-	adm := s.admitBuf[:0]
+// squash charges what the round discarded: every launched chunk behind
+// the one the walk stopped on and, when the walk stopped on a failure,
+// the failing chunk's partial work. The counters stay even if the
+// invocation fails: the work was done and discarded either way.
+func (s *scheduler[S, A]) squash(r *Runner[S, A]) {
+	rd := &s.rd
+	var squashed int64
+	for i := rd.f + 1; i < rd.armed; i++ {
+		squashed += s.results[i].work
+		rd.misspec = true
+	}
+	if rd.conflictAt >= 0 {
+		// One conflict event; every iteration it squashed (the
+		// conflicting chunk and everything after it) is both a squashed
+		// and a conflict-discarded iteration, so ConflictIters stays a
+		// subset of SquashedIters by construction.
+		r.pend.Conflicts++
+		r.pend.ConflictIters += squashed
+	}
+	if rd.err != nil && rd.f < rd.armed {
+		squashed += s.results[rd.f].work
+	}
+	r.pend.SquashedIters += squashed
+}
+
+// verdicts resolves the predictions of the round's launched chunks and
+// reports whether another round follows. Committed speculative chunks
+// resolve their row's prediction as a hit. Squashed chunks are misses
+// only when the chain broke on a chunk that ran out of traversal — the
+// successor's start genuinely never appeared. Behind a *capped* chunk
+// the squash is a capacity artifact (the breaking chunk simply was not
+// allowed to walk far enough to validate), so those rows' verdicts are
+// deferred to the next round, which retries them from an
+// architecturally correct position. Without this distinction a tight
+// MaxSpecIters would read as sustained misprediction and demote a
+// perfectly predictable workload. A conflict squash is likewise no
+// miss: the prediction was right (the chunk's start was validated) —
+// the data raced, which the controller hears separately via the
+// Conflicts counter. Slots cancellation left unlaunched resolved nothing
+// and get no verdict. No round follows when the last committed chunk
+// reached the end of the traversal.
+func (s *scheduler[S, A]) verdicts(r *Runner[S, A]) bool {
+	rd := &s.rd
+	again := rd.conflictAt >= 0 || s.results[rd.f].capped
+	for i := 1; i < rd.armed; i++ {
+		if i <= rd.f {
+			r.noteHit(s.chain[i-1], s.jobs[i].reclaimed)
+		} else if !again {
+			r.noteMiss(s.chain[i-1], s.jobs[i].reclaimed)
+			rd.verdictMiss = true
+		}
+	}
+	return again
+}
+
+// advance moves the round on to the next one: its position, its chain
+// and its cap. The hunter is the chunk the walk broke on: the capped
+// chunk (resume from its stop state) or the conflicting chunk (resume
+// from its validated start). The row it was hunting heads the next
+// chain — the chunk may simply have capped before reaching it — but
+// gets that retry once: a later round that caps short of it again drops
+// it. After a conflict it is always retried. A snap-less last chunk
+// hunted nothing. Every continuing round commits at least cap
+// iterations or moves past a row, so the loop terminates on any finite
+// traversal. Later rounds speculate on every admitted row still ahead —
+// possibly wider than round 0, which was thinned to the effective
+// width — under the full cap (only round 0 of a probe runs under the
+// reduced one).
+//
+// A deadline cannot be ignored by later rounds: each re-checks ctx
+// before it is seeded, and its chunks poll while running; a failure here
+// is the invocation's (rd.err).
+func (s *scheduler[S, A]) advance(r *Runner[S, A], ctx context.Context) {
+	rd := &s.rd
+	hunter := rd.f
+	rd.cur = s.results[rd.f].endState
+	if rd.conflictAt >= 0 {
+		hunter = rd.conflictAt
+		rd.cur = s.jobs[hunter].start
+	}
+	next := len(r.pred.rows)
+	if hunter < rd.n-1 {
+		next = s.chain[hunter]
+		if rd.index > 0 && rd.conflictAt < 0 {
+			next++
+		}
+	}
+	rd.index++
+	// Fault-injection site: an injected Err/Cancel between rounds aborts
+	// the invocation in the exact window where partial commits and
+	// re-planned chunks coexist.
+	if rd.err = ctx.Err(); rd.err == nil {
+		rd.err = r.cfg.Faults.Check(faults.RecoveryRound)
+	}
+	if rd.err == nil {
+		r.pend.Recoveries++
+		rd.n = 1 + len(s.admitted(r, next, rd.probe))
+		s.used = max(s.used, rd.n)
+		rd.cap = r.pred.specCap(r.cfg.MaxSpecIters)
+	}
+}
+
+// finish books the invocation once its last round has committed. Later
+// rounds' iterations are charged to the last slot round 0 committed.
+// MisspecInvocations counts any squash; the controller's refined signal
+// is verdictMiss (verdict-based misses only). A bootstrap invocation's
+// candidates become rows, and the predictor installs the memoizations.
+func (s *scheduler[S, A]) finish(r *Runner[S, A]) {
+	rd := &s.rd
+	tail := rd.pos - rd.round0
+	s.works[rd.last] += tail
+	r.pend.TailIters += tail
+	r.pend.TotalIters += rd.pos
+	if rd.misspec {
+		r.pend.MisspecInvocations++
+	}
+	if rd.boot {
+		s.memos = r.pred.promote(rd.pos, s.memos)
+	}
+	r.pred.apply(rd.pos, s.memos)
+	r.pendWorks = true
+}
+
+// admitted fills s.chain, in row order, with the rows from index from on
+// that are valid and clear the adaptive confidence gate (every valid row
+// when the gate is off or the invocation is a probe) — the rows a round
+// may speculate on — and returns it.
+func (s *scheduler[S, A]) admitted(r *Runner[S, A], from int, probe bool) []int {
+	rows, adm := r.pred.rows, s.chain[:0]
 	for k := from; k < len(rows); k++ {
 		if rows[k].valid && r.admitRow(k, probe) {
 			adm = append(adm, k)
 		}
 	}
-	s.admitBuf = adm
+	s.chain = adm
 	return adm
 }
 
 // planDispatch selects round 0's chain: the admitted rows, thinned to
 // the effective width. When more rows qualify than eff-1 slots, the
 // picks are spread evenly across the qualifying rows so the chunks stay
-// roughly balanced at reduced width. The chain is stored in s.dispRows
-// (slot i>0 starts from rows[s.dispRows[i-1]] and hunts
-// rows[s.dispRows[i]]); the returned chunk count is 1+len(s.dispRows).
-// A return of 1 means nothing is worth speculating on — the invocation
-// starts as a round of one instead of burning workers on doomed chunks.
+// roughly balanced at reduced width; pick i reads an index j ≥ i, so the
+// rows are thinned in place. The chain is left in s.chain (slot i>0
+// starts from rows[s.chain[i-1]] and hunts rows[s.chain[i]]); the
+// returned chunk count is 1+len(s.chain). A return of 1 means nothing is
+// worth speculating on — the invocation starts as a round of one
+// instead of burning workers on doomed chunks.
 func (s *scheduler[S, A]) planDispatch(r *Runner[S, A], eff int, probe bool) int {
-	adm := s.admitted(r, r.pred.rows, 0, probe)
-	keep := s.dispRows[:0]
-	if len(adm) <= eff-1 {
-		keep = append(keep, adm...)
-	} else {
-		prev := -1
+	adm := s.admitted(r, 0, probe)
+	if len(adm) > eff-1 {
+		j := -1
 		for i := 0; i < eff-1; i++ {
-			j := (i + 1) * len(adm) / eff
-			if j <= prev {
-				j = prev + 1
-			}
-			keep = append(keep, adm[j])
-			prev = j
+			j = max((i+1)*len(adm)/eff, j+1)
+			adm[i] = adm[j]
 		}
+		s.chain = adm[:eff-1]
 	}
-	s.dispRows = keep
-	return len(keep) + 1
-}
-
-// run executes one invocation as a loop over rounds. A round
-// seeds slot 0 at the live (state, global position) — architecturally
-// correct, never capped — and one speculative slot per row of its
-// chain, each hunting the next row's predicted start; launches and
-// joins them; then walks the chain once: the prefix up to the first
-// chunk that did not stop on its successor's start commits at exact
-// global positions, everything after it is squashed. If the walk
-// stopped on a capped chunk or on a read/write-set conflict, the next
-// round resumes from that chunk's stop state (the conflicting chunk's
-// validated start) over the admitted rows not yet passed; otherwise the
-// invocation is done. Round 0 is the same code from (start, 0) over the
-// n-slot chain planDispatch left in s.dispRows, or over nothing when n
-// is 1 (the caller's "sequential" invocation). The squashed workers
-// are thereby re-seeded rather than the remainder serialized, and every
-// chunk carries plan entries anchored at its global position, so the
-// predictor re-memoizes along the way and the next invocation's split
-// stays balanced.
-//
-// A failed invocation (body error, contained panic, or ctx
-// cancellation) returns the zero accumulator and the failure of the
-// earliest chunk in iteration order; the predictor keeps its previous
-// memoizations so the next invocation still speculates. The middle
-// return is the adaptive controller's feedback signal: whether any
-// squashed chunk was judged a genuine misprediction.
-func (s *scheduler[S, A]) run(r *Runner[S, A], ctx context.Context, start S, n int, probe bool) (A, bool, error) {
-	// The predictor's rows, read in place: apply, at the end, swaps in the
-	// next generation without writing these.
-	rows := r.pred.rows
-	specCap := r.pred.specCap(r.cfg.MaxSpecIters)
-	cap64 := specCap
-	if probe {
-		cap64 = probeSpecCap(cap64, r.pred.prevTotal, n)
-	}
-	var zero A
-
-	// Reset only the slots this invocation's first round touches plus
-	// whatever the previous invocation dirtied (s.used): at narrow
-	// adaptive width the full-threads sweep is skipped, and stale wider
-	// slots still cannot leak into squash accounting or LastWorks.
-	dirty := max(n, s.used)
-	clear(s.works[:dirty])
-	for j := 0; j < dirty; j++ {
-		s.results[j].active = false
-	}
-	s.used = n
-	s.memos = s.memos[:0]
-	defer s.release()
-
-	// An invocation that starts as a round of one on a runner that could
-	// speculate memoizes by the bootstrap plan: no row is predicted, or
-	// none was admitted, so there is no split to keep balanced, only rows
-	// to find for the next invocation. (Slot 0 neither caps nor conflicts:
-	// such a round is the whole invocation.)
-	boot := n == 1 && r.cfg.Threads > 1
-	chain := s.dispRows // row behind each speculative slot of this round
-	next := 0           // first row a later round may speculate on
-	cur, pos := start, int64(0)
-	var acc A
-	committed := false
-	misspec, verdictMiss := false, false
-	last, round0 := 0, int64(0) // last slot round 0 committed; iterations it committed
-	for round := 0; ; round++ {
-		if round > 0 {
-			// A deadline cannot be ignored by later rounds: each re-checks
-			// ctx before dispatching and its chunks poll while running.
-			if err := ctx.Err(); err != nil {
-				return zero, false, err
-			}
-			// Fault-injection site: an injected Err/Cancel between rounds
-			// aborts the invocation in the exact window where partial
-			// commits and re-planned chunks coexist.
-			if err := r.cfg.Faults.Check(faults.RecoveryRound); err != nil {
-				return zero, false, err
-			}
-			r.pend.Recoveries++
-			// Later rounds speculate on every admitted row still ahead —
-			// possibly wider than round 0, which was thinned to the
-			// effective width — under the full cap (only round 0 of a
-			// probe runs under the reduced one).
-			chain = s.admitted(r, rows, next, probe)
-			n = 1 + len(chain)
-			s.used = max(s.used, n)
-			cap64 = specCap
-		}
-
-		// --- Seed ----------------------------------------------------
-		// Each chunk plans from its (predicted) global position — slot
-		// 0's is exact. Only balance depends on the prediction;
-		// correctness comes from the validation chain.
-		for i := 0; i < n; i++ {
-			st, at := cur, pos
-			if i > 0 {
-				st, at = rows[chain[i-1]].start, max(pos, rows[chain[i-1]].pos)
-			}
-			ownRow := -1
-			var snap *row[S]
-			if i < n-1 {
-				ownRow = chain[i]
-				snap = &rows[ownRow]
-			}
-			plan := bootPlan
-			if !boot {
-				s.plans[i] = r.pred.planFromPosition(at, s.plans[i][:0])
-				plan = s.plans[i]
-			}
-			s.jobs[i].reset(ctx, st, snap, ownRow, plan, cap64)
-		}
-		dispatchErr := s.dispatchRound(r, ctx, n)
-
-		// --- Validation chain ----------------------------------------
-		// Chunk i+1 is validated by chunk i stopping on a match. DOACROSS
-		// layers a second validation before the membership one can
-		// surface anything about chunk i: each chunk the walk commits
-		// probes its writes against the read-sets of the round's armed
-		// chunks behind it, up to the first one already found in conflict
-		// (probeEnd), so by the time the walk reaches chunk i every
-		// logically-earlier committed chunk of the round has been checked
-		// against it. The conflict check is ordered before even the
-		// chunk's own error — a conflicted chunk consumed stale values, so
-		// its error (like its accumulator) is invalid and must be
-		// discarded with it, not surfaced. Validation reads bitmaps only;
-		// the buffered values land after the walk (landCells), once it is
-		// known which views commit and whether their copies need an order.
-		f := 0 // slot the walk stopped on: the last committed, or the failed one
-		conflictAt := -1
-		probeEnd := n            // DOACROSS: the first conflicting chunk, or the end of the armed slots
-		land, shared := 0, false // DOACROSS: views to land, and whether two of them stored to one cell
-		if s.cells != nil {
-			for probeEnd > 0 && !s.results[probeEnd-1].active {
-				probeEnd--
-			}
-		}
-		var runErr error
-		for i := 0; i < n; i++ {
-			res := &s.results[i]
-			if !res.active {
-				// Undispatched: dispatch was cut short by cancellation and
-				// the chain matched its way to a chunk that never started —
-				// the invocation fails with the dispatch-time ctx error.
-				// (A chain has no gaps, so an exhausted one always stops
-				// the walk on a non-matching chunk before an inactive slot.)
-				f, runErr = i, dispatchErr
-				break
-			}
-			if s.cells != nil && i == probeEnd {
-				// Flow-dependence violation: chunk i read a cell an earlier
-				// chunk wrote. Its start was validated (chunk i-1 matched
-				// it), so the region re-executes from that exact state next
-				// round; the chunk and everything after it are squashed.
-				conflictAt = i
-				break
-			}
-			if res.err != nil {
-				// Chunks 0..i-1 all matched, so chunk i's iterations are
-				// exactly the sequential continuation and its failure is the
-				// first in iteration order. (errChunkAborted cannot reach
-				// here: an aborted chunk always sits behind the failed chunk
-				// that lowered the barrier, and the walk stops there first.)
-				f, runErr = i, res.err
-				if s.cells != nil {
-					// Sequential execution would have applied the failing
-					// run's cell writes up to the failure point; land the
-					// partial buffer behind the prefix so the store matches
-					// it exactly. It was validated against nothing, so its
-					// copy keeps its place in the chain order.
-					land, shared = i+1, true
-				}
-				break
-			}
-			if committed {
-				acc = r.loop.Merge(acc, res.acc)
-			} else {
-				acc, committed = res.acc, true
-			}
-			if s.cells != nil {
-				end, wrote, out := s.views[i].validate(s.views[i+1 : probeEnd])
-				probeEnd = i + 1 + end
-				s.copies[i].wrote = wrote
-				land, shared = i+1, shared || out
-			}
-			for _, pr := range res.props {
-				s.memos = append(s.memos, memo[S]{row: pr.row, state: pr.state, pos: pos + pr.local})
-			}
-			pos += res.work
-			if round == 0 {
-				s.works[i] = res.work
-			} else {
-				r.pend.RecoveryChunks++
-			}
-			f = i
-			if !res.matched {
-				break
-			}
-		}
-
-		if land > 0 {
-			s.landCells(r, land, !shared)
-		}
-		s.endRound(r)
-
-		// --- Squash --------------------------------------------------
-		// Squash and conflict counters stay even if the invocation fails
-		// later: the work was done and discarded either way.
-		var squashed int64
-		for i := f + 1; i < n; i++ {
-			if s.results[i].active {
-				squashed += s.results[i].work
-				misspec = true
-			}
-		}
-		if conflictAt >= 0 {
-			// One conflict event; every iteration it squashed (the
-			// conflicting chunk and everything after it) is both a squashed
-			// and a conflict-discarded iteration, so ConflictIters stays a
-			// subset of SquashedIters by construction.
-			r.pend.Conflicts++
-			r.pend.ConflictIters += squashed
-		}
-		if runErr != nil && s.results[f].active {
-			squashed += s.results[f].work // the failing chunk's partial work
-		}
-		r.pend.SquashedIters += squashed
-		if runErr != nil {
-			// Memoizations are not applied — the predictor keeps its last
-			// good rows — and the round records no hit/miss verdicts: an
-			// aborted chunk's squash says nothing about its prediction.
-			return zero, false, runErr
-		}
-		if round == 0 {
-			last, round0 = f, pos
-		}
-
-		// --- Confidence verdicts -------------------------------------
-		// Committed speculative chunks resolve their row's prediction as
-		// a hit. Squashed chunks are misses only when the chain broke on
-		// a chunk that ran out of traversal — the successor's start
-		// genuinely never appeared. Behind a *capped* chunk the squash is
-		// a capacity artifact (the breaking chunk simply was not allowed
-		// to walk far enough to validate), so those rows' verdicts are
-		// deferred to the next round, which retries them from an
-		// architecturally correct position. Without this distinction a
-		// tight MaxSpecIters would read as sustained misprediction and
-		// demote a perfectly predictable workload. A conflict squash is
-		// likewise no miss: the prediction was right (the chunk's start
-		// was validated) — the data raced, which the controller hears
-		// separately via the Conflicts counter. Slots cancellation left
-		// undispatched resolved nothing and get no verdict.
-		again := conflictAt >= 0 || s.results[f].capped
-		for i := 1; i < n && s.results[i].active; i++ {
-			if i <= f {
-				r.noteHit(chain[i-1], s.jobs[i].reclaimed)
-			} else if !again {
-				r.noteMiss(chain[i-1], s.jobs[i].reclaimed)
-				verdictMiss = true
-			}
-		}
-		if !again {
-			break // the last committed chunk reached the end of the traversal
-		}
-
-		// --- Next round's position and first row ---------------------
-		// The hunter is the chunk the walk broke on: the capped chunk
-		// (resume from its stop state) or the conflicting chunk (resume
-		// from its validated start). The row it was hunting heads the next
-		// chain — the chunk may simply have capped before reaching it —
-		// but gets that retry once: a later round that caps short of it
-		// again drops it. After a conflict it is always retried. A
-		// snap-less last chunk hunted nothing. Every continuing round
-		// commits at least cap iterations or moves past a row, so the
-		// loop terminates on any finite traversal.
-		hunter := f
-		cur = s.results[f].endState
-		if conflictAt >= 0 {
-			hunter = conflictAt
-			cur = s.jobs[hunter].start
-		}
-		next = len(rows)
-		if hunter < n-1 {
-			next = chain[hunter]
-			if round > 0 && conflictAt < 0 {
-				next++
-			}
-		}
-	}
-
-	// --- Bookkeeping -------------------------------------------------
-	// Later rounds' iterations are charged to the last slot round 0
-	// committed. MisspecInvocations counts any squash; the returned flag
-	// is the controller's refined signal (verdict-based misses only).
-	tail := pos - round0
-	s.works[last] += tail
-	r.pend.TailIters += tail
-	r.pend.TotalIters += pos
-	if misspec {
-		r.pend.MisspecInvocations++
-	}
-	if boot {
-		s.memos = r.pred.promote(pos, s.memos)
-	}
-	r.pred.apply(pos, s.memos)
-	r.pendWorks = true
-	return acc, verdictMiss, nil
+	return len(s.chain) + 1
 }

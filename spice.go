@@ -25,8 +25,8 @@
 //     round from the live position when a chunk capped or conflicted
 //     (parallel squash recovery).
 //   - executor: a fixed pool of persistent worker goroutines, one
-//     bounded run queue per worker with steal-half work stealing
-//     between them; no goroutine is spawned per invocation.
+//     bounded channel per worker, from which an idle worker steals one
+//     entry at a time; no goroutine is spawned per invocation.
 //
 // A Runner executes one loop invocation at a time. Each chunk
 // accumulates into a private accumulator; validated accumulators are
