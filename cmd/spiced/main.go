@@ -1,9 +1,10 @@
 // Command spiced serves the spice runtime to multiple tenants over
 // HTTP: JSON jobs naming registered native workload kernels, a bounded
 // admission queue (full queue answers 429 + Retry-After), per-tenant
-// concurrency caps and speculation budgets re-divided by recent hit
-// rate, and Prometheus-style /metrics. SIGINT/SIGTERM drains
-// gracefully: in-flight jobs finish, new ones are rejected with 503.
+// concurrency caps and speculation budgets re-divided by the payoff of
+// each tenant's speculation, and Prometheus-style /metrics.
+// SIGINT/SIGTERM drains gracefully: in-flight jobs finish, new ones are
+// rejected with 503.
 //
 // Endpoints:
 //
@@ -12,8 +13,19 @@
 //	GET  /v1/jobs/:id poll an async job (result delivered once)
 //	GET  /v1/kernels  list registered kernels
 //	GET  /metrics     Prometheus text exposition
-//	GET  /healthz     200 serving / 503 draining
-//	GET  /debug/vars  expvar-style JSON snapshot
+//	GET  /healthz     200 serving / 503 draining or wedged
+//
+// Flags:
+//
+//	-listen ADDR          listen address (default :8080)
+//	-max-width N          widest speculation per invocation (default max(GOMAXPROCS, 2))
+//	-job-timeout D        per-job execution bound (default 30s); the
+//	                      watchdog force-cancels a job D/15 past it
+//	-drain-timeout D      graceful drain bound on SIGTERM (default 30s)
+//	-chaos SPEC           fault-injection schedule (testing only)
+//
+// Every other bound (queue depth, tenant and async caps, table sizes,
+// the allocator's policy) is a constant of internal/server.
 //
 // Example:
 //
@@ -39,19 +51,11 @@ import (
 
 func main() {
 	var (
-		listen      = flag.String("listen", ":8080", "listen address")
-		maxWidth    = flag.Int("max-width", 0, "widest speculation per invocation (0 = GOMAXPROCS)")
-		workers     = flag.Int("workers", 0, "shared executor workers (0 = topology default)")
-		queueDepth  = flag.Int("queue", 0, "admission queue bound (0 = 256)")
-		tenantCap   = flag.Int("tenant-cap", 0, "per-tenant in-flight job cap (0 = 32)")
-		dispatchers = flag.Int("dispatchers", 0, "job executor goroutines (0 = GOMAXPROCS)")
-		rebalance   = flag.Duration("rebalance", 0, "budget allocator window (0 = 500ms)")
-		jobTimeout  = flag.Duration("job-timeout", 0, "per-job execution bound (0 = 30s)")
-		drainWait   = flag.Duration("drain-timeout", 30*time.Second, "graceful drain bound on SIGTERM")
-		watchdog    = flag.Duration("watchdog-interval", 0, "watchdog sweep interval (0 = 250ms)")
-		grace       = flag.Duration("watchdog-grace", 0, "overdue margin past job-timeout before a force-cancel (0 = 2s)")
-		resultTTL   = flag.Duration("result-ttl", 0, "finished async results kept this long before the reaper frees their slots (0 = 2m)")
-		chaos       = flag.String("chaos", "", "fault-injection schedule, site:match:kind[:dur] comma list (testing only)")
+		listen     = flag.String("listen", ":8080", "listen address")
+		maxWidth   = flag.Int("max-width", 0, "widest speculation per invocation (0 = max(GOMAXPROCS, 2))")
+		jobTimeout = flag.Duration("job-timeout", 0, "per-job execution bound; the watchdog's grace is a fifteenth of it (0 = 30s)")
+		drainWait  = flag.Duration("drain-timeout", 30*time.Second, "graceful drain bound on SIGTERM")
+		chaos      = flag.String("chaos", "", "fault-injection schedule, site:match:kind[:dur] comma list (testing only)")
 	)
 	flag.Parse()
 
@@ -64,17 +68,9 @@ func main() {
 	}
 
 	s, err := server.New(server.Config{
-		MaxWidth:         *maxWidth,
-		Workers:          *workers,
-		QueueDepth:       *queueDepth,
-		TenantCap:        *tenantCap,
-		Dispatchers:      *dispatchers,
-		Rebalance:        *rebalance,
-		JobTimeout:       *jobTimeout,
-		WatchdogInterval: *watchdog,
-		WatchdogGrace:    *grace,
-		ResultTTL:        *resultTTL,
-		Faults:           plane,
+		MaxWidth:   *maxWidth,
+		JobTimeout: *jobTimeout,
+		Faults:     plane,
 	})
 	if err != nil {
 		log.Fatalf("spiced: %v", err)

@@ -25,6 +25,13 @@ import (
 	"spice/internal/workloads/native"
 )
 
+// The admission bounds: queueDepth admitted jobs may wait for a
+// dispatcher, tenantCap of them (waiting or running) per tenant.
+const (
+	queueDepth = 256
+	tenantCap  = 32
+)
+
 // jobState tracks a job through the queue.
 type jobState int32
 
@@ -48,7 +55,7 @@ type job struct {
 	// calls it.
 	stopNotify func() bool
 	// deadline mirrors the context's JobTimeout expiry for the watchdog,
-	// which sweeps against it plus WatchdogGrace.
+	// which sweeps against it plus its grace.
 	deadline time.Time
 
 	state  atomic.Int32 // holds a jobState
@@ -58,7 +65,7 @@ type job struct {
 	// killed latches the watchdog's force-cancel so a job is killed (and
 	// counted) at most once; a second overdue sweep means wedged instead.
 	killed atomic.Bool
-	// doneAt is the finish instant in UnixNanos, read by the ResultTTL
+	// doneAt is the finish instant in UnixNanos, read by the resultTTL
 	// reaper (atomic: finish and the sweep race benignly).
 	doneAt atomic.Int64
 }
@@ -116,12 +123,12 @@ func (s *Server) admit(j *job) *apiError {
 
 	t := j.t
 	t.mu.Lock()
-	if t.inflight >= s.cfg.TenantCap {
+	if t.inflight >= tenantCap {
 		t.mu.Unlock()
 		s.met.rejTenantCap.Add(1)
 		return &apiError{
 			code:       http.StatusTooManyRequests,
-			msg:        fmt.Sprintf("tenant %q at its concurrency cap (%d in flight)", t.name, s.cfg.TenantCap),
+			msg:        fmt.Sprintf("tenant %q at its concurrency cap (%d in flight)", t.name, tenantCap),
 			retryAfter: 1,
 		}
 	}
@@ -129,12 +136,17 @@ func (s *Server) admit(j *job) *apiError {
 	t.mu.Unlock()
 
 	s.jobWG.Add(1)
+	// The watchdog sweeps the job until execute untracks it. Tracked
+	// before the send: once queued, a dispatcher may finish the job
+	// before the send returns, and a job tracked after that would stay in
+	// the registry for good, to be killed and then reported wedged.
+	s.trackJob(j)
 	select {
 	case s.queue <- j:
 		s.met.admitted.Add(1)
-		s.trackJob(j) // watchdog sweeps it until execute untracks
 		return nil
 	default:
+		s.untrackJob(j)
 		s.jobWG.Done()
 		t.mu.Lock()
 		t.inflight--
@@ -161,7 +173,7 @@ func (s *Server) dispatcher() {
 // execute runs one admitted job to completion and settles all admission
 // accounting.
 func (s *Server) execute(j *job) {
-	if gate := s.testGate; gate != nil {
+	if gate := s.cfg.testGate; gate != nil {
 		<-gate // test hook: hold the dispatcher to make queue states deterministic
 	}
 	j.state.Store(int32(jobRunning))

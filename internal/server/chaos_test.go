@@ -18,12 +18,13 @@ package server
 //     and /healthz returns to 200.
 //
 // Plus targeted tests for the watchdog kill + wedged-healthz path, the
-// drain-under-stall contract, the async ResultTTL reaper, and the
+// drain-under-stall contract, the async resultTTL reaper, and the
 // build/admission fault sites.
 
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net/http"
 	"testing"
 	"time"
@@ -82,19 +83,7 @@ func oracleResult(t *testing.T, req JobRequest) int64 {
 // through states quickly, generous enough that only injected faults
 // (never capacity) fail jobs.
 func chaosConfig(plane *faults.Plane) Config {
-	return Config{
-		MaxWidth:         4,
-		Workers:          4,
-		QueueDepth:       64,
-		TenantCap:        32,
-		Dispatchers:      2,
-		Rebalance:        time.Hour,
-		JobTimeout:       20 * time.Second,
-		WatchdogInterval: 20 * time.Millisecond,
-		WatchdogGrace:    5 * time.Second,
-		ResultTTL:        time.Minute,
-		Faults:           plane,
-	}
+	return Config{MaxWidth: 4, JobTimeout: 20 * time.Second, Faults: plane}
 }
 
 // TestChaosServingSeeded is the serving-path lockstep suite.
@@ -227,9 +216,7 @@ func TestChaosWatchdogKillAndWedge(t *testing.T) {
 		t.Fatalf("Parse: %v", err)
 	}
 	cfg := chaosConfig(plane)
-	cfg.JobTimeout = 50 * time.Millisecond
-	cfg.WatchdogInterval = 10 * time.Millisecond
-	cfg.WatchdogGrace = 40 * time.Millisecond
+	cfg.JobTimeout = 300 * time.Millisecond // grace 20 ms, a sweep every 2.5 ms
 	s := newTestServer(t, cfg)
 	t.Cleanup(plane.Release)
 	h := s.Handler()
@@ -310,33 +297,41 @@ func TestChaosDrainUnderStall(t *testing.T) {
 }
 
 // TestAsyncResultTTL is the reaper regression: finished-but-never-
-// fetched async jobs must free their table slots after ResultTTL, their
+// fetched async jobs must free their table slots after resultTTL, their
 // ids must answer 404 afterwards, and the recovered capacity must
-// accept new submissions.
+// accept new submissions. The test sweeps at instants of its choosing.
 func TestAsyncResultTTL(t *testing.T) {
-	cfg := chaosConfig(nil)
-	cfg.AsyncCap = 4
-	cfg.WatchdogInterval = 10 * time.Millisecond
-	cfg.ResultTTL = 50 * time.Millisecond
-	s := newTestServer(t, cfg)
+	s := newTestServer(t, chaosConfig(nil))
 	h := s.Handler()
 
-	ids := make([]string, 0, cfg.AsyncCap)
-	for i := 0; i < cfg.AsyncCap; i++ {
-		w := do(h, "POST", "/v1/submit", JobRequest{Tenant: "t", Kernel: "sumlist", Size: 200, Seed: int64(i + 1)})
+	ids := make([]string, 0, asyncCap)
+	for i := 0; i < asyncCap; i++ {
+		req := JobRequest{Tenant: fmt.Sprintf("t%d", i/tenantCap), Kernel: "sumlist", Size: 200, Seed: int64(i + 1)}
+		w := do(h, "POST", "/v1/submit", req)
 		if w.Code != http.StatusAccepted {
 			t.Fatalf("submit %d: code %d body %s", i, w.Code, w.Body.String())
 		}
 		ids = append(ids, decode[JobStatus](t, w).ID)
 	}
+	waitFor(t, "every job to finish", func() bool {
+		s.watchMu.Lock()
+		defer s.watchMu.Unlock()
+		return s.met.jobsOK.Load()+s.met.jobsFailed.Load() == asyncCap && len(s.inflightJobs) == 0
+	})
 	// The table is full: a further submit must shed.
-	waitFor(t, "async table to fill or jobs to finish", func() bool {
-		return s.met.jobsOK.Load()+s.met.jobsFailed.Load() == int64(cfg.AsyncCap)
-	})
-	// Never fetch: the reaper must reclaim all slots.
-	waitFor(t, "reaper to expire finished jobs", func() bool {
-		return s.met.asyncExpired.Load() == int64(cfg.AsyncCap)
-	})
+	if w := do(h, "POST", "/v1/submit", JobRequest{Tenant: "t", Kernel: "sumlist", Size: 200}); w.Code != http.StatusTooManyRequests {
+		t.Fatalf("submit to a full table: code %d, want 429", w.Code)
+	}
+	// Never fetched: a sweep now keeps every result, one past resultTTL
+	// reclaims every slot.
+	s.sweep(time.Now())
+	if got := s.met.asyncExpired.Load(); got != 0 {
+		t.Fatalf("%d results expired before resultTTL", got)
+	}
+	s.sweep(time.Now().Add(resultTTL + time.Second))
+	if got := s.met.asyncExpired.Load(); got != asyncCap {
+		t.Fatalf("%d results expired after resultTTL, want %d", got, asyncCap)
+	}
 	if n := s.asyncJobCount(); n != 0 {
 		t.Fatalf("async table holds %d jobs after expiry, want 0", n)
 	}

@@ -4,15 +4,11 @@ package server
 // /metrics endpoint renders the text exposition format (counters,
 // gauges, one latency histogram) from the pool's Stats counters, the
 // admission queue's gauges and every tenant's budget/score/aggregate
-// counters; /debug/vars serves the same snapshot as expvar-style JSON.
+// counters.
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"net/http"
-	"os"
-	"runtime"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -78,7 +74,7 @@ type metrics struct {
 	jobsPanicked atomic.Int64
 	// watchdogKilled counts in-flight jobs force-cancelled by the
 	// watchdog after overrunning deadline+grace; asyncExpired counts
-	// finished async results reaped from the table after ResultTTL.
+	// finished async results reaped from the table after resultTTL.
 	watchdogKilled atomic.Int64
 	asyncExpired   atomic.Int64
 	jobLatency     histogram
@@ -163,7 +159,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	counter("spiced_jobs_failed_total", "jobs that finished with an error", s.met.jobsFailed.Load())
 	counter("spiced_jobs_panicked_total", "jobs failed by a contained kernel panic", s.met.jobsPanicked.Load())
 	counter("spiced_jobs_watchdog_killed_total", "in-flight jobs force-cancelled by the watchdog", s.met.watchdogKilled.Load())
-	counter("spiced_async_jobs_expired_total", "finished async results reaped after ResultTTL", s.met.asyncExpired.Load())
+	counter("spiced_async_jobs_expired_total", "finished async results reaped after the result TTL", s.met.asyncExpired.Load())
 	gauge("spiced_async_jobs", "async jobs currently held in the result table", s.asyncJobCount())
 
 	// HTTP.
@@ -246,52 +242,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	w.WriteHeader(http.StatusOK)
 	w.Write([]byte(b.String()))
-}
-
-// handleVars serves an expvar-style JSON snapshot: cmdline and memstats
-// (the two vars the expvar package always publishes) plus the spiced
-// serving state. It is assembled per server rather than through
-// expvar.Publish so that multiple Server instances (tests, embedding)
-// never fight over the process-global expvar namespace.
-func (s *Server) handleVars(w http.ResponseWriter, r *http.Request) {
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	rows := s.snapshotTenants()
-	tenants := make(map[string]any, len(rows))
-	for _, t := range rows {
-		tenants[t.name] = map[string]any{
-			"budget": t.budget, "score": t.score, "starved": t.starved,
-			"inflight": t.inflight, "invocations": t.invocations, "iters": t.iters,
-			"hits": t.hits, "misses": t.misses, "reclaimed": t.reclaimed,
-		}
-	}
-	snap := map[string]any{
-		"cmdline":  os.Args,
-		"memstats": ms,
-		"spiced": map[string]any{
-			"queue_depth":         len(s.queue),
-			"queue_capacity":      cap(s.queue),
-			"admitted":            s.met.admitted.Load(),
-			"rejected_queue_full": s.met.rejQueueFull.Load(),
-			"rejected_tenant_cap": s.met.rejTenantCap.Load(),
-			"pool_runners":        s.pool.Runners(),
-			"pool_workers":        s.pool.Workers(),
-			"tenants":             tenants,
-		},
-	}
-	// Encode to a buffer first: once any byte reaches the ResponseWriter
-	// the 200 is committed, so an encode failure discovered mid-stream
-	// could only truncate the JSON. Buffering keeps the error actionable
-	// as a real 500.
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(snap); err != nil {
-		http.Error(w, "encoding snapshot: "+err.Error(), http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	w.Write(buf.Bytes())
 }
 
 // asyncJobCount snapshots the async result table's size for /metrics.

@@ -7,11 +7,23 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 
 	"spice/internal/workloads/native"
+)
+
+// A request's bounds: its body's size, its structure's node count (and
+// churn), and its invocation count.
+const (
+	// maxRequestBytes bounds a job request's body. A JobRequest is a
+	// dozen scalar fields; anything near this size is not one.
+	maxRequestBytes = 64 << 10
+	maxListSize     = 1_000_000
+	maxInvocations  = 10_000
 )
 
 // JobRequest is the body of POST /v1/run and POST /v1/submit: exactly
@@ -43,8 +55,34 @@ type JobRequest struct {
 	Invocations int64 `json:"invocations,omitempty"`
 }
 
-// normalize applies defaults and validates against the server's limits.
-func (r *JobRequest) normalize(cfg *Config) *apiError {
+// decodeJob reads the one JobRequest that is the request body, refusing
+// a body over maxRequestBytes with 413 and anything else with 400: bad
+// JSON, a field JobRequest does not have (a misspelt "invocations" must
+// not run with the default), or anything after the first value.
+func decodeJob(w http.ResponseWriter, r *http.Request, req *JobRequest) *apiError {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(req)
+	if err == nil {
+		// The body is one value: a second Decode has to find its end
+		// (io.EOF, which Decode returns bare).
+		if err = dec.Decode(&struct{}{}); err == io.EOF {
+			return nil
+		} else if err == nil {
+			err = errors.New("more than one value in the body")
+		}
+	}
+	var tooBig *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooBig):
+		return &apiError{code: http.StatusRequestEntityTooLarge, msg: fmt.Sprintf("request body over %d bytes", maxRequestBytes)}
+	default:
+		return badRequest("bad JSON: " + err.Error())
+	}
+}
+
+// normalize applies defaults and validates against the request bounds.
+func (r *JobRequest) normalize() *apiError {
 	if r.Tenant == "" {
 		return badRequest("missing tenant")
 	}
@@ -64,20 +102,20 @@ func (r *JobRequest) normalize(cfg *Config) *apiError {
 	if r.Size == 0 {
 		r.Size = 10_000
 	}
-	if r.Size < 1 || r.Size > cfg.MaxListSize {
-		return badRequest(fmt.Sprintf("size %d outside [1, %d]", r.Size, cfg.MaxListSize))
+	if r.Size < 1 || r.Size > maxListSize {
+		return badRequest(fmt.Sprintf("size %d outside [1, %d]", r.Size, maxListSize))
 	}
 	if r.Seed == 0 {
 		r.Seed = 1
 	}
-	if r.Churn < 0 || int64(r.Churn) > cfg.MaxListSize {
-		return badRequest(fmt.Sprintf("churn %d outside [0, %d]", r.Churn, cfg.MaxListSize))
+	if r.Churn < 0 || r.Churn > maxListSize {
+		return badRequest(fmt.Sprintf("churn %d outside [0, %d]", r.Churn, maxListSize))
 	}
 	if r.Invocations == 0 {
 		r.Invocations = 1
 	}
-	if r.Invocations < 1 || r.Invocations > cfg.MaxInvocations {
-		return badRequest(fmt.Sprintf("invocations %d outside [1, %d]", r.Invocations, cfg.MaxInvocations))
+	if r.Invocations < 1 || r.Invocations > maxInvocations {
+		return badRequest(fmt.Sprintf("invocations %d outside [1, %d]", r.Invocations, maxInvocations))
 	}
 	return nil
 }

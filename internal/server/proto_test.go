@@ -29,13 +29,12 @@ func FuzzDecodeJob(f *testing.F) {
 	} {
 		f.Add([]byte(seed))
 	}
-	cfg := Config{}.withDefaults()
 	decodeNormalized := func(body []byte, req *JobRequest) *apiError {
 		r := httptest.NewRequest(http.MethodPost, "/v1/run", bytes.NewReader(body))
 		if aerr := decodeJob(httptest.NewRecorder(), r, req); aerr != nil {
 			return aerr
 		}
-		return req.normalize(&cfg)
+		return req.normalize()
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var req JobRequest
@@ -46,9 +45,9 @@ func FuzzDecodeJob(f *testing.F) {
 			return
 		}
 		if req.Tenant == "" || len(req.Tenant) > 64 || native.ByName(req.Kernel) == nil ||
-			req.Size < 1 || req.Size > cfg.MaxListSize || req.Seed == 0 ||
-			req.Churn < 0 || int64(req.Churn) > cfg.MaxListSize ||
-			req.Invocations < 1 || req.Invocations > cfg.MaxInvocations {
+			req.Size < 1 || req.Size > maxListSize || req.Seed == 0 ||
+			req.Churn < 0 || req.Churn > maxListSize ||
+			req.Invocations < 1 || req.Invocations > maxInvocations {
 			t.Fatalf("accepted outside the bounds: %+v", req)
 		}
 		enc, err := json.Marshal(req)

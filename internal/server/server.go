@@ -9,10 +9,8 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"runtime"
 	"sync"
@@ -24,60 +22,19 @@ import (
 	"spice/internal/workloads/native"
 )
 
-// Config tunes a Server. The zero value gets sensible defaults from
-// withDefaults; every bound exists because a serving daemon must shed
-// overload instead of buffering it.
+// Config holds what a deployment sets: a zero MaxWidth is
+// max(GOMAXPROCS, 2), a zero JobTimeout 30 s. Every other bound of the
+// daemon is a constant beside the code that enforces it (the queue, the
+// caps and the tables shed overload instead of buffering it) or derives
+// from these: the watchdog's grace is JobTimeout/15 and it sweeps every
+// grace/8, and max(GOMAXPROCS, 2) dispatchers feed an executor of the
+// pool's topology-default size.
 type Config struct {
 	// MaxWidth is the widest speculation any single invocation may use
 	// (the shared pool's Threads). Budgets allocate within [1, MaxWidth].
 	MaxWidth int
-	// Workers sizes the shared executor (0 = topology default).
-	Workers int
-	// QueueDepth bounds the admission queue; a full queue answers 429.
-	QueueDepth int
-	// TenantCap bounds one tenant's admitted-but-unfinished jobs.
-	TenantCap int
-	// Dispatchers is the number of goroutines draining the queue — the
-	// job-level concurrency of the daemon.
-	Dispatchers int
-	// Rebalance is the budget allocator's window length.
-	Rebalance time.Duration
-	// MinSample is the hit+miss evidence floor below which a window does
-	// not move a tenant's score.
-	MinSample int64
-	// StarveScore is the score below which a tenant is starved to
-	// sequential execution (budget 1). The score is the smoothed payoff
-	// of the tenant's speculation: hit rate × the share of its
-	// speculative chunks a worker ran beside chunk 0 (not reclaimed by
-	// the invoker) × the committed share of its iterations. A tenant
-	// whose chunks commit and run in parallel scores near 1. Speculation
-	// that only misses, or only runs after the invoker's own share,
-	// scores near 0. The default is 0.5.
-	StarveScore float64
-	// ProbeWindows paces starved tenants' width-2 probes: one probe
-	// window every ProbeWindows active windows.
-	ProbeWindows int
-	// MaxTenants bounds the tenant table; MaxInstances bounds each
-	// tenant's LRU of structure instances.
-	MaxTenants   int
-	MaxInstances int
-	// MaxListSize and MaxInvocations cap a single request's structure
-	// size and invocation count.
-	MaxListSize    int64
-	MaxInvocations int64
 	// JobTimeout bounds one job's execution (and queue wait).
 	JobTimeout time.Duration
-	// AsyncCap bounds the async job table (POST /v1/submit).
-	AsyncCap int
-	// WatchdogInterval paces the self-healing sweep (see watchdog.go).
-	WatchdogInterval time.Duration
-	// WatchdogGrace is the slack past a job's JobTimeout deadline before
-	// the watchdog force-cancels it; a job still unfinished a further
-	// grace after that marks the dispatcher wedged (healthz 503).
-	WatchdogGrace time.Duration
-	// ResultTTL expires finished-but-never-fetched async jobs from the
-	// result table, freeing their AsyncCap slots.
-	ResultTTL time.Duration
 	// Faults, when non-nil, arms the deterministic fault-injection plane
 	// on the serving path (admission, dispatch, tenant builds) and on
 	// the shared pool's runtime sites. Chaos testing only; nil costs an
@@ -89,71 +46,6 @@ type Config struct {
 	// making queue occupancy deterministic in the backpressure tests.
 	testGate chan struct{}
 }
-
-// withDefaults fills zero fields.
-func (c Config) withDefaults() Config {
-	if c.MaxWidth <= 0 {
-		c.MaxWidth = runtime.GOMAXPROCS(0)
-		if c.MaxWidth < 2 {
-			c.MaxWidth = 2
-		}
-	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 256
-	}
-	if c.TenantCap <= 0 {
-		c.TenantCap = 32
-	}
-	if c.Dispatchers <= 0 {
-		c.Dispatchers = runtime.GOMAXPROCS(0)
-		if c.Dispatchers < 2 {
-			c.Dispatchers = 2
-		}
-	}
-	if c.Rebalance <= 0 {
-		c.Rebalance = 500 * time.Millisecond
-	}
-	if c.MinSample <= 0 {
-		c.MinSample = 8
-	}
-	if c.StarveScore <= 0 {
-		c.StarveScore = 0.5
-	}
-	if c.ProbeWindows <= 0 {
-		c.ProbeWindows = 4
-	}
-	if c.MaxTenants <= 0 {
-		c.MaxTenants = 64
-	}
-	if c.MaxInstances <= 0 {
-		c.MaxInstances = 8
-	}
-	if c.MaxListSize <= 0 {
-		c.MaxListSize = 1_000_000
-	}
-	if c.MaxInvocations <= 0 {
-		c.MaxInvocations = 10_000
-	}
-	if c.JobTimeout <= 0 {
-		c.JobTimeout = 30 * time.Second
-	}
-	if c.AsyncCap <= 0 {
-		c.AsyncCap = 256
-	}
-	if c.WatchdogInterval <= 0 {
-		c.WatchdogInterval = 250 * time.Millisecond
-	}
-	if c.WatchdogGrace <= 0 {
-		c.WatchdogGrace = 2 * time.Second
-	}
-	if c.ResultTTL <= 0 {
-		c.ResultTTL = 2 * time.Minute
-	}
-	return c
-}
-
-// initialScore is a new tenant's starting payoff estimate (tenantFor).
-const initialScore = 0.9
 
 // Server is the spiced daemon's engine, independent of any listener:
 // Handler() exposes it over HTTP, Drain() shuts it down gracefully.
@@ -201,11 +93,6 @@ type Server struct {
 
 	drained  chan struct{}
 	drainErr error
-
-	// testGate, when non-nil, holds every dispatcher before it starts a
-	// job until the test sends on it — making queue occupancy
-	// deterministic in the backpressure tests.
-	testGate chan struct{}
 }
 
 // ErrDraining is returned by Drain when the server is already draining.
@@ -214,14 +101,20 @@ var ErrDraining = errors.New("spiced: already draining")
 // New builds and starts a Server (its dispatchers and allocator run
 // until Drain).
 func New(cfg Config) (*Server, error) {
-	cfg = cfg.withDefaults()
+	// The job-level concurrency of the daemon, and the default width.
+	procs := max(runtime.GOMAXPROCS(0), 2)
+	if cfg.MaxWidth <= 0 {
+		cfg.MaxWidth = procs
+	}
+	if cfg.JobTimeout <= 0 {
+		cfg.JobTimeout = 30 * time.Second
+	}
 	// SpecLoop rather than Loop: the universal speculative body serves
 	// DOALL and DOACROSS kernels alike (DOALL nodes never touch the cell
 	// store), so one shared pool covers the whole registry. Each job
 	// binds its instance's private Cells before running.
 	pool, err := spice.NewPool(native.SpecLoop(), spice.PoolConfig{
-		Config:  spice.Config{Threads: cfg.MaxWidth, Faults: cfg.Faults},
-		Workers: cfg.Workers,
+		Config: spice.Config{Threads: cfg.MaxWidth, Faults: cfg.Faults},
 	})
 	if err != nil {
 		return nil, fmt.Errorf("spiced: pool: %w", err)
@@ -232,7 +125,7 @@ func New(cfg Config) (*Server, error) {
 		pool:          pool,
 		met:           &metrics{},
 		tenants:       make(map[string]*tenant),
-		queue:         make(chan *job, cfg.QueueDepth),
+		queue:         make(chan *job, queueDepth),
 		baseCtx:       ctx,
 		baseCancel:    cancel,
 		asyncJobs:     make(map[string]*job),
@@ -240,10 +133,9 @@ func New(cfg Config) (*Server, error) {
 		stopWatchdog:  make(chan struct{}),
 		stopRebalance: make(chan struct{}),
 		drained:       make(chan struct{}),
-		testGate:      cfg.testGate,
 	}
-	s.dispatchWG.Add(cfg.Dispatchers)
-	for i := 0; i < cfg.Dispatchers; i++ {
+	s.dispatchWG.Add(procs)
+	for i := 0; i < procs; i++ {
 		go s.dispatcher()
 	}
 	s.rebalanced.Add(1)
@@ -256,7 +148,7 @@ func New(cfg Config) (*Server, error) {
 // rebalanceLoop runs the budget allocator once per window until Drain.
 func (s *Server) rebalanceLoop() {
 	defer s.rebalanced.Done()
-	t := time.NewTicker(s.cfg.Rebalance)
+	t := time.NewTicker(rebalanceWindow)
 	defer t.Stop()
 	for {
 		select {
@@ -276,11 +168,10 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/jobs/{id}", s.counted(s.handleJob))
 	mux.HandleFunc("GET /v1/kernels", s.counted(s.handleKernels))
 	// Scrape endpoints go through the same status-class counting as the
-	// API: a healthz flipping to 503 or a /debug/vars encode failure
-	// should move the 5xx counter, not vanish from it.
+	// API: a healthz flipping to 503 should move the 5xx counter, not
+	// vanish from it.
 	mux.HandleFunc("GET /metrics", s.counted(s.handleMetrics))
 	mux.HandleFunc("GET /healthz", s.counted(s.handleHealthz))
-	mux.HandleFunc("GET /debug/vars", s.counted(s.handleVars))
 	return mux
 }
 
@@ -288,7 +179,7 @@ func (s *Server) Handler() http.Handler {
 // deadline context parented on baseCtx. notify, when non-nil, is an
 // extra cancellation source (the HTTP request's context for sync jobs).
 func (s *Server) newJob(req JobRequest, notify context.Context) (*job, *apiError) {
-	if aerr := req.normalize(&s.cfg); aerr != nil {
+	if aerr := req.normalize(); aerr != nil {
 		return nil, aerr
 	}
 	t, aerr := s.tenantFor(req.Tenant)
@@ -310,36 +201,6 @@ func (s *Server) newJob(req JobRequest, notify context.Context) (*job, *apiError
 		j.stopNotify = context.AfterFunc(notify, cancel)
 	}
 	return j, nil
-}
-
-// maxRequestBytes bounds a job request's body. A JobRequest is a dozen
-// scalar fields; anything near this size is not one.
-const maxRequestBytes = 64 << 10
-
-// decodeJob reads the one JobRequest that is the request body, refusing
-// a body over maxRequestBytes with 413 and anything else with 400: bad
-// JSON, a field JobRequest does not have (a misspelt "invocations" must
-// not run with the default), or anything after the first value.
-func decodeJob(w http.ResponseWriter, r *http.Request, req *JobRequest) *apiError {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
-	dec.DisallowUnknownFields()
-	err := dec.Decode(req)
-	if err == nil {
-		// The body is one value: a second Decode has to find its end
-		// (io.EOF, which Decode returns bare).
-		if err = dec.Decode(&struct{}{}); err == io.EOF {
-			return nil
-		} else if err == nil {
-			err = errors.New("more than one value in the body")
-		}
-	}
-	var tooBig *http.MaxBytesError
-	switch {
-	case errors.As(err, &tooBig):
-		return &apiError{code: http.StatusRequestEntityTooLarge, msg: fmt.Sprintf("request body over %d bytes", maxRequestBytes)}
-	default:
-		return badRequest("bad JSON: " + err.Error())
-	}
 }
 
 // handleRun is the synchronous door: admit, wait, answer.
@@ -367,6 +228,10 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, j.result)
 }
 
+// asyncCap bounds the async job table: submitted jobs whose result has
+// not been fetched (or reaped after resultTTL, watchdog.go).
+const asyncCap = 256
+
 // handleSubmit is the asynchronous door: admit, remember, answer 202.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req JobRequest
@@ -380,13 +245,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.asyncMu.Lock()
-	if len(s.asyncJobs) >= s.cfg.AsyncCap {
+	if len(s.asyncJobs) >= asyncCap {
 		s.asyncMu.Unlock()
 		j.release()
 		s.met.rejAsyncFull.Add(1)
 		(&apiError{
 			code:       http.StatusTooManyRequests,
-			msg:        fmt.Sprintf("async job table full (%d jobs); fetch finished jobs to free slots", s.cfg.AsyncCap),
+			msg:        fmt.Sprintf("async job table full (%d jobs); fetch finished jobs to free slots", asyncCap),
 			retryAfter: 1,
 		}).write(w)
 		return

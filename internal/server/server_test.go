@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"runtime"
 	"slices"
 	"strconv"
 	"strings"
@@ -20,18 +21,9 @@ import (
 	"spice/internal/workloads/native"
 )
 
-// testConfig is a small, fast baseline the tests override per scenario.
-func testConfig() Config {
-	return Config{
-		MaxWidth:    4,
-		Workers:     4,
-		QueueDepth:  64,
-		TenantCap:   32,
-		Dispatchers: 2,
-		Rebalance:   time.Hour, // tests drive rebalance() by hand
-		JobTimeout:  30 * time.Second,
-	}
-}
+// testConfig is the tests' baseline: a width the allocator tests reason
+// about; every other bound is the daemon's own.
+func testConfig() Config { return Config{MaxWidth: 4} }
 
 func newTestServer(t *testing.T, cfg Config) *Server {
 	t.Helper()
@@ -41,6 +33,62 @@ func newTestServer(t *testing.T, cfg Config) *Server {
 	}
 	t.Cleanup(func() { s.Close() })
 	return s
+}
+
+// dispatchers is the number of dispatchers New starts.
+func dispatchers() int { return max(runtime.GOMAXPROCS(0), 2) }
+
+// stopAllocator stops the server's allocator loop, so that a test
+// calling rebalance() by hand owns every window. The fresh stop channel
+// is for Drain to close.
+func stopAllocator(s *Server) {
+	close(s.stopRebalance)
+	s.rebalanced.Wait()
+	s.stopRebalance = make(chan struct{})
+}
+
+// admitN admits n small jobs straight into the queue (no async table
+// slot), tenantCap to a tenant named prefix0, prefix1, … so that no
+// tenant's cap fires first.
+func admitN(t *testing.T, s *Server, prefix string, n int) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		j, aerr := s.newJob(JobRequest{Tenant: fmt.Sprintf("%s%d", prefix, i/tenantCap), Kernel: "sumlist", Size: 100}, nil)
+		if aerr != nil {
+			t.Fatalf("job %d: %s", i, aerr.msg)
+		}
+		if aerr := s.admit(j); aerr != nil {
+			j.release()
+			t.Fatalf("admit %d: %s", i, aerr.msg)
+		}
+	}
+}
+
+// TestDerivedDefaults: New(Config{}) runs with the defaults spiced runs
+// with — width and dispatchers max(GOMAXPROCS, 2), a 30 s job bound, the
+// watchdog's clock derived from it, a 256-job queue.
+func TestDerivedDefaults(t *testing.T) {
+	gate := make(chan struct{})
+	s := newTestServer(t, Config{testGate: gate})
+	defer close(gate)
+	if s.cfg.MaxWidth != dispatchers() || s.cfg.JobTimeout != 30*time.Second {
+		t.Fatalf("MaxWidth %d, JobTimeout %v; want %d, 30s", s.cfg.MaxWidth, s.cfg.JobTimeout, dispatchers())
+	}
+	if g, i := s.grace(), s.sweepInterval(); g != 2*time.Second || i != 250*time.Millisecond {
+		t.Fatalf("watchdog grace %v, interval %v; want 2s, 250ms", g, i)
+	}
+	// Each dispatcher takes one job and holds it at the gate, so of one
+	// job more than there are dispatchers, one stays queued.
+	admitN(t, s, "held", dispatchers()+1)
+	waitFor(t, "every dispatcher to hold a job", func() bool { return len(s.queue) == 1 })
+	time.Sleep(20 * time.Millisecond) // room for a further dispatcher to take it
+	if n := len(s.queue); n != 1 {
+		t.Fatalf("%d jobs queued behind %d held ones, want 1: more dispatchers than max(GOMAXPROCS, 2)", n, dispatchers())
+	}
+	w := do(s.Handler(), "GET", "/metrics", nil)
+	if !regexp.MustCompile(`(?m)^spiced_queue_capacity 256$`).MatchString(w.Body.String()) {
+		t.Fatal("/metrics does not report spiced_queue_capacity 256")
+	}
 }
 
 // do runs one request through the server's handler.
@@ -207,29 +255,18 @@ func TestKernelsEndpoint(t *testing.T) {
 // with a Retry-After hint instead of buffering without bound.
 func TestQueueFullSheds429(t *testing.T) {
 	cfg := testConfig()
-	cfg.QueueDepth = 2
-	cfg.Dispatchers = 1
 	cfg.testGate = make(chan struct{})
 	s := newTestServer(t, cfg)
 	defer close(cfg.testGate)
 	h := s.Handler()
 
-	submit := func() *httptest.ResponseRecorder {
-		return do(h, "POST", "/v1/submit", JobRequest{Tenant: "t", Kernel: "sumlist", Size: 100})
-	}
-	// First job: admitted and picked up by the (gated) dispatcher.
-	if w := submit(); w.Code != http.StatusAccepted {
-		t.Fatalf("job 1: status %d", w.Code)
-	}
+	// One job per dispatcher: picked up and held at the gate.
+	admitN(t, s, "held", dispatchers())
 	waitFor(t, "dispatcher pickup", func() bool { return len(s.queue) == 0 })
-	// Two more fill the queue.
-	for i := 2; i <= 3; i++ {
-		if w := submit(); w.Code != http.StatusAccepted {
-			t.Fatalf("job %d: status %d (%s)", i, w.Code, w.Body.String())
-		}
-	}
+	// queueDepth more fill the queue.
+	admitN(t, s, "queued", queueDepth)
 	// The queue is full: the next admission must shed.
-	w := submit()
+	w := do(h, "POST", "/v1/submit", JobRequest{Tenant: "t", Kernel: "sumlist", Size: 100})
 	if w.Code != http.StatusTooManyRequests {
 		t.Fatalf("overload: status %d, want 429 (%s)", w.Code, w.Body.String())
 	}
@@ -250,8 +287,6 @@ func TestQueueFullSheds429(t *testing.T) {
 // under -race this also exercises the admission accounting.
 func TestTenantCap(t *testing.T) {
 	cfg := testConfig()
-	cfg.TenantCap = 2
-	cfg.Dispatchers = 1
 	cfg.testGate = make(chan struct{})
 	s := newTestServer(t, cfg)
 	defer close(cfg.testGate)
@@ -260,7 +295,7 @@ func TestTenantCap(t *testing.T) {
 	submit := func(tenant string) *httptest.ResponseRecorder {
 		return do(h, "POST", "/v1/submit", JobRequest{Tenant: tenant, Kernel: "sumlist", Size: 100})
 	}
-	for i := 0; i < 2; i++ {
+	for i := 0; i < tenantCap; i++ {
 		if w := submit("capped"); w.Code != http.StatusAccepted {
 			t.Fatalf("capped job %d: status %d", i, w.Code)
 		}
@@ -286,13 +321,10 @@ func TestTenantCap(t *testing.T) {
 // invariant is exact accounting: accepted + capped == total, and after
 // the jobs finish the tenant's inflight count returns to zero.
 func TestTenantCapConcurrent(t *testing.T) {
-	cfg := testConfig()
-	cfg.TenantCap = 4
-	cfg.Dispatchers = 4
-	s := newTestServer(t, cfg)
+	s := newTestServer(t, testConfig())
 	h := s.Handler()
 
-	const clients = 16
+	const clients = 2 * tenantCap
 	var wg sync.WaitGroup
 	codes := make([]int, clients)
 	for i := 0; i < clients; i++ {
@@ -431,17 +463,15 @@ func TestFinishedJobLeavesRequestContext(t *testing.T) {
 // once a dispatcher reaches it, and the books balance.
 func TestQueuedSyncJobCancelledByClient(t *testing.T) {
 	cfg := testConfig()
-	cfg.Dispatchers = 1
 	cfg.testGate = make(chan struct{})
 	s := newTestServer(t, cfg)
 	openGate := sync.OnceFunc(func() { close(cfg.testGate) })
 	defer openGate() // also on a failed wait, so the server's Close can drain
 	h := s.Handler()
 
-	// An async job occupies the (gated) dispatcher, so the next one queues.
-	if w := do(h, "POST", "/v1/submit", JobRequest{Tenant: "t", Kernel: "sumlist", Size: 100}); w.Code != http.StatusAccepted {
-		t.Fatalf("submit: status %d", w.Code)
-	}
+	// A job occupies every (gated) dispatcher, so the next one queues.
+	held := dispatchers()
+	admitN(t, s, "held", held)
 	waitFor(t, "dispatcher pickup", func() bool { return len(s.queue) == 0 })
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -473,9 +503,9 @@ func TestQueuedSyncJobCancelledByClient(t *testing.T) {
 	if w.Code != statusClientClosedRequest {
 		t.Fatalf("status %d, want %d (%s)", w.Code, statusClientClosedRequest, w.Body.String())
 	}
-	waitFor(t, "both jobs to settle", func() bool { return s.met.jobsOK.Load()+s.met.jobsFailed.Load() == 2 })
-	if adm, ok, failed := s.met.admitted.Load(), s.met.jobsOK.Load(), s.met.jobsFailed.Load(); adm != 2 || ok != 1 || failed != 1 {
-		t.Fatalf("admitted %d, ok %d, failed %d; want 2, 1, 1", adm, ok, failed)
+	waitFor(t, "every job to settle", func() bool { return s.met.jobsOK.Load()+s.met.jobsFailed.Load() == int64(held+1) })
+	if adm, ok, failed := s.met.admitted.Load(), s.met.jobsOK.Load(), s.met.jobsFailed.Load(); adm != int64(held+1) || ok != int64(held) || failed != 1 {
+		t.Fatalf("admitted %d, ok %d, failed %d; want %d, %d, 1", adm, ok, failed, held+1, held)
 	}
 	tn, _ := s.tenantFor("t")
 	waitFor(t, "inflight to drop", func() bool {
@@ -483,7 +513,7 @@ func TestQueuedSyncJobCancelledByClient(t *testing.T) {
 		defer tn.mu.Unlock()
 		return tn.inflight == 0
 	})
-	waitFor(t, "the watchdog to forget both", func() bool {
+	waitFor(t, "the watchdog to forget every job", func() bool {
 		s.watchMu.Lock()
 		defer s.watchMu.Unlock()
 		return len(s.inflightJobs) == 0
@@ -495,7 +525,6 @@ func TestQueuedSyncJobCancelledByClient(t *testing.T) {
 // the async results fetchable.
 func TestDrain(t *testing.T) {
 	cfg := testConfig()
-	cfg.Dispatchers = 1
 	cfg.testGate = make(chan struct{})
 	s := newTestServer(t, cfg)
 	h := s.Handler()
@@ -583,13 +612,13 @@ func isStarved(tn *tenant) bool {
 // starved toward sequential execution.
 func TestBudgetAllocatorDifferential(t *testing.T) {
 	cfg := testConfig()
-	cfg.MaxWidth = 4
-	cfg.MinSample = 4
-	cfg.ProbeWindows = 10 // no full-width probe inside the test horizon
 	s := newTestServer(t, cfg)
+	stopAllocator(s)
 
 	// Several allocator windows of opposite evidence: "good" commits
-	// every chunk, "bad" squashes half of its chunks.
+	// every chunk, "bad" squashes half of its chunks. "bad" is starved
+	// within three windows, so five leave it fewer than probeWindows
+	// starved windows: no full-width probe inside the test horizon.
 	for window := 0; window < 5; window++ {
 		feed(t, s, "good", 0, 0)
 		feed(t, s, "bad", 0.5, 0)
@@ -617,11 +646,8 @@ func TestBudgetAllocatorDifferential(t *testing.T) {
 // starts predicting well again earns its width back through the
 // periodic full-width probes.
 func TestStarvedTenantProbesBack(t *testing.T) {
-	cfg := testConfig()
-	cfg.MaxWidth = 4
-	cfg.MinSample = 4
-	cfg.ProbeWindows = 2
-	s := newTestServer(t, cfg)
+	s := newTestServer(t, testConfig())
+	stopAllocator(s)
 
 	tn := feed(t, s, "flip", 0.5, 0)
 	s.rebalance()
@@ -634,7 +660,7 @@ func TestStarvedTenantProbesBack(t *testing.T) {
 	}
 	// Reform: the same tenant now predicts well. Its starved windows run
 	// sequentially and testify to nothing; a probe window readmits its
-	// evidence, and the score EWMA climbs back over StarveScore.
+	// evidence, and the score EWMA climbs back over starveScore.
 	for window := 0; window < 12 && isStarved(tn); window++ {
 		feed(t, s, "flip", 0, 0)
 		s.rebalance()
@@ -653,10 +679,8 @@ func TestStarvedTenantProbesBack(t *testing.T) {
 // earns it its width back.
 func TestReclaimedChunksEarnNothing(t *testing.T) {
 	cfg := testConfig()
-	cfg.MaxWidth = 4
-	cfg.MinSample = 4
-	cfg.ProbeWindows = 2
 	s := newTestServer(t, cfg)
+	stopAllocator(s)
 
 	late := feed(t, s, "late", 0, 1)
 	ran := feed(t, s, "ran", 0, 0)
@@ -666,7 +690,7 @@ func TestReclaimedChunksEarnNothing(t *testing.T) {
 	// the share moves nothing before). "ran" keeps MaxWidth meanwhile.
 	probeWindow := func(reclaim float64) {
 		t.Helper()
-		for window := 0; window <= 2*cfg.ProbeWindows; window++ {
+		for window := 0; window <= 2*probeWindows; window++ {
 			probe := late.budget.Load() == int64(cfg.MaxWidth)
 			feed(t, s, "late", 0, reclaim)
 			feed(t, s, "ran", 0, 0)
@@ -712,9 +736,8 @@ var metricLine = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^}]*\})? (NaN|
 // /metrics renders well-formed exposition text with the per-tenant
 // serving series present.
 func TestMetricsParseable(t *testing.T) {
-	cfg := testConfig()
-	cfg.MinSample = 4
-	s := newTestServer(t, cfg)
+	s := newTestServer(t, testConfig())
+	stopAllocator(s)
 	h := s.Handler()
 
 	for i := 0; i < 2; i++ {
@@ -781,24 +804,16 @@ func TestMetricsParseable(t *testing.T) {
 	}
 }
 
+// TestDebugVarsAndHealthz: /metrics is the one scrape endpoint, so
+// /debug/vars answers 404; /healthz answers ok while serving.
 func TestDebugVarsAndHealthz(t *testing.T) {
 	s := newTestServer(t, testConfig())
 	h := s.Handler()
 	if w := do(h, "POST", "/v1/run", JobRequest{Tenant: "t", Kernel: "sumlist", Size: 500}); w.Code != http.StatusOK {
 		t.Fatalf("job: %d", w.Code)
 	}
-	w := do(h, "GET", "/debug/vars", nil)
-	if w.Code != http.StatusOK {
-		t.Fatalf("vars status %d", w.Code)
-	}
-	var snap map[string]any
-	if err := json.Unmarshal(w.Body.Bytes(), &snap); err != nil {
-		t.Fatalf("vars not JSON: %v", err)
-	}
-	for _, key := range []string{"cmdline", "memstats", "spiced"} {
-		if _, ok := snap[key]; !ok {
-			t.Fatalf("vars missing %q", key)
-		}
+	if w := do(h, "GET", "/debug/vars", nil); w.Code != http.StatusNotFound {
+		t.Fatalf("/debug/vars: status %d, want 404", w.Code)
 	}
 	if w := do(h, "GET", "/healthz", nil); w.Code != http.StatusOK || !strings.Contains(w.Body.String(), "ok") {
 		t.Fatalf("healthz: %d %q", w.Code, w.Body.String())
@@ -917,46 +932,59 @@ func TestFinishedJobDeliveredOnce(t *testing.T) {
 
 func TestAsyncCapSheds(t *testing.T) {
 	cfg := testConfig()
-	cfg.AsyncCap = 1
-	cfg.Dispatchers = 1
 	cfg.testGate = make(chan struct{})
 	s := newTestServer(t, cfg)
 	defer close(cfg.testGate)
 	h := s.Handler()
-	if w := do(h, "POST", "/v1/submit", JobRequest{Tenant: "t", Kernel: "sumlist", Size: 100}); w.Code != http.StatusAccepted {
-		t.Fatalf("submit 1: %d", w.Code)
+	for i := 0; i < asyncCap; i++ {
+		req := JobRequest{Tenant: fmt.Sprintf("t%d", i/tenantCap), Kernel: "sumlist", Size: 100}
+		if w := do(h, "POST", "/v1/submit", req); w.Code != http.StatusAccepted {
+			t.Fatalf("submit %d: %d (%s)", i, w.Code, w.Body.String())
+		}
 	}
-	w := do(h, "POST", "/v1/submit", JobRequest{Tenant: "t", Kernel: "sumlist", Size: 100})
+	w := do(h, "POST", "/v1/submit", JobRequest{Tenant: "late", Kernel: "sumlist", Size: 100})
 	if w.Code != http.StatusTooManyRequests {
 		t.Fatalf("submit over async cap: %d, want 429", w.Code)
+	}
+	if w.Header().Get("Retry-After") == "" {
+		t.Fatalf("429 without Retry-After")
 	}
 	if got := s.met.rejAsyncFull.Load(); got != 1 {
 		t.Fatalf("rejAsyncFull %d, want 1", got)
 	}
 }
 
+// TestTenantTableBound: once maxTenants tenants have been seen, a new
+// one is refused 429 for good (no tenant ever leaves the table), so the
+// answer carries no Retry-After.
 func TestTenantTableBound(t *testing.T) {
-	cfg := testConfig()
-	cfg.MaxTenants = 2
-	s := newTestServer(t, cfg)
+	s := newTestServer(t, testConfig())
 	h := s.Handler()
-	for i := 0; i < 2; i++ {
+	for i := 0; i < maxTenants; i++ {
 		name := fmt.Sprintf("t%d", i)
 		if w := do(h, "POST", "/v1/run", JobRequest{Tenant: name, Kernel: "sumlist", Size: 100}); w.Code != http.StatusOK {
 			t.Fatalf("tenant %s: %d", name, w.Code)
 		}
 	}
-	if w := do(h, "POST", "/v1/run", JobRequest{Tenant: "t2", Kernel: "sumlist", Size: 100}); w.Code != http.StatusTooManyRequests {
+	w := do(h, "POST", "/v1/run", JobRequest{Tenant: "late", Kernel: "sumlist", Size: 100})
+	if w.Code != http.StatusTooManyRequests {
 		t.Fatalf("tenant over table bound: %d, want 429", w.Code)
+	}
+	if ra := w.Header().Get("Retry-After"); ra != "" {
+		t.Fatalf("tenant-table-full 429 carries Retry-After %q; no retry can succeed", ra)
 	}
 }
 
 func TestInstanceLRUEviction(t *testing.T) {
-	cfg := testConfig()
-	cfg.MaxInstances = 2
-	s := newTestServer(t, cfg)
+	s := newTestServer(t, testConfig())
 	h := s.Handler()
-	for _, seed := range []int64{1, 2, 3, 1} {
+	// One instance more than the LRU holds evicts seed 1; asking for it
+	// again rebuilds it.
+	var seeds []int64
+	for seed := int64(1); seed <= maxInstances+1; seed++ {
+		seeds = append(seeds, seed)
+	}
+	for _, seed := range append(seeds, 1) {
 		w := do(h, "POST", "/v1/run", JobRequest{Tenant: "t", Kernel: "sumlist", Size: 500, Seed: seed})
 		if w.Code != http.StatusOK {
 			t.Fatalf("seed %d: %d (%s)", seed, w.Code, w.Body.String())
@@ -970,8 +998,8 @@ func TestInstanceLRUEviction(t *testing.T) {
 	tn.mu.Lock()
 	n := len(tn.insts)
 	tn.mu.Unlock()
-	if n > 2 {
-		t.Fatalf("instance table %d entries, want <= MaxInstances 2", n)
+	if n > maxInstances {
+		t.Fatalf("instance table %d entries, want <= maxInstances %d", n, maxInstances)
 	}
 }
 
@@ -980,33 +1008,35 @@ func TestInstanceLRUEviction(t *testing.T) {
 // moves to the back of the LRU, so the next eviction takes the instance
 // that has gone unused longest.
 func TestInstanceLookupHitInPlace(t *testing.T) {
-	cfg := testConfig()
-	cfg.MaxInstances = 3
-	s := newTestServer(t, cfg)
+	s := newTestServer(t, testConfig())
 	tn, _ := s.tenantFor("t")
 	req := func(seed int64) *JobRequest {
 		return &JobRequest{Tenant: "t", Kernel: "sumlist", Size: 50, Seed: seed}
 	}
-	for seed := int64(1); seed <= 3; seed++ {
+	for seed := int64(1); seed <= maxInstances; seed++ {
 		if _, evicted := tn.lookupOrCreate(s, req(seed)); evicted != nil {
-			t.Fatalf("seed %d evicted %v below MaxInstances", seed, evicted.key)
+			t.Fatalf("seed %d evicted %v below maxInstances", seed, evicted.key)
 		}
 	}
 	hit := req(1)
 	if allocs := testing.AllocsPerRun(100, func() { tn.lookupOrCreate(s, hit) }); allocs != 0 {
 		t.Errorf("a lookup of a present instance allocates %v times, want 0", allocs)
 	}
-	tn.lookupOrCreate(s, req(2)) // oldest first: 3, 1, 2
-	_, evicted := tn.lookupOrCreate(s, req(4))
+	tn.lookupOrCreate(s, req(2)) // oldest first: 3, …, maxInstances, 1, 2
+	_, evicted := tn.lookupOrCreate(s, req(maxInstances+1))
 	if evicted == nil || evicted.key != req(3).instanceKey() {
-		t.Fatalf("a fourth instance evicted %+v, want seed 3's", evicted)
+		t.Fatalf("one instance over maxInstances evicted %+v, want seed 3's", evicted)
 	}
-	var order []int64
+	var order, want []int64
 	for _, k := range tn.lru {
 		order = append(order, k.seed)
 	}
-	if !slices.Equal(order, []int64{1, 2, 4}) {
-		t.Fatalf("LRU order (oldest first) %v, want [1 2 4]", order)
+	for seed := int64(4); seed <= maxInstances; seed++ {
+		want = append(want, seed)
+	}
+	want = append(want, 1, 2, maxInstances+1)
+	if !slices.Equal(order, want) {
+		t.Fatalf("LRU order (oldest first) %v, want %v", order, want)
 	}
 }
 
@@ -1107,11 +1137,8 @@ func TestDoacrossKernelsServed(t *testing.T) {
 // rebalance window, and the grant must rotate so every starved tenant
 // still gets its turn.
 func TestProbeStaggering(t *testing.T) {
-	cfg := testConfig()
-	cfg.MaxWidth = 4
-	cfg.MinSample = 4
-	cfg.ProbeWindows = 2
-	s := newTestServer(t, cfg)
+	s := newTestServer(t, testConfig())
+	stopAllocator(s)
 	h := s.Handler()
 
 	tenants := []string{"s1", "s2", "s3"}
@@ -1174,16 +1201,14 @@ func TestProbeStaggering(t *testing.T) {
 // would ever close again (a leaked runner pinned forever). An evicted
 // instance must now fail the late job fast instead.
 func TestEvictedInstanceFailsQueuedJob(t *testing.T) {
-	cfg := testConfig()
-	cfg.MaxInstances = 1
-	s := newTestServer(t, cfg)
+	s := newTestServer(t, testConfig())
 
 	tn, aerr := s.tenantFor("t1")
 	if aerr != nil {
 		t.Fatal(aerr)
 	}
 	reqA := JobRequest{Tenant: "t1", Kernel: "sumlist", Size: 100, Seed: 1}
-	if aerr := reqA.normalize(&s.cfg); aerr != nil {
+	if aerr := reqA.normalize(); aerr != nil {
 		t.Fatal(aerr)
 	}
 	a := tn.instanceFor(s, &reqA)
@@ -1193,12 +1218,14 @@ func TestEvictedInstanceFailsQueuedJob(t *testing.T) {
 	}
 	a.mu.Unlock()
 
-	// A second key evicts A (MaxInstances = 1).
-	reqB := JobRequest{Tenant: "t1", Kernel: "sumlist", Size: 100, Seed: 2}
-	if aerr := reqB.normalize(&s.cfg); aerr != nil {
-		t.Fatal(aerr)
+	// maxInstances more keys evict A, the least recently used.
+	for seed := int64(2); seed <= maxInstances+1; seed++ {
+		req := JobRequest{Tenant: "t1", Kernel: "sumlist", Size: 100, Seed: seed}
+		if aerr := req.normalize(); aerr != nil {
+			t.Fatal(aerr)
+		}
+		tn.instanceFor(s, &req)
 	}
-	tn.instanceFor(s, &reqB)
 
 	// The "queued job" now reaches the evicted instance.
 	a.mu.Lock()
@@ -1217,19 +1244,19 @@ func TestEvictedInstanceFailsQueuedJob(t *testing.T) {
 // clients under -race: every response must be a success or an honest
 // backpressure/eviction answer, never a hang or a corrupted state.
 func TestEvictionConcurrentJobs(t *testing.T) {
-	cfg := testConfig()
-	cfg.MaxInstances = 1
-	cfg.Dispatchers = 4
-	s := newTestServer(t, cfg)
+	s := newTestServer(t, testConfig())
 	h := s.Handler()
+	// Two keys more than the LRU holds, so the clients keep evicting the
+	// instances each other's jobs are queued on.
+	const keys = maxInstances + 2
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			for i := 0; i < 12; i++ {
+			for i := 0; i < 4*keys; i++ {
 				w := do(h, "POST", "/v1/run", JobRequest{
-					Tenant: "t1", Kernel: "sumlist", Size: 300, Seed: int64(i%3 + 1),
+					Tenant: "t1", Kernel: "sumlist", Size: 300, Seed: int64(i%keys + 1),
 				})
 				switch w.Code {
 				case http.StatusOK, http.StatusGone, http.StatusTooManyRequests:

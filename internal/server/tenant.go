@@ -16,11 +16,13 @@ package server
 // earn its budget back.
 
 import (
+	"fmt"
 	"net/http"
 	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"spice"
 	"spice/internal/faults"
@@ -38,7 +40,7 @@ type tenant struct {
 	mu       sync.Mutex
 	inflight int // admitted jobs not yet finished
 	// insts holds the tenant's structure instances keyed by
-	// (kernel,size,seed,churn), with LRU eviction at cfg.MaxInstances.
+	// (kernel,size,seed,churn), with LRU eviction at maxInstances.
 	insts map[instanceKey]*instance
 	lru   []instanceKey // oldest first
 
@@ -113,22 +115,34 @@ func (i *instance) closeSession() {
 	}
 }
 
+// The state tables' bounds: maxTenants tenants, maxInstances structure
+// instances in each tenant's LRU.
+const (
+	maxTenants   = 64
+	maxInstances = 8
+)
+
 // tenantFor returns (creating on first sight) the named tenant. It
-// enforces the MaxTenants bound: a serving daemon must not let an open
-// tenant namespace grow its state without limit.
+// enforces the maxTenants bound: a serving daemon must not let an open
+// tenant namespace grow its state without limit. Nothing removes a
+// tenant, so a full table refuses every new name for good, and the 429
+// carries no Retry-After.
 func (s *Server) tenantFor(name string) (*tenant, *apiError) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if t, ok := s.tenants[name]; ok {
 		return t, nil
 	}
-	if len(s.tenants) >= s.cfg.MaxTenants {
-		return nil, &apiError{code: 429, msg: "tenant table full", retryAfter: 5}
+	if len(s.tenants) >= maxTenants {
+		return nil, &apiError{
+			code: http.StatusTooManyRequests,
+			msg:  fmt.Sprintf("tenant table full (%d tenants); it never shrinks, so a new tenant cannot be served", maxTenants),
+		}
 	}
 	// A fresh tenant starts optimistic on both counts — the configured
-	// ceiling for width, a payoff estimate well above any sensible
-	// StarveScore — so it gets width to prove itself, and the first
-	// windows of evidence demote the misspeculators.
+	// ceiling for width, a payoff estimate well above starveScore — so
+	// it gets width to prove itself, and the first windows of evidence
+	// demote the misspeculators.
 	t := &tenant{name: name, insts: make(map[instanceKey]*instance), score: initialScore}
 	t.budget.Store(int64(s.cfg.MaxWidth))
 	s.tenants[name] = t
@@ -188,7 +202,7 @@ func (t *tenant) lookupOrCreate(s *Server, req *JobRequest) (inst, evicted *inst
 		key:  key,
 		inst: native.ByName(req.Kernel).New(req.Size, req.Seed, req.Churn),
 	}
-	if len(t.insts) >= s.cfg.MaxInstances && len(t.lru) > 0 {
+	if len(t.insts) >= maxInstances && len(t.lru) > 0 {
 		victim := t.lru[0]
 		t.lru = t.lru[1:]
 		evicted = t.insts[victim]
@@ -231,7 +245,7 @@ func (s *Server) rebalance() {
 		t.mu.Lock()
 		win, jobs, inflight := t.win, t.winJobs, t.inflight
 		t.win, t.winJobs = spice.Stats{}, 0
-		if win.Hits+win.Misses >= s.cfg.MinSample {
+		if win.Hits+win.Misses >= minSample {
 			t.score = scoreAlpha*payoff(win) + (1-scoreAlpha)*t.score
 		} else if jobs > 0 && !t.starved {
 			// Active but evidence-free: the tenant's predictions never
@@ -247,12 +261,12 @@ func (s *Server) rebalance() {
 			t.starvedWindows++
 			// A starved tenant runs sequentially and generates no
 			// hit/miss evidence, so it could never recover; after
-			// ProbeWindows active windows it becomes *eligible* to briefly
+			// probeWindows active windows it becomes *eligible* to briefly
 			// get the full width back so its loops testify at the width
 			// the allocator is actually pricing (narrow probes flatter
 			// hostile loops: with one chunk boundary, membership
 			// validation commits almost anything).
-			probe = t.starvedWindows >= s.cfg.ProbeWindows
+			probe = t.starvedWindows >= probeWindows
 		}
 		rows = append(rows, row{t: t, active: active, score: t.score, probe: probe})
 		t.mu.Unlock()
@@ -297,7 +311,7 @@ func (s *Server) rebalance() {
 	specCap := float64(s.pool.Workers())
 	var sum float64
 	for _, r := range rows {
-		if r.active && r.score >= s.cfg.StarveScore {
+		if r.active && r.score >= starveScore {
 			sum += r.score
 		}
 	}
@@ -307,7 +321,7 @@ func (s *Server) rebalance() {
 			continue // idle tenants keep their budget; no capacity charged
 		}
 		switch {
-		case r.score < s.cfg.StarveScore:
+		case r.score < starveScore:
 			t.mu.Lock()
 			if !t.starved {
 				t.starved = true
@@ -356,7 +370,7 @@ func (s *Server) rebalance() {
 //
 // A tenant whose chunks a worker runs and commits scores near 1. One
 // that misspeculates, or whose chunks the invoker keeps reclaiming
-// because no worker reaches them in time, sinks under StarveScore.
+// because no worker reaches them in time, sinks under starveScore.
 func payoff(win spice.Stats) float64 {
 	verdicts := float64(win.Hits + win.Misses)
 	hit := float64(win.Hits) / verdicts
@@ -368,12 +382,32 @@ func payoff(win spice.Stats) float64 {
 	return hit * parallel * committed
 }
 
-// scoreAlpha is the EWMA weight of one window's payoff; noEvidenceDecay
-// shrinks the score of a tenant whose active window produced no
-// speculative evidence at all.
+// The allocator's policy.
 const (
-	scoreAlpha      = 0.5
+	// rebalanceWindow is the allocator's window length.
+	rebalanceWindow = 500 * time.Millisecond
+	// minSample is the hit+miss evidence floor below which a window does
+	// not move a tenant's score.
+	minSample = 8
+	// initialScore is a new tenant's starting payoff estimate (tenantFor).
+	initialScore = 0.9
+	// scoreAlpha is the EWMA weight of one window's payoff.
+	scoreAlpha = 0.5
+	// noEvidenceDecay shrinks the score of a tenant whose active window
+	// produced no speculative evidence at all.
 	noEvidenceDecay = 0.7
+	// starveScore is the score below which a tenant is starved to
+	// sequential execution (budget 1). The score is the smoothed payoff
+	// of the tenant's speculation: hit rate × the share of its
+	// speculative chunks a worker ran beside chunk 0 (not reclaimed by
+	// the invoker) × the committed share of its iterations. A tenant
+	// whose chunks commit and run in parallel scores near 1. Speculation
+	// that only misses, or only runs after the invoker's own share,
+	// scores near 0.
+	starveScore = 0.5
+	// probeWindows paces starved tenants' full-width probes: one probe
+	// window every probeWindows active windows.
+	probeWindows = 4
 )
 
 // snapshotTenants captures every tenant's scrape row (metrics.go).

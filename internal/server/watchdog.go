@@ -1,10 +1,10 @@
 package server
 
 // The self-healing layer: a watchdog goroutine that sweeps the server's
-// in-flight job registry and async result table on a fixed interval.
+// in-flight job registry and async result table every sweepInterval.
 //
 //   - Overdue jobs — still unfinished past their admission deadline plus
-//     WatchdogGrace — are force-cancelled (once; spiced_jobs_watchdog_
+//     the grace — are force-cancelled (once; spiced_jobs_watchdog_
 //     killed_total counts them). The job's own context already carries
 //     the JobTimeout deadline, so this is belt and braces: it catches
 //     jobs whose timeout was lost to a wedged dispatcher or a context
@@ -15,12 +15,25 @@ package server
 //     is ignoring cancellation. /healthz flips to 503 until the job
 //     finally settles (the flag is recomputed from scratch every sweep,
 //     so the server heals itself the moment the wedge clears).
-//   - Finished-but-never-fetched async jobs older than ResultTTL are
+//   - Finished-but-never-fetched async jobs older than resultTTL are
 //     expired from the table (spiced_async_jobs_expired_total), freeing
 //     their slots so an abandoned poller cannot starve /v1/submit
-//     through AsyncCap.
+//     through asyncCap.
 
 import "time"
+
+// resultTTL is how long a finished async job's result waits to be
+// fetched before the sweep frees its slot.
+const resultTTL = 2 * time.Minute
+
+// grace is the slack past a job's deadline before the watchdog
+// force-cancels it, and again before it reports the dispatcher wedged:
+// a fifteenth of JobTimeout, 2 s at the 30 s default.
+func (s *Server) grace() time.Duration { return s.cfg.JobTimeout / 15 }
+
+// sweepInterval paces the watchdog: eight sweeps per grace, 250 ms at
+// the default JobTimeout.
+func (s *Server) sweepInterval() time.Duration { return s.grace() / 8 }
 
 // trackJob registers an admitted job with the watchdog.
 func (s *Server) trackJob(j *job) {
@@ -39,7 +52,7 @@ func (s *Server) untrackJob(j *job) {
 // watchdog is the sweep loop, started by New and stopped by Drain.
 func (s *Server) watchdog() {
 	defer s.watchdogWG.Done()
-	t := time.NewTicker(s.cfg.WatchdogInterval)
+	t := time.NewTicker(s.sweepInterval())
 	defer t.Stop()
 	for {
 		select {
@@ -54,7 +67,7 @@ func (s *Server) watchdog() {
 // sweep runs one watchdog pass at the given instant (split out from the
 // loop so tests can drive it deterministically).
 func (s *Server) sweep(now time.Time) {
-	grace := s.cfg.WatchdogGrace
+	grace := s.grace()
 	wedged := false
 	s.watchMu.Lock()
 	for j := range s.inflightJobs {
@@ -84,7 +97,7 @@ func (s *Server) sweep(now time.Time) {
 		if jobState(j.state.Load()) != jobDone {
 			continue
 		}
-		if now.Sub(time.Unix(0, j.doneAt.Load())) > s.cfg.ResultTTL {
+		if now.Sub(time.Unix(0, j.doneAt.Load())) > resultTTL {
 			delete(s.asyncJobs, id)
 			s.met.asyncExpired.Add(1)
 		}
