@@ -10,7 +10,7 @@ package spice
 //   - specController tracks a rolling mis-speculation rate across
 //     invocations and throttles the effective thread count: repeated
 //     losing invocations halve the parallel width, degrading smoothly
-//     down to pure sequential execution. Every ProbeInterval
+//     down to pure sequential execution. Every defaultProbeInterval
 //     invocations at a reduced width, one invocation probes a higher
 //     width (bypassing the confidence gate so gated rows can earn
 //     their confidence back); a clean probe promotes, a dirty one is
@@ -40,7 +40,7 @@ const (
 	// mode: rows scoring below it are not speculated on (outside probes).
 	defaultMinConfidence = 0.25
 	// defaultProbeInterval is the number of observed invocations
-	// between upward probes when the caller does not choose one.
+	// between upward probes.
 	defaultProbeInterval = 8
 )
 

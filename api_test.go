@@ -231,7 +231,7 @@ func TestRecoveryRoundsHonorCtx(t *testing.T) {
 		}
 		return inner(n, a)
 	}
-	r, err := NewRunner(loop, Config{Threads: 4, MaxSpecIters: 512})
+	r, err := NewRunner(loop, Config{Threads: 4, maxSpec: 512})
 	if err != nil {
 		t.Fatal(err)
 	}

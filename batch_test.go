@@ -48,8 +48,9 @@ func TestBatchDifferentialOracle(t *testing.T) {
 								w = newOracleTree(rng, pattern, size)
 							}
 							p, err := NewPool(w.loop(), PoolConfig{Config: Config{
-								Threads: threads,
-								Options: Options{Adaptive: adaptive, ProbeInterval: 3},
+								Threads:    threads,
+								Options:    Options{Adaptive: adaptive},
+								probeEvery: 3,
 							}})
 							if err != nil {
 								t.Fatal(err)
@@ -240,8 +241,9 @@ func TestSubmitDifferentialOracle(t *testing.T) {
 				rng := rand.New(rand.NewSource(99))
 				w := newOracleList(rng, pattern, 700)
 				p, err := NewPool(w.loop(), PoolConfig{Config: Config{
-					Threads: 4,
-					Options: Options{Adaptive: adaptive, ProbeInterval: 3},
+					Threads:    4,
+					Options:    Options{Adaptive: adaptive},
+					probeEvery: 3,
 				}})
 				if err != nil {
 					t.Fatal(err)

@@ -8,7 +8,6 @@ package spice
 // per-block one inside the compiler's inlining budget.
 
 import (
-	"errors"
 	"math/rand"
 	"os/exec"
 	"strings"
@@ -189,14 +188,4 @@ func TestBindCellsGuards(t *testing.T) {
 	}
 	s.Close()
 	s.BindCells(cells) // must be a safe no-op on a closed session
-}
-
-// TestConfigValidateOptions covers the adaptive-option validation
-// sentinels surfaced through the constructor.
-func TestConfigValidateOptions(t *testing.T) {
-	if _, err := NewRunner(dcLoop(), Config{
-		Threads: 1, Options: Options{ProbeInterval: -1},
-	}); !errors.Is(err, ErrBadOptions) {
-		t.Fatalf("negative ProbeInterval: err = %v, want ErrBadOptions", err)
-	}
 }

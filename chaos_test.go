@@ -273,15 +273,15 @@ func TestChaosRunBatch(t *testing.T) {
 }
 
 // TestChaosQuarantine proves the pool's quarantine: a runner whose
-// invocations keep dying to contained panics is retired after
-// QuarantineAfter consecutive *PanicError results (its stats folded
-// into the pool's), and the next acquisition mints a healthy
-// replacement — the pool serves exactly once the poison clears.
+// invocations keep dying to contained panics is retired after three
+// consecutive *PanicError results (its stats folded into the pool's),
+// the next acquisition mints a healthy replacement — the pool serves
+// exactly once the poison clears — and a success in between resets the
+// streak.
 func TestChaosQuarantine(t *testing.T) {
 	t.Parallel()
 	ctx := chaosCtx(t)
 	var poisoned atomic.Bool
-	poisoned.Store(true)
 	loop := spice.Loop[*native.Node, int64]{
 		Done: func(n *native.Node) bool { return n == nil },
 		Next: func(n *native.Node) *native.Node { return n.Next },
@@ -294,88 +294,55 @@ func TestChaosQuarantine(t *testing.T) {
 		Init:  func() int64 { return 0 },
 		Merge: func(a, b int64) int64 { return a + b },
 	}
-	p, err := spice.NewPool(loop, spice.PoolConfig{
-		Config:          spice.Config{Threads: 2},
-		QuarantineAfter: 2,
-	})
+	p, err := spice.NewPool(loop, spice.PoolConfig{Config: spice.Config{Threads: 2}})
 	if err != nil {
 		t.Fatalf("NewPool: %v", err)
 	}
 	defer p.Close()
 
 	head, want := chaosList(42, 1000)
-
-	// Four poisoned invocations: the body panics at iteration 0 of the
-	// architectural chunk every time, so each Run returns *PanicError.
-	// With QuarantineAfter=2 and the pool reusing its one idle runner,
-	// runs 1-2 poison and retire runner A, runs 3-4 poison and retire
-	// its replacement B.
-	for i := 0; i < 4; i++ {
-		_, err := p.Run(ctx, head)
-		var pe *spice.PanicError
-		if !errors.As(err, &pe) {
-			t.Fatalf("poisoned run %d: err = %v, want *PanicError", i, err)
+	poison := func(runs int) {
+		t.Helper()
+		poisoned.Store(true)
+		for i := 0; i < runs; i++ {
+			_, err := p.Run(ctx, head)
+			var pe *spice.PanicError
+			if !errors.As(err, &pe) {
+				t.Fatalf("poisoned run %d: err = %v, want *PanicError", i, err)
+			}
 		}
 	}
-	if got := p.Stats().RunnersRetired; got != 2 {
-		t.Fatalf("RunnersRetired = %d, want 2", got)
+	heal := func() {
+		t.Helper()
+		poisoned.Store(false)
+		got, err := p.Run(ctx, head)
+		if err != nil || got != want {
+			t.Fatalf("healed run: got %d, %v; want %d, nil", got, err, want)
+		}
 	}
+	retired := func(want int64, what string) {
+		t.Helper()
+		if got := p.Stats().RunnersRetired; got != want {
+			t.Fatalf("RunnersRetired %s = %d, want %d", what, got, want)
+		}
+	}
+
+	// Six poisoned invocations: the body panics at iteration 0 of the
+	// architectural chunk every time, so each Run returns *PanicError.
+	// The pool reuses its one idle runner, so runs 1-3 poison and retire
+	// runner A and runs 4-6 poison and retire its replacement B.
+	poison(6)
+	retired(2, "after six panics")
 
 	// Heal: the next Run mints a fresh runner and serves exactly.
-	poisoned.Store(false)
-	got, err := p.Run(ctx, head)
-	if err != nil {
-		t.Fatalf("healed run: %v", err)
-	}
-	if got != want {
-		t.Fatalf("healed run: got %d want %d", got, want)
-	}
-	if got := p.Stats().RunnersRetired; got != 2 {
-		t.Fatalf("RunnersRetired after heal = %d, want 2 (healthy runner must not retire)", got)
-	}
-}
+	heal()
+	retired(2, "after the heal (a healthy runner must not retire)")
 
-// TestChaosQuarantineDisabled pins the opt-out: QuarantineAfter < 0
-// never retires a runner no matter how many consecutive panics it
-// contains, and the streak resets on the first success.
-func TestChaosQuarantineDisabled(t *testing.T) {
-	t.Parallel()
-	ctx := chaosCtx(t)
-	var poisoned atomic.Bool
-	poisoned.Store(true)
-	loop := spice.Loop[*native.Node, int64]{
-		Done: func(n *native.Node) bool { return n == nil },
-		Next: func(n *native.Node) *native.Node { return n.Next },
-		Body: func(n *native.Node, a int64) int64 {
-			if poisoned.Load() {
-				panic("poisoned body")
-			}
-			return a + n.W
-		},
-		Init:  func() int64 { return 0 },
-		Merge: func(a, b int64) int64 { return a + b },
-	}
-	p, err := spice.NewPool(loop, spice.PoolConfig{
-		Config:          spice.Config{Threads: 2},
-		QuarantineAfter: -1,
-	})
-	if err != nil {
-		t.Fatalf("NewPool: %v", err)
-	}
-	defer p.Close()
-
-	head, want := chaosList(43, 500)
-	for i := 0; i < 6; i++ {
-		if _, err := p.Run(ctx, head); err == nil {
-			t.Fatalf("poisoned run %d unexpectedly succeeded", i)
-		}
-	}
-	if got := p.Stats().RunnersRetired; got != 0 {
-		t.Fatalf("RunnersRetired = %d, want 0 with quarantine disabled", got)
-	}
-	poisoned.Store(false)
-	got, err := p.Run(ctx, head)
-	if err != nil || got != want {
-		t.Fatalf("healed run: got %d, %v; want %d, nil", got, err, want)
-	}
+	// Two panics, a success, two panics: the success resets the streak,
+	// so the runner never reaches three in a row.
+	poison(2)
+	heal()
+	poison(2)
+	retired(2, "with a success between two streaks of two")
+	heal()
 }

@@ -191,6 +191,17 @@ func checkMaxInflight(n int) error {
 	return nil
 }
 
+// checkBackoff refuses a base retry backoff that is not positive:
+// backoffWait's overflow guard reads a zero or negative wait as
+// overflowed, so -backoff 0 slept 2.5–7.5 s before every retry instead
+// of retrying at once.
+func checkBackoff(base time.Duration) error {
+	if base <= 0 {
+		return fmt.Errorf("-backoff %v: want a positive base wait", base)
+	}
+	return nil
+}
+
 func main() {
 	var (
 		url         = flag.String("url", "http://localhost:8080", "spiced base URL")
@@ -218,6 +229,10 @@ func main() {
 		os.Exit(2)
 	}
 	if err := checkMaxInflight(*maxInflight); err != nil {
+		fmt.Fprintf(os.Stderr, "spiceload: %v\n", err)
+		os.Exit(2)
+	}
+	if err := checkBackoff(*backoff); err != nil {
 		fmt.Fprintf(os.Stderr, "spiceload: %v\n", err)
 		os.Exit(2)
 	}

@@ -44,3 +44,19 @@ func TestCheckMaxInflight(t *testing.T) {
 		}
 	}
 }
+
+func TestCheckBackoff(t *testing.T) {
+	for _, tc := range []struct {
+		base time.Duration
+		ok   bool
+	}{
+		{100 * time.Millisecond, true},
+		{time.Nanosecond, true},
+		{0, false}, // read as overflowed: a 2.5–7.5 s wait per retry
+		{-time.Second, false},
+	} {
+		if err := checkBackoff(tc.base); (err == nil) != tc.ok {
+			t.Errorf("checkBackoff(%v) = %v; want ok %v", tc.base, err, tc.ok)
+		}
+	}
+}

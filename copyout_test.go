@@ -399,7 +399,7 @@ func TestTailRoundOfOneRunsDirect(t *testing.T) {
 				nodes, cells, shadow := odList(p.dst, p.size)
 				loop := odLoop(scan)
 				loop.Cells = cells
-				r, err := NewRunner(loop, Config{Threads: threads, MaxSpecIters: 1000})
+				r, err := NewRunner(loop, Config{Threads: threads, maxSpec: 1000})
 				if err != nil {
 					t.Fatal(err)
 				}

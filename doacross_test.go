@@ -144,8 +144,9 @@ func TestDoacrossOracle(t *testing.T) {
 					loop := dcLoop()
 					loop.Cells = cells
 					r, err := NewRunner(loop, Config{
-						Threads: threads,
-						Options: Options{Adaptive: adaptive, ProbeInterval: 2},
+						Threads:    threads,
+						Options:    Options{Adaptive: adaptive},
+						probeEvery: 2,
 					})
 					if err != nil {
 						t.Fatal(err)
@@ -287,8 +288,8 @@ func TestScanAccumulatorsDifferential(t *testing.T) {
 						loop.Scan = nil
 					}
 					r, err := NewRunner(loop, Config{
-						Threads: threads, MaxSpecIters: 70,
-						Options: Options{Adaptive: adaptive, ProbeInterval: 2},
+						Threads: threads, Options: Options{Adaptive: adaptive},
+						maxSpec: 70, probeEvery: 2,
 					})
 					if err != nil {
 						t.Fatal(err)
@@ -537,7 +538,7 @@ func TestReductionOracleEveryExit(t *testing.T) {
 							}
 							loop.Reductions = append(loop.Reductions, Reduction{Cell: k, Kind: kind})
 						}
-						r, err := NewRunner(loop, Config{Threads: threads, MaxSpecIters: maxSpec})
+						r, err := NewRunner(loop, Config{Threads: threads, maxSpec: maxSpec})
 						if err != nil {
 							t.Fatal(err)
 						}

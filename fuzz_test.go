@@ -35,9 +35,10 @@ func FuzzRunnerOracle(f *testing.F) {
 				rng := rand.New(rand.NewSource(seed))
 				w := newOracleList(rng, pat, n)
 				r, err := NewRunner(oracleLoop(w, scan), Config{
-					Threads:      tc,
-					MaxSpecIters: int64(maxSpec),
-					Options:      Options{Adaptive: adaptive, ProbeInterval: 2},
+					Threads:    tc,
+					maxSpec:    int64(maxSpec),
+					Options:    Options{Adaptive: adaptive},
+					probeEvery: 2,
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -109,9 +110,10 @@ func FuzzDoacrossOracle(f *testing.F) {
 					loop.Reductions = []Reduction{{Cell: 0, Kind: ReduceSum}, {Cell: 1, Kind: ReduceSum}}
 				}
 				r, err := NewRunner(loop, Config{
-					Threads:      tc,
-					MaxSpecIters: int64(maxSpec),
-					Options:      Options{Adaptive: adaptive, ProbeInterval: 2},
+					Threads:    tc,
+					maxSpec:    int64(maxSpec),
+					Options:    Options{Adaptive: adaptive},
+					probeEvery: 2,
 				})
 				if err != nil {
 					t.Fatal(err)

@@ -136,31 +136,39 @@ func relink(c *Circuit) {
 
 // TestSweepLeavesDriverStateAlone is the soundness check for reading
 // outside the view: a sweep reads the node voltages and the device
-// states in place, so whatever it does — commit, hit a tight
-// MaxSpecIters cap, get squashed on a poisoned prediction and re-execute
-// — both arrays must come back bit for bit as the driver left them, and
-// the folded stamps must equal the reference sweep's at those values.
+// states in place, so whatever it does — commit, run into the iteration
+// cap and finish in a later round, get squashed on a poisoned
+// prediction and re-execute — both arrays must come back bit for bit as
+// the driver left them, and the folded stamps must equal the reference
+// sweep's at those values.
 func TestSweepLeavesDriverStateAlone(t *testing.T) {
 	ctx := context.Background()
+	// prefix is the chain length the capped runs memoize on: the runtime
+	// caps a speculative chunk at 4 × the last trip count + 1024, so a
+	// netlist longer than 5 × prefix + 1024 devices caps its last chunk.
+	const prefix = 16
 	for _, tc := range []struct {
 		name  string
-		build func() *Circuit
+		build func(scale int) *Circuit
 	}{
-		{"rcladder", func() *Circuit { return RCLadder(4, 8) }},
-		{"rectifier", func() *Circuit { return Rectifier(12) }},
+		{"rcladder", func(k int) *Circuit { return RCLadder(4, 8*k) }},
+		{"rectifier", func(k int) *Circuit { return Rectifier(12 * k) }},
 	} {
 		for _, scan := range []bool{true, false} {
-			for _, maxSpec := range []int64{0, 8} {
+			for _, capped := range []bool{false, true} {
 				for width := 1; width <= 4; width++ {
 					name := tc.name + "/" + benchLabel(width)
 					if !scan {
 						name += "/closures"
 					}
-					if maxSpec > 0 {
+					if capped {
 						name += "/capped"
 					}
 					t.Run(name, func(t *testing.T) {
-						c := tc.build()
+						c := tc.build(1)
+						if capped {
+							c = tc.build(20) // 1 281 and 1 920 devices
+						}
 						// A few timesteps in, so voltages and states are
 						// not the all-zero start, with the next step's
 						// source drive applied.
@@ -173,7 +181,7 @@ func TestSweepLeavesDriverStateAlone(t *testing.T) {
 							loop.Scan = nil
 						}
 						pool, err := spice.NewPool(loop, spice.PoolConfig{
-							Config: spice.Config{Threads: width, MaxSpecIters: maxSpec},
+							Config: spice.Config{Threads: width},
 						})
 						if err != nil {
 							t.Fatal(err)
@@ -188,8 +196,9 @@ func TestSweepLeavesDriverStateAlone(t *testing.T) {
 
 						volts, states := floatBits(c.volts), floatBits(c.states)
 						want, got := make([]int64, len(c.acc)), make([]int64, len(c.acc))
-						c.sweepSeq(c.volts, want)
 						sweep := func(what string) spice.Stats {
+							clear(want)
+							c.sweepSeq(c.volts, want)
 							before := sess.Stats()
 							if err := c.sweepSpec(ctx, sess, got); err != nil {
 								t.Fatalf("%s: %v", what, err)
@@ -205,8 +214,18 @@ func TestSweepLeavesDriverStateAlone(t *testing.T) {
 							}
 							return sess.Stats().Delta(before)
 						}
+						if capped { // memoize on the prefix alone
+							c.devices[prefix-1].next = nil
+						}
 						for i := 0; i < 3; i++ { // memoize, then speculate
 							sweep("clean sweep")
+						}
+						if capped {
+							c.devices[prefix-1].next = c.devices[prefix]
+							st := sweep("grown sweep")
+							if width > 1 && st.Recoveries == 0 {
+								t.Fatalf("the grown sweep capped no chunk: %+v", st)
+							}
 						}
 						relink(c)
 						st := sweep("poisoned sweep")

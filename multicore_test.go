@@ -223,7 +223,8 @@ func TestOwnQueuedEntryIsNotLoad(t *testing.T) {
 	const size, items = 4096, 20
 	l := newTestList(size, 47)
 	plane := faults.New(faults.Point{Site: faults.ExecWorker, Match: 1, Kind: faults.KindStall, Dur: time.Minute})
-	p, err := NewPool(xorLoop(), PoolConfig{Config: Config{Threads: 2, Faults: plane}, Workers: 1})
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2)) // the topology default: one worker
+	p, err := NewPool(xorLoop(), PoolConfig{Config: Config{Threads: 2, Faults: plane}})
 	if err != nil {
 		t.Fatal(err)
 	}

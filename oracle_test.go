@@ -346,8 +346,9 @@ func differentialCase(t *testing.T, kind, pattern string, adaptive bool, threads
 	rng := rand.New(rand.NewSource(seed*1000 + int64(threads)))
 	w := newOracleWorkload(rng, kind, pattern, rng.Intn(700)+50)
 	r, err := NewRunner(oracleLoop(w, scan), Config{
-		Threads: threads,
-		Options: Options{Adaptive: adaptive, ProbeInterval: 3},
+		Threads:    threads,
+		Options:    Options{Adaptive: adaptive},
+		probeEvery: 3,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -450,7 +451,7 @@ func TestAdaptiveFallsBackOnAdversarial(t *testing.T) {
 func TestAdaptiveReexpandsAfterRestabilization(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	w := newOracleList(rng, "adversarial", 1500)
-	r, err := NewRunner(w.loop(), Config{Threads: 4, Options: Options{Adaptive: true, ProbeInterval: 3}})
+	r, err := NewRunner(w.loop(), Config{Threads: 4, Options: Options{Adaptive: true}, probeEvery: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -494,7 +495,7 @@ func TestAdaptiveReexpandsAfterRestabilization(t *testing.T) {
 }
 
 // TestAdaptiveTightCapIsNotMisspec guards the cap/misprediction
-// distinction: with MaxSpecIters far below the chunk span on a stable
+// distinction: with a cap (maxSpec) far below the chunk span on a stable
 // list, every invocation squashes chunks behind the capped leader and
 // finishes via recovery — capacity artifacts, not mispredictions. The
 // controller must keep full width (and the rows their confidence)
@@ -503,8 +504,8 @@ func TestAdaptiveTightCapIsNotMisspec(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	w := newOracleList(rng, "predictable", 4000)
 	r, err := NewRunner(w.loop(), Config{
-		Threads: 4, MaxSpecIters: 300,
-		Options: Options{Adaptive: true, ProbeInterval: 3},
+		Threads: 4, Options: Options{Adaptive: true},
+		maxSpec: 300, probeEvery: 3,
 	})
 	if err != nil {
 		t.Fatal(err)

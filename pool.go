@@ -19,32 +19,25 @@ import (
 // free list, so a steady submitter keeps hitting warm predictor state
 // and preallocated scheduler buffers.
 
-// PoolConfig tunes a Pool.
+// PoolConfig tunes a Pool. The pool sizes its shared executor from the
+// topology: max(Threads-1, GOMAXPROCS-1, 1) workers — every invocation
+// runs its chunk 0 inline on the submitting goroutine, so the invokers
+// themselves occupy one processor each and the workers only need to
+// cover the speculative chunks.
 type PoolConfig struct {
 	// Config applies to every runner the pool creates. Config.Executor
 	// must be nil: the pool owns its executor.
 	Config
-	// Workers is the number of persistent executor workers shared by all
-	// invocations. Zero defaults to max(Threads-1, GOMAXPROCS-1, 1):
-	// every invocation runs its chunk 0 inline on the submitting
-	// goroutine, so the invokers themselves occupy one processor each
-	// and the workers only need to cover the speculative chunks.
-	Workers int
-	// QuarantineAfter retires a runner whose invocations returned a
-	// contained *PanicError this many times in a row, instead of
-	// recycling it through the free list: a runner that keeps panicking
-	// is presumed poisoned (corrupted predictor state, a structure the
-	// bodies cannot traverse), its counters are folded into the pool
-	// totals under Stats.RunnersRetired, and the next acquisition mints
-	// a fresh runner. A success resets the streak; other errors leave
-	// it. Zero selects DefaultQuarantineAfter; negative disables
-	// quarantine.
-	QuarantineAfter int
 }
 
-// DefaultQuarantineAfter is the consecutive-panic threshold at which a
-// Pool retires a runner when PoolConfig.QuarantineAfter is zero.
-const DefaultQuarantineAfter = 3
+// quarantineAfter is the number of consecutive contained *PanicError
+// returns after which a Pool retires a runner instead of recycling it
+// through the free list: a runner that keeps panicking is presumed
+// poisoned (corrupted predictor state, a structure the bodies cannot
+// traverse), its counters are folded into the pool totals under
+// Stats.RunnersRetired, and the next acquisition mints a fresh runner.
+// A success resets the streak; other errors leave it.
+const quarantineAfter = 3
 
 // Pool executes Spice invocations submitted concurrently by multiple
 // goroutines, through three front doors: Run (one blocking
@@ -52,7 +45,9 @@ const DefaultQuarantineAfter = 3
 // and Submit (asynchronous, returning a Future). All of them — plus
 // Stats, Runners and Workers — are safe for concurrent use; Close must
 // only be called once no Run or RunBatch is in flight (in-flight
-// Submits are drained by Close itself).
+// Submits are drained by Close itself). A runner whose invocations
+// return a contained *PanicError three times in a row is retired, not
+// recycled (Stats.RunnersRetired).
 type Pool[S comparable, A any] struct {
 	loop Loop[S, A]
 	cfg  Config // with Executor set to the pool's executor
@@ -69,11 +64,9 @@ type Pool[S comparable, A any] struct {
 	last   *Runner[S, A] // most recently released runner (for LastWorks)
 	closed atomic.Bool   // atomic so Session.Run, a per-invocation path, checks it without p.mu
 
-	// quarantine is the resolved consecutive-panic retirement threshold
-	// (0: disabled). retired accumulates the counters of retired runners
-	// — they leave p.all, but their history must not vanish from
-	// Pool.Stats — and retiredCount is published as Stats.RunnersRetired.
-	quarantine   int
+	// retired accumulates the counters of quarantined runners — they
+	// leave p.all, but their history must not vanish from Pool.Stats —
+	// and retiredCount is published as Stats.RunnersRetired.
 	retired      Stats
 	retiredCount int64
 
@@ -95,36 +88,12 @@ func NewPool[S comparable, A any](loop Loop[S, A], cfg PoolConfig) (*Pool[S, A],
 	if cfg.Config.Executor != nil {
 		return nil, ErrPoolExecutor
 	}
-	if err := cfg.Config.validate(); err != nil {
-		return nil, err
-	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		// Topology-aware default: invokers run chunk 0 inline, so one
-		// processor per in-flight invocation is already spoken for and
-		// the shared workers only carry speculative chunks. Sizing to
-		// GOMAXPROCS-1 (or Threads-1 if wider) keeps worker count at
-		// the parallelism the host can actually deliver.
-		workers = runtime.GOMAXPROCS(0) - 1
-		if t := cfg.Threads - 1; t > workers {
-			workers = t
-		}
-		if workers < 1 {
-			workers = 1
-		}
-	}
-	quarantine := cfg.QuarantineAfter
-	if quarantine == 0 {
-		quarantine = DefaultQuarantineAfter
-	} else if quarantine < 0 {
-		quarantine = 0
-	}
 	p := &Pool[S, A]{
-		loop:       loop,
-		cfg:        cfg.Config,
-		exec:       newExecutor(workers, cfg.Config.Faults),
-		idle:       make(map[int][]*Runner[S, A]),
-		quarantine: quarantine,
+		loop: loop,
+		cfg:  cfg.Config,
+		// Sized as PoolConfig documents (newExecutor keeps at least one).
+		exec: newExecutor(max(runtime.GOMAXPROCS(0)-1, cfg.Threads-1), cfg.Config.Faults),
+		idle: make(map[int][]*Runner[S, A]),
 	}
 	p.cfg.Executor = p.exec
 	return p, nil
@@ -468,7 +437,7 @@ func (p *Pool[S, A]) acquireRunner(width int, registerInflight bool) (*Runner[S,
 // the free list empty.
 func (p *Pool[S, A]) release(r *Runner[S, A]) {
 	p.mu.Lock()
-	if p.quarantine > 0 && r.consecPanics >= p.quarantine {
+	if r.consecPanics >= quarantineAfter {
 		r.stats.addInto(&p.retired)
 		p.retiredCount++
 		for i, rr := range p.all {

@@ -1,7 +1,6 @@
 package spice
 
 import (
-	"errors"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -141,10 +140,6 @@ func TestPoolValidation(t *testing.T) {
 	if _, err := NewPool(xorLoop(), PoolConfig{Config: Config{Threads: 2, Executor: e}}); err == nil {
 		t.Error("external executor accepted")
 	}
-	if _, err := NewPool(xorLoop(), PoolConfig{Config: Config{Threads: 2,
-		Options: Options{ProbeInterval: -1}}}); !errors.Is(err, ErrBadOptions) {
-		t.Errorf("negative ProbeInterval: err = %v, want ErrBadOptions", err)
-	}
 	// A fresh pool reports the configured width before any runner is
 	// released, not zero.
 	p, err := NewPool(xorLoop(), PoolConfig{Config: Config{Threads: 4}})
@@ -154,6 +149,69 @@ func TestPoolValidation(t *testing.T) {
 	defer p.Close()
 	if eff := p.Stats().EffectiveThreads; eff != 4 {
 		t.Errorf("fresh pool EffectiveThreads = %d, want 4", eff)
+	}
+}
+
+// TestRuntimeDefaults pins what the runtime derives instead of taking
+// from the caller: the shared pool's and a private runner's worker
+// counts from the topology, the speculative cap from the last trip
+// count, and the interval at which a throttled adaptive runner probes.
+func TestRuntimeDefaults(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 8} {
+		runtime.GOMAXPROCS(procs)
+		for _, threads := range []int{1, 2, 4, 8} {
+			p, err := NewPool(xorLoop(), PoolConfig{Config: Config{Threads: threads}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := p.Workers(), max(procs-1, threads-1, 1); got != want {
+				t.Errorf("GOMAXPROCS %d, Threads %d: pool workers = %d, want %d", procs, threads, got, want)
+			}
+			p.Close()
+			r, err := NewRunner(xorLoop(), Config{Threads: threads})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if threads == 1 && r.exec != nil {
+				t.Errorf("GOMAXPROCS %d: a width-1 runner started an executor", procs)
+			}
+			if want := max(min(threads-1, procs-1), 1); threads > 1 && r.exec.Workers() != want {
+				t.Errorf("GOMAXPROCS %d, Threads %d: private workers = %d, want %d", procs, threads, r.exec.Workers(), want)
+			}
+			r.Close()
+		}
+	}
+
+	r, err := NewRunner(xorLoop(), Config{Threads: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if got := r.pred.specCap(r.cfg.maxSpec); got != 1<<20 {
+		t.Errorf("cap before any trip count = %d, want %d", got, 1<<20)
+	}
+	r.MustRun(newTestList(3000, 1).head)
+	if got := r.pred.specCap(r.cfg.maxSpec); got != 4*3000+1024 {
+		t.Errorf("cap after a 3000-iteration trip = %d, want %d", got, 4*3000+1024)
+	}
+
+	a, err := NewRunner(xorLoop(), Config{Threads: 4, Options: Options{Adaptive: true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	a.ctrl.Observe(specGated) // demoted straight to width 1
+	l := newTestList(3000, 2)
+	for inv := 1; inv <= 9; inv++ {
+		a.MustRun(l.head)
+		want := int64(1) // the 9th invocation probes width 2 and, clean, promotes
+		if inv == 9 {
+			want = 2
+		}
+		if eff := a.Stats().EffectiveThreads; eff != want {
+			t.Fatalf("invocation %d after the demotion: width %d, want %d", inv, eff, want)
+		}
 	}
 }
 
@@ -395,7 +453,7 @@ func TestPoolStatsEffectiveThreadsNarrowSessionLast(t *testing.T) {
 // the result still exactly sequential.
 func TestParallelSquashRecoveryForcedCap(t *testing.T) {
 	l := newTestList(4000, 8)
-	r, err := NewRunner(xorLoop(), Config{Threads: 4, MaxSpecIters: 600})
+	r, err := NewRunner(xorLoop(), Config{Threads: 4, maxSpec: 600})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -499,7 +557,7 @@ func TestParallelSquashRecoveryOrganic(t *testing.T) {
 // TestRecoveryThroughPool exercises the recovery path under concurrent
 // submissions (race coverage for the recovery scheduler reuse).
 func TestRecoveryThroughPool(t *testing.T) {
-	p, err := NewPool(xorLoop(), PoolConfig{Config: Config{Threads: 4, MaxSpecIters: 300}})
+	p, err := NewPool(xorLoop(), PoolConfig{Config: Config{Threads: 4, maxSpec: 300}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -548,7 +606,7 @@ func TestRecoveryThroughPool(t *testing.T) {
 func TestPoolAdaptiveSessionStress(t *testing.T) {
 	const submitters = 8
 	p, err := NewPool(xorLoop(), PoolConfig{
-		Config: Config{Threads: 4, Options: Options{Adaptive: true, ProbeInterval: 3}},
+		Config: Config{Threads: 4, Options: Options{Adaptive: true}, probeEvery: 3},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -603,7 +661,7 @@ func TestPoolAdaptiveSessionStress(t *testing.T) {
 // list) starts at full width with neutral confidence.
 func TestSessionNoAdaptiveBleed(t *testing.T) {
 	p, err := NewPool(xorLoop(), PoolConfig{
-		Config: Config{Threads: 4, Options: Options{Adaptive: true, ProbeInterval: 64}},
+		Config: Config{Threads: 4, Options: Options{Adaptive: true}, probeEvery: 64},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -629,7 +687,7 @@ func TestSessionNoAdaptiveBleed(t *testing.T) {
 	s1.Close()
 
 	// Session 2 recycles the same runner off the free list. With a huge
-	// ProbeInterval, any leftover throttle or gated confidence would
+	// probe interval, any leftover throttle or gated confidence would
 	// keep it sequential for the whole test — the reset must not leave
 	// any.
 	s2, err := p.Session()

@@ -178,7 +178,9 @@ func (p *predictor[S]) promote(total int64, memos []memo[S]) []memo[S] {
 	return out
 }
 
-// specCap returns the runaway-traversal bound for speculative chunks.
+// specCap returns the runaway-traversal bound for speculative chunks:
+// four times the last trip count plus 1024, or 1<<20 before the first
+// — unless override (Config.maxSpec) is positive.
 func (p *predictor[S]) specCap(override int64) int64 {
 	if override > 0 {
 		return override

@@ -43,8 +43,8 @@ func (k *roundKinds) note(before, after Stats) {
 func pinnedList(t *testing.T, kinds *roundKinds, loop Loop[*node, sumAcc], threads int, maxSpec int64, adaptive bool) []string {
 	l := newTestList(300, 31)
 	r, err := NewRunner(loop, Config{
-		Threads: threads, MaxSpecIters: maxSpec,
-		Options: Options{Adaptive: adaptive, ProbeInterval: 2},
+		Threads: threads, Options: Options{Adaptive: adaptive},
+		maxSpec: maxSpec, probeEvery: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -98,8 +98,8 @@ func pinnedDoacross(t *testing.T, kinds *roundKinds, loop Loop[*dcnode, int64], 
 	head, nodes, cells, shadow := buildDoacross(rng, 600, regime)
 	loop.Cells = cells
 	r, err := NewRunner(loop, Config{
-		Threads: threads, MaxSpecIters: maxSpec,
-		Options: Options{Adaptive: adaptive, ProbeInterval: 2},
+		Threads: threads, Options: Options{Adaptive: adaptive},
+		maxSpec: maxSpec, probeEvery: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -128,7 +128,7 @@ func pinnedDoacross(t *testing.T, kinds *roundKinds, loop Loop[*dcnode, int64], 
 
 // TestRoundCountersPinned pins what no benchmark workload reaches (none
 // of them runs a second round): every counter of every invocation of a
-// scenario matrix over width × MaxSpecIters × adaptive × structural
+// scenario matrix over width × cap (maxSpec) × adaptive × structural
 // change, and DOACROSS regime × width × cap × adaptive, as
 // one FNV-1a hash per scenario of its formatted snapshots. The table
 // was captured at the commit before scheduler.run became one loop over
@@ -250,7 +250,7 @@ func TestUndispatchedSlotsGetNoVerdict(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			l := newTestList(1200, 5)
 			ns := l.nodes()
-			r, err := NewRunner(xorLoop(), Config{Threads: 4, MaxSpecIters: 100, Executor: heldExecutor(t)})
+			r, err := NewRunner(xorLoop(), Config{Threads: 4, maxSpec: 100, Executor: heldExecutor(t)})
 			if err != nil {
 				t.Fatal(err)
 			}

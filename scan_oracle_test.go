@@ -130,10 +130,9 @@ func TestShippedLoopsScanDifferential(t *testing.T) {
 			for threads := 1; threads <= 4; threads++ {
 				for _, maxSpec := range []int64{0, 70} {
 					for _, adaptive := range []bool{false, true} {
-						seen = seen.Plus(runShippedCase(t, c, 700, 9, spice.Config{
-							Threads: threads, MaxSpecIters: maxSpec,
-							Options: spice.Options{Adaptive: adaptive, ProbeInterval: 2},
-						}))
+						seen = seen.Plus(runShippedCase(t, c, 700, 9, spice.WithSeams(spice.Config{
+							Threads: threads, Options: spice.Options{Adaptive: adaptive},
+						}, maxSpec, 2)))
 					}
 				}
 			}
@@ -158,10 +157,9 @@ func FuzzShippedLoopsScan(f *testing.F) {
 	cases := shippedCases()
 	f.Fuzz(func(t *testing.T, seed int64, size uint16, threads, pick uint8, maxSpec uint16) {
 		for _, adaptive := range []bool{false, true} {
-			runShippedCase(t, cases[int(pick)%len(cases)], int64(size%4096)+1, seed, spice.Config{
-				Threads: int(threads%8) + 1, MaxSpecIters: int64(maxSpec),
-				Options: spice.Options{Adaptive: adaptive, ProbeInterval: 2},
-			})
+			runShippedCase(t, cases[int(pick)%len(cases)], int64(size%4096)+1, seed, spice.WithSeams(spice.Config{
+				Threads: int(threads%8) + 1, Options: spice.Options{Adaptive: adaptive},
+			}, int64(maxSpec), 2))
 		}
 	})
 }

@@ -700,7 +700,7 @@ func (s *scheduler[S, A]) run(r *Runner[S, A], ctx context.Context, start S, n i
 // for the next invocation. (Slot 0 neither caps nor conflicts: such a
 // round is the whole invocation.)
 func (s *scheduler[S, A]) begin(r *Runner[S, A], start S, n int, probe bool) {
-	cap64 := r.pred.specCap(r.cfg.MaxSpecIters)
+	cap64 := r.pred.specCap(r.cfg.maxSpec)
 	if probe {
 		cap64 = probeSpecCap(cap64, r.pred.prevTotal, n)
 	}
@@ -1024,9 +1024,10 @@ func (s *scheduler[S, A]) squash(r *Runner[S, A]) {
 // the squash is a capacity artifact (the breaking chunk simply was not
 // allowed to walk far enough to validate), so those rows' verdicts are
 // deferred to the next round, which retries them from an
-// architecturally correct position. Without this distinction a tight
-// MaxSpecIters would read as sustained misprediction and demote a
-// perfectly predictable workload. A conflict squash is likewise no
+// architecturally correct position. Without this distinction a cap
+// below the chunk span (a structure that grew past the derived cap)
+// would read as sustained misprediction and demote a perfectly
+// predictable workload. A conflict squash is likewise no
 // miss: the prediction was right (the chunk's start was validated) —
 // the data raced, which the controller hears separately via the
 // Conflicts counter. Slots cancellation left unlaunched resolved nothing
@@ -1089,7 +1090,7 @@ func (s *scheduler[S, A]) advance(r *Runner[S, A], ctx context.Context) {
 		r.pend.Recoveries++
 		rd.n = 1 + len(s.admitted(r, next, rd.probe))
 		s.used = max(s.used, rd.n)
-		rd.cap = r.pred.specCap(r.cfg.MaxSpecIters)
+		rd.cap = r.pred.specCap(r.cfg.maxSpec)
 	}
 }
 

@@ -28,6 +28,11 @@
 //     bounded channel per worker, from which an idle worker steals one
 //     entry at a time; no goroutine is spawned per invocation.
 //
+// The one tuning value a caller sets is the thread count; every other
+// quantity is derived — from the previous invocation (chunk starts,
+// boundaries, the runaway bound) or from the topology (worker counts).
+// See Config.
+//
 // A Runner executes one loop invocation at a time. Each chunk
 // accumulates into a private accumulator; validated accumulators are
 // merged in iteration order, so side effects belong in the accumulator
@@ -240,27 +245,25 @@ var errChunkAborted = errors.New("spice: chunk aborted after an earlier chunk fa
 // dispatch chain instead of speculating on them, and a rolling
 // mis-speculation rate throttles the effective thread count — degrading
 // smoothly to pure sequential execution when speculation keeps losing,
-// then probing back up once the loop re-stabilizes.
+// then probing one level up every 8 observed invocations while
+// throttled, so it widens again once the loop re-stabilizes.
 type Options struct {
 	// Adaptive enables the controller. Off (the default), the runner
 	// speculates at the configured width on every invocation that has
 	// predictions — the paper's behaviour.
 	Adaptive bool
-	// ProbeInterval is the number of observed invocations between
-	// upward probes while throttled. Zero selects the default, 8.
-	// Ignored unless Adaptive is set.
-	ProbeInterval int
 }
 
-// Config tunes a Runner.
+// Config tunes a Runner. As in the paper, the one tuning value is the
+// thread count; the runtime derives the rest from the previous
+// invocation: the memoized chunk starts, the balanced chunk boundaries,
+// and the bound on a speculative chunk's iteration count that stops a
+// runaway traversal of a corrupted prediction (e.g. a start node
+// unlinked into a cycle) — four times the previous trip count plus
+// 1024, or 1<<20 before the first.
 type Config struct {
 	// Threads is the number of chunks run concurrently (≥ 1).
 	Threads int
-	// MaxSpecIters caps a speculative chunk's iteration count, bounding
-	// runaway traversals of corrupted predictions (e.g. a start node
-	// that was unlinked into a cycle). Zero derives a safe cap from the
-	// previous invocation's trip count.
-	MaxSpecIters int64
 	// Faults, when non-nil, arms the deterministic fault-injection plane
 	// (internal/faults) on the runner's injection sites: chunk bodies,
 	// recovery rounds, and executor workers (a Pool adds runner
@@ -280,15 +283,13 @@ type Config struct {
 	Executor *Executor
 	// Options tunes the adaptive speculation controller.
 	Options
-}
 
-// validate checks the adaptive options (thread-count validation stays
-// in the constructors, which return the dedicated sentinel for it).
-func (c Config) validate() error {
-	if c.ProbeInterval < 0 {
-		return fmt.Errorf("%w: ProbeInterval %d negative", ErrBadOptions, c.ProbeInterval)
-	}
-	return nil
+	// maxSpec and probeEvery, when positive, replace the derived
+	// speculative iteration cap and the probe interval (8). The
+	// package's tests set them to reach capped rounds and probes within
+	// a few invocations; zero keeps the derivation.
+	maxSpec    int64
+	probeEvery int
 }
 
 // Stats reports accumulated Runner (or aggregated Pool) behaviour. An
@@ -353,11 +354,11 @@ type Stats struct {
 	// Plain Run never sheds.
 	BatchSheds int64
 	// RunnersRetired counts runners a Pool quarantined instead of
-	// recycling: a runner whose invocations kept panicking
-	// (PoolConfig.QuarantineAfter consecutive *PanicError returns) is
-	// retired on release — its counters are folded into the pool totals
-	// and a fresh runner is minted on the next acquisition. Always zero
-	// on a standalone Runner.
+	// recycling: a runner whose invocations kept panicking (3
+	// consecutive *PanicError returns) is retired on release — its
+	// counters are folded into the pool totals and a fresh runner is
+	// minted on the next acquisition. Always zero on a standalone
+	// Runner.
 	RunnersRetired int64
 	// EffectiveThreads is the adaptive controller's current effective
 	// width (a gauge, not a counter; equals the configured Threads
@@ -446,10 +447,6 @@ func (s Stats) Imbalance() float64 {
 // ErrNoParallelism is returned by NewRunner for thread counts below 1.
 var ErrNoParallelism = errors.New("spice: Threads must be at least 1")
 
-// ErrBadOptions is returned by NewRunner and NewPool for out-of-range
-// adaptive options. Test with errors.Is.
-var ErrBadOptions = errors.New("spice: invalid Options")
-
 // ErrPoolExecutor is returned by NewPool when the embedded Config names
 // an external executor. Test with errors.Is.
 var ErrPoolExecutor = errors.New("spice: PoolConfig must not set Config.Executor (the pool owns its executor)")
@@ -485,9 +482,6 @@ func NewRunner[S comparable, A any](loop Loop[S, A], cfg Config) (*Runner[S, A],
 	if cfg.Threads < 1 {
 		return nil, ErrNoParallelism
 	}
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
 	r := &Runner[S, A]{
 		loop:  loop,
 		block: blockOf(&loop),
@@ -497,7 +491,7 @@ func NewRunner[S comparable, A any](loop Loop[S, A], cfg Config) (*Runner[S, A],
 	}
 	r.sched = newScheduler(r, cfg.Threads)
 	if cfg.Adaptive && cfg.Threads > 1 {
-		r.ctrl = newSpecController(cfg.Threads, int64(cfg.ProbeInterval))
+		r.ctrl = newSpecController(cfg.Threads, int64(cfg.probeEvery))
 	}
 	r.stats.effectiveThreads.Store(int64(cfg.Threads))
 	if cfg.Threads > 1 {

@@ -239,7 +239,7 @@ func TestDanglingCycleRecovered(t *testing.T) {
 	// speculative chunk spins until the cap fires; the runner must
 	// still return the sequential result via squash or tail re-run.
 	l := newTestList(400, 3)
-	r, _ := NewRunner(xorLoop(), Config{Threads: 4, MaxSpecIters: 2000})
+	r, _ := NewRunner(xorLoop(), Config{Threads: 4, maxSpec: 2000})
 	defer r.Close()
 	r.MustRun(l.head) // bootstrap
 	want1 := sequential(xorLoop(), l.head)
