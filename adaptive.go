@@ -53,16 +53,6 @@ type rowConfidence struct {
 	score []float64
 }
 
-// newRowConfidence creates scores for rows SVA rows, all neutral.
-func newRowConfidence(rows int) *rowConfidence {
-	if rows < 0 {
-		rows = 0
-	}
-	rc := &rowConfidence{score: make([]float64, rows)}
-	rc.Reset()
-	return rc
-}
-
 // Reset returns every row to the neutral starting score. Pools reset
 // confidence when a runner moves between sessions, so one caller's
 // hostile structure cannot poison another's speculation.
@@ -73,33 +63,16 @@ func (rc *rowConfidence) Reset() {
 }
 
 // Hit records a committed speculative chunk for row.
-func (rc *rowConfidence) Hit(row int) {
-	if row < 0 || row >= len(rc.score) {
-		return
-	}
-	rc.score[row] += specConfAlpha * (1 - rc.score[row])
-}
+func (rc *rowConfidence) Hit(row int) { rc.score[row] += specConfAlpha * (1 - rc.score[row]) }
 
 // Miss records a squashed speculative chunk for row.
-func (rc *rowConfidence) Miss(row int) {
-	if row < 0 || row >= len(rc.score) {
-		return
-	}
-	rc.score[row] -= specConfAlpha * rc.score[row]
-}
+func (rc *rowConfidence) Miss(row int) { rc.score[row] -= specConfAlpha * rc.score[row] }
 
 // Score returns row's current confidence in [0, 1].
-func (rc *rowConfidence) Score(row int) float64 {
-	if row < 0 || row >= len(rc.score) {
-		return 0
-	}
-	return rc.score[row]
-}
+func (rc *rowConfidence) Score(row int) float64 { return rc.score[row] }
 
 // Admit reports whether row clears the confidence floor.
-func (rc *rowConfidence) Admit(row int) bool {
-	return rc.Score(row) >= defaultMinConfidence
-}
+func (rc *rowConfidence) Admit(row int) bool { return rc.score[row] >= defaultMinConfidence }
 
 // specController is the invocation-level throttle: it converts a
 // rolling mis-speculation rate into an effective thread count and
@@ -111,6 +84,10 @@ type specController struct {
 	threads       int
 	probeInterval int64
 
+	// conf scores each SVA row's recent prediction record; the
+	// confidence gate (Runner.admitRow) is its one reader.
+	conf rowConfidence
+
 	eff      int
 	rate     float64 // EWMA of per-invocation misspeculation
 	observed int64   // invocations observed since the last level change
@@ -118,26 +95,28 @@ type specController struct {
 	probeEff int
 }
 
-// newSpecController builds a controller for the configured thread
-// count. probeInterval <= 0 selects defaultProbeInterval.
+// newSpecController builds a controller for the configured thread count
+// (a width-1 runner has none), with a neutral confidence score for each
+// of its threads-1 SVA rows. probeInterval <= 0 selects
+// defaultProbeInterval.
 func newSpecController(threads int, probeInterval int64) *specController {
-	if threads < 1 {
-		threads = 1
-	}
 	if probeInterval <= 0 {
 		probeInterval = defaultProbeInterval
 	}
-	return &specController{threads: threads, probeInterval: probeInterval, eff: threads}
+	c := &specController{threads: threads, probeInterval: probeInterval, eff: threads, conf: rowConfidence{make([]float64, threads-1)}}
+	c.conf.Reset()
+	return c
 }
 
 // Reset restores the unthrottled initial state (full width, clean
-// history). Pools reset the controller when a runner moves between
-// sessions.
+// history, every row's confidence neutral). Pools reset the controller
+// when a runner moves between sessions.
 func (c *specController) Reset() {
 	c.eff = c.threads
 	c.rate = 0
 	c.observed = 0
 	c.probing = false
+	c.conf.Reset()
 }
 
 // Begin decides the upcoming invocation's effective thread count.
@@ -147,9 +126,6 @@ func (c *specController) Reset() {
 // bounded amount of wasted work).
 func (c *specController) Begin() (eff int, probe bool) {
 	c.probing = false
-	if c.threads <= 1 {
-		return 1, false
-	}
 	if c.eff < c.threads && c.observed >= c.probeInterval {
 		c.probing = true
 		c.probeEff = c.eff * 2
@@ -233,9 +209,6 @@ func (c *specController) Observe(outcome specOutcome) {
 	c.observed++
 	if c.rate > specDemoteAt && c.eff > 1 {
 		c.eff /= 2
-		if c.eff < 1 {
-			c.eff = 1
-		}
 		// Leave headroom below the mark: the reduced width needs fresh
 		// losses, not the old level's history, to demote again.
 		c.rate = specDemoteAt / 2

@@ -117,7 +117,7 @@ func TestSpecControllerResetRestoresFullWidth(t *testing.T) {
 }
 
 func TestRowConfidenceScoresAndGate(t *testing.T) {
-	rc := newRowConfidence(3)
+	rc := &newSpecController(4, 0).conf // three rows, all neutral
 	if !rc.Admit(0) {
 		t.Fatal("fresh row below the default floor")
 	}
@@ -129,12 +129,6 @@ func TestRowConfidenceScoresAndGate(t *testing.T) {
 	rc.Hit(0)
 	if !rc.Admit(0) {
 		t.Fatalf("a hit did not restore admission (score %v)", rc.Score(0))
-	}
-	// Out-of-range rows are inert, never admitted.
-	rc.Hit(7)
-	rc.Miss(-1)
-	if rc.Admit(7) {
-		t.Fatal("out-of-range row admitted")
 	}
 	rc.Reset()
 	if rc.Score(0) != specConfInit {

@@ -2,91 +2,43 @@ package spice
 
 // The concurrency conformance suite for the batched/async front door
 // (Pool.RunBatch, Pool.Submit/Future) and the sharded work-stealing
-// executor underneath it. The differential halves reuse the seeded
-// generators of oracle_test.go: every batched or async invocation must
-// equal the per-item sequential oracle under the predictable, drifting,
-// and adversarial mutation regimes, with the adaptive controller both
-// on and off. The executor halves assert the work-stealing invariants
-// directly: no submitted task is ever lost or run twice, steals happen
-// when load is imbalanced, and shutdown mid-steal drains cleanly. CI
-// runs this file under -race at GOMAXPROCS 2 and 8.
+// executor underneath it. The differential halves are cases of the
+// matrix (matrix_test.go) through the "batch" and "submit" doors: every
+// batched or async invocation must equal the per-item sequential oracle
+// under the predictable, drifting, and adversarial mutation regimes,
+// with the adaptive controller both on and off. The executor halves
+// assert the work-stealing invariants directly: no submitted task is
+// ever lost or run twice, steals happen when load is imbalanced, and
+// shutdown mid-steal drains cleanly. CI runs this file under -race at
+// GOMAXPROCS 2 and 8.
 
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
-	"sync/atomic"
 	"testing"
 )
 
 // --- RunBatch conformance ---------------------------------------------
 
-// TestBatchDifferentialOracle runs waves of RunBatch over the oracle
-// workloads: within a wave the structure is stable (the Run contract),
+// TestBatchDifferentialOracle runs waves of RunBatch over the regime
+// structures: within a wave the structure is stable (the Run contract),
 // between waves it mutates per the regime. Every item of every batch
 // must equal the sequential oracle.
 func TestBatchDifferentialOracle(t *testing.T) {
-	const waves, batch = 8, 5
-	for _, kind := range []string{"list", "tree"} {
-		for _, pattern := range []string{"predictable", "drifting", "adversarial"} {
-			for _, adaptive := range []bool{false, true} {
-				name := kind + "/" + pattern + "/fixed"
-				if adaptive {
-					name = kind + "/" + pattern + "/adaptive"
-				}
-				t.Run(name, func(t *testing.T) {
-					for _, threads := range []int{2, 4} {
-						for seed := int64(1); seed <= 3; seed++ {
-							rng := rand.New(rand.NewSource(seed*4000 + int64(threads)))
-							size := rng.Intn(600) + 40
-							var w oracleWorkload
-							if kind == "list" {
-								w = newOracleList(rng, pattern, size)
-							} else {
-								w = newOracleTree(rng, pattern, size)
-							}
-							p, err := NewPool(w.loop(), PoolConfig{Config: Config{
-								Threads:    threads,
-								Options:    Options{Adaptive: adaptive},
-								probeEvery: 3,
-							}})
-							if err != nil {
-								t.Fatal(err)
-							}
-							starts := make([]any, batch)
-							for wave := 0; wave < waves; wave++ {
-								want := seqOracle(w.loop(), w.head())
-								for i := range starts {
-									starts[i] = w.head()
-								}
-								got, rerr := p.RunBatch(context.Background(), starts)
-								if rerr != nil {
-									t.Fatalf("threads=%d seed=%d wave=%d: %v", threads, seed, wave, rerr)
-								}
-								if len(got) != batch {
-									t.Fatalf("threads=%d seed=%d wave=%d: %d results, want %d",
-										threads, seed, wave, len(got), batch)
-								}
-								for i, g := range got {
-									if g != want {
-										t.Fatalf("threads=%d seed=%d wave=%d item=%d: got %+v want %+v",
-											threads, seed, wave, i, g, want)
-									}
-								}
-								w.mutate()
-							}
-							if st := p.Stats(); st.Invocations != waves*batch {
-								t.Fatalf("invocations = %d, want %d", st.Invocations, waves*batch)
-							}
-							p.Close()
-						}
-					}
-				})
+	regimeSuite(t, []string{"list", "tree"}, func(t *testing.T, kind, pattern string, adaptive bool) {
+		for _, threads := range []int{2, 4} {
+			for seed := int64(1); seed <= 3; seed++ {
+				c := regimeCase(kind, pattern, seed*4000+int64(threads), 600, 40)
+				c.door, c.scan, c.threads, c.adaptive, c.probe, c.invs, c.wave = "batch", true, threads, adaptive, 3, 8, 5
+				c.run(t)
 			}
 		}
-	}
+	})
 }
 
 // TestBatchMixedStarts batches invocations that start at different
@@ -94,28 +46,25 @@ func TestBatchDifferentialOracle(t *testing.T) {
 // heterogeneous trip counts back to back and its stale predictions must
 // be validated away, not trusted.
 func TestBatchMixedStarts(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	w := newOracleList(rng, "predictable", 900)
-	p, err := NewPool(w.loop(), PoolConfig{Config: Config{Threads: 4}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
+	g := oracleList(17, 900)()
+	p := newPool(t, g.loop(true), Config{Threads: 4})
 	for wave := 0; wave < 6; wave++ {
-		var starts []any
-		for i := 0; i < len(w.nodes); i += 1 + len(w.nodes)/7 {
-			starts = append(starts, any(w.nodes[i]))
+		var starts []*mnode
+		for i, n := range g.nodes() {
+			if i%(1+900/7) == 0 {
+				starts = append(starts, n)
+			}
 		}
 		got, rerr := p.RunBatch(context.Background(), starts)
 		if rerr != nil {
 			t.Fatal(rerr)
 		}
-		for i, g := range got {
-			if want := seqOracle(w.loop(), starts[i]); g != want {
-				t.Fatalf("wave %d item %d (start %d): got %+v want %+v", wave, i, i, g, want)
+		for i, s := range starts {
+			if want := (&gen{head: s}).oracle(); got[i] != want {
+				t.Fatalf("wave %d item %d: got %+v want %+v", wave, i, got[i], want)
 			}
 		}
-		w.mutate()
+		g.mutate("predictable")
 	}
 }
 
@@ -124,7 +73,6 @@ func TestBatchMixedStarts(t *testing.T) {
 // surfaces wrapped with its index, and errors.Is/errors.As see through
 // the wrapper — for body errors, contained panics, and cancellation.
 func TestBatchFailureSemantics(t *testing.T) {
-	errBoom := errors.New("boom")
 	mkloop := func(failAt int64) Loop[int64, int64] {
 		return Loop[int64, int64]{
 			Done: func(s int64) bool { return s >= 100 },
@@ -140,55 +88,33 @@ func TestBatchFailureSemantics(t *testing.T) {
 		}
 	}
 	t.Run("body error", func(t *testing.T) {
-		p, err := NewPool(mkloop(50), PoolConfig{Config: Config{Threads: 2}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer p.Close()
+		p := newPool(t, mkloop(50), Config{Threads: 2})
 		// Items 0 and 1 start past the failing iteration and complete;
 		// item 2 hits it.
 		got, rerr := p.RunBatch(context.Background(), []int64{60, 70, 0, 80})
 		if len(got) != 2 {
 			t.Fatalf("completed prefix = %d items, want 2", len(got))
 		}
-		if !errors.Is(rerr, errBoom) {
-			t.Fatalf("batch error %v does not unwrap to the body error", rerr)
-		}
+		wantErr(t, rerr, errBoom)
 		// The pool stays usable after a poisoned batch.
 		if got, rerr := p.RunBatch(context.Background(), []int64{60}); rerr != nil || got[0] != (60+99)*40/2 {
 			t.Fatalf("pool unusable after failed batch: %v %v", got, rerr)
 		}
 	})
 	t.Run("panic", func(t *testing.T) {
-		loop := Loop[int64, int64]{
-			Done: func(s int64) bool { return s >= 100 },
-			Next: func(s int64) int64 { return s + 1 },
-			Body: func(s int64, a int64) int64 {
-				if s == 10 {
-					panic("poisoned body")
-				}
-				return a + 1
-			},
-			Init:  func() int64 { return 0 },
-			Merge: func(a, b int64) int64 { return a + b },
+		loop := mkloop(-1)
+		loop.BodyErr, loop.Body = nil, func(s int64, a int64) int64 {
+			if s == 10 {
+				panic("poisoned body")
+			}
+			return a + 1
 		}
-		p, err := NewPool(loop, PoolConfig{Config: Config{Threads: 2}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer p.Close()
+		p := newPool(t, loop, Config{Threads: 2})
 		_, rerr := p.RunBatch(context.Background(), []int64{50, 0})
-		var pe *PanicError
-		if !errors.As(rerr, &pe) {
-			t.Fatalf("batch error %v does not unwrap to *PanicError", rerr)
-		}
+		wantPanic(t, rerr)
 	})
 	t.Run("cancellation", func(t *testing.T) {
-		p, err := NewPool(mkloop(-1), PoolConfig{Config: Config{Threads: 2}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer p.Close()
+		p := newPool(t, mkloop(-1), Config{Threads: 2})
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
 		got, rerr := p.RunBatch(ctx, []int64{0, 1})
@@ -197,26 +123,17 @@ func TestBatchFailureSemantics(t *testing.T) {
 		}
 	})
 	t.Run("closed pool", func(t *testing.T) {
-		p, err := NewPool(mkloop(-1), PoolConfig{Config: Config{Threads: 2}})
-		if err != nil {
-			t.Fatal(err)
-		}
+		p := newPool(t, mkloop(-1), Config{Threads: 2})
 		p.Close()
 		for _, starts := range [][]int64{{0}, nil} {
-			if _, rerr := p.RunBatch(context.Background(), starts); !errors.Is(rerr, ErrPoolClosed) {
-				t.Fatalf("batch of %d on closed pool: %v", len(starts), rerr)
-			}
+			_, rerr := p.RunBatch(context.Background(), starts)
+			wantErr(t, rerr, ErrPoolClosed)
 		}
-		if _, rerr := p.Submit(context.Background(), 0).Wait(); !errors.Is(rerr, ErrPoolClosed) {
-			t.Fatalf("submit on closed pool: %v", rerr)
-		}
+		_, rerr := p.Submit(context.Background(), 0).Wait()
+		wantErr(t, rerr, ErrPoolClosed)
 	})
 	t.Run("empty batch", func(t *testing.T) {
-		p, err := NewPool(mkloop(-1), PoolConfig{Config: Config{Threads: 2}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer p.Close()
+		p := newPool(t, mkloop(-1), Config{Threads: 2})
 		if got, rerr := p.RunBatch(context.Background(), nil); got != nil || rerr != nil {
 			t.Fatalf("empty batch: %v %v", got, rerr)
 		}
@@ -228,69 +145,21 @@ func TestBatchFailureSemantics(t *testing.T) {
 // TestSubmitDifferentialOracle pipelines waves of Submits (the
 // structure is quiesced between waves, mutated only once every future
 // resolved) and checks every future's result and per-invocation stats
-// against the sequential oracle.
+// (the "submit" door) against the sequential oracle.
 func TestSubmitDifferentialOracle(t *testing.T) {
-	const waves, width = 6, 6
-	for _, pattern := range []string{"predictable", "drifting", "adversarial"} {
-		for _, adaptive := range []bool{false, true} {
-			name := pattern + "/fixed"
-			if adaptive {
-				name = pattern + "/adaptive"
-			}
-			t.Run(name, func(t *testing.T) {
-				rng := rand.New(rand.NewSource(99))
-				w := newOracleList(rng, pattern, 700)
-				p, err := NewPool(w.loop(), PoolConfig{Config: Config{
-					Threads:    4,
-					Options:    Options{Adaptive: adaptive},
-					probeEvery: 3,
-				}})
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer p.Close()
-				futs := make([]*Future[oracleAcc], width)
-				for wave := 0; wave < waves; wave++ {
-					want := seqOracle(w.loop(), w.head())
-					for i := range futs {
-						futs[i] = p.Submit(context.Background(), w.head())
-					}
-					for i, f := range futs {
-						got, rerr := f.Wait()
-						if rerr != nil {
-							t.Fatalf("wave %d future %d: %v", wave, i, rerr)
-						}
-						if got != want {
-							t.Fatalf("wave %d future %d: got %+v want %+v", wave, i, got, want)
-						}
-						st := f.Stats()
-						if st.Invocations != 1 {
-							t.Fatalf("wave %d future %d: per-invocation Invocations = %d", wave, i, st.Invocations)
-						}
-						if st.TotalIters != want.count {
-							t.Fatalf("wave %d future %d: per-invocation TotalIters = %d, want %d",
-								wave, i, st.TotalIters, want.count)
-						}
-					}
-					w.mutate()
-				}
-			})
-		}
-	}
+	regimeSuite(t, []string{""}, func(t *testing.T, _, pattern string, adaptive bool) {
+		mcase{build: oracleList(99, 700), edit: regime(pattern), door: "submit", scan: true,
+			threads: 4, adaptive: adaptive, probe: 3, invs: 6, wave: 6}.run(t)
+	})
 }
 
 // TestSubmitFutureSemantics covers the Future edge cases: Done
 // select-ability, repeated Wait, pre-cancelled contexts, and panic
 // containment through the async path.
 func TestSubmitFutureSemantics(t *testing.T) {
-	l := newTestList(800, 3)
-	p, err := NewPool(xorLoop(), PoolConfig{Config: Config{Threads: 4}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-
-	want := sequential(xorLoop(), l.head)
+	l := testList(800, 3)
+	p := newPool(t, plainLoop(), Config{Threads: 4})
+	want := l.oracle()
 	f := p.Submit(context.Background(), l.head)
 	<-f.Done()
 	for i := 0; i < 2; i++ { // Wait is repeatable
@@ -301,33 +170,18 @@ func TestSubmitFutureSemantics(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, rerr := p.Submit(ctx, l.head).Wait(); !errors.Is(rerr, context.Canceled) {
-		t.Fatalf("pre-cancelled submit: %v", rerr)
-	}
+	_, rerr := p.Submit(ctx, l.head).Wait()
+	wantErr(t, rerr, context.Canceled)
 
 	// A panicking body resolves the future with *PanicError and leaves
 	// the pool serving.
-	bad := newTestList(600, 5)
-	bad.nodes()[300].weight = -1
-	loop := xorLoop()
-	inner := loop.Body
-	loop.Body = func(n *node, a sumAcc) sumAcc {
-		if n.weight == -1 {
-			panic("poisoned node")
-		}
-		return inner(n, a)
-	}
-	pp, err := NewPool(loop, PoolConfig{Config: Config{Threads: 4}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pp.Close()
-	var pe *PanicError
-	if _, rerr := pp.Submit(context.Background(), bad.head).Wait(); !errors.As(rerr, &pe) {
-		t.Fatalf("async panic surfaced as %v, want *PanicError", rerr)
-	}
-	good := newTestList(500, 7)
-	if got, rerr := pp.Submit(context.Background(), good.head).Wait(); rerr != nil || got != sequential(loop, good.head) {
+	bad := testList(600, 5)
+	bad.nodes()[300].w = -1
+	pp := newPool(t, panickingLoop(-1), Config{Threads: 4})
+	_, rerr = pp.Submit(context.Background(), bad.head).Wait()
+	wantPanic(t, rerr)
+	good := testList(500, 7)
+	if got, rerr := pp.Submit(context.Background(), good.head).Wait(); rerr != nil || got != good.oracle() {
 		t.Fatalf("pool unusable after async panic: %+v %v", got, rerr)
 	}
 }
@@ -337,13 +191,10 @@ func TestSubmitFutureSemantics(t *testing.T) {
 // Close races them, and submissions after Close resolve ErrPoolClosed.
 func TestCloseDrainsSubmits(t *testing.T) {
 	for round := 0; round < 8; round++ {
-		l := newTestList(2000, int64(round))
-		want := sequential(xorLoop(), l.head)
-		p, err := NewPool(xorLoop(), PoolConfig{Config: Config{Threads: 4}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		futs := make([]*Future[sumAcc], 6)
+		l := testList(2000, int64(round))
+		want := l.oracle()
+		p := newPool(t, plainLoop(), Config{Threads: 4})
+		futs := make([]*Future[tally], 6)
 		for i := range futs {
 			futs[i] = p.Submit(context.Background(), l.head)
 		}
@@ -355,9 +206,8 @@ func TestCloseDrainsSubmits(t *testing.T) {
 			}
 		}
 		<-done
-		if _, rerr := p.Submit(context.Background(), l.head).Wait(); !errors.Is(rerr, ErrPoolClosed) {
-			t.Fatalf("round %d: submit after close: %v", round, rerr)
-		}
+		_, rerr := p.Submit(context.Background(), l.head).Wait()
+		wantErr(t, rerr, ErrPoolClosed)
 	}
 }
 
@@ -372,57 +222,24 @@ func TestCloseDrainsSubmits(t *testing.T) {
 // TotalIters at the end) and a concurrent reader could catch the gap.
 func TestPoolStatsInvocationAtomic(t *testing.T) {
 	const L, submitters, perSub = 400, 6, 30
-	l := newTestList(L, 11)
-	p, err := NewPool(xorLoop(), PoolConfig{Config: Config{Threads: 4}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	bad := make(chan string, 1)
-	var reader sync.WaitGroup
-	reader.Add(1)
-	go func() {
-		defer reader.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			st := p.Stats()
-			if st.TotalIters != st.Invocations*L {
-				select {
-				case bad <- "torn snapshot": // full buffer: already reported
-				default:
-				}
-				return
-			}
+	l := testList(L, 11)
+	p := newPool(t, plainLoop(), Config{Threads: 4})
+	whileRunning(t, func() string {
+		if st := p.Stats(); st.TotalIters != st.Invocations*L {
+			return fmt.Sprintf("torn snapshot: a Stats aggregation interleaved with an in-flight invocation "+
+				"(TotalIters %d != %d*Invocations %d)", st.TotalIters, L, st.Invocations)
 		}
-	}()
-	for g := 0; g < submitters; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
+		return ""
+	}, func() {
+		fanOut(submitters, func(int) {
 			for i := 0; i < perSub; i++ {
 				if _, err := p.Run(context.Background(), l.head); err != nil {
 					t.Error(err)
 					return
 				}
 			}
-		}()
-	}
-	wg.Wait()
-	close(stop)
-	reader.Wait()
-	select {
-	case msg := <-bad:
-		t.Fatalf("%s: a Stats aggregation interleaved with an in-flight invocation "+
-			"(TotalIters != %d*Invocations)", msg, L)
-	default:
-	}
+		})
+	})
 	if st := p.Stats(); st.Invocations != submitters*perSub {
 		t.Fatalf("invocations = %d, want %d", st.Invocations, submitters*perSub)
 	}
@@ -434,29 +251,15 @@ func TestPoolStatsInvocationAtomic(t *testing.T) {
 // the pool aggregate.
 func TestBatchStatsEqualSingles(t *testing.T) {
 	const items = 12
-	l := newTestList(1000, 23)
-	mk := func() *Pool[*node, sumAcc] {
-		p, err := NewPool(xorLoop(), PoolConfig{Config: Config{Threads: 4}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return p
-	}
-
-	single := mk()
-	defer single.Close()
+	l := testList(1000, 23)
+	single := newPool(t, plainLoop(), Config{Threads: 4})
 	for i := 0; i < items; i++ {
 		if _, err := single.Run(context.Background(), l.head); err != nil {
 			t.Fatal(err)
 		}
 	}
-	batched := mk()
-	defer batched.Close()
-	starts := make([]*node, items)
-	for i := range starts {
-		starts[i] = l.head
-	}
-	if _, err := batched.RunBatch(context.Background(), starts); err != nil {
+	batched := newPool(t, plainLoop(), Config{Threads: 4})
+	if _, err := batched.RunBatch(context.Background(), slices.Repeat([]*mnode{l.head}, items)); err != nil {
 		t.Fatal(err)
 	}
 	ss, bs := single.Stats(), batched.Stats()
@@ -465,9 +268,8 @@ func TestBatchStatsEqualSingles(t *testing.T) {
 			bs.Invocations, bs.TotalIters, ss.Invocations, ss.TotalIters)
 	}
 
-	async := mk()
-	defer async.Close()
-	futs := make([]*Future[sumAcc], items)
+	async := newPool(t, plainLoop(), Config{Threads: 4})
+	futs := make([]*Future[tally], items)
 	for i := range futs {
 		futs[i] = async.Submit(context.Background(), l.head)
 	}
@@ -487,17 +289,6 @@ func TestBatchStatsEqualSingles(t *testing.T) {
 
 // --- Executor: work-stealing invariants --------------------------------
 
-// exactlyOnceTask flags double execution directly.
-type exactlyOnceTask struct {
-	runs atomic.Int32
-	wg   *sync.WaitGroup
-}
-
-func (t *exactlyOnceTask) run() {
-	t.runs.Add(1)
-	t.wg.Done()
-}
-
 // TestExecutorNoLostOrDuplicatedTasks hammers the sharded executor from
 // many submitters across a workers × GOMAXPROCS matrix and asserts
 // every task ran exactly once, including through shutdown.
@@ -507,48 +298,25 @@ func TestExecutorNoLostOrDuplicatedTasks(t *testing.T) {
 		for _, workers := range []int{1, 2, 8} {
 			const submitters, perSub = 8, 200
 			e := NewExecutor(workers)
-			tasks := make([]exactlyOnceTask, submitters*perSub)
+			tasks := make([]countTask, submitters*perSub)
 			var wg sync.WaitGroup
 			wg.Add(len(tasks))
-			var subs sync.WaitGroup
-			for g := 0; g < submitters; g++ {
-				subs.Add(1)
-				go func(g int) {
-					defer subs.Done()
-					home := e.stripe(1)
-					for i := 0; i < perSub; i++ {
-						ti := &tasks[g*perSub+i]
-						ti.wg = &wg
-						submitTask(e, ti, home+uint32(i))
-					}
-				}(g)
-			}
-			subs.Wait()
+			fanOut(submitters, func(g int) {
+				home := e.stripe(1)
+				for i := 0; i < perSub; i++ {
+					ti := &tasks[g*perSub+i]
+					ti.wg = &wg
+					submitTask(e, ti, home+uint32(i))
+				}
+			})
 			// Close while the backlog is still draining: mid-steal
 			// shutdown must not lose or re-run anything.
 			e.Close()
 			wg.Wait()
-			for i := range tasks {
-				if n := tasks[i].runs.Load(); n != 1 {
-					t.Fatalf("gmp=%d workers=%d: task %d ran %d times", gmp, workers, i, n)
-				}
-			}
+			ranOnce(t, tasks)
 		}
 		runtime.GOMAXPROCS(prev)
 	}
-}
-
-// blockingTask parks a worker until released.
-type blockingTask struct {
-	started chan struct{}
-	release chan struct{}
-	wg      *sync.WaitGroup
-}
-
-func (t *blockingTask) run() {
-	close(t.started)
-	<-t.release
-	t.wg.Done()
 }
 
 // TestExecutorStealsFromBusyShard forces the imbalance work stealing
@@ -558,14 +326,10 @@ func (t *blockingTask) run() {
 func TestExecutorStealsFromBusyShard(t *testing.T) {
 	e := NewExecutor(4)
 	defer e.Close()
-	var wg sync.WaitGroup
-	wg.Add(1)
-	blocker := &blockingTask{started: make(chan struct{}), release: make(chan struct{}), wg: &wg}
-	e.enqueue(blocker, 0) // pin shard 0's owner
-	<-blocker.started
-
+	release := holdWorker(e, 0) // pin shard 0's owner
 	const backlog = 24
-	tasks := make([]exactlyOnceTask, backlog)
+	tasks := make([]countTask, backlog)
+	var wg sync.WaitGroup
 	wg.Add(backlog)
 	for i := range tasks {
 		tasks[i].wg = &wg
@@ -581,13 +345,9 @@ func TestExecutorStealsFromBusyShard(t *testing.T) {
 			runtime.Gosched()
 		}
 	}
-	close(blocker.release)
+	release()
 	<-done
-	for i := range tasks {
-		if n := tasks[i].runs.Load(); n != 1 {
-			t.Fatalf("task %d ran %d times", i, n)
-		}
-	}
+	ranOnce(t, tasks)
 }
 
 // TestWorkStealingSessionsMatrix is the end-to-end stress of the
@@ -600,49 +360,23 @@ func TestWorkStealingSessionsMatrix(t *testing.T) {
 		func() {
 			defer runtime.GOMAXPROCS(prev)
 			const sessions, invocations = 8, 15
-			p, err := NewPool(xorLoop(), PoolConfig{Config: Config{Threads: 4}})
-			if err != nil {
-				t.Fatal(err)
-			}
+			p := newPool(t, plainLoop(), Config{Threads: 4})
 			defer p.Close()
-			var iters atomic.Int64
-			var wg sync.WaitGroup
-			errs := make(chan string, sessions)
-			for g := 0; g < sessions; g++ {
-				wg.Add(1)
-				go func(g int) {
-					defer wg.Done()
-					s, serr := p.Session()
-					if serr != nil {
-						t.Error(serr)
-						return
-					}
-					defer s.Close()
-					l := newTestList(500+37*g, int64(g*77+1))
-					for inv := 0; inv < invocations; inv++ {
-						want := sequential(xorLoop(), l.head)
-						got, rerr := s.Run(context.Background(), l.head)
-						if rerr != nil || got != want {
-							errs <- "session result diverged under work stealing"
-							return
-						}
-						iters.Add(int64(len(l.nodes())))
-						l.churn()
-					}
-				}(g)
+			cases := make([]mcase, sessions)
+			for g := range cases {
+				cases[g] = listCase(500+37*g, int64(g*77+1), (*gen).churn)
+				cases[g].door, cases[g].via, cases[g].threads, cases[g].invs = "session", p, 4, invocations
 			}
-			wg.Wait()
-			close(errs)
-			for e := range errs {
-				t.Fatalf("gmp=%d: %s", gmp, e)
+			var iters int64 // each session's TotalIters is its oracle's (mcase.run)
+			for _, sts := range parallel(t, cases...) {
+				iters += final(sts).TotalIters
 			}
 			st := p.Stats()
 			if st.Invocations != sessions*invocations {
 				t.Fatalf("gmp=%d: invocations = %d, want %d", gmp, st.Invocations, sessions*invocations)
 			}
-			if st.TotalIters != iters.Load() {
-				t.Fatalf("gmp=%d: TotalIters = %d, want %d (lost or duplicated chunk work)",
-					gmp, st.TotalIters, iters.Load())
+			if st.TotalIters != iters {
+				t.Fatalf("gmp=%d: TotalIters = %d, want %d (lost or duplicated chunk work)", gmp, st.TotalIters, iters)
 			}
 		}()
 	}
@@ -666,21 +400,18 @@ func FuzzSubmitLifecycle(f *testing.F) {
 			script = script[:64]
 		}
 		rng := rand.New(rand.NewSource(seed))
-		w := newOracleList(rng, "predictable", rng.Intn(500)+20)
-		want := seqOracle(w.loop(), w.head())
-		p, err := NewPool(w.loop(), PoolConfig{Config: Config{Threads: 3}})
-		if err != nil {
-			t.Fatal(err)
-		}
+		g := regimeList(rng, rng.Intn(500)+20)
+		want := g.oracle()
+		p := newPool(t, g.loop(true), Config{Threads: 3})
 		ctx, cancel := context.WithCancel(context.Background())
-		var futs []*Future[oracleAcc]
+		var futs []*Future[tally]
 		closed := false
 		for _, op := range script {
 			switch op % 5 {
 			case 0: // submit on the shared (cancellable) context
-				futs = append(futs, p.Submit(ctx, w.head()))
+				futs = append(futs, p.Submit(ctx, g.head))
 			case 1: // submit on an independent context
-				futs = append(futs, p.Submit(context.Background(), w.head()))
+				futs = append(futs, p.Submit(context.Background(), g.head))
 			case 2: // cancel the shared context
 				cancel()
 			case 3: // close the pool (drains accepted submissions)
@@ -709,7 +440,7 @@ func FuzzSubmitLifecycle(f *testing.F) {
 		cancel()
 		if !closed {
 			// The pool must still serve after any interleaving above.
-			if got, rerr := p.Submit(context.Background(), w.head()).Wait(); rerr != nil || got != want {
+			if got, rerr := p.Submit(context.Background(), g.head).Wait(); rerr != nil || got != want {
 				t.Fatalf("post-script submit: %+v %v", got, rerr)
 			}
 		}

@@ -16,9 +16,84 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
-	"sync"
+	"slices"
 	"testing"
 )
+
+// benchList is seed's n-node list of weights below 2^20.
+func benchList(seed int64, n int) *mnode {
+	return newList(rand.New(rand.NewSource(seed)), n, 1<<20).head
+}
+
+// timeRuns times b.N invocations of r from head, allocations reported,
+// after warm untimed ones (the bootstrap memoization, and whatever more
+// the benchmark needs settled), and stops the timer.
+func timeRuns[S comparable, A any](b *testing.B, r *Runner[S, A], head S, warm int) {
+	b.Helper()
+	for range warm {
+		r.MustRun(head)
+	}
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := r.Run(ctx, head); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+}
+
+// timeShares times b.N operations split over subs goroutines, each
+// handed its share n, allocations reported, and stops the timer.
+func timeShares(b *testing.B, subs int, share func(n int) error) {
+	b.ReportAllocs()
+	b.ResetTimer()
+	fanOut(subs, func(g int) {
+		n := b.N / subs
+		if g < b.N%subs {
+			n++
+		}
+		if err := share(n); err != nil {
+			b.Error(err)
+		}
+	})
+	b.StopTimer()
+}
+
+// benchLoop sums the weights.
+func benchLoop() Loop[*mnode, int64] {
+	return Loop[*mnode, int64]{
+		Done:  func(n *mnode) bool { return n == nil },
+		Next:  func(n *mnode) *mnode { return n.next },
+		Body:  func(n *mnode, a int64) int64 { return a + n.w },
+		Init:  func() int64 { return 0 },
+		Merge: func(a, c int64) int64 { return a + c },
+	}
+}
+
+// warmPool is a width-4 pool over benchLoop with one runner warmed per
+// submitter, outside the timer.
+func warmPool(b *testing.B, head *mnode, subs int) *Pool[*mnode, int64] {
+	p := newPool(b, benchLoop(), Config{Threads: 4})
+	fanOut(subs, func(int) {
+		p.MustRun(head)
+		p.MustRun(head)
+	})
+	return p
+}
+
+// runShare is a submitter's share of plain Pool.Run invocations.
+func runShare(p *Pool[*mnode, int64], head *mnode) func(n int) error {
+	return func(n int) error {
+		for range n {
+			if _, err := p.Run(context.Background(), head); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+}
 
 // nativeChurnRun drives a width-4 runner over a churning list for 40
 // invocations and returns its ablations (spice_test.go) as percentages:
@@ -27,60 +102,17 @@ import (
 // that fraction of the membership each invocation (node deletions, the
 // failure mode re-memoization exists to absorb).
 func nativeChurnRun(b *testing.B, replaceFrac float64) (member, positional, once float64) {
-	rng := rand.New(rand.NewSource(21))
-	type nd struct {
-		w    int64
-		next *nd
-	}
-	var head *nd
-	var all []*nd
-	for i := 0; i < 4000; i++ {
-		head = &nd{w: rng.Int63n(1 << 20), next: head}
-		all = append(all, head)
-	}
-	loop := Loop[*nd, int64]{
-		Done:  func(n *nd) bool { return n == nil },
-		Next:  func(n *nd) *nd { return n.next },
-		Body:  func(n *nd, a int64) int64 { return a + n.w },
-		Init:  func() int64 { return 0 },
-		Merge: func(a, c int64) int64 { return a + c },
-	}
-	r, err := NewRunner(loop, Config{Threads: 4})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer r.Close()
-	a := ablations[*nd, int64]{r: r}
+	g := newList(rand.New(rand.NewSource(21)), 4000, 1<<20)
+	a := ablations[*mnode, int64]{r: newRunner(b, benchLoop(), Config{Threads: 4})}
 	for inv := 0; inv < 40; inv++ {
-		a.run(b, head)
-		// Value churn.
-		for k := 0; k < 200; k++ {
-			all[rng.Intn(len(all))].w = rng.Int63n(1 << 20)
-		}
-		// Structural churn: insert and remove ~1% of nodes at random
-		// positions, shifting every downstream node's position (harmless
-		// to membership validation, fatal to positional validation).
-		var ns []*nd
-		for c := head; c != nil; c = c.next {
-			ns = append(ns, c)
-		}
-		for k := 0; k < int(replaceFrac*float64(len(ns))); k++ {
-			ns[rng.Intn(len(ns))] = &nd{w: rng.Int63n(1 << 20)}
-		}
-		for k := 0; k < len(ns)/100; k++ {
-			pos := rng.Intn(len(ns) + 1)
-			ns = append(ns[:pos], append([]*nd{{w: rng.Int63n(1 << 20)}}, ns[pos:]...)...)
-			del := rng.Intn(len(ns))
-			ns = append(ns[:del], ns[del+1:]...)
-		}
-		for i := range ns {
-			if i+1 < len(ns) {
-				ns[i].next = ns[i+1]
-			} else {
-				ns[i].next = nil
-			}
-		}
-		head = ns[0]
+		a.run(b, g.head)
+		// Value churn, then structural churn: the replaced fraction, and
+		// ~1% of nodes inserted and removed at random positions, shifting
+		// every downstream node's position (harmless to membership
+		// validation, fatal to positional validation).
+		g.churnValues(200)
+		g.heavyChurn(replaceFrac)
+		g.shift(g.len() / 100)
 	}
 	pct := func(n int64) float64 { return float64(n) / 40 * 100 }
 	return pct(a.member), pct(a.positional), pct(a.once)
@@ -114,38 +146,11 @@ func BenchmarkAblationMemoization(b *testing.B) {
 // overhead on a stable list (wall-clock; on a single-CPU host this
 // measures bookkeeping, not parallel speedup).
 func BenchmarkNativeRunner(b *testing.B) {
-	rng := rand.New(rand.NewSource(5))
-	type nd struct {
-		w    int64
-		next *nd
-	}
-	var head *nd
-	for i := 0; i < 100_000; i++ {
-		head = &nd{w: rng.Int63n(1 << 20), next: head}
-	}
-	loop := Loop[*nd, int64]{
-		Done:  func(n *nd) bool { return n == nil },
-		Next:  func(n *nd) *nd { return n.next },
-		Body:  func(n *nd, a int64) int64 { return a + n.w },
-		Init:  func() int64 { return 0 },
-		Merge: func(a, c int64) int64 { return a + c },
-	}
+	head := benchList(5, 100_000)
 	for _, threads := range []int{1, 2, 4, 8, 16} {
 		b.Run(fmt.Sprintf("t%d", threads), func(b *testing.B) {
-			r, err := NewRunner(loop, Config{Threads: threads})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer r.Close()
-			ctx := context.Background()
-			r.MustRun(head)  // bootstrap outside the timer
-			b.ReportAllocs() // steady-state path reuses all buffers: ~0 allocs/op
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := r.Run(ctx, head); err != nil {
-					b.Fatal(err)
-				}
-			}
+			r := newRunner(b, benchLoop(), Config{Threads: threads})
+			timeRuns(b, r, head, 1) // steady-state path reuses all buffers: ~0 allocs/op
 			b.ReportMetric(float64(r.Stats().MisspecInvocations), "misspec")
 		})
 	}
@@ -161,53 +166,15 @@ func BenchmarkNativeRunner(b *testing.B) {
 // slice, so the row is not gated). The number to re-read whenever that
 // fixed path changes.
 func BenchmarkInvocationFloor(b *testing.B) {
-	type nd struct {
-		w    int64
-		next *nd
-	}
-	var head *nd
-	for i := 0; i < 8; i++ {
-		head = &nd{w: int64(i), next: head}
-	}
-	loop := Loop[*nd, int64]{
-		Done:  func(n *nd) bool { return n == nil },
-		Next:  func(n *nd) *nd { return n.next },
-		Body:  func(n *nd, a int64) int64 { return a + n.w },
-		Init:  func() int64 { return 0 },
-		Merge: func(a, c int64) int64 { return a + c },
-	}
+	head, loop := benchList(1, 8), benchLoop()
 	ctx := context.Background()
 	b.Run("t1", func(b *testing.B) {
-		r, err := NewRunner(loop, Config{Threads: 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer r.Close()
-		r.MustRun(head)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := r.Run(ctx, head); err != nil {
-				b.Fatal(err)
-			}
-		}
+		timeRuns(b, newRunner(b, loop, Config{Threads: 1}), head, 1)
 	})
 	b.Run("t2_shed", func(b *testing.B) {
 		const batchLen = 64
-		p, err := NewPool(loop, PoolConfig{Config: Config{Threads: 2}})
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer p.Close()
-		sess, err := p.Session()
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer sess.Close()
-		starts := make([]*nd, batchLen)
-		for i := range starts {
-			starts[i] = head
-		}
+		sess := openSession(b, newPool(b, loop, Config{Threads: 2}), 0)
+		starts := slices.Repeat([]*mnode{head}, batchLen)
 		if _, err := sess.RunBatch(ctx, starts); err != nil {
 			b.Fatal(err)
 		}
@@ -242,24 +209,9 @@ func BenchmarkInvocationFloor(b *testing.B) {
 // (Loop.Scan), where a chunk's inner loop is the caller's compiled code.
 func BenchmarkIterationOverhead(b *testing.B) {
 	const listLen = 100_000
-	rng := rand.New(rand.NewSource(5))
-	type nd struct {
-		w    int64
-		next *nd
-	}
-	var head *nd
-	for i := 0; i < listLen; i++ {
-		head = &nd{w: rng.Int63n(1 << 20), next: head}
-	}
-	loop := Loop[*nd, int64]{
-		Done:  func(n *nd) bool { return n == nil },
-		Next:  func(n *nd) *nd { return n.next },
-		Body:  func(n *nd, a int64) int64 { return a + n.w },
-		Init:  func() int64 { return 0 },
-		Merge: func(a, c int64) int64 { return a + c },
-	}
+	head, loop := benchList(5, listLen), benchLoop()
 	block := loop
-	block.Scan = func(n *nd, a int64, _ *CellView, stop *nd, max int64) (*nd, int64, int64) {
+	block.Scan = func(n *mnode, a int64, _ *CellView, stop *mnode, max int64) (*mnode, int64, int64) {
 		var k int64
 		for ; k < max && n != nil && n != stop; k++ {
 			a += n.w
@@ -269,28 +221,14 @@ func BenchmarkIterationOverhead(b *testing.B) {
 	}
 	for _, mode := range []struct {
 		name    string
-		loop    Loop[*nd, int64]
+		loop    Loop[*mnode, int64]
 		threads int
 	}{
 		{"seq", loop, 1}, {"t2", loop, 2}, {"t4", loop, 4},
 		{"scan_seq", block, 1}, {"scan_t2", block, 2}, {"scan_t4", block, 4},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
-			r, err := NewRunner(mode.loop, Config{Threads: mode.threads})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer r.Close()
-			ctx := context.Background()
-			r.MustRun(head) // bootstrap memoization outside the timer
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := r.Run(ctx, head); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
+			timeRuns(b, newRunner(b, mode.loop, Config{Threads: mode.threads}), head, 1)
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/listLen, "ns_iter")
 		})
 	}
@@ -302,62 +240,11 @@ func BenchmarkIterationOverhead(b *testing.B) {
 // goroutine spawned and (steady state) nothing allocated per
 // invocation.
 func BenchmarkPoolThroughput(b *testing.B) {
-	rng := rand.New(rand.NewSource(11))
-	type nd struct {
-		w    int64
-		next *nd
-	}
-	var head *nd
-	for i := 0; i < 100_000; i++ {
-		head = &nd{w: rng.Int63n(1 << 20), next: head}
-	}
-	loop := Loop[*nd, int64]{
-		Done:  func(n *nd) bool { return n == nil },
-		Next:  func(n *nd) *nd { return n.next },
-		Body:  func(n *nd, a int64) int64 { return a + n.w },
-		Init:  func() int64 { return 0 },
-		Merge: func(a, c int64) int64 { return a + c },
-	}
+	head := benchList(11, 100_000)
 	for _, subs := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("submitters_%d", subs), func(b *testing.B) {
-			p, err := NewPool(loop, PoolConfig{Config: Config{Threads: 4}})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer p.Close()
-			// Warm one runner per submitter outside the timer.
-			ctx := context.Background()
-			var warm sync.WaitGroup
-			for g := 0; g < subs; g++ {
-				warm.Add(1)
-				go func() {
-					defer warm.Done()
-					p.MustRun(head)
-					p.MustRun(head)
-				}()
-			}
-			warm.Wait()
-			b.ReportAllocs()
-			b.ResetTimer()
-			var wg sync.WaitGroup
-			for g := 0; g < subs; g++ {
-				n := b.N / subs
-				if g < b.N%subs {
-					n++
-				}
-				wg.Add(1)
-				go func(n int) {
-					defer wg.Done()
-					for i := 0; i < n; i++ {
-						if _, err := p.Run(ctx, head); err != nil {
-							b.Error(err)
-							return
-						}
-					}
-				}(n)
-			}
-			wg.Wait()
-			b.StopTimer()
+			p := warmPool(b, head, subs)
+			timeShares(b, subs, runShare(p, head))
 			b.ReportMetric(float64(p.Runners()), "runners")
 		})
 	}
@@ -375,142 +262,45 @@ func BenchmarkPoolThroughput(b *testing.B) {
 // mode_batch ≥ 1.5x mode_run throughput at 8+ submitters, with
 // mode_run and mode_batch allocation-free per invocation.
 func BenchmarkBatchThroughput(b *testing.B) {
-	rng := rand.New(rand.NewSource(7))
-	type nd struct {
-		w    int64
-		next *nd
-	}
-	var head *nd
-	for i := 0; i < 600; i++ {
-		head = &nd{w: rng.Int63n(1 << 20), next: head}
-	}
-	loop := Loop[*nd, int64]{
-		Done:  func(n *nd) bool { return n == nil },
-		Next:  func(n *nd) *nd { return n.next },
-		Body:  func(n *nd, a int64) int64 { return a + n.w },
-		Init:  func() int64 { return 0 },
-		Merge: func(a, c int64) int64 { return a + c },
-	}
-	subs := runtime.GOMAXPROCS(0)
-	if subs < 8 {
-		subs = 8
-	}
+	head := benchList(7, 600)
+	subs := max(runtime.GOMAXPROCS(0), 8)
 	const batchLen = 64
-	newPool := func(b *testing.B) *Pool[*nd, int64] {
-		p, err := NewPool(loop, PoolConfig{Config: Config{Threads: 4}})
-		if err != nil {
-			b.Fatal(err)
-		}
-		// Warm one runner per submitter outside the timer.
-		var warm sync.WaitGroup
-		for g := 0; g < subs; g++ {
-			warm.Add(1)
-			go func() {
-				defer warm.Done()
-				p.MustRun(head)
-				p.MustRun(head)
-			}()
-		}
-		warm.Wait()
-		return p
-	}
-	// split hands submitter g its share of b.N invocations.
-	split := func(n, g int) int {
-		share := n / subs
-		if g < n%subs {
-			share++
-		}
-		return share
-	}
-
+	ctx := context.Background()
 	b.Run("mode_run", func(b *testing.B) {
-		p := newPool(b)
-		defer p.Close()
-		ctx := context.Background()
-		b.ReportAllocs()
-		b.ResetTimer()
-		var wg sync.WaitGroup
-		for g := 0; g < subs; g++ {
-			wg.Add(1)
-			go func(n int) {
-				defer wg.Done()
-				for i := 0; i < n; i++ {
-					if _, err := p.Run(ctx, head); err != nil {
-						b.Error(err)
-						return
-					}
-				}
-			}(split(b.N, g))
-		}
-		wg.Wait()
+		p := warmPool(b, head, subs)
+		timeShares(b, subs, runShare(p, head))
 	})
-
 	b.Run("mode_batch", func(b *testing.B) {
-		p := newPool(b)
-		defer p.Close()
-		ctx := context.Background()
-		b.ReportAllocs()
-		b.ResetTimer()
-		var wg sync.WaitGroup
-		for g := 0; g < subs; g++ {
-			wg.Add(1)
-			go func(n int) {
-				defer wg.Done()
-				starts := make([]*nd, batchLen)
-				for i := range starts {
-					starts[i] = head
+		p := warmPool(b, head, subs)
+		timeShares(b, subs, func(n int) error {
+			starts := slices.Repeat([]*mnode{head}, batchLen)
+			for ; n > 0; n -= batchLen {
+				if _, err := p.RunBatch(ctx, starts[:min(n, batchLen)]); err != nil {
+					return err
 				}
-				for n > 0 {
-					k := batchLen
-					if n < k {
-						k = n
-					}
-					if _, err := p.RunBatch(ctx, starts[:k]); err != nil {
-						b.Error(err)
-						return
-					}
-					n -= k
-				}
-			}(split(b.N, g))
-		}
-		wg.Wait()
-		b.StopTimer()
+			}
+			return nil
+		})
 		b.ReportMetric(float64(p.Stats().BatchSheds), "batch_sheds")
 	})
-
 	b.Run("mode_submit", func(b *testing.B) {
-		p := newPool(b)
-		defer p.Close()
-		ctx := context.Background()
-		b.ReportAllocs()
-		b.ResetTimer()
-		var wg sync.WaitGroup
-		for g := 0; g < subs; g++ {
-			wg.Add(1)
-			go func(n int) {
-				defer wg.Done()
-				const window = 4
-				var futs [window]*Future[int64]
-				for i := 0; i < n; i++ {
-					if f := futs[i%window]; f != nil {
-						if _, err := f.Wait(); err != nil {
-							b.Error(err)
-							return
-						}
+		p := warmPool(b, head, subs)
+		timeShares(b, subs, func(n int) error {
+			const window = 4
+			var futs [window]*Future[int64]
+			for i := 0; i < n+window; i++ {
+				if f := futs[i%window]; f != nil {
+					if _, err := f.Wait(); err != nil {
+						return err
 					}
+					futs[i%window] = nil
+				}
+				if i < n {
 					futs[i%window] = p.Submit(ctx, head)
 				}
-				for _, f := range futs {
-					if f != nil {
-						if _, err := f.Wait(); err != nil {
-							b.Error(err)
-							return
-						}
-					}
-				}
-			}(split(b.N, g))
-		}
-		wg.Wait()
+			}
+			return nil
+		})
 	})
 }
 
@@ -521,36 +311,9 @@ func BenchmarkBatchThroughput(b *testing.B) {
 // per invocation and, like the rest of the steady-state path, performs
 // zero allocations (CI gates this via benchjson).
 func BenchmarkAdaptiveStable(b *testing.B) {
-	rng := rand.New(rand.NewSource(5))
-	type nd struct {
-		w    int64
-		next *nd
-	}
-	var head *nd
-	for i := 0; i < 100_000; i++ {
-		head = &nd{w: rng.Int63n(1 << 20), next: head}
-	}
-	loop := Loop[*nd, int64]{
-		Done:  func(n *nd) bool { return n == nil },
-		Next:  func(n *nd) *nd { return n.next },
-		Body:  func(n *nd, a int64) int64 { return a + n.w },
-		Init:  func() int64 { return 0 },
-		Merge: func(a, c int64) int64 { return a + c },
-	}
-	r, err := NewRunner(loop, Config{Threads: 4, Options: Options{Adaptive: true}})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer r.Close()
-	ctx := context.Background()
-	r.MustRun(head) // bootstrap outside the timer
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := r.Run(ctx, head); err != nil {
-			b.Fatal(err)
-		}
-	}
+	head := benchList(5, 100_000)
+	r := newRunner(b, benchLoop(), Config{Threads: 4, Options: Options{Adaptive: true}})
+	timeRuns(b, r, head, 1)
 	st := r.Stats()
 	b.ReportMetric(float64(st.EffectiveThreads), "eff_threads")
 	b.ReportMetric(float64(st.SequentialFallbacks), "seq_fallbacks")
@@ -566,22 +329,9 @@ func BenchmarkAdaptiveStable(b *testing.B) {
 func BenchmarkAdaptiveAdversarial(b *testing.B) {
 	const nLists, listLen = 8, 40_000
 	rng := rand.New(rand.NewSource(23))
-	type nd struct {
-		w    int64
-		next *nd
-	}
-	heads := make([]*nd, nLists)
+	heads := make([]*mnode, nLists)
 	for l := range heads {
-		for i := 0; i < listLen; i++ {
-			heads[l] = &nd{w: rng.Int63n(1 << 20), next: heads[l]}
-		}
-	}
-	loop := Loop[*nd, int64]{
-		Done:  func(n *nd) bool { return n == nil },
-		Next:  func(n *nd) *nd { return n.next },
-		Body:  func(n *nd, a int64) int64 { return a + n.w },
-		Init:  func() int64 { return 0 },
-		Merge: func(a, c int64) int64 { return a + c },
+		heads[l] = newList(rng, listLen, 1<<20).head
 	}
 	for _, mode := range []struct {
 		name string
@@ -592,11 +342,7 @@ func BenchmarkAdaptiveAdversarial(b *testing.B) {
 		{"adaptive", Config{Threads: 4, Options: Options{Adaptive: true}}},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
-			r, err := NewRunner(loop, mode.cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer r.Close()
+			r := newRunner(b, benchLoop(), mode.cfg)
 			ctx := context.Background()
 			for l := range heads {
 				r.MustRun(heads[l]) // settle into the adversarial steady state
@@ -635,20 +381,22 @@ func dcMix(x int64) int64 {
 	return int64(v >> 33)
 }
 
-// dcBenchLoop mirrors dcLoop's cell and reduction semantics with
-// dcMix folded into the stored value. Correctness coverage lives with
-// dcLoop (oracle and fuzz tests); the benchmark only needs the same
-// speculative machinery over a deterministic, realistically weighted
-// body.
-func dcBenchLoop() Loop[*dcnode, int64] {
-	l := dcLoop()
-	l.SpecBody = func(n *dcnode, a int64, v *CellView) int64 {
+// dcBenchLoop is the matrix's cell loop (cellStep: its load, store and
+// reductions) with dcMix folded into the stored value, on an int64
+// accumulator. Correctness coverage lives with the cell loop (oracle and
+// fuzz tests); the benchmark only needs the same speculative machinery
+// over a deterministic, realistically weighted body.
+func dcBenchLoop(cells *Cells) Loop[*mnode, int64] {
+	l := benchLoop()
+	l.Body, l.Cells = nil, cells
+	l.SpecBody = func(n *mnode, a int64, v *CellView) int64 {
 		x := v.Load(n.src) + dcMix(n.w)
 		v.Store(n.dst, x)
 		v.Reduce(0, n.w)
 		v.Reduce(1, n.w)
 		return a + x
 	}
+	l.Reductions = []Reduction{{Cell: 0, Kind: ReduceSum}, {Cell: 1, Kind: ReduceMax}}
 	return l
 }
 
@@ -667,26 +415,10 @@ func BenchmarkDoacross(b *testing.B) {
 	for _, regime := range []string{"none", "rare"} {
 		for _, threads := range []int{1, 2, 4} {
 			b.Run(fmt.Sprintf("%s_t%d", regime, threads), func(b *testing.B) {
-				rng := rand.New(rand.NewSource(17))
-				head, _, cells, _ := buildDoacross(rng, listLen, regime)
-				loop := dcBenchLoop()
-				loop.Cells = cells
-				r, err := NewRunner(loop, Config{Threads: threads})
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer r.Close()
-				ctx := context.Background()
-				r.MustRun(head) // bootstrap memoization outside the timer
-				r.MustRun(head) // first parallel run sizes the cell views
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := r.Run(ctx, head); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.StopTimer()
+				g := cellList(rand.New(rand.NewSource(17)), listLen, regime)
+				head := g.head
+				r := newRunner(b, dcBenchLoop(g.cells), Config{Threads: threads})
+				timeRuns(b, r, head, 2) // the bootstrap, then the first parallel run sizes the cell views
 				st := r.Stats()
 				b.ReportMetric(float64(st.Conflicts)/float64(st.Invocations), "conflicts_per_inv")
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/listLen, "ns_iter")
@@ -707,12 +439,10 @@ func BenchmarkDoacross(b *testing.B) {
 // speculative chunk starts behind. 0 allocs/op is gated in CI.
 func BenchmarkDoacrossStream(b *testing.B) {
 	const listLen = 100_000
-	build := func() (*dcnode, *Cells, []int64) {
-		head, _, cells, shadow := buildDoacross(rand.New(rand.NewSource(17)), listLen, "rare")
-		return head, cells, shadow
-	}
+	build := func() *gen { return cellList(rand.New(rand.NewSource(17)), listLen, "rare") }
 	b.Run("ref", func(b *testing.B) {
-		head, _, plain := build()
+		g := build()
+		head, plain := g.head, g.model
 		var sink int64
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -733,21 +463,15 @@ func BenchmarkDoacrossStream(b *testing.B) {
 	})
 	for _, threads := range []int{1, 2} {
 		b.Run(fmt.Sprintf("t%d", threads), func(b *testing.B) {
-			head, cells, _ := build()
-			loop := dcLoop()
+			g := build()
+			head, loop := g.head, dcBenchLoop(g.cells)
 			loop.Reductions = nil
-			loop.Cells = cells
-			loop.SpecBody = func(n *dcnode, a int64, v *CellView) int64 {
+			loop.SpecBody = func(n *mnode, a int64, v *CellView) int64 {
 				x := v.Load(n.src) + n.w
 				v.Store(n.dst, x)
 				return a + x
 			}
-			r, err := NewRunner(loop, Config{Threads: threads})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer r.Close()
-			ctx := context.Background()
+			r := newRunner(b, loop, Config{Threads: threads})
 			for i := 0; i < 8; i++ {
 				r.MustRun(head) // memoize, size the views, let the lease history fill
 			}
@@ -758,14 +482,7 @@ func BenchmarkDoacrossStream(b *testing.B) {
 				return r.exec.parks.Load()
 			}
 			parks := parked()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := r.Run(ctx, head); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
+			timeRuns(b, r, head, 0)
 			b.ReportMetric(float64(parked()-parks)/float64(b.N), "parks/op")
 		})
 	}

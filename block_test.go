@@ -18,37 +18,20 @@ import (
 	"weak"
 )
 
-type bnode struct {
-	idx  int64
-	w    int64
-	next *bnode
+// blockList is the n-node list the tests here run on, and its nodes.
+func blockList(n int) (*gen, []*mnode) {
+	g := newList(rand.New(rand.NewSource(17)), n, 1<<20)
+	return g, g.nodes()
 }
 
-func buildBlockList(n int) *bnode {
-	rng := rand.New(rand.NewSource(17))
-	var head *bnode
-	for i := n - 1; i >= 0; i-- {
-		head = &bnode{idx: int64(i), w: rng.Int63n(1 << 20), next: head}
-	}
-	return head
-}
-
-func sumBlockList(head *bnode) int64 {
-	var s int64
-	for n := head; n != nil; n = n.next {
-		s += n.w
-	}
-	return s
-}
-
-func blockListLoop() Loop[*bnode, int64] {
-	return Loop[*bnode, int64]{
-		Done:  func(n *bnode) bool { return n == nil },
-		Next:  func(n *bnode) *bnode { return n.next },
-		Body:  func(n *bnode, a int64) int64 { return a + n.w },
-		Init:  func() int64 { return 0 },
-		Merge: func(a, b int64) int64 { return a + b },
-	}
+// armedLoop is the plain loop whose Body calls trap, once armed, before
+// node at.
+func armedLoop(armed *atomic.Bool, at *mnode, trap func()) Loop[*mnode, tally] {
+	return hookLoop(func(n *mnode) {
+		if n == at && armed.Load() {
+			trap()
+		}
+	})
 }
 
 // TestInlineChunk0PanicRunsOnCaller proves both halves of the inline
@@ -57,31 +40,14 @@ func blockListLoop() Loop[*bnode, int64] {
 // panic was recovered on the invoking goroutine — the test function's
 // own frame is on it, which is impossible for an executor worker.
 func TestInlineChunk0PanicRunsOnCaller(t *testing.T) {
-	head := buildBlockList(20_000)
-	want := sumBlockList(head)
+	g, ns := blockList(20_000)
 	var armed atomic.Bool
-	loop := blockListLoop()
-	loop.Body = func(n *bnode, a int64) int64 {
-		if armed.Load() && n.idx == 3 {
-			panic("chunk0 boom")
-		}
-		return a + n.w
-	}
-	r, err := NewRunner(loop, Config{Threads: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	if got, err := r.Run(context.Background(), head); err != nil || got != want {
-		t.Fatalf("bootstrap: got %d want %d err %v", got, want, err)
-	}
+	r := newRunner(t, armedLoop(&armed, ns[3], func() { panic("chunk0 boom") }), Config{Threads: 4})
+	g.exact(t, r) // bootstrap
 
 	armed.Store(true)
-	_, rerr := r.Run(context.Background(), head) // parallel round: node 3 is chunk 0's
-	var pe *PanicError
-	if !errors.As(rerr, &pe) {
-		t.Fatalf("err = %v, want *PanicError", rerr)
-	}
+	_, rerr := r.Run(context.Background(), g.head) // parallel round: node 3 is chunk 0's
+	pe := wantPanic(t, rerr)
 	if pe.Value != "chunk0 boom" {
 		t.Errorf("PanicError.Value = %v", pe.Value)
 	}
@@ -91,9 +57,7 @@ func TestInlineChunk0PanicRunsOnCaller(t *testing.T) {
 
 	// The runner (and its inline path) stays usable after containment.
 	armed.Store(false)
-	if got, err := r.Run(context.Background(), head); err != nil || got != want {
-		t.Fatalf("after panic: got %d want %d err %v", got, want, err)
-	}
+	g.exact(t, r)
 }
 
 // TestInlineChunk0MidChunkCancel cancels the context from inside chunk
@@ -102,39 +66,20 @@ func TestInlineChunk0PanicRunsOnCaller(t *testing.T) {
 // the invocation must fail with the context's error, leaving the
 // runner usable.
 func TestInlineChunk0MidChunkCancel(t *testing.T) {
-	head := buildBlockList(60_000)
-	want := sumBlockList(head)
-	var cancelFn atomic.Value // context.CancelFunc, armed per attempt
-	loop := blockListLoop()
-	loop.Body = func(n *bnode, a int64) int64 {
-		if n.idx == 100 { // deep inside chunk 0's region, far from any predicted start
-			if c, ok := cancelFn.Load().(context.CancelFunc); ok && c != nil {
-				c()
-			}
-		}
-		return a + n.w
-	}
-	r, err := NewRunner(loop, Config{Threads: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	if got, err := r.Run(context.Background(), head); err != nil || got != want {
-		t.Fatalf("bootstrap: got %d want %d err %v", got, want, err)
-	}
-
+	g, ns := blockList(60_000)
+	var armed atomic.Bool
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	cancelFn.Store(cancel)
-	_, rerr := r.Run(ctx, head)
-	if !errors.Is(rerr, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", rerr)
-	}
+	// Node 100 is deep inside chunk 0's region, far from any predicted start.
+	r := newRunner(t, armedLoop(&armed, ns[100], cancel), Config{Threads: 4})
+	g.exact(t, r) // bootstrap
 
-	cancelFn.Store(context.CancelFunc(nil))
-	if got, err := r.Run(context.Background(), head); err != nil || got != want {
-		t.Fatalf("after cancel: got %d want %d err %v", got, want, err)
-	}
+	armed.Store(true)
+	_, rerr := r.Run(ctx, g.head)
+	wantErr(t, rerr, context.Canceled)
+
+	armed.Store(false)
+	g.exact(t, r)
 }
 
 // TestFallibleBodyPanicContained covers the fallible scan variants'
@@ -143,54 +88,31 @@ func TestInlineChunk0MidChunkCancel(t *testing.T) {
 // path (blockScanToEndErr) and a committed speculative chunk
 // (blockScanMatchErr), with exact squash accounting either way.
 func TestFallibleBodyPanicContained(t *testing.T) {
-	head := buildBlockList(40_000)
-	want := sumBlockList(head)
+	g, ns := blockList(40_000)
 	var armed atomic.Bool
-	loop := blockListLoop()
-	loop.Body = nil
-	loop.BodyErr = func(n *bnode, a int64) (int64, error) {
-		if armed.Load() && n.idx == 15_000 { // chunk 1's region at 4 threads
-			panic("fallible boom")
-		}
-		return a + n.w, nil
-	}
+	loop := armedLoop(&armed, ns[15_000], func() { panic("fallible boom") }) // chunk 1's region at 4 threads
+	body := loop.Body
+	loop.Body, loop.BodyErr = nil, func(n *mnode, a tally) (tally, error) { return body(n, a), nil }
 
 	// Sequential: the panic unwinds through blockScanToEndErr.
-	seq, err := NewRunner(loop, Config{Threads: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer seq.Close()
+	seq := newRunner(t, loop, Config{Threads: 1})
 	armed.Store(true)
-	var pe *PanicError
-	if _, rerr := seq.Run(context.Background(), head); !errors.As(rerr, &pe) {
-		t.Fatalf("sequential err = %v, want *PanicError", rerr)
-	}
+	_, rerr := seq.Run(context.Background(), g.head)
+	wantPanic(t, rerr)
 
 	// Parallel: the panic lands in a hunting chunk (blockScanMatchErr)
 	// whose predecessors all match, so it is the first failure in
 	// iteration order and must surface.
 	armed.Store(false)
-	par, err := NewRunner(loop, Config{Threads: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer par.Close()
-	if got, rerr := par.Run(context.Background(), head); rerr != nil || got != want {
-		t.Fatalf("bootstrap: got %d want %d err %v", got, want, rerr)
-	}
+	par := newRunner(t, loop, Config{Threads: 4})
+	g.exact(t, par) // bootstrap
 	armed.Store(true)
-	pe = nil
-	if _, rerr := par.Run(context.Background(), head); !errors.As(rerr, &pe) {
-		t.Fatalf("parallel err = %v, want *PanicError", rerr)
-	}
-	if pe.Value != "fallible boom" {
+	_, rerr = par.Run(context.Background(), g.head)
+	if pe := wantPanic(t, rerr); pe.Value != "fallible boom" {
 		t.Errorf("PanicError.Value = %v", pe.Value)
 	}
 	armed.Store(false)
-	if got, rerr := par.Run(context.Background(), head); rerr != nil || got != want {
-		t.Fatalf("after panic: got %d want %d err %v", got, want, rerr)
-	}
+	g.exact(t, par)
 }
 
 // scanBoom is the user frame a contained Scan panic must show.
@@ -205,41 +127,31 @@ func scanBoom() { panic("scan boom") }
 // where the closure path is exact to the iteration.
 func TestScanPanicContained(t *testing.T) {
 	var armed atomic.Bool
-	var at atomic.Int64
-	loop := blockListScanLoop(func(n *bnode, a, k, max int64) (*bnode, int64, int64, bool) {
-		if armed.Load() && n.idx == at.Load() {
+	var at atomic.Pointer[mnode]
+	trap := func(n *mnode) {
+		if armed.Load() && n == at.Load() {
 			scanBoom()
 		}
-		return nil, 0, 0, false
-	})
-	closures := blockListLoop()
-	closures.Body = func(n *bnode, a int64) int64 {
-		if armed.Load() && n.idx == at.Load() {
-			scanBoom()
-		}
-		return a + n.w
 	}
+	loop := hookedScan(func(n *mnode, a tally, k, lim int64) (*mnode, tally, int64, bool) {
+		trap(n)
+		return nil, a, 0, false
+	})
+	closures := hookLoop(trap)
 	// Node 39 000 is 6 232 iterations into the chain's last chunk at width
 	// 4 (it starts at 32 768, where the bootstrap memoized): nothing runs
 	// behind it, so the failed invocation's SquashedIters is that chunk's
 	// charge alone.
 	const node, chunkStart = 39_000, 32_768
-	run := func(t *testing.T, l Loop[*bnode, int64], threads int) (Stats, *PanicError) {
+	run := func(t *testing.T, l Loop[*mnode, tally], threads int) (Stats, *PanicError) {
 		t.Helper()
-		head := buildBlockList(40_000)
-		want := sumBlockList(head)
-		r, err := NewRunner(l, Config{Threads: threads})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer r.Close()
-		if got, err := r.Run(context.Background(), head); err != nil || got != want {
-			t.Fatalf("bootstrap: got %d want %d err %v", got, want, err)
-		}
+		g, ns := blockList(40_000)
+		r := newRunner(t, l, Config{Threads: threads})
+		g.exact(t, r) // bootstrap
 		before := r.Stats()
-		at.Store(node)
+		at.Store(ns[node])
 		armed.Store(true)
-		_, rerr := r.Run(context.Background(), head)
+		_, rerr := r.Run(context.Background(), g.head)
 		armed.Store(false)
 		var pe *PanicError
 		if !errors.As(rerr, &pe) || pe.Value != "scan boom" {
@@ -249,9 +161,7 @@ func TestScanPanicContained(t *testing.T) {
 			t.Errorf("the user frame is not in the captured stack:\n%s", pe.Stack)
 		}
 		st := r.Stats().Delta(before)
-		if got, err := r.Run(context.Background(), head); err != nil || got != want {
-			t.Fatalf("after the panic: got %d want %d err %v", got, want, err)
-		}
+		g.exact(t, r)
 		return st, pe
 	}
 	t.Run("sequential", func(t *testing.T) { run(t, loop, 1) })
@@ -272,26 +182,7 @@ func TestScanPanicContained(t *testing.T) {
 				st.SquashedIters, want, started)
 		}
 	})
-	t.Run("squashed chunk", func(t *testing.T) {
-		head := buildBlockList(40_000)
-		r, err := NewRunner(loop, Config{Threads: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer r.Close()
-		r.MustRun(head)
-		want, orphan := orphanSecondChunk(head)
-		at.Store(orphan)
-		armed.Store(true)
-		got, rerr := r.Run(context.Background(), head)
-		armed.Store(false)
-		if rerr != nil || got != want {
-			t.Fatalf("Run = %d, %v; want %d: a panic in a squashed chunk must be discarded", got, rerr, want)
-		}
-		if st := r.Stats(); st.Misses == 0 {
-			t.Fatalf("no chunk was squashed: %+v", st)
-		}
-	})
+	t.Run("squashed chunk", func(t *testing.T) { squashedTrap(t, loop, &armed, &at) })
 }
 
 // TestScanBlocksBounded: the block form is handed at most ctxPollEvery
@@ -300,48 +191,39 @@ func TestScanPanicContained(t *testing.T) {
 // here with a cancel issued from inside chunk 0, as
 // TestInlineChunk0MidChunkCancel does for the closure path.
 func TestScanBlocksBounded(t *testing.T) {
-	head := buildBlockList(60_000)
-	want := sumBlockList(head)
+	g, _ := blockList(60_000)
+	loop := hookedScan(nil)
+	index := positions(g.head, loop.Done, loop.Next)
 	var widest atomic.Int64
 	var cancelFn atomic.Value // context.CancelFunc, armed per attempt
 	var sinceCancel atomic.Int64
-	loop := blockListScanLoop(func(n *bnode, a, k, max int64) (*bnode, int64, int64, bool) {
-		if k == 0 && max > widest.Load() {
-			widest.Store(max) // racy max is fine: any block over the bound fails the test
+	loop = hookedScan(func(n *mnode, a tally, k, lim int64) (*mnode, tally, int64, bool) {
+		if k == 0 && lim > widest.Load() {
+			widest.Store(lim) // racy max is fine: any block over the bound fails the test
 		}
 		if c, ok := cancelFn.Load().(context.CancelFunc); ok && c != nil {
-			if n.idx == 100 {
+			if i := index[n]; i == 100 {
 				c()
-			}
-			if n.idx >= 100 && n.idx < 15_000 { // chunk 0's region
+			} else if i > 100 && i < 15_000 { // chunk 0's region
 				sinceCancel.Add(1)
 			}
 		}
-		return nil, 0, 0, false
+		return nil, a, 0, false
 	})
 	for _, threads := range []int{1, 4} {
-		r, err := NewRunner(loop, Config{Threads: threads})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got, err := r.Run(context.Background(), head); err != nil || got != want {
-			t.Fatalf("t%d bootstrap: got %d want %d err %v", threads, got, want, err)
-		}
+		r := newRunner(t, loop, Config{Threads: threads})
+		g.exact(t, r) // bootstrap
 		ctx, cancel := context.WithCancel(context.Background())
 		sinceCancel.Store(0)
 		cancelFn.Store(cancel)
-		_, rerr := r.Run(ctx, head)
+		_, rerr := r.Run(ctx, g.head)
 		cancelFn.Store(context.CancelFunc(nil))
 		cancel()
-		if !errors.Is(rerr, context.Canceled) {
-			t.Fatalf("t%d: err = %v, want context.Canceled", threads, rerr)
-		}
+		wantErr(t, rerr, context.Canceled)
 		if ran := sinceCancel.Load(); ran > ctxPollEvery {
 			t.Fatalf("t%d: the cancelled chunk ran %d more iterations, want at most one block (%d)", threads, ran, ctxPollEvery)
 		}
-		if got, err := r.Run(context.Background(), head); err != nil || got != want {
-			t.Fatalf("t%d after cancel: got %d want %d err %v", threads, got, want, err)
-		}
+		g.exact(t, r)
 		r.Close()
 	}
 	if w := widest.Load(); w < 1 || w > ctxPollEvery {
@@ -357,15 +239,9 @@ func TestScanBlocksBounded(t *testing.T) {
 // and the memo buffer — and the round, which holds the live state, the
 // accumulator and the failure, after a success and after a failure.
 func TestReleaseZeroesInvocationState(t *testing.T) {
-	head := buildBlockList(30_000)
-	r, err := NewRunner(blockListLoop(), Config{Threads: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	for i := 0; i < 4; i++ { // bootstrap + parallel steady state
-		r.MustRun(head)
-	}
+	g, _ := blockList(30_000)
+	r := newRunner(t, plainLoop(), Config{Threads: 4})
+	g.warm(t, r, 4) // bootstrap + parallel steady state
 	s := r.sched
 	for j := range s.jobs {
 		job := &s.jobs[j]
@@ -374,7 +250,7 @@ func TestReleaseZeroesInvocationState(t *testing.T) {
 				j, job.ctx, job.start, job.snap, job.plan)
 		}
 		res := job.res
-		if res.endState != nil || res.acc != 0 || res.err != nil {
+		if res.endState != nil || res.acc != (tally{}) || res.err != nil {
 			t.Fatalf("result %d retains invocation state: end=%v acc=%d err=%v",
 				j, res.endState, res.acc, res.err)
 		}
@@ -391,16 +267,15 @@ func TestReleaseZeroesInvocationState(t *testing.T) {
 			t.Fatalf("memo buffer retains node state at %d", i)
 		}
 	}
-	if s.rd != (round[*bnode, int64]{}) {
+	if s.rd != (round[*mnode, tally]{}) {
 		t.Fatalf("round retains invocation state after a success: %+v", s.rd)
 	}
 	// Cancelled at slot 1's check in round 0's dispatch: chunk 0 runs
 	// alone and the invocation fails with the ctx error.
 	ctx := &scriptedCtx{Context: context.Background(), cancelAt: 3}
-	if _, err := r.Run(ctx, head); !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled Run: err %v, want %v", err, context.Canceled)
-	}
-	if s.rd != (round[*bnode, int64]{}) {
+	_, err := r.Run(ctx, g.head)
+	wantErr(t, err, context.Canceled)
+	if s.rd != (round[*mnode, tally]{}) {
 		t.Fatalf("round retains invocation state after a failure: %+v", s.rd)
 	}
 }
@@ -412,19 +287,14 @@ func TestReleaseZeroesInvocationState(t *testing.T) {
 // job/result/memo buffers all hold node states at some point and must
 // all let go.
 func TestResetRunnerPinsNothing(t *testing.T) {
-	r, err := NewRunner(blockListLoop(), Config{Threads: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := newRunner(t, plainLoop(), Config{Threads: 4})
 	// Build, traverse, and probe inside a helper so no test frame keeps
 	// a node reachable after it returns.
-	weaks := func() []weak.Pointer[bnode] {
-		head := buildBlockList(8_192)
-		for i := 0; i < 6; i++ {
-			r.MustRun(head)
-		}
-		var ws []weak.Pointer[bnode]
-		for n := head; n != nil; n = n.next {
+	weaks := func() []weak.Pointer[mnode] {
+		g, ns := blockList(8_192)
+		g.warm(t, r, 6)
+		var ws []weak.Pointer[mnode]
+		for _, n := range ns {
 			ws = append(ws, weak.Make(n))
 		}
 		return ws
@@ -441,7 +311,6 @@ func TestResetRunnerPinsNothing(t *testing.T) {
 	if alive > 0 {
 		t.Fatalf("%d of %d nodes still pinned by a reset runner", alive, len(weaks))
 	}
-	r.Close()
 }
 
 // TestNarrowRoundLeaksNoStaleSlots guards the narrowed slot reset: a
@@ -449,26 +318,13 @@ func TestResetRunnerPinsNothing(t *testing.T) {
 // chain, then the sequential path) must not leak the wide round's
 // works into LastWorks or its results into squash accounting.
 func TestNarrowRoundLeaksNoStaleSlots(t *testing.T) {
-	head := buildBlockList(40_000)
-	want := sumBlockList(head)
-	r, err := NewRunner(blockListLoop(), Config{Threads: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	r.MustRun(head) // bootstrap
-	if got := r.MustRun(head); got != want {
-		t.Fatalf("wide round: got %d want %d", got, want)
-	}
+	g, _ := blockList(40_000)
+	r := newRunner(t, plainLoop(), Config{Threads: 4})
+	g.exact(t, r) // bootstrap
+	g.exact(t, r)
 	wide := r.Stats()
-	nonzero := 0
-	for _, w := range wide.LastWorks {
-		if w > 0 {
-			nonzero++
-		}
-	}
-	if nonzero != 4 {
-		t.Fatalf("wide round used %d chunks, want 4 (works %v)", nonzero, wide.LastWorks)
+	if n := busy(wide.LastWorks); n != 4 {
+		t.Fatalf("wide round used %d chunks, want 4 (works %v)", n, wide.LastWorks)
 	}
 
 	// Narrow the dispatch chain to 2 chunks by invalidating two SVA
@@ -476,9 +332,7 @@ func TestNarrowRoundLeaksNoStaleSlots(t *testing.T) {
 	// gating them).
 	r.pred.rows[1].valid = false
 	r.pred.rows[2].valid = false
-	if got := r.MustRun(head); got != want {
-		t.Fatalf("narrow round: got %d want %d", got, want)
-	}
+	g.exact(t, r)
 	st := r.Stats()
 	if st.LastWorks[2] != 0 || st.LastWorks[3] != 0 {
 		t.Fatalf("narrow round leaked stale wide-round works: %v", st.LastWorks)
@@ -494,9 +348,7 @@ func TestNarrowRoundLeaksNoStaleSlots(t *testing.T) {
 	// Sequential after parallel: only slot 0 populated, the wide
 	// round's other slots fully cleared.
 	r.pred.reset()
-	if got, err := r.Run(context.Background(), head); err != nil || got != want {
-		t.Fatalf("sequential round: got %d want %d err %v", got, want, err)
-	}
+	g.exact(t, r)
 	st = r.Stats()
 	if st.LastWorks[0] != int64(40_000) || st.LastWorks[1] != 0 || st.LastWorks[2] != 0 || st.LastWorks[3] != 0 {
 		t.Fatalf("sequential round leaked stale parallel works: %v", st.LastWorks)

@@ -22,7 +22,6 @@ func TestBlockFormsAgree(t *testing.T) {
 			nx[s] = seq[i+1]
 		}
 	}
-	errBoom := errors.New("boom")
 	errAt, panicAt := end, end // the state whose iteration fails (end: none)
 	step := func(s int, a int64) (int64, error) {
 		if s == panicAt {

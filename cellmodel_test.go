@@ -14,6 +14,7 @@ package spice
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -234,6 +235,38 @@ func runViewScript(t *testing.T, data []byte) {
 	for i := range views {
 		views[i].release()
 	}
+}
+
+// The scripted accesses of vop.
+const (
+	vLoad   = 0  // Load of cell c
+	vStore  = 3  // Store to cell c
+	vReduce = 6  // Reduce into reduction c
+	vAccum  = 22 // a fold into reduction c through Accumulators
+)
+
+// vop is one scripted access: view v loads or stores cell c of the
+// 4101-cell store (c ≥ 2: cells 0 and 1 hold the reductions), or folds
+// into reduction c.
+type vop struct{ kind, v, c int }
+
+// viewRound encodes a round of runViewScript: nv views, ops over them,
+// then the prefix of views committed.
+func viewRound(nv, prefix int, ops ...vop) []byte {
+	b := []byte{1, byte(nv - 1), byte(len(ops))} // 1: no re-bind
+	for _, o := range ops {
+		if c := o.c; o.kind == vLoad || o.kind == vStore {
+			o.c = c - 2
+		}
+		b = append(b, byte(o.kind), byte(o.v), byte(o.c>>8), byte(o.c))
+	}
+	return append(b, byte(prefix))
+}
+
+// viewScript is the script of rounds over the 4101-cell store whose
+// cells 0 and 1 hold a Sum and a Max.
+func viewScript(rounds ...[]byte) []byte {
+	return slices.Concat(append([][]byte{{6, 1}}, rounds...)...)
 }
 
 // modelSeeds are scripts of n random bytes, one per store size so every

@@ -85,36 +85,15 @@ func TestReductionKindFold(t *testing.T) {
 // so there is nothing left to wrap. What remains of "generations" is
 // what those cases guarded: however many times a view is re-armed,
 // nothing of an earlier arm may forward a value, report a read or
-// reach the store.
+// reach the store, over a thousand arms held to the view model.
 func TestCellsGenerationWrap(t *testing.T) {
-	c := NewCells(130)
-	c.Set(2, 9)
-	views := make([]CellView, 2)
-	w, r := &views[0], &views[1]
-	for gen := 0; gen < 1000; gen++ {
-		w.begin(c, nil)
-		r.begin(c, nil)
-		if got := readSet(r); len(got) != 0 {
-			t.Fatalf("arm %d: read-set carried over: %v", gen, got)
-		}
-		if got := r.Load(129); got != 0 {
-			t.Fatalf("arm %d: stale buffered write forwarded: %d", gen, got)
-		}
-		if got := r.Load(2); got != 9 {
-			t.Fatalf("arm %d: Load(2) = %d, want 9", gen, got)
-		}
-		r.Store(129, 5) // squashed every time: never committed
-		w.Store(64, int64(gen))
-		if got := retire(w, views[1:]); got != 1 {
-			t.Fatalf("arm %d: ghost conflict from an earlier arm", gen)
-		}
-		w.Store(2, 1) // after its commit: must die with the arm
+	rounds := make([][]byte, 1000)
+	for i := range rounds {
+		// Chunk 1 reads cell 2 and reads and then writes cell 129 (squashed
+		// every time); chunk 0 writes cell 64 and commits.
+		rounds[i] = viewRound(2, 1, vop{vLoad, 1, 129}, vop{vLoad, 1, 2}, vop{vStore, 1, 129}, vop{vStore, 0, 64})
 	}
-	if c.At(129) != 0 || c.At(2) != 9 || c.At(64) != 999 {
-		t.Fatalf("store after 1000 arms: cells 129, 2, 64 = %d, %d, %d, want 0, 9, 999", c.At(129), c.At(2), c.At(64))
-	}
-	w.release()
-	r.release()
+	runViewScript(t, viewScript(rounds...))
 }
 
 // TestCellViewOutOfRange: an index outside the bound store panics in
@@ -127,14 +106,9 @@ func TestCellViewOutOfRange(t *testing.T) {
 	v.begin(NewCells(130), nil)
 	for _, i := range []int{-1, 130, 191, 192, 500, 1 << 20} {
 		for _, op := range []func(){func() { v.Load(i) }, func() { v.Store(i, 1) }} {
-			func() {
-				defer func() {
-					if recover() == nil {
-						t.Fatalf("access to cell %d of a 130-cell store did not panic", i)
-					}
-				}()
-				op()
-			}()
+			if panics(op) == nil {
+				t.Fatalf("access to cell %d of a 130-cell store did not panic", i)
+			}
 		}
 	}
 	if r, w := readSet(&v), writeSet(&v); len(r)+len(w) != 0 {
@@ -156,36 +130,19 @@ func TestCellViewOutOfRange(t *testing.T) {
 // Session.BindCells must bind while open and degrade to a no-op after
 // Close (the session's runner is already recycled).
 func TestBindCellsGuards(t *testing.T) {
-	r, err := NewRunner(dcLoop(), Config{Threads: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
+	g := cellList(rand.New(rand.NewSource(7)), 64, "none")
+	loop := g.loop(false)
+	loop.Cells = nil
+	r := newRunner(t, loop, Config{Threads: 1})
 	r.running.Store(true)
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("BindCells during Run did not panic")
-			}
-		}()
-		r.BindCells(NewCells(1))
-	}()
+	if panics(func() { r.BindCells(NewCells(1)) }) == nil {
+		t.Fatal("BindCells during Run did not panic")
+	}
 	r.running.Store(false)
 
-	p, err := NewPool(dcLoop(), PoolConfig{Config: Config{Threads: 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	s, err := p.Session()
-	if err != nil {
-		t.Fatal(err)
-	}
-	head, _, cells, shadow := buildDoacross(rand.New(rand.NewSource(7)), 64, "none")
-	s.BindCells(cells)
-	if got, want := s.MustRun(head), dcReference(head, shadow); got != want {
-		t.Fatalf("session DOACROSS run = %d, want %d", got, want)
-	}
+	s := openSession(t, newPool(t, loop, Config{Threads: 2}), 0)
+	s.BindCells(g.cells)
+	g.exact(t, s)
 	s.Close()
-	s.BindCells(cells) // must be a safe no-op on a closed session
+	s.BindCells(g.cells) // must be a safe no-op on a closed session
 }

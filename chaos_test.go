@@ -46,15 +46,29 @@ func chaosCtx(t *testing.T) context.Context {
 	return ctx
 }
 
-// recognizedFault reports whether err is one a fault schedule can
-// legitimately produce: the injected error itself, a contained panic,
-// or a cancellation.
-func recognizedFault(err error) bool {
+// faulted fails t unless err is nil or, while the schedule is armed,
+// one it can legitimately produce: the injected error itself, a
+// contained panic, or a cancellation. It reports whether err is a fault.
+func faulted(t *testing.T, err error, armed bool, what string) bool {
+	t.Helper()
 	var pe *spice.PanicError
-	return errors.Is(err, faults.ErrInjected) ||
-		errors.As(err, &pe) ||
-		errors.Is(err, context.Canceled) ||
-		errors.Is(err, context.DeadlineExceeded)
+	if err != nil && !(armed && (errors.Is(err, faults.ErrInjected) || errors.As(err, &pe) ||
+		errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded))) {
+		t.Fatalf("%s: unexpected error (schedule armed: %v): %v", what, armed, err)
+	}
+	return err != nil
+}
+
+// chaosPool is a pool of loop at width threads on plane's schedule (nil:
+// none), closed when t ends.
+func chaosPool(t *testing.T, loop spice.Loop[*native.Node, int64], threads int, plane *faults.Plane) *spice.Pool[*native.Node, int64] {
+	t.Helper()
+	p, err := spice.NewPool(loop, spice.PoolConfig{Config: spice.Config{Threads: threads, Faults: plane}})
+	if err != nil {
+		t.Fatalf("NewPool: %v", err)
+	}
+	t.Cleanup(p.Close)
+	return p
 }
 
 // TestChaosKernelsSeeded is the main lockstep suite: for every kernel ×
@@ -78,28 +92,21 @@ func TestChaosKernelsSeeded(t *testing.T) {
 				ctx := chaosCtx(t)
 				plane := faults.Seeded(seed*1009+int64(len(kname)), points, window, 10*time.Millisecond,
 					faults.ExecWorker, faults.ChunkBody, faults.RecoveryRound)
+				defer func() {
+					if t.Failed() {
+						t.Logf("schedule: %s (fired %d)", plane, plane.Fired())
+					}
+				}()
 
-				chaotic, err := spice.NewPool(native.SpecLoop(), spice.PoolConfig{
-					Config: spice.Config{Threads: 4, Faults: plane},
-				})
-				if err != nil {
-					t.Fatalf("NewPool(chaotic): %v", err)
-				}
-				defer chaotic.Close()
-				oracle, err := spice.NewPool(native.SpecLoop(), spice.PoolConfig{
-					Config: spice.Config{Threads: 1},
-				})
-				if err != nil {
-					t.Fatalf("NewPool(oracle): %v", err)
-				}
-				defer oracle.Close()
+				chaotic := chaosPool(t, native.SpecLoop(), 4, plane)
+				oracle := chaosPool(t, native.SpecLoop(), 1, nil)
 
 				k := native.ByName(kname)
 				if k == nil {
 					t.Fatalf("kernel %q not registered", kname)
 				}
 
-				lockstep := func(label string, wantClean bool) {
+				lockstep := func(label string, armed bool) {
 					instA := k.New(size, seed, churn)
 					instB := k.New(size, seed, churn)
 					sessA, err := chaotic.SessionWidth(4)
@@ -121,13 +128,7 @@ func TestChaosKernelsSeeded(t *testing.T) {
 							t.Fatalf("%s: oracle invocation %d failed: %v", label, inv, werr)
 						}
 						got, gerr := sessA.Run(ctx, instA.Head)
-						if gerr != nil {
-							if wantClean {
-								t.Fatalf("%s: invocation %d failed after disarm: %v", label, inv, gerr)
-							}
-							if !recognizedFault(gerr) {
-								t.Fatalf("%s: invocation %d failed with unrecognized error: %v", label, inv, gerr)
-							}
+						if faulted(t, gerr, armed, fmt.Sprintf("%s: invocation %d", label, inv)) {
 							// The instance's speculative state may be dirty past
 							// a failed invocation; lockstep comparison ends here.
 							return
@@ -140,28 +141,18 @@ func TestChaosKernelsSeeded(t *testing.T) {
 					}
 				}
 
-				lockstep("chaotic", false)
+				lockstep("chaotic", true)
 
 				// Self-healing half: disarm the schedule, unblock any stall
 				// still serving, and prove the pool serves fresh instances
 				// exactly.
 				plane.Disarm()
 				plane.Release()
-				lockstep("post-disarm", true)
+				lockstep("post-disarm", false)
 
 				// Counter conservation holds across contained faults,
 				// stalled workers and quarantine churn alike.
-				st := chaotic.Stats()
-				if st.ConflictIters > st.SquashedIters {
-					t.Errorf("ConflictIters %d > SquashedIters %d", st.ConflictIters, st.SquashedIters)
-				}
-				if st.Reclaimed > st.Hits+st.Misses {
-					t.Errorf("Reclaimed %d > Hits %d + Misses %d", st.Reclaimed, st.Hits, st.Misses)
-				}
-
-				if t.Failed() {
-					t.Logf("schedule: %s (fired %d)", plane, plane.Fired())
-				}
+				spice.CheckConservation(t, chaotic.Stats(), 4)
 			})
 		}
 	}
@@ -187,15 +178,9 @@ func TestChaosSubmit(t *testing.T) {
 	ctx := chaosCtx(t)
 	plane := faults.Seeded(7, 10, 64, 5*time.Millisecond,
 		faults.ExecWorker, faults.ChunkBody)
-	p, err := spice.NewPool(native.Loop(), spice.PoolConfig{
-		Config: spice.Config{Threads: 4, Faults: plane},
-	})
-	if err != nil {
-		t.Fatalf("NewPool: %v", err)
-	}
-	defer p.Close()
+	p := chaosPool(t, native.Loop(), 4, plane)
 
-	burst := func(label string, wantClean bool) {
+	burst := func(label string, armed bool) {
 		const jobs = 16
 		heads := make([]*native.Node, jobs)
 		wants := make([]int64, jobs)
@@ -206,24 +191,15 @@ func TestChaosSubmit(t *testing.T) {
 		}
 		for i, f := range futs {
 			got, err := f.Wait()
-			if err != nil {
-				if wantClean {
-					t.Fatalf("%s: future %d failed after disarm: %v", label, i, err)
-				}
-				if !recognizedFault(err) {
-					t.Fatalf("%s: future %d unrecognized error: %v", label, i, err)
-				}
-				continue
-			}
-			if got != wants[i] {
+			if !faulted(t, err, armed, fmt.Sprintf("%s: future %d", label, i)) && got != wants[i] {
 				t.Fatalf("%s: future %d: got %d want %d", label, i, got, wants[i])
 			}
 		}
 	}
-	burst("chaotic", false)
+	burst("chaotic", true)
 	plane.Disarm()
 	plane.Release()
-	burst("post-disarm", true)
+	burst("post-disarm", false)
 }
 
 // TestChaosRunBatch drives the batched path under chaos: a failing
@@ -234,14 +210,7 @@ func TestChaosRunBatch(t *testing.T) {
 	ctx := chaosCtx(t)
 	plane := faults.Seeded(11, 8, 48, 5*time.Millisecond,
 		faults.ExecWorker, faults.ChunkBody)
-	p, err := spice.NewPool(native.Loop(), spice.PoolConfig{
-		Config: spice.Config{Threads: 4, Faults: plane},
-	})
-	if err != nil {
-		t.Fatalf("NewPool: %v", err)
-	}
-	defer p.Close()
-
+	p := chaosPool(t, native.Loop(), 4, plane)
 	const items = 8
 	starts := make([]*native.Node, items)
 	wants := make([]int64, items)
@@ -249,15 +218,9 @@ func TestChaosRunBatch(t *testing.T) {
 		starts[i], wants[i] = chaosList(int64(500+i), 4000)
 	}
 
-	check := func(label string, wantClean bool) {
+	check := func(label string, armed bool) {
 		sums, err := p.RunBatch(ctx, starts)
-		if err != nil {
-			if wantClean {
-				t.Fatalf("%s: RunBatch failed after disarm: %v", label, err)
-			}
-			if !recognizedFault(err) {
-				t.Fatalf("%s: RunBatch unrecognized error: %v", label, err)
-			}
+		if faulted(t, err, armed, label+": RunBatch") {
 			return
 		}
 		for i, got := range sums {
@@ -266,10 +229,10 @@ func TestChaosRunBatch(t *testing.T) {
 			}
 		}
 	}
-	check("chaotic", false)
+	check("chaotic", true)
 	plane.Disarm()
 	plane.Release()
-	check("post-disarm", true)
+	check("post-disarm", false)
 }
 
 // TestChaosQuarantine proves the pool's quarantine: a runner whose
@@ -294,11 +257,7 @@ func TestChaosQuarantine(t *testing.T) {
 		Init:  func() int64 { return 0 },
 		Merge: func(a, b int64) int64 { return a + b },
 	}
-	p, err := spice.NewPool(loop, spice.PoolConfig{Config: spice.Config{Threads: 2}})
-	if err != nil {
-		t.Fatalf("NewPool: %v", err)
-	}
-	defer p.Close()
+	p := chaosPool(t, loop, 2, nil)
 
 	head, want := chaosList(42, 1000)
 	poison := func(runs int) {

@@ -11,7 +11,6 @@ package spice
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"testing"
@@ -47,74 +46,17 @@ var odPatterns = []struct {
 	{"disjoint", odNodes, func(i int) int { return i }, false},
 }
 
-// odStep stores the node's stamp: no cell is loaded, so no chunk ever
-// conflicts and a round commits every chunk it dispatched.
-func odStep(n *dcnode, a int64, v *CellView) int64 {
-	v.Store(n.dst, n.w)
-	return a + n.w
-}
+// odList is the "store" list of a pattern (matrix_test.go): node i
+// stores its stamp to the pattern's cell and loads nothing, so no chunk
+// ever conflicts and a round commits every chunk it dispatched.
+func odList(dst func(int) int, size int) *gen { return storeList(odNodes, size, dst) }
 
-// odLoop is the output-dependence loop, with its block form when scan
-// is set.
-func odLoop(scan bool) Loop[*dcnode, int64] {
-	l := Loop[*dcnode, int64]{
-		Done:     func(n *dcnode) bool { return n == nil },
-		Next:     func(n *dcnode) *dcnode { return n.next },
-		SpecBody: odStep,
-		Init:     func() int64 { return 0 },
-		Merge:    func(a, b int64) int64 { return a + b },
-	}
-	if scan {
-		l.Scan = func(n *dcnode, a int64, v *CellView, stop *dcnode, max int64) (*dcnode, int64, int64) {
-			var k int64
-			for ; k < max && n != nil && n != stop; k++ {
-				a = odStep(n, a, v)
-				n = n.next
-			}
-			return n, a, k
-		}
-	}
-	return l
-}
-
-// odList builds the list for a pattern, the store and its shadow.
-func odList(dst func(int) int, size int) ([]*dcnode, *Cells, []int64) {
-	nodes := make([]*dcnode, odNodes)
-	var head *dcnode
-	for i := odNodes - 1; i >= 0; i-- {
-		head = &dcnode{dst: dst(i), next: head}
-		nodes[i] = head
-	}
-	return nodes, NewCells(size), make([]int64, size)
-}
-
-// odStamp gives every node a weight no other node or op has, and
-// applies the first upTo nodes to the shadow the way the plain loop
-// would; it returns their sum.
-func odStamp(nodes []*dcnode, op, upTo int, shadow []int64) int64 {
-	var acc int64
-	for i, n := range nodes {
-		n.w = int64(op*len(nodes) + i + 1)
-		if i < upTo {
-			shadow[n.dst] = n.w
-			acc += n.w
-		}
-	}
-	return acc
-}
-
-// odRun runs op against the runner and checks accumulator and store.
-func odRun(t *testing.T, r *Runner[*dcnode, int64], nodes []*dcnode, cells *Cells, shadow []int64, op int) {
+// odRun stamps op's weights and runs op against the runner, checking
+// accumulator and store.
+func odRun(t *testing.T, r *Runner[*mnode, tally], g *gen, op int) {
 	t.Helper()
-	want := odStamp(nodes, op, len(nodes), shadow)
-	got, err := r.Run(context.Background(), nodes[0])
-	if err != nil {
-		t.Fatalf("op %d: %v", op, err)
-	}
-	if got != want {
-		t.Fatalf("op %d: acc = %d, want %d", op, got, want)
-	}
-	assertCellsEqual(t, fmt.Sprintf("op %d", op), cells, shadow)
+	g.stamp(op)
+	g.exact(t, r)
 }
 
 func TestCopyOutOutputDependence(t *testing.T) {
@@ -122,20 +64,14 @@ func TestCopyOutOutputDependence(t *testing.T) {
 		for _, scan := range []bool{false, true} {
 			for threads := 2; threads <= 4; threads++ {
 				t.Run(fmt.Sprintf("%s/scan=%v/t%d", p.name, scan, threads), func(t *testing.T) {
-					nodes, cells, shadow := odList(p.dst, p.size)
-					loop := odLoop(scan)
-					loop.Cells = cells
-					r, err := NewRunner(loop, Config{Threads: threads})
-					if err != nil {
-						t.Fatal(err)
-					}
-					defer r.Close()
-					for op := 0; op < 8; op++ {
-						odRun(t, r, nodes, cells, shadow, op)
-					}
+					st := final(mcase{
+						build: func() *gen { g := odList(p.dst, p.size); g.stamp(0); return g },
+						edit:  func(g *gen, op int) { g.stamp(op + 1) },
+						scan:  scan, threads: threads, invs: 8,
+					}.run(t))
 					// No cell is loaded, so nothing conflicts: the chunks of a
 					// round commit together and their copies meet in landCells.
-					if st := r.Stats(); st.Hits < 7 || st.Conflicts != 0 {
+					if st.Hits < 7 || st.Conflicts != 0 {
 						t.Fatalf("hits %d conflicts %d over 7 parallel ops", st.Hits, st.Conflicts)
 					}
 				})
@@ -152,13 +88,13 @@ func TestCopyOutOutputDependence(t *testing.T) {
 func TestValidateReportsSharedWrites(t *testing.T) {
 	const threads = 4
 	for _, p := range odPatterns {
-		nodes, cells, _ := odList(p.dst, p.size)
+		g := odList(p.dst, p.size)
 		views := make([]CellView, threads)
 		for i := range views {
-			views[i].begin(cells, nil)
+			views[i].begin(g.cells, nil)
 		}
-		for i, n := range nodes {
-			odStep(n, 0, &views[i*threads/len(nodes)])
+		for i, n := range g.nodes() {
+			storeStep(n, tally{}, &views[i*threads/odNodes])
 		}
 		shared := false
 		for i := range views {
@@ -176,7 +112,7 @@ func TestValidateReportsSharedWrites(t *testing.T) {
 		}
 		// A view that only loaded has nothing to copy, and so nothing to offer.
 		var idle CellView
-		idle.begin(cells, nil)
+		idle.begin(g.cells, nil)
 		idle.Load(3)
 		if _, wrote, out := idle.validate(views); wrote || out {
 			t.Fatalf("%s: a view that stored nothing reported wrote=%v shared=%v", p.name, wrote, out)
@@ -194,31 +130,23 @@ func TestCopyOutReclaimedChunk(t *testing.T) {
 	for _, p := range odPatterns {
 		for _, match := range []int64{2, 3} {
 			t.Run(fmt.Sprintf("%s/task%d", p.name, match), func(t *testing.T) {
-				nodes, cells, shadow := odList(p.dst, p.size)
-				loop := odLoop(false)
-				loop.Cells = cells
+				g := odList(p.dst, p.size)
 				plane := faults.New(faults.Point{Site: faults.ExecWorker, Match: match, Kind: faults.KindStall, Dur: time.Minute})
-				r, err := NewRunner(loop, Config{Threads: 2, Faults: plane})
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer r.Close()
+				r := newRunner(t, g.loop(false), Config{Threads: 2, Faults: plane})
 				defer plane.Release()
 				op := 0
 				for ; op < 12; op++ {
-					odRun(t, r, nodes, cells, shadow, op)
+					odRun(t, r, g, op)
 					checkIdle(t, &r.sched.lat, op)
 				}
 				if st := r.Stats(); st.Reclaimed < 6 {
 					t.Fatalf("Reclaimed = %d over 12 ops with the worker stalled", st.Reclaimed)
 				}
 				plane.Release()
-				for r.exec.load.Load() != 0 {
-					runtime.Gosched() // the worker runs the entry it held
-				}
-				assertCellsEqual(t, "after the held entry ran", cells, shadow)
+				drain(r.exec) // the worker runs the entry it held
+				g.checkCells(t, "after the held entry ran")
 				for ; op < 20; op++ {
-					odRun(t, r, nodes, cells, shadow, op)
+					odRun(t, r, g, op)
 					checkIdle(t, &r.sched.lat, op)
 				}
 			})
@@ -241,30 +169,23 @@ func TestCopyOutStaleEntry(t *testing.T) {
 	// A processor each for the invoker, the worker and the late entry.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(3))
 	p := odPatterns[2] // disjoint: the copy is offered
-	nodes, cells, shadow := odList(p.dst, p.size)
-	var r *Runner[*dcnode, int64]
-	loop := odLoop(false)
-	loop.Cells = cells
-	loop.SpecBody = func(n *dcnode, a int64, v *CellView) int64 {
-		if n == nodes[0] && !v.direct {
+	g := odList(p.dst, p.size)
+	var r *Runner[*mnode, tally]
+	loop := g.loop(false)
+	loop.SpecBody = func(n *mnode, a tally, v *CellView) tally {
+		if n == g.head && !v.direct {
 			for r.sched.jobs[1].claim.Load() != 0 {
 				runtime.Gosched()
 			}
 		}
-		return odStep(n, a, v)
+		return storeStep(n, a, v)
 	}
-	r, err := NewRunner(loop, Config{Threads: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
+	r = newRunner(t, loop, Config{Threads: 2})
 	op := 0
 	for ; op < 3; op++ {
-		odRun(t, r, nodes, cells, shadow, op)
+		odRun(t, r, g, op)
 	}
-	for r.exec.load.Load() != 0 {
-		runtime.Gosched() // no real entry of slot 1 is left in the queue
-	}
+	drain(r.exec) // no real entry of slot 1 is left in the queue
 	c := &r.sched.copies[1]
 	c.queued.Store(true)
 
@@ -292,7 +213,7 @@ func TestCopyOutStaleEntry(t *testing.T) {
 	}
 	const rounds = 100
 	for ; op < 3+rounds; op++ {
-		odRun(t, r, nodes, cells, shadow, op)
+		odRun(t, r, g, op)
 		checkIdle(t, &r.sched.lat, op)
 		if c.claim.Load() != 0 {
 			t.Fatalf("op %d: copy slot still armed after the round", op)
@@ -308,11 +229,11 @@ func TestCopyOutStaleEntry(t *testing.T) {
 	if c.queued.Load() || c.claim.Load() != 0 {
 		t.Fatal("a stale entry run between rounds left the slot queued or armed")
 	}
-	assertCellsEqual(t, "after a stale entry between rounds", cells, shadow)
+	g.checkCells(t, "after a stale entry between rounds")
 	checkIdle(t, &r.sched.lat, op)
 	// The slot is free again: the next rounds submit a real entry.
 	for ; op < 3+rounds+5; op++ {
-		odRun(t, r, nodes, cells, shadow, op)
+		odRun(t, r, g, op)
 		checkIdle(t, &r.sched.lat, op)
 	}
 }
@@ -322,42 +243,36 @@ func TestCopyOutStaleEntry(t *testing.T) {
 // including the failing iteration's, in order over whatever the earlier
 // chunks wrote to the same cells, and nothing behind it.
 func TestCopyOutPartialOnError(t *testing.T) {
-	errBoom := errors.New("boom")
 	for _, p := range odPatterns {
 		for threads := 1; threads <= 4; threads++ {
 			for k := 0; k < threads; k++ {
 				t.Run(fmt.Sprintf("%s/t%d/chunk%d", p.name, threads, k), func(t *testing.T) {
-					nodes, cells, shadow := odList(p.dst, p.size)
-					failAt := k*len(nodes)/threads + len(nodes)/(2*threads) // mid-chunk k
+					g := odList(p.dst, p.size)
+					failAt := g.nodes()[k*odNodes/threads+odNodes/(2*threads)] // mid-chunk k
 					var arm bool
-					loop := odLoop(false)
-					loop.Cells = cells
+					loop := g.loop(false)
 					loop.SpecBody = nil
-					loop.SpecBodyErr = func(n *dcnode, a int64, v *CellView) (int64, error) {
-						a = odStep(n, a, v)
-						if arm && n == nodes[failAt] {
+					loop.SpecBodyErr = func(n *mnode, a tally, v *CellView) (tally, error) {
+						a = storeStep(n, a, v)
+						if arm && n == failAt {
 							return a, errBoom
 						}
 						return a, nil
 					}
-					r, err := NewRunner(loop, Config{Threads: threads})
-					if err != nil {
-						t.Fatal(err)
-					}
-					defer r.Close()
+					r := newRunner(t, loop, Config{Threads: threads})
 					op := 0
 					for ; op < 3; op++ {
-						odRun(t, r, nodes, cells, shadow, op)
+						odRun(t, r, g, op)
 					}
 					arm = true
-					odStamp(nodes, op, failAt+1, shadow)
-					if _, rerr := r.Run(context.Background(), nodes[0]); !errors.Is(rerr, errBoom) {
-						t.Fatalf("failing op returned %v, want %v", rerr, errBoom)
-					}
-					assertCellsEqual(t, "after the failing op", cells, shadow)
+					g.stamp(op)
+					g.prefix(k*odNodes/threads + odNodes/(2*threads) + 1)
+					_, rerr := r.Run(context.Background(), g.head)
+					checkExit(t, rerr, "error")
+					g.checkCells(t, "after the failing op")
 					arm = false
 					for op++; op < 6; op++ {
-						odRun(t, r, nodes, cells, shadow, op)
+						odRun(t, r, g, op)
 					}
 				})
 			}
@@ -396,17 +311,11 @@ func TestTailRoundOfOneRunsDirect(t *testing.T) {
 	for _, scan := range []bool{false, true} {
 		for threads := 2; threads <= 4; threads++ {
 			t.Run(fmt.Sprintf("scan=%v/t%d", scan, threads), func(t *testing.T) {
-				nodes, cells, shadow := odList(p.dst, p.size)
-				loop := odLoop(scan)
-				loop.Cells = cells
-				r, err := NewRunner(loop, Config{Threads: threads, maxSpec: 1000})
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer r.Close()
+				g := odList(p.dst, p.size)
+				r := newRunner(t, g.loop(scan), Config{Threads: threads, maxSpec: 1000})
 				for op := 0; op < 8; op++ {
 					before := r.Stats().Recoveries
-					odRun(t, r, nodes, cells, shadow, op)
+					odRun(t, r, g, op)
 					// Op 0 has nothing predicted and is a round of one outright.
 					if rounds := r.Stats().Recoveries - before; (op > 0 && rounds == 0) || !r.sched.views[0].direct {
 						t.Fatalf("op %d: %d later rounds, last view of slot 0 direct=%v; want a direct tail behind a capped chunk",

@@ -8,3 +8,7 @@ func WithSeams(cfg Config, maxSpec int64, probeEvery int) Config {
 	cfg.maxSpec, cfg.probeEvery = maxSpec, probeEvery
 	return cfg
 }
+
+// CheckConservation and StatsLine are the matrix's accounting assertion
+// and repeatable-counter line (matrix_test.go).
+var CheckConservation, StatsLine = checkConservation, statsLine

@@ -1,13 +1,13 @@
 package spice
 
-// Native Go fuzz targets. Both round-trip fuzzed inputs against the
+// Native Go fuzz targets. They round-trip fuzzed inputs against the
 // sequential oracle / structural invariants; CI runs each for a short
 // smoke window (go test -fuzz=FuzzX -fuzztime=10s) on every push, and
-// the seed corpus below executes on every plain `go test` run.
+// the seed corpus below executes on every plain `go test` run. The two
+// oracle targets decode their inputs into cases of the matrix
+// (matrix_test.go).
 
 import (
-	"context"
-	"math/rand"
 	"slices"
 	"testing"
 )
@@ -25,48 +25,10 @@ func FuzzRunnerOracle(f *testing.F) {
 	f.Add(int64(3), uint16(700), uint8(7), uint8(2), uint16(17))
 	f.Add(int64(-9), uint16(1), uint8(1), uint8(2), uint16(1))
 	f.Fuzz(func(t *testing.T, seed int64, size uint16, threads, pattern uint8, maxSpec uint16) {
-		tc := int(threads%8) + 1
-		n := int(size%1024) + 1
 		patterns := []string{"predictable", "drifting", "adversarial"}
-		pat := patterns[int(pattern)%len(patterns)]
 		for _, adaptive := range []bool{false, true} {
-			var counters [2]string
-			for i, scan := range []bool{false, true} {
-				rng := rand.New(rand.NewSource(seed))
-				w := newOracleList(rng, pat, n)
-				r, err := NewRunner(oracleLoop(w, scan), Config{
-					Threads:    tc,
-					maxSpec:    int64(maxSpec),
-					Options:    Options{Adaptive: adaptive},
-					probeEvery: 2,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				var iters int64
-				for inv := 0; inv < 6; inv++ {
-					want := seqOracle(w.loop(), w.head())
-					got, rerr := r.Run(context.Background(), w.head())
-					if rerr != nil {
-						t.Fatalf("adaptive=%v scan=%v inv=%d: %v", adaptive, scan, inv, rerr)
-					}
-					if got != want {
-						t.Fatalf("adaptive=%v scan=%v inv=%d: got %+v want %+v", adaptive, scan, inv, got, want)
-					}
-					iters += want.count
-					w.mutate()
-				}
-				st := r.Stats()
-				if st.TotalIters != iters {
-					t.Fatalf("adaptive=%v scan=%v: TotalIters = %d, want %d", adaptive, scan, st.TotalIters, iters)
-				}
-				checkConservation(t, st)
-				counters[i] = statsLine(st)
-				r.Close()
-			}
-			if counters[0] != counters[1] {
-				t.Fatalf("adaptive=%v: counters differ\nclosures: %s\nScan:     %s", adaptive, counters[0], counters[1])
-			}
+			mcase{build: oracleList(seed, int(size%1024)+1), edit: regime(patterns[int(pattern)%len(patterns)]),
+				threads: int(threads%8) + 1, adaptive: adaptive, maxSpec: int64(maxSpec), probe: 2, invs: 6}.twin(t)
 		}
 	})
 }
@@ -80,8 +42,8 @@ func FuzzRunnerOracle(f *testing.F) {
 // as a second Sum, so both of Reduce's paths (inline for an all-Sum
 // declaration, out of line for a mixed one) are fuzzed; threads%8 == 7
 // is the direct view of the sequential path. Every case runs on the
-// closure triple and on the block form (dcScanLoop), and the two must
-// agree counter for counter.
+// closure triple and on the block form, and the two must agree counter
+// for counter.
 func FuzzDoacrossOracle(f *testing.F) {
 	f.Add(int64(1), uint16(200), uint8(4), uint8(0), uint16(0))
 	f.Add(int64(2), uint16(500), uint8(8), uint8(1), uint16(64))
@@ -95,61 +57,15 @@ func FuzzDoacrossOracle(f *testing.F) {
 	f.Add(int64(7), uint16(1000), uint8(3), uint8(1), uint16(40))
 	f.Add(int64(8), uint16(1000), uint8(1), uint8(2), uint16(40))
 	f.Fuzz(func(t *testing.T, seed int64, size uint16, threads, regime uint8, maxSpec uint16) {
-		tc := int(threads%8) + 1
-		n := int(size%1024) + 1
 		regimes := []string{"none", "rare", "dense"}
-		reg := regimes[int(regime)%len(regimes)]
 		for _, adaptive := range []bool{false, true} {
-			var counters [2]string
-			for i, loop := range []Loop[*dcnode, int64]{dcLoop(), dcScanLoop()} {
-				rng := rand.New(rand.NewSource(seed))
-				head, nodes, cells, shadow := buildDoacross(rng, n, reg)
-				loop.Cells = cells
-				allSum := seed&1 == 1
-				if allSum {
-					loop.Reductions = []Reduction{{Cell: 0, Kind: ReduceSum}, {Cell: 1, Kind: ReduceSum}}
-				}
-				r, err := NewRunner(loop, Config{
-					Threads:    tc,
-					maxSpec:    int64(maxSpec),
-					Options:    Options{Adaptive: adaptive},
-					probeEvery: 2,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				var iters int64
-				for inv := 0; inv < 5; inv++ {
-					want := dcReferenceSums(head, shadow, allSum)
-					got, rerr := r.Run(context.Background(), head)
-					if rerr != nil {
-						t.Fatalf("adaptive=%v loop=%d inv=%d: %v", adaptive, i, inv, rerr)
-					}
-					if got != want {
-						t.Fatalf("adaptive=%v loop=%d inv=%d: acc %d, want %d", adaptive, i, inv, got, want)
-					}
-					for c := range shadow {
-						if cells.At(c) != shadow[c] {
-							t.Fatalf("adaptive=%v loop=%d inv=%d: cell %d = %d, want %d",
-								adaptive, i, inv, c, cells.At(c), shadow[c])
-						}
-					}
-					iters += int64(len(nodes))
-					for k := 0; k < 10; k++ {
-						nodes[rng.Intn(len(nodes))].w = rng.Int63n(1 << 20)
-					}
-				}
-				st := r.Stats()
-				if st.TotalIters != iters {
-					t.Fatalf("adaptive=%v loop=%d: TotalIters = %d, want %d", adaptive, i, st.TotalIters, iters)
-				}
-				checkConservation(t, st)
-				counters[i] = statsLine(st)
-				r.Close()
+			c := cellCase(seed, int(size%1024)+1, regimes[int(regime)%len(regimes)], 10)
+			if seed&1 == 1 {
+				build := c.build
+				c.build = func() *gen { g := build(); g.body = "sums"; return g }
 			}
-			if counters[0] != counters[1] {
-				t.Fatalf("adaptive=%v: counters differ\nclosures: %s\nScan:     %s", adaptive, counters[0], counters[1])
-			}
+			c.threads, c.adaptive, c.maxSpec, c.probe, c.invs = int(threads%8)+1, adaptive, int64(maxSpec), 2, 5
+			c.twin(t)
 		}
 	})
 }

@@ -106,15 +106,9 @@ func TestLeaseClock(t *testing.T) {
 // previous cadence; and a round with nothing speculative leaves no
 // release to measure the next gap from.
 func TestLeasePurgeAndSequentialRounds(t *testing.T) {
-	l := newTestList(4096, 3)
-	r, err := NewRunner(xorLoop(), Config{Threads: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	for i := 0; i < 6; i++ {
-		r.MustRun(l.head)
-	}
+	l := testList(4096, 3)
+	r := newRunner(t, plainLoop(), Config{Threads: 2})
+	l.warm(t, r, 6)
 	lc := &r.sched.lease
 	if lc.released == 0 || lc.joined != 0 {
 		t.Fatalf("after parallel rounds: released=%d joined=%d, want a release stamp and a landed round", lc.released, lc.joined)
@@ -267,11 +261,7 @@ func TestWorkerSpinTopology(t *testing.T) {
 // TestPoolWorkerParks: the pool's accessor reads the shared executor's
 // counter, and a pool nobody has used yet has every worker asleep.
 func TestPoolWorkerParks(t *testing.T) {
-	p, err := NewPool(xorLoop(), PoolConfig{Config: Config{Threads: 3}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
+	p := newPool(t, plainLoop(), Config{Threads: 3})
 	deadline := time.Now().Add(10 * time.Second)
 	for p.WorkerParks() < int64(p.Workers()) {
 		if time.Now().After(deadline) {

@@ -2,8 +2,8 @@ package spice
 
 import (
 	"context"
-	"errors"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -23,21 +23,10 @@ import (
 // chunk, so the invoker can neither spin the wait away nor reclaim the
 // chunk it is supposed to park on.
 
-// countingLoop is xorLoop with every body execution counted.
-func countingLoop(execs *atomic.Int64) Loop[*node, sumAcc] {
-	loop := xorLoop()
-	inner := loop.Body
-	loop.Body = func(nd *node, a sumAcc) sumAcc {
-		execs.Add(1)
-		return inner(nd, a)
-	}
-	return loop
-}
-
 // checkRoundIdle asserts what every finished round must leave behind:
 // an idle latch (each launched chunk signalled exactly once) and every
 // claim word consumed.
-func checkRoundIdle(t *testing.T, r *Runner[*node, sumAcc], round int) {
+func checkRoundIdle(t *testing.T, r *Runner[*mnode, tally], round int) {
 	t.Helper()
 	checkIdle(t, &r.sched.lat, round)
 	for i := range r.sched.jobs {
@@ -54,18 +43,11 @@ func claimRace(t *testing.T, rounds int) Stats {
 	t.Helper()
 	const size = 96
 	var execs atomic.Int64
-	l := newTestList(size, 31)
-	r, err := NewRunner(countingLoop(&execs), Config{Threads: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	want := sequential(xorLoop(), l.head)
+	l := testList(size, 31)
+	r := newRunner(t, hookLoop(func(*mnode) { execs.Add(1) }), Config{Threads: 2})
 	for round := 0; round < rounds; round++ {
 		execs.Store(0)
-		if got := r.MustRun(l.head); got != want {
-			t.Fatalf("round %d: got %+v want %+v", round, got, want)
-		}
+		l.exact(t, r)
 		// A stable list never squashes: exactly-once chunk execution is
 		// exactly-once body execution.
 		if n := execs.Load(); n != size {
@@ -77,9 +59,7 @@ func claimRace(t *testing.T, rounds int) Stats {
 	if st.Hits != int64(rounds-1) || st.Misses != 0 {
 		t.Fatalf("hits %d misses %d over %d rounds, want every round after the bootstrap to hit", st.Hits, st.Misses, rounds)
 	}
-	if st.Reclaimed > st.Hits+st.Misses {
-		t.Fatalf("Reclaimed %d > Hits %d + Misses %d", st.Reclaimed, st.Hits, st.Misses)
-	}
+	checkConservation(t, st, 2)
 	return st
 }
 
@@ -103,13 +83,10 @@ func TestClaimSingleProc(t *testing.T) {
 // stalls, before running it, on the second task it dequeues — the
 // speculative chunk of the invocation after the two warm-ups — until
 // the returned plane is released.
-func stalledWorkerRunner(t *testing.T, loop Loop[*node, sumAcc], l *testList) (*Runner[*node, sumAcc], *faults.Plane) {
+func stalledWorkerRunner(t *testing.T, loop Loop[*mnode, tally], l *gen) (*Runner[*mnode, tally], *faults.Plane) {
 	t.Helper()
 	plane := faults.New(faults.Point{Site: faults.ExecWorker, Match: 2, Kind: faults.KindStall, Dur: time.Minute})
-	r, err := NewRunner(loop, Config{Threads: 2, Faults: plane})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := newRunner(t, loop, Config{Threads: 2, Faults: plane})
 	r.MustRun(l.head) // bootstrap memoization; nothing dispatched
 	r.MustRun(l.head) // first parallel round: the worker's first task
 	return r, plane
@@ -118,11 +95,9 @@ func stalledWorkerRunner(t *testing.T, loop Loop[*node, sumAcc], l *testList) (*
 func TestStalledWorkerRoundsRunAtInvokerSpeed(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	const size, rounds = 4096, 200
-	l := newTestList(size, 37)
-	r, plane := stalledWorkerRunner(t, xorLoop(), l)
-	defer r.Close()
+	l := testList(size, 37)
+	r, plane := stalledWorkerRunner(t, plainLoop(), l)
 	defer plane.Release()
-	want := sequential(xorLoop(), l.head)
 	before := r.Stats()
 
 	// The worker pops the next round's chunk and stalls holding the
@@ -131,9 +106,7 @@ func TestStalledWorkerRoundsRunAtInvokerSpeed(t *testing.T) {
 	// would block the invoker in submit.
 	start := time.Now()
 	for round := 0; round < rounds; round++ {
-		if got := r.MustRun(l.head); got != want {
-			t.Fatalf("stalled round %d: got %+v want %+v", round, got, want)
-		}
+		l.exact(t, r)
 		checkRoundIdle(t, r, round)
 	}
 	if d := time.Since(start); d > 20*time.Second {
@@ -152,14 +125,10 @@ func TestStalledWorkerRoundsRunAtInvokerSpeed(t *testing.T) {
 	// Released between rounds, the worker runs the entry it held: a
 	// failed claim that must touch nothing. Later rounds submit again.
 	plane.Release()
-	for r.exec.load.Load() != 0 {
-		runtime.Gosched()
-	}
+	drain(r.exec)
 	checkRoundIdle(t, r, rounds)
 	for round := 0; round < 50; round++ {
-		if got := r.MustRun(l.head); got != want {
-			t.Fatalf("post-release round %d: got %+v want %+v", round, got, want)
-		}
+		l.exact(t, r)
 		checkRoundIdle(t, r, round)
 	}
 }
@@ -167,15 +136,14 @@ func TestStalledWorkerRoundsRunAtInvokerSpeed(t *testing.T) {
 func TestStaleEntryClaimsRearmedSlot(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	const size = 4096
-	l := newTestList(size, 41)
+	l := testList(size, 41)
 	var execs atomic.Int64
 	var armed atomic.Bool
-	var r *Runner[*node, sumAcc]
+	var r *Runner[*mnode, tally]
 	var plane *faults.Plane
-	loop := countingLoop(&execs)
-	inner := loop.Body
 	first := l.head
-	loop.Body = func(nd *node, a sumAcc) sumAcc {
+	loop := hookLoop(func(nd *mnode) {
+		execs.Add(1)
 		if nd == first && armed.Load() {
 			// Chunk 0 of a round whose slot 1 is armed while the worker
 			// still holds slot 1's entry from an earlier round. Let the
@@ -186,22 +154,16 @@ func TestStaleEntryClaimsRearmedSlot(t *testing.T) {
 				runtime.Gosched()
 			}
 		}
-		return inner(nd, a)
-	}
+	})
 	r, plane = stalledWorkerRunner(t, loop, l)
-	defer r.Close()
 	defer plane.Release()
-	want := sequential(xorLoop(), l.head)
 
 	r.MustRun(l.head) // the worker pops slot 1's entry and stalls; reclaimed
 	before := r.Stats()
 	execs.Store(0)
 	armed.Store(true)
-	got := r.MustRun(l.head)
+	l.exact(t, r)
 	armed.Store(false)
-	if got != want {
-		t.Fatalf("got %+v want %+v", got, want)
-	}
 	if n := execs.Load(); n != size {
 		t.Fatalf("%d body executions over %d nodes", n, size)
 	}
@@ -209,9 +171,7 @@ func TestStaleEntryClaimsRearmedSlot(t *testing.T) {
 		t.Fatalf("hits %d reclaimed %d, want the worker's stale entry to have run the chunk", st.Hits, st.Reclaimed)
 	}
 	checkRoundIdle(t, r, 0)
-	if got := r.MustRun(l.head); got != want {
-		t.Fatalf("next round: got %+v want %+v", got, want)
-	}
+	l.exact(t, r)
 }
 
 // TestOwnQueuedEntryIsNotLoad: the entry a reclaimed slot leaves queued
@@ -221,21 +181,13 @@ func TestStaleEntryClaimsRearmedSlot(t *testing.T) {
 // batch item (the invoker reclaims each chunk) instead of shedding it.
 func TestOwnQueuedEntryIsNotLoad(t *testing.T) {
 	const size, items = 4096, 20
-	l := newTestList(size, 47)
+	l := testList(size, 47)
 	plane := faults.New(faults.Point{Site: faults.ExecWorker, Match: 1, Kind: faults.KindStall, Dur: time.Minute})
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2)) // the topology default: one worker
-	p, err := NewPool(xorLoop(), PoolConfig{Config: Config{Threads: 2, Faults: plane}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
+	p := newPool(t, plainLoop(), Config{Threads: 2, Faults: plane})
 	defer plane.Release()
-	sess, err := p.Session()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sess.Close()
-	want := sequential(xorLoop(), l.head)
+	sess := openSession(t, p, 0)
+	want := l.oracle()
 
 	sess.MustRun(l.head) // bootstrap memoization; nothing dispatched
 	sess.MustRun(l.head) // slot 1's entry: the worker stalls on receiving it
@@ -245,11 +197,7 @@ func TestOwnQueuedEntryIsNotLoad(t *testing.T) {
 			r.sched.jobs[1].queued.Load(), p.exec.load.Load())
 	}
 	before := sess.Stats()
-	starts := make([]*node, items)
-	for i := range starts {
-		starts[i] = l.head
-	}
-	accs, err := sess.RunBatch(context.Background(), starts)
+	accs, err := sess.RunBatch(context.Background(), slices.Repeat([]*mnode{l.head}, items))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,9 +214,7 @@ func TestOwnQueuedEntryIsNotLoad(t *testing.T) {
 
 	// Released, the worker runs the entry: a failed claim.
 	plane.Release()
-	for p.exec.load.Load() != 0 {
-		runtime.Gosched()
-	}
+	drain(p.exec)
 	checkRoundIdle(t, r, items)
 }
 
@@ -281,20 +227,13 @@ func TestOwnQueuedEntryIsNotLoad(t *testing.T) {
 func TestFullExecutorLeavesChunksToInvoker(t *testing.T) {
 	e := NewExecutor(1)
 	defer e.Close()
-	holdWorker := func() (release func()) {
-		hold := &blockTask{started: make(chan struct{}), release: make(chan struct{})}
-		submitTask(e, hold, 0)
-		<-hold.started
-		return sync.OnceFunc(func() { close(hold.release) })
-	}
-	release := holdWorker()
+	release := holdWorker(e, 0)
 	defer release()
-	var ran atomic.Int64
 	var wg sync.WaitGroup
 	fill := make([]countTask, shardCap)
+	wg.Add(shardCap)
 	for i := range fill {
-		fill[i] = countTask{n: &ran, wg: &wg}
-		wg.Add(1)
+		fill[i].wg = &wg
 		if !e.enqueue(&fill[i], 0) {
 			t.Fatalf("entry %d of %d found no room", i, shardCap)
 		}
@@ -307,23 +246,15 @@ func TestFullExecutorLeavesChunksToInvoker(t *testing.T) {
 		t.Fatalf("load %d with the worker held and %d entries queued", full, shardCap)
 	}
 
-	l := newTestList(4096, 43)
-	r, err := NewRunner(xorLoop(), Config{Threads: 4, Executor: e})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	want := sequential(xorLoop(), l.head)
+	l := testList(4096, 43)
+	r := newRunner(t, plainLoop(), Config{Threads: 4, Executor: e})
+	want := l.oracle()
 	ns := l.nodes()
-	r.pred.apply(4096, []memo[*node]{
-		{row: 0, state: ns[1024], pos: 1024},
-		{row: 1, state: ns[2048], pos: 2048},
-		{row: 2, state: ns[3072], pos: 3072},
-	})
+	seedQuarters(r, ns)
 	round := func(wantQueued bool, wantLoad int64) {
 		t.Helper()
 		before := r.Stats()
-		got := make(chan sumAcc, 1)
+		got := make(chan tally, 1)
 		go func() { got <- r.MustRun(l.head) }()
 		select {
 		case acc := <-got:
@@ -354,19 +285,13 @@ func TestFullExecutorLeavesChunksToInvoker(t *testing.T) {
 	// same slots are queued by the next round (one entry each).
 	release()
 	wg.Wait()
-	for e.load.Load() != 0 {
-		runtime.Gosched()
-	}
-	if n := ran.Load(); n != shardCap {
-		t.Fatalf("%d of %d queued entries ran", n, shardCap)
-	}
-	release = holdWorker()
+	drain(e)
+	ranOnce(t, fill)
+	release = holdWorker(e, 0)
 	defer release()
 	round(true, 1+3)
 	release()
-	for e.load.Load() != 0 {
-		runtime.Gosched()
-	}
+	drain(e)
 	checkRoundIdle(t, r, 1)
 }
 
@@ -378,14 +303,12 @@ func TestFullExecutorLeavesChunksToInvoker(t *testing.T) {
 // as parked on the latch, then calls trap. The two warm-up invocations
 // run before arming, so bootstrap and steady-state memoization see a
 // plain list; the latch's spin cap is zeroed so the join parks at once.
-func parkedListRunner(t *testing.T, l *testList, trapAt int, armed *atomic.Bool, trap func()) *Runner[*node, sumAcc] {
+func parkedListRunner(t *testing.T, l *gen, trapAt int, armed *atomic.Bool, trap func()) *Runner[*mnode, tally] {
 	t.Helper()
 	ns := l.nodes()
-	var r *Runner[*node, sumAcc]
+	var r *Runner[*mnode, tally]
 	var started atomic.Bool
-	loop := xorLoop()
-	inner := loop.Body
-	loop.Body = func(nd *node, a sumAcc) sumAcc {
+	r = newRunner(t, hookLoop(func(nd *mnode) {
 		if armed.Load() {
 			switch nd {
 			case ns[len(ns)/2+1]:
@@ -401,12 +324,7 @@ func parkedListRunner(t *testing.T, l *testList, trapAt int, armed *atomic.Bool,
 				trap()
 			}
 		}
-		return inner(nd, a)
-	}
-	r, err := NewRunner(loop, Config{Threads: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	}), Config{Threads: 2})
 	r.MustRun(l.head) // bootstrap memoization
 	r.MustRun(l.head) // settle into the parallel steady state
 	if w := r.Stats().LastWorks; len(w) < 2 || w[0] <= int64(len(ns)/2-8) || w[0] > int64(len(ns)/2+1) {
@@ -423,14 +341,13 @@ func TestCancellationWhileInvokerParked(t *testing.T) {
 	// Block inside the speculative chunk (the second half of the list):
 	// chunk 0 finishes its half and the invoker parks on the latch with
 	// the speculative chunk still pinned at the trap.
-	l := newTestList(size, 23)
+	l := testList(size, 23)
 	r := parkedListRunner(t, l, 3*size/4, &armed, func() {
 		reached <- struct{}{}
 		for !release.Load() {
 			runtime.Gosched()
 		}
 	})
-	defer r.Close()
 
 	armed.Store(true)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -446,44 +363,34 @@ func TestCancellationWhileInvokerParked(t *testing.T) {
 	release.Store(true) // let the chunk reach its next ctx poll boundary
 	select {
 	case err := <-done:
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("err = %v, want context.Canceled", err)
-		}
+		wantErr(t, err, context.Canceled)
 	case <-time.After(10 * time.Second):
 		t.Fatal("invoker never woke from the latch after cancellation")
 	}
 	// The wake token and parked bit must not leak into the next round:
 	// the runner still produces exact results.
-	if got, want := r.MustRun(l.head), sequential(xorLoop(), l.head); got != want {
-		t.Fatalf("post-cancel run: got %+v want %+v", got, want)
-	}
+	l.exact(t, r)
 }
 
 func TestSpeculativeChunkPanicWhileInvokerParked(t *testing.T) {
 	const size = 4096
-	l := newTestList(size, 29)
+	l := testList(size, 29)
 	var armed atomic.Bool
 	r := parkedListRunner(t, l, 3*size/4, &armed, func() {
 		panic("speculative chunk detonated")
 	})
-	defer r.Close()
 
 	// The panicking chunk's deferred epilogue records the *PanicError
 	// first and signals the latch last (defer LIFO), so the parked
 	// invoker wakes to a fully-written result slot.
 	armed.Store(true)
 	_, rerr := r.Run(context.Background(), l.head)
-	var pe *PanicError
-	if !errors.As(rerr, &pe) {
-		t.Fatalf("err = %v, want *PanicError", rerr)
-	}
+	pe := wantPanic(t, rerr)
 	if pe.Value != "speculative chunk detonated" {
 		t.Errorf("PanicError.Value = %v", pe.Value)
 	}
 	armed.Store(false)
-	if got, want := r.MustRun(l.head), sequential(xorLoop(), l.head); got != want {
-		t.Fatalf("post-panic run: got %+v want %+v", got, want)
-	}
+	l.exact(t, r)
 }
 
 // TestSharedExecutorContentionBounded is the contention regression
@@ -509,24 +416,17 @@ func TestSharedExecutorContentionBounded(t *testing.T) {
 	defer e.Close()
 	const size, invocations, reps = 20_000, 20, 3
 	type side struct {
-		r    *Runner[*node, sumAcc]
-		head *node
-		want sumAcc
+		r    *Runner[*mnode, tally]
+		head *mnode
+		want tally
 	}
 	mk := func(seed int64) side {
-		l := newTestList(size, seed)
-		r, err := NewRunner(xorLoop(), Config{Threads: 2, Executor: e})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 3; i++ {
-			r.MustRun(l.head) // warm memoization and runner state
-		}
-		return side{r, l.head, sequential(xorLoop(), l.head)}
+		l := testList(size, seed)
+		r := newRunner(t, plainLoop(), Config{Threads: 2, Executor: e})
+		l.warm(t, r, 3) // warm memoization and runner state
+		return side{r, l.head, l.oracle()}
 	}
 	a, b := mk(51), mk(52)
-	defer a.r.Close()
-	defer b.r.Close()
 
 	drive := func(s side) time.Duration {
 		start := time.Now()
@@ -550,20 +450,14 @@ func TestSharedExecutorContentionBounded(t *testing.T) {
 
 	contA, contB := time.Duration(1<<62), time.Duration(1<<62)
 	for i := 0; i < reps; i++ {
-		var da, db time.Duration
-		var wg sync.WaitGroup
-		wg.Add(2)
-		go func() { defer wg.Done(); da = drive(a) }()
-		go func() { defer wg.Done(); db = drive(b) }()
-		wg.Wait()
-		contA, contB = min(contA, da), min(contB, db)
+		var d [2]time.Duration
+		fanOut(2, func(g int) { d[g] = drive([]side{a, b}[g]) })
+		contA, contB = min(contA, d[0]), min(contB, d[1])
 	}
 
 	// Every entry the runners queued was received and counted off (a
 	// worker counts it off after running it, which may trail the join).
-	for e.load.Load() != 0 {
-		runtime.Gosched()
-	}
+	drain(e)
 	if !timed {
 		t.Logf("instrumented build, bound not asserted: A %v solo, %v contended; B %v solo, %v contended", soloA, contA, soloB, contB)
 		return

@@ -9,14 +9,50 @@ import (
 
 // --- Executor ---------------------------------------------------------
 
+// countTask counts its runs and signals wg after each.
 type countTask struct {
-	n  *atomic.Int64
-	wg *sync.WaitGroup
+	runs atomic.Int32
+	wg   *sync.WaitGroup
 }
 
 func (t *countTask) run() {
-	t.n.Add(1)
+	t.runs.Add(1)
 	t.wg.Done()
+}
+
+// ranOnce fails t unless every task ran exactly once.
+func ranOnce(t *testing.T, tasks []countTask) {
+	t.Helper()
+	for i := range tasks {
+		if n := tasks[i].runs.Load(); n != 1 {
+			t.Fatalf("task %d of %d ran %d times", i, len(tasks), n)
+		}
+	}
+}
+
+// blockTask occupies an executor worker until released.
+type blockTask struct{ started, release chan struct{} }
+
+func (b *blockTask) run() {
+	close(b.started)
+	<-b.release
+}
+
+// holdWorker queues a blockTask on e from shard hint on and waits until
+// a worker runs it; release (idempotent) lets that worker go.
+func holdWorker(e *Executor, hint uint32) (release func()) {
+	hold := &blockTask{started: make(chan struct{}), release: make(chan struct{})}
+	submitTask(e, hold, hint)
+	<-hold.started
+	return sync.OnceFunc(func() { close(hold.release) })
+}
+
+// drain waits until every entry queued on e was received and counted
+// off (a worker counts an entry off after running it).
+func drain(e *Executor) {
+	for e.load.Load() != 0 {
+		runtime.Gosched()
+	}
 }
 
 // submitTask queues t on a bare executor from the hinted shard on.
@@ -33,26 +69,20 @@ func TestExecutorRunsTasks(t *testing.T) {
 	if e.Workers() != 3 {
 		t.Fatalf("workers = %d", e.Workers())
 	}
-	var n atomic.Int64
 	var wg sync.WaitGroup
 	tasks := make([]countTask, 100)
+	wg.Add(len(tasks))
 	for i := range tasks {
-		tasks[i] = countTask{n: &n, wg: &wg}
-		wg.Add(1)
+		tasks[i].wg = &wg
 		submitTask(e, &tasks[i], uint32(i))
 	}
 	wg.Wait()
-	if n.Load() != 100 {
-		t.Fatalf("ran %d tasks, want 100", n.Load())
-	}
+	ranOnce(t, tasks)
 	e.Close()
 	e.Close() // idempotent
-	defer func() {
-		if recover() == nil {
-			t.Fatal("submit on a closed executor did not panic")
-		}
-	}()
-	e.enqueue(&tasks[0], 0)
+	if panics(func() { e.enqueue(&tasks[0], 0) }) == nil {
+		t.Fatal("submit on a closed executor did not panic")
+	}
 }
 
 func TestExecutorMinimumOneWorker(t *testing.T) {
@@ -66,14 +96,12 @@ func TestExecutorMinimumOneWorker(t *testing.T) {
 // --- Runner lifecycle -------------------------------------------------
 
 func TestRunnerCloseIdempotent(t *testing.T) {
-	r, err := NewRunner(xorLoop(), Config{Threads: 4})
+	r, err := NewRunner(plainLoop(), Config{Threads: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	l := newTestList(100, 1)
-	for i := 0; i < 3; i++ {
-		r.MustRun(l.head)
-	}
+	l := testList(100, 1)
+	l.warm(t, r, 3)
 	r.Close()
 	r.Close()
 }
@@ -81,73 +109,47 @@ func TestRunnerCloseIdempotent(t *testing.T) {
 func TestRunnersShareExecutor(t *testing.T) {
 	e := NewExecutor(4)
 	defer e.Close()
-	r1, err := NewRunner(xorLoop(), Config{Threads: 4, Executor: e})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := NewRunner(xorLoop(), Config{Threads: 4, Executor: e})
-	if err != nil {
-		t.Fatal(err)
-	}
-	l1, l2 := newTestList(300, 1), newTestList(400, 2)
+	r1 := newRunner(t, plainLoop(), Config{Threads: 4, Executor: e})
+	r2 := newRunner(t, plainLoop(), Config{Threads: 4, Executor: e})
+	l1, l2 := testList(300, 1), testList(400, 2)
 	for i := 0; i < 10; i++ {
-		want1, want2 := sequential(xorLoop(), l1.head), sequential(xorLoop(), l2.head)
-		if got := r1.MustRun(l1.head); got != want1 {
-			t.Fatalf("r1 inv %d mismatch", i)
-		}
-		if got := r2.MustRun(l2.head); got != want2 {
-			t.Fatalf("r2 inv %d mismatch", i)
-		}
+		l1.exact(t, r1)
+		l2.exact(t, r2)
 		l1.churn()
 		l2.churn()
 	}
 	// Close on a non-owning runner must leave the shared executor alive.
 	r1.Close()
-	if got := r2.MustRun(l2.head); got != sequential(xorLoop(), l2.head) {
-		t.Fatal("shared executor unusable after sibling Close")
-	}
-	r2.Close()
+	l2.exact(t, r2)
 }
 
 func TestConcurrentRunOnRunnerPanics(t *testing.T) {
-	r, err := NewRunner(xorLoop(), Config{Threads: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
+	r := newRunner(t, plainLoop(), Config{Threads: 2})
 	// Simulate an in-flight invocation and verify the guard trips.
 	r.running.Store(true)
 	defer r.running.Store(false)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("concurrent Run did not panic")
-		}
-	}()
-	r.MustRun(nil)
+	if panics(func() { r.MustRun(nil) }) == nil {
+		t.Fatal("concurrent Run did not panic")
+	}
 }
 
 // --- Pool -------------------------------------------------------------
 
 func TestPoolValidation(t *testing.T) {
-	if _, err := NewPool(Loop[*node, sumAcc]{}, PoolConfig{Config: Config{Threads: 2}}); err == nil {
+	if _, err := NewPool(Loop[*mnode, tally]{}, PoolConfig{Config: Config{Threads: 2}}); err == nil {
 		t.Error("empty loop accepted")
 	}
-	if _, err := NewPool(xorLoop(), PoolConfig{}); err != ErrNoParallelism {
+	if _, err := NewPool(plainLoop(), PoolConfig{}); err != ErrNoParallelism {
 		t.Error("zero threads accepted")
 	}
 	e := NewExecutor(1)
 	defer e.Close()
-	if _, err := NewPool(xorLoop(), PoolConfig{Config: Config{Threads: 2, Executor: e}}); err == nil {
+	if _, err := NewPool(plainLoop(), PoolConfig{Config: Config{Threads: 2, Executor: e}}); err == nil {
 		t.Error("external executor accepted")
 	}
 	// A fresh pool reports the configured width before any runner is
 	// released, not zero.
-	p, err := NewPool(xorLoop(), PoolConfig{Config: Config{Threads: 4}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	if eff := p.Stats().EffectiveThreads; eff != 4 {
+	if eff := newPool(t, plainLoop(), Config{Threads: 4}).Stats().EffectiveThreads; eff != 4 {
 		t.Errorf("fresh pool EffectiveThreads = %d, want 4", eff)
 	}
 }
@@ -161,7 +163,7 @@ func TestRuntimeDefaults(t *testing.T) {
 	for _, procs := range []int{1, 2, 8} {
 		runtime.GOMAXPROCS(procs)
 		for _, threads := range []int{1, 2, 4, 8} {
-			p, err := NewPool(xorLoop(), PoolConfig{Config: Config{Threads: threads}})
+			p, err := NewPool(plainLoop(), PoolConfig{Config: Config{Threads: threads}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -169,7 +171,7 @@ func TestRuntimeDefaults(t *testing.T) {
 				t.Errorf("GOMAXPROCS %d, Threads %d: pool workers = %d, want %d", procs, threads, got, want)
 			}
 			p.Close()
-			r, err := NewRunner(xorLoop(), Config{Threads: threads})
+			r, err := NewRunner(plainLoop(), Config{Threads: threads})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -183,26 +185,18 @@ func TestRuntimeDefaults(t *testing.T) {
 		}
 	}
 
-	r, err := NewRunner(xorLoop(), Config{Threads: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
+	r := newRunner(t, plainLoop(), Config{Threads: 4})
 	if got := r.pred.specCap(r.cfg.maxSpec); got != 1<<20 {
 		t.Errorf("cap before any trip count = %d, want %d", got, 1<<20)
 	}
-	r.MustRun(newTestList(3000, 1).head)
+	r.MustRun(testList(3000, 1).head)
 	if got := r.pred.specCap(r.cfg.maxSpec); got != 4*3000+1024 {
 		t.Errorf("cap after a 3000-iteration trip = %d, want %d", got, 4*3000+1024)
 	}
 
-	a, err := NewRunner(xorLoop(), Config{Threads: 4, Options: Options{Adaptive: true}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
+	a := newRunner(t, plainLoop(), Config{Threads: 4, Options: Options{Adaptive: true}})
 	a.ctrl.Observe(specGated) // demoted straight to width 1
-	l := newTestList(3000, 2)
+	l := testList(3000, 2)
 	for inv := 1; inv <= 9; inv++ {
 		a.MustRun(l.head)
 		want := int64(1) // the 9th invocation probes width 2 and, clean, promotes
@@ -216,17 +210,10 @@ func TestRuntimeDefaults(t *testing.T) {
 }
 
 func TestPoolSequentialSubmissionsReuseRunner(t *testing.T) {
-	p, err := NewPool(xorLoop(), PoolConfig{Config: Config{Threads: 4}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	l := newTestList(500, 3)
+	p := newPool(t, plainLoop(), Config{Threads: 4})
+	l := testList(500, 3)
 	for inv := 0; inv < 15; inv++ {
-		want := sequential(xorLoop(), l.head)
-		if got := p.MustRun(l.head); got != want {
-			t.Fatalf("inv %d: got %+v want %+v", inv, got, want)
-		}
+		l.exact(t, p)
 		l.churn()
 	}
 	if n := p.Runners(); n != 1 {
@@ -238,13 +225,7 @@ func TestPoolSequentialSubmissionsReuseRunner(t *testing.T) {
 	}
 	// Runner reuse keeps predictor state warm: later invocations run in
 	// parallel chunks.
-	nonzero := 0
-	for _, w := range st.LastWorks {
-		if w > 0 {
-			nonzero++
-		}
-	}
-	if nonzero < 2 {
+	if busy(st.LastWorks) < 2 {
 		t.Errorf("last works %v: pooled runner never went parallel", st.LastWorks)
 	}
 }
@@ -258,50 +239,25 @@ func TestPoolConcurrentStress(t *testing.T) {
 		submitters  = 12
 		invocations = 25
 	)
-	p, err := NewPool(xorLoop(), PoolConfig{Config: Config{Threads: 4}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-
-	var wg sync.WaitGroup
-	errs := make(chan string, submitters)
-	for g := 0; g < submitters; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			s, serr := p.Session()
-			if serr != nil {
-				t.Error(serr)
-				return
-			}
-			defer s.Close()
-			l := newTestList(300+17*g, int64(1000+g))
-			for inv := 0; inv < invocations; inv++ {
-				want := sequential(xorLoop(), l.head)
-				if got := s.MustRun(l.head); got != want {
-					errs <- "submitter result diverged from sequential reference"
-					return
-				}
-				switch inv % 3 {
-				case 0:
-					l.churn()
-				case 1:
-					l.heavyChurn(0.4)
-				case 2:
-					ns := l.nodes()
-					if len(ns) > 1 {
-						l.relink(ns[:len(ns)/2+1])
-					}
+	p := newPool(t, plainLoop(), Config{Threads: 4})
+	cases := make([]mcase, submitters)
+	for g := range cases {
+		cases[g] = listCase(300+17*g, int64(1000+g), nil)
+		cases[g].door, cases[g].via, cases[g].threads, cases[g].invs = "session", p, 4, invocations
+		cases[g].edit = func(l *gen, inv int) {
+			switch inv % 3 {
+			case 0:
+				l.churn()
+			case 1:
+				l.heavyChurn(0.4)
+			case 2:
+				if ns := l.nodes(); len(ns) > 1 {
+					l.relink(ns[:len(ns)/2+1])
 				}
 			}
-		}(g)
+		}
 	}
-	wg.Wait()
-	close(errs)
-	for e := range errs {
-		t.Fatal(e)
-	}
+	parallel(t, cases...)
 
 	st := p.Stats()
 	if st.Invocations != submitters*invocations {
@@ -323,33 +279,20 @@ func TestPoolSharedListConcurrent(t *testing.T) {
 		rounds     = 10
 		perRound   = 4
 	)
-	p, err := NewPool(xorLoop(), PoolConfig{Config: Config{Threads: 4}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-
-	l := newTestList(1500, 77)
+	p := newPool(t, plainLoop(), Config{Threads: 4})
+	l := testList(1500, 77)
 	for round := 0; round < rounds; round++ {
-		want := sequential(xorLoop(), l.head)
-		var wg sync.WaitGroup
-		errs := make(chan string, submitters)
-		for g := 0; g < submitters; g++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for inv := 0; inv < perRound; inv++ {
-					if got := p.MustRun(l.head); got != want {
-						errs <- "shared-list result diverged from sequential reference"
-						return
-					}
+		want := l.oracle()
+		fanOut(submitters, func(int) {
+			for inv := 0; inv < perRound; inv++ {
+				if got := p.MustRun(l.head); got != want {
+					t.Error("shared-list result diverged from sequential reference")
+					return
 				}
-			}()
-		}
-		wg.Wait()
-		close(errs)
-		for e := range errs {
-			t.Fatal(e)
+			}
+		})
+		if t.Failed() {
+			t.FailNow()
 		}
 		l.churn() // quiesced window: nothing in flight
 	}
@@ -362,50 +305,18 @@ func TestPoolSharedListConcurrent(t *testing.T) {
 // TestPoolStatsReadableUnderLoad reads aggregated stats while
 // submissions are in flight (exercised for data races under -race).
 func TestPoolStatsReadableUnderLoad(t *testing.T) {
-	p, err := NewPool(xorLoop(), PoolConfig{Config: Config{Threads: 4}})
-	if err != nil {
-		t.Fatal(err)
+	p := newPool(t, plainLoop(), Config{Threads: 4})
+	cases := make([]mcase, 4)
+	for g := range cases {
+		cases[g] = listCase(400, int64(g), (*gen).churn)
+		cases[g].door, cases[g].via, cases[g].threads, cases[g].invs = "session", p, 4, 20
 	}
-	defer p.Close()
-	var submitters sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		submitters.Add(1)
-		go func(g int) {
-			defer submitters.Done()
-			s, serr := p.Session()
-			if serr != nil {
-				t.Error(serr)
-				return
-			}
-			defer s.Close()
-			l := newTestList(400, int64(g))
-			for inv := 0; inv < 20; inv++ {
-				s.MustRun(l.head)
-				l.churn()
-			}
-		}(g)
-	}
-	stop := make(chan struct{})
-	var reader sync.WaitGroup
-	reader.Add(1)
-	go func() {
-		defer reader.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			st := p.Stats()
-			if st.Invocations < 0 || st.TotalIters < 0 {
-				t.Error("negative counters")
-				return
-			}
+	whileRunning(t, func() string {
+		if st := p.Stats(); st.Invocations < 0 || st.TotalIters < 0 {
+			return "negative counters"
 		}
-	}()
-	submitters.Wait()
-	close(stop)
-	reader.Wait()
+		return ""
+	}, func() { parallel(t, cases...) })
 	if st := p.Stats(); st.Invocations != 80 {
 		t.Errorf("invocations = %d, want 80", st.Invocations)
 	}
@@ -417,24 +328,14 @@ func TestPoolStatsReadableUnderLoad(t *testing.T) {
 // made the whole pool scrape as sequential even though a full-width
 // runner sat idle. The gauge must report the widest runner.
 func TestPoolStatsEffectiveThreadsNarrowSessionLast(t *testing.T) {
-	p, err := NewPool(xorLoop(), PoolConfig{Config: Config{Threads: 4}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	l := newTestList(400, 1)
+	p := newPool(t, plainLoop(), Config{Threads: 4})
+	l := testList(400, 1)
 
-	wide, err := p.SessionWidth(4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	wide := openSession(t, p, 4)
 	wide.MustRun(l.head)
 	wide.Close()
 
-	narrow, err := p.SessionWidth(1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	narrow := openSession(t, p, 1)
 	narrow.MustRun(l.head)
 	narrow.Close() // released last — the old code reported this runner's width
 
@@ -452,19 +353,7 @@ func TestPoolStatsEffectiveThreadsNarrowSessionLast(t *testing.T) {
 // finished by recovery — in parallel chunks, not on one goroutine — with
 // the result still exactly sequential.
 func TestParallelSquashRecoveryForcedCap(t *testing.T) {
-	l := newTestList(4000, 8)
-	r, err := NewRunner(xorLoop(), Config{Threads: 4, maxSpec: 600})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	for inv := 0; inv < 6; inv++ {
-		want := sequential(xorLoop(), l.head)
-		if got := r.MustRun(l.head); got != want {
-			t.Fatalf("inv %d: got %+v want %+v", inv, got, want)
-		}
-	}
-	st := r.Stats()
+	st := final(mcase{build: func() *gen { return testList(4000, 8) }, threads: 4, maxSpec: 600, invs: 6}.run(t))
 	if st.Recoveries == 0 {
 		t.Fatal("capped chunks never triggered parallel recovery")
 	}
@@ -487,37 +376,16 @@ func TestParallelSquashRecoveryForcedCap(t *testing.T) {
 // recovery chunks re-memoize — the invocation after next is balanced
 // again with no further recovery.
 func TestParallelSquashRecoveryOrganic(t *testing.T) {
-	l := newTestList(400, 19)
-	r, err := NewRunner(xorLoop(), Config{Threads: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	// Warm up: bootstrap plus enough invocations to memoize all rows.
-	for inv := 0; inv < 4; inv++ {
-		want := sequential(xorLoop(), l.head)
-		if got := r.MustRun(l.head); got != want {
-			t.Fatalf("warmup inv %d mismatch", inv)
-		}
-	}
-	// Grow the list ~10x in the middle: the chunk spanning the insertion
-	// exceeds the cap derived from the old trip count.
-	ns := l.nodes()
-	mid := len(ns) / 2
-	grown := make([]*node, 0, len(ns)+3600)
-	grown = append(grown, ns[:mid]...)
-	for i := 0; i < 3600; i++ {
-		grown = append(grown, &node{weight: int64(i * 2654435761)})
-	}
-	grown = append(grown, ns[mid:]...)
-	l.relink(grown)
-
-	before := r.Stats()
-	want := sequential(xorLoop(), l.head)
-	if got := r.MustRun(l.head); got != want {
-		t.Fatalf("growth invocation: got %+v want %+v", got, want)
-	}
-	after := r.Stats()
+	// Warm up (bootstrap plus enough invocations to memoize all rows),
+	// then grow the list ~10x in the middle: the chunk spanning the
+	// insertion exceeds the cap derived from the old trip count.
+	sts := mcase{build: func() *gen { return testList(400, 19) }, threads: 4, invs: 7,
+		edit: func(l *gen, inv int) {
+			if inv == 3 {
+				l.growMid(3600, 2654435761)
+			}
+		}}.run(t)
+	before, after, final := sts[3], sts[4], sts[6]
 	if after.Recoveries == before.Recoveries {
 		t.Fatal("10x growth did not trigger parallel recovery")
 	}
@@ -528,24 +396,11 @@ func TestParallelSquashRecoveryOrganic(t *testing.T) {
 
 	// Recovery re-memoized: within two invocations the split is balanced
 	// again and no further recovery happens.
-	for inv := 0; inv < 2; inv++ {
-		want = sequential(xorLoop(), l.head)
-		if got := r.MustRun(l.head); got != want {
-			t.Fatalf("post-recovery inv %d mismatch", inv)
-		}
-	}
-	final := r.Stats()
 	if final.Recoveries != after.Recoveries {
 		t.Errorf("recovery kept firing after re-memoization (%d -> %d)",
 			after.Recoveries, final.Recoveries)
 	}
-	nonzero := 0
-	for _, w := range final.LastWorks {
-		if w > 0 {
-			nonzero++
-		}
-	}
-	if nonzero != 4 {
+	if busy(final.LastWorks) != 4 {
 		t.Errorf("post-recovery works %v; want all four chunks active", final.LastWorks)
 	}
 	if imb := final.Imbalance(); imb > 1.5 {
@@ -557,39 +412,13 @@ func TestParallelSquashRecoveryOrganic(t *testing.T) {
 // TestRecoveryThroughPool exercises the recovery path under concurrent
 // submissions (race coverage for the recovery scheduler reuse).
 func TestRecoveryThroughPool(t *testing.T) {
-	p, err := NewPool(xorLoop(), PoolConfig{Config: Config{Threads: 4, maxSpec: 300}})
-	if err != nil {
-		t.Fatal(err)
+	p := newPool(t, plainLoop(), Config{Threads: 4, maxSpec: 300})
+	cases := make([]mcase, 8)
+	for g := range cases {
+		cases[g] = listCase(2000, int64(100+g), (*gen).churn)
+		cases[g].door, cases[g].via, cases[g].threads, cases[g].invs = "session", p, 4, 10
 	}
-	defer p.Close()
-	var wg sync.WaitGroup
-	fail := make(chan struct{}, 8)
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			s, serr := p.Session()
-			if serr != nil {
-				t.Error(serr)
-				return
-			}
-			defer s.Close()
-			l := newTestList(2000, int64(100+g))
-			for inv := 0; inv < 10; inv++ {
-				want := sequential(xorLoop(), l.head)
-				if got := s.MustRun(l.head); got != want {
-					fail <- struct{}{}
-					return
-				}
-				l.churn()
-			}
-		}(g)
-	}
-	wg.Wait()
-	close(fail)
-	if _, bad := <-fail; bad {
-		t.Fatal("concurrent recovery produced a wrong result")
-	}
+	parallel(t, cases...)
 	if st := p.Stats(); st.Recoveries == 0 {
 		t.Error("cap of 300 on 2000-element lists never triggered recovery")
 	}
@@ -605,52 +434,23 @@ func TestRecoveryThroughPool(t *testing.T) {
 // acceptance test for the controller in the concurrent front door.
 func TestPoolAdaptiveSessionStress(t *testing.T) {
 	const submitters = 8
-	p, err := NewPool(xorLoop(), PoolConfig{
-		Config: Config{Threads: 4, Options: Options{Adaptive: true}, probeEvery: 3},
-	})
-	if err != nil {
-		t.Fatal(err)
+	p := newPool(t, plainLoop(), Config{Threads: 4, Options: Options{Adaptive: true}, probeEvery: 3})
+	cases := make([]mcase, submitters)
+	for g := range cases {
+		cases[g] = listCase(600+31*g, int64(500+g), (*gen).churn)
+		cases[g].door, cases[g].via, cases[g].threads, cases[g].adaptive, cases[g].invs = "session", p, 4, true, 20
+		if g%2 == 1 { // fresh nodes every invocation: fully unstable
+			cases[g].edit = func(l *gen, inv int) { l.head = testList(600+31*g, int64(9000+100*g+inv)).head }
+		}
 	}
-	defer p.Close()
-	var wg sync.WaitGroup
-	errs := make(chan string, submitters)
-	for g := 0; g < submitters; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			s, serr := p.Session()
-			if serr != nil {
-				t.Error(serr)
-				return
-			}
-			defer s.Close()
-			hostile := g%2 == 1
-			l := newTestList(600+31*g, int64(500+g))
-			for inv := 0; inv < 20; inv++ {
-				want := sequential(xorLoop(), l.head)
-				if got := s.MustRun(l.head); got != want {
-					errs <- "adaptive session result diverged from sequential reference"
-					return
-				}
-				if hostile {
-					l = newTestList(600+31*g, int64(9000+100*g+inv)) // fresh nodes: fully unstable
-				} else {
-					l.churn()
-				}
-			}
-			st := s.Stats()
-			if hostile && st.SequentialFallbacks == 0 {
-				errs <- "hostile session never fell back to sequential execution"
-			}
-			if !hostile && st.EffectiveThreads != 4 {
-				errs <- "stable session lost parallel width to a hostile neighbour"
-			}
-		}(g)
-	}
-	wg.Wait()
-	close(errs)
-	for e := range errs {
-		t.Fatal(e)
+	for g, sts := range parallel(t, cases...) {
+		st := final(sts)
+		if g%2 == 1 && st.SequentialFallbacks == 0 {
+			t.Error("hostile session never fell back to sequential execution")
+		}
+		if g%2 == 0 && st.EffectiveThreads != 4 {
+			t.Error("stable session lost parallel width to a hostile neighbour")
+		}
 	}
 }
 
@@ -660,25 +460,12 @@ func TestPoolAdaptiveSessionStress(t *testing.T) {
 // reset runner, so the next session (which recycles it via the free
 // list) starts at full width with neutral confidence.
 func TestSessionNoAdaptiveBleed(t *testing.T) {
-	p, err := NewPool(xorLoop(), PoolConfig{
-		Config: Config{Threads: 4, Options: Options{Adaptive: true}, probeEvery: 64},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
+	p := newPool(t, plainLoop(), Config{Threads: 4, Options: Options{Adaptive: true}, probeEvery: 64})
 
 	// Session 1: fully unstable traversal until throttled to width 1.
-	s1, err := p.Session()
-	if err != nil {
-		t.Fatal(err)
-	}
+	s1 := openSession(t, p, 0)
 	for inv := 0; inv < 30; inv++ {
-		l := newTestList(800, int64(3000+inv))
-		want := sequential(xorLoop(), l.head)
-		if got := s1.MustRun(l.head); got != want {
-			t.Fatalf("hostile inv %d mismatch", inv)
-		}
+		testList(800, int64(3000+inv)).exact(t, s1)
 	}
 	if eff := s1.Stats().EffectiveThreads; eff != 1 {
 		t.Fatalf("hostile session not throttled (eff=%d); bleed test needs a poisoned runner", eff)
@@ -690,11 +477,7 @@ func TestSessionNoAdaptiveBleed(t *testing.T) {
 	// probe interval, any leftover throttle or gated confidence would
 	// keep it sequential for the whole test — the reset must not leave
 	// any.
-	s2, err := p.Session()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
+	s2 := openSession(t, p, 0)
 	if s2.r != r1 {
 		t.Fatalf("free list did not recycle the poisoned runner (%p vs %p)", s2.r, r1)
 	}
@@ -705,17 +488,14 @@ func TestSessionNoAdaptiveBleed(t *testing.T) {
 		if r1.pred.rows[k].valid {
 			t.Fatal("recycled runner kept another session's predictions")
 		}
-		if !r1.pred.conf.Admit(k) {
+		if !r1.ctrl.conf.Admit(k) {
 			t.Fatalf("recycled runner kept gated confidence for row %d", k)
 		}
 	}
 	before := s2.Stats()
-	l := newTestList(900, 4)
+	l := testList(900, 4)
 	for inv := 0; inv < 10; inv++ {
-		want := sequential(xorLoop(), l.head)
-		if got := s2.MustRun(l.head); got != want {
-			t.Fatalf("stable inv %d mismatch", inv)
-		}
+		l.exact(t, s2)
 		l.churn()
 	}
 	st := s2.Stats()
@@ -735,15 +515,9 @@ func TestSessionNoAdaptiveBleed(t *testing.T) {
 // allocations — the seed runtime allocated results, proposals, works,
 // plans, snapshots and goroutines every invocation.
 func TestSteadyStateAllocations(t *testing.T) {
-	l := newTestList(2000, 4)
-	r, err := NewRunner(xorLoop(), Config{Threads: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	for inv := 0; inv < 8; inv++ {
-		r.MustRun(l.head) // warm predictor and buffers
-	}
+	l := testList(2000, 4)
+	r := newRunner(t, plainLoop(), Config{Threads: 4})
+	l.warm(t, r, 8) // warm predictor and buffers
 	avg := testing.AllocsPerRun(20, func() { r.MustRun(l.head) })
 	if avg > 4 {
 		t.Errorf("steady-state Run allocates %.1f objects/op; hot path should reuse buffers", avg)
@@ -756,36 +530,26 @@ func TestSteadyStateAllocations(t *testing.T) {
 // adaptive runner the confidence gate leaves no row (the bootstrap plan,
 // its candidates, promote).
 func TestRoundOfOneAllocations(t *testing.T) {
-	l := newTestList(2000, 4)
-	want := sequential(xorLoop(), l.head)
+	l := testList(2000, 4)
+	want := l.oracle()
 	t.Run("width1", func(t *testing.T) {
-		r, err := NewRunner(xorLoop(), Config{Threads: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer r.Close()
+		r := newRunner(t, plainLoop(), Config{Threads: 1})
 		r.MustRun(l.head)
 		if avg := testing.AllocsPerRun(20, func() { r.MustRun(l.head) }); avg != 0 {
 			t.Errorf("a width-1 Run allocates %.1f objects/op", avg)
 		}
 	})
 	t.Run("gated", func(t *testing.T) {
-		r, err := NewRunner(xorLoop(), Config{Threads: 4, Options: Options{Adaptive: true}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer r.Close()
-		for inv := 0; inv < 4; inv++ {
-			r.MustRun(l.head) // warm predictor and buffers
-		}
+		r := newRunner(t, plainLoop(), Config{Threads: 4, Options: Options{Adaptive: true}})
+		l.warm(t, r, 4) // warm predictor and buffers
 		for k := 0; k < 3; k++ {
-			for r.pred.conf.Admit(k) {
-				r.pred.conf.Miss(k)
+			for r.ctrl.conf.Admit(k) {
+				r.ctrl.conf.Miss(k)
 			}
 		}
 		before := r.Stats()
 		avg := testing.AllocsPerRun(20, func() {
-			r.ctrl.Reset() // full width again: the gate, not the throttle, leaves one slot
+			r.ctrl.eff = r.ctrl.threads // full width again: the gate, not the throttle, leaves one slot
 			if got := r.MustRun(l.head); got != want {
 				t.Fatalf("gated Run = %+v, want %+v", got, want)
 			}

@@ -73,10 +73,6 @@ type predictor[S comparable] struct {
 	threads int
 
 	rows []row[S]
-	// conf scores each row's recent prediction record (adaptive.go).
-	// Always maintained — it feeds Stats.Hits/Misses — but only gates
-	// dispatch when the runner's adaptive controller is on.
-	conf *rowConfidence
 	// prevTotal is the last invocation's total committed trip count —
 	// the planning total for the current invocation's boundaries.
 	prevTotal int64
@@ -88,7 +84,6 @@ func newPredictor[S comparable](threads int) *predictor[S] {
 	return &predictor[S]{
 		threads: threads,
 		rows:    make([]row[S], threads-1),
-		conf:    newRowConfidence(threads - 1),
 		scratch: make([]row[S], threads-1),
 	}
 }
@@ -102,7 +97,6 @@ func newPredictor[S comparable](threads int) *predictor[S] {
 func (p *predictor[S]) reset() {
 	clear(p.rows)
 	clear(p.scratch)
-	p.conf.Reset()
 	p.prevTotal = 0
 }
 

@@ -10,120 +10,41 @@ import (
 	"testing"
 )
 
-// statsLine formats every Stats field that repeats exactly from run to
-// run — all of them except Reclaimed, which counts chunks the invoker
-// won from a late worker and so depends on the Go scheduler.
-func statsLine(st Stats) string {
-	return fmt.Sprintf("inv=%d mis=%d sq=%d tail=%d tot=%d rec=%d rch=%d hit=%d miss=%d "+
-		"conf=%d ci=%d sf=%d shed=%d ret=%d eff=%d works=%v",
-		st.Invocations, st.MisspecInvocations, st.SquashedIters, st.TailIters, st.TotalIters,
-		st.Recoveries, st.RecoveryChunks, st.Hits, st.Misses,
-		st.Conflicts, st.ConflictIters, st.SequentialFallbacks, st.BatchSheds, st.RunnersRetired,
-		st.EffectiveThreads, st.LastWorks)
-}
-
 // roundKinds records which triggers of a second round a scenario saw.
 type roundKinds struct{ capRound, capAgain, conflictRound bool }
 
-func (k *roundKinds) note(before, after Stats) {
-	rounds := after.Recoveries - before.Recoveries
+// note reads a scenario's counters after every invocation.
+func (k *roundKinds) note(sts []Stats) {
+	var before Stats
+	for _, after := range sts {
+		rounds := after.Recoveries - before.Recoveries
+		switch {
+		case rounds > 0 && after.Conflicts > before.Conflicts:
+			k.conflictRound = true
+		case rounds > 1:
+			k.capRound, k.capAgain = true, true
+		case rounds > 0:
+			k.capRound = true
+		}
+		before = after
+	}
+}
+
+// pinnedEdit is the list scenarios' script over 14 invocations: churn
+// after every odd one, and in place of it a mid-list growth of 2500
+// nodes (~9x, past the 4x+1024 derived cap) after invocation 4, a drop
+// of every third node after 8 and a shuffle after 11.
+func pinnedEdit(g *gen, inv int) {
 	switch {
-	case rounds > 0 && after.Conflicts > before.Conflicts:
-		k.conflictRound = true
-	case rounds > 1:
-		k.capRound, k.capAgain = true, true
-	case rounds > 0:
-		k.capRound = true
+	case inv == 4:
+		g.growMid(2500, 40503)
+	case inv == 8:
+		g.dropThird()
+	case inv == 11:
+		g.shuffle()
+	case inv%2 == 1:
+		g.churn()
 	}
-}
-
-// pinnedList runs the list kernel for 14 invocations with churn, a
-// mid-list growth past the derived cap, a drop of a third and a shuffle
-// between them, and returns the Stats snapshot after every invocation.
-func pinnedList(t *testing.T, kinds *roundKinds, loop Loop[*node, sumAcc], threads int, maxSpec int64, adaptive bool) []string {
-	l := newTestList(300, 31)
-	r, err := NewRunner(loop, Config{
-		Threads: threads, Options: Options{Adaptive: adaptive},
-		maxSpec: maxSpec, probeEvery: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	var lines []string
-	var prev Stats
-	for inv := 0; inv < 14; inv++ {
-		want := sequential(xorLoop(), l.head)
-		if got := r.MustRun(l.head); got != want {
-			t.Fatalf("inv %d: got %+v want %+v", inv, got, want)
-		}
-		st := r.Stats()
-		checkConservation(t, st)
-		kinds.note(prev, st)
-		prev = st
-		lines = append(lines, statsLine(st))
-		ns := l.nodes()
-		switch inv {
-		case 4: // grow 2500 in the middle: ~9x, past the 4x+1024 derived cap
-			mid := len(ns) / 2
-			grown := append([]*node{}, ns[:mid]...)
-			for i := 0; i < 2500; i++ {
-				grown = append(grown, &node{weight: int64(i) * 40503})
-			}
-			l.relink(append(grown, ns[mid:]...))
-		case 8: // drop every third node
-			kept := ns[:0]
-			for i, nd := range ns {
-				if i%3 != 2 {
-					kept = append(kept, nd)
-				}
-			}
-			l.relink(kept)
-		case 11:
-			l.rng.Shuffle(len(ns), func(i, j int) { ns[i], ns[j] = ns[j], ns[i] })
-			l.relink(ns)
-		default:
-			if inv%2 == 1 {
-				l.churn()
-			}
-		}
-	}
-	return lines
-}
-
-// pinnedDoacross runs the DOACROSS kernel for 10 invocations with value
-// churn between them.
-func pinnedDoacross(t *testing.T, kinds *roundKinds, loop Loop[*dcnode, int64], regime string, threads int, maxSpec int64, adaptive bool) []string {
-	rng := rand.New(rand.NewSource(42))
-	head, nodes, cells, shadow := buildDoacross(rng, 600, regime)
-	loop.Cells = cells
-	r, err := NewRunner(loop, Config{
-		Threads: threads, Options: Options{Adaptive: adaptive},
-		maxSpec: maxSpec, probeEvery: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	var lines []string
-	var prev Stats
-	for inv := 0; inv < 10; inv++ {
-		want := dcReference(head, shadow)
-		got, rerr := r.Run(context.Background(), head)
-		if rerr != nil || got != want {
-			t.Fatalf("inv %d: acc = %d, %v; want %d", inv, got, rerr, want)
-		}
-		assertCellsEqual(t, fmt.Sprintf("inv %d", inv), cells, shadow)
-		st := r.Stats()
-		checkConservation(t, st)
-		kinds.note(prev, st)
-		prev = st
-		lines = append(lines, statsLine(st))
-		for k := 0; k < 30; k++ {
-			nodes[rng.Intn(len(nodes))].w = rng.Int63n(1 << 20)
-		}
-	}
-	return lines
 }
 
 // TestRoundCountersPinned pins what no benchmark workload reaches (none
@@ -135,19 +56,29 @@ func pinnedDoacross(t *testing.T, kinds *roundKinds, loop Loop[*dcnode, int64], 
 // rounds (when recovery rounds were a separate function), so it is the
 // evidence that rounds after the first behave exactly as recovery did.
 // Every scenario runs twice, on the closure triple and with the loop's
-// block form set (Loop.Scan), against the same pinned value: the block
-// form moves no counter of any invocation. A change that means to move
-// a counter re-captures the table from the failure output and says
-// which counters moved and why.
+// block form set (Loop.Scan), which must agree counter for counter
+// (mcase.twin): the block form moves no counter of any invocation. A
+// change that means to move a counter re-captures the table from the
+// failure output and says which counters moved and why.
 func TestRoundCountersPinned(t *testing.T) {
 	var kinds roundKinds
 	ran := map[string]string{} // scenario -> its snapshots, one a line
+	pin := func(name string, c mcase) {
+		sts := c.twin(t)
+		kinds.note(sts)
+		lines := make([]string, len(sts))
+		for i, st := range sts {
+			lines[i] = statsLine(st)
+		}
+		ran[name] = strings.Join(lines, "\n")
+	}
 	for _, threads := range []int{2, 3, 4, 8} {
 		for _, maxSpec := range []int64{0, 50, 600} {
 			for _, adaptive := range []bool{false, true} {
-				name := fmt.Sprintf("list/t%d/cap%d/adaptive=%v", threads, maxSpec, adaptive)
-				ran[name] = strings.Join(pinnedList(t, &kinds, xorLoop(), threads, maxSpec, adaptive), "\n")
-				ran[name+scanSuffix] = strings.Join(pinnedList(t, &kinds, xorScanLoop(), threads, maxSpec, adaptive), "\n")
+				pin(fmt.Sprintf("list/t%d/cap%d/adaptive=%v", threads, maxSpec, adaptive), mcase{
+					build: func() *gen { return testList(300, 31) }, edit: pinnedEdit,
+					threads: threads, adaptive: adaptive, maxSpec: maxSpec, probe: 2, invs: 14,
+				})
 			}
 		}
 	}
@@ -155,9 +86,9 @@ func TestRoundCountersPinned(t *testing.T) {
 		for _, threads := range []int{2, 4, 8} {
 			for _, maxSpec := range []int64{0, 300} {
 				for _, adaptive := range []bool{false, true} {
-					name := fmt.Sprintf("doacross/%s/t%d/cap%d/adaptive=%v", regime, threads, maxSpec, adaptive)
-					ran[name] = strings.Join(pinnedDoacross(t, &kinds, dcLoop(), regime, threads, maxSpec, adaptive), "\n")
-					ran[name+scanSuffix] = strings.Join(pinnedDoacross(t, &kinds, dcScanLoop(), regime, threads, maxSpec, adaptive), "\n")
+					c := cellCase(42, 600, regime, 30)
+					c.threads, c.adaptive, c.maxSpec, c.probe, c.invs = threads, adaptive, maxSpec, 2, 10
+					pin(fmt.Sprintf("doacross/%s/t%d/cap%d/adaptive=%v", regime, threads, maxSpec, adaptive), c)
 				}
 			}
 		}
@@ -165,22 +96,17 @@ func TestRoundCountersPinned(t *testing.T) {
 	if !kinds.capRound || !kinds.capAgain || !kinds.conflictRound {
 		t.Errorf("matrix lost a trigger of later rounds: %+v", kinds)
 	}
-	if len(ran) != 2*len(pinnedRounds) {
-		t.Errorf("%d scenarios ran, %d are pinned (each with and without Loop.Scan)", len(ran), len(pinnedRounds))
+	if len(ran) != len(pinnedRounds) {
+		t.Errorf("%d scenarios ran, %d are pinned", len(ran), len(pinnedRounds))
 	}
 	for name, snapshots := range ran {
 		h := fnv.New64a()
 		h.Write([]byte(snapshots))
-		if got, want := h.Sum64(), pinnedRounds[strings.TrimSuffix(name, scanSuffix)]; got != want {
+		if got, want := h.Sum64(), pinnedRounds[name]; got != want {
 			t.Errorf("%q: %#016x, // pinned %#016x\n%s", name, got, want, snapshots)
 		}
 	}
 }
-
-// scanSuffix marks the run of a pinned scenario with the loop's block
-// form set (Loop.Scan): it must hash to the value pinned for the
-// closure path, counter for counter.
-const scanSuffix = "/scan"
 
 // scriptedCtx is a context whose Err turns context.Canceled, for good,
 // on its cancelAt-th call: a cancellation that lands at one exact check
@@ -199,14 +125,6 @@ func (c *scriptedCtx) Err() error {
 	return nil
 }
 
-// blockTask occupies an executor worker until released.
-type blockTask struct{ started, release chan struct{} }
-
-func (b *blockTask) run() {
-	close(b.started)
-	<-b.release
-}
-
 // heldExecutor is a one-worker executor whose worker is held until the
 // test ends, so the invoker runs (reclaims) every speculative chunk
 // itself and leaves each slot's reclaimed flag set for the next round to
@@ -214,11 +132,15 @@ func (b *blockTask) run() {
 func heldExecutor(t *testing.T) *Executor {
 	e := NewExecutor(1)
 	t.Cleanup(e.Close)
-	hold := &blockTask{started: make(chan struct{}), release: make(chan struct{})}
-	submitTask(e, hold, 0)
-	<-hold.started
-	t.Cleanup(func() { close(hold.release) })
+	t.Cleanup(holdWorker(e, 0))
 	return e
+}
+
+// seedQuarters gives a width-4 runner the rows a bootstrap over ns
+// memoizes: rows 0, 1 and 2 at its quarters.
+func seedQuarters(r *Runner[*mnode, tally], ns []*mnode) {
+	q := len(ns) / 4
+	r.pred.apply(int64(len(ns)), []memo[*mnode]{{0, ns[q], int64(q)}, {1, ns[2*q], int64(2 * q)}, {2, ns[3*q], int64(3 * q)}})
 }
 
 // TestUndispatchedSlotsGetNoVerdict: when cancellation lands inside a
@@ -228,7 +150,8 @@ func heldExecutor(t *testing.T) *Executor {
 // traversal (the invocation succeeds) or matches its way to an
 // unlaunched slot (it fails with the ctx error). Recovery rounds used
 // to judge every slot of the chain, dispatched or not. (A cancel one
-// check earlier, at the top of the round, starts no round at all.)
+// check earlier, at the top of the round, starts no round at all.) The
+// runners are adaptive: row confidence is the controller's.
 func TestUndispatchedSlotsGetNoVerdict(t *testing.T) {
 	// Round 0: slot 0 matches row 0 after 300 iterations, slot 1 commits
 	// capped at 100 hunting row 1, slots 2 and 3 are squashed behind it.
@@ -248,23 +171,16 @@ func TestUndispatchedSlotsGetNoVerdict(t *testing.T) {
 		{"round never starts", false, 6, context.Canceled, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			l := newTestList(1200, 5)
+			l := testList(1200, 5)
 			ns := l.nodes()
-			r, err := NewRunner(xorLoop(), Config{Threads: 4, maxSpec: 100, Executor: heldExecutor(t)})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer r.Close()
-			r.pred.apply(1200, []memo[*node]{
-				{row: 0, state: ns[300], pos: 300},
-				{row: 1, state: ns[600], pos: 600},
-				{row: 2, state: ns[900], pos: 900},
-			})
+			r := newRunner(t, l.loop(false), Config{Threads: 4, Options: Options{Adaptive: true}, maxSpec: 100, Executor: heldExecutor(t)})
+			seedQuarters(r, ns)
 			if tc.unlink {
 				ns[599].next = ns[601]
 			}
-			want := sequential(xorLoop(), l.head)
-			conf := [3]float64{r.pred.conf.Score(0), r.pred.conf.Score(1), r.pred.conf.Score(2)}
+			want := l.oracle()
+			conf := r.ctrl.conf
+			before := [3]float64{conf.Score(0), conf.Score(1), conf.Score(2)}
 
 			ctx := &scriptedCtx{Context: context.Background(), cancelAt: tc.cancelAt}
 			got, rerr := r.Run(ctx, l.head)
@@ -279,16 +195,16 @@ func TestUndispatchedSlotsGetNoVerdict(t *testing.T) {
 				t.Errorf("Hits %d Misses %d Reclaimed %d; want 1 0 1 (slot 1 of round 0 only)",
 					st.Hits, st.Misses, st.Reclaimed)
 			}
-			if s0 := r.pred.conf.Score(0); s0 <= conf[0] {
-				t.Errorf("row 0 confidence %v -> %v; its chunk committed", conf[0], s0)
+			if s0 := conf.Score(0); s0 <= before[0] {
+				t.Errorf("row 0 confidence %v -> %v; its chunk committed", before[0], s0)
 			}
 			for k := 1; k < 3; k++ {
-				if sk := r.pred.conf.Score(k); sk != conf[k] {
+				if sk := conf.Score(k); sk != before[k] {
 					t.Errorf("row %d confidence %v -> %v; its chunk was never dispatched in round 1 and only a cap artifact in round 0",
-						k, conf[k], sk)
+						k, before[k], sk)
 				}
 			}
-			checkConservation(t, st)
+			checkConservation(t, st, 4)
 		})
 	}
 
@@ -298,25 +214,16 @@ func TestUndispatchedSlotsGetNoVerdict(t *testing.T) {
 	// probes the launched views alone; probing the others would read
 	// read-sets no chunk of this round filled (here, none at all).
 	t.Run("cell store, cancelled in round 0's dispatch", func(t *testing.T) {
-		head, ns, cells, shadow := buildDoacross(rand.New(rand.NewSource(9)), 1200, "none")
-		loop := dcLoop()
-		loop.Cells = cells
-		r, err := NewRunner(loop, Config{Threads: 4, Executor: heldExecutor(t)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer r.Close()
-		r.pred.apply(1200, []memo[*dcnode]{
-			{row: 0, state: ns[300], pos: 300},
-			{row: 1, state: ns[600], pos: 600},
-			{row: 2, state: ns[900], pos: 900},
-		})
-		conf := [3]float64{r.pred.conf.Score(0), r.pred.conf.Score(1), r.pred.conf.Score(2)}
+		g := cellList(rand.New(rand.NewSource(9)), 1200, "none")
+		ns := g.nodes()
+		r := newRunner(t, g.loop(false), Config{Threads: 4, Options: Options{Adaptive: true}, Executor: heldExecutor(t)})
+		seedQuarters(r, ns)
+		conf := r.ctrl.conf
+		before := [3]float64{conf.Score(0), conf.Score(1), conf.Score(2)}
 
 		ctx := &scriptedCtx{Context: context.Background(), cancelAt: 4}
-		if _, rerr := r.Run(ctx, head); !errors.Is(rerr, context.Canceled) {
-			t.Fatalf("Run err = %v; want %v", rerr, context.Canceled)
-		}
+		_, rerr := r.Run(ctx, g.head)
+		wantErr(t, rerr, context.Canceled)
 		// A failed invocation's round records no verdict, and slots 2 and
 		// 3 resolved nothing either way.
 		st := r.Stats()
@@ -324,24 +231,17 @@ func TestUndispatchedSlotsGetNoVerdict(t *testing.T) {
 			t.Errorf("Conflicts %d Hits %d Misses %d Reclaimed %d; want all 0",
 				st.Conflicts, st.Hits, st.Misses, st.Reclaimed)
 		}
-		for k := range conf {
-			if sk := r.pred.conf.Score(k); sk != conf[k] {
-				t.Errorf("row %d confidence %v -> %v; the invocation failed", k, conf[k], sk)
+		for k := range before {
+			if sk := conf.Score(k); sk != before[k] {
+				t.Errorf("row %d confidence %v -> %v; the invocation failed", k, before[k], sk)
 			}
 		}
 		// Slots 0 and 1 committed and landed: the store holds the first
 		// 600 iterations, as a sequential run cancelled there would.
-		ns[599].next = nil
-		dcReference(head, shadow)
-		ns[599].next = ns[600]
-		assertCellsEqual(t, "after the cancel", cells, shadow)
-
-		want := dcReference(head, shadow)
-		if got, rerr := r.Run(context.Background(), head); rerr != nil || got != want {
-			t.Fatalf("next Run = %d, %v; want %d", got, rerr, want)
-		}
-		assertCellsEqual(t, "next Run", cells, shadow)
-		checkConservation(t, r.Stats())
+		g.prefix(600)
+		g.checkCells(t, "after the cancel")
+		g.exact(t, r)
+		checkConservation(t, r.Stats(), 4)
 	})
 }
 
@@ -351,11 +251,7 @@ func TestUndispatchedSlotsGetNoVerdict(t *testing.T) {
 // admitted rows and strictly increasing. The admitted rows are the last
 // na of nine, so a pick that returned an index instead of a row shows.
 func TestPlanDispatchSpreadsPicks(t *testing.T) {
-	r, err := NewRunner(xorLoop(), Config{Threads: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
+	r := newRunner(t, plainLoop(), Config{Threads: 10})
 	rows := r.pred.rows
 	for na := 1; na <= len(rows); na++ {
 		for k := range rows {

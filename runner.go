@@ -273,16 +273,18 @@ func (r *Runner[S, A]) admitRow(k int, probe bool) bool {
 	if r.ctrl == nil || probe {
 		return true
 	}
-	return r.pred.conf.Admit(k)
+	return r.ctrl.conf.Admit(k)
 }
 
-// noteHit records a committed speculative chunk for row k; reclaimed
-// says the invoker ran it itself. Reclaimed is counted here and in
-// noteMiss, with the verdict, so Reclaimed ≤ Hits + Misses holds by
-// construction.
+// noteHit records a committed speculative chunk for row k, and feeds
+// the row's confidence when the controller is on; reclaimed says the
+// invoker ran it itself. Reclaimed is counted here and in noteMiss,
+// with the verdict, so Reclaimed ≤ Hits + Misses holds by construction.
 func (r *Runner[S, A]) noteHit(k int, reclaimed bool) {
 	r.pend.Hits++
-	r.pred.conf.Hit(k)
+	if r.ctrl != nil {
+		r.ctrl.conf.Hit(k)
+	}
 	if reclaimed {
 		r.pend.Reclaimed++
 	}
@@ -291,7 +293,9 @@ func (r *Runner[S, A]) noteHit(k int, reclaimed bool) {
 // noteMiss records a squashed speculative chunk for row k.
 func (r *Runner[S, A]) noteMiss(k int, reclaimed bool) {
 	r.pend.Misses++
-	r.pred.conf.Miss(k)
+	if r.ctrl != nil {
+		r.ctrl.conf.Miss(k)
+	}
 	if reclaimed {
 		r.pend.Reclaimed++
 	}

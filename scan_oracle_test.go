@@ -17,13 +17,6 @@ import (
 	"spice/internal/workloads/native"
 )
 
-// scanCounters formats the per-invocation counters the block form must
-// not move (Reclaimed depends on the Go scheduler and is left out).
-func scanCounters(st spice.Stats) string {
-	return fmt.Sprintf("tot=%d hit=%d miss=%d sq=%d conf=%d rec=%d",
-		st.TotalIters, st.Hits, st.Misses, st.SquashedIters, st.Conflicts, st.Recoveries)
-}
-
 // shippedCase is one kernel behind one of the shipped loops.
 type shippedCase struct {
 	kernel string
@@ -59,7 +52,8 @@ func shippedCases() []shippedCase {
 }
 
 // runShippedCase drives three lockstep copies of the case for a few
-// invocations with the kernel's churn between them, and returns the
+// invocations with the kernel's churn between them, holds every copy to
+// the matrix's accounting identities after each, and returns the
 // counters of the copy with Scan set.
 func runShippedCase(t *testing.T, c shippedCase, size, seed int64, cfg spice.Config) spice.Stats {
 	t.Helper()
@@ -110,10 +104,11 @@ func runShippedCase(t *testing.T, c shippedCase, size, seed int64, cfg spice.Con
 				t.Fatalf("%v inv %d cell %d: Scan %d, closures %d, width-1 oracle %d", c, inv, cell, a, b, want)
 			}
 		}
-		if a, b := scanCounters(sides[0].r.Stats()), scanCounters(sides[1].r.Stats()); a != b {
+		if a, b := spice.StatsLine(sides[0].r.Stats()), spice.StatsLine(sides[1].r.Stats()); a != b {
 			t.Fatalf("%v inv %d: counters differ\nScan:     %s\nclosures: %s", c, inv, a, b)
 		}
-		for _, s := range sides {
+		for i, s := range sides {
+			spice.CheckConservation(t, s.r.Stats(), []int{cfg.Threads, cfg.Threads, 1}[i])
 			s.inst.Mutate()
 		}
 	}

@@ -14,64 +14,64 @@ import (
 	"testing"
 )
 
-// blockListScanLoop is blockListLoop with the block form set; visit,
-// when non-nil, runs before every node and may end the block in Scan's
-// place (k is the count so far).
-func blockListScanLoop(visit func(n *bnode, a, k, max int64) (*bnode, int64, int64, bool)) Loop[*bnode, int64] {
-	l := blockListLoop()
-	l.Scan = func(n *bnode, a int64, _ *CellView, stop *bnode, max int64) (*bnode, int64, int64) {
+// hookedScan is the plain loop with its block form set; hook, when
+// non-nil, runs before every node and may end the block in Scan's place
+// (k is the count so far).
+func hookedScan(hook func(n *mnode, a tally, k, lim int64) (*mnode, tally, int64, bool)) Loop[*mnode, tally] {
+	l := plainLoop()
+	l.Scan = func(n *mnode, a tally, _ *CellView, stop *mnode, lim int64) (*mnode, tally, int64) {
 		var k int64
-		for ; k < max && n != nil && n != stop; k++ {
-			if visit != nil {
-				if rn, ra, rk, taken := visit(n, a, k, max); taken {
+		for ; k < lim && n != nil && n != stop; k++ {
+			if hook != nil {
+				if rn, ra, rk, taken := hook(n, a, k, lim); taken {
 					return rn, ra, rk
 				}
 			}
-			a += n.w
-			n = n.next
+			a, n = a.visit(n.w), n.next
 		}
 		return n, a, k
 	}
 	return l
 }
 
-// blockListNodes returns the list's nodes by position.
-func blockListNodes(head *bnode) []*bnode {
-	var ns []*bnode
-	for n := head; n != nil; n = n.next {
-		ns = append(ns, n)
-	}
-	return ns
-}
-
-// orphanSecondChunk unlinks the six nodes from the second speculative
-// chunk's predicted start on (position 16384 of a bootstrapped 40 000-
-// node list at width 4), which stay linked into the rest of the list:
-// that chunk still runs, from a node the traversal no longer reaches, so
-// it and the chunk after it are squashed. Returns the sum of what is
-// left and the position of a node only the squashed chunk visits.
-func orphanSecondChunk(head *bnode) (want int64, orphan int64) {
-	ns := blockListNodes(head)
+// squashedTrap bootstraps a width-4 runner of loop over a 40 000-node
+// list, then unlinks the six nodes from the second speculative chunk's
+// predicted start on (position 16384), which stay linked into the rest
+// of the list: that chunk still runs, from a node the traversal no
+// longer reaches, so it and the chunk after it are squashed. With the
+// trap armed at a node only that chunk visits, the invocation must be
+// exact: whatever the trap did is discarded with the chunk.
+func squashedTrap(t *testing.T, loop Loop[*mnode, tally], armed *atomic.Bool, at *atomic.Pointer[mnode]) {
+	t.Helper()
+	g, ns := blockList(40_000)
+	r := newRunner(t, loop, Config{Threads: 4})
+	r.MustRun(g.head)
 	ns[16383].next = ns[16390]
-	return sumBlockList(head), 16386
+	at.Store(ns[16386])
+	armed.Store(true)
+	g.exact(t, r)
+	armed.Store(false)
+	if st := r.Stats(); st.Misses == 0 {
+		t.Fatalf("no chunk was squashed: %+v", st)
+	}
 }
 
 func TestScanValidation(t *testing.T) {
-	scan := blockListScanLoop(nil).Scan
-	base := blockListLoop()
+	scan := hookedScan(nil).Scan
+	base := plainLoop()
 	base.Body = nil
 	for _, tc := range []struct {
 		name string
-		set  func(l *Loop[*bnode, int64])
+		set  func(l *Loop[*mnode, tally])
 		ok   bool
 	}{
-		{"Body", func(l *Loop[*bnode, int64]) { l.Body = func(n *bnode, a int64) int64 { return a } }, true},
-		{"SpecBody", func(l *Loop[*bnode, int64]) { l.SpecBody = func(n *bnode, a int64, v *CellView) int64 { return a } }, true},
-		{"BodyErr", func(l *Loop[*bnode, int64]) { l.BodyErr = func(n *bnode, a int64) (int64, error) { return a, nil } }, false},
-		{"SpecBodyErr", func(l *Loop[*bnode, int64]) {
-			l.SpecBodyErr = func(n *bnode, a int64, v *CellView) (int64, error) { return a, nil }
+		{"Body", func(l *Loop[*mnode, tally]) { l.Body = func(n *mnode, a tally) tally { return a } }, true},
+		{"SpecBody", func(l *Loop[*mnode, tally]) { l.SpecBody = func(n *mnode, a tally, v *CellView) tally { return a } }, true},
+		{"BodyErr", func(l *Loop[*mnode, tally]) { l.BodyErr = func(n *mnode, a tally) (tally, error) { return a, nil } }, false},
+		{"SpecBodyErr", func(l *Loop[*mnode, tally]) {
+			l.SpecBodyErr = func(n *mnode, a tally, v *CellView) (tally, error) { return a, nil }
 		}, false},
-		{"no body", func(l *Loop[*bnode, int64]) {}, false},
+		{"no body", func(l *Loop[*mnode, tally]) {}, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			l := base
@@ -105,71 +105,43 @@ func TestScanValidation(t *testing.T) {
 func TestScanContractBreaks(t *testing.T) {
 	breaks := []struct {
 		name string
-		do   func(n *bnode, a, k, max int64) (*bnode, int64, int64)
+		do   func(n *mnode, a tally, k, lim int64) (*mnode, tally, int64)
 	}{
-		{"negative count", func(n *bnode, a, k, max int64) (*bnode, int64, int64) { return n, a, -1 }},
-		{"count above n", func(n *bnode, a, k, max int64) (*bnode, int64, int64) { return n, a, max + 1 }},
-		{"early stop on a live state", func(n *bnode, a, k, max int64) (*bnode, int64, int64) { return n, a, k }},
+		{"negative count", func(n *mnode, a tally, k, lim int64) (*mnode, tally, int64) { return n, a, -1 }},
+		{"count above n", func(n *mnode, a tally, k, lim int64) (*mnode, tally, int64) { return n, a, lim + 1 }},
+		{"early stop on a live state", func(n *mnode, a tally, k, lim int64) (*mnode, tally, int64) { return n, a, k }},
 	}
 	for _, br := range breaks {
 		var armed atomic.Bool
-		var at atomic.Int64
-		loop := blockListScanLoop(func(n *bnode, a, k, max int64) (*bnode, int64, int64, bool) {
-			if armed.Load() && n.idx == at.Load() {
-				rn, ra, rk := br.do(n, a, k, max)
+		var at atomic.Pointer[mnode]
+		loop := hookedScan(func(n *mnode, a tally, k, lim int64) (*mnode, tally, int64, bool) {
+			if armed.Load() && n == at.Load() {
+				rn, ra, rk := br.do(n, a, k, lim)
 				return rn, ra, rk, true
 			}
-			return nil, 0, 0, false
+			return nil, a, 0, false
 		})
 		// Node 100 is in the first chunk (hunting its successor at width
 		// 4, the whole traversal at width 1), node 39 000 in the chain's
 		// last chunk; neither is the first node of a block.
 		for _, threads := range []int{1, 4} {
-			for _, node := range []int64{100, 39_000} {
+			for _, node := range []int{100, 39_000} {
 				t.Run(fmt.Sprintf("%s/t%d/node%d", br.name, threads, node), func(t *testing.T) {
-					head := buildBlockList(40_000)
-					want := sumBlockList(head)
-					r, err := NewRunner(loop, Config{Threads: threads})
-					if err != nil {
-						t.Fatal(err)
-					}
-					defer r.Close()
-					if got, err := r.Run(context.Background(), head); err != nil || got != want {
-						t.Fatalf("bootstrap: got %d want %d err %v", got, want, err)
-					}
-					at.Store(node)
+					g, ns := blockList(40_000)
+					r := newRunner(t, loop, Config{Threads: threads})
+					g.exact(t, r) // bootstrap
+					at.Store(ns[node])
 					armed.Store(true)
-					got, rerr := r.Run(context.Background(), head)
+					got, rerr := r.Run(context.Background(), g.head)
 					armed.Store(false)
-					if !errors.Is(rerr, ErrBadScan) || got != 0 {
-						t.Fatalf("Run = %d, %v; want 0, ErrBadScan", got, rerr)
+					if !errors.Is(rerr, ErrBadScan) || got != (tally{}) {
+						t.Fatalf("Run = %+v, %v; want zero, ErrBadScan", got, rerr)
 					}
-					if got, err := r.Run(context.Background(), head); err != nil || got != want {
-						t.Fatalf("after the break: got %d want %d err %v", got, want, err)
-					}
+					g.exact(t, r)
 				})
 			}
 		}
-		t.Run(br.name+"/squashed chunk", func(t *testing.T) {
-			head := buildBlockList(40_000)
-			r, err := NewRunner(loop, Config{Threads: 4})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer r.Close()
-			r.MustRun(head)
-			want, orphan := orphanSecondChunk(head)
-			at.Store(orphan)
-			armed.Store(true)
-			got, rerr := r.Run(context.Background(), head)
-			armed.Store(false)
-			if rerr != nil || got != want {
-				t.Fatalf("Run = %d, %v; want %d: a break in a squashed chunk must be discarded", got, rerr, want)
-			}
-			if st := r.Stats(); st.Misses == 0 {
-				t.Fatalf("no chunk was squashed: %+v", st)
-			}
-		})
+		t.Run(br.name+"/squashed chunk", func(t *testing.T) { squashedTrap(t, loop, &armed, &at) })
 	}
 }
 
@@ -225,11 +197,7 @@ func TestScanZeroStateIsLive(t *testing.T) {
 			t.Run(fmt.Sprintf("zeroAfter%d/t%d/positional=false", zeroAfter, threads), func(t *testing.T) {
 				var bodyCalls atomic.Int64
 				loop, want := zeroLiveLoop(n, zeroAfter, &bodyCalls)
-				r, err := NewRunner(loop, Config{Threads: threads})
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer r.Close()
+				r := newRunner(t, loop, Config{Threads: threads})
 				const invocations = 5
 				for inv := 0; inv < invocations; inv++ {
 					if got, err := r.Run(context.Background(), 1); err != nil || got != want {

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# Size of the root package (the native runtime), the two figures ROADMAP
+# Size of the root package (the native runtime), the figures ROADMAP
 # item 6 and every subtraction PR quote: for each non-test Go file of
 # the directory, `wc -l` and its code lines (not blank, not a comment
-# line), then the totals. Run it from anywhere in the repository:
+# line), then the totals, then the lines of the package's _test.go files
+# beside them (the tests line). Run it from anywhere in the repository:
 #
 #   scripts/loc.sh [DIR=repository root]
 set -euo pipefail
@@ -21,3 +22,4 @@ ls *.go | grep -v '_test\.go$' | xargs awk '
 		}
 		printf "%-16s %6d %6d\n", "total", tl, tc
 	}'
+printf "%-16s %6d\n" tests "$(cat *_test.go | wc -l)"

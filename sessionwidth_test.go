@@ -8,18 +8,13 @@ package spice
 import (
 	"context"
 	"errors"
+	"slices"
 	"testing"
 )
 
 func TestSessionWidthClampsAndRuns(t *testing.T) {
-	p, err := NewPool(xorLoop(), PoolConfig{Config: Config{Threads: 4}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	l := newTestList(2000, 1)
-	want := sequential(xorLoop(), l.head)
-
+	p := newPool(t, plainLoop(), Config{Threads: 4})
+	l := testList(2000, 1)
 	for _, tc := range []struct{ ask, want int }{
 		{-3, 1}, {0, 1}, {1, 1}, {2, 2}, {4, 4}, {9, 4},
 	} {
@@ -30,10 +25,7 @@ func TestSessionWidthClampsAndRuns(t *testing.T) {
 		if got := s.Width(); got != tc.want {
 			t.Fatalf("SessionWidth(%d).Width() = %d, want %d", tc.ask, got, tc.want)
 		}
-		acc, err := s.Run(context.Background(), l.head)
-		if err != nil || acc != want {
-			t.Fatalf("width %d: acc %+v err %v, want %+v", tc.want, acc, err, want)
-		}
+		l.exact(t, s)
 		s.Close()
 		if s.Width() != 0 {
 			t.Fatalf("Width after Close = %d, want 0", s.Width())
@@ -42,65 +34,43 @@ func TestSessionWidthClampsAndRuns(t *testing.T) {
 }
 
 func TestSessionWidthRecyclesPerWidth(t *testing.T) {
-	p, err := NewPool(xorLoop(), PoolConfig{Config: Config{Threads: 4}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
+	p := newPool(t, plainLoop(), Config{Threads: 4})
 	// A runner released at width 2 must come back for the next width-2
 	// session, not for a width-4 one: widths are budget boundaries.
-	s2, _ := p.SessionWidth(2)
-	s2.Close()
+	openSession(t, p, 2).Close()
 	if got := p.Runners(); got != 1 {
 		t.Fatalf("runners after one width-2 session: %d", got)
 	}
-	s4, _ := p.SessionWidth(4)
+	openSession(t, p, 4)
 	if got := p.Runners(); got != 2 {
 		t.Fatalf("width-4 session must not reuse the width-2 runner: %d runners", got)
 	}
-	s2b, _ := p.SessionWidth(2)
+	openSession(t, p, 2)
 	if got := p.Runners(); got != 2 {
 		t.Fatalf("second width-2 session must reuse the freed width-2 runner: %d runners", got)
 	}
-	s4.Close()
-	s2b.Close()
 	if p.Workers() < 1 {
 		t.Fatalf("Workers() = %d", p.Workers())
 	}
 }
 
 func TestSessionWidthClosedPool(t *testing.T) {
-	p, err := NewPool(xorLoop(), PoolConfig{Config: Config{Threads: 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := newPool(t, plainLoop(), Config{Threads: 2})
 	p.Close()
-	if _, err := p.SessionWidth(2); !errors.Is(err, ErrPoolClosed) {
-		t.Fatalf("SessionWidth on closed pool: %v", err)
-	}
+	_, err := p.SessionWidth(2)
+	wantErr(t, err, ErrPoolClosed)
 }
 
 func TestSessionRunBatchMatchesSequential(t *testing.T) {
-	p, err := NewPool(xorLoop(), PoolConfig{Config: Config{Threads: 4}})
+	s := openSession(t, newPool(t, plainLoop(), Config{Threads: 4}), 0)
+	l := testList(3000, 7)
+	want := l.oracle()
+	accs, err := s.RunBatch(context.Background(), slices.Repeat([]*mnode{l.head}, 5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer p.Close()
-	s, err := p.Session()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-
-	l := newTestList(3000, 7)
-	want := sequential(xorLoop(), l.head)
-	starts := []*node{l.head, l.head, l.head, l.head, l.head}
-	accs, err := s.RunBatch(context.Background(), starts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(accs) != len(starts) {
-		t.Fatalf("batch returned %d results, want %d", len(accs), len(starts))
+	if len(accs) != 5 {
+		t.Fatalf("batch returned %d results, want 5", len(accs))
 	}
 	for i, acc := range accs {
 		if acc != want {
@@ -114,37 +84,20 @@ func TestSessionRunBatchMatchesSequential(t *testing.T) {
 
 func TestSessionRunBatchErrorCarriesIndex(t *testing.T) {
 	boom := errors.New("boom")
-	loop := Loop[*node, sumAcc]{
-		Done: func(n *node) bool { return n == nil },
-		Next: func(n *node) *node { return n.next },
-		BodyErr: func(n *node, a sumAcc) (sumAcc, error) {
-			if n.weight < 0 {
-				return a, boom
-			}
-			a.sum += n.weight
-			return a, nil
-		},
-		Init:  func() sumAcc { return sumAcc{} },
-		Merge: func(a, b sumAcc) sumAcc { return sumAcc{a.sum + b.sum, a.fp ^ b.fp} },
+	loop := plainLoop()
+	loop.Body, loop.BodyErr = nil, func(n *mnode, a tally) (tally, error) {
+		if n.w < 0 {
+			return a, boom
+		}
+		return a.visit(n.w), nil
 	}
-	p, err := NewPool(loop, PoolConfig{Config: Config{Threads: 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	s, err := p.Session()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
+	s := openSession(t, newPool(t, loop, Config{Threads: 2}), 0)
 
-	good := newTestList(100, 1)
-	bad := newTestList(100, 2)
-	bad.head.weight = -1
-	accs, err := s.RunBatch(context.Background(), []*node{good.head, good.head, bad.head})
-	if !errors.Is(err, boom) {
-		t.Fatalf("batch error %v, want wrapped boom", err)
-	}
+	good := testList(100, 1)
+	bad := testList(100, 2)
+	bad.head.w = -1
+	accs, err := s.RunBatch(context.Background(), []*mnode{good.head, good.head, bad.head})
+	wantErr(t, err, boom)
 	if want := "spice: batch item 2: boom"; err.Error() != want {
 		t.Fatalf("batch error %q, want %q", err.Error(), want)
 	}
@@ -154,35 +107,15 @@ func TestSessionRunBatchErrorCarriesIndex(t *testing.T) {
 }
 
 func TestSessionRunBatchClosed(t *testing.T) {
-	p, err := NewPool(xorLoop(), PoolConfig{Config: Config{Threads: 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := p.Session()
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := openSession(t, newPool(t, plainLoop(), Config{Threads: 2}), 0)
 	s.Close()
-	l := newTestList(10, 1)
-	if _, err := s.RunBatch(context.Background(), []*node{l.head}); !errors.Is(err, ErrPoolClosed) {
-		t.Fatalf("RunBatch on closed session: %v", err)
-	}
-	p.Close()
+	_, err := s.RunBatch(context.Background(), []*mnode{testList(10, 1).head})
+	wantErr(t, err, ErrPoolClosed)
 }
 
 func TestStatsDeltaPlus(t *testing.T) {
-	p, err := NewPool(xorLoop(), PoolConfig{Config: Config{Threads: 4}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	s, err := p.Session()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-
-	l := newTestList(2000, 3)
+	s := openSession(t, newPool(t, plainLoop(), Config{Threads: 4}), 0)
+	l := testList(2000, 3)
 	run := func(n int) Stats {
 		before := s.Stats()
 		for i := 0; i < n; i++ {

@@ -193,6 +193,11 @@ func (l *Loop[S, A]) validate() error {
 	if !l.speculative() && (l.Cells != nil || len(l.Reductions) > 0) {
 		return errors.New("spice: Loop.Cells/Reductions require SpecBody or SpecBodyErr")
 	}
+	for _, rd := range l.Reductions {
+		if rd.Kind < ReduceSum || rd.Kind > ReduceMax {
+			return fmt.Errorf("%w: unknown Kind %d", ErrBadReduction, rd.Kind)
+		}
+	}
 	if l.Scan != nil && l.Body == nil && l.SpecBody == nil {
 		return errors.New("spice: Loop.Scan requires Body or SpecBody (it has no error channel)")
 	}
@@ -460,9 +465,10 @@ var ErrPoolClosed = errors.New("spice: pool is closed")
 // BindCells). Test with errors.Is.
 var ErrNoCells = errors.New("spice: speculative loop has no Cells bound (set Loop.Cells or call BindCells)")
 
-// ErrBadReduction is returned by Run when a declared Reduction names a
-// cell outside the bound store. Test with errors.Is.
-var ErrBadReduction = errors.New("spice: Reduction.Cell outside the bound Cells store")
+// ErrBadReduction is returned by NewRunner and NewPool when a declared
+// Reduction has a Kind outside ReduceSum…ReduceMax, and by Run when one
+// names a cell outside the bound store. Test with errors.Is.
+var ErrBadReduction = errors.New("spice: Reduction with an unknown Kind or a Cell outside the bound Cells store")
 
 // ErrBadScan is returned by Run when Loop.Scan broke its contract: a
 // count outside [0, n], or an early stop on a state that is neither Done
