@@ -295,20 +295,6 @@ func (ls *Loops) buildNest() {
 	}
 }
 
-// LoopOf returns the innermost loop containing block index b, or nil.
-func (ls *Loops) LoopOf(b int) *Loop {
-	var best *Loop
-	for _, l := range ls.All {
-		if !l.InBody[b] {
-			continue
-		}
-		if best == nil || len(l.Body) < len(best.Body) {
-			best = l
-		}
-	}
-	return best
-}
-
 // HeaderName returns the loop header's block name.
 func (l *Loop) HeaderName(g *Graph) string { return g.Blocks[l.Header].Name }
 

@@ -1,8 +1,6 @@
-// Package dataflow implements classic backward/forward dataflow analyses
-// over the IR: register liveness and reaching definitions. The Spice
-// transformation uses liveness to compute loop live-ins and live-outs
-// (Algorithm 1 steps 2 and 6) and reaching definitions to recognize
-// reduction patterns.
+// Package dataflow implements register liveness over the IR, a classic
+// backward dataflow analysis. The Spice transformation uses it to
+// compute loop live-ins and live-outs (Algorithm 1 steps 2 and 6).
 package dataflow
 
 import (
@@ -162,64 +160,4 @@ func ComputeLiveness(g *cfg.Graph) *Liveness {
 		}
 	}
 	return lv
-}
-
-// LiveAtHead returns the set of registers live at the entry of the named
-// block, or nil when the block does not exist.
-func (lv *Liveness) LiveAtHead(blockName string) RegSet {
-	i, ok := lv.G.Index[blockName]
-	if !ok {
-		return nil
-	}
-	return lv.In[i]
-}
-
-// DefSite identifies one definition: block index and instruction index.
-type DefSite struct {
-	Block int
-	Instr int
-}
-
-// Defs lists, for each register, every instruction that defines it.
-type Defs struct {
-	ByReg map[ir.Reg][]DefSite
-}
-
-// CollectDefs gathers all definition sites in the function.
-func CollectDefs(g *cfg.Graph) *Defs {
-	d := &Defs{ByReg: make(map[ir.Reg][]DefSite)}
-	for bi, b := range g.Blocks {
-		for ii, in := range b.Instrs {
-			if in.Dst != ir.NoReg {
-				d.ByReg[in.Dst] = append(d.ByReg[in.Dst], DefSite{bi, ii})
-			}
-		}
-	}
-	return d
-}
-
-// UseSite identifies one use: block index, instruction index, and operand
-// position.
-type UseSite struct {
-	Block, Instr, Arg int
-}
-
-// Uses lists, for each register, every operand position that reads it.
-type Uses struct {
-	ByReg map[ir.Reg][]UseSite
-}
-
-// CollectUses gathers all use sites in the function.
-func CollectUses(g *cfg.Graph) *Uses {
-	u := &Uses{ByReg: make(map[ir.Reg][]UseSite)}
-	for bi, b := range g.Blocks {
-		for ii, in := range b.Instrs {
-			for ai, a := range in.Args {
-				if a.Kind == ir.KindReg {
-					u.ByReg[a.Reg] = append(u.ByReg[a.Reg], UseSite{bi, ii, ai})
-				}
-			}
-		}
-	}
-	return u
 }

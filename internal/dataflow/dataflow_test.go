@@ -121,7 +121,7 @@ exit:
 `
 	g, lv := analyze(t, src, "find_min")
 	f := g.Fn
-	loopIn := lv.LiveAtHead("loop")
+	loopIn := lv.In[g.Index["loop"]]
 	for _, name := range []string{"c", "wm", "cm"} {
 		if !loopIn.Has(f.Reg(name)) {
 			t.Errorf("%s must be live at loop header", name)
@@ -134,11 +134,8 @@ exit:
 		t.Error("loop temporaries must not be live at header")
 	}
 	// At 'update', w must be live (it is read there).
-	if !lv.LiveAtHead("update").Has(f.Reg("w")) {
+	if !lv.In[g.Index["update"]].Has(f.Reg("w")) {
 		t.Error("w must be live into update")
-	}
-	if lv.LiveAtHead("nope") != nil {
-		t.Error("LiveAtHead on unknown block should be nil")
 	}
 }
 
@@ -159,16 +156,16 @@ join:
 `
 	g, lv := analyze(t, src, "f")
 	f := g.Fn
-	if !lv.LiveAtHead("l").Has(f.Reg("a")) {
+	if !lv.In[g.Index["l"]].Has(f.Reg("a")) {
 		t.Error("a live into l")
 	}
-	if lv.LiveAtHead("l").Has(f.Reg("b")) {
+	if lv.In[g.Index["l"]].Has(f.Reg("b")) {
 		t.Error("b must not be live into l")
 	}
 	if !lv.In[g.Index["entry"]].Has(f.Reg("a")) || !lv.In[g.Index["entry"]].Has(f.Reg("b")) {
 		t.Error("both a and b live at entry")
 	}
-	if !lv.LiveAtHead("join").Has(f.Reg("v")) {
+	if !lv.In[g.Index["join"]].Has(f.Reg("v")) {
 		t.Error("v live at join")
 	}
 }
@@ -198,39 +195,6 @@ entry:
 	}
 }
 
-func TestCollectDefsAndUses(t *testing.T) {
-	src := `
-func f(a) {
-entry:
-  b = add a, 1
-  b = add b, a
-  store b, a, 0
-  ret b
-}
-`
-	p, _ := irparse.Parse(src)
-	g, _ := cfg.New(p.Func("f"))
-	f := g.Fn
-	defs := CollectDefs(g)
-	if got := len(defs.ByReg[f.Reg("b")]); got != 2 {
-		t.Errorf("defs of b = %d, want 2", got)
-	}
-	if got := len(defs.ByReg[f.Reg("a")]); got != 0 {
-		t.Errorf("defs of a = %d, want 0", got)
-	}
-	uses := CollectUses(g)
-	if got := len(uses.ByReg[f.Reg("a")]); got != 3 {
-		t.Errorf("uses of a = %d, want 3", got)
-	}
-	if got := len(uses.ByReg[f.Reg("b")]); got != 3 {
-		t.Errorf("uses of b = %d, want 3 (add, store, ret)", got)
-	}
-	u := uses.ByReg[f.Reg("b")][0]
-	if u.Block != 0 || u.Instr != 1 || u.Arg != 0 {
-		t.Errorf("first use of b = %+v", u)
-	}
-}
-
 func TestLivenessUnreachableBlockIncluded(t *testing.T) {
 	src := `
 func f(a) {
@@ -243,7 +207,7 @@ island:
 `
 	g, lv := analyze(t, src, "f")
 	f := g.Fn
-	if !lv.LiveAtHead("island").Has(f.Reg("a")) {
+	if !lv.In[g.Index["island"]].Has(f.Reg("a")) {
 		t.Error("liveness should still compute for unreachable blocks")
 	}
 }

@@ -8,7 +8,7 @@ package harness
 // imbalance (max/mean chunk work).
 //
 // Run: go test -bench=. ./internal/harness
-// For the exact paper-style tables: go run ./cmd/spicebench -all
+// For the exact paper-style tables: go run ./cmd/spicebench all
 
 import (
 	"testing"
@@ -36,6 +36,20 @@ func benchParams(b *workloads.Benchmark) workloads.Params {
 	return p
 }
 
+// speedup simulates w at benchParams sequentially, then with `threads`
+// threads, and compares the two.
+func speedup(b *testing.B, w *workloads.Benchmark, threads int, opts Options) *SpeedupResult {
+	seq, err := Run(w, benchParams(w), 1, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sr, err := Speedup(seq, threads, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return sr
+}
+
 // BenchmarkTable1MachineConfig builds the Table 1 machine model.
 func BenchmarkTable1MachineConfig(b *testing.B) {
 	cfg := sim.DefaultConfig()
@@ -57,11 +71,11 @@ func BenchmarkTable2LoopHotness(b *testing.B) {
 		b.Run(w.Name, func(b *testing.B) {
 			var h float64
 			for i := 0; i < b.N; i++ {
-				var err error
-				h, err = Hotness(w, benchParams(w), DefaultOptions())
+				seq, err := Run(w, benchParams(w), 1, DefaultOptions())
 				if err != nil {
 					b.Fatal(err)
 				}
+				h = seq.Hotness()
 			}
 			b.ReportMetric(h*100, "hotness_pct")
 			b.ReportMetric(w.Hotness*100, "paper_pct")
@@ -111,11 +125,7 @@ func BenchmarkFig7Speedup(b *testing.B) {
 			b.Run(name, func(b *testing.B) {
 				var sr *SpeedupResult
 				for i := 0; i < b.N; i++ {
-					var err error
-					sr, err = Speedup(w, benchParams(w), threads, DefaultOptions())
-					if err != nil {
-						b.Fatal(err)
-					}
+					sr = speedup(b, w, threads, DefaultOptions())
 					if !sr.ChecksumOK {
 						b.Fatal("parallel result differs from sequential")
 					}
@@ -134,11 +144,7 @@ func BenchmarkFig7GeoMean(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		var sp []float64
 		for _, w := range workloads.All() {
-			sr, err := Speedup(w, benchParams(w), 4, DefaultOptions())
-			if err != nil {
-				b.Fatal(err)
-			}
-			sp = append(sp, sr.LoopSpeedup)
+			sp = append(sp, speedup(b, w, 4, DefaultOptions()).LoopSpeedup)
 		}
 		gm = stats.GeoMean(sp)
 	}
@@ -189,11 +195,7 @@ func BenchmarkSection5OverheadBreakdown(b *testing.B) {
 	w := workloads.Otter()
 	var m *rt.Machine
 	for i := 0; i < b.N; i++ {
-		sr, err := Speedup(w, benchParams(w), 4, DefaultOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		m = sr.Par.Machine
+		m = speedup(b, w, 4, DefaultOptions()).Par.Machine
 	}
 	s := m.Stats
 	b.ReportMetric(float64(s.MisspecInvocations)/float64(s.Invocations)*100, "misspec_pct")
@@ -221,11 +223,7 @@ func BenchmarkAblationPlanScheme(b *testing.B) {
 			opts.PlanScheme = scheme.s
 			var sr *SpeedupResult
 			for i := 0; i < b.N; i++ {
-				var err error
-				sr, err = Speedup(w, benchParams(w), 4, opts)
-				if err != nil {
-					b.Fatal(err)
-				}
+				sr = speedup(b, w, 4, opts)
 			}
 			b.ReportMetric(sr.LoopSpeedup, "speedup_x")
 			b.ReportMetric(sr.MisspecRate*100, "misspec_pct")

@@ -7,6 +7,7 @@ package harness
 
 import (
 	"fmt"
+	"slices"
 
 	"spice/internal/core"
 	"spice/internal/interp"
@@ -18,8 +19,8 @@ import (
 
 // RunResult is one simulated execution.
 type RunResult struct {
-	Threads     int
-	Cycles      int64 // main-thread wall clock
+	Bench       *workloads.Benchmark
+	Params      workloads.Params
 	LoopCycles  int64 // cycles inside the measured region
 	LoopInstrs  int64
 	TotalInstrs int64
@@ -36,8 +37,6 @@ type Options struct {
 	PlanScheme rt.PlanScheme
 	// MaxInstrs overrides the interpreter fuel.
 	MaxInstrs int64
-	// PlanTrace, when non-nil, receives planner diagnostics.
-	PlanTrace func(format string, args ...any)
 }
 
 // DefaultOptions uses the Table 1 machine.
@@ -66,7 +65,6 @@ func Run(b *workloads.Benchmark, p workloads.Params, threads int, opts Options) 
 		return nil, err
 	}
 	m.SetPlanScheme(opts.PlanScheme)
-	m.PlanTrace = opts.PlanTrace
 	inst := b.Init(m, p)
 
 	specs := []interp.ThreadSpec{{Fn: "main", Args: inst.Args}}
@@ -84,8 +82,8 @@ func Run(b *workloads.Benchmark, p workloads.Params, threads int, opts Options) 
 		return nil, fmt.Errorf("harness: run %s (t=%d): %w", b.Name, threads, err)
 	}
 	rr := &RunResult{
-		Threads:     threads,
-		Cycles:      res.Cycles,
+		Bench:       b,
+		Params:      p,
 		TotalInstrs: res.TotalInstrs,
 		Returns:     res.Returns[0],
 		Checksum:    inst.Checksum(),
@@ -101,8 +99,6 @@ func Run(b *workloads.Benchmark, p workloads.Params, threads int, opts Options) 
 
 // SpeedupResult compares sequential and Spice executions of a loop.
 type SpeedupResult struct {
-	Bench    *workloads.Benchmark
-	Threads  int
 	Seq, Par *RunResult
 	// LoopSpeedup is the paper's metric: sequential loop cycles over
 	// parallel loop cycles.
@@ -113,38 +109,32 @@ type SpeedupResult struct {
 	ChecksumOK bool
 }
 
-// Speedup runs b sequentially and with `threads` threads and compares.
-func Speedup(b *workloads.Benchmark, p workloads.Params, threads int, opts Options) (*SpeedupResult, error) {
-	seq, err := Run(b, p, 1, opts)
+// Speedup runs seq's benchmark and parameters on `threads` threads and
+// compares the run with seq, a sequential run from Run. A caller that
+// measures several widths simulates the sequential run once.
+func Speedup(seq *RunResult, threads int, opts Options) (*SpeedupResult, error) {
+	par, err := Run(seq.Bench, seq.Params, threads, opts)
 	if err != nil {
 		return nil, err
 	}
-	par, err := Run(b, p, threads, opts)
-	if err != nil {
-		return nil, err
-	}
-	sr := &SpeedupResult{Bench: b, Threads: threads, Seq: seq, Par: par}
+	sr := &SpeedupResult{Seq: seq, Par: par}
 	if par.LoopCycles > 0 {
 		sr.LoopSpeedup = float64(seq.LoopCycles) / float64(par.LoopCycles)
 	}
 	if inv := par.Machine.Stats.Invocations; inv > 0 {
 		sr.MisspecRate = float64(par.Machine.Stats.MisspecInvocations) / float64(inv)
 	}
-	sr.ChecksumOK = equalInt64(seq.Checksum, par.Checksum) && equalInt64(seq.Returns, par.Returns)
+	sr.ChecksumOK = slices.Equal(seq.Checksum, par.Checksum) && slices.Equal(seq.Returns, par.Returns)
 	return sr, nil
 }
 
-// Hotness measures the loop's fraction of dynamic instructions in a
-// sequential run (the Table 2 metric).
-func Hotness(b *workloads.Benchmark, p workloads.Params, opts Options) (float64, error) {
-	rr, err := Run(b, p, 1, opts)
-	if err != nil {
-		return 0, err
+// Hotness is the loop's fraction of dynamic instructions in the run
+// (the Table 2 metric, read from a sequential run).
+func (r *RunResult) Hotness() float64 {
+	if r.TotalInstrs == 0 {
+		return 0
 	}
-	if rr.TotalInstrs == 0 {
-		return 0, nil
-	}
-	return float64(rr.LoopInstrs) / float64(rr.TotalInstrs), nil
+	return float64(r.LoopInstrs) / float64(r.TotalInstrs)
 }
 
 // ProfileSuite runs one Figure 8 suite benchmark under the value
@@ -189,16 +179,4 @@ func ProfileSuite(bench workloads.SuiteBench, nodesPerLoop, invocations, seed in
 	}
 	an.Finish()
 	return an.Reports(), nil
-}
-
-func equalInt64(a, b []int64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -20,8 +20,12 @@ func fastParams(b *workloads.Benchmark) workloads.Params {
 // Table 2 benchmark, at 2 and 4 threads, produces the sequential result.
 func TestAllBenchmarksEquivalent(t *testing.T) {
 	for _, b := range workloads.All() {
+		seq, err := Run(b, fastParams(b), 1, DefaultOptions())
+		if err != nil {
+			t.Fatalf("%s sequential: %v", b.Name, err)
+		}
 		for _, threads := range []int{2, 4} {
-			sr, err := Speedup(b, fastParams(b), threads, DefaultOptions())
+			sr, err := Speedup(seq, threads, DefaultOptions())
 			if err != nil {
 				t.Fatalf("%s t=%d: %v", b.Name, threads, err)
 			}
@@ -47,7 +51,11 @@ func TestFigure7Shape(t *testing.T) {
 	speedup4 := map[string]float64{}
 	var misspec4 = map[string]float64{}
 	for _, b := range workloads.All() {
-		sr, err := Speedup(b, b.Defaults, 4, DefaultOptions())
+		seq, err := Run(b, b.Defaults, 1, DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		sr, err := Speedup(seq, 4, DefaultOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -77,11 +85,11 @@ func TestFigure7Shape(t *testing.T) {
 
 func TestHotnessMeasurement(t *testing.T) {
 	b := workloads.KS()
-	h, err := Hotness(b, fastParams(b), DefaultOptions())
+	seq, err := Run(b, fastParams(b), 1, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h < 0.5 {
+	if h := seq.Hotness(); h < 0.5 {
 		t.Errorf("ks hotness = %.2f; the loop dominates this benchmark", h)
 	}
 }
@@ -91,7 +99,11 @@ func TestPaperIntervalSchemeStillCorrect(t *testing.T) {
 	opts := DefaultOptions()
 	opts.PlanScheme = rt.PaperIntervals
 	b := workloads.Otter()
-	sr, err := Speedup(b, fastParams(b), 4, opts)
+	seq, err := Run(b, fastParams(b), 1, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sr, err := Speedup(seq, 4, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

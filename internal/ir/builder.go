@@ -3,8 +3,9 @@ package ir
 import "fmt"
 
 // Builder provides a fluent API for constructing a Function block by
-// block. It is the primary construction path for the workload kernels and
-// for compiler passes that synthesize code (the Spice transformation).
+// block. The Spice transformation (core.Transform) builds the worker
+// functions with it; the workload kernels are written as IR text and
+// parsed by irparse.
 //
 // All emit methods append to the current block, set with SetBlock or the
 // Block helper. Operands are given as Go values: a string names a
@@ -100,41 +101,20 @@ func (b *Builder) Add(dst, a, c any) Reg { return b.Bin(OpAdd, dst, a, c) }
 // Sub emits dst = a - b.
 func (b *Builder) Sub(dst, a, c any) Reg { return b.Bin(OpSub, dst, a, c) }
 
-// Mul emits dst = a * b.
-func (b *Builder) Mul(dst, a, c any) Reg { return b.Bin(OpMul, dst, a, c) }
-
-// Div emits dst = a / b.
-func (b *Builder) Div(dst, a, c any) Reg { return b.Bin(OpDiv, dst, a, c) }
-
-// Rem emits dst = a % b.
-func (b *Builder) Rem(dst, a, c any) Reg { return b.Bin(OpRem, dst, a, c) }
-
 // And emits dst = a & b.
 func (b *Builder) And(dst, a, c any) Reg { return b.Bin(OpAnd, dst, a, c) }
 
 // Or emits dst = a | b.
 func (b *Builder) Or(dst, a, c any) Reg { return b.Bin(OpOr, dst, a, c) }
 
-// Xor emits dst = a ^ b.
-func (b *Builder) Xor(dst, a, c any) Reg { return b.Bin(OpXor, dst, a, c) }
-
 // CmpEQ emits dst = (a == b). The remaining compare helpers are analogous.
 func (b *Builder) CmpEQ(dst, a, c any) Reg { return b.Bin(OpCmpEQ, dst, a, c) }
-
-// CmpNE emits dst = (a != b).
-func (b *Builder) CmpNE(dst, a, c any) Reg { return b.Bin(OpCmpNE, dst, a, c) }
 
 // CmpLT emits dst = (a < b), signed.
 func (b *Builder) CmpLT(dst, a, c any) Reg { return b.Bin(OpCmpLT, dst, a, c) }
 
-// CmpLE emits dst = (a <= b), signed.
-func (b *Builder) CmpLE(dst, a, c any) Reg { return b.Bin(OpCmpLE, dst, a, c) }
-
 // CmpGT emits dst = (a > b), signed.
 func (b *Builder) CmpGT(dst, a, c any) Reg { return b.Bin(OpCmpGT, dst, a, c) }
-
-// CmpGE emits dst = (a >= b), signed.
-func (b *Builder) CmpGE(dst, a, c any) Reg { return b.Bin(OpCmpGE, dst, a, c) }
 
 // Load emits dst = load base, off (memory word at base+off).
 func (b *Builder) Load(dst, base any, off int64) Reg {

@@ -82,12 +82,3 @@ func IntrinsicSig(name string) (Sig, bool) {
 	s, ok := intrinsics[name]
 	return s, ok
 }
-
-// Intrinsics returns the names of all registered intrinsics (unordered).
-func Intrinsics() []string {
-	out := make([]string, 0, len(intrinsics))
-	for name := range intrinsics {
-		out = append(out, name)
-	}
-	return out
-}

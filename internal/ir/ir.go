@@ -217,12 +217,6 @@ func (f *Function) Reg(s string) Reg {
 	return r
 }
 
-// HasReg reports whether a register with the given name exists.
-func (f *Function) HasReg(s string) bool {
-	_, ok := f.regIndex[s]
-	return ok
-}
-
 // RegName returns the name of register r.
 func (f *Function) RegName(r Reg) string {
 	if r == NoReg {
@@ -254,20 +248,6 @@ func (f *Function) AddBlock(name string) *Block {
 	b := &Block{Name: name}
 	f.Blocks = append(f.Blocks, b)
 	return b
-}
-
-// FreshBlockName returns a block name derived from prefix that is not yet
-// used in the function.
-func (f *Function) FreshBlockName(prefix string) string {
-	if f.FindBlock(prefix) == nil {
-		return prefix
-	}
-	for i := 0; ; i++ {
-		name := fmt.Sprintf("%s.%d", prefix, i)
-		if f.FindBlock(name) == nil {
-			return name
-		}
-	}
 }
 
 // FindBlock returns the block with the given name, or nil.

@@ -40,16 +40,6 @@ func Verify(p *Program) error {
 	return fmt.Errorf("ir verify: %d problem(s):\n  %s", len(errs), joinLines(errs))
 }
 
-// VerifyFunc checks a single function; see Verify.
-func VerifyFunc(f *Function) error {
-	var errs []string
-	verifyFunc(f, &errs)
-	if len(errs) == 0 {
-		return nil
-	}
-	return fmt.Errorf("ir verify: %d problem(s):\n  %s", len(errs), joinLines(errs))
-}
-
 func joinLines(errs []string) string {
 	s := ""
 	for i, e := range errs {

@@ -168,16 +168,6 @@ func (info *Info) findPreheader() {
 	}
 }
 
-// IsCarried reports whether r is an inter-iteration live-in of the loop.
-func (info *Info) IsCarried(r ir.Reg) bool {
-	for _, c := range info.Carried {
-		if c == r {
-			return true
-		}
-	}
-	return false
-}
-
 // String renders a human-readable analysis report, used by cmd/spicec.
 func (info *Info) String() string {
 	f := info.G.Fn

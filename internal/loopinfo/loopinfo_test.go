@@ -1,6 +1,7 @@
 package loopinfo
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -232,11 +233,11 @@ exit:
 func TestIsCarriedAndString(t *testing.T) {
 	info := analyzeFirstLoop(t, otterSrc, "find_min")
 	f := info.G.Fn
-	if !info.IsCarried(f.Reg("c")) {
-		t.Error("IsCarried(c) = false")
+	if !slices.Contains(info.Carried, f.Reg("c")) {
+		t.Error("c not carried")
 	}
-	if info.IsCarried(f.Reg("head")) {
-		t.Error("IsCarried(head) = true")
+	if slices.Contains(info.Carried, f.Reg("head")) {
+		t.Error("head carried")
 	}
 	s := info.String()
 	for _, want := range []string{"header=loop", "carried", "live-outs"} {

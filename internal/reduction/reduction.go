@@ -69,7 +69,7 @@ func (k Kind) Identity() int64 {
 
 // MergeOp returns the IR opcode that merges two partial accumulators for
 // arithmetic reductions; ok is false for min/max, which merge via a
-// guarded move (see Group.IsMinMax).
+// guarded move.
 func (k Kind) MergeOp() (ir.Op, bool) {
 	switch k {
 	case Sum:
@@ -95,9 +95,6 @@ type Group struct {
 	Reg     ir.Reg
 	Payload []ir.Reg
 }
-
-// IsMinMax reports whether the group merges via compare-and-select.
-func (g Group) IsMinMax() bool { return g.Kind == Min || g.Kind == Max }
 
 // Regs returns the accumulator and payload registers.
 func (g Group) Regs() []ir.Reg {

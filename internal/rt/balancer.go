@@ -304,11 +304,6 @@ func (m *Machine) Plan() (int, error) {
 			}
 		}
 	}
-	if m.PlanTrace != nil {
-		m.PlanTrace("plan: works=%v total=%d planTotal=%d startsNext=%v svat=%v svai=%v",
-			works, total, planTotal, startsNext, b.thresholds, b.indices)
-	}
-
 	// Flip generations: the freshly memoized rows become current; the
 	// old current generation is cleared for the next round of
 	// memoization. Candidate valid flags are cleared too.

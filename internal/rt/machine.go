@@ -17,6 +17,7 @@ package rt
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"spice/internal/sim"
 	"spice/internal/specmem"
@@ -75,7 +76,6 @@ type RegionStat struct {
 	// enteredAt tracks the clock at region entry (one active entry per
 	// thread; nested entries of the same id are not supported).
 	enteredAt int64
-	active    bool
 }
 
 // Stats aggregates runtime events across a whole simulation.
@@ -125,6 +125,9 @@ type Machine struct {
 	Prof ProfSink
 
 	Regions map[int64]*RegionStat
+	// inRegions lists the regions entered and not yet exited: every
+	// executed instruction counts toward each of them.
+	inRegions []*RegionStat
 
 	// invocationWrites accumulates addresses written non-speculatively
 	// by the main thread plus addresses committed by earlier threads in
@@ -138,10 +141,6 @@ type Machine struct {
 	// WorkHistory records the per-thread work array at each plan point
 	// (one row per invocation); used for load-imbalance analysis.
 	WorkHistory [][]int64
-
-	// PlanTrace, when non-nil, receives one diagnostic line per planning
-	// decision (cmd/spicerun -trace).
-	PlanTrace func(format string, args ...any)
 }
 
 // New creates a machine for nThreads threads with svaWidth speculated
@@ -345,29 +344,6 @@ func (m *Machine) checkRow(row, idx int64) error {
 // WorkAddr returns the address of work[tid].
 func (m *Machine) WorkAddr(tid int) int64 { return m.workBase + int64(tid) }
 
-// CurrentRow returns the current-generation predicted live-ins of a row
-// plus its validity — a diagnostic view for tools and tests.
-func (m *Machine) CurrentRow(row int64) (vals []int64, valid bool) {
-	vals, _, _, valid = m.CurrentRowMeta(row)
-	return vals, valid
-}
-
-// CurrentRowMeta additionally reports the recorded writer thread and
-// local work position of the current-generation row.
-func (m *Machine) CurrentRowMeta(row int64) (vals []int64, writer, pos int64, valid bool) {
-	if row < 0 || row >= int64(m.svaRows) {
-		return nil, 0, 0, false
-	}
-	base := m.svaBase[m.svaGen] + row*m.rowWords()
-	for i := int64(0); i < int64(m.SVAWidth); i++ {
-		vals = append(vals, m.Mem.MustLoad(base+i))
-	}
-	writer = m.Mem.MustLoad(base + int64(m.SVAWidth) + rowWriterOff)
-	pos = m.Mem.MustLoad(base + int64(m.SVAWidth) + rowPosOff)
-	valid = m.Mem.MustLoad(base+int64(m.SVAWidth)+rowValidOff) != 0
-	return vals, writer, pos, valid
-}
-
 // --- Speculation bookkeeping ------------------------------------------
 
 // SpecEnter activates thread tid's buffer.
@@ -440,17 +416,20 @@ func (m *Machine) RegionEnter(id, clock int64) {
 		m.Regions[id] = r
 	}
 	r.Entries++
-	r.active = true
+	if !slices.Contains(m.inRegions, r) {
+		m.inRegions = append(m.inRegions, r)
+	}
 	r.enteredAt = clock
 }
 
 // RegionExit stops attribution for a region id.
 func (m *Machine) RegionExit(id, clock int64) error {
 	r := m.Regions[id]
-	if r == nil || !r.active {
+	i := slices.Index(m.inRegions, r)
+	if i < 0 {
 		return fmt.Errorf("rt: region_exit(%d) without matching enter", id)
 	}
-	r.active = false
+	m.inRegions = slices.Delete(m.inRegions, i, i+1)
 	r.Cycles += clock - r.enteredAt
 	return nil
 }
@@ -460,10 +439,8 @@ func (m *Machine) RegionExit(id, clock int64) error {
 // hotness profiling (Table 2); in parallel runs the cycle attribution of
 // the entering thread is the relevant quantity.
 func (m *Machine) RegionInstr() {
-	for _, r := range m.Regions {
-		if r.active {
-			r.Instrs++
-		}
+	for _, r := range m.inRegions {
+		r.Instrs++
 	}
 }
 

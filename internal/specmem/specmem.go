@@ -135,9 +135,6 @@ func (b *Buffer) Active() bool { return b.active }
 // since the last Enter.
 func (b *Buffer) Faulted() bool { return b.faulted }
 
-// Pending returns the number of buffered (not yet committed) writes.
-func (b *Buffer) Pending() int { return len(b.order) }
-
 // Load reads a word through the buffer: speculative threads see their
 // own buffered writes first, then main memory. Out-of-bounds speculative
 // loads return 0 and set the fault flag.
@@ -175,16 +172,6 @@ func (b *Buffer) Store(addr, val int64) error {
 		return nil
 	}
 	return b.mem.Store(addr, val)
-}
-
-// ReadSet returns the addresses read from main memory while speculative,
-// in unspecified order.
-func (b *Buffer) ReadSet() []int64 {
-	out := make([]int64, 0, len(b.readSet))
-	for a := range b.readSet {
-		out = append(out, a)
-	}
-	return out
 }
 
 // WriteSet returns buffered write addresses in first-write order.

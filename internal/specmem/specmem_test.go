@@ -103,8 +103,8 @@ func TestSpeculativeBufferingAndForwarding(t *testing.T) {
 	if loads != 1 || stores != 1 || fwd != 1 {
 		t.Errorf("stats = %d %d %d", loads, stores, fwd)
 	}
-	if b.Pending() != 1 {
-		t.Errorf("pending = %d", b.Pending())
+	if ws := b.WriteSet(); len(ws) != 1 {
+		t.Errorf("write set = %v, want one pending write", ws)
 	}
 }
 
@@ -116,12 +116,9 @@ func TestCommitDrainsInOrder(t *testing.T) {
 	_ = b.Store(a, 1)
 	_ = b.Store(a+1, 2)
 	_ = b.Store(a, 3) // overwrite: single buffered slot
-	if got := b.Pending(); got != 2 {
-		t.Errorf("pending = %d, want 2 (coalesced)", got)
-	}
 	ws := b.WriteSet()
 	if len(ws) != 2 || ws[0] != a || ws[1] != a+1 {
-		t.Errorf("write set = %v", ws)
+		t.Errorf("write set = %v, want [a a+1] (coalesced)", ws)
 	}
 	n, err := b.Commit()
 	if err != nil || n != 2 {
@@ -206,9 +203,8 @@ func TestReadSetAndConflicts(t *testing.T) {
 	_, _ = b.Load(a + 1)
 	_ = b.Store(a+2, 1)
 	_, _ = b.Load(a + 2) // forwarded: must NOT enter read set
-	rs := b.ReadSet()
-	if len(rs) != 2 {
-		t.Errorf("read set = %v, want 2 entries", rs)
+	if n := b.ConflictsWith(map[int64]bool{a: true, a + 1: true, a + 2: true, a + 3: true}); n != 2 {
+		t.Errorf("read set holds %d of a..a+3, want 2 (a, a+1)", n)
 	}
 	conflicts := b.ConflictsWith(map[int64]bool{a: true, a + 2: true})
 	if conflicts != 1 {

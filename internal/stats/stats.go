@@ -26,18 +26,6 @@ func GeoMean(xs []float64) float64 {
 	return math.Exp(sum / float64(len(xs)))
 }
 
-// Mean returns the arithmetic mean (0 for empty input).
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}
-
 // Imbalance returns max/mean of a positive work distribution: 1.0 is
 // perfectly balanced. Zero-only input returns 1.
 func Imbalance(work []int64) float64 {
