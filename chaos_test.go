@@ -15,7 +15,7 @@ package spice_test
 //     fresh instances with zero errors and exact results: faults cost
 //     at most their own invocations, never the pool.
 //
-// Runs under -race in CI (the chaos job), at GOMAXPROCS 2 and 8.
+// Runs under -race in CI (the race-matrix job), at GOMAXPROCS 1, 2 and 8.
 
 import (
 	"context"

@@ -68,11 +68,10 @@ func TestGate(t *testing.T) {
 		{"no gate", nil, 0},
 		{"gate on the clean row", []string{"-gate", "^BenchmarkPool"}, 0},
 		{"gate on the allocating row", []string{"-gate", "^BenchmarkBatch"}, 1},
-		{"budget covers it", []string{"-gate", "^BenchmarkBatch", "-max-allocs", "3"}, 0},
 		{"bad regexp", []string{"-gate", "("}, 2},
 	} {
 		var out bytes.Buffer
-		if code := runConvert(tc.args, strings.NewReader(benchOutput), &out); code != tc.code {
+		if code := run(tc.args, strings.NewReader(benchOutput), &out); code != tc.code {
 			t.Errorf("%s: exit %d, want %d", tc.name, code, tc.code)
 		}
 		if tc.code == 2 {
@@ -88,7 +87,7 @@ func TestGate(t *testing.T) {
 			t.Errorf("%s: first record %+v not normalized and stamped", tc.name, recs[0])
 		}
 	}
-	if code := runConvert(nil, strings.NewReader("PASS\n"), new(bytes.Buffer)); code != 2 {
+	if code := run(nil, strings.NewReader("PASS\n"), new(bytes.Buffer)); code != 2 {
 		t.Errorf("no bench lines: exit %d, want 2", code)
 	}
 }
@@ -116,19 +115,15 @@ func TestCompare(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
 		fresh []record
-		extra []string
 		code  int
 	}{
-		{"identical", base, nil, 0},
-		{"within tolerance", []record{{Name: "A", NsPerOp: 104}, base[1]}, nil, 0},
-		{"slower than tolerance", []record{{Name: "A", NsPerOp: 120}, base[1]}, nil, 1},
-		{"wider tolerance", []record{{Name: "A", NsPerOp: 120}, base[1]}, []string{"-tolerance", "25"}, 0},
-		{"missing row", base[:1], nil, 1},
-		{"allocs increase", []record{base[0], {Name: "B", NsPerOp: 200, AllocsPerOp: 2}}, nil, 1},
-		{"new-only row", append([]record{{Name: "C", NsPerOp: 1, AllocsPerOp: 9}}, base...), nil, 0},
+		{"identical", base, 0},
+		{"slower is reported, not failed", []record{{Name: "A", NsPerOp: 120}, base[1]}, 0},
+		{"missing row", base[:1], 1},
+		{"allocs increase", []record{base[0], {Name: "B", NsPerOp: 200, AllocsPerOp: 2}}, 1},
+		{"new-only row", append([]record{{Name: "C", NsPerOp: 1, AllocsPerOp: 9}}, base...), 0},
 	} {
-		args := append([]string{old, writeRecs(t, "new.json", tc.fresh)}, tc.extra...)
-		if code := runCompare(args); code != tc.code {
+		if code := runCompare([]string{old, writeRecs(t, "new.json", tc.fresh)}); code != tc.code {
 			t.Errorf("%s: exit %d, want %d", tc.name, code, tc.code)
 		}
 	}
@@ -155,10 +150,8 @@ func TestFaster(t *testing.T) {
 		code int
 	}{
 		{"holds", []string{multi, "t2<t1"}, 0},
-		{"holds under -hard", []string{"-hard", multi, "t2<t1"}, 0},
 		{"violated on two cores", []string{multi, "t1<t2"}, 1},
-		{"advisory on cores=1", []string{single, "t2<t1"}, 0},
-		{"-hard refuses the advisory", []string{"-hard", single, "t2<t1"}, 1},
+		{"violated on one core fails", []string{single, "t2<t1"}, 1},
 		{"missing name", []string{multi, "t4<t1"}, 1},
 		{"bad expression", []string{multi, "t2"}, 2},
 		{"no expression", []string{multi}, 2},

@@ -23,10 +23,9 @@ type record struct {
 	// Cores is runtime.NumCPU() on the machine that took the
 	// measurement, stamped at write time. GOMAXPROCS can be set above
 	// the processor count, so MaxProcs alone cannot tell whether
-	// hardware parallelism actually existed; the parallel-beats-
-	// sequential gate is only physically meaningful when both MaxProcs
-	// and Cores are at least 2. 0 in baselines recorded before the
-	// field existed.
+	// hardware parallelism actually existed; a violated -faster
+	// ordering reports both. 0 in baselines recorded before the field
+	// existed.
 	Cores int `json:"cores,omitempty"`
 }
 

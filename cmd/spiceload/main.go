@@ -12,14 +12,12 @@
 //	spiceload -url http://localhost:8080 -rate 50 -duration 10s \
 //	  -tenants good=sumlist:8:3,bad=hostile:4000:1 -size 20000 -invocations 4
 //
+// Every job is sent once, with a 30 s client timeout; at most 256 are in
+// flight, and an arrival beyond that is dropped and counted. The tenant
+// mix is drawn from a fixed seed, so two runs offer the same sequence.
 // The report ends with a single machine-readable line:
 //
-//	SUMMARY total=500 ok=480 http429=20 errors=0 rate2xx=0.960 throughput=48.0 p50ms=3.2 p90ms=8.1 p99ms=20.4 retried=0 exhausted=0
-//
-// With -retries N, a job answered 429/503 (or failing in transport) is
-// retried up to N times with jittered exponential backoff from
-// -backoff, floored by the server's Retry-After hint; the final report
-// counts retry attempts and jobs whose budget ran dry.
+//	SUMMARY total=500 ok=480 http429=20 errors=0 rate2xx=0.960 throughput=48.0 p50ms=3.2 p90ms=8.1 p99ms=20.4
 package main
 
 import (
@@ -47,8 +45,11 @@ type tenantSpec struct {
 	weight int
 }
 
-func parseTenants(s string) ([]tenantSpec, error) {
+// parseTenants reads the -tenants mix and returns it with its total
+// weight, refusing a mix whose weights overflow an int when summed.
+func parseTenants(s string) ([]tenantSpec, int, error) {
 	var specs []tenantSpec
+	total := 0
 	for _, part := range strings.Split(s, ",") {
 		part = strings.TrimSpace(part)
 		if part == "" {
@@ -56,26 +57,30 @@ func parseTenants(s string) ([]tenantSpec, error) {
 		}
 		name, rest, ok := strings.Cut(part, "=")
 		if !ok {
-			return nil, fmt.Errorf("tenant spec %q: want name=kernel:churn:weight", part)
+			return nil, 0, fmt.Errorf("tenant spec %q: want name=kernel:churn:weight", part)
 		}
 		fields := strings.Split(rest, ":")
 		if len(fields) != 3 {
-			return nil, fmt.Errorf("tenant spec %q: want name=kernel:churn:weight", part)
+			return nil, 0, fmt.Errorf("tenant spec %q: want name=kernel:churn:weight", part)
 		}
 		churn, err := strconv.Atoi(fields[1])
 		if err != nil {
-			return nil, fmt.Errorf("tenant spec %q: churn: %v", part, err)
+			return nil, 0, fmt.Errorf("tenant spec %q: churn: %v", part, err)
 		}
 		weight, err := strconv.Atoi(fields[2])
 		if err != nil || weight < 1 {
-			return nil, fmt.Errorf("tenant spec %q: weight must be a positive integer", part)
+			return nil, 0, fmt.Errorf("tenant spec %q: weight must be a positive integer", part)
 		}
+		if weight > math.MaxInt-total {
+			return nil, 0, fmt.Errorf("tenant spec %q: the mix's weights sum past %d", part, math.MaxInt)
+		}
+		total += weight
 		specs = append(specs, tenantSpec{name: name, kernel: fields[0], churn: churn, weight: weight})
 	}
 	if len(specs) == 0 {
-		return nil, fmt.Errorf("empty tenant mix")
+		return nil, 0, fmt.Errorf("empty tenant mix")
 	}
-	return specs, nil
+	return specs, total, nil
 }
 
 // pick draws a spec in proportion to weight.
@@ -99,9 +104,7 @@ type tally struct {
 	http5xx   int
 	otherHTTP int
 	errors    int
-	dropped   int // arrivals skipped because max-inflight client slots were busy
-	retried   int // individual retry attempts after a 429/503 or transport error
-	exhausted int // jobs that still failed after spending their whole retry budget
+	dropped   int // arrivals skipped because every client slot was busy
 	lat       []time.Duration
 	perTenant map[string]*tenantTally
 }
@@ -135,33 +138,6 @@ func (ta *tally) record(tenant string, code int, d time.Duration, err error) {
 	}
 }
 
-// retryable reports whether an attempt's outcome is worth another try:
-// transport errors and the two backpressure statuses (429 and 503),
-// which the server tags with Retry-After.
-func retryable(code int, err error) bool {
-	return err != nil || code == http.StatusTooManyRequests || code == http.StatusServiceUnavailable
-}
-
-// backoffWait computes the wait before retry attempt n (0-based):
-// jittered exponential backoff from base, overridden upward by the
-// server's Retry-After hint when one was sent. The jitter (a uniform
-// 0.5–1.5 factor) decorrelates the retry herd an open-loop burst of
-// shed jobs would otherwise form.
-func backoffWait(base time.Duration, attempt int, retryAfter string) time.Duration {
-	d := base << attempt
-	const maxWait = 5 * time.Second
-	if d > maxWait || d <= 0 {
-		d = maxWait
-	}
-	d = time.Duration(float64(d) * (0.5 + rand.Float64()))
-	if secs, err := strconv.Atoi(strings.TrimSpace(retryAfter)); err == nil && secs > 0 {
-		if ra := time.Duration(secs) * time.Second; ra > d {
-			d = ra
-		}
-	}
-	return d
-}
-
 func percentile(sorted []time.Duration, p float64) time.Duration {
 	if len(sorted) == 0 {
 		return 0
@@ -181,26 +157,13 @@ func arrivalInterval(rate float64) (time.Duration, error) {
 	return max(time.Duration(float64(time.Second)/rate), 1), nil
 }
 
-// checkMaxInflight refuses a client-side concurrency bound below 1: 0
-// made an unbuffered slot channel whose non-blocking send dropped every
-// arrival, and a negative one panicked in make.
-func checkMaxInflight(n int) error {
-	if n < 1 {
-		return fmt.Errorf("-max-inflight %d: want at least 1 concurrent request", n)
-	}
-	return nil
-}
-
-// checkBackoff refuses a base retry backoff that is not positive:
-// backoffWait's overflow guard reads a zero or negative wait as
-// overflowed, so -backoff 0 slept 2.5–7.5 s before every retry instead
-// of retrying at once.
-func checkBackoff(base time.Duration) error {
-	if base <= 0 {
-		return fmt.Errorf("-backoff %v: want a positive base wait", base)
-	}
-	return nil
-}
+// The client's fixed settings: a per-request timeout, the bound on
+// concurrent requests, and the seed of the tenant-mix draw.
+const (
+	requestTimeout = 30 * time.Second
+	maxInflight    = 256
+	mixSeed        = 1
+)
 
 func main() {
 	var (
@@ -210,15 +173,10 @@ func main() {
 		tenants     = flag.String("tenants", "good=sumlist:8:3,bad=hostile:4000:1", "tenant mix: name=kernel:churn:weight[,...]")
 		size        = flag.Int64("size", 20_000, "structure node count per job")
 		invocations = flag.Int64("invocations", 4, "loop invocations per job")
-		timeout     = flag.Duration("timeout", 30*time.Second, "per-request client timeout")
-		maxInflight = flag.Int("max-inflight", 256, "client-side concurrent request bound")
-		seed        = flag.Int64("seed", 1, "tenant-mix RNG seed")
-		retries     = flag.Int("retries", 0, "retries per job after a 429/503 or transport error (0 disables)")
-		backoff     = flag.Duration("backoff", 100*time.Millisecond, "base retry backoff (doubled per attempt, jittered, floored by Retry-After)")
 	)
 	flag.Parse()
 
-	specs, err := parseTenants(*tenants)
+	specs, totalWeight, err := parseTenants(*tenants)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "spiceload: %v\n", err)
 		os.Exit(2)
@@ -228,23 +186,11 @@ func main() {
 		fmt.Fprintf(os.Stderr, "spiceload: %v\n", err)
 		os.Exit(2)
 	}
-	if err := checkMaxInflight(*maxInflight); err != nil {
-		fmt.Fprintf(os.Stderr, "spiceload: %v\n", err)
-		os.Exit(2)
-	}
-	if err := checkBackoff(*backoff); err != nil {
-		fmt.Fprintf(os.Stderr, "spiceload: %v\n", err)
-		os.Exit(2)
-	}
-	totalWeight := 0
-	for _, sp := range specs {
-		totalWeight += sp.weight
-	}
 
-	client := &http.Client{Timeout: *timeout}
-	rng := rand.New(rand.NewSource(*seed))
+	client := &http.Client{Timeout: requestTimeout}
+	rng := rand.New(rand.NewSource(mixSeed))
 	ta := &tally{perTenant: make(map[string]*tenantTally)}
-	slots := make(chan struct{}, *maxInflight)
+	slots := make(chan struct{}, maxInflight)
 	var wg sync.WaitGroup
 
 	tick := time.NewTicker(interval)
@@ -280,41 +226,16 @@ loop:
 					"size":        *size,
 					"invocations": *invocations,
 				})
-				var (
-					code       int
-					d          time.Duration
-					err        error
-					retryAfter string
-					tried      int
-				)
-				for attempt := 0; ; attempt++ {
-					t0 := time.Now()
-					var resp *http.Response
-					resp, err = client.Post(*url+"/v1/run", "application/json", bytes.NewReader(body))
-					d = time.Since(t0)
-					code = 0
-					retryAfter = ""
-					if err == nil {
-						io.Copy(io.Discard, resp.Body)
-						retryAfter = resp.Header.Get("Retry-After")
-						resp.Body.Close()
-						code = resp.StatusCode
-					}
-					if !retryable(code, err) || attempt >= *retries {
-						break
-					}
-					tried++
-					time.Sleep(backoffWait(*backoff, attempt, retryAfter))
+				t0 := time.Now()
+				resp, err := client.Post(*url+"/v1/run", "application/json", bytes.NewReader(body))
+				d := time.Since(t0)
+				code := 0
+				if err == nil {
+					io.Copy(io.Discard, resp.Body)
+					resp.Body.Close()
+					code = resp.StatusCode
 				}
 				ta.record(sp.name, code, d, err)
-				if tried > 0 {
-					ta.mu.Lock()
-					ta.retried += tried
-					if retryable(code, err) {
-						ta.exhausted++
-					}
-					ta.mu.Unlock()
-				}
 			}(sp)
 		}
 	}
@@ -335,10 +256,6 @@ loop:
 	fmt.Printf("  arrivals   %d (dropped client-side: %d)\n", ta.total+ta.dropped, ta.dropped)
 	fmt.Printf("  responses  2xx=%d 429=%d 5xx=%d other=%d errors=%d\n",
 		ta.ok, ta.http429, ta.http5xx, ta.otherHTTP, ta.errors)
-	if *retries > 0 {
-		fmt.Printf("  retries    attempts=%d exhausted=%d (budget %d per job, base backoff %s)\n",
-			ta.retried, ta.exhausted, *retries, *backoff)
-	}
 	fmt.Printf("  throughput %.1f ok/s   2xx rate %.3f\n", throughput, rate2xx)
 	fmt.Printf("  latency    p50=%.1fms p90=%.1fms p99=%.1fms max=%.1fms\n",
 		ms(percentile(ta.lat, 0.50)), ms(percentile(ta.lat, 0.90)),
@@ -352,8 +269,7 @@ loop:
 		tt := ta.perTenant[name]
 		fmt.Printf("  tenant %-12s total=%d ok=%d shed429=%d\n", name, tt.total, tt.ok, tt.shed)
 	}
-	fmt.Printf("SUMMARY total=%d ok=%d http429=%d errors=%d rate2xx=%.3f throughput=%.1f p50ms=%.1f p90ms=%.1f p99ms=%.1f retried=%d exhausted=%d\n",
+	fmt.Printf("SUMMARY total=%d ok=%d http429=%d errors=%d rate2xx=%.3f throughput=%.1f p50ms=%.1f p90ms=%.1f p99ms=%.1f\n",
 		ta.total, ta.ok, ta.http429, ta.errors, rate2xx, throughput,
-		ms(percentile(ta.lat, 0.50)), ms(percentile(ta.lat, 0.90)), ms(percentile(ta.lat, 0.99)),
-		ta.retried, ta.exhausted)
+		ms(percentile(ta.lat, 0.50)), ms(percentile(ta.lat, 0.90)), ms(percentile(ta.lat, 0.99)))
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"time"
 )
@@ -28,35 +29,29 @@ func TestArrivalInterval(t *testing.T) {
 	}
 }
 
-func TestCheckMaxInflight(t *testing.T) {
+func TestParseTenants(t *testing.T) {
 	for _, tc := range []struct {
-		n  int
-		ok bool
+		name, mix string
+		specs     []tenantSpec
+		total     int // 0: refused
 	}{
-		{256, true},
-		{1, true},
-		{0, false},  // every arrival dropped, no request sent
-		{-1, false}, // makechan: size out of range
-		{math.MinInt, false},
+		{"two tenants", "good=sumlist:8:3, bad=hostile:4000:1,",
+			[]tenantSpec{{"good", "sumlist", 8, 3}, {"bad", "hostile", 4000, 1}}, 4},
+		{"one tenant at the largest weight", "a=sumlist:0:9223372036854775807",
+			[]tenantSpec{{"a", "sumlist", 0, math.MaxInt}}, math.MaxInt},
+		{"weights overflow when summed", "a=sumlist:0:9223372036854775807,b=sumlist:0:1", nil, 0},
+		{"no =", "sumlist:8:3", nil, 0},
+		{"two fields", "a=sumlist:8", nil, 0},
+		{"four fields", "a=sumlist:8:3:1", nil, 0},
+		{"bad churn", "a=sumlist:x:3", nil, 0},
+		{"zero weight", "a=sumlist:8:0", nil, 0},
+		{"negative weight", "a=sumlist:8:-2", nil, 0},
+		{"empty mix", " , ", nil, 0},
 	} {
-		if err := checkMaxInflight(tc.n); (err == nil) != tc.ok {
-			t.Errorf("checkMaxInflight(%d) = %v; want ok %v", tc.n, err, tc.ok)
-		}
-	}
-}
-
-func TestCheckBackoff(t *testing.T) {
-	for _, tc := range []struct {
-		base time.Duration
-		ok   bool
-	}{
-		{100 * time.Millisecond, true},
-		{time.Nanosecond, true},
-		{0, false}, // read as overflowed: a 2.5–7.5 s wait per retry
-		{-time.Second, false},
-	} {
-		if err := checkBackoff(tc.base); (err == nil) != tc.ok {
-			t.Errorf("checkBackoff(%v) = %v; want ok %v", tc.base, err, tc.ok)
+		specs, total, err := parseTenants(tc.mix)
+		if (err != nil) != (tc.total == 0) || total != tc.total || !slices.Equal(specs, tc.specs) {
+			t.Errorf("%s: parseTenants(%q) = %v, %d, %v; want %v, %d (0: an error)",
+				tc.name, tc.mix, specs, total, err, tc.specs, tc.total)
 		}
 	}
 }

@@ -29,55 +29,8 @@ import (
 	"testing"
 	"time"
 
-	"spice"
 	"spice/internal/faults"
-	"spice/internal/workloads/native"
 )
-
-// oracleResult mirrors runJob's execution exactly — same SpecLoop, same
-// batch-vs-loop choice, same Mutate cadence — at width 1 on a private
-// instance, giving the bit-exact expected result for a job spec.
-func oracleResult(t *testing.T, req JobRequest) int64 {
-	t.Helper()
-	k := native.ByName(req.Kernel)
-	if k == nil {
-		t.Fatalf("kernel %q not registered", req.Kernel)
-	}
-	inst := k.New(req.Size, req.Seed, req.Churn)
-	p, err := spice.NewPool(native.SpecLoop(), spice.PoolConfig{Config: spice.Config{Threads: 1}})
-	if err != nil {
-		t.Fatalf("oracle pool: %v", err)
-	}
-	defer p.Close()
-	sess, err := p.SessionWidth(1)
-	if err != nil {
-		t.Fatalf("oracle session: %v", err)
-	}
-	defer sess.Close()
-	sess.BindCells(inst.Cells)
-
-	var acc int64
-	if req.Churn == 0 && req.Invocations > 1 {
-		starts := make([]*native.Node, req.Invocations)
-		for i := range starts {
-			starts[i] = inst.Head
-		}
-		accs, err := sess.RunBatch(context.Background(), starts)
-		if err != nil {
-			t.Fatalf("oracle RunBatch: %v", err)
-		}
-		acc = accs[len(accs)-1]
-	} else {
-		for inv := int64(0); inv < req.Invocations; inv++ {
-			acc, err = sess.Run(context.Background(), inst.Head)
-			if err != nil {
-				t.Fatalf("oracle Run: %v", err)
-			}
-			inst.Mutate()
-		}
-	}
-	return acc
-}
 
 // chaosConfig is the serving chaos baseline: small enough to churn
 // through states quickly, generous enough that only injected faults
@@ -162,7 +115,7 @@ func TestChaosServingSeeded(t *testing.T) {
 				for i := 0; i < jobs; i++ {
 					seed := int64(1000*mi + 10*i + 1)
 					if res, ok := runOne(seed); ok {
-						want := oracleResult(t, mode.req(seed, kernel))
+						want := oracle(t, mode.req(seed, kernel))
 						if res.Result != want {
 							t.Fatalf("seed %d: result %d != oracle %d", seed, res.Result, want)
 						}
@@ -194,7 +147,7 @@ func TestChaosServingSeeded(t *testing.T) {
 				if !ok {
 					t.Fatalf("post-disarm job failed")
 				}
-				if want := oracleResult(t, mode.req(cleanSeed, kernel)); res.Result != want {
+				if want := oracle(t, mode.req(cleanSeed, kernel)); res.Result != want {
 					t.Fatalf("post-disarm: result %d != oracle %d", res.Result, want)
 				}
 				waitFor(t, "healthz to recover", func() bool {
@@ -371,7 +324,7 @@ func TestChaosBuildPanic(t *testing.T) {
 		t.Fatalf("post-disarm job: code %d body %s", w.Code, w.Body.String())
 	}
 	res := decode[JobResult](t, w)
-	if want := oracleResult(t, JobRequest{Tenant: "t", Kernel: "accum", Size: 1000, Seed: 5, Invocations: 1}); res.Result != want {
+	if want := oracle(t, JobRequest{Tenant: "t", Kernel: "accum", Size: 1000, Seed: 5, Invocations: 1}); res.Result != want {
 		t.Fatalf("post-disarm result %d != oracle %d", res.Result, want)
 	}
 }

@@ -1040,12 +1040,19 @@ func TestInstanceLookupHitInPlace(t *testing.T) {
 	}
 }
 
-// specOracle replays a job's invocation sequence on a fresh identical
-// instance through a width-1 runner — the sequential reference the
-// served result must equal bit-for-bit (same seed, same churn stream).
-func specOracle(t *testing.T, kernel string, size, seed int64, churn int, invocations int64, batched bool) int64 {
+// oracle replays req on a fresh identical instance through a width-1
+// runner, mutating after every invocation: the sequential reference a
+// served result must equal bit for bit (same seed, same churn stream).
+// Mutate is a no-op at churn 0, so a job the server batches replays
+// the same way; the oracle does not copy runJob's batch-vs-loop
+// choice, so it cannot share a bug there.
+func oracle(t *testing.T, req JobRequest) int64 {
 	t.Helper()
-	inst := native.ByName(kernel).New(size, seed, churn)
+	k := native.ByName(req.Kernel)
+	if k == nil {
+		t.Fatalf("kernel %q not registered", req.Kernel)
+	}
+	inst := k.New(req.Size, req.Seed, req.Churn)
 	r, err := spice.NewRunner(native.SpecLoop(), spice.Config{Threads: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -1053,14 +1060,12 @@ func specOracle(t *testing.T, kernel string, size, seed int64, churn int, invoca
 	defer r.Close()
 	r.BindCells(inst.Cells)
 	var acc int64
-	for i := int64(0); i < invocations; i++ {
+	for i := int64(0); i < req.Invocations; i++ {
 		acc, err = r.Run(context.Background(), inst.Head)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !batched {
-			inst.Mutate()
-		}
+		inst.Mutate()
 	}
 	return acc
 }
@@ -1083,7 +1088,7 @@ func TestDoacrossKernelsServed(t *testing.T) {
 		t.Fatalf("accum churned: status %d (%s)", w.Code, w.Body.String())
 	}
 	res := decode[JobResult](t, w)
-	if want := specOracle(t, "accum", 3000, 5, 16, 6, false); res.Result != want {
+	if want := oracle(t, JobRequest{Kernel: "accum", Size: 3000, Seed: 5, Churn: 16, Invocations: 6}); res.Result != want {
 		t.Fatalf("accum churned: result %d, oracle %d", res.Result, want)
 	}
 
@@ -1096,7 +1101,7 @@ func TestDoacrossKernelsServed(t *testing.T) {
 		t.Fatalf("accum batched: status %d (%s)", w.Code, w.Body.String())
 	}
 	res = decode[JobResult](t, w)
-	if want := specOracle(t, "accum", 3000, 9, 0, 4, true); res.Result != want {
+	if want := oracle(t, JobRequest{Kernel: "accum", Size: 3000, Seed: 9, Invocations: 4}); res.Result != want {
 		t.Fatalf("accum batched: result %d, oracle %d", res.Result, want)
 	}
 
@@ -1110,7 +1115,7 @@ func TestDoacrossKernelsServed(t *testing.T) {
 		t.Fatalf("histo dense: status %d (%s)", w.Code, w.Body.String())
 	}
 	res = decode[JobResult](t, w)
-	if want := specOracle(t, "histo", 4000, 3, 256, 8, false); res.Result != want {
+	if want := oracle(t, JobRequest{Kernel: "histo", Size: 4000, Seed: 3, Churn: 256, Invocations: 8}); res.Result != want {
 		t.Fatalf("histo dense: result %d, oracle %d", res.Result, want)
 	}
 	if res.Conflicts == 0 {
