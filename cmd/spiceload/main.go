@@ -12,9 +12,13 @@
 //	spiceload -url http://localhost:8080 -rate 50 -duration 10s \
 //	  -tenants good=sumlist:8:3,bad=hostile:4000:1 -size 20000 -invocations 4
 //
-// Every job is sent once, with a 30 s client timeout; at most 256 are in
-// flight, and an arrival beyond that is dropped and counted. The tenant
-// mix is drawn from a fixed seed, so two runs offer the same sequence.
+// Arrival k is due at start + k/rate. Every job is sent once, with a
+// 30 s client timeout, and timed from the instant it was due, so a
+// stall of the generator itself shows in the latencies of the jobs it
+// delayed; the report gives how late the sends ran. At most 256 jobs
+// are in flight, and an arrival beyond that is dropped and counted. The
+// tenant mix is drawn from a fixed seed, so two runs offer the same
+// sequence.
 // The report ends with a single machine-readable line:
 //
 //	SUMMARY total=500 ok=480 http429=20 errors=0 rate2xx=0.960 throughput=48.0 p50ms=3.2 p90ms=8.1 p99ms=20.4
@@ -26,10 +30,12 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"iter"
 	"math"
 	"math/rand"
 	"net/http"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -106,15 +112,19 @@ type tally struct {
 	errors    int
 	dropped   int // arrivals skipped because every client slot was busy
 	lat       []time.Duration
+	late      []time.Duration // per send: how long after its due instant it went out
 	perTenant map[string]*tenantTally
 }
 
 type tenantTally struct{ total, ok, shed int }
 
-func (ta *tally) record(tenant string, code int, d time.Duration, err error) {
+// record tallies one sent job: its outcome, how late it went out and
+// its latency, both measured from its due instant.
+func (ta *tally) record(tenant string, code int, late, d time.Duration, err error) {
 	ta.mu.Lock()
 	defer ta.mu.Unlock()
 	ta.total++
+	ta.late = append(ta.late, late)
 	tt := ta.perTenant[tenant]
 	if tt == nil {
 		tt = &tenantTally{}
@@ -146,15 +156,30 @@ func percentile(sorted []time.Duration, p float64) time.Duration {
 	return sorted[i]
 }
 
-// arrivalInterval is the open loop's tick for a rate in jobs/second. A
-// rate that is not a positive finite number is refused: dividing by it
-// gives no schedule (0 used to become a 1 µs ticker, ~99 000 arrivals/s).
-// A rate beyond the clock's resolution ticks every nanosecond.
+// arrivalInterval is the open loop's spacing for a rate in jobs/second.
+// A rate that is not a positive finite number is refused: dividing by it
+// gives no schedule. A rate beyond the clock's resolution spaces the
+// arrivals a nanosecond apart.
 func arrivalInterval(rate float64) (time.Duration, error) {
 	if !(rate > 0) || math.IsInf(rate, 1) {
 		return 0, fmt.Errorf("-rate %v: want a positive, finite number of jobs/second", rate)
 	}
 	return max(time.Duration(float64(time.Second)/rate), 1), nil
+}
+
+// arrivals is the open loop's schedule: arrival k is due at start +
+// k·interval, for every such instant before start + duration. The
+// instants are fixed in advance, so a generator that falls behind still
+// issues every arrival, late; a time.Ticker would drop the ticks it
+// missed, and those arrivals would count as neither sent nor dropped.
+func arrivals(start time.Time, interval, duration time.Duration) iter.Seq[time.Time] {
+	return func(yield func(time.Time) bool) {
+		for k := time.Duration(0); k*interval < duration; k++ {
+			if !yield(start.Add(k * interval)) {
+				return
+			}
+		}
+	}
 }
 
 // The client's fixed settings: a per-request timeout, the bound on
@@ -193,58 +218,50 @@ func main() {
 	slots := make(chan struct{}, maxInflight)
 	var wg sync.WaitGroup
 
-	tick := time.NewTicker(interval)
-	defer tick.Stop()
-	deadline := time.After(*duration)
 	started := time.Now()
-
-loop:
-	for {
+	for due := range arrivals(started, interval, *duration) {
+		time.Sleep(time.Until(due))
+		sp := pick(rng, specs, totalWeight)
 		select {
-		case <-deadline:
-			break loop
-		case <-tick.C:
-			sp := pick(rng, specs, totalWeight)
-			select {
-			case slots <- struct{}{}:
-			default:
-				// Open loop: a saturated client does not queue arrivals, it
-				// counts them as dropped so the offered rate stays honest.
-				ta.mu.Lock()
-				ta.dropped++
-				ta.mu.Unlock()
-				continue
-			}
-			wg.Add(1)
-			go func(sp tenantSpec) {
-				defer wg.Done()
-				defer func() { <-slots }()
-				body, _ := json.Marshal(map[string]any{
-					"tenant":      sp.name,
-					"kernel":      sp.kernel,
-					"churn":       sp.churn,
-					"size":        *size,
-					"invocations": *invocations,
-				})
-				t0 := time.Now()
-				resp, err := client.Post(*url+"/v1/run", "application/json", bytes.NewReader(body))
-				d := time.Since(t0)
-				code := 0
-				if err == nil {
-					io.Copy(io.Discard, resp.Body)
-					resp.Body.Close()
-					code = resp.StatusCode
-				}
-				ta.record(sp.name, code, d, err)
-			}(sp)
+		case slots <- struct{}{}:
+		default:
+			// Open loop: a saturated client does not queue arrivals, it
+			// counts them as dropped so the offered rate stays honest.
+			ta.mu.Lock()
+			ta.dropped++
+			ta.mu.Unlock()
+			continue
 		}
+		wg.Add(1)
+		go func(sp tenantSpec, due time.Time) {
+			defer wg.Done()
+			defer func() { <-slots }()
+			body, _ := json.Marshal(map[string]any{
+				"tenant":      sp.name,
+				"kernel":      sp.kernel,
+				"churn":       sp.churn,
+				"size":        *size,
+				"invocations": *invocations,
+			})
+			late := time.Since(due)
+			resp, err := client.Post(*url+"/v1/run", "application/json", bytes.NewReader(body))
+			d := time.Since(due)
+			code := 0
+			if err == nil {
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				code = resp.StatusCode
+			}
+			ta.record(sp.name, code, late, d, err)
+		}(sp, due)
 	}
 	wg.Wait()
 	elapsed := time.Since(started)
 
 	ta.mu.Lock()
 	defer ta.mu.Unlock()
-	sort.Slice(ta.lat, func(i, j int) bool { return ta.lat[i] < ta.lat[j] })
+	slices.Sort(ta.lat)
+	slices.Sort(ta.late)
 	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 	rate2xx := 0.0
 	if ta.total > 0 {
@@ -260,6 +277,8 @@ loop:
 	fmt.Printf("  latency    p50=%.1fms p90=%.1fms p99=%.1fms max=%.1fms\n",
 		ms(percentile(ta.lat, 0.50)), ms(percentile(ta.lat, 0.90)),
 		ms(percentile(ta.lat, 0.99)), ms(percentile(ta.lat, 1.0)))
+	fmt.Printf("  generator  late p99=%.2fms max=%.2fms (send minus due, over %d sends)\n",
+		ms(percentile(ta.late, 0.99)), ms(percentile(ta.late, 1.0)), len(ta.late))
 	names := make([]string, 0, len(ta.perTenant))
 	for name := range ta.perTenant {
 		names = append(names, name)

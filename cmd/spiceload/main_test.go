@@ -15,7 +15,7 @@ func TestArrivalInterval(t *testing.T) {
 		{20, 50 * time.Millisecond},
 		{0.5, 2 * time.Second},
 		{1e6, time.Microsecond},
-		{3e9, time.Nanosecond}, // under the clock's resolution: the finest tick
+		{3e9, time.Nanosecond}, // under the clock's resolution: the finest spacing
 		{0, 0},
 		{-5, 0},
 		{math.NaN(), 0},
@@ -53,5 +53,45 @@ func TestParseTenants(t *testing.T) {
 			t.Errorf("%s: parseTenants(%q) = %v, %d, %v; want %v, %d (0: an error)",
 				tc.name, tc.mix, specs, total, err, tc.specs, tc.total)
 		}
+	}
+}
+
+// TestArrivals: arrival k is due at start + k·interval, for every such
+// instant before start + duration. The schedule reads no clock, so a
+// generator that falls behind gets every arrival it missed, in order.
+func TestArrivals(t *testing.T) {
+	start := time.Date(2024, 1, 1, 0, 0, 0, 0, time.UTC)
+	for _, tc := range []struct {
+		interval, duration time.Duration
+		want               int
+	}{
+		{40 * time.Millisecond, time.Second, 25},
+		{300 * time.Millisecond, time.Second, 4}, // 0, 300, 600, 900 ms
+		{time.Second, time.Second, 1},
+		{2 * time.Second, time.Second, 1},
+		{time.Millisecond, 0, 0},
+	} {
+		var got []time.Time
+		for due := range arrivals(start, tc.interval, tc.duration) {
+			got = append(got, due)
+		}
+		if len(got) != tc.want {
+			t.Errorf("interval %v over %v: %d arrivals, want %d", tc.interval, tc.duration, len(got), tc.want)
+		}
+		for k, due := range got {
+			if want := start.Add(time.Duration(k) * tc.interval); !due.Equal(want) {
+				t.Errorf("interval %v: arrival %d due %v, want %v", tc.interval, k, due, want)
+			}
+		}
+	}
+	// A consumer that stops early ends the schedule.
+	n := 0
+	for range arrivals(start, time.Millisecond, time.Second) {
+		if n++; n == 3 {
+			break
+		}
+	}
+	if n != 3 {
+		t.Errorf("%d arrivals after a break at 3", n)
 	}
 }

@@ -178,6 +178,9 @@ func (s *Server) execute(j *job) {
 	}
 	j.state.Store(int32(jobRunning))
 	started := time.Now()
+	// newJob's clock read, the admission instant, is the deadline less
+	// the job timeout.
+	s.met.jobQueue.observe(started.Sub(j.deadline.Add(-s.cfg.JobTimeout)))
 	res, aerr := s.runJobGuarded(j, started)
 	s.met.jobLatency.observe(time.Since(started))
 	if aerr == nil {

@@ -2,7 +2,7 @@ package server
 
 // Prometheus-style observability, hand-rolled on stdlib only: the
 // /metrics endpoint renders the text exposition format (counters,
-// gauges, one latency histogram) from the pool's Stats counters, the
+// gauges, two latency histograms) from the pool's Stats counters, the
 // admission queue's gauges and every tenant's budget/score/aggregate
 // counters.
 
@@ -77,7 +77,11 @@ type metrics struct {
 	// finished async results reaped from the table after resultTTL.
 	watchdogKilled atomic.Int64
 	asyncExpired   atomic.Int64
-	jobLatency     histogram
+	// jobQueue times a job from admission to the start of its
+	// dispatch, jobLatency from there to its end: a slow job is
+	// either one that waited or one that ran long.
+	jobQueue   histogram
+	jobLatency histogram
 	// HTTP responses by status class (2xx/4xx/5xx) plus the exact 429
 	// count, the backpressure signal load generators watch.
 	http2xx, http429, http4xx, http5xx atomic.Int64
@@ -237,6 +241,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Latency.
+	s.met.jobQueue.render(&b, "spiced_job_queue_seconds")
 	s.met.jobLatency.render(&b, "spiced_job_duration_seconds")
 
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")

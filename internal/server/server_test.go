@@ -25,7 +25,7 @@ import (
 // about; every other bound is the daemon's own.
 func testConfig() Config { return Config{MaxWidth: 4} }
 
-func newTestServer(t *testing.T, cfg Config) *Server {
+func newTestServer(t testing.TB, cfg Config) *Server {
 	t.Helper()
 	s, err := New(cfg)
 	if err != nil {
@@ -109,7 +109,7 @@ func do(h http.Handler, method, path string, body any) *httptest.ResponseRecorde
 	return w
 }
 
-func decode[T any](t *testing.T, w *httptest.ResponseRecorder) T {
+func decode[T any](t testing.TB, w *httptest.ResponseRecorder) T {
 	t.Helper()
 	var v T
 	if err := json.Unmarshal(w.Body.Bytes(), &v); err != nil {
@@ -801,6 +801,103 @@ func TestMetricsParseable(t *testing.T) {
 		if !strings.Contains(body, want) {
 			t.Fatalf("series %q missing from /metrics", want)
 		}
+	}
+}
+
+// TestQueueWaitHistogram: every job that reaches a dispatcher, served
+// or failed, lands once in spiced_job_queue_seconds, and what it
+// records is the wait from admission to the dispatcher, here at least
+// the time a burst was held at the gate.
+func TestQueueWaitHistogram(t *testing.T) {
+	cfg := testConfig()
+	cfg.testGate = make(chan struct{})
+	s := newTestServer(t, cfg)
+	openGate := sync.OnceFunc(func() { close(cfg.testGate) })
+	defer openGate()
+	h := s.Handler()
+
+	const hold = 20 * time.Millisecond
+	n := 2*dispatchers() + 4
+	var cancels []context.CancelFunc
+	codes := make(chan int, n)
+	for i := 0; i < n; i++ {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		if i%3 == 0 {
+			cancels = append(cancels, cancel) // a client that goes away: the job fails 499
+		}
+		go func() {
+			body, _ := json.Marshal(JobRequest{Tenant: "burst", Kernel: "sumlist", Size: 500, Invocations: 2})
+			r := httptest.NewRequest("POST", "/v1/run", strings.NewReader(string(body))).WithContext(ctx)
+			w := httptest.NewRecorder()
+			h.ServeHTTP(w, r)
+			codes <- w.Code
+		}()
+	}
+	waitFor(t, "the burst to be admitted", func() bool { return s.met.admitted.Load() == int64(n) })
+	for _, cancel := range cancels {
+		cancel()
+	}
+	time.Sleep(hold)
+	openGate()
+
+	var ok, failed int
+	for i := 0; i < n; i++ {
+		switch code := <-codes; code {
+		case http.StatusOK:
+			ok++
+		case statusClientClosedRequest:
+			failed++
+		default:
+			t.Fatalf("status %d", code)
+		}
+	}
+	if failed != len(cancels) {
+		t.Fatalf("%d jobs failed, %d clients went away", failed, len(cancels))
+	}
+	waitFor(t, "every job to settle", func() bool { return s.met.jobsOK.Load()+s.met.jobsFailed.Load() == int64(n) })
+	body := do(h, "GET", "/metrics", nil).Body.String()
+	read := func(series string) float64 {
+		m := regexp.MustCompile(`(?m)^` + series + ` (\S+)$`).FindStringSubmatch(body)
+		if m == nil {
+			t.Fatalf("%s missing from /metrics", series)
+		}
+		v, err := strconv.ParseFloat(m[1], 64)
+		if err != nil {
+			t.Fatalf("%s: %v", series, err)
+		}
+		return v
+	}
+	if count, jobs := read("spiced_job_queue_seconds_count"), read("spiced_jobs_completed_total")+read("spiced_jobs_failed_total"); count != jobs || count != float64(ok+failed) {
+		t.Fatalf("queue histogram counts %v jobs; ok + failed = %v, the clients saw %d", count, jobs, ok+failed)
+	}
+	if sum := read("spiced_job_queue_seconds_sum"); sum < float64(n)*hold.Seconds() {
+		t.Fatalf("queue waits sum to %vs, under %d jobs held %v each", sum, n, hold)
+	}
+}
+
+// BenchmarkServeJob is serve_light's job (a batched 2 000-node sumlist
+// job of 8 invocations) POSTed through Handler with no socket: decode,
+// admission, the dispatcher hand-off, the pool session and the encode.
+// `go test -cpuprofile` over it attributes the daemon's time per job.
+func BenchmarkServeJob(b *testing.B) {
+	s := newTestServer(b, Config{})
+	h := s.Handler()
+	body, _ := json.Marshal(JobRequest{Tenant: "light", Kernel: "sumlist", Size: 2000, Seed: 1, Invocations: 8})
+	post := func() *httptest.ResponseRecorder {
+		w := do(h, "POST", "/v1/run", string(body))
+		if w.Code != http.StatusOK {
+			b.Fatalf("status %d: %s", w.Code, w.Body.String())
+		}
+		return w
+	}
+	if got, want := decode[JobResult](b, post()).Result, seqSum("sumlist", 2000, 1); got != want {
+		b.Fatalf("result %d, sequential oracle %d", got, want)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		post()
 	}
 }
 

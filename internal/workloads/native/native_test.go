@@ -107,3 +107,44 @@ func TestNativeChurnZeroIsImmutable(t *testing.T) {
 		t.Fatalf("churn-0 Mutate changed the structure: %d/%d -> %d/%d", before, beforeN, after, afterN)
 	}
 }
+
+// BenchmarkKernelScan is serve_light's instance, a 2 000-node sumlist,
+// on a width-1 Runner over Loop and over SpecLoop: what a DOALL node
+// costs in each loop's block form (ns/node). spiced serves every kernel
+// through SpecLoop, so the two rows should read alike.
+func BenchmarkKernelScan(b *testing.B) {
+	const size = 2000
+	for _, c := range []struct {
+		name string
+		spec bool
+	}{{"sumlist_loop", false}, {"sumlist_spec", true}} {
+		b.Run(c.name, func(b *testing.B) {
+			inst := ByName("sumlist").New(size, 1, 0)
+			loop := Loop()
+			if c.spec {
+				loop = SpecLoop()
+				loop.Cells = inst.Cells
+			}
+			r, err := spice.NewRunner(loop, spice.Config{Threads: 1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer r.Close()
+			ctx := context.Background()
+			if got, err := r.Run(ctx, inst.Head); err != nil {
+				b.Fatal(err)
+			} else if want, _ := seqSum(inst.Head); got != want {
+				b.Fatalf("result %d, sequential %d", got, want)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := r.Run(ctx, inst.Head); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/size, "ns/node")
+		})
+	}
+}

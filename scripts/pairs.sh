@@ -8,8 +8,9 @@
 # The change is the working tree; BASE is unpacked once under
 # .bench_build/ (git archive, so nothing is registered in .git). The
 # workloads run one after another, each with its own summary. Pair i
-# runs both sides on seed 20+i, BASE first in odd pairs and the change
-# first in even ones, each for PAIRS_SECONDS seconds (default:
+# runs both sides on seed PAIRS_SEED+i (default 20; another value checks
+# a claim on seeds it was not built on), BASE first in odd pairs and the
+# change first in even ones, each for PAIRS_SECONDS seconds (default:
 # run_seconds of BENCHMARK.json). Every run's last JSON line is kept;
 # the summary gives, per end-to-end metric, each side's median and
 # quartiles, the pairs the change won, and a verdict against the
@@ -39,6 +40,7 @@ root=$(git rev-parse --show-toplevel)
 cd "$root"
 seconds=${PAIRS_SECONDS:-$(python3 -c 'import json; print(json.load(open("BENCHMARK.json"))["run_seconds"])')}
 claim=${CLAIM:-}
+first_seed=${PAIRS_SEED:-20}
 if [[ -n $claim ]] && ! python3 -c 'import json, sys; sys.exit(sys.argv[1] not in [m["name"] for m in json.load(open("BENCHMARK.json"))["end_to_end"]])' "$claim"; then
 	echo "CLAIM=$claim is not an end-to-end metric of BENCHMARK.json" >&2
 	exit 2
@@ -113,7 +115,7 @@ for workload in ${workloads//,/ }; do
 	: > "$runs"
 	echo "# $workload: $pairs pairs of ${seconds}s runs, base $rev against the working tree"
 	for ((i = 1; i <= pairs; i++)); do
-		seed=$((20 + i))
+		seed=$((first_seed + i))
 		if ((i % 2)); then
 			one base "$basedir" "$seed"
 			one change "$root" "$seed"
