@@ -52,7 +52,9 @@ type tenantSpec struct {
 }
 
 // parseTenants reads the -tenants mix and returns it with its total
-// weight, refusing a mix whose weights overflow an int when summed.
+// weight. It refuses a spec spiced would answer 400 on every job (an
+// empty tenant name or kernel, a negative churn) and a mix whose
+// weights overflow an int when summed.
 func parseTenants(s string) ([]tenantSpec, int, error) {
 	var specs []tenantSpec
 	total := 0
@@ -62,16 +64,13 @@ func parseTenants(s string) ([]tenantSpec, int, error) {
 			continue
 		}
 		name, rest, ok := strings.Cut(part, "=")
-		if !ok {
-			return nil, 0, fmt.Errorf("tenant spec %q: want name=kernel:churn:weight", part)
-		}
 		fields := strings.Split(rest, ":")
-		if len(fields) != 3 {
+		if !ok || name == "" || len(fields) != 3 || fields[0] == "" {
 			return nil, 0, fmt.Errorf("tenant spec %q: want name=kernel:churn:weight", part)
 		}
 		churn, err := strconv.Atoi(fields[1])
-		if err != nil {
-			return nil, 0, fmt.Errorf("tenant spec %q: churn: %v", part, err)
+		if err != nil || churn < 0 {
+			return nil, 0, fmt.Errorf("tenant spec %q: churn must be a non-negative integer", part)
 		}
 		weight, err := strconv.Atoi(fields[2])
 		if err != nil || weight < 1 {

@@ -44,6 +44,9 @@ func TestParseTenants(t *testing.T) {
 		{"two fields", "a=sumlist:8", nil, 0},
 		{"four fields", "a=sumlist:8:3:1", nil, 0},
 		{"bad churn", "a=sumlist:x:3", nil, 0},
+		{"negative churn", "a=sumlist:-1:3", nil, 0},
+		{"empty tenant name", "=sumlist:8:3", nil, 0},
+		{"empty kernel", "a=:8:3", nil, 0},
 		{"zero weight", "a=sumlist:8:0", nil, 0},
 		{"negative weight", "a=sumlist:8:-2", nil, 0},
 		{"empty mix", " , ", nil, 0},

@@ -1,14 +1,15 @@
 package server
 
 // Admission control: a bounded queue with backpressure in front of the
-// shared pool. Every job is either admitted — registered against its
-// tenant's concurrency cap and the drain WaitGroup, then queued — or
-// rejected immediately with 429 (queue full, tenant over its cap, async
-// table full) or 503 (draining), both with a Retry-After hint. Nothing
-// in the server buffers without a bound, so overload sheds instead of
-// growing the heap: the paper's runtime already degrades to sequential
-// execution under misspeculation, and the serving layer mirrors that
-// philosophy at the job level.
+// shared pool. Every job is either admitted — entered in the job table,
+// registered against its tenant's concurrency cap and the drain
+// WaitGroup, then queued — or rejected immediately with 429 (queue
+// full, tenant over its cap, async table full) or 503 (draining), both
+// with a Retry-After hint. Nothing in the server buffers without a
+// bound, so overload sheds instead of growing the heap: the paper's
+// runtime already degrades to sequential execution under
+// misspeculation, and the serving layer mirrors that philosophy at the
+// job level.
 
 import (
 	"context"
@@ -26,10 +27,13 @@ import (
 )
 
 // The admission bounds: queueDepth admitted jobs may wait for a
-// dispatcher, tenantCap of them (waiting or running) per tenant.
+// dispatcher, tenantCap of them (waiting or running) per tenant, and
+// asyncCap async jobs may sit in the job table (until their result is
+// fetched, or expired after resultTTL, watchdog.go).
 const (
 	queueDepth = 256
 	tenantCap  = 32
+	asyncCap   = 256
 )
 
 // jobState tracks a job through the queue.
@@ -58,7 +62,10 @@ type job struct {
 	// which sweeps against it plus its grace.
 	deadline time.Time
 
-	state  atomic.Int32 // holds a jobState
+	state atomic.Int32 // holds a jobState
+	// async marks a job submitted through /v1/submit: pollable by id,
+	// and kept in the job table past its finish.
+	async  bool
 	done   chan struct{}
 	result *JobResult
 	err    *apiError
@@ -92,10 +99,10 @@ func (j *job) release() {
 	j.cancel()
 }
 
-// admit runs the full admission path. On success the job is in the
-// queue, its tenant's inflight count incremented and the drain
-// WaitGroup holding a reference; on failure the returned apiError names
-// the backpressure reason.
+// admit runs the full admission path. On success the job is in the job
+// table and the queue, its tenant's inflight count incremented and the
+// drain WaitGroup holding a reference; on failure the returned apiError
+// names the backpressure reason.
 func (s *Server) admit(j *job) *apiError {
 	// Fault-injection site: an injected Err sheds the request with a 503
 	// (counted under its own rejection reason so admission accounting
@@ -111,20 +118,29 @@ func (s *Server) admit(j *job) *apiError {
 			j.cancel()
 		}
 	}
-	// The RLock pairs with Drain's exclusive flip of s.draining: once
-	// Drain holds the write lock, no new job can slip past the jobWG
-	// registration below, so "drain completes in-flight jobs" is exact.
-	s.admitMu.RLock()
-	defer s.admitMu.RUnlock()
+	// Held across the jobWG registration below, and Drain flips
+	// s.draining under it: no new job can slip past, so "drain completes
+	// in-flight jobs" is exact.
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.draining {
 		s.met.rejDraining.Add(1)
 		return &apiError{code: http.StatusServiceUnavailable, msg: "draining", retryAfter: 1}
 	}
+	if j.async && s.async >= asyncCap {
+		s.met.rejAsyncFull.Add(1)
+		return &apiError{
+			code:       http.StatusTooManyRequests,
+			msg:        fmt.Sprintf("async job table full (%d jobs); fetch finished jobs to free slots", asyncCap),
+			retryAfter: 1,
+		}
+	}
 
+	// The tenant's slot is reserved without its lock: a build holds that
+	// lock, and s.mu must never wait on it.
 	t := j.t
-	t.mu.Lock()
-	if t.inflight >= tenantCap {
-		t.mu.Unlock()
+	if t.inflight.Add(1) > tenantCap {
+		t.inflight.Add(-1)
 		s.met.rejTenantCap.Add(1)
 		return &apiError{
 			code:       http.StatusTooManyRequests,
@@ -132,25 +148,22 @@ func (s *Server) admit(j *job) *apiError {
 			retryAfter: 1,
 		}
 	}
-	t.inflight++
-	t.mu.Unlock()
 
+	s.jobs[j.id] = j
+	if j.async {
+		s.async++
+	}
+	// Added before the send: once queued, a dispatcher may finish the
+	// job, and Done it, before the send returns.
 	s.jobWG.Add(1)
-	// The watchdog sweeps the job until execute untracks it. Tracked
-	// before the send: once queued, a dispatcher may finish the job
-	// before the send returns, and a job tracked after that would stay in
-	// the registry for good, to be killed and then reported wedged.
-	s.trackJob(j)
 	select {
 	case s.queue <- j:
 		s.met.admitted.Add(1)
 		return nil
 	default:
-		s.untrackJob(j)
+		s.forget(j)
 		s.jobWG.Done()
-		t.mu.Lock()
-		t.inflight--
-		t.mu.Unlock()
+		t.inflight.Add(-1)
 		s.met.rejQueueFull.Add(1)
 		return &apiError{
 			code:       http.StatusTooManyRequests,
@@ -160,11 +173,19 @@ func (s *Server) admit(j *job) *apiError {
 	}
 }
 
+// forget takes a job out of the job table. The caller holds s.mu.
+func (s *Server) forget(j *job) {
+	delete(s.jobs, j.id)
+	if j.async {
+		s.async--
+	}
+}
+
 // dispatcher is one executor goroutine: it drains the admission queue
 // until the queue is closed (Drain does that only after the jobWG hits
 // zero, so `range` never strands an admitted job).
 func (s *Server) dispatcher() {
-	defer s.dispatchWG.Done()
+	defer s.loops.Done()
 	for j := range s.queue {
 		s.execute(j)
 	}
@@ -188,11 +209,15 @@ func (s *Server) execute(j *job) {
 	} else {
 		s.met.jobsFailed.Add(1)
 	}
-	j.t.mu.Lock()
-	j.t.inflight--
-	j.t.mu.Unlock()
+	j.t.inflight.Add(-1)
 	j.finish(res, aerr)
-	s.untrackJob(j)
+	if !j.async {
+		// A sync job is settled; an async one waits in the table for its
+		// poller or the sweep.
+		s.mu.Lock()
+		s.forget(j)
+		s.mu.Unlock()
+	}
 	s.jobWG.Done()
 }
 

@@ -13,7 +13,8 @@ package server
 //     invocations) job.
 //   - Conservation: admitted == completed + failed, and offered ==
 //     admitted + every rejection reason — injected faults get their own
-//     reason so the books always balance.
+//     reason so the books always balance; the job table then holds
+//     finished async jobs only, and fetching them empties it.
 //   - Self-healing: after Disarm the same server serves exact results
 //     and /healthz returns to 200.
 //
@@ -25,7 +26,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"net/http"
+	"regexp"
+	"runtime"
+	"slices"
+	"strconv"
 	"testing"
 	"time"
 
@@ -38,6 +44,8 @@ import (
 func chaosConfig(plane *faults.Plane) Config {
 	return Config{MaxWidth: 4, JobTimeout: 20 * time.Second, Faults: plane}
 }
+
+var asyncGauge = regexp.MustCompile(`(?m)^spiced_async_jobs (\d+)$`)
 
 // TestChaosServingSeeded is the serving-path lockstep suite.
 func TestChaosServingSeeded(t *testing.T) {
@@ -136,6 +144,29 @@ func TestChaosServingSeeded(t *testing.T) {
 				if ps := s.pool.Stats(); ps.ConflictIters > ps.SquashedIters || ps.Reclaimed > ps.Hits+ps.Misses {
 					t.Fatalf("conservation: conflict iters %d / squashed %d, reclaimed %d / hits %d + misses %d",
 						ps.ConflictIters, ps.SquashedIters, ps.Reclaimed, ps.Hits, ps.Misses)
+				}
+				// The job table balances too, whatever path refused a job:
+				// once the admitted jobs have settled it holds finished async
+				// jobs only, as many as the async count and the
+				// spiced_async_jobs gauge say, and fetching each empties it.
+				waitFor(t, "the job table to hold finished async jobs only", func() bool { return tableSettled(s) })
+				table := func() (ids []string, async int) {
+					s.mu.Lock()
+					defer s.mu.Unlock()
+					return slices.Collect(maps.Keys(s.jobs)), s.async
+				}
+				ids, async := table()
+				gauge := asyncGauge.FindStringSubmatch(do(h, "GET", "/metrics", nil).Body.String())
+				if len(ids) != async || gauge == nil || gauge[1] != strconv.Itoa(async) {
+					t.Fatalf("conservation: job table %d entries, async count %d, gauge %q", len(ids), async, gauge)
+				}
+				for _, id := range ids {
+					if w := do(h, "GET", "/v1/jobs/"+id, nil); w.Code != http.StatusOK {
+						t.Fatalf("fetch %s: code %d", id, w.Code)
+					}
+				}
+				if ids, async := table(); len(ids) != 0 || async != 0 {
+					t.Fatalf("conservation: %d entries (async count %d) after fetching every id", len(ids), async)
 				}
 
 				// Self-healing: disarm, unblock stalls, and the same server
@@ -267,9 +298,7 @@ func TestAsyncResultTTL(t *testing.T) {
 		ids = append(ids, decode[JobStatus](t, w).ID)
 	}
 	waitFor(t, "every job to finish", func() bool {
-		s.watchMu.Lock()
-		defer s.watchMu.Unlock()
-		return s.met.jobsOK.Load()+s.met.jobsFailed.Load() == asyncCap && len(s.inflightJobs) == 0
+		return s.met.jobsOK.Load()+s.met.jobsFailed.Load() == asyncCap && tableSettled(s)
 	})
 	// The table is full: a further submit must shed.
 	if w := do(h, "POST", "/v1/submit", JobRequest{Tenant: "t", Kernel: "sumlist", Size: 200}); w.Code != http.StatusTooManyRequests {
@@ -356,5 +385,52 @@ func TestChaosAdmitInjected(t *testing.T) {
 	}
 	if adm, ok, fail := s.met.admitted.Load(), s.met.jobsOK.Load(), s.met.jobsFailed.Load(); adm != ok+fail {
 		t.Fatalf("conservation: admitted %d != ok %d + failed %d", adm, ok, fail)
+	}
+}
+
+// TestBuildStallBlocksOnlyItsTenant: a structure build holds its
+// tenant's lock, and must hold up nothing but that tenant's execution.
+// While tenant a's first build is stalled, a's next submission, another
+// tenant's sync job, /healthz and a poll of the stalled job all answer:
+// admission never waits on a tenant lock while it holds the server's.
+func TestBuildStallBlocksOnlyItsTenant(t *testing.T) {
+	plane := faults.New(faults.Point{Site: faults.ServerBuild, Match: 1, Kind: faults.KindStall, Dur: time.Minute})
+	// Three dispatchers: one stalled in a's build, one holding a's second
+	// job at a's tenant lock, one free for b.
+	prev := runtime.GOMAXPROCS(max(runtime.GOMAXPROCS(0), 3))
+	s := newTestServer(t, chaosConfig(plane))
+	runtime.GOMAXPROCS(prev)
+	t.Cleanup(plane.Release) // before the server's Close, which waits for the build
+	h := s.Handler()
+
+	w := do(h, "POST", "/v1/submit", JobRequest{Tenant: "a", Kernel: "sumlist", Size: 500, Seed: 7})
+	if w.Code != http.StatusAccepted {
+		t.Fatalf("a's first submit: status %d: %s", w.Code, w.Body.String())
+	}
+	first := decode[JobStatus](t, w)
+	waitFor(t, "a's build to stall", func() bool { return plane.Hits(faults.ServerBuild) == 1 })
+
+	prompt := func(what, method, path string, body any, want int) {
+		t.Helper()
+		codes := make(chan int, 1)
+		go func() { codes <- do(h, method, path, body).Code }()
+		select {
+		case code := <-codes:
+			if code != want {
+				t.Fatalf("%s: status %d, want %d", what, code, want)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s hung behind a's stalled build", what)
+		}
+	}
+	prompt("a's second submit", "POST", "/v1/submit", JobRequest{Tenant: "a", Kernel: "sumlist", Size: 500, Seed: 7}, http.StatusAccepted)
+	prompt("b's sync run", "POST", "/v1/run", JobRequest{Tenant: "b", Kernel: "sumlist", Size: 500}, http.StatusOK)
+	prompt("/healthz", "GET", "/healthz", nil, http.StatusOK)
+	prompt("a poll of the stalled job", "GET", "/v1/jobs/"+first.ID, nil, http.StatusOK)
+
+	plane.Release()
+	waitFor(t, "a's jobs to settle", func() bool { return tableSettled(s) })
+	if st := decode[JobStatus](t, do(h, "GET", "/v1/jobs/"+first.ID, nil)); st.State != "done" || st.Result == nil || st.Result.Result != seqSum("sumlist", 500, 7) {
+		t.Fatalf("a's stalled job after release: %+v, want done with the sequential sum", st)
 	}
 }

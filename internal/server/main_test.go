@@ -8,5 +8,5 @@ import (
 
 // TestMain runs the package under a goroutine-leak check: every Server
 // a test builds must be fully joined by its Drain/Close — dispatchers,
-// rebalancer, watchdog, pool workers — before the binary exits.
+// the housekeeping loop, pool workers — before the binary exits.
 func TestMain(m *testing.M) { leakcheck.Main(m) }

@@ -13,6 +13,8 @@ import (
 	"strings"
 	"sync/atomic"
 	"time"
+
+	"spice"
 )
 
 // durationBuckets are the job-latency histogram's upper bounds, in
@@ -123,18 +125,12 @@ func (s *Server) counted(h http.HandlerFunc) http.HandlerFunc {
 // tenantMetricsRow is one tenant's scrape snapshot, taken under the
 // tenant lock in snapshotTenants.
 type tenantMetricsRow struct {
-	name            string
-	budget          int64
-	score           float64
-	inflight        int64
-	invocations     int64
-	iters           int64
-	hits, misses    int64
-	reclaimed       int64
-	conflicts       int64
-	misspecInv      int64
-	sheds, seqFalls int64
-	starved         bool
+	name     string
+	budget   int64
+	score    float64
+	inflight int64
+	starved  bool
+	agg      spice.Stats // the tenant's lifetime counters
 }
 
 // handleMetrics renders the Prometheus text exposition.
@@ -221,23 +217,23 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		perTenantCounter("spiced_tenant_invocations_total", "loop invocations executed for the tenant",
-			func(t tenantMetricsRow) int64 { return t.invocations })
+			func(t tenantMetricsRow) int64 { return t.agg.Invocations })
 		perTenantCounter("spiced_tenant_iters_total", "loop iterations committed for the tenant",
-			func(t tenantMetricsRow) int64 { return t.iters })
+			func(t tenantMetricsRow) int64 { return t.agg.TotalIters })
 		perTenantCounter("spiced_tenant_spec_hits_total", "speculative chunks committed for the tenant",
-			func(t tenantMetricsRow) int64 { return t.hits })
+			func(t tenantMetricsRow) int64 { return t.agg.Hits })
 		perTenantCounter("spiced_tenant_spec_misses_total", "speculative chunks squashed for the tenant",
-			func(t tenantMetricsRow) int64 { return t.misses })
+			func(t tenantMetricsRow) int64 { return t.agg.Misses })
 		perTenantCounter("spiced_tenant_reclaimed_chunks_total", "the tenant's speculative chunks the invoking goroutine ran itself because no worker had started them; they earn the tenant's score nothing",
-			func(t tenantMetricsRow) int64 { return t.reclaimed })
+			func(t tenantMetricsRow) int64 { return t.agg.Reclaimed })
 		perTenantCounter("spiced_tenant_conflicts_total", "DOACROSS read/write-set conflict events for the tenant",
-			func(t tenantMetricsRow) int64 { return t.conflicts })
+			func(t tenantMetricsRow) int64 { return t.agg.Conflicts })
 		perTenantCounter("spiced_tenant_misspec_invocations_total", "tenant invocations with at least one squashed chunk",
-			func(t tenantMetricsRow) int64 { return t.misspecInv })
+			func(t tenantMetricsRow) int64 { return t.agg.MisspecInvocations })
 		perTenantCounter("spiced_tenant_batch_sheds_total", "tenant invocations shed to sequential in-place execution",
-			func(t tenantMetricsRow) int64 { return t.sheds })
+			func(t tenantMetricsRow) int64 { return t.agg.BatchSheds })
 		perTenantCounter("spiced_tenant_sequential_fallbacks_total", "tenant invocations forced sequential by the adaptive layer",
-			func(t tenantMetricsRow) int64 { return t.seqFalls })
+			func(t tenantMetricsRow) int64 { return t.agg.SequentialFallbacks })
 	}
 
 	// Latency.
@@ -249,12 +245,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Write([]byte(b.String()))
 }
 
-// asyncJobCount snapshots the async result table's size for /metrics.
+// asyncJobCount snapshots the job table's async entries for /metrics.
 func (s *Server) asyncJobCount() int64 {
-	s.asyncMu.Lock()
-	n := len(s.asyncJobs)
-	s.asyncMu.Unlock()
-	return int64(n)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return int64(s.async)
 }
 
 // handleHealthz reports liveness: 200 while serving, 503 once draining
@@ -263,9 +258,9 @@ func (s *Server) asyncJobCount() int64 {
 // recomputed every sweep, so the endpoint heals itself when the job
 // finally settles.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	s.admitMu.RLock()
+	s.mu.Lock()
 	draining := s.draining
-	s.admitMu.RUnlock()
+	s.mu.Unlock()
 	if draining {
 		w.WriteHeader(http.StatusServiceUnavailable)
 		fmt.Fprintln(w, "draining")

@@ -109,10 +109,7 @@ func TestPanickingKernelContained(t *testing.T) {
 	if aerr != nil {
 		t.Fatalf("tenantFor: %v", aerr)
 	}
-	tn.mu.Lock()
-	inflight := tn.inflight
-	tn.mu.Unlock()
-	if inflight != 0 {
+	if inflight := tn.inflight.Load(); inflight != 0 {
 		t.Fatalf("tenant inflight = %d after all jobs finished, want 0", inflight)
 	}
 

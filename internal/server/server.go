@@ -11,8 +11,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"net/http"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -54,20 +56,27 @@ type Server struct {
 	pool *spice.Pool[*native.Node, int64]
 	met  *metrics
 
-	mu      sync.Mutex
-	tenants map[string]*tenant
-
 	queue chan *job
 
-	// admitMu orders admission against Drain: admission holds the read
-	// lock across the draining check and its jobWG.Add, so once Drain
-	// holds the write lock and flips draining, the in-flight job set is
-	// exactly what jobWG counts.
-	admitMu  sync.RWMutex
+	// mu guards the tenant table, the job table and the draining flag.
+	// It is a leaf: no other lock is taken while it is held.
+	// The job table holds every admitted job by id: a sync job until it
+	// settles, an async one (async counts those) until its result is
+	// fetched or expired. It is the in-flight set the watchdog sweeps.
+	// Admission holds mu across its draining check and jobWG.Add, so
+	// once Drain has flipped draining under mu, jobWG counts exactly the
+	// jobs that drain must complete.
+	mu       sync.Mutex
+	tenants  map[string]*tenant
+	jobs     map[string]*job
+	async    int
 	draining bool
 
-	jobWG      sync.WaitGroup
-	dispatchWG sync.WaitGroup
+	jobWG sync.WaitGroup
+	// loops counts the dispatchers and the housekeeping loop; stop ends
+	// the latter (housekeep).
+	loops sync.WaitGroup
+	stop  chan struct{}
 
 	// baseCtx parents every job context so an aborted drain can cancel
 	// all outstanding work at once.
@@ -75,21 +84,8 @@ type Server struct {
 	baseCancel context.CancelFunc
 
 	nextID atomic.Int64
-
-	asyncMu   sync.Mutex
-	asyncJobs map[string]*job
-
-	// Watchdog state (see watchdog.go): the in-flight job registry it
-	// sweeps, the wedged-dispatcher flag healthz reports, and the sweep
-	// goroutine's lifecycle.
-	watchMu      sync.Mutex
-	inflightJobs map[*job]struct{}
-	wedged       atomic.Bool
-	stopWatchdog chan struct{}
-	watchdogWG   sync.WaitGroup
-
-	stopRebalance chan struct{}
-	rebalanced    sync.WaitGroup
+	// wedged is the watchdog's verdict, reported by /healthz (sweep).
+	wedged atomic.Bool
 
 	drained  chan struct{}
 	drainErr error
@@ -98,8 +94,8 @@ type Server struct {
 // ErrDraining is returned by Drain when the server is already draining.
 var ErrDraining = errors.New("spiced: already draining")
 
-// New builds and starts a Server (its dispatchers and allocator run
-// until Drain).
+// New builds and starts a Server (its dispatchers and housekeeping loop
+// run until Drain).
 func New(cfg Config) (*Server, error) {
 	// The job-level concurrency of the daemon, and the default width.
 	procs := max(runtime.GOMAXPROCS(0), 2)
@@ -121,40 +117,41 @@ func New(cfg Config) (*Server, error) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
-		cfg:           cfg,
-		pool:          pool,
-		met:           &metrics{},
-		tenants:       make(map[string]*tenant),
-		queue:         make(chan *job, queueDepth),
-		baseCtx:       ctx,
-		baseCancel:    cancel,
-		asyncJobs:     make(map[string]*job),
-		inflightJobs:  make(map[*job]struct{}),
-		stopWatchdog:  make(chan struct{}),
-		stopRebalance: make(chan struct{}),
-		drained:       make(chan struct{}),
+		cfg:        cfg,
+		pool:       pool,
+		met:        &metrics{},
+		queue:      make(chan *job, queueDepth),
+		tenants:    make(map[string]*tenant),
+		jobs:       make(map[string]*job),
+		stop:       make(chan struct{}),
+		baseCtx:    ctx,
+		baseCancel: cancel,
+		drained:    make(chan struct{}),
 	}
-	s.dispatchWG.Add(procs)
+	s.loops.Add(procs + 1)
 	for i := 0; i < procs; i++ {
 		go s.dispatcher()
 	}
-	s.rebalanced.Add(1)
-	go s.rebalanceLoop()
-	s.watchdogWG.Add(1)
-	go s.watchdog()
+	go s.housekeep()
 	return s, nil
 }
 
-// rebalanceLoop runs the budget allocator once per window until Drain.
-func (s *Server) rebalanceLoop() {
-	defer s.rebalanced.Done()
-	t := time.NewTicker(rebalanceWindow)
-	defer t.Stop()
+// housekeep is the server's background work besides the dispatchers: a
+// watchdog sweep every sweepInterval and an allocator window every
+// rebalanceWindow, until s.stop is closed (Drain) or receives (a test
+// taking the allocator's windows over; it returns between two passes).
+func (s *Server) housekeep() {
+	defer s.loops.Done()
+	sweep, window := time.NewTicker(s.sweepInterval()), time.NewTicker(rebalanceWindow)
+	defer sweep.Stop()
+	defer window.Stop()
 	for {
 		select {
-		case <-s.stopRebalance:
+		case <-s.stop:
 			return
-		case <-t.C:
+		case <-sweep.C:
+			s.sweep(time.Now())
+		case <-window.C:
 			s.rebalance()
 		}
 	}
@@ -203,21 +200,34 @@ func (s *Server) newJob(req JobRequest, notify context.Context) (*job, *apiError
 	return j, nil
 }
 
-// handleRun is the synchronous door: admit, wait, answer.
-func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
+// door is what the two doors share: decode the body, bind it to its
+// tenant and admit it. notify is newJob's extra cancellation source; a
+// door that passes none admits an async job, which outlives its
+// request. door answers a refusal itself and returns nil.
+func (s *Server) door(w http.ResponseWriter, r *http.Request, notify context.Context) *job {
 	var req JobRequest
 	if aerr := decodeJob(w, r, &req); aerr != nil {
 		aerr.write(w)
-		return
+		return nil
 	}
-	j, aerr := s.newJob(req, r.Context())
+	j, aerr := s.newJob(req, notify)
 	if aerr != nil {
 		aerr.write(w)
-		return
+		return nil
 	}
+	j.async = notify == nil
 	if aerr := s.admit(j); aerr != nil {
 		j.release()
 		aerr.write(w)
+		return nil
+	}
+	return j
+}
+
+// handleRun is the synchronous door: admit, wait, answer.
+func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
+	j := s.door(w, r, r.Context())
+	if j == nil {
 		return
 	}
 	<-j.done
@@ -228,45 +238,12 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, j.result)
 }
 
-// asyncCap bounds the async job table: submitted jobs whose result has
-// not been fetched (or reaped after resultTTL, watchdog.go).
-const asyncCap = 256
-
-// handleSubmit is the asynchronous door: admit, remember, answer 202.
+// handleSubmit is the asynchronous door: admit, answer 202 with the id
+// to poll.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var req JobRequest
-	if aerr := decodeJob(w, r, &req); aerr != nil {
-		aerr.write(w)
-		return
+	if j := s.door(w, r, nil); j != nil {
+		writeJSON(w, http.StatusAccepted, JobStatus{ID: j.id, State: "queued"})
 	}
-	j, aerr := s.newJob(req, nil) // async jobs outlive the submitting request
-	if aerr != nil {
-		aerr.write(w)
-		return
-	}
-	s.asyncMu.Lock()
-	if len(s.asyncJobs) >= asyncCap {
-		s.asyncMu.Unlock()
-		j.release()
-		s.met.rejAsyncFull.Add(1)
-		(&apiError{
-			code:       http.StatusTooManyRequests,
-			msg:        fmt.Sprintf("async job table full (%d jobs); fetch finished jobs to free slots", asyncCap),
-			retryAfter: 1,
-		}).write(w)
-		return
-	}
-	s.asyncJobs[j.id] = j
-	s.asyncMu.Unlock()
-	if aerr := s.admit(j); aerr != nil {
-		s.asyncMu.Lock()
-		delete(s.asyncJobs, j.id)
-		s.asyncMu.Unlock()
-		j.release()
-		aerr.write(w)
-		return
-	}
-	writeJSON(w, http.StatusAccepted, JobStatus{ID: j.id, State: "queued"})
 }
 
 // handleJob polls an async job. Fetching a finished job's status frees
@@ -275,15 +252,16 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	// The state is read and a finished job's slot freed under one hold,
 	// so of any number of concurrent polls exactly one sees it done.
-	s.asyncMu.Lock()
-	j, ok := s.asyncJobs[id]
+	s.mu.Lock()
+	j, ok := s.jobs[id]
+	ok = ok && j.async // a sync job's id is never pollable
 	var state jobState
 	if ok {
 		if state = jobState(j.state.Load()); state == jobDone {
-			delete(s.asyncJobs, id)
+			s.forget(j)
 		}
 	}
-	s.asyncMu.Unlock()
+	s.mu.Unlock()
 	if !ok {
 		(&apiError{code: http.StatusNotFound, msg: "unknown job id (finished results are delivered once)"}).write(w)
 		return
@@ -321,21 +299,18 @@ func (s *Server) handleKernels(w http.ResponseWriter, r *http.Request) {
 
 // Drain shuts the server down gracefully: new admissions answer 503,
 // every already-admitted job runs to completion, then the dispatchers,
-// allocator, tenant sessions and pool are released. If ctx expires
-// first, all outstanding job contexts are cancelled and Drain waits for
-// the (now unblocked) jobs before returning ctx's error.
+// housekeeping loop, tenant sessions and pool are released. If ctx
+// expires first, all outstanding job contexts are cancelled and Drain
+// waits for the (now unblocked) jobs before returning ctx's error.
 func (s *Server) Drain(ctx context.Context) error {
-	s.admitMu.Lock()
+	s.mu.Lock()
 	if s.draining {
-		s.admitMu.Unlock()
+		s.mu.Unlock()
 		<-s.drained
 		return ErrDraining
 	}
 	s.draining = true
-	s.admitMu.Unlock()
-
-	close(s.stopRebalance)
-	s.rebalanced.Wait()
+	s.mu.Unlock()
 
 	done := make(chan struct{})
 	go func() { s.jobWG.Wait(); close(done) }()
@@ -348,28 +323,18 @@ func (s *Server) Drain(ctx context.Context) error {
 		s.drainErr = ctx.Err()
 	}
 
-	// The watchdog runs until every job has settled — force-cancelling
-	// overdue jobs is exactly what makes the wait above converge when a
-	// fault stalls a dispatcher — and only then stops.
-	close(s.stopWatchdog)
-	s.watchdogWG.Wait()
-
+	// The housekeeping loop runs until every job has settled — the
+	// watchdog force-cancelling overdue jobs is exactly what makes the
+	// wait above converge when a fault stalls a dispatcher — and only
+	// then stops, with the dispatchers.
+	close(s.stop)
 	close(s.queue)
-	s.dispatchWG.Wait()
+	s.loops.Wait()
 
 	// Release every tenant session, then the pool.
-	s.mu.Lock()
-	tenants := make([]*tenant, 0, len(s.tenants))
-	for _, t := range s.tenants {
-		tenants = append(tenants, t)
-	}
-	s.mu.Unlock()
-	for _, t := range tenants {
+	for _, t := range s.tenantList() {
 		t.mu.Lock()
-		insts := make([]*instance, 0, len(t.insts))
-		for _, i := range t.insts {
-			insts = append(insts, i)
-		}
+		insts := slices.Collect(maps.Values(t.insts))
 		t.mu.Unlock()
 		for _, i := range insts {
 			i.mu.Lock()

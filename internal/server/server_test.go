@@ -38,18 +38,29 @@ func newTestServer(t testing.TB, cfg Config) *Server {
 // dispatchers is the number of dispatchers New starts.
 func dispatchers() int { return max(runtime.GOMAXPROCS(0), 2) }
 
-// stopAllocator stops the server's allocator loop, so that a test
-// calling rebalance() by hand owns every window. The fresh stop channel
-// is for Drain to close.
-func stopAllocator(s *Server) {
-	close(s.stopRebalance)
-	s.rebalanced.Wait()
-	s.stopRebalance = make(chan struct{})
+// stopHousekeeping stops the server's housekeeping loop between two
+// passes, so that a test calling rebalance() by hand owns every
+// allocator window. No watchdog sweep or result expiry runs after it: a
+// test that needs one calls sweep(now) itself.
+func stopHousekeeping(s *Server) { s.stop <- struct{}{} }
+
+// tableSettled reports whether every entry of the job table is a
+// finished async job: what the table must hold once every admitted job
+// has settled.
+func tableSettled(s *Server) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, j := range s.jobs {
+		if !j.async || jobState(j.state.Load()) != jobDone {
+			return false
+		}
+	}
+	return true
 }
 
-// admitN admits n small jobs straight into the queue (no async table
-// slot), tenantCap to a tenant named prefix0, prefix1, … so that no
-// tenant's cap fires first.
+// admitN admits n small sync jobs straight into the queue, tenantCap to
+// a tenant named prefix0, prefix1, … so that no tenant's cap fires
+// first.
 func admitN(t *testing.T, s *Server, prefix string, n int) {
 	t.Helper()
 	for i := 0; i < n; i++ {
@@ -280,6 +291,14 @@ func TestQueueFullSheds429(t *testing.T) {
 	if w := do(h, "POST", "/v1/run", JobRequest{Tenant: "t", Kernel: "sumlist", Size: 100}); w.Code != http.StatusTooManyRequests {
 		t.Fatalf("sync overload: status %d, want 429", w.Code)
 	}
+	// Both refused jobs left the job table again: it holds the admitted
+	// sync jobs only.
+	s.mu.Lock()
+	n, async := len(s.jobs), s.async
+	s.mu.Unlock()
+	if want := dispatchers() + queueDepth; n != want || async != 0 {
+		t.Fatalf("job table: %d entries, %d async; want %d, 0", n, async, want)
+	}
 }
 
 // TestTenantCap verifies per-tenant concurrency isolation: one tenant
@@ -351,10 +370,7 @@ func TestTenantCapConcurrent(t *testing.T) {
 		t.Fatalf("ok=%d capped=%d, want them to partition %d with ok>0", ok, capped, clients)
 	}
 	tn, _ := s.tenantFor("hammer")
-	tn.mu.Lock()
-	inflight := tn.inflight
-	tn.mu.Unlock()
-	if inflight != 0 {
+	if inflight := tn.inflight.Load(); inflight != 0 {
 		t.Fatalf("inflight %d after all jobs finished, want 0", inflight)
 	}
 }
@@ -488,9 +504,9 @@ func TestQueuedSyncJobCancelledByClient(t *testing.T) {
 
 	cancel()
 	waitFor(t, "the cancellation to reach the queued job", func() bool {
-		s.watchMu.Lock()
-		defer s.watchMu.Unlock()
-		for j := range s.inflightJobs {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		for _, j := range s.jobs {
 			if j.ctx.Err() != nil {
 				return true
 			}
@@ -508,15 +524,11 @@ func TestQueuedSyncJobCancelledByClient(t *testing.T) {
 		t.Fatalf("admitted %d, ok %d, failed %d; want %d, %d, 1", adm, ok, failed, held+1, held)
 	}
 	tn, _ := s.tenantFor("t")
-	waitFor(t, "inflight to drop", func() bool {
-		tn.mu.Lock()
-		defer tn.mu.Unlock()
-		return tn.inflight == 0
-	})
-	waitFor(t, "the watchdog to forget every job", func() bool {
-		s.watchMu.Lock()
-		defer s.watchMu.Unlock()
-		return len(s.inflightJobs) == 0
+	waitFor(t, "inflight to drop", func() bool { return tn.inflight.Load() == 0 })
+	waitFor(t, "the job table to forget every job", func() bool {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return len(s.jobs) == 0
 	})
 }
 
@@ -613,7 +625,7 @@ func isStarved(tn *tenant) bool {
 func TestBudgetAllocatorDifferential(t *testing.T) {
 	cfg := testConfig()
 	s := newTestServer(t, cfg)
-	stopAllocator(s)
+	stopHousekeeping(s)
 
 	// Several allocator windows of opposite evidence: "good" commits
 	// every chunk, "bad" squashes half of its chunks. "bad" is starved
@@ -647,7 +659,7 @@ func TestBudgetAllocatorDifferential(t *testing.T) {
 // periodic full-width probes.
 func TestStarvedTenantProbesBack(t *testing.T) {
 	s := newTestServer(t, testConfig())
-	stopAllocator(s)
+	stopHousekeeping(s)
 
 	tn := feed(t, s, "flip", 0.5, 0)
 	s.rebalance()
@@ -680,7 +692,7 @@ func TestStarvedTenantProbesBack(t *testing.T) {
 func TestReclaimedChunksEarnNothing(t *testing.T) {
 	cfg := testConfig()
 	s := newTestServer(t, cfg)
-	stopAllocator(s)
+	stopHousekeeping(s)
 
 	late := feed(t, s, "late", 0, 1)
 	ran := feed(t, s, "ran", 0, 0)
@@ -737,7 +749,7 @@ var metricLine = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^}]*\})? (NaN|
 // serving series present.
 func TestMetricsParseable(t *testing.T) {
 	s := newTestServer(t, testConfig())
-	stopAllocator(s)
+	stopHousekeeping(s)
 	h := s.Handler()
 
 	for i := 0; i < 2; i++ {
@@ -940,6 +952,41 @@ func TestAsyncLifecycle(t *testing.T) {
 	if w := do(h, "GET", "/v1/jobs/nope", nil); w.Code != http.StatusNotFound {
 		t.Fatalf("unknown id: status %d, want 404", w.Code)
 	}
+
+	// A sync job shares the job table but never its poll: its id answers
+	// 404 once it has answered, and while it waits behind the gate.
+	w = do(h, "POST", "/v1/run", JobRequest{Tenant: "t", Kernel: "sumlist", Size: 100})
+	if w.Code != http.StatusOK {
+		t.Fatalf("run: %d", w.Code)
+	}
+	if w := do(h, "GET", "/v1/jobs/"+decode[JobResult](t, w).ID, nil); w.Code != http.StatusNotFound {
+		t.Fatalf("answered sync job polled: status %d, want 404", w.Code)
+	}
+	cfg := testConfig()
+	cfg.testGate = make(chan struct{})
+	gated := newTestServer(t, cfg)
+	openGate := sync.OnceFunc(func() { close(cfg.testGate) })
+	defer openGate() // also on a failed wait, so the server's Close can drain
+	answered := make(chan int, 1)
+	go func() {
+		answered <- do(gated.Handler(), "POST", "/v1/run", JobRequest{Tenant: "t", Kernel: "sumlist", Size: 100}).Code
+	}()
+	var held string
+	waitFor(t, "the sync job to enter the job table", func() bool {
+		gated.mu.Lock()
+		defer gated.mu.Unlock()
+		for id := range gated.jobs {
+			held = id
+		}
+		return held != ""
+	})
+	if w := do(gated.Handler(), "GET", "/v1/jobs/"+held, nil); w.Code != http.StatusNotFound {
+		t.Fatalf("waiting sync job polled: status %d, want 404", w.Code)
+	}
+	openGate()
+	if code := <-answered; code != http.StatusOK {
+		t.Fatalf("gated run: %d", code)
+	}
 }
 
 // TestOversizedBodyRefused: both doors bound the body they decode. A
@@ -994,9 +1041,9 @@ func TestFinishedJobDeliveredOnce(t *testing.T) {
 		id := decode[JobStatus](t, w).ID
 		// Wait on the table entry, not through the handler: a poll that
 		// saw the job done would consume it.
-		s.asyncMu.Lock()
-		j := s.asyncJobs[id]
-		s.asyncMu.Unlock()
+		s.mu.Lock()
+		j := s.jobs[id]
+		s.mu.Unlock()
 		<-j.done
 
 		var delivered, gone, other atomic.Int64
@@ -1240,7 +1287,7 @@ func TestDoacrossKernelsServed(t *testing.T) {
 // still gets its turn.
 func TestProbeStaggering(t *testing.T) {
 	s := newTestServer(t, testConfig())
-	stopAllocator(s)
+	stopHousekeeping(s)
 	h := s.Handler()
 
 	tenants := []string{"s1", "s2", "s3"}

@@ -17,6 +17,7 @@ package server
 
 import (
 	"fmt"
+	"maps"
 	"net/http"
 	"slices"
 	"strings"
@@ -36,9 +37,11 @@ type tenant struct {
 	// budget is the current speculation width, written by the allocator
 	// and read (without the tenant lock) by the execution path.
 	budget atomic.Int64
+	// inflight counts admitted jobs not yet finished. Atomic, so that
+	// admission never waits on the tenant lock, which a build holds.
+	inflight atomic.Int64
 
-	mu       sync.Mutex
-	inflight int // admitted jobs not yet finished
+	mu sync.Mutex
 	// insts holds the tenant's structure instances keyed by
 	// (kernel,size,seed,churn), with LRU eviction at maxInstances.
 	insts map[instanceKey]*instance
@@ -227,13 +230,7 @@ func (t *tenant) record(d spice.Stats) {
 // evidence, update scores by payoff, and re-divide the executor's
 // speculative capacity proportional to score.
 func (s *Server) rebalance() {
-	s.mu.Lock()
-	tenants := make([]*tenant, 0, len(s.tenants))
-	for _, t := range s.tenants {
-		tenants = append(tenants, t)
-	}
-	s.mu.Unlock()
-
+	tenants := s.tenantList()
 	type row struct {
 		t      *tenant
 		active bool
@@ -243,7 +240,7 @@ func (s *Server) rebalance() {
 	rows := make([]row, 0, len(tenants))
 	for _, t := range tenants {
 		t.mu.Lock()
-		win, jobs, inflight := t.win, t.winJobs, t.inflight
+		win, jobs, inflight := t.win, t.winJobs, t.inflight.Load()
 		t.win, t.winJobs = spice.Stats{}, 0
 		if win.Hits+win.Misses >= minSample {
 			t.score = scoreAlpha*payoff(win) + (1-scoreAlpha)*t.score
@@ -410,32 +407,26 @@ const (
 	probeWindows = 4
 )
 
+// tenantList copies the tenant table out from under s.mu.
+func (s *Server) tenantList() []*tenant {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return slices.Collect(maps.Values(s.tenants))
+}
+
 // snapshotTenants captures every tenant's scrape row (metrics.go).
 func (s *Server) snapshotTenants() []tenantMetricsRow {
-	s.mu.Lock()
-	tenants := make([]*tenant, 0, len(s.tenants))
-	for _, t := range s.tenants {
-		tenants = append(tenants, t)
-	}
-	s.mu.Unlock()
+	tenants := s.tenantList()
 	rows := make([]tenantMetricsRow, 0, len(tenants))
 	for _, t := range tenants {
 		t.mu.Lock()
 		rows = append(rows, tenantMetricsRow{
-			name:        t.name,
-			budget:      t.budget.Load(),
-			score:       t.score,
-			inflight:    int64(t.inflight),
-			invocations: t.agg.Invocations,
-			iters:       t.agg.TotalIters,
-			hits:        t.agg.Hits,
-			misses:      t.agg.Misses,
-			reclaimed:   t.agg.Reclaimed,
-			conflicts:   t.agg.Conflicts,
-			misspecInv:  t.agg.MisspecInvocations,
-			sheds:       t.agg.BatchSheds,
-			seqFalls:    t.agg.SequentialFallbacks,
-			starved:     t.starved,
+			name:     t.name,
+			budget:   t.budget.Load(),
+			score:    t.score,
+			inflight: t.inflight.Load(),
+			starved:  t.starved,
+			agg:      t.agg,
 		})
 		t.mu.Unlock()
 	}

@@ -1,7 +1,7 @@
 package server
 
-// The self-healing layer: a watchdog goroutine that sweeps the server's
-// in-flight job registry and async result table every sweepInterval.
+// The self-healing layer: the watchdog sweep, run by the housekeeping
+// loop every sweepInterval over the server's job table.
 //
 //   - Overdue jobs — still unfinished past their admission deadline plus
 //     the grace — are force-cancelled (once; spiced_jobs_watchdog_
@@ -35,50 +35,27 @@ func (s *Server) grace() time.Duration { return s.cfg.JobTimeout / 15 }
 // the default JobTimeout.
 func (s *Server) sweepInterval() time.Duration { return s.grace() / 8 }
 
-// trackJob registers an admitted job with the watchdog.
-func (s *Server) trackJob(j *job) {
-	s.watchMu.Lock()
-	s.inflightJobs[j] = struct{}{}
-	s.watchMu.Unlock()
-}
-
-// untrackJob removes a settled job from the watchdog's registry.
-func (s *Server) untrackJob(j *job) {
-	s.watchMu.Lock()
-	delete(s.inflightJobs, j)
-	s.watchMu.Unlock()
-}
-
-// watchdog is the sweep loop, started by New and stopped by Drain.
-func (s *Server) watchdog() {
-	defer s.watchdogWG.Done()
-	t := time.NewTicker(s.sweepInterval())
-	defer t.Stop()
-	for {
-		select {
-		case <-s.stopWatchdog:
-			return
-		case <-t.C:
-			s.sweep(time.Now())
-		}
-	}
-}
-
 // sweep runs one watchdog pass at the given instant (split out from the
 // loop so tests can drive it deterministically).
 func (s *Server) sweep(now time.Time) {
 	grace := s.grace()
 	wedged := false
-	s.watchMu.Lock()
-	for j := range s.inflightJobs {
+	s.mu.Lock()
+	for _, j := range s.jobs {
+		if jobState(j.state.Load()) == jobDone {
+			if j.async && now.Sub(time.Unix(0, j.doneAt.Load())) > resultTTL {
+				s.forget(j)
+				s.met.asyncExpired.Add(1)
+			}
+			continue
+		}
 		over := now.Sub(j.deadline)
 		if over <= grace {
 			continue
 		}
 		if j.killed.CompareAndSwap(false, true) {
 			// First time past deadline+grace: force-cancel. The job's
-			// execution path observes the context and settles; execute
-			// untracks it on the way out.
+			// execution path observes the context and settles.
 			j.cancel()
 			s.met.watchdogKilled.Add(1)
 		} else if over > 2*grace {
@@ -89,18 +66,6 @@ func (s *Server) sweep(now time.Time) {
 			wedged = true
 		}
 	}
-	s.watchMu.Unlock()
+	s.mu.Unlock()
 	s.wedged.Store(wedged)
-
-	s.asyncMu.Lock()
-	for id, j := range s.asyncJobs {
-		if jobState(j.state.Load()) != jobDone {
-			continue
-		}
-		if now.Sub(time.Unix(0, j.doneAt.Load())) > resultTTL {
-			delete(s.asyncJobs, id)
-			s.met.asyncExpired.Add(1)
-		}
-	}
-	s.asyncMu.Unlock()
 }

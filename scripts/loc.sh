@@ -1,9 +1,12 @@
 #!/usr/bin/env bash
-# Size of the root package (the native runtime), the figures ROADMAP
-# item 6 and every subtraction PR quote: for each non-test Go file of
-# the directory, `wc -l` and its code lines (not blank, not a comment
-# line), then the totals, then the lines of the package's _test.go files
-# beside them (the tests line). Run it from anywhere in the repository:
+# Size of one Go package directory — the root package (the native
+# runtime) by default, or the one named, e.g. internal/server (the
+# serving layer) — the figures ROADMAP item 6 and every subtraction PR
+# quote: for each non-test Go file of the directory, `wc -l` and its
+# code lines (not blank, not a comment line), then the totals, then the
+# lines of the package's _test.go files beside them (the tests line).
+# Run it from anywhere in the repository; a relative DIR is taken from
+# the current directory:
 #
 #   scripts/loc.sh [DIR=repository root]
 set -euo pipefail
