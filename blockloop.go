@@ -17,27 +17,34 @@ import "fmt"
 // between blocks, on amortized boundaries.
 //
 // blockOf picks the routine once, when the runner is built, from the
-// loop's body form: one loop each for Body, BodyErr, SpecBody and
-// SpecBodyErr, so the per-iteration body carries no form branches, and
-// the adapter blockScan for a loop that sets Loop.Scan — the block then
+// loop's body form: one loop each for the two body shapes, Body and
+// SpecBody, so the per-iteration body carries no form branches, and the
+// adapter blockScan for a loop that sets Loop.Scan — the block then
 // goes to the caller's own compiled loop, and the driver's block
-// structure around it is unchanged. Whether a block hunts its
-// successor's predicted start (membership validation — every chunk with
-// a successor) or not (the chain's last chunk, a round of one) is an
-// argument, not a second copy of the loop. It has to be an argument:
-// a block that hunts nothing has no stop state to pass but the zero S,
-// and the zero S may be a live state of the traversal (an int index 0),
-// so the match test is `s == stop && hunt` — a hunting block pays the
-// state compare it always paid and any other block one well-predicted
-// compare more.
+// structure around it is unchanged. The fallible forms ride the
+// infallible loops: blockOf wraps BodyErr or SpecBodyErr in a closure
+// that panics with a bodyFailure on an error, and the routine's
+// recovery returns that failure's state and error as they are. Only a
+// fallible loop pays the extra call; a Body or SpecBody loop calls its
+// body directly.
+//
+// Whether a block hunts its successor's predicted start (membership
+// validation — every chunk with a successor) or not (the chain's last
+// chunk, a round of one) is an argument, not a second copy of the loop.
+// It has to be an argument: a block that hunts nothing has no stop
+// state to pass but the zero S, and the zero S may be a live state of
+// the traversal (an int index 0), so the match test is
+// `s == stop && hunt` — a hunting block pays the state compare it
+// always paid and any other block one well-predicted compare more.
 //
 // Panic containment and squash accounting: each routine recovers a
-// panicking callback itself and reports it as a *PanicError return. The
-// iteration counter k is a named result of a function with a recovering
-// defer, so Go keeps it memory-backed and the count of *started*
-// iterations is exact even when Body or Next panics mid-block — squash
-// accounting for panicked chunks loses nothing to the block structure.
-// The store-per-iteration this forces is to the routine's own stack
+// panicking callback itself and reports it as a *PanicError return (a
+// bodyFailure as the error it carries). The iteration counter k is a
+// named result of a function with a recovering defer, so Go keeps it
+// memory-backed and the count of *started* iterations is exact even
+// when Body or Next panics mid-block — squash accounting for panicked
+// chunks loses nothing to the block structure. The store-per-iteration
+// this forces is to the routine's own stack
 // frame (not the shared result struct), which the measured hot loop
 // absorbs in the shadow of the pointer-chase load latency.
 
@@ -74,11 +81,25 @@ func blockOf[S comparable, A any](l *Loop[S, A]) blockFn[S, A] {
 	case l.Body != nil:
 		ref = blockBody(l.Done, l.Next, l.Body)
 	case l.BodyErr != nil:
-		ref = blockBodyErr(l.Done, l.Next, l.BodyErr)
+		body := l.BodyErr
+		ref = blockBody(l.Done, l.Next, func(s S, acc A) A {
+			acc, err := body(s, acc)
+			if err != nil {
+				panic(bodyFailure[S]{s, err})
+			}
+			return acc
+		})
 	case l.SpecBody != nil:
 		ref = blockSpecBody(l.Done, l.Next, l.SpecBody)
 	default:
-		ref = blockSpecBodyErr(l.Done, l.Next, l.SpecBodyErr)
+		body := l.SpecBodyErr
+		ref = blockSpecBody(l.Done, l.Next, func(s S, acc A, v *CellView) A {
+			acc, err := body(s, acc, v)
+			if err != nil {
+				panic(bodyFailure[S]{s, err})
+			}
+			return acc
+		})
 	}
 	if l.Scan != nil {
 		return blockScan(l.Done, l.Scan, ref)
@@ -86,12 +107,29 @@ func blockOf[S comparable, A any](l *Loop[S, A]) blockFn[S, A] {
 	return ref
 }
 
+// bodyFailure is the panic by which a fallible body's error leaves an
+// infallible block routine (blockOf): the state whose iteration failed,
+// and the error.
+type bodyFailure[S comparable] struct {
+	s   S
+	err error
+}
+
+// failed is a block routine's recovery: a bodyFailure's state and error
+// as they are, any other panic value as a *PanicError at state s.
+func failed[S comparable](v any, s S) (S, blockStop, error) {
+	if f, ok := v.(bodyFailure[S]); ok {
+		return f.s, blockFailed, f.err
+	}
+	return s, blockFailed, newPanicError(v)
+}
+
 // blockBody is the block routine of a loop with an infallible Body.
 func blockBody[S comparable, A any](done func(S) bool, next func(S) S, body func(S, A) A) blockFn[S, A] {
 	return func(_ *CellView, s S, acc A, stop S, hunt bool, n int64) (outS S, outAcc A, k int64, why blockStop, err error) {
 		defer func() {
 			if v := recover(); v != nil {
-				why, err = blockFailed, newPanicError(v)
+				outS, why, err = failed(v, outS)
 			}
 		}()
 		for k < n {
@@ -109,32 +147,6 @@ func blockBody[S comparable, A any](done func(S) bool, next func(S) S, body func
 	}
 }
 
-// blockBodyErr is the fallible (Loop.BodyErr) counterpart of blockBody.
-func blockBodyErr[S comparable, A any](done func(S) bool, next func(S) S, body func(S, A) (A, error)) blockFn[S, A] {
-	return func(_ *CellView, s S, acc A, stop S, hunt bool, n int64) (outS S, outAcc A, k int64, why blockStop, err error) {
-		defer func() {
-			if v := recover(); v != nil {
-				why, err = blockFailed, newPanicError(v)
-			}
-		}()
-		for k < n {
-			if done(s) {
-				return s, acc, k, blockDone, nil
-			}
-			if s == stop && hunt {
-				return s, acc, k, blockMatched, nil
-			}
-			k++
-			var e error
-			if acc, e = body(s, acc); e != nil {
-				return s, acc, k, blockFailed, e
-			}
-			s = next(s)
-		}
-		return s, acc, k, blockFilled, nil
-	}
-}
-
 // blockSpecBody is the DOACROSS (Loop.SpecBody) counterpart of
 // blockBody: the same loop with the chunk's CellView threaded to the
 // body. The view pointer is loop invariant — buffering, forwarding, and
@@ -145,7 +157,7 @@ func blockSpecBody[S comparable, A any](done func(S) bool, next func(S) S, body 
 	return func(view *CellView, s S, acc A, stop S, hunt bool, n int64) (outS S, outAcc A, k int64, why blockStop, err error) {
 		defer func() {
 			if v := recover(); v != nil {
-				why, err = blockFailed, newPanicError(v)
+				outS, why, err = failed(v, outS)
 			}
 		}()
 		for k < n {
@@ -157,33 +169,6 @@ func blockSpecBody[S comparable, A any](done func(S) bool, next func(S) S, body 
 			}
 			k++
 			acc = body(s, acc, view)
-			s = next(s)
-		}
-		return s, acc, k, blockFilled, nil
-	}
-}
-
-// blockSpecBodyErr is the fallible (Loop.SpecBodyErr) counterpart of
-// blockSpecBody.
-func blockSpecBodyErr[S comparable, A any](done func(S) bool, next func(S) S, body func(S, A, *CellView) (A, error)) blockFn[S, A] {
-	return func(view *CellView, s S, acc A, stop S, hunt bool, n int64) (outS S, outAcc A, k int64, why blockStop, err error) {
-		defer func() {
-			if v := recover(); v != nil {
-				why, err = blockFailed, newPanicError(v)
-			}
-		}()
-		for k < n {
-			if done(s) {
-				return s, acc, k, blockDone, nil
-			}
-			if s == stop && hunt {
-				return s, acc, k, blockMatched, nil
-			}
-			k++
-			var e error
-			if acc, e = body(s, acc, view); e != nil {
-				return s, acc, k, blockFailed, e
-			}
 			s = next(s)
 		}
 		return s, acc, k, blockFilled, nil

@@ -13,6 +13,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -154,49 +155,61 @@ func TestCopyOutReclaimedChunk(t *testing.T) {
 	}
 }
 
-// TestCopyOutStaleEntry plays a worker that pops slot 1's copy entry a
-// round late. The slot is marked queued, as it is while a worker holds
-// its entry, so rounds arm the copy without submitting; a goroutine
-// then does what that worker does when it gets to the entry — claim and
-// copy — while the invoker is held (scheduler.copyGate) between arming
-// the copy and its own claim. The late entry therefore wins every copy:
-// it lands exactly once, it is the current round's, and the invoker's
-// own claim is the failed one. An entry run while nothing is armed
-// touches nothing. Chunk 0 waits at its first node until the worker owns
-// chunk 1: a reclaimed chunk's copy is never offered, and this test is
-// about offered ones.
+// TestCopyOutStaleEntry plays a worker that pops slot 1's entry a phase
+// late. The worker runs chunk 1; chunk 0 waits at its first node until
+// it does (a reclaimed chunk's copy is never offered, and this test is
+// about offered ones) and then marks the slot queued, as it is while a
+// worker holds an earlier entry, so landCells arms the copy without
+// submitting. A goroutine then does what that worker does when it gets
+// to the entry — claim and copy — while the invoker is held
+// (scheduler.copyGate) between arming the copy and its own claim. The
+// late entry therefore wins every copy: it lands exactly once, it is
+// the current round's, and the invoker's own claim is the failed one.
+// An entry run while nothing is armed touches nothing.
+//
+// Then the real worker is held between chunk 1 and its copy entry (a
+// task queued on its shard while it runs the chunk), so the invoker
+// takes the offered copy and the copy entry stays queued. The next
+// round arms the chunk on that one entry: a slot never has two queued.
 func TestCopyOutStaleEntry(t *testing.T) {
 	// A processor each for the invoker, the worker and the late entry.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(3))
 	p := odPatterns[2] // disjoint: the copy is offered
 	g := odList(p.dst, p.size)
-	var r *Runner[*mnode, tally]
+	var atHead func() // chunk 0's hook at its first node, nil for none
 	loop := g.loop(false)
 	loop.SpecBody = func(n *mnode, a tally, v *CellView) tally {
-		if n == g.head && !v.direct {
-			for r.sched.jobs[1].claim.Load() != 0 {
-				runtime.Gosched()
-			}
+		if n == g.head && !v.direct && atHead != nil {
+			atHead()
 		}
 		return storeStep(n, a, v)
 	}
-	r = newRunner(t, loop, Config{Threads: 2})
+	r := newRunner(t, loop, Config{Threads: 2})
 	op := 0
 	for ; op < 3; op++ {
 		odRun(t, r, g, op)
 	}
 	drain(r.exec) // no real entry of slot 1 is left in the queue
-	c := &r.sched.copies[1]
-	c.queued.Store(true)
+	c := &r.sched.jobs[1]
+	workerOwnsChunk := func() {
+		for c.claim.Load() != 0 {
+			runtime.Gosched()
+		}
+	}
+	atHead = func() {
+		workerOwnsChunk()
+		c.queued.Store(true) // popped cleared it before the worker's claim
+	}
 
 	armed, claimed := make(chan struct{}), make(chan bool)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		for range armed {
-			// copyJob.run's claim, with the outcome kept. The copy itself
+			// chunkJob.run's claim, with the outcome kept. The copy itself
 			// runs beside the invoker's copy of view 0.
-			won := c.claim.CompareAndSwap(claimArmed, 0)
+			c.queued.Store(false)
+			won := c.take()
 			claimed <- won
 			if won {
 				c.copy()
@@ -216,7 +229,7 @@ func TestCopyOutStaleEntry(t *testing.T) {
 		odRun(t, r, g, op)
 		checkIdle(t, &r.sched.lat, op)
 		if c.claim.Load() != 0 {
-			t.Fatalf("op %d: copy slot still armed after the round", op)
+			t.Fatalf("op %d: slot still armed after the round", op)
 		}
 	}
 	r.sched.copyGate = nil
@@ -225,14 +238,44 @@ func TestCopyOutStaleEntry(t *testing.T) {
 	if held != rounds || wins != rounds {
 		t.Fatalf("%d rounds: %d offered a copy, the late entry won %d", rounds, held, wins)
 	}
-	c.run() // the held entry, between rounds: a failed claim that only frees the slot
+	c.queued.Store(true)
+	c.run() // an entry held past its round, run between rounds: a failed claim that only frees the slot
 	if c.queued.Load() || c.claim.Load() != 0 {
 		t.Fatal("a stale entry run between rounds left the slot queued or armed")
 	}
 	g.checkCells(t, "after a stale entry between rounds")
 	checkIdle(t, &r.sched.lat, op)
+
+	// Hold the worker behind chunk 1: the copy entry queues behind the
+	// held task, and the invoker takes the copy.
+	hold := &blockTask{started: make(chan struct{}), release: make(chan struct{})}
+	release := sync.OnceFunc(func() { close(hold.release) })
+	defer release() // a failed check must not leave the runner's Close waiting on the worker
+	atHead = func() {
+		workerOwnsChunk()
+		submitTask(r.exec, hold, r.home)
+	}
+	odRun(t, r, g, op)
+	op++
+	<-hold.started
+	if !c.queued.Load() {
+		t.Fatal("the copy entry of a held worker's slot is not queued")
+	}
+	atHead = nil // the worker stays held: the invoker reclaims the next chunk
+	odRun(t, r, g, op)
+	op++
+	if n := r.sched.queuedEntries(); n > 1 {
+		t.Fatalf("%d entries queued for a Threads-2 runner; want the stale copy entry to serve the next chunk", n)
+	}
+	release()
+	drain(r.exec)
+	if n := r.sched.queuedEntries(); n != 0 {
+		t.Fatalf("%d entries still queued after the worker ran its queue", n)
+	}
+	g.checkCells(t, "after the held worker's stale entry")
+	checkIdle(t, &r.sched.lat, op)
 	// The slot is free again: the next rounds submit a real entry.
-	for ; op < 3+rounds+5; op++ {
+	for end := op + 5; op < end; op++ {
 		odRun(t, r, g, op)
 		checkIdle(t, &r.sched.lat, op)
 	}

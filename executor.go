@@ -82,9 +82,10 @@ import (
 //     chunk. The queue entry of a reclaimed chunk stays behind and the
 //     slot is armed without a second one while it does, so queue depth
 //     and the load gauge stay at one entry per slot however long a
-//     worker is away. The copy-out tasks of a DOACROSS round (copyJob,
-//     scheduler.landCells) embed a claim word of their own: one more
-//     entry per slot at most.
+//     worker is away. The copy-out of a DOACROSS round
+//     (scheduler.landCells) is the slot's second phase on the same
+//     claim word, so that holds for it too: at most one entry per slot,
+//     chunk or copy, and a stale entry runs whichever phase is armed.
 //   - Join (latch.go). Once every chunk is claimed, whatever is still
 //     outstanding is running on another processor. The invoker spins on
 //     the latch for as long as its own share of the round just took

@@ -391,8 +391,10 @@ func TestChaosAdmitInjected(t *testing.T) {
 // TestBuildStallBlocksOnlyItsTenant: a structure build holds its
 // tenant's lock, and must hold up nothing but that tenant's execution.
 // While tenant a's first build is stalled, a's next submission, another
-// tenant's sync job, /healthz and a poll of the stalled job all answer:
-// admission never waits on a tenant lock while it holds the server's.
+// tenant's sync job, /healthz, a poll of the stalled job and /metrics
+// all answer, and an allocator window completes: admission never waits
+// on a tenant lock while it holds the server's, and the tenant's
+// accounting has a lock of its own that no build holds.
 func TestBuildStallBlocksOnlyItsTenant(t *testing.T) {
 	plane := faults.New(faults.Point{Site: faults.ServerBuild, Match: 1, Kind: faults.KindStall, Dur: time.Minute})
 	// Three dispatchers: one stalled in a's build, one holding a's second
@@ -427,6 +429,14 @@ func TestBuildStallBlocksOnlyItsTenant(t *testing.T) {
 	prompt("b's sync run", "POST", "/v1/run", JobRequest{Tenant: "b", Kernel: "sumlist", Size: 500}, http.StatusOK)
 	prompt("/healthz", "GET", "/healthz", nil, http.StatusOK)
 	prompt("a poll of the stalled job", "GET", "/v1/jobs/"+first.ID, nil, http.StatusOK)
+	prompt("/metrics", "GET", "/metrics", nil, http.StatusOK)
+	window := make(chan struct{})
+	go func() { s.rebalance(); close(window) }()
+	select {
+	case <-window:
+	case <-time.After(5 * time.Second):
+		t.Fatal("an allocator window hung behind a's stalled build")
+	}
 
 	plane.Release()
 	waitFor(t, "a's jobs to settle", func() bool { return tableSettled(s) })

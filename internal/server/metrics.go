@@ -123,7 +123,7 @@ func (s *Server) counted(h http.HandlerFunc) http.HandlerFunc {
 }
 
 // tenantMetricsRow is one tenant's scrape snapshot, taken under the
-// tenant lock in snapshotTenants.
+// tenant's accounting lock in snapshotTenants.
 type tenantMetricsRow struct {
 	name     string
 	budget   int64

@@ -611,10 +611,11 @@ func feed(t *testing.T, s *Server, name string, miss, reclaim float64) *tenant {
 	return tn
 }
 
-// isStarved reads the allocator's starved mark under the tenant lock.
+// isStarved reads the allocator's starved mark under the tenant's
+// accounting lock.
 func isStarved(tn *tenant) bool {
-	tn.mu.Lock()
-	defer tn.mu.Unlock()
+	tn.acct.Lock()
+	defer tn.acct.Unlock()
 	return tn.starved
 }
 
@@ -1309,10 +1310,7 @@ func TestProbeStaggering(t *testing.T) {
 	}
 	for _, name := range tenants {
 		tn, _ := s.tenantFor(name)
-		tn.mu.Lock()
-		starved := tn.starved
-		tn.mu.Unlock()
-		if !starved {
+		if !isStarved(tn) {
 			t.Fatalf("tenant %s not starved after hostile phase", name)
 		}
 	}

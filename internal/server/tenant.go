@@ -41,12 +41,18 @@ type tenant struct {
 	// admission never waits on the tenant lock, which a build holds.
 	inflight atomic.Int64
 
+	// mu guards the structure instances. A build holds it (instanceFor),
+	// so it blocks only this tenant's own jobs.
 	mu sync.Mutex
 	// insts holds the tenant's structure instances keyed by
 	// (kernel,size,seed,churn), with LRU eviction at maxInstances.
 	insts map[instanceKey]*instance
 	lru   []instanceKey // oldest first
 
+	// acct guards the allocator's accounting below. Nothing holds it
+	// across a build, so /metrics and the allocator window never wait
+	// on one.
+	acct sync.Mutex
 	// agg accumulates the tenant's lifetime Stats counters (for
 	// /metrics); win accumulates the current allocator window's deltas.
 	agg     spice.Stats
@@ -68,7 +74,7 @@ type tenant struct {
 // it. instance.mu serializes jobs against the structure (a traversal
 // must never overlap the between-invocation churn) and is strictly
 // ordered before tenant.mu: an execution path holding instance.mu may
-// take tenant.mu (record), never the reverse.
+// take the tenant's locks (record), never the reverse.
 type instance struct {
 	mu    sync.Mutex
 	key   instanceKey
@@ -219,11 +225,11 @@ func (t *tenant) lookupOrCreate(s *Server, req *JobRequest) (inst, evicted *inst
 // record folds one job's Stats delta into the tenant's lifetime and
 // window accumulators.
 func (t *tenant) record(d spice.Stats) {
-	t.mu.Lock()
+	t.acct.Lock()
 	t.agg = t.agg.Plus(d)
 	t.win = t.win.Plus(d)
 	t.winJobs++
-	t.mu.Unlock()
+	t.acct.Unlock()
 }
 
 // rebalance is one allocator window: harvest every tenant's windowed
@@ -232,14 +238,15 @@ func (t *tenant) record(d spice.Stats) {
 func (s *Server) rebalance() {
 	tenants := s.tenantList()
 	type row struct {
-		t      *tenant
-		active bool
-		score  float64
-		probe  bool
+		t       *tenant
+		active  bool
+		score   float64
+		probe   bool
+		windows int // starvedWindows as of the harvest
 	}
 	rows := make([]row, 0, len(tenants))
 	for _, t := range tenants {
-		t.mu.Lock()
+		t.acct.Lock()
 		win, jobs, inflight := t.win, t.winJobs, t.inflight.Load()
 		t.win, t.winJobs = spice.Stats{}, 0
 		if win.Hits+win.Misses >= minSample {
@@ -265,8 +272,8 @@ func (s *Server) rebalance() {
 			// validation commits almost anything).
 			probe = t.starvedWindows >= probeWindows
 		}
-		rows = append(rows, row{t: t, active: active, score: t.score, probe: probe})
-		t.mu.Unlock()
+		rows = append(rows, row{t: t, active: active, score: t.score, probe: probe, windows: t.starvedWindows})
+		t.acct.Unlock()
 	}
 
 	// Stagger probes: a MaxWidth probe grant bypasses the proportional
@@ -283,8 +290,8 @@ func (s *Server) rebalance() {
 			continue
 		}
 		if winner < 0 ||
-			r.t.starvedWindows > rows[winner].t.starvedWindows ||
-			(r.t.starvedWindows == rows[winner].t.starvedWindows && r.t.name < rows[winner].t.name) {
+			r.windows > rows[winner].windows ||
+			(r.windows == rows[winner].windows && r.t.name < rows[winner].t.name) {
 			winner = i
 		}
 	}
@@ -297,9 +304,9 @@ func (s *Server) rebalance() {
 			continue
 		}
 		t := rows[i].t
-		t.mu.Lock()
+		t.acct.Lock()
 		t.starvedWindows = 0
-		t.mu.Unlock()
+		t.acct.Unlock()
 	}
 
 	// Divide the speculative capacity (the shared executor's workers:
@@ -319,22 +326,22 @@ func (s *Server) rebalance() {
 		}
 		switch {
 		case r.score < starveScore:
-			t.mu.Lock()
+			t.acct.Lock()
 			if !t.starved {
 				t.starved = true
 				t.starvedWindows = 0
 			}
-			t.mu.Unlock()
+			t.acct.Unlock()
 			if r.probe {
 				t.budget.Store(int64(s.cfg.MaxWidth))
 			} else {
 				t.budget.Store(1)
 			}
 		default:
-			t.mu.Lock()
+			t.acct.Lock()
 			t.starved = false
 			t.starvedWindows = 0
-			t.mu.Unlock()
+			t.acct.Unlock()
 			w := 1 + int(specCap*r.score/sum+0.5)
 			if w < 2 {
 				// A trusted tenant always gets at least one speculative
@@ -419,7 +426,7 @@ func (s *Server) snapshotTenants() []tenantMetricsRow {
 	tenants := s.tenantList()
 	rows := make([]tenantMetricsRow, 0, len(tenants))
 	for _, t := range tenants {
-		t.mu.Lock()
+		t.acct.Lock()
 		rows = append(rows, tenantMetricsRow{
 			name:     t.name,
 			budget:   t.budget.Load(),
@@ -428,7 +435,7 @@ func (s *Server) snapshotTenants() []tenantMetricsRow {
 			starved:  t.starved,
 			agg:      t.agg,
 		})
-		t.mu.Unlock()
+		t.acct.Unlock()
 	}
 	slices.SortFunc(rows, func(a, b tenantMetricsRow) int { return strings.Compare(a.name, b.name) })
 	return rows

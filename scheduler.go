@@ -96,16 +96,19 @@ import (
 //     microseconds of each other on a balanced plan, so the slots are
 //     padded apart (chunkResult's trailing pad): two workers' exit
 //     stores never contend for a line.
-//   - chunkJob slots are written only during dispatch (before any
-//     submit) and read-only while the round runs, apart from one
-//     compare-and-swap on the claim word per contender; read-sharing
-//     is free, so jobs carry no padding.
+//   - What a chunkJob's phase reads is written only by the invoker,
+//     before it arms the slot (dispatch for the chunk, landCells for
+//     the copy-out), and is read-only while the phase runs, apart from
+//     one compare-and-swap on the claim word per contender;
+//     read-sharing is free, so jobs carry no padding.
 //   - works/memos/plans/chain/rd/used/lease are touched only by the
 //     invoking goroutine, strictly outside the window in which workers
 //     run (dispatch before, chain resolution after the latch wait) —
 //     never concurrently with chunk execution.
 //   - A DOACROSS round opens a second, shorter window after its walk
-//     (landCells): a worker that claimed a slot's copy-out reads that
+//     (landCells): the slot's copy-out, a second phase of the same
+//     chunkJob on the same claim word, so a slot never has more than
+//     one executor entry queued. A worker that claimed it reads that
 //     slot's view and writes the store cells the view stored to —
 //     cells no other copy of the round writes, or the copies would not
 //     have been offered. The invoker meanwhile runs the copies nobody
@@ -132,9 +135,12 @@ type chunkResult[S comparable, A any] struct {
 	_ [64]byte
 }
 
-// chunkJob is a preallocated executor task: one chunk of one invocation.
-// r, res, lat and idx are wired once at scheduler construction; seed
-// sets the remaining fields, and the result's, every round.
+// chunkJob is a preallocated executor task: one dispatch slot of one
+// invocation. A slot runs in two phases, one claim each: its chunk
+// (exec), offered by dispatch, and in a DOACROSS round the copy-out of
+// its view (copy), offered by landCells once the walk has committed the
+// chunk. r, res, lat and idx are wired once at scheduler construction;
+// seed sets the remaining fields, and the result's, every round.
 type chunkJob[S comparable, A any] struct {
 	r      *Runner[S, A]
 	res    *chunkResult[S, A]
@@ -148,39 +154,50 @@ type chunkJob[S comparable, A any] struct {
 	cap    int64 // speculative iteration cap
 
 	claimWord // armed by dispatch after every other field of the round is in place
-	// reclaimed records that the invoker won the claim (invoker-only).
-	reclaimed bool
+	// copying names the armed phase: false for the chunk, true for the
+	// copy-out. Written before the arming store, read after a winning
+	// claim (claimWord).
+	copying bool
+	// Invoker-only: whether the invoker won the chunk's claim, whether
+	// the committed view stored to any cell (the walk), and whether this
+	// round offered its copy (landCells).
+	reclaimed, wrote, offered bool
 }
 
 const claimArmed = 1
 
-// claimWord is the handoff protocol of one preallocated executor task —
-// a slot's chunkJob, or the copyJob beside it — stated once (the Claim
-// step of the round handoff in the executor.go header). The invoker
-// offers the task: it stores claimArmed after everything the task reads
-// is in place, and queues an entry for it. Whoever swaps the word back
-// runs the task: the worker that received the queue entry (popped) or
-// the invoker walking its round's slots (take). The loser touches
-// nothing — the slot may already belong to a later round. The arming
-// store and the winning swap order the invoker's writes before the
-// task's reads.
+// claimWord is the handoff protocol of one dispatch slot, stated once
+// (the Claim step of the round handoff in the executor.go header). The
+// invoker offers the slot's armed phase: it stores claimArmed after
+// everything the phase reads is in place, and queues an entry for it.
+// Whoever swaps the word back runs the phase: the worker that received
+// the queue entry (popped) or the invoker walking its round's slots
+// (take). The loser touches nothing — the slot may already belong to a
+// later round or phase. The arming store and the winning swap order the
+// invoker's writes before the task's reads.
+//
+// That includes which phase is armed (chunkJob.copying): the invoker
+// writes the flag before the arming store, a contender reads it only
+// after a winning swap, and the claimant signals the round's latch after
+// that read, so the invoker's wait on the latch orders the previous
+// claimant's read before the next phase's write. A loser never reads it.
 //
 // queued is set while an executor queue holds an entry for the slot. The
-// entry of a task the invoker took outlives its round; while it does,
-// later rounds arm the slot without queueing again — the old entry
-// serves whichever round is current when it is received, as a failed
-// swap or a legitimate claim of that round's task — so a slot never has
-// two entries queued, and a worker that stays away for many rounds
-// cannot fill its shard with dead entries.
+// entry of a phase the invoker took outlives it; while it does, later
+// phases and rounds arm the slot without queueing again — the old entry
+// serves whichever phase is armed when it is received, as a failed swap
+// or a legitimate claim of that phase — so a slot never has two entries
+// queued, and a worker that stays away for many rounds cannot fill its
+// shard with dead entries.
 type claimWord struct {
 	claim  atomic.Uint32
 	queued atomic.Bool
 }
 
 // offer arms the word and leaves at most one queue entry for t behind
-// it, sent to shard unless an earlier round's entry is still queued.
-// When no shard has room nothing is queued and queued is cleared again,
-// so the next round tries afresh; the task is armed either way, and the
+// it, sent to shard unless an earlier entry is still queued. When no
+// shard has room nothing is queued and queued is cleared again, so the
+// next offer tries afresh; the phase is armed either way, and the
 // invoker's walk (dispatch's reclaim, landCells) runs it.
 func (w *claimWord) offer(e *Executor, shard uint32, t task) {
 	w.claim.Store(claimArmed)
@@ -189,51 +206,36 @@ func (w *claimWord) offer(e *Executor, shard uint32, t task) {
 	}
 }
 
-// take claims the armed task for the caller; false means someone else
+// take claims the armed phase for the caller; false means someone else
 // has it, or nothing is armed.
 func (w *claimWord) take() bool { return w.claim.CompareAndSwap(claimArmed, 0) }
 
 // popped is take for the holder of the slot's queue entry. The flag is
 // cleared before the claim: a dispatcher that still sees it set (and so
 // does not queue) armed the slot before this store, so the swap sees
-// its round.
+// its phase.
 func (w *claimWord) popped() bool {
 	w.queued.Store(false)
 	return w.take()
 }
 
-// run is the executor's entry: execute the chunk if this queue entry
+// run is the executor's entry: run the armed phase if this queue entry
 // still owns it.
 func (j *chunkJob[S, A]) run() {
-	if j.popped() {
+	if !j.popped() {
+		return
+	}
+	if j.copying {
+		j.copy()
+	} else {
 		j.exec()
 	}
 }
 
-// copyJob is a preallocated executor task beside a slot's chunkJob: the
-// copy-out of the slot's CellView into the store, offered to the shard
-// the chunk ran on (landCells) on a claim word of its own, so a copy
-// nobody picked up is the invoker's.
-type copyJob struct {
-	view *CellView
-	lat  *latch
-	claimWord
-	// Invoker-only, set by the walk and by landCells: whether the view
-	// stored to any cell, and whether this round offered the copy.
-	wrote   bool
-	offered bool
-}
-
-func (j *copyJob) run() {
-	if j.popped() {
-		j.copy()
-	}
-}
-
-// copy is the claimed copy: the caller won the claim word.
-func (j *copyJob) copy() {
+// copy is the claimed copy-out of the slot's view into the store.
+func (j *chunkJob[S, A]) copy() {
 	defer j.lat.done()
-	j.view.copyOut()
+	j.r.sched.views[j.idx].copyOut()
 }
 
 // exec executes one chunk: the paper's per-thread loop with work
@@ -433,13 +435,12 @@ type scheduler[S comparable, A any] struct {
 	// loops never pay for them). Views are written by the invoker during
 	// dispatch (begin) and chain resolution (validate, fold), and by
 	// exactly one worker while its chunk runs — the same ownership
-	// discipline as the chunkJob slots. copies holds one copy-out task
-	// per slot, wired to its view once; whoever claims it (landCells)
-	// reads the view and writes only the store cells the view wrote.
+	// discipline as the chunkJob slots. Whoever claims a slot's copy-out
+	// (landCells) reads its view and writes only the store cells the
+	// view wrote.
 	cells    *Cells
 	reds     []Reduction
 	views    []CellView
-	copies   []copyJob
 	copyGate func() // test hook, nil outside tests (landCells)
 	// used is the number of job/result/works slots the most recent
 	// invocation dirtied (its widest round: later rounds can fan wider
@@ -503,11 +504,6 @@ func (s *scheduler[S, A]) armCells(c *Cells, reds []Reduction) {
 	s.reds = reds
 	if c != nil && s.views == nil {
 		s.views = make([]CellView, len(s.jobs))
-		s.copies = make([]copyJob, len(s.jobs))
-		for i := range s.copies {
-			s.copies[i].view = &s.views[i]
-			s.copies[i].lat = &s.lat
-		}
 	}
 }
 
@@ -584,21 +580,15 @@ func (s *scheduler[S, A]) purge() {
 	s.lease = leaseClock{}
 }
 
-// queuedEntries counts the executor entries the runner's slots hold,
-// chunks and copy-outs alike (claimWord.queued): between invocations,
-// the entries of reclaimed slots that no worker has run yet. Each
-// is counted in the executor's load until a worker has run it, so this
-// never exceeds the runner's share of the load (Executor.overloaded).
+// queuedEntries counts the executor entries the runner's slots hold, at
+// most one per slot (claimWord.queued): between invocations, the entries
+// of reclaimed phases that no worker has run yet. Each is counted in the
+// executor's load until a worker has run it, so this never exceeds the
+// runner's share of the load (Executor.overloaded).
 func (s *scheduler[S, A]) queuedEntries() int64 {
 	var n int64
-	jobs, copies := s.jobs, s.copies
-	for i := range jobs {
-		if jobs[i].queued.Load() {
-			n++
-		}
-	}
-	for i := range copies {
-		if copies[i].queued.Load() {
+	for i := range s.jobs {
+		if s.jobs[i].queued.Load() {
 			n++
 		}
 	}
@@ -778,7 +768,7 @@ func (s *scheduler[S, A]) dispatch(r *Runner[S, A], ctx context.Context) {
 		s.lat.add(1)
 		if i > 0 {
 			j := &s.jobs[i]
-			j.reclaimed = false
+			j.reclaimed, j.copying = false, false
 			// Chunk i goes to the same shard every round (warm-queue affinity).
 			j.offer(r.exec, r.home+uint32(i-1), j)
 		}
@@ -894,7 +884,7 @@ func (s *scheduler[S, A]) walk(r *Runner[S, A]) {
 		if s.cells != nil {
 			end, wrote, out := s.views[i].validate(s.views[i+1 : probeEnd])
 			probeEnd = i + 1 + end
-			s.copies[i].wrote = wrote
+			s.jobs[i].wrote = wrote
 			rd.land, rd.shared = i+1, rd.shared || out
 		}
 		for _, pr := range res.props {
@@ -939,10 +929,11 @@ func (s *scheduler[S, A]) land(r *Runner[S, A]) {
 // When spread is set (no two of the views share a written cell, so
 // their copies land in disjoint cells and need no order) the copy of
 // every slot whose chunk ran on a worker and stored to any cell is
-// offered to that worker's shard through the chunk's own claim
-// protocol: the buffer is in the cache of the core that filled
-// it, the store lines it lands on are the ones that core's chunk reads
-// next invocation, and the worker has work during what was its nap.
+// offered to that worker's shard as the slot's second phase, on the
+// claim word its chunk just released: the buffer is in the cache of the
+// core that filled it, the store lines it lands on are the ones that
+// core's chunk reads next invocation, and the worker has work during
+// what was its nap.
 // The invoker copies view 0, then in chain order every view nobody has
 // claimed, and joins. With nothing offered — output dependences, a
 // reclaimed chunk, a failing chunk's partial buffer, a single-proc
@@ -952,13 +943,13 @@ func (s *scheduler[S, A]) landCells(r *Runner[S, A], n int, spread bool) {
 	offered := false
 	if spread && n > 1 && r.exec.spin { // a width-1 runner has no executor, and a round of one no copy
 		for i := 1; i < n; i++ {
-			c := &s.copies[i]
-			if s.jobs[i].reclaimed || !c.wrote {
+			j := &s.jobs[i]
+			if j.reclaimed || !j.wrote {
 				continue
 			}
 			s.lat.add(1)
-			c.offered, offered = true, true
-			c.offer(r.exec, r.home+uint32(i-1), c) // copy i goes where chunk i went
+			j.copying, j.offered, offered = true, true, true
+			j.offer(r.exec, r.home+uint32(i-1), j) // copy i goes where chunk i went
 		}
 	}
 	var t0 int64
@@ -970,14 +961,14 @@ func (s *scheduler[S, A]) landCells(r *Runner[S, A], n int, spread bool) {
 	}
 	s.views[0].copyOut()
 	for i := 1; i < n; i++ {
-		c := &s.copies[i]
-		if !c.offered {
-			c.view.copyOut()
+		j := &s.jobs[i]
+		if !j.offered {
+			s.views[i].copyOut()
 			continue
 		}
-		c.offered = false
-		if c.take() {
-			c.copy()
+		j.offered = false
+		if j.take() {
+			j.copy()
 		}
 	}
 	if offered {

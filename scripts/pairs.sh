@@ -14,7 +14,10 @@
 # run_seconds of BENCHMARK.json). Every run's last JSON line is kept;
 # the summary gives, per end-to-end metric, each side's median and
 # quartiles, the pairs the change won, and a verdict against the
-# metric's bound.
+# metric's bound. A last line gives the same for wN_vs_w1, derived per
+# run as speedup_vs_seq x w1_overhead (= w1/wN, in which host noise
+# common to both widths cancels): informational, with no bound, and not
+# a metric CLAIM can name.
 #
 # The bound is the rule for a metric nobody claimed. A claimed gain is
 # held to a stricter one, and CLAIM names the metric to hold to it:
@@ -107,6 +110,15 @@ for m in json.load(open("BENCHMARK.json"))["end_to_end"]:
               f" medians {b2:.4f} -> {c2:.4f} ({'lower' if lower else 'higher'} is better),"
               f" base interquartile distance {b3 - b1:.4f}, medians apart by {gain:+.4f} in the better direction:"
               f" {'claim met' if met else 'claim NOT met'}")
+# Derived, informational only (no bound, not a CLAIM): speedup_vs_seq x
+# w1_overhead = w1/wN per run, the speedup of width N over width 1 within
+# one run, in which common-mode host noise cancels. Higher is better.
+def derived(rs):
+    return [r["metrics"]["speedup_vs_seq"]["value"] * r["metrics"]["w1_overhead"]["value"] for r in rs]
+b, c = derived(sides["base"]), derived(sides["change"])
+(b1, b2, b3), (c1, c2, c3) = quartiles(b), quartiles(c)
+print(f"{'wN_vs_w1':16s} base {b2:.4f} ({b1:.4f}-{b3:.4f})  change {c2:.4f} ({c1:.4f}-{c3:.4f})"
+      f"  change better in {sum(y > x for x, y in zip(b, c))}/{len(b)}  (derived: speedup_vs_seq x w1_overhead, no bound)")
 PY
 }
 
