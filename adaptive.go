@@ -1,5 +1,7 @@
 package spice
 
+import "math"
+
 // This file is the adaptive speculation policy (Options.Adaptive). It
 // has two cooperating parts:
 //
@@ -19,6 +21,10 @@ package spice
 // Both parts are plain scalar state: no allocation after construction,
 // so the native runtime's steady-state 0 allocs/op contract holds with
 // the controller enabled.
+//
+// The file also holds the pairing policy (pairing), which decides how
+// many chunks a DOALL runner's dispatch slot carries. It is not part of
+// Options.Adaptive: it runs whether the controller is on or off.
 
 const (
 	// specEWMAAlpha weighs the newest invocation outcome into the
@@ -68,6 +74,12 @@ func (rc *rowConfidence) Hit(row int) { rc.score[row] += specConfAlpha * (1 - rc
 // Miss records a squashed speculative chunk for row.
 func (rc *rowConfidence) Miss(row int) { rc.score[row] -= specConfAlpha * rc.score[row] }
 
+// regrid moves the scores with the rows when the predictor changes grid
+// (predictor.regrid); rows new to the finer grid start neutral.
+func (rc *rowConfidence) regrid(from, to int) {
+	rc.score = regridded(rc.score, from, to, specConfInit)
+}
+
 // Score returns row's current confidence in [0, 1].
 func (rc *rowConfidence) Score(row int) float64 { return rc.score[row] }
 
@@ -97,13 +109,13 @@ type specController struct {
 
 // newSpecController builds a controller for the configured thread count
 // (a width-1 runner has none), with a neutral confidence score for each
-// of its threads-1 SVA rows. probeInterval <= 0 selects
-// defaultProbeInterval.
+// of its threads-1 SVA rows, and room for the 2·threads-1 of the finer
+// grid. probeInterval <= 0 selects defaultProbeInterval.
 func newSpecController(threads int, probeInterval int64) *specController {
 	if probeInterval <= 0 {
 		probeInterval = defaultProbeInterval
 	}
-	c := &specController{threads: threads, probeInterval: probeInterval, eff: threads, conf: rowConfidence{make([]float64, threads-1)}}
+	c := &specController{threads: threads, probeInterval: probeInterval, eff: threads, conf: rowConfidence{make([]float64, threads-1, 2*threads-1)}}
 	c.conf.Reset()
 	return c
 }
@@ -233,4 +245,129 @@ func probeSpecCap(cap64, total int64, chunks int) int64 {
 		return c
 	}
 	return cap64
+}
+
+const (
+	// pairMinNs is the cost per iteration, in ns, of chunk 0 alone at or
+	// above which a traversal is taken to wait on memory: a contiguous
+	// list reads 1-3 ns, a closure body 6-8, a list linked in shuffled
+	// order past L2 about 90.
+	pairMinNs = 20
+	// pairMinChunk is the fewest iterations each of the 2·threads chunks
+	// of depth 2 must keep, so a chunk still spans several polls.
+	pairMinChunk = 4 * ctxPollEvery
+	// pairGain is what paired rounds must beat depth 1 by: their wall
+	// time per committed iteration at most this share of depth 1's.
+	pairGain = 0.9
+	// pairBackoff is the number of invocations a runner that dropped back
+	// to depth 1 waits before it tries depth 2 again.
+	pairBackoff = 64
+	// pairWindow is how many recent samples a figure is the lowest of:
+	// the clean rounds depth 2 waits for, and the sample-less invocations
+	// at depth 2 that drop it.
+	pairWindow = 8
+)
+
+// pairing is the depth policy of a DOALL runner of width 2 or more: how
+// many chunks of the validation chain a dispatch slot carries, 1 or 2
+// (scheduler.go). A slot at depth 2 steps its two chunks in lockstep
+// (blockPair), so a core that waits on a cache miss in one chain has the
+// other's miss in flight beside it. That pays only when the traversal
+// is memory-bound, so depth 2 is tried on evidence and kept only while
+// it pays — Garmon et al.'s rule for a speculative resource:
+//
+//   - a clean round 0 at depth 1 (nothing reclaimed, squashed or capped,
+//     and no more slots than the host has processors, or chunk 0's clock
+//     counts the time it waited for one) tries depth 2 once pairWindow
+//     clean rounds have been seen, if chunk 0's cost per iteration read
+//     at least pairMinNs in each of the last pairWindow, depth 1's cost
+//     times the slots (a chain's cost per iteration) reads pairMinNs
+//     too, and each of the 2·threads chunks would keep pairMinChunk
+//     iterations;
+//   - depth 2 stays while paired rounds' cost is within pairGain of
+//     depth 1's; otherwise, or after pairWindow invocations in a row that
+//     gave no paired sample (no evidence that pairing pays), the runner
+//     drops back and waits pairBackoff invocations.
+//
+// Every figure is the lowest of the last pairWindow samples (lows), not
+// an average: a round the host held up only adds time. On a shared
+// 2-vCPU guest one round in a few thousand read 40× the others — enough
+// to lift an EWMA over the trigger on a 1 ns/iteration list, and then
+// keep depth 2 against that stale figure. Every figure comes from the
+// clock reads the scheduler takes anyway. Confined to the runner's
+// invocation cycle, like the predictor.
+type pairing struct {
+	forced   int  // Config.depth, or 1 for a runner that cannot pair: the depth, pinned (0: derived)
+	depth    int  // the depth the next invocation runs at
+	at1, at2 lows // round 0's wall ns per committed iteration at depth 1 and in paired rounds
+	c0       lows // chunk 0's own ns per iteration in clean depth-1 rounds
+	dry      int  // invocations in a row at depth 2 that gave no paired sample
+	wait     int  // invocations left before depth 2 may be tried again
+}
+
+// reset forgets every measurement and returns to the pinned depth, or
+// to depth 1.
+func (p *pairing) reset() {
+	*p = pairing{forced: p.forced, depth: max(p.forced, 1)}
+}
+
+// observe takes one successful invocation's round 0 and returns whether
+// the depth changed. A pinned depth (forced) is never observed. perIter
+// is round 0's wall ns per committed iteration (0: no sample — slot 0 ran
+// alone, so no clock was read, or the invoker reclaimed a slot, which
+// measures a late worker and not the depth); slots, its slot count;
+// paired, whether its slots carried two chunks; clean, whether nothing
+// was reclaimed, squashed or capped; chunk0, chunk 0's own ns per
+// iteration; perChunk, the iterations each chunk would keep at depth 2.
+func (p *pairing) observe(perIter float64, slots int, paired, clean bool, chunk0 float64, perChunk int64) bool {
+	if p.wait > 0 {
+		p.wait--
+	}
+	if p.depth == 2 {
+		if perIter > 0 && paired {
+			p.dry = 0
+			if p.at2.add(perIter) <= pairGain*p.at1.low() {
+				return false
+			}
+		} else if p.dry++; p.dry < pairWindow {
+			return false
+		}
+		p.depth, p.at2, p.dry, p.wait = 1, lows{}, 0, pairBackoff
+		return true
+	}
+	if perIter == 0 {
+		return false
+	}
+	p.at1.add(perIter)
+	if !clean {
+		return false
+	}
+	p.c0.add(chunk0)
+	if p.wait == 0 && p.c0.n >= pairWindow && p.c0.low() >= pairMinNs && p.at1.low()*float64(slots) >= pairMinNs && perChunk >= pairMinChunk {
+		p.depth = 2
+		return true
+	}
+	return false
+}
+
+// lows keeps a figure's last pairWindow samples, as a ring.
+type lows struct {
+	xs [pairWindow]float64
+	n  int // samples taken
+}
+
+// add takes sample x and returns the lowest sample kept.
+func (l *lows) add(x float64) float64 {
+	l.xs[l.n%pairWindow] = x
+	l.n++
+	return l.low()
+}
+
+// low is the lowest sample kept (+Inf before the first).
+func (l *lows) low() float64 {
+	lo := math.Inf(1)
+	for _, x := range l.xs[:min(l.n, pairWindow)] {
+		lo = min(lo, x)
+	}
+	return lo
 }

@@ -1,6 +1,10 @@
 package spice
 
-import "testing"
+import (
+	"runtime"
+	"slices"
+	"testing"
+)
 
 // --- specController state machine ------------------------------------
 
@@ -147,4 +151,175 @@ func TestProbeSpecCapTightens(t *testing.T) {
 	if c := probeSpecCap(500, 0, 2); c != 500 {
 		t.Fatalf("zero-total probe cap = %d", c)
 	}
+}
+
+// --- pairing -------------------------------------------------------------
+
+// TestPairingPolicy holds the depth policy to its rule (adaptive.go):
+// depth 2 is tried only after a window of clean depth-1 rounds 0 in
+// each of which chunk 0 ran at pairMinNs or slower per iteration, as
+// depth 1's rounds did, over chunks long enough to halve; it is kept
+// while paired rounds beat depth 1 by pairGain, dropped after a window
+// of invocations in a row that gave no paired sample, and after a drop
+// tried again only pairBackoff invocations later; a round the host held
+// up moves neither depth's cost. On a runner, a change of depth moves
+// the predictor's rows onto the other grid, and a body that burns time
+// per node is found and paired by the derived rule itself.
+func TestPairingPolicy(t *testing.T) {
+	const slow, long = 2 * pairMinNs, pairMinChunk
+	t.Run("rule", func(t *testing.T) {
+		// slowRounds feeds n clean, slow, long depth-1 rounds and reports
+		// whether one of them tried depth 2.
+		slowRounds := func(p *pairing, n int) (tried bool) {
+			for range n {
+				tried = p.observe(100, 2, false, true, slow, long) || tried
+			}
+			return tried
+		}
+		p := pairing{depth: 1}
+		if slowRounds(&p, pairWindow-1) || p.depth != 1 {
+			t.Fatal("tried depth 2 before a window of clean rounds")
+		}
+		for _, no := range []struct {
+			clean    bool
+			chunk0   float64
+			perChunk int64
+		}{{false, slow, long}, {true, pairMinNs / 2, long}, {true, slow, long - 1}} {
+			q := p
+			if q.observe(100, 2, false, no.clean, no.chunk0, no.perChunk) || q.depth != 1 {
+				t.Fatalf("%+v tried depth 2", no)
+			}
+		}
+		// A round the host held up 40× on a runner whose rounds take 1 ns
+		// an iteration is not a traversal that waits on memory; nor is a
+		// window in which chunk 0 read fast once, as on a runner wider
+		// than the host whose chunk 0 its own workers preempt in most
+		// rounds but not all.
+		fast := pairing{depth: 1}
+		for range pairWindow {
+			fast.observe(1, 2, false, true, 2, long)
+		}
+		if fast.observe(40, 2, false, true, 80, long) {
+			t.Fatal("one held-up round after fast rounds tried depth 2")
+		}
+		preempted := pairing{depth: 1}
+		preempted.observe(100, 2, false, true, 2, long)
+		if slowRounds(&preempted, pairWindow-1) {
+			t.Fatal("a window with one fast chunk 0 tried depth 2")
+		}
+		if !slowRounds(&p, 1) || p.depth != 2 {
+			t.Fatal("a window of clean, slow, long rounds did not try depth 2")
+		}
+		// Paired rounds at 60 % of depth 1's cost keep it, held-up ones
+		// among them too; once the window holds only rounds at depth 1's
+		// cost, it drops.
+		if p.observe(60, 2, true, true, 0, long) || p.observe(4000, 2, true, true, 0, long) || p.depth != 2 {
+			t.Fatal("a paying paired round dropped depth 2")
+		}
+		rounds := 0
+		for p.depth == 2 && rounds < 2*pairWindow {
+			p.observe(100, 2, true, true, 0, long)
+			rounds++
+		}
+		if p.depth != 1 || p.wait != pairBackoff || rounds != pairWindow-1 {
+			t.Fatalf("depth %d wait %d after %d rounds at depth 1's cost", p.depth, p.wait, rounds)
+		}
+		for i := 1; i < pairBackoff; i++ {
+			if slowRounds(&p, 1) {
+				t.Fatalf("tried again %d invocations after the drop", i)
+			}
+		}
+		if !slowRounds(&p, 1) {
+			t.Fatal("did not try again after the backoff")
+		}
+		// Invocations at depth 2 that give no paired sample (the invoker
+		// reclaimed a slot, or the rows left one chunk a slot) are no
+		// evidence that pairing pays: a window of them in a row drops it,
+		// and a paired sample restarts the count.
+		noSample := func(i int) bool {
+			if i%2 == 0 {
+				return p.observe(50, 2, false, true, 0, long)
+			}
+			return p.observe(0, 2, true, false, 0, long)
+		}
+		for range 2 {
+			for i := 1; i < pairWindow; i++ {
+				if noSample(i) {
+					t.Fatalf("dropped after %d sample-less invocations", i)
+				}
+			}
+			if p.observe(60, 2, true, true, 0, long) || p.depth != 2 {
+				t.Fatal("a paying paired round dropped depth 2")
+			}
+		}
+		for i := 1; i < pairWindow; i++ {
+			noSample(i)
+		}
+		if !noSample(pairWindow) || p.depth != 1 || p.wait != pairBackoff {
+			t.Fatalf("depth %d wait %d after %d sample-less invocations", p.depth, p.wait, pairWindow)
+		}
+	})
+	t.Run("regrid", func(t *testing.T) {
+		g := testList(3000, 5)
+		r := newRunner(t, plainLoop(), Config{Threads: 3, Options: Options{Adaptive: true}})
+		g.warm(t, r, 3)
+		rows := slices.Clone(r.pred.rows)
+		// The depth is pinned from here on, as Config.depth pins it, so the
+		// policy cannot drop it (pairing does not pay on 1 000-node chunks)
+		// while the grid is checked.
+		r.pairing.forced, r.pairing.depth = 2, 2
+		r.regrid()
+		if r.pred.parts != 6 || len(r.pred.rows) != 5 || r.pred.rows[1] != rows[0] || r.pred.rows[3] != rows[1] ||
+			r.pred.rows[0].valid || r.pred.rows[2].valid || r.pred.rows[4].valid || len(r.ctrl.conf.score) != 5 {
+			t.Fatalf("rows %v -> %v", rows, r.pred.rows)
+		}
+		// The next invocations memoize the finer grid and pair; back at
+		// depth 1 (as a drop leaves it), the rows are the fine grid's odd
+		// ones and every slot works again.
+		before := r.Stats()
+		g.warm(t, r, 2)
+		if st := r.Stats().Delta(before); st.PairedRounds == 0 || !r.pred.rows[0].valid {
+			t.Fatalf("PairedRounds %d, rows %v at depth 2", st.PairedRounds, r.pred.rows)
+		}
+		fine := slices.Clone(r.pred.rows)
+		r.pairing.forced, r.pairing.depth = 1, 1
+		r.regrid()
+		if r.pred.parts != 3 || !slices.Equal(r.pred.rows, []row[*mnode]{fine[1], fine[3]}) || len(r.ctrl.conf.score) != 2 {
+			t.Fatalf("rows %v -> %v", fine, r.pred.rows)
+		}
+		g.warm(t, r, 2)
+		if st := r.Stats(); busy(st.LastWorks) != 3 {
+			t.Fatalf("LastWorks %v after the drop", st.LastWorks)
+		}
+	})
+	t.Run("derived", func(t *testing.T) {
+		// A node costs about 0.3 µs: far past pairMinNs, whatever the
+		// host, and chunks of 5 000 iterations at depth 2. A window of
+		// clean depth-1 rounds 0 tries depth 2, but only a round nobody
+		// reclaimed, with a processor per slot, is clean, so a host that
+		// cannot run the worker beside the invoker (GOMAXPROCS 1) never
+		// tries it.
+		g := testList(20_000, 7)
+		loop := hookLoop(func(n *mnode) {
+			x := n.w
+			for range 300 {
+				x = x*6364136223846793005 + 1442695040888963407
+			}
+			if x == 0 {
+				panic("a weight whose 300th LCG step is 0")
+			}
+		})
+		r := newRunner(t, loop, Config{Threads: 2})
+		for inv := 0; inv < 40 && r.Stats().PairedRounds == 0; inv++ {
+			g.exact(t, r)
+		}
+		switch st := r.Stats(); {
+		case st.PairedRounds == 0 && runtime.GOMAXPROCS(0) > 1 && !raceEnabled:
+			t.Fatalf("a slow body was never paired: %s", statsLine(st))
+		case st.PairedRounds != 0 && runtime.GOMAXPROCS(0) == 1:
+			t.Fatalf("paired on one processor: %s", statsLine(st))
+		}
+		t.Log(statsLine(r.Stats()))
+		checkConservation(t, r.Stats(), 2)
+	})
 }

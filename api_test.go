@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"path"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -162,7 +164,7 @@ func TestRecoveryRoundsHonorCtx(t *testing.T) {
 		if calls.Add(1) == size+size/3 {
 			cancel()
 		}
-	}), Config{Threads: 4, maxSpec: 512})
+	}), Config{Threads: 4, maxSpec: 512, depth: 1})
 	if _, err := r.Run(ctx, l.head); err != nil {
 		t.Fatalf("bootstrap: %v", err) // exactly size calls: under the trigger
 	}
@@ -217,6 +219,83 @@ func TestBodyErrSurfacesDeterministically(t *testing.T) {
 	}
 	// Healing the node heals the runner.
 	ns[7*len(ns)/8].w = 42
+	l.exact(t, r)
+
+	// Paired slots: two slots of two chunks each, in lockstep, at width
+	// 2. A failure is its own chunk's, whichever chain of a pair it hits,
+	// and the failed invocation is charged every iteration it started
+	// except the committed prefix: SquashedIters is exact. "after match"
+	// is the second chain of slot 0 failing when it is the survivor: its
+	// region has grown, so the first chain matched and stopped first.
+	// "done" panics in Done, on the node a block boundary (the first
+	// poll) stops on, where the driver calls Done itself.
+	for _, exit := range []string{"error", "panic", "done"} {
+		for _, at := range []string{"chunk0", "chunk1", "chunk2", "chunk3", "after match"} {
+			t.Run(path.Join("paired", exit, at), func(t *testing.T) { pairedFailure(t, exit, at) })
+		}
+	}
+}
+
+// pairedFailure fails one iteration of chunk at of a width-2 runner
+// whose slots carry two chunks of quarterLen nodes each.
+func pairedFailure(t *testing.T, exit, at string) {
+	const quarterLen = 2000
+	l := testList(4*quarterLen, 29)
+	var calls atomic.Int64
+	var trap atomic.Pointer[mnode]
+	loop := plainLoop()
+	loop.Body = nil
+	loop.BodyErr = func(n *mnode, a tally) (tally, error) {
+		calls.Add(1)
+		if n == trap.Load() && exit != "done" {
+			if err := fail(exit, nil); err != nil {
+				return a, err
+			}
+		}
+		return a.visit(n.w), nil
+	}
+	if exit == "done" {
+		loop.Done = func(n *mnode) bool {
+			if n != nil && n == trap.Load() {
+				panic("done boom")
+			}
+			return n == nil
+		}
+	}
+	r := newRunner(t, loop, Config{Threads: 2, depth: 2})
+	l.warm(t, r, 3) // bootstrap, then the rows the bootstrap promoted, then the quarters
+	if st := r.Stats(); st.PairedRounds != 2 || !slices.Equal(st.LastWorks, []int64{2 * quarterLen, 2 * quarterLen}) {
+		t.Fatalf("PairedRounds %d, LastWorks %v: the layout is not two slots of two quarters", st.PairedRounds, st.LastWorks)
+	}
+	ns := l.nodes()
+	chunk, off := int(at[len(at)-1]-'0'), quarterLen/2
+	if at == "after match" {
+		// Grow chunk 1's region past the point where chunk 0 matches.
+		fresh := make([]*mnode, quarterLen/4)
+		for i := range fresh {
+			fresh[i] = &mnode{w: int64(i)}
+		}
+		ns = slices.Insert(ns, quarterLen+10, fresh...)
+		l.relink(ns)
+		chunk, off = 1, quarterLen+quarterLen/8
+	}
+	if exit == "done" {
+		off = ctxPollEvery - 1
+		if at == "after match" {
+			off += ctxPollEvery // the survivor's second poll, past chunk 0's match at quarterLen
+		}
+	}
+	prefix := int64(chunk * quarterLen) // the chunks ahead of the failing one commit
+	before, c0 := r.Stats(), calls.Load()
+	trap.Store(ns[chunk*quarterLen+off])
+	_, err := r.Run(context.Background(), l.head)
+	trap.Store(nil)
+	checkExit(t, err, strings.Replace(exit, "done", "panic", 1))
+	st := r.Stats().Delta(before)
+	if want := calls.Load() - c0 - prefix; st.SquashedIters != want || st.PairedRounds != 1 || st.TotalIters != 0 {
+		t.Fatalf("SquashedIters %d PairedRounds %d TotalIters %d, want %d, 1 and 0", st.SquashedIters, st.PairedRounds, st.TotalIters, want)
+	}
+	checkConservation(t, r.Stats(), 2)
 	l.exact(t, r)
 }
 

@@ -207,8 +207,13 @@ func BenchmarkInvocationFloor(b *testing.B) {
 // The seq/t2/t4 rows run the closure triple (three indirect calls per
 // iteration); the scan_ rows run the same loop with its block form set
 // (Loop.Scan), where a chunk's inner loop is the caller's compiled code.
+// The scattered_ rows run the block form over a 200k-node list linked in
+// shuffled order, past L2, where each iteration waits on a cache miss:
+// scattered_t2 with one chunk per slot, scattered_t2_paired with two
+// stepped in lockstep (Config.depth pins either; the runtime derives
+// the depth from the same measurement).
 func BenchmarkIterationOverhead(b *testing.B) {
-	const listLen = 100_000
+	const listLen, scatterLen = 100_000, 200_000
 	head, loop := benchList(5, listLen), benchLoop()
 	block := loop
 	block.Scan = func(n *mnode, a int64, _ *CellView, stop *mnode, max int64) (*mnode, int64, int64) {
@@ -219,19 +224,43 @@ func BenchmarkIterationOverhead(b *testing.B) {
 		}
 		return n, a, k
 	}
+	scattered := scatteredList(5, scatterLen)
 	for _, mode := range []struct {
-		name    string
-		loop    Loop[*mnode, int64]
-		threads int
+		name string
+		loop Loop[*mnode, int64]
+		head *mnode
+		cfg  Config
+		n    int
 	}{
-		{"seq", loop, 1}, {"t2", loop, 2}, {"t4", loop, 4},
-		{"scan_seq", block, 1}, {"scan_t2", block, 2}, {"scan_t4", block, 4},
+		{"seq", loop, head, Config{Threads: 1}, listLen},
+		{"t2", loop, head, Config{Threads: 2}, listLen},
+		{"t4", loop, head, Config{Threads: 4}, listLen},
+		{"scan_seq", block, head, Config{Threads: 1}, listLen},
+		{"scan_t2", block, head, Config{Threads: 2}, listLen},
+		{"scan_t4", block, head, Config{Threads: 4}, listLen},
+		{"scattered_t2", block, scattered, Config{Threads: 2, depth: 1}, scatterLen},
+		{"scattered_t2_paired", block, scattered, Config{Threads: 2, depth: 2}, scatterLen},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
-			timeRuns(b, newRunner(b, mode.loop, Config{Threads: mode.threads}), head, 1)
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/listLen, "ns_iter")
+			timeRuns(b, newRunner(b, mode.loop, mode.cfg), mode.head, 1)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(mode.n), "ns_iter")
 		})
 	}
+}
+
+// scatteredList is seed's n-node list of weights below 2^20, its nodes
+// in one slab, linked in a shuffled order.
+func scatteredList(seed int64, n int) *mnode {
+	rng := rand.New(rand.NewSource(seed))
+	slab := make([]mnode, n)
+	order := rng.Perm(n)
+	for i, at := range order {
+		slab[at].w = rng.Int63n(1 << 20)
+		if i+1 < n {
+			slab[at].next = &slab[order[i+1]]
+		}
+	}
+	return &slab[order[0]]
 }
 
 // BenchmarkPoolThroughput measures the concurrent front door: N

@@ -42,7 +42,7 @@ func armedLoop(armed *atomic.Bool, at *mnode, trap func()) Loop[*mnode, tally] {
 func TestInlineChunk0PanicRunsOnCaller(t *testing.T) {
 	g, ns := blockList(20_000)
 	var armed atomic.Bool
-	r := newRunner(t, armedLoop(&armed, ns[3], func() { panic("chunk0 boom") }), Config{Threads: 4})
+	r := newRunner(t, armedLoop(&armed, ns[3], func() { panic("chunk0 boom") }), Config{Threads: 4, depth: 1})
 	g.exact(t, r) // bootstrap
 
 	armed.Store(true)
@@ -71,7 +71,7 @@ func TestInlineChunk0MidChunkCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	// Node 100 is deep inside chunk 0's region, far from any predicted start.
-	r := newRunner(t, armedLoop(&armed, ns[100], cancel), Config{Threads: 4})
+	r := newRunner(t, armedLoop(&armed, ns[100], cancel), Config{Threads: 4, depth: 1})
 	g.exact(t, r) // bootstrap
 
 	armed.Store(true)
@@ -104,7 +104,7 @@ func TestFallibleBodyPanicContained(t *testing.T) {
 	// whose predecessors all match, so it is the first failure in
 	// iteration order and must surface.
 	armed.Store(false)
-	par := newRunner(t, loop, Config{Threads: 4})
+	par := newRunner(t, loop, Config{Threads: 4, depth: 1})
 	g.exact(t, par) // bootstrap
 	armed.Store(true)
 	_, rerr = par.Run(context.Background(), g.head)
@@ -146,7 +146,7 @@ func TestScanPanicContained(t *testing.T) {
 	run := func(t *testing.T, l Loop[*mnode, tally], threads int) (Stats, *PanicError) {
 		t.Helper()
 		g, ns := blockList(40_000)
-		r := newRunner(t, l, Config{Threads: threads})
+		r := newRunner(t, l, Config{Threads: threads, depth: 1})
 		g.exact(t, r) // bootstrap
 		before := r.Stats()
 		at.Store(ns[node])
@@ -211,7 +211,7 @@ func TestScanBlocksBounded(t *testing.T) {
 		return nil, a, 0, false
 	})
 	for _, threads := range []int{1, 4} {
-		r := newRunner(t, loop, Config{Threads: threads})
+		r := newRunner(t, loop, Config{Threads: threads, depth: 1})
 		g.exact(t, r) // bootstrap
 		ctx, cancel := context.WithCancel(context.Background())
 		sinceCancel.Store(0)
@@ -237,19 +237,26 @@ func TestScanBlocksBounded(t *testing.T) {
 // from the preallocated jobs and results — contexts, start states,
 // successor-row pointers, proposal states, end states, accumulators —
 // and the memo buffer — and the round, which holds the live state, the
-// accumulator and the failure, after a success and after a failure.
+// accumulator and the failure, after a success and after a failure. Its
+// slots carry two chunks each, so both lanes of a slot are checked.
 func TestReleaseZeroesInvocationState(t *testing.T) {
 	g, _ := blockList(30_000)
-	r := newRunner(t, plainLoop(), Config{Threads: 4})
+	r := newRunner(t, plainLoop(), Config{Threads: 4, depth: 2})
 	g.warm(t, r, 4) // bootstrap + parallel steady state
 	s := r.sched
 	for j := range s.jobs {
 		job := &s.jobs[j]
-		if job.ctx != nil || job.start != nil || job.snap != nil || job.plan != nil {
-			t.Fatalf("job %d retains invocation state: ctx=%v start=%v snap=%v plan=%v",
-				j, job.ctx, job.start, job.snap, job.plan)
+		if job.ctx != nil {
+			t.Fatalf("job %d retains its context", j)
 		}
-		res := job.res
+		for i, l := range job.lanes {
+			if l.res != nil || l.start != nil || l.snap != nil || l.plan != nil || l.s != nil || l.stop != nil || l.acc != (tally{}) || l.err != nil {
+				t.Fatalf("job %d lane %d retains invocation state: %+v", j, i, l)
+			}
+		}
+	}
+	for j := range s.results {
+		res := &s.results[j]
 		if res.endState != nil || res.acc != (tally{}) || res.err != nil {
 			t.Fatalf("result %d retains invocation state: end=%v acc=%d err=%v",
 				j, res.endState, res.acc, res.err)
@@ -285,9 +292,9 @@ func TestReleaseZeroesInvocationState(t *testing.T) {
 // path), must not keep a single node of that structure alive — the
 // predictor's two row generations (rows, scratch) and the scheduler's
 // job/result/memo buffers all hold node states at some point and must
-// all let go.
+// all let go — paired slots' second lanes included.
 func TestResetRunnerPinsNothing(t *testing.T) {
-	r := newRunner(t, plainLoop(), Config{Threads: 4})
+	r := newRunner(t, plainLoop(), Config{Threads: 4, depth: 2})
 	// Build, traverse, and probe inside a helper so no test frame keeps
 	// a node reachable after it returns.
 	weaks := func() []weak.Pointer[mnode] {
@@ -319,7 +326,7 @@ func TestResetRunnerPinsNothing(t *testing.T) {
 // works into LastWorks or its results into squash accounting.
 func TestNarrowRoundLeaksNoStaleSlots(t *testing.T) {
 	g, _ := blockList(40_000)
-	r := newRunner(t, plainLoop(), Config{Threads: 4})
+	r := newRunner(t, plainLoop(), Config{Threads: 4, depth: 1})
 	g.exact(t, r) // bootstrap
 	g.exact(t, r)
 	wide := r.Stats()

@@ -16,17 +16,28 @@ import "fmt"
 // or cap compares, no poll mask. All slow-path bookkeeping happens
 // between blocks, on amortized boundaries.
 //
-// blockOf picks the routine once, when the runner is built, from the
+// A chunk is one link of a round's validation chain; a dispatch slot is
+// one executor task, one claim word. A slot carries one chunk, or two
+// when the runner pairs (a DOALL traversal that waits on memory,
+// adaptive.go's pairing): then the driver hands the pair's blocks to
+// the paired routine (Runner.pair, a pairFn, blockPair below), which
+// makes one Done/Body/Next call per chain per step, so each core has two
+// independent pointer chases, and two cache misses, in flight. Once one
+// chain stops, the other goes on alone through Runner.block.
+//
+// blockOf picks the routines once, when the runner is built, from the
 // loop's body form: one loop each for the two body shapes, Body and
 // SpecBody, so the per-iteration body carries no form branches, and the
 // adapter blockScan for a loop that sets Loop.Scan — the block then
 // goes to the caller's own compiled loop, and the driver's block
-// structure around it is unchanged. The fallible forms ride the
-// infallible loops: blockOf wraps BodyErr or SpecBodyErr in a closure
-// that panics with a bodyFailure on an error, and the routine's
-// recovery returns that failure's state and error as they are. Only a
-// fallible loop pays the extra call; a Body or SpecBody loop calls its
-// body directly.
+// structure around it is unchanged. The paired routine always runs the
+// closures: one compiled Scan loop cannot interleave two chains, and at
+// the latency that makes pairing pay the calls cost nothing. The
+// fallible forms ride the infallible loops: blockOf wraps BodyErr or
+// SpecBodyErr in a closure that panics with a bodyFailure on an error,
+// and the routine's recovery returns that failure's state and error as
+// they are. Only a fallible loop pays the extra call; a Body or SpecBody
+// loop calls its body directly.
 //
 // Whether a block hunts its successor's predicted start (membership
 // validation — every chunk with a successor) or not (the chain's last
@@ -74,21 +85,32 @@ const (
 // and why it stopped. stop means nothing unless hunt is set.
 type blockFn[S comparable, A any] func(v *CellView, s S, acc A, stop S, hunt bool, n int64) (S, A, int64, blockStop, error)
 
-// blockOf returns the block routine of a validated loop.
-func blockOf[S comparable, A any](l *Loop[S, A]) blockFn[S, A] {
+// pairFn steps the two chains of a paired slot in lockstep, up to n
+// iterations each, from p[0].s and p[1].s, until the block is filled or
+// either chain stops. It leaves each lane's state, accumulator,
+// started-iteration count (k) and stop (why, err) in the lane; the chain
+// the other's stop cut short reports blockFilled, at an exact count.
+type pairFn[S comparable, A any] func(p *[2]lane[S, A], n int64)
+
+// blockOf returns the block routine of a validated loop, and the paired
+// routine of a DOALL one (nil for a spec body: DOACROSS slots carry one
+// chunk, since each chunk needs a CellView of its own).
+func blockOf[S comparable, A any](l *Loop[S, A]) (blockFn[S, A], pairFn[S, A]) {
 	var ref blockFn[S, A] // the reference form: Done / body / Next, one call each per iteration
+	var pair pairFn[S, A]
 	switch {
 	case l.Body != nil:
-		ref = blockBody(l.Done, l.Next, l.Body)
+		ref, pair = blockBody(l.Done, l.Next, l.Body), blockPair(l.Done, l.Next, l.Body)
 	case l.BodyErr != nil:
-		body := l.BodyErr
-		ref = blockBody(l.Done, l.Next, func(s S, acc A) A {
-			acc, err := body(s, acc)
+		bodyErr := l.BodyErr
+		body := func(s S, acc A) A {
+			acc, err := bodyErr(s, acc)
 			if err != nil {
 				panic(bodyFailure[S]{s, err})
 			}
 			return acc
-		})
+		}
+		ref, pair = blockBody(l.Done, l.Next, body), blockPair(l.Done, l.Next, body)
 	case l.SpecBody != nil:
 		ref = blockSpecBody(l.Done, l.Next, l.SpecBody)
 	default:
@@ -102,9 +124,9 @@ func blockOf[S comparable, A any](l *Loop[S, A]) blockFn[S, A] {
 		})
 	}
 	if l.Scan != nil {
-		return blockScan(l.Done, l.Scan, ref)
+		return blockScan(l.Done, l.Scan, ref), pair
 	}
-	return ref
+	return ref, pair
 }
 
 // bodyFailure is the panic by which a fallible body's error leaves an
@@ -144,6 +166,61 @@ func blockBody[S comparable, A any](done func(S) bool, next func(S) S, body func
 			s = next(s)
 		}
 		return s, acc, k, blockFilled, nil
+	}
+}
+
+// blockPair is the paired routine of a loop with an infallible Body:
+// each step runs one iteration of the first chain, then one of the
+// second — Done, the match test and Body/Next, as blockBody does — so
+// the second chain's load is issued while the first one's misses. A
+// chain that stops returns both at once: its partner has started as
+// many iterations, or one fewer.
+//
+// Panic containment is per chain. on names the lane whose callback is
+// running, and the states, accumulators and counts live in variables
+// the recovering defer writes back, so the chain that panicked reports
+// its started iterations exactly, as blockBody does, and its partner its
+// exact state to go on from alone.
+func blockPair[S comparable, A any](done func(S) bool, next func(S) S, body func(S, A) A) pairFn[S, A] {
+	return func(p *[2]lane[S, A], n int64) {
+		x, y := &p[0], &p[1]
+		a, b, accA, accB := x.s, y.s, x.acc, y.acc
+		stopA, stopB, huntA, huntB := x.stop, y.stop, x.hunt, y.hunt
+		var ka, kb int64
+		on := x
+		x.why, x.err, y.why, y.err = blockFilled, nil, blockFilled, nil
+		defer func() {
+			x.s, x.acc, x.k, y.s, y.acc, y.k = a, accA, ka, b, accB, kb
+			if v := recover(); v != nil {
+				on.s, on.why, on.err = failed(v, on.s)
+			}
+		}()
+		for ka < n {
+			on = x
+			if done(a) {
+				x.why = blockDone
+				return
+			}
+			if a == stopA && huntA {
+				x.why = blockMatched
+				return
+			}
+			ka++
+			accA = body(a, accA)
+			a = next(a)
+			on = y
+			if done(b) {
+				y.why = blockDone
+				return
+			}
+			if b == stopB && huntB {
+				y.why = blockMatched
+				return
+			}
+			kb++
+			accB = body(b, accB)
+			b = next(b)
+		}
 	}
 }
 

@@ -113,7 +113,7 @@ func TestBlockFormsAgree(t *testing.T) {
 	for _, f := range forms {
 		l := loop()
 		f.set(&l)
-		block := blockOf(&l)
+		block, _ := blockOf(&l)
 		for _, b := range blocks {
 			ws, wacc, wk, wstop := want(b.start, 7, b.stop, b.hunt, b.n)
 			if wstop != b.stops {

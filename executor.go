@@ -181,6 +181,10 @@ type Executor struct {
 	// hosts — parking immediately hands the processor to submitters, and
 	// leases are ignored).
 	spin bool
+	// procs is that effective GOMAXPROCS: the processors the slots of a
+	// round can run on at once (a round wider than that timeslices them,
+	// and its clock reads say nothing about the loop; pairing).
+	procs int
 	// faults is the chaos-testing injection plane, fixed at construction
 	// (workers read it without synchronization, so it must never change
 	// while they run). Nil in production: NewExecutor always builds a
@@ -334,9 +338,11 @@ func newExecutor(workers int, plane *faults.Plane) *Executor {
 	if workers < 1 {
 		workers = 1
 	}
+	procs := runtime.GOMAXPROCS(0)
 	e := &Executor{
 		shards: make([]shard, workers),
-		spin:   runtime.GOMAXPROCS(0) > 1,
+		spin:   procs > 1,
+		procs:  procs,
 		faults: plane,
 	}
 	for i := range e.shards {

@@ -18,7 +18,8 @@ import (
 // regime, asserting every invocation equals the sequential oracle with
 // adaptive mode both on and off — and, each of those, with the loop's
 // block form (Loop.Scan) set and stripped, which must leave every
-// counter where it was.
+// counter where it was. pattern also picks one or two chunks per slot
+// (Config.depth).
 func FuzzRunnerOracle(f *testing.F) {
 	f.Add(int64(1), uint16(100), uint8(4), uint8(0), uint16(0))
 	f.Add(int64(2), uint16(300), uint8(2), uint8(1), uint16(64))
@@ -28,7 +29,8 @@ func FuzzRunnerOracle(f *testing.F) {
 		patterns := []string{"predictable", "drifting", "adversarial"}
 		for _, adaptive := range []bool{false, true} {
 			mcase{build: oracleList(seed, int(size%1024)+1), edit: regime(patterns[int(pattern)%len(patterns)]),
-				threads: int(threads%8) + 1, adaptive: adaptive, maxSpec: int64(maxSpec), probe: 2, invs: 6}.twin(t)
+				threads: int(threads%8) + 1, adaptive: adaptive, maxSpec: int64(maxSpec), probe: 2, invs: 6,
+				depth: 1 + int(pattern)/len(patterns)%2}.twin(t)
 		}
 	})
 }

@@ -13,7 +13,8 @@ package spice
 //   - one oracle (gen.oracle): the sequential loop over the structure as
 //     its links stand, with a shadow array for cells and reductions;
 //   - one driver (mcase.run): a case's invocations along the axes loop
-//     form, front door, width, regime, Adaptive, cap and cell regime,
+//     form, front door, width, chunks per slot (depth), regime,
+//     Adaptive, cap and cell regime,
 //     asserting every result, every cell and the accounting identities
 //     (checkConservation) after each, and returning the counters.
 //
@@ -638,13 +639,14 @@ type mcase struct {
 	adaptive bool
 	maxSpec  int64 // Config.maxSpec (0: the derived cap)
 	probe    int   // Config.probeEvery (0: the derived interval)
+	depth    int   // Config.depth: 1 or 2 chunks per slot (0: the derived depth)
 	invs     int   // invocations, or waves of them for "batch" and "submit"
 	wave     int   // invocations per wave ("batch" and "submit"; plain loops only)
 	edit     func(g *gen, inv int)
 }
 
 func (c mcase) String() string {
-	return fmt.Sprintf("%s t%d cap%d adaptive=%v scan=%v", cmp.Or(c.door, "runner"), c.threads, c.maxSpec, c.adaptive, c.scan)
+	return fmt.Sprintf("%s t%d cap%d adaptive=%v scan=%v depth=%d", cmp.Or(c.door, "runner"), c.threads, c.maxSpec, c.adaptive, c.scan, c.depth)
 }
 
 // run drives the case through a door it opens and closes. After every
@@ -656,7 +658,7 @@ func (c mcase) String() string {
 func (c mcase) run(t testing.TB) []Stats {
 	t.Helper()
 	ctx, g := context.Background(), c.build()
-	cfg := Config{Threads: c.threads, Options: Options{Adaptive: c.adaptive}, maxSpec: c.maxSpec, probeEvery: c.probe}
+	cfg := Config{Threads: c.threads, Options: Options{Adaptive: c.adaptive}, maxSpec: c.maxSpec, probeEvery: c.probe, depth: c.depth}
 	var d door
 	var p *Pool[*mnode, tally]
 	if c.door == "" {
@@ -835,18 +837,23 @@ func busy(works []int64) (n int) {
 // checkConservation fails t unless st satisfies every accounting
 // identity, whatever the speculation, conflict or fault regime behind
 // it: a conflict squash is a squash, a reclaim is a verdict, no round
-// judges more chunks than it dispatches (threads − 1), conflict
-// iterations need a conflict, and width 1 speculates on nothing.
+// judges more chunks than it dispatches (2·threads − 1 when its slots
+// carry two chunks, threads − 1 otherwise), a paired round is a round,
+// conflict iterations need a conflict, and width 1 speculates on
+// nothing.
 func checkConservation(t testing.TB, st Stats, threads int) {
 	t.Helper()
+	rounds := st.Invocations + st.Recoveries
 	switch spec := int64(threads - 1); {
+	case st.PairedRounds > rounds:
+		t.Fatalf("PairedRounds %d > Invocations %d + Recoveries %d", st.PairedRounds, st.Invocations, st.Recoveries)
+	case st.Hits+st.Misses > rounds*spec+st.PairedRounds*int64(threads):
+		t.Fatalf("Hits %d + Misses %d > (Invocations %d + Recoveries %d) × %d + PairedRounds %d × %d",
+			st.Hits, st.Misses, st.Invocations, st.Recoveries, spec, st.PairedRounds, threads)
 	case st.ConflictIters > st.SquashedIters:
 		t.Fatalf("ConflictIters %d > SquashedIters %d", st.ConflictIters, st.SquashedIters)
 	case st.Reclaimed > st.Hits+st.Misses:
 		t.Fatalf("Reclaimed %d > Hits %d + Misses %d", st.Reclaimed, st.Hits, st.Misses)
-	case st.Hits+st.Misses > (st.Invocations+st.Recoveries)*spec:
-		t.Fatalf("Hits %d + Misses %d > (Invocations %d + Recoveries %d) × %d",
-			st.Hits, st.Misses, st.Invocations, st.Recoveries, spec)
 	case st.Conflicts == 0 && st.ConflictIters != 0:
 		t.Fatalf("ConflictIters %d with no conflict", st.ConflictIters)
 	case spec == 0 && st.Conflicts != 0:
@@ -856,14 +863,20 @@ func checkConservation(t testing.TB, st Stats, threads int) {
 
 // statsLine formats every Stats field that repeats exactly from run to
 // run — all of them except Reclaimed, which counts chunks the invoker
-// won from a late worker and so depends on the Go scheduler.
+// won from a late worker and so depends on the Go scheduler. PairedRounds
+// is written only when rounds were paired, so a depth-1 line reads as it
+// did before the counter existed (pinnedRounds hashes these lines).
 func statsLine(st Stats) string {
-	return fmt.Sprintf("inv=%d mis=%d sq=%d tail=%d tot=%d rec=%d rch=%d hit=%d miss=%d "+
+	line := fmt.Sprintf("inv=%d mis=%d sq=%d tail=%d tot=%d rec=%d rch=%d hit=%d miss=%d "+
 		"conf=%d ci=%d sf=%d shed=%d ret=%d eff=%d works=%v",
 		st.Invocations, st.MisspecInvocations, st.SquashedIters, st.TailIters, st.TotalIters,
 		st.Recoveries, st.RecoveryChunks, st.Hits, st.Misses,
 		st.Conflicts, st.ConflictIters, st.SequentialFallbacks, st.BatchSheds, st.RunnersRetired,
 		st.EffectiveThreads, st.LastWorks)
+	if st.PairedRounds > 0 {
+		line += fmt.Sprintf(" paired=%d", st.PairedRounds)
+	}
+	return line
 }
 
 // --- Plumbing ---------------------------------------------------------

@@ -422,7 +422,7 @@ func TestSharedExecutorContentionBounded(t *testing.T) {
 	}
 	mk := func(seed int64) side {
 		l := testList(size, seed)
-		r := newRunner(t, plainLoop(), Config{Threads: 2, Executor: e})
+		r := newRunner(t, plainLoop(), Config{Threads: 2, Executor: e, depth: 1})
 		l.warm(t, r, 3) // warm memoization and runner state
 		return side{r, l.head, l.oracle()}
 	}

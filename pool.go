@@ -474,7 +474,7 @@ func (p *Pool[S, A]) Stats() Stats {
 	// closing last must not make the whole pool scrape as sequential on
 	// /metrics while full-width runners sit idle).
 	s.EffectiveThreads = int64(p.cfg.Threads)
-	s.addCounters(p.retired, 1) // retired runners' history survives them
+	s.addCounters(&p.retired, 1) // retired runners' history survives them
 	s.RunnersRetired = p.retiredCount
 	var maxEff int64
 	for _, r := range p.all {

@@ -70,7 +70,10 @@ type memo[S comparable] struct {
 // Pool gives every in-flight invocation its own runner (and therefore
 // predictor), so no internal locking is needed.
 type predictor[S comparable] struct {
-	threads int
+	// parts is the number of chunks the boundaries split the last trip
+	// count into: the runner's width, or twice it while its slots carry
+	// two chunks each (regrid). rows holds parts-1 entries.
+	parts int
 
 	rows []row[S]
 	// prevTotal is the last invocation's total committed trip count —
@@ -80,11 +83,14 @@ type predictor[S comparable] struct {
 	scratch []row[S] // next-generation rows built during apply
 }
 
+// newPredictor sizes both row buffers for the finer of the two grids a
+// width-threads runner plans on (2·threads parts), so regrid never
+// allocates.
 func newPredictor[S comparable](threads int) *predictor[S] {
 	return &predictor[S]{
-		threads: threads,
-		rows:    make([]row[S], threads-1),
-		scratch: make([]row[S], threads-1),
+		parts:   threads,
+		rows:    make([]row[S], threads-1, 2*threads-1),
+		scratch: make([]row[S], threads-1, 2*threads-1),
 	}
 }
 
@@ -95,9 +101,48 @@ func newPredictor[S comparable](threads int) *predictor[S] {
 // invocation's rows, whose node states would otherwise pin the finished
 // session's structure while the runner sits parked in a Pool free list.
 func (p *predictor[S]) reset() {
-	clear(p.rows)
-	clear(p.scratch)
+	clear(p.rows[:cap(p.rows)])
+	clear(p.scratch[:cap(p.scratch)])
 	p.prevTotal = 0
+}
+
+// regrid moves the rows onto a grid of parts chunks, twice or half the
+// current one, between invocations. Boundary k of a grid of P parts is
+// boundary 2k of one of 2P (prevTotal·k/P = prevTotal·2k/2P exactly),
+// so every row the coarser grid has keeps its state and its boundary;
+// the finer grid's rows in between start invalid and are memoized by the
+// next invocation's plan.
+func (p *predictor[S]) regrid(parts int) {
+	if parts == p.parts {
+		return
+	}
+	p.rows = regridded(p.rows, p.parts, parts, row[S]{})
+	clear(p.scratch[:cap(p.scratch)])
+	p.scratch = p.scratch[:parts-1]
+	p.parts = parts
+}
+
+// regridded re-indexes xs, one entry per inner boundary of a grid of
+// from parts, onto a grid of to parts, where one of the two is twice the
+// other, in place within xs's capacity: entry k-1 of the coarser grid is
+// entry 2k-1 of the finer one. Entries new to the finer grid get fill;
+// entries the coarser grid drops are zeroed.
+func regridded[T any](xs []T, from, to int, fill T) []T {
+	if to < from {
+		for k := 1; k < to; k++ {
+			xs[k-1] = xs[2*k-1]
+		}
+		clear(xs[to-1:])
+		return xs[:to-1]
+	}
+	xs = xs[:to-1]
+	for k := from - 1; k >= 1; k-- {
+		xs[2*k-1] = xs[k-1]
+	}
+	for i := 0; i < len(xs); i += 2 {
+		xs[i] = fill
+	}
+	return xs
 }
 
 // havePredictions reports whether any chunk start is predicted.
@@ -118,8 +163,8 @@ func (p *predictor[S]) planFromPosition(pos int64, buf []planEntry) []planEntry 
 	if p.prevTotal <= 0 {
 		return buf
 	}
-	for k := 1; k < p.threads; k++ {
-		boundary := p.prevTotal * int64(k) / int64(p.threads)
+	for k := 1; k < p.parts; k++ {
+		boundary := p.prevTotal * int64(k) / int64(p.parts)
 		if boundary <= 0 || boundary <= pos {
 			continue
 		}
@@ -156,8 +201,8 @@ var bootPlan = func() []planEntry {
 // chunk — and a boundary with no candidate left gets no row.
 func (p *predictor[S]) promote(total int64, memos []memo[S]) []memo[S] {
 	out, from := memos[:0], 0
-	for k := 1; k < p.threads && from < len(memos); k++ {
-		boundary := total * int64(k) / int64(p.threads)
+	for k := 1; k < p.parts && from < len(memos); k++ {
+		boundary := total * int64(k) / int64(p.parts)
 		dist := func(ci int) int64 { return max(memos[ci].pos-boundary, boundary-memos[ci].pos) }
 		best := from
 		for ci := from + 1; ci < len(memos); ci++ {

@@ -59,7 +59,11 @@ func pinnedEdit(g *gen, inv int) {
 // block form set (Loop.Scan), which must agree counter for counter
 // (mcase.twin): the block form moves no counter of any invocation. A
 // change that means to move a counter re-captures the table from the
-// failure output and says which counters moved and why.
+// failure output and says which counters moved and why. The list
+// scenarios pin one chunk per slot (Config.depth); their paired/
+// subtests run the same scripts with two, where every invocation must
+// still equal the oracle, conserve, and agree across the two loop forms,
+// at widths 2 to 4.
 func TestRoundCountersPinned(t *testing.T) {
 	var kinds roundKinds
 	ran := map[string]string{} // scenario -> its snapshots, one a line
@@ -75,9 +79,19 @@ func TestRoundCountersPinned(t *testing.T) {
 	for _, threads := range []int{2, 3, 4, 8} {
 		for _, maxSpec := range []int64{0, 50, 600} {
 			for _, adaptive := range []bool{false, true} {
-				pin(fmt.Sprintf("list/t%d/cap%d/adaptive=%v", threads, maxSpec, adaptive), mcase{
+				c := mcase{
 					build: func() *gen { return testList(300, 31) }, edit: pinnedEdit,
-					threads: threads, adaptive: adaptive, maxSpec: maxSpec, probe: 2, invs: 14,
+					threads: threads, adaptive: adaptive, maxSpec: maxSpec, probe: 2, invs: 14, depth: 1,
+				}
+				pin(fmt.Sprintf("list/t%d/cap%d/adaptive=%v", threads, maxSpec, adaptive), c)
+				if threads > 4 {
+					continue
+				}
+				c.depth = 2
+				t.Run(fmt.Sprintf("paired/list/t%d/cap%d/adaptive=%v", threads, maxSpec, adaptive), func(t *testing.T) {
+					if st := final(c.twin(t)); st.PairedRounds == 0 {
+						t.Fatal("no round was paired")
+					}
 				})
 			}
 		}

@@ -23,6 +23,7 @@ import (
 type Runner[S comparable, A any] struct {
 	loop     Loop[S, A]
 	block    blockFn[S, A] // the loop's block routine (blockOf), behind every traversal
+	pair     pairFn[S, A]  // the paired routine of a DOALL loop (blockOf), behind paired slots
 	cfg      Config
 	pred     *predictor[S]
 	sched    *scheduler[S, A]
@@ -56,6 +57,9 @@ type Runner[S comparable, A any] struct {
 	// predictor — a Pool hands each in-flight invocation its own
 	// runner.
 	ctrl *specController
+	// pairing decides how many chunks a dispatch slot carries (adaptive.go);
+	// pinned to 1 unless the loop is DOALL and the runner at least width 2.
+	pairing pairing
 
 	// cells is the DOACROSS cell store invocations run against:
 	// Loop.Cells unless overridden by BindCells (a Pool binds per
@@ -84,7 +88,7 @@ type runnerStats struct {
 // clears the delta for the next invocation.
 func (st *runnerStats) publish(d *Stats, works []int64, worksDirty bool) {
 	st.mu.Lock()
-	st.total.addCounters(*d, 1)
+	st.total.addCounters(d, 1)
 	if worksDirty {
 		st.total.LastWorks = append(st.total.LastWorks[:0], works...)
 	}
@@ -97,7 +101,7 @@ func (st *runnerStats) publish(d *Stats, works []int64, worksDirty bool) {
 // from the relevant runner.
 func (st *runnerStats) addInto(s *Stats) {
 	st.mu.Lock()
-	s.addCounters(st.total, 1)
+	s.addCounters(&st.total, 1)
 	st.mu.Unlock()
 }
 
@@ -217,7 +221,7 @@ func (r *Runner[S, A]) runInvocation(ctx context.Context, start S, loadAware boo
 			r.stats.effectiveThreads.Store(int64(eff))
 			if predicted = r.pred.havePredictions(); predicted {
 				if eff > 1 {
-					n = r.sched.planDispatch(r, eff, probe)
+					n = r.sched.planDispatch(r, eff*r.pairing.depth, probe)
 				}
 				if n == 1 && r.ctrl != nil {
 					r.pend.SequentialFallbacks++
@@ -227,7 +231,7 @@ func (r *Runner[S, A]) runInvocation(ctx context.Context, start S, loadAware boo
 	}
 
 	c0 := r.pend.Conflicts
-	acc, misspec, err := r.sched.run(r, ctx, start, n, probe)
+	acc, misspec, err := r.sched.run(r, ctx, start, n, eff, probe)
 
 	// Only contained panics (*PanicError, including wrapped batch-item
 	// forms) advance the streak behind Pool quarantine; a panic that
@@ -310,6 +314,8 @@ func (r *Runner[S, A]) reset() {
 	if r.ctrl != nil {
 		r.ctrl.Reset()
 	}
+	r.pairing.reset()
+	r.regrid()
 	// The scheduler's full slot set: the per-invocation release
 	// covers only the last round's width, while a session handoff must
 	// scrub memo buffers and any wider slots a later round dirtied long
@@ -319,6 +325,21 @@ func (r *Runner[S, A]) reset() {
 	// BindCells must not leak into the next session.
 	r.cells = r.loop.Cells
 	r.stats.effectiveThreads.Store(int64(r.cfg.Threads))
+}
+
+// regrid puts the predictor's rows, and the confidence scores with them,
+// on the grid of the pairing depth: Threads parts, or 2·Threads while
+// slots carry two chunks (predictor.regrid). Depth 1 keeps the coarser
+// grid rather than thinning the finer one in planDispatch: there the
+// rows between its boundaries would never be dispatched, so never get a
+// verdict, and would keep the neutral confidence score that lets them
+// through the gate in place of the rows it closed.
+func (r *Runner[S, A]) regrid() {
+	from, to := r.pred.parts, r.cfg.Threads*r.pairing.depth
+	r.pred.regrid(to)
+	if r.ctrl != nil && from != to {
+		r.ctrl.conf.regrid(from, to)
+	}
 }
 
 // BindCells binds the DOACROSS cell store subsequent invocations run

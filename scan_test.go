@@ -44,7 +44,7 @@ func hookedScan(hook func(n *mnode, a tally, k, lim int64) (*mnode, tally, int64
 func squashedTrap(t *testing.T, loop Loop[*mnode, tally], armed *atomic.Bool, at *atomic.Pointer[mnode]) {
 	t.Helper()
 	g, ns := blockList(40_000)
-	r := newRunner(t, loop, Config{Threads: 4})
+	r := newRunner(t, loop, Config{Threads: 4, depth: 1})
 	r.MustRun(g.head)
 	ns[16383].next = ns[16390]
 	at.Store(ns[16386])
@@ -128,7 +128,7 @@ func TestScanContractBreaks(t *testing.T) {
 			for _, node := range []int{100, 39_000} {
 				t.Run(fmt.Sprintf("%s/t%d/node%d", br.name, threads, node), func(t *testing.T) {
 					g, ns := blockList(40_000)
-					r := newRunner(t, loop, Config{Threads: threads})
+					r := newRunner(t, loop, Config{Threads: threads, depth: 1})
 					g.exact(t, r) // bootstrap
 					at.Store(ns[node])
 					armed.Store(true)

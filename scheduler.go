@@ -12,10 +12,10 @@ import (
 // rounds (scheduler.run), and a round is a value (round, s.rd) that
 // these steps, one method each, hand one another:
 //
-//   - begin: open the invocation at round 0, slot 0 at (start, 0);
-//   - seed: arm slot 0 at the live position and one speculative slot
-//     per row of the round's chain (s.chain);
-//   - dispatch: launch and join them;
+//   - begin: open the invocation at round 0, chunk 0 at (start, 0);
+//   - seed: arm chunk 0 at the live position and one speculative chunk
+//     per row of the round's chain (s.chain), on the round's slots;
+//   - dispatch: launch and join the slots;
 //   - walk: walk the validation chain once — commit the prefix;
 //   - land: land the committed DOACROSS views, close the round;
 //   - squash: count what the walk discarded;
@@ -24,12 +24,23 @@ import (
 //     conflict, find the position and chain of the next round;
 //   - finish: charge the tail, install the memoizations.
 //
+// Chunks and slots. A chunk is one link of the round's validation
+// chain: a start, a successor's predicted start to hunt, a plan, a
+// result, a verdict. A dispatch slot is one executor task (chunkJob)
+// with one claim word, at most one queue entry and one latch count, and
+// one LastWorks entry. A slot carries one chunk, or two when the runner
+// pairs (pairing, adaptive.go: a DOALL traversal that waits on memory):
+// round.layout puts chunks 2i and 2i+1 on slot i for the first n-width
+// slots, so a round of W slots commits up to 2W chunks, and the walk,
+// squash and verdicts go chunk by chunk as they always did. DOACROSS
+// slots always carry one chunk: each chunk needs a CellView of its own.
+//
 // A round of one (a width-1 runner, a shed batch item, no row predicted
 // or admitted, or the tail behind a capped last chunk) is slot 0 alone
-// on the invoking goroutine: that is the sequential path, through the
-// same chunkJob.exec, and there is no other. Nothing runs beside it, so
-// it touches no executor, reads no clock, and a DOACROSS loop's view is
-// direct (cells.go).
+// on the invoking goroutine, carrying chunk 0 alone: that is the
+// sequential path, through the same chunkJob.exec, and there is no
+// other. Nothing runs beside it, so it touches no executor, reads no
+// clock, and a DOACROSS loop's view is direct (cells.go).
 //
 // The scheduler owns every per-invocation buffer (chunk results, jobs,
 // plans, works, memos) and reuses them across rounds and invocations,
@@ -45,32 +56,33 @@ import (
 // insight), so a chunk with a successor hunts its predicted start inside
 // every block, and only the chain's last chunk and a round of one hunt
 // nothing. Inside a block the loop touches only register-resident
-// locals; the shared result struct is written exactly once, when the
-// chunk finishes (and, for the iteration count, by the panic-recovery
-// paths). Spills happen at three places only:
+// locals (a paired block: the two chains' states, in its own frame);
+// the shared result struct is written exactly once, when the chunk
+// finishes. Spills happen at three places only:
 //
-//   - block boundaries: the driver's local `work` counter advances by
-//     the block's returned count and all slow-path bookkeeping (polls,
-//     plan captures, cap) runs against it;
+//   - block boundaries: the lane's `work` counter (lane, the driver's
+//     per-chunk state in the slot) advances by the block's returned
+//     count and all slow-path bookkeeping (polls, plan captures, cap)
+//     runs against it;
 //   - chunk exit: work/acc/matched/capped/endState/err spill to the
-//     result struct in one shot, so concurrent workers never share
-//     result cache lines mid-traversal;
+//     result struct in one shot (lane.close), so concurrent workers
+//     never share result cache lines mid-traversal;
 //   - panic recovery: each block routine keeps its started-iteration
-//     count in a named result its recovery defer can reach, so a chunk
-//     that panics mid-block still reports an exact count and squash
-//     accounting stays exact to the iteration (the outer driver defer
-//     then spills that count). A loop's own block form (Loop.Scan)
+//     counts where its recovery defer can reach them, so a chunk that
+//     panics mid-block still reports an exact count — and a paired
+//     chunk's partner its exact state — and squash accounting stays
+//     exact to the iteration. A loop's own block form (Loop.Scan)
 //     reports its count only by returning, so there the count is exact
 //     to the block boundary.
 //
 // Chunk 0 — the non-speculative chunk whose start is architecturally
-// correct — runs inline on the invoking goroutine instead of round-
-// tripping through the executor: the speculative chunks are submitted
-// first, then the caller executes chunk 0 itself and joins the round
-// on the completion latch. This removes a submit/park/wake handoff per
+// correct — runs inline on the invoking goroutine, in slot 0, instead
+// of round-tripping through the executor: the other slots are submitted
+// first, then the caller executes slot 0 itself and joins the round on
+// the completion latch. This removes a submit/park/wake handoff per
 // invocation and leaves every executor worker for speculative chunks;
 // abort-barrier, ctx-poll and panic-containment semantics are
-// unchanged because chunk 0 runs the same chunkJob.exec.
+// unchanged because slot 0 runs the same chunkJob.exec.
 //
 // dispatch is the invoker's side of the handoff protocol in the
 // executor.go header: offer each slot through its claim word (claimWord
@@ -79,9 +91,11 @@ import (
 // as long as the invoker's own share just took, then park), and publish
 // the workers' lease from the measured gap between rounds. The round
 // ends in land, when the chain walk has landed its results.
-// The clock is read four times per round that has speculative chunks —
-// at dispatch, after the invoker's own share, at the latch release, at
-// the end of the walk — and never in a round of one.
+// The clock is read four times per round with more than one slot — at
+// dispatch, after the invoker's own share, at the latch release, at the
+// end of the walk — however many chunks the slots carry, and never in a
+// round of one. The pairing policy reads round 0's first, second and
+// fourth reads (finish) and takes none of its own.
 //
 // Cache-line layout invariants (the multicore contract of this file):
 //
@@ -91,16 +105,17 @@ import (
 //     ctxPollEvery iterations). Each owns a cache line in the scheduler
 //     struct below; nothing else in the struct is written while chunks
 //     run.
-//   - chunkResult slots are written by exactly one worker each, in one
-//     shot at chunk exit — but neighbouring chunks exit within
-//     microseconds of each other on a balanced plan, so the slots are
-//     padded apart (chunkResult's trailing pad): two workers' exit
-//     stores never contend for a line.
+//   - chunkResults are written by exactly one worker each, in one shot
+//     at chunk exit — but neighbouring chunks exit within microseconds
+//     of each other on a balanced plan, so the results are padded apart
+//     (chunkResult's trailing pad): two workers' exit stores never
+//     contend for a line.
 //   - What a chunkJob's phase reads is written only by the invoker,
-//     before it arms the slot (dispatch for the chunk, landCells for
-//     the copy-out), and is read-only while the phase runs, apart from
-//     one compare-and-swap on the claim word per contender;
-//     read-sharing is free, so jobs carry no padding.
+//     before it arms the slot (seed and dispatch for the chunks,
+//     landCells for the copy-out), and is read-only while the phase
+//     runs, apart from one compare-and-swap on the claim word per
+//     contender and the lanes' driver state, which only the claimant
+//     writes, once per block; so jobs carry no padding.
 //   - works/memos/plans/chain/rd/used/lease are touched only by the
 //     invoking goroutine, strictly outside the window in which workers
 //     run (dispatch before, chain resolution after the latch wait) —
@@ -136,22 +151,21 @@ type chunkResult[S comparable, A any] struct {
 }
 
 // chunkJob is a preallocated executor task: one dispatch slot of one
-// invocation. A slot runs in two phases, one claim each: its chunk
+// invocation. A slot runs in two phases, one claim each: its chunks
 // (exec), offered by dispatch, and in a DOACROSS round the copy-out of
 // its view (copy), offered by landCells once the walk has committed the
-// chunk. r, res, lat and idx are wired once at scheduler construction;
-// seed sets the remaining fields, and the result's, every round.
+// chunk. A slot carries one chunk of the round's validation chain, or
+// two (width 2) when the runner pairs; each chunk is a lane. r, lat and
+// idx are wired once at scheduler construction; seed sets the remaining
+// fields, and the lanes' inputs and results, every round.
 type chunkJob[S comparable, A any] struct {
-	r      *Runner[S, A]
-	res    *chunkResult[S, A]
-	lat    *latch
-	idx    int // dispatch slot: position in the round's validation chain (> 0: the start is predicted)
-	ctx    context.Context
-	start  S
-	snap   *row[S] // successor's predicted start (nil: run to the end)
-	ownRow int     // SVA row this chunk's own backstop targets (-1: none)
-	plan   []planEntry
-	cap    int64 // speculative iteration cap
+	r     *Runner[S, A]
+	lat   *latch
+	idx   int // dispatch slot: at width 1 also its chunk's position in the chain
+	ctx   context.Context
+	cap   int64 // speculative iteration cap
+	width int   // chunks this round: lanes[:width]
+	lanes [2]lane[S, A]
 
 	claimWord // armed by dispatch after every other field of the round is in place
 	// copying names the armed phase: false for the chunk, true for the
@@ -162,6 +176,38 @@ type chunkJob[S comparable, A any] struct {
 	// the committed view stored to any cell (the walk), and whether this
 	// round offered its copy (landCells).
 	reclaimed, wrote, offered bool
+}
+
+// lane is one chunk of a slot: what seed arms it with, then the driver's
+// state while it runs (chunkJob.exec), which is also the paired
+// routine's input and output (pairFn). Only the slot's claimant touches
+// the driver state; the chunk's result struct is written once, at its
+// exit (close).
+type lane[S comparable, A any] struct {
+	res    *chunkResult[S, A]
+	idx    int // the chunk's position in the round's validation chain (> 0: the start is predicted)
+	start  S
+	snap   *row[S] // successor's predicted start (nil: run to the end)
+	ownRow int     // SVA row this chunk's own backstop targets (-1: none)
+	plan   []planEntry
+
+	s, stop S // the state reached; the successor's predicted start (hunt)
+	acc     A
+	hunt    bool
+	live    bool  // the chunk has not stopped
+	work    int64 // iterations completed as of the last block boundary
+	capAt   int64
+	// nextPoll is the count of the next ctx/abort poll; cursor the next
+	// plan entry, which fires no earlier than minPlanAt.
+	nextPoll, minPlanAt int64
+	cursor              int
+	ownDone             bool // the plan already captured ownRow
+	matched, capped     bool
+	err                 error
+	// The paired routine's report of the last block: iterations started
+	// and why it stopped.
+	k   int64
+	why blockStop
 }
 
 const claimArmed = 1
@@ -238,196 +284,215 @@ func (j *chunkJob[S, A]) copy() {
 	j.r.sched.views[j.idx].copyOut()
 }
 
-// exec executes one chunk: the paper's per-thread loop with work
-// counting, threshold-driven memoization, and mis-speculation detection
-// against the successor's predicted start — restructured into bounded
-// blocks handed to the runner's block routine (Runner.block, picked
-// from the loop's body form when the runner was built: blockloop.go),
-// so the per-iteration body carries no mode branches; every ctxPollEvery
-// iterations a block boundary polls the invocation context and the
-// scheduler's abort barrier, keeping slow-path overhead amortized.
-// The caller holds the slot's claim (or runs chunk 0, which is never
-// submitted), so exec runs exactly once per armed slot per round and
-// signals the latch exactly once.
+// exec executes the slot's chunks: the paper's per-thread loop with
+// work counting, threshold-driven memoization, and mis-speculation
+// detection against the successor's predicted start — restructured into
+// bounded blocks handed to the runner's block routine (Runner.block,
+// picked from the loop's body form when the runner was built:
+// blockloop.go), so the per-iteration body carries no mode branches;
+// every ctxPollEvery iterations a block boundary polls the invocation
+// context and the scheduler's abort barrier, keeping slow-path overhead
+// amortized. A paired slot drives its two lanes through the paired
+// routine (Runner.pair) with one block bound for both, the nearer of
+// their next events, until one stops; the other goes on alone. Plan
+// cursor, cap, match and failure are per lane. The caller holds the
+// slot's claim (or runs slot 0, which is never submitted), so exec runs
+// exactly once per armed slot per round and signals the latch exactly
+// once.
 //
-// exec is the panic-containment boundary of the executor layer: a body
-// panicking on a worker goroutine (e.g. a corrupted prediction
-// dereferencing freed state) is recovered — inside the block routine
-// for loop callbacks, by the backstop defer here for Init and boundary
-// Done calls — and recorded as a *PanicError, so the process survives
-// and the chain resolution decides whether the failure is
-// architectural (surfaces from Run) or speculative (squashed).
+// exec is the panic-containment boundary of the executor layer: a
+// callback panicking on a worker goroutine (e.g. a corrupted prediction
+// dereferencing freed state) is recovered where it is called — inside
+// the block routines for the loop's callbacks, and by startChunk and
+// doneAt for Init, the fault site and boundary Done calls — and recorded
+// as its own chunk's *PanicError, so the process survives, a paired
+// chunk's partner goes on, and the chain resolution decides whether the
+// failure is architectural (surfaces from Run) or speculative
+// (squashed).
 func (j *chunkJob[S, A]) exec() {
 	defer j.lat.done()
-	r := j.r
-	sched := r.sched
-	res := j.res
-	// work counts completed iterations as of the last block boundary;
-	// the backstop defer below can reach it, and the block routine keeps
-	// its own intra-block count exact (see blockloop.go), so squash
-	// accounting for panicked chunks is exact.
-	var work int64
-	defer func() {
-		if v := recover(); v != nil {
-			res.work = work
-			res.matched = false
-			res.capped = false
-			res.err = newPanicError(v)
-			sched.abortAfter(j.idx)
+	var view *CellView
+	if j.r.loop.speculative() {
+		// DOACROSS chunks execute against their dispatch slot's CellView,
+		// armed by the dispatcher before submit (the submit handoff orders
+		// the arm before this read).
+		view = &j.r.sched.views[j.idx]
+	}
+	lanes := j.lanes[:j.width]
+	for i := range lanes {
+		j.open(&lanes[i])
+	}
+	if j.width == 2 {
+		x, y := &j.lanes[0], &j.lanes[1]
+		for x.live && y.live {
+			j.r.pair(&j.lanes, min(x.bound(), y.bound()))
+			x.work += x.k
+			y.work += y.k
+			j.settle(x, x.why, x.err)
+			j.settle(y, y.why, y.err)
 		}
-	}()
-	// Fault-injection site, armed only by chaos configs (Config.Faults).
-	// Placed inside the chunk's containment — the latch and recovery
-	// defers above are armed — so an injected panic surfaces as a
-	// *PanicError and an injected error aborts the chain exactly like a
-	// body failure at the chunk's first iteration.
-	if err := r.cfg.Faults.Check(faults.ChunkBody); err != nil {
-		res.err = err
-		sched.abortAfter(j.idx)
+	}
+	for i := range lanes {
+		l := &lanes[i]
+		for l.live {
+			var k int64
+			var why blockStop
+			var err error
+			l.s, l.acc, k, why, err = j.r.block(view, l.s, l.acc, l.stop, l.hunt, l.bound())
+			l.work += k
+			j.settle(l, why, err)
+		}
+		l.close()
+	}
+}
+
+// open arms lane l for its chunk: the fault-injection site (armed only
+// by chaos configs, Config.Faults), then Init. A failure in either — an
+// injected panic surfaces as a *PanicError, an injected error as itself
+// — aborts the chain exactly like a body failure at the chunk's first
+// iteration.
+func (j *chunkJob[S, A]) open(l *lane[S, A]) {
+	var zero S
+	l.s, l.stop, l.hunt, l.work, l.cursor, l.minPlanAt = l.start, zero, l.snap != nil, 0, 0, 0
+	l.nextPoll, l.ownDone, l.matched, l.capped = ctxPollEvery-1, false, false, false
+	if l.hunt {
+		// Membership validation: a chunk with a successor hunts its
+		// predicted start in every iteration, wherever it appears.
+		l.stop = l.snap.start
+	}
+	l.capAt = 1 << 62
+	if l.idx > 0 { // a predicted start: the iteration cap applies
+		l.capAt = max(j.cap, 1) // a chunk runs an iteration before it caps, so every round makes progress
+	}
+	l.acc, l.err = j.r.startChunk()
+	l.live = l.err == nil
+	if !l.live {
+		j.r.sched.abortAfter(l.idx)
+	}
+}
+
+// bound is the lane's next block budget: the distance from its count to
+// the nearest pending event — the cap, the next poll, the next plan
+// entry. It is at least 1 while the lane is live (settle).
+func (l *lane[S, A]) bound() int64 {
+	bound := min(l.capAt, l.nextPoll)
+	if l.cursor < len(l.plan) {
+		bound = min(bound, max(l.plan[l.cursor].local, l.minPlanAt))
+	}
+	return bound - l.work
+}
+
+// settle books a block of lane l, its count already added: how the
+// block stopped, then, if it filled its budget, the boundary events due
+// at the count, in the order the per-iteration loop would meet them. It
+// clears l.live when the chunk is over.
+func (j *chunkJob[S, A]) settle(l *lane[S, A], why blockStop, err error) {
+	sched := j.r.sched
+	switch why {
+	case blockDone:
+		l.live = false
+		return
+	case blockMatched:
+		l.matched, l.live = true, false
+		return
+	case blockFailed:
+		l.err, l.live = err, false
+		sched.abortAfter(l.idx)
 		return
 	}
-	done := r.loop.Done
-	// DOACROSS chunks execute against their dispatch slot's CellView,
-	// armed by the dispatcher before submit (the submit handoff orders
-	// the arm before this read).
-	var view *CellView
-	if r.loop.speculative() {
-		view = &sched.views[j.idx]
+	// The cap fires at iteration end, ahead of the next Done/match check,
+	// so a capped chunk stops without peeking at the next state.
+	if l.work >= l.capAt {
+		l.capped, l.live = true, false
+		return
 	}
-	acc := r.loop.Init()
-	s := j.start
-	ctx := j.ctx
-	plan := j.plan
-	cursor := 0
-	minPlanAt := int64(0) // plan entries fire one iteration apart at minimum
-	ownDone := false
-
-	// Membership validation: a chunk with a successor hunts its predicted
-	// start in every iteration, wherever it appears.
-	var snapStart S
-	hunt := j.snap != nil
-	if hunt {
-		snapStart = j.snap.start
+	if done, err := doneAt(j.r.loop.Done, l.s); err != nil || done {
+		l.live = false // the event's iteration never starts
+		if err != nil {
+			l.err = err
+			sched.abortAfter(l.idx)
+		}
+		return
 	}
-	capAt := int64(1) << 62
-	if j.idx > 0 { // a predicted start: the iteration cap applies
-		capAt = j.cap
-		if capAt < 1 {
-			capAt = 1 // a chunk runs an iteration before it caps, so every round makes progress
+	if l.work == l.nextPoll {
+		if l.err = j.ctx.Err(); l.err != nil {
+			l.live = false
+			return
 		}
+		// An earlier chunk failed: this chunk is certain to be squashed,
+		// so stop burning the worker on it.
+		if sched.abort.Load() < int64(l.idx) {
+			l.err, l.live = errChunkAborted, false
+			return
+		}
+		l.nextPoll += ctxPollEvery
 	}
-	nextPoll := int64(ctxPollEvery - 1)
-
-	var matched, capped bool
-	var failErr error
-loop:
-	for {
-		// The cap is processed before a block starts, so a capped chunk
-		// stops without peeking at the next state (the cap fires at
-		// iteration end, ahead of the next Done/match check).
-		if work >= capAt {
-			capped = true
-			break
-		}
-		// Block bound: distance to the nearest pending event.
-		bound := capAt
-		if nextPoll < bound {
-			bound = nextPoll
-		}
-		if cursor < len(plan) {
-			at := plan[cursor].local
-			if at < minPlanAt {
-				at = minPlanAt
-			}
-			if at < bound {
-				bound = at
-			}
-		}
-
-		var k int64
-		var stop blockStop
-		var err error
-		s, acc, k, stop, err = r.block(view, s, acc, snapStart, hunt, bound-work)
-		work += k
-		switch stop {
-		case blockDone:
-			break loop
-		case blockMatched:
-			matched = true
-			break loop
-		case blockFailed:
-			failErr = err
-			sched.abortAfter(j.idx)
-			break loop
-		}
-
-		// --- Boundary events at completed-count work, state s ---------
-		if work >= capAt {
-			continue // processed at the top, ahead of the next peek
-		}
-		if done(s) {
-			break // the event's iteration never starts
-		}
-		if work == nextPoll {
-			if cerr := ctx.Err(); cerr != nil {
-				failErr = cerr
-				break
-			}
-			// An earlier chunk failed: this chunk is certain to be
-			// squashed, so stop burning the worker on it.
-			if sched.abort.Load() < int64(j.idx) {
-				failErr = errChunkAborted
-				break
-			}
-			nextPoll += ctxPollEvery
-		}
-		// Memoization (Algorithm 2): capture the live-in state when the
-		// completed count reaches the plan threshold (or the iteration
-		// after the previous capture, whichever is later — duplicate
-		// thresholds fire one iteration apart, as in the per-iteration
-		// loop).
-		if cursor < len(plan) && work >= plan[cursor].local && work >= minPlanAt {
-			res.props = append(res.props, proposal[S]{
-				row: plan[cursor].row, state: s, local: work,
-			})
-			if plan[cursor].row == j.ownRow {
-				ownDone = true
-			}
-			cursor++
-			minPlanAt = work + 1
-		}
+	// Memoization (Algorithm 2): capture the live-in state when the
+	// completed count reaches the plan threshold (or the iteration after
+	// the previous capture, whichever is later — duplicate thresholds
+	// fire one iteration apart, as in the per-iteration loop).
+	if l.cursor < len(l.plan) && l.work >= l.plan[l.cursor].local && l.work >= l.minPlanAt {
+		e := l.plan[l.cursor]
+		l.res.props = append(l.res.props, proposal[S]{row: e.row, state: l.s, local: l.work})
+		l.ownDone = l.ownDone || e.row == l.ownRow
+		l.cursor++
+		l.minPlanAt = l.work + 1
 	}
+}
 
-	// Chunk exit: the only stores into the shared result struct.
-	if matched {
+// close is the chunk's exit: the only stores into its result struct
+// apart from the plan's captures.
+func (l *lane[S, A]) close() {
+	res := l.res
+	if l.matched && !l.ownDone && l.cursor < len(l.plan) && l.plan[l.cursor].row == l.ownRow {
 		// Backstop: persist the validated successor start when this
 		// chunk's own pending entry targets its own row (see the
 		// compiler transformation's spice.backstop). The peek did no
 		// work, so the committed count excludes it.
-		if !ownDone && cursor < len(plan) && plan[cursor].row == j.ownRow {
-			res.props = append(res.props, proposal[S]{row: j.ownRow, state: s, local: work})
+		res.props = append(res.props, proposal[S]{row: l.ownRow, state: l.s, local: l.work})
+	}
+	res.matched, res.capped = l.matched, l.capped
+	if l.capped {
+		res.endState = l.s
+	}
+	res.work, res.acc, res.err = l.work, l.acc, l.err
+}
+
+// startChunk is a chunk's prologue: the fault-injection site, then
+// Init, a panic in either contained as a *PanicError.
+func (r *Runner[S, A]) startChunk() (acc A, err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			err = newPanicError(v)
 		}
-		res.matched = true
+	}()
+	if err = r.cfg.Faults.Check(faults.ChunkBody); err != nil {
+		return acc, err
 	}
-	if capped {
-		res.capped = true
-		res.endState = s
-	}
-	res.work = work
-	res.acc = acc
-	res.err = failErr
+	return r.loop.Init(), nil
+}
+
+// doneAt is Done(s) at a block boundary, a panic contained as the
+// chunk's *PanicError.
+func doneAt[S comparable](done func(S) bool, s S) (d bool, err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			err = newPanicError(v)
+		}
+	}()
+	return done(s), nil
 }
 
 // scheduler holds one runner's reusable invocation state. It is used by
 // at most one invocation at a time (the runner serializes; a Pool hands
 // each in-flight invocation its own runner).
 type scheduler[S comparable, A any] struct {
-	results []chunkResult[S, A]
-	jobs    []chunkJob[S, A]
-	works   []int64
+	results []chunkResult[S, A] // per chunk of the current round, in chain order
+	jobs    []chunkJob[S, A]    // per dispatch slot
+	works   []int64             // per slot: LastWorks
 	memos   []memo[S]
-	plans   [][]planEntry // per-slot memoization plans of the current round
-	chain   []int         // the round's chain: SVA row behind each speculative slot
+	plans   [][]planEntry // per-chunk memoization plans of the current round
+	chain   []int         // the round's chain: SVA row behind each speculative chunk
 	rd      round[S, A]   // the invocation in progress (run)
 	// DOACROSS state, armed per invocation by armCells: the bound cell
 	// store, the loop's reduction declarations, and one CellView per
@@ -442,12 +507,12 @@ type scheduler[S comparable, A any] struct {
 	reds     []Reduction
 	views    []CellView
 	copyGate func() // test hook, nil outside tests (landCells)
-	// used is the number of job/result/works slots the most recent
-	// invocation dirtied (its widest round: later rounds can fan wider
-	// than round 0). release scrubs only these slots, and the next
-	// invocation clears only their works plus its own, so a narrow
-	// adaptive width does not pay a full-threads sweep per invocation —
-	// and stale slots still cannot leak into LastWorks.
+	// used is the number of slots (jobs, their lanes and chunk results,
+	// works) the most recent invocation dirtied (its widest round: later
+	// rounds can fan wider than round 0). release scrubs only these
+	// slots, and the next invocation clears only their works plus its
+	// own, so a narrow adaptive width does not pay a full-threads sweep
+	// per invocation — and stale slots still cannot leak into LastWorks.
 	used int
 	// lease is the runner's inter-round gap history behind the workers'
 	// lease (executor.go).
@@ -472,21 +537,24 @@ type scheduler[S comparable, A any] struct {
 	lat latch
 }
 
-func newScheduler[S comparable, A any](r *Runner[S, A], threads int) *scheduler[S, A] {
+// newScheduler provisions threads slots and up to depth chunks per slot.
+func newScheduler[S comparable, A any](r *Runner[S, A], threads, depth int) *scheduler[S, A] {
+	chunks := threads * depth
 	s := &scheduler[S, A]{
-		results: make([]chunkResult[S, A], threads),
+		results: make([]chunkResult[S, A], chunks),
 		jobs:    make([]chunkJob[S, A], threads),
 		works:   make([]int64, threads),
-		plans:   make([][]planEntry, threads),
-		chain:   make([]int, 0, threads),
+		plans:   make([][]planEntry, chunks),
+		chain:   make([]int, 0, chunks),
 	}
 	s.lat.init()
-	for j := range s.jobs {
-		// Presized (a plan has at most threads-1 entries), so a round of
+	for c := range s.plans {
+		// Presized (a plan has at most chunks-1 entries), so a round of
 		// any width plans without allocating from the first invocation on.
-		s.plans[j] = make([]planEntry, 0, threads)
+		s.plans[c] = make([]planEntry, 0, chunks)
+	}
+	for j := range s.jobs {
 		s.jobs[j].r = r
-		s.jobs[j].res = &s.results[j]
 		s.jobs[j].lat = &s.lat
 		s.jobs[j].idx = j
 	}
@@ -535,10 +603,13 @@ func (s *scheduler[S, A]) release() {
 	for j := 0; j < s.used; j++ {
 		job := &s.jobs[j]
 		job.ctx = nil
-		job.start = zeroS
-		job.snap = nil
-		job.plan = nil
-		res := job.res
+		for i := range job.lanes {
+			l := &job.lanes[i]
+			l.res, l.start, l.snap, l.plan, l.s, l.stop, l.acc, l.err = nil, zeroS, nil, nil, zeroS, zeroS, zeroA, nil
+		}
+	}
+	for c := 0; c < min(len(s.results), 2*s.used); c++ {
+		res := &s.results[c]
 		res.acc = zeroA
 		res.endState = zeroS
 		res.err = nil
@@ -601,13 +672,22 @@ func (s *scheduler[S, A]) queuedEntries() int64 {
 // release zeroes it with the rest of the caller's state.
 type round[S comparable, A any] struct {
 	index int   // the round's number within the invocation
-	n     int   // slots seeded: slot 0, then one per row of s.chain
-	armed int   // slots dispatch launched: always the prefix 0..armed-1
-	cur   S     // slot 0's start, the live state
-	pos   int64 // slot 0's global position: the iterations committed so far
+	n     int   // chunks seeded: chunk 0, then one per row of s.chain
+	slots int   // the slots that carry them (layout)
+	pairs int   // slots 0..pairs-1 carry two chunks each, the rest one
+	armed int   // chunks dispatch launched: always the prefix 0..armed-1, whole slots
+	cur   S     // chunk 0's start, the live state
+	pos   int64 // chunk 0's global position: the iterations committed so far
 	cap   int64 // the speculative iteration cap of the round's chunks
 	probe bool  // an upward probe: the confidence gate is open
 	boot  bool  // memoize by the bootstrap plan (begin)
+
+	// Round 0's clock, the pairing policy's evidence (finish), from the
+	// reads dispatch and land take anyway: dispatch time, the invoker's
+	// own share (its slot, before any reclaim), dispatch to landed;
+	// whether the invoker reclaimed a slot, and whether slots were paired.
+	t0, own, wall     int64
+	reclaimed, paired bool
 
 	// The walk's outcome.
 	f           int   // slot the walk stopped on: the last committed, or the failed one
@@ -622,22 +702,42 @@ type round[S comparable, A any] struct {
 	committed   bool  // acc holds a committed chunk's accumulator
 	misspec     bool  // a round squashed work
 	verdictMiss bool  // a squashed chunk was judged a misprediction
-	last        int   // last slot round 0 committed
+	last        int   // slot of the last chunk round 0 committed
 	round0      int64 // iterations round 0 committed
 }
 
+// layout spreads n chunks over at most width slots: one each while they
+// fit, else the first n-width slots carry two (n ≤ 2·width).
+func (rd *round[S, A]) layout(n, width int) {
+	rd.n, rd.slots = n, min(n, width)
+	rd.pairs = n - rd.slots
+}
+
+// first is the chain position of slot i's first chunk.
+func (rd *round[S, A]) first(i int) int { return i + min(i, rd.pairs) }
+
+// slot is the slot that carries chunk c.
+func (rd *round[S, A]) slot(c int) int {
+	if c < 2*rd.pairs {
+		return c / 2
+	}
+	return c - rd.pairs
+}
+
 // run executes one invocation as a loop over rounds. A round seeds
-// slot 0 at the live (state, global position) — architecturally
-// correct, never capped — and one speculative slot per row of its
-// chain, each hunting the next row's predicted start; launches and
-// joins them; then walks the chain once: the prefix up to the first
+// chunk 0 at the live (state, global position) — architecturally
+// correct, never capped — and one speculative chunk per row of its
+// chain, each hunting the next row's predicted start; lays them out on
+// at most width slots (round 0) or Threads slots (later rounds), two to
+// a slot when they do not fit one each (round.layout); launches and
+// joins the slots; then walks the chain once: the prefix up to the first
 // chunk that did not stop on its successor's start commits at exact
 // global positions, everything after it is squashed. If the walk
 // stopped on a capped chunk or on a read/write-set conflict, the next
 // round resumes from that chunk's stop state (the conflicting chunk's
 // validated start) over the admitted rows not yet passed; otherwise the
 // invocation is done. Round 0 is the same code from (start, 0) over the
-// n-slot chain planDispatch left in s.chain, or over nothing when n is
+// n-chunk chain planDispatch left in s.chain, or over nothing when n is
 // 1 (the caller's "sequential" invocation). The squashed workers are
 // thereby re-seeded rather than the remainder serialized, and every
 // chunk carries plan entries anchored at its global position, so the
@@ -652,8 +752,8 @@ type round[S comparable, A any] struct {
 // aborted chunk's squash says nothing about its prediction. The middle
 // return is the adaptive controller's feedback signal: whether any
 // squashed chunk was judged a genuine misprediction.
-func (s *scheduler[S, A]) run(r *Runner[S, A], ctx context.Context, start S, n int, probe bool) (A, bool, error) {
-	s.begin(r, start, n, probe)
+func (s *scheduler[S, A]) run(r *Runner[S, A], ctx context.Context, start S, n, width int, probe bool) (A, bool, error) {
+	s.begin(r, start, n, width, probe)
 	defer s.release()
 	rd := &s.rd
 	for {
@@ -677,80 +777,91 @@ func (s *scheduler[S, A]) run(r *Runner[S, A], ctx context.Context, start S, n i
 	return rd.acc, rd.verdictMiss, nil
 }
 
-// begin opens the invocation as round 0: n slots over the chain
-// planDispatch left in s.chain, slot 0 at (start, 0), under the
-// predictor's cap (a probe's reduced one). It clears only the works of
-// the slots this round touches plus whatever the previous invocation
-// dirtied (s.used): at narrow adaptive width the full-threads sweep is
-// skipped, and stale wider slots still cannot leak into LastWorks.
+// begin opens the invocation as round 0: n chunks over the chain
+// planDispatch left in s.chain on at most width slots, chunk 0 at
+// (start, 0), under the predictor's cap (a probe's reduced one). It
+// clears only the works of the slots this round touches plus whatever
+// the previous invocation dirtied (s.used): at narrow adaptive width the
+// full-threads sweep is skipped, and stale wider slots still cannot leak
+// into LastWorks.
 //
 // An invocation that starts as a round of one on a runner that could
 // speculate memoizes by the bootstrap plan: no row is predicted, or none
 // was admitted, so there is no split to keep balanced, only rows to find
 // for the next invocation. (Slot 0 neither caps nor conflicts: such a
 // round is the whole invocation.)
-func (s *scheduler[S, A]) begin(r *Runner[S, A], start S, n int, probe bool) {
+func (s *scheduler[S, A]) begin(r *Runner[S, A], start S, n, width int, probe bool) {
 	cap64 := r.pred.specCap(r.cfg.maxSpec)
 	if probe {
 		cap64 = probeSpecCap(cap64, r.pred.prevTotal, n)
 	}
 	rd := &s.rd // zero: release cleared it after the previous invocation
-	rd.n, rd.cur, rd.cap, rd.probe, rd.boot = n, start, cap64, probe, n == 1 && r.cfg.Threads > 1
-	clear(s.works[:max(n, s.used)])
-	s.used = n
+	rd.layout(n, width)
+	rd.cur, rd.cap, rd.probe, rd.boot, rd.paired = start, cap64, probe, n == 1 && r.cfg.Threads > 1, rd.pairs > 0
+	clear(s.works[:max(rd.slots, s.used)])
+	s.used = rd.slots
 	s.memos = s.memos[:0]
 }
 
-// seed arms the round's jobs and clears their results. Each chunk plans
-// from its (predicted) global position — slot 0's is exact. Only
-// balance depends on the prediction; correctness comes from the
-// validation chain.
+// seed arms the round's slots and lanes and clears the chunks' results.
+// Each chunk plans from its (predicted) global position — chunk 0's is
+// exact. Only balance depends on the prediction; correctness comes from
+// the validation chain.
 func (s *scheduler[S, A]) seed(r *Runner[S, A], ctx context.Context) {
 	rd, rows := &s.rd, r.pred.rows
 	var zero S
-	for i := 0; i < rd.n; i++ {
-		j, at := &s.jobs[i], rd.pos
-		j.ctx, j.start, j.snap, j.ownRow, j.plan, j.cap = ctx, rd.cur, nil, -1, bootPlan, rd.cap
-		if i > 0 {
-			from := &rows[s.chain[i-1]]
-			j.start, at = from.start, max(rd.pos, from.pos)
+	for i := 0; i < rd.slots; i++ {
+		j := &s.jobs[i]
+		j.ctx, j.cap, j.width = ctx, rd.cap, 1
+		if i < rd.pairs {
+			j.width = 2
 		}
-		if i < rd.n-1 {
-			j.ownRow = s.chain[i]
-			j.snap = &rows[j.ownRow]
+	}
+	for c := 0; c < rd.n; c++ {
+		i := rd.slot(c)
+		l, at := &s.jobs[i].lanes[c-rd.first(i)], rd.pos
+		l.res, l.idx, l.start, l.snap, l.ownRow, l.plan = &s.results[c], c, rd.cur, nil, -1, bootPlan
+		if c > 0 {
+			from := &rows[s.chain[c-1]]
+			l.start, at = from.start, max(rd.pos, from.pos)
+		}
+		if c < rd.n-1 {
+			l.ownRow = s.chain[c]
+			l.snap = &rows[l.ownRow]
 		}
 		if !rd.boot {
-			s.plans[i] = r.pred.planFromPosition(at, s.plans[i][:0])
-			j.plan = s.plans[i]
+			s.plans[c] = r.pred.planFromPosition(at, s.plans[c][:0])
+			l.plan = s.plans[c]
 		}
-		res := j.res
+		res := l.res
 		res.work, res.matched, res.capped, res.endState, res.err = 0, false, false, zero, nil
 		res.props = res.props[:0]
 	}
 }
 
-// dispatch launches and joins the round's slots: chunk i>0 goes to the
-// executor, chunk 0 runs here, and the round is joined — every launched
-// chunk executed exactly once, its result slot written — when it
-// returns. This is the invoker's side of the claim/join/lease protocol
+// dispatch launches and joins the round's slots: slot i>0 goes to the
+// executor, slot 0 runs here, and the round is joined — every launched
+// chunk executed exactly once, its result written — when it returns.
+// This is the invoker's side of the claim/join/lease protocol
 // (executor.go header). Cancellation is honored here: once ctx is done
-// no further chunk starts, armed stays short of n, and the ctx error
+// no further slot starts, armed stays short of n, and the ctx error
 // waits in dispatchErr for the walk to surface; chunks already running
 // stop at their next poll.
 func (s *scheduler[S, A]) dispatch(r *Runner[S, A], ctx context.Context) {
 	rd := &s.rd
 	s.armAbort()
 	var t0 int64
-	if rd.n > 1 {
+	if rd.slots > 1 {
 		t0 = nanos()
 		s.lease.dispatched(t0)
 	} else {
-		// Nothing speculative: no handoff to time, and the next round
-		// has no release to measure its gap from.
+		// Nothing runs beside slot 0: no handoff to time, and the next
+		// round has no release to measure its gap from.
 		s.lease.released = 0
 	}
+	armed := 0 // slots
 	rd.armed, rd.dispatchErr = 0, nil
-	for i := 0; i < rd.n; i++ {
+	for i := 0; i < rd.slots; i++ {
 		if rd.dispatchErr = ctx.Err(); rd.dispatchErr != nil {
 			break
 		}
@@ -769,32 +880,36 @@ func (s *scheduler[S, A]) dispatch(r *Runner[S, A], ctx context.Context) {
 		if i > 0 {
 			j := &s.jobs[i]
 			j.reclaimed, j.copying = false, false
-			// Chunk i goes to the same shard every round (warm-queue affinity).
+			// Slot i goes to the same shard every round (warm-queue affinity).
 			j.offer(r.exec, r.home+uint32(i-1), j)
 		}
-		rd.armed = i + 1
+		armed = i + 1
+		rd.armed = rd.first(armed)
 	}
-	// Inline chunk 0: the non-speculative chunk runs on the invoking
-	// goroutine after the speculative chunks are submitted. Same exec,
-	// so ctx polling, the abort barrier and panic containment are
-	// identical. A round with nothing speculative never touches the
+	if armed > 0 && rd.pairs > 0 {
+		r.pend.PairedRounds++
+	}
+	// Inline slot 0: chunk 0, the non-speculative chunk, runs on the
+	// invoking goroutine after the speculative slots are submitted. Same
+	// exec, so ctx polling, the abort barrier and panic containment are
+	// identical. A round with nothing beside slot 0 never touches the
 	// executor, and its latch is released by the time exec returns.
-	if rd.armed > 0 {
+	if armed > 0 {
 		s.jobs[0].exec()
 	}
-	if rd.armed > 1 {
-		// Reclaim, in chain order: a chunk no worker has started yet
+	if armed > 1 {
+		// Reclaim, in chain order: a slot no worker has started yet
 		// starts now, here. Its worker is late, not gone — it was woken at
 		// submit and will find the entry already claimed — so each
-		// reclaimed chunk extends the lease over its own expected duration
-		// (chunk 0's, just measured): the late worker is then still
+		// reclaimed slot extends the lease over its own expected duration
+		// (slot 0's, just measured): the late worker is then still
 		// rescanning when the next round dispatches, instead of parking
 		// again and being late again.
 		t1 := nanos()
 		own := t1 - t0
 		lease := s.lease.grant()
 		warm, reclaimed := t1, false
-		for i := 1; i < rd.armed; i++ {
+		for i := 1; i < armed; i++ {
 			j := &s.jobs[i]
 			if !j.take() {
 				continue
@@ -806,11 +921,14 @@ func (s *scheduler[S, A]) dispatch(r *Runner[S, A], ctx context.Context) {
 			j.reclaimed, reclaimed = true, true
 			j.exec()
 		}
+		if rd.index == 0 {
+			rd.t0, rd.own, rd.reclaimed = t0, own, reclaimed
+		}
 		if reclaimed {
 			t1 = nanos()
 		}
-		// Join: every chunk is claimed, so the rest are running elsewhere
-		// and worth spinning for about as long as chunk 0 took. The round
+		// Join: every slot is claimed, so the rest are running elsewhere
+		// and worth spinning for about as long as slot 0 took. The round
 		// is not over — the walk and land end it — so the lease published
 		// here bridges the walk.
 		s.lat.wait(t1, own)
@@ -881,7 +999,7 @@ func (s *scheduler[S, A]) walk(r *Runner[S, A]) {
 		} else {
 			rd.acc, rd.committed = res.acc, true
 		}
-		if s.cells != nil {
+		if s.cells != nil { // one chunk per slot: chunk i is slot i
 			end, wrote, out := s.views[i].validate(s.views[i+1 : probeEnd])
 			probeEnd = i + 1 + end
 			s.jobs[i].wrote = wrote
@@ -892,7 +1010,7 @@ func (s *scheduler[S, A]) walk(r *Runner[S, A]) {
 		}
 		rd.pos += res.work
 		if rd.index == 0 {
-			s.works[i] = res.work
+			s.works[rd.slot(i)] += res.work
 		} else {
 			r.pend.RecoveryChunks++
 		}
@@ -902,7 +1020,7 @@ func (s *scheduler[S, A]) walk(r *Runner[S, A]) {
 		}
 	}
 	if rd.index == 0 {
-		rd.last, rd.round0 = rd.f, rd.pos
+		rd.last, rd.round0 = rd.slot(rd.f), rd.pos
 	}
 }
 
@@ -911,11 +1029,16 @@ func (s *scheduler[S, A]) walk(r *Runner[S, A]) {
 // next dispatch starts and the workers' lease runs from. A round that
 // dispatched nothing speculative never joined and has nothing to close.
 func (s *scheduler[S, A]) land(r *Runner[S, A]) {
-	if s.rd.land > 0 {
-		s.landCells(r, s.rd.land, !s.rd.shared)
+	rd := &s.rd
+	if rd.land > 0 {
+		s.landCells(r, rd.land, !rd.shared)
 	}
 	if s.lease.joined != 0 {
-		if until := s.lease.landed(nanos()); until > 0 {
+		now := nanos()
+		if rd.index == 0 {
+			rd.wall = now - rd.t0
+		}
+		if until := s.lease.landed(now); until > 0 {
 			r.exec.extendLease(until)
 		}
 	}
@@ -1028,10 +1151,10 @@ func (s *scheduler[S, A]) verdicts(r *Runner[S, A]) bool {
 	rd := &s.rd
 	again := rd.conflictAt >= 0 || s.results[rd.f].capped
 	for i := 1; i < rd.armed; i++ {
-		if i <= rd.f {
-			r.noteHit(s.chain[i-1], s.jobs[i].reclaimed)
+		if reclaimed := s.jobs[rd.slot(i)].reclaimed; i <= rd.f {
+			r.noteHit(s.chain[i-1], reclaimed)
 		} else if !again {
-			r.noteMiss(s.chain[i-1], s.jobs[i].reclaimed)
+			r.noteMiss(s.chain[i-1], reclaimed)
 			rd.verdictMiss = true
 		}
 	}
@@ -1061,7 +1184,7 @@ func (s *scheduler[S, A]) advance(r *Runner[S, A], ctx context.Context) {
 	rd.cur = s.results[rd.f].endState
 	if rd.conflictAt >= 0 {
 		hunter = rd.conflictAt
-		rd.cur = s.jobs[hunter].start
+		rd.cur = s.jobs[hunter].lanes[0].start // DOACROSS: one chunk per slot
 	}
 	next := len(r.pred.rows)
 	if hunter < rd.n-1 {
@@ -1079,17 +1202,18 @@ func (s *scheduler[S, A]) advance(r *Runner[S, A], ctx context.Context) {
 	}
 	if rd.err == nil {
 		r.pend.Recoveries++
-		rd.n = 1 + len(s.admitted(r, next, rd.probe))
-		s.used = max(s.used, rd.n)
+		rd.layout(1+len(s.admitted(r, next, rd.probe)), r.cfg.Threads)
+		s.used = max(s.used, rd.slots)
 		rd.cap = r.pred.specCap(r.cfg.maxSpec)
 	}
 }
 
 // finish books the invocation once its last round has committed. Later
-// rounds' iterations are charged to the last slot round 0 committed.
-// MisspecInvocations counts any squash; the controller's refined signal
-// is verdictMiss (verdict-based misses only). A bootstrap invocation's
-// candidates become rows, and the predictor installs the memoizations.
+// rounds' iterations are charged to the slot of the last chunk round 0
+// committed. MisspecInvocations counts any squash; the controller's
+// refined signal is verdictMiss (verdict-based misses only). A bootstrap
+// invocation's candidates become rows, the predictor installs the
+// memoizations, and the pairing policy hears round 0's clock.
 func (s *scheduler[S, A]) finish(r *Runner[S, A]) {
 	rd := &s.rd
 	tail := rd.pos - rd.round0
@@ -1104,6 +1228,23 @@ func (s *scheduler[S, A]) finish(r *Runner[S, A]) {
 	}
 	r.pred.apply(rd.pos, s.memos)
 	r.pendWorks = true
+	if r.pairing.forced != 0 {
+		return
+	}
+	var perIter, chunk0 float64
+	if rd.wall > 0 && rd.round0 > 0 && !rd.reclaimed {
+		perIter = float64(rd.wall) / float64(rd.round0)
+	}
+	if w := s.results[0].work; w > 0 {
+		chunk0 = float64(rd.own) / float64(w)
+	}
+	// A round wider than the host's processors is never clean: its chunk
+	// 0 waits for a processor its own workers hold, and reads as a loop
+	// that waits on memory.
+	clean := rd.index == 0 && !rd.misspec && !rd.reclaimed && rd.slots <= r.exec.procs
+	if r.pairing.observe(perIter, rd.slots, rd.paired, clean, chunk0, rd.pos/int64(2*r.cfg.Threads)) {
+		r.regrid()
+	}
 }
 
 // admitted fills s.chain, in row order, with the rows from index from on

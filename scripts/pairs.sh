@@ -5,12 +5,17 @@
 #
 #   scripts/pairs.sh WORKLOAD[,WORKLOAD...] [PAIRS=10] [BASE=HEAD~1]
 #
-# The change is the working tree; BASE is unpacked once under
-# .bench_build/ (git archive, so nothing is registered in .git). The
-# workloads run one after another, each with its own summary. Pair i
-# runs both sides on seed PAIRS_SEED+i (default 20; another value checks
-# a claim on seeds it was not built on), BASE first in odd pairs and the
-# change first in even ones, each for PAIRS_SECONDS seconds (default:
+# The change is the working tree, snapshotted once at start: every file
+# git tracks or would add (git ls-files -co --exclude-standard) is
+# copied to .bench_build/pairs_change/, and the change side runs from
+# there, so an edit made while the pairs run reaches none of them. Each
+# workload's header names the snapshot by its `git stash create` hash
+# (HEAD on a clean tree). BASE is unpacked once under .bench_build/
+# (git archive, so nothing is registered in .git). The workloads run
+# one after another, each with its own summary. Pair i runs both sides
+# on seed PAIRS_SEED+i (default 20; another value checks a claim on
+# seeds it was not built on), BASE first in odd pairs and the change
+# first in even ones, each for PAIRS_SECONDS seconds (default:
 # run_seconds of BENCHMARK.json). Every run's last JSON line is kept;
 # the summary gives, per end-to-end metric, each side's median and
 # quartiles, the pairs the change won, and a verdict against the
@@ -53,6 +58,15 @@ basedir="$root/.bench_build/pairs_base"
 rm -rf "$basedir"
 mkdir -p "$basedir"
 git archive "$base" | tar -x -C "$basedir"
+snap=$(git stash create)
+snap=$(git rev-parse --short "${snap:-HEAD}")
+changedir="$root/.bench_build/pairs_change"
+rm -rf "$changedir"
+mkdir -p "$changedir"
+# Tracked files deleted in the working tree are still listed; skip them.
+git ls-files -z -co --exclude-standard --deduplicate |
+	while IFS= read -r -d '' f; do [[ -e $f ]] && printf '%s\0' "$f"; done |
+	tar --null -T - -cf - | tar -x -C "$changedir"
 
 # one SIDE DIR SEED: a timed run of $workload in DIR, its last line kept.
 one() {
@@ -125,14 +139,14 @@ PY
 for workload in ${workloads//,/ }; do
 	runs="$root/.bench_build/pairs_${workload}.jsonl"
 	: > "$runs"
-	echo "# $workload: $pairs pairs of ${seconds}s runs, base $rev against the working tree"
+	echo "# $workload: $pairs pairs of ${seconds}s runs, base $rev against the working tree as snapshot $snap"
 	for ((i = 1; i <= pairs; i++)); do
 		seed=$((first_seed + i))
 		if ((i % 2)); then
 			one base "$basedir" "$seed"
-			one change "$root" "$seed"
+			one change "$changedir" "$seed"
 		else
-			one change "$root" "$seed"
+			one change "$changedir" "$seed"
 			one base "$basedir" "$seed"
 		fi
 	done

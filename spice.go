@@ -144,7 +144,12 @@ type Loop[S comparable, A any] struct {
 	// a differential test of the two forms holds them together. Worth
 	// setting when the body is a few nanoseconds and the structure is
 	// cache-resident; a body ≫ 10 ns or a memory-bound traversal hides
-	// the three calls.
+	// the three calls. A memory-bound traversal may also run without
+	// Scan: a runner that finds its chunks waiting on memory steps two of
+	// them in lockstep through Done/Body/Next, which one compiled Scan
+	// loop cannot interleave (Stats.PairedRounds, README "Paired
+	// chunks"). That is one more reason Body and SpecBody stay the
+	// reference semantics.
 	Scan func(s S, acc A, v *CellView, stop S, n int64) (S, A, int64)
 	// Init returns the identity accumulator a fresh chunk starts from.
 	Init func() A
@@ -295,6 +300,11 @@ type Config struct {
 	// a few invocations; zero keeps the derivation.
 	maxSpec    int64
 	probeEvery int
+	// depth, when positive, pins the chunks a dispatch slot carries (1 or
+	// 2) instead of deriving it (pairing, adaptive.go). A DOACROSS loop
+	// and a width-1 runner stay at 1 whatever it says. Tests pin 2 to run
+	// every DOALL scenario paired, and 1 where they pin a chunk layout.
+	depth int
 }
 
 // Stats reports accumulated Runner (or aggregated Pool) behaviour. An
@@ -353,10 +363,11 @@ type Stats struct {
 	// thread, or every predicted row below the confidence floor).
 	SequentialFallbacks int64
 	// BatchSheds counts batched/async invocations (Pool.RunBatch,
-	// Pool.Submit) that ran sequentially on the submitting goroutine
-	// because the shared executor was already saturated — dispatching
-	// speculative chunks would have added queueing, not parallelism.
-	// Plain Run never sheds.
+	// Pool.Submit) that ran sequentially on the submitting goroutine:
+	// either the shared executor was already saturated — dispatching
+	// speculative chunks would have added queueing, not parallelism — or
+	// the last traversal was under Threads × 1024 iterations, too short
+	// to amortize a chunk's dispatch. Plain Run never sheds.
 	BatchSheds int64
 	// RunnersRetired counts runners a Pool quarantined instead of
 	// recycling: a runner whose invocations kept panicking (3
@@ -365,6 +376,11 @@ type Stats struct {
 	// minted on the next acquisition. Always zero on a standalone
 	// Runner.
 	RunnersRetired int64
+	// PairedRounds counts rounds whose dispatch slots carried two chunks
+	// each, stepped in lockstep (see README "Paired chunks"): a DOALL
+	// runner does that while its traversal waits on memory. A subset of
+	// the rounds (conservation: PairedRounds ≤ Invocations + Recoveries).
+	PairedRounds int64
 	// EffectiveThreads is the adaptive controller's current effective
 	// width (a gauge, not a counter; equals the configured Threads
 	// when the controller is off). While an invocation runs it shows
@@ -375,8 +391,10 @@ type Stats struct {
 	// has created (the configured Threads before any runner exists),
 	// so a narrow or idle session can never mask a wider live one.
 	EffectiveThreads int64
-	// LastWorks is the per-chunk committed iteration counts of the most
-	// recent invocation (zero for squashed or idle chunks).
+	// LastWorks is the committed iteration counts of the most recent
+	// invocation, one entry per dispatch slot (zero for squashed or idle
+	// ones). A slot that carried two chunks (PairedRounds) reports the
+	// sum of the two.
 	LastWorks []int64
 }
 
@@ -385,7 +403,7 @@ type Stats struct {
 // — callers set them from the relevant runner. This is the only place
 // that enumerates the counter fields; every aggregation (runner publish,
 // pool aggregation, future deltas) routes through it.
-func (s *Stats) addCounters(d Stats, sign int64) {
+func (s *Stats) addCounters(d *Stats, sign int64) {
 	s.Invocations += sign * d.Invocations
 	s.MisspecInvocations += sign * d.MisspecInvocations
 	s.SquashedIters += sign * d.SquashedIters
@@ -401,6 +419,7 @@ func (s *Stats) addCounters(d Stats, sign int64) {
 	s.SequentialFallbacks += sign * d.SequentialFallbacks
 	s.BatchSheds += sign * d.BatchSheds
 	s.RunnersRetired += sign * d.RunnersRetired
+	s.PairedRounds += sign * d.PairedRounds
 }
 
 // Delta returns the counters s accumulated since prev was snapshotted:
@@ -415,7 +434,7 @@ func (s *Stats) addCounters(d Stats, sign int64) {
 //	// ... invocations ...
 //	window := sess.Stats().Delta(before)
 func (s Stats) Delta(prev Stats) Stats {
-	s.addCounters(prev, -1)
+	s.addCounters(&prev, -1)
 	return s
 }
 
@@ -423,13 +442,14 @@ func (s Stats) Delta(prev Stats) Stats {
 // Delta; gauge-like fields again keep s's values). Aggregators use it to
 // fold per-window deltas into running totals.
 func (s Stats) Plus(d Stats) Stats {
-	s.addCounters(d, 1)
+	s.addCounters(&d, 1)
 	return s
 }
 
-// Imbalance returns max/mean over the last invocation's non-zero chunk
-// works (1.0 = perfectly balanced). Zero entries are idle or squashed
-// chunks, not unevenly loaded ones, so they are excluded from the mean.
+// Imbalance returns max/mean over the last invocation's non-zero slot
+// works (LastWorks; 1.0 = perfectly balanced), a paired slot's entry
+// being the sum of its two chunks. Zero entries are idle or squashed
+// slots, not unevenly loaded ones, so they are excluded from the mean.
 func (s Stats) Imbalance() float64 {
 	var sum, maxW int64
 	n := 0
@@ -490,15 +510,23 @@ func NewRunner[S comparable, A any](loop Loop[S, A], cfg Config) (*Runner[S, A],
 	}
 	r := &Runner[S, A]{
 		loop:  loop,
-		block: blockOf(&loop),
 		cfg:   cfg,
 		pred:  newPredictor[S](cfg.Threads),
 		cells: loop.Cells,
 	}
-	r.sched = newScheduler(r, cfg.Threads)
+	r.block, r.pair = blockOf(&loop)
+	depth := 2 // the chunks a slot may carry
+	if r.pair == nil || cfg.Threads < 2 {
+		r.pairing.forced, depth = 1, 1
+	} else if cfg.depth > 0 {
+		r.pairing.forced = min(cfg.depth, 2)
+	}
+	r.sched = newScheduler(r, cfg.Threads, depth)
 	if cfg.Adaptive && cfg.Threads > 1 {
 		r.ctrl = newSpecController(cfg.Threads, int64(cfg.probeEvery))
 	}
+	r.pairing.reset()
+	r.regrid()
 	r.stats.effectiveThreads.Store(int64(cfg.Threads))
 	if cfg.Threads > 1 {
 		if cfg.Executor != nil {
