@@ -74,12 +74,6 @@ func (rc *rowConfidence) Hit(row int) { rc.score[row] += specConfAlpha * (1 - rc
 // Miss records a squashed speculative chunk for row.
 func (rc *rowConfidence) Miss(row int) { rc.score[row] -= specConfAlpha * rc.score[row] }
 
-// regrid moves the scores with the rows when the predictor changes grid
-// (predictor.regrid); rows new to the finer grid start neutral.
-func (rc *rowConfidence) regrid(from, to int) {
-	rc.score = regridded(rc.score, from, to, specConfInit)
-}
-
 // Score returns row's current confidence in [0, 1].
 func (rc *rowConfidence) Score(row int) float64 { return rc.score[row] }
 
@@ -109,13 +103,13 @@ type specController struct {
 
 // newSpecController builds a controller for the configured thread count
 // (a width-1 runner has none), with a neutral confidence score for each
-// of its threads-1 SVA rows, and room for the 2·threads-1 of the finer
-// grid. probeInterval <= 0 selects defaultProbeInterval.
-func newSpecController(threads int, probeInterval int64) *specController {
+// of the rows SVA rows of the runner's grid. probeInterval <= 0 selects
+// defaultProbeInterval.
+func newSpecController(threads, rows int, probeInterval int64) *specController {
 	if probeInterval <= 0 {
 		probeInterval = defaultProbeInterval
 	}
-	c := &specController{threads: threads, probeInterval: probeInterval, eff: threads, conf: rowConfidence{make([]float64, threads-1, 2*threads-1)}}
+	c := &specController{threads: threads, probeInterval: probeInterval, eff: threads, conf: rowConfidence{make([]float64, rows)}}
 	c.conf.Reset()
 	return c
 }

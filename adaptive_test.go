@@ -9,7 +9,7 @@ import (
 // --- specController state machine ------------------------------------
 
 func TestSpecControllerDemotesUnderSustainedMisspec(t *testing.T) {
-	c := newSpecController(8, 4)
+	c := newSpecController(8, 7, 4)
 	if c.Effective() != 8 {
 		t.Fatalf("initial eff = %d", c.Effective())
 	}
@@ -34,7 +34,7 @@ func TestSpecControllerDemotesUnderSustainedMisspec(t *testing.T) {
 }
 
 func TestSpecControllerProbesAndPromotes(t *testing.T) {
-	c := newSpecController(4, 3)
+	c := newSpecController(4, 3, 3)
 	c.Observe(specGated) // demote straight to sequential
 	if c.Effective() != 1 {
 		t.Fatalf("gated fallback left eff = %d", c.Effective())
@@ -86,7 +86,7 @@ func TestSpecControllerProbesAndPromotes(t *testing.T) {
 // fails never reaches Observe; the next Begin must wait out a full
 // probe interval again instead of probing on every invocation.
 func TestSpecControllerFailedProbeDoesNotRepeat(t *testing.T) {
-	c := newSpecController(4, 2)
+	c := newSpecController(4, 3, 2)
 	c.Observe(specGated)
 	for i := 0; i < 2; i++ {
 		c.Begin()
@@ -106,7 +106,7 @@ func TestSpecControllerFailedProbeDoesNotRepeat(t *testing.T) {
 }
 
 func TestSpecControllerResetRestoresFullWidth(t *testing.T) {
-	c := newSpecController(4, 2)
+	c := newSpecController(4, 3, 2)
 	for i := 0; i < 10; i++ {
 		c.Begin()
 		c.Observe(specMisspec)
@@ -121,7 +121,7 @@ func TestSpecControllerResetRestoresFullWidth(t *testing.T) {
 }
 
 func TestRowConfidenceScoresAndGate(t *testing.T) {
-	rc := &newSpecController(4, 0).conf // three rows, all neutral
+	rc := &newSpecController(4, 3, 0).conf // three rows, all neutral
 	if !rc.Admit(0) {
 		t.Fatal("fresh row below the default floor")
 	}
@@ -162,8 +162,8 @@ func TestProbeSpecCapTightens(t *testing.T) {
 // while paired rounds beat depth 1 by pairGain, dropped after a window
 // of invocations in a row that gave no paired sample, and after a drop
 // tried again only pairBackoff invocations later; a round the host held
-// up moves neither depth's cost. On a runner, a change of depth moves
-// the predictor's rows onto the other grid, and a body that burns time
+// up moves neither depth's cost. On a runner, a change of depth changes
+// which rows of its one grid it uses, and a body that burns time
 // per node is found and paired by the derived rule itself.
 func TestPairingPolicy(t *testing.T) {
 	const slow, long = 2 * pairMinNs, pairMinChunk
@@ -260,34 +260,61 @@ func TestPairingPolicy(t *testing.T) {
 		}
 	})
 	t.Run("regrid", func(t *testing.T) {
+		// A derived runner plans on the grid of its finest depth, 2·Threads
+		// parts, and at depth 1 uses every second row: the odd ones, on the
+		// Threads-part boundaries.
 		g := testList(3000, 5)
 		r := newRunner(t, plainLoop(), Config{Threads: 3, Options: Options{Adaptive: true}})
+		if r.pred.parts != 6 || len(r.pred.rows) != 5 || r.pred.stride != 2 || len(r.ctrl.conf.score) != 5 {
+			t.Fatalf("parts %d rows %d stride %d scores %d", r.pred.parts, len(r.pred.rows), r.pred.stride, len(r.ctrl.conf.score))
+		}
+		// memoized reports which rows are valid, and where.
+		memoized := func() []int64 {
+			at := make([]int64, len(r.pred.rows))
+			for k, row := range r.pred.rows {
+				at[k] = -1
+				if row.valid {
+					at[k] = row.pos
+				}
+			}
+			return at
+		}
 		g.warm(t, r, 3)
-		rows := slices.Clone(r.pred.rows)
+		if got := memoized(); !slices.Equal(got, []int64{-1, 1000, -1, 2000, -1}) {
+			t.Fatalf("rows at %v at depth 1", got)
+		}
 		// The depth is pinned from here on, as Config.depth pins it, so the
 		// policy cannot drop it (pairing does not pay on 1 000-node chunks)
-		// while the grid is checked.
-		r.pairing.forced, r.pairing.depth = 2, 2
-		r.regrid()
-		if r.pred.parts != 6 || len(r.pred.rows) != 5 || r.pred.rows[1] != rows[0] || r.pred.rows[3] != rows[1] ||
-			r.pred.rows[0].valid || r.pred.rows[2].valid || r.pred.rows[4].valid || len(r.ctrl.conf.score) != 5 {
-			t.Fatalf("rows %v -> %v", rows, r.pred.rows)
+		// while the grid is checked; the stride follows it as finish sets it.
+		depth := func(d int) {
+			r.pairing.forced, r.pairing.depth = d, d
+			r.pred.stride = r.pred.parts / (r.cfg.Threads * r.pairing.depth)
 		}
-		// The next invocations memoize the finer grid and pair; back at
-		// depth 1 (as a drop leaves it), the rows are the fine grid's odd
-		// ones and every slot works again.
-		before := r.Stats()
-		g.warm(t, r, 2)
-		if st := r.Stats().Delta(before); st.PairedRounds == 0 || !r.pred.rows[0].valid {
-			t.Fatalf("PairedRounds %d, rows %v at depth 2", st.PairedRounds, r.pred.rows)
+		depth(2)
+		// The first invocation at depth 2 finds only the odd rows valid, so
+		// it runs depth 1's layout and memoizes the fine grid; the next
+		// pairs.
+		paired := func(n int) int64 {
+			before := r.Stats()
+			g.warm(t, r, n)
+			return r.Stats().Delta(before).PairedRounds
 		}
-		fine := slices.Clone(r.pred.rows)
-		r.pairing.forced, r.pairing.depth = 1, 1
-		r.regrid()
-		if r.pred.parts != 3 || !slices.Equal(r.pred.rows, []row[*mnode]{fine[1], fine[3]}) || len(r.ctrl.conf.score) != 2 {
-			t.Fatalf("rows %v -> %v", fine, r.pred.rows)
+		if n := paired(1); n != 0 || !slices.Equal(memoized(), []int64{500, 1000, 1500, 2000, 2500}) {
+			t.Fatalf("PairedRounds %d, rows at %v after depth 2's first invocation", n, memoized())
 		}
-		g.warm(t, r, 2)
+		if n := paired(1); n != 1 {
+			t.Fatalf("PairedRounds %d on depth 2's second invocation", n)
+		}
+		// Back at depth 1 (as a drop leaves it), the stride hides the even
+		// rows, still valid until the next apply clears them, and every
+		// slot works again.
+		depth(1)
+		if adm := r.sched.admitted(r, 0, false); !slices.Equal(adm, []int{1, 3}) {
+			t.Fatalf("rows %v admitted after the drop", adm)
+		}
+		if n := paired(1); n != 0 || !slices.Equal(memoized(), []int64{-1, 1000, -1, 2000, -1}) {
+			t.Fatalf("PairedRounds %d, rows at %v after the drop", n, memoized())
+		}
 		if st := r.Stats(); busy(st.LastWorks) != 3 {
 			t.Fatalf("LastWorks %v after the drop", st.LastWorks)
 		}

@@ -234,11 +234,12 @@ func TestScanBlocksBounded(t *testing.T) {
 // TestReleaseZeroesInvocationState is the explicit zero-check half of
 // the pinning regression guard: after a parallel invocation completes,
 // the scheduler's release must have cleared every caller-derived value
-// from the preallocated jobs and results — contexts, start states,
+// from the preallocated jobs and their lanes — contexts, start states,
 // successor-row pointers, proposal states, end states, accumulators —
-// and the memo buffer — and the round, which holds the live state, the
-// accumulator and the failure, after a success and after a failure. Its
-// slots carry two chunks each, so both lanes of a slot are checked.
+// the chunk index (s.chunks) and the memo buffer — and the round, which
+// holds the live state, the accumulator and the failure, after a success
+// and after a failure. Its slots carry two chunks each, so both lanes of
+// a slot are checked.
 func TestReleaseZeroesInvocationState(t *testing.T) {
 	g, _ := blockList(30_000)
 	r := newRunner(t, plainLoop(), Config{Threads: 4, depth: 2})
@@ -250,22 +251,20 @@ func TestReleaseZeroesInvocationState(t *testing.T) {
 			t.Fatalf("job %d retains its context", j)
 		}
 		for i, l := range job.lanes {
-			if l.res != nil || l.start != nil || l.snap != nil || l.plan != nil || l.s != nil || l.stop != nil || l.acc != (tally{}) || l.err != nil {
+			if l.start != nil || l.snap != nil || l.plan != nil || l.s != nil || l.stop != nil || l.acc != (tally{}) || l.err != nil {
 				t.Fatalf("job %d lane %d retains invocation state: %+v", j, i, l)
+			}
+			props := l.props[:cap(l.props)]
+			for k := range props {
+				if props[k].state != nil {
+					t.Fatalf("job %d lane %d proposal buffer retains node state at %d", j, i, k)
+				}
 			}
 		}
 	}
-	for j := range s.results {
-		res := &s.results[j]
-		if res.endState != nil || res.acc != (tally{}) || res.err != nil {
-			t.Fatalf("result %d retains invocation state: end=%v acc=%d err=%v",
-				j, res.endState, res.acc, res.err)
-		}
-		props := res.props[:cap(res.props)]
-		for i := range props {
-			if props[i].state != nil {
-				t.Fatalf("result %d proposal buffer retains node state at %d", j, i)
-			}
+	for c, l := range s.chunks {
+		if l != nil {
+			t.Fatalf("chunk %d still names its lane", c)
 		}
 	}
 	memos := s.memos[:cap(s.memos)]
@@ -291,7 +290,7 @@ func TestReleaseZeroesInvocationState(t *testing.T) {
 // traversed a structure, then was reset (the Pool session-boundary
 // path), must not keep a single node of that structure alive — the
 // predictor's two row generations (rows, scratch) and the scheduler's
-// job/result/memo buffers all hold node states at some point and must
+// job/lane/memo buffers all hold node states at some point and must
 // all let go — paired slots' second lanes included.
 func TestResetRunnerPinsNothing(t *testing.T) {
 	r := newRunner(t, plainLoop(), Config{Threads: 4, depth: 2})

@@ -176,14 +176,12 @@ type shard struct {
 // first).
 type Executor struct {
 	shards []shard
-	// spin says whether an idle worker rescans before it parks, fixed at
-	// construction from the effective GOMAXPROCS (false on single-proc
-	// hosts — parking immediately hands the processor to submitters, and
-	// leases are ignored).
-	spin bool
-	// procs is that effective GOMAXPROCS: the processors the slots of a
-	// round can run on at once (a round wider than that timeslices them,
-	// and its clock reads say nothing about the loop; pairing).
+	// procs is the effective GOMAXPROCS at construction: the processors
+	// the slots of a round can run on at once (a round wider than that
+	// timeslices them, and its clock reads say nothing about the loop;
+	// pairing). It also says whether an idle worker rescans before it
+	// parks: only when procs > 1 — on a single-proc host parking at once
+	// hands the processor to submitters, and leases are ignored.
 	procs int
 	// faults is the chaos-testing injection plane, fixed at construction
 	// (workers read it without synchronization, so it must never change
@@ -341,7 +339,6 @@ func newExecutor(workers int, plane *faults.Plane) *Executor {
 	procs := runtime.GOMAXPROCS(0)
 	e := &Executor{
 		shards: make([]shard, workers),
-		spin:   procs > 1,
 		procs:  procs,
 		faults: plane,
 	}
@@ -524,7 +521,7 @@ func (e *Executor) dequeue(i int, spinUntil int64) task {
 			// Rescan until the worker's own deadline and then while a lease
 			// runs, with a Gosched between scans so an oversubscribed host
 			// donates the timeslice instead of burning it.
-			if !e.spin {
+			if e.procs == 1 {
 				break
 			}
 			if now := nanos(); now >= spinUntil && now >= e.warmUntil.Load() {

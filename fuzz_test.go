@@ -80,7 +80,9 @@ func FuzzDoacrossOracle(f *testing.F) {
 // sane plans (targets in range, thresholds positive and non-decreasing
 // per chunk — the order the memoization cursor consumes them in). And
 // promote, over the candidates a bootstrap plan captures in a traversal
-// of the fuzzed length, chooses rows by checkPromote's rules.
+// of the fuzzed length, chooses rows by checkPromote's rules. Read at
+// stride 2, a grid of twice the parts plans and promotes the same
+// positions on its odd rows.
 func FuzzPredictorApply(f *testing.F) {
 	f.Add(uint8(4), int64(100), []byte{0, 10, 1, 50, 2, 90})
 	f.Add(uint8(2), int64(0), []byte{})
@@ -92,7 +94,7 @@ func FuzzPredictorApply(f *testing.F) {
 			total = -total
 		}
 		total %= 1 << 40
-		p := newPredictor[int64](tc)
+		p := newPredictor[int64](tc, 1)
 		// apply, checking that the generation the scheduler read (the
 		// current rows, held across the call) keeps its contents and is
 		// scratch afterwards, while the rows are the other array.
@@ -183,5 +185,24 @@ func FuzzPredictorApply(f *testing.F) {
 		// The other plan: what promote chooses from a bootstrap capture of
 		// this many iterations (predictor_test.go).
 		checkPromote(t, tc, total)
+		// One grid: a predictor cut for two chunks a slot and read at
+		// stride 2 plans and promotes exactly as this one does, on rows
+		// 2k+1 for its rows k (⌊P·2k/2W⌋ = ⌊P·k/W⌋).
+		fine := newPredictor[int64](2*tc, 2)
+		fine.prevTotal = p.prevTotal
+		for _, base := range bases {
+			coarse, strided := p.planFromPosition(base, nil), fine.planFromPosition(base, nil)
+			for i := range max(len(coarse), len(strided)) {
+				if i >= len(coarse) || i >= len(strided) || strided[i] != (planEntry{local: coarse[i].local, row: 2*coarse[i].row + 1}) {
+					t.Fatalf("base %d: plan %+v at stride 2, %+v on the coarse grid", base, strided, coarse)
+				}
+			}
+		}
+		coarse, strided := p.promote(total, bootCandidates(total)), fine.promote(total, bootCandidates(total))
+		for i := range max(len(coarse), len(strided)) {
+			if i >= len(coarse) || i >= len(strided) || strided[i] != (memo[int64]{row: 2*coarse[i].row + 1, state: coarse[i].state, pos: coarse[i].pos}) {
+				t.Fatalf("promote: %+v at stride 2, %+v on the coarse grid", strided, coarse)
+			}
+		}
 	})
 }

@@ -246,8 +246,8 @@ func TestWorkerSpinTopology(t *testing.T) {
 	runtime.GOMAXPROCS(prev)
 	defer single.Close()
 	defer multi.Close()
-	if single.spin || !multi.spin {
-		t.Fatalf("spin = %v at GOMAXPROCS 1, %v at 2; want false, true", single.spin, multi.spin)
+	if single.procs > 1 || !(multi.procs > 1) {
+		t.Fatalf("spin = %v at GOMAXPROCS 1, %v at 2; want false, true", single.procs > 1, multi.procs > 1)
 	}
 	waitParked(t, single, 0, nil) // straight from its first empty scan
 	if got, want := spinDeadline(1000, 1400), int64(1800); got != want {

@@ -247,7 +247,7 @@ func TestFullExecutorLeavesChunksToInvoker(t *testing.T) {
 	}
 
 	l := testList(4096, 43)
-	r := newRunner(t, plainLoop(), Config{Threads: 4, Executor: e})
+	r := newRunner(t, plainLoop(), Config{Threads: 4, Executor: e, depth: 1})
 	want := l.oracle()
 	ns := l.nodes()
 	seedQuarters(r, ns)

@@ -542,7 +542,7 @@ func TestRoundOfOneAllocations(t *testing.T) {
 	t.Run("gated", func(t *testing.T) {
 		r := newRunner(t, plainLoop(), Config{Threads: 4, Options: Options{Adaptive: true}})
 		l.warm(t, r, 4) // warm predictor and buffers
-		for k := 0; k < 3; k++ {
+		for k := range r.ctrl.conf.score {
 			for r.ctrl.conf.Admit(k) {
 				r.ctrl.conf.Miss(k)
 			}

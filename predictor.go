@@ -71,9 +71,13 @@ type memo[S comparable] struct {
 // predictor), so no internal locking is needed.
 type predictor[S comparable] struct {
 	// parts is the number of chunks the boundaries split the last trip
-	// count into: the runner's width, or twice it while its slots carry
-	// two chunks each (regrid). rows holds parts-1 entries.
-	parts int
+	// count into: the runner's width times the most chunks a slot may
+	// carry (its finest depth). rows holds parts-1 entries, one per inner
+	// boundary, and a runner at a coarser depth uses every stride-th:
+	// rows stride-1, 2·stride-1, …, which sit on exactly the boundaries
+	// of the coarser grid (⌊P·2k/2W⌋ = ⌊P·k/W⌋). The rows in between are
+	// out of use: no plan targets them, so the next apply clears them.
+	parts, stride int
 
 	rows []row[S]
 	// prevTotal is the last invocation's total committed trip count —
@@ -83,14 +87,13 @@ type predictor[S comparable] struct {
 	scratch []row[S] // next-generation rows built during apply
 }
 
-// newPredictor sizes both row buffers for the finer of the two grids a
-// width-threads runner plans on (2·threads parts), so regrid never
-// allocates.
-func newPredictor[S comparable](threads int) *predictor[S] {
+// newPredictor sizes both row buffers for a grid of parts chunks.
+func newPredictor[S comparable](parts, stride int) *predictor[S] {
 	return &predictor[S]{
-		parts:   threads,
-		rows:    make([]row[S], threads-1, 2*threads-1),
-		scratch: make([]row[S], threads-1, 2*threads-1),
+		parts:   parts,
+		stride:  stride,
+		rows:    make([]row[S], parts-1),
+		scratch: make([]row[S], parts-1),
 	}
 }
 
@@ -101,54 +104,15 @@ func newPredictor[S comparable](threads int) *predictor[S] {
 // invocation's rows, whose node states would otherwise pin the finished
 // session's structure while the runner sits parked in a Pool free list.
 func (p *predictor[S]) reset() {
-	clear(p.rows[:cap(p.rows)])
-	clear(p.scratch[:cap(p.scratch)])
+	clear(p.rows)
+	clear(p.scratch)
 	p.prevTotal = 0
 }
 
-// regrid moves the rows onto a grid of parts chunks, twice or half the
-// current one, between invocations. Boundary k of a grid of P parts is
-// boundary 2k of one of 2P (prevTotal·k/P = prevTotal·2k/2P exactly),
-// so every row the coarser grid has keeps its state and its boundary;
-// the finer grid's rows in between start invalid and are memoized by the
-// next invocation's plan.
-func (p *predictor[S]) regrid(parts int) {
-	if parts == p.parts {
-		return
-	}
-	p.rows = regridded(p.rows, p.parts, parts, row[S]{})
-	clear(p.scratch[:cap(p.scratch)])
-	p.scratch = p.scratch[:parts-1]
-	p.parts = parts
-}
-
-// regridded re-indexes xs, one entry per inner boundary of a grid of
-// from parts, onto a grid of to parts, where one of the two is twice the
-// other, in place within xs's capacity: entry k-1 of the coarser grid is
-// entry 2k-1 of the finer one. Entries new to the finer grid get fill;
-// entries the coarser grid drops are zeroed.
-func regridded[T any](xs []T, from, to int, fill T) []T {
-	if to < from {
-		for k := 1; k < to; k++ {
-			xs[k-1] = xs[2*k-1]
-		}
-		clear(xs[to-1:])
-		return xs[:to-1]
-	}
-	xs = xs[:to-1]
-	for k := from - 1; k >= 1; k-- {
-		xs[2*k-1] = xs[k-1]
-	}
-	for i := 0; i < len(xs); i += 2 {
-		xs[i] = fill
-	}
-	return xs
-}
-
-// havePredictions reports whether any chunk start is predicted.
+// havePredictions reports whether any chunk start in use is predicted.
 func (p *predictor[S]) havePredictions() bool {
-	for _, r := range p.rows {
-		if r.valid {
+	for k := p.stride - 1; k < len(p.rows); k += p.stride {
+		if p.rows[k].valid {
 			return true
 		}
 	}
@@ -156,14 +120,14 @@ func (p *predictor[S]) havePredictions() bool {
 }
 
 // planFromPosition appends the memoization plan of a chunk whose global
-// start position is (predicted to be) pos: one entry per boundary of the
-// current plan beyond pos, at a threshold relative to pos, ascending.
-// Empty while there is no trip count to plan from.
+// start position is (predicted to be) pos: one entry per boundary in use
+// beyond pos, at a threshold relative to pos, ascending. Empty while
+// there is no trip count to plan from.
 func (p *predictor[S]) planFromPosition(pos int64, buf []planEntry) []planEntry {
 	if p.prevTotal <= 0 {
 		return buf
 	}
-	for k := 1; k < p.parts; k++ {
+	for k := p.stride; k < p.parts; k += p.stride {
 		boundary := p.prevTotal * int64(k) / int64(p.parts)
 		if boundary <= 0 || boundary <= pos {
 			continue
@@ -194,14 +158,14 @@ var bootPlan = func() []planEntry {
 
 // promote turns the candidates a bootstrap plan captured (memos, in
 // capture order, so ascending by position) into row memoizations, in
-// place: for each boundary of an even split of total, the candidate
-// nearest to it among those behind the previous row's choice (the
-// earlier one on a tie). Chosen positions therefore increase by row — a
-// row at or behind its predecessor would start a chunk inside an earlier
-// chunk — and a boundary with no candidate left gets no row.
+// place: for each boundary in use of an even split of total, the
+// candidate nearest to it among those behind the previous row's choice
+// (the earlier one on a tie). Chosen positions therefore increase by
+// row — a row at or behind its predecessor would start a chunk inside
+// an earlier chunk — and a boundary with no candidate left gets no row.
 func (p *predictor[S]) promote(total int64, memos []memo[S]) []memo[S] {
 	out, from := memos[:0], 0
-	for k := 1; k < p.parts && from < len(memos); k++ {
+	for k := p.stride; k < p.parts && from < len(memos); k += p.stride {
 		boundary := total * int64(k) / int64(p.parts)
 		dist := func(ci int) int64 { return max(memos[ci].pos-boundary, boundary-memos[ci].pos) }
 		best := from

@@ -2,6 +2,18 @@ package spice
 
 import "testing"
 
+// bootCandidates is what a bootstrap plan captures in a traversal of
+// total iterations: a candidate at every power of two below total.
+func bootCandidates(total int64) []memo[int64] {
+	var cands []memo[int64]
+	for _, e := range bootPlan {
+		if e.local < total {
+			cands = append(cands, memo[int64]{row: e.row, state: -e.local, pos: e.local})
+		}
+	}
+	return cands
+}
+
 // checkPromote runs promote over what a bootstrap plan captures in a
 // traversal of total iterations — a candidate at every power of two an
 // iteration started at, so every one below total — and checks the rows
@@ -12,13 +24,8 @@ import "testing"
 // the chosen rows. FuzzPredictorApply calls it too.
 func checkPromote(t *testing.T, threads int, total int64) {
 	t.Helper()
-	var cands []memo[int64]
-	for _, e := range bootPlan {
-		if e.local < total {
-			cands = append(cands, memo[int64]{row: e.row, state: -e.local, pos: e.local})
-		}
-	}
-	p := newPredictor[int64](threads)
+	cands := bootCandidates(total)
+	p := newPredictor[int64](threads, 1)
 	got := p.promote(total, append([]memo[int64](nil), cands...))
 
 	lastPos := int64(0)
@@ -73,7 +80,7 @@ func TestPromote(t *testing.T) {
 		}
 	}
 	// Candidates are captured, never rows: unpromoted they install nothing.
-	p := newPredictor[int64](4)
+	p := newPredictor[int64](4, 1)
 	p.apply(100, []memo[int64]{{row: candRow, state: 1, pos: 1}, {row: candRow, state: 2, pos: 2}})
 	if p.havePredictions() {
 		t.Fatal("apply installed an unpromoted candidate as a row")

@@ -63,18 +63,29 @@ func pinnedEdit(g *gen, inv int) {
 // scenarios pin one chunk per slot (Config.depth); their paired/
 // subtests run the same scripts with two, where every invocation must
 // still equal the oracle, conserve, and agree across the two loop forms,
-// at widths 2 to 4.
+// at widths 2 to 4. Their derived/ subtests run them with the depth
+// derived, on the grid of two chunks per slot that uses every second
+// row at depth 1 (predictor.stride): 300 nodes are too few for depth 2
+// ever to engage, so each must hash to its scenario's pinned value.
 func TestRoundCountersPinned(t *testing.T) {
 	var kinds roundKinds
 	ran := map[string]string{} // scenario -> its snapshots, one a line
-	pin := func(name string, c mcase) {
-		sts := c.twin(t)
-		kinds.note(sts)
+	snapshots := func(sts []Stats) string {
 		lines := make([]string, len(sts))
 		for i, st := range sts {
 			lines[i] = statsLine(st)
 		}
-		ran[name] = strings.Join(lines, "\n")
+		return strings.Join(lines, "\n")
+	}
+	hash := func(snapshots string) uint64 {
+		h := fnv.New64a()
+		h.Write([]byte(snapshots))
+		return h.Sum64()
+	}
+	pin := func(name string, c mcase) {
+		sts := c.twin(t)
+		kinds.note(sts)
+		ran[name] = snapshots(sts)
 	}
 	for _, threads := range []int{2, 3, 4, 8} {
 		for _, maxSpec := range []int64{0, 50, 600} {
@@ -83,7 +94,15 @@ func TestRoundCountersPinned(t *testing.T) {
 					build: func() *gen { return testList(300, 31) }, edit: pinnedEdit,
 					threads: threads, adaptive: adaptive, maxSpec: maxSpec, probe: 2, invs: 14, depth: 1,
 				}
-				pin(fmt.Sprintf("list/t%d/cap%d/adaptive=%v", threads, maxSpec, adaptive), c)
+				name := fmt.Sprintf("list/t%d/cap%d/adaptive=%v", threads, maxSpec, adaptive)
+				pin(name, c)
+				derived := c
+				derived.depth = 0
+				t.Run("derived/"+name, func(t *testing.T) {
+					if got, want := hash(snapshots(derived.twin(t))), pinnedRounds[name]; got != want {
+						t.Errorf("%#016x, pinned %#016x", got, want)
+					}
+				})
 				if threads > 4 {
 					continue
 				}
@@ -113,11 +132,9 @@ func TestRoundCountersPinned(t *testing.T) {
 	if len(ran) != len(pinnedRounds) {
 		t.Errorf("%d scenarios ran, %d are pinned", len(ran), len(pinnedRounds))
 	}
-	for name, snapshots := range ran {
-		h := fnv.New64a()
-		h.Write([]byte(snapshots))
-		if got, want := h.Sum64(), pinnedRounds[name]; got != want {
-			t.Errorf("%q: %#016x, // pinned %#016x\n%s", name, got, want, snapshots)
+	for name, snaps := range ran {
+		if got, want := hash(snaps), pinnedRounds[name]; got != want {
+			t.Errorf("%q: %#016x, // pinned %#016x\n%s", name, got, want, snaps)
 		}
 	}
 }
@@ -150,8 +167,9 @@ func heldExecutor(t *testing.T) *Executor {
 	return e
 }
 
-// seedQuarters gives a width-4 runner the rows a bootstrap over ns
-// memoizes: rows 0, 1 and 2 at its quarters.
+// seedQuarters gives a width-4 runner pinned to one chunk a slot (a grid
+// of four parts) the rows a bootstrap over ns memoizes: rows 0, 1 and 2
+// at its quarters.
 func seedQuarters(r *Runner[*mnode, tally], ns []*mnode) {
 	q := len(ns) / 4
 	r.pred.apply(int64(len(ns)), []memo[*mnode]{{0, ns[q], int64(q)}, {1, ns[2*q], int64(2 * q)}, {2, ns[3*q], int64(3 * q)}})
@@ -187,7 +205,7 @@ func TestUndispatchedSlotsGetNoVerdict(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			l := testList(1200, 5)
 			ns := l.nodes()
-			r := newRunner(t, l.loop(false), Config{Threads: 4, Options: Options{Adaptive: true}, maxSpec: 100, Executor: heldExecutor(t)})
+			r := newRunner(t, l.loop(false), Config{Threads: 4, Options: Options{Adaptive: true}, maxSpec: 100, Executor: heldExecutor(t), depth: 1})
 			seedQuarters(r, ns)
 			if tc.unlink {
 				ns[599].next = ns[601]
@@ -265,7 +283,7 @@ func TestUndispatchedSlotsGetNoVerdict(t *testing.T) {
 // admitted rows and strictly increasing. The admitted rows are the last
 // na of nine, so a pick that returned an index instead of a row shows.
 func TestPlanDispatchSpreadsPicks(t *testing.T) {
-	r := newRunner(t, plainLoop(), Config{Threads: 10})
+	r := newRunner(t, plainLoop(), Config{Threads: 10, depth: 1})
 	rows := r.pred.rows
 	for na := 1; na <= len(rows); na++ {
 		for k := range rows {

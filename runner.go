@@ -315,7 +315,7 @@ func (r *Runner[S, A]) reset() {
 		r.ctrl.Reset()
 	}
 	r.pairing.reset()
-	r.regrid()
+	r.pred.stride = r.pred.parts / (r.cfg.Threads * r.pairing.depth)
 	// The scheduler's full slot set: the per-invocation release
 	// covers only the last round's width, while a session handoff must
 	// scrub memo buffers and any wider slots a later round dirtied long
@@ -325,21 +325,6 @@ func (r *Runner[S, A]) reset() {
 	// BindCells must not leak into the next session.
 	r.cells = r.loop.Cells
 	r.stats.effectiveThreads.Store(int64(r.cfg.Threads))
-}
-
-// regrid puts the predictor's rows, and the confidence scores with them,
-// on the grid of the pairing depth: Threads parts, or 2·Threads while
-// slots carry two chunks (predictor.regrid). Depth 1 keeps the coarser
-// grid rather than thinning the finer one in planDispatch: there the
-// rows between its boundaries would never be dispatched, so never get a
-// verdict, and would keep the neutral confidence score that lets them
-// through the gate in place of the rows it closed.
-func (r *Runner[S, A]) regrid() {
-	from, to := r.pred.parts, r.cfg.Threads*r.pairing.depth
-	r.pred.regrid(to)
-	if r.ctrl != nil && from != to {
-		r.ctrl.conf.regrid(from, to)
-	}
 }
 
 // BindCells binds the DOACROSS cell store subsequent invocations run

@@ -25,8 +25,9 @@ import (
 //   - finish: charge the tail, install the memoizations.
 //
 // Chunks and slots. A chunk is one link of the round's validation
-// chain: a start, a successor's predicted start to hunt, a plan, a
-// result, a verdict. A dispatch slot is one executor task (chunkJob)
+// chain: a start, a successor's predicted start to hunt, a plan, an
+// outcome, a verdict, all in one record, its lane (s.chunks[c] is chunk
+// c's). A dispatch slot is one executor task (chunkJob)
 // with one claim word, at most one queue entry and one latch count, and
 // one LastWorks entry. A slot carries one chunk, or two when the runner
 // pairs (pairing, adaptive.go: a DOALL traversal that waits on memory):
@@ -42,7 +43,7 @@ import (
 // other. Nothing runs beside it, so it touches no executor, reads no
 // clock, and a DOACROSS loop's view is direct (cells.go).
 //
-// The scheduler owns every per-invocation buffer (chunk results, jobs,
+// The scheduler owns every per-invocation buffer (jobs and their lanes,
 // plans, works, memos) and reuses them across rounds and invocations,
 // so the steady state allocates nothing at any width — including the
 // failure plumbing: ctx polling, the abort barrier and per-chunk error
@@ -57,16 +58,13 @@ import (
 // every block, and only the chain's last chunk and a round of one hunt
 // nothing. Inside a block the loop touches only register-resident
 // locals (a paired block: the two chains' states, in its own frame);
-// the shared result struct is written exactly once, when the chunk
-// finishes. Spills happen at three places only:
+// the chunk's lane is written between blocks only. Spills happen at two
+// places only:
 //
-//   - block boundaries: the lane's `work` counter (lane, the driver's
-//     per-chunk state in the slot) advances by the block's returned
-//     count and all slow-path bookkeeping (polls, plan captures, cap)
-//     runs against it;
-//   - chunk exit: work/acc/matched/capped/endState/err spill to the
-//     result struct in one shot (lane.close), so concurrent workers
-//     never share result cache lines mid-traversal;
+//   - block boundaries: the lane's state, accumulator and `work`
+//     counter advance by the block's returned ones, and all slow-path
+//     bookkeeping (polls, plan captures, cap, the outcome once the chunk
+//     stops) runs against them;
 //   - panic recovery: each block routine keeps its started-iteration
 //     counts where its recovery defer can reach them, so a chunk that
 //     panics mid-block still reports an exact count — and a paired
@@ -105,17 +103,12 @@ import (
 //     ctxPollEvery iterations). Each owns a cache line in the scheduler
 //     struct below; nothing else in the struct is written while chunks
 //     run.
-//   - chunkResults are written by exactly one worker each, in one shot
-//     at chunk exit — but neighbouring chunks exit within microseconds
-//     of each other on a balanced plan, so the results are padded apart
-//     (chunkResult's trailing pad): two workers' exit stores never
-//     contend for a line.
 //   - What a chunkJob's phase reads is written only by the invoker,
 //     before it arms the slot (seed and dispatch for the chunks,
 //     landCells for the copy-out), and is read-only while the phase
 //     runs, apart from one compare-and-swap on the claim word per
-//     contender and the lanes' driver state, which only the claimant
-//     writes, once per block; so jobs carry no padding.
+//     contender and the lanes, each chunk's record, which only the
+//     claimant writes, once per block; so jobs carry no padding.
 //   - works/memos/plans/chain/rd/used/lease are touched only by the
 //     invoking goroutine, strictly outside the window in which workers
 //     run (dispatch before, chain resolution after the latch wait) —
@@ -132,24 +125,6 @@ import (
 //     goroutine and publish once per invocation under runnerStats.mu;
 //     workers never write them.
 
-// chunkResult is one chunk's outcome.
-type chunkResult[S comparable, A any] struct {
-	acc      A
-	work     int64 // committed iterations (started count)
-	matched  bool  // stopped by encountering successor's predicted start
-	capped   bool  // hit the speculative iteration cap
-	props    []proposal[S]
-	endState S     // state at stop (valid only when capped)
-	err      error // body error, ctx error, *PanicError, or errChunkAborted
-
-	// Trailing pad, one full cache line: each slot is written by one
-	// worker in one shot at chunk exit, and balanced chunks exit nearly
-	// simultaneously — the pad keeps any two slots' fields at least a
-	// line apart regardless of the generic instantiation's size, so
-	// concurrent exit stores never false-share (see the header).
-	_ [64]byte
-}
-
 // chunkJob is a preallocated executor task: one dispatch slot of one
 // invocation. A slot runs in two phases, one claim each: its chunks
 // (exec), offered by dispatch, and in a DOACROSS round the copy-out of
@@ -157,7 +132,7 @@ type chunkResult[S comparable, A any] struct {
 // chunk. A slot carries one chunk of the round's validation chain, or
 // two (width 2) when the runner pairs; each chunk is a lane. r, lat and
 // idx are wired once at scheduler construction; seed sets the remaining
-// fields, and the lanes' inputs and results, every round.
+// fields, and the lanes' inputs, every round.
 type chunkJob[S comparable, A any] struct {
 	r     *Runner[S, A]
 	lat   *latch
@@ -178,13 +153,12 @@ type chunkJob[S comparable, A any] struct {
 	reclaimed, wrote, offered bool
 }
 
-// lane is one chunk of a slot: what seed arms it with, then the driver's
-// state while it runs (chunkJob.exec), which is also the paired
-// routine's input and output (pairFn). Only the slot's claimant touches
-// the driver state; the chunk's result struct is written once, at its
-// exit (close).
+// lane is one chunk of a slot and the chunk's one record: what seed arms
+// it with, then the driver's state while it runs (chunkJob.exec), which
+// is also the paired routine's input and output (pairFn), and, once it
+// has stopped, its outcome, which the walk reads. Only the slot's
+// claimant writes it while the slot runs, once per block.
 type lane[S comparable, A any] struct {
-	res    *chunkResult[S, A]
 	idx    int // the chunk's position in the round's validation chain (> 0: the start is predicted)
 	start  S
 	snap   *row[S] // successor's predicted start (nil: run to the end)
@@ -195,15 +169,19 @@ type lane[S comparable, A any] struct {
 	acc     A
 	hunt    bool
 	live    bool  // the chunk has not stopped
-	work    int64 // iterations completed as of the last block boundary
+	work    int64 // iterations completed as of the last block boundary: once stopped, the committed count
 	capAt   int64
 	// nextPoll is the count of the next ctx/abort poll; cursor the next
 	// plan entry, which fires no earlier than minPlanAt.
 	nextPoll, minPlanAt int64
 	cursor              int
 	ownDone             bool // the plan already captured ownRow
-	matched, capped     bool
-	err                 error
+	// The outcome: stopped on the successor's predicted start, or at the
+	// speculative iteration cap; the failure (a body or ctx error, a
+	// *PanicError, errChunkAborted); the memoizations captured.
+	matched, capped bool
+	err             error
+	props           []proposal[S]
 	// The paired routine's report of the last block: iterations started
 	// and why it stopped.
 	k   int64
@@ -433,29 +411,21 @@ func (j *chunkJob[S, A]) settle(l *lane[S, A], why blockStop, err error) {
 	// fire one iteration apart, as in the per-iteration loop).
 	if l.cursor < len(l.plan) && l.work >= l.plan[l.cursor].local && l.work >= l.minPlanAt {
 		e := l.plan[l.cursor]
-		l.res.props = append(l.res.props, proposal[S]{row: e.row, state: l.s, local: l.work})
+		l.props = append(l.props, proposal[S]{row: e.row, state: l.s, local: l.work})
 		l.ownDone = l.ownDone || e.row == l.ownRow
 		l.cursor++
 		l.minPlanAt = l.work + 1
 	}
 }
 
-// close is the chunk's exit: the only stores into its result struct
-// apart from the plan's captures.
+// close is the chunk's exit. Backstop: a chunk that matched persists the
+// validated successor start when its own pending entry targets its own
+// row (see the compiler transformation's spice.backstop). The peek did
+// no work, so the committed count excludes it.
 func (l *lane[S, A]) close() {
-	res := l.res
 	if l.matched && !l.ownDone && l.cursor < len(l.plan) && l.plan[l.cursor].row == l.ownRow {
-		// Backstop: persist the validated successor start when this
-		// chunk's own pending entry targets its own row (see the
-		// compiler transformation's spice.backstop). The peek did no
-		// work, so the committed count excludes it.
-		res.props = append(res.props, proposal[S]{row: l.ownRow, state: l.s, local: l.work})
+		l.props = append(l.props, proposal[S]{row: l.ownRow, state: l.s, local: l.work})
 	}
-	res.matched, res.capped = l.matched, l.capped
-	if l.capped {
-		res.endState = l.s
-	}
-	res.work, res.acc, res.err = l.work, l.acc, l.err
 }
 
 // startChunk is a chunk's prologue: the fault-injection site, then
@@ -487,13 +457,13 @@ func doneAt[S comparable](done func(S) bool, s S) (d bool, err error) {
 // at most one invocation at a time (the runner serializes; a Pool hands
 // each in-flight invocation its own runner).
 type scheduler[S comparable, A any] struct {
-	results []chunkResult[S, A] // per chunk of the current round, in chain order
-	jobs    []chunkJob[S, A]    // per dispatch slot
-	works   []int64             // per slot: LastWorks
-	memos   []memo[S]
-	plans   [][]planEntry // per-chunk memoization plans of the current round
-	chain   []int         // the round's chain: SVA row behind each speculative chunk
-	rd      round[S, A]   // the invocation in progress (run)
+	chunks []*lane[S, A]    // per chunk of the current round, in chain order: its lane (seed)
+	jobs   []chunkJob[S, A] // per dispatch slot
+	works  []int64          // per slot: LastWorks
+	memos  []memo[S]
+	plans  [][]planEntry // per-chunk memoization plans of the current round
+	chain  []int         // the round's chain: SVA row behind each speculative chunk
+	rd     round[S, A]   // the invocation in progress (run)
 	// DOACROSS state, armed per invocation by armCells: the bound cell
 	// store, the loop's reduction declarations, and one CellView per
 	// dispatch slot (allocated on first speculative invocation; DOALL
@@ -507,12 +477,12 @@ type scheduler[S comparable, A any] struct {
 	reds     []Reduction
 	views    []CellView
 	copyGate func() // test hook, nil outside tests (landCells)
-	// used is the number of slots (jobs, their lanes and chunk results,
-	// works) the most recent invocation dirtied (its widest round: later
-	// rounds can fan wider than round 0). release scrubs only these
-	// slots, and the next invocation clears only their works plus its
-	// own, so a narrow adaptive width does not pay a full-threads sweep
-	// per invocation — and stale slots still cannot leak into LastWorks.
+	// used is the number of slots (jobs, their lanes, works) the most
+	// recent invocation dirtied (its widest round: later rounds can fan
+	// wider than round 0). release scrubs only these slots, and the next
+	// invocation clears only their works plus its own, so a narrow
+	// adaptive width does not pay a full-threads sweep per invocation —
+	// and stale slots still cannot leak into LastWorks.
 	used int
 	// lease is the runner's inter-round gap history behind the workers'
 	// lease (executor.go).
@@ -541,11 +511,11 @@ type scheduler[S comparable, A any] struct {
 func newScheduler[S comparable, A any](r *Runner[S, A], threads, depth int) *scheduler[S, A] {
 	chunks := threads * depth
 	s := &scheduler[S, A]{
-		results: make([]chunkResult[S, A], chunks),
-		jobs:    make([]chunkJob[S, A], threads),
-		works:   make([]int64, threads),
-		plans:   make([][]planEntry, chunks),
-		chain:   make([]int, 0, chunks),
+		chunks: make([]*lane[S, A], chunks),
+		jobs:   make([]chunkJob[S, A], threads),
+		works:  make([]int64, threads),
+		plans:  make([][]planEntry, chunks),
+		chain:  make([]int, 0, chunks),
 	}
 	s.lat.init()
 	for c := range s.plans {
@@ -586,16 +556,17 @@ func (s *scheduler[S, A]) abortAfter(idx int) {
 	}
 }
 
-// release drops everything the round's jobs and results captured from
-// the caller once the invocation has fully completed: the
-// request-scoped context (and its value chain) plus every node state a
-// finished traversal left behind — job start states, successor-row
-// pointers, result end-states, accumulators, proposal buffers, error
-// values, the committed memo buffer (the predictor has consumed it by
-// the time release runs) and the round, which holds the live state, the
-// accumulator and the failure. Without this an idle runner parked in a
-// Pool free list pins the finished caller's data structure until the
-// next invocation happens to overwrite the same slots.
+// release drops everything the round's jobs and lanes captured from the
+// caller once the invocation has fully completed: the request-scoped
+// context (and its value chain) plus every node state a finished
+// traversal left behind — lane start and end states, successor-row
+// pointers, accumulators, proposal buffers, error values, the chunk
+// index (s.chunks), the committed memo buffer (the predictor has
+// consumed it by the time release runs) and the round, which holds the
+// live state, the accumulator and the failure. Without this an idle
+// runner parked in a Pool free list pins the finished caller's data
+// structure until the next invocation happens to overwrite the same
+// slots.
 func (s *scheduler[S, A]) release() {
 	var zeroS S
 	var zeroA A
@@ -605,20 +576,12 @@ func (s *scheduler[S, A]) release() {
 		job.ctx = nil
 		for i := range job.lanes {
 			l := &job.lanes[i]
-			l.res, l.start, l.snap, l.plan, l.s, l.stop, l.acc, l.err = nil, zeroS, nil, nil, zeroS, zeroS, zeroA, nil
+			l.start, l.snap, l.plan, l.s, l.stop, l.acc, l.err = zeroS, nil, nil, zeroS, zeroS, zeroA, nil
+			clear(l.props[:cap(l.props)])
+			l.props = l.props[:0]
 		}
 	}
-	for c := 0; c < min(len(s.results), 2*s.used); c++ {
-		res := &s.results[c]
-		res.acc = zeroA
-		res.endState = zeroS
-		res.err = nil
-		props := res.props[:cap(res.props)]
-		for i := range props {
-			props[i] = proposal[S]{}
-		}
-		res.props = res.props[:0]
-	}
+	clear(s.chunks)
 	memos := s.memos[:cap(s.memos)]
 	for i := range memos {
 		memos[i] = memo[S]{}
@@ -803,13 +766,12 @@ func (s *scheduler[S, A]) begin(r *Runner[S, A], start S, n, width int, probe bo
 	s.memos = s.memos[:0]
 }
 
-// seed arms the round's slots and lanes and clears the chunks' results.
-// Each chunk plans from its (predicted) global position — chunk 0's is
-// exact. Only balance depends on the prediction; correctness comes from
-// the validation chain.
+// seed arms the round's slots and lanes, records each chunk's lane in
+// s.chunks and clears its proposals. Each chunk plans from its
+// (predicted) global position — chunk 0's is exact. Only balance depends
+// on the prediction; correctness comes from the validation chain.
 func (s *scheduler[S, A]) seed(r *Runner[S, A], ctx context.Context) {
 	rd, rows := &s.rd, r.pred.rows
-	var zero S
 	for i := 0; i < rd.slots; i++ {
 		j := &s.jobs[i]
 		j.ctx, j.cap, j.width = ctx, rd.cap, 1
@@ -820,7 +782,8 @@ func (s *scheduler[S, A]) seed(r *Runner[S, A], ctx context.Context) {
 	for c := 0; c < rd.n; c++ {
 		i := rd.slot(c)
 		l, at := &s.jobs[i].lanes[c-rd.first(i)], rd.pos
-		l.res, l.idx, l.start, l.snap, l.ownRow, l.plan = &s.results[c], c, rd.cur, nil, -1, bootPlan
+		s.chunks[c] = l
+		l.idx, l.start, l.snap, l.ownRow, l.plan, l.props = c, rd.cur, nil, -1, bootPlan, l.props[:0]
 		if c > 0 {
 			from := &rows[s.chain[c-1]]
 			l.start, at = from.start, max(rd.pos, from.pos)
@@ -833,15 +796,12 @@ func (s *scheduler[S, A]) seed(r *Runner[S, A], ctx context.Context) {
 			s.plans[c] = r.pred.planFromPosition(at, s.plans[c][:0])
 			l.plan = s.plans[c]
 		}
-		res := l.res
-		res.work, res.matched, res.capped, res.endState, res.err = 0, false, false, zero, nil
-		res.props = res.props[:0]
 	}
 }
 
 // dispatch launches and joins the round's slots: slot i>0 goes to the
 // executor, slot 0 runs here, and the round is joined — every launched
-// chunk executed exactly once, its result written — when it returns.
+// chunk executed exactly once, its outcome in its lane — when it returns.
 // This is the invoker's side of the claim/join/lease protocol
 // (executor.go header). Cancellation is honored here: once ctx is done
 // no further slot starts, armed stays short of n, and the ctx error
@@ -961,7 +921,7 @@ func (s *scheduler[S, A]) walk(r *Runner[S, A]) {
 	rd.f, rd.conflictAt, rd.land, rd.shared = 0, -1, 0, false
 	probeEnd := rd.armed // DOACROSS: the first conflicting chunk, or the end of the launched slots
 	for i := 0; i < rd.n; i++ {
-		res := &s.results[i]
+		l := s.chunks[i]
 		if i == rd.armed {
 			// Unlaunched: dispatch was cut short by cancellation and the
 			// chain matched its way to a chunk that never started — the
@@ -977,13 +937,13 @@ func (s *scheduler[S, A]) walk(r *Runner[S, A]) {
 			rd.conflictAt = i
 			break
 		}
-		if res.err != nil {
+		if l.err != nil {
 			// Chunks 0..i-1 all matched, so chunk i's iterations are
 			// exactly the sequential continuation and its failure is the
 			// first in iteration order. (errChunkAborted cannot reach
 			// here: an aborted chunk always sits behind the failed chunk
 			// that lowered the barrier, and the walk stops there first.)
-			rd.f, rd.err = i, res.err
+			rd.f, rd.err = i, l.err
 			if s.cells != nil {
 				// Sequential execution would have applied the failing
 				// run's cell writes up to the failure point; land the
@@ -995,9 +955,9 @@ func (s *scheduler[S, A]) walk(r *Runner[S, A]) {
 			break
 		}
 		if rd.committed {
-			rd.acc = r.loop.Merge(rd.acc, res.acc)
+			rd.acc = r.loop.Merge(rd.acc, l.acc)
 		} else {
-			rd.acc, rd.committed = res.acc, true
+			rd.acc, rd.committed = l.acc, true
 		}
 		if s.cells != nil { // one chunk per slot: chunk i is slot i
 			end, wrote, out := s.views[i].validate(s.views[i+1 : probeEnd])
@@ -1005,17 +965,17 @@ func (s *scheduler[S, A]) walk(r *Runner[S, A]) {
 			s.jobs[i].wrote = wrote
 			rd.land, rd.shared = i+1, rd.shared || out
 		}
-		for _, pr := range res.props {
+		for _, pr := range l.props {
 			s.memos = append(s.memos, memo[S]{row: pr.row, state: pr.state, pos: rd.pos + pr.local})
 		}
-		rd.pos += res.work
+		rd.pos += l.work
 		if rd.index == 0 {
-			s.works[rd.slot(i)] += res.work
+			s.works[rd.slot(i)] += l.work
 		} else {
 			r.pend.RecoveryChunks++
 		}
 		rd.f = i
-		if !res.matched {
+		if !l.matched {
 			break
 		}
 	}
@@ -1064,7 +1024,7 @@ func (s *scheduler[S, A]) land(r *Runner[S, A]) {
 // is what output dependences need.
 func (s *scheduler[S, A]) landCells(r *Runner[S, A], n int, spread bool) {
 	offered := false
-	if spread && n > 1 && r.exec.spin { // a width-1 runner has no executor, and a round of one no copy
+	if spread && n > 1 && r.exec.procs > 1 { // a width-1 runner has no executor, and a round of one no copy
 		for i := 1; i < n; i++ {
 			j := &s.jobs[i]
 			if j.reclaimed || !j.wrote {
@@ -1113,7 +1073,7 @@ func (s *scheduler[S, A]) squash(r *Runner[S, A]) {
 	rd := &s.rd
 	var squashed int64
 	for i := rd.f + 1; i < rd.armed; i++ {
-		squashed += s.results[i].work
+		squashed += s.chunks[i].work
 		rd.misspec = true
 	}
 	if rd.conflictAt >= 0 {
@@ -1125,7 +1085,7 @@ func (s *scheduler[S, A]) squash(r *Runner[S, A]) {
 		r.pend.ConflictIters += squashed
 	}
 	if rd.err != nil && rd.f < rd.armed {
-		squashed += s.results[rd.f].work
+		squashed += s.chunks[rd.f].work
 	}
 	r.pend.SquashedIters += squashed
 }
@@ -1149,7 +1109,7 @@ func (s *scheduler[S, A]) squash(r *Runner[S, A]) {
 // reached the end of the traversal.
 func (s *scheduler[S, A]) verdicts(r *Runner[S, A]) bool {
 	rd := &s.rd
-	again := rd.conflictAt >= 0 || s.results[rd.f].capped
+	again := rd.conflictAt >= 0 || s.chunks[rd.f].capped
 	for i := 1; i < rd.armed; i++ {
 		if reclaimed := s.jobs[rd.slot(i)].reclaimed; i <= rd.f {
 			r.noteHit(s.chain[i-1], reclaimed)
@@ -1181,7 +1141,7 @@ func (s *scheduler[S, A]) verdicts(r *Runner[S, A]) bool {
 func (s *scheduler[S, A]) advance(r *Runner[S, A], ctx context.Context) {
 	rd := &s.rd
 	hunter := rd.f
-	rd.cur = s.results[rd.f].endState
+	rd.cur = s.chunks[rd.f].s
 	if rd.conflictAt >= 0 {
 		hunter = rd.conflictAt
 		rd.cur = s.jobs[hunter].lanes[0].start // DOACROSS: one chunk per slot
@@ -1235,7 +1195,7 @@ func (s *scheduler[S, A]) finish(r *Runner[S, A]) {
 	if rd.wall > 0 && rd.round0 > 0 && !rd.reclaimed {
 		perIter = float64(rd.wall) / float64(rd.round0)
 	}
-	if w := s.results[0].work; w > 0 {
+	if w := s.chunks[0].work; w > 0 {
 		chunk0 = float64(rd.own) / float64(w)
 	}
 	// A round wider than the host's processors is never clean: its chunk
@@ -1243,18 +1203,19 @@ func (s *scheduler[S, A]) finish(r *Runner[S, A]) {
 	// that waits on memory.
 	clean := rd.index == 0 && !rd.misspec && !rd.reclaimed && rd.slots <= r.exec.procs
 	if r.pairing.observe(perIter, rd.slots, rd.paired, clean, chunk0, rd.pos/int64(2*r.cfg.Threads)) {
-		r.regrid()
+		r.pred.stride = r.pred.parts / (r.cfg.Threads * r.pairing.depth)
 	}
 }
 
-// admitted fills s.chain, in row order, with the rows from index from on
-// that are valid and clear the adaptive confidence gate (every valid row
-// when the gate is off or the invocation is a probe) — the rows a round
-// may speculate on — and returns it.
+// admitted fills s.chain, in row order, with the rows in use (every
+// stride-th, predictor.stride) from index from on that are valid and
+// clear the adaptive confidence gate (every valid row when the gate is
+// off or the invocation is a probe) — the rows a round may speculate on
+// — and returns it.
 func (s *scheduler[S, A]) admitted(r *Runner[S, A], from int, probe bool) []int {
-	rows, adm := r.pred.rows, s.chain[:0]
-	for k := from; k < len(rows); k++ {
-		if rows[k].valid && r.admitRow(k, probe) {
+	rows, adm, stride := r.pred.rows, s.chain[:0], r.pred.stride
+	for k := stride - 1; k < len(rows); k += stride {
+		if k >= from && rows[k].valid && r.admitRow(k, probe) {
 			adm = append(adm, k)
 		}
 	}

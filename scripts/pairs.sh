@@ -38,6 +38,16 @@
 # BASE=HEAD on a clean tree runs one tree under two labels: the A/A
 # floor, what each metric's spread and win count read under no change
 # on this host today.
+#
+# Layout pads: before both runs of pair i, the same generated
+# bench/aaa_pad.go is written into both copies (never into the
+# repository's bench/). It holds one //go:noinline function of 1, 44, 84
+# or 124 bytes of code, called from an init, which the linker places
+# ahead of the benchmark's own code, so it shifts everything after it by
+# one to four 32-byte blocks: on amd64 that puts the hot closures of the
+# cell loop at 0, 32, 0 and 32 mod 64. The size cycles through the four,
+# one step further every four pairs, so in eight pairs each pad runs
+# once with either side first. Each JSONL line records its pad.
 set -euo pipefail
 
 workloads=${1:?usage: scripts/pairs.sh WORKLOAD[,WORKLOAD...] [PAIRS=10] [BASE=HEAD~1]}
@@ -68,12 +78,41 @@ git ls-files -z -co --exclude-standard --deduplicate |
 	while IFS= read -r -d '' f; do [[ -e $f ]] && printf '%s\0' "$f"; done |
 	tar --null -T - -cf - | tar -x -C "$changedir"
 
-# one SIDE DIR SEED: a timed run of $workload in DIR, its last line kept.
+# padfile SIZE: the Go source of a pad whose function is SIZE bytes of
+# amd64 code: one RET and SIZE-1 bytes of constant stores, 7 bytes to a
+# byte and 11 to a word, each into its own cache line.
+padfile() {
+	python3 - "$1" <<'PY'
+import sys
+rest = int(sys.argv[1]) - 1
+words = next(w for w in range(rest // 11 + 1) if (rest - 11 * w) % 7 == 0)
+stores = [f"\taaaPadBytes[{64 * i}] = 1" for i in range((rest - 11 * words) // 7)]
+stores += [f"\taaaPadWords[{8 * i}] = 1" for i in range(words)]
+print(f"""// Code generated by scripts/pairs.sh: a layout pad of {sys.argv[1]} bytes. DO NOT EDIT.
+
+package main
+
+var (
+	aaaPadBytes [64 * 32]byte
+	aaaPadWords [8 * 32]uint64
+)
+
+//go:noinline
+func aaaPad() {{
+{chr(10).join(stores)}
+}}
+
+func init() {{ aaaPad() }}""")
+PY
+}
+pads=(1 44 84 124)
+
+# one SIDE DIR SEED PAD: a timed run of $workload in DIR, its last line kept.
 one() {
 	local line
 	line=$(cd "$2" && bash bench/run.sh --workload "$workload" --seconds "$seconds" --trace 0 --seed "$3" | tail -n 1)
-	printf '{"side":"%s","seed":%d,"run":%s}\n' "$1" "$3" "$line" >> "$runs"
-	echo "$1 seed=$3 $line"
+	printf '{"side":"%s","seed":%d,"pad":%d,"run":%s}\n' "$1" "$3" "$4" "$line" >> "$runs"
+	echo "$1 seed=$3 pad=$4 $line"
 }
 
 # summarize RUNS: both sides' medians and quartiles per end-to-end metric.
@@ -142,12 +181,15 @@ for workload in ${workloads//,/ }; do
 	echo "# $workload: $pairs pairs of ${seconds}s runs, base $rev against the working tree as snapshot $snap"
 	for ((i = 1; i <= pairs; i++)); do
 		seed=$((first_seed + i))
+		pad=${pads[(i - 1 + (i - 1) / 4) % 4]}
+		padfile "$pad" > "$basedir/bench/aaa_pad.go"
+		cp "$basedir/bench/aaa_pad.go" "$changedir/bench/aaa_pad.go"
 		if ((i % 2)); then
-			one base "$basedir" "$seed"
-			one change "$changedir" "$seed"
+			one base "$basedir" "$seed" "$pad"
+			one change "$changedir" "$seed" "$pad"
 		else
-			one change "$changedir" "$seed"
-			one base "$basedir" "$seed"
+			one change "$changedir" "$seed" "$pad"
+			one base "$basedir" "$seed" "$pad"
 		fi
 	done
 	summarize "$runs"

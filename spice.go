@@ -302,8 +302,10 @@ type Config struct {
 	probeEvery int
 	// depth, when positive, pins the chunks a dispatch slot carries (1 or
 	// 2) instead of deriving it (pairing, adaptive.go). A DOACROSS loop
-	// and a width-1 runner stay at 1 whatever it says. Tests pin 2 to run
-	// every DOALL scenario paired, and 1 where they pin a chunk layout.
+	// and a width-1 runner stay at 1 whatever it says. A pinned runner
+	// plans on its pinned depth's grid: Threads·depth chunks. Tests pin 2
+	// to run every DOALL scenario paired, and 1 where they pin a chunk
+	// layout.
 	depth int
 }
 
@@ -511,22 +513,24 @@ func NewRunner[S comparable, A any](loop Loop[S, A], cfg Config) (*Runner[S, A],
 	r := &Runner[S, A]{
 		loop:  loop,
 		cfg:   cfg,
-		pred:  newPredictor[S](cfg.Threads),
 		cells: loop.Cells,
 	}
 	r.block, r.pair = blockOf(&loop)
-	depth := 2 // the chunks a slot may carry
+	depth := 2 // the finest depth: the most chunks a slot may carry
 	if r.pair == nil || cfg.Threads < 2 {
 		r.pairing.forced, depth = 1, 1
 	} else if cfg.depth > 0 {
-		r.pairing.forced = min(cfg.depth, 2)
-	}
-	r.sched = newScheduler(r, cfg.Threads, depth)
-	if cfg.Adaptive && cfg.Threads > 1 {
-		r.ctrl = newSpecController(cfg.Threads, int64(cfg.probeEvery))
+		depth = min(cfg.depth, 2)
+		r.pairing.forced = depth
 	}
 	r.pairing.reset()
-	r.regrid()
+	// One grid, cut for the finest depth; a coarser depth uses every
+	// stride-th row of it.
+	r.pred = newPredictor[S](cfg.Threads*depth, depth/r.pairing.depth)
+	r.sched = newScheduler(r, cfg.Threads, depth)
+	if cfg.Adaptive && cfg.Threads > 1 {
+		r.ctrl = newSpecController(cfg.Threads, len(r.pred.rows), int64(cfg.probeEvery))
+	}
 	r.stats.effectiveThreads.Store(int64(cfg.Threads))
 	if cfg.Threads > 1 {
 		if cfg.Executor != nil {
