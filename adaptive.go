@@ -168,12 +168,6 @@ const (
 	// verdict. A probe resolved as specSkipped is abandoned without
 	// promoting.
 	specSkipped
-	// specConflict: a DOACROSS read/write-set conflict squashed at
-	// least one chunk. The predictions themselves were validated, but
-	// the invocation still paid squash-and-recover — and narrower width
-	// genuinely shrinks the cross-chunk conflict surface — so the
-	// controller treats it exactly like a misspeculation loss.
-	specConflict
 )
 
 // Observe feeds back the outcome of the invocation started by the last
@@ -208,7 +202,7 @@ func (c *specController) Observe(outcome specOutcome) {
 		return
 	}
 	x := 0.0
-	if outcome == specMisspec || outcome == specConflict {
+	if outcome == specMisspec {
 		x = 1
 	}
 	c.rate = (1-specEWMAAlpha)*c.rate + specEWMAAlpha*x

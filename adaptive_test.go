@@ -309,7 +309,7 @@ func TestPairingPolicy(t *testing.T) {
 		// rows, still valid until the next apply clears them, and every
 		// slot works again.
 		depth(1)
-		if adm := r.sched.admitted(r, 0, false); !slices.Equal(adm, []int{1, 3}) {
+		if adm := r.admitted(0); !slices.Equal(adm, []int{1, 3}) {
 			t.Fatalf("rows %v admitted after the drop", adm)
 		}
 		if n := paired(1); n != 0 || !slices.Equal(memoized(), []int64{-1, 1000, -1, 2000, -1}) {

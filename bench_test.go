@@ -158,7 +158,7 @@ func BenchmarkNativeRunner(b *testing.B) {
 
 // BenchmarkInvocationFloor is what an invocation costs before its first
 // iteration: an 8-node list, so the op is the fixed path of
-// runInvocation and scheduler.run for a round of one (arming, one latch
+// runInvocation and Runner.run for a round of one (arming, one latch
 // add and done, the abort store, publish, release). t1 is Run on a
 // width-1 runner, gated at 0 allocs/op; t2_shed is a 64-start
 // Session.RunBatch on a width-2 pool, every item shed for being short

@@ -233,63 +233,98 @@ func TestScanBlocksBounded(t *testing.T) {
 
 // TestReleaseZeroesInvocationState is the explicit zero-check half of
 // the pinning regression guard: after a parallel invocation completes,
-// the scheduler's release must have cleared every caller-derived value
+// the runner's release must have cleared every caller-derived value
 // from the preallocated jobs and their lanes — contexts, start states,
-// successor-row pointers, proposal states, end states, accumulators —
-// the chunk index (s.chunks) and the memo buffer — and the round, which
-// holds the live state, the accumulator and the failure, after a success
-// and after a failure. Its slots carry two chunks each, so both lanes of
-// a slot are checked.
+// successor states, proposal states, end states, accumulators — the
+// chunk index (r.chunks) and the memo buffer — and the round, which
+// holds the live state, the accumulator and the failure, after a
+// success, after a failure, and after a round of one that follows wider
+// ones. Its slots carry two chunks each, so both lanes of a slot are
+// checked. A DOALL runner has no CellView; a DOACROSS runner has one per
+// slot from NewRunner on, and after a round narrower than the ones
+// before it no view keeps the store either.
 func TestReleaseZeroesInvocationState(t *testing.T) {
 	g, _ := blockList(30_000)
 	r := newRunner(t, plainLoop(), Config{Threads: 4, depth: 2})
+	if r.views != nil {
+		t.Fatalf("a DOALL runner has %d cell views, want none", len(r.views))
+	}
 	g.warm(t, r, 4) // bootstrap + parallel steady state
-	s := r.sched
-	for j := range s.jobs {
-		job := &s.jobs[j]
-		if job.ctx != nil {
-			t.Fatalf("job %d retains its context", j)
-		}
-		for i, l := range job.lanes {
-			if l.start != nil || l.snap != nil || l.plan != nil || l.s != nil || l.stop != nil || l.acc != (tally{}) || l.err != nil {
-				t.Fatalf("job %d lane %d retains invocation state: %+v", j, i, l)
-			}
-			props := l.props[:cap(l.props)]
-			for k := range props {
-				if props[k].state != nil {
-					t.Fatalf("job %d lane %d proposal buffer retains node state at %d", j, i, k)
-				}
-			}
-		}
-	}
-	for c, l := range s.chunks {
-		if l != nil {
-			t.Fatalf("chunk %d still names its lane", c)
-		}
-	}
-	memos := s.memos[:cap(s.memos)]
-	for i := range memos {
-		if memos[i].state != nil {
-			t.Fatalf("memo buffer retains node state at %d", i)
-		}
-	}
-	if s.rd != (round[*mnode, tally]{}) {
-		t.Fatalf("round retains invocation state after a success: %+v", s.rd)
-	}
+	checkReleased(t, r, "after a success")
 	// Cancelled at slot 1's check in round 0's dispatch: chunk 0 runs
 	// alone and the invocation fails with the ctx error.
 	ctx := &scriptedCtx{Context: context.Background(), cancelAt: 3}
 	_, err := r.Run(ctx, g.head)
 	wantErr(t, err, context.Canceled)
-	if s.rd != (round[*mnode, tally]{}) {
-		t.Fatalf("round retains invocation state after a failure: %+v", s.rd)
+	checkReleased(t, r, "after a failure")
+	// Nothing predicted: a round of one on slot 0 after the wide rounds.
+	r.pred.reset()
+	g.exact(t, r)
+	checkReleased(t, r, "after a narrow round")
+
+	p := odPatterns[2] // disjoint: every round commits every chunk
+	cg := odList(p.dst, p.size)
+	cr := newRunner(t, cg.loop(false), Config{Threads: 4})
+	if len(cr.views) != 4 {
+		t.Fatalf("a DOACROSS runner of 4 slots has %d cell views from NewRunner on, want 4", len(cr.views))
+	}
+	for op := range 3 {
+		odRun(t, cr, cg, op)
+	}
+	if n := busy(cr.Stats().LastWorks); n != 4 {
+		t.Fatalf("DOACROSS warm-up rounds used %d slots, want 4", n)
+	}
+	cr.pred.reset()
+	odRun(t, cr, cg, 3)
+	checkReleased(t, cr, "DOACROSS, after a narrow round")
+	for j := range cr.views {
+		if cr.views[j].words != nil {
+			t.Fatalf("view %d keeps the store after a narrow round", j)
+		}
+	}
+}
+
+// checkReleased fails t if any slot, lane, chunk index entry, memo or
+// the round still holds invocation state (TestReleaseZeroesInvocationState).
+func checkReleased(t *testing.T, r *Runner[*mnode, tally], when string) {
+	t.Helper()
+	for j := range r.jobs {
+		job := &r.jobs[j]
+		if job.ctx != nil {
+			t.Fatalf("%s: job %d retains its context", when, j)
+		}
+		for i, l := range job.lanes {
+			if l.start != nil || l.plan != nil || l.s != nil || l.stop != nil || l.acc != (tally{}) || l.err != nil {
+				t.Fatalf("%s: job %d lane %d retains invocation state: %+v", when, j, i, l)
+			}
+			props := l.props[:cap(l.props)]
+			for k := range props {
+				if props[k].state != nil {
+					t.Fatalf("%s: job %d lane %d proposal buffer retains node state at %d", when, j, i, k)
+				}
+			}
+		}
+	}
+	for c, l := range r.chunks {
+		if l != nil {
+			t.Fatalf("%s: chunk %d still names its lane", when, c)
+		}
+	}
+	memos := r.memos[:cap(r.memos)]
+	for i := range memos {
+		if memos[i].state != nil {
+			t.Fatalf("%s: memo buffer retains node state at %d", when, i)
+		}
+	}
+	if r.rd != (round[*mnode, tally]{}) {
+		t.Fatalf("%s: round retains invocation state: %+v", when, r.rd)
 	}
 }
 
 // TestResetRunnerPinsNothing is the weak-pointer half: a runner that
 // traversed a structure, then was reset (the Pool session-boundary
 // path), must not keep a single node of that structure alive — the
-// predictor's two row generations (rows, scratch) and the scheduler's
+// predictor's two row generations (rows, scratch) and the runner's
 // job/lane/memo buffers all hold node states at some point and must
 // all let go — paired slots' second lanes included.
 func TestResetRunnerPinsNothing(t *testing.T) {

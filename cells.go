@@ -31,7 +31,7 @@ import "math/bits"
 // test and, the first time a cell is touched, a bit set. Arming is one
 // clear over the bitmap; there is no per-block "touched" flag to keep,
 // a block nothing named has two zero words. Retiring a chunk is three
-// steps the scheduler orders (scheduler.run and landCells): validate
+// steps the scheduler orders (Runner.run and landCells): validate
 // ANDs each written block against the same block of every later chunk
 // and never touches a value; copyOut moves the written cells into the
 // store, a fully written block by one 64-cell copy, and skips every
@@ -188,7 +188,7 @@ func (c *Cells) Set(i int, v int64) { c.words[i] = v }
 //
 // A view is confined to its chunk's goroutine during execution, to the
 // invoking goroutine while it is armed, validated and folded, and to
-// whoever claimed its copy-out (scheduler.landCells) while that runs;
+// whoever claimed its copy-out (Runner.landCells) while that runs;
 // the round's latch and claim words order the three, so it needs (and
 // has) no internal locking. Out-of-range cell indices panic in the
 // body, before the view records anything about them, and the runtime
@@ -211,7 +211,7 @@ type CellView struct {
 	// words is the bound store's cells, cached at every arm: an access
 	// reads the slice header here instead of chasing the store pointer.
 	words []int64
-	// direct marks the view of a round of one (scheduler.dispatch:
+	// direct marks the view of a round of one (Runner.dispatch:
 	// the only chunk running): loads and stores pass straight through to
 	// the store — the reference semantics the buffered mode must
 	// reproduce exactly. Reductions are privatized in this mode too.
@@ -399,7 +399,7 @@ func (v *CellView) reduceKind(r int, x int64) {
 }
 
 // A buffered chunk retires in three steps, which the scheduler orders
-// (scheduler.run validates during the chain walk; landCells copies out
+// (Runner.run validates during the chain walk; landCells copies out
 // and folds once the walk knows the committed prefix). All three run
 // after the round has joined. A direct view has nothing buffered and
 // nobody to conflict with: validate and copyOut return at once (see

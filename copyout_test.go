@@ -1,6 +1,6 @@
 package spice
 
-// Tests of the split commit (scheduler.landCells): the chain walk
+// Tests of the split commit (Runner.landCells): the chain walk
 // validates, and the buffered values land afterwards — side by side on
 // the cores that filled them when no two committed views stored to one
 // cell, in chain order on the invoker otherwise. What must hold either
@@ -138,7 +138,7 @@ func TestCopyOutReclaimedChunk(t *testing.T) {
 				op := 0
 				for ; op < 12; op++ {
 					odRun(t, r, g, op)
-					checkIdle(t, &r.sched.lat, op)
+					checkIdle(t, &r.lat, op)
 				}
 				if st := r.Stats(); st.Reclaimed < 6 {
 					t.Fatalf("Reclaimed = %d over 12 ops with the worker stalled", st.Reclaimed)
@@ -148,7 +148,7 @@ func TestCopyOutReclaimedChunk(t *testing.T) {
 				g.checkCells(t, "after the held entry ran")
 				for ; op < 20; op++ {
 					odRun(t, r, g, op)
-					checkIdle(t, &r.sched.lat, op)
+					checkIdle(t, &r.lat, op)
 				}
 			})
 		}
@@ -162,7 +162,7 @@ func TestCopyOutReclaimedChunk(t *testing.T) {
 // worker holds an earlier entry, so landCells arms the copy without
 // submitting. A goroutine then does what that worker does when it gets
 // to the entry — claim and copy — while the invoker is held
-// (scheduler.copyGate) between arming the copy and its own claim. The
+// (Runner.copyGate) between arming the copy and its own claim. The
 // late entry therefore wins every copy: it lands exactly once, it is
 // the current round's, and the invoker's own claim is the failed one.
 // An entry run while nothing is armed touches nothing.
@@ -190,7 +190,7 @@ func TestCopyOutStaleEntry(t *testing.T) {
 		odRun(t, r, g, op)
 	}
 	drain(r.exec) // no real entry of slot 1 is left in the queue
-	c := &r.sched.jobs[1]
+	c := &r.jobs[1]
 	workerOwnsChunk := func() {
 		for c.claim.Load() != 0 {
 			runtime.Gosched()
@@ -217,7 +217,7 @@ func TestCopyOutStaleEntry(t *testing.T) {
 		}
 	}()
 	wins, held := 0, 0
-	r.sched.copyGate = func() {
+	r.copyGate = func() {
 		held++
 		armed <- struct{}{}
 		if <-claimed {
@@ -227,12 +227,12 @@ func TestCopyOutStaleEntry(t *testing.T) {
 	const rounds = 100
 	for ; op < 3+rounds; op++ {
 		odRun(t, r, g, op)
-		checkIdle(t, &r.sched.lat, op)
+		checkIdle(t, &r.lat, op)
 		if c.claim.Load() != 0 {
 			t.Fatalf("op %d: slot still armed after the round", op)
 		}
 	}
-	r.sched.copyGate = nil
+	r.copyGate = nil
 	close(armed)
 	<-done
 	if held != rounds || wins != rounds {
@@ -244,7 +244,7 @@ func TestCopyOutStaleEntry(t *testing.T) {
 		t.Fatal("a stale entry run between rounds left the slot queued or armed")
 	}
 	g.checkCells(t, "after a stale entry between rounds")
-	checkIdle(t, &r.sched.lat, op)
+	checkIdle(t, &r.lat, op)
 
 	// Hold the worker behind chunk 1: the copy entry queues behind the
 	// held task, and the invoker takes the copy.
@@ -264,20 +264,20 @@ func TestCopyOutStaleEntry(t *testing.T) {
 	atHead = nil // the worker stays held: the invoker reclaims the next chunk
 	odRun(t, r, g, op)
 	op++
-	if n := r.sched.queuedEntries(); n > 1 {
+	if n := r.queuedEntries(); n > 1 {
 		t.Fatalf("%d entries queued for a Threads-2 runner; want the stale copy entry to serve the next chunk", n)
 	}
 	release()
 	drain(r.exec)
-	if n := r.sched.queuedEntries(); n != 0 {
+	if n := r.queuedEntries(); n != 0 {
 		t.Fatalf("%d entries still queued after the worker ran its queue", n)
 	}
 	g.checkCells(t, "after the held worker's stale entry")
-	checkIdle(t, &r.sched.lat, op)
+	checkIdle(t, &r.lat, op)
 	// The slot is free again: the next rounds submit a real entry.
 	for end := op + 5; op < end; op++ {
 		odRun(t, r, g, op)
-		checkIdle(t, &r.sched.lat, op)
+		checkIdle(t, &r.lat, op)
 	}
 }
 
@@ -360,9 +360,9 @@ func TestTailRoundOfOneRunsDirect(t *testing.T) {
 					before := r.Stats().Recoveries
 					odRun(t, r, g, op)
 					// Op 0 has nothing predicted and is a round of one outright.
-					if rounds := r.Stats().Recoveries - before; (op > 0 && rounds == 0) || !r.sched.views[0].direct {
+					if rounds := r.Stats().Recoveries - before; (op > 0 && rounds == 0) || !r.views[0].direct {
 						t.Fatalf("op %d: %d later rounds, last view of slot 0 direct=%v; want a direct tail behind a capped chunk",
-							op, rounds, r.sched.views[0].direct)
+							op, rounds, r.views[0].direct)
 					}
 				}
 			})

@@ -83,7 +83,7 @@ import (
 //     slot is armed without a second one while it does, so queue depth
 //     and the load gauge stay at one entry per slot however long a
 //     worker is away. The copy-out of a DOACROSS round
-//     (scheduler.landCells) is the slot's second phase on the same
+//     (Runner.landCells) is the slot's second phase on the same
 //     claim word, so that holds for it too: at most one entry per slot,
 //     chunk or copy, and a stale entry runs whichever phase is armed.
 //   - Join (latch.go). Once every chunk is claimed, whatever is still
@@ -115,7 +115,7 @@ import (
 //     alternates short and long gaps (a Newton iteration, then a
 //     timestep boundary) otherwise parks once per long gap.
 //  3. A gap over the cap is not recorded and withholds the lease for
-//     that round only; scheduler.purge clears the history. A recycled
+//     that round only; Runner.reset clears the history. A recycled
 //     runner or a new job re-engages within two rounds, and an idle
 //     tenant's workers park as they always did.
 //  4. Every spin ends at a deadline, never after an iteration count.

@@ -109,7 +109,7 @@ func TestLeasePurgeAndSequentialRounds(t *testing.T) {
 	l := testList(4096, 3)
 	r := newRunner(t, plainLoop(), Config{Threads: 2})
 	l.warm(t, r, 6)
-	lc := &r.sched.lease
+	lc := &r.lease
 	if lc.released == 0 || lc.joined != 0 {
 		t.Fatalf("after parallel rounds: released=%d joined=%d, want a release stamp and a landed round", lc.released, lc.joined)
 	}

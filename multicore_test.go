@@ -28,9 +28,9 @@ import (
 // claim word consumed.
 func checkRoundIdle(t *testing.T, r *Runner[*mnode, tally], round int) {
 	t.Helper()
-	checkIdle(t, &r.sched.lat, round)
-	for i := range r.sched.jobs {
-		if r.sched.jobs[i].claim.Load() != 0 {
+	checkIdle(t, &r.lat, round)
+	for i := range r.jobs {
+		if r.jobs[i].claim.Load() != 0 {
 			t.Fatalf("round %d: slot %d still armed after the round", round, i)
 		}
 	}
@@ -150,7 +150,7 @@ func TestStaleEntryClaimsRearmedSlot(t *testing.T) {
 			// worker go and wait until that stale entry has claimed this
 			// round's chunk — only the worker can: the invoker is here.
 			plane.Release()
-			for r.sched.jobs[1].claim.Load() != 0 {
+			for r.jobs[1].claim.Load() != 0 {
 				runtime.Gosched()
 			}
 		}
@@ -192,9 +192,9 @@ func TestOwnQueuedEntryIsNotLoad(t *testing.T) {
 	sess.MustRun(l.head) // bootstrap memoization; nothing dispatched
 	sess.MustRun(l.head) // slot 1's entry: the worker stalls on receiving it
 	r := sess.r
-	if !r.sched.jobs[1].queued.Load() || p.exec.load.Load() != 1 {
+	if !r.jobs[1].queued.Load() || p.exec.load.Load() != 1 {
 		t.Fatalf("queued %v, load %d; want the round's one entry left queued",
-			r.sched.jobs[1].queued.Load(), p.exec.load.Load())
+			r.jobs[1].queued.Load(), p.exec.load.Load())
 	}
 	before := sess.Stats()
 	accs, err := sess.RunBatch(context.Background(), slices.Repeat([]*mnode{l.head}, items))
@@ -270,7 +270,7 @@ func TestFullExecutorLeavesChunksToInvoker(t *testing.T) {
 			t.Fatalf("Hits %d Misses %d Reclaimed %d; want the invoker to have run all 3 speculative chunks", st.Hits, st.Misses, st.Reclaimed)
 		}
 		for i := 1; i < 4; i++ {
-			if q := r.sched.jobs[i].queued.Load(); q != wantQueued {
+			if q := r.jobs[i].queued.Load(); q != wantQueued {
 				t.Fatalf("slot %d: queued = %v, want %v", i, q, wantQueued)
 			}
 		}
@@ -318,7 +318,7 @@ func parkedListRunner(t *testing.T, l *gen, trapAt int, armed *atomic.Bool, trap
 					runtime.Gosched()
 				}
 			case ns[trapAt]:
-				for r.sched.lat.state.Load()&1 == 0 {
+				for r.lat.state.Load()&1 == 0 {
 					runtime.Gosched()
 				}
 				trap()
@@ -330,7 +330,7 @@ func parkedListRunner(t *testing.T, l *gen, trapAt int, armed *atomic.Bool, trap
 	if w := r.Stats().LastWorks; len(w) < 2 || w[0] <= int64(len(ns)/2-8) || w[0] > int64(len(ns)/2+1) {
 		t.Fatalf("chunk boundary moved: works %v", w)
 	}
-	r.sched.lat.spin = 0 // the join must park, not spin
+	r.lat.spin = 0 // the join must park, not spin
 	return r
 }
 

@@ -290,8 +290,8 @@ func TestPlanDispatchSpreadsPicks(t *testing.T) {
 			rows[k].valid = k >= len(rows)-na
 		}
 		for eff := 2; eff <= 8; eff++ {
-			n := r.sched.planDispatch(r, eff, false)
-			chain := r.sched.chain
+			n := r.planDispatch(eff)
+			chain := r.chain
 			if len(chain) != min(na, eff-1) || n != len(chain)+1 {
 				t.Fatalf("admitted %d, eff %d: chain %v, n %d", na, eff, chain, n)
 			}

@@ -8,12 +8,13 @@ import (
 	"sync/atomic"
 )
 
-// Runner executes invocations of a Spice-parallelized loop. It composes
-// the three runtime layers: the predictor (memoized chunk starts and
-// planning), the scheduler (dispatch, validation chain, commit/squash),
-// and the executor (persistent workers). Every invocation, at every
-// width, is scheduler.run; one that cannot or should not speculate is
-// a round of one slot there, not a second loop here.
+// Runner executes invocations of a Spice-parallelized loop. It is the
+// one record of a loop's runtime state, over three layers: the predictor
+// (memoized chunk starts and planning), the scheduler (dispatch,
+// validation chain, commit/squash: the round's steps, Runner methods in
+// scheduler.go), and the executor (persistent workers). Every
+// invocation, at every width, is Runner.run; one that cannot or should
+// not speculate is a round of one slot there, not a second loop.
 //
 // A Runner executes one invocation at a time: Run must not be called
 // concurrently on the same Runner (it panics if it is). For concurrent
@@ -26,7 +27,6 @@ type Runner[S comparable, A any] struct {
 	pair     pairFn[S, A]  // the paired routine of a DOALL loop (blockOf), behind paired slots
 	cfg      Config
 	pred     *predictor[S]
-	sched    *scheduler[S, A]
 	exec     *Executor
 	home     uint32 // home shard (Executor.stripe): slot i of every round goes to home+i-1
 	ownsExec bool
@@ -44,13 +44,13 @@ type Runner[S comparable, A any] struct {
 	consecPanics int
 
 	// pend accumulates the in-flight invocation's counter deltas. All
-	// counter updates happen on the invoking goroutine (the scheduler
-	// resolves every round's chain there), so pend needs no
+	// counter updates happen on the invoking goroutine (the round's steps
+	// resolve every round's chain there), so pend needs no
 	// synchronization; Run publishes it into stats in one step on every
 	// exit path, making each invocation atomic to snapshot readers (see
 	// runnerStats).
 	pend      Stats
-	pendWorks bool // s.works holds a fresh LastWorks to publish
+	pendWorks bool // works holds a fresh LastWorks to publish
 
 	// Adaptive speculation controller (nil when Options.Adaptive is
 	// off, see adaptive.go). Confined to the Run cycle like the
@@ -65,6 +65,46 @@ type Runner[S comparable, A any] struct {
 	// Loop.Cells unless overridden by BindCells (a Pool binds per
 	// session — one store serves one structure).
 	cells *Cells
+
+	// The invocation's reusable state (scheduler.go), used by one
+	// invocation at a time (the runner serializes; a Pool hands each
+	// in-flight invocation its own runner), allocated by NewRunner.
+	chunks []*lane[S, A]    // per chunk of the current round, in chain order: its lane (seed)
+	jobs   []chunkJob[S, A] // per dispatch slot
+	works  []int64          // per slot: LastWorks
+	memos  []memo[S]
+	plans  [][]planEntry // per-chunk memoization plans of the current round
+	chain  []int         // the round's chain: SVA row behind each speculative chunk
+	rd     round[S, A]   // the invocation in progress (run)
+	// views holds one CellView per dispatch slot of a DOACROSS loop (nil
+	// for a DOALL loop). Views are written by the invoker during dispatch
+	// and chain resolution (validate, fold), and by exactly one worker
+	// while its chunk runs — the same ownership discipline as the
+	// chunkJob slots. Whoever claims a slot's copy-out (landCells) reads
+	// its view and writes only the store cells the view wrote.
+	views    []CellView
+	copyGate func() // test hook, nil outside tests (landCells)
+	// lease is the runner's inter-round gap history behind the workers'
+	// lease (executor.go).
+	lease leaseClock
+
+	// The two fields below are the round's only cross-core shared-write
+	// state (see scheduler.go's layout invariants); the leading pad keeps
+	// them off the invoker-only fields above, and the pad between them
+	// gives each its own cache line.
+	_ [64]byte
+	// abort is the failure barrier of one dispatch round: the lowest
+	// chain index that has failed so far (MaxInt64 when none). Chunks
+	// with a higher index are certain to be squashed — the validation
+	// chain cannot pass a failed chunk — so they stop at their next poll
+	// instead of completing doomed work. Chunks at or below the barrier
+	// are untouched: they must finish normally for the first error to be
+	// attributed deterministically in iteration order.
+	abort atomic.Int64
+	_     [56]byte
+	// lat is the round's completion barrier: one done() per chunk exit,
+	// one wait() by the invoker after it runs chunk 0 inline (latch.go).
+	lat latch
 }
 
 // runnerStats holds the published counters behind Stats. An invocation
@@ -137,15 +177,15 @@ func (r *Runner[S, A]) Run(ctx context.Context, start S) (A, error) {
 }
 
 // runInvocation is Run plus the batched front door's load-aware flag.
-// Every invocation is scheduler.run over rounds of slots; all that is
+// Every invocation is Runner.run over rounds of slots; all that is
 // decided here is n, round 0's slot count. It is 1 — the invocation
 // runs on the invoking goroutine alone, which is all "sequential" means
 // in this runtime — when the runner is width 1, the batched door sheds,
 // no row is predicted, or the controller throttled or gated every row.
 // Such an invocation still memoizes (the bootstrap plan, predictor.go),
 // so later ones have predictions to test. The invocation's counter
-// deltas (accumulated in r.pend by the scheduler) are published in one
-// step on every exit path.
+// deltas (accumulated in r.pend by the round's steps) are published in
+// one step on every exit path.
 func (r *Runner[S, A]) runInvocation(ctx context.Context, start S, loadAware bool) (A, error) {
 	var zero A
 	if !r.running.CompareAndSwap(false, true) {
@@ -167,12 +207,11 @@ func (r *Runner[S, A]) runInvocation(ctx context.Context, start S, loadAware boo
 				return zero, fmt.Errorf("%w: reduction cell %d, store size %d", ErrBadReduction, rd.Cell, r.cells.Size())
 			}
 		}
-		r.sched.armCells(r.cells, r.loop.Reductions)
 	}
-	defer func() { r.stats.publish(&r.pend, r.sched.works, r.pendWorks); r.pendWorks = false }()
+	defer func() { r.stats.publish(&r.pend, r.works, r.pendWorks); r.pendWorks = false }()
 	r.pend.Invocations++
 
-	n, eff, probe, shed, predicted := 1, r.cfg.Threads, false, false, false
+	n, eff, shed, predicted := 1, r.cfg.Threads, false, false
 	if r.cfg.Threads > 1 {
 		// Every parallel-capable invocation registers its demand on the
 		// shared executor for its whole duration, so the load-aware path
@@ -199,7 +238,7 @@ func (r *Runner[S, A]) runInvocation(ctx context.Context, start S, loadAware boo
 		// Checked before the adaptive controller is consulted, so the shed
 		// neither feeds nor perturbs the throttle. Plain Run never sheds: a
 		// lone blocking caller asked for this invocation to be parallelized.
-		shed = loadAware && (r.exec.overloaded(r.cfg.Threads, r.sched.queuedEntries()) ||
+		shed = loadAware && (r.exec.overloaded(r.cfg.Threads, r.queuedEntries()) ||
 			r.pred.prevTotal < int64(r.cfg.Threads)*ctxPollEvery)
 		if shed {
 			r.pend.BatchSheds++
@@ -208,7 +247,7 @@ func (r *Runner[S, A]) runInvocation(ctx context.Context, start S, loadAware boo
 			// width (and whether it is an upward probe); planDispatch then
 			// drops low-confidence rows. Either can leave one slot.
 			if r.ctrl != nil {
-				eff, probe = r.ctrl.Begin()
+				eff, r.rd.probe = r.ctrl.Begin()
 				// While the invocation runs the gauge shows its dispatch
 				// width (including a probe's temporary widening); the
 				// deferred store settles it on the controller's chosen width
@@ -221,7 +260,7 @@ func (r *Runner[S, A]) runInvocation(ctx context.Context, start S, loadAware boo
 			r.stats.effectiveThreads.Store(int64(eff))
 			if predicted = r.pred.havePredictions(); predicted {
 				if eff > 1 {
-					n = r.sched.planDispatch(r, eff*r.pairing.depth, probe)
+					n = r.planDispatch(eff * r.pairing.depth)
 				}
 				if n == 1 && r.ctrl != nil {
 					r.pend.SequentialFallbacks++
@@ -230,8 +269,7 @@ func (r *Runner[S, A]) runInvocation(ctx context.Context, start S, loadAware boo
 		}
 	}
 
-	c0 := r.pend.Conflicts
-	acc, misspec, err := r.sched.run(r, ctx, start, n, eff, probe)
+	acc, loss, err := r.run(ctx, start, n, eff)
 
 	// Only contained panics (*PanicError, including wrapped batch-item
 	// forms) advance the streak behind Pool quarantine; a panic that
@@ -254,14 +292,7 @@ func (r *Runner[S, A]) runInvocation(ctx context.Context, start S, loadAware boo
 		// The confidence gate dropped every row: an immediate demotion to
 		// sequential width, which also starts the probe clock.
 		r.ctrl.Observe(specGated)
-	case r.pend.Conflicts > c0:
-		// A read/write-set conflict squashed work this invocation.
-		// Reported to the controller as its own loss outcome: narrower
-		// width genuinely reduces the cross-chunk conflict surface, so
-		// throttling is the right response even though the predictions
-		// themselves were validated.
-		r.ctrl.Observe(specConflict)
-	case misspec:
+	case loss:
 		r.ctrl.Observe(specMisspec)
 	default:
 		r.ctrl.Observe(specClean)
@@ -273,8 +304,8 @@ func (r *Runner[S, A]) runInvocation(ctx context.Context, start S, loadAware boo
 // invocation: always outside adaptive mode; inside it, when the row
 // clears the confidence floor or the invocation is a probe (probes
 // bypass the gate so gated rows can earn their confidence back).
-func (r *Runner[S, A]) admitRow(k int, probe bool) bool {
-	if r.ctrl == nil || probe {
+func (r *Runner[S, A]) admitRow(k int) bool {
+	if r.ctrl == nil || r.rd.probe {
 		return true
 	}
 	return r.ctrl.conf.Admit(k)
@@ -316,11 +347,12 @@ func (r *Runner[S, A]) reset() {
 	}
 	r.pairing.reset()
 	r.pred.stride = r.pred.parts / (r.cfg.Threads * r.pairing.depth)
-	// The scheduler's full slot set: the per-invocation release
-	// covers only the last round's width, while a session handoff must
-	// scrub memo buffers and any wider slots a later round dirtied long
-	// ago.
-	r.sched.purge()
+	// A recycled runner carries nothing from its previous owner: no
+	// caller state, no LastWorks, and no gaps measured on the previous
+	// owner's cadence, which grant the next one nothing.
+	r.release()
+	clear(r.works)
+	r.lease = leaseClock{}
 	// Restore the construction-time cell binding: a session-scoped
 	// BindCells must not leak into the next session.
 	r.cells = r.loop.Cells

@@ -8,13 +8,15 @@ import (
 	"spice/internal/faults"
 )
 
-// This file is the scheduler layer. An invocation is one loop over
-// rounds (scheduler.run), and a round is a value (round, s.rd) that
-// these steps, one method each, hand one another:
+// This file is the scheduler layer: the round's steps, as methods of
+// Runner over its one record of per-loop state (runner.go: the slots and
+// their lanes, the round, the buffers). An invocation is one loop over
+// rounds (Runner.run), and a round is a value (round, r.rd) that these
+// steps, one method each, hand one another:
 //
 //   - begin: open the invocation at round 0, chunk 0 at (start, 0);
 //   - seed: arm chunk 0 at the live position and one speculative chunk
-//     per row of the round's chain (s.chain), on the round's slots;
+//     per row of the round's chain (r.chain), on the round's slots;
 //   - dispatch: launch and join the slots;
 //   - walk: walk the validation chain once — commit the prefix;
 //   - land: land the committed DOACROSS views, close the round;
@@ -26,7 +28,7 @@ import (
 //
 // Chunks and slots. A chunk is one link of the round's validation
 // chain: a start, a successor's predicted start to hunt, a plan, an
-// outcome, a verdict, all in one record, its lane (s.chunks[c] is chunk
+// outcome, a verdict, all in one record, its lane (r.chunks[c] is chunk
 // c's). A dispatch slot is one executor task (chunkJob)
 // with one claim word, at most one queue entry and one latch count, and
 // one LastWorks entry. A slot carries one chunk, or two when the runner
@@ -43,7 +45,7 @@ import (
 // other. Nothing runs beside it, so it touches no executor, reads no
 // clock, and a DOACROSS loop's view is direct (cells.go).
 //
-// The scheduler owns every per-invocation buffer (jobs and their lanes,
+// The runner owns every per-invocation buffer (jobs and their lanes,
 // plans, works, memos) and reuses them across rounds and invocations,
 // so the steady state allocates nothing at any width — including the
 // failure plumbing: ctx polling, the abort barrier and per-chunk error
@@ -100,19 +102,19 @@ import (
 //   - The round's only cross-core shared-write state is the completion
 //     latch (one countdown add per chunk exit, see latch.go) and the
 //     abort barrier (written only on failure, polled read-only every
-//     ctxPollEvery iterations). Each owns a cache line in the scheduler
-//     struct below; nothing else in the struct is written while chunks
-//     run.
+//     ctxPollEvery iterations): the runner's lat and abort. Each owns a
+//     cache line at the end of the Runner struct; nothing else in the
+//     struct is written while chunks run.
 //   - What a chunkJob's phase reads is written only by the invoker,
 //     before it arms the slot (seed and dispatch for the chunks,
 //     landCells for the copy-out), and is read-only while the phase
 //     runs, apart from one compare-and-swap on the claim word per
 //     contender and the lanes, each chunk's record, which only the
 //     claimant writes, once per block; so jobs carry no padding.
-//   - works/memos/plans/chain/rd/used/lease are touched only by the
-//     invoking goroutine, strictly outside the window in which workers
-//     run (dispatch before, chain resolution after the latch wait) —
-//     never concurrently with chunk execution.
+//   - The runner's works, memos, plans, chain, rd and lease are touched
+//     only by the invoking goroutine, strictly outside the window in
+//     which workers run (dispatch before, chain resolution after the
+//     latch wait) — never concurrently with chunk execution.
 //   - A DOACROSS round opens a second, shorter window after its walk
 //     (landCells): the slot's copy-out, a second phase of the same
 //     chunkJob on the same claim word, so a slot never has more than
@@ -121,7 +123,7 @@ import (
 //     cells no other copy of the round writes, or the copies would not
 //     have been offered. The invoker meanwhile runs the copies nobody
 //     claimed; nothing else moves until the latch has joined them.
-//   - Per-runner stats (runner.pend) accumulate on the invoking
+//   - Per-runner stats (Runner.pend) accumulate on the invoking
 //     goroutine and publish once per invocation under runnerStats.mu;
 //     workers never write them.
 
@@ -130,16 +132,14 @@ import (
 // (exec), offered by dispatch, and in a DOACROSS round the copy-out of
 // its view (copy), offered by landCells once the walk has committed the
 // chunk. A slot carries one chunk of the round's validation chain, or
-// two (width 2) when the runner pairs; each chunk is a lane. r, lat and
-// idx are wired once at scheduler construction; seed sets the remaining
-// fields, and the lanes' inputs, every round.
+// two (width 2) when the runner pairs; each chunk is a lane. r and idx
+// are wired once by NewRunner; seed sets the remaining fields, and the
+// lanes' inputs, every round.
 type chunkJob[S comparable, A any] struct {
 	r     *Runner[S, A]
-	lat   *latch
 	idx   int // dispatch slot: at width 1 also its chunk's position in the chain
 	ctx   context.Context
-	cap   int64 // speculative iteration cap
-	width int   // chunks this round: lanes[:width]
+	width int // chunks this round: lanes[:width]
 	lanes [2]lane[S, A]
 
 	claimWord // armed by dispatch after every other field of the round is in place
@@ -154,23 +154,24 @@ type chunkJob[S comparable, A any] struct {
 }
 
 // lane is one chunk of a slot and the chunk's one record: what seed arms
-// it with, then the driver's state while it runs (chunkJob.exec), which
-// is also the paired routine's input and output (pairFn), and, once it
-// has stopped, its outcome, which the walk reads. Only the slot's
-// claimant writes it while the slot runs, once per block.
+// it with (its start, plan and backstop row, and stop, hunt and capAt:
+// the successor's predicted start and the iteration cap), then the
+// driver's state while it runs (chunkJob.exec), which is also the paired
+// routine's input and output (pairFn), and, once it has stopped, its
+// outcome, which the walk reads. Only the slot's claimant writes it
+// while the slot runs, once per block.
 type lane[S comparable, A any] struct {
 	idx    int // the chunk's position in the round's validation chain (> 0: the start is predicted)
 	start  S
-	snap   *row[S] // successor's predicted start (nil: run to the end)
-	ownRow int     // SVA row this chunk's own backstop targets (-1: none)
+	ownRow int // SVA row this chunk's own backstop targets (-1: none)
 	plan   []planEntry
 
 	s, stop S // the state reached; the successor's predicted start (hunt)
 	acc     A
-	hunt    bool
+	hunt    bool  // stop is set: the chunk has a successor (false: run to the end)
 	live    bool  // the chunk has not stopped
 	work    int64 // iterations completed as of the last block boundary: once stopped, the committed count
-	capAt   int64
+	capAt   int64 // the speculative iteration cap (none for chunk 0)
 	// nextPoll is the count of the next ctx/abort poll; cursor the next
 	// plan entry, which fires no earlier than minPlanAt.
 	nextPoll, minPlanAt int64
@@ -258,8 +259,8 @@ func (j *chunkJob[S, A]) run() {
 
 // copy is the claimed copy-out of the slot's view into the store.
 func (j *chunkJob[S, A]) copy() {
-	defer j.lat.done()
-	j.r.sched.views[j.idx].copyOut()
+	defer j.r.lat.done()
+	j.r.views[j.idx].copyOut()
 }
 
 // exec executes the slot's chunks: the paper's per-thread loop with
@@ -269,7 +270,7 @@ func (j *chunkJob[S, A]) copy() {
 // picked from the loop's body form when the runner was built:
 // blockloop.go), so the per-iteration body carries no mode branches;
 // every ctxPollEvery iterations a block boundary polls the invocation
-// context and the scheduler's abort barrier, keeping slow-path overhead
+// context and the round's abort barrier, keeping slow-path overhead
 // amortized. A paired slot drives its two lanes through the paired
 // routine (Runner.pair) with one block bound for both, the nearer of
 // their next events, until one stops; the other goes on alone. Plan
@@ -288,13 +289,13 @@ func (j *chunkJob[S, A]) copy() {
 // failure is architectural (surfaces from Run) or speculative
 // (squashed).
 func (j *chunkJob[S, A]) exec() {
-	defer j.lat.done()
+	defer j.r.lat.done()
 	var view *CellView
 	if j.r.loop.speculative() {
 		// DOACROSS chunks execute against their dispatch slot's CellView,
 		// armed by the dispatcher before submit (the submit handoff orders
 		// the arm before this read).
-		view = &j.r.sched.views[j.idx]
+		view = &j.r.views[j.idx]
 	}
 	lanes := j.lanes[:j.width]
 	for i := range lanes {
@@ -330,22 +331,12 @@ func (j *chunkJob[S, A]) exec() {
 // — aborts the chain exactly like a body failure at the chunk's first
 // iteration.
 func (j *chunkJob[S, A]) open(l *lane[S, A]) {
-	var zero S
-	l.s, l.stop, l.hunt, l.work, l.cursor, l.minPlanAt = l.start, zero, l.snap != nil, 0, 0, 0
+	l.s, l.work, l.cursor, l.minPlanAt = l.start, 0, 0, 0
 	l.nextPoll, l.ownDone, l.matched, l.capped = ctxPollEvery-1, false, false, false
-	if l.hunt {
-		// Membership validation: a chunk with a successor hunts its
-		// predicted start in every iteration, wherever it appears.
-		l.stop = l.snap.start
-	}
-	l.capAt = 1 << 62
-	if l.idx > 0 { // a predicted start: the iteration cap applies
-		l.capAt = max(j.cap, 1) // a chunk runs an iteration before it caps, so every round makes progress
-	}
 	l.acc, l.err = j.r.startChunk()
 	l.live = l.err == nil
 	if !l.live {
-		j.r.sched.abortAfter(l.idx)
+		j.r.abortAfter(l.idx)
 	}
 }
 
@@ -365,7 +356,7 @@ func (l *lane[S, A]) bound() int64 {
 // at the count, in the order the per-iteration loop would meet them. It
 // clears l.live when the chunk is over.
 func (j *chunkJob[S, A]) settle(l *lane[S, A], why blockStop, err error) {
-	sched := j.r.sched
+	r := j.r
 	switch why {
 	case blockDone:
 		l.live = false
@@ -375,7 +366,7 @@ func (j *chunkJob[S, A]) settle(l *lane[S, A], why blockStop, err error) {
 		return
 	case blockFailed:
 		l.err, l.live = err, false
-		sched.abortAfter(l.idx)
+		r.abortAfter(l.idx)
 		return
 	}
 	// The cap fires at iteration end, ahead of the next Done/match check,
@@ -384,11 +375,11 @@ func (j *chunkJob[S, A]) settle(l *lane[S, A], why blockStop, err error) {
 		l.capped, l.live = true, false
 		return
 	}
-	if done, err := doneAt(j.r.loop.Done, l.s); err != nil || done {
+	if done, err := doneAt(r.loop.Done, l.s); err != nil || done {
 		l.live = false // the event's iteration never starts
 		if err != nil {
 			l.err = err
-			sched.abortAfter(l.idx)
+			r.abortAfter(l.idx)
 		}
 		return
 	}
@@ -399,7 +390,7 @@ func (j *chunkJob[S, A]) settle(l *lane[S, A], why blockStop, err error) {
 		}
 		// An earlier chunk failed: this chunk is certain to be squashed,
 		// so stop burning the worker on it.
-		if sched.abort.Load() < int64(l.idx) {
+		if r.abort.Load() < int64(l.idx) {
 			l.err, l.live = errChunkAborted, false
 			return
 		}
@@ -453,104 +444,15 @@ func doneAt[S comparable](done func(S) bool, s S) (d bool, err error) {
 	return done(s), nil
 }
 
-// scheduler holds one runner's reusable invocation state. It is used by
-// at most one invocation at a time (the runner serializes; a Pool hands
-// each in-flight invocation its own runner).
-type scheduler[S comparable, A any] struct {
-	chunks []*lane[S, A]    // per chunk of the current round, in chain order: its lane (seed)
-	jobs   []chunkJob[S, A] // per dispatch slot
-	works  []int64          // per slot: LastWorks
-	memos  []memo[S]
-	plans  [][]planEntry // per-chunk memoization plans of the current round
-	chain  []int         // the round's chain: SVA row behind each speculative chunk
-	rd     round[S, A]   // the invocation in progress (run)
-	// DOACROSS state, armed per invocation by armCells: the bound cell
-	// store, the loop's reduction declarations, and one CellView per
-	// dispatch slot (allocated on first speculative invocation; DOALL
-	// loops never pay for them). Views are written by the invoker during
-	// dispatch (begin) and chain resolution (validate, fold), and by
-	// exactly one worker while its chunk runs — the same ownership
-	// discipline as the chunkJob slots. Whoever claims a slot's copy-out
-	// (landCells) reads its view and writes only the store cells the
-	// view wrote.
-	cells    *Cells
-	reds     []Reduction
-	views    []CellView
-	copyGate func() // test hook, nil outside tests (landCells)
-	// used is the number of slots (jobs, their lanes, works) the most
-	// recent invocation dirtied (its widest round: later rounds can fan
-	// wider than round 0). release scrubs only these slots, and the next
-	// invocation clears only their works plus its own, so a narrow
-	// adaptive width does not pay a full-threads sweep per invocation —
-	// and stale slots still cannot leak into LastWorks.
-	used int
-	// lease is the runner's inter-round gap history behind the workers'
-	// lease (executor.go).
-	lease leaseClock
-
-	// The two fields below are the round's only cross-core shared-write
-	// state (see the header's layout invariants); the leading pad keeps
-	// them off the invoker-only buffers above, and the pad between them
-	// gives each its own cache line.
-	_ [64]byte
-	// abort is the failure barrier of one dispatch round: the lowest
-	// chain index that has failed so far (MaxInt64 when none). Chunks
-	// with a higher index are certain to be squashed — the validation
-	// chain cannot pass a failed chunk — so they stop at their next poll
-	// instead of completing doomed work. Chunks at or below the barrier
-	// are untouched: they must finish normally for the first error to be
-	// attributed deterministically in iteration order.
-	abort atomic.Int64
-	_     [56]byte
-	// lat is the round's completion barrier: one done() per chunk exit,
-	// one wait() by the invoker after it runs chunk 0 inline (latch.go).
-	lat latch
-}
-
-// newScheduler provisions threads slots and up to depth chunks per slot.
-func newScheduler[S comparable, A any](r *Runner[S, A], threads, depth int) *scheduler[S, A] {
-	chunks := threads * depth
-	s := &scheduler[S, A]{
-		chunks: make([]*lane[S, A], chunks),
-		jobs:   make([]chunkJob[S, A], threads),
-		works:  make([]int64, threads),
-		plans:  make([][]planEntry, chunks),
-		chain:  make([]int, 0, chunks),
-	}
-	s.lat.init()
-	for c := range s.plans {
-		// Presized (a plan has at most chunks-1 entries), so a round of
-		// any width plans without allocating from the first invocation on.
-		s.plans[c] = make([]planEntry, 0, chunks)
-	}
-	for j := range s.jobs {
-		s.jobs[j].r = r
-		s.jobs[j].lat = &s.lat
-		s.jobs[j].idx = j
-	}
-	return s
-}
-
 // armAbort clears the failure barrier for a new dispatch round.
-func (s *scheduler[S, A]) armAbort() { s.abort.Store(math.MaxInt64) }
-
-// armCells binds the invocation's cell store and reduction declarations.
-// Called by the runner before each invocation of a DOACROSS loop;
-// release clears the binding with the rest of the caller-scoped state.
-func (s *scheduler[S, A]) armCells(c *Cells, reds []Reduction) {
-	s.cells = c
-	s.reds = reds
-	if c != nil && s.views == nil {
-		s.views = make([]CellView, len(s.jobs))
-	}
-}
+func (r *Runner[S, A]) armAbort() { r.abort.Store(math.MaxInt64) }
 
 // abortAfter lowers the failure barrier to idx: chunks later in the
 // chain stop at their next poll.
-func (s *scheduler[S, A]) abortAfter(idx int) {
+func (r *Runner[S, A]) abortAfter(idx int) {
 	for {
-		cur := s.abort.Load()
-		if cur <= int64(idx) || s.abort.CompareAndSwap(cur, int64(idx)) {
+		cur := r.abort.Load()
+		if cur <= int64(idx) || r.abort.CompareAndSwap(cur, int64(idx)) {
 			return
 		}
 	}
@@ -559,59 +461,40 @@ func (s *scheduler[S, A]) abortAfter(idx int) {
 // release drops everything the round's jobs and lanes captured from the
 // caller once the invocation has fully completed: the request-scoped
 // context (and its value chain) plus every node state a finished
-// traversal left behind — lane start and end states, successor-row
-// pointers, accumulators, proposal buffers, error values, the chunk
-// index (s.chunks), the committed memo buffer (the predictor has
-// consumed it by the time release runs) and the round, which holds the
-// live state, the accumulator and the failure. Without this an idle
-// runner parked in a Pool free list pins the finished caller's data
-// structure until the next invocation happens to overwrite the same
-// slots.
-func (s *scheduler[S, A]) release() {
+// traversal left behind — lane start, end and successor states,
+// accumulators, proposal buffers, error values, the chunk index
+// (r.chunks), the committed memo buffer (the predictor has consumed it
+// by the time release runs) and the round, which holds the live state,
+// the accumulator and the failure. Without this an idle runner parked in
+// a Pool free list pins the finished caller's data structure until the
+// next invocation happens to overwrite the same slots.
+func (r *Runner[S, A]) release() {
 	var zeroS S
 	var zeroA A
-	s.rd = round[S, A]{}
-	for j := 0; j < s.used; j++ {
-		job := &s.jobs[j]
+	r.rd = round[S, A]{}
+	for j := range r.jobs {
+		job := &r.jobs[j]
 		job.ctx = nil
 		for i := range job.lanes {
 			l := &job.lanes[i]
-			l.start, l.snap, l.plan, l.s, l.stop, l.acc, l.err = zeroS, nil, nil, zeroS, zeroS, zeroA, nil
+			l.start, l.plan, l.s, l.stop, l.acc, l.err = zeroS, nil, zeroS, zeroS, zeroA, nil
 			clear(l.props[:cap(l.props)])
 			l.props = l.props[:0]
 		}
 	}
-	clear(s.chunks)
-	memos := s.memos[:cap(s.memos)]
+	clear(r.chunks)
+	memos := r.memos[:cap(r.memos)]
 	for i := range memos {
 		memos[i] = memo[S]{}
 	}
-	s.memos = s.memos[:0]
-	// Drop the cell-store binding too: a parked runner must not pin a
-	// finished caller's Cells (the views' buffers are pointer-free
+	r.memos = r.memos[:0]
+	// The views drop their store too (their buffers are pointer-free
 	// working state and are kept). That holds at width 1 as well: the
 	// direct view of a round of one is slot 0's, not a view of the
 	// runner's that outlives the invocation.
-	if s.views != nil {
-		for j := range s.views {
-			s.views[j].release()
-		}
+	for j := range r.views {
+		r.views[j].release()
 	}
-	s.cells = nil
-	s.reds = nil
-}
-
-// purge is release over every slot regardless of recent round width,
-// plus the works buffer, for session boundaries (Runner.reset): a
-// recycled runner must carry nothing from its previous owner.
-func (s *scheduler[S, A]) purge() {
-	s.used = len(s.jobs)
-	s.release()
-	clear(s.works)
-	s.used = 0
-	// Gaps measured on the previous owner's cadence grant the next one
-	// nothing.
-	s.lease = leaseClock{}
 }
 
 // queuedEntries counts the executor entries the runner's slots hold, at
@@ -619,10 +502,10 @@ func (s *scheduler[S, A]) purge() {
 // of reclaimed phases that no worker has run yet. Each is counted in the
 // executor's load until a worker has run it, so this never exceeds the
 // runner's share of the load (Executor.overloaded).
-func (s *scheduler[S, A]) queuedEntries() int64 {
+func (r *Runner[S, A]) queuedEntries() int64 {
 	var n int64
-	for i := range s.jobs {
-		if s.jobs[i].queued.Load() {
+	for i := range r.jobs {
+		if r.jobs[i].queued.Load() {
 			n++
 		}
 	}
@@ -630,19 +513,19 @@ func (s *scheduler[S, A]) queuedEntries() int64 {
 }
 
 // round is the invocation in progress: what run's steps hand one
-// another, one round after the next. It lives on the scheduler (s.rd),
-// so it costs no allocation; only the invoking goroutine touches it, and
+// another, one round after the next. It lives on the runner (r.rd), so
+// it costs no allocation; only the invoking goroutine touches it, and
 // release zeroes it with the rest of the caller's state.
 type round[S comparable, A any] struct {
 	index int   // the round's number within the invocation
-	n     int   // chunks seeded: chunk 0, then one per row of s.chain
+	n     int   // chunks seeded: chunk 0, then one per row of r.chain
 	slots int   // the slots that carry them (layout)
 	pairs int   // slots 0..pairs-1 carry two chunks each, the rest one
 	armed int   // chunks dispatch launched: always the prefix 0..armed-1, whole slots
 	cur   S     // chunk 0's start, the live state
 	pos   int64 // chunk 0's global position: the iterations committed so far
 	cap   int64 // the speculative iteration cap of the round's chunks
-	probe bool  // an upward probe: the confidence gate is open
+	probe bool  // an upward probe: the confidence gate is open (runInvocation)
 	boot  bool  // memoize by the bootstrap plan (begin)
 
 	// Round 0's clock, the pairing policy's evidence (finish), from the
@@ -661,12 +544,12 @@ type round[S comparable, A any] struct {
 	dispatchErr error // the ctx error that cut dispatch short
 
 	// Totals across rounds.
-	acc         A
-	committed   bool  // acc holds a committed chunk's accumulator
-	misspec     bool  // a round squashed work
-	verdictMiss bool  // a squashed chunk was judged a misprediction
-	last        int   // slot of the last chunk round 0 committed
-	round0      int64 // iterations round 0 committed
+	acc       A
+	committed bool  // acc holds a committed chunk's accumulator
+	misspec   bool  // a round squashed work
+	loss      bool  // a squashed chunk was judged a misprediction, or a conflict squashed work
+	last      int   // slot of the last chunk round 0 committed
+	round0    int64 // iterations round 0 committed
 }
 
 // layout spreads n chunks over at most width slots: one each while they
@@ -700,7 +583,7 @@ func (rd *round[S, A]) slot(c int) int {
 // round resumes from that chunk's stop state (the conflicting chunk's
 // validated start) over the admitted rows not yet passed; otherwise the
 // invocation is done. Round 0 is the same code from (start, 0) over the
-// n-chunk chain planDispatch left in s.chain, or over nothing when n is
+// n-chunk chain planDispatch left in r.chain, or over nothing when n is
 // 1 (the caller's "sequential" invocation). The squashed workers are
 // thereby re-seeded rather than the remainder serialized, and every
 // chunk carries plan entries anchored at its global position, so the
@@ -713,22 +596,23 @@ func (rd *round[S, A]) slot(c int) int {
 // the predictor keeps its last good rows, so the next invocation still
 // speculates — and its last round records no hit/miss verdicts: an
 // aborted chunk's squash says nothing about its prediction. The middle
-// return is the adaptive controller's feedback signal: whether any
-// squashed chunk was judged a genuine misprediction.
-func (s *scheduler[S, A]) run(r *Runner[S, A], ctx context.Context, start S, n, width int, probe bool) (A, bool, error) {
-	s.begin(r, start, n, width, probe)
-	defer s.release()
-	rd := &s.rd
+// return is the adaptive controller's feedback signal: whether the
+// invocation was a loss, a squashed chunk judged a genuine
+// misprediction or a read/write-set conflict (squash).
+func (r *Runner[S, A]) run(ctx context.Context, start S, n, width int) (A, bool, error) {
+	r.begin(start, n, width)
+	defer r.release()
+	rd := &r.rd
 	for {
-		s.seed(r, ctx)
-		s.dispatch(r, ctx)
-		s.walk(r)
-		s.land(r)
-		s.squash(r)
-		if rd.err != nil || !s.verdicts(r) {
+		r.seed(ctx)
+		r.dispatch(ctx)
+		r.walk()
+		r.land()
+		r.squash()
+		if rd.err != nil || !r.verdicts() {
 			break
 		}
-		if s.advance(r, ctx); rd.err != nil {
+		if r.advance(ctx); rd.err != nil {
 			break
 		}
 	}
@@ -736,65 +620,68 @@ func (s *scheduler[S, A]) run(r *Runner[S, A], ctx context.Context, start S, n, 
 		var zero A
 		return zero, false, rd.err
 	}
-	s.finish(r)
-	return rd.acc, rd.verdictMiss, nil
+	r.finish()
+	return rd.acc, rd.loss, nil
 }
 
 // begin opens the invocation as round 0: n chunks over the chain
-// planDispatch left in s.chain on at most width slots, chunk 0 at
+// planDispatch left in r.chain on at most width slots, chunk 0 at
 // (start, 0), under the predictor's cap (a probe's reduced one). It
-// clears only the works of the slots this round touches plus whatever
-// the previous invocation dirtied (s.used): at narrow adaptive width the
-// full-threads sweep is skipped, and stale wider slots still cannot leak
-// into LastWorks.
+// clears every slot's works, so a wider earlier round cannot leak into
+// LastWorks.
 //
 // An invocation that starts as a round of one on a runner that could
 // speculate memoizes by the bootstrap plan: no row is predicted, or none
 // was admitted, so there is no split to keep balanced, only rows to find
 // for the next invocation. (Slot 0 neither caps nor conflicts: such a
 // round is the whole invocation.)
-func (s *scheduler[S, A]) begin(r *Runner[S, A], start S, n, width int, probe bool) {
-	cap64 := r.pred.specCap(r.cfg.maxSpec)
-	if probe {
-		cap64 = probeSpecCap(cap64, r.pred.prevTotal, n)
+func (r *Runner[S, A]) begin(start S, n, width int) {
+	rd := &r.rd // zero but probe: release cleared it after the previous invocation
+	rd.cap = r.pred.specCap(r.cfg.maxSpec)
+	if rd.probe {
+		rd.cap = probeSpecCap(rd.cap, r.pred.prevTotal, n)
 	}
-	rd := &s.rd // zero: release cleared it after the previous invocation
 	rd.layout(n, width)
-	rd.cur, rd.cap, rd.probe, rd.boot, rd.paired = start, cap64, probe, n == 1 && r.cfg.Threads > 1, rd.pairs > 0
-	clear(s.works[:max(rd.slots, s.used)])
-	s.used = rd.slots
-	s.memos = s.memos[:0]
+	rd.cur, rd.boot, rd.paired = start, n == 1 && r.cfg.Threads > 1, rd.pairs > 0
+	clear(r.works)
+	r.memos = r.memos[:0]
 }
 
 // seed arms the round's slots and lanes, records each chunk's lane in
-// s.chunks and clears its proposals. Each chunk plans from its
+// r.chunks and clears its proposals. Each chunk plans from its
 // (predicted) global position — chunk 0's is exact. Only balance depends
 // on the prediction; correctness comes from the validation chain.
-func (s *scheduler[S, A]) seed(r *Runner[S, A], ctx context.Context) {
-	rd, rows := &s.rd, r.pred.rows
+func (r *Runner[S, A]) seed(ctx context.Context) {
+	rd, rows := &r.rd, r.pred.rows
 	for i := 0; i < rd.slots; i++ {
-		j := &s.jobs[i]
-		j.ctx, j.cap, j.width = ctx, rd.cap, 1
+		j := &r.jobs[i]
+		j.ctx, j.width = ctx, 1
 		if i < rd.pairs {
 			j.width = 2
 		}
 	}
+	var zero S
 	for c := 0; c < rd.n; c++ {
 		i := rd.slot(c)
-		l, at := &s.jobs[i].lanes[c-rd.first(i)], rd.pos
-		s.chunks[c] = l
-		l.idx, l.start, l.snap, l.ownRow, l.plan, l.props = c, rd.cur, nil, -1, bootPlan, l.props[:0]
+		l, at := &r.jobs[i].lanes[c-rd.first(i)], rd.pos
+		r.chunks[c] = l
+		l.idx, l.start, l.stop, l.hunt, l.ownRow, l.capAt, l.plan, l.props = c, rd.cur, zero, false, -1, 1<<62, bootPlan, l.props[:0]
 		if c > 0 {
-			from := &rows[s.chain[c-1]]
+			from := &rows[r.chain[c-1]]
 			l.start, at = from.start, max(rd.pos, from.pos)
+			// A predicted start: the iteration cap applies. A chunk runs an
+			// iteration before it caps, so every round makes progress.
+			l.capAt = max(rd.cap, 1)
 		}
 		if c < rd.n-1 {
-			l.ownRow = s.chain[c]
-			l.snap = &rows[l.ownRow]
+			// Membership validation: a chunk with a successor hunts its
+			// predicted start in every iteration, wherever it appears.
+			l.ownRow = r.chain[c]
+			l.stop, l.hunt = rows[l.ownRow].start, true
 		}
 		if !rd.boot {
-			s.plans[c] = r.pred.planFromPosition(at, s.plans[c][:0])
-			l.plan = s.plans[c]
+			r.plans[c] = r.pred.planFromPosition(at, r.plans[c][:0])
+			l.plan = r.plans[c]
 		}
 	}
 }
@@ -807,17 +694,17 @@ func (s *scheduler[S, A]) seed(r *Runner[S, A], ctx context.Context) {
 // no further slot starts, armed stays short of n, and the ctx error
 // waits in dispatchErr for the walk to surface; chunks already running
 // stop at their next poll.
-func (s *scheduler[S, A]) dispatch(r *Runner[S, A], ctx context.Context) {
-	rd := &s.rd
-	s.armAbort()
+func (r *Runner[S, A]) dispatch(ctx context.Context) {
+	rd := &r.rd
+	r.armAbort()
 	var t0 int64
 	if rd.slots > 1 {
 		t0 = nanos()
-		s.lease.dispatched(t0)
+		r.lease.dispatched(t0)
 	} else {
 		// Nothing runs beside slot 0: no handoff to time, and the next
 		// round has no release to measure its gap from.
-		s.lease.released = 0
+		r.lease.released = 0
 	}
 	armed := 0 // slots
 	rd.armed, rd.dispatchErr = 0, nil
@@ -826,19 +713,19 @@ func (s *scheduler[S, A]) dispatch(r *Runner[S, A], ctx context.Context) {
 			break
 		}
 		switch {
-		case s.cells == nil:
+		case !r.loop.speculative():
 		case rd.n == 1:
 			// A round of one: nothing runs beside the chunk, so its loads
 			// and stores need no buffer.
-			s.views[0].beginDirect(s.cells, s.reds)
+			r.views[0].beginDirect(r.cells, r.loop.Reductions)
 		default:
 			// Every chunk buffers, chunk 0 included: its writes must stay
 			// invisible to the concurrently running chunks.
-			s.views[i].begin(s.cells, s.reds)
+			r.views[i].begin(r.cells, r.loop.Reductions)
 		}
-		s.lat.add(1)
+		r.lat.add(1)
 		if i > 0 {
-			j := &s.jobs[i]
+			j := &r.jobs[i]
 			j.reclaimed, j.copying = false, false
 			// Slot i goes to the same shard every round (warm-queue affinity).
 			j.offer(r.exec, r.home+uint32(i-1), j)
@@ -855,7 +742,7 @@ func (s *scheduler[S, A]) dispatch(r *Runner[S, A], ctx context.Context) {
 	// identical. A round with nothing beside slot 0 never touches the
 	// executor, and its latch is released by the time exec returns.
 	if armed > 0 {
-		s.jobs[0].exec()
+		r.jobs[0].exec()
 	}
 	if armed > 1 {
 		// Reclaim, in chain order: a slot no worker has started yet
@@ -867,10 +754,10 @@ func (s *scheduler[S, A]) dispatch(r *Runner[S, A], ctx context.Context) {
 		// again and being late again.
 		t1 := nanos()
 		own := t1 - t0
-		lease := s.lease.grant()
+		lease := r.lease.grant()
 		warm, reclaimed := t1, false
 		for i := 1; i < armed; i++ {
-			j := &s.jobs[i]
+			j := &r.jobs[i]
 			if !j.take() {
 				continue
 			}
@@ -891,8 +778,8 @@ func (s *scheduler[S, A]) dispatch(r *Runner[S, A], ctx context.Context) {
 		// and worth spinning for about as long as slot 0 took. The round
 		// is not over — the walk and land end it — so the lease published
 		// here bridges the walk.
-		s.lat.wait(t1, own)
-		if until := s.lease.join(nanos(), own); until > 0 {
+		r.lat.wait(t1, own)
+		if until := r.lease.join(nanos(), own); until > 0 {
 			r.exec.extendLease(until)
 		}
 	}
@@ -916,12 +803,12 @@ func (s *scheduler[S, A]) dispatch(r *Runner[S, A], ctx context.Context) {
 // and must be discarded with it, not surfaced. Validation reads bitmaps
 // only; the buffered values land after the walk (land), once it is
 // known which views commit and whether their copies need an order.
-func (s *scheduler[S, A]) walk(r *Runner[S, A]) {
-	rd := &s.rd
+func (r *Runner[S, A]) walk() {
+	rd, spec := &r.rd, r.loop.speculative()
 	rd.f, rd.conflictAt, rd.land, rd.shared = 0, -1, 0, false
 	probeEnd := rd.armed // DOACROSS: the first conflicting chunk, or the end of the launched slots
 	for i := 0; i < rd.n; i++ {
-		l := s.chunks[i]
+		l := r.chunks[i]
 		if i == rd.armed {
 			// Unlaunched: dispatch was cut short by cancellation and the
 			// chain matched its way to a chunk that never started — the
@@ -929,7 +816,7 @@ func (s *scheduler[S, A]) walk(r *Runner[S, A]) {
 			rd.f, rd.err = i, rd.dispatchErr
 			break
 		}
-		if s.cells != nil && i == probeEnd {
+		if spec && i == probeEnd {
 			// Flow-dependence violation: chunk i read a cell an earlier
 			// chunk wrote. Its start was validated (chunk i-1 matched it),
 			// so the region re-executes from that exact state next round;
@@ -944,7 +831,7 @@ func (s *scheduler[S, A]) walk(r *Runner[S, A]) {
 			// here: an aborted chunk always sits behind the failed chunk
 			// that lowered the barrier, and the walk stops there first.)
 			rd.f, rd.err = i, l.err
-			if s.cells != nil {
+			if spec {
 				// Sequential execution would have applied the failing
 				// run's cell writes up to the failure point; land the
 				// partial buffer behind the prefix so the store matches
@@ -959,18 +846,18 @@ func (s *scheduler[S, A]) walk(r *Runner[S, A]) {
 		} else {
 			rd.acc, rd.committed = l.acc, true
 		}
-		if s.cells != nil { // one chunk per slot: chunk i is slot i
-			end, wrote, out := s.views[i].validate(s.views[i+1 : probeEnd])
+		if spec { // one chunk per slot: chunk i is slot i
+			end, wrote, out := r.views[i].validate(r.views[i+1 : probeEnd])
 			probeEnd = i + 1 + end
-			s.jobs[i].wrote = wrote
+			r.jobs[i].wrote = wrote
 			rd.land, rd.shared = i+1, rd.shared || out
 		}
 		for _, pr := range l.props {
-			s.memos = append(s.memos, memo[S]{row: pr.row, state: pr.state, pos: rd.pos + pr.local})
+			r.memos = append(r.memos, memo[S]{row: pr.row, state: pr.state, pos: rd.pos + pr.local})
 		}
 		rd.pos += l.work
 		if rd.index == 0 {
-			s.works[rd.slot(i)] += l.work
+			r.works[rd.slot(i)] += l.work
 		} else {
 			r.pend.RecoveryChunks++
 		}
@@ -988,17 +875,17 @@ func (s *scheduler[S, A]) walk(r *Runner[S, A]) {
 // closes the round: its results are in, which is where the gap to the
 // next dispatch starts and the workers' lease runs from. A round that
 // dispatched nothing speculative never joined and has nothing to close.
-func (s *scheduler[S, A]) land(r *Runner[S, A]) {
-	rd := &s.rd
+func (r *Runner[S, A]) land() {
+	rd := &r.rd
 	if rd.land > 0 {
-		s.landCells(r, rd.land, !rd.shared)
+		r.landCells(rd.land, !rd.shared)
 	}
-	if s.lease.joined != 0 {
+	if r.lease.joined != 0 {
 		now := nanos()
 		if rd.index == 0 {
 			rd.wall = now - rd.t0
 		}
-		if until := s.lease.landed(now); until > 0 {
+		if until := r.lease.landed(now); until > 0 {
 			r.exec.extendLease(until)
 		}
 	}
@@ -1022,31 +909,31 @@ func (s *scheduler[S, A]) land(r *Runner[S, A]) {
 // reclaimed chunk, a failing chunk's partial buffer, a single-proc
 // host — that walk is every copy in chain order on the invoker, which
 // is what output dependences need.
-func (s *scheduler[S, A]) landCells(r *Runner[S, A], n int, spread bool) {
+func (r *Runner[S, A]) landCells(n int, spread bool) {
 	offered := false
 	if spread && n > 1 && r.exec.procs > 1 { // a width-1 runner has no executor, and a round of one no copy
 		for i := 1; i < n; i++ {
-			j := &s.jobs[i]
+			j := &r.jobs[i]
 			if j.reclaimed || !j.wrote {
 				continue
 			}
-			s.lat.add(1)
+			r.lat.add(1)
 			j.copying, j.offered, offered = true, true, true
 			j.offer(r.exec, r.home+uint32(i-1), j) // copy i goes where chunk i went
 		}
 	}
 	var t0 int64
 	if offered {
-		if s.copyGate != nil {
-			s.copyGate() // test hook: hold the invoker between arming the copies and its own claims
+		if r.copyGate != nil {
+			r.copyGate() // test hook: hold the invoker between arming the copies and its own claims
 		}
 		t0 = nanos()
 	}
-	s.views[0].copyOut()
+	r.views[0].copyOut()
 	for i := 1; i < n; i++ {
-		j := &s.jobs[i]
+		j := &r.jobs[i]
 		if !j.offered {
-			s.views[i].copyOut()
+			r.views[i].copyOut()
 			continue
 		}
 		j.offered = false
@@ -1058,10 +945,10 @@ func (s *scheduler[S, A]) landCells(r *Runner[S, A], n int, spread bool) {
 		// Whatever is outstanding is being copied on another processor:
 		// worth spinning for about as long as the invoker's own copies took.
 		t1 := nanos()
-		s.lat.wait(t1, t1-t0)
+		r.lat.wait(t1, t1-t0)
 	}
 	for i := 0; i < n; i++ {
-		s.views[i].fold()
+		r.views[i].fold()
 	}
 }
 
@@ -1069,11 +956,11 @@ func (s *scheduler[S, A]) landCells(r *Runner[S, A], n int, spread bool) {
 // the one the walk stopped on and, when the walk stopped on a failure,
 // the failing chunk's partial work. The counters stay even if the
 // invocation fails: the work was done and discarded either way.
-func (s *scheduler[S, A]) squash(r *Runner[S, A]) {
-	rd := &s.rd
+func (r *Runner[S, A]) squash() {
+	rd := &r.rd
 	var squashed int64
 	for i := rd.f + 1; i < rd.armed; i++ {
-		squashed += s.chunks[i].work
+		squashed += r.chunks[i].work
 		rd.misspec = true
 	}
 	if rd.conflictAt >= 0 {
@@ -1083,9 +970,15 @@ func (s *scheduler[S, A]) squash(r *Runner[S, A]) {
 		// subset of SquashedIters by construction.
 		r.pend.Conflicts++
 		r.pend.ConflictIters += squashed
+		// A loss for the adaptive controller, like a misprediction. The
+		// predictions themselves were validated, but the invocation still
+		// paid squash-and-recover, and a narrower width genuinely shrinks
+		// the cross-chunk conflict surface, so throttling is the right
+		// response.
+		rd.loss = true
 	}
 	if rd.err != nil && rd.f < rd.armed {
-		squashed += s.chunks[rd.f].work
+		squashed += r.chunks[rd.f].work
 	}
 	r.pend.SquashedIters += squashed
 }
@@ -1103,19 +996,19 @@ func (s *scheduler[S, A]) squash(r *Runner[S, A]) {
 // would read as sustained misprediction and demote a perfectly
 // predictable workload. A conflict squash is likewise no
 // miss: the prediction was right (the chunk's start was validated) —
-// the data raced, which the controller hears separately via the
-// Conflicts counter. Slots cancellation left unlaunched resolved nothing
+// the data raced, which the controller hears separately as squash's
+// loss. Slots cancellation left unlaunched resolved nothing
 // and get no verdict. No round follows when the last committed chunk
 // reached the end of the traversal.
-func (s *scheduler[S, A]) verdicts(r *Runner[S, A]) bool {
-	rd := &s.rd
-	again := rd.conflictAt >= 0 || s.chunks[rd.f].capped
+func (r *Runner[S, A]) verdicts() bool {
+	rd := &r.rd
+	again := rd.conflictAt >= 0 || r.chunks[rd.f].capped
 	for i := 1; i < rd.armed; i++ {
-		if reclaimed := s.jobs[rd.slot(i)].reclaimed; i <= rd.f {
-			r.noteHit(s.chain[i-1], reclaimed)
+		if reclaimed := r.jobs[rd.slot(i)].reclaimed; i <= rd.f {
+			r.noteHit(r.chain[i-1], reclaimed)
 		} else if !again {
-			r.noteMiss(s.chain[i-1], reclaimed)
-			rd.verdictMiss = true
+			r.noteMiss(r.chain[i-1], reclaimed)
+			rd.loss = true
 		}
 	}
 	return again
@@ -1127,7 +1020,7 @@ func (s *scheduler[S, A]) verdicts(r *Runner[S, A]) bool {
 // from its validated start). The row it was hunting heads the next
 // chain — the chunk may simply have capped before reaching it — but
 // gets that retry once: a later round that caps short of it again drops
-// it. After a conflict it is always retried. A snap-less last chunk
+// it. After a conflict it is always retried. The chain's last chunk
 // hunted nothing. Every continuing round commits at least cap
 // iterations or moves past a row, so the loop terminates on any finite
 // traversal. Later rounds speculate on every admitted row still ahead —
@@ -1138,17 +1031,17 @@ func (s *scheduler[S, A]) verdicts(r *Runner[S, A]) bool {
 // A deadline cannot be ignored by later rounds: each re-checks ctx
 // before it is seeded, and its chunks poll while running; a failure here
 // is the invocation's (rd.err).
-func (s *scheduler[S, A]) advance(r *Runner[S, A], ctx context.Context) {
-	rd := &s.rd
+func (r *Runner[S, A]) advance(ctx context.Context) {
+	rd := &r.rd
 	hunter := rd.f
-	rd.cur = s.chunks[rd.f].s
+	rd.cur = r.chunks[rd.f].s
 	if rd.conflictAt >= 0 {
 		hunter = rd.conflictAt
-		rd.cur = s.jobs[hunter].lanes[0].start // DOACROSS: one chunk per slot
+		rd.cur = r.jobs[hunter].lanes[0].start // DOACROSS: one chunk per slot
 	}
 	next := len(r.pred.rows)
 	if hunter < rd.n-1 {
-		next = s.chain[hunter]
+		next = r.chain[hunter]
 		if rd.index > 0 && rd.conflictAt < 0 {
 			next++
 		}
@@ -1162,8 +1055,7 @@ func (s *scheduler[S, A]) advance(r *Runner[S, A], ctx context.Context) {
 	}
 	if rd.err == nil {
 		r.pend.Recoveries++
-		rd.layout(1+len(s.admitted(r, next, rd.probe)), r.cfg.Threads)
-		s.used = max(s.used, rd.slots)
+		rd.layout(1+len(r.admitted(next)), r.cfg.Threads)
 		rd.cap = r.pred.specCap(r.cfg.maxSpec)
 	}
 }
@@ -1171,22 +1063,22 @@ func (s *scheduler[S, A]) advance(r *Runner[S, A], ctx context.Context) {
 // finish books the invocation once its last round has committed. Later
 // rounds' iterations are charged to the slot of the last chunk round 0
 // committed. MisspecInvocations counts any squash; the controller's
-// refined signal is verdictMiss (verdict-based misses only). A bootstrap
+// refined signal is loss (verdict-based misses and conflicts). A bootstrap
 // invocation's candidates become rows, the predictor installs the
 // memoizations, and the pairing policy hears round 0's clock.
-func (s *scheduler[S, A]) finish(r *Runner[S, A]) {
-	rd := &s.rd
+func (r *Runner[S, A]) finish() {
+	rd := &r.rd
 	tail := rd.pos - rd.round0
-	s.works[rd.last] += tail
+	r.works[rd.last] += tail
 	r.pend.TailIters += tail
 	r.pend.TotalIters += rd.pos
 	if rd.misspec {
 		r.pend.MisspecInvocations++
 	}
 	if rd.boot {
-		s.memos = r.pred.promote(rd.pos, s.memos)
+		r.memos = r.pred.promote(rd.pos, r.memos)
 	}
-	r.pred.apply(rd.pos, s.memos)
+	r.pred.apply(rd.pos, r.memos)
 	r.pendWorks = true
 	if r.pairing.forced != 0 {
 		return
@@ -1195,7 +1087,7 @@ func (s *scheduler[S, A]) finish(r *Runner[S, A]) {
 	if rd.wall > 0 && rd.round0 > 0 && !rd.reclaimed {
 		perIter = float64(rd.wall) / float64(rd.round0)
 	}
-	if w := s.chunks[0].work; w > 0 {
+	if w := r.chunks[0].work; w > 0 {
 		chunk0 = float64(rd.own) / float64(w)
 	}
 	// A round wider than the host's processors is never clean: its chunk
@@ -1207,19 +1099,19 @@ func (s *scheduler[S, A]) finish(r *Runner[S, A]) {
 	}
 }
 
-// admitted fills s.chain, in row order, with the rows in use (every
+// admitted fills r.chain, in row order, with the rows in use (every
 // stride-th, predictor.stride) from index from on that are valid and
 // clear the adaptive confidence gate (every valid row when the gate is
 // off or the invocation is a probe) — the rows a round may speculate on
 // — and returns it.
-func (s *scheduler[S, A]) admitted(r *Runner[S, A], from int, probe bool) []int {
-	rows, adm, stride := r.pred.rows, s.chain[:0], r.pred.stride
+func (r *Runner[S, A]) admitted(from int) []int {
+	rows, adm, stride := r.pred.rows, r.chain[:0], r.pred.stride
 	for k := stride - 1; k < len(rows); k += stride {
-		if k >= from && rows[k].valid && r.admitRow(k, probe) {
+		if k >= from && rows[k].valid && r.admitRow(k) {
 			adm = append(adm, k)
 		}
 	}
-	s.chain = adm
+	r.chain = adm
 	return adm
 }
 
@@ -1227,20 +1119,20 @@ func (s *scheduler[S, A]) admitted(r *Runner[S, A], from int, probe bool) []int 
 // the effective width. When more rows qualify than eff-1 slots, the
 // picks are spread evenly across the qualifying rows so the chunks stay
 // roughly balanced at reduced width; pick i reads an index j ≥ i, so the
-// rows are thinned in place. The chain is left in s.chain (slot i>0
-// starts from rows[s.chain[i-1]] and hunts rows[s.chain[i]]); the
-// returned chunk count is 1+len(s.chain). A return of 1 means nothing is
+// rows are thinned in place. The chain is left in r.chain (slot i>0
+// starts from rows[r.chain[i-1]] and hunts rows[r.chain[i]]); the
+// returned chunk count is 1+len(r.chain). A return of 1 means nothing is
 // worth speculating on — the invocation starts as a round of one
 // instead of burning workers on doomed chunks.
-func (s *scheduler[S, A]) planDispatch(r *Runner[S, A], eff int, probe bool) int {
-	adm := s.admitted(r, 0, probe)
+func (r *Runner[S, A]) planDispatch(eff int) int {
+	adm := r.admitted(0)
 	if len(adm) > eff-1 {
 		j := -1
 		for i := 0; i < eff-1; i++ {
 			j = max((i+1)*len(adm)/eff, j+1)
 			adm[i] = adm[j]
 		}
-		s.chain = adm[:eff-1]
+		r.chain = adm[:eff-1]
 	}
-	return len(s.chain) + 1
+	return len(r.chain) + 1
 }

@@ -23,7 +23,8 @@
 //   - scheduler: an invocation as a loop over rounds — chunk dispatch,
 //     the validation chain, commit/squash bookkeeping, and another
 //     round from the live position when a chunk capped or conflicted
-//     (parallel squash recovery).
+//     (parallel squash recovery) — the round's steps as methods of the
+//     Runner, over its one record of per-loop state.
 //   - executor: a fixed pool of persistent worker goroutines, one
 //     bounded channel per worker, from which an idle worker steals one
 //     entry at a time; no goroutine is spawned per invocation.
@@ -527,7 +528,25 @@ func NewRunner[S comparable, A any](loop Loop[S, A], cfg Config) (*Runner[S, A],
 	// One grid, cut for the finest depth; a coarser depth uses every
 	// stride-th row of it.
 	r.pred = newPredictor[S](cfg.Threads*depth, depth/r.pairing.depth)
-	r.sched = newScheduler(r, cfg.Threads, depth)
+	// The round's buffers: Threads slots of up to depth chunks each.
+	chunks := cfg.Threads * depth
+	r.chunks = make([]*lane[S, A], chunks)
+	r.jobs = make([]chunkJob[S, A], cfg.Threads)
+	r.works = make([]int64, cfg.Threads)
+	r.plans = make([][]planEntry, chunks)
+	r.chain = make([]int, 0, chunks)
+	r.lat.init()
+	for c := range r.plans {
+		// Presized (a plan has at most chunks-1 entries), so a round of
+		// any width plans without allocating from the first invocation on.
+		r.plans[c] = make([]planEntry, 0, chunks)
+	}
+	for j := range r.jobs {
+		r.jobs[j].r, r.jobs[j].idx = r, j
+	}
+	if loop.speculative() {
+		r.views = make([]CellView, cfg.Threads)
+	}
 	if cfg.Adaptive && cfg.Threads > 1 {
 		r.ctrl = newSpecController(cfg.Threads, len(r.pred.rows), int64(cfg.probeEvery))
 	}
