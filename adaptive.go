@@ -2,38 +2,34 @@ package spice
 
 import "math"
 
-// This file is the adaptive speculation policy (Options.Adaptive). It
-// has two cooperating parts:
+// This file is the adaptive speculation policy (Options.Adaptive): a
+// confidence gate over the SVA rows, the paper's second insight (a
+// prediction is judged by whether its start turns up in the traversal)
+// applied row by row.
 //
-//   - rowConfidence scores each SVA row's recent prediction record (an
-//     EWMA of commit/squash outcomes). Rows below a confidence floor
-//     are not speculated on: their chunk is folded into the
-//     predecessor's instead of being dispatched and squashed.
-//   - specController tracks a rolling mis-speculation rate across
-//     invocations and throttles the effective thread count: repeated
-//     losing invocations halve the parallel width, degrading smoothly
-//     down to pure sequential execution. Every defaultProbeInterval
-//     invocations at a reduced width, one invocation probes a higher
-//     width (bypassing the confidence gate so gated rows can earn
-//     their confidence back); a clean probe promotes, a dirty one is
-//     abandoned at bounded cost.
+//   - rowConfidence scores each row's recent prediction record, an EWMA
+//     of its chunks' outcomes: a commit pulls it up; a squash, or a
+//     read/write-set conflict of the chunk it starts, pulls it down. A
+//     row below the floor is not speculated on: its chunk is folded
+//     into the predecessor's instead of being dispatched and squashed,
+//     and when the gate closes every row the invocation runs as a round
+//     of one, the sequential fallback.
+//   - specController adds the probe clock: after probeInterval
+//     invocations the gate narrowed, one invocation bypasses it under a
+//     tightened cap (probeSpecCap), so a closed row whose prediction
+//     holds again earns its confidence back, and one that still misses
+//     costs a bounded amount of wasted work.
 //
-// Both parts are plain scalar state: no allocation after construction,
-// so the native runtime's steady-state 0 allocs/op contract holds with
-// the controller enabled.
+// No width is set besides the rows: speculation goes where each row's
+// own record says it pays (Garmon et al.). Both parts are plain scalar
+// state: no allocation after construction, so the native runtime's
+// steady-state 0 allocs/op contract holds with the gate on.
 //
 // The file also holds the pairing policy (pairing), which decides how
 // many chunks a DOALL runner's dispatch slot carries. It is not part of
-// Options.Adaptive: it runs whether the controller is on or off.
+// Options.Adaptive: it runs whether the gate is on or off.
 
 const (
-	// specEWMAAlpha weighs the newest invocation outcome into the
-	// rolling mis-speculation rate. 0.25 demotes after three
-	// consecutive losing invocations from a clean history.
-	specEWMAAlpha = 0.25
-	// specDemoteAt is the rolling-rate high-water mark above which the
-	// effective thread count is halved.
-	specDemoteAt = 0.5
 	// specConfAlpha weighs the newest chunk outcome into a row's
 	// confidence score. 0.5 gates a row after three consecutive
 	// squashes from full confidence.
@@ -45,15 +41,15 @@ const (
 	// defaultMinConfidence is the per-row confidence floor of adaptive
 	// mode: rows scoring below it are not speculated on (outside probes).
 	defaultMinConfidence = 0.25
-	// defaultProbeInterval is the number of observed invocations
-	// between upward probes.
+	// defaultProbeInterval is the number of invocations the gate narrows
+	// before one probes every row.
 	defaultProbeInterval = 8
 )
 
 // rowConfidence tracks one confidence score per SVA row. A row's score
 // is an EWMA over the outcomes of the speculative chunks dispatched
-// from its prediction: commit (hit) pulls toward 1, squash (miss)
-// toward 0. Not safe for concurrent use; confine to the owner's
+// from its prediction: commit (hit) pulls toward 1, squash (miss) or
+// conflict toward 0. Not safe for concurrent use; confine to the owner's
 // invocation cycle.
 type rowConfidence struct {
 	score []float64
@@ -71,7 +67,7 @@ func (rc *rowConfidence) Reset() {
 // Hit records a committed speculative chunk for row.
 func (rc *rowConfidence) Hit(row int) { rc.score[row] += specConfAlpha * (1 - rc.score[row]) }
 
-// Miss records a squashed speculative chunk for row.
+// Miss records a squashed or conflicting speculative chunk for row.
 func (rc *rowConfidence) Miss(row int) { rc.score[row] -= specConfAlpha * rc.score[row] }
 
 // Score returns row's current confidence in [0, 1].
@@ -80,144 +76,52 @@ func (rc *rowConfidence) Score(row int) float64 { return rc.score[row] }
 // Admit reports whether row clears the confidence floor.
 func (rc *rowConfidence) Admit(row int) bool { return rc.score[row] >= defaultMinConfidence }
 
-// specController is the invocation-level throttle: it converts a
-// rolling mis-speculation rate into an effective thread count and
-// schedules the upward probes that re-expand parallelism once the loop
-// re-stabilizes. Drive it with Begin before each invocation and
-// Observe after each successful one (failed invocations carry no
-// prediction verdict and are skipped). Not safe for concurrent use.
+// specController is the gate of an adaptive runner: the rows'
+// confidence and the probe clock that re-tests the rows it closed.
+// Drive it with Begin before each invocation and count an invocation
+// whose round 0 the gate narrowed in narrowed. Not safe for concurrent
+// use.
 type specController struct {
-	threads       int
-	probeInterval int64
-
 	// conf scores each SVA row's recent prediction record; the
 	// confidence gate (Runner.admitRow) is its one reader.
-	conf rowConfidence
-
-	eff      int
-	rate     float64 // EWMA of per-invocation misspeculation
-	observed int64   // invocations observed since the last level change
-	probing  bool
-	probeEff int
+	conf          rowConfidence
+	probeInterval int64
+	narrowed      int64 // invocations the gate narrowed since the last probe
 }
 
-// newSpecController builds a controller for the configured thread count
-// (a width-1 runner has none), with a neutral confidence score for each
-// of the rows SVA rows of the runner's grid. probeInterval <= 0 selects
-// defaultProbeInterval.
-func newSpecController(threads, rows int, probeInterval int64) *specController {
+// newSpecController builds a controller with a neutral confidence score
+// for each of the rows SVA rows of the runner's grid. probeInterval <= 0
+// selects defaultProbeInterval.
+func newSpecController(rows int, probeInterval int64) *specController {
 	if probeInterval <= 0 {
 		probeInterval = defaultProbeInterval
 	}
-	c := &specController{threads: threads, probeInterval: probeInterval, eff: threads, conf: rowConfidence{make([]float64, rows)}}
+	c := &specController{probeInterval: probeInterval, conf: rowConfidence{make([]float64, rows)}}
 	c.conf.Reset()
 	return c
 }
 
-// Reset restores the unthrottled initial state (full width, clean
-// history, every row's confidence neutral). Pools reset the controller
-// when a runner moves between sessions.
+// Reset restores the initial state: every row's confidence neutral and
+// the probe clock at zero. Pools reset the controller when a runner
+// moves between sessions.
 func (c *specController) Reset() {
-	c.eff = c.threads
-	c.rate = 0
-	c.observed = 0
-	c.probing = false
+	c.narrowed = 0
 	c.conf.Reset()
 }
 
-// Begin decides the upcoming invocation's effective thread count.
-// probe is true when this invocation is an upward probe: the caller
-// should bypass the confidence gate (so gated rows can revalidate) and
-// tighten the runaway-speculation cap (so a failed probe costs a
-// bounded amount of wasted work).
-func (c *specController) Begin() (eff int, probe bool) {
-	c.probing = false
-	if c.eff < c.threads && c.observed >= c.probeInterval {
-		c.probing = true
-		c.probeEff = c.eff * 2
-		if c.probeEff > c.threads {
-			c.probeEff = c.threads
-		}
-		// Consume the probe budget here, not in Observe: a probe whose
-		// invocation fails never reaches Observe, and without this it
-		// would fire again on every subsequent invocation.
-		c.observed = 0
-		return c.probeEff, true
+// Begin reports whether the upcoming invocation is a probe: the caller
+// bypasses the confidence gate, so closed rows can earn their
+// confidence back, and tightens the runaway-speculation cap, so a
+// failed probe costs a bounded amount of wasted work. The clock
+// restarts here, not when the probe's verdicts are in: a probe whose
+// invocation fails has none, and it must not fire again at once.
+func (c *specController) Begin() bool {
+	if c.narrowed < c.probeInterval {
+		return false
 	}
-	return c.eff, false
+	c.narrowed = 0
+	return true
 }
-
-// specOutcome classifies one finished invocation for Observe.
-type specOutcome int
-
-const (
-	// specClean: the invocation ran (parallel or throttled-sequential)
-	// and squashed nothing.
-	specClean specOutcome = iota
-	// specMisspec: at least one speculative chunk was squashed.
-	specMisspec
-	// specGated: every predicted row was below the confidence floor,
-	// so the invocation fell back to sequential execution despite a
-	// wider allowed width. The controller treats this as an immediate
-	// demotion to width 1: the confidence gate has already judged
-	// speculation unprofitable, and dropping to 1 starts the probe
-	// clock that will later test re-expansion.
-	specGated
-	// specSkipped: the invocation ran sequentially because no
-	// predictions existed (bootstrap); it carries no speculation
-	// verdict. A probe resolved as specSkipped is abandoned without
-	// promoting.
-	specSkipped
-)
-
-// Observe feeds back the outcome of the invocation started by the last
-// Begin. A clean probe promotes to the probed width; any other probe
-// outcome is abandoned and the probe clock restarts. Outside probes
-// the rolling rate demotes (halves the width) when it crosses the
-// high-water mark, and a gated fallback demotes straight to width 1.
-func (c *specController) Observe(outcome specOutcome) {
-	if c.probing {
-		c.probing = false
-		c.observed = 0
-		if outcome == specClean {
-			c.eff = c.probeEff
-			c.rate = 0
-		}
-		return
-	}
-	switch outcome {
-	case specSkipped:
-		c.observed++
-		return
-	case specGated:
-		if c.eff > 1 {
-			c.eff = 1
-			c.rate = specDemoteAt / 2
-			// Start the probe clock fresh: clean history from the old
-			// width must not let a probe fire on the next invocation.
-			c.observed = 0
-		} else {
-			c.observed++
-		}
-		return
-	}
-	x := 0.0
-	if outcome == specMisspec {
-		x = 1
-	}
-	c.rate = (1-specEWMAAlpha)*c.rate + specEWMAAlpha*x
-	c.observed++
-	if c.rate > specDemoteAt && c.eff > 1 {
-		c.eff /= 2
-		// Leave headroom below the mark: the reduced width needs fresh
-		// losses, not the old level's history, to demote again.
-		c.rate = specDemoteAt / 2
-		c.observed = 0
-	}
-}
-
-// Effective returns the current effective thread count.
-func (c *specController) Effective() int { return c.eff }
 
 // probeSpecCap tightens a speculative iteration cap for a probe
 // invocation: a probe chunk is expected to cover about total/chunks

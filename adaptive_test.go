@@ -6,122 +6,131 @@ import (
 	"testing"
 )
 
-// --- specController state machine ------------------------------------
+// --- specController: the gate and the probe clock --------------------
 
+// closeRows drives rows below the confidence floor, as sustained misses
+// do.
+func closeRows(c *specController, rows ...int) {
+	for _, k := range rows {
+		for c.conf.Admit(k) {
+			c.conf.Miss(k)
+		}
+	}
+}
+
+// TestSpecControllerDemotesUnderSustainedMisspec: sustained misses close
+// the gate row by row, each closed row's chunk folded into its
+// predecessor's, down to one slot — a round of one, counted as a
+// sequential fallback, with the gauge at 1.
 func TestSpecControllerDemotesUnderSustainedMisspec(t *testing.T) {
-	c := newSpecController(8, 7, 4)
-	if c.Effective() != 8 {
-		t.Fatalf("initial eff = %d", c.Effective())
+	l := testList(4000, 3)
+	r := newRunner(t, plainLoop(), Config{Threads: 4, Options: Options{Adaptive: true}, depth: 1})
+	l.warm(t, r, 3)
+	if st := r.Stats(); busy(st.LastWorks) != 4 || st.EffectiveThreads != 4 {
+		t.Fatalf("stable list before any miss: %s", statsLine(st))
 	}
-	// Three consecutive losing invocations cross the high-water mark.
-	for i := 0; i < 3; i++ {
-		if eff, probe := c.Begin(); eff != 8 || probe {
-			t.Fatalf("pre-demotion Begin = %d,%v", eff, probe)
+	for k := range 3 {
+		closeRows(r.ctrl, k)
+		l.exact(t, r)
+		st := r.Stats()
+		want := int64(4) // the gauge: full width while any row is admitted
+		if k == 2 {
+			want = 1
 		}
-		c.Observe(specMisspec)
+		if busy(st.LastWorks) != 3-k || st.EffectiveThreads != want {
+			t.Fatalf("rows 0..%d closed: %s", k, statsLine(st))
+		}
 	}
-	if c.Effective() != 4 {
-		t.Fatalf("after 3 losses eff = %d, want 4", c.Effective())
-	}
-	// Keep losing: the width halves down to pure sequential.
-	for i := 0; i < 20 && c.Effective() > 1; i++ {
-		c.Begin()
-		c.Observe(specMisspec)
-	}
-	if c.Effective() != 1 {
-		t.Fatalf("sustained losses left eff = %d, want 1", c.Effective())
+	if st := r.Stats(); st.SequentialFallbacks != 1 || st.Misses != 0 {
+		t.Fatalf("every row closed: %s", statsLine(st))
 	}
 }
 
+// TestSpecControllerProbesAndPromotes: the probe fires after
+// probeInterval invocations the gate narrowed, and only then; on a
+// runner whose rows hold again, the probe's hits open them, and the
+// runner speculates on every row with no further probe.
 func TestSpecControllerProbesAndPromotes(t *testing.T) {
-	c := newSpecController(4, 3, 3)
-	c.Observe(specGated) // demote straight to sequential
-	if c.Effective() != 1 {
-		t.Fatalf("gated fallback left eff = %d", c.Effective())
-	}
-	// Not yet: the gated demotion restarts the probe clock, which needs
-	// probeInterval observations from zero.
-	for i := 0; i < 3; i++ {
-		if _, probe := c.Begin(); probe {
-			t.Fatalf("probe fired %d observations after demotion", i)
+	c := newSpecController(3, 3)
+	for i := range 10 {
+		if c.Begin() {
+			t.Fatalf("probe after %d invocations the gate never narrowed", i)
 		}
-		c.Observe(specClean)
 	}
-	eff, probe := c.Begin()
-	if !probe || eff != 2 {
-		t.Fatalf("expected a width-2 probe, got %d,%v", eff, probe)
+	for i := range 3 {
+		if c.Begin() {
+			t.Fatalf("probe after %d narrowed invocations", i)
+		}
+		c.narrowed++
 	}
-	// A clean probe promotes; a dirty one is abandoned.
-	c.Observe(specClean)
-	if c.Effective() != 2 {
-		t.Fatalf("clean probe did not promote: eff = %d", c.Effective())
+	if !c.Begin() {
+		t.Fatal("no probe after probeInterval narrowed invocations")
 	}
-	for i := 0; i < 3; i++ {
-		c.Begin()
-		c.Observe(specClean)
+
+	l := testList(3000, 5)
+	r := newRunner(t, plainLoop(), Config{Threads: 4, Options: Options{Adaptive: true}, depth: 1, probeEvery: 3})
+	l.warm(t, r, 2)
+	closeRows(r.ctrl, 0, 1, 2)
+	for inv := 1; inv <= 6; inv++ {
+		l.exact(t, r)
+		st := r.Stats()
+		want := 4 // the 4th invocation probes every row, and its hits open them
+		if inv <= 3 {
+			want = 1
+		}
+		if busy(st.LastWorks) != want || st.EffectiveThreads != int64(want) {
+			t.Fatalf("invocation %d after the gate closed: %s", inv, statsLine(st))
+		}
 	}
-	eff, probe = c.Begin()
-	if !probe || eff != 4 {
-		t.Fatalf("expected a width-4 probe, got %d,%v", eff, probe)
-	}
-	c.Observe(specMisspec)
-	if c.Effective() != 2 {
-		t.Fatalf("dirty probe changed eff to %d", c.Effective())
-	}
-	// A probe resolved as skipped (no predictions) must not promote.
-	for i := 0; i < 3; i++ {
-		c.Begin()
-		c.Observe(specClean)
-	}
-	if _, probe = c.Begin(); !probe {
-		t.Fatal("probe clock did not restart after the dirty probe")
-	}
-	c.Observe(specSkipped)
-	if c.Effective() != 2 {
-		t.Fatalf("skipped probe promoted eff to %d", c.Effective())
+	if st := r.Stats(); st.SequentialFallbacks != 3 || r.ctrl.narrowed != 0 {
+		t.Fatalf("narrowed %d after the probe: %s", r.ctrl.narrowed, statsLine(st))
 	}
 }
 
-// TestSpecControllerFailedProbeDoesNotRepeat: a probe whose invocation
-// fails never reaches Observe; the next Begin must wait out a full
-// probe interval again instead of probing on every invocation.
+// TestSpecControllerFailedProbeDoesNotRepeat: the clock restarts when a
+// probe begins, so a probe whose invocation fails (no verdicts) or
+// whose rows miss again does not fire again until the gate has narrowed
+// a full interval more.
 func TestSpecControllerFailedProbeDoesNotRepeat(t *testing.T) {
-	c := newSpecController(4, 3, 2)
-	c.Observe(specGated)
-	for i := 0; i < 2; i++ {
-		c.Begin()
-		c.Observe(specClean)
-	}
-	if _, probe := c.Begin(); !probe {
+	c := newSpecController(3, 2)
+	closeRows(c, 0, 1, 2)
+	c.narrowed = 2
+	if !c.Begin() {
 		t.Fatal("expected a probe after the interval")
 	}
-	// The probed invocation errors out: no Observe. The probe budget
-	// must already be consumed.
-	if _, probe := c.Begin(); probe {
-		t.Fatal("failed probe repeated on the very next invocation")
+	// The probe's rows miss again: still closed, and the clock runs from
+	// zero.
+	c.conf.Miss(0)
+	for i := range 2 {
+		if c.Begin() {
+			t.Fatalf("failed probe repeated %d invocations later", i)
+		}
+		c.narrowed++
 	}
-	if eff := c.Effective(); eff != 1 {
-		t.Fatalf("failed probe changed eff to %d", eff)
+	if c.conf.Admit(0) || !c.Begin() {
+		t.Fatal("no second probe a full interval after the failed one")
 	}
 }
 
+// TestSpecControllerResetRestoresFullWidth: Reset clears the probe
+// clock and every row's score.
 func TestSpecControllerResetRestoresFullWidth(t *testing.T) {
-	c := newSpecController(4, 3, 2)
-	for i := 0; i < 10; i++ {
-		c.Begin()
-		c.Observe(specMisspec)
-	}
-	if c.Effective() == 4 {
-		t.Fatal("losses did not throttle")
-	}
+	c := newSpecController(3, 2)
+	closeRows(c, 0, 1, 2)
+	c.narrowed = 1
 	c.Reset()
-	if c.Effective() != 4 || c.rate != 0 {
-		t.Fatalf("Reset left eff=%d rate=%v", c.Effective(), c.rate)
+	if c.narrowed != 0 {
+		t.Fatalf("Reset left the clock at %d", c.narrowed)
+	}
+	for k := range 3 {
+		if c.conf.Score(k) != specConfInit {
+			t.Fatalf("Reset left row %d at %v", k, c.conf.Score(k))
+		}
 	}
 }
 
 func TestRowConfidenceScoresAndGate(t *testing.T) {
-	rc := &newSpecController(4, 3, 0).conf // three rows, all neutral
+	rc := &newSpecController(3, 0).conf // three rows, all neutral
 	if !rc.Admit(0) {
 		t.Fatal("fresh row below the default floor")
 	}

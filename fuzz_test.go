@@ -179,7 +179,7 @@ func FuzzPredictorApply(f *testing.F) {
 		// A second apply with no memos must clear all rows: no stale
 		// prediction survives a generation swap.
 		apply(total/2, nil)
-		if p.havePredictions() {
+		if p.predicted() > 0 {
 			t.Fatalf("after an empty apply: rows %+v", p.rows)
 		}
 		// The other plan: what promote chooses from a bootstrap capture of

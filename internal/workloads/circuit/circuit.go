@@ -44,7 +44,7 @@
 // are therefore fixed-point int64 (fixScale fractional bits) folded
 // with ReduceSum — int64 addition is associative and commutative even
 // under wraparound, so the folded totals are bit-identical regardless
-// of chunking, width, or adaptive throttling. Everything downstream
+// of chunking, width, or the adaptive gate. Everything downstream
 // of the accumulators (solve, convergence, state updates) is shared
 // scalar code, so parallel transients reproduce the sequential
 // reference bit for bit.

@@ -109,31 +109,46 @@ func TestDifferentialOracle(t *testing.T) {
 // TestAdaptiveFallsBackOnAdversarial asserts the controller's
 // load-shedding behaviour, not just correctness: on a fully unstable
 // list no prediction ever materializes, so the runner must stop
-// speculating (sequential fallbacks accumulate, effective width drops
-// to 1) instead of squashing forever.
+// speculating (sequential fallbacks accumulate, the gauge drops to 1)
+// instead of squashing forever; and on a cell loop whose every chunk
+// boundary splits a flow dependence, the conflicts close the rows.
+// Either way the fixed-width runner on the same script squashes more.
 func TestAdaptiveFallsBackOnAdversarial(t *testing.T) {
-	c := mcase{build: oracleList(7, 1200), edit: regime("adversarial"), scan: true, threads: 4, adaptive: true, invs: 40}
-	st := final(c.run(t))
-	if st.EffectiveThreads != 1 {
-		t.Errorf("EffectiveThreads = %d, want 1 after sustained losses", st.EffectiveThreads)
+	fixedSquashesMore := func(t *testing.T, c mcase, st Stats) {
+		c.adaptive = false
+		if fixed := final(c.run(t)).SquashedIters; fixed <= st.SquashedIters {
+			t.Errorf("fixed-width squashed %d !> adaptive squashed %d; the gate saved nothing", fixed, st.SquashedIters)
+		}
 	}
-	if st.SequentialFallbacks == 0 {
-		t.Error("no sequential fallbacks recorded on a fully unstable workload")
-	}
-	if st.Misses == 0 {
-		t.Error("no misses recorded despite guaranteed mis-speculation")
-	}
-	// The fixed-width runner on the same script squashes far more work.
-	c.adaptive = false
-	if fixed := final(c.run(t)).SquashedIters; fixed <= st.SquashedIters {
-		t.Errorf("fixed-width squashed %d !> adaptive squashed %d; throttling saved nothing", fixed, st.SquashedIters)
-	}
+	t.Run("list", func(t *testing.T) {
+		c := mcase{build: oracleList(7, 1200), edit: regime("adversarial"), scan: true, threads: 4, adaptive: true, invs: 40}
+		st := final(c.run(t))
+		if st.EffectiveThreads != 1 {
+			t.Errorf("EffectiveThreads = %d, want 1 after sustained losses", st.EffectiveThreads)
+		}
+		if st.SequentialFallbacks == 0 {
+			t.Error("no sequential fallbacks recorded on a fully unstable workload")
+		}
+		if st.Misses == 0 {
+			t.Error("no misses recorded despite guaranteed mis-speculation")
+		}
+		fixedSquashesMore(t, c, st)
+	})
+	t.Run("doacross", func(t *testing.T) {
+		c := cellCase(42, 600, "dense", 30)
+		c.threads, c.adaptive, c.probe, c.invs = 4, true, 2, 30
+		st := final(c.run(t))
+		if st.Conflicts == 0 || st.SequentialFallbacks == 0 || st.Misses != 0 {
+			t.Errorf("conflicts did not close the rows: %s", statsLine(st))
+		}
+		fixedSquashesMore(t, c, st)
+	})
 }
 
 // TestAdaptiveReexpandsAfterRestabilization drives an adversarial
-// phase until the controller is fully throttled, then stabilizes the
-// structure and asserts probes promote the width back to full — with
-// every invocation still matching the oracle.
+// phase until the gate has closed every row, then stabilizes the
+// structure and asserts probes open the rows again, back to full width
+// — with every invocation still matching the oracle.
 func TestAdaptiveReexpandsAfterRestabilization(t *testing.T) {
 	sts := mcase{build: oracleList(13, 1500), scan: true, threads: 4, adaptive: true, probe: 3, invs: 65,
 		edit: func(g *gen, inv int) {
@@ -155,6 +170,24 @@ func TestAdaptiveReexpandsAfterRestabilization(t *testing.T) {
 	}
 	if busy(st.LastWorks) != 4 {
 		t.Errorf("last works %v: re-expanded runner not using all chunks", st.LastWorks)
+	}
+
+	// A partial gate is re-tested too. Unlinking the node row 1 predicts
+	// before two invocations closes rows 1 and 2 while row 0 stays open,
+	// so no invocation falls back; the probe clock runs all the same,
+	// and within probe+1 stable invocations every slot works again.
+	sts = mcase{build: func() *gen { return testList(4000, 17) }, threads: 4, adaptive: true, probe: 3, depth: 1, invs: 9,
+		edit: func(g *gen, inv int) {
+			if inv == 2 || inv == 3 {
+				ns := g.nodes()
+				ns[1999].next = ns[2001] // unlink ns[2000], the start row 1 predicts
+			}
+		}}.run(t)
+	if w := sts[5].LastWorks; busy(w) != 2 || w[0] == 0 || w[1] == 0 {
+		t.Fatalf("unlinking row 1's node twice left LastWorks %v; the test means rows 1 and 2 closed", w)
+	}
+	if st := final(sts); busy(st.LastWorks) != 4 || st.SequentialFallbacks != 0 || st.EffectiveThreads != 4 {
+		t.Errorf("rows 1 and 2 never re-tested: %s", statsLine(st))
 	}
 }
 

@@ -373,7 +373,7 @@ func (s *Session[S, A]) Stats() Stats {
 
 // Close returns the runner to the pool. The session must not be used
 // afterwards; Close is idempotent. All cross-invocation adaptation —
-// predictions, row confidence, the adaptive throttle — is reset on the
+// predictions, row confidence, the probe clock — is reset on the
 // way out (and again on the way into the next session), so nothing a
 // session learned on its structure can bleed into another caller's.
 func (s *Session[S, A]) Close() {

@@ -157,7 +157,8 @@ func TestPoolValidation(t *testing.T) {
 // TestRuntimeDefaults pins what the runtime derives instead of taking
 // from the caller: the shared pool's and a private runner's worker
 // counts from the topology, the speculative cap from the last trip
-// count, and the interval at which a throttled adaptive runner probes.
+// count, and the interval at which an adaptive runner whose gate is
+// closed probes its rows.
 func TestRuntimeDefaults(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, procs := range []int{1, 2, 8} {
@@ -195,16 +196,19 @@ func TestRuntimeDefaults(t *testing.T) {
 	}
 
 	a := newRunner(t, plainLoop(), Config{Threads: 4, Options: Options{Adaptive: true}})
-	a.ctrl.Observe(specGated) // demoted straight to width 1
 	l := testList(3000, 2)
+	a.MustRun(l.head) // predicts rows for the gate to close
+	for k := range a.ctrl.conf.score {
+		closeRows(a.ctrl, k)
+	}
 	for inv := 1; inv <= 9; inv++ {
 		a.MustRun(l.head)
-		want := int64(1) // the 9th invocation probes width 2 and, clean, promotes
+		want := int64(1) // the 9th invocation probes every row and, clean, opens them
 		if inv == 9 {
-			want = 2
+			want = 4
 		}
 		if eff := a.Stats().EffectiveThreads; eff != want {
-			t.Fatalf("invocation %d after the demotion: width %d, want %d", inv, eff, want)
+			t.Fatalf("invocation %d after the gate closed: width %d, want %d", inv, eff, want)
 		}
 	}
 }
@@ -427,9 +431,9 @@ func TestRecoveryThroughPool(t *testing.T) {
 // --- Adaptive sessions ------------------------------------------------
 
 // TestPoolAdaptiveSessionStress drives concurrent sessions over
-// distinct structures with adaptive throttling active: half the
-// submitters traverse stable lists (must keep full width), half
-// traverse fully unstable ones (must throttle), and every result must
+// distinct structures with the adaptive gate on: half the submitters
+// traverse stable lists (must keep full width), half traverse fully
+// unstable ones (must fall back), and every result must
 // equal the sequential reference. Run under -race this is the
 // acceptance test for the controller in the concurrent front door.
 func TestPoolAdaptiveSessionStress(t *testing.T) {
@@ -456,25 +460,25 @@ func TestPoolAdaptiveSessionStress(t *testing.T) {
 
 // TestSessionNoAdaptiveBleed is the regression guard for the
 // runner-recycling path: a session that hammered a runner's confidence
-// and throttle state on a hostile structure must hand back a fully
+// and probe clock on a hostile structure must hand back a fully
 // reset runner, so the next session (which recycles it via the free
 // list) starts at full width with neutral confidence.
 func TestSessionNoAdaptiveBleed(t *testing.T) {
 	p := newPool(t, plainLoop(), Config{Threads: 4, Options: Options{Adaptive: true}, probeEvery: 64})
 
-	// Session 1: fully unstable traversal until throttled to width 1.
+	// Session 1: fully unstable traversal until the gate closes every row.
 	s1 := openSession(t, p, 0)
 	for inv := 0; inv < 30; inv++ {
 		testList(800, int64(3000+inv)).exact(t, s1)
 	}
 	if eff := s1.Stats().EffectiveThreads; eff != 1 {
-		t.Fatalf("hostile session not throttled (eff=%d); bleed test needs a poisoned runner", eff)
+		t.Fatalf("hostile session's gate still open (eff=%d); bleed test needs a poisoned runner", eff)
 	}
 	r1 := s1.r
 	s1.Close()
 
 	// Session 2 recycles the same runner off the free list. With a huge
-	// probe interval, any leftover throttle or gated confidence would
+	// probe interval, any leftover gated confidence would
 	// keep it sequential for the whole test — the reset must not leave
 	// any.
 	s2 := openSession(t, p, 0)
@@ -549,7 +553,7 @@ func TestRoundOfOneAllocations(t *testing.T) {
 		}
 		before := r.Stats()
 		avg := testing.AllocsPerRun(20, func() {
-			r.ctrl.eff = r.ctrl.threads // full width again: the gate, not the throttle, leaves one slot
+			r.ctrl.narrowed = 0 // no probe: the gate stays closed
 			if got := r.MustRun(l.head); got != want {
 				t.Fatalf("gated Run = %+v, want %+v", got, want)
 			}

@@ -109,14 +109,15 @@ func (p *predictor[S]) reset() {
 	p.prevTotal = 0
 }
 
-// havePredictions reports whether any chunk start in use is predicted.
-func (p *predictor[S]) havePredictions() bool {
+// predicted counts the chunk starts in use that are predicted.
+func (p *predictor[S]) predicted() int {
+	n := 0
 	for k := p.stride - 1; k < len(p.rows); k += p.stride {
 		if p.rows[k].valid {
-			return true
+			n++
 		}
 	}
-	return false
+	return n
 }
 
 // planFromPosition appends the memoization plan of a chunk whose global

@@ -82,7 +82,7 @@ func TestPromote(t *testing.T) {
 	// Candidates are captured, never rows: unpromoted they install nothing.
 	p := newPredictor[int64](4, 1)
 	p.apply(100, []memo[int64]{{row: candRow, state: 1, pos: 1}, {row: candRow, state: 2, pos: 2}})
-	if p.havePredictions() {
+	if p.predicted() > 0 {
 		t.Fatal("apply installed an unpromoted candidate as a row")
 	}
 }

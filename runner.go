@@ -52,10 +52,10 @@ type Runner[S comparable, A any] struct {
 	pend      Stats
 	pendWorks bool // works holds a fresh LastWorks to publish
 
-	// Adaptive speculation controller (nil when Options.Adaptive is
-	// off, see adaptive.go). Confined to the Run cycle like the
-	// predictor — a Pool hands each in-flight invocation its own
-	// runner.
+	// The confidence gate and its probe clock (nil when
+	// Options.Adaptive is off, see adaptive.go). Confined to the Run
+	// cycle like the predictor — a Pool hands each in-flight invocation
+	// its own runner.
 	ctrl *specController
 	// pairing decides how many chunks a dispatch slot carries (adaptive.go);
 	// pinned to 1 unless the loop is DOALL and the runner at least width 2.
@@ -178,14 +178,15 @@ func (r *Runner[S, A]) Run(ctx context.Context, start S) (A, error) {
 
 // runInvocation is Run plus the batched front door's load-aware flag.
 // Every invocation is Runner.run over rounds of slots; all that is
-// decided here is n, round 0's slot count. It is 1 — the invocation
-// runs on the invoking goroutine alone, which is all "sequential" means
-// in this runtime — when the runner is width 1, the batched door sheds,
-// no row is predicted, or the controller throttled or gated every row.
-// Such an invocation still memoizes (the bootstrap plan, predictor.go),
-// so later ones have predictions to test. The invocation's counter
-// deltas (accumulated in r.pend by the round's steps) are published in
-// one step on every exit path.
+// decided here is n, round 0's chunk count: 1 plus the rows the
+// confidence gate admits. It is 1 — the invocation runs on the invoking
+// goroutine alone, which is all "sequential" means in this runtime —
+// when the runner is width 1, the batched door sheds, no row is
+// predicted, or the gate closed every row. Such an invocation still
+// memoizes (the bootstrap plan, predictor.go), so later ones have
+// predictions to test. The invocation's counter deltas (accumulated in
+// r.pend by the round's steps) are published in one step on every exit
+// path.
 func (r *Runner[S, A]) runInvocation(ctx context.Context, start S, loadAware bool) (A, error) {
 	var zero A
 	if !r.running.CompareAndSwap(false, true) {
@@ -211,7 +212,7 @@ func (r *Runner[S, A]) runInvocation(ctx context.Context, start S, loadAware boo
 	defer func() { r.stats.publish(&r.pend, r.works, r.pendWorks); r.pendWorks = false }()
 	r.pend.Invocations++
 
-	n, eff, shed, predicted := 1, r.cfg.Threads, false, false
+	n := 1
 	if r.cfg.Threads > 1 {
 		// Every parallel-capable invocation registers its demand on the
 		// shared executor for its whole duration, so the load-aware path
@@ -235,41 +236,35 @@ func (r *Runner[S, A]) runInvocation(ctx context.Context, start S, loadAware boo
 		//     wakeup round-trips rival the chunk's own work, and a batch
 		//     full of such invocations is fastest executed back to back.
 		//
-		// Checked before the adaptive controller is consulted, so the shed
-		// neither feeds nor perturbs the throttle. Plain Run never sheds: a
-		// lone blocking caller asked for this invocation to be parallelized.
-		shed = loadAware && (r.exec.overloaded(r.cfg.Threads, r.queuedEntries()) ||
-			r.pred.prevTotal < int64(r.cfg.Threads)*ctxPollEvery)
-		if shed {
+		// Checked before the gate is consulted, so the shed neither runs
+		// nor probes it. Plain Run never sheds: a lone blocking caller
+		// asked for this invocation to be parallelized.
+		if loadAware && (r.exec.overloaded(r.cfg.Threads, r.queuedEntries()) ||
+			r.pred.prevTotal < int64(r.cfg.Threads)*ctxPollEvery) {
 			r.pend.BatchSheds++
 		} else {
-			// Adaptive throttle: the controller picks this invocation's
-			// width (and whether it is an upward probe); planDispatch then
-			// drops low-confidence rows. Either can leave one slot.
 			if r.ctrl != nil {
-				eff, r.rd.probe = r.ctrl.Begin()
-				// While the invocation runs the gauge shows its dispatch
-				// width (including a probe's temporary widening); the
-				// deferred store settles it on the controller's chosen width
-				// on every exit path — error returns included, where Observe
-				// is skipped.
-				defer func() {
-					r.stats.effectiveThreads.Store(int64(r.ctrl.Effective()))
-				}()
+				r.rd.probe = r.ctrl.Begin()
+				// The gauge shows the invocation's width while it runs, and
+				// the width the gate admits once it is over, on every exit
+				// path.
+				r.stats.effectiveThreads.Store(r.gateWidth())
+				defer func() { r.stats.effectiveThreads.Store(r.gateWidth()) }()
 			}
-			r.stats.effectiveThreads.Store(int64(eff))
-			if predicted = r.pred.havePredictions(); predicted {
-				if eff > 1 {
-					n = r.planDispatch(eff * r.pairing.depth)
-				}
-				if n == 1 && r.ctrl != nil {
-					r.pend.SequentialFallbacks++
+			if rows := r.pred.predicted(); rows > 0 {
+				n = 1 + len(r.admitted(0))
+				if r.ctrl != nil && n-1 < rows {
+					// The gate left a predicted row out: the probe clock runs.
+					r.ctrl.narrowed++
+					if n == 1 {
+						r.pend.SequentialFallbacks++
+					}
 				}
 			}
 		}
 	}
 
-	acc, loss, err := r.run(ctx, start, n, eff)
+	acc, err := r.run(ctx, start, n)
 
 	// Only contained panics (*PanicError, including wrapped batch-item
 	// forms) advance the streak behind Pool quarantine; a panic that
@@ -284,20 +279,16 @@ func (r *Runner[S, A]) runInvocation(ctx context.Context, start S, loadAware boo
 		return zero, err
 	}
 	r.consecPanics = 0
-	switch {
-	case r.ctrl == nil || shed:
-	case !predicted:
-		r.ctrl.Observe(specSkipped)
-	case n == 1 && eff > 1:
-		// The confidence gate dropped every row: an immediate demotion to
-		// sequential width, which also starts the probe clock.
-		r.ctrl.Observe(specGated)
-	case loss:
-		r.ctrl.Observe(specMisspec)
-	default:
-		r.ctrl.Observe(specClean)
-	}
 	return acc, nil
+}
+
+// gateWidth is the width the confidence gate admits now: 1 when it
+// closes every predicted row, else Threads (a probe opens every row).
+func (r *Runner[S, A]) gateWidth() int64 {
+	if r.pred.predicted() > 0 && len(r.admitted(0)) == 0 {
+		return 1
+	}
+	return int64(r.cfg.Threads)
 }
 
 // admitRow reports whether SVA row k may be speculated on this
@@ -337,9 +328,9 @@ func (r *Runner[S, A]) noteMiss(k int, reclaimed bool) {
 }
 
 // reset clears all cross-invocation adaptation: memoized predictions,
-// row confidence, and the controller's throttle state. A Pool resets a
-// runner on session boundaries so nothing learned on one caller's
-// structure leaks into another's.
+// row confidence, and the probe clock. A Pool resets a runner on
+// session boundaries so nothing learned on one caller's structure leaks
+// into another's.
 func (r *Runner[S, A]) reset() {
 	r.pred.reset()
 	if r.ctrl != nil {

@@ -525,7 +525,7 @@ type round[S comparable, A any] struct {
 	cur   S     // chunk 0's start, the live state
 	pos   int64 // chunk 0's global position: the iterations committed so far
 	cap   int64 // the speculative iteration cap of the round's chunks
-	probe bool  // an upward probe: the confidence gate is open (runInvocation)
+	probe bool  // a probe: the confidence gate is open (runInvocation)
 	boot  bool  // memoize by the bootstrap plan (begin)
 
 	// Round 0's clock, the pairing policy's evidence (finish), from the
@@ -547,7 +547,6 @@ type round[S comparable, A any] struct {
 	acc       A
 	committed bool  // acc holds a committed chunk's accumulator
 	misspec   bool  // a round squashed work
-	loss      bool  // a squashed chunk was judged a misprediction, or a conflict squashed work
 	last      int   // slot of the last chunk round 0 committed
 	round0    int64 // iterations round 0 committed
 }
@@ -574,17 +573,17 @@ func (rd *round[S, A]) slot(c int) int {
 // chunk 0 at the live (state, global position) — architecturally
 // correct, never capped — and one speculative chunk per row of its
 // chain, each hunting the next row's predicted start; lays them out on
-// at most width slots (round 0) or Threads slots (later rounds), two to
-// a slot when they do not fit one each (round.layout); launches and
-// joins the slots; then walks the chain once: the prefix up to the first
-// chunk that did not stop on its successor's start commits at exact
-// global positions, everything after it is squashed. If the walk
-// stopped on a capped chunk or on a read/write-set conflict, the next
-// round resumes from that chunk's stop state (the conflicting chunk's
-// validated start) over the admitted rows not yet passed; otherwise the
-// invocation is done. Round 0 is the same code from (start, 0) over the
-// n-chunk chain planDispatch left in r.chain, or over nothing when n is
-// 1 (the caller's "sequential" invocation). The squashed workers are
+// at most Threads slots, two to a slot when they do not fit one each
+// (round.layout); launches and joins the slots; then walks the chain
+// once: the prefix up to the first chunk that did not stop on its
+// successor's start commits at exact global positions, everything after
+// it is squashed. If the walk stopped on a capped chunk or on a
+// read/write-set conflict, the next round resumes from that chunk's
+// stop state (the conflicting chunk's validated start) over the
+// admitted rows not yet passed; otherwise the invocation is done. Round
+// 0 is the same code from (start, 0) over the n-chunk chain the gate
+// admitted into r.chain (runInvocation), or over nothing when n is 1
+// (the caller's "sequential" invocation). The squashed workers are
 // thereby re-seeded rather than the remainder serialized, and every
 // chunk carries plan entries anchored at its global position, so the
 // predictor re-memoizes along the way and the next invocation's split
@@ -595,12 +594,9 @@ func (rd *round[S, A]) slot(c int) int {
 // earliest chunk in iteration order. Its memoizations are not applied —
 // the predictor keeps its last good rows, so the next invocation still
 // speculates — and its last round records no hit/miss verdicts: an
-// aborted chunk's squash says nothing about its prediction. The middle
-// return is the adaptive controller's feedback signal: whether the
-// invocation was a loss, a squashed chunk judged a genuine
-// misprediction or a read/write-set conflict (squash).
-func (r *Runner[S, A]) run(ctx context.Context, start S, n, width int) (A, bool, error) {
-	r.begin(start, n, width)
+// aborted chunk's squash says nothing about its prediction.
+func (r *Runner[S, A]) run(ctx context.Context, start S, n int) (A, error) {
+	r.begin(start, n)
 	defer r.release()
 	rd := &r.rd
 	for {
@@ -618,30 +614,29 @@ func (r *Runner[S, A]) run(ctx context.Context, start S, n, width int) (A, bool,
 	}
 	if rd.err != nil {
 		var zero A
-		return zero, false, rd.err
+		return zero, rd.err
 	}
 	r.finish()
-	return rd.acc, rd.loss, nil
+	return rd.acc, nil
 }
 
-// begin opens the invocation as round 0: n chunks over the chain
-// planDispatch left in r.chain on at most width slots, chunk 0 at
-// (start, 0), under the predictor's cap (a probe's reduced one). It
-// clears every slot's works, so a wider earlier round cannot leak into
-// LastWorks.
+// begin opens the invocation as round 0: n chunks over the chain in
+// r.chain on at most Threads slots, chunk 0 at (start, 0), under the
+// predictor's cap (a probe's reduced one). It clears every slot's
+// works, so a wider earlier round cannot leak into LastWorks.
 //
 // An invocation that starts as a round of one on a runner that could
 // speculate memoizes by the bootstrap plan: no row is predicted, or none
 // was admitted, so there is no split to keep balanced, only rows to find
 // for the next invocation. (Slot 0 neither caps nor conflicts: such a
 // round is the whole invocation.)
-func (r *Runner[S, A]) begin(start S, n, width int) {
+func (r *Runner[S, A]) begin(start S, n int) {
 	rd := &r.rd // zero but probe: release cleared it after the previous invocation
 	rd.cap = r.pred.specCap(r.cfg.maxSpec)
 	if rd.probe {
 		rd.cap = probeSpecCap(rd.cap, r.pred.prevTotal, n)
 	}
-	rd.layout(n, width)
+	rd.layout(n, r.cfg.Threads)
 	rd.cur, rd.boot, rd.paired = start, n == 1 && r.cfg.Threads > 1, rd.pairs > 0
 	clear(r.works)
 	r.memos = r.memos[:0]
@@ -970,12 +965,13 @@ func (r *Runner[S, A]) squash() {
 		// subset of SquashedIters by construction.
 		r.pend.Conflicts++
 		r.pend.ConflictIters += squashed
-		// A loss for the adaptive controller, like a misprediction. The
-		// predictions themselves were validated, but the invocation still
-		// paid squash-and-recover, and a narrower width genuinely shrinks
-		// the cross-chunk conflict surface, so throttling is the right
-		// response.
-		rd.loss = true
+		if r.ctrl != nil {
+			// The gate hears the conflicting chunk's row as a miss, not
+			// counted in Misses: the prediction was right, but without
+			// that boundary the flow dependence falls inside one chunk
+			// and cannot conflict.
+			r.ctrl.conf.Miss(r.chain[rd.conflictAt-1])
+		}
 	}
 	if rd.err != nil && rd.f < rd.armed {
 		squashed += r.chunks[rd.f].work
@@ -994,12 +990,11 @@ func (r *Runner[S, A]) squash() {
 // architecturally correct position. Without this distinction a cap
 // below the chunk span (a structure that grew past the derived cap)
 // would read as sustained misprediction and demote a perfectly
-// predictable workload. A conflict squash is likewise no
-// miss: the prediction was right (the chunk's start was validated) —
-// the data raced, which the controller hears separately as squash's
-// loss. Slots cancellation left unlaunched resolved nothing
-// and get no verdict. No round follows when the last committed chunk
-// reached the end of the traversal.
+// predictable workload. A conflict squash is likewise no miss: the
+// prediction was right (the chunk's start was validated) — the data
+// raced, which the gate hears separately (squash). Slots cancellation
+// left unlaunched resolved nothing and get no verdict. No round follows
+// when the last committed chunk reached the end of the traversal.
 func (r *Runner[S, A]) verdicts() bool {
 	rd := &r.rd
 	again := rd.conflictAt >= 0 || r.chunks[rd.f].capped
@@ -1008,7 +1003,6 @@ func (r *Runner[S, A]) verdicts() bool {
 			r.noteHit(r.chain[i-1], reclaimed)
 		} else if !again {
 			r.noteMiss(r.chain[i-1], reclaimed)
-			rd.loss = true
 		}
 	}
 	return again
@@ -1023,10 +1017,9 @@ func (r *Runner[S, A]) verdicts() bool {
 // it. After a conflict it is always retried. The chain's last chunk
 // hunted nothing. Every continuing round commits at least cap
 // iterations or moves past a row, so the loop terminates on any finite
-// traversal. Later rounds speculate on every admitted row still ahead —
-// possibly wider than round 0, which was thinned to the effective
-// width — under the full cap (only round 0 of a probe runs under the
-// reduced one).
+// traversal. Later rounds speculate on every admitted row still ahead
+// under the full cap (only round 0 of a probe runs under the reduced
+// one).
 //
 // A deadline cannot be ignored by later rounds: each re-checks ctx
 // before it is seeded, and its chunks poll while running; a failure here
@@ -1062,10 +1055,10 @@ func (r *Runner[S, A]) advance(ctx context.Context) {
 
 // finish books the invocation once its last round has committed. Later
 // rounds' iterations are charged to the slot of the last chunk round 0
-// committed. MisspecInvocations counts any squash; the controller's
-// refined signal is loss (verdict-based misses and conflicts). A bootstrap
-// invocation's candidates become rows, the predictor installs the
-// memoizations, and the pairing policy hears round 0's clock.
+// committed. MisspecInvocations counts any squash; the gate hears the
+// verdicts and conflicts row by row instead. A bootstrap invocation's
+// candidates become rows, the predictor installs the memoizations, and
+// the pairing policy hears round 0's clock.
 func (r *Runner[S, A]) finish() {
 	rd := &r.rd
 	tail := rd.pos - rd.round0
@@ -1113,26 +1106,4 @@ func (r *Runner[S, A]) admitted(from int) []int {
 	}
 	r.chain = adm
 	return adm
-}
-
-// planDispatch selects round 0's chain: the admitted rows, thinned to
-// the effective width. When more rows qualify than eff-1 slots, the
-// picks are spread evenly across the qualifying rows so the chunks stay
-// roughly balanced at reduced width; pick i reads an index j ≥ i, so the
-// rows are thinned in place. The chain is left in r.chain (slot i>0
-// starts from rows[r.chain[i-1]] and hunts rows[r.chain[i]]); the
-// returned chunk count is 1+len(r.chain). A return of 1 means nothing is
-// worth speculating on — the invocation starts as a round of one
-// instead of burning workers on doomed chunks.
-func (r *Runner[S, A]) planDispatch(eff int) int {
-	adm := r.admitted(0)
-	if len(adm) > eff-1 {
-		j := -1
-		for i := 0; i < eff-1; i++ {
-			j = max((i+1)*len(adm)/eff, j+1)
-			adm[i] = adm[j]
-		}
-		r.chain = adm[:eff-1]
-	}
-	return len(r.chain) + 1
 }

@@ -251,13 +251,13 @@ var errChunkAborted = errors.New("spice: chunk aborted after an earlier chunk fa
 // predictions keep missing: every mis-speculated chunk is squashed and
 // re-run, so on hostile iteration patterns fixed-width speculation does
 // strictly more work than sequential execution. The controller keeps
-// the runtime profitable there: the predictor scores each SVA row's
-// hit/miss record, the scheduler drops low-confidence rows from the
-// dispatch chain instead of speculating on them, and a rolling
-// mis-speculation rate throttles the effective thread count — degrading
-// smoothly to pure sequential execution when speculation keeps losing,
-// then probing one level up every 8 observed invocations while
-// throttled, so it widens again once the loop re-stabilizes.
+// the runtime profitable there with a confidence gate: each SVA row is
+// scored on its own record (its chunks' commits, squashes and
+// read/write-set conflicts), and the scheduler drops a row below the
+// floor from the dispatch chain instead of speculating on it, down to
+// pure sequential execution when it drops every row. After every 8
+// invocations the gate narrowed, one invocation speculates on every
+// row, so a closed row opens again once its prediction holds.
 type Options struct {
 	// Adaptive enables the controller. Off (the default), the runner
 	// speculates at the configured width on every invocation that has
@@ -362,8 +362,8 @@ type Stats struct {
 	// ConflictIters ≤ SquashedIters).
 	ConflictIters int64
 	// SequentialFallbacks counts invocations the adaptive controller
-	// forced to pure sequential execution (throttled to one effective
-	// thread, or every predicted row below the confidence floor).
+	// forced to pure sequential execution: every predicted row was
+	// below the confidence floor.
 	SequentialFallbacks int64
 	// BatchSheds counts batched/async invocations (Pool.RunBatch,
 	// Pool.Submit) that ran sequentially on the submitting goroutine:
@@ -384,12 +384,13 @@ type Stats struct {
 	// runner does that while its traversal waits on memory. A subset of
 	// the rounds (conservation: PairedRounds ≤ Invocations + Recoveries).
 	PairedRounds int64
-	// EffectiveThreads is the adaptive controller's current effective
-	// width (a gauge, not a counter; equals the configured Threads
-	// when the controller is off). While an invocation runs it shows
-	// the width that invocation was dispatched at — including a
-	// probe's temporary widening — and settles back to the
-	// controller's chosen width when the invocation completes.
+	// EffectiveThreads is the adaptive controller's current width (a
+	// gauge, not a counter; equals the configured Threads when the
+	// controller is off): Threads, or 1 while the confidence gate
+	// closes every predicted row. While an invocation runs it shows
+	// the width that invocation was dispatched at — Threads during a
+	// probe — and settles on the width the gate admits when the
+	// invocation completes.
 	// Pool.Stats reports the widest gauge across every runner the pool
 	// has created (the configured Threads before any runner exists),
 	// so a narrow or idle session can never mask a wider live one.
@@ -548,7 +549,7 @@ func NewRunner[S comparable, A any](loop Loop[S, A], cfg Config) (*Runner[S, A],
 		r.views = make([]CellView, cfg.Threads)
 	}
 	if cfg.Adaptive && cfg.Threads > 1 {
-		r.ctrl = newSpecController(cfg.Threads, len(r.pred.rows), int64(cfg.probeEvery))
+		r.ctrl = newSpecController(len(r.pred.rows), int64(cfg.probeEvery))
 	}
 	r.stats.effectiveThreads.Store(int64(cfg.Threads))
 	if cfg.Threads > 1 {

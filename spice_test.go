@@ -162,7 +162,7 @@ func (a *ablations[S, A]) run(tb testing.TB, head S) A {
 	if positional {
 		a.positional++
 	}
-	if a.first == nil && a.r.pred.havePredictions() {
+	if a.first == nil && a.r.pred.predicted() > 0 {
 		a.first = slices.Clone(a.r.pred.rows)
 	}
 	return acc
