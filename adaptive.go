@@ -7,21 +7,25 @@ import "math"
 // prediction is judged by whether its start turns up in the traversal)
 // applied row by row.
 //
-//   - rowConfidence scores each row's recent prediction record, an EWMA
-//     of its chunks' outcomes: a commit pulls it up; a squash, or a
+// The gate is one record, specController, with two parts:
+//
+//   - a score per row, its recent prediction record, an EWMA of its
+//     chunks' outcomes: a commit pulls it up; a squash, or a
 //     read/write-set conflict of the chunk it starts, pulls it down. A
 //     row below the floor is not speculated on: its chunk is folded
 //     into the predecessor's instead of being dispatched and squashed,
 //     and when the gate closes every row the invocation runs as a round
 //     of one, the sequential fallback.
-//   - specController adds the probe clock: after probeInterval
-//     invocations the gate narrowed, one invocation bypasses it under a
-//     tightened cap (probeSpecCap), so a closed row whose prediction
-//     holds again earns its confidence back, and one that still misses
-//     costs a bounded amount of wasted work.
+//   - the probe clock: after probeInterval invocations the gate
+//     narrowed, one invocation bypasses it under a tightened cap
+//     (probeSpecCap), so a closed row whose prediction holds again
+//     earns its confidence back, and one that still misses costs a
+//     bounded amount of wasted work. A probe that meets a read/write-set
+//     conflict doubles the wait before the next one, once per probe (up
+//     to maxProbeInterval); a hit restores it.
 //
 // No width is set besides the rows: speculation goes where each row's
-// own record says it pays (Garmon et al.). Both parts are plain scalar
+// own record says it pays (Garmon et al.). The record is plain scalar
 // state: no allocation after construction, so the native runtime's
 // steady-state 0 allocs/op contract holds with the gate on.
 //
@@ -44,49 +48,25 @@ const (
 	// defaultProbeInterval is the number of invocations the gate narrows
 	// before one probes every row.
 	defaultProbeInterval = 8
+	// maxProbeInterval caps the wait a probe's conflicts double (Conflict).
+	maxProbeInterval = 256
 )
 
-// rowConfidence tracks one confidence score per SVA row. A row's score
-// is an EWMA over the outcomes of the speculative chunks dispatched
-// from its prediction: commit (hit) pulls toward 1, squash (miss) or
-// conflict toward 0. Not safe for concurrent use; confine to the owner's
-// invocation cycle.
-type rowConfidence struct {
-	score []float64
-}
-
-// Reset returns every row to the neutral starting score. Pools reset
-// confidence when a runner moves between sessions, so one caller's
-// hostile structure cannot poison another's speculation.
-func (rc *rowConfidence) Reset() {
-	for i := range rc.score {
-		rc.score[i] = specConfInit
-	}
-}
-
-// Hit records a committed speculative chunk for row.
-func (rc *rowConfidence) Hit(row int) { rc.score[row] += specConfAlpha * (1 - rc.score[row]) }
-
-// Miss records a squashed or conflicting speculative chunk for row.
-func (rc *rowConfidence) Miss(row int) { rc.score[row] -= specConfAlpha * rc.score[row] }
-
-// Score returns row's current confidence in [0, 1].
-func (rc *rowConfidence) Score(row int) float64 { return rc.score[row] }
-
-// Admit reports whether row clears the confidence floor.
-func (rc *rowConfidence) Admit(row int) bool { return rc.score[row] >= defaultMinConfidence }
-
-// specController is the gate of an adaptive runner: the rows'
-// confidence and the probe clock that re-tests the rows it closed.
-// Drive it with Begin before each invocation and count an invocation
-// whose round 0 the gate narrowed in narrowed. Not safe for concurrent
-// use.
+// specController is the gate of an adaptive runner, one record: each
+// SVA row's confidence score and the probe clock that re-tests the rows
+// it closed. A row's score is an EWMA over the outcomes of the
+// speculative chunks dispatched from its prediction: commit (hit) pulls
+// it toward 1, squash (miss) or conflict toward 0; the gate
+// (Runner.admitRow) admits a row at or above the floor. Drive it with
+// Begin before each invocation and count an invocation whose round 0
+// the gate narrowed in narrowed. Not safe for concurrent use; confine
+// it to the owner's invocation cycle.
 type specController struct {
-	// conf scores each SVA row's recent prediction record; the
-	// confidence gate (Runner.admitRow) is its one reader.
-	conf          rowConfidence
+	score         []float64 // per SVA row, in [0, 1]
 	probeInterval int64
+	interval      int64 // narrowed invocations before the next probe: probeInterval, or more after conflicts
 	narrowed      int64 // invocations the gate narrowed since the last probe
+	conflicted    bool  // the last probe met a conflict: the next Begin doubles interval
 }
 
 // newSpecController builds a controller with a neutral confidence score
@@ -96,18 +76,46 @@ func newSpecController(rows int, probeInterval int64) *specController {
 	if probeInterval <= 0 {
 		probeInterval = defaultProbeInterval
 	}
-	c := &specController{probeInterval: probeInterval, conf: rowConfidence{make([]float64, rows)}}
-	c.conf.Reset()
+	c := &specController{score: make([]float64, rows), probeInterval: probeInterval}
+	c.Reset()
 	return c
 }
 
 // Reset restores the initial state: every row's confidence neutral and
 // the probe clock at zero. Pools reset the controller when a runner
-// moves between sessions.
+// moves between sessions, so one caller's hostile structure cannot
+// poison another's speculation.
 func (c *specController) Reset() {
-	c.narrowed = 0
-	c.conf.Reset()
+	c.narrowed, c.interval, c.conflicted = 0, c.probeInterval, false
+	for i := range c.score {
+		c.score[i] = specConfInit
+	}
 }
+
+// Hit records a committed speculative chunk for row. A prediction that
+// holds restores the probe wait.
+func (c *specController) Hit(row int) {
+	c.score[row] += specConfAlpha * (1 - c.score[row])
+	c.interval = c.probeInterval
+}
+
+// Miss records a squashed speculative chunk for row.
+func (c *specController) Miss(row int) { c.score[row] -= specConfAlpha * c.score[row] }
+
+// Conflict records a read/write-set conflict of the chunk row starts: a
+// Miss, and on a probe the wait before the next probe doubles, up to
+// maxProbeInterval, once per probe however many of its chunks conflict.
+// It doubles at the next Begin, so the probe's own hits (which restore
+// the wait) cannot undo it. A probe that meets a conflict again would
+// only pay the same squash again at the same rate (Garmon et al.: a
+// speculative resource goes only where it pays).
+func (c *specController) Conflict(row int, probe bool) {
+	c.Miss(row)
+	c.conflicted = c.conflicted || probe
+}
+
+// Admit reports whether row clears the confidence floor.
+func (c *specController) Admit(row int) bool { return c.score[row] >= defaultMinConfidence }
 
 // Begin reports whether the upcoming invocation is a probe: the caller
 // bypasses the confidence gate, so closed rows can earn their
@@ -116,7 +124,10 @@ func (c *specController) Reset() {
 // restarts here, not when the probe's verdicts are in: a probe whose
 // invocation fails has none, and it must not fire again at once.
 func (c *specController) Begin() bool {
-	if c.narrowed < c.probeInterval {
+	if c.conflicted {
+		c.interval, c.conflicted = min(2*c.interval, maxProbeInterval), false
+	}
+	if c.narrowed < c.interval {
 		return false
 	}
 	c.narrowed = 0

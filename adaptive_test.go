@@ -1,6 +1,7 @@
 package spice
 
 import (
+	"math/rand"
 	"runtime"
 	"slices"
 	"testing"
@@ -12,8 +13,8 @@ import (
 // do.
 func closeRows(c *specController, rows ...int) {
 	for _, k := range rows {
-		for c.conf.Admit(k) {
-			c.conf.Miss(k)
+		for c.Admit(k) {
+			c.Miss(k)
 		}
 	}
 }
@@ -90,7 +91,8 @@ func TestSpecControllerProbesAndPromotes(t *testing.T) {
 // TestSpecControllerFailedProbeDoesNotRepeat: the clock restarts when a
 // probe begins, so a probe whose invocation fails (no verdicts) or
 // whose rows miss again does not fire again until the gate has narrowed
-// a full interval more.
+// a full interval more; a probe that conflicts doubles that interval,
+// up to maxProbeInterval, and a hit restores it.
 func TestSpecControllerFailedProbeDoesNotRepeat(t *testing.T) {
 	c := newSpecController(3, 2)
 	closeRows(c, 0, 1, 2)
@@ -100,16 +102,83 @@ func TestSpecControllerFailedProbeDoesNotRepeat(t *testing.T) {
 	}
 	// The probe's rows miss again: still closed, and the clock runs from
 	// zero.
-	c.conf.Miss(0)
+	c.Miss(0)
 	for i := range 2 {
 		if c.Begin() {
 			t.Fatalf("failed probe repeated %d invocations later", i)
 		}
 		c.narrowed++
 	}
-	if c.conf.Admit(0) || !c.Begin() {
+	if c.Admit(0) || !c.Begin() {
 		t.Fatal("no second probe a full interval after the failed one")
 	}
+
+	// waitsFor reports how many narrowed invocations the clock waits
+	// before the next probe.
+	waitsFor := func() int64 {
+		n := int64(0)
+		for ; !c.Begin(); n++ {
+			c.narrowed++
+		}
+		return n
+	}
+	c.Conflict(1, false) // outside a probe: a miss, and the wait stands
+	if n := waitsFor(); n != 2 {
+		t.Fatalf("a conflict outside a probe moved the wait to %d", n)
+	}
+	// Each conflicting probe doubles the wait once, however many of its
+	// chunks conflict.
+	for _, want := range []int64{4, 8, 16} {
+		c.Conflict(1, true)
+		c.Conflict(2, true)
+		if n := waitsFor(); n != want {
+			t.Fatalf("after a conflicting probe the wait is %d, want %d", n, want)
+		}
+	}
+	for range 8 {
+		c.Conflict(1, true)
+		waitsFor()
+	}
+	if c.interval != maxProbeInterval {
+		t.Fatalf("conflicting probes raised the wait to %d, want the cap %d", c.interval, maxProbeInterval)
+	}
+	// A hit restores the wait; a probe that also met a conflict doubles
+	// it after that, whichever came first.
+	c.Conflict(1, true)
+	c.Hit(0)
+	if n := waitsFor(); n != 4 {
+		t.Fatalf("a probe with a conflict and a hit left the wait at %d, want 4", n)
+	}
+	c.Hit(1)
+	if n := waitsFor(); n != 2 {
+		t.Fatalf("a hit left the wait at %d, want probeInterval 2", n)
+	}
+}
+
+// TestConflictingProbeDoublesWaitOnce: on a cell loop whose every
+// chunk boundary conflicts, the first probe of a width-8 runner meets
+// several conflicts, over several rounds, and leaves the wait exactly
+// doubled: once per probe, not once per conflict.
+func TestConflictingProbeDoublesWaitOnce(t *testing.T) {
+	const probe = 2
+	g := cellList(rand.New(rand.NewSource(42)), 600, "dense")
+	r := newRunner(t, g.loop(false), Config{Threads: 8, Options: Options{Adaptive: true}, probeEvery: probe})
+	for inv := 0; inv < 30; inv++ {
+		g.churnValues(30)
+		before := r.Stats()
+		g.exact(t, r)
+		if !r.ctrl.conflicted {
+			continue
+		}
+		if st := r.Stats().Delta(before); st.Conflicts < 2 {
+			t.Fatalf("inv %d: the probe met %d conflicts; the case needs several", inv, st.Conflicts)
+		}
+		if r.ctrl.Begin() || r.ctrl.interval != 2*probe {
+			t.Fatalf("inv %d: after one conflicting probe the wait is %d, want %d", inv, r.ctrl.interval, 2*probe)
+		}
+		return
+	}
+	t.Fatal("no probe met a conflict in 30 invocations")
 }
 
 // TestSpecControllerResetRestoresFullWidth: Reset clears the probe
@@ -123,29 +192,29 @@ func TestSpecControllerResetRestoresFullWidth(t *testing.T) {
 		t.Fatalf("Reset left the clock at %d", c.narrowed)
 	}
 	for k := range 3 {
-		if c.conf.Score(k) != specConfInit {
-			t.Fatalf("Reset left row %d at %v", k, c.conf.Score(k))
+		if c.score[k] != specConfInit {
+			t.Fatalf("Reset left row %d at %v", k, c.score[k])
 		}
 	}
 }
 
 func TestRowConfidenceScoresAndGate(t *testing.T) {
-	rc := &newSpecController(3, 0).conf // three rows, all neutral
+	rc := newSpecController(3, 0) // three rows, all neutral
 	if !rc.Admit(0) {
 		t.Fatal("fresh row below the default floor")
 	}
 	rc.Miss(0)
 	rc.Miss(0)
 	if rc.Admit(0) {
-		t.Fatalf("two misses left score %v above the floor", rc.Score(0))
+		t.Fatalf("two misses left score %v above the floor", rc.score[0])
 	}
 	rc.Hit(0)
 	if !rc.Admit(0) {
-		t.Fatalf("a hit did not restore admission (score %v)", rc.Score(0))
+		t.Fatalf("a hit did not restore admission (score %v)", rc.score[0])
 	}
 	rc.Reset()
-	if rc.Score(0) != specConfInit {
-		t.Fatalf("Reset left score %v", rc.Score(0))
+	if rc.score[0] != specConfInit {
+		t.Fatalf("Reset left score %v", rc.score[0])
 	}
 }
 
@@ -274,8 +343,8 @@ func TestPairingPolicy(t *testing.T) {
 		// Threads-part boundaries.
 		g := testList(3000, 5)
 		r := newRunner(t, plainLoop(), Config{Threads: 3, Options: Options{Adaptive: true}})
-		if r.pred.parts != 6 || len(r.pred.rows) != 5 || r.pred.stride != 2 || len(r.ctrl.conf.score) != 5 {
-			t.Fatalf("parts %d rows %d stride %d scores %d", r.pred.parts, len(r.pred.rows), r.pred.stride, len(r.ctrl.conf.score))
+		if r.pred.parts != 6 || len(r.pred.rows) != 5 || r.pred.stride != 2 || len(r.ctrl.score) != 5 {
+			t.Fatalf("parts %d rows %d stride %d scores %d", r.pred.parts, len(r.pred.rows), r.pred.stride, len(r.ctrl.score))
 		}
 		// memoized reports which rows are valid, and where.
 		memoized := func() []int64 {

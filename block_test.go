@@ -324,9 +324,9 @@ func checkReleased(t *testing.T, r *Runner[*mnode, tally], when string) {
 // TestResetRunnerPinsNothing is the weak-pointer half: a runner that
 // traversed a structure, then was reset (the Pool session-boundary
 // path), must not keep a single node of that structure alive — the
-// predictor's two row generations (rows, scratch) and the runner's
-// job/lane/memo buffers all hold node states at some point and must
-// all let go — paired slots' second lanes included.
+// predictor's rows and the runner's job/lane/memo buffers all hold node
+// states at some point and must all let go — paired slots' second lanes
+// included.
 func TestResetRunnerPinsNothing(t *testing.T) {
 	r := newRunner(t, plainLoop(), Config{Threads: 4, depth: 2})
 	// Build, traverse, and probe inside a helper so no test frame keeps

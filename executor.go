@@ -200,14 +200,15 @@ type Executor struct {
 	// queueing (see Runner.run's load-aware path).
 	load atomic.Int64
 	_    [56]byte
-	// demand gauges in-flight invocations across every runner sharing
-	// this executor (each submitting up to Threads-1 speculative
-	// chunks; chunk 0 runs on its own goroutine). Queue depth alone
-	// under-reports pressure — invocations blocked between dispatch
+	// demand counts the speculative slots of the invocations in flight
+	// across every runner sharing this executor: Threads-1 per
+	// invocation of a runner that may speculate, for the invocation's
+	// whole duration (chunk 0 runs on its own goroutine). Queue depth
+	// alone under-reports pressure — invocations blocked between dispatch
 	// rounds, or timesliced on few cores, hold no queued task at any
 	// given instant — so the load-aware path also sheds on demand: when
-	// the *other* in-flight invocations already cover every worker,
-	// speculative chunks buy queueing, not parallelism.
+	// the *other* in-flight invocations' slots already cover every
+	// worker, speculative chunks buy queueing, not parallelism.
 	demand atomic.Int64
 	_      [56]byte
 	// idle counts parked workers, so the submit path only pays a wakeup
@@ -386,14 +387,14 @@ func (e *Executor) Workers() int { return len(e.shards) }
 
 // overloaded reports whether a threads-wide invocation dispatched now
 // would find no spare worker capacity: the executor already has a task
-// queued or running per worker, or the other in-flight invocations
-// alone (the caller's own registration is excluded) span at least one
-// chunk per worker. Either way more speculative chunks buy queueing
-// delay, not parallelism. The latter is the allocation rule of
-// task-level speculative runtimes — grant speculation only the capacity
-// that task-level parallelism leaves idle. An invocation submits only
-// its threads-1 speculative chunks (chunk 0 runs inline on its own
-// goroutine), so that is the per-invocation demand counted here.
+// queued or running per worker, or the other in-flight invocations'
+// speculative slots alone (the caller's own are excluded) cover every
+// worker. Either way more speculative chunks buy queueing delay, not
+// parallelism. The latter is the allocation rule of task-level
+// speculative runtimes — grant speculation only the capacity that
+// task-level parallelism leaves idle. An invocation submits only its
+// threads-1 speculative chunks (chunk 0 runs inline on its own
+// goroutine), so each counts its own width.
 //
 // own is how many of the queued entries are the caller's: entries its
 // reclaimed slots left behind (claimWord.queued). Each serves the
@@ -402,8 +403,8 @@ func (e *Executor) Workers() int { return len(e.shards) }
 // reclaimed round, and the worker, given nothing, would park and be
 // late again.
 func (e *Executor) overloaded(threads int, own int64) bool {
-	return e.load.Load()-own >= int64(len(e.shards)) ||
-		(e.demand.Load()-1)*int64(threads-1) >= int64(len(e.shards))
+	n := int64(len(e.shards))
+	return e.load.Load()-own >= n || e.demand.Load()-int64(threads-1) >= n
 }
 
 // stripe assigns a runner its home shard and advances the cursor by

@@ -7,10 +7,7 @@ package spice
 // oracle targets decode their inputs into cases of the matrix
 // (matrix_test.go).
 
-import (
-	"slices"
-	"testing"
-)
+import "testing"
 
 // FuzzRunnerOracle fuzzes the whole runner: trip counts (list sizes and
 // their evolution), chunk boundaries (thread count and the speculative
@@ -74,11 +71,10 @@ func FuzzDoacrossOracle(f *testing.F) {
 
 // FuzzPredictorApply fuzzes the predictor in isolation: arbitrary memo
 // streams (rows, positions) against arbitrary totals must never panic,
-// must install exactly the last in-range memo per row, must leave the
-// rows the scheduler read untouched (they become scratch: apply swaps
-// generations and copies nothing), and must always yield structurally
-// sane plans (targets in range, thresholds positive and non-decreasing
-// per chunk — the order the memoization cursor consumes them in). And
+// must install exactly the last in-range memo per row, and must always
+// yield structurally sane plans (targets in range, thresholds positive
+// and non-decreasing per chunk — the order the memoization cursor
+// consumes them in). And
 // promote, over the candidates a bootstrap plan captures in a traversal
 // of the fuzzed length, chooses rows by checkPromote's rules. Read at
 // stride 2, a grid of twice the parts plans and promotes the same
@@ -95,19 +91,6 @@ func FuzzPredictorApply(f *testing.F) {
 		}
 		total %= 1 << 40
 		p := newPredictor[int64](tc, 1)
-		// apply, checking that the generation the scheduler read (the
-		// current rows, held across the call) keeps its contents and is
-		// scratch afterwards, while the rows are the other array.
-		apply := func(trip int64, memos []memo[int64]) {
-			read, was := p.rows, slices.Clone(p.rows)
-			p.apply(trip, memos)
-			if !slices.Equal(read, was) {
-				t.Fatalf("apply wrote the rows the scheduler read: %+v, was %+v", read, was)
-			}
-			if &p.scratch[0] != &read[0] || &p.rows[0] == &read[0] {
-				t.Fatal("apply did not swap generations")
-			}
-		}
 		// Decode (row, pos) pairs from the fuzz bytes; values land both
 		// in and out of range on purpose.
 		var memos []memo[int64]
@@ -118,7 +101,7 @@ func FuzzPredictorApply(f *testing.F) {
 				pos:   (int64(data[i+1]) * total) / 256,
 			})
 		}
-		apply(total, memos)
+		p.apply(total, memos)
 
 		if p.prevTotal != total {
 			t.Fatalf("prevTotal = %d, want %d", p.prevTotal, total)
@@ -177,8 +160,8 @@ func FuzzPredictorApply(f *testing.F) {
 			t.Fatalf("specCap = %d", p.specCap(0))
 		}
 		// A second apply with no memos must clear all rows: no stale
-		// prediction survives a generation swap.
-		apply(total/2, nil)
+		// prediction survives an apply.
+		p.apply(total/2, nil)
 		if p.predicted() > 0 {
 			t.Fatalf("after an empty apply: rows %+v", p.rows)
 		}

@@ -58,9 +58,6 @@ type job struct {
 	// job's extra cancellation source; nil for an async job). release
 	// calls it.
 	stopNotify func() bool
-	// deadline mirrors the context's JobTimeout expiry for the watchdog,
-	// which sweeps against it plus its grace.
-	deadline time.Time
 
 	state atomic.Int32 // holds a jobState
 	// async marks a job submitted through /v1/submit: pollable by id,
@@ -199,9 +196,10 @@ func (s *Server) execute(j *job) {
 	}
 	j.state.Store(int32(jobRunning))
 	started := time.Now()
-	// newJob's clock read, the admission instant, is the deadline less
-	// the job timeout.
-	s.met.jobQueue.observe(started.Sub(j.deadline.Add(-s.cfg.JobTimeout)))
+	// The admission instant is the context's deadline less the job
+	// timeout (newJob).
+	deadline, _ := j.ctx.Deadline()
+	s.met.jobQueue.observe(started.Sub(deadline.Add(-s.cfg.JobTimeout)))
 	res, aerr := s.runJobGuarded(j, started)
 	s.met.jobLatency.observe(time.Since(started))
 	if aerr == nil {

@@ -185,13 +185,12 @@ func (s *Server) newJob(req JobRequest, notify context.Context) (*job, *apiError
 	}
 	ctx, cancel := context.WithTimeout(s.baseCtx, s.cfg.JobTimeout)
 	j := &job{
-		id:       s.newJobID(),
-		req:      req,
-		t:        t,
-		ctx:      ctx,
-		cancel:   cancel,
-		deadline: time.Now().Add(s.cfg.JobTimeout),
-		done:     make(chan struct{}),
+		id:     s.newJobID(),
+		req:    req,
+		t:      t,
+		ctx:    ctx,
+		cancel: cancel,
+		done:   make(chan struct{}),
 	}
 	if notify != nil {
 		// Registered on notify until the job's release takes it off.

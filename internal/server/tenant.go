@@ -76,11 +76,10 @@ type tenant struct {
 // ordered before tenant.mu: an execution path holding instance.mu may
 // take the tenant's locks (record), never the reverse.
 type instance struct {
-	mu    sync.Mutex
-	key   instanceKey
-	inst  *native.Instance
-	sess  *spice.Session[*native.Node, int64]
-	width int
+	mu   sync.Mutex
+	key  instanceKey
+	inst *native.Instance
+	sess *spice.Session[*native.Node, int64]
 	// dead marks an instance evicted from its tenant's LRU. A queued job
 	// may still hold the pointer; once set (under mu, by the evictor),
 	// ensureSession fails fast instead of re-opening a session that no
@@ -100,7 +99,7 @@ func (i *instance) ensureSession(s *Server, width int) *apiError {
 			retryAfter: 1,
 		}
 	}
-	if i.sess != nil && i.width == width {
+	if i.sess != nil && i.sess.Width() == width {
 		return nil
 	}
 	if i.sess != nil {
@@ -112,7 +111,6 @@ func (i *instance) ensureSession(s *Server, width int) *apiError {
 		return &apiError{code: 503, msg: "pool closed: " + err.Error()}
 	}
 	i.sess = sess
-	i.width = width
 	return nil
 }
 

@@ -49,7 +49,8 @@ func (s *Server) sweep(now time.Time) {
 			}
 			continue
 		}
-		over := now.Sub(j.deadline)
+		deadline, _ := j.ctx.Deadline()
+		over := now.Sub(deadline)
 		if over <= grace {
 			continue
 		}

@@ -192,9 +192,9 @@ func TestOwnQueuedEntryIsNotLoad(t *testing.T) {
 	sess.MustRun(l.head) // bootstrap memoization; nothing dispatched
 	sess.MustRun(l.head) // slot 1's entry: the worker stalls on receiving it
 	r := sess.r
-	if !r.jobs[1].queued.Load() || p.exec.load.Load() != 1 {
+	if !r.jobs[1].queued.Load() || p.cfg.Executor.load.Load() != 1 {
 		t.Fatalf("queued %v, load %d; want the round's one entry left queued",
-			r.jobs[1].queued.Load(), p.exec.load.Load())
+			r.jobs[1].queued.Load(), p.cfg.Executor.load.Load())
 	}
 	before := sess.Stats()
 	accs, err := sess.RunBatch(context.Background(), slices.Repeat([]*mnode{l.head}, items))
@@ -214,7 +214,7 @@ func TestOwnQueuedEntryIsNotLoad(t *testing.T) {
 
 	// Released, the worker runs the entry: a failed claim.
 	plane.Release()
-	drain(p.exec)
+	drain(p.cfg.Executor)
 	checkRoundIdle(t, r, items)
 }
 

@@ -111,8 +111,10 @@ func TestDifferentialOracle(t *testing.T) {
 // list no prediction ever materializes, so the runner must stop
 // speculating (sequential fallbacks accumulate, the gauge drops to 1)
 // instead of squashing forever; and on a cell loop whose every chunk
-// boundary splits a flow dependence, the conflicts close the rows.
-// Either way the fixed-width runner on the same script squashes more.
+// boundary splits a flow dependence, the conflicts close the rows, and
+// each probe that conflicts again doubles the wait before the next, so
+// the probes' squashes stay bounded. Either way the fixed-width runner
+// on the same script squashes more.
 func TestAdaptiveFallsBackOnAdversarial(t *testing.T) {
 	fixedSquashesMore := func(t *testing.T, c mcase, st Stats) {
 		c.adaptive = false
@@ -140,6 +142,11 @@ func TestAdaptiveFallsBackOnAdversarial(t *testing.T) {
 		st := final(c.run(t))
 		if st.Conflicts == 0 || st.SequentialFallbacks == 0 || st.Misses != 0 {
 			t.Errorf("conflicts did not close the rows: %s", statsLine(st))
+		}
+		// 6 056 is what a probe that only widened 1 → 2 squashed here; a
+		// probe of every row at a fixed rate squashed 9 940.
+		if st.SquashedIters > 6056 {
+			t.Errorf("squashed %d > 6056: the probes re-paid the same conflicts", st.SquashedIters)
 		}
 		fixedSquashesMore(t, c, st)
 	})

@@ -51,7 +51,6 @@ const quarantineAfter = 3
 type Pool[S comparable, A any] struct {
 	loop Loop[S, A]
 	cfg  Config // with Executor set to the pool's executor
-	exec *Executor
 
 	mu sync.Mutex
 	// idle holds the recycled runners, keyed by their dispatch width:
@@ -66,9 +65,8 @@ type Pool[S comparable, A any] struct {
 
 	// retired accumulates the counters of quarantined runners — they
 	// leave p.all, but their history must not vanish from Pool.Stats —
-	// and retiredCount is published as Stats.RunnersRetired.
-	retired      Stats
-	retiredCount int64
+	// and counts them in its RunnersRetired.
+	retired Stats
 
 	// inflight tracks accepted Submit invocations so Close can drain
 	// them: an async caller holds only a Future, not a join point, so —
@@ -88,14 +86,9 @@ func NewPool[S comparable, A any](loop Loop[S, A], cfg PoolConfig) (*Pool[S, A],
 	if cfg.Config.Executor != nil {
 		return nil, ErrPoolExecutor
 	}
-	p := &Pool[S, A]{
-		loop: loop,
-		cfg:  cfg.Config,
-		// Sized as PoolConfig documents (newExecutor keeps at least one).
-		exec: newExecutor(max(runtime.GOMAXPROCS(0)-1, cfg.Threads-1), cfg.Config.Faults),
-		idle: make(map[int][]*Runner[S, A]),
-	}
-	p.cfg.Executor = p.exec
+	p := &Pool[S, A]{loop: loop, cfg: cfg.Config, idle: make(map[int][]*Runner[S, A])}
+	// Sized as PoolConfig documents (newExecutor keeps at least one).
+	p.cfg.Executor = newExecutor(max(runtime.GOMAXPROCS(0)-1, cfg.Threads-1), cfg.Config.Faults)
 	return p, nil
 }
 
@@ -439,7 +432,7 @@ func (p *Pool[S, A]) release(r *Runner[S, A]) {
 	p.mu.Lock()
 	if r.consecPanics >= quarantineAfter {
 		r.stats.addInto(&p.retired)
-		p.retiredCount++
+		p.retired.RunnersRetired++
 		for i, rr := range p.all {
 			if rr == r {
 				p.all = append(p.all[:i], p.all[i+1:]...)
@@ -475,7 +468,6 @@ func (p *Pool[S, A]) Stats() Stats {
 	// /metrics while full-width runners sit idle).
 	s.EffectiveThreads = int64(p.cfg.Threads)
 	s.addCounters(&p.retired, 1) // retired runners' history survives them
-	s.RunnersRetired = p.retiredCount
 	var maxEff int64
 	for _, r := range p.all {
 		r.stats.addInto(&s)
@@ -502,7 +494,7 @@ func (p *Pool[S, A]) Runners() int {
 }
 
 // Workers returns the size of the shared executor.
-func (p *Pool[S, A]) Workers() int { return p.exec.Workers() }
+func (p *Pool[S, A]) Workers() int { return p.cfg.Executor.Workers() }
 
 // WorkerParks returns how many times a worker of the shared executor
 // has gone to sleep for want of work since the pool was built. A steady
@@ -510,7 +502,7 @@ func (p *Pool[S, A]) Workers() int { return p.exec.Workers() }
 // the invocations is the workers' lease failing to cover the callers'
 // cadence, and every such park is a wake (tens of microseconds) the
 // next round pays before its speculative chunk starts.
-func (p *Pool[S, A]) WorkerParks() int64 { return p.exec.parks.Load() }
+func (p *Pool[S, A]) WorkerParks() int64 { return p.cfg.Executor.parks.Load() }
 
 // Close releases the pool's workers. It must not race with Run or
 // RunBatch, but accepted Submit invocations are drained first: Close
@@ -521,5 +513,5 @@ func (p *Pool[S, A]) Close() {
 	p.closed.Store(true)
 	p.mu.Unlock()
 	p.inflight.Wait()
-	p.exec.Close()
+	p.cfg.Executor.Close()
 }

@@ -198,7 +198,7 @@ func TestRuntimeDefaults(t *testing.T) {
 	a := newRunner(t, plainLoop(), Config{Threads: 4, Options: Options{Adaptive: true}})
 	l := testList(3000, 2)
 	a.MustRun(l.head) // predicts rows for the gate to close
-	for k := range a.ctrl.conf.score {
+	for k := range a.ctrl.score {
 		closeRows(a.ctrl, k)
 	}
 	for inv := 1; inv <= 9; inv++ {
@@ -492,7 +492,7 @@ func TestSessionNoAdaptiveBleed(t *testing.T) {
 		if r1.pred.rows[k].valid {
 			t.Fatal("recycled runner kept another session's predictions")
 		}
-		if !r1.ctrl.conf.Admit(k) {
+		if !r1.ctrl.Admit(k) {
 			t.Fatalf("recycled runner kept gated confidence for row %d", k)
 		}
 	}
@@ -546,9 +546,9 @@ func TestRoundOfOneAllocations(t *testing.T) {
 	t.Run("gated", func(t *testing.T) {
 		r := newRunner(t, plainLoop(), Config{Threads: 4, Options: Options{Adaptive: true}})
 		l.warm(t, r, 4) // warm predictor and buffers
-		for k := range r.ctrl.conf.score {
-			for r.ctrl.conf.Admit(k) {
-				r.ctrl.conf.Miss(k)
+		for k := range r.ctrl.score {
+			for r.ctrl.Admit(k) {
+				r.ctrl.Miss(k)
 			}
 		}
 		before := r.Stats()

@@ -26,9 +26,10 @@ package spice
 // positions, and apply installs them.
 //
 // The scheduler reads rows in place for the whole invocation; apply, at
-// its end, builds the next generation in scratch and swaps the two, so it
-// never writes the array the scheduler read, and the steady state
-// allocates and copies nothing.
+// its end, clears them and installs the next invocation's in place. By
+// then nothing reads the old ones: the last round is over, workers never
+// read rows, and seed's pointers into them are local to seed. The
+// steady state allocates and copies nothing.
 
 // row is one SVA entry: rows[k] predicts chunk k+1's start. pos is the
 // global completed-iteration position at capture time, for planning
@@ -83,29 +84,19 @@ type predictor[S comparable] struct {
 	// prevTotal is the last invocation's total committed trip count —
 	// the planning total for the current invocation's boundaries.
 	prevTotal int64
-
-	scratch []row[S] // next-generation rows built during apply
 }
 
-// newPredictor sizes both row buffers for a grid of parts chunks.
+// newPredictor sizes the rows for a grid of parts chunks.
 func newPredictor[S comparable](parts, stride int) *predictor[S] {
-	return &predictor[S]{
-		parts:   parts,
-		stride:  stride,
-		rows:    make([]row[S], parts-1),
-		scratch: make([]row[S], parts-1),
-	}
+	return &predictor[S]{parts: parts, stride: stride, rows: make([]row[S], parts-1)}
 }
 
 // reset drops all memoized state: rows and the planning total.
 // Pools reset a runner's predictor when it moves between sessions, so
-// predictions never dangle into another session's data structure.
-// scratch is scrubbed too: after the apply swap it holds the previous
-// invocation's rows, whose node states would otherwise pin the finished
-// session's structure while the runner sits parked in a Pool free list.
+// predictions never dangle into another session's data structure, and
+// a runner parked in a Pool free list pins no node of the finished one.
 func (p *predictor[S]) reset() {
 	clear(p.rows)
-	clear(p.scratch)
 	p.prevTotal = 0
 }
 
@@ -195,20 +186,18 @@ func (p *predictor[S]) specCap(override int64) int64 {
 	return 1 << 20
 }
 
-// apply installs the surviving memoizations and the trip count the next
-// invocation's boundaries are planned from. total is the invocation's
-// committed trip count; memos are ordered by commit position, so later
-// (more-rebalanced, e.g. a later round's) writes win. The rows the
-// invocation read are left as they were: they become scratch.
+// apply installs the surviving memoizations, in place of the rows the
+// invocation read, and the trip count the next invocation's boundaries
+// are planned from. total is the invocation's committed trip count;
+// memos are ordered by commit position, so later (more-rebalanced, e.g.
+// a later round's) writes win.
 func (p *predictor[S]) apply(total int64, memos []memo[S]) {
-	fresh := p.scratch
-	clear(fresh)
+	clear(p.rows)
 	for _, m := range memos {
-		if m.row < 0 || m.row >= len(fresh) {
+		if m.row < 0 || m.row >= len(p.rows) {
 			continue
 		}
-		fresh[m.row] = row[S]{start: m.state, pos: m.pos, valid: true}
+		p.rows[m.row] = row[S]{start: m.state, pos: m.pos, valid: true}
 	}
-	p.rows, p.scratch = fresh, p.rows
 	p.prevTotal = total
 }

@@ -211,8 +211,8 @@ func TestUndispatchedSlotsGetNoVerdict(t *testing.T) {
 				ns[599].next = ns[601]
 			}
 			want := l.oracle()
-			conf := r.ctrl.conf
-			before := [3]float64{conf.Score(0), conf.Score(1), conf.Score(2)}
+			score := r.ctrl.score
+			before := [3]float64{score[0], score[1], score[2]}
 
 			ctx := &scriptedCtx{Context: context.Background(), cancelAt: tc.cancelAt}
 			got, rerr := r.Run(ctx, l.head)
@@ -227,11 +227,11 @@ func TestUndispatchedSlotsGetNoVerdict(t *testing.T) {
 				t.Errorf("Hits %d Misses %d Reclaimed %d; want 1 0 1 (slot 1 of round 0 only)",
 					st.Hits, st.Misses, st.Reclaimed)
 			}
-			if s0 := conf.Score(0); s0 <= before[0] {
+			if s0 := score[0]; s0 <= before[0] {
 				t.Errorf("row 0 confidence %v -> %v; its chunk committed", before[0], s0)
 			}
 			for k := 1; k < 3; k++ {
-				if sk := conf.Score(k); sk != before[k] {
+				if sk := score[k]; sk != before[k] {
 					t.Errorf("row %d confidence %v -> %v; its chunk was never dispatched in round 1 and only a cap artifact in round 0",
 						k, before[k], sk)
 				}
@@ -250,8 +250,8 @@ func TestUndispatchedSlotsGetNoVerdict(t *testing.T) {
 		ns := g.nodes()
 		r := newRunner(t, g.loop(false), Config{Threads: 4, Options: Options{Adaptive: true}, Executor: heldExecutor(t)})
 		seedQuarters(r, ns)
-		conf := r.ctrl.conf
-		before := [3]float64{conf.Score(0), conf.Score(1), conf.Score(2)}
+		score := r.ctrl.score
+		before := [3]float64{score[0], score[1], score[2]}
 
 		ctx := &scriptedCtx{Context: context.Background(), cancelAt: 4}
 		_, rerr := r.Run(ctx, g.head)
@@ -264,7 +264,7 @@ func TestUndispatchedSlotsGetNoVerdict(t *testing.T) {
 				st.Conflicts, st.Hits, st.Misses, st.Reclaimed)
 		}
 		for k := range before {
-			if sk := conf.Score(k); sk != before[k] {
+			if sk := score[k]; sk != before[k] {
 				t.Errorf("row %d confidence %v -> %v; the invocation failed", k, before[k], sk)
 			}
 		}
@@ -279,17 +279,17 @@ func TestUndispatchedSlotsGetNoVerdict(t *testing.T) {
 
 var pinnedRounds = map[string]uint64{
 	"doacross/dense/t2/cap0/adaptive=false":   0x7524ce717d896b46,
-	"doacross/dense/t2/cap0/adaptive=true":    0x9b98a9344bf20f5f,
+	"doacross/dense/t2/cap0/adaptive=true":    0xdf4896bbff0ef771,
 	"doacross/dense/t2/cap300/adaptive=false": 0x5ea54b3842200ffe,
-	"doacross/dense/t2/cap300/adaptive=true":  0xed9db4774298bc0b,
+	"doacross/dense/t2/cap300/adaptive=true":  0x3150f5f359136091,
 	"doacross/dense/t4/cap0/adaptive=false":   0x03963b18ee390eb6,
-	"doacross/dense/t4/cap0/adaptive=true":    0x32796b8348e58438,
+	"doacross/dense/t4/cap0/adaptive=true":    0x39b8a2be12f0b6b6,
 	"doacross/dense/t4/cap300/adaptive=false": 0x03963b18ee390eb6,
-	"doacross/dense/t4/cap300/adaptive=true":  0x32796b8348e58438,
+	"doacross/dense/t4/cap300/adaptive=true":  0x39b8a2be12f0b6b6,
 	"doacross/dense/t8/cap0/adaptive=false":   0xf0fa3bc5582aa508,
-	"doacross/dense/t8/cap0/adaptive=true":    0xcb306b2b5e88dd3c,
+	"doacross/dense/t8/cap0/adaptive=true":    0x56b3ce32c1a73f1e,
 	"doacross/dense/t8/cap300/adaptive=false": 0xf0fa3bc5582aa508,
-	"doacross/dense/t8/cap300/adaptive=true":  0xcb306b2b5e88dd3c,
+	"doacross/dense/t8/cap300/adaptive=true":  0x56b3ce32c1a73f1e,
 	"doacross/none/t2/cap0/adaptive=false":    0xfbcc8429b10f8631,
 	"doacross/none/t2/cap0/adaptive=true":     0xfbcc8429b10f8631,
 	"doacross/none/t2/cap300/adaptive=false":  0xabb0a69f3b32f8e9,

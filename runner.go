@@ -22,16 +22,15 @@ import (
 // one shared executor. Stats is safe to call at any time, including
 // while Run executes.
 type Runner[S comparable, A any] struct {
-	loop     Loop[S, A]
-	block    blockFn[S, A] // the loop's block routine (blockOf), behind every traversal
-	pair     pairFn[S, A]  // the paired routine of a DOALL loop (blockOf), behind paired slots
-	cfg      Config
-	pred     *predictor[S]
-	exec     *Executor
-	home     uint32 // home shard (Executor.stripe): slot i of every round goes to home+i-1
-	ownsExec bool
-	running  atomic.Bool
-	stats    runnerStats
+	loop    Loop[S, A]
+	block   blockFn[S, A] // the loop's block routine (blockOf), behind every traversal
+	pair    pairFn[S, A]  // the paired routine of a DOALL loop (blockOf), behind paired slots
+	cfg     Config
+	pred    *predictor[S]
+	exec    *Executor
+	home    uint32 // home shard (Executor.stripe): slot i of every round goes to home+i-1
+	running atomic.Bool
+	stats   runnerStats
 
 	// consecPanics counts consecutive invocations that returned a
 	// contained *PanicError; a success resets it, other errors (ctx
@@ -48,9 +47,9 @@ type Runner[S comparable, A any] struct {
 	// resolve every round's chain there), so pend needs no
 	// synchronization; Run publishes it into stats in one step on every
 	// exit path, making each invocation atomic to snapshot readers (see
-	// runnerStats).
-	pend      Stats
-	pendWorks bool // works holds a fresh LastWorks to publish
+	// runnerStats). Its LastWorks is r.works once the invocation has
+	// finished (finish), nil until then.
+	pend Stats
 
 	// The confidence gate and its probe clock (nil when
 	// Options.Adaptive is off, see adaptive.go). Confined to the Run
@@ -123,14 +122,14 @@ type runnerStats struct {
 	effectiveThreads atomic.Int64
 }
 
-// publish merges one finished invocation's deltas — and, when
-// worksDirty, its per-chunk works — into the published totals, then
-// clears the delta for the next invocation.
-func (st *runnerStats) publish(d *Stats, works []int64, worksDirty bool) {
+// publish merges one finished invocation's deltas — and, when it set
+// them, its per-slot works — into the published totals, then clears the
+// delta for the next invocation.
+func (st *runnerStats) publish(d *Stats) {
 	st.mu.Lock()
 	st.total.addCounters(d, 1)
-	if worksDirty {
-		st.total.LastWorks = append(st.total.LastWorks[:0], works...)
+	if d.LastWorks != nil {
+		st.total.LastWorks = append(st.total.LastWorks[:0], d.LastWorks...)
 	}
 	st.mu.Unlock()
 	*d = Stats{}
@@ -209,18 +208,19 @@ func (r *Runner[S, A]) runInvocation(ctx context.Context, start S, loadAware boo
 			}
 		}
 	}
-	defer func() { r.stats.publish(&r.pend, r.works, r.pendWorks); r.pendWorks = false }()
+	defer r.stats.publish(&r.pend)
 	r.pend.Invocations++
 
 	n := 1
 	if r.cfg.Threads > 1 {
-		// Every parallel-capable invocation registers its demand on the
-		// shared executor for its whole duration, so the load-aware path
-		// below sees pressure from invocations that are momentarily between
-		// dispatch rounds (or timesliced off-CPU) and not just from queued
-		// tasks.
-		r.exec.demand.Add(1)
-		defer r.exec.demand.Add(-1)
+		// Every parallel-capable invocation registers its speculative slots
+		// on the shared executor for its whole duration, so the load-aware
+		// path below sees pressure from invocations that are momentarily
+		// between dispatch rounds (or timesliced off-CPU) and not just from
+		// queued tasks.
+		slots := int64(r.cfg.Threads - 1)
+		r.exec.demand.Add(slots)
+		defer r.exec.demand.Add(-slots)
 
 		// Batched/async shed (RunBatch and Submit only): keep the invocation
 		// on the submitting goroutine when speculation cannot pay for
@@ -228,9 +228,9 @@ func (r *Runner[S, A]) runInvocation(ctx context.Context, start S, loadAware boo
 		//
 		//   - the shared executor is overloaded: a task already queued or
 		//     running per worker (the entries this runner's own reclaimed
-		//     slots left behind excluded), or enough concurrent invocations
-		//     in flight to cover every worker, so speculative chunks would
-		//     only queue behind other invocations' work; or
+		//     slots left behind excluded), or the other invocations in
+		//     flight already have a speculative slot per worker, so
+		//     speculative chunks would only queue behind their work; or
 		//   - the expected traversal is too small to amortize chunking: with
 		//     fewer than ctxPollEvery iterations per chunk, dispatch and
 		//     wakeup round-trips rival the chunk's own work, and a batch
@@ -299,7 +299,7 @@ func (r *Runner[S, A]) admitRow(k int) bool {
 	if r.ctrl == nil || r.rd.probe {
 		return true
 	}
-	return r.ctrl.conf.Admit(k)
+	return r.ctrl.Admit(k)
 }
 
 // noteHit records a committed speculative chunk for row k, and feeds
@@ -309,7 +309,7 @@ func (r *Runner[S, A]) admitRow(k int) bool {
 func (r *Runner[S, A]) noteHit(k int, reclaimed bool) {
 	r.pend.Hits++
 	if r.ctrl != nil {
-		r.ctrl.conf.Hit(k)
+		r.ctrl.Hit(k)
 	}
 	if reclaimed {
 		r.pend.Reclaimed++
@@ -320,7 +320,7 @@ func (r *Runner[S, A]) noteHit(k int, reclaimed bool) {
 func (r *Runner[S, A]) noteMiss(k int, reclaimed bool) {
 	r.pend.Misses++
 	if r.ctrl != nil {
-		r.ctrl.conf.Miss(k)
+		r.ctrl.Miss(k)
 	}
 	if reclaimed {
 		r.pend.Reclaimed++
@@ -387,7 +387,7 @@ func (r *Runner[S, A]) Stats() Stats { return r.stats.read() }
 // them (a runner built with Config.Executor leaves the shared executor
 // alone). Run must not be called after Close. Close is idempotent.
 func (r *Runner[S, A]) Close() {
-	if r.ownsExec {
+	if r.exec != nil && r.cfg.Executor == nil {
 		r.exec.Close()
 	}
 }

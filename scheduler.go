@@ -966,11 +966,11 @@ func (r *Runner[S, A]) squash() {
 		r.pend.Conflicts++
 		r.pend.ConflictIters += squashed
 		if r.ctrl != nil {
-			// The gate hears the conflicting chunk's row as a miss, not
-			// counted in Misses: the prediction was right, but without
-			// that boundary the flow dependence falls inside one chunk
-			// and cannot conflict.
-			r.ctrl.conf.Miss(r.chain[rd.conflictAt-1])
+			// The gate hears the conflicting chunk's row as a conflict, a
+			// miss not counted in Misses: the prediction was right, but
+			// without that boundary the flow dependence falls inside one
+			// chunk and cannot conflict.
+			r.ctrl.Conflict(r.chain[rd.conflictAt-1], rd.probe)
 		}
 	}
 	if rd.err != nil && rd.f < rd.armed {
@@ -1072,7 +1072,7 @@ func (r *Runner[S, A]) finish() {
 		r.memos = r.pred.promote(rd.pos, r.memos)
 	}
 	r.pred.apply(rd.pos, r.memos)
-	r.pendWorks = true
+	r.pend.LastWorks = r.works
 	if r.pairing.forced != 0 {
 		return
 	}

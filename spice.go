@@ -563,7 +563,6 @@ func NewRunner[S comparable, A any](loop Loop[S, A], cfg Config) (*Runner[S, A],
 			// parallel anyway, so the size is clamped to the topology
 			// (and by newExecutor to at least one).
 			r.exec = newExecutor(min(cfg.Threads-1, runtime.GOMAXPROCS(0)-1), cfg.Faults)
-			r.ownsExec = true
 		}
 		// A stripe as wide as one dispatch round, so concurrent runners
 		// on one shared executor queue on disjoint shards.
