@@ -1,6 +1,9 @@
 package spice
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // This file is the adaptive speculation policy (Options.Adaptive): a
 // confidence gate over the SVA rows, the paper's second insight (a
@@ -151,106 +154,191 @@ func probeSpecCap(cap64, total int64, chunks int) int64 {
 }
 
 const (
+	// maxDepth is the most chunks a dispatch slot carries: the ladder's
+	// top rung, and the finest grid a derived runner plans on.
+	maxDepth = 4
 	// pairMinNs is the cost per iteration, in ns, of chunk 0 alone at or
 	// above which a traversal is taken to wait on memory: a contiguous
 	// list reads 1-3 ns, a closure body 6-8, a list linked in shuffled
 	// order past L2 about 90.
 	pairMinNs = 20
-	// pairMinChunk is the fewest iterations each of the 2·threads chunks
-	// of depth 2 must keep, so a chunk still spans several polls.
+	// pairMinChunk is the fewest iterations of the last trip count each
+	// chunk of a rung must keep, so a chunk still spans several polls:
+	// the deepest rung allowed is the deepest that keeps it.
 	pairMinChunk = 4 * ctxPollEvery
-	// pairGain is what paired rounds must beat depth 1 by: their wall
-	// time per committed iteration at most this share of depth 1's.
+	// pairGain is what a rung must beat the rung below by: its wall time
+	// per committed iteration at most this share of the one below's.
 	pairGain = 0.9
-	// pairBackoff is the number of invocations a runner that dropped back
-	// to depth 1 waits before it tries depth 2 again.
+	// pairBackoff is the number of invocations a runner that stepped down
+	// from a rung that never paid waits before it climbs again.
 	pairBackoff = 64
 	// pairWindow is how many recent samples a figure is the lowest of:
-	// the clean rounds depth 2 waits for, and the sample-less invocations
-	// at depth 2 that drop it.
+	// the clean rounds depth 2 waits for, the samples a rung gives before
+	// the next is tried, and the sample-less invocations that step down.
 	pairWindow = 8
+	// pairRecheck is how many invocations a runner above depth 1 runs
+	// between two that run one rung down, so the figure its rung is
+	// compared with stays fresh.
+	pairRecheck = 32
 )
 
-// pairing is the depth policy of a DOALL runner of width 2 or more: how
-// many chunks of the validation chain a dispatch slot carries, 1 or 2
-// (scheduler.go). A slot at depth 2 steps its two chunks in lockstep
-// (blockPair), so a core that waits on a cache miss in one chain has the
-// other's miss in flight beside it. That pays only when the traversal
-// is memory-bound, so depth 2 is tried on evidence and kept only while
-// it pays — Garmon et al.'s rule for a speculative resource:
+// pairing is the depth policy of a DOALL runner: how many chunks of the
+// validation chain a dispatch slot carries, on a ladder of rungs 1, 2
+// and 4 (scheduler.go). A slot at depth D steps its D chunks in lockstep
+// (blockGroup), so a core that waits on a cache miss in one chain has
+// the other chains' misses in flight beside it; at width 1 the one slot
+// is the invoker's, so D chunks of the traversal run there with no
+// executor at all. That pays only when the traversal is memory-bound, so
+// each rung is tried on evidence and kept only while it pays — Garmon
+// et al.'s rule for a speculative resource:
 //
 //   - a clean round 0 at depth 1 (nothing reclaimed, squashed or capped,
 //     and no more slots than the host has processors, or chunk 0's clock
-//     counts the time it waited for one) tries depth 2 once pairWindow
-//     clean rounds have been seen, if chunk 0's cost per iteration read
-//     at least pairMinNs in each of the last pairWindow, depth 1's cost
-//     times the slots (a chain's cost per iteration) reads pairMinNs
-//     too, and each of the 2·threads chunks would keep pairMinChunk
-//     iterations;
-//   - depth 2 stays while paired rounds' cost is within pairGain of
-//     depth 1's; otherwise, or after pairWindow invocations in a row that
-//     gave no paired sample (no evidence that pairing pays), the runner
-//     drops back and waits pairBackoff invocations.
+//     counts the time it waited for one; a width-1 round is one slot on
+//     one processor) tries depth 2 once pairWindow clean rounds have been
+//     seen, if chunk 0's cost per iteration read at least pairMinNs in
+//     each of the last pairWindow, depth 1's cost times the slots (a
+//     chain's cost per iteration) reads pairMinNs too, and depth 2 is
+//     allowed;
+//   - a rung is judged once it has given pairWindow samples: it stays
+//     while its cost is within pairGain of the rung below's, and climbs
+//     to the next, if that is allowed. A rung that loses is first
+//     doubted, not dropped: the rung below's figure may predate the
+//     host's present state (a warm-up that ran alone and hot in cache, a
+//     neighbour that slowed the rung's last window), so that figure is
+//     forgotten and the next invocation reads it afresh (a recheck now).
+//     If the rung loses to the fresh figure too, or after pairWindow
+//     invocations in a row that gave no sample of the rung (no evidence
+//     that it pays), the runner steps down a rung. It waits pairBackoff
+//     invocations before it climbs again, unless the rung had beaten the
+//     rung below since it was reached: a rung that paid and then lost a
+//     stretch the host slowed is judged again as soon as the rung below
+//     has been;
+//   - a rung is allowed while each of its Threads·D chunks keeps
+//     pairMinChunk iterations of the last trip count; a runner above the
+//     deepest rung allowed steps down;
+//   - every pairRecheck invocations above depth 1, one runs a rung down,
+//     so the rung below's figure is fresh when the two are compared.
 //
-// Every figure is the lowest of the last pairWindow samples (lows), not
-// an average: a round the host held up only adds time. On a shared
-// 2-vCPU guest one round in a few thousand read 40× the others — enough
-// to lift an EWMA over the trigger on a 1 ns/iteration list, and then
-// keep depth 2 against that stale figure. Every figure comes from the
-// clock reads the scheduler takes anyway. Confined to the runner's
-// invocation cycle, like the predictor.
+// A sample goes to the rung its round ran at: round 0 laid out evenly,
+// D chunks on each of its slots. The first invocation after a climb
+// finds only the coarser rung's rows valid and runs that rung's layout;
+// so does the one after a recheck. Every figure is the lowest of the
+// last pairWindow samples (lows), not an average: a round the host held
+// up only adds time. On a shared 2-vCPU guest one round in a few
+// thousand read 40× the others — enough to lift an EWMA over the trigger
+// on a 1 ns/iteration list, and then keep a rung against that stale
+// figure. Every figure comes from the clock reads the scheduler takes
+// anyway. Confined to the runner's invocation cycle, like the predictor.
 type pairing struct {
-	forced   int  // Config.depth, or 1 for a runner that cannot pair: the depth, pinned (0: derived)
-	depth    int  // the depth the next invocation runs at
-	at1, at2 lows // round 0's wall ns per committed iteration at depth 1 and in paired rounds
-	c0       lows // chunk 0's own ns per iteration in clean depth-1 rounds
-	dry      int  // invocations in a row at depth 2 that gave no paired sample
-	wait     int  // invocations left before depth 2 may be tried again
+	forced int     // Config.depth, or 1 for a runner that cannot step chains together: the depth, pinned (0: derived)
+	top    int     // the rung climbed to
+	depth  int     // the depth the next invocation runs at: top, or top/2 on a recheck
+	at     [3]lows // round 0's wall ns per committed iteration at depths 1, 2 and 4 (index log2)
+	c0     lows    // chunk 0's own ns per iteration in clean depth-1 rounds
+	since  int     // samples of top since the runner reached it
+	dry    int     // invocations in a row above depth 1 that gave no sample of top
+	wait   int     // invocations left before the runner may climb again
+	due    int     // invocations above depth 1 left before the next recheck
+	doubt  bool    // top lost a comparison: the rung below's figure holds only samples since
+	paid   bool    // top has beaten the rung below since the runner reached it
 }
 
 // reset forgets every measurement and returns to the pinned depth, or
 // to depth 1.
 func (p *pairing) reset() {
-	*p = pairing{forced: p.forced, depth: max(p.forced, 1)}
+	d := max(p.forced, 1)
+	*p = pairing{forced: p.forced, top: d, depth: d}
 }
 
 // observe takes one successful invocation's round 0 and returns whether
-// the depth changed. A pinned depth (forced) is never observed. perIter
-// is round 0's wall ns per committed iteration (0: no sample — slot 0 ran
-// alone, so no clock was read, or the invoker reclaimed a slot, which
-// measures a late worker and not the depth); slots, its slot count;
-// paired, whether its slots carried two chunks; clean, whether nothing
-// was reclaimed, squashed or capped; chunk0, chunk 0's own ns per
-// iteration; perChunk, the iterations each chunk would keep at depth 2.
-func (p *pairing) observe(perIter float64, slots int, paired, clean bool, chunk0 float64, perChunk int64) bool {
+// the depth of the next invocation differs from this one's. A pinned
+// depth (forced) is never observed. perIter is round 0's wall ns per
+// committed iteration (0: no sample — a round of one on a runner of
+// width 2 or more reads no clock, and a round whose invoker reclaimed a
+// slot measures a late worker and not the depth); rung, the chunks each
+// of its slots carried (0: not the same on every slot); slots, its slot
+// count; clean, whether nothing was reclaimed, squashed or capped;
+// chunk0, chunk 0's own ns per iteration; perSlot, the trip count per
+// slot.
+func (p *pairing) observe(perIter float64, rung, slots int, clean bool, chunk0 float64, perSlot int64) bool {
+	was := p.depth
+	p.depth = p.top
 	if p.wait > 0 {
 		p.wait--
 	}
-	if p.depth == 2 {
-		if perIter > 0 && paired {
-			p.dry = 0
-			if p.at2.add(perIter) <= pairGain*p.at1.low() {
-				return false
+	sampled := perIter > 0 && rung > 0 && rung&(rung-1) == 0
+	if sampled {
+		p.at[bits.TrailingZeros(uint(rung))].add(perIter)
+	}
+	deepest := 1
+	for deepest < maxDepth && perSlot/int64(2*deepest) >= pairMinChunk {
+		deepest *= 2
+	}
+	if p.top == 1 {
+		if sampled && clean {
+			p.c0.add(chunk0)
+			if p.wait == 0 && deepest > 1 && p.c0.n >= pairWindow && p.c0.low() >= pairMinNs && p.at[0].low()*float64(slots) >= pairMinNs {
+				p.climb()
 			}
-		} else if p.dry++; p.dry < pairWindow {
-			return false
 		}
-		p.depth, p.at2, p.dry, p.wait = 1, lows{}, 0, pairBackoff
-		return true
+		return p.depth != was
 	}
-	if perIter == 0 {
-		return false
+	if p.due--; p.due <= 0 {
+		p.depth, p.due = p.top/2, pairRecheck
 	}
-	p.at1.add(perIter)
-	if !clean {
-		return false
+	r := bits.TrailingZeros(uint(p.top))
+	switch {
+	case sampled && rung == p.top:
+		p.dry, p.since = 0, p.since+1
+		switch {
+		case p.top > deepest:
+			p.down(r)
+		case p.since < pairWindow, p.doubt && p.at[r-1].n == 0:
+			// Too few samples of the rung, or none of the recheck yet.
+		case p.at[r].low() <= pairGain*p.at[r-1].low():
+			p.doubt, p.paid = false, true
+			if p.wait == 0 && p.top < deepest {
+				p.climb()
+			}
+		case p.doubt:
+			p.down(r)
+		default:
+			// The rung lost to a figure that may predate the host's
+			// present state: read the rung below afresh now.
+			p.doubt, p.at[r-1] = true, lows{}
+			p.depth, p.due = p.top/2, pairRecheck
+		}
+	case p.dry+1 >= pairWindow:
+		p.down(r)
+	default:
+		p.dry++
 	}
-	p.c0.add(chunk0)
-	if p.wait == 0 && p.c0.n >= pairWindow && p.c0.low() >= pairMinNs && p.at1.low()*float64(slots) >= pairMinNs && perChunk >= pairMinChunk {
-		p.depth = 2
-		return true
+	return p.depth != was
+}
+
+// timed reports whether round 0 of a width-1 runner reads the clock for
+// the policy: while the depth is derived and above 1, or perSlot, the
+// last trip count, would allow depth 2.
+func (p *pairing) timed(perSlot int64) bool {
+	return p.forced == 0 && (p.top > 1 || perSlot >= 2*pairMinChunk)
+}
+
+// climb moves the ladder one rung up.
+func (p *pairing) climb() {
+	p.top *= 2
+	p.depth, p.since, p.dry, p.due, p.doubt, p.paid = p.top, 0, 0, pairRecheck, false, false
+}
+
+// down moves the ladder from rung r one rung down and forgets rung r's
+// figure; it backs off unless rung r had paid.
+func (p *pairing) down(r int) {
+	p.at[r] = lows{}
+	p.top /= 2
+	if !p.paid {
+		p.wait = pairBackoff
 	}
-	return false
+	p.depth, p.since, p.dry, p.due, p.doubt, p.paid = p.top, 0, 0, pairRecheck, false, false
 }
 
 // lows keeps a figure's last pairWindow samples, as a ring.

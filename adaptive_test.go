@@ -1,9 +1,11 @@
 package spice
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -236,35 +238,41 @@ func TestProbeSpecCapTightens(t *testing.T) {
 // TestPairingPolicy holds the depth policy to its rule (adaptive.go):
 // depth 2 is tried only after a window of clean depth-1 rounds 0 in
 // each of which chunk 0 ran at pairMinNs or slower per iteration, as
-// depth 1's rounds did, over chunks long enough to halve; it is kept
-// while paired rounds beat depth 1 by pairGain, dropped after a window
-// of invocations in a row that gave no paired sample, and after a drop
-// tried again only pairBackoff invocations later; a round the host held
-// up moves neither depth's cost. On a runner, a change of depth changes
-// which rows of its one grid it uses, and a body that burns time
-// per node is found and paired by the derived rule itself.
+// depth 1's rounds did, over chunks long enough to halve; a rung is kept
+// while it beats the rung below by pairGain, climbs to the next after a
+// window of such samples while the trip count allows it, rereads the
+// rung below at once when it loses and steps down a rung only if it
+// loses to that fresh figure too, steps down after a window of
+// invocations in a row that gave no sample of it, or when the trip
+// count no longer allows it, and after a step down from a rung that
+// never paid climbs again only pairBackoff invocations later; every
+// pairRecheck invocations one runs a rung down; a round the host held
+// up moves no rung's cost. On a runner, a change of depth changes which rows of its
+// one grid it uses, and a body that burns time per node is found and
+// paired by the derived rule itself.
 func TestPairingPolicy(t *testing.T) {
 	const slow, long = 2 * pairMinNs, pairMinChunk
+	const two, deep = 2 * long, maxDepth * long // trip counts per slot that allow depth 2, and maxDepth
 	t.Run("rule", func(t *testing.T) {
 		// slowRounds feeds n clean, slow, long depth-1 rounds and reports
 		// whether one of them tried depth 2.
 		slowRounds := func(p *pairing, n int) (tried bool) {
 			for range n {
-				tried = p.observe(100, 2, false, true, slow, long) || tried
+				tried = p.observe(100, 1, 2, true, slow, two) || tried
 			}
 			return tried
 		}
-		p := pairing{depth: 1}
+		p := pairing{top: 1, depth: 1}
 		if slowRounds(&p, pairWindow-1) || p.depth != 1 {
 			t.Fatal("tried depth 2 before a window of clean rounds")
 		}
 		for _, no := range []struct {
-			clean    bool
-			chunk0   float64
-			perChunk int64
-		}{{false, slow, long}, {true, pairMinNs / 2, long}, {true, slow, long - 1}} {
+			clean   bool
+			chunk0  float64
+			perSlot int64
+		}{{false, slow, two}, {true, pairMinNs / 2, two}, {true, slow, two - 1}} {
 			q := p
-			if q.observe(100, 2, false, no.clean, no.chunk0, no.perChunk) || q.depth != 1 {
+			if q.observe(100, 1, 2, no.clean, no.chunk0, no.perSlot) || q.depth != 1 {
 				t.Fatalf("%+v tried depth 2", no)
 			}
 		}
@@ -273,15 +281,15 @@ func TestPairingPolicy(t *testing.T) {
 		// window in which chunk 0 read fast once, as on a runner wider
 		// than the host whose chunk 0 its own workers preempt in most
 		// rounds but not all.
-		fast := pairing{depth: 1}
+		fast := pairing{top: 1, depth: 1}
 		for range pairWindow {
-			fast.observe(1, 2, false, true, 2, long)
+			fast.observe(1, 1, 2, true, 2, two)
 		}
-		if fast.observe(40, 2, false, true, 80, long) {
+		if fast.observe(40, 1, 2, true, 80, two) {
 			t.Fatal("one held-up round after fast rounds tried depth 2")
 		}
-		preempted := pairing{depth: 1}
-		preempted.observe(100, 2, false, true, 2, long)
+		preempted := pairing{top: 1, depth: 1}
+		preempted.observe(100, 1, 2, true, 2, two)
 		if slowRounds(&preempted, pairWindow-1) {
 			t.Fatal("a window with one fast chunk 0 tried depth 2")
 		}
@@ -290,17 +298,42 @@ func TestPairingPolicy(t *testing.T) {
 		}
 		// Paired rounds at 60 % of depth 1's cost keep it, held-up ones
 		// among them too; once the window holds only rounds at depth 1's
-		// cost, it drops.
-		if p.observe(60, 2, true, true, 0, long) || p.observe(4000, 2, true, true, 0, long) || p.depth != 2 {
+		// cost, it loses, the next invocation rereads depth 1, and depth 2
+		// drops when it loses to that fresh figure too. It had paid, so
+		// the next clean, slow round tries it again. The trip count allows
+		// no deeper rung.
+		if p.observe(60, 2, 2, true, 0, two) || p.observe(4000, 2, 2, true, 0, two) || p.top != 2 {
 			t.Fatal("a paying paired round dropped depth 2")
 		}
-		rounds := 0
-		for p.depth == 2 && rounds < 2*pairWindow {
-			p.observe(100, 2, true, true, 0, long)
-			rounds++
+		// lose feeds rounds at depth 1's cost at depth 2 until one loses,
+		// then the recheck and one more round at depth 1's cost, and
+		// returns the rounds it took to lose.
+		lose := func() (rounds int) {
+			for p.depth == 2 && rounds < 2*pairWindow {
+				p.observe(100, 2, 2, true, 0, two)
+				rounds++
+			}
+			if p.top != 2 || p.depth != 1 {
+				t.Fatalf("top %d depth %d after %d rounds at depth 1's cost", p.top, p.depth, rounds)
+			}
+			if !p.observe(100, 1, 2, true, slow, two) || p.depth != 2 {
+				t.Fatalf("depth %d after the recheck", p.depth)
+			}
+			if !p.observe(100, 2, 2, true, 0, two) || p.depth != 1 {
+				t.Fatalf("depth %d after depth 2 lost to a fresh depth 1", p.depth)
+			}
+			return rounds
 		}
-		if p.depth != 1 || p.wait != pairBackoff || rounds != pairWindow-1 {
-			t.Fatalf("depth %d wait %d after %d rounds at depth 1's cost", p.depth, p.wait, rounds)
+		if rounds := lose(); rounds != pairWindow-1 || p.wait != 0 {
+			t.Fatalf("wait %d after %d rounds: a rung that paid backed off", p.wait, rounds)
+		}
+		if !slowRounds(&p, 1) || p.depth != 2 {
+			t.Fatal("did not try again at once after a rung that paid lost")
+		}
+		// Tried again, it never pays: it loses at its first judgement and
+		// backs off.
+		if rounds := lose(); rounds != pairWindow || p.wait != pairBackoff {
+			t.Fatalf("wait %d after %d rounds: a rung that never paid", p.wait, rounds)
 		}
 		for i := 1; i < pairBackoff; i++ {
 			if slowRounds(&p, 1) {
@@ -310,15 +343,16 @@ func TestPairingPolicy(t *testing.T) {
 		if !slowRounds(&p, 1) {
 			t.Fatal("did not try again after the backoff")
 		}
-		// Invocations at depth 2 that give no paired sample (the invoker
+		// Invocations at depth 2 that give no sample of it (the invoker
 		// reclaimed a slot, or the rows left one chunk a slot) are no
 		// evidence that pairing pays: a window of them in a row drops it,
-		// and a paired sample restarts the count.
+		// and a paired sample restarts the count. A depth-1 layout's
+		// sample is depth 1's.
 		noSample := func(i int) bool {
 			if i%2 == 0 {
-				return p.observe(50, 2, false, true, 0, long)
+				return p.observe(100, 1, 2, true, 0, two)
 			}
-			return p.observe(0, 2, true, false, 0, long)
+			return p.observe(0, 2, 2, false, 0, two)
 		}
 		for range 2 {
 			for i := 1; i < pairWindow; i++ {
@@ -326,7 +360,7 @@ func TestPairingPolicy(t *testing.T) {
 					t.Fatalf("dropped after %d sample-less invocations", i)
 				}
 			}
-			if p.observe(60, 2, true, true, 0, long) || p.depth != 2 {
+			if p.observe(60, 2, 2, true, 0, two) || p.top != 2 {
 				t.Fatal("a paying paired round dropped depth 2")
 			}
 		}
@@ -337,61 +371,131 @@ func TestPairingPolicy(t *testing.T) {
 			t.Fatalf("depth %d wait %d after %d sample-less invocations", p.depth, p.wait, pairWindow)
 		}
 	})
-	t.Run("regrid", func(t *testing.T) {
-		// A derived runner plans on the grid of its finest depth, 2·Threads
-		// parts, and at depth 1 uses every second row: the odd ones, on the
-		// Threads-part boundaries.
-		g := testList(3000, 5)
-		r := newRunner(t, plainLoop(), Config{Threads: 3, Options: Options{Adaptive: true}})
-		if r.pred.parts != 6 || len(r.pred.rows) != 5 || r.pred.stride != 2 || len(r.ctrl.score) != 5 {
-			t.Fatalf("parts %d rows %d stride %d scores %d", r.pred.parts, len(r.pred.rows), r.pred.stride, len(r.ctrl.score))
+	t.Run("ladder", func(t *testing.T) {
+		// Each rung that beats the one below by pairGain for a window of
+		// samples climbs to the next, up to maxDepth.
+		p := pairing{top: 1, depth: 1}
+		for range pairWindow {
+			p.observe(100, 1, 2, true, slow, deep)
 		}
-		// memoized reports which rows are valid, and where.
-		memoized := func() []int64 {
-			at := make([]int64, len(r.pred.rows))
-			for k, row := range r.pred.rows {
-				at[k] = -1
-				if row.valid {
-					at[k] = row.pos
+		for _, rung := range []struct {
+			d    int
+			cost float64
+		}{{2, 60}, {4, 40}} {
+			if p.top != rung.d {
+				t.Fatalf("at depth %d, want %d", p.top, rung.d)
+			}
+			for i := 1; i <= pairWindow; i++ {
+				if p.observe(rung.cost, rung.d, 2, true, 0, deep) != (i == pairWindow && rung.d < maxDepth) {
+					t.Fatalf("depth %d sample %d moved the depth to %d", rung.d, i, p.depth)
 				}
 			}
-			return at
+		}
+		// Every pairRecheck invocations one runs a rung down, and the next
+		// is back at the top.
+		for i := pairWindow + 1; i < pairRecheck; i++ {
+			if p.observe(40, 4, 2, true, 0, deep) {
+				t.Fatalf("depth %d after %d invocations at depth 4", p.depth, i)
+			}
+		}
+		if !p.observe(40, 4, 2, true, 0, deep) || p.top != 4 || p.depth != 2 {
+			t.Fatalf("top %d depth %d after %d invocations at depth 4", p.top, p.depth, pairRecheck)
+		}
+		// The recheck reads depth 2 at 30 now, and depth 4's 40 no longer
+		// beats it. That one low read may be the host's doing, so depth 4
+		// is doubted: depth 2 is read afresh at once, at 60, and depth 4
+		// stays.
+		if !p.observe(30, 2, 2, true, 0, deep) || p.depth != 4 {
+			t.Fatalf("depth %d after the recheck", p.depth)
+		}
+		if !p.observe(40, 4, 2, true, 0, deep) || p.top != 4 || p.depth != 2 {
+			t.Fatalf("top %d depth %d after depth 4 lost to depth 2's figure", p.top, p.depth)
+		}
+		if !p.observe(60, 2, 2, true, 0, deep) || p.observe(40, 4, 2, true, 0, deep) || p.top != 4 {
+			t.Fatalf("top %d after depth 4 beat a fresh depth 2", p.top)
+		}
+		// Once a window of depth 4 reads 70 it loses again, and it loses
+		// to the fresh depth 2 as well: the runner steps down to 2, with
+		// no backoff, since depth 4 had paid.
+		n := 0
+		for p.depth == 4 && n < 2*pairWindow {
+			p.observe(70, 4, 2, true, 0, deep)
+			n++
+		}
+		if p.top != 4 || p.depth != 2 || n != pairWindow {
+			t.Fatalf("top %d depth %d after %d invocations at 70", p.top, p.depth, n)
+		}
+		if !p.observe(60, 2, 2, true, 0, deep) || !p.observe(70, 4, 2, true, 0, deep) || p.top != 2 || p.depth != 2 || p.wait != 0 {
+			t.Fatalf("top %d depth %d wait %d after depth 4 lost to a fresh depth 2", p.top, p.depth, p.wait)
+		}
+		// A trip count that no longer keeps pairMinChunk iterations a chunk
+		// at depth 2 steps down.
+		if !p.observe(30, 2, 2, true, 0, long) || p.top != 1 {
+			t.Fatalf("top %d on a trip count that allows depth 1 only", p.top)
+		}
+	})
+	t.Run("regrid", func(t *testing.T) {
+		// A derived runner plans on the grid of its finest depth,
+		// maxDepth·Threads parts, and at depth d uses every (maxDepth/d)-th
+		// row: at depth 1 rows 3 and 7, on the Threads-part boundaries.
+		g := testList(3000, 5)
+		r := newRunner(t, plainLoop(), Config{Threads: 3, Options: Options{Adaptive: true}})
+		if r.pred.parts != 12 || len(r.pred.rows) != 11 || r.pred.stride != 4 || len(r.ctrl.score) != 11 {
+			t.Fatalf("parts %d rows %d stride %d scores %d", r.pred.parts, len(r.pred.rows), r.pred.stride, len(r.ctrl.score))
+		}
+		// memoized lists the valid rows as row@position.
+		memoized := func() string {
+			var at []string
+			for k, row := range r.pred.rows {
+				if row.valid {
+					at = append(at, fmt.Sprintf("%d@%d", k, row.pos))
+				}
+			}
+			return strings.Join(at, " ")
 		}
 		g.warm(t, r, 3)
-		if got := memoized(); !slices.Equal(got, []int64{-1, 1000, -1, 2000, -1}) {
-			t.Fatalf("rows at %v at depth 1", got)
+		if got := memoized(); got != "3@1000 7@2000" {
+			t.Fatalf("rows %s at depth 1", got)
 		}
 		// The depth is pinned from here on, as Config.depth pins it, so the
-		// policy cannot drop it (pairing does not pay on 1 000-node chunks)
-		// while the grid is checked; the stride follows it as finish sets it.
+		// policy cannot drop it (no rung pays on 1 000-node chunks) while
+		// the grid is checked; the stride follows it as finish sets it.
 		depth := func(d int) {
-			r.pairing.forced, r.pairing.depth = d, d
+			r.pairing.forced, r.pairing.top, r.pairing.depth = d, d, d
 			r.pred.stride = r.pred.parts / (r.cfg.Threads * r.pairing.depth)
 		}
-		depth(2)
-		// The first invocation at depth 2 finds only the odd rows valid, so
-		// it runs depth 1's layout and memoizes the fine grid; the next
-		// pairs.
 		paired := func(n int) int64 {
 			before := r.Stats()
 			g.warm(t, r, n)
 			return r.Stats().Delta(before).PairedRounds
 		}
-		if n := paired(1); n != 0 || !slices.Equal(memoized(), []int64{500, 1000, 1500, 2000, 2500}) {
-			t.Fatalf("PairedRounds %d, rows at %v after depth 2's first invocation", n, memoized())
+		hits := func() int64 { return r.Stats().Hits }
+		// The first invocation at a new depth finds only the coarser
+		// rung's rows valid, so it runs that rung's layout and memoizes the
+		// finer grid; the next runs the new depth's.
+		depth(2)
+		if n := paired(1); n != 0 || memoized() != "1@500 3@1000 5@1500 7@2000 9@2500" {
+			t.Fatalf("PairedRounds %d, rows %s after depth 2's first invocation", n, memoized())
 		}
 		if n := paired(1); n != 1 {
 			t.Fatalf("PairedRounds %d on depth 2's second invocation", n)
 		}
-		// Back at depth 1 (as a drop leaves it), the stride hides the even
+		depth(4)
+		if n := paired(1); n != 1 || memoized() != "0@250 1@500 2@750 3@1000 4@1250 5@1500 6@1750 7@2000 8@2250 9@2500 10@2750" {
+			t.Fatalf("PairedRounds %d, rows %s after depth 4's first invocation", n, memoized())
+		}
+		if h := hits(); paired(1) != 1 || hits()-h != 11 {
+			t.Fatalf("depth 4's second invocation is not 11 hits on 3 slots of 4 chunks: %s", statsLine(r.Stats()))
+		}
+		// Back at depth 1 (as a drop leaves it), the stride hides the finer
 		// rows, still valid until the next apply clears them, and every
 		// slot works again.
 		depth(1)
-		if adm := r.admitted(0); !slices.Equal(adm, []int{1, 3}) {
+		if adm := r.admitted(0); !slices.Equal(adm, []int{3, 7}) {
 			t.Fatalf("rows %v admitted after the drop", adm)
 		}
-		if n := paired(1); n != 0 || !slices.Equal(memoized(), []int64{-1, 1000, -1, 2000, -1}) {
-			t.Fatalf("PairedRounds %d, rows at %v after the drop", n, memoized())
+		if n := paired(1); n != 0 || memoized() != "3@1000 7@2000" {
+			t.Fatalf("PairedRounds %d, rows %s after the drop", n, memoized())
 		}
 		if st := r.Stats(); busy(st.LastWorks) != 3 {
 			t.Fatalf("LastWorks %v after the drop", st.LastWorks)
@@ -425,6 +529,6 @@ func TestPairingPolicy(t *testing.T) {
 			t.Fatalf("paired on one processor: %s", statsLine(st))
 		}
 		t.Log(statsLine(r.Stats()))
-		checkConservation(t, r.Stats(), 2)
+		checkConservation(t, r.Stats(), 2, 0)
 	})
 }

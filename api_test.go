@@ -295,7 +295,7 @@ func pairedFailure(t *testing.T, exit, at string) {
 	if want := calls.Load() - c0 - prefix; st.SquashedIters != want || st.PairedRounds != 1 || st.TotalIters != 0 {
 		t.Fatalf("SquashedIters %d PairedRounds %d TotalIters %d, want %d, 1 and 0", st.SquashedIters, st.PairedRounds, st.TotalIters, want)
 	}
-	checkConservation(t, r.Stats(), 2)
+	checkConservation(t, r.Stats(), 2, 2)
 	l.exact(t, r)
 }
 
@@ -351,6 +351,37 @@ func TestWorkerPanicReturnsPanicError(t *testing.T) {
 	// Heal and keep running on the same runner: workers survived.
 	ns[10].w = 10
 	l.warm(t, r, 3)
+	// An Init that panics in every chunk leaves a slot of several chunks
+	// no chain to step: the slot ends at once, and chunk 0's panic
+	// surfaces, at width 1 (the invoker's own chunks) as at width 2.
+	for _, threads := range []int{1, 2} {
+		for _, depth := range []int{2, maxDepth} {
+			t.Run(fmt.Sprintf("init/t%d/d%d", threads, depth), func(t *testing.T) {
+				var armed atomic.Bool
+				loop := plainLoop()
+				init := loop.Init
+				loop.Init = func() tally {
+					if armed.Load() {
+						panic("init boom")
+					}
+					return init()
+				}
+				r := newRunner(t, loop, Config{Threads: threads, depth: depth})
+				l.warm(t, r, 3)
+				armed.Store(true)
+				before := r.Stats().PairedRounds
+				_, err := r.Run(context.Background(), l.head)
+				if pe := wantPanic(t, err); pe.Value != "init boom" {
+					t.Errorf("PanicError.Value = %v", pe.Value)
+				}
+				if r.Stats().PairedRounds == before {
+					t.Fatal("the failing invocation's slots carried one chunk each")
+				}
+				armed.Store(false)
+				l.warm(t, r, 2)
+			})
+		}
+	}
 }
 
 func TestSequentialPanicReturnsPanicError(t *testing.T) {

@@ -209,9 +209,10 @@ func BenchmarkInvocationFloor(b *testing.B) {
 // (Loop.Scan), where a chunk's inner loop is the caller's compiled code.
 // The scattered_ rows run the block form over a 200k-node list linked in
 // shuffled order, past L2, where each iteration waits on a cache miss:
-// scattered_t2 with one chunk per slot, scattered_t2_paired with two
-// stepped in lockstep (Config.depth pins either; the runtime derives
-// the depth from the same measurement).
+// at width 1 and 2 with one chunk per slot, with two (_paired) and with
+// four (_deep) stepped in lockstep (Config.depth pins each; the runtime
+// derives the depth from the same measurement). scattered_t1_deep is
+// four chunks of one traversal on the invoking goroutine alone.
 func BenchmarkIterationOverhead(b *testing.B) {
 	const listLen, scatterLen = 100_000, 200_000
 	head, loop := benchList(5, listLen), benchLoop()
@@ -238,8 +239,11 @@ func BenchmarkIterationOverhead(b *testing.B) {
 		{"scan_seq", block, head, Config{Threads: 1}, listLen},
 		{"scan_t2", block, head, Config{Threads: 2}, listLen},
 		{"scan_t4", block, head, Config{Threads: 4}, listLen},
+		{"scattered_t1", block, scattered, Config{Threads: 1, depth: 1}, scatterLen},
+		{"scattered_t1_deep", block, scattered, Config{Threads: 1, depth: 4}, scatterLen},
 		{"scattered_t2", block, scattered, Config{Threads: 2, depth: 1}, scatterLen},
 		{"scattered_t2_paired", block, scattered, Config{Threads: 2, depth: 2}, scatterLen},
+		{"scattered_t2_deep", block, scattered, Config{Threads: 2, depth: 4}, scatterLen},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
 			timeRuns(b, newRunner(b, mode.loop, mode.cfg), mode.head, 1)

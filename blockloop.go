@@ -17,22 +17,27 @@ import "fmt"
 // between blocks, on amortized boundaries.
 //
 // A chunk is one link of a round's validation chain; a dispatch slot is
-// one executor task, one claim word. A slot carries one chunk, or two
-// when the runner pairs (a DOALL traversal that waits on memory,
-// adaptive.go's pairing): then the driver hands the pair's blocks to
-// the paired routine (Runner.pair, a pairFn, blockPair below), which
-// makes one Done/Body/Next call per chain per step, so each core has two
-// independent pointer chases, and two cache misses, in flight. Once one
-// chain stops, the other goes on alone through Runner.block.
+// one executor task, one claim word. A slot carries one chunk, or up to
+// maxDepth when the runner steps several chains per slot (a DOALL
+// traversal that waits on memory, adaptive.go's pairing): then the
+// driver hands the slot's blocks to the group routine (Runner.group, a
+// groupFn, blockGroup below), which makes one Done/Body/Next call per
+// chain per step, so each core has as many independent pointer chases,
+// and cache misses, in flight as the slot has chains. A chain that
+// stops leaves the group; the last one left goes on alone through
+// Runner.block. At width 1 the one slot is the invoker's, so a width-1
+// DOALL runner at depth D steps D chunks of its own traversal there; its
+// round 0 reads the clock twice, at dispatch and after the slot, for the
+// depth policy, and every other round of one reads none.
 //
 // blockOf picks the routines once, when the runner is built, from the
 // loop's body form: one loop each for the two body shapes, Body and
 // SpecBody, so the per-iteration body carries no form branches, and the
 // adapter blockScan for a loop that sets Loop.Scan — the block then
 // goes to the caller's own compiled loop, and the driver's block
-// structure around it is unchanged. The paired routine always runs the
-// closures: one compiled Scan loop cannot interleave two chains, and at
-// the latency that makes pairing pay the calls cost nothing. The
+// structure around it is unchanged. The group routine always runs the
+// closures: one compiled Scan loop cannot interleave chains, and at the
+// latency that makes them pay the calls cost nothing. The
 // fallible forms ride the infallible loops: blockOf wraps BodyErr or
 // SpecBodyErr in a closure that panics with a bodyFailure on an error,
 // and the routine's recovery returns that failure's state and error as
@@ -85,22 +90,23 @@ const (
 // and why it stopped. stop means nothing unless hunt is set.
 type blockFn[S comparable, A any] func(v *CellView, s S, acc A, stop S, hunt bool, n int64) (S, A, int64, blockStop, error)
 
-// pairFn steps the two chains of a paired slot in lockstep, up to n
-// iterations each, from p[0].s and p[1].s, until the block is filled or
-// either chain stops. It leaves each lane's state, accumulator,
-// started-iteration count (k) and stop (why, err) in the lane; the chain
-// the other's stop cut short reports blockFilled, at an exact count.
-type pairFn[S comparable, A any] func(p *[2]lane[S, A], n int64)
+// groupFn steps the live lanes of a slot (g) in lockstep, up to n
+// iterations each, each from its own state and hunting its own stop,
+// until the block is filled or one chain stops. It leaves each live
+// lane's state, accumulator, started-iteration count (k) and stop (why,
+// err) in the lane; a chain another's stop cut short reports
+// blockFilled, at an exact count.
+type groupFn[S comparable, A any] func(g []lane[S, A], n int64)
 
-// blockOf returns the block routine of a validated loop, and the paired
+// blockOf returns the block routine of a validated loop, and the group
 // routine of a DOALL one (nil for a spec body: DOACROSS slots carry one
 // chunk, since each chunk needs a CellView of its own).
-func blockOf[S comparable, A any](l *Loop[S, A]) (blockFn[S, A], pairFn[S, A]) {
+func blockOf[S comparable, A any](l *Loop[S, A]) (blockFn[S, A], groupFn[S, A]) {
 	var ref blockFn[S, A] // the reference form: Done / body / Next, one call each per iteration
-	var pair pairFn[S, A]
+	var group groupFn[S, A]
 	switch {
 	case l.Body != nil:
-		ref, pair = blockBody(l.Done, l.Next, l.Body), blockPair(l.Done, l.Next, l.Body)
+		ref, group = blockBody(l.Done, l.Next, l.Body), blockGroup(l.Done, l.Next, l.Body)
 	case l.BodyErr != nil:
 		bodyErr := l.BodyErr
 		body := func(s S, acc A) A {
@@ -110,7 +116,7 @@ func blockOf[S comparable, A any](l *Loop[S, A]) (blockFn[S, A], pairFn[S, A]) {
 			}
 			return acc
 		}
-		ref, pair = blockBody(l.Done, l.Next, body), blockPair(l.Done, l.Next, body)
+		ref, group = blockBody(l.Done, l.Next, body), blockGroup(l.Done, l.Next, body)
 	case l.SpecBody != nil:
 		ref = blockSpecBody(l.Done, l.Next, l.SpecBody)
 	default:
@@ -124,9 +130,9 @@ func blockOf[S comparable, A any](l *Loop[S, A]) (blockFn[S, A], pairFn[S, A]) {
 		})
 	}
 	if l.Scan != nil {
-		return blockScan(l.Done, l.Scan, ref), pair
+		return blockScan(l.Done, l.Scan, ref), group
 	}
-	return ref, pair
+	return ref, group
 }
 
 // bodyFailure is the panic by which a fallible body's error leaves an
@@ -169,57 +175,73 @@ func blockBody[S comparable, A any](done func(S) bool, next func(S) S, body func
 	}
 }
 
-// blockPair is the paired routine of a loop with an infallible Body:
-// each step runs one iteration of the first chain, then one of the
-// second — Done, the match test and Body/Next, as blockBody does — so
-// the second chain's load is issued while the first one's misses. A
-// chain that stops returns both at once: its partner has started as
-// many iterations, or one fewer.
+// blockGroup is the group routine of a loop with an infallible Body:
+// each step runs one iteration of every live chain in lane order —
+// Done, the match test and Body/Next, as blockBody does — so each
+// chain's load is issued while the ones before it miss. The chains'
+// states, accumulators and counts sit in a fixed [maxDepth] array in the
+// routine's frame, so the group allocates nothing whatever its depth. A
+// chain that stops returns the group at once: every chain before it in
+// the step has started one iteration more than it, every chain after it
+// as many.
 //
-// Panic containment is per chain. on names the lane whose callback is
-// running, and the states, accumulators and counts live in variables
-// the recovering defer writes back, so the chain that panicked reports
-// its started iterations exactly, as blockBody does, and its partner its
-// exact state to go on from alone.
-func blockPair[S comparable, A any](done func(S) bool, next func(S) S, body func(S, A) A) pairFn[S, A] {
-	return func(p *[2]lane[S, A], n int64) {
-		x, y := &p[0], &p[1]
-		a, b, accA, accB := x.s, y.s, x.acc, y.acc
-		stopA, stopB, huntA, huntB := x.stop, y.stop, x.hunt, y.hunt
-		var ka, kb int64
-		on := x
-		x.why, x.err, y.why, y.err = blockFilled, nil, blockFilled, nil
+// Panic containment is per chain. on names the chain whose callback is
+// running, and the recovering defer writes every chain back to its
+// lane, so each reports its started iterations exactly, as blockBody
+// does; the failed chain reports what blockBody would (the failing
+// state of a bodyFailure, else the zero S, and the zero accumulator),
+// and the others their exact state to go on from.
+func blockGroup[S comparable, A any](done func(S) bool, next func(S) S, body func(S, A) A) groupFn[S, A] {
+	type chain struct {
+		s, stop S
+		acc     A
+		k       int64
+		hunt    bool
+		l       *lane[S, A]
+	}
+	return func(g []lane[S, A], n int64) {
+		var ch [maxDepth]chain
+		d := 0
+		for i := range g {
+			if l := &g[i]; l.live {
+				ch[d] = chain{s: l.s, stop: l.stop, acc: l.acc, hunt: l.hunt, l: l}
+				l.why, l.err = blockFilled, nil
+				d++
+			}
+		}
+		if d == 0 {
+			return // no chain to step: without this the loop below would spin n empty steps
+		}
+		on := 0
 		defer func() {
-			x.s, x.acc, x.k, y.s, y.acc, y.k = a, accA, ka, b, accB, kb
+			for i := range d {
+				c := &ch[i]
+				c.l.s, c.l.acc, c.l.k = c.s, c.acc, c.k
+			}
 			if v := recover(); v != nil {
-				on.s, on.why, on.err = failed(v, on.s)
+				var zeroS S
+				var zeroA A
+				l := ch[on].l
+				l.s, l.why, l.err = failed(v, zeroS)
+				l.acc = zeroA
 			}
 		}()
-		for ka < n {
-			on = x
-			if done(a) {
-				x.why = blockDone
-				return
+		live := ch[:d]
+		for step := int64(0); step < n; step++ {
+			for on = range live {
+				c := &live[on]
+				if done(c.s) {
+					c.l.why = blockDone
+					return
+				}
+				if c.s == c.stop && c.hunt {
+					c.l.why = blockMatched
+					return
+				}
+				c.k++ // charge the started iteration before user code can panic
+				c.acc = body(c.s, c.acc)
+				c.s = next(c.s)
 			}
-			if a == stopA && huntA {
-				x.why = blockMatched
-				return
-			}
-			ka++
-			accA = body(a, accA)
-			a = next(a)
-			on = y
-			if done(b) {
-				y.why = blockDone
-				return
-			}
-			if b == stopB && huntB {
-				y.why = blockMatched
-				return
-			}
-			kb++
-			accB = body(b, accB)
-			b = next(b)
 		}
 	}
 }

@@ -152,7 +152,7 @@ func TestChaosKernelsSeeded(t *testing.T) {
 
 				// Counter conservation holds across contained faults,
 				// stalled workers and quarantine churn alike.
-				spice.CheckConservation(t, chaotic.Stats(), 4)
+				spice.CheckConservation(t, chaotic.Stats(), 4, 0)
 			})
 		}
 	}

@@ -7,7 +7,11 @@ package spice
 // oracle targets decode their inputs into cases of the matrix
 // (matrix_test.go).
 
-import "testing"
+import (
+	"errors"
+	"math/rand"
+	"testing"
+)
 
 // FuzzRunnerOracle fuzzes the whole runner: trip counts (list sizes and
 // their evolution), chunk boundaries (thread count and the speculative
@@ -15,7 +19,7 @@ import "testing"
 // regime, asserting every invocation equals the sequential oracle with
 // adaptive mode both on and off — and, each of those, with the loop's
 // block form (Loop.Scan) set and stripped, which must leave every
-// counter where it was. pattern also picks one or two chunks per slot
+// counter where it was. pattern also picks 1, 2 or 4 chunks per slot
 // (Config.depth).
 func FuzzRunnerOracle(f *testing.F) {
 	f.Add(int64(1), uint16(100), uint8(4), uint8(0), uint16(0))
@@ -27,7 +31,7 @@ func FuzzRunnerOracle(f *testing.F) {
 		for _, adaptive := range []bool{false, true} {
 			mcase{build: oracleList(seed, int(size%1024)+1), edit: regime(patterns[int(pattern)%len(patterns)]),
 				threads: int(threads%8) + 1, adaptive: adaptive, maxSpec: int64(maxSpec), probe: 2, invs: 6,
-				depth: 1 + int(pattern)/len(patterns)%2}.twin(t)
+				depth: 1 << (int(pattern) / len(patterns) % 3)}.twin(t)
 		}
 	})
 }
@@ -77,8 +81,8 @@ func FuzzDoacrossOracle(f *testing.F) {
 // consumes them in). And
 // promote, over the candidates a bootstrap plan captures in a traversal
 // of the fuzzed length, chooses rows by checkPromote's rules. Read at
-// stride 2, a grid of twice the parts plans and promotes the same
-// positions on its odd rows.
+// stride d, a grid of d times the parts plans and promotes the same
+// positions on every d-th row (d = 2 and 4).
 func FuzzPredictorApply(f *testing.F) {
 	f.Add(uint8(4), int64(100), []byte{0, 10, 1, 50, 2, 90})
 	f.Add(uint8(2), int64(0), []byte{})
@@ -138,7 +142,7 @@ func FuzzPredictorApply(f *testing.F) {
 			}
 		}
 		for _, base := range bases {
-			plan := p.planFromPosition(base, nil)
+			plan := planFrom(p.plan(nil), base)
 			if total == 0 && len(plan) != 0 {
 				t.Fatalf("base %d: %d plan entries without a trip count", base, len(plan))
 			}
@@ -147,13 +151,13 @@ func FuzzPredictorApply(f *testing.F) {
 				if e.row < 0 || e.row >= tc-1 {
 					t.Fatalf("base %d: plan targets row %d (rows=%d)", base, e.row, tc-1)
 				}
-				if e.local <= 0 {
-					t.Fatalf("base %d: plan threshold %d not positive", base, e.local)
+				if e.at-base <= 0 {
+					t.Fatalf("base %d: plan threshold %d not positive", base, e.at-base)
 				}
-				if e.local < last {
-					t.Fatalf("base %d: plan thresholds decrease: %d after %d", base, e.local, last)
+				if e.at-base < last {
+					t.Fatalf("base %d: plan thresholds decrease: %d after %d", base, e.at-base, last)
 				}
-				last = e.local
+				last = e.at - base
 			}
 		}
 		if p.specCap(0) <= 0 {
@@ -168,23 +172,179 @@ func FuzzPredictorApply(f *testing.F) {
 		// The other plan: what promote chooses from a bootstrap capture of
 		// this many iterations (predictor_test.go).
 		checkPromote(t, tc, total)
-		// One grid: a predictor cut for two chunks a slot and read at
-		// stride 2 plans and promotes exactly as this one does, on rows
-		// 2k+1 for its rows k (⌊P·2k/2W⌋ = ⌊P·k/W⌋).
-		fine := newPredictor[int64](2*tc, 2)
-		fine.prevTotal = p.prevTotal
-		for _, base := range bases {
-			coarse, strided := p.planFromPosition(base, nil), fine.planFromPosition(base, nil)
+		// One grid: a predictor cut for d chunks a slot and read at stride
+		// d plans and promotes exactly as this one does, on rows d·k+d−1
+		// for its rows k (⌊P·dk/dW⌋ = ⌊P·k/W⌋).
+		for _, d := range []int{2, 4} {
+			fine := newPredictor[int64](d*tc, d)
+			fine.prevTotal = p.prevTotal
+			for _, base := range bases {
+				coarse, strided := planFrom(p.plan(nil), base), planFrom(fine.plan(nil), base)
+				for i := range max(len(coarse), len(strided)) {
+					if i >= len(coarse) || i >= len(strided) || strided[i] != (planEntry{at: coarse[i].at, row: d*coarse[i].row + d - 1}) {
+						t.Fatalf("base %d: plan %+v at stride %d, %+v on the coarse grid", base, strided, d, coarse)
+					}
+				}
+			}
+			coarse, strided := p.promote(total, bootCandidates(total)), fine.promote(total, bootCandidates(total))
 			for i := range max(len(coarse), len(strided)) {
-				if i >= len(coarse) || i >= len(strided) || strided[i] != (planEntry{local: coarse[i].local, row: 2*coarse[i].row + 1}) {
-					t.Fatalf("base %d: plan %+v at stride 2, %+v on the coarse grid", base, strided, coarse)
+				if i >= len(coarse) || i >= len(strided) || strided[i] != (memo[int64]{row: d*coarse[i].row + d - 1, state: coarse[i].state, pos: coarse[i].pos}) {
+					t.Fatalf("promote: %+v at stride %d, %+v on the coarse grid", strided, d, coarse)
 				}
 			}
 		}
-		coarse, strided := p.promote(total, bootCandidates(total)), fine.promote(total, bootCandidates(total))
-		for i := range max(len(coarse), len(strided)) {
-			if i >= len(coarse) || i >= len(strided) || strided[i] != (memo[int64]{row: 2*coarse[i].row + 1, state: coarse[i].state, pos: coarse[i].pos}) {
-				t.Fatalf("promote: %+v at stride 2, %+v on the coarse grid", strided, coarse)
+	})
+}
+
+// FuzzBlockGroup fuzzes the group routine against the reference one: d
+// chains (1 to maxDepth), each on a list of its own of a fuzzed length,
+// each hunting a stop of its own (a node of its list, a node it never
+// reaches, or nothing) under a budget of its own, stepped together as a
+// slot's driver steps them — the group while two or more are live, with
+// the bound of the nearest budget, then the survivor alone through
+// blockBody. A panic or a BodyErr error strikes at a chosen (chain,
+// step). Every chain must end with the state, accumulator, count, stop
+// and error that it reaches run alone through blockBody with its whole
+// budget.
+func FuzzBlockGroup(f *testing.F) {
+	f.Add(int64(1), uint8(2), uint16(40), uint8(0), uint16(0))
+	f.Add(int64(2), uint8(4), uint16(300), uint8(1), uint16(3<<8|17))
+	f.Add(int64(3), uint8(3), uint16(1000), uint8(2), uint16(7<<8|5))
+	f.Add(int64(4), uint8(1), uint16(9), uint8(2), uint16(0))
+	f.Add(int64(5), uint8(7), uint16(64), uint8(1), uint16(6<<8|0))
+	f.Fuzz(func(t *testing.T, seed int64, depth uint8, length uint16, fault uint8, at uint16) {
+		rng := rand.New(rand.NewSource(seed))
+		d := int(depth)%maxDepth + 1
+		// One arena of nodes, the chains' lists laid out one after the
+		// other: a state is an index, -1 is the end.
+		var next, w []int
+		starts, ends := make([]int, d), make([]int, d)
+		for c := range d {
+			n := rng.Intn(int(length)%512 + 1)
+			starts[c] = len(next)
+			for i := range n {
+				w = append(w, rng.Intn(1000))
+				next = append(next, len(next)+1)
+				if i == n-1 {
+					next[len(next)-1] = -1
+				}
+			}
+			ends[c] = len(next)
+			if n == 0 {
+				starts[c] = -1 // an empty list: Done at once
+			}
+		}
+		// The fault strikes chain at>>8 at its (at&255)-th node.
+		strike := -2
+		if c := int(at>>8) % d; starts[c] >= 0 && starts[c]+int(at&255) < ends[c] {
+			strike = starts[c] + int(at&255)
+		}
+		errStruck := errors.New("struck")
+		loop := Loop[int, int]{
+			Done:  func(s int) bool { return s < 0 },
+			Next:  func(s int) int { return next[s] },
+			Init:  func() int { return 0 },
+			Merge: func(a, b int) int { return a + b },
+		}
+		switch fault % 3 {
+		case 0:
+			loop.Body = func(s, a int) int { return a + w[s] }
+		case 1:
+			loop.Body = func(s, a int) int {
+				if s == strike {
+					panic("struck")
+				}
+				return a + w[s]
+			}
+		default:
+			loop.BodyErr = func(s, a int) (int, error) {
+				if s == strike {
+					return a, errStruck
+				}
+				return a + w[s], nil
+			}
+		}
+		ref, group := blockOf(&loop)
+		lanes := make([]lane[int, int], d)
+		budget := make([]int64, d)
+		for c := range lanes {
+			l := &lanes[c]
+			l.s, l.live, l.stop = starts[c], true, -3
+			switch rng.Intn(3) {
+			case 0: // a node of its own list, or past its end
+				if starts[c] >= 0 {
+					l.stop, l.hunt = starts[c]+rng.Intn(ends[c]-starts[c]+1), true
+				}
+			case 1: // another chain's node: never met
+				l.stop, l.hunt = rng.Intn(len(next)+1), true
+				if starts[c] >= 0 && l.stop >= starts[c] && l.stop < ends[c] {
+					l.hunt = false
+				}
+			}
+			budget[c] = int64(rng.Intn(int(length)%512 + 3))
+		}
+		type end struct {
+			s, acc int
+			k      int64
+			why    blockStop
+			err    error
+		}
+		want := make([]end, d)
+		for c := range lanes {
+			l := &lanes[c]
+			s, acc, k, why, err := ref(nil, l.s, 0, l.stop, l.hunt, budget[c])
+			want[c] = end{s, acc, k, why, err}
+		}
+		got := make([]end, d)
+		left := append([]int64(nil), budget...)
+		finish := func(c int) {
+			l := &lanes[c]
+			l.live = false
+			got[c].s, got[c].acc, got[c].why, got[c].err = l.s, l.acc, l.why, l.err
+		}
+		for c := range lanes {
+			if left[c] == 0 {
+				lanes[c].why = blockFilled
+				finish(c)
+			}
+		}
+		for {
+			live, n := 0, int64(1<<62)
+			for c := range lanes {
+				if lanes[c].live {
+					live, n = live+1, min(n, left[c])
+				}
+			}
+			if live < 2 {
+				break
+			}
+			group(lanes, n)
+			for c := range lanes {
+				if l := &lanes[c]; l.live {
+					if l.k < 0 || l.k > n {
+						t.Fatalf("chain %d: %d iterations of a %d-iteration block", c, l.k, n)
+					}
+					got[c].k += l.k
+					if left[c] -= l.k; l.why != blockFilled || left[c] == 0 {
+						finish(c)
+					}
+				}
+			}
+		}
+		for c := range lanes {
+			if l := &lanes[c]; l.live {
+				var k int64
+				l.s, l.acc, k, l.why, l.err = ref(nil, l.s, l.acc, l.stop, l.hunt, left[c])
+				got[c].k += k
+				finish(c)
+			}
+		}
+		for c := range d {
+			g, w := got[c], want[c]
+			var gp, wp *PanicError
+			samePanic := errors.As(g.err, &gp) && errors.As(w.err, &wp) && gp.Value == wp.Value
+			if g.s != w.s || g.acc != w.acc || g.k != w.k || g.why != w.why || (g.err != w.err && !samePanic) {
+				t.Fatalf("chain %d of %d: grouped %+v, alone %+v", c, d, g, w)
 			}
 		}
 	})

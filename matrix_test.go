@@ -639,7 +639,7 @@ type mcase struct {
 	adaptive bool
 	maxSpec  int64 // Config.maxSpec (0: the derived cap)
 	probe    int   // Config.probeEvery (0: the derived interval)
-	depth    int   // Config.depth: 1 or 2 chunks per slot (0: the derived depth)
+	depth    int   // Config.depth: 1 to 4 chunks per slot (0: the derived depth)
 	invs     int   // invocations, or waves of them for "batch" and "submit"
 	wave     int   // invocations per wave ("batch" and "submit"; plain loops only)
 	edit     func(g *gen, inv int)
@@ -715,7 +715,7 @@ func (c mcase) run(t testing.TB) []Stats {
 			g.checkCells(t, fmt.Sprintf("%v inv %d", c, inv))
 		}
 		st := d.Stats().Delta(base)
-		checkConservation(t, st, c.threads)
+		checkConservation(t, st, c.threads, c.depth)
 		if c.door == "" && len(st.LastWorks) != c.threads {
 			t.Fatalf("%v inv %d: LastWorks %v, want one entry per thread", c, inv, st.LastWorks)
 		}
@@ -837,19 +837,23 @@ func busy(works []int64) (n int) {
 // checkConservation fails t unless st satisfies every accounting
 // identity, whatever the speculation, conflict or fault regime behind
 // it: a conflict squash is a squash, a reclaim is a verdict, no round
-// judges more chunks than it dispatches (2·threads − 1 when its slots
-// carry two chunks, threads − 1 otherwise), a paired round is a round,
-// conflict iterations need a conflict, and width 1 speculates on
-// nothing.
-func checkConservation(t testing.TB, st Stats, threads int) {
+// judges more chunks than it dispatches (depth·threads − 1 when its
+// slots carry several chunks, threads − 1 otherwise), a paired round is
+// a round, conflict iterations need a conflict, and width 1 meets no
+// conflict. depth is the runner's pinned Config.depth, or 0 for a
+// derived one, whose slots carry up to maxDepth chunks.
+func checkConservation(t testing.TB, st Stats, threads, depth int) {
 	t.Helper()
+	if depth == 0 {
+		depth = maxDepth
+	}
 	rounds := st.Invocations + st.Recoveries
-	switch spec := int64(threads - 1); {
+	switch spec, extra := int64(threads-1), int64((depth-1)*threads); {
 	case st.PairedRounds > rounds:
 		t.Fatalf("PairedRounds %d > Invocations %d + Recoveries %d", st.PairedRounds, st.Invocations, st.Recoveries)
-	case st.Hits+st.Misses > rounds*spec+st.PairedRounds*int64(threads):
+	case st.Hits+st.Misses > rounds*spec+st.PairedRounds*extra:
 		t.Fatalf("Hits %d + Misses %d > (Invocations %d + Recoveries %d) × %d + PairedRounds %d × %d",
-			st.Hits, st.Misses, st.Invocations, st.Recoveries, spec, st.PairedRounds, threads)
+			st.Hits, st.Misses, st.Invocations, st.Recoveries, spec, st.PairedRounds, extra)
 	case st.ConflictIters > st.SquashedIters:
 		t.Fatalf("ConflictIters %d > SquashedIters %d", st.ConflictIters, st.SquashedIters)
 	case st.Reclaimed > st.Hits+st.Misses:

@@ -59,7 +59,7 @@ func claimRace(t *testing.T, rounds int) Stats {
 	if st.Hits != int64(rounds-1) || st.Misses != 0 {
 		t.Fatalf("hits %d misses %d over %d rounds, want every round after the bootstrap to hit", st.Hits, st.Misses, rounds)
 	}
-	checkConservation(t, st, 2)
+	checkConservation(t, st, 2, 0)
 	return st
 }
 

@@ -63,12 +63,12 @@ func regimeSuite(t *testing.T, kinds []string, body func(t *testing.T, kind, pat
 // invocation is counted, and the verdicts fit the dispatch capacity.
 // Every case runs twice, with the loop's block form (Loop.Scan) set and
 // stripped, and the two runs' counters must agree after every
-// invocation. Every case runs again with its slots pinned to two chunks
-// each (Config.depth), at widths 2 to 4: the paired routine and its
-// survivor must commit exactly what one chunk per slot does.
+// invocation. Every case runs again with its slots pinned to 2 and 4
+// chunks each (Config.depth), at widths 2 to 4: the group routine and
+// its survivor must commit exactly what one chunk per slot does.
 func TestDifferentialOracle(t *testing.T) {
 	regimeSuite(t, []string{"list", "tree"}, func(t *testing.T, kind, pattern string, adaptive bool) {
-		for _, depth := range []int{0, 2} {
+		for _, depth := range []int{0, 2, 4} {
 			for _, threads := range []int{2, 3, 4} {
 				if depth == 0 && threads == 3 {
 					continue
@@ -77,29 +77,42 @@ func TestDifferentialOracle(t *testing.T) {
 					c := regimeCase(kind, pattern, seed*1000+int64(threads), 700, 50)
 					c.threads, c.adaptive, c.probe, c.invs, c.depth = threads, adaptive, 3, 12, depth
 					st := final(c.twin(t))
-					if paired := st.PairedRounds > 0; paired != (depth == 2) {
+					if paired := st.PairedRounds > 0; paired != (depth > 1) {
 						t.Fatalf("%v: PairedRounds %d", c, st.PairedRounds)
 					}
 				}
 			}
 		}
 	})
-	// Paired through every front door, on lists long enough that a batch
-	// item is not shed (Threads × ctxPollEvery iterations).
-	for _, door := range []string{"runner", "session", "pool", "batch", "submit"} {
-		for _, pattern := range []string{"predictable", "drifting"} {
-			for threads := 2; threads <= 4; threads++ {
-				for _, adaptive := range []bool{false, true} {
-					t.Run(fmt.Sprintf("paired/%s/%s/t%d/adaptive=%v", door, pattern, threads, adaptive), func(t *testing.T) {
-						c := mcase{build: oracleList(int64(threads), 5000), edit: regime(pattern), scan: true,
-							door: strings.TrimPrefix(door, "runner"), threads: threads, adaptive: adaptive, probe: 3, invs: 6, depth: 2}
-						if door == "batch" || door == "submit" {
-							c.wave = 3
+	// Several chunks a slot through every front door, on lists long
+	// enough that a batch item is not shed (Threads × ctxPollEvery
+	// iterations): 2 and 4 at widths 1 to 4 (at width 1 the invoker steps
+	// its own traversal's chunks, through the doors of one invocation at a
+	// time). Depth 2's cases are named paired/door/…, depth 4's
+	// paired/d4/door/….
+	for _, depth := range []int{2, 4} {
+		for _, door := range []string{"runner", "session", "pool", "batch", "submit"} {
+			for _, pattern := range []string{"predictable", "drifting"} {
+				for threads := 1; threads <= 4; threads++ {
+					if threads == 1 && (door == "batch" || door == "submit") {
+						continue
+					}
+					for _, adaptive := range []bool{false, true} {
+						name := fmt.Sprintf("paired/%s/%s/t%d/adaptive=%v", door, pattern, threads, adaptive)
+						if depth != 2 {
+							name = fmt.Sprintf("paired/d%d/%s/%s/t%d/adaptive=%v", depth, door, pattern, threads, adaptive)
 						}
-						if st := final(c.run(t)); st.PairedRounds == 0 && door != "submit" {
-							t.Fatalf("%v: no round was paired", c)
-						}
-					})
+						t.Run(name, func(t *testing.T) {
+							c := mcase{build: oracleList(int64(threads), 5000), edit: regime(pattern), scan: true,
+								door: strings.TrimPrefix(door, "runner"), threads: threads, adaptive: adaptive, probe: 3, invs: 6, depth: depth}
+							if door == "batch" || door == "submit" {
+								c.wave = 3
+							}
+							if st := final(c.run(t)); st.PairedRounds == 0 && door != "submit" {
+								t.Fatalf("%v: no round was paired", c)
+							}
+						})
+					}
 				}
 			}
 		}

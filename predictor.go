@@ -7,14 +7,14 @@ package spice
 // should happen.
 //
 // Planning follows the BalancedChunks scheme: boundaries are computed in
-// global work coordinates from the last invocation's trip count, and
-// every chunk the scheduler seeds — round 0's and any later round's
-// alike — asks planFromPosition for an entry for every boundary beyond
-// its own (predicted) start. In the common case a chunk stops at
-// its successor's predicted start right after firing its first entry;
-// the remaining entries fire only when the chunk overruns because a
-// later chunk mis-speculated — re-memoizing the squashed rows at their
-// correct positions (self-healing).
+// global work coordinates from the last invocation's trip count, once
+// per invocation (plan), and every chunk the scheduler seeds — round 0's
+// and any later round's alike — carries the entries for every boundary
+// beyond its own (predicted) start (planFrom). In the common case a
+// chunk stops at its successor's predicted start right after firing its
+// first entry; the remaining entries fire only when the chunk overruns
+// because a later chunk mis-speculated — re-memoizing the squashed rows
+// at their correct positions (self-healing).
 //
 // There are two plans and one capture mechanism. An invocation with a
 // chain to keep balanced plans from the last trip count, as above. One
@@ -40,11 +40,14 @@ type row[S comparable] struct {
 	valid bool
 }
 
-// planEntry tells a chunk to capture its live-in state after `local`
-// completed local iterations, targeting SVA row `row`.
+// planEntry tells a chunk to capture its live-in state at position at,
+// targeting SVA row row. Positions are global (plan): a chunk that
+// starts at global position base captures after at-base completed
+// iterations of its own. bootPlan's positions count from the chunk's own
+// start (base 0).
 type planEntry struct {
-	local int64
-	row   int
+	at  int64
+	row int
 }
 
 // proposal is one memoization produced during a chunk run, in
@@ -67,7 +70,7 @@ type memo[S comparable] struct {
 
 // predictor holds the SVA rows and the planning state for one runner.
 // It is confined to the runner's invocation cycle: rows and
-// planFromPosition are read during a Run, apply mutates at its end. A
+// plan are read during a Run, apply mutates at its end. A
 // Pool gives every in-flight invocation its own runner (and therefore
 // predictor), so no internal locking is needed.
 type predictor[S comparable] struct {
@@ -111,22 +114,32 @@ func (p *predictor[S]) predicted() int {
 	return n
 }
 
-// planFromPosition appends the memoization plan of a chunk whose global
-// start position is (predicted to be) pos: one entry per boundary in use
-// beyond pos, at a threshold relative to pos, ascending. Empty while
-// there is no trip count to plan from.
-func (p *predictor[S]) planFromPosition(pos int64, buf []planEntry) []planEntry {
+// plan appends the invocation's memoization plan: one entry per boundary
+// in use, at its global position, ascending. Empty while there is no
+// trip count to plan from. Every chunk of the invocation plans from it
+// (planFrom), so a runner keeps one plan, linear in its grid.
+func (p *predictor[S]) plan(buf []planEntry) []planEntry {
 	if p.prevTotal <= 0 {
 		return buf
 	}
 	for k := p.stride; k < p.parts; k += p.stride {
-		boundary := p.prevTotal * int64(k) / int64(p.parts)
-		if boundary <= 0 || boundary <= pos {
-			continue
-		}
-		buf = append(buf, planEntry{local: boundary - pos, row: k - 1})
+		buf = append(buf, planEntry{at: p.prevTotal * int64(k) / int64(p.parts), row: k - 1})
 	}
 	return buf
+}
+
+// planFrom is the memoization plan of a chunk whose global start
+// position is (predicted to be) pos: the entries of plan beyond pos.
+func planFrom(plan []planEntry, pos int64) []planEntry {
+	lo, hi := 0, len(plan)
+	for lo < hi { // binary search for the first entry beyond pos
+		if m := int(uint(lo+hi) >> 1); plan[m].at <= pos {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return plan[lo:]
 }
 
 // candRow is the row of a bootstrap plan entry: no SVA row yet, a
@@ -143,7 +156,7 @@ const candRow = -2
 var bootPlan = func() []planEntry {
 	plan := make([]planEntry, 62)
 	for i := range plan {
-		plan[i] = planEntry{local: 1 << i, row: candRow}
+		plan[i] = planEntry{at: 1 << i, row: candRow}
 	}
 	return plan
 }()

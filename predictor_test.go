@@ -7,8 +7,8 @@ import "testing"
 func bootCandidates(total int64) []memo[int64] {
 	var cands []memo[int64]
 	for _, e := range bootPlan {
-		if e.local < total {
-			cands = append(cands, memo[int64]{row: e.row, state: -e.local, pos: e.local})
+		if e.at < total {
+			cands = append(cands, memo[int64]{row: e.row, state: -e.at, pos: e.at})
 		}
 	}
 	return cands

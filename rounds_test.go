@@ -61,12 +61,13 @@ func pinnedEdit(g *gen, inv int) {
 // change that means to move a counter re-captures the table from the
 // failure output and says which counters moved and why. The list
 // scenarios pin one chunk per slot (Config.depth); their paired/
-// subtests run the same scripts with two, where every invocation must
-// still equal the oracle, conserve, and agree across the two loop forms,
-// at widths 2 to 4. Their derived/ subtests run them with the depth
-// derived, on the grid of two chunks per slot that uses every second
-// row at depth 1 (predictor.stride): 300 nodes are too few for depth 2
-// ever to engage, so each must hash to its scenario's pinned value.
+// subtests run the same scripts with 2 and 4 (paired/d4/ for 4),
+// where every invocation must still equal the oracle, conserve, and
+// agree across the two loop forms, at widths 2 to 4. Their derived/
+// subtests run them with the depth derived, on the grid of maxDepth
+// chunks per slot that uses every maxDepth-th row at depth 1
+// (predictor.stride): 300 nodes are too few for the ladder ever to
+// engage, so each must hash to its scenario's pinned value.
 func TestRoundCountersPinned(t *testing.T) {
 	var kinds roundKinds
 	ran := map[string]string{} // scenario -> its snapshots, one a line
@@ -106,12 +107,18 @@ func TestRoundCountersPinned(t *testing.T) {
 				if threads > 4 {
 					continue
 				}
-				c.depth = 2
-				t.Run(fmt.Sprintf("paired/list/t%d/cap%d/adaptive=%v", threads, maxSpec, adaptive), func(t *testing.T) {
-					if st := final(c.twin(t)); st.PairedRounds == 0 {
-						t.Fatal("no round was paired")
+				for _, depth := range []int{2, 4} {
+					c.depth = depth
+					name := fmt.Sprintf("paired/list/t%d/cap%d/adaptive=%v", threads, maxSpec, adaptive)
+					if depth != 2 {
+						name = fmt.Sprintf("paired/d%d/list/t%d/cap%d/adaptive=%v", depth, threads, maxSpec, adaptive)
 					}
-				})
+					t.Run(name, func(t *testing.T) {
+						if st := final(c.twin(t)); st.PairedRounds == 0 {
+							t.Fatal("no round was paired")
+						}
+					})
+				}
 			}
 		}
 	}
@@ -236,7 +243,7 @@ func TestUndispatchedSlotsGetNoVerdict(t *testing.T) {
 						k, before[k], sk)
 				}
 			}
-			checkConservation(t, st, 4)
+			checkConservation(t, st, 4, 1)
 		})
 	}
 
@@ -273,7 +280,7 @@ func TestUndispatchedSlotsGetNoVerdict(t *testing.T) {
 		g.prefix(600)
 		g.checkCells(t, "after the cancel")
 		g.exact(t, r)
-		checkConservation(t, r.Stats(), 4)
+		checkConservation(t, r.Stats(), 4, 0)
 	})
 }
 

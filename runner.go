@@ -24,7 +24,7 @@ import (
 type Runner[S comparable, A any] struct {
 	loop    Loop[S, A]
 	block   blockFn[S, A] // the loop's block routine (blockOf), behind every traversal
-	pair    pairFn[S, A]  // the paired routine of a DOALL loop (blockOf), behind paired slots
+	group   groupFn[S, A] // the group routine of a DOALL loop (blockOf), behind slots of several chunks
 	cfg     Config
 	pred    *predictor[S]
 	exec    *Executor
@@ -57,7 +57,7 @@ type Runner[S comparable, A any] struct {
 	// its own runner.
 	ctrl *specController
 	// pairing decides how many chunks a dispatch slot carries (adaptive.go);
-	// pinned to 1 unless the loop is DOALL and the runner at least width 2.
+	// pinned to 1 for a DOACROSS loop.
 	pairing pairing
 
 	// cells is the DOACROSS cell store invocations run against:
@@ -72,9 +72,9 @@ type Runner[S comparable, A any] struct {
 	jobs   []chunkJob[S, A] // per dispatch slot
 	works  []int64          // per slot: LastWorks
 	memos  []memo[S]
-	plans  [][]planEntry // per-chunk memoization plans of the current round
-	chain  []int         // the round's chain: SVA row behind each speculative chunk
-	rd     round[S, A]   // the invocation in progress (run)
+	plan   []planEntry // the invocation's memoization plan (predictor.plan): each chunk's is a suffix
+	chain  []int       // the round's chain: SVA row behind each speculative chunk
+	rd     round[S, A] // the invocation in progress (run)
 	// views holds one CellView per dispatch slot of a DOACROSS loop (nil
 	// for a DOALL loop). Views are written by the invoker during dispatch
 	// and chain resolution (validate, fold), and by exactly one worker
@@ -180,12 +180,12 @@ func (r *Runner[S, A]) Run(ctx context.Context, start S) (A, error) {
 // decided here is n, round 0's chunk count: 1 plus the rows the
 // confidence gate admits. It is 1 — the invocation runs on the invoking
 // goroutine alone, which is all "sequential" means in this runtime —
-// when the runner is width 1, the batched door sheds, no row is
-// predicted, or the gate closed every row. Such an invocation still
-// memoizes (the bootstrap plan, predictor.go), so later ones have
-// predictions to test. The invocation's counter deltas (accumulated in
-// r.pend by the round's steps) are published in one step on every exit
-// path.
+// when the batched door sheds, no row is predicted, or the gate closed
+// every row; a width-1 runner predicts rows only above depth 1. Such an
+// invocation still memoizes (the bootstrap plan, predictor.go) when its
+// grid has rows in use, so later ones have predictions to test. The
+// invocation's counter deltas (accumulated in r.pend by the round's
+// steps) are published in one step on every exit path.
 func (r *Runner[S, A]) runInvocation(ctx context.Context, start S, loadAware bool) (A, error) {
 	var zero A
 	if !r.running.CompareAndSwap(false, true) {
@@ -211,7 +211,7 @@ func (r *Runner[S, A]) runInvocation(ctx context.Context, start S, loadAware boo
 	defer r.stats.publish(&r.pend)
 	r.pend.Invocations++
 
-	n := 1
+	shed := false
 	if r.cfg.Threads > 1 {
 		// Every parallel-capable invocation registers its speculative slots
 		// on the shared executor for its whole duration, so the load-aware
@@ -239,26 +239,28 @@ func (r *Runner[S, A]) runInvocation(ctx context.Context, start S, loadAware boo
 		// Checked before the gate is consulted, so the shed neither runs
 		// nor probes it. Plain Run never sheds: a lone blocking caller
 		// asked for this invocation to be parallelized.
-		if loadAware && (r.exec.overloaded(r.cfg.Threads, r.queuedEntries()) ||
-			r.pred.prevTotal < int64(r.cfg.Threads)*ctxPollEvery) {
+		if shed = loadAware && (r.exec.overloaded(r.cfg.Threads, r.queuedEntries()) ||
+			r.pred.prevTotal < int64(r.cfg.Threads)*ctxPollEvery); shed {
 			r.pend.BatchSheds++
-		} else {
-			if r.ctrl != nil {
-				r.rd.probe = r.ctrl.Begin()
-				// The gauge shows the invocation's width while it runs, and
-				// the width the gate admits once it is over, on every exit
-				// path.
-				r.stats.effectiveThreads.Store(r.gateWidth())
-				defer func() { r.stats.effectiveThreads.Store(r.gateWidth()) }()
-			}
-			if rows := r.pred.predicted(); rows > 0 {
-				n = 1 + len(r.admitted(0))
-				if r.ctrl != nil && n-1 < rows {
-					// The gate left a predicted row out: the probe clock runs.
-					r.ctrl.narrowed++
-					if n == 1 {
-						r.pend.SequentialFallbacks++
-					}
+		} else if r.ctrl != nil {
+			r.rd.probe = r.ctrl.Begin()
+			// The gauge shows the invocation's width while it runs, and the
+			// width the gate admits once it is over, on every exit path.
+			r.stats.effectiveThreads.Store(r.gateWidth())
+			defer func() { r.stats.effectiveThreads.Store(r.gateWidth()) }()
+		}
+	}
+	n := 1
+	// A grid with no row in use (a width-1 runner at depth 1) predicts
+	// nothing: its invocation is the plain sequential path.
+	if r.pred.stride < r.pred.parts && !shed {
+		if rows := r.pred.predicted(); rows > 0 {
+			n = 1 + len(r.admitted(0))
+			if r.ctrl != nil && n-1 < rows {
+				// The gate left a predicted row out: the probe clock runs.
+				r.ctrl.narrowed++
+				if n == 1 {
+					r.pend.SequentialFallbacks++
 				}
 			}
 		}

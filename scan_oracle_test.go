@@ -108,7 +108,7 @@ func runShippedCase(t *testing.T, c shippedCase, size, seed int64, cfg spice.Con
 			t.Fatalf("%v inv %d: counters differ\nScan:     %s\nclosures: %s", c, inv, a, b)
 		}
 		for i, s := range sides {
-			spice.CheckConservation(t, s.r.Stats(), []int{cfg.Threads, cfg.Threads, 1}[i])
+			spice.CheckConservation(t, s.r.Stats(), []int{cfg.Threads, cfg.Threads, 1}[i], 0)
 			s.inst.Mutate()
 		}
 	}

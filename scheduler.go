@@ -31,22 +31,27 @@ import (
 // outcome, a verdict, all in one record, its lane (r.chunks[c] is chunk
 // c's). A dispatch slot is one executor task (chunkJob)
 // with one claim word, at most one queue entry and one latch count, and
-// one LastWorks entry. A slot carries one chunk, or two when the runner
-// pairs (pairing, adaptive.go: a DOALL traversal that waits on memory):
-// round.layout puts chunks 2i and 2i+1 on slot i for the first n-width
-// slots, so a round of W slots commits up to 2W chunks, and the walk,
-// squash and verdicts go chunk by chunk as they always did. DOACROSS
-// slots always carry one chunk: each chunk needs a CellView of its own.
+// one LastWorks entry. A slot carries one chunk, or up to maxDepth when
+// the runner steps several chains per slot (pairing, adaptive.go: a
+// DOALL traversal that waits on memory): round.layout puts consecutive
+// chunks of the chain on each slot, as evenly as they go, so a round of
+// W slots at depth D commits up to D·W chunks, and the walk, squash and
+// verdicts go chunk by chunk as they always did. A width-1 runner's one
+// slot is the invoker's, so its D chunks run there, with no executor.
+// DOACROSS slots always carry one chunk: each chunk needs a CellView of
+// its own.
 //
-// A round of one (a width-1 runner, a shed batch item, no row predicted
-// or admitted, or the tail behind a capped last chunk) is slot 0 alone
-// on the invoking goroutine, carrying chunk 0 alone: that is the
-// sequential path, through the same chunkJob.exec, and there is no
-// other. Nothing runs beside it, so it touches no executor, reads no
-// clock, and a DOACROSS loop's view is direct (cells.go).
+// A round of one (a width-1 runner at depth 1, a shed batch item, no
+// row predicted or admitted, or the tail behind a capped last chunk) is
+// slot 0 alone on the invoking goroutine, carrying chunk 0 alone: that
+// is the sequential path, through the same chunkJob.exec, and there is
+// no other. Nothing runs beside it, so it touches no executor, and a
+// DOACROSS loop's view is direct (cells.go). It reads no clock, except
+// round 0 of a DOALL runner of width 1, which reads two when the depth
+// policy may use them.
 //
 // The runner owns every per-invocation buffer (jobs and their lanes,
-// plans, works, memos) and reuses them across rounds and invocations,
+// plan, works, memos) and reuses them across rounds and invocations,
 // so the steady state allocates nothing at any width — including the
 // failure plumbing: ctx polling, the abort barrier and per-chunk error
 // slots all live in preallocated state.
@@ -59,7 +64,7 @@ import (
 // insight), so a chunk with a successor hunts its predicted start inside
 // every block, and only the chain's last chunk and a round of one hunt
 // nothing. Inside a block the loop touches only register-resident
-// locals (a paired block: the two chains' states, in its own frame);
+// locals (a group's block: its chains' states, in its own frame);
 // the chunk's lane is written between blocks only. Spills happen at two
 // places only:
 //
@@ -69,8 +74,8 @@ import (
 //     stops) runs against them;
 //   - panic recovery: each block routine keeps its started-iteration
 //     counts where its recovery defer can reach them, so a chunk that
-//     panics mid-block still reports an exact count — and a paired
-//     chunk's partner its exact state — and squash accounting stays
+//     panics mid-block still reports an exact count — and a grouped
+//     chunk's partners their exact states — and squash accounting stays
 //     exact to the iteration. A loop's own block form (Loop.Scan)
 //     reports its count only by returning, so there the count is exact
 //     to the block boundary.
@@ -94,8 +99,9 @@ import (
 // The clock is read four times per round with more than one slot — at
 // dispatch, after the invoker's own share, at the latch release, at the
 // end of the walk — however many chunks the slots carry, and never in a
-// round of one. The pairing policy reads round 0's first, second and
-// fourth reads (finish) and takes none of its own.
+// round of one, except round 0 of a width-1 DOALL runner: two reads, at
+// dispatch and after its slot. The pairing policy reads round 0's
+// first, second and last reads (finish) and takes none of its own.
 //
 // Cache-line layout invariants (the multicore contract of this file):
 //
@@ -111,7 +117,7 @@ import (
 //     runs, apart from one compare-and-swap on the claim word per
 //     contender and the lanes, each chunk's record, which only the
 //     claimant writes, once per block; so jobs carry no padding.
-//   - The runner's works, memos, plans, chain, rd and lease are touched
+//   - The runner's works, memos, plan, chain, rd and lease are touched
 //     only by the invoking goroutine, strictly outside the window in
 //     which workers run (dispatch before, chain resolution after the
 //     latch wait) — never concurrently with chunk execution.
@@ -132,15 +138,16 @@ import (
 // (exec), offered by dispatch, and in a DOACROSS round the copy-out of
 // its view (copy), offered by landCells once the walk has committed the
 // chunk. A slot carries one chunk of the round's validation chain, or
-// two (width 2) when the runner pairs; each chunk is a lane. r and idx
+// up to maxDepth consecutive ones; each chunk is a lane. r and idx
 // are wired once by NewRunner; seed sets the remaining fields, and the
 // lanes' inputs, every round.
 type chunkJob[S comparable, A any] struct {
 	r     *Runner[S, A]
-	idx   int // dispatch slot: at width 1 also its chunk's position in the chain
+	idx   int // dispatch slot: at depth 1 also its chunk's position in the chain
 	ctx   context.Context
 	width int // chunks this round: lanes[:width]
-	lanes [2]lane[S, A]
+	used  int // the most chunks since the last release: lanes[:used] hold caller state
+	lanes [maxDepth]lane[S, A]
 
 	claimWord // armed by dispatch after every other field of the round is in place
 	// copying names the armed phase: false for the chunk, true for the
@@ -156,15 +163,17 @@ type chunkJob[S comparable, A any] struct {
 // lane is one chunk of a slot and the chunk's one record: what seed arms
 // it with (its start, plan and backstop row, and stop, hunt and capAt:
 // the successor's predicted start and the iteration cap), then the
-// driver's state while it runs (chunkJob.exec), which is also the paired
-// routine's input and output (pairFn), and, once it has stopped, its
+// driver's state while it runs (chunkJob.exec), which is also the group
+// routine's input and output (groupFn), and, once it has stopped, its
 // outcome, which the walk reads. Only the slot's claimant writes it
 // while the slot runs, once per block.
 type lane[S comparable, A any] struct {
 	idx    int // the chunk's position in the round's validation chain (> 0: the start is predicted)
+	slot   int // the dispatch slot that carries it
 	start  S
 	ownRow int // SVA row this chunk's own backstop targets (-1: none)
 	plan   []planEntry
+	base   int64 // the position plan counts from: the chunk's (predicted) global start, or 0 for bootPlan
 
 	s, stop S // the state reached; the successor's predicted start (hunt)
 	acc     A
@@ -183,7 +192,7 @@ type lane[S comparable, A any] struct {
 	matched, capped bool
 	err             error
 	props           []proposal[S]
-	// The paired routine's report of the last block: iterations started
+	// The group routine's report of the last block: iterations started
 	// and why it stopped.
 	k   int64
 	why blockStop
@@ -271,10 +280,11 @@ func (j *chunkJob[S, A]) copy() {
 // blockloop.go), so the per-iteration body carries no mode branches;
 // every ctxPollEvery iterations a block boundary polls the invocation
 // context and the round's abort barrier, keeping slow-path overhead
-// amortized. A paired slot drives its two lanes through the paired
-// routine (Runner.pair) with one block bound for both, the nearer of
-// their next events, until one stops; the other goes on alone. Plan
-// cursor, cap, match and failure are per lane. The caller holds the
+// amortized. A slot of several chunks drives its lanes through the
+// group routine (Runner.group) with one block bound for all, the
+// nearest of their next events, while two or more are live; the last
+// goes on alone. Plan cursor, cap, match and failure are per lane. The
+// caller holds the
 // slot's claim (or runs slot 0, which is never submitted), so exec runs
 // exactly once per armed slot per round and signals the latch exactly
 // once.
@@ -284,8 +294,8 @@ func (j *chunkJob[S, A]) copy() {
 // dereferencing freed state) is recovered where it is called — inside
 // the block routines for the loop's callbacks, and by startChunk and
 // doneAt for Init, the fault site and boundary Done calls — and recorded
-// as its own chunk's *PanicError, so the process survives, a paired
-// chunk's partner goes on, and the chain resolution decides whether the
+// as its own chunk's *PanicError, so the process survives, a grouped
+// chunk's partners go on, and the chain resolution decides whether the
 // failure is architectural (surfaces from Run) or speculative
 // (squashed).
 func (j *chunkJob[S, A]) exec() {
@@ -298,17 +308,28 @@ func (j *chunkJob[S, A]) exec() {
 		view = &j.r.views[j.idx]
 	}
 	lanes := j.lanes[:j.width]
+	live := 0 // a lane whose Init or fault site failed never starts
 	for i := range lanes {
-		j.open(&lanes[i])
+		if j.open(&lanes[i]); lanes[i].live {
+			live++
+		}
 	}
-	if j.width == 2 {
-		x, y := &j.lanes[0], &j.lanes[1]
-		for x.live && y.live {
-			j.r.pair(&j.lanes, min(x.bound(), y.bound()))
-			x.work += x.k
-			y.work += y.k
-			j.settle(x, x.why, x.err)
-			j.settle(y, y.why, y.err)
+	for live > 1 {
+		n := int64(math.MaxInt64)
+		for i := range lanes {
+			if l := &lanes[i]; l.live {
+				n = min(n, l.bound())
+			}
+		}
+		j.r.group(lanes, n)
+		live = 0
+		for i := range lanes {
+			if l := &lanes[i]; l.live {
+				l.work += l.k
+				if j.settle(l, l.why, l.err); l.live {
+					live++
+				}
+			}
 		}
 	}
 	for i := range lanes {
@@ -346,7 +367,7 @@ func (j *chunkJob[S, A]) open(l *lane[S, A]) {
 func (l *lane[S, A]) bound() int64 {
 	bound := min(l.capAt, l.nextPoll)
 	if l.cursor < len(l.plan) {
-		bound = min(bound, max(l.plan[l.cursor].local, l.minPlanAt))
+		bound = min(bound, max(l.plan[l.cursor].at-l.base, l.minPlanAt))
 	}
 	return bound - l.work
 }
@@ -400,7 +421,7 @@ func (j *chunkJob[S, A]) settle(l *lane[S, A], why blockStop, err error) {
 	// completed count reaches the plan threshold (or the iteration after
 	// the previous capture, whichever is later — duplicate thresholds
 	// fire one iteration apart, as in the per-iteration loop).
-	if l.cursor < len(l.plan) && l.work >= l.plan[l.cursor].local && l.work >= l.minPlanAt {
+	if l.cursor < len(l.plan) && l.work >= l.plan[l.cursor].at-l.base && l.work >= l.minPlanAt {
 		e := l.plan[l.cursor]
 		l.props = append(l.props, proposal[S]{row: e.row, state: l.s, local: l.work})
 		l.ownDone = l.ownDone || e.row == l.ownRow
@@ -475,12 +496,13 @@ func (r *Runner[S, A]) release() {
 	for j := range r.jobs {
 		job := &r.jobs[j]
 		job.ctx = nil
-		for i := range job.lanes {
+		for i := range job.used {
 			l := &job.lanes[i]
 			l.start, l.plan, l.s, l.stop, l.acc, l.err = zeroS, nil, zeroS, zeroS, zeroA, nil
 			clear(l.props[:cap(l.props)])
 			l.props = l.props[:0]
 		}
+		job.used = 0
 	}
 	clear(r.chunks)
 	memos := r.memos[:cap(r.memos)]
@@ -517,10 +539,11 @@ func (r *Runner[S, A]) queuedEntries() int64 {
 // it costs no allocation; only the invoking goroutine touches it, and
 // release zeroes it with the rest of the caller's state.
 type round[S comparable, A any] struct {
-	index int   // the round's number within the invocation
-	n     int   // chunks seeded: chunk 0, then one per row of r.chain
-	slots int   // the slots that carry them (layout)
-	pairs int   // slots 0..pairs-1 carry two chunks each, the rest one
+	index int // the round's number within the invocation
+	n     int // chunks seeded: chunk 0, then one per row of r.chain
+	slots int // the slots that carry them (layout)
+	per   int // chunks on each slot: per+1 on slots 0..extra-1, per on the rest
+	extra int
 	armed int   // chunks dispatch launched: always the prefix 0..armed-1, whole slots
 	cur   S     // chunk 0's start, the live state
 	pos   int64 // chunk 0's global position: the iterations committed so far
@@ -531,9 +554,11 @@ type round[S comparable, A any] struct {
 	// Round 0's clock, the pairing policy's evidence (finish), from the
 	// reads dispatch and land take anyway: dispatch time, the invoker's
 	// own share (its slot, before any reclaim), dispatch to landed;
-	// whether the invoker reclaimed a slot, and whether slots were paired.
-	t0, own, wall     int64
-	reclaimed, paired bool
+	// whether the invoker reclaimed a slot, and the chunks each slot
+	// carried (0: not the same on every slot).
+	t0, own, wall int64
+	reclaimed     bool
+	rung          int
 
 	// The walk's outcome.
 	f           int   // slot the walk stopped on: the last committed, or the failed one
@@ -551,30 +576,24 @@ type round[S comparable, A any] struct {
 	round0    int64 // iterations round 0 committed
 }
 
-// layout spreads n chunks over at most width slots: one each while they
-// fit, else the first n-width slots carry two (n ≤ 2·width).
+// layout spreads n chunks over at most width slots, consecutive chunks
+// on each (seed), as evenly as they go: one each while they fit, else
+// the first n mod width slots carry one more than the rest (n ≤
+// maxDepth·width). A round that fits divides nothing: its fixed cost is
+// every round of one's.
 func (rd *round[S, A]) layout(n, width int) {
-	rd.n, rd.slots = n, min(n, width)
-	rd.pairs = n - rd.slots
-}
-
-// first is the chain position of slot i's first chunk.
-func (rd *round[S, A]) first(i int) int { return i + min(i, rd.pairs) }
-
-// slot is the slot that carries chunk c.
-func (rd *round[S, A]) slot(c int) int {
-	if c < 2*rd.pairs {
-		return c / 2
+	rd.n, rd.slots, rd.per, rd.extra = n, min(n, width), 1, 0
+	if n > width {
+		rd.per, rd.extra = n/width, n%width
 	}
-	return c - rd.pairs
 }
 
 // run executes one invocation as a loop over rounds. A round seeds
 // chunk 0 at the live (state, global position) — architecturally
 // correct, never capped — and one speculative chunk per row of its
 // chain, each hunting the next row's predicted start; lays them out on
-// at most Threads slots, two to a slot when they do not fit one each
-// (round.layout); launches and joins the slots; then walks the chain
+// at most Threads slots, several to a slot when they do not fit one
+// each (round.layout); launches and joins the slots; then walks the chain
 // once: the prefix up to the first chunk that did not stop on its
 // successor's start commits at exact global positions, everything after
 // it is squashed. If the walk stopped on a capped chunk or on a
@@ -637,9 +656,18 @@ func (r *Runner[S, A]) begin(start S, n int) {
 		rd.cap = probeSpecCap(rd.cap, r.pred.prevTotal, n)
 	}
 	rd.layout(n, r.cfg.Threads)
-	rd.cur, rd.boot, rd.paired = start, n == 1 && r.cfg.Threads > 1, rd.pairs > 0
+	// A round of one memoizes by the bootstrap plan whenever the grid has
+	// a row in use (not a width-1 runner at depth 1, nor a width-1
+	// DOACROSS one).
+	rd.cur, rd.boot, rd.rung = start, n == 1 && r.pred.stride < r.pred.parts, 0
+	if rd.extra == 0 {
+		rd.rung = rd.per
+	}
 	clear(r.works)
 	r.memos = r.memos[:0]
+	if !rd.boot {
+		r.plan = r.pred.plan(r.plan[:0])
+	}
 }
 
 // seed arms the round's slots and lanes, records each chunk's lane in
@@ -648,19 +676,23 @@ func (r *Runner[S, A]) begin(start S, n int) {
 // on the prediction; correctness comes from the validation chain.
 func (r *Runner[S, A]) seed(ctx context.Context) {
 	rd, rows := &r.rd, r.pred.rows
+	c := 0
 	for i := 0; i < rd.slots; i++ {
 		j := &r.jobs[i]
-		j.ctx, j.width = ctx, 1
-		if i < rd.pairs {
-			j.width = 2
+		j.ctx, j.width = ctx, rd.per
+		if i < rd.extra {
+			j.width++
+		}
+		j.used = max(j.used, j.width)
+		for k := range j.width {
+			r.chunks[c], j.lanes[k].slot = &j.lanes[k], i
+			c++
 		}
 	}
 	var zero S
 	for c := 0; c < rd.n; c++ {
-		i := rd.slot(c)
-		l, at := &r.jobs[i].lanes[c-rd.first(i)], rd.pos
-		r.chunks[c] = l
-		l.idx, l.start, l.stop, l.hunt, l.ownRow, l.capAt, l.plan, l.props = c, rd.cur, zero, false, -1, 1<<62, bootPlan, l.props[:0]
+		l, at := r.chunks[c], rd.pos
+		l.idx, l.start, l.stop, l.hunt, l.ownRow, l.capAt, l.plan, l.base, l.props = c, rd.cur, zero, false, -1, 1<<62, bootPlan, 0, l.props[:0]
 		if c > 0 {
 			from := &rows[r.chain[c-1]]
 			l.start, at = from.start, max(rd.pos, from.pos)
@@ -675,8 +707,7 @@ func (r *Runner[S, A]) seed(ctx context.Context) {
 			l.stop, l.hunt = rows[l.ownRow].start, true
 		}
 		if !rd.boot {
-			r.plans[c] = r.pred.planFromPosition(at, r.plans[c][:0])
-			l.plan = r.plans[c]
+			l.plan, l.base = planFrom(r.plan, at), at
 		}
 	}
 }
@@ -700,6 +731,9 @@ func (r *Runner[S, A]) dispatch(ctx context.Context) {
 		// Nothing runs beside slot 0: no handoff to time, and the next
 		// round has no release to measure its gap from.
 		r.lease.released = 0
+		if rd.index == 0 && r.exec == nil && r.pairing.timed(r.pred.prevTotal) {
+			t0 = nanos() // round 0 of a width-1 runner, for the depth policy
+		}
 	}
 	armed := 0 // slots
 	rd.armed, rd.dispatchErr = 0, nil
@@ -726,9 +760,9 @@ func (r *Runner[S, A]) dispatch(ctx context.Context) {
 			j.offer(r.exec, r.home+uint32(i-1), j)
 		}
 		armed = i + 1
-		rd.armed = rd.first(armed)
+		rd.armed += r.jobs[i].width
 	}
-	if armed > 0 && rd.pairs > 0 {
+	if armed > 0 && rd.n > rd.slots {
 		r.pend.PairedRounds++
 	}
 	// Inline slot 0: chunk 0, the non-speculative chunk, runs on the
@@ -738,6 +772,11 @@ func (r *Runner[S, A]) dispatch(ctx context.Context) {
 	// executor, and its latch is released by the time exec returns.
 	if armed > 0 {
 		r.jobs[0].exec()
+	}
+	if rd.slots == 1 && t0 != 0 {
+		// A width-1 round is its slot: the invoker's share is the round.
+		rd.t0, rd.own = t0, nanos()-t0
+		rd.wall = rd.own
 	}
 	if armed > 1 {
 		// Reclaim, in chain order: a slot no worker has started yet
@@ -852,7 +891,7 @@ func (r *Runner[S, A]) walk() {
 		}
 		rd.pos += l.work
 		if rd.index == 0 {
-			r.works[rd.slot(i)] += l.work
+			r.works[l.slot] += l.work
 		} else {
 			r.pend.RecoveryChunks++
 		}
@@ -862,7 +901,7 @@ func (r *Runner[S, A]) walk() {
 		}
 	}
 	if rd.index == 0 {
-		rd.last, rd.round0 = rd.slot(rd.f), rd.pos
+		rd.last, rd.round0 = r.chunks[rd.f].slot, rd.pos
 	}
 }
 
@@ -999,7 +1038,7 @@ func (r *Runner[S, A]) verdicts() bool {
 	rd := &r.rd
 	again := rd.conflictAt >= 0 || r.chunks[rd.f].capped
 	for i := 1; i < rd.armed; i++ {
-		if reclaimed := r.jobs[rd.slot(i)].reclaimed; i <= rd.f {
+		if reclaimed := r.jobs[r.chunks[i].slot].reclaimed; i <= rd.f {
 			r.noteHit(r.chain[i-1], reclaimed)
 		} else if !again {
 			r.noteMiss(r.chain[i-1], reclaimed)
@@ -1073,8 +1112,13 @@ func (r *Runner[S, A]) finish() {
 	}
 	r.pred.apply(rd.pos, r.memos)
 	r.pend.LastWorks = r.works
-	if r.pairing.forced != 0 {
+	if r.pairing.forced != 0 || r.exec == nil && rd.t0 == 0 {
+		// Pinned, or a width-1 round the policy did not time: no evidence.
 		return
+	}
+	procs := 1 // a width-1 runner's one slot is the invoker's, on one processor
+	if r.exec != nil {
+		procs = r.exec.procs
 	}
 	var perIter, chunk0 float64
 	if rd.wall > 0 && rd.round0 > 0 && !rd.reclaimed {
@@ -1086,8 +1130,8 @@ func (r *Runner[S, A]) finish() {
 	// A round wider than the host's processors is never clean: its chunk
 	// 0 waits for a processor its own workers hold, and reads as a loop
 	// that waits on memory.
-	clean := rd.index == 0 && !rd.misspec && !rd.reclaimed && rd.slots <= r.exec.procs
-	if r.pairing.observe(perIter, rd.slots, rd.paired, clean, chunk0, rd.pos/int64(2*r.cfg.Threads)) {
+	clean := rd.index == 0 && !rd.misspec && !rd.reclaimed && rd.slots <= procs
+	if r.pairing.observe(perIter, rd.rung, rd.slots, clean, chunk0, rd.pos/int64(r.cfg.Threads)) {
 		r.pred.stride = r.pred.parts / (r.cfg.Threads * r.pairing.depth)
 	}
 }

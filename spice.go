@@ -146,11 +146,11 @@ type Loop[S comparable, A any] struct {
 	// setting when the body is a few nanoseconds and the structure is
 	// cache-resident; a body ≫ 10 ns or a memory-bound traversal hides
 	// the three calls. A memory-bound traversal may also run without
-	// Scan: a runner that finds its chunks waiting on memory steps two of
-	// them in lockstep through Done/Body/Next, which one compiled Scan
-	// loop cannot interleave (Stats.PairedRounds, README "Paired
-	// chunks"). That is one more reason Body and SpecBody stay the
-	// reference semantics.
+	// Scan: a runner that finds its chunks waiting on memory steps up to
+	// four of them per slot in lockstep through Done/Body/Next, which one
+	// compiled Scan loop cannot interleave (Stats.PairedRounds, README
+	// "Chains per slot"). That is one more reason Body and SpecBody stay
+	// the reference semantics.
 	Scan func(s S, acc A, v *CellView, stop S, n int64) (S, A, int64)
 	// Init returns the identity accumulator a fresh chunk starts from.
 	Init func() A
@@ -301,12 +301,12 @@ type Config struct {
 	// a few invocations; zero keeps the derivation.
 	maxSpec    int64
 	probeEvery int
-	// depth, when positive, pins the chunks a dispatch slot carries (1 or
-	// 2) instead of deriving it (pairing, adaptive.go). A DOACROSS loop
-	// and a width-1 runner stay at 1 whatever it says. A pinned runner
-	// plans on its pinned depth's grid: Threads·depth chunks. Tests pin 2
-	// to run every DOALL scenario paired, and 1 where they pin a chunk
-	// layout.
+	// depth, when positive, pins the chunks a dispatch slot carries
+	// (1..4) instead of deriving it (pairing, adaptive.go). A DOACROSS
+	// loop stays at 1 whatever it says. A pinned runner plans on its
+	// pinned depth's grid: Threads·depth chunks. Tests pin 2 or 4 to
+	// run DOALL scenarios with several chunks a slot, and 1 where they pin
+	// a chunk layout.
 	depth int
 }
 
@@ -379,10 +379,11 @@ type Stats struct {
 	// minted on the next acquisition. Always zero on a standalone
 	// Runner.
 	RunnersRetired int64
-	// PairedRounds counts rounds whose dispatch slots carried two chunks
-	// each, stepped in lockstep (see README "Paired chunks"): a DOALL
-	// runner does that while its traversal waits on memory. A subset of
-	// the rounds (conservation: PairedRounds ≤ Invocations + Recoveries).
+	// PairedRounds counts rounds whose slots carried more than one chunk,
+	// stepped in lockstep (see README "Chains per slot"): a DOALL runner
+	// does that while its traversal waits on memory, at any width. A
+	// subset of the rounds (conservation: PairedRounds ≤ Invocations +
+	// Recoveries).
 	PairedRounds int64
 	// EffectiveThreads is the adaptive controller's current width (a
 	// gauge, not a counter; equals the configured Threads when the
@@ -397,8 +398,8 @@ type Stats struct {
 	EffectiveThreads int64
 	// LastWorks is the committed iteration counts of the most recent
 	// invocation, one entry per dispatch slot (zero for squashed or idle
-	// ones). A slot that carried two chunks (PairedRounds) reports the
-	// sum of the two.
+	// ones). A slot that carried several chunks (PairedRounds) reports
+	// their sum.
 	LastWorks []int64
 }
 
@@ -451,8 +452,8 @@ func (s Stats) Plus(d Stats) Stats {
 }
 
 // Imbalance returns max/mean over the last invocation's non-zero slot
-// works (LastWorks; 1.0 = perfectly balanced), a paired slot's entry
-// being the sum of its two chunks. Zero entries are idle or squashed
+// works (LastWorks; 1.0 = perfectly balanced), the entry of a slot of
+// several chunks being their sum. Zero entries are idle or squashed
 // slots, not unevenly loaded ones, so they are excluded from the mean.
 func (s Stats) Imbalance() float64 {
 	var sum, maxW int64
@@ -517,12 +518,12 @@ func NewRunner[S comparable, A any](loop Loop[S, A], cfg Config) (*Runner[S, A],
 		cfg:   cfg,
 		cells: loop.Cells,
 	}
-	r.block, r.pair = blockOf(&loop)
-	depth := 2 // the finest depth: the most chunks a slot may carry
-	if r.pair == nil || cfg.Threads < 2 {
+	r.block, r.group = blockOf(&loop)
+	depth := maxDepth // the finest depth: the most chunks a slot may carry
+	if r.group == nil {
 		r.pairing.forced, depth = 1, 1
 	} else if cfg.depth > 0 {
-		depth = min(cfg.depth, 2)
+		depth = min(cfg.depth, maxDepth)
 		r.pairing.forced = depth
 	}
 	r.pairing.reset()
@@ -534,14 +535,11 @@ func NewRunner[S comparable, A any](loop Loop[S, A], cfg Config) (*Runner[S, A],
 	r.chunks = make([]*lane[S, A], chunks)
 	r.jobs = make([]chunkJob[S, A], cfg.Threads)
 	r.works = make([]int64, cfg.Threads)
-	r.plans = make([][]planEntry, chunks)
+	// Presized (one entry per inner boundary), so a round of any width
+	// plans without allocating from the first invocation on.
+	r.plan = make([]planEntry, 0, chunks-1)
 	r.chain = make([]int, 0, chunks)
 	r.lat.init()
-	for c := range r.plans {
-		// Presized (a plan has at most chunks-1 entries), so a round of
-		// any width plans without allocating from the first invocation on.
-		r.plans[c] = make([]planEntry, 0, chunks)
-	}
 	for j := range r.jobs {
 		r.jobs[j].r, r.jobs[j].idx = r, j
 	}
