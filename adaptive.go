@@ -27,14 +27,17 @@ import (
 //     conflict doubles the wait before the next one, once per probe (up
 //     to maxProbeInterval); a hit restores it.
 //
-// No width is set besides the rows: speculation goes where each row's
-// own record says it pays (Garmon et al.). The record is plain scalar
-// state: no allocation after construction, so the native runtime's
-// steady-state 0 allocs/op contract holds with the gate on.
+// The gate sets no width besides the rows: speculation goes where each
+// row's own record says it pays (Garmon et al.). The record is plain
+// scalar state: no allocation after construction, so the native
+// runtime's steady-state 0 allocs/op contract holds with the gate on.
 //
-// The file also holds the pairing policy (pairing), which decides how
-// many chunks a DOALL runner's dispatch slot carries. It is not part of
-// Options.Adaptive: it runs whether the gate is on or off.
+// The file also holds the shape policy (pairing), which decides how
+// many chunks a DOALL runner's dispatch slot carries and, on a runner of
+// width 2 or more, whether its rounds use that width or the invoker's
+// slot alone. It is not part of Options.Adaptive: it runs whether the
+// gate is on or off. A runner it narrows to width 1 consults no gate:
+// it has no width left for the gate to close.
 
 const (
 	// specConfAlpha weighs the newest chunk outcome into a row's
@@ -182,15 +185,16 @@ const (
 	pairRecheck = 32
 )
 
-// pairing is the depth policy of a DOALL runner: how many chunks of the
+// pairing is the shape policy of a DOALL runner: how many chunks of the
 // validation chain a dispatch slot carries, on a ladder of rungs 1, 2
-// and 4 (scheduler.go). A slot at depth D steps its D chunks in lockstep
-// (blockGroup), so a core that waits on a cache miss in one chain has
-// the other chains' misses in flight beside it; at width 1 the one slot
-// is the invoker's, so D chunks of the traversal run there with no
-// executor at all. That pays only when the traversal is memory-bound, so
-// each rung is tried on evidence and kept only while it pays — Garmon
-// et al.'s rule for a speculative resource:
+// and 4 (scheduler.go), and, on a runner of width W ≥ 2, whether a round
+// uses its W slots or the invoker's alone. A slot at depth D steps its D
+// chunks in lockstep (blockGroup), so a core that waits on a cache miss
+// in one chain has the other chains' misses in flight beside it; at
+// width 1 the one slot is the invoker's, so D chunks of the traversal
+// run there with no executor at all. That pays only when the traversal
+// is memory-bound, so each rung is tried on evidence and kept only while
+// it pays — Garmon et al.'s rule for a speculative resource:
 //
 //   - a clean round 0 at depth 1 (nothing reclaimed, squashed or capped,
 //     and no more slots than the host has processors, or chunk 0's clock
@@ -220,83 +224,135 @@ const (
 //   - every pairRecheck invocations above depth 1, one runs a rung down,
 //     so the rung below's figure is fresh when the two are compared.
 //
-// A sample goes to the rung its round ran at: round 0 laid out evenly,
-// D chunks on each of its slots. The first invocation after a climb
+// Width is a rung too. Each width-W round with a processor per slot,
+// pairMinChunk iterations of the last trip count per slot, and an
+// invoker that read at least pairMinNs an iteration gives a gain: the
+// round's wall ns per committed iteration over the invoker's own ns per
+// iteration stepped (1/W where the slots split the work evenly, 1 or
+// more where the invoker ends up walking the traversal, or waiting for
+// a slot that did). Once the median of the last pairWindow gains is at
+// or above pairGain (both middle samples: a majority of the window),
+// the runner narrows: it runs (1, D), D chunks of its own grid in
+// lockstep on the invoker, a chain of every W-th row, with no executor,
+// lease or gate, and climbs and drops rungs on width-1 figures of their
+// own. Every pairRecheck invocations it runs one round at (W, D) instead
+// (a width recheck), and it widens when the median gain, with that
+// round's in it, is below pairGain (again a majority); a window split
+// evenly keeps the width it has. The median, not the lowest: a relinked
+// structure lands its split anywhere, so a width's rounds range from
+// balanced to serial on the structure alone, and the lowest would
+// compare best cases; and a round's own two clocks share whatever the
+// host did to it, so a slow stretch of the host moves the gain little.
+//
+// A sample goes to the rung its round ran at: the chunks its busiest
+// slot carried, rounded up to a rung. The first invocation after a climb
 // finds only the coarser rung's rows valid and runs that rung's layout;
-// so does the one after a recheck. Every figure is the lowest of the
-// last pairWindow samples (lows), not an average: a round the host held
-// up only adds time. On a shared 2-vCPU guest one round in a few
+// so does the one after a recheck; a round the confidence gate thinned
+// counts as the rung it thinned. Every depth figure is the lowest of
+// the last pairWindow samples (lows), not an average: a round the host
+// held up only adds time. On a shared 2-vCPU guest one round in a few
 // thousand read 40× the others — enough to lift an EWMA over the trigger
 // on a 1 ns/iteration list, and then keep a rung against that stale
 // figure. Every figure comes from the clock reads the scheduler takes
 // anyway. Confined to the runner's invocation cycle, like the predictor.
 type pairing struct {
-	forced int     // Config.depth, or 1 for a runner that cannot step chains together: the depth, pinned (0: derived)
-	top    int     // the rung climbed to
-	depth  int     // the depth the next invocation runs at: top, or top/2 on a recheck
-	at     [3]lows // round 0's wall ns per committed iteration at depths 1, 2 and 4 (index log2)
-	c0     lows    // chunk 0's own ns per iteration in clean depth-1 rounds
-	since  int     // samples of top since the runner reached it
-	dry    int     // invocations in a row above depth 1 that gave no sample of top
-	wait   int     // invocations left before the runner may climb again
-	due    int     // invocations above depth 1 left before the next recheck
-	doubt  bool    // top lost a comparison: the rung below's figure holds only samples since
-	paid   bool    // top has beaten the rung below since the runner reached it
+	forced int        // Config.depth, or 1 for a runner that cannot step chains together: the depth, pinned (0: derived)
+	top    int        // the rung climbed to
+	depth  int        // the depth the next invocation runs at: top, or top/2 on a recheck
+	narrow bool       // width did not pay: the runner runs (1, top)
+	one    bool       // the next invocation runs at width 1: narrow, but not on a width recheck
+	at     [2][3]lows // round 0's wall ns per committed iteration at depths 1, 2 and 4 (index log2), at width W and narrowed to 1
+	c0     lows       // chunk 0's own ns per iteration in clean depth-1 rounds
+	gain   lows       // width-W rounds' wall per committed iteration over the invoker's own per iteration
+	since  int        // samples of top since the runner reached it
+	dry    int        // invocations in a row above depth 1 that gave no sample of top
+	wait   int        // invocations left before the runner may climb again
+	due    int        // invocations left before the next recheck: of depth above depth 1, of width while narrowed
+	doubt  bool       // top lost a comparison: the rung below's figure holds only samples since
+	paid   bool       // top has beaten the rung below since the runner reached it
 }
 
 // reset forgets every measurement and returns to the pinned depth, or
-// to depth 1.
+// to depth 1, at full width.
 func (p *pairing) reset() {
 	d := max(p.forced, 1)
 	*p = pairing{forced: p.forced, top: d, depth: d}
 }
 
 // observe takes one successful invocation's round 0 and returns whether
-// the depth of the next invocation differs from this one's. A pinned
+// the shape of the next invocation differs from this one's. A pinned
 // depth (forced) is never observed. perIter is round 0's wall ns per
 // committed iteration (0: no sample — a round of one on a runner of
 // width 2 or more reads no clock, and a round whose invoker reclaimed a
-// slot measures a late worker and not the depth); rung, the chunks each
-// of its slots carried (0: not the same on every slot); slots, its slot
-// count; clean, whether nothing was reclaimed, squashed or capped;
-// chunk0, chunk 0's own ns per iteration; perSlot, the trip count per
-// slot.
-func (p *pairing) observe(perIter float64, rung, slots int, clean bool, chunk0 float64, perSlot int64) bool {
-	was := p.depth
-	p.depth = p.top
+// slot measures a late worker and not the shape); rung, the chunks its
+// busiest slot carried; slots, its slot count; clean, whether nothing
+// was reclaimed, squashed or capped; self, the invoker's own ns per
+// iteration its slot stepped (0: more slots than processors); perSlot,
+// the trip count per slot of the runner's width.
+func (p *pairing) observe(perIter float64, rung, slots int, clean bool, self float64, perSlot int64) bool {
+	was, wasOne := p.depth, p.one
+	p.depth, p.one = p.top, p.narrow
 	if p.wait > 0 {
 		p.wait--
 	}
-	sampled := perIter > 0 && rung > 0 && rung&(rung-1) == 0
-	if sampled {
-		p.at[bits.TrailingZeros(uint(rung))].add(perIter)
+	k := bits.Len(uint(rung - 1)) // the rung the round ran at
+	if perIter > 0 {
+		p.at[b2i(wasOne)][k].add(perIter)
+		if slots > 1 && self >= pairMinNs && perSlot >= pairMinChunk {
+			p.gain.add(perIter / self)
+		}
 	}
+	under, over := p.gain.split(pairGain)
+	switch {
+	case p.narrow && !wasOne:
+		// A width recheck: W's gain is all it tells.
+		if under > pairWindow/2 {
+			p.setWidth(false)
+		}
+	case !p.narrow && over > pairWindow/2:
+		p.setWidth(true)
+	default:
+		p.ladder(perIter > 0, k, slots, clean, self, perSlot)
+		if p.narrow && p.due <= 0 && p.depth == p.top {
+			p.one, p.due = false, pairRecheck
+		}
+	}
+	return p.depth != was || p.one != wasOne
+}
+
+// ladder is observe's depth step at the width the round ran at: sampled
+// says the round gave a sample, of rung index k.
+func (p *pairing) ladder(sampled bool, k, slots int, clean bool, self float64, perSlot int64) {
+	at := &p.at[b2i(p.narrow)]
 	deepest := 1
 	for deepest < maxDepth && perSlot/int64(2*deepest) >= pairMinChunk {
 		deepest *= 2
 	}
+	if p.narrow || p.top > 1 {
+		p.due--
+	}
 	if p.top == 1 {
 		if sampled && clean {
-			p.c0.add(chunk0)
-			if p.wait == 0 && deepest > 1 && p.c0.n >= pairWindow && p.c0.low() >= pairMinNs && p.at[0].low()*float64(slots) >= pairMinNs {
+			p.c0.add(self)
+			if p.wait == 0 && deepest > 1 && p.c0.n >= pairWindow && p.c0.low() >= pairMinNs && at[0].low()*float64(slots) >= pairMinNs {
 				p.climb()
 			}
 		}
-		return p.depth != was
+		return
 	}
-	if p.due--; p.due <= 0 {
+	if !p.narrow && p.due <= 0 {
 		p.depth, p.due = p.top/2, pairRecheck
 	}
 	r := bits.TrailingZeros(uint(p.top))
 	switch {
-	case sampled && rung == p.top:
+	case sampled && k == r:
 		p.dry, p.since = 0, p.since+1
 		switch {
 		case p.top > deepest:
 			p.down(r)
-		case p.since < pairWindow, p.doubt && p.at[r-1].n == 0:
+		case p.since < pairWindow, p.doubt && at[r-1].n == 0:
 			// Too few samples of the rung, or none of the recheck yet.
-		case p.at[r].low() <= pairGain*p.at[r-1].low():
+		case at[r].low() <= pairGain*at[r-1].low():
 			p.doubt, p.paid = false, true
 			if p.wait == 0 && p.top < deepest {
 				p.climb()
@@ -306,7 +362,7 @@ func (p *pairing) observe(perIter float64, rung, slots int, clean bool, chunk0 f
 		default:
 			// The rung lost to a figure that may predate the host's
 			// present state: read the rung below afresh now.
-			p.doubt, p.at[r-1] = true, lows{}
+			p.doubt, at[r-1] = true, lows{}
 			p.depth, p.due = p.top/2, pairRecheck
 		}
 	case p.dry+1 >= pairWindow:
@@ -314,12 +370,11 @@ func (p *pairing) observe(perIter float64, rung, slots int, clean bool, chunk0 f
 	default:
 		p.dry++
 	}
-	return p.depth != was
 }
 
-// timed reports whether round 0 of a width-1 runner reads the clock for
-// the policy: while the depth is derived and above 1, or perSlot, the
-// last trip count, would allow depth 2.
+// timed reports whether round 0 of a width-1 runner, or of a narrowed
+// one, reads the clock for the policy: while the depth is derived and
+// above 1, or perSlot, the last trip count, would allow depth 2.
 func (p *pairing) timed(perSlot int64) bool {
 	return p.forced == 0 && (p.top > 1 || perSlot >= 2*pairMinChunk)
 }
@@ -327,18 +382,39 @@ func (p *pairing) timed(perSlot int64) bool {
 // climb moves the ladder one rung up.
 func (p *pairing) climb() {
 	p.top *= 2
-	p.depth, p.since, p.dry, p.due, p.doubt, p.paid = p.top, 0, 0, pairRecheck, false, false
+	p.restart()
 }
 
 // down moves the ladder from rung r one rung down and forgets rung r's
 // figure; it backs off unless rung r had paid.
 func (p *pairing) down(r int) {
-	p.at[r] = lows{}
+	p.at[b2i(p.narrow)][r] = lows{}
 	p.top /= 2
 	if !p.paid {
 		p.wait = pairBackoff
 	}
+	p.restart()
+}
+
+// setWidth narrows the runner to width 1 or widens it back, at the rung
+// it is on, which is judged afresh at the new width.
+func (p *pairing) setWidth(narrow bool) {
+	p.narrow, p.one = narrow, narrow
+	p.restart()
+}
+
+// restart runs the next invocation at the top rung, judged afresh: no
+// samples of it yet, and the next recheck pairRecheck invocations away.
+func (p *pairing) restart() {
 	p.depth, p.since, p.dry, p.due, p.doubt, p.paid = p.top, 0, 0, pairRecheck, false, false
+}
+
+// b2i is 1 for true and 0 for false.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // lows keeps a figure's last pairWindow samples, as a ring.
@@ -352,6 +428,20 @@ func (l *lows) add(x float64) float64 {
 	l.xs[l.n%pairWindow] = x
 	l.n++
 	return l.low()
+}
+
+// split counts the samples kept below x and at or above it: more than
+// pairWindow/2 on one side puts a full window's median, both middle
+// samples, there.
+func (l *lows) split(x float64) (under, over int) {
+	for _, y := range l.xs[:min(l.n, pairWindow)] {
+		if y < x {
+			under++
+		} else {
+			over++
+		}
+	}
+	return under, over
 }
 
 // low is the lowest sample kept (+Inf before the first).

@@ -249,7 +249,10 @@ func TestProbeSpecCapTightens(t *testing.T) {
 // pairRecheck invocations one runs a rung down; a round the host held
 // up moves no rung's cost. On a runner, a change of depth changes which rows of its
 // one grid it uses, and a body that burns time per node is found and
-// paired by the derived rule itself.
+// paired by the derived rule itself. A round the confidence gate thinned
+// is a sample of the rung it ran. Width is a rung: a runner whose
+// width-W rounds do not beat the invoker's own pace narrows to width 1,
+// rechecks W on the recheck schedule and widens when W pays again.
 func TestPairingPolicy(t *testing.T) {
 	const slow, long = 2 * pairMinNs, pairMinChunk
 	const two, deep = 2 * long, maxDepth * long // trip counts per slot that allow depth 2, and maxDepth
@@ -258,7 +261,7 @@ func TestPairingPolicy(t *testing.T) {
 		// whether one of them tried depth 2.
 		slowRounds := func(p *pairing, n int) (tried bool) {
 			for range n {
-				tried = p.observe(100, 1, 2, true, slow, two) || tried
+				tried = p.observe(100, 1, 1, true, slow, two) || tried
 			}
 			return tried
 		}
@@ -272,7 +275,7 @@ func TestPairingPolicy(t *testing.T) {
 			perSlot int64
 		}{{false, slow, two}, {true, pairMinNs / 2, two}, {true, slow, two - 1}} {
 			q := p
-			if q.observe(100, 1, 2, no.clean, no.chunk0, no.perSlot) || q.depth != 1 {
+			if q.observe(100, 1, 1, no.clean, no.chunk0, no.perSlot) || q.depth != 1 {
 				t.Fatalf("%+v tried depth 2", no)
 			}
 		}
@@ -283,13 +286,13 @@ func TestPairingPolicy(t *testing.T) {
 		// rounds but not all.
 		fast := pairing{top: 1, depth: 1}
 		for range pairWindow {
-			fast.observe(1, 1, 2, true, 2, two)
+			fast.observe(1, 1, 1, true, 2, two)
 		}
-		if fast.observe(40, 1, 2, true, 80, two) {
+		if fast.observe(40, 1, 1, true, 80, two) {
 			t.Fatal("one held-up round after fast rounds tried depth 2")
 		}
 		preempted := pairing{top: 1, depth: 1}
-		preempted.observe(100, 1, 2, true, 2, two)
+		preempted.observe(100, 1, 1, true, 2, two)
 		if slowRounds(&preempted, pairWindow-1) {
 			t.Fatal("a window with one fast chunk 0 tried depth 2")
 		}
@@ -302,7 +305,7 @@ func TestPairingPolicy(t *testing.T) {
 		// drops when it loses to that fresh figure too. It had paid, so
 		// the next clean, slow round tries it again. The trip count allows
 		// no deeper rung.
-		if p.observe(60, 2, 2, true, 0, two) || p.observe(4000, 2, 2, true, 0, two) || p.top != 2 {
+		if p.observe(60, 2, 1, true, 0, two) || p.observe(4000, 2, 1, true, 0, two) || p.top != 2 {
 			t.Fatal("a paying paired round dropped depth 2")
 		}
 		// lose feeds rounds at depth 1's cost at depth 2 until one loses,
@@ -310,16 +313,16 @@ func TestPairingPolicy(t *testing.T) {
 		// returns the rounds it took to lose.
 		lose := func() (rounds int) {
 			for p.depth == 2 && rounds < 2*pairWindow {
-				p.observe(100, 2, 2, true, 0, two)
+				p.observe(100, 2, 1, true, 0, two)
 				rounds++
 			}
 			if p.top != 2 || p.depth != 1 {
 				t.Fatalf("top %d depth %d after %d rounds at depth 1's cost", p.top, p.depth, rounds)
 			}
-			if !p.observe(100, 1, 2, true, slow, two) || p.depth != 2 {
+			if !p.observe(100, 1, 1, true, slow, two) || p.depth != 2 {
 				t.Fatalf("depth %d after the recheck", p.depth)
 			}
-			if !p.observe(100, 2, 2, true, 0, two) || p.depth != 1 {
+			if !p.observe(100, 2, 1, true, 0, two) || p.depth != 1 {
 				t.Fatalf("depth %d after depth 2 lost to a fresh depth 1", p.depth)
 			}
 			return rounds
@@ -350,9 +353,9 @@ func TestPairingPolicy(t *testing.T) {
 		// sample is depth 1's.
 		noSample := func(i int) bool {
 			if i%2 == 0 {
-				return p.observe(100, 1, 2, true, 0, two)
+				return p.observe(100, 1, 1, true, 0, two)
 			}
-			return p.observe(0, 2, 2, false, 0, two)
+			return p.observe(0, 2, 1, false, 0, two)
 		}
 		for range 2 {
 			for i := 1; i < pairWindow; i++ {
@@ -360,7 +363,7 @@ func TestPairingPolicy(t *testing.T) {
 					t.Fatalf("dropped after %d sample-less invocations", i)
 				}
 			}
-			if p.observe(60, 2, 2, true, 0, two) || p.top != 2 {
+			if p.observe(60, 2, 1, true, 0, two) || p.top != 2 {
 				t.Fatal("a paying paired round dropped depth 2")
 			}
 		}
@@ -376,7 +379,7 @@ func TestPairingPolicy(t *testing.T) {
 		// samples climbs to the next, up to maxDepth.
 		p := pairing{top: 1, depth: 1}
 		for range pairWindow {
-			p.observe(100, 1, 2, true, slow, deep)
+			p.observe(100, 1, 1, true, slow, deep)
 		}
 		for _, rung := range []struct {
 			d    int
@@ -386,7 +389,7 @@ func TestPairingPolicy(t *testing.T) {
 				t.Fatalf("at depth %d, want %d", p.top, rung.d)
 			}
 			for i := 1; i <= pairWindow; i++ {
-				if p.observe(rung.cost, rung.d, 2, true, 0, deep) != (i == pairWindow && rung.d < maxDepth) {
+				if p.observe(rung.cost, rung.d, 1, true, 0, deep) != (i == pairWindow && rung.d < maxDepth) {
 					t.Fatalf("depth %d sample %d moved the depth to %d", rung.d, i, p.depth)
 				}
 			}
@@ -394,24 +397,24 @@ func TestPairingPolicy(t *testing.T) {
 		// Every pairRecheck invocations one runs a rung down, and the next
 		// is back at the top.
 		for i := pairWindow + 1; i < pairRecheck; i++ {
-			if p.observe(40, 4, 2, true, 0, deep) {
+			if p.observe(40, 4, 1, true, 0, deep) {
 				t.Fatalf("depth %d after %d invocations at depth 4", p.depth, i)
 			}
 		}
-		if !p.observe(40, 4, 2, true, 0, deep) || p.top != 4 || p.depth != 2 {
+		if !p.observe(40, 4, 1, true, 0, deep) || p.top != 4 || p.depth != 2 {
 			t.Fatalf("top %d depth %d after %d invocations at depth 4", p.top, p.depth, pairRecheck)
 		}
 		// The recheck reads depth 2 at 30 now, and depth 4's 40 no longer
 		// beats it. That one low read may be the host's doing, so depth 4
 		// is doubted: depth 2 is read afresh at once, at 60, and depth 4
 		// stays.
-		if !p.observe(30, 2, 2, true, 0, deep) || p.depth != 4 {
+		if !p.observe(30, 2, 1, true, 0, deep) || p.depth != 4 {
 			t.Fatalf("depth %d after the recheck", p.depth)
 		}
-		if !p.observe(40, 4, 2, true, 0, deep) || p.top != 4 || p.depth != 2 {
+		if !p.observe(40, 4, 1, true, 0, deep) || p.top != 4 || p.depth != 2 {
 			t.Fatalf("top %d depth %d after depth 4 lost to depth 2's figure", p.top, p.depth)
 		}
-		if !p.observe(60, 2, 2, true, 0, deep) || p.observe(40, 4, 2, true, 0, deep) || p.top != 4 {
+		if !p.observe(60, 2, 1, true, 0, deep) || p.observe(40, 4, 1, true, 0, deep) || p.top != 4 {
 			t.Fatalf("top %d after depth 4 beat a fresh depth 2", p.top)
 		}
 		// Once a window of depth 4 reads 70 it loses again, and it loses
@@ -419,18 +422,18 @@ func TestPairingPolicy(t *testing.T) {
 		// no backoff, since depth 4 had paid.
 		n := 0
 		for p.depth == 4 && n < 2*pairWindow {
-			p.observe(70, 4, 2, true, 0, deep)
+			p.observe(70, 4, 1, true, 0, deep)
 			n++
 		}
 		if p.top != 4 || p.depth != 2 || n != pairWindow {
 			t.Fatalf("top %d depth %d after %d invocations at 70", p.top, p.depth, n)
 		}
-		if !p.observe(60, 2, 2, true, 0, deep) || !p.observe(70, 4, 2, true, 0, deep) || p.top != 2 || p.depth != 2 || p.wait != 0 {
+		if !p.observe(60, 2, 1, true, 0, deep) || !p.observe(70, 4, 1, true, 0, deep) || p.top != 2 || p.depth != 2 || p.wait != 0 {
 			t.Fatalf("top %d depth %d wait %d after depth 4 lost to a fresh depth 2", p.top, p.depth, p.wait)
 		}
 		// A trip count that no longer keeps pairMinChunk iterations a chunk
 		// at depth 2 steps down.
-		if !p.observe(30, 2, 2, true, 0, long) || p.top != 1 {
+		if !p.observe(30, 2, 1, true, 0, long) || p.top != 1 {
 			t.Fatalf("top %d on a trip count that allows depth 1 only", p.top)
 		}
 	})
@@ -530,5 +533,128 @@ func TestPairingPolicy(t *testing.T) {
 		}
 		t.Log(statsLine(r.Stats()))
 		checkConservation(t, r.Stats(), 2, 0)
+	})
+	t.Run("gated", func(t *testing.T) {
+		// A round the gate thinned counts as the rung its busiest slot
+		// ran: at depth 2 on 2 slots, a closed row leaves 3 chunks, 2 of
+		// them on slot 0, and the round is a sample of depth 2. It used to
+		// be no rung's, so a gated runner at depth 2 starved for a window,
+		// dropped, backed off pairBackoff invocations and climbed again.
+		g := testList(3000, 5)
+		r := newRunner(t, plainLoop(), Config{Threads: 2, Options: Options{Adaptive: true}})
+		depth2 := func() {
+			r.pairing.top, r.pairing.depth = 2, 2
+			r.pred.stride = r.pred.parts / (r.cfg.Threads * 2)
+		}
+		g.warm(t, r, 2)
+		depth2()
+		g.warm(t, r, 1) // memoizes depth 2's rows 1, 3 and 5
+		depth2()        // the policy drops depth 2 on a list this short
+		closeRows(r.ctrl, 5)
+		adm := r.admitted(0)
+		if !slices.Equal(adm, []int{1, 3}) {
+			t.Fatalf("rows %v admitted", adm)
+		}
+		r.begin(g.head, 1+len(adm))
+		rung := r.rd.rung
+		r.release()
+		if rung != 2 {
+			t.Fatalf("a gated round of 3 chunks on 2 slots ran rung %d", rung)
+		}
+		p := pairing{top: 2, depth: 2}
+		for i := range 4 * pairWindow {
+			if p.observe(30, rung, 2, true, 0, two); p.top != 2 || p.dry != 0 {
+				t.Fatalf("top %d dry %d after %d gated rounds at depth 2", p.top, p.dry, i+1)
+			}
+		}
+	})
+	t.Run("width", func(t *testing.T) {
+		// wide feeds n rounds at width 2 and depth 2 whose wall ns per
+		// committed iteration is gain times the invoker's own: 0.5 where
+		// the slots split the work evenly, 1 where the invoker walks it.
+		wide := func(p *pairing, n int, gain float64) {
+			for range n {
+				p.observe(gain*slow, 2, 2, true, slow, two)
+			}
+		}
+		// Width that pays never narrows, three held-up rounds in every
+		// window of eight included: the median, not the mean.
+		p := pairing{top: 2, depth: 2}
+		for range 4 * pairRecheck {
+			if wide(&p, 5, 0.5); p.narrow {
+				t.Fatal("narrowed on paying rounds")
+			}
+			if wide(&p, 3, 4); p.narrow {
+				t.Fatal("narrowed on three held-up rounds in a window")
+			}
+		}
+		// Width that does not pay narrows to (1, 2) once the median of
+		// the last pairWindow rounds reads pairGain or more (a majority
+		// of them does), and the next invocation runs there.
+		p = pairing{top: 2, depth: 2}
+		if wide(&p, pairWindow/2, 1); p.narrow {
+			t.Fatal("narrowed on half a window")
+		}
+		if wide(&p, 1, 1); !p.narrow || !p.one || p.top != 2 || p.depth != 2 {
+			t.Fatalf("narrow %v one %v top %d depth %d after a window at the invoker's pace", p.narrow, p.one, p.top, p.depth)
+		}
+		// Narrowed, it runs width 2 again once every pairRecheck
+		// invocations. A recheck that does not pay leaves it narrowed, and
+		// so does a window split evenly; it widens at the recheck that
+		// gives the window a paying median.
+		for i, gain := range []float64{1, 0.5, 0.5, 0.5, 0.5, 0.5} {
+			n := 0
+			for ; p.one && n <= pairRecheck; n++ {
+				p.observe(30, 2, 1, true, 30, two)
+			}
+			if n != pairRecheck || p.depth != 2 {
+				t.Fatalf("recheck %d after %d narrowed invocations, at depth %d", i, n, p.depth)
+			}
+			if wide(&p, 1, gain); p.narrow == (i == 5) || p.one != p.narrow {
+				t.Fatalf("recheck %d at gain %.1f: narrow %v one %v", i, gain, p.narrow, p.one)
+			}
+		}
+		// On a runner: narrowed, an invocation runs on the invoker alone,
+		// memoizes the grid's rows for the recheck, and the gauge reads 1.
+		// The recheck runs width 2; once it pays, the runner widens and
+		// the gauge reads 2. The list is too short for depth 2, so the
+		// rechecks keep their schedule however slow the host.
+		g := testList(12_000, 9)
+		r := newRunner(t, plainLoop(), Config{Threads: 2, Options: Options{Adaptive: true}})
+		g.warm(t, r, 3)
+		r.pairing.setWidth(true)
+		before := r.Stats()
+		g.exact(t, r)
+		if st := r.Stats().Delta(before); st.EffectiveThreads != 1 || st.Hits+st.Misses != 0 || busy(st.LastWorks) != 1 || !r.pred.rows[3].valid {
+			t.Fatalf("narrowed: %s, row 3 valid %v", statsLine(st), r.pred.rows[3].valid)
+		}
+		for range pairWindow {
+			r.pairing.gain.add(0.5)
+		}
+		for n := 0; r.pairing.one; n++ {
+			if n == pairRecheck {
+				t.Fatalf("no recheck after %d narrowed invocations", n)
+			}
+			g.exact(t, r)
+		}
+		before = r.Stats()
+		g.exact(t, r)
+		if st := r.Stats().Delta(before); st.EffectiveThreads != 2 || st.Hits != 1 || busy(st.LastWorks) != 2 || r.pairing.narrow {
+			t.Fatalf("the recheck that paid: %s, narrow %v", statsLine(st), r.pairing.narrow)
+		}
+		// A Pool session move resets the shape: the next session on the
+		// same runner starts wide.
+		pool := newPool(t, plainLoop(), Config{Threads: 2})
+		s := openSession(t, pool, 0)
+		moved := s.r
+		moved.pairing.setWidth(true)
+		g.exact(t, s)
+		if st := s.Stats(); st.EffectiveThreads != 1 {
+			t.Fatalf("narrowed session: %s", statsLine(st))
+		}
+		s.Close()
+		if s = openSession(t, pool, 0); s.r != moved || s.r.pairing.narrow || s.r.pairing.one || s.Stats().EffectiveThreads != 2 {
+			t.Fatalf("the next session: same runner %v, narrow %v, gauge %d", s.r == moved, s.r.pairing.narrow, s.Stats().EffectiveThreads)
+		}
 	})
 }

@@ -212,7 +212,12 @@ func BenchmarkInvocationFloor(b *testing.B) {
 // at width 1 and 2 with one chunk per slot, with two (_paired) and with
 // four (_deep) stepped in lockstep (Config.depth pins each; the runtime
 // derives the depth from the same measurement). scattered_t1_deep is
-// four chunks of one traversal on the invoking goroutine alone.
+// four chunks of one traversal on the invoking goroutine alone. The
+// relinked_ rows are doall_churn's regime on adaptive runners of derived
+// shape: a 100k-node list with a fifth of its nodes replaced and the
+// rest relinked in a fresh shuffled order before every invocation (the
+// relinking untimed), where the split lands anywhere and a width that
+// does not pay narrows to width 1.
 func BenchmarkIterationOverhead(b *testing.B) {
 	const listLen, scatterLen = 100_000, 200_000
 	head, loop := benchList(5, listLen), benchLoop()
@@ -250,6 +255,71 @@ func BenchmarkIterationOverhead(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(mode.n), "ns_iter")
 		})
 	}
+	relinked := newRelinked(5, listLen)
+	for _, threads := range []int{1, 2} {
+		b.Run(fmt.Sprintf("relinked_t%d", threads), func(b *testing.B) {
+			r := newRunner(b, block, Config{Threads: threads, Options: Options{Adaptive: true}})
+			for range 2 * pairRecheck {
+				r.MustRun(relinked.next())
+			}
+			ctx := context.Background()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for range b.N {
+				b.StopTimer()
+				head := relinked.next()
+				b.StartTimer()
+				if _, err := r.Run(ctx, head); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/listLen, "ns_iter")
+		})
+	}
+}
+
+// relinked is an n-node list in the hostile kernel's regime
+// (internal/workloads/native): before every invocation a fifth of the
+// nodes is replaced and the list relinked in a shuffled order. Its
+// variants are prebuilt, so next allocates nothing: six groups of n/5
+// nodes in one slab, variant v linking every group but v mod 6 in an
+// order of its own, so from one variant to the next (the last to the
+// first included) one group leaves and another returns.
+type relinked struct {
+	nodes  []mnode
+	orders [][]int32
+	v      int
+}
+
+// newRelinked builds seed's variants of an n-node list.
+func newRelinked(seed int64, n int) *relinked {
+	rng, group := rand.New(rand.NewSource(seed)), n/5
+	l := &relinked{nodes: make([]mnode, 6*group)}
+	for i := range l.nodes {
+		l.nodes[i].w = rng.Int63n(1 << 20)
+	}
+	for v := range 6 {
+		order := make([]int32, 0, 5*group)
+		for _, i := range rng.Perm(6 * group) {
+			if i/group != v {
+				order = append(order, int32(i))
+			}
+		}
+		l.orders = append(l.orders, order)
+	}
+	return l
+}
+
+// next links the next variant and returns its head.
+func (l *relinked) next() *mnode {
+	order := l.orders[l.v%len(l.orders)]
+	l.v++
+	for i, at := range order[1:] {
+		l.nodes[order[i]].next = &l.nodes[at]
+	}
+	l.nodes[order[len(order)-1]].next = nil
+	return &l.nodes[order[0]]
 }
 
 // scatteredList is seed's n-node list of weights below 2^20, its nodes

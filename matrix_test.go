@@ -640,6 +640,7 @@ type mcase struct {
 	maxSpec  int64 // Config.maxSpec (0: the derived cap)
 	probe    int   // Config.probeEvery (0: the derived interval)
 	depth    int   // Config.depth: 1 to 4 chunks per slot (0: the derived depth)
+	narrow   bool  // the door's runner starts narrowed to width 1 (pairing.setWidth)
 	invs     int   // invocations, or waves of them for "batch" and "submit"
 	wave     int   // invocations per wave ("batch" and "submit"; plain loops only)
 	edit     func(g *gen, inv int)
@@ -676,6 +677,22 @@ func (c mcase) run(t testing.TB) []Stats {
 			defer s.Close()
 			d = s
 		}
+	}
+	if c.narrow {
+		var r *Runner[*mnode, tally]
+		switch d := d.(type) {
+		case *Runner[*mnode, tally]:
+			r = d
+		case *Session[*mnode, tally]:
+			r = d.r
+		default: // the runner every Pool.Run of the case gets back
+			var err error
+			if r, err = p.acquireRunner(c.threads, false); err != nil {
+				t.Fatal(err)
+			}
+			p.release(r)
+		}
+		r.pairing.setWidth(true)
 	}
 	wave, base := max(c.wave, 1), d.Stats() // a recycled runner's session counts from its last session's totals
 	var sts []Stats

@@ -65,7 +65,9 @@ func regimeSuite(t *testing.T, kinds []string, body func(t *testing.T, kind, pat
 // stripped, and the two runs' counters must agree after every
 // invocation. Every case runs again with its slots pinned to 2 and 4
 // chunks each (Config.depth), at widths 2 to 4: the group routine and
-// its survivor must commit exactly what one chunk per slot does.
+// its survivor must commit exactly what one chunk per slot does. A
+// narrowed width-2 runner runs through the runner, session and pool
+// doors too.
 func TestDifferentialOracle(t *testing.T) {
 	regimeSuite(t, []string{"list", "tree"}, func(t *testing.T, kind, pattern string, adaptive bool) {
 		for _, depth := range []int{0, 2, 4} {
@@ -114,6 +116,23 @@ func TestDifferentialOracle(t *testing.T) {
 						})
 					}
 				}
+			}
+		}
+	}
+	// A width-2 runner narrowed to width 1 (pairing: width did not pay)
+	// through the runner, session and pool doors: its rounds run on the
+	// invoker alone, and one in pairRecheck, the width recheck, at width
+	// 2 on the rows the narrowed rounds memoized. Named narrowed/door/….
+	for _, door := range []string{"runner", "session", "pool"} {
+		for _, pattern := range []string{"predictable", "drifting"} {
+			for _, adaptive := range []bool{false, true} {
+				t.Run(fmt.Sprintf("narrowed/%s/%s/adaptive=%v", door, pattern, adaptive), func(t *testing.T) {
+					c := mcase{build: oracleList(2, 5000), edit: regime(pattern), scan: true, door: strings.TrimPrefix(door, "runner"),
+						threads: 2, adaptive: adaptive, probe: 3, invs: pairRecheck + 8, narrow: true}
+					if st := final(c.run(t)); st.EffectiveThreads != 1 || st.Hits+st.Misses == 0 || st.PairedRounds != 0 {
+						t.Fatalf("%v: %s", c, statsLine(st))
+					}
+				})
 			}
 		}
 	}

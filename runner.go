@@ -183,9 +183,12 @@ func (r *Runner[S, A]) Run(ctx context.Context, start S) (A, error) {
 // when the batched door sheds, no row is predicted, or the gate closed
 // every row; a width-1 runner predicts rows only above depth 1. Such an
 // invocation still memoizes (the bootstrap plan, predictor.go) when its
-// grid has rows in use, so later ones have predictions to test. The
-// invocation's counter deltas (accumulated in r.pend by the round's
-// steps) are published in one step on every exit path.
+// grid has rows in use, so later ones have predictions to test. A
+// runner the shape policy narrowed (pairing.one) runs at width 1: no
+// demand on the executor, no shed, no gate, and a chain of every
+// Threads-th row of its grid (admitted). The invocation's counter deltas
+// (accumulated in r.pend by the round's steps) are published in one
+// step on every exit path.
 func (r *Runner[S, A]) runInvocation(ctx context.Context, start S, loadAware bool) (A, error) {
 	var zero A
 	if !r.running.CompareAndSwap(false, true) {
@@ -212,7 +215,7 @@ func (r *Runner[S, A]) runInvocation(ctx context.Context, start S, loadAware boo
 	r.pend.Invocations++
 
 	shed := false
-	if r.cfg.Threads > 1 {
+	if r.width() > 1 {
 		// Every parallel-capable invocation registers its speculative slots
 		// on the shared executor for its whole duration, so the load-aware
 		// path below sees pressure from invocations that are momentarily
@@ -244,11 +247,13 @@ func (r *Runner[S, A]) runInvocation(ctx context.Context, start S, loadAware boo
 			r.pend.BatchSheds++
 		} else if r.ctrl != nil {
 			r.rd.probe = r.ctrl.Begin()
-			// The gauge shows the invocation's width while it runs, and the
-			// width the gate admits once it is over, on every exit path.
-			r.stats.effectiveThreads.Store(r.gateWidth())
-			defer func() { r.stats.effectiveThreads.Store(r.gateWidth()) }()
 		}
+	}
+	if r.cfg.Threads > 1 && !shed {
+		// The gauge shows the invocation's width while it runs, and the
+		// width the runner runs at once it is over, on every exit path.
+		r.stats.effectiveThreads.Store(r.gateWidth())
+		defer func() { r.stats.effectiveThreads.Store(r.gateWidth()) }()
 	}
 	n := 1
 	// A grid with no row in use (a width-1 runner at depth 1) predicts
@@ -256,7 +261,7 @@ func (r *Runner[S, A]) runInvocation(ctx context.Context, start S, loadAware boo
 	if r.pred.stride < r.pred.parts && !shed {
 		if rows := r.pred.predicted(); rows > 0 {
 			n = 1 + len(r.admitted(0))
-			if r.ctrl != nil && n-1 < rows {
+			if r.ctrl != nil && !r.pairing.one && n-1 < rows {
 				// The gate left a predicted row out: the probe clock runs.
 				r.ctrl.narrowed++
 				if n == 1 {
@@ -284,21 +289,31 @@ func (r *Runner[S, A]) runInvocation(ctx context.Context, start S, loadAware boo
 	return acc, nil
 }
 
-// gateWidth is the width the confidence gate admits now: 1 when it
-// closes every predicted row, else Threads (a probe opens every row).
+// gateWidth is the width the runner runs at now: 1 while the shape
+// policy has narrowed it (pairing) or the confidence gate closes every
+// predicted row, else Threads (a probe opens every row).
 func (r *Runner[S, A]) gateWidth() int64 {
-	if r.pred.predicted() > 0 && len(r.admitted(0)) == 0 {
+	if r.pairing.one || r.ctrl != nil && r.pred.predicted() > 0 && len(r.admitted(0)) == 0 {
 		return 1
 	}
 	return int64(r.cfg.Threads)
 }
 
+// width is the slots this invocation's rounds may use: Threads, or 1
+// while the shape policy runs the runner narrowed (pairing.one).
+func (r *Runner[S, A]) width() int {
+	if r.pairing.one {
+		return 1
+	}
+	return r.cfg.Threads
+}
+
 // admitRow reports whether SVA row k may be speculated on this
-// invocation: always outside adaptive mode; inside it, when the row
-// clears the confidence floor or the invocation is a probe (probes
-// bypass the gate so gated rows can earn their confidence back).
+// invocation: always outside adaptive mode or narrowed; inside it, when
+// the row clears the confidence floor or the invocation is a probe
+// (probes bypass the gate so gated rows can earn their confidence back).
 func (r *Runner[S, A]) admitRow(k int) bool {
-	if r.ctrl == nil || r.rd.probe {
+	if r.ctrl == nil || r.rd.probe || r.pairing.one {
 		return true
 	}
 	return r.ctrl.Admit(k)

@@ -37,18 +37,19 @@ import (
 // chunks of the chain on each slot, as evenly as they go, so a round of
 // W slots at depth D commits up to D·W chunks, and the walk, squash and
 // verdicts go chunk by chunk as they always did. A width-1 runner's one
-// slot is the invoker's, so its D chunks run there, with no executor.
-// DOACROSS slots always carry one chunk: each chunk needs a CellView of
-// its own.
+// slot is the invoker's, so its D chunks run there, with no executor;
+// so do a wider runner's while the shape policy has narrowed it
+// (pairing.one: width did not pay). DOACROSS slots always carry one
+// chunk: each chunk needs a CellView of its own.
 //
-// A round of one (a width-1 runner at depth 1, a shed batch item, no
-// row predicted or admitted, or the tail behind a capped last chunk) is
-// slot 0 alone on the invoking goroutine, carrying chunk 0 alone: that
-// is the sequential path, through the same chunkJob.exec, and there is
-// no other. Nothing runs beside it, so it touches no executor, and a
-// DOACROSS loop's view is direct (cells.go). It reads no clock, except
-// round 0 of a DOALL runner of width 1, which reads two when the depth
-// policy may use them.
+// A round of one (a width-1 or narrowed runner at depth 1, a shed batch
+// item, no row predicted or admitted, or the tail behind a capped last
+// chunk) is slot 0 alone on the invoking goroutine, carrying chunk 0
+// alone: that is the sequential path, through the same chunkJob.exec,
+// and there is no other. Nothing runs beside it, so it touches no
+// executor, and a DOACROSS loop's view is direct (cells.go). It reads no
+// clock, except round 0 of a width-1 or narrowed DOALL runner, which
+// reads two when the shape policy may use them.
 //
 // The runner owns every per-invocation buffer (jobs and their lanes,
 // plan, works, memos) and reuses them across rounds and invocations,
@@ -99,9 +100,10 @@ import (
 // The clock is read four times per round with more than one slot — at
 // dispatch, after the invoker's own share, at the latch release, at the
 // end of the walk — however many chunks the slots carry, and never in a
-// round of one, except round 0 of a width-1 DOALL runner: two reads, at
-// dispatch and after its slot. The pairing policy reads round 0's
-// first, second and last reads (finish) and takes none of its own.
+// round of one, except round 0 of a width-1 or narrowed DOALL runner:
+// two reads, at dispatch and after its slot. The pairing policy reads
+// round 0's first, second and last reads (finish) and takes none of its
+// own.
 //
 // Cache-line layout invariants (the multicore contract of this file):
 //
@@ -554,8 +556,8 @@ type round[S comparable, A any] struct {
 	// Round 0's clock, the pairing policy's evidence (finish), from the
 	// reads dispatch and land take anyway: dispatch time, the invoker's
 	// own share (its slot, before any reclaim), dispatch to landed;
-	// whether the invoker reclaimed a slot, and the chunks each slot
-	// carried (0: not the same on every slot).
+	// whether the invoker reclaimed a slot, and the chunks its busiest
+	// slot carried.
 	t0, own, wall int64
 	reclaimed     bool
 	rung          int
@@ -655,14 +657,13 @@ func (r *Runner[S, A]) begin(start S, n int) {
 	if rd.probe {
 		rd.cap = probeSpecCap(rd.cap, r.pred.prevTotal, n)
 	}
-	rd.layout(n, r.cfg.Threads)
+	rd.layout(n, r.width())
 	// A round of one memoizes by the bootstrap plan whenever the grid has
 	// a row in use (not a width-1 runner at depth 1, nor a width-1
-	// DOACROSS one).
-	rd.cur, rd.boot, rd.rung = start, n == 1 && r.pred.stride < r.pred.parts, 0
-	if rd.extra == 0 {
-		rd.rung = rd.per
-	}
+	// DOACROSS one), unless the runner is narrowed: its chain is sparser
+	// than its grid, whose rows the plan keeps for the width recheck.
+	rd.cur, rd.boot = start, n == 1 && r.pred.stride < r.pred.parts && !r.pairing.one
+	rd.rung = rd.per + min(rd.extra, 1)
 	clear(r.works)
 	r.memos = r.memos[:0]
 	if !rd.boot {
@@ -731,8 +732,8 @@ func (r *Runner[S, A]) dispatch(ctx context.Context) {
 		// Nothing runs beside slot 0: no handoff to time, and the next
 		// round has no release to measure its gap from.
 		r.lease.released = 0
-		if rd.index == 0 && r.exec == nil && r.pairing.timed(r.pred.prevTotal) {
-			t0 = nanos() // round 0 of a width-1 runner, for the depth policy
+		if rd.index == 0 && (r.exec == nil || r.pairing.one) && r.pairing.timed(r.pred.prevTotal) {
+			t0 = nanos() // round 0 of a width-1 or narrowed runner, for the shape policy
 		}
 	}
 	armed := 0 // slots
@@ -1087,7 +1088,7 @@ func (r *Runner[S, A]) advance(ctx context.Context) {
 	}
 	if rd.err == nil {
 		r.pend.Recoveries++
-		rd.layout(1+len(r.admitted(next)), r.cfg.Threads)
+		rd.layout(1+len(r.admitted(next)), r.width())
 		rd.cap = r.pred.specCap(r.cfg.maxSpec)
 	}
 }
@@ -1113,36 +1114,42 @@ func (r *Runner[S, A]) finish() {
 	r.pred.apply(rd.pos, r.memos)
 	r.pend.LastWorks = r.works
 	if r.pairing.forced != 0 || r.exec == nil && rd.t0 == 0 {
-		// Pinned, or a width-1 round the policy did not time: no evidence.
+		// Pinned, or a width-1 runner's round the policy did not time: no
+		// evidence. (A narrowed runner's round counts for the recheck.)
 		return
 	}
 	procs := 1 // a width-1 runner's one slot is the invoker's, on one processor
 	if r.exec != nil {
 		procs = r.exec.procs
 	}
-	var perIter, chunk0 float64
+	var perIter, self float64
 	if rd.wall > 0 && rd.round0 > 0 && !rd.reclaimed {
 		perIter = float64(rd.wall) / float64(rd.round0)
 	}
-	if w := r.chunks[0].work; w > 0 {
-		chunk0 = float64(rd.own) / float64(w)
+	// A round wider than the host's processors is never clean, and its
+	// invoker's clock is no one's cost: its chunk 0 waits for a processor
+	// its own workers hold, and reads as a loop that waits on memory.
+	var steps int64
+	for _, l := range r.jobs[0].lanes[:r.jobs[0].width] {
+		steps += l.work
 	}
-	// A round wider than the host's processors is never clean: its chunk
-	// 0 waits for a processor its own workers hold, and reads as a loop
-	// that waits on memory.
+	if steps > 0 && rd.slots <= procs {
+		self = float64(rd.own) / float64(steps)
+	}
 	clean := rd.index == 0 && !rd.misspec && !rd.reclaimed && rd.slots <= procs
-	if r.pairing.observe(perIter, rd.rung, rd.slots, clean, chunk0, rd.pos/int64(r.cfg.Threads)) {
+	if r.pairing.observe(perIter, rd.rung, rd.slots, clean, self, rd.pos/int64(r.cfg.Threads)) {
 		r.pred.stride = r.pred.parts / (r.cfg.Threads * r.pairing.depth)
 	}
 }
 
 // admitted fills r.chain, in row order, with the rows in use (every
-// stride-th, predictor.stride) from index from on that are valid and
-// clear the adaptive confidence gate (every valid row when the gate is
-// off or the invocation is a probe) — the rows a round may speculate on
+// stride-th, predictor.stride; every Threads·stride-th on a narrowed
+// runner) from index from on that are valid and clear the adaptive
+// confidence gate (every valid row when the gate is off or the
+// invocation is a probe or narrowed) — the rows a round may speculate on
 // — and returns it.
 func (r *Runner[S, A]) admitted(from int) []int {
-	rows, adm, stride := r.pred.rows, r.chain[:0], r.pred.stride
+	rows, adm, stride := r.pred.rows, r.chain[:0], r.pred.stride*r.cfg.Threads/r.width()
 	for k := stride - 1; k < len(rows); k += stride {
 		if k >= from && rows[k].valid && r.admitRow(k) {
 			adm = append(adm, k)

@@ -385,12 +385,13 @@ type Stats struct {
 	// subset of the rounds (conservation: PairedRounds ≤ Invocations +
 	// Recoveries).
 	PairedRounds int64
-	// EffectiveThreads is the adaptive controller's current width (a
-	// gauge, not a counter; equals the configured Threads when the
-	// controller is off): Threads, or 1 while the confidence gate
-	// closes every predicted row. While an invocation runs it shows
-	// the width that invocation was dispatched at — Threads during a
-	// probe — and settles on the width the gate admits when the
+	// EffectiveThreads is the width the runner runs at (a gauge, not a
+	// counter): Threads, or 1 while the shape policy has narrowed a
+	// DOALL runner because its width did not pay (README "Chains per
+	// slot") or the confidence gate (Options.Adaptive) closes every
+	// predicted row. While an invocation runs it shows the width that
+	// invocation was dispatched at — Threads during a probe or a width
+	// recheck — and settles on the width the runner runs at when the
 	// invocation completes.
 	// Pool.Stats reports the widest gauge across every runner the pool
 	// has created (the configured Threads before any runner exists),
