@@ -243,6 +243,11 @@ const (
 // balanced to serial on the structure alone, and the lowest would
 // compare best cases; and a round's own two clocks share whatever the
 // host did to it, so a slow stretch of the host moves the gain little.
+// On a host of one processor a width-W round gives a gain of 1 without
+// a clock (finish), once the trip count is long enough to be timed: its
+// slots take turns on the processor, so the runner narrows and climbs on
+// the invoker alone. A round with more slots than processors on a wider
+// host gives no gain: some of its slots do run beside the invoker.
 //
 // A sample goes to the rung its round ran at: the chunks its busiest
 // slot carried, rounded up to a rung. The first invocation after a climb

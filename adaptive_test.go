@@ -510,7 +510,8 @@ func TestPairingPolicy(t *testing.T) {
 		// clean depth-1 rounds 0 tries depth 2, but only a round nobody
 		// reclaimed, with a processor per slot, is clean, so a host that
 		// cannot run the worker beside the invoker (GOMAXPROCS 1) never
-		// tries it.
+		// tries it at width 2: there its crowded rounds narrow the runner,
+		// which may then try depth 2 on the invoker alone.
 		g := testList(20_000, 7)
 		loop := hookLoop(func(n *mnode) {
 			x := n.w
@@ -522,17 +523,48 @@ func TestPairingPolicy(t *testing.T) {
 			}
 		})
 		r := newRunner(t, loop, Config{Threads: 2})
+		var wide int64 // paired rounds at width 2
 		for inv := 0; inv < 40 && r.Stats().PairedRounds == 0; inv++ {
-			g.exact(t, r)
+			one, before := r.pairing.one, r.Stats().PairedRounds
+			if g.exact(t, r); !one {
+				wide += r.Stats().PairedRounds - before
+			}
 		}
 		switch st := r.Stats(); {
 		case st.PairedRounds == 0 && runtime.GOMAXPROCS(0) > 1 && !raceEnabled:
 			t.Fatalf("a slow body was never paired: %s", statsLine(st))
-		case st.PairedRounds != 0 && runtime.GOMAXPROCS(0) == 1:
-			t.Fatalf("paired on one processor: %s", statsLine(st))
+		case wide != 0 && runtime.GOMAXPROCS(0) == 1:
+			t.Fatalf("paired two slots on one processor: %s", statsLine(st))
+		case !r.pairing.narrow && runtime.GOMAXPROCS(0) == 1:
+			t.Fatalf("crowded rounds did not narrow: %s", statsLine(st))
 		}
 		t.Log(statsLine(r.Stats()))
 		checkConservation(t, r.Stats(), 2, 0)
+	})
+	t.Run("oversubscribed", func(t *testing.T) {
+		// On one processor the slots of a width-2 round take turns, so once
+		// the trip count is long enough to time, each round counts as a
+		// width sample that does not pay, and a window's majority narrows
+		// the runner to the invoker alone. (Such a round used to give no
+		// sample, so a width-2 runner kept dispatching a chunk its invoker
+		// then ran itself.) On two processors a width-4 round still runs a
+		// slot beside the invoker: it gives no sample, and the runner keeps
+		// its width.
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+		for _, c := range []struct {
+			procs, threads int
+			narrow         bool
+		}{{1, 2, true}, {2, 4, false}} {
+			runtime.GOMAXPROCS(c.procs)
+			g := testList(2*pairMinChunk*c.threads+c.threads, 11)
+			r := newRunner(t, plainLoop(), Config{Threads: c.threads})
+			for inv := 0; inv < 2*pairWindow && !r.pairing.narrow; inv++ {
+				g.exact(t, r)
+			}
+			if st := r.Stats(); r.pairing.narrow != c.narrow || (st.EffectiveThreads == 1) != c.narrow {
+				t.Fatalf("GOMAXPROCS %d, Threads %d: narrow %v: %s", c.procs, c.threads, r.pairing.narrow, statsLine(st))
+			}
+		}
 	})
 	t.Run("gated", func(t *testing.T) {
 		// A round the gate thinned counts as the rung its busiest slot

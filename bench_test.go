@@ -216,8 +216,9 @@ func BenchmarkInvocationFloor(b *testing.B) {
 // relinked_ rows are doall_churn's regime on adaptive runners of derived
 // shape: a 100k-node list with a fifth of its nodes replaced and the
 // rest relinked in a fresh shuffled order before every invocation (the
-// relinking untimed), where the split lands anywhere and a width that
-// does not pay narrows to width 1.
+// relinking untimed), where the split lands anywhere, a width that does
+// not pay narrows to width 1, and the grouped rounds hunt the set of
+// predicted starts; relinked_seq is the same list walked by one chunk.
 func BenchmarkIterationOverhead(b *testing.B) {
 	const listLen, scatterLen = 100_000, 200_000
 	head, loop := benchList(5, listLen), benchLoop()
@@ -256,9 +257,16 @@ func BenchmarkIterationOverhead(b *testing.B) {
 		})
 	}
 	relinked := newRelinked(5, listLen)
-	for _, threads := range []int{1, 2} {
-		b.Run(fmt.Sprintf("relinked_t%d", threads), func(b *testing.B) {
-			r := newRunner(b, block, Config{Threads: threads, Options: Options{Adaptive: true}})
+	for _, mode := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"relinked_seq", Config{Threads: 1, depth: 1}},
+		{"relinked_t1", Config{Threads: 1, Options: Options{Adaptive: true}}},
+		{"relinked_t2", Config{Threads: 2, Options: Options{Adaptive: true}}},
+	} {
+		b.Run(mode.name, func(b *testing.B) {
+			r := newRunner(b, block, mode.cfg)
 			for range 2 * pairRecheck {
 				r.MustRun(relinked.next())
 			}

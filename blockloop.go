@@ -44,6 +44,14 @@ import "fmt"
 // they are. Only a fallible loop pays the extra call; a Body or SpecBody
 // loop calls its body directly.
 //
+// A group hunts the round's whole set of predicted starts instead when
+// the round hunts the set (scheduler.go: a runner whose list has been
+// relinked): each lane stops at the first start of the set it meets,
+// its own excepted, and records whose it was. Such a lane stays in the
+// group until it stops, the last one included — Runner.block and Scan
+// take one stop, not a set — so a loop's Scan never runs in those
+// rounds. Without a set the group pays one empty range per chain step.
+//
 // Whether a block hunts its successor's predicted start (membership
 // validation — every chunk with a successor) or not (the chain's last
 // chunk, a round of one) is an argument, not a second copy of the loop.
@@ -91,12 +99,14 @@ const (
 type blockFn[S comparable, A any] func(v *CellView, s S, acc A, stop S, hunt bool, n int64) (S, A, int64, blockStop, error)
 
 // groupFn steps the live lanes of a slot (g) in lockstep, up to n
-// iterations each, each from its own state and hunting its own stop,
-// until the block is filled or one chain stops. It leaves each live
-// lane's state, accumulator, started-iteration count (k) and stop (why,
-// err) in the lane; a chain another's stop cut short reports
+// iterations each, each from its own state, until the block is filled or
+// one chain stops. With set nil each lane hunts its own stop; otherwise
+// every lane hunts the round's whole set of predicted starts (but its
+// own) and, on meeting one, records its chunk (lane.met). It leaves each
+// live lane's state, accumulator, started-iteration count (k) and stop
+// (why, err) in the lane; a chain another's stop cut short reports
 // blockFilled, at an exact count.
-type groupFn[S comparable, A any] func(g []lane[S, A], n int64)
+type groupFn[S comparable, A any] func(g []lane[S, A], n int64, set []target[S])
 
 // blockOf returns the block routine of a validated loop, and the group
 // routine of a DOALL one (nil for a spec body: DOACROSS slots carry one
@@ -183,7 +193,9 @@ func blockBody[S comparable, A any](done func(S) bool, next func(S) S, body func
 // routine's frame, so the group allocates nothing whatever its depth. A
 // chain that stops returns the group at once: every chain before it in
 // the step has started one iteration more than it, every chain after it
-// as many.
+// as many. A lane that hunts the set (its hunt is off) pays a compare
+// per start of the set, in set order; its own start is in the set but
+// never stops it. Without a set the loop over it is empty.
 //
 // Panic containment is per chain. on names the chain whose callback is
 // running, and the recovering defer writes every chain back to its
@@ -199,7 +211,7 @@ func blockGroup[S comparable, A any](done func(S) bool, next func(S) S, body fun
 		hunt    bool
 		l       *lane[S, A]
 	}
-	return func(g []lane[S, A], n int64) {
+	return func(g []lane[S, A], n int64, set []target[S]) {
 		var ch [maxDepth]chain
 		d := 0
 		for i := range g {
@@ -237,6 +249,12 @@ func blockGroup[S comparable, A any](done func(S) bool, next func(S) S, body fun
 				if c.s == c.stop && c.hunt {
 					c.l.why = blockMatched
 					return
+				}
+				for _, t := range set {
+					if c.s == t.s && t.c != c.l.idx {
+						c.l.why, c.l.met = blockMatched, t.c
+						return
+					}
 				}
 				c.k++ // charge the started iteration before user code can panic
 				c.acc = body(c.s, c.acc)

@@ -318,7 +318,7 @@ func FuzzBlockGroup(f *testing.F) {
 			if live < 2 {
 				break
 			}
-			group(lanes, n)
+			group(lanes, n, nil)
 			for c := range lanes {
 				if l := &lanes[c]; l.live {
 					if l.k < 0 || l.k > n {

@@ -136,6 +136,29 @@ func TestDifferentialOracle(t *testing.T) {
 			}
 		}
 	}
+	// Lists relinked between invocations, through the runner, session and
+	// pool doors, at (1, 4), (2, 2) and (2, 4) chunks: a fifth of the nodes
+	// replaced and the rest shuffled, a shuffle, and a drift. The first
+	// miss turns set hunting on (Runner.anyStop), so the grouped rounds
+	// after it find the chain's order from the list. Named
+	// anystop/door/edit.
+	for _, door := range []string{"runner", "session", "pool"} {
+		for _, edit := range []string{"relinked", "shuffle", "drift"} {
+			t.Run(fmt.Sprintf("anystop/%s/%s", door, edit), func(t *testing.T) {
+				for _, shape := range [][2]int{{1, 4}, {2, 2}, {2, 4}} {
+					c := mcase{build: oracleList(int64(shape[0]*10+shape[1]), 3000), door: strings.TrimPrefix(door, "runner"),
+						threads: shape[0], depth: shape[1], probe: 3, invs: 12, edit: regime("drifting")}
+					switch edit {
+					case "relinked":
+						c.edit = each(func(g *gen) { g.heavyChurn(0.2); g.shuffle() })
+					case "shuffle":
+						c.edit = each((*gen).shuffle)
+					}
+					c.run(t)
+				}
+			})
+		}
+	}
 }
 
 // TestAdaptiveFallsBackOnAdversarial asserts the controller's

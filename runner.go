@@ -59,6 +59,13 @@ type Runner[S comparable, A any] struct {
 	// pairing decides how many chunks a dispatch slot carries (adaptive.go);
 	// pinned to 1 for a DOACROSS loop.
 	pairing pairing
+	// anyStop is on while the runner's rounds that step chains in groups
+	// hunt the set of their predicted starts (seed): from an invocation
+	// that records a miss until calmRun invocations in a row in which
+	// every chunk the walk reached met its index successor (calm counts
+	// them, finish). A runner that cannot group (DOACROSS) never hunts.
+	anyStop bool
+	calm    int
 
 	// cells is the DOACROSS cell store invocations run against:
 	// Loop.Cells unless overridden by BindCells (a Pool binds per
@@ -68,13 +75,14 @@ type Runner[S comparable, A any] struct {
 	// The invocation's reusable state (scheduler.go), used by one
 	// invocation at a time (the runner serializes; a Pool hands each
 	// in-flight invocation its own runner), allocated by NewRunner.
-	chunks []*lane[S, A]    // per chunk of the current round, in chain order: its lane (seed)
-	jobs   []chunkJob[S, A] // per dispatch slot
-	works  []int64          // per slot: LastWorks
-	memos  []memo[S]
-	plan   []planEntry // the invocation's memoization plan (predictor.plan): each chunk's is a suffix
-	chain  []int       // the round's chain: SVA row behind each speculative chunk
-	rd     round[S, A] // the invocation in progress (run)
+	chunks  []*lane[S, A]    // per chunk of the current round, in chain order: its lane (seed)
+	jobs    []chunkJob[S, A] // per dispatch slot
+	works   []int64          // per slot: LastWorks
+	memos   []memo[S]
+	plan    []planEntry // the invocation's memoization plan (predictor.plan): each chunk's is a suffix
+	chain   []int       // the round's chain: SVA row behind each speculative chunk
+	targets []target[S] // the round's hunted set, when it hunts one (seed)
+	rd      round[S, A] // the invocation in progress (run)
 	// views holds one CellView per dispatch slot of a DOACROSS loop (nil
 	// for a DOALL loop). Views are written by the invoker during dispatch
 	// and chain resolution (validate, fold), and by exactly one worker
@@ -355,6 +363,7 @@ func (r *Runner[S, A]) reset() {
 	}
 	r.pairing.reset()
 	r.pred.stride = r.pred.parts / (r.cfg.Threads * r.pairing.depth)
+	r.anyStop, r.calm = false, 0
 	// A recycled runner carries nothing from its previous owner: no
 	// caller state, no LastWorks, and no gaps measured on the previous
 	// owner's cadence, which grant the next one nothing.

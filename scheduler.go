@@ -3,6 +3,7 @@ package spice
 import (
 	"context"
 	"math"
+	"slices"
 	"sync/atomic"
 
 	"spice/internal/faults"
@@ -18,10 +19,11 @@ import (
 //   - seed: arm chunk 0 at the live position and one speculative chunk
 //     per row of the round's chain (r.chain), on the round's slots;
 //   - dispatch: launch and join the slots;
-//   - walk: walk the validation chain once — commit the prefix;
+//   - walk: walk the validation chain once, from chunk 0 along the links
+//     the chunks recorded — commit every chunk it reaches;
 //   - land: land the committed DOACROSS views, close the round;
-//   - squash: count what the walk discarded;
-//   - verdicts: judge each launched row's prediction;
+//   - squash: count what the walk did not reach;
+//   - verdicts: judge each launched row's prediction (reached: a hit);
 //   - advance: if the walk stopped on a capped chunk or a read/write-set
 //     conflict, find the position and chain of the next round;
 //   - finish: charge the tail, install the memoizations.
@@ -29,7 +31,14 @@ import (
 // Chunks and slots. A chunk is one link of the round's validation
 // chain: a start, a successor's predicted start to hunt, a plan, an
 // outcome, a verdict, all in one record, its lane (r.chunks[c] is chunk
-// c's). A dispatch slot is one executor task (chunkJob)
+// c's). The chain's order is index order, chunk c validated by chunk c-1
+// meeting its start, unless the round hunts the set (seed: a runner
+// whose list has been relinked, in rounds that step chains in groups):
+// then every lane hunts all the round's predicted starts but its own,
+// stops at the first it meets and records that start's chunk (lane.met),
+// and the walk finds the order by following those links from chunk 0.
+// Either way each committed chunk is exactly the sequential continuation
+// of the one before it. A dispatch slot is one executor task (chunkJob)
 // with one claim word, at most one queue entry and one latch count, and
 // one LastWorks entry. A slot carries one chunk, or up to maxDepth when
 // the runner steps several chains per slot (pairing, adaptive.go: a
@@ -63,9 +72,10 @@ import (
 // memoization-plan threshold, or the speculative iteration cap.
 // Validation is not an event: it is by membership (the paper's second
 // insight), so a chunk with a successor hunts its predicted start inside
-// every block, and only the chain's last chunk and a round of one hunt
-// nothing. Inside a block the loop touches only register-resident
-// locals (a group's block: its chains' states, in its own frame);
+// every block (or, in a round that hunts the set, every start of the
+// set), and only the chain's last chunk and a round of one hunt nothing.
+// Inside a block the loop touches only register-resident locals (a
+// group's block: its chains' states, in its own frame);
 // the chunk's lane is written between blocks only. Spills happen at two
 // places only:
 //
@@ -112,7 +122,13 @@ import (
 //     abort barrier (written only on failure, polled read-only every
 //     ctxPollEvery iterations): the runner's lat and abort. Each owns a
 //     cache line at the end of the Runner struct; nothing else in the
-//     struct is written while chunks run.
+//     struct is written while chunks run. The barrier holds the lowest
+//     rank that failed, and a chunk of a higher rank stops at its next
+//     poll: a rank is the chunk's index, except in a round that hunts the
+//     set, where only the walk knows the order, so chunk 0 ranks 0 and
+//     every other chunk 1, and only chunk 0's failure stops the rest
+//     (Runner.rank). The walk therefore never meets errChunkAborted before
+//     the failure that caused it.
 //   - What a chunkJob's phase reads is written only by the invoker,
 //     before it arms the slot (seed and dispatch for the chunks,
 //     landCells for the copy-out), and is read-only while the phase
@@ -164,7 +180,8 @@ type chunkJob[S comparable, A any] struct {
 
 // lane is one chunk of a slot and the chunk's one record: what seed arms
 // it with (its start, plan and backstop row, and stop, hunt and capAt:
-// the successor's predicted start and the iteration cap), then the
+// the successor's predicted start and the iteration cap; in a round that
+// hunts the set, the round's set instead of stop), then the
 // driver's state while it runs (chunkJob.exec), which is also the group
 // routine's input and output (groupFn), and, once it has stopped, its
 // outcome, which the walk reads. Only the slot's claimant writes it
@@ -179,7 +196,9 @@ type lane[S comparable, A any] struct {
 
 	s, stop S // the state reached; the successor's predicted start (hunt)
 	acc     A
-	hunt    bool  // stop is set: the chunk has a successor (false: run to the end)
+	hunt    bool  // stop is set: the chunk has a successor (false: run to the end, or hunt the round's set)
+	met     int   // the chunk whose start it stopped on: idx+1, or any chunk of the set (Runner.targets)
+	seen    bool  // the walk reached it: it committed, or it failed first
 	live    bool  // the chunk has not stopped
 	work    int64 // iterations completed as of the last block boundary: once stopped, the committed count
 	capAt   int64 // the speculative iteration cap (none for chunk 0)
@@ -198,6 +217,13 @@ type lane[S comparable, A any] struct {
 	// and why it stopped.
 	k   int64
 	why blockStop
+}
+
+// target is one start of a round's hunted set: a chunk's predicted start
+// and the chunk's index.
+type target[S comparable] struct {
+	s S
+	c int
 }
 
 const claimArmed = 1
@@ -316,14 +342,17 @@ func (j *chunkJob[S, A]) exec() {
 			live++
 		}
 	}
-	for live > 1 {
+	// A lane that hunts the set stays in the group until it stops: the
+	// block routine takes one stop.
+	set := j.r.targets // empty unless the round hunts the set (seed)
+	for alone := b2i(len(set) == 0); live > alone; {
 		n := int64(math.MaxInt64)
 		for i := range lanes {
 			if l := &lanes[i]; l.live {
 				n = min(n, l.bound())
 			}
 		}
-		j.r.group(lanes, n)
+		j.r.group(lanes, n, set)
 		live = 0
 		for i := range lanes {
 			if l := &lanes[i]; l.live {
@@ -359,7 +388,7 @@ func (j *chunkJob[S, A]) open(l *lane[S, A]) {
 	l.acc, l.err = j.r.startChunk()
 	l.live = l.err == nil
 	if !l.live {
-		j.r.abortAfter(l.idx)
+		j.r.abortAfter(j.r.rank(l))
 	}
 }
 
@@ -389,7 +418,7 @@ func (j *chunkJob[S, A]) settle(l *lane[S, A], why blockStop, err error) {
 		return
 	case blockFailed:
 		l.err, l.live = err, false
-		r.abortAfter(l.idx)
+		r.abortAfter(r.rank(l))
 		return
 	}
 	// The cap fires at iteration end, ahead of the next Done/match check,
@@ -402,7 +431,7 @@ func (j *chunkJob[S, A]) settle(l *lane[S, A], why blockStop, err error) {
 		l.live = false // the event's iteration never starts
 		if err != nil {
 			l.err = err
-			r.abortAfter(l.idx)
+			r.abortAfter(r.rank(l))
 		}
 		return
 	}
@@ -413,7 +442,7 @@ func (j *chunkJob[S, A]) settle(l *lane[S, A], why blockStop, err error) {
 		}
 		// An earlier chunk failed: this chunk is certain to be squashed,
 		// so stop burning the worker on it.
-		if r.abort.Load() < int64(l.idx) {
+		if r.abort.Load() < int64(r.rank(l)) {
 			l.err, l.live = errChunkAborted, false
 			return
 		}
@@ -432,12 +461,14 @@ func (j *chunkJob[S, A]) settle(l *lane[S, A], why blockStop, err error) {
 	}
 }
 
-// close is the chunk's exit. Backstop: a chunk that matched persists the
-// validated successor start when its own pending entry targets its own
-// row (see the compiler transformation's spice.backstop). The peek did
-// no work, so the committed count excludes it.
+// close is the chunk's exit. Backstop: a chunk that matched its
+// successor's start persists it when its own pending entry targets its
+// own row, the successor's (see the compiler transformation's
+// spice.backstop). A chunk that met another chunk's start persists
+// nothing: that start has a row of its own. The peek did no work, so the
+// committed count excludes it.
 func (l *lane[S, A]) close() {
-	if l.matched && !l.ownDone && l.cursor < len(l.plan) && l.plan[l.cursor].row == l.ownRow {
+	if l.matched && l.met == l.idx+1 && !l.ownDone && l.cursor < len(l.plan) && l.plan[l.cursor].row == l.ownRow {
 		l.props = append(l.props, proposal[S]{row: l.ownRow, state: l.s, local: l.work})
 	}
 }
@@ -470,8 +501,8 @@ func doneAt[S comparable](done func(S) bool, s S) (d bool, err error) {
 // armAbort clears the failure barrier for a new dispatch round.
 func (r *Runner[S, A]) armAbort() { r.abort.Store(math.MaxInt64) }
 
-// abortAfter lowers the failure barrier to idx: chunks later in the
-// chain stop at their next poll.
+// abortAfter lowers the failure barrier to a failed chunk's rank: the
+// chunks of a higher rank stop at their next poll.
 func (r *Runner[S, A]) abortAfter(idx int) {
 	for {
 		cur := r.abort.Load()
@@ -479,6 +510,18 @@ func (r *Runner[S, A]) abortAfter(idx int) {
 			return
 		}
 	}
+}
+
+// rank is chunk l's place in iteration order as known before the walk:
+// its index in the chain, or in a round that hunts the set 0 for chunk 0
+// and 1 for every other. There only the walk finds the order, and any
+// chunk but chunk 0 may precede the one that failed, so only chunk 0's
+// failure stops the others.
+func (r *Runner[S, A]) rank(l *lane[S, A]) int {
+	if r.rd.any {
+		return min(l.idx, 1)
+	}
+	return l.idx
 }
 
 // release drops everything the round's jobs and lanes captured from the
@@ -495,6 +538,8 @@ func (r *Runner[S, A]) release() {
 	var zeroS S
 	var zeroA A
 	r.rd = round[S, A]{}
+	clear(r.targets[:cap(r.targets)]) // an earlier round's set may have been longer
+	r.targets = r.targets[:0]
 	for j := range r.jobs {
 		job := &r.jobs[j]
 		job.ctx = nil
@@ -547,11 +592,12 @@ type round[S comparable, A any] struct {
 	per   int // chunks on each slot: per+1 on slots 0..extra-1, per on the rest
 	extra int
 	armed int   // chunks dispatch launched: always the prefix 0..armed-1, whole slots
+	any   bool  // every lane hunts the set of the round's predicted starts (seed)
 	cur   S     // chunk 0's start, the live state
 	pos   int64 // chunk 0's global position: the iterations committed so far
 	cap   int64 // the speculative iteration cap of the round's chunks
 	probe bool  // a probe: the confidence gate is open (runInvocation)
-	boot  bool  // memoize by the bootstrap plan (begin)
+	boot  bool  // memoize by the bootstrap plan (begin, or from a round that hunts the set on: seed)
 
 	// Round 0's clock, the pairing policy's evidence (finish), from the
 	// reads dispatch and land take anyway: dispatch time, the invoker's
@@ -574,6 +620,7 @@ type round[S comparable, A any] struct {
 	acc       A
 	committed bool  // acc holds a committed chunk's accumulator
 	misspec   bool  // a round squashed work
+	skew      bool  // the walk followed a chunk to one other than its index successor
 	last      int   // slot of the last chunk round 0 committed
 	round0    int64 // iterations round 0 committed
 }
@@ -675,8 +722,32 @@ func (r *Runner[S, A]) begin(start S, n int) {
 // r.chunks and clears its proposals. Each chunk plans from its
 // (predicted) global position — chunk 0's is exact. Only balance depends
 // on the prediction; correctness comes from the validation chain.
+//
+// A round that steps chains in groups, of more than two chunks, on a
+// runner whose list has been relinked (Runner.anyStop) hunts the set:
+// every lane stops at the first of the round's predicted starts it
+// meets, whichever chunk's, so the walk finds the chain's order from the
+// list. The set (r.targets) holds each start once, for the lowest chunk
+// that has it, and never chunk 0's: two chunks of one start would link
+// to each other with no work between them. A chunk of such a round does
+// not know its global position until the walk has found the order, so
+// it cannot plan from it: from that round on, the invocation memoizes by
+// the bootstrap plan, whose candidates promote turns into rows at the
+// positions the walk found (finish).
 func (r *Runner[S, A]) seed(ctx context.Context) {
 	rd, rows := &r.rd, r.pred.rows
+	rd.any = r.anyStop && rd.n > 2 && rd.n > rd.slots
+	set := r.targets[:0]
+	if rd.any {
+		rd.boot = true
+		for c, k := range r.chain[:rd.n-1] {
+			st := rows[k].start
+			if st != rd.cur && !slices.ContainsFunc(set, func(t target[S]) bool { return t.s == st }) {
+				set = append(set, target[S]{st, c + 1})
+			}
+		}
+	}
+	r.targets = set
 	c := 0
 	for i := 0; i < rd.slots; i++ {
 		j := &r.jobs[i]
@@ -694,6 +765,7 @@ func (r *Runner[S, A]) seed(ctx context.Context) {
 	for c := 0; c < rd.n; c++ {
 		l, at := r.chunks[c], rd.pos
 		l.idx, l.start, l.stop, l.hunt, l.ownRow, l.capAt, l.plan, l.base, l.props = c, rd.cur, zero, false, -1, 1<<62, bootPlan, 0, l.props[:0]
+		l.met, l.seen = c+1, false
 		if c > 0 {
 			from := &rows[r.chain[c-1]]
 			l.start, at = from.start, max(rd.pos, from.pos)
@@ -705,7 +777,7 @@ func (r *Runner[S, A]) seed(ctx context.Context) {
 			// Membership validation: a chunk with a successor hunts its
 			// predicted start in every iteration, wherever it appears.
 			l.ownRow = r.chain[c]
-			l.stop, l.hunt = rows[l.ownRow].start, true
+			l.stop, l.hunt = rows[l.ownRow].start, !rd.any
 		}
 		if !rd.boot {
 			l.plan, l.base = planFrom(r.plan, at), at
@@ -820,12 +892,16 @@ func (r *Runner[S, A]) dispatch(ctx context.Context) {
 	}
 }
 
-// walk resolves the round's validation chain once. Chunk i+1 is
-// validated by chunk i stopping on a match, so the prefix up to the
-// first chunk that did not commits — accumulators merged in chain order,
-// proposals turned into memos at exact global positions — and the walk
-// stops on that chunk (f), on a failed one, or on a conflicting one
-// (conflictAt).
+// walk resolves the round's validation chain once. It follows the links
+// the chunks recorded from chunk 0: a chunk that stopped on a match
+// validates the chunk whose start it met (lane.met), its index successor
+// unless the round hunted the set. Every chunk it reaches (seen) commits
+// — accumulators merged in walk order, proposals turned into memos at
+// exact global positions — until it reaches one that did not match (f),
+// a failed one, or a conflicting one (conflictAt). What it never reaches
+// is squashed. A link back into the chunks already walked can only come
+// from a traversal that cycles: the walk ends there as on a capped
+// chunk, and the next round goes on from that state.
 //
 // DOACROSS layers a second validation before the membership one can
 // surface anything about chunk i: each chunk the walk commits probes its
@@ -837,20 +913,21 @@ func (r *Runner[S, A]) dispatch(ctx context.Context) {
 // consumed stale values, so its error (like its accumulator) is invalid
 // and must be discarded with it, not surfaced. Validation reads bitmaps
 // only; the buffered values land after the walk (land), once it is
-// known which views commit and whether their copies need an order.
+// known which views commit and whether their copies need an order. A
+// DOACROSS round never hunts the set, so its walk is in index order.
 func (r *Runner[S, A]) walk() {
 	rd, spec := &r.rd, r.loop.speculative()
 	rd.f, rd.conflictAt, rd.land, rd.shared = 0, -1, 0, false
 	probeEnd := rd.armed // DOACROSS: the first conflicting chunk, or the end of the launched slots
-	for i := 0; i < rd.n; i++ {
-		l := r.chunks[i]
-		if i == rd.armed {
+	for i := 0; ; {
+		if i >= rd.armed {
 			// Unlaunched: dispatch was cut short by cancellation and the
 			// chain matched its way to a chunk that never started — the
 			// invocation fails with the dispatch-time ctx error.
 			rd.f, rd.err = i, rd.dispatchErr
 			break
 		}
+		l := r.chunks[i]
 		if spec && i == probeEnd {
 			// Flow-dependence violation: chunk i read a cell an earlier
 			// chunk wrote. Its start was validated (chunk i-1 matched it),
@@ -859,13 +936,14 @@ func (r *Runner[S, A]) walk() {
 			rd.conflictAt = i
 			break
 		}
+		l.seen, rd.f = true, i
 		if l.err != nil {
-			// Chunks 0..i-1 all matched, so chunk i's iterations are
-			// exactly the sequential continuation and its failure is the
-			// first in iteration order. (errChunkAborted cannot reach
-			// here: an aborted chunk always sits behind the failed chunk
-			// that lowered the barrier, and the walk stops there first.)
-			rd.f, rd.err = i, l.err
+			// Every chunk walked so far matched, so chunk i's iterations
+			// are exactly the sequential continuation and its failure is
+			// the first in iteration order. (errChunkAborted cannot reach
+			// here: a chunk is aborted only by a failure of a lower rank
+			// (Runner.rank), which the walk reaches first.)
+			rd.err = l.err
 			if spec {
 				// Sequential execution would have applied the failing
 				// run's cell writes up to the failure point; land the
@@ -896,10 +974,15 @@ func (r *Runner[S, A]) walk() {
 		} else {
 			r.pend.RecoveryChunks++
 		}
-		rd.f = i
 		if !l.matched {
 			break
 		}
+		rd.skew = rd.skew || l.met != i+1
+		if l.met < rd.armed && r.chunks[l.met].seen {
+			l.capped = true // the traversal cycles: go on from here next round
+			break
+		}
+		i = l.met
 	}
 	if rd.index == 0 {
 		rd.last, rd.round0 = r.chunks[rd.f].slot, rd.pos
@@ -987,16 +1070,18 @@ func (r *Runner[S, A]) landCells(n int, spread bool) {
 	}
 }
 
-// squash charges what the round discarded: every launched chunk behind
-// the one the walk stopped on and, when the walk stopped on a failure,
-// the failing chunk's partial work. The counters stay even if the
+// squash charges what the round discarded: every launched chunk the
+// walk did not reach and, when the walk stopped on a failure, the
+// failing chunk's partial work. The counters stay even if the
 // invocation fails: the work was done and discarded either way.
 func (r *Runner[S, A]) squash() {
 	rd := &r.rd
 	var squashed int64
-	for i := rd.f + 1; i < rd.armed; i++ {
-		squashed += r.chunks[i].work
-		rd.misspec = true
+	for i := 1; i < rd.armed; i++ {
+		if l := r.chunks[i]; !l.seen {
+			squashed += l.work
+			rd.misspec = true
+		}
 	}
 	if rd.conflictAt >= 0 {
 		// One conflict event; every iteration it squashed (the
@@ -1022,27 +1107,27 @@ func (r *Runner[S, A]) squash() {
 // verdicts resolves the predictions of the round's launched chunks and
 // reports whether another round follows. Committed speculative chunks
 // resolve their row's prediction as a hit. Squashed chunks are misses
-// only when the chain broke on a chunk that ran out of traversal — the
-// successor's start genuinely never appeared. Behind a *capped* chunk
-// the squash is a capacity artifact (the breaking chunk simply was not
-// allowed to walk far enough to validate), so those rows' verdicts are
-// deferred to the next round, which retries them from an
-// architecturally correct position. Without this distinction a cap
-// below the chunk span (a structure that grew past the derived cap)
-// would read as sustained misprediction and demote a perfectly
-// predictable workload. A conflict squash is likewise no miss: the
-// prediction was right (the chunk's start was validated) — the data
-// raced, which the gate hears separately (squash). Slots cancellation
-// left unlaunched resolved nothing and get no verdict. No round follows
-// when the last committed chunk reached the end of the traversal.
+// only when the walk ended on a chunk that ran out of traversal — their
+// start genuinely never appeared. Behind a *capped* chunk the squash is
+// a capacity artifact (the breaking chunk simply was not allowed to walk
+// far enough to validate), so those rows' verdicts are deferred to the
+// next round, which retries them from an architecturally correct
+// position. Without this distinction a cap below the chunk span (a
+// structure that grew past the derived cap) would read as sustained
+// misprediction and demote a perfectly predictable workload. A conflict
+// squash is likewise no miss: the prediction was right (the chunk's
+// start was validated) — the data raced, which the gate hears separately
+// (squash). Slots cancellation left unlaunched resolved nothing and get
+// no verdict. No round follows when the last committed chunk reached the
+// end of the traversal.
 func (r *Runner[S, A]) verdicts() bool {
 	rd := &r.rd
 	again := rd.conflictAt >= 0 || r.chunks[rd.f].capped
 	for i := 1; i < rd.armed; i++ {
-		if reclaimed := r.jobs[r.chunks[i].slot].reclaimed; i <= rd.f {
-			r.noteHit(r.chain[i-1], reclaimed)
+		if l := r.chunks[i]; l.seen {
+			r.noteHit(r.chain[i-1], r.jobs[l.slot].reclaimed)
 		} else if !again {
-			r.noteMiss(r.chain[i-1], reclaimed)
+			r.noteMiss(r.chain[i-1], r.jobs[l.slot].reclaimed)
 		}
 	}
 	return again
@@ -1055,11 +1140,13 @@ func (r *Runner[S, A]) verdicts() bool {
 // chain — the chunk may simply have capped before reaching it — but
 // gets that retry once: a later round that caps short of it again drops
 // it. After a conflict it is always retried. The chain's last chunk
-// hunted nothing. Every continuing round commits at least cap
-// iterations or moves past a row, so the loop terminates on any finite
-// traversal. Later rounds speculate on every admitted row still ahead
-// under the full cap (only round 0 of a probe runs under the reduced
-// one).
+// hunted nothing. A round that hunted the set goes on over the rows of
+// the chunks its walk did not reach, in row order, whose place in the
+// traversal no round has found yet. Every continuing round commits at
+// least cap iterations or moves past a row, so the loop terminates on
+// any finite traversal. Later rounds speculate on every admitted row
+// still ahead under the full cap (only round 0 of a probe runs under
+// the reduced one).
 //
 // A deadline cannot be ignored by later rounds: each re-checks ctx
 // before it is seeded, and its chunks poll while running; a failure here
@@ -1086,17 +1173,38 @@ func (r *Runner[S, A]) advance(ctx context.Context) {
 	if rd.err = ctx.Err(); rd.err == nil {
 		rd.err = r.cfg.Faults.Check(faults.RecoveryRound)
 	}
-	if rd.err == nil {
-		r.pend.Recoveries++
-		rd.layout(1+len(r.admitted(next)), r.width())
-		rd.cap = r.pred.specCap(r.cfg.maxSpec)
+	if rd.err != nil {
+		return
 	}
+	r.pend.Recoveries++
+	if rd.any {
+		chain := r.chain[:0]
+		for i := 1; i < rd.armed; i++ {
+			switch l := r.chunks[i]; {
+			case l.seen:
+			case l.start == rd.cur:
+				// The walk capped on the chunk's start, where the next round
+				// begins: a hit, as index order's next round would match it
+				// at once.
+				r.noteHit(r.chain[i-1], false)
+			default:
+				chain = append(chain, r.chain[i-1]) // in place: i-1 ≥ len(chain)
+			}
+		}
+		r.chain = chain
+	} else {
+		r.admitted(next)
+	}
+	rd.layout(1+len(r.chain), r.width())
+	rd.cap = r.pred.specCap(r.cfg.maxSpec)
 }
 
 // finish books the invocation once its last round has committed. Later
 // rounds' iterations are charged to the slot of the last chunk round 0
 // committed. MisspecInvocations counts any squash; the gate hears the
-// verdicts and conflicts row by row instead. A bootstrap invocation's
+// verdicts and conflicts row by row instead. A miss turns set hunting on
+// (seed), and calmRun invocations in a row whose walks followed every
+// chunk to its index successor turn it off. A bootstrap invocation's
 // candidates become rows, the predictor installs the memoizations, and
 // the pairing policy hears round 0's clock.
 func (r *Runner[S, A]) finish() {
@@ -1108,6 +1216,10 @@ func (r *Runner[S, A]) finish() {
 	if rd.misspec {
 		r.pend.MisspecInvocations++
 	}
+	if r.calm++; r.pend.Misses > 0 || rd.skew {
+		r.calm = 0
+	}
+	r.anyStop = r.group != nil && (r.pend.Misses > 0 || r.anyStop && r.calm < calmRun)
 	if rd.boot {
 		r.memos = r.pred.promote(rd.pos, r.memos)
 	}
@@ -1137,10 +1249,19 @@ func (r *Runner[S, A]) finish() {
 		self = float64(rd.own) / float64(steps)
 	}
 	clean := rd.index == 0 && !rd.misspec && !rd.reclaimed && rd.slots <= procs
-	if r.pairing.observe(perIter, rd.rung, rd.slots, clean, self, rd.pos/int64(r.cfg.Threads)) {
+	perSlot := rd.pos / int64(r.cfg.Threads)
+	if procs == 1 && rd.slots > 1 && r.pairing.timed(perSlot) {
+		// The slots take turns on one processor: width cannot pay.
+		r.pairing.gain.add(1)
+	}
+	if r.pairing.observe(perIter, rd.rung, rd.slots, clean, self, perSlot) {
 		r.pred.stride = r.pred.parts / (r.cfg.Threads * r.pairing.depth)
 	}
 }
+
+// calmRun is how many invocations in a row must walk every chunk to its
+// index successor before a runner stops hunting the set.
+const calmRun = 8
 
 // admitted fills r.chain, in row order, with the rows in use (every
 // stride-th, predictor.stride; every Threads·stride-th on a narrowed

@@ -540,6 +540,7 @@ func NewRunner[S comparable, A any](loop Loop[S, A], cfg Config) (*Runner[S, A],
 	// plans without allocating from the first invocation on.
 	r.plan = make([]planEntry, 0, chunks-1)
 	r.chain = make([]int, 0, chunks)
+	r.targets = make([]target[S], 0, chunks)
 	r.lat.init()
 	for j := range r.jobs {
 		r.jobs[j].r, r.jobs[j].idx = r, j
