@@ -215,7 +215,7 @@ func BenchmarkInvocationFloor(b *testing.B) {
 // four chunks of one traversal on the invoking goroutine alone. The
 // relinked_ rows are doall_churn's regime on adaptive runners of derived
 // shape: a 100k-node list with a fifth of its nodes replaced and the
-// rest relinked in a fresh shuffled order before every invocation (the
+// list relinked in a fresh shuffled order before every invocation (the
 // relinking untimed), where the split lands anywhere, a width that does
 // not pay narrows to width 1, and the grouped rounds hunt the set of
 // predicted starts; relinked_seq is the same list walked by one chunk.
@@ -289,45 +289,45 @@ func BenchmarkIterationOverhead(b *testing.B) {
 
 // relinked is an n-node list in the hostile kernel's regime
 // (internal/workloads/native): before every invocation a fifth of the
-// nodes is replaced and the list relinked in a shuffled order. Its
-// variants are prebuilt, so next allocates nothing: six groups of n/5
-// nodes in one slab, variant v linking every group but v mod 6 in an
-// order of its own, so from one variant to the next (the last to the
-// first included) one group leaves and another returns.
+// nodes is replaced, drawn with replacement, and the list relinked in a
+// fresh shuffled order, both drawn from the seeded source, so no
+// invocation's starts die together with an earlier one's. Its nodes are
+// one slab of n + n/5, order[:n] the list's and order[n:] the ones out
+// of it, which keep their stale links as replaced nodes do; next
+// allocates nothing.
 type relinked struct {
-	nodes  []mnode
-	orders [][]int32
-	v      int
+	rng   *rand.Rand
+	nodes []mnode
+	order []int32
+	n     int
 }
 
-// newRelinked builds seed's variants of an n-node list.
+// newRelinked builds seed's n-node list.
 func newRelinked(seed int64, n int) *relinked {
-	rng, group := rand.New(rand.NewSource(seed)), n/5
-	l := &relinked{nodes: make([]mnode, 6*group)}
+	l := &relinked{rng: rand.New(rand.NewSource(seed)), nodes: make([]mnode, n+n/5), order: make([]int32, n+n/5), n: n}
 	for i := range l.nodes {
-		l.nodes[i].w = rng.Int63n(1 << 20)
-	}
-	for v := range 6 {
-		order := make([]int32, 0, 5*group)
-		for _, i := range rng.Perm(6 * group) {
-			if i/group != v {
-				order = append(order, int32(i))
-			}
-		}
-		l.orders = append(l.orders, order)
+		l.nodes[i].w = l.rng.Int63n(1 << 20)
+		l.order[i] = int32(i)
 	}
 	return l
 }
 
-// next links the next variant and returns its head.
+// next replaces a fifth of the list's nodes with nodes out of it, each
+// at a position drawn with replacement (as the hostile kernel draws
+// them, so about 18 % of the nodes leave), relinks the list in a fresh
+// shuffled order and returns its head.
 func (l *relinked) next() *mnode {
-	order := l.orders[l.v%len(l.orders)]
-	l.v++
-	for i, at := range order[1:] {
-		l.nodes[order[i]].next = &l.nodes[at]
+	live, out := l.order[:l.n], l.order[l.n:]
+	for i := range out {
+		j := l.rng.Intn(len(live))
+		live[j], out[i] = out[i], live[j]
 	}
-	l.nodes[order[len(order)-1]].next = nil
-	return &l.nodes[order[0]]
+	l.rng.Shuffle(len(live), func(i, j int) { live[i], live[j] = live[j], live[i] })
+	for i, at := range live[1:] {
+		l.nodes[live[i]].next = &l.nodes[at]
+	}
+	l.nodes[live[len(live)-1]].next = nil
+	return &l.nodes[live[0]]
 }
 
 // scatteredList is seed's n-node list of weights below 2^20, its nodes

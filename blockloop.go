@@ -51,6 +51,11 @@ import "fmt"
 // group until it stops, the last one included — Runner.block and Scan
 // take one stop, not a set — so a loop's Scan never runs in those
 // rounds. Without a set the group pays one empty range per chain step.
+// Such a round carries setFanout chunks a slot per chain in flight, and
+// the group stays as wide as the slot's depth while chunks remain: the
+// driver opens the slot's next chunk in place of each chain that stops
+// (refill), so g holds the lanes opened so far, the stopped ones among
+// them, and the routine steps the live ones.
 //
 // Whether a block hunts its successor's predicted start (membership
 // validation — every chunk with a successor) or not (the chain's last
@@ -98,9 +103,9 @@ const (
 // and why it stopped. stop means nothing unless hunt is set.
 type blockFn[S comparable, A any] func(v *CellView, s S, acc A, stop S, hunt bool, n int64) (S, A, int64, blockStop, error)
 
-// groupFn steps the live lanes of a slot (g) in lockstep, up to n
-// iterations each, each from its own state, until the block is filled or
-// one chain stops. With set nil each lane hunts its own stop; otherwise
+// groupFn steps the live lanes of a slot (g, at most maxDepth of them
+// live) in lockstep, up to n iterations each, each from its own state,
+// until the block is filled or one chain stops. With set nil each lane hunts its own stop; otherwise
 // every lane hunts the round's whole set of predicted starts (but its
 // own) and, on meeting one, records its chunk (lane.met). It leaves each
 // live lane's state, accumulator, started-iteration count (k) and stop

@@ -854,18 +854,19 @@ func busy(works []int64) (n int) {
 // checkConservation fails t unless st satisfies every accounting
 // identity, whatever the speculation, conflict or fault regime behind
 // it: a conflict squash is a squash, a reclaim is a verdict, no round
-// judges more chunks than it dispatches (depth·threads − 1 when its
-// slots carry several chunks, threads − 1 otherwise), a paired round is
-// a round, conflict iterations need a conflict, and width 1 meets no
-// conflict. depth is the runner's pinned Config.depth, or 0 for a
-// derived one, whose slots carry up to maxDepth chunks.
+// judges more chunks than it dispatches (setFanout·depth·threads − 1
+// when its slots carry several chunks, as a round that hunts the set
+// does, threads − 1 otherwise), a paired round is a round, conflict
+// iterations need a conflict, and width 1 meets no conflict. depth is
+// the runner's pinned Config.depth, or 0 for a derived one, whose slots
+// carry up to maxDepth chunks a lane.
 func checkConservation(t testing.TB, st Stats, threads, depth int) {
 	t.Helper()
 	if depth == 0 {
 		depth = maxDepth
 	}
 	rounds := st.Invocations + st.Recoveries
-	switch spec, extra := int64(threads-1), int64((depth-1)*threads); {
+	switch spec, extra := int64(threads-1), int64((setFanout*depth-1)*threads); {
 	case st.PairedRounds > rounds:
 		t.Fatalf("PairedRounds %d > Invocations %d + Recoveries %d", st.PairedRounds, st.Invocations, st.Recoveries)
 	case st.Hits+st.Misses > rounds*spec+st.PairedRounds*extra:

@@ -221,6 +221,11 @@ func (r *Runner[S, A]) runInvocation(ctx context.Context, start S, loadAware boo
 	}
 	defer r.stats.publish(&r.pend)
 	r.pend.Invocations++
+	if !r.anyStop || r.pairing.depth == 1 {
+		// Only a round that steps chains in groups hunts the set: the set
+		// grid's rows go back to the index grid.
+		r.pred.regrid(false)
+	}
 
 	shed := false
 	if r.width() > 1 {
@@ -321,10 +326,21 @@ func (r *Runner[S, A]) width() int {
 // the row clears the confidence floor or the invocation is a probe
 // (probes bypass the gate so gated rows can earn their confidence back).
 func (r *Runner[S, A]) admitRow(k int) bool {
-	if r.ctrl == nil || r.rd.probe || r.pairing.one {
+	if r.gate() == nil || r.rd.probe || r.pairing.one {
 		return true
 	}
 	return r.ctrl.Admit(k)
+}
+
+// gate is the confidence gate rows answer to: the controller, except
+// while the rows are the set grid's (predictor.fine), which every set
+// invocation places afresh on the nodes a relinked list has now, so a
+// row's record says nothing about its next start.
+func (r *Runner[S, A]) gate() *specController {
+	if r.pred.fine() {
+		return nil
+	}
+	return r.ctrl
 }
 
 // noteHit records a committed speculative chunk for row k, and feeds
@@ -333,8 +349,8 @@ func (r *Runner[S, A]) admitRow(k int) bool {
 // with the verdict, so Reclaimed ≤ Hits + Misses holds by construction.
 func (r *Runner[S, A]) noteHit(k int, reclaimed bool) {
 	r.pend.Hits++
-	if r.ctrl != nil {
-		r.ctrl.Hit(k)
+	if c := r.gate(); c != nil {
+		c.Hit(k)
 	}
 	if reclaimed {
 		r.pend.Reclaimed++
@@ -344,8 +360,8 @@ func (r *Runner[S, A]) noteHit(k int, reclaimed bool) {
 // noteMiss records a squashed speculative chunk for row k.
 func (r *Runner[S, A]) noteMiss(k int, reclaimed bool) {
 	r.pend.Misses++
-	if r.ctrl != nil {
-		r.ctrl.Miss(k)
+	if c := r.gate(); c != nil {
+		c.Miss(k)
 	}
 	if reclaimed {
 		r.pend.Reclaimed++

@@ -51,6 +51,16 @@ import (
 // (pairing.one: width did not pay). DOACROSS slots always carry one
 // chunk: each chunk needs a CellView of its own.
 //
+// A round that hunts the set is cut finer than its lanes: its starts
+// land wherever the relinked list put them, so D chunks a slot would
+// leave the slot's group waiting on its longest. Its chain comes from
+// the predictor's set grid (predictor.regrid), setFanout·D·W-1 rows, so
+// each slot carries setFanout·D chunks and keeps D of them in flight
+// (chunkJob.depth): when a chain stops, exec opens the slot's next chunk
+// in its place (refill), so the group stays D wide until the slot's
+// chunks are gone — more chunks than lanes, taken by whichever lane is
+// free. Rounds of index order keep one chunk a lane.
+//
 // A round of one (a width-1 or narrowed runner at depth 1, a shed batch
 // item, no row predicted or admitted, or the tail behind a capped last
 // chunk) is slot 0 alone on the invoking goroutine, carrying chunk 0
@@ -156,16 +166,18 @@ import (
 // (exec), offered by dispatch, and in a DOACROSS round the copy-out of
 // its view (copy), offered by landCells once the walk has committed the
 // chunk. A slot carries one chunk of the round's validation chain, or
-// up to maxDepth consecutive ones; each chunk is a lane. r and idx
-// are wired once by NewRunner; seed sets the remaining fields, and the
-// lanes' inputs, every round.
+// up to maxDepth consecutive ones (setFanout·maxDepth in a round that
+// hunts the set); each chunk is a lane. r and idx are wired once by
+// NewRunner; seed sets the remaining fields, and the lanes' inputs,
+// every round.
 type chunkJob[S comparable, A any] struct {
 	r     *Runner[S, A]
 	idx   int // dispatch slot: at depth 1 also its chunk's position in the chain
 	ctx   context.Context
 	width int // chunks this round: lanes[:width]
+	depth int // chunks in flight at once: width, or in a round that hunts the set at most the runner's depth
 	used  int // the most chunks since the last release: lanes[:used] hold caller state
-	lanes [maxDepth]lane[S, A]
+	lanes [setFanout * maxDepth]lane[S, A]
 
 	claimWord // armed by dispatch after every other field of the round is in place
 	// copying names the armed phase: false for the chunk, true for the
@@ -311,11 +323,12 @@ func (j *chunkJob[S, A]) copy() {
 // amortized. A slot of several chunks drives its lanes through the
 // group routine (Runner.group) with one block bound for all, the
 // nearest of their next events, while two or more are live; the last
-// goes on alone. Plan cursor, cap, match and failure are per lane. The
-// caller holds the
-// slot's claim (or runs slot 0, which is never submitted), so exec runs
-// exactly once per armed slot per round and signals the latch exactly
-// once.
+// goes on alone. In a round that hunts the set the group holds at most
+// depth chains, and a chain that stops hands its place to the slot's
+// next chunk, opened in index order (refill). Plan cursor, cap, match and
+// failure are per lane. The caller holds the slot's claim (or runs slot
+// 0, which is never submitted), so exec runs exactly once per armed slot
+// per round and signals the latch exactly once.
 //
 // exec is the panic-containment boundary of the executor layer: a
 // callback panicking on a worker goroutine (e.g. a corrupted prediction
@@ -336,25 +349,29 @@ func (j *chunkJob[S, A]) exec() {
 		view = &j.r.views[j.idx]
 	}
 	lanes := j.lanes[:j.width]
-	live := 0 // a lane whose Init or fault site failed never starts
-	for i := range lanes {
-		if j.open(&lanes[i]); lanes[i].live {
-			live++
-		}
-	}
-	// A lane that hunts the set stays in the group until it stops: the
-	// block routine takes one stop.
+	// lanes[:opened] have started; a lane whose Init or fault site failed
+	// never runs. A lane that hunts the set stays in the group until it
+	// stops: the block routine takes one stop.
+	opened, live := 0, 0
 	set := j.r.targets // empty unless the round hunts the set (seed)
-	for alone := b2i(len(set) == 0); live > alone; {
+	for alone := b2i(len(set) == 0); ; {
+		for ; live < j.depth && opened < len(lanes); opened++ {
+			if j.open(&lanes[opened]); lanes[opened].live {
+				live++
+			}
+		}
+		if live <= alone {
+			break
+		}
 		n := int64(math.MaxInt64)
-		for i := range lanes {
+		for i := range lanes[:opened] {
 			if l := &lanes[i]; l.live {
 				n = min(n, l.bound())
 			}
 		}
-		j.r.group(lanes, n, set)
+		j.r.group(lanes[:opened], n, set)
 		live = 0
-		for i := range lanes {
+		for i := range lanes[:opened] {
 			if l := &lanes[i]; l.live {
 				l.work += l.k
 				if j.settle(l, l.why, l.err); l.live {
@@ -586,18 +603,19 @@ func (r *Runner[S, A]) queuedEntries() int64 {
 // it costs no allocation; only the invoking goroutine touches it, and
 // release zeroes it with the rest of the caller's state.
 type round[S comparable, A any] struct {
-	index int // the round's number within the invocation
-	n     int // chunks seeded: chunk 0, then one per row of r.chain
-	slots int // the slots that carry them (layout)
-	per   int // chunks on each slot: per+1 on slots 0..extra-1, per on the rest
-	extra int
-	armed int   // chunks dispatch launched: always the prefix 0..armed-1, whole slots
-	any   bool  // every lane hunts the set of the round's predicted starts (seed)
-	cur   S     // chunk 0's start, the live state
-	pos   int64 // chunk 0's global position: the iterations committed so far
-	cap   int64 // the speculative iteration cap of the round's chunks
-	probe bool  // a probe: the confidence gate is open (runInvocation)
-	boot  bool  // memoize by the bootstrap plan (begin, or from a round that hunts the set on: seed)
+	index  int // the round's number within the invocation
+	n      int // chunks seeded: chunk 0, then one per row of r.chain
+	slots  int // the slots that carry them (layout)
+	per    int // chunks on each slot: per+1 on slots 0..extra-1, per on the rest
+	extra  int
+	armed  int   // chunks dispatch launched: always the prefix 0..armed-1, whole slots
+	any    bool  // every lane hunts the set of the round's predicted starts (seed)
+	hunted bool  // a round of the invocation hunted the set: its candidates become the set grid's rows (finish)
+	cur    S     // chunk 0's start, the live state
+	pos    int64 // chunk 0's global position: the iterations committed so far
+	cap    int64 // the speculative iteration cap of the round's chunks
+	probe  bool  // a probe: the confidence gate is open (runInvocation)
+	boot   bool  // memoize by the bootstrap plan (begin, or from a round that hunts the set on: seed)
 
 	// Round 0's clock, the pairing policy's evidence (finish), from the
 	// reads dispatch and land take anyway: dispatch time, the invoker's
@@ -628,8 +646,8 @@ type round[S comparable, A any] struct {
 // layout spreads n chunks over at most width slots, consecutive chunks
 // on each (seed), as evenly as they go: one each while they fit, else
 // the first n mod width slots carry one more than the rest (n ≤
-// maxDepth·width). A round that fits divides nothing: its fixed cost is
-// every round of one's.
+// maxDepth·width, or setFanout·maxDepth·width on the set grid). A round
+// that fits divides nothing: its fixed cost is every round of one's.
 func (rd *round[S, A]) layout(n, width int) {
 	rd.n, rd.slots, rd.per, rd.extra = n, min(n, width), 1, 0
 	if n > width {
@@ -723,8 +741,10 @@ func (r *Runner[S, A]) begin(start S, n int) {
 // (predicted) global position — chunk 0's is exact. Only balance depends
 // on the prediction; correctness comes from the validation chain.
 //
-// A round that steps chains in groups, of more than two chunks, on a
-// runner whose list has been relinked (Runner.anyStop) hunts the set:
+// A round that steps chains in groups on a runner whose list has been
+// relinked (Runner.anyStop) hunts the set, two chunks on one slot
+// included (the set round of two is index order's, but it places the
+// next invocation's rows on the set grid):
 // every lane stops at the first of the round's predicted starts it
 // meets, whichever chunk's, so the walk finds the chain's order from the
 // list. The set (r.targets) holds each start once, for the lowest chunk
@@ -732,14 +752,17 @@ func (r *Runner[S, A]) begin(start S, n int) {
 // to each other with no work between them. A chunk of such a round does
 // not know its global position until the walk has found the order, so
 // it cannot plan from it: from that round on, the invocation memoizes by
-// the bootstrap plan, whose candidates promote turns into rows at the
-// positions the walk found (finish).
+// the bootstrap plan, whose candidates promote turns into rows of the
+// set grid at the positions the walk found (finish). Each slot of such a
+// round keeps at most the runner's depth of its chunks in flight
+// (chunkJob.depth), and round 0's rung is that depth.
 func (r *Runner[S, A]) seed(ctx context.Context) {
 	rd, rows := &r.rd, r.pred.rows
-	rd.any = r.anyStop && rd.n > 2 && rd.n > rd.slots
+	rd.any = r.anyStop && rd.n > rd.slots
 	set := r.targets[:0]
 	if rd.any {
-		rd.boot = true
+		rd.boot, rd.hunted = true, true
+		rd.rung = min(rd.rung, r.pairing.depth)
 		for c, k := range r.chain[:rd.n-1] {
 			st := rows[k].start
 			if st != rd.cur && !slices.ContainsFunc(set, func(t target[S]) bool { return t.s == st }) {
@@ -754,6 +777,10 @@ func (r *Runner[S, A]) seed(ctx context.Context) {
 		j.ctx, j.width = ctx, rd.per
 		if i < rd.extra {
 			j.width++
+		}
+		j.depth = j.width
+		if rd.any {
+			j.depth = min(j.width, r.pairing.depth)
 		}
 		j.used = max(j.used, j.width)
 		for k := range j.width {
@@ -1205,8 +1232,9 @@ func (r *Runner[S, A]) advance(ctx context.Context) {
 // verdicts and conflicts row by row instead. A miss turns set hunting on
 // (seed), and calmRun invocations in a row whose walks followed every
 // chunk to its index successor turn it off. A bootstrap invocation's
-// candidates become rows, the predictor installs the memoizations, and
-// the pairing policy hears round 0's clock.
+// candidates become rows, of the set grid if a round hunted the set, the
+// predictor installs the memoizations, and the pairing policy hears
+// round 0's clock.
 func (r *Runner[S, A]) finish() {
 	rd := &r.rd
 	tail := rd.pos - rd.round0
@@ -1220,6 +1248,9 @@ func (r *Runner[S, A]) finish() {
 		r.calm = 0
 	}
 	r.anyStop = r.group != nil && (r.pend.Misses > 0 || r.anyStop && r.calm < calmRun)
+	if rd.hunted {
+		r.pred.regrid(true)
+	}
 	if rd.boot {
 		r.memos = r.pred.promote(rd.pos, r.memos)
 	}
@@ -1259,9 +1290,17 @@ func (r *Runner[S, A]) finish() {
 	}
 }
 
-// calmRun is how many invocations in a row must walk every chunk to its
-// index successor before a runner stops hunting the set.
-const calmRun = 8
+const (
+	// calmRun is how many invocations in a row must walk every chunk to
+	// its index successor before a runner stops hunting the set.
+	calmRun = 8
+	// setFanout is how many chunks a round that hunts the set carries per
+	// chain a slot keeps in flight, F: its cuts land at random, so F·D
+	// chunks on D lanes wait on their longest far less than D chunks do.
+	// At F = 4 each chain step compared against twice the starts, and
+	// that ate the gain.
+	setFanout = 2
+)
 
 // admitted fills r.chain, in row order, with the rows in use (every
 // stride-th, predictor.stride; every Threads·stride-th on a narrowed

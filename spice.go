@@ -529,10 +529,15 @@ func NewRunner[S comparable, A any](loop Loop[S, A], cfg Config) (*Runner[S, A],
 	}
 	r.pairing.reset()
 	// One grid, cut for the finest depth; a coarser depth uses every
-	// stride-th row of it.
+	// stride-th row of it. A runner that steps chains in groups can hunt
+	// the set, on a grid and with slots setFanout times finer.
 	r.pred = newPredictor[S](cfg.Threads*depth, depth/r.pairing.depth)
-	// The round's buffers: Threads slots of up to depth chunks each.
-	chunks := cfg.Threads * depth
+	perSlot := depth
+	if depth > 1 {
+		perSlot *= setFanout
+	}
+	// The round's buffers: Threads slots of up to perSlot chunks each.
+	chunks := cfg.Threads * perSlot
 	r.chunks = make([]*lane[S, A], chunks)
 	r.jobs = make([]chunkJob[S, A], cfg.Threads)
 	r.works = make([]int64, cfg.Threads)
