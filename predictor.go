@@ -84,8 +84,9 @@ type memo[S comparable] struct {
 type predictor[S comparable] struct {
 	// parts is the number of chunks the index grid's boundaries split the
 	// last trip count into: the runner's width times the most chunks a
-	// slot may carry (its finest depth). rows holds parts-1 entries, one per inner
-	// boundary, and a runner at a coarser depth uses every stride-th:
+	// slot may carry (its finest depth). The grid has parts-1 rows, one
+	// per inner boundary, and a runner at a coarser depth uses every
+	// stride-th:
 	// rows stride-1, 2·stride-1, …, which sit on exactly the boundaries
 	// of the coarser grid (⌊P·2k/2W⌋ = ⌊P·k/W⌋). The rows in between are
 	// out of use: no plan targets them, so the next apply clears them.
