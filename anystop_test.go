@@ -388,3 +388,278 @@ func TestSuiteStaysFlat(t *testing.T) {
 		t.Fatalf("no set round of more chunks than lanes in 8 invocations: %s", statsLine(r.Stats()))
 	})
 }
+
+// TestEveryRelink runs set rounds over every relink of a small list, the
+// small-scope check of the protocol. The list is m ≤ 6 blocks, chunk c's
+// predicted start on block c's first node, and a relink keeps block 0
+// and any of the others in any order (a dropped block's start is dead;
+// a start at the head is chunk 0's). A (1, D) runner hunts the set at
+// D = 2 and 4, its rows on the index grid (one chunk a lane) or on the
+// set grid (2·D chunks on D lanes: refill), under the derived cap, a
+// cap of 1, of a short block (exactly on the next start) and of two;
+// with no failure, or a BodyErr on the second node of one block (or a
+// panic there, under the derived cap). The last
+// block of a list of three or more is longer than a poll interval, so a
+// chunk it starts is still running when an earlier chunk fails. Every
+// invocation must equal the oracle, result or error, and keep the
+// accounting identities; one without failure judges each row once, a
+// miss exactly for a dead start and for a start on the head. The extra
+// cases are the shapes only a set round meets.
+func TestEveryRelink(t *testing.T) {
+	const short, long = 4, ctxPollEvery + 100
+	errTrap := errors.New("trapped")
+	var trap, head *mnode
+	var panics bool
+	// firsts lists the chunks whose start the body first ran, in the
+	// order it did (of the starts that are a block's first node, src the
+	// block's number):
+	// chunk c runs its start first at its first iteration, and each
+	// slot's lanes step in index order and open its chunks in index order.
+	var firsts []int
+	var ran [8]bool
+	loop := plainLoop()
+	loop.Body, loop.BodyErr = nil, func(n *mnode, a tally) (tally, error) {
+		if n.src > 0 && n != head && !ran[n.src] {
+			ran[n.src], firsts = true, append(firsts, n.src)
+		}
+		if n == trap {
+			if panics {
+				panic(errTrap)
+			}
+			return a, errTrap
+		}
+		return a.visit(n.w), nil
+	}
+	// blocks builds m blocks of linked nodes, the last longer when m > 2.
+	blocks := func(m int) [][]*mnode {
+		bs := make([][]*mnode, m)
+		w := int64(0)
+		for b := range bs {
+			n := short
+			if b == m-1 && m > 2 {
+				n = long
+			}
+			for i := range n {
+				w++
+				bs[b] = append(bs[b], &mnode{w: w * w % 1009, src: -1})
+				if i > 0 {
+					bs[b][i-1].next = bs[b][i]
+				}
+			}
+			bs[b][0].src = b
+		}
+		return bs
+	}
+	// link makes order the list, each dropped block's tail pointing at
+	// stale (nil: the dead start runs its block and ends), and returns
+	// the head and every block's start but block 0's.
+	link := func(bs [][]*mnode, order []int, stale *mnode) (*mnode, []*mnode) {
+		var starts []*mnode
+		for b := range bs {
+			bs[b][len(bs[b])-1].next = stale
+			if b > 0 {
+				starts = append(starts, bs[b][0])
+			}
+		}
+		for i, b := range order {
+			tail := bs[b][len(bs[b])-1]
+			if tail.next = nil; i+1 < len(order) {
+				tail.next = bs[order[i+1]][0]
+			}
+		}
+		return bs[order[0]][0], starts
+	}
+	// run runs one invocation from head with chunk c's start at
+	// starts[c-1], checked against the oracle; with no trap on the list it
+	// also checks that exactly dead rows missed.
+	run := func(t *testing.T, r *Runner[*mnode, tally], fine bool, from *mnode, starts []*mnode, dead int, tag string) {
+		t.Helper()
+		head, firsts, ran = from, firsts[:0], [8]bool{true, true, true, true, true, true, true, true}
+		for _, s := range starts {
+			ran[max(s.src, 0)] = s.src <= 0 // only the starts that are a block's first node
+		}
+		r.reset()
+		seedStarts(r, fine, starts)
+		var want tally
+		trapped := false
+		for n := head; n != nil; n = n.next {
+			if trapped = n == trap; trapped {
+				break
+			}
+			want = want.visit(n.w)
+		}
+		before := r.Stats()
+		got, err := r.Run(context.Background(), head)
+		switch {
+		case !trapped:
+			if err != nil || got != want {
+				t.Fatalf("%s: Run = %+v, %v; want %+v", tag, got, err, want)
+			}
+			if st := r.Stats().Delta(before); st.Misses != int64(dead) || st.Hits+st.Misses != int64(len(starts)) {
+				t.Fatalf("%s: %d dead of %d rows: %s", tag, dead, len(starts), statsLine(st))
+			}
+			if !slices.IsSorted(firsts) {
+				t.Fatalf("%s: chunks first ran their starts in the order %v", tag, firsts)
+			}
+		case panics:
+			if pe := wantPanic(t, err); pe.Value != errTrap {
+				t.Fatalf("%s: panic %v, want %v", tag, pe.Value, errTrap)
+			}
+		case err != errTrap:
+			t.Fatalf("%s: err %v, want %v", tag, err, errTrap)
+		}
+		checkConservation(t, r.Stats(), 1, r.cfg.depth)
+	}
+	type shape struct {
+		depth int
+		fine  bool
+	}
+	shapes := []shape{{2, false}, {4, false}, {2, true}, {4, true}}
+	// chunks is the most chunks a round of the shape's grid carries.
+	chunks := func(sh shape) int {
+		if sh.fine {
+			return setFanout * sh.depth
+		}
+		return sh.depth
+	}
+	t.Run("enumerated", func(t *testing.T) {
+		cases := 0
+		for _, sh := range shapes {
+			r := newRunner(t, loop, Config{Threads: 1, depth: sh.depth})
+			for m := 2; m <= min(chunks(sh), 6); m++ {
+				bs := blocks(m)
+				forEachRelink(m, func(order []int) {
+					head, starts := link(bs, order, nil)
+					dead := len(bs) - len(order) + b2i(order[0] != 0)
+					for _, cap := range []int64{0, 1, short, 2 * short} {
+						r.cfg.maxSpec = cap
+						for f := -1; f < len(order); f++ {
+							for _, p := range []bool{false, true} {
+								if p && (f < 0 || cap != 0) {
+									continue // a panic records its stack: only under the derived cap
+								}
+								// Under the race detector a sample: every 32nd case.
+								if cases++; raceEnabled && cases%32 != 0 {
+									continue
+								}
+								trap, panics = nil, p
+								if f >= 0 {
+									trap = bs[order[f]][1]
+								}
+								run(t, r, sh.fine, head, starts, dead,
+									fmt.Sprintf("%+v order %v cap %d trap in block %d (panic %v)", sh, order, cap, f, p))
+							}
+						}
+					}
+				})
+			}
+		}
+		trap = nil
+	})
+	// The cases below are the only shapes a set round has: a start kept by
+	// two rows, a start on the list's last node, a dead start whose stale
+	// tail cycles off the list or re-enters it anywhere, a list that cycles
+	// back into the chunks walked, and a set round of two chunks on one
+	// lane's slot, whose second chunk's window is its own start.
+	t.Run("two starts on one node", func(t *testing.T) {
+		for _, sh := range shapes[1:] {
+			r := newRunner(t, loop, Config{Threads: 1, depth: sh.depth})
+			bs := blocks(4)
+			head, starts := link(bs, []int{0, 1, 2, 3}, nil)
+			starts[2] = starts[1] // chunk 3 starts where chunk 2 does: the set keeps it for chunk 2
+			run(t, r, sh.fine, head, starts, 1, fmt.Sprintf("%+v", sh))
+		}
+	})
+	t.Run("start on the last node", func(t *testing.T) {
+		for _, sh := range shapes[1:] {
+			r := newRunner(t, loop, Config{Threads: 1, depth: sh.depth})
+			bs := blocks(4)
+			head, starts := link(bs, []int{0, 1, 2, 3}, nil)
+			starts[1] = bs[3][len(bs[3])-1] // chunk 2 starts on the last node, met by chunk 3
+			run(t, r, sh.fine, head, starts, 0, fmt.Sprintf("%+v", sh))
+		}
+	})
+	t.Run("stale links", func(t *testing.T) {
+		for _, sh := range shapes[1:] {
+			r := newRunner(t, loop, Config{Threads: 1, depth: sh.depth})
+			for _, cap := range []int64{0, short} {
+				r.cfg.maxSpec = cap
+				bs := blocks(4)
+				// Block 1 is dropped; its tail points back at itself (a
+				// cycle off the list, spun until the cap) or at any node of
+				// the list.
+				stales := []*mnode{bs[1][0]}
+				for _, b := range []int{0, 2, 3} {
+					stales = append(stales, bs[b][:short]...)
+				}
+				for _, stale := range stales {
+					head, starts := link(bs, []int{0, 3, 2}, nil)
+					bs[1][short-1].next = stale
+					run(t, r, sh.fine, head, starts, 1, fmt.Sprintf("%+v cap %d stale tail to weight %d", sh, cap, stale.w))
+				}
+			}
+		}
+	})
+	t.Run("cycle", func(t *testing.T) {
+		// The list's tail points back at block 1's start: the traversal
+		// never ends, and the walk meets a chunk it has walked. Rounds go
+		// on from there until the context is cancelled.
+		for _, sh := range shapes[1:] {
+			r := newRunner(t, loop, Config{Threads: 1, depth: sh.depth})
+			bs := blocks(4)
+			head, starts := link(bs, []int{0, 1, 2, 3}, nil)
+			bs[3][len(bs[3])-1].next = bs[1][0]
+			seedStarts(r, sh.fine, starts)
+			if _, err := r.Run(&scriptedCtx{Context: context.Background(), cancelAt: 40}, head); err != context.Canceled {
+				t.Fatalf("%+v: err %v, want %v", sh, err, context.Canceled)
+			}
+			checkConservation(t, r.Stats(), 1, sh.depth)
+		}
+	})
+	t.Run("own-start window", func(t *testing.T) {
+		// Index grid at D = 2: a set round of two chunks on the one slot.
+		// The set is chunk 1's start alone, which never stops chunk 1: it
+		// runs its block to the end, as chunk 0 meets its start.
+		r := newRunner(t, loop, Config{Threads: 1, depth: 2})
+		bs := blocks(2)
+		head, starts := link(bs, []int{0, 1}, nil)
+		run(t, r, false, head, starts, 0, "D 2")
+		if st := r.Stats(); st.PairedRounds != 1 || st.Recoveries != 0 || st.Hits != 1 {
+			t.Fatalf("%s", statsLine(st))
+		}
+	})
+}
+
+// forEachRelink calls f with every order of every subset of the blocks
+// 0..m-1 that keeps block 0. f must not keep the slice.
+func forEachRelink(m int, f func(order []int)) {
+	order, used := make([]int, 0, m), make([]bool, m)
+	var grow func()
+	grow = func() {
+		if used[0] {
+			f(order)
+		}
+		for b := range m {
+			if !used[b] {
+				used[b], order = true, append(order, b)
+				grow()
+				used[b], order = false, order[:len(order)-1]
+			}
+		}
+	}
+	grow()
+}
+
+// seedStarts gives a runner that hunts the set the rows a bootstrap
+// memoizes, on the set grid (fine) or the index grid: chunk c's
+// predicted start at starts[c-1], one row each, in use at its pinned
+// depth.
+func seedStarts(r *Runner[*mnode, tally], fine bool, starts []*mnode) {
+	r.pred.regrid(fine)
+	memos := make([]memo[*mnode], len(starts))
+	for k, s := range starts {
+		memos[k] = memo[*mnode]{row: k, state: s, pos: int64(k + 1)}
+	}
+	r.pred.apply(int64(len(starts)+1), memos)
+	r.anyStop = true
+}
