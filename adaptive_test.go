@@ -33,7 +33,7 @@ func TestSpecControllerDemotesUnderSustainedMisspec(t *testing.T) {
 		t.Fatalf("stable list before any miss: %s", statsLine(st))
 	}
 	for k := range 3 {
-		closeRows(r.ctrl, k)
+		closeRows(r.ctrl, indexRow(k))
 		l.exact(t, r)
 		st := r.Stats()
 		want := int64(4) // the gauge: full width while any row is admitted
@@ -73,7 +73,7 @@ func TestSpecControllerProbesAndPromotes(t *testing.T) {
 	l := testList(3000, 5)
 	r := newRunner(t, plainLoop(), Config{Threads: 4, Options: Options{Adaptive: true}, depth: 1, probeEvery: 3})
 	l.warm(t, r, 2)
-	closeRows(r.ctrl, 0, 1, 2)
+	closeRows(r.ctrl, indexRow(0), indexRow(1), indexRow(2))
 	for inv := 1; inv <= 6; inv++ {
 		l.exact(t, r)
 		st := r.Stats()
@@ -439,11 +439,12 @@ func TestPairingPolicy(t *testing.T) {
 	})
 	t.Run("regrid", func(t *testing.T) {
 		// A derived runner plans on the grid of its finest depth,
-		// maxDepth·Threads parts, and at depth d uses every (maxDepth/d)-th
-		// row: at depth 1 rows 3 and 7, on the Threads-part boundaries.
+		// maxDepth·Threads parts, cut setFanout times finer, and at depth d
+		// uses every setFanout·(maxDepth/d)-th row: at depth 1 rows 7 and
+		// 15, on the Threads-part boundaries.
 		g := testList(3000, 5)
 		r := newRunner(t, plainLoop(), Config{Threads: 3, Options: Options{Adaptive: true}})
-		if r.pred.parts != 12 || len(r.pred.rows) != 11 || r.pred.stride != 4 || len(r.ctrl.score) != 11 {
+		if r.pred.parts != 12 || len(r.pred.rows) != 23 || r.pred.stride != 4 || len(r.ctrl.score) != 23 {
 			t.Fatalf("parts %d rows %d stride %d scores %d", r.pred.parts, len(r.pred.rows), r.pred.stride, len(r.ctrl.score))
 		}
 		// memoized lists the valid rows as row@position.
@@ -457,7 +458,7 @@ func TestPairingPolicy(t *testing.T) {
 			return strings.Join(at, " ")
 		}
 		g.warm(t, r, 3)
-		if got := memoized(); got != "3@1000 7@2000" {
+		if got := memoized(); got != "7@1000 15@2000" {
 			t.Fatalf("rows %s at depth 1", got)
 		}
 		// The depth is pinned from here on, as Config.depth pins it, so the
@@ -477,14 +478,14 @@ func TestPairingPolicy(t *testing.T) {
 		// rung's rows valid, so it runs that rung's layout and memoizes the
 		// finer grid; the next runs the new depth's.
 		depth(2)
-		if n := paired(1); n != 0 || memoized() != "1@500 3@1000 5@1500 7@2000 9@2500" {
+		if n := paired(1); n != 0 || memoized() != "3@500 7@1000 11@1500 15@2000 19@2500" {
 			t.Fatalf("PairedRounds %d, rows %s after depth 2's first invocation", n, memoized())
 		}
 		if n := paired(1); n != 1 {
 			t.Fatalf("PairedRounds %d on depth 2's second invocation", n)
 		}
 		depth(4)
-		if n := paired(1); n != 1 || memoized() != "0@250 1@500 2@750 3@1000 4@1250 5@1500 6@1750 7@2000 8@2250 9@2500 10@2750" {
+		if n := paired(1); n != 1 || memoized() != "1@250 3@500 5@750 7@1000 9@1250 11@1500 13@1750 15@2000 17@2250 19@2500 21@2750" {
 			t.Fatalf("PairedRounds %d, rows %s after depth 4's first invocation", n, memoized())
 		}
 		if h := hits(); paired(1) != 1 || hits()-h != 11 {
@@ -494,10 +495,10 @@ func TestPairingPolicy(t *testing.T) {
 		// rows, still valid until the next apply clears them, and every
 		// slot works again.
 		depth(1)
-		if adm := r.admitted(0); !slices.Equal(adm, []int{3, 7}) {
+		if adm := r.admitted(0); !slices.Equal(adm, []int{7, 15}) {
 			t.Fatalf("rows %v admitted after the drop", adm)
 		}
-		if n := paired(1); n != 0 || memoized() != "3@1000 7@2000" {
+		if n := paired(1); n != 0 || memoized() != "7@1000 15@2000" {
 			t.Fatalf("PairedRounds %d, rows %s after the drop", n, memoized())
 		}
 		if st := r.Stats(); busy(st.LastWorks) != 3 {
@@ -580,11 +581,11 @@ func TestPairingPolicy(t *testing.T) {
 		}
 		g.warm(t, r, 2)
 		depth2()
-		g.warm(t, r, 1) // memoizes depth 2's rows 1, 3 and 5
+		g.warm(t, r, 1) // memoizes depth 2's rows 3, 7 and 11
 		depth2()        // the policy drops depth 2 on a list this short
-		closeRows(r.ctrl, 5)
+		closeRows(r.ctrl, 11)
 		adm := r.admitted(0)
-		if !slices.Equal(adm, []int{1, 3}) {
+		if !slices.Equal(adm, []int{3, 7}) {
 			t.Fatalf("rows %v admitted", adm)
 		}
 		r.begin(g.head, 1+len(adm))
@@ -657,8 +658,8 @@ func TestPairingPolicy(t *testing.T) {
 		r.pairing.setWidth(true)
 		before := r.Stats()
 		g.exact(t, r)
-		if st := r.Stats().Delta(before); st.EffectiveThreads != 1 || st.Hits+st.Misses != 0 || busy(st.LastWorks) != 1 || !r.pred.rows[3].valid {
-			t.Fatalf("narrowed: %s, row 3 valid %v", statsLine(st), r.pred.rows[3].valid)
+		if st := r.Stats().Delta(before); st.EffectiveThreads != 1 || st.Hits+st.Misses != 0 || busy(st.LastWorks) != 1 || !r.pred.rows[7].valid {
+			t.Fatalf("narrowed: %s, row 7 valid %v", statsLine(st), r.pred.rows[7].valid)
 		}
 		for range pairWindow {
 			r.pairing.gain.add(0.5)

@@ -82,10 +82,10 @@ func TestAnyStop(t *testing.T) {
 				r.MustRun(0)
 			}
 			rows := r.pred.rows
-			if !rows[0].valid || rows[0].start != n/4 {
+			if !rows[indexRow(0)].valid || rows[indexRow(0)].start != n/4 {
 				t.Fatalf("rows %+v after the warm-up", rows)
 			}
-			rows[1].start, rows[2].start = rows[0].start, 0
+			rows[indexRow(1)].start, rows[indexRow(2)].start = rows[indexRow(0)].start, 0
 			r.anyStop = true
 			before := r.Stats()
 			if got := r.MustRun(0); got != want {
@@ -250,6 +250,7 @@ func TestAnyStopCounters(t *testing.T) {
 				if r.anyStop {
 					t.Fatalf("%s: hunting the set after invocation %d", tc.name, inv)
 				}
+				checkDepths(t, r, fmt.Sprintf("%s inv %d", tc.name, inv))
 				h.Write([]byte(statsLine(r.Stats()) + "\n"))
 			}
 			if got := h.Sum64(); got != tc.pin {
@@ -394,17 +395,19 @@ func TestSuiteStaysFlat(t *testing.T) {
 // predicted start on block c's first node, and a relink keeps block 0
 // and any of the others in any order (a dropped block's start is dead;
 // a start at the head is chunk 0's). A (1, D) runner hunts the set at
-// D = 2 and 4, its rows on the index grid (one chunk a lane) or on the
-// set grid (2·D chunks on D lanes: refill), under the derived cap, a
-// cap of 1, of a short block (exactly on the next start) and of two;
-// with no failure, or a BodyErr on the second node of one block (or a
-// panic there, under the derived cap). The last
-// block of a list of three or more is longer than a poll interval, so a
-// chunk it starts is still running when an earlier chunk fails. Every
-// invocation must equal the oracle, result or error, and keep the
-// accounting identities; one without failure judges each row once, a
-// miss exactly for a dead start and for a start on the head. The extra
-// cases are the shapes only a set round meets.
+// D = 2 and 4, its rows read in index order (one chunk a lane) or as a
+// set invocation's (2·D chunks on D lanes: refill), under the derived
+// cap, a cap of 1, of a short block (exactly on the next start) and of
+// two; with no failure, or a BodyErr on the second node of one block (or
+// a panic there, under the derived cap). The last block of a list of
+// three or more is longer than a poll interval, so a chunk it starts is
+// still running when an earlier chunk fails. Every invocation must equal
+// the oracle, result or error, and keep the accounting identities; at
+// width 1, where the order of the lanes is fixed, one without failure
+// judges each row once, a miss exactly for a dead start and for a start
+// on the head, and its chunks first run their starts in index order. A
+// sample of the same cases runs at (2, D), where the executor orders the
+// lanes. The extra cases are the shapes only a set round meets.
 func TestEveryRelink(t *testing.T) {
 	const short, long = 4, ctxPollEvery + 100
 	errTrap := errors.New("trapped")
@@ -417,9 +420,10 @@ func TestEveryRelink(t *testing.T) {
 	// slot's lanes step in index order and open its chunks in index order.
 	var firsts []int
 	var ran [8]bool
+	record := false // at width 1 only: one goroutine runs every chunk
 	loop := plainLoop()
 	loop.Body, loop.BodyErr = nil, func(n *mnode, a tally) (tally, error) {
-		if n.src > 0 && n != head && !ran[n.src] {
+		if record && n.src > 0 && n != head && !ran[n.src] {
 			ran[n.src], firsts = true, append(firsts, n.src)
 		}
 		if n == trap {
@@ -474,7 +478,7 @@ func TestEveryRelink(t *testing.T) {
 	// also checks that exactly dead rows missed.
 	run := func(t *testing.T, r *Runner[*mnode, tally], fine bool, from *mnode, starts []*mnode, dead int, tag string) {
 		t.Helper()
-		head, firsts, ran = from, firsts[:0], [8]bool{true, true, true, true, true, true, true, true}
+		head, firsts, ran, record = from, firsts[:0], [8]bool{true, true, true, true, true, true, true, true}, r.cfg.Threads == 1
 		for _, s := range starts {
 			ran[max(s.src, 0)] = s.src <= 0 // only the starts that are a block's first node
 		}
@@ -495,6 +499,9 @@ func TestEveryRelink(t *testing.T) {
 			if err != nil || got != want {
 				t.Fatalf("%s: Run = %+v, %v; want %+v", tag, got, err, want)
 			}
+			if !record {
+				break
+			}
 			if st := r.Stats().Delta(before); st.Misses != int64(dead) || st.Hits+st.Misses != int64(len(starts)) {
 				t.Fatalf("%s: %d dead of %d rows: %s", tag, dead, len(starts), statsLine(st))
 			}
@@ -508,25 +515,36 @@ func TestEveryRelink(t *testing.T) {
 		case err != errTrap:
 			t.Fatalf("%s: err %v, want %v", tag, err, errTrap)
 		}
-		checkConservation(t, r.Stats(), 1, r.cfg.depth)
+		checkConservation(t, r.Stats(), r.cfg.Threads, r.cfg.depth)
 	}
 	type shape struct {
-		depth int
-		fine  bool
+		threads, depth int
+		fine           bool
 	}
-	shapes := []shape{{2, false}, {4, false}, {2, true}, {4, true}}
+	shapes := []shape{{1, 2, false}, {1, 4, false}, {1, 2, true}, {1, 4, true}, {2, 2, false}, {2, 4, false}, {2, 2, true}, {2, 4, true}}
 	// chunks is the most chunks a round of the shape's grid carries.
 	chunks := func(sh shape) int {
 		if sh.fine {
-			return setFanout * sh.depth
+			return setFanout * sh.threads * sh.depth
 		}
-		return sh.depth
+		return sh.threads * sh.depth
 	}
 	t.Run("enumerated", func(t *testing.T) {
 		cases := 0
 		for _, sh := range shapes {
-			r := newRunner(t, loop, Config{Threads: 1, depth: sh.depth})
-			for m := 2; m <= min(chunks(sh), 6); m++ {
+			// Every case at width 1, every 8th at width 2, where the
+			// executor orders the lanes; under the race detector every
+			// 32nd and every 64th.
+			every := 1
+			if sh.threads > 1 {
+				every = 8
+			}
+			if raceEnabled {
+				every = 32 * sh.threads
+			}
+			r := newRunner(t, loop, Config{Threads: sh.threads, depth: sh.depth})
+			// Round 0 carries more chunks than slots: a set round.
+			for m := sh.threads + 1; m <= min(chunks(sh), 6); m++ {
 				bs := blocks(m)
 				forEachRelink(m, func(order []int) {
 					head, starts := link(bs, order, nil)
@@ -538,8 +556,7 @@ func TestEveryRelink(t *testing.T) {
 								if p && (f < 0 || cap != 0) {
 									continue // a panic records its stack: only under the derived cap
 								}
-								// Under the race detector a sample: every 32nd case.
-								if cases++; raceEnabled && cases%32 != 0 {
+								if cases++; cases%every != 0 {
 									continue
 								}
 								trap, panics = nil, p
@@ -562,8 +579,8 @@ func TestEveryRelink(t *testing.T) {
 	// back into the chunks walked, and a set round of two chunks on one
 	// lane's slot, whose second chunk's window is its own start.
 	t.Run("two starts on one node", func(t *testing.T) {
-		for _, sh := range shapes[1:] {
-			r := newRunner(t, loop, Config{Threads: 1, depth: sh.depth})
+		for _, sh := range shapes[1:4] {
+			r := newRunner(t, loop, Config{Threads: sh.threads, depth: sh.depth})
 			bs := blocks(4)
 			head, starts := link(bs, []int{0, 1, 2, 3}, nil)
 			starts[2] = starts[1] // chunk 3 starts where chunk 2 does: the set keeps it for chunk 2
@@ -571,8 +588,8 @@ func TestEveryRelink(t *testing.T) {
 		}
 	})
 	t.Run("start on the last node", func(t *testing.T) {
-		for _, sh := range shapes[1:] {
-			r := newRunner(t, loop, Config{Threads: 1, depth: sh.depth})
+		for _, sh := range shapes[1:4] {
+			r := newRunner(t, loop, Config{Threads: sh.threads, depth: sh.depth})
 			bs := blocks(4)
 			head, starts := link(bs, []int{0, 1, 2, 3}, nil)
 			starts[1] = bs[3][len(bs[3])-1] // chunk 2 starts on the last node, met by chunk 3
@@ -580,8 +597,8 @@ func TestEveryRelink(t *testing.T) {
 		}
 	})
 	t.Run("stale links", func(t *testing.T) {
-		for _, sh := range shapes[1:] {
-			r := newRunner(t, loop, Config{Threads: 1, depth: sh.depth})
+		for _, sh := range shapes[1:4] {
+			r := newRunner(t, loop, Config{Threads: sh.threads, depth: sh.depth})
 			for _, cap := range []int64{0, short} {
 				r.cfg.maxSpec = cap
 				bs := blocks(4)
@@ -604,8 +621,8 @@ func TestEveryRelink(t *testing.T) {
 		// The list's tail points back at block 1's start: the traversal
 		// never ends, and the walk meets a chunk it has walked. Rounds go
 		// on from there until the context is cancelled.
-		for _, sh := range shapes[1:] {
-			r := newRunner(t, loop, Config{Threads: 1, depth: sh.depth})
+		for _, sh := range shapes[1:4] {
+			r := newRunner(t, loop, Config{Threads: sh.threads, depth: sh.depth})
 			bs := blocks(4)
 			head, starts := link(bs, []int{0, 1, 2, 3}, nil)
 			bs[3][len(bs[3])-1].next = bs[1][0]
@@ -651,14 +668,14 @@ func forEachRelink(m int, f func(order []int)) {
 }
 
 // seedStarts gives a runner that hunts the set the rows a bootstrap
-// memoizes, on the set grid (fine) or the index grid: chunk c's
-// predicted start at starts[c-1], one row each, in use at its pinned
-// depth.
+// memoizes, read as a set invocation's (fine) or in index order: chunk
+// c's predicted start at starts[c-1], on the rows its next round reads
+// at its pinned depth.
 func seedStarts(r *Runner[*mnode, tally], fine bool, starts []*mnode) {
-	r.pred.regrid(fine)
+	r.pred.fine = fine
 	memos := make([]memo[*mnode], len(starts))
 	for k, s := range starts {
-		memos[k] = memo[*mnode]{row: k, state: s, pos: int64(k + 1)}
+		memos[k] = memo[*mnode]{row: r.pred.step()*(k+1) - 1, state: s, pos: int64(k + 1)}
 	}
 	r.pred.apply(int64(len(starts)+1), memos)
 	r.anyStop = true

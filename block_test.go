@@ -12,6 +12,7 @@ import (
 	"errors"
 	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -294,7 +295,8 @@ func checkReleased(t *testing.T, r *Runner[*mnode, tally], when string) {
 			t.Fatalf("%s: job %d retains its context", when, j)
 		}
 		for i, l := range job.lanes {
-			if l.start != nil || l.plan != nil || l.s != nil || l.stop != nil || l.acc != (tally{}) || l.err != nil {
+			hunts := slices.ContainsFunc(l.window, func(t target[*mnode]) bool { return t.s != nil })
+			if l.start != nil || l.plan != nil || l.s != nil || hunts || l.acc != (tally{}) || l.err != nil {
 				t.Fatalf("%s: job %d lane %d retains invocation state: %+v", when, j, i, l)
 			}
 			props := l.props[:cap(l.props)]
@@ -371,8 +373,8 @@ func TestNarrowRoundLeaksNoStaleSlots(t *testing.T) {
 	// Narrow the dispatch chain to 2 chunks by invalidating two SVA
 	// rows (white-box: the adaptive controller would do the same by
 	// gating them).
-	r.pred.rows[1].valid = false
-	r.pred.rows[2].valid = false
+	r.pred.rows[indexRow(1)].valid = false
+	r.pred.rows[indexRow(2)].valid = false
 	g.exact(t, r)
 	st := r.Stats()
 	if st.LastWorks[2] != 0 || st.LastWorks[3] != 0 {

@@ -25,7 +25,7 @@ import "fmt"
 // chain per step, so each core has as many independent pointer chases,
 // and cache misses, in flight as the slot has chains. A chain that
 // stops leaves the group; the last one left goes on alone through
-// Runner.block. At width 1 the one slot is the invoker's, so a width-1
+// Runner.block when its window holds at most one start, not its own. At width 1 the one slot is the invoker's, so a width-1
 // DOALL runner at depth D steps D chunks of its own traversal there; its
 // round 0 reads the clock twice, at dispatch and after the slot, for the
 // depth policy, and every other round of one reads none.
@@ -44,25 +44,28 @@ import "fmt"
 // they are. Only a fallible loop pays the extra call; a Body or SpecBody
 // loop calls its body directly.
 //
-// A group hunts the round's whole set of predicted starts instead when
-// the round hunts the set (scheduler.go: a runner whose list has been
-// relinked): each lane stops at the first start of the set it meets,
-// its own excepted, and records whose it was. Such a lane stays in the
-// group until it stops, the last one included — Runner.block and Scan
-// take one stop, not a set — so a loop's Scan never runs in those
-// rounds. Without a set the group pays one empty range per chain step.
-// Such a round carries setFanout chunks a slot per chain in flight, and
-// the group stays as wide as the slot's depth while chunks remain: the
-// driver opens the slot's next chunk in place of each chain that stops
-// (refill), so g holds the lanes opened so far, the stopped ones among
-// them, and the routine steps the live ones.
+// Each lane hunts its window of the round's predicted starts
+// (scheduler.go): it stops at the first start of the window it meets,
+// its own excepted, and records whose it was (lane.met). In a round of
+// index order the window is the successor's start alone, the paper's
+// membership validation; in a round that hunts the set (a runner whose
+// list has been relinked) it is the whole set, and a lane of such a
+// round stays in the group until it stops, the last one included —
+// Runner.block and Scan take one stop, not a window — so a loop's Scan
+// never runs in those rounds. The group pays one compare per start of
+// the window per chain step. Such a round carries setFanout chunks a
+// slot per chain in flight, and the group stays as wide as the slot's
+// depth while chunks remain: the driver opens the slot's next chunk in
+// place of each chain that stops (refill), so g holds the lanes opened
+// so far, the stopped ones among them, and the routine steps the live
+// ones.
 //
-// Whether a block hunts its successor's predicted start (membership
-// validation — every chunk with a successor) or not (the chain's last
-// chunk, a round of one) is an argument, not a second copy of the loop.
-// It has to be an argument: a block that hunts nothing has no stop
-// state to pass but the zero S, and the zero S may be a live state of
-// the traversal (an int index 0), so the match test is
+// Whether a block routine's block hunts its one stop (a lone lane whose
+// window holds a start — every chunk with a successor) or not (the
+// chain's last chunk, a round of one) is an argument, not a second copy
+// of the loop. It has to be an argument: a block that hunts nothing has
+// no stop state to pass but the zero S, and the zero S may be a live
+// state of the traversal (an int index 0), so the match test is
 // `s == stop && hunt` — a hunting block pays the state compare it
 // always paid and any other block one well-predicted compare more.
 //
@@ -105,13 +108,12 @@ type blockFn[S comparable, A any] func(v *CellView, s S, acc A, stop S, hunt boo
 
 // groupFn steps the live lanes of a slot (g, at most maxDepth of them
 // live) in lockstep, up to n iterations each, each from its own state,
-// until the block is filled or one chain stops. With set nil each lane hunts its own stop; otherwise
-// every lane hunts the round's whole set of predicted starts (but its
-// own) and, on meeting one, records its chunk (lane.met). It leaves each
-// live lane's state, accumulator, started-iteration count (k) and stop
-// (why, err) in the lane; a chain another's stop cut short reports
-// blockFilled, at an exact count.
-type groupFn[S comparable, A any] func(g []lane[S, A], n int64, set []target[S])
+// until the block is filled or one chain stops. Each lane hunts its
+// window (lane.window) but its own start and, on meeting one, records
+// its chunk (lane.met). It leaves each live lane's state, accumulator,
+// started-iteration count (k) and stop (why, err) in the lane; a chain
+// another's stop cut short reports blockFilled, at an exact count.
+type groupFn[S comparable, A any] func(g []lane[S, A], n int64)
 
 // blockOf returns the block routine of a validated loop, and the group
 // routine of a DOALL one (nil for a spec body: DOACROSS slots carry one
@@ -198,9 +200,8 @@ func blockBody[S comparable, A any](done func(S) bool, next func(S) S, body func
 // routine's frame, so the group allocates nothing whatever its depth. A
 // chain that stops returns the group at once: every chain before it in
 // the step has started one iteration more than it, every chain after it
-// as many. A lane that hunts the set (its hunt is off) pays a compare
-// per start of the set, in set order; its own start is in the set but
-// never stops it. Without a set the loop over it is empty.
+// as many. A chain pays a compare per start of its window, in window
+// order; its own start may be in the window but never stops it.
 //
 // Panic containment is per chain. on names the chain whose callback is
 // running, and the recovering defer writes every chain back to its
@@ -210,18 +211,18 @@ func blockBody[S comparable, A any](done func(S) bool, next func(S) S, body func
 // and the others their exact state to go on from.
 func blockGroup[S comparable, A any](done func(S) bool, next func(S) S, body func(S, A) A) groupFn[S, A] {
 	type chain struct {
-		s, stop S
-		acc     A
-		k       int64
-		hunt    bool
-		l       *lane[S, A]
+		s      S
+		acc    A
+		k      int64
+		window []target[S]
+		l      *lane[S, A]
 	}
-	return func(g []lane[S, A], n int64, set []target[S]) {
+	return func(g []lane[S, A], n int64) {
 		var ch [maxDepth]chain
 		d := 0
 		for i := range g {
 			if l := &g[i]; l.live {
-				ch[d] = chain{s: l.s, stop: l.stop, acc: l.acc, hunt: l.hunt, l: l}
+				ch[d] = chain{s: l.s, acc: l.acc, window: l.window, l: l}
 				l.why, l.err = blockFilled, nil
 				d++
 			}
@@ -251,11 +252,7 @@ func blockGroup[S comparable, A any](done func(S) bool, next func(S) S, body fun
 					c.l.why = blockDone
 					return
 				}
-				if c.s == c.stop && c.hunt {
-					c.l.why = blockMatched
-					return
-				}
-				for _, t := range set {
+				for _, t := range c.window {
 					if c.s == t.s && t.c != c.l.idx {
 						c.l.why, c.l.met = blockMatched, t.c
 						return

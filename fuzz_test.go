@@ -114,12 +114,12 @@ func FuzzPredictorApply(f *testing.F) {
 		// dropped.
 		want := make(map[int]memo[int64])
 		for _, m := range memos {
-			if m.row >= 0 && m.row < tc-1 {
+			if m.row >= 0 && m.row < setFanout*tc-1 {
 				want[m.row] = m
 			}
 		}
-		if len(p.rows) != tc-1 {
-			t.Fatalf("rows = %d, want %d", len(p.rows), tc-1)
+		if len(p.rows) != setFanout*tc-1 {
+			t.Fatalf("rows = %d, want %d", len(p.rows), setFanout*tc-1)
 		}
 		for k, r := range p.rows {
 			m, ok := want[k]
@@ -148,8 +148,8 @@ func FuzzPredictorApply(f *testing.F) {
 			}
 			last := int64(0)
 			for _, e := range plan {
-				if e.row < 0 || e.row >= tc-1 {
-					t.Fatalf("base %d: plan targets row %d (rows=%d)", base, e.row, tc-1)
+				if e.row < 0 || e.row >= len(p.rows) {
+					t.Fatalf("base %d: plan targets row %d (rows=%d)", base, e.row, len(p.rows))
 				}
 				if e.at-base <= 0 {
 					t.Fatalf("base %d: plan threshold %d not positive", base, e.at-base)
@@ -196,16 +196,19 @@ func FuzzPredictorApply(f *testing.F) {
 	})
 }
 
-// FuzzBlockGroup fuzzes the group routine against the reference one: d
-// chains (1 to maxDepth), each on a list of its own of a fuzzed length,
-// each hunting a stop of its own (a node of its list, a node it never
-// reaches, or nothing) under a budget of its own, stepped together as a
-// slot's driver steps them — the group while two or more are live, with
-// the bound of the nearest budget, then the survivor alone through
-// blockBody. A panic or a BodyErr error strikes at a chosen (chain,
-// step). Every chain must end with the state, accumulator, count, stop
-// and error that it reaches run alone through blockBody with its whole
-// budget.
+// FuzzBlockGroup fuzzes the group routine against a per-iteration
+// reference: d chains (1 to maxDepth), each on a list of its own of a
+// fuzzed length, each hunting a window of 0 to 3 predicted starts (a node
+// of its list, its own start, which never stops it, or a node it never
+// reaches, each the start of some chunk) under a budget of its own,
+// stepped together as a slot's driver steps them — the group while two
+// or more are live, or one whose window the block routine cannot take,
+// with the bound of the nearest budget, then a survivor alone through
+// blockBody with its one stop. A panic or a BodyErr error strikes at a
+// chosen (chain, step). Every chain must end with the state,
+// accumulator, count, stop, error and met start that the reference
+// reaches: one blockBody iteration at a time, after Done and the window
+// in window order, under its whole budget.
 func FuzzBlockGroup(f *testing.F) {
 	f.Add(int64(1), uint8(2), uint16(40), uint8(0), uint16(0))
 	f.Add(int64(2), uint8(4), uint16(300), uint8(1), uint16(3<<8|17))
@@ -269,17 +272,18 @@ func FuzzBlockGroup(f *testing.F) {
 		budget := make([]int64, d)
 		for c := range lanes {
 			l := &lanes[c]
-			l.s, l.live, l.stop = starts[c], true, -3
-			switch rng.Intn(3) {
-			case 0: // a node of its own list, or past its end
-				if starts[c] >= 0 {
-					l.stop, l.hunt = starts[c]+rng.Intn(ends[c]-starts[c]+1), true
+			l.s, l.idx, l.live = starts[c], c, true
+			for range rng.Intn(4) {
+				t := target[int]{s: rng.Intn(len(next) + 1), c: d + rng.Intn(3)} // a node anywhere, or none
+				switch rng.Intn(3) {
+				case 0: // a node of its own list, or past its end
+					if starts[c] >= 0 {
+						t.s = starts[c] + rng.Intn(ends[c]-starts[c]+1)
+					}
+				case 1: // its own start
+					t.s, t.c = starts[c], c
 				}
-			case 1: // another chain's node: never met
-				l.stop, l.hunt = rng.Intn(len(next)+1), true
-				if starts[c] >= 0 && l.stop >= starts[c] && l.stop < ends[c] {
-					l.hunt = false
-				}
+				l.window = append(l.window, t)
 			}
 			budget[c] = int64(rng.Intn(int(length)%512 + 3))
 		}
@@ -288,19 +292,38 @@ func FuzzBlockGroup(f *testing.F) {
 			k      int64
 			why    blockStop
 			err    error
+			met    int
 		}
 		want := make([]end, d)
 		for c := range lanes {
-			l := &lanes[c]
-			s, acc, k, why, err := ref(nil, l.s, 0, l.stop, l.hunt, budget[c])
-			want[c] = end{s, acc, k, why, err}
+			l, w := &lanes[c], &want[c]
+			w.s, w.why = l.s, blockFilled
+		steps:
+			for w.k < budget[c] {
+				if w.s < 0 {
+					w.why = blockDone
+					break
+				}
+				for _, t := range l.window {
+					if w.s == t.s && t.c != c {
+						w.why, w.met = blockMatched, t.c
+						break steps
+					}
+				}
+				var k int64
+				if w.s, w.acc, k, w.why, w.err = ref(nil, w.s, w.acc, 0, false, 1); w.why == blockFailed {
+					w.k += k
+					break
+				}
+				w.k += k
+			}
 		}
 		got := make([]end, d)
 		left := append([]int64(nil), budget...)
 		finish := func(c int) {
 			l := &lanes[c]
 			l.live = false
-			got[c].s, got[c].acc, got[c].why, got[c].err = l.s, l.acc, l.why, l.err
+			got[c].s, got[c].acc, got[c].why, got[c].err, got[c].met = l.s, l.acc, l.why, l.err, l.met
 		}
 		for c := range lanes {
 			if left[c] == 0 {
@@ -309,16 +332,16 @@ func FuzzBlockGroup(f *testing.F) {
 			}
 		}
 		for {
-			live, n := 0, int64(1<<62)
+			live, n, one := 0, int64(1<<62), &lanes[0]
 			for c := range lanes {
 				if lanes[c].live {
-					live, n = live+1, min(n, left[c])
+					live, n, one = live+1, min(n, left[c]), &lanes[c]
 				}
 			}
-			if live < 2 {
+			if live == 0 || live == 1 && one.solo() {
 				break
 			}
-			group(lanes, n, nil)
+			group(lanes, n)
 			for c := range lanes {
 				if l := &lanes[c]; l.live {
 					if l.k < 0 || l.k > n {
@@ -333,8 +356,14 @@ func FuzzBlockGroup(f *testing.F) {
 		}
 		for c := range lanes {
 			if l := &lanes[c]; l.live {
+				stop := -3
+				if len(l.window) > 0 {
+					stop = l.window[0].s
+				}
 				var k int64
-				l.s, l.acc, k, l.why, l.err = ref(nil, l.s, l.acc, l.stop, l.hunt, left[c])
+				if l.s, l.acc, k, l.why, l.err = ref(nil, l.s, l.acc, stop, len(l.window) > 0, left[c]); l.why == blockMatched {
+					l.met = l.window[0].c
+				}
 				got[c].k += k
 				finish(c)
 			}
@@ -343,8 +372,8 @@ func FuzzBlockGroup(f *testing.F) {
 			g, w := got[c], want[c]
 			var gp, wp *PanicError
 			samePanic := errors.As(g.err, &gp) && errors.As(w.err, &wp) && gp.Value == wp.Value
-			if g.s != w.s || g.acc != w.acc || g.k != w.k || g.why != w.why || (g.err != w.err && !samePanic) {
-				t.Fatalf("chain %d of %d: grouped %+v, alone %+v", c, d, g, w)
+			if g.s != w.s || g.acc != w.acc || g.k != w.k || g.why != w.why || (g.err != w.err && !samePanic) || g.why == blockMatched && g.met != w.met {
+				t.Fatalf("chain %d of %d (window %+v): grouped %+v, reference %+v", c, d, lanes[c].window, g, w)
 			}
 		}
 	})

@@ -662,10 +662,11 @@ func (c mcase) run(t testing.TB) []Stats {
 	cfg := Config{Threads: c.threads, Options: Options{Adaptive: c.adaptive}, maxSpec: c.maxSpec, probeEvery: c.probe, depth: c.depth}
 	var d door
 	var p *Pool[*mnode, tally]
+	var rn *Runner[*mnode, tally] // the runner door's (checkDepths)
 	if c.door == "" {
 		r := newRunner(t, g.loop(c.scan), cfg)
 		defer r.Close()
-		d = r
+		d, rn = r, r
 	} else {
 		if p = c.via; p == nil {
 			p = newPool(t, g.loop(c.scan), cfg)
@@ -696,6 +697,7 @@ func (c mcase) run(t testing.TB) []Stats {
 	}
 	wave, base := max(c.wave, 1), d.Stats() // a recycled runner's session counts from its last session's totals
 	var sts []Stats
+	hunted := false // the runner door's has hunted the set: its slots may carry more than its depth
 	var iters int64
 	for inv := 0; inv < c.invs; inv++ {
 		want := g.oracle()
@@ -735,6 +737,9 @@ func (c mcase) run(t testing.TB) []Stats {
 		checkConservation(t, st, c.threads, c.depth)
 		if c.door == "" && len(st.LastWorks) != c.threads {
 			t.Fatalf("%v inv %d: LastWorks %v, want one entry per thread", c, inv, st.LastWorks)
+		}
+		if hunted = hunted || rn != nil && rn.anyStop; rn != nil && !hunted {
+			checkDepths(t, rn, fmt.Sprintf("%v inv %d", c, inv))
 		}
 		sts = append(sts, st)
 		iters += int64(wave) * want.n
@@ -880,6 +885,20 @@ func checkConservation(t testing.TB, st Stats, threads, depth int) {
 		t.Fatalf("ConflictIters %d with no conflict", st.ConflictIters)
 	case spec == 0 && st.Conflicts != 0:
 		t.Fatalf("a width-1 run reported %d conflicts", st.Conflicts)
+	}
+}
+
+// checkDepths fails t unless every slot of r carried at most its depth
+// of chunks, the chunks it keeps in flight (chunkJob.depth, min(width,
+// pairing.depth)): true of every round of index order, where a slot
+// carries at most the runner's depth, so that depth is the slot's width
+// there. Only a round that hunts the set carries more.
+func checkDepths[A any](t testing.TB, r *Runner[*mnode, A], tag string) {
+	t.Helper()
+	for i := range r.jobs {
+		if j := &r.jobs[i]; j.width > j.depth {
+			t.Fatalf("%s: slot %d carried %d chunks at depth %d", tag, i, j.width, j.depth)
+		}
 	}
 }
 

@@ -31,13 +31,14 @@ package spice
 // read rows, and seed's pointers into them are local to seed. The
 // steady state allocates and copies nothing.
 //
-// A runner that can hunt the set (scheduler.go: a DOALL runner whose
-// slots step chains in groups) has a second grid, setFanout times finer:
-// an invocation whose rounds hunted the set promotes its candidates onto
-// it, so the next round carries setFanout chunks a slot per chain in
-// flight. The two grids nest, and regrid moves the rows between them
-// when the runner starts or stops hunting; every other runner, and every
-// round of index order, reads the one grid it always did.
+// The grid is setFanout times finer than the chunks a round of index
+// order carries: such a round reads every setFanout·stride-th row (step),
+// on exactly the boundaries of the coarser grid (⌊T·F·m/(F·P)⌋ =
+// ⌊T·m/P⌋). A runner that hunts the set (scheduler.go: a DOALL runner
+// whose slots step chains in groups) reads every stride-th once an
+// invocation of it has hunted the set (fine), so its next round carries
+// setFanout chunks a slot per chain in flight; one grid serves both, and
+// the rows in between are out of use in index order.
 
 // row is one SVA entry: rows[k] predicts chunk k+1's start. pos is the
 // global completed-iteration position at capture time, for planning
@@ -82,65 +83,40 @@ type memo[S comparable] struct {
 // Pool gives every in-flight invocation its own runner (and therefore
 // predictor), so no internal locking is needed.
 type predictor[S comparable] struct {
-	// parts is the number of chunks the index grid's boundaries split the
-	// last trip count into: the runner's width times the most chunks a
-	// slot may carry (its finest depth). The grid has parts-1 rows, one
-	// per inner boundary, and a runner at a coarser depth uses every
-	// stride-th:
-	// rows stride-1, 2·stride-1, …, which sit on exactly the boundaries
-	// of the coarser grid (⌊P·2k/2W⌋ = ⌊P·k/W⌋). The rows in between are
-	// out of use: no plan targets them, so the next apply clears them.
+	// parts is the number of chunks a round of index order splits the
+	// last trip count into at the finest depth: the runner's width times
+	// the most chunks a slot may carry. The grid has setFanout·parts-1
+	// rows, one per inner boundary of a split setFanout times finer, and
+	// a runner at a coarser depth uses every stride-th of the rows its
+	// round reads (step): rows step-1, 2·step-1, …, which sit on exactly
+	// the boundaries of the coarser grid (⌊P·2k/2W⌋ = ⌊P·k/W⌋). The rows
+	// in between are out of use: no plan targets them, so the next apply
+	// clears them.
 	parts, stride int
+	// fine is set while the rows are a set invocation's (Runner.finish):
+	// the next round reads every stride-th row, not every
+	// setFanout·stride-th.
+	fine bool
 
 	rows []row[S]
-	// index and set back rows: the index grid's parts-1 rows, and the set
-	// grid's setFanout·parts-1 (nil until the runner first hunts the set).
-	// rows is one of them (fine).
-	index, set []row[S]
 	// prevTotal is the last invocation's total committed trip count —
 	// the planning total for the current invocation's boundaries.
 	prevTotal int64
 }
 
-// newPredictor sizes the rows for a grid of parts chunks.
+// newPredictor sizes the rows for a grid setFanout times finer than
+// parts chunks.
 func newPredictor[S comparable](parts, stride int) *predictor[S] {
-	rows := make([]row[S], parts-1)
-	return &predictor[S]{parts: parts, stride: stride, rows: rows, index: rows}
+	return &predictor[S]{parts: parts, stride: stride, rows: make([]row[S], setFanout*parts-1)}
 }
 
-// fine reports whether rows is the set grid.
-func (p *predictor[S]) fine() bool { return len(p.rows) > len(p.index) }
-
-// grid is the number of chunks rows' boundaries split the trip count
-// into: parts, or setFanout·parts on the set grid.
-func (p *predictor[S]) grid() int { return len(p.rows) + 1 }
-
-// regrid makes rows the set grid (fine) or the index grid, if it is not
-// already. The grids nest: index row k sits on the boundary of set row
-// setFanout·(k+1)-1, so a switch carries those rows over, and the set
-// grid's rows in between start empty. The stride is the same on both: a
-// round at depth D plans D·Threads chunks on the index grid and
-// setFanout·D·Threads on the set grid.
-func (p *predictor[S]) regrid(fine bool) {
-	if fine == p.fine() {
-		return
+// step is the distance between the rows the next round reads: stride on
+// a set invocation's rows (fine), setFanout·stride in index order.
+func (p *predictor[S]) step() int {
+	if p.fine {
+		return p.stride
 	}
-	to := p.index
-	if fine {
-		if p.set == nil {
-			p.set = make([]row[S], setFanout*p.parts-1)
-		}
-		to = p.set
-		clear(to)
-	}
-	for k := range p.index {
-		if fine {
-			to[setFanout*(k+1)-1] = p.rows[k]
-		} else {
-			to[k] = p.rows[setFanout*(k+1)-1]
-		}
-	}
-	p.rows = to
+	return setFanout * p.stride
 }
 
 // reset drops all memoized state: rows and the planning total.
@@ -148,15 +124,14 @@ func (p *predictor[S]) regrid(fine bool) {
 // predictions never dangle into another session's data structure, and
 // a runner parked in a Pool free list pins no node of the finished one.
 func (p *predictor[S]) reset() {
-	clear(p.index)
-	clear(p.set)
-	p.rows, p.prevTotal = p.index, 0
+	clear(p.rows)
+	p.fine, p.prevTotal = false, 0
 }
 
 // predicted counts the chunk starts in use that are predicted.
 func (p *predictor[S]) predicted() int {
-	n := 0
-	for k := p.stride - 1; k < len(p.rows); k += p.stride {
+	n, step := 0, p.step()
+	for k := step - 1; k < len(p.rows); k += step {
 		if p.rows[k].valid {
 			n++
 		}
@@ -172,8 +147,8 @@ func (p *predictor[S]) plan(buf []planEntry) []planEntry {
 	if p.prevTotal <= 0 {
 		return buf
 	}
-	parts := p.grid()
-	for k := p.stride; k < parts; k += p.stride {
+	parts, step := len(p.rows)+1, p.step()
+	for k := step; k < parts; k += step {
 		buf = append(buf, planEntry{at: p.prevTotal * int64(k) / int64(parts), row: k - 1})
 	}
 	return buf
@@ -220,8 +195,8 @@ var bootPlan = func() []planEntry {
 // row — a row at or behind its predecessor would start a chunk inside
 // an earlier chunk — and a boundary with no candidate left gets no row.
 func (p *predictor[S]) promote(total int64, memos []memo[S]) []memo[S] {
-	out, from, parts := memos[:0], 0, p.grid()
-	for k := p.stride; k < parts && from < len(memos); k += p.stride {
+	out, from, parts, step := memos[:0], 0, len(p.rows)+1, p.step()
+	for k := step; k < parts && from < len(memos); k += step {
 		boundary := total * int64(k) / int64(parts)
 		dist := func(ci int) int64 { return max(memos[ci].pos-boundary, boundary-memos[ci].pos) }
 		best := from

@@ -21,7 +21,8 @@ func bootCandidates(total int64) []memo[int64] {
 // is the nearest to its boundary among those beyond the previous row's
 // (the earlier one on a tie), a boundary gets no row only when no
 // candidate is left beyond its predecessor, and apply installs exactly
-// the chosen rows. FuzzPredictorApply calls it too.
+// the chosen rows. Boundary k's row is indexRow(k-1): the grid is
+// setFanout times finer than the split. FuzzPredictorApply calls it too.
 func checkPromote(t *testing.T, threads int, total int64) {
 	t.Helper()
 	cands := bootCandidates(total)
@@ -31,6 +32,7 @@ func checkPromote(t *testing.T, threads int, total int64) {
 	lastPos := int64(0)
 	next := 0 // got[next] is the next chosen row
 	for k := 1; k < threads; k++ {
+		row := indexRow(k - 1)
 		boundary := total * int64(k) / int64(threads)
 		dist := func(pos int64) int64 { return max(pos-boundary, boundary-pos) }
 		best := -1
@@ -40,16 +42,16 @@ func checkPromote(t *testing.T, threads int, total int64) {
 			}
 		}
 		if best < 0 {
-			if next < len(got) && got[next].row == k-1 {
-				t.Fatalf("threads %d total %d: row %d chosen at %d with no candidate beyond %d", threads, total, k-1, got[next].pos, lastPos)
+			if next < len(got) && got[next].row == row {
+				t.Fatalf("threads %d total %d: row %d chosen at %d with no candidate beyond %d", threads, total, row, got[next].pos, lastPos)
 			}
 			continue
 		}
-		if next >= len(got) || got[next].row != k-1 {
-			t.Fatalf("threads %d total %d: no row %d, candidate %d lies beyond %d: %+v", threads, total, k-1, cands[best].pos, lastPos, got)
+		if next >= len(got) || got[next].row != row {
+			t.Fatalf("threads %d total %d: no row %d, candidate %d lies beyond %d: %+v", threads, total, row, cands[best].pos, lastPos, got)
 		}
 		if m := got[next]; m.pos != cands[best].pos || m.state != cands[best].state {
-			t.Fatalf("threads %d total %d: row %d (boundary %d) = %+v, nearest unconsumed candidate is %+v", threads, total, k-1, boundary, m, cands[best])
+			t.Fatalf("threads %d total %d: row %d (boundary %d) = %+v, nearest unconsumed candidate is %+v", threads, total, row, boundary, m, cands[best])
 		}
 		lastPos = got[next].pos // strictly beyond the previous one: the filter above
 		next++

@@ -175,12 +175,17 @@ func heldExecutor(t *testing.T) *Executor {
 }
 
 // seedQuarters gives a width-4 runner pinned to one chunk a slot (a grid
-// of four parts) the rows a bootstrap over ns memoizes: rows 0, 1 and 2
-// at its quarters.
+// of four parts) the rows a bootstrap over ns memoizes: the rows of
+// boundaries 0, 1 and 2 (indexRow) at its quarters.
 func seedQuarters(r *Runner[*mnode, tally], ns []*mnode) {
 	q := len(ns) / 4
-	r.pred.apply(int64(len(ns)), []memo[*mnode]{{0, ns[q], int64(q)}, {1, ns[2*q], int64(2 * q)}, {2, ns[3*q], int64(3 * q)}})
+	r.pred.apply(int64(len(ns)), []memo[*mnode]{
+		{indexRow(0), ns[q], int64(q)}, {indexRow(1), ns[2*q], int64(2 * q)}, {indexRow(2), ns[3*q], int64(3 * q)}})
 }
+
+// indexRow is the row of boundary k of a round of index order at stride
+// 1: the grid is setFanout times finer (predictor.step).
+func indexRow(k int) int { return setFanout*(k+1) - 1 }
 
 // TestUndispatchedSlotsGetNoVerdict: when cancellation lands inside a
 // later round's dispatch loop, the slots left unlaunched resolved
@@ -219,7 +224,7 @@ func TestUndispatchedSlotsGetNoVerdict(t *testing.T) {
 			}
 			want := l.oracle()
 			score := r.ctrl.score
-			before := [3]float64{score[0], score[1], score[2]}
+			before := [3]float64{score[indexRow(0)], score[indexRow(1)], score[indexRow(2)]}
 
 			ctx := &scriptedCtx{Context: context.Background(), cancelAt: tc.cancelAt}
 			got, rerr := r.Run(ctx, l.head)
@@ -234,11 +239,11 @@ func TestUndispatchedSlotsGetNoVerdict(t *testing.T) {
 				t.Errorf("Hits %d Misses %d Reclaimed %d; want 1 0 1 (slot 1 of round 0 only)",
 					st.Hits, st.Misses, st.Reclaimed)
 			}
-			if s0 := score[0]; s0 <= before[0] {
+			if s0 := score[indexRow(0)]; s0 <= before[0] {
 				t.Errorf("row 0 confidence %v -> %v; its chunk committed", before[0], s0)
 			}
 			for k := 1; k < 3; k++ {
-				if sk := score[k]; sk != before[k] {
+				if sk := score[indexRow(k)]; sk != before[k] {
 					t.Errorf("row %d confidence %v -> %v; its chunk was never dispatched in round 1 and only a cap artifact in round 0",
 						k, before[k], sk)
 				}
@@ -258,7 +263,7 @@ func TestUndispatchedSlotsGetNoVerdict(t *testing.T) {
 		r := newRunner(t, g.loop(false), Config{Threads: 4, Options: Options{Adaptive: true}, Executor: heldExecutor(t)})
 		seedQuarters(r, ns)
 		score := r.ctrl.score
-		before := [3]float64{score[0], score[1], score[2]}
+		before := [3]float64{score[indexRow(0)], score[indexRow(1)], score[indexRow(2)]}
 
 		ctx := &scriptedCtx{Context: context.Background(), cancelAt: 4}
 		_, rerr := r.Run(ctx, g.head)
@@ -271,7 +276,7 @@ func TestUndispatchedSlotsGetNoVerdict(t *testing.T) {
 				st.Conflicts, st.Hits, st.Misses, st.Reclaimed)
 		}
 		for k := range before {
-			if sk := score[k]; sk != before[k] {
+			if sk := score[indexRow(k)]; sk != before[k] {
 				t.Errorf("row %d confidence %v -> %v; the invocation failed", k, before[k], sk)
 			}
 		}

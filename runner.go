@@ -81,7 +81,7 @@ type Runner[S comparable, A any] struct {
 	memos   []memo[S]
 	plan    []planEntry // the invocation's memoization plan (predictor.plan): each chunk's is a suffix
 	chain   []int       // the round's chain: SVA row behind each speculative chunk
-	targets []target[S] // the round's hunted set, when it hunts one (seed)
+	targets []target[S] // the round's predicted starts, each lane's window of them (seed)
 	rd      round[S, A] // the invocation in progress (run)
 	// views holds one CellView per dispatch slot of a DOACROSS loop (nil
 	// for a DOALL loop). Views are written by the invoker during dispatch
@@ -221,11 +221,9 @@ func (r *Runner[S, A]) runInvocation(ctx context.Context, start S, loadAware boo
 	}
 	defer r.stats.publish(&r.pend)
 	r.pend.Invocations++
-	if !r.anyStop || r.pairing.depth == 1 {
-		// Only a round that steps chains in groups hunts the set: the set
-		// grid's rows go back to the index grid.
-		r.pred.regrid(false)
-	}
+	// Only a round that steps chains in groups hunts the set: otherwise
+	// the rounds read the grid in index order again.
+	r.pred.fine = r.pred.fine && r.anyStop && r.pairing.depth > 1
 
 	shed := false
 	if r.width() > 1 {
@@ -333,11 +331,11 @@ func (r *Runner[S, A]) admitRow(k int) bool {
 }
 
 // gate is the confidence gate rows answer to: the controller, except
-// while the rows are the set grid's (predictor.fine), which every set
-// invocation places afresh on the nodes a relinked list has now, so a
-// row's record says nothing about its next start.
+// while the rows are a set invocation's (predictor.fine), which every
+// set invocation places afresh on the nodes a relinked list has now, so
+// a row's record says nothing about its next start.
 func (r *Runner[S, A]) gate() *specController {
-	if r.pred.fine() {
+	if r.pred.fine {
 		return nil
 	}
 	return r.ctrl

@@ -29,16 +29,19 @@ import (
 //   - finish: charge the tail, install the memoizations.
 //
 // Chunks and slots. A chunk is one link of the round's validation
-// chain: a start, a successor's predicted start to hunt, a plan, an
+// chain: a start, a window of predicted starts to hunt, a plan, an
 // outcome, a verdict, all in one record, its lane (r.chunks[c] is chunk
-// c's). The chain's order is index order, chunk c validated by chunk c-1
-// meeting its start, unless the round hunts the set (seed: a runner
-// whose list has been relinked, in rounds that step chains in groups):
-// then every lane hunts all the round's predicted starts but its own,
-// stops at the first it meets and records that start's chunk (lane.met),
-// and the walk finds the order by following those links from chunk 0.
-// Either way each committed chunk is exactly the sequential continuation
-// of the one before it. A dispatch slot is one executor task (chunkJob)
+// c's). Every lane stops at the first start of its window it meets, its
+// own excepted, and records that start's chunk (lane.met); the walk
+// follows those links from chunk 0. The window is a slice of the round's
+// starts (r.targets, seed). In a round of index order it is the
+// successor's start alone (none for the chain's last chunk), the paper's
+// membership validation: chunk c is validated by chunk c-1 meeting its
+// start. A round that hunts the set (a runner whose list has been
+// relinked, in rounds that step chains in groups) gives every lane the
+// whole set of its predicted starts, so the walk finds the chain's order
+// from the list. Either way each committed chunk is exactly the
+// sequential continuation of the one before it. A dispatch slot is one executor task (chunkJob)
 // with one claim word, at most one queue entry and one latch count, and
 // one LastWorks entry. A slot carries one chunk, or up to maxDepth when
 // the runner steps several chains per slot (pairing, adaptive.go: a
@@ -51,15 +54,17 @@ import (
 // (pairing.one: width did not pay). DOACROSS slots always carry one
 // chunk: each chunk needs a CellView of its own.
 //
-// A round that hunts the set is cut finer than its lanes: its starts
-// land wherever the relinked list put them, so D chunks a slot would
-// leave the slot's group waiting on its longest. Its chain comes from
-// the predictor's set grid (predictor.regrid), setFanout·D·W-1 rows, so
-// each slot carries setFanout·D chunks and keeps D of them in flight
+// A slot keeps at most the runner's depth D of its chunks in flight
 // (chunkJob.depth): when a chain stops, exec opens the slot's next chunk
 // in its place (refill), so the group stays D wide until the slot's
-// chunks are gone — more chunks than lanes, taken by whichever lane is
-// free. Rounds of index order keep one chunk a lane.
+// chunks are gone. A round of index order carries at most D chunks a
+// slot, so each has a lane of its own. A round that hunts the set is cut
+// finer than its lanes: its starts land wherever the relinked list put
+// them, so D chunks a slot would leave the slot's group waiting on its
+// longest. Once an invocation has hunted the set, the predictor's rows
+// are read setFanout times finer (predictor.fine), setFanout·D·W-1 of
+// them, so each slot carries setFanout·D chunks, more than its lanes,
+// taken by whichever lane is free.
 //
 // A round of one (a width-1 or narrowed runner at depth 1, a shed batch
 // item, no row predicted or admitted, or the tail behind a capped last
@@ -81,9 +86,8 @@ import (
 // nearest pending event — the next ctx/abort poll point, the next
 // memoization-plan threshold, or the speculative iteration cap.
 // Validation is not an event: it is by membership (the paper's second
-// insight), so a chunk with a successor hunts its predicted start inside
-// every block (or, in a round that hunts the set, every start of the
-// set), and only the chain's last chunk and a round of one hunt nothing.
+// insight), so a chunk hunts its window inside every block, and only the
+// chain's last chunk and a round of one hunt nothing.
 // Inside a block the loop touches only register-resident locals (a
 // group's block: its chains' states, in its own frame);
 // the chunk's lane is written between blocks only. Spills happen at two
@@ -167,7 +171,7 @@ import (
 // its view (copy), offered by landCells once the walk has committed the
 // chunk. A slot carries one chunk of the round's validation chain, or
 // up to maxDepth consecutive ones (setFanout·maxDepth in a round that
-// hunts the set); each chunk is a lane. r and idx are wired once by
+// hunts the set), at most depth of them in flight; each chunk is a lane. r and idx are wired once by
 // NewRunner; seed sets the remaining fields, and the lanes' inputs,
 // every round.
 type chunkJob[S comparable, A any] struct {
@@ -175,7 +179,7 @@ type chunkJob[S comparable, A any] struct {
 	idx   int // dispatch slot: at depth 1 also its chunk's position in the chain
 	ctx   context.Context
 	width int // chunks this round: lanes[:width]
-	depth int // chunks in flight at once: width, or in a round that hunts the set at most the runner's depth
+	depth int // chunks in flight at once: width, at most the runner's depth (more only in a round that hunts the set)
 	used  int // the most chunks since the last release: lanes[:used] hold caller state
 	lanes [setFanout * maxDepth]lane[S, A]
 
@@ -191,10 +195,9 @@ type chunkJob[S comparable, A any] struct {
 }
 
 // lane is one chunk of a slot and the chunk's one record: what seed arms
-// it with (its start, plan and backstop row, and stop, hunt and capAt:
-// the successor's predicted start and the iteration cap; in a round that
-// hunts the set, the round's set instead of stop), then the
-// driver's state while it runs (chunkJob.exec), which is also the group
+// it with (its start, plan and backstop row, its window of the round's
+// predicted starts and capAt, the iteration cap), then the driver's
+// state while it runs (chunkJob.exec), which is also the group
 // routine's input and output (groupFn), and, once it has stopped, its
 // outcome, which the walk reads. Only the slot's claimant writes it
 // while the slot runs, once per block.
@@ -206,14 +209,14 @@ type lane[S comparable, A any] struct {
 	plan   []planEntry
 	base   int64 // the position plan counts from: the chunk's (predicted) global start, or 0 for bootPlan
 
-	s, stop S // the state reached; the successor's predicted start (hunt)
-	acc     A
-	hunt    bool  // stop is set: the chunk has a successor (false: run to the end, or hunt the round's set)
-	met     int   // the chunk whose start it stopped on: idx+1, or any chunk of the set (Runner.targets)
-	seen    bool  // the walk reached it: it committed, or it failed first
-	live    bool  // the chunk has not stopped
-	work    int64 // iterations completed as of the last block boundary: once stopped, the committed count
-	capAt   int64 // the speculative iteration cap (none for chunk 0)
+	s      S // the state reached
+	acc    A
+	window []target[S] // the predicted starts it hunts, of Runner.targets: its successor's, or the round's set
+	met    int         // the chunk whose start of the window it stopped on (matched)
+	seen   bool        // the walk reached it: it committed, or it failed first
+	live   bool        // the chunk has not stopped
+	work   int64       // iterations completed as of the last block boundary: once stopped, the committed count
+	capAt  int64       // the speculative iteration cap (none for chunk 0)
 	// nextPoll is the count of the next ctx/abort poll; cursor the next
 	// plan entry, which fires no earlier than minPlanAt.
 	nextPoll, minPlanAt int64
@@ -231,8 +234,8 @@ type lane[S comparable, A any] struct {
 	why blockStop
 }
 
-// target is one start of a round's hunted set: a chunk's predicted start
-// and the chunk's index.
+// target is one of a round's predicted starts (Runner.targets): the
+// start and its chunk's index.
 type target[S comparable] struct {
 	s S
 	c int
@@ -323,10 +326,11 @@ func (j *chunkJob[S, A]) copy() {
 // amortized. A slot of several chunks drives its lanes through the
 // group routine (Runner.group) with one block bound for all, the
 // nearest of their next events, while two or more are live; the last
-// goes on alone. In a round that hunts the set the group holds at most
-// depth chains, and a chain that stops hands its place to the slot's
-// next chunk, opened in index order (refill). Plan cursor, cap, match and
-// failure are per lane. The caller holds the slot's claim (or runs slot
+// goes on alone, unless its window holds more than the one stop the
+// block routine takes (lane.solo). The group holds at most depth chains,
+// and a chain that stops hands its place to the slot's next chunk,
+// opened in index order (refill). Plan cursor, cap, match and failure
+// are per lane. The caller holds the slot's claim (or runs slot
 // 0, which is never submitted), so exec runs exactly once per armed slot
 // per round and signals the latch exactly once.
 //
@@ -350,17 +354,17 @@ func (j *chunkJob[S, A]) exec() {
 	}
 	lanes := j.lanes[:j.width]
 	// lanes[:opened] have started; a lane whose Init or fault site failed
-	// never runs. A lane that hunts the set stays in the group until it
-	// stops: the block routine takes one stop.
+	// never runs. The last live lane (one, while live is 1) leaves the
+	// group only if the block routine can hunt its window (lane.solo).
 	opened, live := 0, 0
-	set := j.r.targets // empty unless the round hunts the set (seed)
-	for alone := b2i(len(set) == 0); ; {
+	var one *lane[S, A]
+	for {
 		for ; live < j.depth && opened < len(lanes); opened++ {
 			if j.open(&lanes[opened]); lanes[opened].live {
-				live++
+				live, one = live+1, &lanes[opened]
 			}
 		}
-		if live <= alone {
+		if live == 0 || live == 1 && opened == len(lanes) && one.solo() {
 			break
 		}
 		n := int64(math.MaxInt64)
@@ -369,13 +373,13 @@ func (j *chunkJob[S, A]) exec() {
 				n = min(n, l.bound())
 			}
 		}
-		j.r.group(lanes[:opened], n, set)
+		j.r.group(lanes[:opened], n)
 		live = 0
 		for i := range lanes[:opened] {
 			if l := &lanes[i]; l.live {
 				l.work += l.k
 				if j.settle(l, l.why, l.err); l.live {
-					live++
+					live, one = live+1, l
 				}
 			}
 		}
@@ -383,15 +387,25 @@ func (j *chunkJob[S, A]) exec() {
 	for i := range lanes {
 		l := &lanes[i]
 		for l.live {
-			var k int64
-			var why blockStop
-			var err error
-			l.s, l.acc, k, why, err = j.r.block(view, l.s, l.acc, l.stop, l.hunt, l.bound())
+			var w target[S] // the one start a solo lane hunts, if any
+			if len(l.window) > 0 {
+				w = l.window[0]
+			}
+			s, acc, k, why, err := j.r.block(view, l.s, l.acc, w.s, len(l.window) > 0, l.bound())
+			l.s, l.acc, l.met = s, acc, w.c // met is read only once it matched
 			l.work += k
 			j.settle(l, why, err)
 		}
 		l.close()
 	}
+}
+
+// solo reports whether the lane may go on alone through the block
+// routine, which takes one stop: its window holds at most one start, and
+// not its own. (The window of a set round's chunk holds its own start,
+// which never stops it; the block routine would stop on it at once.)
+func (l *lane[S, A]) solo() bool {
+	return len(l.window) == 0 || len(l.window) == 1 && l.window[0].c != l.idx
 }
 
 // open arms lane l for its chunk: the fault-injection site (armed only
@@ -562,7 +576,7 @@ func (r *Runner[S, A]) release() {
 		job.ctx = nil
 		for i := range job.used {
 			l := &job.lanes[i]
-			l.start, l.plan, l.s, l.stop, l.acc, l.err = zeroS, nil, zeroS, zeroS, zeroA, nil
+			l.start, l.plan, l.s, l.acc, l.err = zeroS, nil, zeroS, zeroA, nil
 			clear(l.props[:cap(l.props)])
 			l.props = l.props[:0]
 		}
@@ -609,8 +623,8 @@ type round[S comparable, A any] struct {
 	per    int // chunks on each slot: per+1 on slots 0..extra-1, per on the rest
 	extra  int
 	armed  int   // chunks dispatch launched: always the prefix 0..armed-1, whole slots
-	any    bool  // every lane hunts the set of the round's predicted starts (seed)
-	hunted bool  // a round of the invocation hunted the set: its candidates become the set grid's rows (finish)
+	any    bool  // every lane's window is the set of the round's predicted starts (seed)
+	hunted bool  // a round of the invocation hunted the set: the next reads its rows every stride (finish)
 	cur    S     // chunk 0's start, the live state
 	pos    int64 // chunk 0's global position: the iterations committed so far
 	cap    int64 // the speculative iteration cap of the round's chunks
@@ -646,7 +660,8 @@ type round[S comparable, A any] struct {
 // layout spreads n chunks over at most width slots, consecutive chunks
 // on each (seed), as evenly as they go: one each while they fit, else
 // the first n mod width slots carry one more than the rest (n ≤
-// maxDepth·width, or setFanout·maxDepth·width on the set grid). A round
+// maxDepth·width, or setFanout·maxDepth·width in a round that hunts the
+// set). A round
 // that fits divides nothing: its fixed cost is every round of one's.
 func (rd *round[S, A]) layout(n, width int) {
 	rd.n, rd.slots, rd.per, rd.extra = n, min(n, width), 1, 0
@@ -728,7 +743,7 @@ func (r *Runner[S, A]) begin(start S, n int) {
 	// DOACROSS one), unless the runner is narrowed: its chain is sparser
 	// than its grid, whose rows the plan keeps for the width recheck.
 	rd.cur, rd.boot = start, n == 1 && r.pred.stride < r.pred.parts && !r.pairing.one
-	rd.rung = rd.per + min(rd.extra, 1)
+	rd.rung = min(rd.per+min(rd.extra, 1), r.pairing.depth)
 	clear(r.works)
 	r.memos = r.memos[:0]
 	if !rd.boot {
@@ -737,37 +752,37 @@ func (r *Runner[S, A]) begin(start S, n int) {
 }
 
 // seed arms the round's slots and lanes, records each chunk's lane in
-// r.chunks and clears its proposals. Each chunk plans from its
-// (predicted) global position — chunk 0's is exact. Only balance depends
-// on the prediction; correctness comes from the validation chain.
+// r.chunks and clears its proposals. It fills r.targets with the round's
+// predicted starts and gives each lane its window of them. Each chunk
+// plans from its (predicted) global position — chunk 0's is exact. Only
+// balance depends on the prediction; correctness comes from the
+// validation chain.
 //
-// A round that steps chains in groups on a runner whose list has been
-// relinked (Runner.anyStop) hunts the set, two chunks on one slot
-// included (the set round of two is index order's, but it places the
-// next invocation's rows on the set grid):
-// every lane stops at the first of the round's predicted starts it
-// meets, whichever chunk's, so the walk finds the chain's order from the
-// list. The set (r.targets) holds each start once, for the lowest chunk
-// that has it, and never chunk 0's: two chunks of one start would link
-// to each other with no work between them. A chunk of such a round does
-// not know its global position until the walk has found the order, so
-// it cannot plan from it: from that round on, the invocation memoizes by
-// the bootstrap plan, whose candidates promote turns into rows of the
-// set grid at the positions the walk found (finish). Each slot of such a
-// round keeps at most the runner's depth of its chunks in flight
-// (chunkJob.depth), and round 0's rung is that depth.
+// In index order the targets are each successor's start, in chain order,
+// duplicates kept, and chunk c's window is chunk c+1's. A round that
+// steps chains in groups on a runner whose list has been relinked
+// (Runner.anyStop) hunts the set, two chunks on one slot included (the
+// set round of two is index order's, but it places the next
+// invocation's rows setFanout times finer): every lane's window is the
+// whole set, so it stops at the first of the round's predicted starts it
+// meets, whichever chunk's, and the walk finds the chain's order from
+// the list. The set holds each start once, for the lowest chunk that has
+// it, and never chunk 0's: two chunks of one start would link to each
+// other with no work between them. A chunk of such a round does not know
+// its global position until the walk has found the order, so it cannot
+// plan from it: from that round on, the invocation memoizes by the
+// bootstrap plan, whose candidates promote turns into rows read every
+// stride at the positions the walk found (finish).
 func (r *Runner[S, A]) seed(ctx context.Context) {
 	rd, rows := &r.rd, r.pred.rows
 	rd.any = r.anyStop && rd.n > rd.slots
-	set := r.targets[:0]
 	if rd.any {
 		rd.boot, rd.hunted = true, true
-		rd.rung = min(rd.rung, r.pairing.depth)
-		for c, k := range r.chain[:rd.n-1] {
-			st := rows[k].start
-			if st != rd.cur && !slices.ContainsFunc(set, func(t target[S]) bool { return t.s == st }) {
-				set = append(set, target[S]{st, c + 1})
-			}
+	}
+	set := r.targets[:0]
+	for c, k := range r.chain[:rd.n-1] {
+		if st := rows[k].start; !rd.any || st != rd.cur && !slices.ContainsFunc(set, func(t target[S]) bool { return t.s == st }) {
+			set = append(set, target[S]{st, c + 1})
 		}
 	}
 	r.targets = set
@@ -778,21 +793,20 @@ func (r *Runner[S, A]) seed(ctx context.Context) {
 		if i < rd.extra {
 			j.width++
 		}
-		j.depth = j.width
-		if rd.any {
-			j.depth = min(j.width, r.pairing.depth)
-		}
+		j.depth = min(j.width, r.pairing.depth)
 		j.used = max(j.used, j.width)
 		for k := range j.width {
 			r.chunks[c], j.lanes[k].slot = &j.lanes[k], i
 			c++
 		}
 	}
-	var zero S
 	for c := 0; c < rd.n; c++ {
 		l, at := r.chunks[c], rd.pos
-		l.idx, l.start, l.stop, l.hunt, l.ownRow, l.capAt, l.plan, l.base, l.props = c, rd.cur, zero, false, -1, 1<<62, bootPlan, 0, l.props[:0]
-		l.met, l.seen = c+1, false
+		l.idx, l.start, l.window, l.ownRow, l.capAt, l.plan, l.base, l.props = c, rd.cur, set, -1, 1<<62, bootPlan, 0, l.props[:0]
+		l.seen = false
+		if !rd.any {
+			l.window = set[c:min(c+1, len(set))] // the successor's start; none for the chain's last chunk
+		}
 		if c > 0 {
 			from := &rows[r.chain[c-1]]
 			l.start, at = from.start, max(rd.pos, from.pos)
@@ -801,10 +815,7 @@ func (r *Runner[S, A]) seed(ctx context.Context) {
 			l.capAt = max(rd.cap, 1)
 		}
 		if c < rd.n-1 {
-			// Membership validation: a chunk with a successor hunts its
-			// predicted start in every iteration, wherever it appears.
 			l.ownRow = r.chain[c]
-			l.stop, l.hunt = rows[l.ownRow].start, !rd.any
 		}
 		if !rd.boot {
 			l.plan, l.base = planFrom(r.plan, at), at
@@ -1232,9 +1243,9 @@ func (r *Runner[S, A]) advance(ctx context.Context) {
 // verdicts and conflicts row by row instead. A miss turns set hunting on
 // (seed), and calmRun invocations in a row whose walks followed every
 // chunk to its index successor turn it off. A bootstrap invocation's
-// candidates become rows, of the set grid if a round hunted the set, the
-// predictor installs the memoizations, and the pairing policy hears
-// round 0's clock.
+// candidates become rows, read every stride from the next invocation on
+// if a round hunted the set (predictor.fine), the predictor installs the
+// memoizations, and the pairing policy hears round 0's clock.
 func (r *Runner[S, A]) finish() {
 	rd := &r.rd
 	tail := rd.pos - rd.round0
@@ -1248,9 +1259,7 @@ func (r *Runner[S, A]) finish() {
 		r.calm = 0
 	}
 	r.anyStop = r.group != nil && (r.pend.Misses > 0 || r.anyStop && r.calm < calmRun)
-	if rd.hunted {
-		r.pred.regrid(true)
-	}
+	r.pred.fine = r.pred.fine || rd.hunted
 	if rd.boot {
 		r.memos = r.pred.promote(rd.pos, r.memos)
 	}
@@ -1309,7 +1318,7 @@ const (
 // invocation is a probe or narrowed) — the rows a round may speculate on
 // — and returns it.
 func (r *Runner[S, A]) admitted(from int) []int {
-	rows, adm, stride := r.pred.rows, r.chain[:0], r.pred.stride*r.cfg.Threads/r.width()
+	rows, adm, stride := r.pred.rows, r.chain[:0], r.pred.step()*r.cfg.Threads/r.width()
 	for k := stride - 1; k < len(rows); k += stride {
 		if k >= from && rows[k].valid && r.admitRow(k) {
 			adm = append(adm, k)

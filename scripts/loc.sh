@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Size of one Go package directory — the root package (the native
 # runtime) by default, or the one named, e.g. internal/server (the
-# serving layer) — the figures ROADMAP item 6 and every subtraction PR
-# quote: for each non-test Go file of the directory, `wc -l` and its
+# serving layer) — the figures north-star aim 2 and every subtraction
+# PR quote: for each non-test Go file of the directory, `wc -l` and its
 # code lines (not blank, not a comment line), then the totals, then the
 # lines of the package's _test.go files beside them (the tests line).
 # Run it from anywhere in the repository; a relative DIR is taken from

@@ -304,7 +304,7 @@ type Config struct {
 	// depth, when positive, pins the chunks a dispatch slot carries
 	// (1..4) instead of deriving it (pairing, adaptive.go). A DOACROSS
 	// loop stays at 1 whatever it says. A pinned runner plans on its
-	// pinned depth's grid: Threads·depth chunks. Tests pin 2 or 4 to
+	// pinned depth's grid: Threads·depth chunks a round of index order. Tests pin 2 or 4 to
 	// run DOALL scenarios with several chunks a slot, and 1 where they pin
 	// a chunk layout.
 	depth int
@@ -528,9 +528,10 @@ func NewRunner[S comparable, A any](loop Loop[S, A], cfg Config) (*Runner[S, A],
 		r.pairing.forced = depth
 	}
 	r.pairing.reset()
-	// One grid, cut for the finest depth; a coarser depth uses every
-	// stride-th row of it. A runner that steps chains in groups can hunt
-	// the set, on a grid and with slots setFanout times finer.
+	// One grid, cut setFanout times finer than the finest depth's rounds;
+	// a coarser depth uses every stride-th row of what a round reads. A
+	// runner that steps chains in groups can hunt the set, with slots
+	// setFanout times finer.
 	r.pred = newPredictor[S](cfg.Threads*depth, depth/r.pairing.depth)
 	perSlot := depth
 	if depth > 1 {
