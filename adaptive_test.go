@@ -2,6 +2,7 @@ package spice
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -690,4 +691,280 @@ func TestPairingPolicy(t *testing.T) {
 			t.Fatalf("the next session: same runner %v, narrow %v, gauge %d", s.r == moved, s.r.pairing.narrow, s.Stats().EffectiveThreads)
 		}
 	})
+	t.Run("model", func(t *testing.T) {
+		// The three DOALL structures of the benchmark, and the hosts the
+		// rule has met, as seeded cost models (shapeModel). Each bound on
+		// an invocation count is what the rule reached when this subtest
+		// was written.
+		const seeds = 8
+		// What the rule reached when this subtest was written, on every
+		// seed: the bounds a rule must meet.
+		const (
+			reachW2, reachW1 = 20, 17 // the first invocation at (W, 4) on the shuffled list, W = 2 and 1
+			narrowAt         = 5      // the first invocation at width 1 on one processor
+			shrink2, shrink1 = 2, 1   // invocations past the first after a shrink of the trip count that still run deeper than it allows
+			dropIn           = 8      // sample-less invocations at depth 2 before depth 1
+		)
+		noisy := func(rng *rand.Rand, x float64) float64 { return x * (0.95 + 0.1*rng.Float64()) }
+		perSlot := func(n int64) func(int) int64 { return func(int) int64 { return n } }
+		// pays is what depth d buys a shuffled list past L2: chains that
+		// wait on memory side by side.
+		pays := func(d int) float64 { return [...]float64{1: 1, 2: 1.6, 4: 2.4}[d] }
+		// The contiguous list: the invoker steps it at 2 ns an iteration,
+		// width 2 at about half that, and one round in 2 000 the host
+		// holds up 40×.
+		contiguous := func(w int) shapeModel {
+			return shapeModel{w: w, procs: 2, perSlot: perSlot(100_000 / int64(w)), cost: func(rng *rand.Rand, inv int, s shapeAt) (float64, float64) {
+				self := noisy(rng, 2)
+				wall := self / float64(s.w)
+				if inv%2000 == 1999 {
+					return 40 * wall, 40 * self
+				}
+				return wall, self
+			}}
+		}
+		// The shuffled list: 90 ns an iteration at depth 1, depth paying
+		// 1.6× at 2 and 2.4× at 4, width 2 halving it less a 5 % hand-off.
+		// The runner's first window runs alone and hot in cache (the
+		// warm-up), a width-1 runner's samples alternate 35/65 around their
+		// mean, and some windows hold three rounds the host held up 4×.
+		shuffled := func(w int, slot func(int) int64) shapeModel {
+			return shapeModel{w: w, procs: 2, perSlot: slot, cost: func(rng *rand.Rand, inv int, s shapeAt) (float64, float64) {
+				self := noisy(rng, 90/pays(s.d))
+				wall := self
+				if s.w > 1 {
+					wall *= 1.05 / float64(s.w)
+				}
+				k := 1.0
+				switch {
+				case inv < pairWindow:
+					k = 0.6
+				case inv%100 == 40, inv%100 == 43, inv%100 == 47:
+					k = 4
+				case w == 1 && inv%2 == 0:
+					k = 35.0 / 50
+				case w == 1:
+					k = 65.0 / 50
+				}
+				return k * wall, k * self
+			}}
+		}
+		fresh := func() *pairing { return &pairing{top: 1, depth: 1} }
+		t.Run("contiguous", func(t *testing.T) {
+			for _, w := range []int{2, 1} {
+				for seed := range int64(seeds) {
+					if ran := contiguous(w).drive(fresh(), seed, 10_000); share(ran, shapeAt{w, 1}) != 1 {
+						t.Fatalf("w%d seed %d: left (%d, 1) in %.4f of the invocations", w, seed, w, 1-share(ran, shapeAt{w, 1}))
+					}
+				}
+			}
+		})
+		t.Run("shuffled", func(t *testing.T) {
+			for _, w := range []int{2, 1} {
+				for seed := range int64(seeds) {
+					ran := shuffled(w, perSlot(200_000/int64(w))).drive(fresh(), seed, 6000)
+					at, reach := slices.Index(ran, shapeAt{w, maxDepth}), map[int]int{2: reachW2, 1: reachW1}[w]
+					kept, narrowed := share(ran[4000:], shapeAt{w, maxDepth}), w > 1 && longestAt(ran, 1) > pairWindow+1
+					if at < 0 || at > reach+pairWindow || kept < 0.9 || narrowed {
+						t.Fatalf("w%d seed %d: (%d, 4) first at %d (bound %d), in %.3f of the last 2000, longest stretch at width 1 %d",
+							w, seed, w, at, reach+pairWindow, kept, longestAt(ran, 1))
+					}
+				}
+			}
+		})
+		t.Run("one processor", func(t *testing.T) {
+			for _, slow := range []bool{false, true} {
+				m := shapeModel{w: 2, procs: 1, perSlot: perSlot(2*pairMinChunk + 1), cost: func(rng *rand.Rand, inv int, s shapeAt) (float64, float64) {
+					if s.w > 1 {
+						return 0, 0 // the invoker reclaims the slot its worker had no processor to run
+					}
+					if slow {
+						x := noisy(rng, 300/pays(s.d))
+						return x, x
+					}
+					x := noisy(rng, 3)
+					return x, x
+				}}
+				for seed := range int64(seeds) {
+					ran := m.drive(fresh(), seed, 2000)
+					at := slices.IndexFunc(ran, func(s shapeAt) bool { return s.w == 1 })
+					if at < 0 || at > narrowAt || atWidth(ran[at:], 1) < 0.9 {
+						t.Fatalf("slow %v seed %d: first at width 1 at %d (bound %d), at width 1 in %.3f after", slow, seed, at, narrowAt, atWidth(ran[at:], 1))
+					}
+				}
+			}
+		})
+		t.Run("W4 on 2 processors", func(t *testing.T) {
+			m := shapeModel{w: 4, procs: 2, perSlot: perSlot(2*pairMinChunk + 1), cost: func(rng *rand.Rand, inv int, s shapeAt) (float64, float64) {
+				x := noisy(rng, 3)
+				return x / 2, x
+			}}
+			for seed := range int64(seeds) {
+				if ran := m.drive(fresh(), seed, 4000); share(ran, shapeAt{4, 1}) != 1 {
+					t.Fatalf("seed %d: left (4, 1) in %.4f of the invocations", seed, 1-share(ran, shapeAt{4, 1}))
+				}
+			}
+		})
+		t.Run("short list", func(t *testing.T) {
+			for seed := range int64(seeds) {
+				short := shuffled(2, perSlot(2*pairMinChunk-1)).drive(fresh(), seed, 2000)
+				if i := slices.IndexFunc(short, func(s shapeAt) bool { return s.d > 1 }); i >= 0 {
+					t.Fatalf("seed %d: depth %d at %d on a list too short for depth 2", seed, short[i].d, i)
+				}
+				shrinks := shuffled(2, func(inv int) int64 {
+					switch {
+					case inv < 500:
+						return 100_000
+					case inv < 600:
+						return 2 * pairMinChunk
+					}
+					return pairMinChunk
+				}).drive(fresh(), seed, 700)
+				to2 := slices.IndexFunc(shrinks[501:], func(s shapeAt) bool { return s.d <= 2 })
+				to1 := slices.IndexFunc(shrinks[601:], func(s shapeAt) bool { return s.d == 1 })
+				if shrinks[499].d != maxDepth || to2 < 0 || to2 > shrink2 || to1 < 0 || to1 > shrink1 {
+					t.Fatalf("seed %d: depth %d before the shrinks, %d and %d invocations late", seed, shrinks[499].d, to2, to1)
+				}
+			}
+		})
+		t.Run("sample-less", func(t *testing.T) {
+			for seed := range int64(seeds) {
+				m := shuffled(2, perSlot(2*pairMinChunk))
+				cost := m.cost
+				m.cost = func(rng *rand.Rand, inv int, s shapeAt) (float64, float64) {
+					wall, self := cost(rng, inv, s)
+					if inv >= 500 && s.d > 1 {
+						wall = 0
+					}
+					return wall, self
+				}
+				ran := m.drive(fresh(), seed, 600)
+				if at := slices.Index(ran[500:], shapeAt{2, 1}); ran[499].d != 2 || at < 0 || at > dropIn {
+					t.Fatalf("seed %d: depth %d before, depth 1 after %d sample-less invocations (bound %d)", seed, ran[499].d, at, dropIn)
+				}
+			}
+		})
+		t.Run("relinked", func(t *testing.T) {
+			// The relinked list: the invoker steps it at 36 ns an iteration,
+			// depth 2 and 4 pay 1.5× and 2× at width 1; width 2 lands its
+			// split anywhere at depth 1 (0.28 to 9.9 of the invoker's own
+			// cost), but at depth 4 it reads 0.58 to 0.77 of it.
+			m := shapeModel{w: 2, procs: 2, perSlot: perSlot(50_000), cost: func(rng *rand.Rand, inv int, s shapeAt) (float64, float64) {
+				self := noisy(rng, 36/[...]float64{1: 1, 2: 1.5, 4: 2}[s.d])
+				gain := 1.0
+				switch {
+				case s.w == 1:
+				case s.d == 1:
+					gain = 0.28 * math.Exp(rng.Float64()*math.Log(9.9/0.28))
+				case s.d == 2:
+					gain = 0.6 + 0.25*rng.Float64()
+				default:
+					gain = 0.58 + 0.19*rng.Float64()
+				}
+				return gain * self, self
+			}}
+			for seed := range int64(seeds) {
+				ran := m.drive(fresh(), seed, 3000)
+				t.Logf("seed %d: width 2 in %.3f of the last 1000", seed, 1-atWidth(ran[2000:], 1))
+			}
+		})
+	})
+}
+
+// --- a cost model of the DOALL shapes ------------------------------------
+
+// shapeAt is a DOALL runner's shape: its width and the chunks each slot
+// steps.
+type shapeAt struct{ w, d int }
+
+// shapeModel is a seeded cost model of one structure on one host: what
+// round 0 of each invocation reads at the shape the policy chose. The
+// policy is fed as finish feeds it, from the model's figures alone, so a
+// scenario runs thousands of invocations in microseconds with no clock.
+type shapeModel struct {
+	w, procs int                 // the runner's width, and the host's processors
+	perSlot  func(inv int) int64 // the trip count per slot of the runner's width
+	// cost is round 0's wall ns per committed iteration at s in
+	// invocation inv (0: the round gives no figure, as when the invoker
+	// reclaimed a slot) and the invoker's own ns per iteration.
+	cost func(rng *rand.Rand, inv int, s shapeAt) (wall, self float64)
+}
+
+// drive runs n invocations of m on p from seed and returns the shape
+// each ran at. An invocation's round 0 runs at the depth chosen, except
+// the first one at a finer depth: it finds only the coarser depth's rows
+// memoized and runs that depth's layout. A round with more slots than
+// processors is not clean, and its invoker's clock is no one's cost.
+func (m shapeModel) drive(p *pairing, seed int64, n int) []shapeAt {
+	rng := rand.New(rand.NewSource(seed))
+	ran := make([]shapeAt, n)
+	prev := 1
+	for inv := range n {
+		s := modelShape(p, m.w)
+		ran[inv] = s
+		rung := min(s.d, prev)
+		prev = s.d
+		wall, self := m.cost(rng, inv, shapeAt{s.w, rung})
+		perSlot := m.perSlot(inv)
+		crowded := s.w > m.procs
+		if crowded {
+			self = 0
+		}
+		modelObserve(p, wall, rung, s.w, !crowded && wall > 0, self, perSlot, m.procs)
+	}
+	return ran
+}
+
+// modelShape is the shape p runs the next invocation at, on a runner of
+// width w.
+func modelShape(p *pairing, w int) shapeAt {
+	if p.one {
+		w = 1
+	}
+	return shapeAt{w, p.depth}
+}
+
+// modelObserve feeds p one round 0, as finish does: on one processor a
+// width round's slots take turns.
+func modelObserve(p *pairing, wall float64, rung, slots int, clean bool, self float64, perSlot int64, procs int) {
+	if procs == 1 && slots > 1 && p.timed(perSlot) {
+		p.gain.add(1)
+	}
+	p.observe(wall, rung, slots, clean, self, perSlot)
+}
+
+// share is the share of the invocations of ran that ran at s.
+func share(ran []shapeAt, s shapeAt) float64 {
+	n := 0
+	for _, r := range ran {
+		if r == s {
+			n++
+		}
+	}
+	return float64(n) / float64(len(ran))
+}
+
+// atWidth is the share of the invocations of ran that ran at width w.
+func atWidth(ran []shapeAt, w int) float64 {
+	n := 0
+	for _, r := range ran {
+		if r.w == w {
+			n++
+		}
+	}
+	return float64(n) / float64(len(ran))
+}
+
+// longestAt is the longest run of consecutive invocations of ran at
+// width w.
+func longestAt(ran []shapeAt, w int) int {
+	most := 0
+	for i := 0; i < len(ran); i++ {
+		j := i
+		for j < len(ran) && ran[j].w == w {
+			j++
+		}
+		most, i = max(most, j-i), j
+	}
+	return most
 }
