@@ -3,6 +3,7 @@ package spice
 import (
 	"math"
 	"math/bits"
+	"slices"
 )
 
 // This file is the adaptive speculation policy (Options.Adaptive): a
@@ -157,303 +158,222 @@ func probeSpecCap(cap64, total int64, chunks int) int64 {
 }
 
 const (
-	// maxDepth is the most chunks a dispatch slot carries: the ladder's
-	// top rung, and the finest grid a derived runner plans on.
+	// maxDepth is the most chunks a dispatch slot carries: the deepest
+	// shape, and the finest grid a derived runner plans on.
 	maxDepth = 4
 	// pairMinNs is the cost per iteration, in ns, of chunk 0 alone at or
 	// above which a traversal is taken to wait on memory: a contiguous
 	// list reads 1-3 ns, a closure body 6-8, a list linked in shuffled
 	// order past L2 about 90.
 	pairMinNs = 20
-	// pairMinChunk is the fewest iterations of the last trip count each
-	// chunk of a rung must keep, so a chunk still spans several polls:
-	// the deepest rung allowed is the deepest that keeps it.
+	// pairMinChunk is the fewest iterations of the last trip count per
+	// slot each chunk of a shape must keep, so a chunk still spans several
+	// polls: it bounds the deepest shape allowed.
 	pairMinChunk = 4 * ctxPollEvery
-	// pairGain is what a rung must beat the rung below by: its wall time
-	// per committed iteration at most this share of the one below's.
+	// pairGain is what a wider or deeper shape must beat its neighbour by
+	// to be preferred: its wall time per committed iteration at most this
+	// share of the neighbour's.
 	pairGain = 0.9
-	// pairBackoff is the number of invocations a runner that stepped down
-	// from a rung that never paid waits before it climbs again.
-	pairBackoff = 64
-	// pairWindow is how many recent samples a figure is the lowest of:
-	// the clean rounds depth 2 waits for, the samples a rung gives before
-	// the next is tried, and the sample-less invocations that step down.
+	// pairWindow is how many recent samples a shape's window keeps: the
+	// invocations a neighbour not yet measured runs, and the clean
+	// depth-1 rounds the first one waits for.
 	pairWindow = 8
-	// pairRecheck is how many invocations a runner above depth 1 runs
-	// between two that run one rung down, so the figure its rung is
-	// compared with stays fresh.
+	// pairRecheck is how many invocations a runner runs between two that
+	// run a neighbouring shape, so the neighbours' windows stay fresh.
 	pairRecheck = 32
 )
 
-// pairing is the shape policy of a DOALL runner: how many chunks of the
-// validation chain a dispatch slot carries, on a ladder of rungs 1, 2
-// and 4 (scheduler.go), and, on a runner of width W ≥ 2, whether a round
-// uses its W slots or the invoker's alone. A slot at depth D steps its D
-// chunks in lockstep (blockGroup), so a core that waits on a cache miss
-// in one chain has the other chains' misses in flight beside it; at
-// width 1 the one slot is the invoker's, so D chunks of the traversal
-// run there with no executor at all. That pays only when the traversal
-// is memory-bound, so each rung is tried on evidence and kept only while
-// it pays — Garmon et al.'s rule for a speculative resource:
+// pairing is the shape policy of a DOALL runner: how wide its rounds
+// are, W slots or the invoker's alone, and how many chunks of the
+// validation chain each slot carries, depth 1, 2 or 4 (scheduler.go). A
+// slot at depth D steps its D chunks in lockstep (blockGroup), so a core
+// that waits on a cache miss in one chain has the other chains' misses
+// in flight beside it; at width 1 the one slot is the invoker's, with no
+// executor, lease or gate, and a narrowed runner's D chains are every
+// W-th row of its grid. Depth pays only when the traversal waits on
+// memory, width only when the other cores get their share; so each
+// shape is kept only while it pays — Garmon et al.'s rule for a
+// speculative resource.
 //
-//   - a clean round 0 at depth 1 (nothing reclaimed, squashed or capped,
-//     and no more slots than the host has processors, or chunk 0's clock
-//     counts the time it waited for one; a width-1 round is one slot on
-//     one processor) tries depth 2 once pairWindow clean rounds have been
-//     seen, if chunk 0's cost per iteration read at least pairMinNs in
-//     each of the last pairWindow, depth 1's cost times the slots (a
-//     chain's cost per iteration) reads pairMinNs too, and depth 2 is
-//     allowed;
-//   - a rung is judged once it has given pairWindow samples: it stays
-//     while its cost is within pairGain of the rung below's, and climbs
-//     to the next, if that is allowed. A rung that loses is first
-//     doubted, not dropped: the rung below's figure may predate the
-//     host's present state (a warm-up that ran alone and hot in cache, a
-//     neighbour that slowed the rung's last window), so that figure is
-//     forgotten and the next invocation reads it afresh (a recheck now).
-//     If the rung loses to the fresh figure too, or after pairWindow
-//     invocations in a row that gave no sample of the rung (no evidence
-//     that it pays), the runner steps down a rung. It waits pairBackoff
-//     invocations before it climbs again, unless the rung had beaten the
-//     rung below since it was reached: a rung that paid and then lost a
-//     stretch the host slowed is judged again as soon as the rung below
-//     has been;
-//   - a rung is allowed while each of its Threads·D chunks keeps
-//     pairMinChunk iterations of the last trip count; a runner above the
-//     deepest rung allowed steps down;
-//   - every pairRecheck invocations above depth 1, one runs a rung down,
-//     so the rung below's figure is fresh when the two are compared.
+// The policy is one table: each shape, (width, depth) for width in
+// {W, 1} and depth in {1, 2, 4}, keeps a window of its own round 0's
+// wall ns per committed iteration, and the runner runs the best shape
+// it has measured. Shapes one step apart in width or in depth are
+// neighbours, and one rule judges every pair: the wider or deeper of
+// two is better when a majority of its window beats the other's figure
+// (mid: the value a majority of its window is at or below) by pairGain.
+// A shape is judged against its neighbours once a majority of its own
+// window is in, after every invocation, so a neighbour's fresh sample
+// counts at once. Beside that:
 //
-// Width is a rung too. Each width-W round with a processor per slot,
-// pairMinChunk iterations of the last trip count per slot, and an
-// invoker that read at least pairMinNs an iteration gives a gain: the
-// round's wall ns per committed iteration over the invoker's own ns per
-// iteration stepped (1/W where the slots split the work evenly, 1 or
-// more where the invoker ends up walking the traversal, or waiting for
-// a slot that did). Once the median of the last pairWindow gains is at
-// or above pairGain (both middle samples: a majority of the window),
-// the runner narrows: it runs (1, D), D chunks of its own grid in
-// lockstep on the invoker, a chain of every W-th row, with no executor,
-// lease or gate, and climbs and drops rungs on width-1 figures of their
-// own. Every pairRecheck invocations it runs one round at (W, D) instead
-// (a width recheck), and it widens when the median gain, with that
-// round's in it, is below pairGain (again a majority); a window split
-// evenly keeps the width it has. The median, not the lowest: a relinked
-// structure lands its split anywhere, so a width's rounds range from
-// balanced to serial on the structure alone, and the lowest would
-// compare best cases; and a round's own two clocks share whatever the
-// host did to it, so a slow stretch of the host moves the gain little.
-// On a host of one processor a width-W round gives a gain of 1 without
-// a clock (finish), once the trip count is long enough to be timed: its
-// slots take turns on the processor, so the runner narrows and climbs on
-// the invoker alone. A round with more slots than processors on a wider
-// host gives no gain: some of its slots do run beside the invoker.
+//   - a neighbour not yet measured runs until it has a window, deepest
+//     first, and every pairRecheck invocations one neighbour runs once,
+//     in rotation (deeper, across width, shallower), so its window
+//     follows the host;
+//   - a runner at depth 1 tries no neighbour until a window of its clean
+//     rounds 0 (nothing reclaimed, squashed or capped, no more slots
+//     than processors) read chunk 0's own cost at pairMinNs or more an
+//     iteration in a majority: a contiguous list never leaves (W, 1);
+//   - a shape is allowed while each of its chunks keeps pairMinChunk
+//     iterations of the last trip count per slot, the narrowed (1, 1)
+//     included; a runner deeper than the deepest allowed steps down at
+//     once;
+//   - an invocation that gives no figure of the depth above 1 it ran (a
+//     slot reclaimed, the rows left its round a coarser layout) counts
+//     +Inf there, as does a width round on a host of one processor
+//     (finish): its slots take turns. A window whose majority is +Inf
+//     loses to the shape below it, measured or not.
 //
-// A sample goes to the rung its round ran at: the chunks its busiest
-// slot carried, rounded up to a rung. The first invocation after a climb
-// finds only the coarser rung's rows valid and runs that rung's layout;
-// so does the one after a recheck; a round the confidence gate thinned
-// counts as the rung it thinned. Every depth figure is the lowest of
-// the last pairWindow samples (lows), not an average: a round the host
-// held up only adds time. On a shared 2-vCPU guest one round in a few
-// thousand read 40× the others — enough to lift an EWMA over the trigger
-// on a 1 ns/iteration list, and then keep a rung against that stale
-// figure. Every figure comes from the clock reads the scheduler takes
+// A sample goes to the shape its round ran: the runner's width, at the
+// chunks its busiest slot carried rounded up to a depth. The first
+// invocation after a move to a finer depth finds only the coarser
+// depth's rows valid and runs that depth's layout; so does the one
+// after a recheck; a round the confidence gate thinned counts as the
+// depth it thinned to. A figure is a window's majority, not its mean
+// nor its lowest: a round the host held up only adds time (one round
+// in a few thousand read 40× the others on a shared 2-vCPU guest), a
+// relinked structure lands its split anywhere, so a width's rounds range
+// from balanced to serial, and a hot warm-up or one lucky sample does not
+// decide. Every figure comes from the clock reads the scheduler takes
 // anyway. Confined to the runner's invocation cycle, like the predictor.
 type pairing struct {
-	forced int        // Config.depth, or 1 for a runner that cannot step chains together: the depth, pinned (0: derived)
-	top    int        // the rung climbed to
-	depth  int        // the depth the next invocation runs at: top, or top/2 on a recheck
-	narrow bool       // width did not pay: the runner runs (1, top)
-	one    bool       // the next invocation runs at width 1: narrow, but not on a width recheck
-	at     [2][3]lows // round 0's wall ns per committed iteration at depths 1, 2 and 4 (index log2), at width W and narrowed to 1
-	c0     lows       // chunk 0's own ns per iteration in clean depth-1 rounds
-	gain   lows       // width-W rounds' wall per committed iteration over the invoker's own per iteration
-	since  int        // samples of top since the runner reached it
-	dry    int        // invocations in a row above depth 1 that gave no sample of top
-	wait   int        // invocations left before the runner may climb again
-	due    int        // invocations left before the next recheck: of depth above depth 1, of width while narrowed
-	doubt  bool       // top lost a comparison: the rung below's figure holds only samples since
-	paid   bool       // top has beaten the rung below since the runner reached it
+	forced int       // Config.depth, or 1 for a runner that cannot step chains together: the depth, pinned (0: derived)
+	wide   bool      // the runner has width W ≥ 2 to narrow from
+	cur    int       // the shape held: the best measured (index: 3 at width W, 0 at width 1, plus log2 of the depth)
+	run    int       // the shape the next invocation runs: cur, or a neighbour
+	at     [6]window // round 0's wall ns per committed iteration, per shape
+	c0     window    // chunk 0's own ns per iteration in clean depth-1 rounds
+	tick   int       // invocations observed
 }
 
-// reset forgets every measurement and returns to the pinned depth, or
-// to depth 1, at full width.
+// reset forgets every measurement and returns to (W, 1), or to the
+// pinned depth.
 func (p *pairing) reset() {
-	d := max(p.forced, 1)
-	*p = pairing{forced: p.forced, top: d, depth: d}
+	*p = pairing{forced: p.forced, wide: p.wide, cur: 3, run: 3}
 }
+
+// depth is the chunks a slot carries in the next invocation.
+func (p *pairing) depth() int {
+	if p.forced != 0 {
+		return p.forced
+	}
+	return 1 << (p.run % 3)
+}
+
+// one reports whether the next invocation runs narrowed, at width 1.
+func (p *pairing) one() bool { return p.run < 3 }
 
 // observe takes one successful invocation's round 0 and returns whether
-// the shape of the next invocation differs from this one's. A pinned
-// depth (forced) is never observed. perIter is round 0's wall ns per
-// committed iteration (0: no sample — a round of one on a runner of
-// width 2 or more reads no clock, and a round whose invoker reclaimed a
-// slot measures a late worker and not the shape); rung, the chunks its
-// busiest slot carried; slots, its slot count; clean, whether nothing
-// was reclaimed, squashed or capped; self, the invoker's own ns per
-// iteration its slot stepped (0: more slots than processors); perSlot,
-// the trip count per slot of the runner's width.
-func (p *pairing) observe(perIter float64, rung, slots int, clean bool, self float64, perSlot int64) bool {
-	was, wasOne := p.depth, p.one
-	p.depth, p.one = p.top, p.narrow
-	if p.wait > 0 {
-		p.wait--
+// the next invocation's shape differs from this one's. A pinned depth
+// (forced) is never observed. perIter is round 0's wall ns per committed
+// iteration (0: no figure — a round of one on a runner of width 2 or
+// more reads no clock, and a round whose invoker reclaimed a slot
+// measures a late worker and not the shape; +Inf: a round that cannot
+// pay); rung, the chunks its busiest slot carried; self, the invoker's
+// own ns per iteration in a clean round (0: not clean); perSlot, the
+// trip count per slot of the runner's width.
+func (p *pairing) observe(perIter float64, rung int, self float64, perSlot int64) bool {
+	was, held := p.run, p.cur
+	s := p.run/3*3 + bits.Len(uint(rung-1)) // the shape the round ran
+	if s%3 == 0 && self > 0 {
+		p.c0.add(self)
 	}
-	k := bits.Len(uint(rung - 1)) // the rung the round ran at
+	if perIter == 0 && (s%3 > 0 || s != held) {
+		perIter = math.Inf(1) // no figure of a shape that must show it pays
+	}
 	if perIter > 0 {
-		p.at[b2i(wasOne)][k].add(perIter)
-		if slots > 1 && self >= pairMinNs && perSlot >= pairMinChunk {
-			p.gain.add(perIter / self)
+		p.at[s].add(perIter)
+	}
+	for p.cur%3 > 0 && perSlot < pairMinChunk<<(p.cur%3) {
+		p.cur--
+	}
+	near := p.near(p.cur, perSlot)
+	if p.at[p.cur].n > pairWindow/2 {
+		for i := len(near) - 1; i >= 0; i-- {
+			if n := near[i]; n >= 0 && p.better(n, p.cur) {
+				p.cur, near = n, p.near(n, perSlot)
+				break
+			}
 		}
 	}
-	under, over := p.gain.split(pairGain)
-	switch {
-	case p.narrow && !wasOne:
-		// A width recheck: W's gain is all it tells.
-		if under > pairWindow/2 {
-			p.setWidth(false)
-		}
-	case !p.narrow && over > pairWindow/2:
-		p.setWidth(true)
-	default:
-		p.ladder(perIter > 0, k, slots, clean, self, perSlot)
-		if p.narrow && p.due <= 0 && p.depth == p.top {
-			p.one, p.due = false, pairRecheck
+	p.tick++
+	p.run = p.cur
+	if p.cur == 3 && (p.c0.n < pairWindow || p.c0.mid() < pairMinNs) {
+		return p.run != was
+	}
+	for _, n := range near {
+		if n >= 0 && p.at[n].n < pairWindow {
+			p.run = n
+			return p.run != was
 		}
 	}
-	return p.depth != was || p.one != wasOne
+	if p.tick%pairRecheck == 0 {
+		for i := range near {
+			if n := near[(p.tick/pairRecheck+i)%3]; n >= 0 {
+				p.run = n
+				break
+			}
+		}
+	}
+	return p.run != was
 }
 
-// ladder is observe's depth step at the width the round ran at: sampled
-// says the round gave a sample, of rung index k.
-func (p *pairing) ladder(sampled bool, k, slots int, clean bool, self float64, perSlot int64) {
-	at := &p.at[b2i(p.narrow)]
-	deepest := 1
-	for deepest < maxDepth && perSlot/int64(2*deepest) >= pairMinChunk {
-		deepest *= 2
+// near lists the neighbours of shape s the trip count per slot allows:
+// one step deeper, across width, one step shallower (-1: none).
+func (p *pairing) near(s int, perSlot int64) [3]int {
+	near := [3]int{-1, -1, -1}
+	if s%3 < 2 {
+		near[0] = s + 1
 	}
-	if p.narrow || p.top > 1 {
-		p.due--
+	if p.wide {
+		near[1] = (s + 3) % 6
 	}
-	if p.top == 1 {
-		if sampled && clean {
-			p.c0.add(self)
-			if p.wait == 0 && deepest > 1 && p.c0.n >= pairWindow && p.c0.low() >= pairMinNs && at[0].low()*float64(slots) >= pairMinNs {
-				p.climb()
-			}
+	if s%3 > 0 {
+		near[2] = s - 1
+	}
+	for i, n := range near {
+		if n >= 0 && n != 3 && perSlot < pairMinChunk<<(n%3) {
+			near[i] = -1
 		}
-		return
 	}
-	if !p.narrow && p.due <= 0 {
-		p.depth, p.due = p.top/2, pairRecheck
-	}
-	r := bits.TrailingZeros(uint(p.top))
-	switch {
-	case sampled && k == r:
-		p.dry, p.since = 0, p.since+1
-		switch {
-		case p.top > deepest:
-			p.down(r)
-		case p.since < pairWindow, p.doubt && at[r-1].n == 0:
-			// Too few samples of the rung, or none of the recheck yet.
-		case at[r].low() <= pairGain*at[r-1].low():
-			p.doubt, p.paid = false, true
-			if p.wait == 0 && p.top < deepest {
-				p.climb()
-			}
-		case p.doubt:
-			p.down(r)
-		default:
-			// The rung lost to a figure that may predate the host's
-			// present state: read the rung below afresh now.
-			p.doubt, at[r-1] = true, lows{}
-			p.depth, p.due = p.top/2, pairRecheck
-		}
-	case p.dry+1 >= pairWindow:
-		p.down(r)
-	default:
-		p.dry++
-	}
+	return near
+}
+
+// better reports whether shape a is better than its neighbour b: the
+// wider or deeper of the two (the higher index) is when a majority of
+// its window beats the other's figure by pairGain.
+func (p *pairing) better(a, b int) bool {
+	lo, hi := min(a, b), max(a, b)
+	return (p.at[hi].mid() < pairGain*p.at[lo].mid()) == (a == hi)
 }
 
 // timed reports whether round 0 of a width-1 runner, or of a narrowed
 // one, reads the clock for the policy: while the depth is derived and
-// above 1, or perSlot, the last trip count, would allow depth 2.
+// the runner runs a shape other than (W, 1), or perSlot, the last trip
+// count per slot, would allow depth 2.
 func (p *pairing) timed(perSlot int64) bool {
-	return p.forced == 0 && (p.top > 1 || perSlot >= 2*pairMinChunk)
+	return p.forced == 0 && (p.run != 3 || perSlot >= 2*pairMinChunk)
 }
 
-// climb moves the ladder one rung up.
-func (p *pairing) climb() {
-	p.top *= 2
-	p.restart()
-}
-
-// down moves the ladder from rung r one rung down and forgets rung r's
-// figure; it backs off unless rung r had paid.
-func (p *pairing) down(r int) {
-	p.at[b2i(p.narrow)][r] = lows{}
-	p.top /= 2
-	if !p.paid {
-		p.wait = pairBackoff
-	}
-	p.restart()
-}
-
-// setWidth narrows the runner to width 1 or widens it back, at the rung
-// it is on, which is judged afresh at the new width.
-func (p *pairing) setWidth(narrow bool) {
-	p.narrow, p.one = narrow, narrow
-	p.restart()
-}
-
-// restart runs the next invocation at the top rung, judged afresh: no
-// samples of it yet, and the next recheck pairRecheck invocations away.
-func (p *pairing) restart() {
-	p.depth, p.since, p.dry, p.due, p.doubt, p.paid = p.top, 0, 0, pairRecheck, false, false
-}
-
-// b2i is 1 for true and 0 for false.
-func b2i(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-// lows keeps a figure's last pairWindow samples, as a ring.
-type lows struct {
+// window keeps a shape's last pairWindow samples, as a ring.
+type window struct {
 	xs [pairWindow]float64
 	n  int // samples taken
 }
 
-// add takes sample x and returns the lowest sample kept.
-func (l *lows) add(x float64) float64 {
-	l.xs[l.n%pairWindow] = x
-	l.n++
-	return l.low()
+// add takes sample x.
+func (w *window) add(x float64) {
+	w.xs[w.n%pairWindow] = x
+	w.n++
 }
 
-// split counts the samples kept below x and at or above it: more than
-// pairWindow/2 on one side puts a full window's median, both middle
-// samples, there.
-func (l *lows) split(x float64) (under, over int) {
-	for _, y := range l.xs[:min(l.n, pairWindow)] {
-		if y < x {
-			under++
-		} else {
-			over++
-		}
+// mid is the window's figure: the least value a majority of its
+// pairWindow slots are at or below, an empty slot reading +Inf.
+func (w *window) mid() float64 {
+	xs := w.xs
+	for i := w.n; i < pairWindow; i++ {
+		xs[i] = math.Inf(1)
 	}
-	return under, over
-}
-
-// low is the lowest sample kept (+Inf before the first).
-func (l *lows) low() float64 {
-	lo := math.Inf(1)
-	for _, x := range l.xs[:min(l.n, pairWindow)] {
-		lo = min(lo, x)
-	}
-	return lo
+	slices.Sort(xs[:])
+	return xs[pairWindow/2]
 }

@@ -1,8 +1,10 @@
 package spice
 
 import (
+	"context"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -236,206 +238,179 @@ func TestProbeSpecCapTightens(t *testing.T) {
 
 // --- pairing -------------------------------------------------------------
 
-// TestPairingPolicy holds the depth policy to its rule (adaptive.go):
-// depth 2 is tried only after a window of clean depth-1 rounds 0 in
-// each of which chunk 0 ran at pairMinNs or slower per iteration, as
-// depth 1's rounds did, over chunks long enough to halve; a rung is kept
-// while it beats the rung below by pairGain, climbs to the next after a
-// window of such samples while the trip count allows it, rereads the
-// rung below at once when it loses and steps down a rung only if it
-// loses to that fresh figure too, steps down after a window of
-// invocations in a row that gave no sample of it, or when the trip
-// count no longer allows it, and after a step down from a rung that
-// never paid climbs again only pairBackoff invocations later; every
-// pairRecheck invocations one runs a rung down; a round the host held
-// up moves no rung's cost. On a runner, a change of depth changes which rows of its
-// one grid it uses, and a body that burns time per node is found and
-// paired by the derived rule itself. A round the confidence gate thinned
-// is a sample of the rung it ran. Width is a rung: a runner whose
-// width-W rounds do not beat the invoker's own pace narrows to width 1,
-// rechecks W on the recheck schedule and widens when W pays again.
+// TestPairingPolicy holds the shape policy to its one rule (adaptive.go):
+// each shape keeps a window of its own cost, and of two neighbouring
+// shapes the wider or deeper is held only while a majority of its window
+// beats the other's figure by pairGain. A runner at depth 1 tries no
+// neighbour before a window of clean rounds 0 whose chunk 0 ran at
+// pairMinNs or slower per iteration in a majority; a neighbour not yet
+// measured runs until it has a window, and every pairRecheck
+// invocations one neighbour runs once, in rotation; a shape runs only
+// while the trip count keeps pairMinChunk iterations a chunk; a round
+// that gives no figure of a depth above 1 counts +Inf there; a round the
+// host held up moves no figure. On a runner, a change of depth changes
+// which rows of its one grid it uses, and a body that burns time per
+// node is found and paired by the derived rule itself. A round the
+// confidence gate thinned is a sample of the depth it ran. Width is the
+// table's other axis: a runner whose width-W rounds do not beat its
+// invoker alone by pairGain narrows, and widens when W's window beats it
+// again. The model subtest drives the rule from seeded cost models of
+// the benchmark's structures and hosts.
 func TestPairingPolicy(t *testing.T) {
 	const slow, long = 2 * pairMinNs, pairMinChunk
 	const two, deep = 2 * long, maxDepth * long // trip counts per slot that allow depth 2, and maxDepth
-	t.Run("rule", func(t *testing.T) {
-		// slowRounds feeds n clean, slow, long depth-1 rounds and reports
-		// whether one of them tried depth 2.
-		slowRounds := func(p *pairing, n int) (tried bool) {
-			for range n {
-				tried = p.observe(100, 1, 1, true, slow, two) || tried
+	// fresh is the policy of a runner of width 1, or of width 2 (wide).
+	fresh := func(wide bool) *pairing {
+		p := &pairing{wide: wide}
+		p.reset()
+		return p
+	}
+	// feed feeds p n rounds, each at the depth p runs and reading that
+	// depth's cost (cost, by log2 of the depth), chunk 0 at self in a
+	// depth-1 round, and reports whether one changed the shape.
+	feed := func(p *pairing, n int, cost [3]float64, self float64, perSlot int64) (moved bool) {
+		for range n {
+			d, s := p.depth(), 0.0
+			if d == 1 {
+				s = self
 			}
-			return tried
+			moved = p.observe(cost[bits.Len(uint(d-1))], d, s, perSlot) || moved
 		}
-		p := pairing{top: 1, depth: 1}
-		if slowRounds(&p, pairWindow-1) || p.depth != 1 {
+		return moved
+	}
+	// held is the depth p holds.
+	held := func(p *pairing) int { return 1 << (p.cur % 3) }
+	flat, pays := [3]float64{100, 100, 100}, [3]float64{100, 60, 40}
+	t.Run("rule", func(t *testing.T) {
+		// No neighbour is tried before a window of clean depth-1 rounds
+		// whose chunk 0 read pairMinNs or more in a majority, nor on
+		// rounds that are not clean (self 0), nor on a trip count too
+		// short for depth 2. A round the host held up 40× on a runner
+		// whose rounds take 1 ns an iteration is not a traversal that
+		// waits on memory; nor is a window most of whose chunk 0s read
+		// fast.
+		p := fresh(false)
+		if feed(p, pairWindow-1, flat, slow, two) || p.depth() != 1 {
 			t.Fatal("tried depth 2 before a window of clean rounds")
 		}
 		for _, no := range []struct {
-			clean   bool
-			chunk0  float64
+			self    float64
 			perSlot int64
-		}{{false, slow, two}, {true, pairMinNs / 2, two}, {true, slow, two - 1}} {
-			q := p
-			if q.observe(100, 1, 1, no.clean, no.chunk0, no.perSlot) || q.depth != 1 {
+		}{{0, two}, {slow, two - 1}} {
+			q := *p
+			if feed(&q, 1, flat, no.self, no.perSlot) || q.depth() != 1 {
 				t.Fatalf("%+v tried depth 2", no)
 			}
 		}
-		// A round the host held up 40× on a runner whose rounds take 1 ns
-		// an iteration is not a traversal that waits on memory; nor is a
-		// window in which chunk 0 read fast once, as on a runner wider
-		// than the host whose chunk 0 its own workers preempt in most
-		// rounds but not all.
-		fast := pairing{top: 1, depth: 1}
-		for range pairWindow {
-			fast.observe(1, 1, 1, true, 2, two)
-		}
-		if fast.observe(40, 1, 1, true, 80, two) {
+		fast := fresh(false)
+		feed(fast, pairWindow, [3]float64{1}, 2, two)
+		if fast.observe(40, 1, 80, two) {
 			t.Fatal("one held-up round after fast rounds tried depth 2")
 		}
-		preempted := pairing{top: 1, depth: 1}
-		preempted.observe(100, 1, 1, true, 2, two)
-		if slowRounds(&preempted, pairWindow-1) {
-			t.Fatal("a window with one fast chunk 0 tried depth 2")
+		most := fresh(false)
+		feed(most, pairWindow/2+1, flat, 2, two)
+		if feed(most, pairWindow/2-1, flat, slow, two) {
+			t.Fatal("a window with most of its chunk 0s fast tried depth 2")
 		}
-		if !slowRounds(&p, 1) || p.depth != 2 {
+		if !feed(p, 1, flat, slow, two) || p.depth() != 2 {
 			t.Fatal("a window of clean, slow, long rounds did not try depth 2")
 		}
-		// Paired rounds at 60 % of depth 1's cost keep it, held-up ones
-		// among them too; once the window holds only rounds at depth 1's
-		// cost, it loses, the next invocation rereads depth 1, and depth 2
-		// drops when it loses to that fresh figure too. It had paid, so
-		// the next clean, slow round tries it again. The trip count allows
-		// no deeper rung.
-		if p.observe(60, 2, 1, true, 0, two) || p.observe(4000, 2, 1, true, 0, two) || p.top != 2 {
-			t.Fatal("a paying paired round dropped depth 2")
+		// Depth 2 runs until it has a window. At depth 1's cost it does not
+		// pay, and the runner runs depth 1 again.
+		n := 0
+		for ; p.depth() == 2 && n <= pairWindow; n++ {
+			feed(p, 1, flat, slow, two)
 		}
-		// lose feeds rounds at depth 1's cost at depth 2 until one loses,
-		// then the recheck and one more round at depth 1's cost, and
-		// returns the rounds it took to lose.
-		lose := func() (rounds int) {
-			for p.depth == 2 && rounds < 2*pairWindow {
-				p.observe(100, 2, 1, true, 0, two)
-				rounds++
+		if n != pairWindow || held(p) != 1 {
+			t.Fatalf("depth 2 ran %d invocations at depth 1's cost, holding %d", n, held(p))
+		}
+		// Every pairRecheck invocations depth 2 runs once. Once it pays,
+		// it is held from the recheck that gives a majority of its window
+		// under pairGain of depth 1's figure.
+		for i := 1; held(p) == 1; i++ {
+			n := 0
+			for ; p.depth() == 1 && n <= pairRecheck; n++ {
+				feed(p, 1, pays, slow, two)
 			}
-			if p.top != 2 || p.depth != 1 {
-				t.Fatalf("top %d depth %d after %d rounds at depth 1's cost", p.top, p.depth, rounds)
-			}
-			if !p.observe(100, 1, 1, true, slow, two) || p.depth != 2 {
-				t.Fatalf("depth %d after the recheck", p.depth)
-			}
-			if !p.observe(100, 2, 1, true, 0, two) || p.depth != 1 {
-				t.Fatalf("depth %d after depth 2 lost to a fresh depth 1", p.depth)
-			}
-			return rounds
-		}
-		if rounds := lose(); rounds != pairWindow-1 || p.wait != 0 {
-			t.Fatalf("wait %d after %d rounds: a rung that paid backed off", p.wait, rounds)
-		}
-		if !slowRounds(&p, 1) || p.depth != 2 {
-			t.Fatal("did not try again at once after a rung that paid lost")
-		}
-		// Tried again, it never pays: it loses at its first judgement and
-		// backs off.
-		if rounds := lose(); rounds != pairWindow || p.wait != pairBackoff {
-			t.Fatalf("wait %d after %d rounds: a rung that never paid", p.wait, rounds)
-		}
-		for i := 1; i < pairBackoff; i++ {
-			if slowRounds(&p, 1) {
-				t.Fatalf("tried again %d invocations after the drop", i)
+			if feed(p, 1, pays, slow, two); n > pairRecheck || (held(p) == 2) != (i == pairWindow/2+1) {
+				t.Fatalf("recheck %d after %d invocations: holding %d", i, n, held(p))
 			}
 		}
-		if !slowRounds(&p, 1) {
-			t.Fatal("did not try again after the backoff")
-		}
-		// Invocations at depth 2 that give no sample of it (the invoker
-		// reclaimed a slot, or the rows left one chunk a slot) are no
-		// evidence that pairing pays: a window of them in a row drops it,
-		// and a paired sample restarts the count. A depth-1 layout's
-		// sample is depth 1's.
-		noSample := func(i int) bool {
-			if i%2 == 0 {
-				return p.observe(100, 1, 1, true, 0, two)
-			}
-			return p.observe(0, 2, 1, false, 0, two)
-		}
-		for range 2 {
-			for i := 1; i < pairWindow; i++ {
-				if noSample(i) {
-					t.Fatalf("dropped after %d sample-less invocations", i)
-				}
-			}
-			if p.observe(60, 2, 1, true, 0, two) || p.top != 2 {
-				t.Fatal("a paying paired round dropped depth 2")
+		// Three held-up rounds in every window do not drop it.
+		for range 4 {
+			feed(p, pairWindow-3, pays, slow, two)
+			if feed(p, 3, [3]float64{100, 4000}, slow, two); held(p) != 2 {
+				t.Fatal("three held-up rounds in a window dropped depth 2")
 			}
 		}
-		for i := 1; i < pairWindow; i++ {
-			noSample(i)
+		// Invocations at depth 2 that give no figure of it (the invoker
+		// reclaimed a slot, or the rows left one chunk a slot) count +Inf
+		// there: half a window of them leaves no majority that pays, and
+		// drops it.
+		q := *p
+		feed(&q, pairWindow, pays, slow, two)
+		for n := 0; held(&q) == 2; {
+			if q.depth() == 2 {
+				n++
+			}
+			if feed(&q, 1, [3]float64{100}, slow, two); held(&q) == 1 && n != pairWindow/2 {
+				t.Fatalf("dropped after %d sample-less invocations", n)
+			}
 		}
-		if !noSample(pairWindow) || p.depth != 1 || p.wait != pairBackoff {
-			t.Fatalf("depth %d wait %d after %d sample-less invocations", p.depth, p.wait, pairWindow)
+		// So does half a window at depth 1's cost.
+		feed(p, pairWindow, pays, slow, two)
+		for n := 0; held(p) == 2; {
+			if p.depth() == 2 {
+				n++
+			}
+			if feed(p, 1, flat, slow, two); held(p) == 1 && n != pairWindow/2 {
+				t.Fatalf("dropped after %d samples at depth 1's cost", n)
+			}
 		}
 	})
 	t.Run("ladder", func(t *testing.T) {
-		// Each rung that beats the one below by pairGain for a window of
-		// samples climbs to the next, up to maxDepth.
-		p := pairing{top: 1, depth: 1}
-		for range pairWindow {
-			p.observe(100, 1, 1, true, slow, deep)
-		}
-		for _, rung := range []struct {
-			d    int
-			cost float64
-		}{{2, 60}, {4, 40}} {
-			if p.top != rung.d {
-				t.Fatalf("at depth %d, want %d", p.top, rung.d)
-			}
-			for i := 1; i <= pairWindow; i++ {
-				if p.observe(rung.cost, rung.d, 1, true, 0, deep) != (i == pairWindow && rung.d < maxDepth) {
-					t.Fatalf("depth %d sample %d moved the depth to %d", rung.d, i, p.depth)
+		// Each depth whose window beats the one below by pairGain in a
+		// majority is held, and the next deeper is tried at once, up to
+		// maxDepth.
+		p := fresh(false)
+		feed(p, pairWindow, pays, slow, deep)
+		for _, d := range []int{2, 4} {
+			n := 0
+			for ; held(p) < d && n <= pairWindow; n++ {
+				if p.depth() != d {
+					t.Fatalf("ran depth %d trying %d", p.depth(), d)
 				}
+				feed(p, 1, pays, slow, deep)
+			}
+			if n != pairWindow/2+1 {
+				t.Fatalf("depth %d held after %d paying samples", d, n)
 			}
 		}
-		// Every pairRecheck invocations one runs a rung down, and the next
-		// is back at the top.
-		for i := pairWindow + 1; i < pairRecheck; i++ {
-			if p.observe(40, 4, 1, true, 0, deep) {
-				t.Fatalf("depth %d after %d invocations at depth 4", p.depth, i)
-			}
-		}
-		if !p.observe(40, 4, 1, true, 0, deep) || p.top != 4 || p.depth != 2 {
-			t.Fatalf("top %d depth %d after %d invocations at depth 4", p.top, p.depth, pairRecheck)
-		}
-		// The recheck reads depth 2 at 30 now, and depth 4's 40 no longer
-		// beats it. That one low read may be the host's doing, so depth 4
-		// is doubted: depth 2 is read afresh at once, at 60, and depth 4
-		// stays.
-		if !p.observe(30, 2, 1, true, 0, deep) || p.depth != 4 {
-			t.Fatalf("depth %d after the recheck", p.depth)
-		}
-		if !p.observe(40, 4, 1, true, 0, deep) || p.top != 4 || p.depth != 2 {
-			t.Fatalf("top %d depth %d after depth 4 lost to depth 2's figure", p.top, p.depth)
-		}
-		if !p.observe(60, 2, 1, true, 0, deep) || p.observe(40, 4, 1, true, 0, deep) || p.top != 4 {
-			t.Fatalf("top %d after depth 4 beat a fresh depth 2", p.top)
-		}
-		// Once a window of depth 4 reads 70 it loses again, and it loses
-		// to the fresh depth 2 as well: the runner steps down to 2, with
-		// no backoff, since depth 4 had paid.
+		// A neighbour runs every pairRecheck invocations, and one whose
+		// window is not full runs until it is: depth 2's. One lucky
+		// sample there does not drop depth 4.
 		n := 0
-		for p.depth == 4 && n < 2*pairWindow {
-			p.observe(70, 4, 1, true, 0, deep)
-			n++
+		for ; p.depth() == 4 && n <= pairRecheck; n++ {
+			feed(p, 1, pays, slow, deep)
 		}
-		if p.top != 4 || p.depth != 2 || n != pairWindow {
-			t.Fatalf("top %d depth %d after %d invocations at 70", p.top, p.depth, n)
+		if n > pairRecheck {
+			t.Fatalf("no recheck in %d invocations at depth 4", n)
 		}
-		if !p.observe(60, 2, 1, true, 0, deep) || !p.observe(70, 4, 1, true, 0, deep) || p.top != 2 || p.depth != 2 || p.wait != 0 {
-			t.Fatalf("top %d depth %d wait %d after depth 4 lost to a fresh depth 2", p.top, p.depth, p.wait)
+		if feed(p, 1, [3]float64{100, 30, 40}, slow, deep); held(p) != 4 {
+			t.Fatal("one lucky depth-2 sample dropped depth 4")
+		}
+		// Once the host slows depth 4 to 70 for a majority of its window,
+		// it loses to depth 2.
+		for n := 0; held(p) == 4; n++ {
+			if n > pairRecheck+pairWindow {
+				t.Fatal("held depth 4 at 70")
+			}
+			feed(p, 1, [3]float64{100, 60, 70}, slow, deep)
 		}
 		// A trip count that no longer keeps pairMinChunk iterations a chunk
-		// at depth 2 steps down.
-		if !p.observe(30, 2, 1, true, 0, long) || p.top != 1 {
-			t.Fatalf("top %d on a trip count that allows depth 1 only", p.top)
+		// at depth 2 steps down at once.
+		if feed(p, 1, pays, slow, long); held(p) != 1 || p.depth() != 1 {
+			t.Fatalf("holding %d, running %d, on a trip count that allows depth 1 only", held(p), p.depth())
 		}
 	})
 	t.Run("regrid", func(t *testing.T) {
@@ -466,8 +441,8 @@ func TestPairingPolicy(t *testing.T) {
 		// policy cannot drop it (no rung pays on 1 000-node chunks) while
 		// the grid is checked; the stride follows it as finish sets it.
 		depth := func(d int) {
-			r.pairing.forced, r.pairing.top, r.pairing.depth = d, d, d
-			r.pred.stride = r.pred.parts / (r.cfg.Threads * r.pairing.depth)
+			r.pairing.forced = d
+			r.pred.stride = r.pred.parts / (r.cfg.Threads * r.pairing.depth())
 		}
 		paired := func(n int) int64 {
 			before := r.Stats()
@@ -527,7 +502,7 @@ func TestPairingPolicy(t *testing.T) {
 		r := newRunner(t, loop, Config{Threads: 2})
 		var wide int64 // paired rounds at width 2
 		for inv := 0; inv < 40 && r.Stats().PairedRounds == 0; inv++ {
-			one, before := r.pairing.one, r.Stats().PairedRounds
+			one, before := r.pairing.one(), r.Stats().PairedRounds
 			if g.exact(t, r); !one {
 				wide += r.Stats().PairedRounds - before
 			}
@@ -537,7 +512,7 @@ func TestPairingPolicy(t *testing.T) {
 			t.Fatalf("a slow body was never paired: %s", statsLine(st))
 		case wide != 0 && runtime.GOMAXPROCS(0) == 1:
 			t.Fatalf("paired two slots on one processor: %s", statsLine(st))
-		case !r.pairing.narrow && runtime.GOMAXPROCS(0) == 1:
+		case !narrowed(&r.pairing) && runtime.GOMAXPROCS(0) == 1:
 			t.Fatalf("crowded rounds did not narrow: %s", statsLine(st))
 		}
 		t.Log(statsLine(r.Stats()))
@@ -560,24 +535,24 @@ func TestPairingPolicy(t *testing.T) {
 			runtime.GOMAXPROCS(c.procs)
 			g := testList(2*pairMinChunk*c.threads+c.threads, 11)
 			r := newRunner(t, plainLoop(), Config{Threads: c.threads})
-			for inv := 0; inv < 2*pairWindow && !r.pairing.narrow; inv++ {
+			for inv := 0; inv < 2*pairWindow && !narrowed(&r.pairing); inv++ {
 				g.exact(t, r)
 			}
-			if st := r.Stats(); r.pairing.narrow != c.narrow || (st.EffectiveThreads == 1) != c.narrow {
-				t.Fatalf("GOMAXPROCS %d, Threads %d: narrow %v: %s", c.procs, c.threads, r.pairing.narrow, statsLine(st))
+			if st := r.Stats(); narrowed(&r.pairing) != c.narrow || (st.EffectiveThreads == 1) != c.narrow {
+				t.Fatalf("GOMAXPROCS %d, Threads %d: narrowed %v: %s", c.procs, c.threads, narrowed(&r.pairing), statsLine(st))
 			}
 		}
 	})
 	t.Run("gated", func(t *testing.T) {
-		// A round the gate thinned counts as the rung its busiest slot
+		// A round the gate thinned counts as the depth its busiest slot
 		// ran: at depth 2 on 2 slots, a closed row leaves 3 chunks, 2 of
-		// them on slot 0, and the round is a sample of depth 2. It used to
-		// be no rung's, so a gated runner at depth 2 starved for a window,
-		// dropped, backed off pairBackoff invocations and climbed again.
+		// them on slot 0, and the round is a sample of depth 2. Were it no
+		// depth's, a gated runner at depth 2 would read +Inf there and
+		// drop it.
 		g := testList(3000, 5)
 		r := newRunner(t, plainLoop(), Config{Threads: 2, Options: Options{Adaptive: true}})
 		depth2 := func() {
-			r.pairing.top, r.pairing.depth = 2, 2
+			r.pairing.cur, r.pairing.run = 4, 4
 			r.pred.stride = r.pred.parts / (r.cfg.Threads * 2)
 		}
 		g.warm(t, r, 2)
@@ -595,100 +570,153 @@ func TestPairingPolicy(t *testing.T) {
 		if rung != 2 {
 			t.Fatalf("a gated round of 3 chunks on 2 slots ran rung %d", rung)
 		}
-		p := pairing{top: 2, depth: 2}
+		p := fresh(true)
+		feed(p, pairWindow, flat, slow, two)
+		p.cur, p.run = 4, 4
 		for i := range 4 * pairWindow {
-			if p.observe(30, rung, 2, true, 0, two); p.top != 2 || p.dry != 0 {
-				t.Fatalf("top %d dry %d after %d gated rounds at depth 2", p.top, p.dry, i+1)
+			if p.observe(30, rung, 0, two); held(p) != 2 {
+				t.Fatalf("holding %d after %d gated rounds at depth 2", held(p), i+1)
 			}
+		}
+		if math.IsInf(p.at[4].mid(), 1) {
+			t.Fatal("gated rounds gave depth 2 no figure")
 		}
 	})
 	t.Run("width", func(t *testing.T) {
-		// wide feeds n rounds at width 2 and depth 2 whose wall ns per
-		// committed iteration is gain times the invoker's own: 0.5 where
-		// the slots split the work evenly, 1 where the invoker walks it.
+		// wide feeds p until n rounds have run at (2, 2), each reading
+		// gain times slow, the invoker's own pace at depth 2, per committed
+		// iteration: 0.5 where the slots split the work evenly, 1 where the
+		// invoker walks it. A round at (1, 2) reads slow, and one at depth
+		// 1 twice that.
 		wide := func(p *pairing, n int, gain float64) {
-			for range n {
-				p.observe(gain*slow, 2, 2, true, slow, two)
+			for i := 0; n > 0; i++ {
+				if i > 4*pairRecheck {
+					t.Fatalf("no round at (2, 2) in %d invocations", i)
+				}
+				x := float64(slow) * float64(3-p.depth())
+				if p.run == 4 {
+					x, n = x*gain, n-1
+				}
+				p.observe(x, p.depth(), 0, two)
 			}
 		}
+		atDepth2 := func() *pairing {
+			p := fresh(true)
+			p.cur, p.run = 4, 4
+			p.at[0].add(math.Inf(1)) // (1, 1) and (1, 2) have been tried: they only run on rechecks
+			p.at[1].add(math.Inf(1))
+			return p
+		}
 		// Width that pays never narrows, three held-up rounds in every
-		// window of eight included: the median, not the mean.
-		p := pairing{top: 2, depth: 2}
+		// window of eight included.
+		p := atDepth2()
 		for range 4 * pairRecheck {
-			if wide(&p, 5, 0.5); p.narrow {
+			if wide(p, 5, 0.5); narrowed(p) {
 				t.Fatal("narrowed on paying rounds")
 			}
-			if wide(&p, 3, 4); p.narrow {
+			if wide(p, 3, 4); narrowed(p) {
 				t.Fatal("narrowed on three held-up rounds in a window")
 			}
 		}
-		// Width that does not pay narrows to (1, 2) once the median of
-		// the last pairWindow rounds reads pairGain or more (a majority
-		// of them does), and the next invocation runs there.
-		p = pairing{top: 2, depth: 2}
-		if wide(&p, pairWindow/2, 1); p.narrow {
-			t.Fatal("narrowed on half a window")
+		// Width that does not beat the invoker alone by pairGain narrows to
+		// (1, 2) once a majority of width 2's window is in, at the invoker's pace.
+		p = atDepth2()
+		p.at[1] = window{}
+		for n := 0; !narrowed(p); n++ {
+			if n > pairWindow {
+				t.Fatalf("held width 2 after %d invocations at the invoker's pace", n)
+			}
+			wide(p, 1, 1)
 		}
-		if wide(&p, 1, 1); !p.narrow || !p.one || p.top != 2 || p.depth != 2 {
-			t.Fatalf("narrow %v one %v top %d depth %d after a window at the invoker's pace", p.narrow, p.one, p.top, p.depth)
-		}
-		// Narrowed, it runs width 2 again once every pairRecheck
-		// invocations. A recheck that does not pay leaves it narrowed, and
-		// so does a window split evenly; it widens at the recheck that
-		// gives the window a paying median.
-		for i, gain := range []float64{1, 0.5, 0.5, 0.5, 0.5, 0.5} {
-			n := 0
-			for ; p.one && n <= pairRecheck; n++ {
-				p.observe(30, 2, 1, true, 30, two)
+		// Narrowed, it runs width 2 again on its rechecks, in rotation, and
+		// widens at the one that gives width 2 a majority of its window
+		// under pairGain of width 1's.
+		for i := 1; narrowed(p); i++ {
+			if i > pairWindow/2+1 {
+				t.Fatalf("narrowed after %d paying rechecks of width 2", i)
 			}
-			if n != pairRecheck || p.depth != 2 {
-				t.Fatalf("recheck %d after %d narrowed invocations, at depth %d", i, n, p.depth)
-			}
-			if wide(&p, 1, gain); p.narrow == (i == 5) || p.one != p.narrow {
-				t.Fatalf("recheck %d at gain %.1f: narrow %v one %v", i, gain, p.narrow, p.one)
-			}
+			wide(p, 1, 0.5)
 		}
 		// On a runner: narrowed, an invocation runs on the invoker alone,
-		// memoizes the grid's rows for the recheck, and the gauge reads 1.
-		// The recheck runs width 2; once it pays, the runner widens and
-		// the gauge reads 2. The list is too short for depth 2, so the
-		// rechecks keep their schedule however slow the host.
+		// memoizes the grid's rows for width 2, and the gauge reads 1. Once
+		// width 2's window beats a window of the invoker's, the runner
+		// widens and the gauge reads 2. The list is too short for depth 2.
 		g := testList(12_000, 9)
 		r := newRunner(t, plainLoop(), Config{Threads: 2, Options: Options{Adaptive: true}})
 		g.warm(t, r, 3)
-		r.pairing.setWidth(true)
+		narrow(&r.pairing)
 		before := r.Stats()
 		g.exact(t, r)
 		if st := r.Stats().Delta(before); st.EffectiveThreads != 1 || st.Hits+st.Misses != 0 || busy(st.LastWorks) != 1 || !r.pred.rows[7].valid {
 			t.Fatalf("narrowed: %s, row 7 valid %v", statsLine(st), r.pred.rows[7].valid)
 		}
+		g.warm(t, r, pairWindow-1) // a window of (1, 1)
+		r.pairing.at[3] = window{}
 		for range pairWindow {
-			r.pairing.gain.add(0.5)
+			r.pairing.at[3].add(1e-3)
 		}
-		for n := 0; r.pairing.one; n++ {
-			if n == pairRecheck {
-				t.Fatalf("no recheck after %d narrowed invocations", n)
-			}
-			g.exact(t, r)
+		if g.exact(t, r); narrowed(&r.pairing) {
+			t.Fatal("narrowed beside a window of width 2 that pays")
 		}
 		before = r.Stats()
 		g.exact(t, r)
-		if st := r.Stats().Delta(before); st.EffectiveThreads != 2 || st.Hits != 1 || busy(st.LastWorks) != 2 || r.pairing.narrow {
-			t.Fatalf("the recheck that paid: %s, narrow %v", statsLine(st), r.pairing.narrow)
+		if st := r.Stats().Delta(before); st.EffectiveThreads != 2 || st.Hits != 1 || busy(st.LastWorks) != 2 || narrowed(&r.pairing) {
+			t.Fatalf("widened: %s, narrowed %v", statsLine(st), narrowed(&r.pairing))
 		}
 		// A Pool session move resets the shape: the next session on the
 		// same runner starts wide.
 		pool := newPool(t, plainLoop(), Config{Threads: 2})
 		s := openSession(t, pool, 0)
 		moved := s.r
-		moved.pairing.setWidth(true)
+		narrow(&moved.pairing)
 		g.exact(t, s)
 		if st := s.Stats(); st.EffectiveThreads != 1 {
 			t.Fatalf("narrowed session: %s", statsLine(st))
 		}
 		s.Close()
-		if s = openSession(t, pool, 0); s.r != moved || s.r.pairing.narrow || s.r.pairing.one || s.Stats().EffectiveThreads != 2 {
-			t.Fatalf("the next session: same runner %v, narrow %v, gauge %d", s.r == moved, s.r.pairing.narrow, s.Stats().EffectiveThreads)
+		if s = openSession(t, pool, 0); s.r != moved || narrowed(&s.r.pairing) || s.r.pairing.one() || s.Stats().EffectiveThreads != 2 {
+			t.Fatalf("the next session: same runner %v, narrowed %v, gauge %d", s.r == moved, narrowed(&s.r.pairing), s.Stats().EffectiveThreads)
+		}
+	})
+	t.Run("self", func(t *testing.T) {
+		// Round 0's clock is the invoker's own time over the iterations its
+		// slot stepped in round 0 (round.steps), not in the invocation's
+		// last round: under a cap of 4 000, chunk 1 of a 60 000-node list
+		// caps, and slot 0 of the recovery round steps fewer than 30 000.
+		g := testList(60_000, 13)
+		r := newRunner(t, plainLoop(), Config{Threads: 2, depth: 1, maxSpec: 4000})
+		g.warm(t, r, 1)
+		// Run by hand, as Runner.run does, to read the round before
+		// finish and release.
+		r.begin(g.head, 1+len(r.admitted(0)))
+		defer r.release()
+		rd, ctx := &r.rd, context.Background()
+		slot0 := func() (steps int64) {
+			for _, l := range r.jobs[0].lanes[:r.jobs[0].width] {
+				steps += l.work
+			}
+			return steps
+		}
+		var round0 int64
+		for {
+			r.seed(ctx)
+			if r.dispatch(ctx); rd.index == 0 {
+				round0 = slot0()
+			}
+			r.walk()
+			r.land()
+			if r.squash(); rd.err != nil || !r.verdicts() {
+				break
+			}
+			if r.advance(ctx); rd.err != nil {
+				break
+			}
+		}
+		if rd.err != nil || rd.index == 0 || slot0() == round0 {
+			t.Fatalf("error %v, %d rounds, slot 0 stepped %d in round 0 and %d in the last", rd.err, rd.index+1, round0, slot0())
+		}
+		if rd.steps != round0 {
+			t.Fatalf("round 0's clock reads against %d iterations, slot 0 stepped %d in round 0", rd.steps, round0)
 		}
 	})
 	t.Run("model", func(t *testing.T) {
@@ -749,11 +777,10 @@ func TestPairingPolicy(t *testing.T) {
 				return k * wall, k * self
 			}}
 		}
-		fresh := func() *pairing { return &pairing{top: 1, depth: 1} }
 		t.Run("contiguous", func(t *testing.T) {
 			for _, w := range []int{2, 1} {
 				for seed := range int64(seeds) {
-					if ran := contiguous(w).drive(fresh(), seed, 10_000); share(ran, shapeAt{w, 1}) != 1 {
+					if ran := contiguous(w).drive(seed, 10_000); share(ran, shapeAt{w, 1}) != 1 {
 						t.Fatalf("w%d seed %d: left (%d, 1) in %.4f of the invocations", w, seed, w, 1-share(ran, shapeAt{w, 1}))
 					}
 				}
@@ -762,7 +789,7 @@ func TestPairingPolicy(t *testing.T) {
 		t.Run("shuffled", func(t *testing.T) {
 			for _, w := range []int{2, 1} {
 				for seed := range int64(seeds) {
-					ran := shuffled(w, perSlot(200_000/int64(w))).drive(fresh(), seed, 6000)
+					ran := shuffled(w, perSlot(200_000/int64(w))).drive(seed, 6000)
 					at, reach := slices.Index(ran, shapeAt{w, maxDepth}), map[int]int{2: reachW2, 1: reachW1}[w]
 					kept, narrowed := share(ran[4000:], shapeAt{w, maxDepth}), w > 1 && longestAt(ran, 1) > pairWindow+1
 					if at < 0 || at > reach+pairWindow || kept < 0.9 || narrowed {
@@ -786,7 +813,7 @@ func TestPairingPolicy(t *testing.T) {
 					return x, x
 				}}
 				for seed := range int64(seeds) {
-					ran := m.drive(fresh(), seed, 2000)
+					ran := m.drive(seed, 2000)
 					at := slices.IndexFunc(ran, func(s shapeAt) bool { return s.w == 1 })
 					if at < 0 || at > narrowAt || atWidth(ran[at:], 1) < 0.9 {
 						t.Fatalf("slow %v seed %d: first at width 1 at %d (bound %d), at width 1 in %.3f after", slow, seed, at, narrowAt, atWidth(ran[at:], 1))
@@ -800,14 +827,14 @@ func TestPairingPolicy(t *testing.T) {
 				return x / 2, x
 			}}
 			for seed := range int64(seeds) {
-				if ran := m.drive(fresh(), seed, 4000); share(ran, shapeAt{4, 1}) != 1 {
+				if ran := m.drive(seed, 4000); share(ran, shapeAt{4, 1}) != 1 {
 					t.Fatalf("seed %d: left (4, 1) in %.4f of the invocations", seed, 1-share(ran, shapeAt{4, 1}))
 				}
 			}
 		})
 		t.Run("short list", func(t *testing.T) {
 			for seed := range int64(seeds) {
-				short := shuffled(2, perSlot(2*pairMinChunk-1)).drive(fresh(), seed, 2000)
+				short := shuffled(2, perSlot(2*pairMinChunk-1)).drive(seed, 2000)
 				if i := slices.IndexFunc(short, func(s shapeAt) bool { return s.d > 1 }); i >= 0 {
 					t.Fatalf("seed %d: depth %d at %d on a list too short for depth 2", seed, short[i].d, i)
 				}
@@ -819,7 +846,7 @@ func TestPairingPolicy(t *testing.T) {
 						return 2 * pairMinChunk
 					}
 					return pairMinChunk
-				}).drive(fresh(), seed, 700)
+				}).drive(seed, 700)
 				to2 := slices.IndexFunc(shrinks[501:], func(s shapeAt) bool { return s.d <= 2 })
 				to1 := slices.IndexFunc(shrinks[601:], func(s shapeAt) bool { return s.d == 1 })
 				if shrinks[499].d != maxDepth || to2 < 0 || to2 > shrink2 || to1 < 0 || to1 > shrink1 {
@@ -838,8 +865,8 @@ func TestPairingPolicy(t *testing.T) {
 					}
 					return wall, self
 				}
-				ran := m.drive(fresh(), seed, 600)
-				if at := slices.Index(ran[500:], shapeAt{2, 1}); ran[499].d != 2 || at < 0 || at > dropIn {
+				ran := m.drive(seed, 600)
+				if at := slices.Index(ran[500:], shapeAt{2, 1}); ran[499] != (shapeAt{2, 2}) || at < 0 || at > dropIn {
 					t.Fatalf("seed %d: depth %d before, depth 1 after %d sample-less invocations (bound %d)", seed, ran[499].d, at, dropIn)
 				}
 			}
@@ -864,8 +891,10 @@ func TestPairingPolicy(t *testing.T) {
 				return gain * self, self
 			}}
 			for seed := range int64(seeds) {
-				ran := m.drive(fresh(), seed, 3000)
-				t.Logf("seed %d: width 2 in %.3f of the last 1000", seed, 1-atWidth(ran[2000:], 1))
+				ran := m.drive(seed, 3000)
+				if w2 := 1 - atWidth(ran[2000:], 1); w2 < 0.5 {
+					t.Fatalf("seed %d: width 2 in %.3f of the last 1000", seed, w2)
+				}
 			}
 		})
 	})
@@ -895,7 +924,9 @@ type shapeModel struct {
 // the first one at a finer depth: it finds only the coarser depth's rows
 // memoized and runs that depth's layout. A round with more slots than
 // processors is not clean, and its invoker's clock is no one's cost.
-func (m shapeModel) drive(p *pairing, seed int64, n int) []shapeAt {
+func (m shapeModel) drive(seed int64, n int) []shapeAt {
+	p := &pairing{wide: m.w > 1}
+	p.reset()
 	rng := rand.New(rand.NewSource(seed))
 	ran := make([]shapeAt, n)
 	prev := 1
@@ -915,22 +946,38 @@ func (m shapeModel) drive(p *pairing, seed int64, n int) []shapeAt {
 	return ran
 }
 
+// narrowed reports whether p holds a width-1 shape.
+func narrowed(p *pairing) bool { return p.cur < 3 }
+
+// narrow makes p hold and run (1, 1), as a width that did not pay
+// leaves it: (W, 1)'s window read +Inf.
+func narrow(p *pairing) {
+	p.cur, p.run = 0, 0
+	for range pairWindow {
+		p.at[3].add(math.Inf(1))
+	}
+}
+
 // modelShape is the shape p runs the next invocation at, on a runner of
 // width w.
 func modelShape(p *pairing, w int) shapeAt {
-	if p.one {
+	if p.one() {
 		w = 1
 	}
-	return shapeAt{w, p.depth}
+	return shapeAt{w, p.depth()}
 }
 
 // modelObserve feeds p one round 0, as finish does: on one processor a
-// width round's slots take turns.
+// width round's slots take turns, and only a clean round's invoker
+// clock counts.
 func modelObserve(p *pairing, wall float64, rung, slots int, clean bool, self float64, perSlot int64, procs int) {
-	if procs == 1 && slots > 1 && p.timed(perSlot) {
-		p.gain.add(1)
+	if procs == 1 && slots > 1 {
+		wall = math.Inf(1)
 	}
-	p.observe(wall, rung, slots, clean, self, perSlot)
+	if !clean {
+		self = 0
+	}
+	p.observe(wall, rung, self, perSlot)
 }
 
 // share is the share of the invocations of ran that ran at s.

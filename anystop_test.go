@@ -371,9 +371,9 @@ func TestSuiteStaysFlat(t *testing.T) {
 					}
 					st.edit(g, inv)
 				}
-				if s := r.Stats(); s.PairedRounds != 0 || r.pairing.top != 1 || r.pairing.narrow {
-					t.Fatalf("GOMAXPROCS %d %s t%d: shape (%d, %d) narrowed %v: %s", procs, st.name, threads,
-						r.width(), r.pairing.top, r.pairing.narrow, statsLine(s))
+				if s := r.Stats(); s.PairedRounds != 0 || r.pairing.cur != 3 || r.pairing.run != 3 {
+					t.Fatalf("GOMAXPROCS %d %s t%d: shape %d, running (%d, %d): %s", procs, st.name, threads,
+						r.pairing.cur, r.width(), r.pairing.depth(), statsLine(s))
 				}
 			}
 		}
@@ -648,6 +648,14 @@ func TestEveryRelink(t *testing.T) {
 }
 
 // forEachRelink calls f with every order of every subset of the blocks
+// b2i is 1 for true and 0 for false.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
 // 0..m-1 that keeps block 0. f must not keep the slice.
 func forEachRelink(m int, f func(order []int)) {
 	order, used := make([]int, 0, m), make([]bool, m)

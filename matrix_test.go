@@ -640,7 +640,7 @@ type mcase struct {
 	maxSpec  int64 // Config.maxSpec (0: the derived cap)
 	probe    int   // Config.probeEvery (0: the derived interval)
 	depth    int   // Config.depth: 1 to 4 chunks per slot (0: the derived depth)
-	narrow   bool  // the door's runner starts narrowed to width 1 (pairing.setWidth)
+	narrow   bool  // the door's runner starts narrowed to width 1 (narrow, adaptive_test.go)
 	invs     int   // invocations, or waves of them for "batch" and "submit"
 	wave     int   // invocations per wave ("batch" and "submit"; plain loops only)
 	edit     func(g *gen, inv int)
@@ -693,7 +693,7 @@ func (c mcase) run(t testing.TB) []Stats {
 			}
 			p.release(r)
 		}
-		r.pairing.setWidth(true)
+		narrow(&r.pairing)
 	}
 	wave, base := max(c.wave, 1), d.Stats() // a recycled runner's session counts from its last session's totals
 	var sts []Stats

@@ -633,12 +633,12 @@ type round[S comparable, A any] struct {
 
 	// Round 0's clock, the pairing policy's evidence (finish), from the
 	// reads dispatch and land take anyway: dispatch time, the invoker's
-	// own share (its slot, before any reclaim), dispatch to landed;
-	// whether the invoker reclaimed a slot, and the chunks its busiest
-	// slot carried.
-	t0, own, wall int64
-	reclaimed     bool
-	rung          int
+	// own share (its slot, before any reclaim), dispatch to landed; the
+	// iterations its slot stepped, whether the invoker reclaimed a slot,
+	// and the chunks its busiest slot carried.
+	t0, own, wall, steps int64
+	reclaimed            bool
+	rung                 int
 
 	// The walk's outcome.
 	f           int   // slot the walk stopped on: the last committed, or the failed one
@@ -742,8 +742,8 @@ func (r *Runner[S, A]) begin(start S, n int) {
 	// a row in use (not a width-1 runner at depth 1, nor a width-1
 	// DOACROSS one), unless the runner is narrowed: its chain is sparser
 	// than its grid, whose rows the plan keeps for the width recheck.
-	rd.cur, rd.boot = start, n == 1 && r.pred.stride < r.pred.parts && !r.pairing.one
-	rd.rung = min(rd.per+min(rd.extra, 1), r.pairing.depth)
+	rd.cur, rd.boot = start, n == 1 && r.pred.stride < r.pred.parts && !r.pairing.one()
+	rd.rung = min(rd.per+min(rd.extra, 1), r.pairing.depth())
 	clear(r.works)
 	r.memos = r.memos[:0]
 	if !rd.boot {
@@ -793,7 +793,7 @@ func (r *Runner[S, A]) seed(ctx context.Context) {
 		if i < rd.extra {
 			j.width++
 		}
-		j.depth = min(j.width, r.pairing.depth)
+		j.depth = min(j.width, r.pairing.depth())
 		j.used = max(j.used, j.width)
 		for k := range j.width {
 			r.chunks[c], j.lanes[k].slot = &j.lanes[k], i
@@ -842,7 +842,7 @@ func (r *Runner[S, A]) dispatch(ctx context.Context) {
 		// Nothing runs beside slot 0: no handoff to time, and the next
 		// round has no release to measure its gap from.
 		r.lease.released = 0
-		if rd.index == 0 && (r.exec == nil || r.pairing.one) && r.pairing.timed(r.pred.prevTotal) {
+		if rd.index == 0 && (r.exec == nil || r.pairing.one()) && r.pairing.timed(r.pred.prevTotal/int64(r.cfg.Threads)) {
 			t0 = nanos() // round 0 of a width-1 or narrowed runner, for the shape policy
 		}
 	}
@@ -883,6 +883,11 @@ func (r *Runner[S, A]) dispatch(ctx context.Context) {
 	// executor, and its latch is released by the time exec returns.
 	if armed > 0 {
 		r.jobs[0].exec()
+		if rd.index == 0 {
+			for _, l := range r.jobs[0].lanes[:r.jobs[0].width] {
+				rd.steps += l.work
+			}
+		}
 	}
 	if rd.slots == 1 && t0 != 0 {
 		// A width-1 round is its slot: the invoker's share is the round.
@@ -1267,7 +1272,7 @@ func (r *Runner[S, A]) finish() {
 	r.pend.LastWorks = r.works
 	if r.pairing.forced != 0 || r.exec == nil && rd.t0 == 0 {
 		// Pinned, or a width-1 runner's round the policy did not time: no
-		// evidence. (A narrowed runner's round counts for the recheck.)
+		// evidence.
 		return
 	}
 	procs := 1 // a width-1 runner's one slot is the invoker's, on one processor
@@ -1275,27 +1280,20 @@ func (r *Runner[S, A]) finish() {
 		procs = r.exec.procs
 	}
 	var perIter, self float64
-	if rd.wall > 0 && rd.round0 > 0 && !rd.reclaimed {
+	switch {
+	case procs == 1 && rd.slots > 1:
+		perIter = math.Inf(1) // the slots take turns on one processor: width cannot pay
+	case rd.wall > 0 && rd.round0 > 0 && !rd.reclaimed:
 		perIter = float64(rd.wall) / float64(rd.round0)
 	}
 	// A round wider than the host's processors is never clean, and its
 	// invoker's clock is no one's cost: its chunk 0 waits for a processor
 	// its own workers hold, and reads as a loop that waits on memory.
-	var steps int64
-	for _, l := range r.jobs[0].lanes[:r.jobs[0].width] {
-		steps += l.work
+	if rd.index == 0 && !rd.misspec && !rd.reclaimed && rd.slots <= procs && rd.steps > 0 {
+		self = float64(rd.own) / float64(rd.steps)
 	}
-	if steps > 0 && rd.slots <= procs {
-		self = float64(rd.own) / float64(steps)
-	}
-	clean := rd.index == 0 && !rd.misspec && !rd.reclaimed && rd.slots <= procs
-	perSlot := rd.pos / int64(r.cfg.Threads)
-	if procs == 1 && rd.slots > 1 && r.pairing.timed(perSlot) {
-		// The slots take turns on one processor: width cannot pay.
-		r.pairing.gain.add(1)
-	}
-	if r.pairing.observe(perIter, rd.rung, rd.slots, clean, self, perSlot) {
-		r.pred.stride = r.pred.parts / (r.cfg.Threads * r.pairing.depth)
+	if r.pairing.observe(perIter, rd.rung, self, rd.pos/int64(r.cfg.Threads)) {
+		r.pred.stride = r.pred.parts / (r.cfg.Threads * r.pairing.depth())
 	}
 }
 

@@ -520,6 +520,7 @@ func NewRunner[S comparable, A any](loop Loop[S, A], cfg Config) (*Runner[S, A],
 		cells: loop.Cells,
 	}
 	r.block, r.group = blockOf(&loop)
+	r.pairing.wide = cfg.Threads > 1
 	depth := maxDepth // the finest depth: the most chunks a slot may carry
 	if r.group == nil {
 		r.pairing.forced, depth = 1, 1
@@ -532,7 +533,7 @@ func NewRunner[S comparable, A any](loop Loop[S, A], cfg Config) (*Runner[S, A],
 	// a coarser depth uses every stride-th row of what a round reads. A
 	// runner that steps chains in groups can hunt the set, with slots
 	// setFanout times finer.
-	r.pred = newPredictor[S](cfg.Threads*depth, depth/r.pairing.depth)
+	r.pred = newPredictor[S](cfg.Threads*depth, depth/r.pairing.depth())
 	perSlot := depth
 	if depth > 1 {
 		perSlot *= setFanout
