@@ -33,11 +33,10 @@ import (
 // scalar state: no allocation after construction, so the native
 // runtime's steady-state 0 allocs/op contract holds with the gate on.
 //
-// The file also holds the shape policy (pairing), one table of a DOALL
-// runner's shapes: how many chunks its dispatch slot carries and, on a
-// runner of width 2 or more, whether its rounds use that width or the
-// invoker's slot alone, each shape judged by one rule on its own
-// measured cost. It is not part of Options.Adaptive: it runs whether the
+// The file also holds the shape policy (pairing), which decides how
+// many chunks a DOALL runner's dispatch slot carries and, on a runner of
+// width 2 or more, whether its rounds use that width or the invoker's
+// slot alone. It is not part of Options.Adaptive: it runs whether the
 // gate is on or off. A runner it narrows to width 1 consults no gate:
 // it has no width left for the gate to close.
 
@@ -207,20 +206,21 @@ const (
 // window is in, after every invocation, so a neighbour's fresh sample
 // counts at once. Beside that:
 //
-//   - a neighbour whose window is not full runs until it is, the deeper
+//   - a neighbour not yet measured runs until it has a window, deepest
 //     first, and every pairRecheck invocations one neighbour runs once,
 //     in rotation (deeper, across width, shallower), so its window
 //     follows the host;
-//   - a runner at (W, 1) tries no other shape until the figure of a
-//     window of clean rounds 0 (nothing reclaimed, squashed or capped,
-//     no more slots than processors) reads chunk 0's own cost at
-//     pairMinNs or more an iteration: a contiguous list never leaves it;
-//   - a shape other than (W, 1) runs only while each of its chunks keeps
-//     pairMinChunk iterations of the last trip count per slot; a runner
-//     deeper than that allows steps down at once;
-//   - a round that gives no figure (a slot reclaimed, no clock) counts
-//     +Inf for its shape, unless that is the depth-1 shape the runner
-//     holds, and so does a width round on a host of one processor
+//   - a runner at depth 1 tries no neighbour until a window of its clean
+//     rounds 0 (nothing reclaimed, squashed or capped, no more slots
+//     than processors) read chunk 0's own cost at pairMinNs or more an
+//     iteration in a majority: a contiguous list never leaves (W, 1);
+//   - a shape is allowed while each of its chunks keeps pairMinChunk
+//     iterations of the last trip count per slot, the narrowed (1, 1)
+//     included; a runner deeper than the deepest allowed steps down at
+//     once;
+//   - an invocation that gives no figure of the depth above 1 it ran (a
+//     slot reclaimed, the rows left its round a coarser layout) counts
+//     +Inf there, as does a width round on a host of one processor
 //     (finish): its slots take turns. A window whose majority is +Inf
 //     loses to the shape below it, measured or not.
 //
@@ -339,12 +339,12 @@ func (p *pairing) near(s int, perSlot int64) [3]int {
 	return near
 }
 
-// better reports whether shape a replaces its neighbour b: a majority of
-// a's window beats b's figure by pairGain, or b has no figure (+Inf) and
-// a is the narrower or shallower.
+// better reports whether shape a is better than its neighbour b: the
+// wider or deeper of the two (the higher index) is when a majority of
+// its window beats the other's figure by pairGain.
 func (p *pairing) better(a, b int) bool {
-	fb := p.at[b].mid()
-	return p.at[a].mid() < pairGain*fb || a < b && math.IsInf(fb, 1)
+	lo, hi := min(a, b), max(a, b)
+	return (p.at[hi].mid() < pairGain*p.at[lo].mid()) == (a == hi)
 }
 
 // timed reports whether round 0 of a width-1 runner, or of a narrowed
