@@ -33,10 +33,11 @@ import (
 // scalar state: no allocation after construction, so the native
 // runtime's steady-state 0 allocs/op contract holds with the gate on.
 //
-// The file also holds the shape policy (pairing), which decides how
-// many chunks a DOALL runner's dispatch slot carries and, on a runner of
-// width 2 or more, whether its rounds use that width or the invoker's
-// slot alone. It is not part of Options.Adaptive: it runs whether the
+// The file also holds the shape policy (pairing), one table of a DOALL
+// runner's shapes: how many chunks its dispatch slot carries and, on a
+// runner of width 2 or more, whether its rounds use that width or the
+// invoker's slot alone, each shape judged by one rule on its own
+// measured cost. It is not part of Options.Adaptive: it runs whether the
 // gate is on or off. A runner it narrows to width 1 consults no gate:
 // it has no width left for the gate to close.
 
@@ -206,21 +207,20 @@ const (
 // window is in, after every invocation, so a neighbour's fresh sample
 // counts at once. Beside that:
 //
-//   - a neighbour not yet measured runs until it has a window, deepest
+//   - a neighbour whose window is not full runs until it is, the deeper
 //     first, and every pairRecheck invocations one neighbour runs once,
 //     in rotation (deeper, across width, shallower), so its window
 //     follows the host;
-//   - a runner at depth 1 tries no neighbour until a window of its clean
-//     rounds 0 (nothing reclaimed, squashed or capped, no more slots
-//     than processors) read chunk 0's own cost at pairMinNs or more an
-//     iteration in a majority: a contiguous list never leaves (W, 1);
-//   - a shape is allowed while each of its chunks keeps pairMinChunk
-//     iterations of the last trip count per slot, the narrowed (1, 1)
-//     included; a runner deeper than the deepest allowed steps down at
-//     once;
-//   - an invocation that gives no figure of the depth above 1 it ran (a
-//     slot reclaimed, the rows left its round a coarser layout) counts
-//     +Inf there, as does a width round on a host of one processor
+//   - a runner at (W, 1) tries no other shape until the figure of a
+//     window of clean rounds 0 (nothing reclaimed, squashed or capped,
+//     no more slots than processors) reads chunk 0's own cost at
+//     pairMinNs or more an iteration: a contiguous list never leaves it;
+//   - a shape other than (W, 1) runs only while each of its chunks keeps
+//     pairMinChunk iterations of the last trip count per slot; a runner
+//     deeper than that allows steps down at once;
+//   - a round that gives no figure (a slot reclaimed, no clock) counts
+//     +Inf for its shape, unless that is the depth-1 shape the runner
+//     holds, and so does a width round on a host of one processor
 //     (finish): its slots take turns. A window whose majority is +Inf
 //     loses to the shape below it, measured or not.
 //

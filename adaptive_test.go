@@ -360,6 +360,9 @@ func TestPairingPolicy(t *testing.T) {
 		// So does half a window at depth 1's cost.
 		feed(p, pairWindow, pays, slow, two)
 		for n := 0; held(p) == 2; {
+			if n > pairWindow {
+				t.Fatal("held depth 2 at depth 1's cost")
+			}
 			if p.depth() == 2 {
 				n++
 			}
@@ -519,14 +522,14 @@ func TestPairingPolicy(t *testing.T) {
 		checkConservation(t, r.Stats(), 2, 0)
 	})
 	t.Run("oversubscribed", func(t *testing.T) {
-		// On one processor the slots of a width-2 round take turns, so once
-		// the trip count is long enough to time, each round counts as a
-		// width sample that does not pay, and a window's majority narrows
-		// the runner to the invoker alone. (Such a round used to give no
+		// On one processor the slots of a width-2 round take turns, so on a
+		// list that keeps pairMinChunk iterations a slot each round counts
+		// +Inf for its shape, and once a majority of its window does, the
+		// runner narrows to the invoker alone. (Such a round once gave no
 		// sample, so a width-2 runner kept dispatching a chunk its invoker
 		// then ran itself.) On two processors a width-4 round still runs a
-		// slot beside the invoker: it gives no sample, and the runner keeps
-		// its width.
+		// slot beside the invoker, but it is never clean: the gate on
+		// leaving (W, 1) stays shut, and the runner keeps its width.
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 		for _, c := range []struct {
 			procs, threads int
@@ -619,7 +622,8 @@ func TestPairingPolicy(t *testing.T) {
 			}
 		}
 		// Width that does not beat the invoker alone by pairGain narrows to
-		// (1, 2) once a majority of width 2's window is in, at the invoker's pace.
+		// (1, 2) once a majority of width 2's window is in, at the
+		// invoker's pace.
 		p = atDepth2()
 		p.at[1] = window{}
 		for n := 0; !narrowed(p); n++ {
@@ -931,17 +935,21 @@ func (m shapeModel) drive(seed int64, n int) []shapeAt {
 	ran := make([]shapeAt, n)
 	prev := 1
 	for inv := range n {
-		s := modelShape(p, m.w)
+		s := shapeAt{m.w, p.depth()}
+		if p.one() {
+			s.w = 1
+		}
 		ran[inv] = s
 		rung := min(s.d, prev)
 		prev = s.d
 		wall, self := m.cost(rng, inv, shapeAt{s.w, rung})
-		perSlot := m.perSlot(inv)
-		crowded := s.w > m.procs
-		if crowded {
-			self = 0
+		switch {
+		case m.procs == 1 && s.w > 1:
+			wall, self = math.Inf(1), 0 // the slots take turns on one processor
+		case s.w > m.procs || wall == 0:
+			self = 0 // not clean
 		}
-		modelObserve(p, wall, rung, s.w, !crowded && wall > 0, self, perSlot, m.procs)
+		p.observe(wall, rung, self, m.perSlot(inv))
 	}
 	return ran
 }
@@ -956,28 +964,6 @@ func narrow(p *pairing) {
 	for range pairWindow {
 		p.at[3].add(math.Inf(1))
 	}
-}
-
-// modelShape is the shape p runs the next invocation at, on a runner of
-// width w.
-func modelShape(p *pairing, w int) shapeAt {
-	if p.one() {
-		w = 1
-	}
-	return shapeAt{w, p.depth()}
-}
-
-// modelObserve feeds p one round 0, as finish does: on one processor a
-// width round's slots take turns, and only a clean round's invoker
-// clock counts.
-func modelObserve(p *pairing, wall float64, rung, slots int, clean bool, self float64, perSlot int64, procs int) {
-	if procs == 1 && slots > 1 {
-		wall = math.Inf(1)
-	}
-	if !clean {
-		self = 0
-	}
-	p.observe(wall, rung, self, perSlot)
 }
 
 // share is the share of the invocations of ran that ran at s.

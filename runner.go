@@ -56,8 +56,9 @@ type Runner[S comparable, A any] struct {
 	// cycle like the predictor — a Pool hands each in-flight invocation
 	// its own runner.
 	ctrl *specController
-	// pairing decides how many chunks a dispatch slot carries (adaptive.go);
-	// pinned to 1 for a DOACROSS loop.
+	// pairing decides the shape: the width, and how many chunks a
+	// dispatch slot carries (adaptive.go); the depth is pinned to 1 for a
+	// DOACROSS loop.
 	pairing pairing
 	// anyStop is on while the runner's rounds that step chains in groups
 	// hunt the set of their predicted starts (seed): from an invocation
@@ -223,7 +224,7 @@ func (r *Runner[S, A]) runInvocation(ctx context.Context, start S, loadAware boo
 	r.pend.Invocations++
 	// Only a round that steps chains in groups hunts the set: otherwise
 	// the rounds read the grid in index order again.
-	r.pred.fine = r.pred.fine && r.anyStop && r.pairing.depth > 1
+	r.pred.fine = r.pred.fine && r.anyStop && r.pairing.depth() > 1
 
 	shed := false
 	if r.width() > 1 {
@@ -272,7 +273,7 @@ func (r *Runner[S, A]) runInvocation(ctx context.Context, start S, loadAware boo
 	if r.pred.stride < r.pred.parts && !shed {
 		if rows := r.pred.predicted(); rows > 0 {
 			n = 1 + len(r.admitted(0))
-			if r.ctrl != nil && !r.pairing.one && n-1 < rows {
+			if r.ctrl != nil && !r.pairing.one() && n-1 < rows {
 				// The gate left a predicted row out: the probe clock runs.
 				r.ctrl.narrowed++
 				if n == 1 {
@@ -304,7 +305,7 @@ func (r *Runner[S, A]) runInvocation(ctx context.Context, start S, loadAware boo
 // policy has narrowed it (pairing) or the confidence gate closes every
 // predicted row, else Threads (a probe opens every row).
 func (r *Runner[S, A]) gateWidth() int64 {
-	if r.pairing.one || r.ctrl != nil && r.pred.predicted() > 0 && len(r.admitted(0)) == 0 {
+	if r.pairing.one() || r.ctrl != nil && r.pred.predicted() > 0 && len(r.admitted(0)) == 0 {
 		return 1
 	}
 	return int64(r.cfg.Threads)
@@ -313,7 +314,7 @@ func (r *Runner[S, A]) gateWidth() int64 {
 // width is the slots this invocation's rounds may use: Threads, or 1
 // while the shape policy runs the runner narrowed (pairing.one).
 func (r *Runner[S, A]) width() int {
-	if r.pairing.one {
+	if r.pairing.one() {
 		return 1
 	}
 	return r.cfg.Threads
@@ -324,7 +325,7 @@ func (r *Runner[S, A]) width() int {
 // the row clears the confidence floor or the invocation is a probe
 // (probes bypass the gate so gated rows can earn their confidence back).
 func (r *Runner[S, A]) admitRow(k int) bool {
-	if r.gate() == nil || r.rd.probe || r.pairing.one {
+	if r.gate() == nil || r.rd.probe || r.pairing.one() {
 		return true
 	}
 	return r.ctrl.Admit(k)
@@ -376,7 +377,7 @@ func (r *Runner[S, A]) reset() {
 		r.ctrl.Reset()
 	}
 	r.pairing.reset()
-	r.pred.stride = r.pred.parts / (r.cfg.Threads * r.pairing.depth)
+	r.pred.stride = r.pred.parts / (r.cfg.Threads * r.pairing.depth())
 	r.anyStop, r.calm = false, 0
 	// A recycled runner carries nothing from its previous owner: no
 	// caller state, no LastWorks, and no gaps measured on the previous
