@@ -207,29 +207,35 @@ const (
 // window is in, after every invocation, so a neighbour's fresh sample
 // counts at once. Beside that:
 //
-//   - a neighbour whose window is not full runs until it is, the deeper
-//     first, and every pairRecheck invocations one neighbour runs once,
-//     in rotation (deeper, across width, shallower), so its window
-//     follows the host;
-//   - a runner at (W, 1) tries no other shape until the figure of a
-//     window of clean rounds 0 (nothing reclaimed, squashed or capped,
-//     no more slots than processors) reads chunk 0's own cost at
-//     pairMinNs or more an iteration: a contiguous list never leaves it;
+//   - a neighbour not sampled yet runs until its window is full, the
+//     deeper first, and every pairRecheck invocations one neighbour
+//     runs, in rotation (deeper, across width, shallower), so its window
+//     follows the host: a deeper one again when its round ran on the
+//     coarser depth's rows, and a deeper or wider one on while each of
+//     its samples beats the held shape's figure by pairGain, so a shape
+//     the host slowed for a while is held again once it pays;
+//   - a depth-1 shape tries no deeper one, and (W, 1) no other shape,
+//     until the figure of a window of clean rounds 0 (nothing reclaimed,
+//     squashed or capped, no more slots than processors) reads chunk 0's
+//     own cost at pairMinNs or more an iteration: a contiguous list
+//     never leaves depth 1;
 //   - a shape other than (W, 1) runs only while each of its chunks keeps
 //     pairMinChunk iterations of the last trip count per slot; a runner
 //     deeper than that allows steps down at once;
-//   - a round that gives no figure (a slot reclaimed, no clock) counts
-//     +Inf for its shape, unless that is the depth-1 shape the runner
-//     holds, and so does a width round on a host of one processor
-//     (finish): its slots take turns. A window whose majority is +Inf
-//     loses to the shape below it, measured or not.
+//   - a round that gives no figure (a slot reclaimed, no clock, a round
+//     of one) counts +Inf for the shape it ran for, unless that is the
+//     depth-1 shape the runner holds, and so does a width round on a
+//     host of one processor (finish): its slots take turns. A window
+//     whose majority is +Inf loses to the shape below it, measured or
+//     not.
 //
 // A sample goes to the shape its round ran: the runner's width, at the
 // chunks its busiest slot carried rounded up to a depth. The first
 // invocation after a move to a finer depth finds only the coarser
-// depth's rows valid and runs that depth's layout; so does the one
-// after a recheck; a round the confidence gate thinned counts as the
-// depth it thinned to. A figure is a window's majority, not its mean
+// depth's rows valid and runs that depth's layout; so does the first
+// one of a recheck, and the one after a recheck of a coarser depth; a
+// round the confidence gate thinned counts as the depth it thinned to.
+// A figure is a window's majority, not its mean
 // nor its lowest: a round the host held up only adds time (one round
 // in a few thousand read 40× the others on a shared 2-vCPU guest), a
 // relinked structure lands its split anywhere, so a width's rounds range
@@ -274,12 +280,12 @@ func (p *pairing) one() bool { return p.run < 3 }
 // trip count per slot of the runner's width.
 func (p *pairing) observe(perIter float64, rung int, self float64, perSlot int64) bool {
 	was, held := p.run, p.cur
-	s := p.run/3*3 + bits.Len(uint(rung-1)) // the shape the round ran
+	s := was/3*3 + bits.Len(uint(rung-1)) // the shape the round ran
+	if perIter == 0 && (was%3 > 0 || was != held) {
+		s, perIter = was, math.Inf(1) // no figure of the shape it ran for, which must show it pays
+	}
 	if s%3 == 0 && self > 0 {
 		p.c0.add(self)
-	}
-	if perIter == 0 && (s%3 > 0 || s != held) {
-		perIter = math.Inf(1) // no figure of a shape that must show it pays
 	}
 	if perIter > 0 {
 		p.at[s].add(perIter)
@@ -298,11 +304,13 @@ func (p *pairing) observe(perIter float64, rung int, self float64, perSlot int64
 	}
 	p.tick++
 	p.run = p.cur
-	if p.cur == 3 && (p.c0.n < pairWindow || p.c0.mid() < pairMinNs) {
+	if p.cur == 3 && !p.waits() {
 		return p.run != was
 	}
 	for _, n := range near {
-		if n >= 0 && p.at[n].n < pairWindow {
+		on := n == was && was != held // the neighbour this invocation ran
+		up := on && n > p.cur && (s < was && p.tick%pairRecheck == 1 || p.at[n].n > pairWindow && perIter < pairGain*p.at[p.cur].mid())
+		if n >= 0 && (p.at[n].n == 0 || on && p.at[n].n < pairWindow || up) {
 			p.run = n
 			return p.run != was
 		}
@@ -318,26 +326,29 @@ func (p *pairing) observe(perIter float64, rung int, self float64, perSlot int64
 	return p.run != was
 }
 
-// near lists the neighbours of shape s the trip count per slot allows:
-// one step deeper, across width, one step shallower (-1: none).
+// near lists the neighbours of shape s, a shape the trip count per slot
+// allows, that it allows too: one step deeper (from depth 1 only on a
+// traversal that waits), across width ((1, 1) only from a trip count
+// that keeps pairMinChunk iterations a slot), one step shallower (-1:
+// none).
 func (p *pairing) near(s int, perSlot int64) [3]int {
 	near := [3]int{-1, -1, -1}
-	if s%3 < 2 {
+	if (s%3 == 1 || s%3 == 0 && p.waits()) && perSlot >= pairMinChunk<<(s%3+1) {
 		near[0] = s + 1
 	}
-	if p.wide {
+	if p.wide && (s != 3 || perSlot >= pairMinChunk) {
 		near[1] = (s + 3) % 6
 	}
 	if s%3 > 0 {
 		near[2] = s - 1
 	}
-	for i, n := range near {
-		if n >= 0 && n != 3 && perSlot < pairMinChunk<<(n%3) {
-			near[i] = -1
-		}
-	}
 	return near
 }
+
+// waits reports whether a window of clean depth-1 rounds 0 reads chunk
+// 0's own cost at pairMinNs or more an iteration: a traversal that waits
+// on memory, which a deeper shape may pay for.
+func (p *pairing) waits() bool { return p.c0.n >= pairWindow && p.c0.mid() >= pairMinNs }
 
 // better reports whether shape a is better than its neighbour b: the
 // wider or deeper of the two (the higher index) is when a majority of
@@ -355,25 +366,32 @@ func (p *pairing) timed(perSlot int64) bool {
 	return p.forced == 0 && (p.run != 3 || perSlot >= 2*pairMinChunk)
 }
 
-// window keeps a shape's last pairWindow samples, as a ring.
+// window keeps a shape's last pairWindow samples, as a ring, and their
+// figure.
 type window struct {
-	xs [pairWindow]float64
-	n  int // samples taken
+	xs  [pairWindow]float64
+	n   int     // samples taken
+	fig float64 // mid, once a sample is in
 }
 
-// add takes sample x.
+// add takes sample x and works out the window's figure, once a sample
+// and not where it is read, several times an invocation.
 func (w *window) add(x float64) {
 	w.xs[w.n%pairWindow] = x
 	w.n++
-}
-
-// mid is the window's figure: the least value a majority of its
-// pairWindow slots are at or below, an empty slot reading +Inf.
-func (w *window) mid() float64 {
 	xs := w.xs
 	for i := w.n; i < pairWindow; i++ {
 		xs[i] = math.Inf(1)
 	}
 	slices.Sort(xs[:])
-	return xs[pairWindow/2]
+	w.fig = xs[pairWindow/2]
+}
+
+// mid is the window's figure: the least value a majority of its
+// pairWindow slots are at or below, an empty slot reading +Inf.
+func (w *window) mid() float64 {
+	if w.n == 0 {
+		return math.Inf(1)
+	}
+	return w.fig
 }

@@ -245,10 +245,11 @@ func TestProbeSpecCapTightens(t *testing.T) {
 // neighbour before a window of clean rounds 0 whose chunk 0 ran at
 // pairMinNs or slower per iteration in a majority; a neighbour not yet
 // measured runs until it has a window, and every pairRecheck
-// invocations one neighbour runs once, in rotation; a shape runs only
-// while the trip count keeps pairMinChunk iterations a chunk; a round
-// that gives no figure of a depth above 1 counts +Inf there; a round the
-// host held up moves no figure. On a runner, a change of depth changes
+// invocations one neighbour runs, in rotation, a deeper or wider one on
+// while it pays; a shape runs only while the trip count keeps
+// pairMinChunk iterations a chunk; a round that gives no figure of the
+// depth above 1 it ran for counts +Inf there; a round the host held up
+// moves no figure. On a runner, a change of depth changes
 // which rows of its one grid it uses, and a body that burns time per
 // node is found and paired by the derived rule itself. A round the
 // confidence gate thinned is a sample of the depth it ran. Width is the
@@ -265,13 +266,20 @@ func TestPairingPolicy(t *testing.T) {
 		p.reset()
 		return p
 	}
-	// feed feeds p n rounds, each at the depth p runs and reading that
-	// depth's cost (cost, by log2 of the depth), chunk 0 at self in a
-	// depth-1 round, and reports whether one changed the shape.
+	// feed feeds p n rounds, each at the depth p runs as its rows allow
+	// (the first invocation at a finer depth runs the depth it ran
+	// before, as shapeModel.drive) and reading that depth's cost (cost,
+	// by log2 of the depth), chunk 0 at self in a depth-1 round, and
+	// reports whether one changed the shape. A copy of p starts from the
+	// depth it runs.
+	ran := map[*pairing]int{}
 	feed := func(p *pairing, n int, cost [3]float64, self float64, perSlot int64) (moved bool) {
 		for range n {
 			d, s := p.depth(), 0.0
-			if d == 1 {
+			if prev, ok := ran[p]; ok {
+				d = min(d, prev)
+			}
+			if ran[p] = p.depth(); d == 1 {
 				s = self
 			}
 			moved = p.observe(cost[bits.Len(uint(d-1))], d, s, perSlot) || moved
@@ -315,32 +323,47 @@ func TestPairingPolicy(t *testing.T) {
 		if !feed(p, 1, flat, slow, two) || p.depth() != 2 {
 			t.Fatal("a window of clean, slow, long rounds did not try depth 2")
 		}
-		// Depth 2 runs until it has a window. At depth 1's cost it does not
-		// pay, and the runner runs depth 1 again.
+		// Depth 2 runs until it has a window, its first invocation on
+		// depth 1's rows. At depth 1's cost it does not pay, and the runner
+		// runs depth 1 again.
 		n := 0
-		for ; p.depth() == 2 && n <= pairWindow; n++ {
+		for ; p.depth() == 2 && n <= pairWindow+1; n++ {
 			feed(p, 1, flat, slow, two)
 		}
-		if n != pairWindow || held(p) != 1 {
+		if n != pairWindow+1 || held(p) != 1 {
 			t.Fatalf("depth 2 ran %d invocations at depth 1's cost, holding %d", n, held(p))
 		}
-		// Every pairRecheck invocations depth 2 runs once. Once it pays,
-		// it is held from the recheck that gives a majority of its window
-		// under pairGain of depth 1's figure.
-		for i := 1; held(p) == 1; i++ {
-			n := 0
+		// Every pairRecheck invocations depth 2 runs again, first on depth
+		// 1's rows and then on its own. A recheck at depth 1's cost
+		// returns; one that beats depth 1's figure by pairGain runs on
+		// while it does, and depth 2 is held once a majority of its window
+		// is in under that figure.
+		for _, c := range []struct {
+			cost [3]float64
+			m    int
+		}{{flat, 2}, {pays, pairWindow/2 + 2}} {
+			n, m := 0, 0
 			for ; p.depth() == 1 && n <= pairRecheck; n++ {
-				feed(p, 1, pays, slow, two)
+				feed(p, 1, c.cost, slow, two)
 			}
-			if feed(p, 1, pays, slow, two); n > pairRecheck || (held(p) == 2) != (i == pairWindow/2+1) {
-				t.Fatalf("recheck %d after %d invocations: holding %d", i, n, held(p))
+			for ; p.depth() == 2 && held(p) == 1 && m <= pairWindow; m++ {
+				feed(p, 1, c.cost, slow, two)
+			}
+			if n > pairRecheck || m != c.m || (held(p) == 2) != (c.cost == pays) {
+				t.Fatalf("a recheck at %v after %d invocations, %d at depth 2: holding %d", c.cost, n, m, held(p))
 			}
 		}
-		// Three held-up rounds in every window do not drop it.
+		// Three held-up rounds in every window do not drop it. (A recheck
+		// of depth 1 takes two invocations from depth 2: the recheck, and
+		// the next one on depth 1's rows.)
 		for range 4 {
-			feed(p, pairWindow-3, pays, slow, two)
-			if feed(p, 3, [3]float64{100, 4000}, slow, two); held(p) != 2 {
-				t.Fatal("three held-up rounds in a window dropped depth 2")
+			for n := p.at[4].n; p.at[4].n < n+pairWindow-3; {
+				feed(p, 1, pays, slow, two)
+			}
+			for n := p.at[4].n; p.at[4].n < n+3; {
+				if feed(p, 1, [3]float64{100, 4000}, slow, two); held(p) != 2 {
+					t.Fatal("three held-up rounds in a window dropped depth 2")
+				}
 			}
 		}
 		// Invocations at depth 2 that give no figure of it (the invoker
@@ -374,7 +397,8 @@ func TestPairingPolicy(t *testing.T) {
 	t.Run("ladder", func(t *testing.T) {
 		// Each depth whose window beats the one below by pairGain in a
 		// majority is held, and the next deeper is tried at once, up to
-		// maxDepth.
+		// maxDepth: a majority of paying samples after the first
+		// invocation, which runs on the coarser depth's rows.
 		p := fresh(false)
 		feed(p, pairWindow, pays, slow, deep)
 		for _, d := range []int{2, 4} {
@@ -385,7 +409,7 @@ func TestPairingPolicy(t *testing.T) {
 				}
 				feed(p, 1, pays, slow, deep)
 			}
-			if n != pairWindow/2+1 {
+			if n != pairWindow/2+2 {
 				t.Fatalf("depth %d held after %d paying samples", d, n)
 			}
 		}
@@ -584,6 +608,25 @@ func TestPairingPolicy(t *testing.T) {
 		if math.IsInf(p.at[4].mid(), 1) {
 			t.Fatal("gated rounds gave depth 2 no figure")
 		}
+		// A gate that closes every row leaves a round of one: no figure,
+		// at rung 1. It counts +Inf for depth 2, the depth it ran for, not
+		// for depth 1: half a window of them drops depth 2, and depth 1's
+		// figure stands.
+		p = fresh(true)
+		p.cur, p.run = 4, 4
+		for range pairWindow {
+			p.at[3].add(100)
+			p.at[4].add(30)
+			p.at[1].add(60)
+		}
+		for n := 1; p.cur == 4; n++ {
+			if p.observe(0, 1, 0, two); n > pairWindow/2 || p.cur != 4 && (p.cur != 3 || n != pairWindow/2) {
+				t.Fatalf("holding shape %d after %d rounds of one", p.cur, n)
+			}
+		}
+		if p.at[3].mid() != 100 {
+			t.Fatalf("rounds of one moved depth 1's figure to %v", p.at[3].mid())
+		}
 	})
 	t.Run("width", func(t *testing.T) {
 		// wide feeds p until n rounds have run at (2, 2), each reading
@@ -736,6 +779,7 @@ func TestPairingPolicy(t *testing.T) {
 			narrowAt         = 5      // the first invocation at width 1 on one processor
 			shrink2, shrink1 = 2, 1   // invocations past the first after a shrink of the trip count that still run deeper than it allows
 			dropIn           = 8      // sample-less invocations at depth 2 before depth 1
+			backIn           = 52     // invocations from leaving (W, 4) on a transient to holding it again (the parent never left it)
 		)
 		noisy := func(rng *rand.Rand, x float64) float64 { return x * (0.95 + 0.1*rng.Float64()) }
 		perSlot := func(n int64) func(int) int64 { return func(int) int64 { return n } }
@@ -822,6 +866,34 @@ func TestPairingPolicy(t *testing.T) {
 					if at < 0 || at > narrowAt || atWidth(ran[at:], 1) < 0.9 {
 						t.Fatalf("slow %v seed %d: first at width 1 at %d (bound %d), at width 1 in %.3f after", slow, seed, at, narrowAt, atWidth(ran[at:], 1))
 					}
+					// A body that does not wait on memory never runs deeper,
+					// at either width.
+					if deep := slices.IndexFunc(ran, func(s shapeAt) bool { return s.d > 1 }); !slow && deep >= 0 {
+						t.Fatalf("seed %d: a fast body ran %v at %d", seed, ran[deep], deep)
+					}
+				}
+			}
+		})
+		t.Run("transient", func(t *testing.T) {
+			// The host slows (W, 4) 3× for a majority of its window, and
+			// the runner steps down; once the host recovers, the rechecks of
+			// (W, 4) read it again and the runner climbs back.
+			for seed := range int64(seeds) {
+				m := shuffled(2, perSlot(100_000))
+				cost := m.cost
+				m.cost = func(rng *rand.Rand, inv int, s shapeAt) (float64, float64) {
+					wall, self := cost(rng, inv, s)
+					if inv >= 1000 && inv < 1000+pairWindow/2+1 && s == (shapeAt{2, maxDepth}) {
+						wall, self = 3*wall, 3*self
+					}
+					return wall, self
+				}
+				ran := m.drive(seed, 3000)
+				left := 1000 + slices.IndexFunc(ran[1000:], func(s shapeAt) bool { return s != shapeAt{2, maxDepth} })
+				back := left + longestBefore(ran[left:], shapeAt{2, maxDepth}, pairWindow)
+				if left < 1000 || ran[left-1] != (shapeAt{2, maxDepth}) || back-left > backIn || share(ran[2000:], shapeAt{2, maxDepth}) < 0.9 {
+					t.Fatalf("seed %d: left (2, 4) at %d, held it again from %d (bound %d later), in %.3f of the last 1000",
+						seed, left, back, backIn, share(ran[2000:], shapeAt{2, maxDepth}))
 				}
 			}
 		})
@@ -986,6 +1058,20 @@ func atWidth(ran []shapeAt, w int) float64 {
 		}
 	}
 	return float64(n) / float64(len(ran))
+}
+
+// longestBefore is the index in ran of the first run of n invocations
+// in a row at s (len(ran): none).
+func longestBefore(ran []shapeAt, s shapeAt, n int) int {
+	for i, k := 0, 0; i < len(ran); i++ {
+		if k = k + 1; ran[i] != s {
+			k = 0
+		}
+		if k == n {
+			return i + 1 - n
+		}
+	}
+	return len(ran)
 }
 
 // longestAt is the longest run of consecutive invocations of ran at
