@@ -41,6 +41,48 @@ func TestBatchDifferentialOracle(t *testing.T) {
 	})
 }
 
+// TestShedItemMemoizesByPlan: a batch item the load-aware door sheds
+// memoizes as chunk 0 of a round does, by the position plan of the last
+// trip count, not by the bootstrap plan's candidates. A first item has
+// no trip count to plan from, so it memoizes nothing; the next installs
+// exactly the plan's rows, at the plan's positions. The list is below
+// the door's threshold (ctxPollEvery iterations a slot), so every item
+// sheds.
+func TestShedItemMemoizesByPlan(t *testing.T) {
+	l := testList(1500, 3)
+	r := newRunner(t, plainLoop(), Config{Threads: 2})
+	batch := func() {
+		t.Helper()
+		if got, err := r.runBatch(context.Background(), []*mnode{l.head}); err != nil || got[0] != l.oracle() {
+			t.Fatalf("shed item = %+v, %v; want %+v", got, err, l.oracle())
+		}
+	}
+	batch()
+	if n := r.pred.predicted(); n != 0 || r.pred.prevTotal != 1500 {
+		t.Fatalf("a first shed item left %d rows, trip count %d; want none, 1500", n, r.pred.prevTotal)
+	}
+	batch()
+	plan := r.pred.plan(nil)
+	if len(plan) == 0 {
+		t.Fatal("no plan at a trip count of 1500")
+	}
+	installed := 0
+	for k, row := range r.pred.rows {
+		if row.valid {
+			installed++
+			if i := slices.IndexFunc(plan, func(e planEntry) bool { return e.row == k }); i < 0 || plan[i].at != row.pos {
+				t.Fatalf("row %d installed at %d; the plan %+v", k, row.pos, plan)
+			}
+		}
+	}
+	if installed != len(plan) {
+		t.Fatalf("%d rows installed, the plan has %d", installed, len(plan))
+	}
+	if st := r.Stats(); st.BatchSheds != 2 || st.Invocations != 2 {
+		t.Fatalf("%d of %d items shed; the test means both", st.BatchSheds, st.Invocations)
+	}
+}
+
 // TestBatchMixedStarts batches invocations that start at different
 // nodes of one list (suffix traversals), so one recycled runner serves
 // heterogeneous trip counts back to back and its stale predictions must

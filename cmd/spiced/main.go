@@ -1,8 +1,9 @@
 // Command spiced serves the spice runtime to multiple tenants over
 // HTTP: JSON jobs naming registered native workload kernels, a bounded
 // admission queue (full queue answers 429 + Retry-After), per-tenant
-// concurrency caps and speculation budgets re-divided by the payoff of
-// each tenant's speculation, and Prometheus-style /metrics.
+// concurrency caps, an adaptive pool session per structure whose
+// confidence gate narrows a tenant's speculation down to width 1 when
+// it keeps missing, and Prometheus-style /metrics.
 // SIGINT/SIGTERM drains gracefully: in-flight jobs finish, new ones are
 // rejected with 503.
 //
@@ -24,8 +25,8 @@
 //	-drain-timeout D      graceful drain bound on SIGTERM (default 30s)
 //	-chaos SPEC           fault-injection schedule (testing only)
 //
-// Every other bound (queue depth, tenant and async caps, table sizes,
-// the allocator's policy) is a constant of internal/server.
+// Every other bound (queue depth, tenant and async caps, table sizes)
+// is a constant of internal/server.
 //
 // Example:
 //

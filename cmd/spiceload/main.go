@@ -5,7 +5,8 @@
 // becomes visible. The tenant mix is weighted — each spec names a
 // tenant, a kernel, a churn level and an arrival weight — which is how
 // a run puts a well-predicting tenant and a misspeculating one on the
-// same daemon and watches their budgets diverge in /metrics.
+// same daemon and watches their budgets (the width each one's session
+// runs at) diverge in /metrics.
 //
 // Example (two tenants with opposite misspeculation profiles):
 //

@@ -263,8 +263,12 @@ func (s *Server) runJobGuarded(j *job, started time.Time) (res *JobResult, aerr 
 }
 
 // runJob executes the job's invocations on the tenant's structure
-// instance through a budget-width session, and folds the resulting
-// Stats delta into the tenant's accounting.
+// instance through the instance's session, and folds the resulting
+// Stats delta into the tenant's accounting. Every invocation goes
+// through the load-aware door (Session.RunBatch): it runs in place,
+// sequentially, when no executor worker is free or the traversal is too
+// small to chunk (Stats.BatchSheds), and the session's confidence gate
+// decides which rows the others speculate on.
 func (s *Server) runJob(j *job, started time.Time) (*JobResult, *apiError) {
 	if err := j.ctx.Err(); err != nil {
 		// Cancelled while queued (client gone, timeout, or drain abort).
@@ -274,41 +278,30 @@ func (s *Server) runJob(j *job, started time.Time) (*JobResult, *apiError) {
 	inst.mu.Lock()
 	defer inst.mu.Unlock()
 
-	budget := int(j.t.budget.Load())
-	if aerr := inst.ensureSession(s, budget); aerr != nil {
+	if aerr := inst.ensureSession(s); aerr != nil {
 		return nil, aerr
 	}
-	// Bind the instance's private cell store every job: a width change
-	// reopens the session, and the fresh runner's reset cleared any
-	// earlier binding. DOALL kernels carry a minimal store that the
-	// universal SpecLoop's reduction declarations require.
-	inst.sess.BindCells(inst.inst.Cells)
 	before := inst.sess.Stats()
 
+	// An immutable structure lets the whole job ride one batch; a churned
+	// one changes between two invocations (the kernel's churn profile,
+	// the Spice scenario), so each is a batch of its own.
+	batch := j.req.Invocations
+	if j.req.Churn != 0 {
+		batch = 1
+	}
+	starts := make([]*native.Node, batch)
 	var acc int64
 	var err error
-	if j.req.Churn == 0 && j.req.Invocations > 1 {
-		// An immutable structure lets the whole job ride one batched
-		// call: per-invocation session overhead is amortized and each
-		// item is shed-aware (sequential in place when the executor is
-		// saturated or the traversal too small — Stats.BatchSheds).
-		starts := make([]*native.Node, j.req.Invocations)
+	for done := int64(0); done < j.req.Invocations && err == nil; done += batch {
 		for i := range starts {
 			starts[i] = inst.inst.Head
 		}
 		var accs []int64
-		accs, err = inst.sess.RunBatch(j.ctx, starts)
-		if len(accs) > 0 {
+		if accs, err = inst.sess.RunBatch(j.ctx, starts); len(accs) > 0 {
 			acc = accs[len(accs)-1]
 		}
-	} else {
-		for inv := int64(0); inv < j.req.Invocations; inv++ {
-			acc, err = inst.sess.Run(j.ctx, inst.inst.Head)
-			if err != nil {
-				break
-			}
-			// The kernel's churn profile between invocations — the Spice
-			// scenario, and what makes per-tenant hit rates diverge.
+		if err == nil {
 			inst.inst.Mutate()
 		}
 	}
@@ -334,7 +327,7 @@ func (s *Server) runJob(j *job, started time.Time) (*JobResult, *apiError) {
 		Misses:      d.Misses,
 		Conflicts:   d.Conflicts,
 		Sheds:       d.BatchSheds,
-		Budget:      budget,
+		Budget:      int(d.EffectiveThreads),
 		ElapsedMS:   float64(time.Since(started)) / float64(time.Millisecond),
 	}, nil
 }

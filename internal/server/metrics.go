@@ -3,7 +3,7 @@ package server
 // Prometheus-style observability, hand-rolled on stdlib only: the
 // /metrics endpoint renders the text exposition format (counters,
 // gauges, two latency histograms) from the pool's Stats counters, the
-// admission queue's gauges and every tenant's budget/score/aggregate
+// admission queue's gauges and every tenant's budget and aggregate
 // counters.
 
 import (
@@ -127,9 +127,7 @@ func (s *Server) counted(h http.HandlerFunc) http.HandlerFunc {
 type tenantMetricsRow struct {
 	name     string
 	budget   int64
-	score    float64
 	inflight int64
-	starved  bool
 	agg      spice.Stats // the tenant's lifetime counters
 }
 
@@ -186,25 +184,13 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	counter("spiced_pool_batch_sheds_total", "invocations shed to in-place sequential execution", ps.BatchSheds)
 	counter("spiced_pool_runners_retired", "runners quarantined after repeated contained panics", ps.RunnersRetired)
 
-	// Per-tenant serving state: the budget allocator's outputs next to
-	// the evidence they were computed from.
+	// Per-tenant serving state: the width each tenant's session runs at
+	// next to the evidence its gate judged.
 	rows := s.snapshotTenants()
 	if len(rows) > 0 {
-		fmt.Fprintf(&b, "# HELP spiced_tenant_budget speculation width currently allocated to the tenant\n# TYPE spiced_tenant_budget gauge\n")
+		fmt.Fprintf(&b, "# HELP spiced_tenant_budget width the tenant's session ran at after its last job: 1 once its confidence gate closed every row\n# TYPE spiced_tenant_budget gauge\n")
 		for _, t := range rows {
 			fmt.Fprintf(&b, "spiced_tenant_budget{tenant=%q} %d\n", t.name, t.budget)
-		}
-		fmt.Fprintf(&b, "# HELP spiced_tenant_score smoothed payoff of the tenant's speculation, per allocator window: hits/(hits+misses) x (1 - reclaimed/(hits+misses)) x iters/(iters+squashed iters); below the starve score the tenant runs at width 1\n# TYPE spiced_tenant_score gauge\n")
-		for _, t := range rows {
-			fmt.Fprintf(&b, "spiced_tenant_score{tenant=%q} %.4f\n", t.name, t.score)
-		}
-		fmt.Fprintf(&b, "# HELP spiced_tenant_starved 1 when the allocator pinned the tenant to sequential execution\n# TYPE spiced_tenant_starved gauge\n")
-		for _, t := range rows {
-			v := 0
-			if t.starved {
-				v = 1
-			}
-			fmt.Fprintf(&b, "spiced_tenant_starved{tenant=%q} %d\n", t.name, v)
 		}
 		fmt.Fprintf(&b, "# HELP spiced_tenant_inflight admitted jobs not yet finished\n# TYPE spiced_tenant_inflight gauge\n")
 		for _, t := range rows {
@@ -224,7 +210,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			func(t tenantMetricsRow) int64 { return t.agg.Hits })
 		perTenantCounter("spiced_tenant_spec_misses_total", "speculative chunks squashed for the tenant",
 			func(t tenantMetricsRow) int64 { return t.agg.Misses })
-		perTenantCounter("spiced_tenant_reclaimed_chunks_total", "the tenant's speculative chunks the invoking goroutine ran itself because no worker had started them; they earn the tenant's score nothing",
+		perTenantCounter("spiced_tenant_reclaimed_chunks_total", "the tenant's speculative chunks the invoking goroutine ran itself because no worker had started them",
 			func(t tenantMetricsRow) int64 { return t.agg.Reclaimed })
 		perTenantCounter("spiced_tenant_conflicts_total", "DOACROSS read/write-set conflict events for the tenant",
 			func(t tenantMetricsRow) int64 { return t.agg.Conflicts })

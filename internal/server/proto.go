@@ -154,7 +154,9 @@ type JobResult struct {
 	// Sheds counts the job's invocations executed sequentially in place
 	// because the executor was saturated or the traversal too small.
 	Sheds int64 `json:"sheds"`
-	// Budget is the tenant's speculation width the job ran under.
+	// Budget is the width the job's session ran at once the job was over
+	// (Stats.EffectiveThreads): the pool's width, or 1 once the session's
+	// confidence gate has closed every row.
 	Budget int `json:"budget"`
 	// ElapsedMS is the job's service time (excluding queueing).
 	ElapsedMS float64 `json:"elapsed_ms"`

@@ -1,10 +1,10 @@
 // Package server implements spiced, a multi-tenant serving daemon over
 // the spice runtime: a JSON wire protocol naming registered native
 // workload kernels, a bounded admission queue with per-tenant
-// concurrency caps, a per-tenant speculation-budget allocator that
-// re-divides the shared executor's capacity in proportion to what each
-// tenant's speculation recently paid, and Prometheus-style /metrics —
-// all on the standard library alone.
+// concurrency caps, one adaptive pool session per structure instance
+// whose own confidence gate and load-aware door decide whether
+// speculation pays, and Prometheus-style /metrics — all on the standard
+// library alone.
 package server
 
 import (
@@ -33,7 +33,7 @@ import (
 // pool's topology-default size.
 type Config struct {
 	// MaxWidth is the widest speculation any single invocation may use
-	// (the shared pool's Threads). Budgets allocate within [1, MaxWidth].
+	// (the shared pool's Threads); a session's gate narrows it down to 1.
 	MaxWidth int
 	// JobTimeout bounds one job's execution (and queue wait).
 	JobTimeout time.Duration
@@ -107,10 +107,12 @@ func New(cfg Config) (*Server, error) {
 	}
 	// SpecLoop rather than Loop: the universal speculative body serves
 	// DOALL and DOACROSS kernels alike (DOALL nodes never touch the cell
-	// store), so one shared pool covers the whole registry. Each job
-	// binds its instance's private Cells before running.
+	// store), so one shared pool covers the whole registry. Each
+	// instance's session binds its private Cells once. Adaptive: each
+	// session's confidence gate judges, row by row, whether its tenant's
+	// speculation pays.
 	pool, err := spice.NewPool(native.SpecLoop(), spice.PoolConfig{
-		Config: spice.Config{Threads: cfg.MaxWidth, Faults: cfg.Faults},
+		Config: spice.Config{Threads: cfg.MaxWidth, Faults: cfg.Faults, Options: spice.Options{Adaptive: true}},
 	})
 	if err != nil {
 		return nil, fmt.Errorf("spiced: pool: %w", err)
@@ -137,22 +139,17 @@ func New(cfg Config) (*Server, error) {
 }
 
 // housekeep is the server's background work besides the dispatchers: a
-// watchdog sweep every sweepInterval and an allocator window every
-// rebalanceWindow, until s.stop is closed (Drain) or receives (a test
-// taking the allocator's windows over; it returns between two passes).
+// watchdog sweep every sweepInterval, until Drain closes s.stop.
 func (s *Server) housekeep() {
 	defer s.loops.Done()
-	sweep, window := time.NewTicker(s.sweepInterval()), time.NewTicker(rebalanceWindow)
+	sweep := time.NewTicker(s.sweepInterval())
 	defer sweep.Stop()
-	defer window.Stop()
 	for {
 		select {
 		case <-s.stop:
 			return
 		case <-sweep.C:
 			s.sweep(time.Now())
-		case <-window.C:
-			s.rebalance()
 		}
 	}
 }

@@ -257,7 +257,7 @@ func init() {
 	// by fresh allocations each invocation (the whole structure once
 	// churn reaches the node count), so memoized starts stop being
 	// members at all and membership validation rejects them before
-	// dispatch. The adversarial workload a budget allocator must starve:
+	// dispatch. The adversarial workload a confidence gate must close:
 	// unlike pure reordering, which narrow widths flatter, replacement is
 	// hostile at every width.
 	Register(&Kernel{

@@ -55,8 +55,7 @@ type Pool[S comparable, A any] struct {
 	mu sync.Mutex
 	// idle holds the recycled runners, keyed by their dispatch width:
 	// besides the default cfg.Threads runners serving Run/RunBatch/
-	// Submit, SessionWidth mints width-budgeted runners (a serving
-	// layer's per-tenant speculation budgets), and a runner must only
+	// Submit, SessionWidth mints narrower ones, and a runner must only
 	// ever be recycled to a caller asking for its width.
 	idle   map[int][]*Runner[S, A]
 	all    []*Runner[S, A]
@@ -271,12 +270,12 @@ func (p *Pool[S, A]) Session() (*Session[S, A], error) {
 }
 
 // SessionWidth opens a session whose invocations dispatch at most width
-// concurrent chunks, regardless of the pool's configured Threads. It is
-// the speculation-budget primitive for multi-tenant callers: a serving
-// layer opens each tenant's session at the width that tenant has earned
-// (down to 1 — pure sequential execution, no speculative chunks at all)
-// while every session still shares the pool's workers, so a narrow
-// tenant cannot occupy executor capacity its budget does not cover.
+// concurrent chunks, regardless of the pool's configured Threads: a
+// caller that measures or runs at a fixed width narrower than the pool's
+// (down to 1, pure sequential execution with no speculative chunk) still
+// shares the pool's workers. Whether speculation pays at that width is
+// the session's own to judge (Options.Adaptive, and the load-aware
+// RunBatch).
 //
 // width is clamped to [1, cfg.Threads]: the pool's scheduler buffers and
 // worker sizing are provisioned for cfg.Threads, so a budget can only
@@ -295,14 +294,6 @@ func (p *Pool[S, A]) SessionWidth(width int) (*Session[S, A], error) {
 	}
 	r.reset()
 	return &Session[S, A]{p: p, r: r}, nil
-}
-
-// Width reports the session's dispatch width (0 after Close).
-func (s *Session[S, A]) Width() int {
-	if s.r == nil {
-		return 0
-	}
-	return s.r.cfg.Threads
 }
 
 // Run executes one invocation through the session's private runner,
@@ -347,8 +338,8 @@ func (s *Session[S, A]) RunBatch(ctx context.Context, starts []S) ([]A, error) {
 // needs — pool-recycled Run/Submit runners would let two concurrent
 // invocations race on one store, so sessions are the pool's intended
 // DOACROSS front door. The binding is cleared when the session closes
-// (the runner reset restores Loop.Cells); re-bind after reopening a
-// session, e.g. on a width change. No-op after Close.
+// (the runner reset restores Loop.Cells); bind again in a new session.
+// No-op after Close.
 func (s *Session[S, A]) BindCells(c *Cells) {
 	if s.r == nil {
 		return

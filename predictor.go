@@ -17,9 +17,10 @@ package spice
 // at their correct positions (self-healing).
 //
 // There are two plans and one capture mechanism. An invocation with a
-// chain to keep balanced plans from the last trip count, as above. One
-// that starts as a round of one on a runner that could speculate — the
-// first, and every fallback after it — carries bootPlan instead: a
+// chain to keep balanced plans from the last trip count, as above, and
+// so does one the load-aware door shed. One that starts as a round of
+// one on a runner that could speculate for want of rows — the first,
+// and every fallback after it — carries bootPlan instead: a
 // candidate at every power of two, from which promote picks the rows
 // once the trip count is known. Either way the chunk driver fires the
 // entries (chunkJob.exec), the walk turns them into memos at global

@@ -191,8 +191,10 @@ func (r *Runner[S, A]) Run(ctx context.Context, start S) (A, error) {
 // goroutine alone, which is all "sequential" means in this runtime —
 // when the batched door sheds, no row is predicted, or the gate closed
 // every row; a width-1 runner predicts rows only above depth 1. Such an
-// invocation still memoizes (the bootstrap plan, predictor.go) when its
-// grid has rows in use, so later ones have predictions to test. A
+// invocation still memoizes when its grid has rows in use, so later ones
+// have predictions to test: a shed one by the position plan, as chunk 0
+// of a round does (it has a trip count to plan from, or plans nothing),
+// the others by the bootstrap plan (predictor.go). A
 // runner the shape policy narrowed (pairing.one) runs at width 1: no
 // demand on the executor, no shed, no gate, and a chain of every
 // Threads-th row of its grid (admitted). The invocation's counter deltas
@@ -226,7 +228,6 @@ func (r *Runner[S, A]) runInvocation(ctx context.Context, start S, loadAware boo
 	// the rounds read the grid in index order again.
 	r.pred.fine = r.pred.fine && r.anyStop && r.pairing.depth() > 1
 
-	shed := false
 	if r.width() > 1 {
 		// Every parallel-capable invocation registers its speculative slots
 		// on the shared executor for its whole duration, so the load-aware
@@ -254,14 +255,14 @@ func (r *Runner[S, A]) runInvocation(ctx context.Context, start S, loadAware boo
 		// Checked before the gate is consulted, so the shed neither runs
 		// nor probes it. Plain Run never sheds: a lone blocking caller
 		// asked for this invocation to be parallelized.
-		if shed = loadAware && (r.exec.overloaded(r.cfg.Threads, r.queuedEntries()) ||
-			r.pred.prevTotal < int64(r.cfg.Threads)*ctxPollEvery); shed {
+		if r.rd.shed = loadAware && (r.exec.overloaded(r.cfg.Threads, r.queuedEntries()) ||
+			r.pred.prevTotal < int64(r.cfg.Threads)*ctxPollEvery); r.rd.shed {
 			r.pend.BatchSheds++
 		} else if r.ctrl != nil {
 			r.rd.probe = r.ctrl.Begin()
 		}
 	}
-	if r.cfg.Threads > 1 && !shed {
+	if r.cfg.Threads > 1 && !r.rd.shed {
 		// The gauge shows the invocation's width while it runs, and the
 		// width the runner runs at once it is over, on every exit path.
 		r.stats.effectiveThreads.Store(r.gateWidth())
@@ -270,7 +271,7 @@ func (r *Runner[S, A]) runInvocation(ctx context.Context, start S, loadAware boo
 	n := 1
 	// A grid with no row in use (a width-1 runner at depth 1) predicts
 	// nothing: its invocation is the plain sequential path.
-	if r.pred.stride < r.pred.parts && !shed {
+	if r.pred.stride < r.pred.parts && !r.rd.shed {
 		if rows := r.pred.predicted(); rows > 0 {
 			n = 1 + len(r.admitted(0))
 			if r.ctrl != nil && !r.pairing.one() && n-1 < rows {

@@ -629,6 +629,7 @@ type round[S comparable, A any] struct {
 	pos    int64 // chunk 0's global position: the iterations committed so far
 	cap    int64 // the speculative iteration cap of the round's chunks
 	probe  bool  // a probe: the confidence gate is open (runInvocation)
+	shed   bool  // the load-aware door kept the invocation on its invoker (runInvocation)
 	boot   bool  // memoize by the bootstrap plan (begin, or from a round that hunts the set on: seed)
 
 	// Round 0's clock, the pairing policy's evidence (finish), from the
@@ -729,10 +730,13 @@ func (r *Runner[S, A]) run(ctx context.Context, start S, n int) (A, error) {
 // An invocation that starts as a round of one on a runner that could
 // speculate memoizes by the bootstrap plan: no row is predicted, or none
 // was admitted, so there is no split to keep balanced, only rows to find
-// for the next invocation. (Slot 0 neither caps nor conflicts: such a
-// round is the whole invocation.)
+// for the next invocation. A shed one is the exception: the door shed it
+// for load or size, not for its rows, so it memoizes by the position
+// plan, as chunk 0 does, and plans nothing before a first trip count.
+// (Slot 0 neither caps nor conflicts: such a round is the whole
+// invocation.)
 func (r *Runner[S, A]) begin(start S, n int) {
-	rd := &r.rd // zero but probe: release cleared it after the previous invocation
+	rd := &r.rd // zero but probe and shed: release cleared it after the previous invocation
 	rd.cap = r.pred.specCap(r.cfg.maxSpec)
 	if rd.probe {
 		rd.cap = probeSpecCap(rd.cap, r.pred.prevTotal, n)
@@ -740,9 +744,10 @@ func (r *Runner[S, A]) begin(start S, n int) {
 	rd.layout(n, r.width())
 	// A round of one memoizes by the bootstrap plan whenever the grid has
 	// a row in use (not a width-1 runner at depth 1, nor a width-1
-	// DOACROSS one), unless the runner is narrowed: its chain is sparser
-	// than its grid, whose rows the plan keeps for the width recheck.
-	rd.cur, rd.boot = start, n == 1 && r.pred.stride < r.pred.parts && !r.pairing.one()
+	// DOACROSS one), unless it was shed or the runner is narrowed: a
+	// narrowed chain is sparser than its grid, whose rows the plan keeps
+	// for the width recheck.
+	rd.cur, rd.boot = start, n == 1 && !rd.shed && r.pred.stride < r.pred.parts && !r.pairing.one()
 	rd.rung = min(rd.per+min(rd.extra, 1), r.pairing.depth())
 	clear(r.works)
 	r.memos = r.memos[:0]

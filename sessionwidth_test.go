@@ -1,7 +1,7 @@
 package spice
 
 // Tests for the width-budgeted session surface added for multi-tenant
-// serving: Pool.SessionWidth (per-width runner recycling), Session.Width,
+// serving: Pool.SessionWidth (per-width runner recycling),
 // Session.RunBatch, and the Stats.Delta/Plus snapshot arithmetic the
 // serving layer's per-tenant accounting is built on.
 
@@ -22,13 +22,13 @@ func TestSessionWidthClampsAndRuns(t *testing.T) {
 		if err != nil {
 			t.Fatalf("SessionWidth(%d): %v", tc.ask, err)
 		}
-		if got := s.Width(); got != tc.want {
-			t.Fatalf("SessionWidth(%d).Width() = %d, want %d", tc.ask, got, tc.want)
+		if got := s.Stats().EffectiveThreads; got != int64(tc.want) {
+			t.Fatalf("SessionWidth(%d) runs at width %d, want %d", tc.ask, got, tc.want)
 		}
 		l.exact(t, s)
 		s.Close()
-		if s.Width() != 0 {
-			t.Fatalf("Width after Close = %d, want 0", s.Width())
+		if got := s.Stats().EffectiveThreads; got != 0 {
+			t.Fatalf("width after Close = %d, want 0", got)
 		}
 	}
 }
